@@ -12,6 +12,12 @@ Python 3 refuses to compare ``None`` with other values, and refuses to compare
 totally ordered: ``None`` sorts before everything, and values of different
 types are ordered by type name first (a deterministic, if arbitrary, rule that
 only matters for pathological mixed-type columns).
+
+:class:`NoneFirst` is the *reference* definition of that order; the engine
+and the backend validation sort with it.  The XML integration hot path
+(:mod:`repro.xmlgen.streams`) compares millions of keys and uses the
+equivalent wrapper-free encoding of :func:`flat_key`, which compares
+entirely in C.
 """
 
 from functools import total_ordering
@@ -66,6 +72,36 @@ def sort_key(values):
     raises ``TypeError`` on mixed types.
     """
     return tuple(NoneFirst(v) for v in values)
+
+
+class _TypeTags(dict):
+    """``type -> tag`` for :func:`flat_key`: ``""`` for NULL, the type's
+    name otherwise (looked up once per type, so equal tags are the same
+    string object and tuple comparison short-circuits on identity)."""
+
+    def __missing__(self, kind):
+        tag = self[kind] = kind.__name__
+        return tag
+
+
+#: The tag of every value type seen so far.  ``""`` sorts before every
+#: type name, which is what puts NULLs first.
+TYPE_TAGS = _TypeTags({type(None): ""})
+
+
+def flat_key(values):
+    """The wrapper-free twin of :func:`sort_key`: a plain tuple
+    ``(tag, value, tag, value, ...)`` with one ``(tag, value)`` pair per
+    position, where ``tag`` is ``""`` for NULL and the value's type name
+    otherwise.  Two flat keys of the same width compare exactly as the
+    corresponding :class:`NoneFirst` tuples — NULLs first, mixed types by
+    type name, equal types by value — without a Python-level ``__lt__``
+    per position."""
+    key = []
+    for value in values:
+        key.append(TYPE_TAGS[type(value)])
+        key.append(value)
+    return tuple(key)
 
 
 def compare(left, right):

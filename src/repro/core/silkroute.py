@@ -54,7 +54,11 @@ from repro.relational.estimator import CostEstimator
 from repro.relational.faults import CircuitBreaker
 from repro.rxl.parser import parse_rxl
 from repro.xmlgen.serializer import XmlWriter
-from repro.xmlgen.streams import StreamInstanceCache, XmlDocumentCache
+from repro.xmlgen.streams import (
+    ComparatorLayout,
+    StreamInstanceCache,
+    XmlDocumentCache,
+)
 from repro.xmlgen.tagger import tag_streams
 
 
@@ -229,6 +233,10 @@ class XmlView:
         #: partition materializes the identical document, so the key
         #: carries no partition and any plan can serve a fresh-enough one.
         self._documents = XmlDocumentCache()
+        #: The tree's global sort layout and, inside it, the stream
+        #: decoders compiled so far — one per stream shape, for the life
+        #: of the view.
+        self._layout = ComparatorLayout(tree)
 
     @property
     def instance_cache(self):
@@ -807,7 +815,7 @@ class XmlView:
             xml, tagger = tag_streams(
                 self.tree, specs, streams, root_tag=root_tag, indent=indent,
                 obs=opts.obs, instance_cache=self._instances,
-                instance_keys=instance_keys,
+                instance_keys=instance_keys, layout=self._layout,
             )
             if doc_key is not None:
                 self._documents.store(doc_key, (xml, tagger))
@@ -931,7 +939,7 @@ class XmlView:
                         )
                 _, tagger = tag_streams(
                     self.tree, specs, cursors, root_tag=root_tag,
-                    writer=writer, obs=opts.obs,
+                    writer=writer, obs=opts.obs, layout=self._layout,
                 )
             except TimeoutExceeded as exc:
                 exc.report = self._cursor_report(

@@ -21,7 +21,7 @@ Variables related by equality join conditions are unified (the paper writes
 unifier is a union-find over ``alias.field`` pairs.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.common.errors import PlanError, RxlScopeError
 from repro.relational.dependencies import FunctionalDependency, attribute_closure
@@ -35,6 +35,8 @@ class Stv:
 
     The SQL-visible column name combines the index and the original field
     name for readability: ``v1_1_suppkey`` is the paper's ``suppkey(1,1)``.
+    It is derived once at construction — decoding and SQL generation read
+    it per column per stream.
     """
 
     level: int
@@ -42,10 +44,12 @@ class Stv:
     field_hint: str
     sql_type: object
     source: tuple  # (table, column) of the representative occurrence
+    name: str = field(init=False, compare=False, repr=False)
 
-    @property
-    def name(self):
-        return f"v{self.level}_{self.ordinal}_{self.field_hint}"
+    def __post_init__(self):
+        object.__setattr__(
+            self, "name", f"v{self.level}_{self.ordinal}_{self.field_hint}"
+        )
 
     def __repr__(self):
         return f"{self.field_hint}({self.level},{self.ordinal})"

@@ -25,8 +25,8 @@ then export::
 
 Span taxonomy (see DESIGN.md §9): operation roots ``materialize`` /
 ``materialize_to`` / ``sweep``; stages ``plan``, ``reduce``, ``sqlgen``,
-``dispatch``, ``stream:<label>``, ``retry``, ``cache``, ``merge``,
-``tag``; sweeps add one ``partition`` span per plan.
+``dispatch``, ``stream:<label>``, ``retry``, ``cache``, ``decode``,
+``merge``, ``tag``; sweeps add one ``partition`` span per plan.
 
 Tracing defaults **off** everywhere: when no session is supplied the
 instrumentation points resolve to the process-wide no-op

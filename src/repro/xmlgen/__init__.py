@@ -16,7 +16,7 @@ from repro.xmlgen.streams import (
     StreamInstanceCache,
     XmlDocumentCache,
     decode_stream,
-    iter_instances,
+    instance_sources,
     merge_streams,
 )
 from repro.xmlgen.serializer import CountingSink, XmlWriter, escape_text
@@ -29,7 +29,7 @@ __all__ = [
     "StreamInstanceCache",
     "XmlDocumentCache",
     "decode_stream",
-    "iter_instances",
+    "instance_sources",
     "merge_streams",
     "CountingSink",
     "XmlWriter",

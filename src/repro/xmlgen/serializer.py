@@ -3,18 +3,21 @@
 import datetime
 import io
 
-_ESCAPES = {
-    "&": "&amp;",
-    "<": "&lt;",
-    ">": "&gt;",
-}
-
 
 def escape_text(value):
     """Escape character data; non-string values use their natural form."""
-    text = format_value(value)
-    for char, entity in _ESCAPES.items():
-        text = text.replace(char, entity) if char in text else text
+    if not isinstance(value, str):
+        text = format_value(value)
+        if isinstance(value, (int, float, datetime.date)):
+            return text  # digits, signs, points and dashes: no markup
+    else:
+        text = value
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
     return text
 
 
@@ -41,34 +44,33 @@ class XmlWriter:
         self.sink = sink if sink is not None else io.StringIO()
         self.indent = indent
         self.depth = 0
+        self._write = self.sink.write
         self._open_tag_has_children = []
         self._started = False
 
     def start_element(self, tag):
-        self._newline()
-        self._started = True
-        self.sink.write(f"<{tag}>")
-        if self._open_tag_has_children:
-            self._open_tag_has_children[-1] = True
-        self._open_tag_has_children.append(False)
+        if self.indent is not None:
+            self._newline()
+            self._started = True
+            if self._open_tag_has_children:
+                self._open_tag_has_children[-1] = True
+            self._open_tag_has_children.append(False)
+        self._write(f"<{tag}>")
         self.depth += 1
 
     def text(self, value):
-        self.sink.write(escape_text(value))
+        self._write(escape_text(value))
 
     def end_element(self, tag):
         self.depth -= 1
-        had_children = self._open_tag_has_children.pop()
-        if had_children:
+        if self.indent is not None and self._open_tag_has_children.pop():
             self._newline(closing=True)
-        self.sink.write(f"</{tag}>")
+        self._write(f"</{tag}>")
 
     def _newline(self, closing=False):
-        if self.indent is None:
-            return
         if not self._started and not closing:
             return
-        self.sink.write("\n" + " " * self.indent * self.depth)
+        self._write("\n" + " " * self.indent * self.depth)
 
     def getvalue(self):
         if isinstance(self.sink, io.StringIO):

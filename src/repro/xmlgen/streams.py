@@ -17,34 +17,53 @@ NULLs sort first, which places every parent instance before its children.
 
 import heapq
 import threading
+from bisect import bisect_right
 from collections import OrderedDict
-from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 from repro.common.errors import PlanError
-from repro.common.ordering import sort_key
+from repro.common.ordering import TYPE_TAGS, flat_key
+
+_KEY = attrgetter("key")
+_TAG_OF = TYPE_TAGS.__getitem__
 
 
-@dataclass(frozen=True)
 class Instance:
     """One occurrence of a view-tree node in the output document."""
 
-    key: tuple     # global comparator key (NoneFirst-wrapped)
-    node: object   # ViewTreeNode
-    values: dict   # stv name -> value (the node's Skolem-term arguments)
+    __slots__ = ("key", "node", "term")
+
+    def __init__(self, key, node, term):
+        self.key = key    # global comparator key (see ComparatorLayout)
+        self.node = node  # ViewTreeNode
+        self.term = term  # the Skolem-term argument values, in node.args order
 
     def identity(self):
         """The full Skolem-term identity (all arguments) — what fuses or
         distinguishes element instances."""
-        return tuple(self.values.get(s.name) for s in self.node.args)
+        return self.term
 
-    def key_identity(self):
-        """Identity restricted to the key arguments — the part of the term
-        a descendant tuple can always reconstruct."""
-        return tuple(self.values.get(s.name) for s in self.node.key_args)
+    @property
+    def values(self):
+        """stv name -> value, for the node's Skolem-term arguments."""
+        return {
+            stv.name: value for stv, value in zip(self.node.args, self.term)
+        }
+
+    def __repr__(self):
+        return f"Instance({self.node.sfi}{self.term!r})"
 
 
 class ComparatorLayout:
-    """The interleaved global sort layout for a view tree."""
+    """The interleaved global sort layout for a view tree.
+
+    An instance key is a flat tuple ``(tag, value, tag, value, ...)`` with
+    one pair per layout entry (:func:`repro.common.ordering.flat_key`):
+    NULLs first, compared entirely in C.  The layout also owns the
+    compiled :class:`StreamDecoder` of every stream shape decoded against
+    it, so whoever keeps the layout (an :class:`~repro.core.silkroute.XmlView`
+    does, for its lifetime) compiles each shape once.
+    """
 
     def __init__(self, tree):
         self.tree = tree
@@ -57,8 +76,12 @@ class ComparatorLayout:
             for stv in tree.stvs_at_level(level):
                 if stv in key_stvs:
                     self.entries.append(("stv", stv))
+        self._decoders = {}
 
     def instance_key(self, node, values):
+        """The key of ``node``'s instance with Skolem arguments ``values``
+        (stv name -> value) — the uncompiled definition the decoders' key
+        templates reproduce."""
         raw = []
         for kind, what in self.entries:
             if kind == "L":
@@ -66,16 +89,181 @@ class ComparatorLayout:
                 raw.append(node.index[level - 1] if level <= node.level else None)
             else:
                 raw.append(values.get(what.name))
-        return sort_key(raw)
+        return flat_key(raw)
+
+    def decoder(self, spec):
+        """The compiled :class:`StreamDecoder` for ``spec``'s shape (its
+        columns and its units' member nodes), built on first use.  Specs
+        are regenerated per execution, so the cache is keyed by shape, not
+        by spec object; a concurrent first use at worst compiles twice."""
+        shape = (
+            spec.column_names,
+            tuple(spec.unit_paths),
+            tuple(
+                tuple(unit.members for unit in path)
+                for path in spec.unit_paths.values()
+            ),
+        )
+        decoder = self._decoders.get(shape)
+        if decoder is None:
+            decoder = self._decoders[shape] = StreamDecoder(
+                spec, shape[0], self
+            )
+        return decoder
+
+
+def tuple_getter(indices):
+    """``sequence -> tuple(sequence[i] for i in indices)`` as one C call
+    where :func:`operator.itemgetter` allows it (it returns a bare item,
+    not a tuple, for a single index)."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (only,) = indices
+        return lambda sequence: (sequence[only],)
+    return lambda sequence: ()
+
+
+class StreamDecoder:
+    """One stream shape, compiled: everything about decoding that does not
+    depend on the rows, resolved ahead of time.
+
+    Per row the decoder builds one *extended row*: the row itself, then
+    the type tag of every key column, then the constants a key can hold
+    (the NULL pair, the ``int`` tag, the ``L`` ordinals).  A member's
+    identity and its comparator key are then each a single
+    :func:`~operator.itemgetter` call over the extended row — the
+    constant parts of a key (its ``L`` tags, the variables the member
+    does not carry) are positions in the constant tail.
+    """
+
+    def __init__(self, spec, column_names, layout):
+        self.label = spec.label
+        positions = {name: i for i, name in enumerate(column_names)}
+        width = len(column_names)
+        self._l_values = tuple_getter(
+            [positions[f"L{level}"] for level in spec.l_levels]
+        )
+        key_columns = [
+            stv.name for kind, stv in layout.entries
+            if kind == "stv" and stv.name in positions
+        ]
+        self._key_columns = tuple_getter(
+            [positions[name] for name in key_columns]
+        )
+        tag_at = {name: width + i for i, name in enumerate(key_columns)}
+        null_tag = width + len(key_columns)
+        null, int_tag, first_int = null_tag + 1, null_tag + 2, null_tag + 3
+        members = {
+            member.index: member
+            for path in spec.unit_paths.values()
+            for unit in path
+            for member in unit.members
+        }
+        top = max(max(index) for index in members)
+        self._constants = ("", None, TYPE_TAGS[int], *range(top + 1))
+
+        steps = {}
+        for slot, (index, member) in enumerate(members.items()):
+            carried = {stv.name for stv in member.args}
+            template = []
+            for kind, what in layout.entries:
+                if kind == "L":
+                    if what <= member.level:
+                        template += (int_tag, first_int + index[what - 1])
+                    else:
+                        template += (null_tag, null)
+                elif what.name in carried and what.name in positions:
+                    template += (tag_at[what.name], positions[what.name])
+                else:
+                    template += (null_tag, null)
+            term = tuple_getter(
+                [positions.get(stv.name, null) for stv in member.args]
+            )
+            steps[index] = (slot, member, term, itemgetter(*template))
+        self._slots = len(steps)
+
+        # Terminal index -> (steps of every member on the path, key getter
+        # of the terminal unit's representative).
+        self._paths = {
+            terminal: (
+                tuple(
+                    steps[member.index]
+                    for unit in path for member in unit.members
+                ),
+                steps[path[-1].representative.index][3],
+            )
+            for terminal, path in spec.unit_paths.items()
+        }
+
+    def _undecodable(self, terminal):
+        if not terminal:
+            return PlanError("tuple with no L tag cannot be decoded")
+        return PlanError(
+            f"no unit with index {terminal} in stream {self.label}"
+        )
+
+    def decode(self, rows):
+        """Yield the :class:`Instance` sequence of ``rows``, in order."""
+        l_values_of = self._l_values
+        key_columns_of = self._key_columns
+        constants = self._constants
+        paths = self._paths
+        memo = [None] * self._slots   # last term emitted per member
+        pending = []                  # deferred instances, sorted by key
+        for row in rows:
+            # The L tags up to the first NULL spell the terminal unit.
+            terminal = l_values_of(row)
+            if None in terminal:
+                terminal = terminal[:terminal.index(None)]
+            plan = paths.get(terminal)
+            if plan is None:
+                raise self._undecodable(terminal)
+            steps, threshold_of = plan
+            extended = (
+                *row, *map(_TAG_OF, map(type, key_columns_of(row))),
+                *constants,
+            )
+            fresh = []
+            for slot, node, term_of, key_of in steps:
+                term = term_of(extended)
+                if memo[slot] != term:
+                    memo[slot] = term
+                    fresh.append(Instance(key_of(extended), node, term))
+            if len(fresh) > 1:
+                fresh.sort(key=_KEY)
+            # The row pins everything up to its own sort position — the
+            # terminal unit's *representative* (whose index is the row's L
+            # prefix).  Rows arrive in document order, so without
+            # reduction that is all of ``fresh`` and nothing below runs.
+            # A merged member deeper than the representative sorts after
+            # rows still to come (e.g. a sibling subtree with a smaller
+            # ordinal kept as its own unit): it waits in ``pending`` until
+            # a row's position passes it.
+            threshold = threshold_of(extended)
+            if pending or (fresh and fresh[-1].key > threshold):
+                cut = bisect_right(fresh, threshold, key=_KEY)
+                late = fresh[cut:]
+                del fresh[cut:]
+                cut = bisect_right(pending, threshold, key=_KEY)
+                if cut:
+                    fresh += pending[:cut]
+                    del pending[:cut]
+                    fresh.sort(key=_KEY)
+                if late:
+                    pending += late
+                    pending.sort(key=_KEY)
+            yield from fresh
+        yield from pending
 
 
 def decode_stream(spec, rows, layout):
     """Yield the :class:`Instance` sequence of one stream, in order.
 
     ``spec`` is a :class:`repro.core.sqlgen.StreamSpec`; ``rows`` its
-    executed, sorted tuples.  Memory is bounded by the view-tree size (one
-    last-identity memo per member node plus at most one deferred instance
-    per member).
+    executed, sorted tuples, pulled lazily.  Memory is bounded by the
+    view-tree size (one last-identity memo per member node plus at most
+    one deferred instance per member).
 
     A reduced unit can carry a member *deeper* than some of the unit's
     children (e.g. a ``1``-labeled sibling merged in next to a ``*``
@@ -85,71 +273,16 @@ def decode_stream(spec, rows, layout):
     its position (its group closes), keeping the emitted sequence
     nondecreasing.
     """
-    positions = {name: i for i, name in enumerate(spec.column_names)}
-    l_positions = [(level, positions[f"L{level}"]) for level in spec.l_levels]
-    memo = {}
-    pending = []  # deferred instances, kept sorted by key
-    for row in rows:
-        l_values = [(level, row[pos]) for level, pos in l_positions]
-        depth = 0
-        for level, value in l_values:
-            if value is None:
-                break
-            depth = level
-        if depth == 0:
-            raise PlanError("tuple with no L tag cannot be decoded")
-        terminal_index = tuple(value for _, value in l_values[:depth])
-        path = spec.unit_paths.get(terminal_index)
-        if path is None:
-            raise PlanError(
-                f"no unit with index {terminal_index} in stream {spec.label}"
-            )
-        decoded = []
-        for unit in path:
-            for member in unit.members:
-                values = {
-                    stv.name: row[positions[stv.name]]
-                    for stv in member.args
-                    if stv.name in positions
-                }
-                identity = tuple(values.get(s.name) for s in member.args)
-                if memo.get(member.index) == identity:
-                    continue
-                memo[member.index] = identity
-                decoded.append(
-                    Instance(
-                        key=layout.instance_key(member, values),
-                        node=member,
-                        values=values,
-                    )
-                )
-        # The row pins everything up to its own sort position — the
-        # terminal unit's *representative* (whose index is the row's L
-        # prefix).  Merged members deeper than the representative sort
-        # after rows still to come (e.g. a sibling subtree with a smaller
-        # ordinal kept as its own unit), so they wait in ``pending``.
-        representative = path[-1].representative
-        rep_values = {
-            stv.name: row[positions[stv.name]]
-            for stv in representative.args
-            if stv.name in positions
-        }
-        threshold = layout.instance_key(representative, rep_values)
-
-        ready = [i for i in decoded if i.key <= threshold]
-        pending.extend(i for i in decoded if i.key > threshold)
-        pending.sort(key=lambda inst: inst.key)
-        while pending and pending[0].key <= threshold:
-            ready.append(pending.pop(0))
-        ready.sort(key=lambda inst: inst.key)
-        yield from ready
-    pending.sort(key=lambda inst: inst.key)
-    yield from pending
+    return layout.decoder(spec).decode(rows)
 
 
 def merge_streams(instance_iterables):
-    """K-way merge of per-stream instance sequences into document order."""
-    return heapq.merge(*instance_iterables, key=lambda inst: inst.key)
+    """K-way merge of per-stream instance sequences into document order
+    (a single stream already is in document order)."""
+    sources = list(instance_iterables)
+    if len(sources) == 1:
+        return iter(sources[0])
+    return heapq.merge(*sources, key=_KEY)
 
 
 class CountingIterator:
@@ -283,32 +416,27 @@ class XmlDocumentCache(StreamInstanceCache):
         return len(xml)
 
 
-def iter_instances(tree, specs, row_sources, layout=None,
-                   instance_cache=None, instance_keys=None):
-    """The merged document-order instance iterator of a set of streams.
+def instance_sources(specs, row_sources, layout, instance_cache=None,
+                     instance_keys=None):
+    """One document-ordered instance sequence per stream, plus how many
+    instances were decoded eagerly to build them.
 
-    ``row_sources`` may be materialized
-    :class:`~repro.relational.connection.TupleStream` results or lazy
-    :class:`~repro.relational.connection.TupleCursor` iterators — decoding
-    pulls rows on demand either way, so with cursors the whole
-    decode→merge pipeline runs in bounded memory (the heap holds one
-    pending instance per stream).
-
-    With a :class:`StreamInstanceCache` and per-spec ``instance_keys``
-    (None entries opt a stream out), each stream's decoded instance list
-    is served from the cache when its key matches and decoded-then-stored
-    otherwise; the merge splices cached and fresh sequences
-    transparently.  Cached streams are materialized lists — only the
-    uncached path keeps the bounded-memory property.
+    Without a cache every sequence is a lazy :func:`decode_stream`
+    generator (nothing is decoded yet, so the count is 0).  With a
+    :class:`StreamInstanceCache` and per-spec ``instance_keys`` (None
+    entries opt a stream out), a stream whose key matches is served the
+    cached list; a miss is decoded here and now, and stored — the merge
+    then splices cached and fresh sequences transparently.  Cached
+    streams are materialized lists: only the uncached path pulls rows on
+    demand and so keeps the decode→merge pipeline in bounded memory.
     """
-    if layout is None:
-        layout = ComparatorLayout(tree)
     if instance_cache is None or instance_keys is None:
-        return merge_streams(
-            [decode_stream(spec, rows, layout)
-             for spec, rows in zip(specs, row_sources)]
-        )
+        return [
+            decode_stream(spec, rows, layout)
+            for spec, rows in zip(specs, row_sources)
+        ], 0
     sources = []
+    decoded = 0
     for spec, rows, key in zip(specs, row_sources, instance_keys):
         if key is None:
             sources.append(decode_stream(spec, rows, layout))
@@ -317,5 +445,6 @@ def iter_instances(tree, specs, row_sources, layout=None,
         if cached is None:
             cached = list(decode_stream(spec, rows, layout))
             instance_cache.store(key, cached)
+            decoded += len(cached)
         sources.append(cached)
-    return merge_streams(sources)
+    return sources, decoded

@@ -17,7 +17,23 @@ streams do not cover some node).
 from repro.core.viewtree import Stv
 from repro.obs import obs_parts
 from repro.xmlgen.serializer import XmlWriter
-from repro.xmlgen.streams import CountingIterator, iter_instances
+from repro.xmlgen.streams import (
+    ComparatorLayout,
+    CountingIterator,
+    instance_sources,
+    merge_streams,
+    tuple_getter,
+)
+
+
+def _term_getter(indices):
+    """``term -> tuple(term[i] for i in indices)``; a None index stands
+    for an argument the term does not carry and yields None."""
+    if None in indices:
+        return lambda term: tuple(
+            [None if i is None else term[i] for i in indices]
+        )
+    return tuple_getter(indices)
 
 
 class XmlTagger:
@@ -30,6 +46,7 @@ class XmlTagger:
         self.max_stack_depth = 0
         self.implicit_opens = 0
         self.elements_written = 0
+        self._chains = {}
 
     def run(self, instances):
         """Consume the merged instance stream and emit the document.
@@ -40,77 +57,95 @@ class XmlTagger:
         arguments — available on the element's own instance, used to
         distinguish siblings that share key values, e.g. the simplified
         leaf terms of Sec. 3.1)."""
+        writer = self.writer
+        start_element = writer.start_element
+        end_element = writer.end_element
+        text = writer.text
         if self.root_tag is not None:
-            self.writer.start_element(self.root_tag)
-        stack = []  # (node, key_identity, full_identity_or_None, tag)
+            start_element(self.root_tag)
+        chains = self._chains
+        stack = []  # (node, key_identity, full_identity_or_None)
+        max_depth = 0
         for instance in instances:
-            chain = self._chain(instance)
+            node = instance.node
+            chain = chains.get(node)
+            if chain is None:
+                chain = chains[node] = self._chain(node)
+            term = instance.term
+            depth = len(stack)
             common = 0
-            for entry, frame in zip(chain, stack):
-                node, key_identity, full_identity = entry
-                if frame[0] is not node or frame[1] != key_identity:
+            for element, key_of, _ in chain:
+                if common == depth:
+                    break
+                frame = stack[common]
+                if frame[0] is not element or frame[1] != key_of(term):
                     break
                 if (
-                    full_identity is not None
+                    element is node
                     and frame[2] is not None
-                    and frame[2] != full_identity
+                    and frame[2] != term
                 ):
                     break
                 common += 1
-            if common == len(chain):
-                continue  # duplicate instance; element already open
-            while len(stack) > common:
-                node, _, _, tag = stack.pop()
-                self.writer.end_element(tag)
-            for node, key_identity, full_identity in chain[common:]:
-                if node is not instance.node:
-                    self.implicit_opens += 1
-                self._open(node, instance.values)
-                stack.append((node, key_identity, full_identity, node.tag))
-                self.max_stack_depth = max(self.max_stack_depth, len(stack))
-        while stack:
-            _, _, _, tag = stack.pop()
-            self.writer.end_element(tag)
-        if self.root_tag is not None:
-            self.writer.end_element(self.root_tag)
-        return self.writer
-
-    def _chain(self, instance):
-        """(node, key_identity, full_identity) for every ancestor-or-self
-        of the instance.  Key identities come from the instance's values
-        (ancestors' key arguments are always among a descendant's Skolem
-        arguments); the full identity is only known for the instance's own
-        node."""
-        nodes = []
-        node = instance.node
-        while node is not None:
-            nodes.append(node)
-            node = node.parent
-        nodes.reverse()
-        chain = []
-        for node in nodes:
-            key_identity = tuple(
-                instance.values.get(stv.name) for stv in node.key_args
-            )
-            full_identity = instance.identity() if node is instance.node else None
-            chain.append((node, key_identity, full_identity))
-        return chain
-
-    def _open(self, node, values):
-        self.writer.start_element(node.tag)
-        self.elements_written += 1
-        for content in node.contents:
-            if isinstance(content, Stv):
-                value = values.get(content.name)
-                if value is not None:
-                    self.writer.text(value)
             else:
-                self.writer.text(content)
+                continue  # duplicate instance; element already open
+            while depth > common:
+                end_element(stack.pop()[0].tag)
+                depth -= 1
+            for element, key_of, contents in chain[common:]:
+                own = element is node
+                if not own:
+                    self.implicit_opens += 1
+                stack.append((element, key_of(term), term if own else None))
+                start_element(element.tag)
+                for index, literal in contents:
+                    if index is None:
+                        text(literal)
+                    else:
+                        value = term[index]
+                        if value is not None:
+                            text(value)
+            self.elements_written += len(chain) - common
+            if len(chain) > max_depth:
+                max_depth = len(chain)
+        while stack:
+            end_element(stack.pop()[0].tag)
+        if self.root_tag is not None:
+            end_element(self.root_tag)
+        self.max_stack_depth = max(self.max_stack_depth, max_depth)
+        return writer
+
+    def _chain(self, node):
+        """What opening ``node``'s instance takes, worked out once per
+        node: for every ancestor-or-self, root first, ``(element node,
+        key identity picker, content plan)``.  Key identities come from
+        the instance's own term (ancestors' key arguments are always among
+        a descendant's Skolem arguments); the content plan is a tuple of
+        ``(position in the term, None)`` for a displayed variable and
+        ``(None, text)`` for literal text."""
+        at = {stv.name: i for i, stv in enumerate(node.args)}
+        chain = []
+        element = node
+        while element is not None:
+            contents = []
+            for content in element.contents:
+                if not isinstance(content, Stv):
+                    contents.append((None, content))
+                elif content.name in at:
+                    contents.append((at[content.name], None))
+            chain.append((
+                element,
+                _term_getter([at.get(s.name) for s in element.key_args]),
+                tuple(contents),
+            ))
+            element = element.parent
+        chain.reverse()
+        return tuple(chain)
 
 
 def tag_streams(tree, specs, streams, root_tag="view", indent=None,
                 writer=None, obs=None, instance_cache=None,
-                instance_keys=None):
+                instance_keys=None, layout=None):
     """Decode, merge, and tag a set of executed streams.
 
     ``specs`` are the :class:`~repro.core.sqlgen.StreamSpec` objects and
@@ -120,31 +155,44 @@ def tag_streams(tree, specs, streams, root_tag="view", indent=None,
     decode→merge→tag→serialize path runs in constant memory).
     Returns ``(xml_text_or_writer, tagger)``.
 
+    ``layout`` is the tree's :class:`~repro.xmlgen.streams.ComparatorLayout`
+    — pass the one a long-lived caller keeps, so the stream decoders
+    compiled against it are reused; by default a fresh one is built.
+
     ``obs`` (an :class:`~repro.obs.ObsOptions` session) records the
-    integration as a ``merge`` span containing a ``tag`` span — the two
-    stages interleave (the tagger pulls the merge), so the merge span
-    brackets both and carries the merged instance count — plus
-    ``merge.instances`` / ``tag.elements`` / ``tag.bytes`` counters (bytes
-    best-effort: the characters the writer's sink received, when the sink
-    can tell).
+    integration as a ``decode`` span (the streams decoded eagerly to fill
+    the instance cache; empty when decoding is lazy) followed by a
+    ``merge`` span containing a ``tag`` span — those two stages interleave
+    (the tagger pulls the merge, and the merge pulls any lazy decoder), so
+    the merge span brackets both and carries the merged instance count —
+    plus ``decode.instances`` / ``merge.instances`` / ``tag.elements`` /
+    ``tag.bytes`` counters (bytes best-effort: the characters the
+    writer's sink received, when the sink can tell).
 
     ``instance_cache``/``instance_keys`` (a
     :class:`~repro.xmlgen.streams.StreamInstanceCache` plus one key per
     spec, None to opt a stream out) replay unchanged streams' decoded
     instance sequences across materializations and splice them into the
-    merge — see :func:`~repro.xmlgen.streams.iter_instances`.
+    merge — see :func:`~repro.xmlgen.streams.instance_sources`.
     """
     writer = writer or XmlWriter(indent=indent)
     tagger = XmlTagger(tree, writer, root_tag=root_tag)
-    instances = iter_instances(
-        tree, specs, streams,
-        instance_cache=instance_cache, instance_keys=instance_keys,
-    )
+    if layout is None:
+        layout = ComparatorLayout(tree)
     tracer, metrics = obs_parts(obs)
     if not (tracer.enabled or metrics.enabled):
-        tagger.run(instances)
+        sources, _ = instance_sources(
+            specs, streams, layout, instance_cache, instance_keys
+        )
+        tagger.run(merge_streams(sources))
     else:
-        counted = CountingIterator(instances)
+        with tracer.span("decode", streams=len(specs)) as decode_span:
+            sources, decoded = instance_sources(
+                specs, streams, layout, instance_cache, instance_keys
+            )
+            decode_span.set(instances=decoded)
+        metrics.inc("decode.instances", decoded)
+        counted = CountingIterator(merge_streams(sources))
         chars_before = _chars_written(writer)
         with tracer.span("merge", streams=len(specs)) as merge_span:
             with tracer.span("tag", root_tag=root_tag) as tag_span:
@@ -168,12 +216,9 @@ def tag_streams(tree, specs, streams, root_tag="view", indent=None,
 
 
 def _chars_written(writer):
-    """How many characters ``writer`` has emitted so far, or None when its
-    sink cannot say (an opaque external stream)."""
-    try:
-        return len(writer.getvalue())
-    except TypeError:
-        pass
+    """How many characters ``writer`` has emitted so far, or None when
+    neither its sink nor the writer can say (an opaque external stream).
+    The sink is asked first: ``getvalue()`` copies the whole document."""
     sink = getattr(writer, "sink", None)
     chars = getattr(sink, "chars", None)
     if chars is not None:
@@ -183,5 +228,8 @@ def _chars_written(writer):
         try:
             return tell()
         except (OSError, ValueError):
-            return None
-    return None
+            pass
+    try:
+        return len(writer.getvalue())
+    except (TypeError, AttributeError):
+        return None

@@ -19,6 +19,7 @@ The load-bearing invariants:
 
 import json
 import math
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -26,8 +27,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.bench.queries import QUERY_1
 from repro.bench.sweep import sweep_partitions
 from repro.core.options import ExecutionOptions
-from repro.core.partition import enumerate_partitions
+from repro.core import silkroute as silkroute_module
+from repro.core.partition import enumerate_partitions, unified_partition
 from repro.core.silkroute import SilkRoute
+from repro.core.sqlgen import SqlGenerator
 from repro.obs import (
     NULL_METRICS,
     NULL_SPAN,
@@ -45,6 +48,9 @@ from repro.relational.cache import PlanResultCache
 from repro.relational.connection import Connection
 from repro.relational.engine import CostModel
 from repro.relational.faults import FaultPolicy, RetryPolicy
+from repro.tpch.configs import CONFIG_A, build_database
+from repro.xmlgen.serializer import XmlWriter
+from repro.xmlgen.tagger import tag_streams
 
 
 def fresh_view(tiny_db, tiny_estimator, **silk_kwargs):
@@ -304,6 +310,93 @@ class TestObservationIdentity:
         assert obs.metrics.snapshot()["counters"]["sweep.plans"] == len(
             partitions
         )
+
+
+# ---------------------------------------------------------------------------
+# The integration (xmlgen) is inside spans
+
+
+class TestIntegrationSpans:
+    """With an instance cache installed the streams are decoded eagerly,
+    before the merge is pulled — the dominant layer of a cold export.  It
+    must sit in a ``decode`` span, so that decode + merge (which brackets
+    tag) account for the whole integration."""
+
+    @pytest.fixture(scope="class")
+    def config_a_db(self):
+        return build_database(CONFIG_A)
+
+    def test_decode_merge_tag_cover_the_integration(self, config_a_db,
+                                                    monkeypatch):
+        walls = []
+
+        def timed_tag_streams(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return tag_streams(*args, **kwargs)
+            finally:
+                walls.append((time.perf_counter() - start) * 1000.0)
+
+        monkeypatch.setattr(silkroute_module, "tag_streams",
+                            timed_tag_streams)
+        shares = []
+        for partition in ("unified", "fully-partitioned"):
+            obs = ObsOptions()
+            silk = SilkRoute(
+                Connection(config_a_db, CostModel()), cache=PlanResultCache(),
+            )
+            result = silk.define_view(QUERY_1).materialize(
+                partition, options=ExecutionOptions(obs=obs),
+            )
+            [root] = obs.tracer.find("materialize")
+            spans = {child.name: child for child in root.children}
+            decode, merge = spans["decode"], spans["merge"]
+            [tag] = merge.children
+            assert tag.name == "tag"
+            instances = merge.attrs["instances"]
+            assert decode.attrs["instances"] == instances > 1000
+            counters = obs.metrics.snapshot()["counters"]
+            assert counters["decode.instances"] == instances
+            assert counters["tag.bytes"] == len(result.xml)
+            shares.append((decode.wall_ms + merge.wall_ms) / walls.pop())
+        assert min(shares) >= 0.90, shares
+
+    def test_lazy_decode_is_counted_in_the_merge(self, tiny_db,
+                                                 tiny_estimator):
+        """Without a cache nothing is decoded ahead of the merge: the
+        decode span is there, empty, and the merge span carries the work."""
+        obs = ObsOptions()
+        view = fresh_view(tiny_db, tiny_estimator)
+        view.materialize("unified", options=ExecutionOptions(obs=obs))
+        [decode] = obs.tracer.find("decode")
+        [merge] = obs.tracer.find("merge")
+        assert decode.attrs["instances"] == 0
+        assert merge.attrs["instances"] > 0
+        assert obs.metrics.snapshot()["counters"]["decode.instances"] == 0
+
+    def test_document_is_not_copied_to_count_its_characters(self, q1_tree,
+                                                            tiny_db,
+                                                            tiny_conn):
+        """``tag.bytes`` comes from the sink's position; ``getvalue()`` — a
+        copy of the whole document — runs once, for the result."""
+
+        class CountingWriter(XmlWriter):
+            copies = 0
+
+            def getvalue(self):
+                self.copies += 1
+                return super().getvalue()
+
+        specs = SqlGenerator(q1_tree, tiny_db.schema).streams_for_partition(
+            unified_partition(q1_tree)
+        )
+        streams = [tiny_conn.execute(spec.plan) for spec in specs]
+        writer = CountingWriter()
+        obs = ObsOptions()
+        xml, _ = tag_streams(q1_tree, specs, streams, writer=writer, obs=obs)
+        assert writer.copies == 1
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["tag.bytes"] == len(xml)
 
 
 # ---------------------------------------------------------------------------

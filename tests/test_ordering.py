@@ -2,7 +2,13 @@
 
 from hypothesis import given, strategies as st
 
-from repro.common.ordering import NONE_FIRST, NoneFirst, compare, sort_key
+from repro.common.ordering import (
+    NONE_FIRST,
+    NoneFirst,
+    compare,
+    flat_key,
+    sort_key,
+)
 
 
 class TestNoneFirst:
@@ -89,3 +95,39 @@ def test_sort_key_total_order(rows):
 @given(st.lists(st.one_of(st.none(), st.integers()), max_size=5))
 def test_compare_reflexive(values):
     assert compare(values, values) == 0
+
+
+# ---------------------------------------------------------------------------
+# flat_key: the wrapper-free encoding the XML integration sorts with.  It
+# must define exactly NoneFirst's order, mixed types included.
+
+_NULLABLE_MIXED = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=3),
+    st.floats(allow_nan=False), st.dates(),
+)
+
+
+class TestFlatKey:
+    def test_shape(self):
+        assert flat_key([1, None, "a"]) == ("int", 1, "", None, "str", "a")
+        assert flat_key([]) == ()
+
+    def test_nulls_first_and_type_name_rule(self):
+        assert flat_key([None]) < flat_key([0]) < flat_key(["a"])
+        assert flat_key([2.5]) < flat_key([1])      # "float" < "int"
+        assert flat_key([True]) < flat_key([0])     # "bool" < "int"
+        assert flat_key([True]) != flat_key([1])    # as NoneFirst, not as ==
+
+    @given(st.lists(st.lists(_NULLABLE_MIXED, min_size=3, max_size=3),
+                    max_size=12))
+    def test_sorts_exactly_as_sort_key(self, rows):
+        assert sorted(rows, key=flat_key) == sorted(rows, key=sort_key)
+
+    @given(st.lists(_NULLABLE_MIXED, min_size=2, max_size=2),
+           st.lists(_NULLABLE_MIXED, min_size=2, max_size=2))
+    def test_every_comparison_agrees_with_sort_key(self, left, right):
+        flat_left, flat_right = flat_key(left), flat_key(right)
+        ref_left, ref_right = sort_key(left), sort_key(right)
+        assert (flat_left < flat_right) == (ref_left < ref_right)
+        assert (flat_left == flat_right) == (ref_left == ref_right)
+        assert (flat_left > flat_right) == (ref_left > ref_right)

@@ -1,13 +1,19 @@
 """Tests for stream decoding, merging, tagging, and serialization."""
 
+import itertools
+
 import pytest
 
 from repro.common.errors import PlanError
+from repro.core.labeling import label_view_tree
 from repro.core.partition import (
+    enumerate_partitions,
     fully_partitioned,
     unified_partition,
 )
 from repro.core.sqlgen import PlanStyle, SqlGenerator
+from repro.core.viewtree import build_view_tree
+from repro.rxl.parser import parse_rxl
 from repro.xmlgen.serializer import XmlWriter, escape_text, format_value
 from repro.xmlgen.streams import ComparatorLayout, decode_stream, merge_streams
 from repro.xmlgen.tagger import tag_streams
@@ -111,7 +117,204 @@ class TestDecodeStream:
             list(decode_stream(spec, [bad_row], layout))
 
 
+    def test_unknown_unit_rejected(self, q1_tree, tiny_db, tiny_conn, layout):
+        [spec], _ = executed(
+            q1_tree, tiny_db, tiny_conn, unified_partition(q1_tree)
+        )
+        names = spec.column_names
+        bad_row = tuple(9 if n == "L1" else None for n in names)
+        with pytest.raises(PlanError, match=r"no unit with index \(9,\)"):
+            list(decode_stream(spec, [bad_row], layout))
+
+    def test_l_tags_after_a_null_are_ignored(self, q1_tree, tiny_db,
+                                             tiny_conn, layout):
+        """The terminal unit is named by the L tags up to the first NULL."""
+        [spec], _ = executed(
+            q1_tree, tiny_db, tiny_conn, unified_partition(q1_tree)
+        )
+        row = dict.fromkeys(spec.column_names)
+        row.update(L1=1, L3=2, v1_1_suppkey=7)
+        [supplier] = decode_stream(spec, [tuple(row.values())], layout)
+        assert supplier.node.sfi == "S1" and supplier.identity() == (7,)
+
+    def test_instances_are_slots_objects_with_their_term(
+            self, q1_tree, tiny_db, tiny_conn, layout):
+        [spec], [stream] = executed(
+            q1_tree, tiny_db, tiny_conn, unified_partition(q1_tree)
+        )
+        for inst in decode_stream(spec, stream.rows, layout):
+            assert not hasattr(inst, "__dict__")
+            assert inst.identity() == tuple(
+                inst.values[stv.name] for stv in inst.node.args
+            )
+            assert inst.key == layout.instance_key(inst.node, inst.values)
+
+    def test_decoder_compiled_once_per_stream_shape(self, q1_tree, tiny_db,
+                                                    layout):
+        """Specs are regenerated per execution; the layout keeps one
+        compiled decoder per shape, not per spec object."""
+        partition = fully_partitioned(q1_tree)
+        first = SqlGenerator(q1_tree, tiny_db.schema, reduce=True) \
+            .streams_for_partition(partition)
+        again = SqlGenerator(q1_tree, tiny_db.schema, reduce=True) \
+            .streams_for_partition(partition)
+        assert first[0] is not again[0]
+        for a, b in zip(first, again):
+            assert layout.decoder(a) is layout.decoder(b)
+        assert len({id(layout.decoder(spec)) for spec in first}) == len(first)
+        [unified] = SqlGenerator(q1_tree, tiny_db.schema, reduce=True) \
+            .streams_for_partition(unified_partition(q1_tree))
+        [plain] = SqlGenerator(q1_tree, tiny_db.schema, reduce=False) \
+            .streams_for_partition(unified_partition(q1_tree))
+        assert layout.decoder(unified) is not layout.decoder(plain)
+
+
+def reference_decode(spec, rows, layout):
+    """The decoder's definition without its machinery: every member of
+    every unit on each row's path, consecutive repeats dropped, keyed by
+    the uncompiled :meth:`ComparatorLayout.instance_key` — in *row* order,
+    not yet in document order."""
+    names = spec.column_names
+    l_columns = [names.index(f"L{level}") for level in spec.l_levels]
+    memo = {}
+    out = []
+    for row in rows:
+        terminal = tuple(itertools.takewhile(
+            lambda tag: tag is not None, (row[p] for p in l_columns)
+        ))
+        for unit in spec.unit_paths[terminal]:
+            for member in unit.members:
+                values = {
+                    stv.name: row[names.index(stv.name)]
+                    for stv in member.args if stv.name in names
+                }
+                term = tuple(values.get(stv.name) for stv in member.args)
+                if memo.get(member.index) != term:
+                    memo[member.index] = term
+                    out.append(
+                        (layout.instance_key(member, values),
+                         member.index, term)
+                    )
+    return out
+
+
+def decoded_plain(instances):
+    return [(i.key, i.node.index, i.identity()) for i in instances]
+
+
+class TestDecodeOrder:
+    """Every stream of every plan decodes into document order, and the
+    merge of a plan's streams is the sorted union of them."""
+
+    @pytest.mark.parametrize("tree_name", ["q1_tree", "q2_tree"])
+    @pytest.mark.parametrize("reduce", [False, True])
+    @pytest.mark.parametrize("style, every", [
+        (PlanStyle.OUTER_JOIN, 1),     # all 512 plans
+        (PlanStyle.OUTER_UNION, 4),    # every fourth: same subtrees recur
+    ])
+    def test_every_partition(self, request, tiny_db, tiny_conn, tree_name,
+                             reduce, style, every):
+        tree = request.getfixturevalue(tree_name)
+        layout = ComparatorLayout(tree)
+        generator = SqlGenerator(
+            tree, tiny_db.schema, style=style, reduce=reduce
+        )
+        decoded = {}  # id(spec) -> instance list (specs are memoized)
+        totals = set()
+        partitions = list(enumerate_partitions(tree))
+        assert len(partitions) == 512
+        for partition in partitions[::every]:
+            specs = generator.streams_for_partition(partition)
+            for spec in specs:
+                if id(spec) in decoded:
+                    continue
+                rows = tiny_conn.execute(
+                    spec.plan, compact_rows=spec.compact
+                ).rows
+                instances = list(decode_stream(spec, rows, layout))
+                keys = [i.key for i in instances]
+                assert keys == sorted(keys), spec.label
+                reference = reference_decode(spec, rows, layout)
+                assert sorted(decoded_plain(instances)) == sorted(reference)
+                decoded[id(spec)] = instances
+            streams = [decoded[id(spec)] for spec in specs]
+            union = sorted(
+                itertools.chain.from_iterable(streams), key=lambda i: i.key
+            )
+            assert list(merge_streams(streams)) == union
+            totals.add(len(union))
+        assert len(totals) == 1   # every plan yields the same instances
+
+    def test_merged_member_after_a_sibling_unit_is_deferred(self, tiny_db,
+                                                            tiny_conn):
+        """The reduced case fixed in PR 1: ``<name>`` (label 1) is merged
+        into the supplier's unit but sorts after every ``<part>`` row of
+        that supplier, which arrive as later tuples of the same stream —
+        so its instance must wait, not be emitted with its row."""
+        tree = build_view_tree(parse_rxl(DEFERRED_QUERY), tiny_db.schema)
+        label_view_tree(tree, tiny_db.schema)
+        assert tree.node((1, 1)).label == "*"
+        assert tree.node((1, 2)).label == "1"
+        layout = ComparatorLayout(tree)
+        for style in PlanStyle:
+            [spec], [stream] = executed(
+                tree, tiny_db, tiny_conn, unified_partition(tree),
+                style=style, reduce=True,
+            )
+            [supplier_unit] = spec.unit_paths[(1,)]
+            assert [m.index for m in supplier_unit.members] == [(1,), (1, 2)]
+            in_row_order = reference_decode(spec, stream.rows, layout)
+            keys = [key for key, _, _ in in_row_order]
+            assert keys != sorted(keys)       # emitting per row is wrong
+            instances = list(decode_stream(spec, stream.rows, layout))
+            assert decoded_plain(instances) == sorted(in_row_order)
+            reference, _ = tag_streams(tree, *executed(
+                tree, tiny_db, tiny_conn, fully_partitioned(tree),
+            ), root_tag="doc")
+            xml, tagger = tag_streams(tree, [spec], [stream], root_tag="doc")
+            assert xml == reference
+            assert tagger.implicit_opens == 0
+
+
+#: supplier -> its parts ('*', kept as its own unit) -> then its name
+#: ('1', merged into the supplier's unit by reduction).
+DEFERRED_QUERY = """
+from Supplier $s
+construct
+  <supplier>
+    { from PartSupp $ps where $s.suppkey = $ps.suppkey
+      construct <part>$ps.partkey</part> }
+    <name>$s.name</name>
+  </supplier>
+"""
+
+
 class TestMerge:
+    def test_single_stream_passes_through(self):
+        items = iter([3, 1, 2])   # not even sorted: nothing is compared
+        assert list(merge_streams([items])) == [3, 1, 2]
+
+    def test_merge_is_lazy_over_iterators(self, q1_tree, tiny_db, tiny_conn,
+                                          layout):
+        specs, streams = executed(
+            q1_tree, tiny_db, tiny_conn, fully_partitioned(q1_tree)
+        )
+        pulled = []
+
+        def rows_of(stream):
+            for row in stream.rows:
+                pulled.append(row)
+                yield row
+
+        merged = merge_streams(
+            decode_stream(spec, rows_of(stream), layout)
+            for spec, stream in zip(specs, streams)
+        )
+        first = next(merged)
+        assert first.node.sfi == "S1"
+        # one row (at most two, to see a group close) per stream so far
+        assert len(pulled) <= 2 * len(specs)
+
     def test_merge_is_globally_sorted(self, q1_tree, tiny_db, tiny_conn, layout):
         specs, streams = executed(
             q1_tree, tiny_db, tiny_conn, fully_partitioned(q1_tree)
