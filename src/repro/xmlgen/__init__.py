@@ -17,6 +17,7 @@ from repro.xmlgen.streams import (
     XmlDocumentCache,
     decode_stream,
     instance_sources,
+    iter_instances,
     merge_streams,
 )
 from repro.xmlgen.serializer import CountingSink, XmlWriter, escape_text
@@ -30,6 +31,7 @@ __all__ = [
     "XmlDocumentCache",
     "decode_stream",
     "instance_sources",
+    "iter_instances",
     "merge_streams",
     "CountingSink",
     "XmlWriter",

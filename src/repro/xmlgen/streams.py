@@ -27,6 +27,10 @@ from repro.common.ordering import TYPE_TAGS, flat_key
 _KEY = attrgetter("key")
 _TAG_OF = TYPE_TAGS.__getitem__
 
+# Compiled decoders a layout keeps before it starts over (see
+# ComparatorLayout.decoder).
+MAX_DECODERS = 256
+
 
 class Instance:
     """One occurrence of a view-tree node in the output document."""
@@ -95,7 +99,11 @@ class ComparatorLayout:
         """The compiled :class:`StreamDecoder` for ``spec``'s shape (its
         columns and its units' member nodes), built on first use.  Specs
         are regenerated per execution, so the cache is keyed by shape, not
-        by spec object; a concurrent first use at worst compiles twice."""
+        by spec object; a concurrent first use at worst compiles twice.
+        A view served under a handful of plans has a handful of shapes,
+        but the shapes of a tree grow with its partitions: past
+        ``MAX_DECODERS`` the cache starts over (a compile is well under a
+        millisecond)."""
         shape = (
             spec.column_names,
             tuple(spec.unit_paths),
@@ -106,6 +114,8 @@ class ComparatorLayout:
         )
         decoder = self._decoders.get(shape)
         if decoder is None:
+            if len(self._decoders) >= MAX_DECODERS:
+                self._decoders.clear()
             decoder = self._decoders[shape] = StreamDecoder(
                 spec, shape[0], self
             )
@@ -115,7 +125,12 @@ class ComparatorLayout:
 def tuple_getter(indices):
     """``sequence -> tuple(sequence[i] for i in indices)`` as one C call
     where :func:`operator.itemgetter` allows it (it returns a bare item,
-    not a tuple, for a single index)."""
+    not a tuple, for a single index).  A None index stands for an item
+    the sequence does not carry and yields None."""
+    if None in indices:
+        return lambda sequence: tuple(
+            [None if i is None else sequence[i] for i in indices]
+        )
     if len(indices) > 1:
         return itemgetter(*indices)
     if indices:
@@ -138,7 +153,6 @@ class StreamDecoder:
     """
 
     def __init__(self, spec, column_names, layout):
-        self.label = spec.label
         positions = {name: i for i, name in enumerate(column_names)}
         width = len(column_names)
         self._l_values = tuple_getter(
@@ -196,15 +210,10 @@ class StreamDecoder:
             for terminal, path in spec.unit_paths.items()
         }
 
-    def _undecodable(self, terminal):
-        if not terminal:
-            return PlanError("tuple with no L tag cannot be decoded")
-        return PlanError(
-            f"no unit with index {terminal} in stream {self.label}"
-        )
-
-    def decode(self, rows):
-        """Yield the :class:`Instance` sequence of ``rows``, in order."""
+    def decode(self, rows, label):
+        """Yield the :class:`Instance` sequence of ``rows``, in order;
+        ``label`` names the stream in errors (equal shapes share one
+        decoder, whatever their specs are called)."""
         l_values_of = self._l_values
         key_columns_of = self._key_columns
         constants = self._constants
@@ -218,7 +227,11 @@ class StreamDecoder:
                 terminal = terminal[:terminal.index(None)]
             plan = paths.get(terminal)
             if plan is None:
-                raise self._undecodable(terminal)
+                if not terminal:
+                    raise PlanError("tuple with no L tag cannot be decoded")
+                raise PlanError(
+                    f"no unit with index {terminal} in stream {label}"
+                )
             steps, threshold_of = plan
             extended = (
                 *row, *map(_TAG_OF, map(type, key_columns_of(row))),
@@ -273,7 +286,7 @@ def decode_stream(spec, rows, layout):
     its position (its group closes), keeping the emitted sequence
     nondecreasing.
     """
-    return layout.decoder(spec).decode(rows)
+    return layout.decoder(spec).decode(rows, spec.label)
 
 
 def merge_streams(instance_iterables):
@@ -448,3 +461,16 @@ def instance_sources(specs, row_sources, layout, instance_cache=None,
             decoded += len(cached)
         sources.append(cached)
     return sources, decoded
+
+
+def iter_instances(tree, specs, row_sources, layout=None,
+                   instance_cache=None, instance_keys=None):
+    """The merged document-order instance iterator of a set of streams:
+    :func:`merge_streams` over :func:`instance_sources`, with a fresh
+    :class:`ComparatorLayout` of ``tree`` unless one is passed."""
+    if layout is None:
+        layout = ComparatorLayout(tree)
+    sources, _ = instance_sources(
+        specs, row_sources, layout, instance_cache, instance_keys
+    )
+    return merge_streams(sources)

@@ -26,16 +26,6 @@ from repro.xmlgen.streams import (
 )
 
 
-def _term_getter(indices):
-    """``term -> tuple(term[i] for i in indices)``; a None index stands
-    for an argument the term does not carry and yields None."""
-    if None in indices:
-        return lambda term: tuple(
-            [None if i is None else term[i] for i in indices]
-        )
-    return tuple_getter(indices)
-
-
 class XmlTagger:
     """Nests and tags a merged instance stream."""
 
@@ -135,7 +125,7 @@ class XmlTagger:
                     contents.append((at[content.name], None))
             chain.append((
                 element,
-                _term_getter([at.get(s.name) for s in element.key_args]),
+                tuple_getter([at.get(s.name) for s in element.key_args]),
                 tuple(contents),
             ))
             element = element.parent

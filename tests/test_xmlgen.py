@@ -1,5 +1,6 @@
 """Tests for stream decoding, merging, tagging, and serialization."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -15,7 +16,14 @@ from repro.core.sqlgen import PlanStyle, SqlGenerator
 from repro.core.viewtree import build_view_tree
 from repro.rxl.parser import parse_rxl
 from repro.xmlgen.serializer import XmlWriter, escape_text, format_value
-from repro.xmlgen.streams import ComparatorLayout, decode_stream, merge_streams
+from repro.xmlgen import streams as streams_module
+from repro.xmlgen.streams import (
+    ComparatorLayout,
+    decode_stream,
+    instance_sources,
+    iter_instances,
+    merge_streams,
+)
 from repro.xmlgen.tagger import tag_streams
 
 
@@ -125,6 +133,12 @@ class TestDecodeStream:
         bad_row = tuple(9 if n == "L1" else None for n in names)
         with pytest.raises(PlanError, match=r"no unit with index \(9,\)"):
             list(decode_stream(spec, [bad_row], layout))
+        # Equal shapes share one decoder; the error names the stream that
+        # was being decoded, not the one the decoder was compiled for.
+        renamed = dataclasses.replace(spec, label="renamed")
+        assert layout.decoder(renamed) is layout.decoder(spec)
+        with pytest.raises(PlanError, match="in stream renamed$"):
+            list(decode_stream(renamed, [bad_row], layout))
 
     def test_l_tags_after_a_null_are_ignored(self, q1_tree, tiny_db,
                                              tiny_conn, layout):
@@ -167,6 +181,28 @@ class TestDecodeStream:
         [plain] = SqlGenerator(q1_tree, tiny_db.schema, reduce=False) \
             .streams_for_partition(unified_partition(q1_tree))
         assert layout.decoder(unified) is not layout.decoder(plain)
+
+    def test_decoder_cache_starts_over_at_its_cap(self, q1_tree, tiny_db,
+                                                  layout, monkeypatch):
+        specs = SqlGenerator(q1_tree, tiny_db.schema, reduce=True) \
+            .streams_for_partition(fully_partitioned(q1_tree))
+        monkeypatch.setattr(streams_module, "MAX_DECODERS", 2)
+        decoders = [layout.decoder(spec) for spec in specs]
+        assert len(specs) > 2 and len(layout._decoders) <= 2
+        assert layout.decoder(specs[-1]) is decoders[-1]
+        assert layout.decoder(specs[0]) is not decoders[0]
+
+    def test_iter_instances_is_the_merge_of_its_sources(
+            self, q1_tree, tiny_db, tiny_conn, layout):
+        specs, streams = executed(
+            q1_tree, tiny_db, tiny_conn, fully_partitioned(q1_tree)
+        )
+        merged = list(iter_instances(q1_tree, specs, streams))
+        sources, decoded = instance_sources(specs, streams, layout)
+        assert decoded == 0
+        expected = list(merge_streams(sources))
+        assert [(i.key, i.node, i.term) for i in merged] \
+            == [(i.key, i.node, i.term) for i in expected]
 
 
 def reference_decode(spec, rows, layout):
