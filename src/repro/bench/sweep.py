@@ -15,11 +15,10 @@ bit-identical.  ``workers=N`` additionally fans partitions out over a
 thread pool with deterministic result ordering.
 """
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from repro.core.options import UNSET, resolve_options
+from repro.core.options import resolve_options
 from repro.core.partition import enumerate_partitions
 from repro.core.sqlgen import PlanStyle, SqlGenerator
 from repro.obs import obs_parts
@@ -113,15 +112,15 @@ class SweepResult:
         return series
 
 
-def run_single_partition(tree, schema, connection, partition,
-                         style=PlanStyle.OUTER_JOIN, reduce=False,
-                         budget_ms=None, generator=None, stream_workers=None,
-                         retry=None, faults=None, obs=None, span_parent=None,
-                         pool=None, hedge_ms=None, admission=None,
-                         epoch=None, engine=None, batch_size=None,
-                         expect_generations=None):
+def run_single_partition(tree, schema, connection, partition, generator=None,
+                         stream_workers=None, span_parent=None, pool=None,
+                         admission=None, epoch=None, expect_generations=None,
+                         options=None, **overrides):
     """Execute one plan; returns a :class:`PlanTiming`.
 
+    Execution knobs come from ``options``/``overrides`` as everywhere
+    (``reduce`` defaults to False); the remaining arguments are the
+    per-sweep state :func:`sweep_partitions` shares between its plans.
     Pass a prebuilt ``generator`` (one per sweep) to reuse its memoized
     per-subtree stream specs across partitions.  ``stream_workers``
     dispatches the plan's subqueries concurrently
@@ -129,23 +128,57 @@ def run_single_partition(tree, schema, connection, partition,
     simulated timings and timeout behaviour are identical either way.
     ``retry``/``faults`` run the plan under the resilience regime: a
     stream that exhausts its retries marks the timing ``failed`` (sweeps
-    record, they do not degrade).  ``pool``/``hedge_ms``/``epoch`` route
-    the streams over a :class:`~repro.relational.replicas.ReplicaPool`
-    (a sweep pins one ``epoch`` for all partitions so routing stays
-    deterministic under partition-level concurrency); ``admission``
-    sheds overloaded plans, marking the timing ``shed``.  ``obs`` (an
-    :class:`~repro.obs.ObsOptions` session) wraps the run in a
+    record, they do not degrade).  ``pool``/``epoch`` (with the
+    ``hedge_ms`` knob) route the streams over a resolved
+    :class:`~repro.relational.replicas.ReplicaPool` (a sweep pins one
+    ``epoch`` for all partitions so routing stays deterministic under
+    partition-level concurrency); ``admission`` sheds overloaded plans,
+    marking the timing ``shed``.  With ``obs`` (an
+    :class:`~repro.obs.ObsOptions` session) the run is wrapped in a
     ``partition`` span and records per-stream metrics.
     """
+    opts = resolve_options(options, overrides, reduce=False)
+    tracer, _ = obs_parts(opts.obs)
     if generator is None:
-        generator = SqlGenerator(tree, schema, style=style, reduce=reduce,
-                                 tracer=obs_parts(obs)[0])
-    tracer, _ = obs_parts(obs)
+        generator = SqlGenerator(tree, schema, style=opts.style,
+                                 reduce=opts.reduce, keep=opts.keep,
+                                 tracer=tracer)
     with tracer.span("partition", parent=span_parent) as partition_span:
-        timing = _run_single(
-            tree, schema, connection, partition, generator, budget_ms,
-            stream_workers, retry, faults, obs, pool, hedge_ms, admission,
-            epoch, engine, batch_size, expect_generations,
+        specs = generator.streams_for_partition(partition)
+        result = execute_specs(
+            connection, specs, budget_ms=opts.budget_ms,
+            workers=stream_workers, retry=opts.retry, faults=opts.faults,
+            obs=opts.obs, pool=pool, hedge_ms=opts.hedge_ms,
+            admission=admission, epoch=epoch, engine=opts.engine,
+            batch_size=opts.batch_size,
+            expect_generations=expect_generations,
+        )
+        all_stats = list(result.stats)
+        failure_stats = getattr(result.failure, "stats", None)
+        if failure_stats is not None:
+            all_stats.append(failure_stats)
+        query_ms = transfer_ms = None
+        if (result.timeout is None and result.failure is None
+                and result.overload is None):
+            query_ms = transfer_ms = 0.0
+            for stream in result.streams:
+                query_ms += stream.server_ms
+                transfer_ms += stream.transfer_ms
+        timing = PlanTiming(
+            partition=partition,
+            n_streams=len(specs),
+            query_ms=query_ms,
+            transfer_ms=transfer_ms,
+            timed_out=result.timeout is not None,
+            failed=result.failure is not None,
+            shed=result.overload is not None,
+            attempts=sum(s.attempts for s in all_stats),
+            retries=sum(s.retries for s in all_stats),
+            faults_injected=sum(s.faults for s in all_stats),
+            backoff_ms=sum(s.backoff_ms for s in all_stats),
+            failovers=sum(s.failovers for s in all_stats),
+            hedges=sum(s.hedges for s in all_stats),
+            hedge_wins=sum(s.hedge_wins for s in all_stats),
         )
         partition_span.set(n_streams=timing.n_streams)
         if timing.timed_out:
@@ -159,82 +192,21 @@ def run_single_partition(tree, schema, connection, partition,
         return timing
 
 
-def _run_single(tree, schema, connection, partition, generator, budget_ms,
-                stream_workers, retry, faults, obs, pool=None, hedge_ms=None,
-                admission=None, epoch=None, engine=None, batch_size=None,
-                expect_generations=None):
-    specs = generator.streams_for_partition(partition)
-    result = execute_specs(
-        connection, specs, budget_ms=budget_ms, workers=stream_workers,
-        retry=retry, faults=faults, obs=obs, pool=pool, hedge_ms=hedge_ms,
-        admission=admission, epoch=epoch, engine=engine,
-        batch_size=batch_size, expect_generations=expect_generations,
-    )
-    all_stats = list(result.stats)
-    failure_stats = getattr(result.failure, "stats", None)
-    if failure_stats is not None:
-        all_stats.append(failure_stats)
-    resilience = dict(
-        attempts=sum(s.attempts for s in all_stats),
-        retries=sum(s.retries for s in all_stats),
-        faults_injected=sum(s.faults for s in all_stats),
-        backoff_ms=sum(s.backoff_ms for s in all_stats),
-        failovers=sum(s.failovers for s in all_stats),
-        hedges=sum(s.hedges for s in all_stats),
-        hedge_wins=sum(s.hedge_wins for s in all_stats),
-    )
-    if (result.timeout is not None or result.failure is not None
-            or result.overload is not None):
-        return PlanTiming(
-            partition=partition, n_streams=len(specs),
-            timed_out=result.timeout is not None,
-            failed=result.failure is not None,
-            shed=result.overload is not None,
-            **resilience,
-        )
-    query_ms = 0.0
-    transfer_ms = 0.0
-    for stream in result.streams:
-        query_ms += stream.server_ms
-        transfer_ms += stream.transfer_ms
-    return PlanTiming(
-        partition=partition,
-        n_streams=len(specs),
-        query_ms=query_ms,
-        transfer_ms=transfer_ms,
-        **resilience,
-    )
-
-
-def sweep_partitions(tree, schema, connection, **kwargs):
-    """Deprecated module-level entry point — use
-    :meth:`repro.Session.sweep`, which wraps the same engine and returns
-    the unified :class:`~repro.session.QueryResult`.  This wrapper
-    delegates unchanged (same arguments, same :class:`SweepResult`) and
-    emits a :class:`DeprecationWarning`."""
-    warnings.warn(
-        "sweep_partitions() is deprecated; use repro.Session.sweep()",
-        DeprecationWarning, stacklevel=2,
-    )
-    return _sweep_partitions(tree, schema, connection, **kwargs)
-
-
-def _sweep_partitions(tree, schema, connection, style=UNSET,
-                      reduce=UNSET, budget_ms=UNSET, partitions=None,
-                      progress=None, cache=True, workers=UNSET,
-                      stream_workers=None, retry=UNSET, faults=UNSET,
-                      replicas=UNSET, hedge_ms=UNSET, max_concurrent=UNSET,
-                      engine=UNSET, batch_size=UNSET, options=None):
+def sweep_partitions(tree, schema, connection, partitions=None,
+                     progress=None, cache=True, stream_workers=None,
+                     options=None, **overrides):
     """Execute every plan (or the given ``partitions``); returns a
     :class:`SweepResult`.
 
-    Execution knobs (``style``, ``reduce``, ``budget_ms``, ``workers``,
-    ``retry``, ``faults``) may be bundled in an
-    :class:`~repro.core.options.ExecutionOptions` passed as ``options=``;
-    explicit keywords win.  In a sweep, ``workers`` fans *partitions* out
-    over a thread pool of that size (``stream_workers`` is the per-plan
-    subquery fan-out).  The per-method default ``reduce=False`` applies
-    when neither a keyword nor an options object supplies a value.
+    This is the engine behind :meth:`repro.Session.sweep`, which wraps
+    the result in the session's :class:`~repro.session.QueryResult`.
+    Execution knobs are the fields of
+    :class:`~repro.core.options.ExecutionOptions`: bundle them in
+    ``options=``, override single ones by keyword, or both — the keyword
+    wins.  In a sweep, ``workers`` fans *partitions* out over a thread
+    pool of that size (``stream_workers`` is the per-plan subquery
+    fan-out).  The per-method default ``reduce=False`` applies when
+    neither a keyword nor an options object supplies a value.
 
     ``cache`` controls cross-plan result caching for the duration of the
     sweep, through the same :func:`~repro.relational.cache.resolve_cache`
@@ -271,14 +243,8 @@ def _sweep_partitions(tree, schema, connection, style=UNSET,
     not during one — the dependency-scoped caches then re-materialize
     only the affected plans.
     """
-    opts = resolve_options(
-        options, defaults={"reduce": False}, style=style, reduce=reduce,
-        budget_ms=budget_ms, workers=workers, retry=retry, faults=faults,
-        replicas=replicas, hedge_ms=hedge_ms, max_concurrent=max_concurrent,
-        engine=engine, batch_size=batch_size,
-    )
-    style, reduce = opts.style, opts.reduce
-    budget_ms, workers = opts.budget_ms, opts.workers
+    opts = resolve_options(options, overrides, reduce=False)
+    style, reduce, workers = opts.style, opts.reduce, opts.workers
     tracer, metrics = obs_parts(opts.obs)
     if partitions is None:
         partitions = list(enumerate_partitions(tree))
@@ -287,11 +253,10 @@ def _sweep_partitions(tree, schema, connection, style=UNSET,
         tracer=tracer,
     )
     query_engine = connection.engine
-    if opts.node_cache_entries is not None or opts.retention_bytes is not None:
-        query_engine.configure_node_cache(
-            max_entries=opts.node_cache_entries,
-            retention_bytes=opts.retention_bytes,
-        )
+    query_engine.configure_node_cache(
+        max_entries=opts.node_cache_entries,   # None: leave as it is
+        retention_bytes=opts.retention_bytes,
+    )
     pinned_generations = connection.database.table_generations()
     previous = query_engine.cache
     if cache is True:
@@ -320,13 +285,10 @@ def _sweep_partitions(tree, schema, connection, style=UNSET,
             def run(partition):
                 return run_single_partition(
                     tree, schema, connection, partition,
-                    style=style, reduce=reduce, budget_ms=budget_ms,
                     generator=generator, stream_workers=stream_workers,
-                    retry=opts.retry, faults=opts.faults, obs=opts.obs,
                     span_parent=parent, pool=replica_pool,
-                    hedge_ms=opts.hedge_ms, admission=admission, epoch=epoch,
-                    engine=opts.engine, batch_size=opts.batch_size,
-                    expect_generations=pinned_generations,
+                    admission=admission, epoch=epoch,
+                    expect_generations=pinned_generations, options=opts,
                 )
 
             timings = []

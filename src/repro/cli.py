@@ -32,6 +32,7 @@ from repro.core.silkroute import SilkRoute
 from repro.core.sqlgen import PlanStyle
 from repro.obs import ObsOptions, metrics_json
 from repro.relational.backends import BACKEND_NAMES, SqliteBackend
+from repro.relational.engine import ENGINE_MODES
 from repro.relational.faults import FaultPolicy, RetryPolicy
 from repro.session import Session, apply_delta as _apply_delta  # noqa: F401
 from repro.tpch.configs import CONFIG_A, build_configuration
@@ -242,7 +243,7 @@ def build_parser():
                             "a stream exceeds this simulated latency")
         p.add_argument("--max-concurrent", type=_positive_int, default=None,
                        help="admission-control cap on concurrent streams")
-        p.add_argument("--engine", choices=["batch", "tuple"], default=None,
+        p.add_argument("--engine", choices=ENGINE_MODES, default=None,
                        help="plan execution mode: vectorized batch kernels "
                             "or the row-at-a-time interpreter (results and "
                             "simulated timings are identical)")

@@ -21,7 +21,6 @@ from repro.core.reduction import (
 from repro.core.sqlgen import SqlGenerator, StreamSpec, PlanStyle
 from repro.core.greedy import GreedyPlanner, GreedyPlan, GreedyParameters
 from repro.core.options import (
-    UNSET,
     ExecutionOptions,
     RequestContext,
     resolve_options,
@@ -60,7 +59,6 @@ __all__ = [
     "GreedyParameters",
     "ExecutionOptions",
     "RequestContext",
-    "UNSET",
     "resolve_options",
     "SilkRoute",
     "MaterializedView",

@@ -1,44 +1,29 @@
 """One options object for the whole execution surface.
 
-The execution-facing methods (``XmlView.materialize``, ``materialize_to``,
+Every execution-facing method (``XmlView.materialize``, ``materialize_to``,
 ``execute_partition``, ``explain``, ``greedy_plan``,
-``repro.bench.sweep.sweep_partitions``) historically grew the same keyword
-sprawl — ``style``, ``reduce``, ``budget_ms``, ``workers``, and now
-``retry``/``faults``.  :class:`ExecutionOptions` consolidates them: build
-one frozen object, pass it as ``options=`` everywhere, share it across
-calls and threads.
-
-Explicit keyword arguments always win over option fields, so existing
-call sites keep working unchanged and one-off overrides stay cheap::
+``repro.bench.sweep.sweep_partitions``, and the ``Session``/``Server``
+methods in front of them) has the signature ``(…, options=None,
+**overrides)``.  :class:`ExecutionOptions` is the bundle: build one frozen
+object, pass it as ``options=`` everywhere, share it across calls and
+threads.  An override is one field of it by name, so one-off changes stay
+cheap, and :func:`resolve_options` is the only place the two are merged::
 
     opts = ExecutionOptions(budget_ms=300_000, workers=4,
                             retry=RetryPolicy(max_attempts=3))
     view.materialize(options=opts)                   # uses everything
     view.materialize(options=opts, workers=1)        # one-off override
+    view.materialize(workers=1)                      # no bundle at all
 
-Methods keep their historical per-method defaults (``explain`` and
-``execute_partition`` default ``reduce=False``; the materializers default
-``reduce=True``) — those apply only when neither the keyword nor an
-``options`` object supplies a value.
+``explain``, ``execute_partition`` and ``sweep_partitions`` default
+``reduce=False`` (the materializers use the field default, ``reduce=True``)
+— a method default applies only when neither a keyword nor an ``options``
+object supplies a value.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 
 from repro.core.sqlgen import PlanStyle
-
-
-class _Unset:
-    """Sentinel distinguishing 'not passed' from explicit None/False."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "<unset>"
-
-
-#: The module-wide sentinel used as the default of every overridable
-#: keyword on the execution surface.
-UNSET = _Unset()
 
 
 @dataclass(frozen=True)
@@ -150,40 +135,13 @@ class ExecutionOptions:
     def __post_init__(self):
         object.__setattr__(self, "keep", tuple(self.keep))
 
-    def replace(self, **overrides):
-        """A copy with the given fields replaced."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values.update(overrides)
-        return ExecutionOptions(**values)
 
-
-_FIELDS = frozenset(f.name for f in fields(ExecutionOptions))
-
-
-def resolve_options(options=None, defaults=None, **explicit):
-    """Merge explicit keywords over ``options`` over per-method defaults.
-
-    ``explicit`` values equal to :data:`UNSET` are dropped; remaining
-    precedence is explicit keyword > ``options`` field > ``defaults`` entry
-    > :class:`ExecutionOptions` field default.  Returns a resolved
-    :class:`ExecutionOptions`.
-    """
+def resolve_options(options, overrides, **method_defaults):
+    """The :class:`ExecutionOptions` one call runs under — the only merge
+    on the execution surface.  Precedence: an ``overrides`` keyword > the
+    caller's ``options`` object (taken at face value, every field) > the
+    calling method's own ``method_defaults`` > the field default.  A
+    keyword that is not an option field raises :class:`TypeError`."""
     if options is None:
-        options = ExecutionOptions(**(defaults or {}))
-    elif defaults:
-        # Per-method defaults apply only to fields the caller's options
-        # object was *not* asked about... there is no way to tell a field
-        # left at its default from one set explicitly on a frozen
-        # dataclass, so an options object is taken at face value: all its
-        # fields apply.  This is the documented contract.
-        pass
-    unknown = set(explicit) - _FIELDS
-    if unknown:
-        raise TypeError(f"unknown execution option(s): {sorted(unknown)}")
-    overrides = {
-        name: value for name, value in explicit.items()
-        if value is not UNSET
-    }
-    if overrides:
-        options = options.replace(**overrides)
-    return options
+        options = ExecutionOptions(**method_defaults)
+    return replace(options, **overrides) if overrides else options

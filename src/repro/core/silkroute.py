@@ -30,13 +30,13 @@ the partial :class:`PlanReport` attached.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.common.errors import PlanError, TimeoutExceeded, tag_request
 from repro.relational.replicas import resolve_admission, resolve_pool
 from repro.core.greedy import GreedyPlanner
 from repro.core.labeling import label_view_tree
-from repro.core.options import UNSET, resolve_options
+from repro.core.options import resolve_options
 from repro.core.partition import (
     Partition,
     Subtree,
@@ -49,9 +49,13 @@ from repro.core.sqlgen import SqlGenerator
 from repro.core.viewtree import build_view_tree
 from repro.obs import obs_parts
 from repro.relational.cache import resolve_cache
-from repro.relational.dispatch import execute_specs, simulated_makespan
+from repro.relational.dispatch import (
+    execute_specs,
+    record_stream,
+    simulated_makespan,
+)
 from repro.relational.estimator import CostEstimator
-from repro.relational.faults import CircuitBreaker
+from repro.relational.faults import CircuitBreaker, StreamAttemptStats
 from repro.rxl.parser import parse_rxl
 from repro.xmlgen.serializer import XmlWriter
 from repro.xmlgen.streams import (
@@ -207,8 +211,9 @@ class _DispatchOutcome:
     specs: list
     streams: list
     stats: list
-    degraded: tuple
-    spent_stats: list       # stats burned by degraded-away streams
+    degraded: tuple = ()
+    # stats burned by degraded-away streams
+    spent_stats: list = field(default_factory=list)
     timeout: object = None
     shed: tuple = ()        # labels the admission controller shed
     span: object = None     # the dispatch trace span (None when tracing off)
@@ -261,8 +266,7 @@ class XmlView:
     def enumerate_partitions(self):
         return enumerate_partitions(self.tree)
 
-    def greedy_plan(self, params=None, style=UNSET, reduce=UNSET, keep=UNSET,
-                    options=None, obs=UNSET):
+    def greedy_plan(self, params=None, options=None, **overrides):
         """Run the Sec. 5 algorithm; returns a
         :class:`repro.core.greedy.GreedyPlan`.
 
@@ -275,9 +279,7 @@ class XmlView:
         remembered: adaptive degradation consults it to re-plan a failing
         subtree along the family's optional edges.
         """
-        opts = resolve_options(
-            options, style=style, reduce=reduce, keep=keep, obs=obs
-        )
+        opts = resolve_options(options, overrides)
         key = (opts.style, bool(opts.reduce), tuple(opts.keep))
         planner = self._planners.get(key)
         if planner is None:
@@ -296,17 +298,15 @@ class XmlView:
 
     # -- execution ------------------------------------------------------------------
 
-    def explain(self, partition=None, style=UNSET, reduce=UNSET,
-                use_with=False, options=None):
+    def explain(self, partition=None, use_with=False, options=None,
+                **overrides):
         """The SQL queries a plan would send, without executing them.
 
         ``use_with`` phrases shared node queries as common table
         expressions (requires a target whose source description supports
         the ``with`` clause)."""
-        opts = resolve_options(
-            options, defaults={"reduce": False}, style=style, reduce=reduce
-        )
-        partition = self._resolve_partition(partition, opts.style, opts.reduce)
+        opts = resolve_options(options, overrides, reduce=False)
+        partition = self._resolve_partition(partition, opts)
         generator = SqlGenerator(
             self.tree, self.silkroute.schema, style=opts.style,
             reduce=opts.reduce, keep=opts.keep,
@@ -317,11 +317,7 @@ class XmlView:
             return [spec.sql_with for spec in specs]
         return [spec.sql for spec in specs]
 
-    def execute_partition(self, partition, style=UNSET, reduce=UNSET,
-                          budget_ms=UNSET, workers=UNSET, retry=UNSET,
-                          faults=UNSET, replicas=UNSET, hedge_ms=UNSET,
-                          max_concurrent=UNSET, engine=UNSET,
-                          batch_size=UNSET, backend=UNSET, options=None):
+    def execute_partition(self, partition, options=None, **overrides):
         """Execute one plan; returns ``(specs, streams, report)``.
 
         A subquery exceeding ``budget_ms`` (simulated server time) marks the
@@ -368,15 +364,25 @@ class XmlView:
         report).  Pooled runs produce byte-identical XML and identical
         ``query_ms``/``transfer_ms`` to the single-connection run.
         """
-        opts = resolve_options(
-            options, defaults={"reduce": False}, style=style, reduce=reduce,
-            budget_ms=budget_ms, workers=workers, retry=retry, faults=faults,
-            replicas=replicas, hedge_ms=hedge_ms,
-            max_concurrent=max_concurrent, engine=engine,
-            batch_size=batch_size, backend=backend,
+        opts, generator, specs = self._prepare(
+            partition, resolve_options(options, overrides, reduce=False)
         )
+        outcome, report = self._dispatch(generator, partition, specs, opts)
+        if outcome.timeout is not None:
+            return outcome.specs, None, report
+        return outcome.specs, outcome.streams, report
+
+    def _prepare(self, partition, opts):
+        """Options → SQL, the front half every execution shares: resolve
+        the replica/admission knobs, apply the node-cache bounds, generate
+        ``partition``'s stream specs under the ``sqlgen`` span, and check
+        them against the source description.  Returns ``(opts, generator,
+        specs)`` with ``opts`` resolved."""
         opts = self._resolve_resilience(opts)
-        self._configure_node_cache(opts)
+        self.silkroute.connection.engine.configure_node_cache(
+            max_entries=opts.node_cache_entries,   # None: leave as it is
+            retention_bytes=opts.retention_bytes,
+        )
         tracer, _ = obs_parts(opts.obs)
         generator = SqlGenerator(
             self.tree, self.silkroute.schema, style=opts.style,
@@ -386,6 +392,13 @@ class XmlView:
             specs = generator.streams_for_partition(partition)
             sqlgen_span.set(streams=len(specs))
         self._check_source(specs)
+        return opts, generator, specs
+
+    def _dispatch(self, generator, partition, specs, opts):
+        """Eagerly dispatch ``specs`` (retrying and degrading as ``opts``
+        allow); returns ``(outcome, report)``.  A failure that leaves a
+        partial outcome behind propagates with the partial report attached
+        (``exc.report``)."""
         start = time.perf_counter()
         try:
             outcome = self._dispatch_resilient(
@@ -401,12 +414,9 @@ class XmlView:
                 )
                 del exc.partial_outcome
             raise
-        report = self._outcome_report(
+        return outcome, self._outcome_report(
             partition, outcome, opts, wall_s=time.perf_counter() - start
         )
-        if outcome.timeout is not None:
-            return outcome.specs, None, report
-        return outcome.specs, outcome.streams, report
 
     def _check_source(self, specs):
         source = self.silkroute.source
@@ -415,15 +425,6 @@ class XmlView:
                 source.check_plan_features(
                     spec.uses_outer_join(), spec.uses_union()
                 )
-
-    def _configure_node_cache(self, opts):
-        """Apply the per-call node-result cache bounds, when set."""
-        if (opts.node_cache_entries is not None
-                or opts.retention_bytes is not None):
-            self.silkroute.connection.engine.configure_node_cache(
-                max_entries=opts.node_cache_entries,
-                retention_bytes=opts.retention_bytes,
-            )
 
     def _resolve_resilience(self, opts):
         """Normalize ``opts.replicas``/``opts.max_concurrent`` to live
@@ -443,16 +444,15 @@ class XmlView:
             clamped = admission.clamp_workers(opts.workers)
             if clamped != opts.workers:
                 overrides["workers"] = clamped
-        return opts.replace(**overrides) if overrides else opts
+        return replace(opts, **overrides) if overrides else opts
 
     def _dispatch_resilient(self, generator, partition, specs, opts):
         """Dispatch ``specs``, degrading failing subtrees until the plan
         completes, times out, or a stream fails undegradably.
 
         On an unrecoverable transient failure the raised error gets a
-        ``partial_outcome`` attribute (consumed by
-        :meth:`execute_partition`, which turns it into the attached
-        partial report)."""
+        ``partial_outcome`` attribute (consumed by :meth:`_dispatch`, which
+        turns it into the attached partial report)."""
         connection = self.silkroute.connection
         breaker = CircuitBreaker() if opts.retry is not None else None
         pool = opts.replicas          # resolved by _resolve_resilience
@@ -609,7 +609,7 @@ class XmlView:
         reports = [
             StreamReport(
                 label=spec.label,
-                rows=len(stream),
+                rows=stream.rows_read,
                 server_ms=stream.server_ms,
                 transfer_ms=stream.transfer_ms,
                 sql=spec.sql,
@@ -720,31 +720,26 @@ class XmlView:
             self.silkroute.connection.engine.node_cache.publish(metrics)
         return report
 
-    def materialize(self, partition=None, style=UNSET, reduce=UNSET,
-                    root_tag="view", indent=None, budget_ms=UNSET,
-                    greedy_params=None, workers=UNSET, retry=UNSET,
-                    faults=UNSET, replicas=UNSET, hedge_ms=UNSET,
-                    max_concurrent=UNSET, engine=UNSET, batch_size=UNSET,
-                    backend=UNSET, options=None):
+    def materialize(self, partition=None, root_tag="view", indent=None,
+                    greedy_params=None, options=None, **overrides):
         """Materialize the view as XML.
 
         Without an explicit ``partition``, the greedy algorithm chooses the
         plan (its recommended member).  ``partition`` may also be the string
-        ``"unified"`` or ``"fully-partitioned"``.  ``workers`` dispatches
-        the plan's subqueries concurrently (see :meth:`execute_partition`);
-        the produced document is identical either way.  Knobs may be
-        bundled in an :class:`~repro.core.options.ExecutionOptions`
-        (``options=``); explicit keywords win.
+        ``"unified"`` or ``"fully-partitioned"``.  Execution knobs are the
+        fields of :class:`~repro.core.options.ExecutionOptions`: bundle
+        them in ``options=``, override single ones by keyword
+        (``workers=4``), or both — the keyword wins.
 
-        With ``retry``/``faults`` (see :meth:`execute_partition`),
-        transient stream failures are retried and degraded around: the
-        produced XML is byte-identical to the fault-free run, and the
-        report records ``attempts``/``retries``/``faults_injected``/
-        ``backoff_ms``/``degraded_streams``.
-
-        ``replicas``/``hedge_ms``/``max_concurrent`` run the plan over a
-        replica pool under admission control (see
-        :meth:`execute_partition`); the document stays byte-identical.
+        ``workers`` dispatches the plan's subqueries concurrently (see
+        :meth:`execute_partition`); the produced document is identical
+        either way.  With ``retry``/``faults``, transient stream failures
+        are retried and degraded around: the produced XML is byte-identical
+        to the fault-free run, and the report records
+        ``attempts``/``retries``/``faults_injected``/``backoff_ms``/
+        ``degraded_streams``.  ``replicas``/``hedge_ms``/``max_concurrent``
+        run the plan over a replica pool under admission control; the
+        document stays byte-identical.
 
         On a budget overrun the raised
         :class:`~repro.common.errors.TimeoutExceeded` carries the partial
@@ -754,83 +749,18 @@ class XmlView:
         same way, and admission shedding raises
         :class:`~repro.common.errors.OverloadError` likewise.
         """
-        opts = resolve_options(
-            options, style=style, reduce=reduce, budget_ms=budget_ms,
-            workers=workers, retry=retry, faults=faults, replicas=replicas,
-            hedge_ms=hedge_ms, max_concurrent=max_concurrent,
-            engine=engine, batch_size=batch_size, backend=backend,
+        return self._materialize(
+            None, partition, root_tag, indent, greedy_params,
+            resolve_options(options, overrides),
         )
-        tracer, _ = obs_parts(opts.obs)
-        with tracer.span("materialize") as root_span:
-            partition = self._resolve_partition(
-                partition, opts.style, opts.reduce, greedy_params,
-                keep=opts.keep, obs=opts.obs,
-            )
-            specs, streams, report = self.execute_partition(
-                partition, options=opts
-            )
-            if streams is None:
-                raise self._tag_request(TimeoutExceeded(
-                    opts.budget_ms, float("nan"),
-                    stream_label=report.timed_out_label, report=report,
-                ), opts)
-            # With a result cache installed, decoded instance sequences are
-            # kept per (stream, plan, dependency generations): after a
-            # mutation only the affected streams decode again, the rest
-            # splice from the cache — the merged document stays
-            # byte-identical because cached instances are exactly what
-            # re-decoding the identical rows would produce.  One level up,
-            # the finished document is kept per (serialization options,
-            # dependency generations of every table the view reads): every
-            # partition of a view produces the identical document, so any
-            # plan's re-materialization against unchanged generations can
-            # serve it outright — execution above still ran live, so the
-            # report's simulated timings stay per-plan faithful.  Degraded
-            # or shed output is never canonical and bypasses the cache.
-            instance_keys = doc_key = None
-            if self.silkroute.cache is not None:
-                query_engine = self.silkroute.connection.engine
-                instance_keys = [
-                    (spec.label, spec.style.value, spec.plan.fingerprint(),
-                     query_engine.dependency_key(spec.plan))
-                    for spec in specs
-                ]
-                if not report.degraded_streams and not report.shed_streams:
-                    view_tables = frozenset().union(
-                        *(query_engine.tables_for(spec.plan)
-                          for spec in specs)
-                    )
-                    doc_key = (
-                        root_tag, indent,
-                        query_engine.database.dependency_key(view_tables),
-                    )
-                    cached_doc = self._documents.get(doc_key)
-                    if cached_doc is not None:
-                        xml, tagger = cached_doc
-                        root_span.set(streams=len(specs), chars=len(xml),
-                                      document_cached=True)
-                        return MaterializedView(
-                            xml=xml, report=report, tagger=tagger,
-                        )
-            xml, tagger = tag_streams(
-                self.tree, specs, streams, root_tag=root_tag, indent=indent,
-                obs=opts.obs, instance_cache=self._instances,
-                instance_keys=instance_keys, layout=self._layout,
-            )
-            if doc_key is not None:
-                self._documents.store(doc_key, (xml, tagger))
-            root_span.set(streams=len(specs), chars=len(xml))
-        return MaterializedView(xml=xml, report=report, tagger=tagger)
 
-    def materialize_to(self, sink, partition=None, style=UNSET, reduce=UNSET,
-                       root_tag="view", indent=None, budget_ms=UNSET,
-                       greedy_params=None, faults=UNSET, replicas=UNSET,
-                       max_concurrent=UNSET, engine=UNSET, batch_size=UNSET,
-                       backend=UNSET, options=None):
+    def materialize_to(self, sink, partition=None, root_tag="view",
+                       indent=None, greedy_params=None, options=None,
+                       **overrides):
         """Stream the view's XML into a file-like ``sink`` in bounded memory.
 
-        The full pipeline runs lazily: each subquery executes through the
-        engine's Volcano iterator
+        The same pipeline as :meth:`materialize`, run lazily: each subquery
+        executes through the engine's Volcano iterator
         (:meth:`~repro.relational.engine.QueryEngine.execute_iter`), decoded
         instances feed the k-way document-order merge, and the tagger
         writes to ``sink`` as it goes — so neither the tuple streams nor
@@ -841,50 +771,99 @@ class XmlView:
         Returns a :class:`MaterializedView` whose ``xml`` is None and whose
         report's per-stream timings match the materializing path
         bit-identically (the iterator engine charges operators in the batch
-        engine's evaluation order).  On a
-        budget overrun the raised
+        engine's evaluation order).  On a budget overrun the raised
         :class:`~repro.common.errors.TimeoutExceeded` carries the partial
         report; streams the merge had not yet finished appear with the
         rows/charges consumed so far.  Either way the abandoned cursors
         are closed, releasing their pipeline-breaker buffers.
 
-        The streaming path has no retry/degradation layer (a half-written
-        sink cannot be retried transparently): with a fault policy in
-        play, a drawn failure raises
+        What streaming lacks, and why, is stated once in
+        :meth:`_materialize`: no retry, degradation, hedging, ``workers``
+        or instance/document caches.  With a fault policy in play a drawn
+        failure raises
         :class:`~repro.common.errors.TransientConnectionError` directly —
         use :meth:`materialize` when resilience matters more than constant
         memory.  ``replicas`` routes cursor *opening* to the pool's
-        best-ranked replica (no hedging or failover, for the same
-        reason); ``max_concurrent`` applies the admission queue bound —
-        an overflowing plan raises
+        best-ranked replica; ``max_concurrent`` applies the admission queue
+        bound — an overflowing plan raises
         :class:`~repro.common.errors.OverloadError` before any cursor
         opens.
         """
-        opts = resolve_options(
-            options, style=style, reduce=reduce, budget_ms=budget_ms,
-            faults=faults, replicas=replicas, max_concurrent=max_concurrent,
-            engine=engine, batch_size=batch_size, backend=backend,
+        return self._materialize(
+            sink, partition, root_tag, indent, greedy_params,
+            resolve_options(options, overrides),
         )
-        opts = self._resolve_resilience(opts)
-        tracer, _ = obs_parts(opts.obs)
-        with tracer.span("materialize_to") as root_span:
-            partition = self._resolve_partition(
-                partition, opts.style, opts.reduce, greedy_params,
-                keep=opts.keep, obs=opts.obs,
-            )
-            generator = SqlGenerator(
-                self.tree, self.silkroute.schema, style=opts.style,
-                reduce=opts.reduce, keep=opts.keep, tracer=tracer,
-            )
-            with tracer.span("sqlgen", style=opts.style.value) as sqlgen_span:
-                specs = generator.streams_for_partition(partition)
-                sqlgen_span.set(streams=len(specs))
-            self._check_source(specs)
-            connection = self.silkroute.connection
+
+    def _materialize(self, sink, partition, root_tag, indent, greedy_params,
+                     opts):
+        """The one materialization pipeline: options → partition → SQL →
+        execution → decode/merge/tag, into a string (``sink`` is None) or
+        into ``sink``.
+
+        The two differ in one branch.  Without a sink the plan is
+        *dispatched eagerly* (:meth:`_dispatch`): every stream is a
+        finished list before tagging starts, which is what makes it
+        possible to re-submit one (``retry``, ``hedge_ms``), to replace a
+        failing one by finer streams (degradation), to run several at once
+        (``workers``), and to keep decoded instances and the finished
+        document for the next call (the instance/document caches).  With a
+        sink every stream is a *lazy cursor* drained by the merge while the
+        tagger is already writing: memory stays at the largest
+        pipeline-breaker, and none of the above can exist — a half-consumed
+        cursor cannot be re-submitted or spliced out under a half-written
+        sink, the k-way merge pulls the cursors in document order on one
+        thread, and a cache entry would be the materialized stream the
+        path exists to avoid.
+        """
+        streaming = sink is not None
+        tracer, metrics = obs_parts(opts.obs)
+        with tracer.span(
+            "materialize_to" if streaming else "materialize"
+        ) as root_span:
+            partition = self._resolve_partition(partition, opts, greedy_params)
+            opts, generator, specs = self._prepare(partition, opts)
+            if not streaming:
+                outcome, report = self._dispatch(
+                    generator, partition, specs, opts
+                )
+                if outcome.timeout is not None:
+                    raise self._tag_request(TimeoutExceeded(
+                        opts.budget_ms, float("nan"),
+                        stream_label=report.timed_out_label, report=report,
+                    ), opts)
+                specs = outcome.specs     # degradation may have refined them
+                xml, tagger = self._tag_cached(
+                    specs, outcome.streams, report, root_tag, indent, opts,
+                    root_span,
+                )
+                root_span.set(streams=len(specs), chars=len(xml))
+                return MaterializedView(xml=xml, report=report, tagger=tagger)
+
+            # One thread drains the cursors, whatever ``workers`` says:
+            # the report's worker count and makespans must say so too.
+            opts = replace(opts, workers=None)
+            start = time.perf_counter()
+            cursors = []
+
+            def cursor_report(timeout=None, shed=()):
+                stats = [
+                    StreamAttemptStats(cursor.label, attempts=1)
+                    for cursor in cursors
+                ]
+                for cursor, st in zip(cursors, stats):
+                    record_stream(metrics, cursor, st)
+                return self._outcome_report(
+                    partition,
+                    _DispatchOutcome(
+                        specs=specs, streams=cursors, stats=stats,
+                        timeout=timeout, shed=shed,
+                    ),
+                    opts, wall_s=time.perf_counter() - start,
+                )
+
             pool = opts.replicas          # resolved by _resolve_resilience
-            admission = opts.max_concurrent
-            if admission is not None:
-                overload = admission.admit_queue(specs)
+            if opts.max_concurrent is not None:
+                overload = opts.max_concurrent.admit_queue(specs)
                 if overload is not None:
                     tracer.event(
                         "shed", reason="queue", streams=len(overload.shed),
@@ -892,123 +871,92 @@ class XmlView:
                     # Every shed path carries a (here: empty) partial
                     # report, so callers can account shed streams without
                     # special-casing the streaming front end.
-                    nan = float("nan")
-                    overload.report = self._published_report(PlanReport(
-                        partition=partition, n_streams=len(specs),
-                        query_ms=nan, transfer_ms=nan, streams=[],
-                        shed_streams=overload.shed, obs=opts.obs,
-                    ))
+                    overload.report = cursor_report(shed=overload.shed)
                     raise self._tag_request(overload, opts)
             epoch = pool.begin_epoch() if pool is not None else None
-            writer = XmlWriter(sink=sink, indent=indent)
-            start = time.perf_counter()
-            cursors = []
             try:
-                # The dispatch span brackets cursor *opening* only: on the
-                # streaming path the subqueries execute lazily, inside the
-                # merge/tag spans that drain them.
+                # The dispatch span brackets cursor *opening* only: the
+                # subqueries execute lazily, inside the merge/tag spans
+                # that drain them.
                 with tracer.span(
                     "dispatch", streams=len(specs), streaming=True,
                 ):
                     for spec in specs:
+                        connection, faults = (
+                            self.silkroute.connection, opts.faults
+                        )
                         if pool is not None:
                             replica = epoch.pick()
-                            cursor_conn = pool.connections[replica]
-                            cursor_faults = pool.policy_for(
-                                replica, opts.faults
-                            )
-                        else:
-                            cursor_conn = connection
-                            cursor_faults = (
-                                opts.faults
-                                if opts.faults is not None else None
-                            )
-                        cursors.append(
-                            cursor_conn.execute_iter(
-                                spec.plan,
-                                compact_rows=spec.compact,
-                                budget_ms=opts.budget_ms,
-                                sql=spec.sql,
-                                label=spec.label,
-                                faults=cursor_faults,
-                                obs=opts.obs,
-                                engine=opts.engine,
-                                batch_size=opts.batch_size,
-                                backend=opts.backend,
-                            )
-                        )
+                            connection = pool.connections[replica]
+                            faults = pool.policy_for(replica, opts.faults)
+                        cursors.append(connection.execute_iter(
+                            spec.plan, compact_rows=spec.compact,
+                            budget_ms=opts.budget_ms, sql=spec.sql,
+                            label=spec.label, faults=faults, obs=opts.obs,
+                            engine=opts.engine, batch_size=opts.batch_size,
+                            backend=opts.backend,
+                        ))
                 _, tagger = tag_streams(
                     self.tree, specs, cursors, root_tag=root_tag,
-                    writer=writer, obs=opts.obs, layout=self._layout,
+                    writer=XmlWriter(sink=sink, indent=indent),
+                    obs=opts.obs, layout=self._layout,
                 )
-            except TimeoutExceeded as exc:
-                exc.report = self._cursor_report(
-                    partition, specs, cursors, timed_out=True,
-                    timed_out_label=exc.stream_label,
-                    wall_s=time.perf_counter() - start, obs=opts.obs,
-                )
+            except Exception as exc:
+                if isinstance(exc, TimeoutExceeded):
+                    exc.report = cursor_report(timeout=exc)
                 for cursor in cursors:
                     cursor.close()
                 raise self._tag_request(exc, opts)
-            except Exception as exc:
-                for cursor in cursors:
-                    cursor.close()
-                self._tag_request(exc, opts)
-                raise
-            report = self._cursor_report(
-                partition, specs, cursors, timed_out=False,
-                timed_out_label=None, wall_s=time.perf_counter() - start,
-                obs=opts.obs,
-            )
+            report = cursor_report()
             root_span.set(streams=len(specs))
         return MaterializedView(xml=None, report=report, tagger=tagger)
 
-    def _cursor_report(self, partition, specs, cursors, timed_out,
-                       timed_out_label, wall_s, obs=None):
-        reports = [
-            StreamReport(
-                label=spec.label,
-                rows=cursor.rows_read,
-                server_ms=cursor.server_ms,
-                transfer_ms=cursor.transfer_ms,
-                sql=spec.sql,
-                backend=getattr(cursor, "backend", None),
-                backend_wall_ms=getattr(cursor, "backend_wall_ms", 0.0),
-            )
-            for spec, cursor in zip(specs, cursors)
-        ]
-        metrics = obs_parts(obs)[1]
-        for cursor in cursors:
-            metrics.inc("dispatch.attempts")
-            metrics.inc("streams.executed")
-            metrics.inc("tuples.transferred", cursor.rows_read)
-            metrics.observe("stream.query_ms", cursor.server_ms)
-            metrics.observe("stream.transfer_ms", cursor.transfer_ms)
-        nan = float("nan")
-        return self._published_report(PlanReport(
-            partition=partition,
-            n_streams=len(specs),
-            query_ms=nan if timed_out else sum(c.server_ms for c in cursors),
-            transfer_ms=(
-                nan if timed_out else sum(c.transfer_ms for c in cursors)
-            ),
-            streams=reports,
-            timed_out=timed_out,
-            timed_out_label=timed_out_label,
-            elapsed_query_ms=(
-                nan if timed_out else sum(c.server_ms for c in cursors)
-            ),
-            elapsed_total_ms=(
-                nan if timed_out else sum(c.total_ms for c in cursors)
-            ),
-            wall_s=wall_s,
-            attempts=len(cursors),
-            backend=next(
-                (r.backend for r in reports if r.backend is not None), None
-            ),
-            backend_wall_ms=sum(r.backend_wall_ms for r in reports),
-            obs=obs,
-        ))
+    def _tag_cached(self, specs, streams, report, root_tag, indent, opts,
+                    root_span):
+        """Integrate eagerly dispatched ``streams`` into ``(xml, tagger)``
+        through the view's incremental-maintenance caches.
+
+        With a result cache installed, decoded instance sequences are kept
+        per (stream, plan, dependency generations): after a mutation only
+        the affected streams decode again, the rest splice from the cache —
+        the merged document stays byte-identical because cached instances
+        are exactly what re-decoding the identical rows would produce.  One
+        level up, the finished document is kept per (serialization options,
+        dependency generations of every table the view reads): every
+        partition of a view produces the identical document, so any plan's
+        re-materialization against unchanged generations can serve it
+        outright — execution still ran live, so the report's simulated
+        timings stay per-plan faithful.  Degraded or shed output is never
+        canonical and bypasses the document cache.
+        """
+        instance_keys = doc_key = None
+        if self.silkroute.cache is not None:
+            query_engine = self.silkroute.connection.engine
+            instance_keys = [
+                (spec.label, spec.style.value, spec.plan.fingerprint(),
+                 query_engine.dependency_key(spec.plan))
+                for spec in specs
+            ]
+            if not report.degraded_streams and not report.shed_streams:
+                view_tables = frozenset().union(
+                    *(query_engine.tables_for(spec.plan) for spec in specs)
+                )
+                doc_key = (
+                    root_tag, indent,
+                    query_engine.database.dependency_key(view_tables),
+                )
+                cached_doc = self._documents.get(doc_key)
+                if cached_doc is not None:
+                    root_span.set(document_cached=True)
+                    return cached_doc
+        document = tag_streams(
+            self.tree, specs, streams, root_tag=root_tag, indent=indent,
+            obs=opts.obs, instance_cache=self._instances,
+            instance_keys=instance_keys, layout=self._layout,
+        )
+        if doc_key is not None:
+            self._documents.store(doc_key, document)
+        return document
 
     def query(self, xmlql_text, root_tag="result", indent=None):
         """Run an XML-QL query against this view *virtually* (Sec. 7):
@@ -1022,12 +970,9 @@ class XmlView:
             root_tag=root_tag, indent=indent,
         )
 
-    def _resolve_partition(self, partition, style, reduce, greedy_params=None,
-                           keep=(), obs=None):
+    def _resolve_partition(self, partition, opts, greedy_params=None):
         if partition is None:
-            return self.greedy_plan(
-                greedy_params, style=style, reduce=reduce, keep=keep, obs=obs
-            ).recommended()
+            return self.greedy_plan(greedy_params, options=opts).recommended()
         if isinstance(partition, str):
             named = {
                 "unified": unified_partition,

@@ -98,6 +98,12 @@ class TupleStream:
     def total_ms(self):
         return self.server_ms + self.transfer_ms
 
+    @property
+    def rows_read(self):
+        """Rows delivered to the client — all of them; the name is shared
+        with :class:`TupleCursor`, where it counts the rows read so far."""
+        return len(self.rows)
+
     def __iter__(self):
         return iter(self.rows)
 

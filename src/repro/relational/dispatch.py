@@ -338,15 +338,6 @@ def execute_specs(connection, specs, budget_ms=None, workers=None,
             span.set_sim(_stream_cost(stream, stats))
             return stream, stats
 
-    def record(stream, stats):
-        stats.record(metrics)
-        metrics.inc("streams.executed")
-        metrics.inc("tuples.transferred", len(stream))
-        metrics.observe("stream.query_ms", stream.server_ms)
-        metrics.observe("stream.transfer_ms", stream.transfer_ms)
-        if getattr(stream, "backend_wall_ms", 0.0):
-            metrics.observe("stream.backend_wall_ms", stream.backend_wall_ms)
-
     result = DispatchResult(streams=[])
     if admission is not None:
         overload = admission.admit_queue(specs)
@@ -419,7 +410,7 @@ def execute_specs(connection, specs, budget_ms=None, workers=None,
                         )
                     result.streams.append(stream)
                     result.stats.append(stats)
-                    record(stream, stats)
+                    record_stream(metrics, stream, stats)
             return result
         for i, spec in enumerate(specs):
             if free_at is not None:
@@ -438,11 +429,24 @@ def execute_specs(connection, specs, budget_ms=None, workers=None,
                 )
             result.streams.append(stream)
             result.stats.append(stats)
-            record(stream, stats)
+            record_stream(metrics, stream, stats)
         return result
     finally:
         if own_epoch:
             pool.finish_epoch(epoch)
+
+
+def record_stream(metrics, stream, stats):
+    """Enter one finished stream (a ``TupleStream``, or a drained or
+    abandoned ``TupleCursor``) and its attempt ``stats`` into ``metrics``
+    — the one place per-stream counters are recorded."""
+    stats.record(metrics)
+    metrics.inc("streams.executed")
+    metrics.inc("tuples.transferred", stream.rows_read)
+    metrics.observe("stream.query_ms", stream.server_ms)
+    metrics.observe("stream.transfer_ms", stream.transfer_ms)
+    if getattr(stream, "backend_wall_ms", 0.0):
+        metrics.observe("stream.backend_wall_ms", stream.backend_wall_ms)
 
 
 def _stream_cost(stream, stats):

@@ -41,7 +41,7 @@ from repro.relational.batch import DEFAULT_BATCH_SIZE
 from repro.relational.cache import CacheEntry, NodeResultCache
 from repro.relational.dependencies import plan_tables
 from repro.relational.types import width_function
-from repro.relational.vector_ops import _key_plan, _hash_index  # noqa: F401
+from repro.relational.vector_ops import _key_plan
 from repro.relational.algebra import (
     Scan,
     Filter,
@@ -89,6 +89,21 @@ class CostModel:
 
     def scaled(self, ms):
         return ms * self.speed
+
+    def sort_ms(self, n, row_bytes):
+        """Unscaled cost of sorting ``n`` rows averaging ``row_bytes``:
+        ``n log2(n+1)`` comparisons weighted by row width, times the spill
+        penalty once the input outgrows ``sort_memory_bytes``.  The one
+        statement of the formula, shared by both engines and the
+        estimator."""
+        cost = n * math.log2(n + 1) * self.sort_cmp_ms * (
+            1.0 + row_bytes / self.sort_width_norm
+        )
+        total_bytes = n * row_bytes
+        if total_bytes > self.sort_memory_bytes:
+            overflow = total_bytes / self.sort_memory_bytes - 1.0
+            cost *= 1.0 + self.spill_factor * overflow
+        return cost
 
     def without(self, knob):
         """A copy with one mechanism disabled — for ablation benches."""
@@ -198,7 +213,6 @@ class _Charges:
         self.rows_examined = 0
         self.breakdown = {}
         self.memo = {}
-        self.memo_hits = 0
         self.log = None
         #: Per-operator-label chunk counts (batch engine only; published as
         #: ``batch.<label>.batches`` metrics).  Never affects ``total_ms``.
@@ -241,8 +255,14 @@ class QueryEngine:
       batch size) into vectorized kernels
       (:mod:`repro.relational.vector_ops`) that process columnar
       :class:`~repro.relational.batch.Batch` chunks;
-    * ``"tuple"`` — the original row-at-a-time interpreter, also backing
-      the constant-memory streaming path of :meth:`execute_iter`.
+    * ``"tuple"`` — the row-at-a-time Volcano interpreter (the
+      ``_stream_*`` generators).  :meth:`execute_iter` hands its rows out
+      lazily, in bounded memory; :meth:`execute` with ``engine="tuple"``
+      drains the same generators into a list — the reference the batch
+      kernels are tested against.
+
+    Every operator therefore exists exactly twice: as a batch kernel and
+    as a ``_stream_*`` generator.
 
     ``engine``/``batch_size`` set the defaults; both can be overridden per
     call.  Because results, simulated timings, and cache keys are
@@ -433,7 +453,7 @@ class QueryEngine:
     def _evaluate(self, plan, charges, mode, batch_size, metrics):
         """Evaluate ``plan`` fresh in ``mode``; return the result rows."""
         if mode == "tuple":
-            return self._eval(plan, charges)
+            return list(self._stream_plan(plan, charges))
         self._node_results.metrics = metrics
         self._refresh_dependencies(metrics)
         compiled = self._compiled_for(plan, batch_size)
@@ -528,12 +548,14 @@ class QueryEngine:
         <repro.core.silkroute.XmlView.materialize_to>` stream arbitrarily
         large views.
 
-        Charges use the *same* cost-model formulas as :meth:`execute`,
-        accounted per operator as its stream completes.  Operators complete
-        in the batch engine's evaluation order (join probe sides are
-        consumed first — materialized — and sub-plans shared within the
-        query are evaluated once and re-read at rescan cost), so the
-        charge log is *identical* — same values, same order — and
+        This is the interpreter ``execute(engine="tuple")`` drains, so the
+        two agree by construction; against the batch kernels, charges use
+        the *same* cost-model formulas, accounted per operator as its
+        stream completes.  Operators complete in the batch engine's
+        evaluation order (join probe sides are consumed first —
+        materialized — and sub-plans shared within the query are drained
+        into the per-execution memo once and re-read at rescan cost), so
+        the charge log is *identical* — same values, same order — and
         ``server_ms``, the breakdown, and timeout behaviour match the
         materializing path bit-for-bit.  ``budget_ms`` raises
         :class:`~repro.common.errors.TimeoutExceeded` from the consuming
@@ -581,13 +603,7 @@ class QueryEngine:
             if metrics is not None:
                 metrics.inc("plan_cache.misses")
 
-        def stream_rows():
-            shared = _shared_fingerprints(plan)
-            try:
-                yield from self._stream(plan, charges, shared)
-            finally:
-                charges.memo.clear()
-        result._attach(stream_rows())
+        result._attach(self._stream_plan(plan, charges))
         return result
 
     def _result(self, plan, rows, charges):
@@ -609,53 +625,47 @@ class QueryEngine:
         # ~56 bytes of tuple/pointer overhead per row in CPython.
         return overhead + len(rows) * (avg + 56 + 8 * len(plan.columns()))
 
-    # -- operator evaluation ------------------------------------------------
+    # -- row-at-a-time (Volcano-style) evaluation ---------------------------
+    #
+    # The one row interpreter: ``execute(engine="tuple")`` drains it into a
+    # list, ``execute_iter`` hands it out lazily.  Each operator is a
+    # generator applying the *same* cost-model formulas as its batch kernel
+    # in :mod:`~repro.relational.vector_ops`, charged when its stream
+    # completes (the generator chain unwinds bottom-up, so a pipelined
+    # scan→filter→project charges in the batch order).  Sub-plans occurring
+    # more than once in the query (``shared``) are drained into the
+    # per-execution memo on first use and re-read at rescan cost, exactly
+    # like the optimizer's common-subexpression sharing — re-reading a
+    # stream twice is impossible without materializing it.
 
-    def _eval(self, op, charges):
-        """Evaluate one operator, sharing identical sub-plans within this
-        query execution (the optimizer's common-subexpression reuse)."""
+    def _stream_plan(self, plan, charges):
+        """All of ``plan``'s rows, lazily; the shared-sub-plan memo is
+        released when the stream ends or is closed."""
+        try:
+            yield from self._stream(plan, charges, _shared_fingerprints(plan))
+        finally:
+            charges.memo.clear()
+
+    def _stream(self, op, charges, shared):
         key = op.fingerprint()
         if key in charges.memo:
             rows = charges.memo[key]
-            charges.memo_hits += 1
             charges.charge(
                 "rescan", len(rows) * self.cost_model.rescan_row_ms, len(rows)
             )
-            return rows
-        rows = self._eval_fresh(op, charges)
-        charges.memo[key] = rows
-        return rows
-
-    def _eval_fresh(self, op, charges):
-        if isinstance(op, Scan):
-            return self._eval_scan(op, charges)
-        if isinstance(op, Filter):
-            return self._eval_filter(op, charges)
-        if isinstance(op, Project):
-            return self._eval_project(op, charges)
-        if isinstance(op, Distinct):
-            return self._eval_distinct(op, charges)
-        if isinstance(op, InnerJoin):
-            return self._eval_inner_join(op, charges)
-        if isinstance(op, LeftOuterJoin):
-            return self._eval_outer_join(op, charges)
-        if isinstance(op, OuterUnion):
-            return self._eval_union(op, charges)
-        if isinstance(op, Sort):
-            return self._eval_sort(op, charges)
-        raise ExecutionError(f"cannot execute operator {op!r}")
-
-    def _eval_scan(self, op, charges):
-        table = self.database.table(op.table_schema.name)
-        rows = list(table.rows)
-        charges.charge("scan", len(rows) * self.cost_model.scan_row_ms, len(rows))
-        return rows
+            return iter(rows)
+        if key in shared:
+            rows = charges.memo[key] = list(
+                self._stream_fresh(op, charges, shared)
+            )
+            return iter(rows)
+        return self._stream_fresh(op, charges, shared)
 
     @staticmethod
     def _compiled_predicate(op):
         """The filter's predicate compiled to a ``row -> bool`` closure,
         once per operator instance (plans are immutable, so the closure is
-        reused across executions and engines)."""
+        reused across executions)."""
         predicate = getattr(op, "_row_predicate", None)
         if predicate is None:
             predicate = algebra.compile_predicate(
@@ -663,236 +673,6 @@ class QueryEngine:
             )
             op._row_predicate = predicate
         return predicate
-
-    def _eval_filter(self, op, charges):
-        rows = self._eval(op.child, charges)
-        predicate = self._compiled_predicate(op)
-        out = [r for r in rows if predicate(r)]
-        charges.charge("filter", len(rows) * self.cost_model.filter_row_ms, len(rows))
-        return out
-
-    def _eval_project(self, op, charges):
-        rows = self._eval(op.child, charges)
-        positions = op.child.positions()
-        plan = []
-        all_columns = True
-        for item in op.items:
-            if isinstance(item.expr, ColumnRef):
-                plan.append((True, positions[item.expr.name]))
-            elif isinstance(item.expr, Literal):
-                plan.append((False, item.expr.value))
-                all_columns = False
-            else:
-                raise ExecutionError(f"unsupported projection {item.expr!r}")
-        if all_columns:
-            indices = [p for _, p in plan]
-            if len(indices) == 1:
-                p = indices[0]
-                out = [(row[p],) for row in rows]
-            elif indices:
-                getter = itemgetter(*indices)
-                out = [getter(row) for row in rows]
-            else:
-                out = [() for _ in rows]
-        else:
-            out = [
-                tuple(row[p] if is_col else p for is_col, p in plan)
-                for row in rows
-            ]
-        charges.charge("project", len(rows) * self.cost_model.project_row_ms, len(rows))
-        return out
-
-    def _eval_distinct(self, op, charges):
-        rows = self._eval(op.child, charges)
-        seen = set()
-        out = []
-        for row in rows:
-            if row not in seen:
-                seen.add(row)
-                out.append(row)
-        charges.charge("distinct", len(rows) * self.cost_model.hash_row_ms, len(rows))
-        return out
-
-    def _eval_inner_join(self, op, charges):
-        left_rows = self._eval(op.left, charges)
-        right_rows = self._eval(op.right, charges)
-        left_pos = op.left.positions()
-        right_pos = op.right.positions()
-        build_get, build_single = _key_plan(
-            [right_pos[r] for _, r in op.equalities]
-        )
-        probe_get, probe_single = _key_plan(
-            [left_pos[l] for l, _ in op.equalities]
-        )
-        index = _hash_index(right_rows, build_get, build_single)
-        out = []
-        append = out.append
-        lookup = index.get
-        if probe_single:
-            for row in left_rows:
-                key = probe_get(row)
-                if key is None:
-                    continue
-                for match in lookup(key, ()):
-                    append(row + match)
-        else:
-            for row in left_rows:
-                key = probe_get(row)
-                if None in key:
-                    continue
-                for match in lookup(key, ()):
-                    append(row + match)
-        model = self.cost_model
-        charges.charge(
-            "join",
-            len(right_rows) * model.hash_row_ms
-            + len(left_rows) * model.probe_row_ms
-            + len(out) * model.join_out_row_ms,
-            len(left_rows) + len(right_rows),
-        )
-        return out
-
-    def _eval_outer_join(self, op, charges):
-        left_rows = self._eval(op.left, charges)
-        right_start_ms = charges.total_ms
-        right_rows = self._eval(op.right, charges)
-        right_cost_ms = charges.total_ms - right_start_ms
-        left_pos = op.left.positions()
-        right_pos = op.right.positions()
-        null_pad = (None,) * len(op.right.columns())
-
-        branch_indexes = []
-        build_work = 0
-        for branch in op.branches:
-            build_get, build_single = _key_plan(
-                [right_pos[r] for _, r in branch.equalities]
-            )
-            tag_position = (
-                right_pos[branch.tag_column] if branch.tag_column is not None else None
-            )
-            if tag_position is None:
-                candidates = right_rows
-            else:
-                tag_value = branch.tag_value
-                candidates = [
-                    row for row in right_rows if row[tag_position] == tag_value
-                ]
-            index = _hash_index(candidates, build_get, build_single)
-            build_work += sum(len(bucket) for bucket in index.values())
-            probe_get, probe_single = _key_plan(
-                [left_pos[l] for l, _ in branch.equalities]
-            )
-            branch_indexes.append((probe_get, probe_single, index))
-
-        out = []
-        append = out.append
-        for row in left_rows:
-            matched = False
-            for probe_get, probe_single, index in branch_indexes:
-                key = probe_get(row)
-                if (key is None) if probe_single else (None in key):
-                    continue
-                for match in index.get(key, ()):
-                    append(row + match)
-                    matched = True
-            if not matched:
-                append(row + null_pad)
-
-        model = self.cost_model
-        charges.charge(
-            "outer_join",
-            build_work * model.hash_row_ms
-            + len(left_rows) * len(op.branches) * model.probe_row_ms
-            + len(out) * model.join_out_row_ms,
-            len(left_rows) + len(right_rows),
-        )
-        if algebra.outer_join_nesting(op.right) >= model.reevaluation_threshold:
-            # The optimizer cannot flatten the deeply nested derived table:
-            # it re-evaluates the right side for every outer row.  The
-            # charge is in already-scaled ms, so divide the speed back out.
-            reevaluations = max(len(left_rows) - 1, 0)
-            penalty = reevaluations * right_cost_ms * model.reevaluation_factor
-            if model.speed:
-                penalty /= model.speed
-            charges.charge("outer_join_reevaluation", penalty)
-        return out
-
-    def _eval_union(self, op, charges):
-        out_columns = op.column_names()
-        out = []
-        for child in op.inputs:
-            rows = self._eval(child, charges)
-            child_names = child.column_names()
-            mapping = {name: i for i, name in enumerate(child_names)}
-            slots = [mapping.get(name) for name in out_columns]
-            for row in rows:
-                out.append(tuple(None if s is None else row[s] for s in slots))
-        if op.distinct:
-            seen = set()
-            deduped = []
-            for row in out:
-                if row not in seen:
-                    seen.add(row)
-                    deduped.append(row)
-            out = deduped
-        charges.charge("union", len(out) * self.cost_model.union_row_ms, len(out))
-        return out
-
-    def _eval_sort(self, op, charges):
-        rows = self._eval(op.child, charges)
-        positions = op.child.positions()
-        key_positions = [positions[k] for k in op.keys]
-        if len(key_positions) == 1:
-            p = key_positions[0]
-            out = sorted(rows, key=lambda r: NoneFirst(r[p]))
-        elif key_positions:
-            getter = itemgetter(*key_positions)
-            out = sorted(rows, key=lambda r: sort_key(getter(r)))
-        else:
-            out = list(rows)
-
-        model = self.cost_model
-        n = len(rows)
-        if n:
-            row_bytes = self._row_bytes_for(
-                op.child.fingerprint(), op.child.columns(), rows,
-                self.tables_for(op.child),
-            )
-            comparisons = n * math.log2(n + 1)
-            cost = comparisons * model.sort_cmp_ms * (
-                1.0 + row_bytes / model.sort_width_norm
-            )
-            total_bytes = n * row_bytes
-            if total_bytes > model.sort_memory_bytes:
-                overflow = total_bytes / model.sort_memory_bytes - 1.0
-                cost *= 1.0 + model.spill_factor * overflow
-            charges.charge("sort", cost, n)
-        return out
-
-    # -- streaming (Volcano-style) evaluation -------------------------------
-    #
-    # Each operator is a generator applying the *same* cost-model formulas
-    # as its batch twin, charged when its stream completes (the generator
-    # chain unwinds bottom-up, so a pipelined scan→filter→project charges
-    # in the batch order).  Sub-plans occurring more than once in the query
-    # (``shared``) are batch-evaluated into the per-execution memo on first
-    # use, exactly like the optimizer's common-subexpression sharing —
-    # re-reading a stream twice is impossible without materializing it.
-
-    def _stream(self, op, charges, shared):
-        key = op.fingerprint()
-        if key in charges.memo:
-            rows = charges.memo[key]
-            charges.memo_hits += 1
-            charges.charge(
-                "rescan", len(rows) * self.cost_model.rescan_row_ms, len(rows)
-            )
-            yield from rows
-            return
-        if key in shared:
-            yield from self._eval(op, charges)
-            return
-        yield from self._stream_fresh(op, charges, shared)
 
     def _stream_fresh(self, op, charges, shared):
         if isinstance(op, Scan):
@@ -1123,22 +903,13 @@ class QueryEngine:
         else:
             out = rows
 
-        model = self.cost_model
         n = len(rows)
         if n:
             row_bytes = self._row_bytes_for(
                 op.child.fingerprint(), op.child.columns(), rows,
                 self.tables_for(op.child),
             )
-            comparisons = n * math.log2(n + 1)
-            cost = comparisons * model.sort_cmp_ms * (
-                1.0 + row_bytes / model.sort_width_norm
-            )
-            total_bytes = n * row_bytes
-            if total_bytes > model.sort_memory_bytes:
-                overflow = total_bytes / model.sort_memory_bytes - 1.0
-                cost *= 1.0 + model.spill_factor * overflow
-            charges.charge("sort", cost, n)
+            charges.charge("sort", self.cost_model.sort_ms(n, row_bytes), n)
         del rows
         # Drain destructively: a consumed row's slot is released so fully
         # tagged prefixes of an arbitrarily large stream can be collected

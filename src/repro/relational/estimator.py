@@ -13,7 +13,6 @@ greedy algorithm issues far fewer estimate requests than the worst case
 because combined queries recur.
 """
 
-import math
 from dataclasses import dataclass
 
 from repro.common.errors import QueryError
@@ -300,14 +299,7 @@ class CostEstimator:
         child = self.estimate(op.child)
         model = self.cost_model
         n = max(child.cardinality, 1.0)
-        comparisons = n * math.log2(n + 1)
-        cost = comparisons * model.sort_cmp_ms * (
-            1.0 + child.row_width / model.sort_width_norm
-        )
-        total_bytes = n * child.row_width
-        if total_bytes > model.sort_memory_bytes:
-            overflow = total_bytes / model.sort_memory_bytes - 1.0
-            cost *= 1.0 + model.spill_factor * overflow
+        cost = model.sort_ms(n, child.row_width)
         return Estimate(
             cardinality=child.cardinality,
             row_width=child.row_width,

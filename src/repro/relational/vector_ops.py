@@ -9,13 +9,14 @@ fingerprints — is resolved once here, at compile time; the closures then
 run tight C-level loops (listcomps, ``zip``, ``sorted``, ``dict``) over
 whole columns in ``batch_size`` chunks.
 
-The batch engine is the tuple engine's *identical twin*, not an
-approximation.  Every kernel performs the same logical work in the same
-order and applies the same cost-model formula to the same counts, so the
-charge log — every ``(label, ms, rows)`` triple, in order — is
-bit-identical to :meth:`QueryEngine._eval
-<repro.relational.engine.QueryEngine.execute>`'s.  The load-bearing
-details:
+The batch engine is the *identical twin* of the engine's Volcano
+interpreter (the ``_stream_*`` generators behind ``engine="tuple"`` and
+:meth:`~repro.relational.engine.QueryEngine.execute_iter`), not an
+approximation.  These two are the only implementations of the operator
+set.  Every kernel performs the same logical work in the same order and
+applies the same cost-model formula to the same counts, so the charge log
+— every ``(label, ms, rows)`` triple, in order — is bit-identical to the
+interpreter's.  The load-bearing details:
 
 * sub-plan sharing: each compiled node checks the per-execution memo by
   fingerprint and charges the same ``rescan`` cost on hits, in the same
@@ -34,7 +35,6 @@ details:
 engine publishes them as per-operator metrics when observability is on.
 """
 
-import math
 from operator import itemgetter
 
 from repro.common.errors import ExecutionError
@@ -162,7 +162,8 @@ class _PlanCompiler:
 
     def compile(self, op):
         """Compile one operator, wrapped in the shared-sub-plan memo check
-        (the optimizer's common-subexpression reuse, as in ``_eval``)."""
+        (the optimizer's common-subexpression reuse, as in the
+        interpreter's ``_stream``)."""
         fresh = self._fresh(op)
         fingerprint = op.fingerprint()
         rescan_row_ms = self.model.rescan_row_ms
@@ -172,7 +173,6 @@ class _PlanCompiler:
             memo = charges.memo
             batch = memo.get(_fp)
             if batch is not None:
-                charges.memo_hits += 1
                 n = batch.length
                 charges.charge("rescan", n * _rescan, n)
                 return batch
@@ -559,11 +559,7 @@ class _PlanCompiler:
         child_tables = plan_tables(op.child)
         engine = self.engine
         arity = len(op.columns())
-        model = self.model
-        sort_cmp_ms = model.sort_cmp_ms
-        sort_width_norm = model.sort_width_norm
-        sort_memory_bytes = model.sort_memory_bytes
-        spill_factor = model.spill_factor
+        sort_ms = self.model.sort_ms
         batch_size = self.batch_size
 
         results = self.results
@@ -598,16 +594,8 @@ class _PlanCompiler:
                     child_fp, child_columns, batch.rows(batch_size),
                     child_tables,
                 )
-                comparisons = n * math.log2(n + 1)
-                cost = comparisons * sort_cmp_ms * (
-                    1.0 + row_bytes / sort_width_norm
-                )
-                total_bytes = n * row_bytes
-                if total_bytes > sort_memory_bytes:
-                    overflow = total_bytes / sort_memory_bytes - 1.0
-                    cost *= 1.0 + spill_factor * overflow
                 _note_batches(charges, "sort", n, batch_size)
-                charges.charge("sort", cost, n)
+                charges.charge("sort", sort_ms(n, row_bytes), n)
             return result
 
         return fresh

@@ -42,6 +42,7 @@ from repro.common.errors import ReproError
 from repro.core.options import ExecutionOptions
 from repro.core.sqlgen import PlanStyle
 from repro.relational.backends import BACKEND_NAMES
+from repro.relational.engine import ENGINE_MODES
 from repro.relational.faults import FaultPolicy, RetryPolicy
 
 #: Hard cap on one request frame (bytes, newline included).  Far above
@@ -127,9 +128,10 @@ def options_from_wire(wire):
             fields[name] = int(wire[name])
     engine = wire.get("engine")
     if engine is not None:
-        if engine not in ("batch", "tuple"):
+        if engine not in ENGINE_MODES:
             raise ProtocolError(
-                f"unknown engine {engine!r} (expected 'batch' or 'tuple')"
+                f"unknown engine {engine!r} (expected "
+                f"{' or '.join(map(repr, ENGINE_MODES))})"
             )
         fields["engine"] = engine
     backend = wire.get("backend")

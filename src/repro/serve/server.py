@@ -40,6 +40,7 @@ import threading
 import time
 import uuid
 from contextlib import contextmanager
+from dataclasses import replace
 
 from repro.common.errors import OverloadError, QueryError, ReproError, tag_request
 from repro.core.options import RequestContext, resolve_options
@@ -280,16 +281,16 @@ class Server:
         execution log replays without live objects."""
         opts = resolve_options(
             options if options is not None else self.session.options,
-            **overrides,
+            overrides,
         )
         if controller is not None:
             policy = controller.policy
             if (policy.max_concurrent_streams is not None
                     or policy.max_queued_streams is not None
                     or policy.deadline_ms is not None):
-                opts = opts.replace(max_concurrent=policy)
-        return opts.replace(obs=None, request=None, wal_path=None,
-                            checkpoint_every=None)
+                opts = replace(opts, max_concurrent=policy)
+        return replace(opts, obs=None, request=None, wal_path=None,
+                       checkpoint_every=None)
 
     def _append_log(self, kind, **payload):
         with self._log_lock:
@@ -337,7 +338,7 @@ class Server:
                     return self.session.materialize(
                         rxl, partition=partition, root_tag=root_tag,
                         indent=indent,
-                        options=opts.replace(obs=obs, request=context),
+                        options=replace(opts, obs=obs, request=context),
                     )
 
                 try:
@@ -378,7 +379,7 @@ class Server:
             rxl = self._resolve_rxl(query)
             opts = resolve_options(
                 options if options is not None else self.session.options,
-                **overrides,
+                overrides,
             )
             return self.session.explain(rxl, partition, options=opts)
 

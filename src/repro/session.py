@@ -34,6 +34,7 @@ reuse and request coalescing process-wide.
 
 from dataclasses import dataclass, field
 
+from repro.bench.sweep import sweep_partitions
 from repro.core.options import ExecutionOptions, RequestContext  # noqa: F401
 from repro.core.silkroute import SilkRoute
 
@@ -339,7 +340,7 @@ class Session:
         returns a :class:`QueryResult` whose ``sweep`` is the
         :class:`~repro.bench.sweep.SweepResult`."""
         view = self.view(query)
-        sweep = _sweep_partitions(
+        sweep = sweep_partitions(
             view.tree, self._silkroute.schema, self.connection,
             partitions=partitions, progress=progress, cache=cache,
             stream_workers=stream_workers, options=self._options(options),
@@ -390,10 +391,3 @@ class Session:
         stats["generation"] = self.database.table(table).version
         return QueryResult(mutated=changed, table=table, stats=stats)
 
-
-def _sweep_partitions(tree, schema, connection, **kwargs):
-    """The sweep engine behind :meth:`Session.sweep` and the deprecated
-    module-level :func:`repro.bench.sweep.sweep_partitions`."""
-    from repro.bench import sweep as _sweep_module
-
-    return _sweep_module._sweep_partitions(tree, schema, connection, **kwargs)

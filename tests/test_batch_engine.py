@@ -23,13 +23,15 @@ that composes with execution.  Tested here:
 """
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import (
+    HealthCheck, assume, example, given, settings, strategies as st,
+)
 
 from repro.cli import build_parser
-from repro.common.errors import TransientConnectionError
+from repro.common.errors import TimeoutExceeded, TransientConnectionError
 from repro.common.ordering import NoneFirst
 from repro.core.options import ExecutionOptions
-from repro.core.partition import enumerate_partitions
+from repro.core.partition import enumerate_partitions, unified_partition
 from repro.core.silkroute import SilkRoute
 from repro.core.sqlgen import PlanStyle, SqlGenerator
 from repro.bench.queries import QUERY_1
@@ -156,22 +158,75 @@ class TestSortPass:
 # Per-stream identity over random partitions
 
 
+def _drain(engine, plan, budget_ms):
+    """``execute_iter`` drained: ``(rows so far, IterResult, timeout)``.
+    The cursor charges startup when it is opened, so that can time out
+    too."""
+    rows = []
+    try:
+        cursor = engine.execute_iter(plan, budget_ms=budget_ms)
+    except TimeoutExceeded as exc:
+        return rows, None, exc
+    try:
+        rows.extend(cursor)
+    except TimeoutExceeded as exc:
+        return rows, cursor, exc
+    return rows, cursor, None
+
+
+def _entry(entry):
+    """A ``CacheEntry``'s fields, comparable (None when nothing stored)."""
+    if entry is None:
+        return None
+    return entry.rows, entry.charge_log, entry.complete, entry.nbytes
+
+
 class TestStreamIdentity:
+    """``execute(engine="batch")`` (the kernels), ``execute(engine="tuple")``
+    (the Volcano interpreter drained into a list) and a drained
+    ``execute_iter()`` (the same interpreter, lazily) must agree on
+    everything observable, with and without a budget."""
+
     @settings(
         max_examples=15, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
+        query=st.sampled_from(["q1", "q2"]),
         index=st.integers(min_value=0, max_value=10 ** 9),
         batch_size=st.sampled_from(BATCH_SIZES),
         style=st.sampled_from([PlanStyle.OUTER_UNION, PlanStyle.OUTER_JOIN]),
+        budget=st.sampled_from([None, 0.0, 0.3, 0.7, 0.999]),
     )
+    # index -1 is the unified plan: one query whose branches share
+    # sub-plans, the case the interpreter's per-execution memo exists for.
+    @example("q1", -1, 5, PlanStyle.OUTER_JOIN, None)
+    @example("q1", -1, 5, PlanStyle.OUTER_JOIN, 0.7)
+    @example("q1", -1, 1, PlanStyle.OUTER_UNION, None)
+    @example("q1", -1, DEFAULT_BATCH_SIZE, PlanStyle.OUTER_UNION, 0.3)
+    @example("q2", -1, DEFAULT_BATCH_SIZE, PlanStyle.OUTER_JOIN, None)
+    @example("q2", -1, 1, PlanStyle.OUTER_JOIN, 0.3)
+    @example("q2", -1, 5, PlanStyle.OUTER_UNION, None)
+    @example("q2", -1, 5, PlanStyle.OUTER_UNION, 0.999)
     def test_rows_timings_and_charge_log_match(
-        self, tiny_db, q1_tree, q1_partitions, index, batch_size, style
+        self, tiny_db, q1_tree, q2_tree, query, index, batch_size, style,
+        budget,
     ):
-        partition = q1_partitions[index % len(q1_partitions)]
-        generator = SqlGenerator(q1_tree, tiny_db.schema, style=style)
+        tree = {"q1": q1_tree, "q2": q2_tree}[query]
+        partitions = list(enumerate_partitions(tree))
+        partition = partitions[index % len(partitions)]
+        if index == -1:
+            assert partition == unified_partition(tree)
+        generator = SqlGenerator(tree, tiny_db.schema, style=style)
         for spec in generator.streams_for_partition(partition):
+            unbudgeted = QueryEngine(tiny_db, engine="tuple").execute(
+                spec.plan
+            )
+            if index == -1:
+                assert "rescan" in unbudgeted.breakdown
+            budget_ms = None if budget is None else (
+                unbudgeted.server_ms * budget
+            )
             tuple_cache, batch_cache = PlanResultCache(), PlanResultCache()
             tuple_engine = QueryEngine(
                 tiny_db, cache=tuple_cache, engine="tuple"
@@ -180,19 +235,55 @@ class TestStreamIdentity:
                 tiny_db, cache=batch_cache, engine="batch",
                 batch_size=batch_size,
             )
+            key = tuple_engine.cache_key_for(spec.plan)
+            iter_rows, cursor, iter_timeout = _drain(
+                QueryEngine(tiny_db), spec.plan, budget_ms
+            )
+            if budget_ms is not None:
+                # Every path raises at the same charge ...
+                with pytest.raises(TimeoutExceeded) as expected:
+                    tuple_engine.execute(spec.plan, budget_ms=budget_ms)
+                with pytest.raises(TimeoutExceeded) as actual:
+                    batch_engine.execute(spec.plan, budget_ms=budget_ms)
+                for timeout in (actual.value, iter_timeout):
+                    assert timeout.budget_ms == expected.value.budget_ms
+                    assert timeout.elapsed_ms == expected.value.elapsed_ms
+                # ... and stores the same incomplete entry (none at all
+                # when the startup charge alone is over budget: that is
+                # charged before the cache is consulted).
+                stored = _entry(tuple_cache.peek(key))
+                assert _entry(batch_cache.peek(key)) == stored
+                assert (stored is None) == (cursor is None)
+                if cursor is not None:
+                    assert not cursor.exhausted
+                    assert cursor.server_ms == expected.value.elapsed_ms
+                    rows, charge_log, complete, _ = stored
+                    assert rows is None and not complete
+                    assert list(cursor.breakdown) == list(dict.fromkeys(
+                        ["startup"] + [label for label, _, _ in charge_log]
+                    ))
+                    assert iter_rows == unbudgeted.rows[:len(iter_rows)]
+                continue
             expected = tuple_engine.execute(spec.plan)
             actual = batch_engine.execute(spec.plan)
-            assert actual.rows == expected.rows
-            assert actual.server_ms == expected.server_ms
-            assert actual.rows_examined == expected.rows_examined
-            assert actual.breakdown == expected.breakdown
+            assert iter_timeout is None and cursor.exhausted
+            assert actual.rows == iter_rows == expected.rows
+            assert actual.server_ms == cursor.server_ms == expected.server_ms
+            assert (
+                actual.rows_examined == cursor.rows_examined
+                == expected.rows_examined
+            )
+            assert actual.breakdown == cursor.breakdown == expected.breakdown
+            assert (
+                list(actual.breakdown) == list(cursor.breakdown)
+                == list(expected.breakdown)
+            )
             # The full ordered charge log — every (label, ms, rows)
             # triple — is recorded in the cache entry on the miss.
-            key = tuple_engine.cache_key_for(spec.plan)
-            assert (
-                batch_cache.peek(key).charge_log
-                == tuple_cache.peek(key).charge_log
+            assert _entry(batch_cache.peek(key)) == _entry(
+                tuple_cache.peek(key)
             )
+            assert tuple_cache.peek(key).complete
             # Re-execution serves the node-result cache: still identical.
             again = batch_engine.execute(spec.plan)
             assert again.rows == expected.rows

@@ -16,6 +16,7 @@ The load-bearing invariants:
   report.
 """
 
+import dataclasses
 import io
 
 import pytest
@@ -35,6 +36,7 @@ from repro.relational.faults import (
     FaultPolicy,
     RetryPolicy,
 )
+from repro.session import Session
 
 
 @pytest.fixture
@@ -258,7 +260,7 @@ class TestByteIdentity:
         )
         serial = view.materialize("fully-partitioned", options=opts)
         concurrent = view.materialize(
-            "fully-partitioned", options=opts.replace(workers=4)
+            "fully-partitioned", options=dataclasses.replace(opts, workers=4)
         )
         assert concurrent.xml == serial.xml
         assert concurrent.report.faults_injected == serial.report.faults_injected
@@ -426,17 +428,57 @@ class TestExecutionOptions:
         assert result.report.n_streams == 10
         assert result.report.workers == 2
 
-    def test_unknown_option_rejected(self):
-        from repro.core.options import resolve_options
+    def test_unknown_option_rejected(self, view, silk):
+        session = Session(silk)
+        partition = view.unified_partition()
+        calls = [
+            lambda **kw: view.materialize("unified", **kw),
+            lambda **kw: view.materialize_to(io.StringIO(), "unified", **kw),
+            lambda **kw: view.execute_partition(partition, **kw),
+            lambda **kw: view.explain("unified", **kw),
+            lambda **kw: view.greedy_plan(**kw),
+            lambda **kw: session.sweep(QUERY_1, partitions=[partition], **kw),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="bogus"):
+                call(bogus=1)
 
-        with pytest.raises(TypeError):
-            resolve_options(None, bogus=1)
+    def test_precedence_keyword_options_session_field(self, silk):
+        def workers(session, **kw):
+            return session.materialize(
+                QUERY_1, "fully-partitioned", **kw
+            ).report.workers
+
+        assert workers(Session(silk)) == 1          # field default (None)
+        session = Session(silk, options=ExecutionOptions(workers=2))
+        assert workers(session) == 2                # session default
+        per_call = ExecutionOptions(workers=3)
+        assert workers(session, options=per_call) == 3
+        assert workers(session, options=per_call, workers=4) == 4
+
+    def test_per_method_reduce_defaults(self, view, silk):
+        reduced = view.explain("unified", reduce=True)
+        plain = view.explain("unified", reduce=False)
+        assert reduced != plain
+        assert view.explain("unified") == plain
+        partition = view.unified_partition()
+        _, _, report = view.execute_partition(partition)
+        assert [s.sql for s in report.streams] == plain
+        sweep = Session(silk).sweep(QUERY_1, partitions=[partition]).sweep
+        assert sweep.reduced is False
+        for result in (
+            view.materialize("unified"),
+            view.materialize_to(io.StringIO(), "unified"),
+        ):
+            assert [s.sql for s in result.report.streams] == reduced
+        # An options object is taken at face value, method default or not.
+        assert view.explain("unified", options=ExecutionOptions()) == reduced
 
     def test_frozen_and_replace(self):
         opts = ExecutionOptions(workers=2)
         with pytest.raises(Exception):
             opts.workers = 3
-        assert opts.replace(workers=4).workers == 4
+        assert dataclasses.replace(opts, workers=4).workers == 4
         assert opts.workers == 2
 
     def test_top_level_reexports(self):

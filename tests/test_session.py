@@ -3,8 +3,9 @@
 The contract under test: every Session method is a thin veneer over the
 existing machinery — byte-identical XML and identical simulated timings
 to calling :class:`~repro.core.silkroute.XmlView` directly — with one
-result type across materialize/explain/sweep/mutate; the old
-module-level entry points keep working behind ``DeprecationWarning``.
+result type across materialize/explain/sweep/mutate, and
+``Session.sweep`` is ``repro.bench.sweep.sweep_partitions`` plus that
+result type.
 """
 
 import io
@@ -127,12 +128,11 @@ class TestSweep:
         assert len(result.sweep.timings) == 2
         assert "sweep_cache" in result.stats
 
-    def test_module_level_sweep_is_deprecated_but_equivalent(
+    def test_module_level_sweep_matches_session_sweep(
             self, session, q1_tree, schema, tiny_conn):
         partitions = [unified_partition(q1_tree)]
-        with pytest.warns(DeprecationWarning, match="Session.sweep"):
-            old = sweep_partitions(q1_tree, schema, tiny_conn,
-                                   partitions=partitions)
+        old = sweep_partitions(q1_tree, schema, tiny_conn,
+                               partitions=partitions)
         new = session.sweep(QUERY_1, partitions=[
             unified_partition(session.view(QUERY_1).tree)])
         assert [t.query_ms for t in old.timings] == \

@@ -34,7 +34,12 @@ def views(tiny_db):
     with a shared result cache ("warm" — examples re-populate it)."""
 
     def make(cache):
-        silk = SilkRoute(Connection(tiny_db, CostModel()), cache=cache)
+        # engine="batch" spelled out: the reference side of every
+        # comparison here must stay the batch kernels — the tuple engine
+        # is the streaming interpreter itself.
+        silk = SilkRoute(
+            Connection(tiny_db, CostModel(), engine="batch"), cache=cache
+        )
         return {
             "Q1": silk.define_view(QUERY_1),
             "Q2": silk.define_view(QUERY_2),
@@ -95,7 +100,9 @@ class TestExecuteIter:
         generator = SqlGenerator(q1_view.tree, tiny_db.schema)
         specs = generator.streams_for_partition(q1_view.unified_partition())
         for spec in specs:
-            batch = tiny_conn.execute(spec.plan, compact_rows=spec.compact)
+            batch = tiny_conn.execute(
+                spec.plan, compact_rows=spec.compact, engine="batch"
+            )
             cursor = tiny_conn.execute_iter(
                 spec.plan, compact_rows=spec.compact
             )
