@@ -16,7 +16,7 @@ thread pool with deterministic result ordering.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.options import resolve_options
 from repro.core.partition import enumerate_partitions
@@ -24,7 +24,8 @@ from repro.core.sqlgen import PlanStyle, SqlGenerator
 from repro.obs import obs_parts
 from repro.relational.cache import PlanResultCache, resolve_cache
 from repro.relational.dispatch import execute_specs
-from repro.relational.replicas import resolve_admission, resolve_pool
+from repro.relational.faults import StreamAttemptStats
+from repro.relational.replicas import resolve_resilience
 
 
 @dataclass(frozen=True)
@@ -113,27 +114,24 @@ class SweepResult:
 
 
 def run_single_partition(tree, schema, connection, partition, generator=None,
-                         stream_workers=None, span_parent=None, pool=None,
-                         admission=None, epoch=None, expect_generations=None,
-                         options=None, **overrides):
+                         span_parent=None, epoch=None,
+                         expect_generations=None, options=None, **overrides):
     """Execute one plan; returns a :class:`PlanTiming`.
 
     Execution knobs come from ``options``/``overrides`` as everywhere
-    (``reduce`` defaults to False); the remaining arguments are the
-    per-sweep state :func:`sweep_partitions` shares between its plans.
-    Pass a prebuilt ``generator`` (one per sweep) to reuse its memoized
-    per-subtree stream specs across partitions.  ``stream_workers``
-    dispatches the plan's subqueries concurrently
-    (:func:`repro.relational.dispatch.execute_specs`); the recorded
-    simulated timings and timeout behaviour are identical either way.
+    (``reduce`` defaults to False) and go to
+    :func:`repro.relational.dispatch.execute_specs` as one bundle, so here
+    ``workers`` is the plan's *subquery* fan-out; the remaining arguments
+    are the per-sweep state :func:`sweep_partitions` shares between its
+    plans.  Pass a prebuilt ``generator`` (one per sweep) to reuse its
+    memoized per-subtree stream specs across partitions.
     ``retry``/``faults`` run the plan under the resilience regime: a
     stream that exhausts its retries marks the timing ``failed`` (sweeps
-    record, they do not degrade).  ``pool``/``epoch`` (with the
-    ``hedge_ms`` knob) route the streams over a resolved
-    :class:`~repro.relational.replicas.ReplicaPool` (a sweep pins one
-    ``epoch`` for all partitions so routing stays deterministic under
-    partition-level concurrency); ``admission`` sheds overloaded plans,
-    marking the timing ``shed``.  With ``obs`` (an
+    record, they do not degrade).  ``replicas``/``hedge_ms`` route the
+    streams over a :class:`~repro.relational.replicas.ReplicaPool` (a
+    sweep pins one ``epoch`` for all partitions so routing stays
+    deterministic under partition-level concurrency); ``max_concurrent``
+    sheds overloaded plans, marking the timing ``shed``.  With ``obs`` (an
     :class:`~repro.obs.ObsOptions` session) the run is wrapped in a
     ``partition`` span and records per-stream metrics.
     """
@@ -146,17 +144,14 @@ def run_single_partition(tree, schema, connection, partition, generator=None,
     with tracer.span("partition", parent=span_parent) as partition_span:
         specs = generator.streams_for_partition(partition)
         result = execute_specs(
-            connection, specs, budget_ms=opts.budget_ms,
-            workers=stream_workers, retry=opts.retry, faults=opts.faults,
-            obs=opts.obs, pool=pool, hedge_ms=opts.hedge_ms,
-            admission=admission, epoch=epoch, engine=opts.engine,
-            batch_size=opts.batch_size,
-            expect_generations=expect_generations,
+            connection, specs, epoch=epoch,
+            expect_generations=expect_generations, options=opts,
         )
         all_stats = list(result.stats)
         failure_stats = getattr(result.failure, "stats", None)
         if failure_stats is not None:
             all_stats.append(failure_stats)
+        total = StreamAttemptStats.total(all_stats)
         query_ms = transfer_ms = None
         if (result.timeout is None and result.failure is None
                 and result.overload is None):
@@ -172,13 +167,13 @@ def run_single_partition(tree, schema, connection, partition, generator=None,
             timed_out=result.timeout is not None,
             failed=result.failure is not None,
             shed=result.overload is not None,
-            attempts=sum(s.attempts for s in all_stats),
-            retries=sum(s.retries for s in all_stats),
-            faults_injected=sum(s.faults for s in all_stats),
-            backoff_ms=sum(s.backoff_ms for s in all_stats),
-            failovers=sum(s.failovers for s in all_stats),
-            hedges=sum(s.hedges for s in all_stats),
-            hedge_wins=sum(s.hedge_wins for s in all_stats),
+            attempts=total.attempts,
+            retries=total.retries,
+            faults_injected=total.faults,
+            backoff_ms=total.backoff_ms,
+            failovers=total.failovers,
+            hedges=total.hedges,
+            hedge_wins=total.hedge_wins,
         )
         partition_span.set(n_streams=timing.n_streams)
         if timing.timed_out:
@@ -253,10 +248,6 @@ def sweep_partitions(tree, schema, connection, partitions=None,
         tracer=tracer,
     )
     query_engine = connection.engine
-    query_engine.configure_node_cache(
-        max_entries=opts.node_cache_entries,   # None: leave as it is
-        retention_bytes=opts.retention_bytes,
-    )
     pinned_generations = connection.database.table_generations()
     previous = query_engine.cache
     if cache is True:
@@ -267,12 +258,13 @@ def sweep_partitions(tree, schema, connection, partitions=None,
         )
     else:
         query_engine.cache = resolve_cache(cache)
+    # What each plan runs under: ``workers`` is its subquery fan-out.
     # Resolved after the cache swap so a freshly built replica set shares
     # the cache the sweep actually runs under.
-    replica_pool = resolve_pool(opts.replicas, connection)
-    admission = resolve_admission(opts.max_concurrent)
-    if admission is not None:
-        stream_workers = admission.clamp_workers(stream_workers)
+    plan_opts = resolve_resilience(
+        replace(opts, workers=stream_workers), connection
+    )
+    replica_pool = plan_opts.replicas
     epoch = replica_pool.begin_epoch() if replica_pool is not None else None
     try:
         with tracer.span(
@@ -285,10 +277,8 @@ def sweep_partitions(tree, schema, connection, partitions=None,
             def run(partition):
                 return run_single_partition(
                     tree, schema, connection, partition,
-                    generator=generator, stream_workers=stream_workers,
-                    span_parent=parent, pool=replica_pool,
-                    admission=admission, epoch=epoch,
-                    expect_generations=pinned_generations, options=opts,
+                    generator=generator, span_parent=parent, epoch=epoch,
+                    expect_generations=pinned_generations, options=plan_opts,
                 )
 
             timings = []

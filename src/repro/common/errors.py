@@ -73,6 +73,15 @@ def tag_request(exc, tenant=None, request_id=None):
     return exc
 
 
+def tag_context(exc, context):
+    """:func:`tag_request` from a
+    :class:`~repro.core.options.RequestContext` (None: no-op); returns
+    ``exc``."""
+    if context is not None:
+        tag_request(exc, context.tenant, context.request_id)
+    return exc
+
+
 class TimeoutExceeded(ExecutionError):
     """A query's simulated running time exceeded the configured budget.
 

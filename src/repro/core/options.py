@@ -2,12 +2,15 @@
 
 Every execution-facing method (``XmlView.materialize``, ``materialize_to``,
 ``execute_partition``, ``explain``, ``greedy_plan``,
-``repro.bench.sweep.sweep_partitions``, and the ``Session``/``Server``
-methods in front of them) has the signature ``(…, options=None,
-**overrides)``.  :class:`ExecutionOptions` is the bundle: build one frozen
-object, pass it as ``options=`` everywhere, share it across calls and
-threads.  An override is one field of it by name, so one-off changes stay
-cheap, and :func:`resolve_options` is the only place the two are merged::
+``repro.bench.sweep.sweep_partitions``, the ``Session``/``Server``
+methods in front of them, and the dispatch layer behind them —
+``execute_specs``, ``run_spec_with_retry``, ``Connection.execute`` /
+``execute_iter``) has the signature ``(…, options=None, **overrides)``,
+and each hands the resolved bundle to the next as one object.
+:class:`ExecutionOptions` is the bundle: build one frozen object, pass it
+as ``options=`` everywhere, share it across calls and threads.  An override
+is one field of it by name, so one-off changes stay cheap, and
+:func:`resolve_options` is the only place the two are merged::
 
     opts = ExecutionOptions(budget_ms=300_000, workers=4,
                             retry=RetryPolicy(max_attempts=3))
@@ -80,14 +83,6 @@ class ExecutionOptions:
     simulated oracle, wall-clock recorded separately, results and
     simulated timings untouched.
 
-    The incremental-maintenance knobs bound the batch engine's
-    :class:`~repro.relational.cache.NodeResultCache`:
-    ``node_cache_entries`` caps the entry count (default 4096) and
-    ``retention_bytes`` is the workload-driven byte budget applied after
-    each mutation's invalidation pass — surviving sub-plan results are
-    scored hottest-per-byte and only the best are retained.  ``None``
-    leaves the engine's current bounds unchanged.
-
     Hashable as long as its fields are, so it can key plan caches
     (``ObsOptions`` hashes by identity).
     """
@@ -113,8 +108,6 @@ class ExecutionOptions:
     #: reports (see :mod:`repro.relational.backends`).  Backend instances
     #: hash by identity, keeping the options bundle hashable.
     backend: object = None
-    node_cache_entries: int = None
-    retention_bytes: float = None
     #: Optional :class:`RequestContext` naming the client request this
     #: execution serves; errors raised anywhere under the dispatch carry
     #: its tenant/request id.  Purely diagnostic — never affects results,

@@ -32,8 +32,8 @@ the partial :class:`PlanReport` attached.
 import time
 from dataclasses import dataclass, field, replace
 
-from repro.common.errors import PlanError, TimeoutExceeded, tag_request
-from repro.relational.replicas import resolve_admission, resolve_pool
+from repro.common.errors import PlanError, TimeoutExceeded, tag_context
+from repro.relational.replicas import resolve_resilience
 from repro.core.greedy import GreedyPlanner
 from repro.core.labeling import label_view_tree
 from repro.core.options import resolve_options
@@ -51,8 +51,10 @@ from repro.obs import obs_parts
 from repro.relational.cache import resolve_cache
 from repro.relational.dispatch import (
     execute_specs,
+    open_spec,
     record_stream,
     simulated_makespan,
+    stream_cost,
 )
 from repro.relational.estimator import CostEstimator
 from repro.relational.faults import CircuitBreaker, StreamAttemptStats
@@ -374,15 +376,11 @@ class XmlView:
 
     def _prepare(self, partition, opts):
         """Options → SQL, the front half every execution shares: resolve
-        the replica/admission knobs, apply the node-cache bounds, generate
+        the replica/admission knobs (``resolve_resilience``), generate
         ``partition``'s stream specs under the ``sqlgen`` span, and check
         them against the source description.  Returns ``(opts, generator,
         specs)`` with ``opts`` resolved."""
-        opts = self._resolve_resilience(opts)
-        self.silkroute.connection.engine.configure_node_cache(
-            max_entries=opts.node_cache_entries,   # None: leave as it is
-            retention_bytes=opts.retention_bytes,
-        )
+        opts = resolve_resilience(opts, self.silkroute.connection)
         tracer, _ = obs_parts(opts.obs)
         generator = SqlGenerator(
             self.tree, self.silkroute.schema, style=opts.style,
@@ -405,7 +403,7 @@ class XmlView:
                 generator, partition, specs, opts
             )
         except Exception as exc:
-            self._tag_request(exc, opts)
+            tag_context(exc, opts.request)
             partial = getattr(exc, "partial_outcome", None)
             if partial is not None:
                 exc.report = self._outcome_report(
@@ -426,26 +424,6 @@ class XmlView:
                     spec.uses_outer_join(), spec.uses_union()
                 )
 
-    def _resolve_resilience(self, opts):
-        """Normalize ``opts.replicas``/``opts.max_concurrent`` to live
-        :class:`~repro.relational.replicas.ReplicaPool` /
-        :class:`~repro.relational.replicas.AdmissionController` objects
-        (idempotent — resolved instances pass through) and clamp
-        ``workers`` to the admission policy so the dispatch width, the
-        deadline schedule, and the report's makespans all agree."""
-        pool = resolve_pool(opts.replicas, self.silkroute.connection)
-        admission = resolve_admission(opts.max_concurrent)
-        overrides = {}
-        if pool is not opts.replicas:
-            overrides["replicas"] = pool
-        if admission is not opts.max_concurrent:
-            overrides["max_concurrent"] = admission
-        if admission is not None:
-            clamped = admission.clamp_workers(opts.workers)
-            if clamped != opts.workers:
-                overrides["workers"] = clamped
-        return replace(opts, **overrides) if overrides else opts
-
     def _dispatch_resilient(self, generator, partition, specs, opts):
         """Dispatch ``specs``, degrading failing subtrees until the plan
         completes, times out, or a stream fails undegradably.
@@ -455,8 +433,7 @@ class XmlView:
         turns it into the attached partial report)."""
         connection = self.silkroute.connection
         breaker = CircuitBreaker() if opts.retry is not None else None
-        pool = opts.replicas          # resolved by _resolve_resilience
-        admission = opts.max_concurrent
+        admission = opts.max_concurrent     # resolved by _prepare
         # One plan's rounds (including degradation re-dispatches) must all
         # see the same data: a concurrent mutation raises
         # StaleGenerationError instead of splicing mixed-generation
@@ -484,15 +461,8 @@ class XmlView:
             while True:
                 result = execute_specs(
                     connection, [spec for spec, _ in pending],
-                    budget_ms=opts.budget_ms, workers=opts.workers,
-                    retry=opts.retry, faults=opts.faults, breaker=breaker,
-                    obs=opts.obs, pool=pool, hedge_ms=opts.hedge_ms,
-                    admission=admission,
-                    admission_elapsed_ms=elapsed_rounds_ms,
-                    engine=opts.engine, batch_size=opts.batch_size,
-                    backend=opts.backend,
-                    expect_generations=pinned_generations,
-                    request=opts.request,
+                    breaker=breaker, admission_elapsed_ms=elapsed_rounds_ms,
+                    expect_generations=pinned_generations, options=opts,
                 )
                 completed = len(result.streams)
                 done_specs.extend(spec for spec, _ in pending[:completed])
@@ -504,14 +474,7 @@ class XmlView:
                     # per-query deadline: carry this round's simulated
                     # makespan into the next round's schedule offset.
                     elapsed_rounds_ms += simulated_makespan(
-                        [
-                            stream.server_ms + stream.transfer_ms
-                            + st.backoff_ms + st.fault_latency_ms
-                            + st.hedge_wait_ms
-                            for stream, st in zip(
-                                result.streams, result.stats
-                            )
-                        ],
+                        map(stream_cost, result.streams, result.stats),
                         n_workers,
                     )
                 if result.timeout is not None:
@@ -589,19 +552,6 @@ class XmlView:
             assigned[node.index] = component
         return [Subtree(self.tree, nodes[0], nodes) for nodes in components]
 
-    @staticmethod
-    def _tag_request(exc, opts):
-        """Stamp ``opts.request``'s tenant/request id onto ``exc`` (no-op
-        without a request context; an earlier stamp wins)."""
-        context = opts.request
-        if context is not None:
-            tag_request(
-                exc,
-                getattr(context, "tenant", None),
-                getattr(context, "request_id", None),
-            )
-        return exc
-
     def _outcome_report(self, partition, outcome, opts, wall_s):
         """Build the :class:`PlanReport` for a dispatch outcome (complete,
         timed out, or the partial report of an unrecoverable failure)."""
@@ -635,19 +585,19 @@ class XmlView:
             (r.backend for r in reports if r.backend is not None), None
         )
         backend_wall_ms = sum(r.backend_wall_ms for r in reports)
-        every_stats = list(stats) + list(outcome.spent_stats)
+        total = StreamAttemptStats.total(list(stats) + outcome.spent_stats)
         n_workers = max(opts.workers or 1, 1)
         resilience = dict(
-            attempts=sum(s.attempts for s in every_stats),
-            retries=sum(s.retries for s in every_stats),
-            faults_injected=sum(s.faults for s in every_stats),
-            backoff_ms=sum(s.backoff_ms for s in every_stats),
-            fault_latency_ms=sum(s.fault_latency_ms for s in every_stats),
+            attempts=total.attempts,
+            retries=total.retries,
+            faults_injected=total.faults,
+            backoff_ms=total.backoff_ms,
+            fault_latency_ms=total.fault_latency_ms,
             degraded_streams=tuple(outcome.degraded),
-            failovers=sum(s.failovers for s in every_stats),
-            hedges=sum(s.hedges for s in every_stats),
-            hedge_wins=sum(s.hedge_wins for s in every_stats),
-            hedge_wait_ms=sum(s.hedge_wait_ms for s in every_stats),
+            failovers=total.failovers,
+            hedges=total.hedges,
+            hedge_wins=total.hedge_wins,
+            hedge_wait_ms=total.hedge_wait_ms,
             shed_streams=tuple(outcome.shed),
             backend=backend_name,
             backend_wall_ms=backend_wall_ms,
@@ -784,7 +734,9 @@ class XmlView:
         :class:`~repro.common.errors.TransientConnectionError` directly —
         use :meth:`materialize` when resilience matters more than constant
         memory.  ``replicas`` routes cursor *opening* to the pool's
-        best-ranked replica; ``max_concurrent`` applies the admission queue
+        best-ranked replica and records each open's outcome on the pool's
+        health, so a reused pool routes the next call around a replica
+        that refused one; ``max_concurrent`` applies the admission queue
         bound — an overflowing plan raises
         :class:`~repro.common.errors.OverloadError` before any cursor
         opens.
@@ -827,10 +779,10 @@ class XmlView:
                     generator, partition, specs, opts
                 )
                 if outcome.timeout is not None:
-                    raise self._tag_request(TimeoutExceeded(
+                    raise tag_context(TimeoutExceeded(
                         opts.budget_ms, float("nan"),
                         stream_label=report.timed_out_label, report=report,
-                    ), opts)
+                    ), opts.request)
                 specs = outcome.specs     # degradation may have refined them
                 xml, tagger = self._tag_cached(
                     specs, outcome.streams, report, root_tag, indent, opts,
@@ -861,7 +813,7 @@ class XmlView:
                     opts, wall_s=time.perf_counter() - start,
                 )
 
-            pool = opts.replicas          # resolved by _resolve_resilience
+            pool = opts.replicas          # resolved by _prepare
             if opts.max_concurrent is not None:
                 overload = opts.max_concurrent.admit_queue(specs)
                 if overload is not None:
@@ -872,7 +824,7 @@ class XmlView:
                     # report, so callers can account shed streams without
                     # special-casing the streaming front end.
                     overload.report = cursor_report(shed=overload.shed)
-                    raise self._tag_request(overload, opts)
+                    raise tag_context(overload, opts.request)
             epoch = pool.begin_epoch() if pool is not None else None
             try:
                 # The dispatch span brackets cursor *opening* only: the
@@ -882,19 +834,9 @@ class XmlView:
                     "dispatch", streams=len(specs), streaming=True,
                 ):
                     for spec in specs:
-                        connection, faults = (
-                            self.silkroute.connection, opts.faults
-                        )
-                        if pool is not None:
-                            replica = epoch.pick()
-                            connection = pool.connections[replica]
-                            faults = pool.policy_for(replica, opts.faults)
-                        cursors.append(connection.execute_iter(
-                            spec.plan, compact_rows=spec.compact,
-                            budget_ms=opts.budget_ms, sql=spec.sql,
-                            label=spec.label, faults=faults, obs=opts.obs,
-                            engine=opts.engine, batch_size=opts.batch_size,
-                            backend=opts.backend,
+                        cursors.append(open_spec(
+                            self.silkroute.connection, spec, opts, epoch,
+                            lazy=True,
                         ))
                 _, tagger = tag_streams(
                     self.tree, specs, cursors, root_tag=root_tag,
@@ -906,7 +848,12 @@ class XmlView:
                     exc.report = cursor_report(timeout=exc)
                 for cursor in cursors:
                     cursor.close()
-                raise self._tag_request(exc, opts)
+                raise tag_context(exc, opts.request)
+            finally:
+                # What the pool learns from a streamed plan is whether
+                # each cursor opened, and on which replica.
+                if pool is not None:
+                    pool.finish_epoch(epoch)
             report = cursor_report()
             root_span.set(streams=len(specs))
         return MaterializedView(xml=None, report=report, tagger=tagger)

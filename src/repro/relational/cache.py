@@ -424,20 +424,19 @@ def _stale_dependency_key(key, token, tables, current_generations):
 
 
 class _NodeEntry:
-    __slots__ = ("value", "tables", "nbytes", "hits")
+    __slots__ = ("value", "tables", "nbytes")
 
     def __init__(self, value, tables, nbytes):
         self.value = value
         self.tables = tables
         self.nbytes = nbytes
-        self.hits = 0
 
 
 def _node_value_bytes(value):
     """Byte estimate for a node-cache value: a ``Batch`` or a
     ``(Batch, build_work)`` pair (the outer-join kernel's shape).  A cheap
     deterministic heuristic — 16 bytes per cell plus a fixed overhead —
-    good enough to rank entries against the retention budget."""
+    reported as ``current_bytes`` in :meth:`NodeResultCache.stats`."""
     batch = value[0] if isinstance(value, tuple) else value
     length = getattr(batch, "length", 0)
     arity = getattr(batch, "arity", 1)
@@ -455,16 +454,7 @@ class NodeResultCache:
     entries that depend on mutated tables, which is what lets untouched
     view subtrees replay across writes instead of recomputing.
 
-    Two bounds apply, both configurable through
-    :class:`~repro.core.options.ExecutionOptions`:
-
-    * ``max_entries`` — a pop-oldest capacity bound enforced on store
-      (the former hard-coded ``_NODE_CACHE_CAP``), and
-    * ``retention_bytes`` — a workload-driven byte budget enforced after
-      each invalidation: surviving entries are scored
-      ``(1 + hits) / nbytes`` (hottest-per-byte first) and only the best
-      are retained across the mutation, per the reconstruction-view-
-      selection idea.  ``None`` means no byte budget.
+    ``max_entries`` is a pop-oldest capacity bound enforced on store.
 
     Thread-safe; an engine shared by concurrent stream dispatch threads
     hits this cache from all of them.
@@ -472,9 +462,8 @@ class NodeResultCache:
 
     DEFAULT_MAX_ENTRIES = 4096
 
-    def __init__(self, max_entries=DEFAULT_MAX_ENTRIES, retention_bytes=None):
+    def __init__(self, max_entries=DEFAULT_MAX_ENTRIES):
         self.max_entries = max_entries
-        self.retention_bytes = retention_bytes
         #: Optional :class:`~repro.obs.metrics.MetricsRegistry`: when set,
         #: every hit/miss/store/eviction/invalidation also increments the
         #: matching ``node_cache.*`` counter at event time (so counters
@@ -494,17 +483,6 @@ class NodeResultCache:
     def __len__(self):
         return len(self._entries)
 
-    def configure(self, max_entries=None, retention_bytes=None):
-        """Adjust the bounds (``None`` leaves a bound unchanged; pass
-        ``float("inf")`` to lift the retention budget).  Tightening
-        ``max_entries`` evicts oldest-first immediately."""
-        with self._lock:
-            if max_entries is not None:
-                self.max_entries = max_entries
-                self._evict_over_capacity()
-            if retention_bytes is not None:
-                self.retention_bytes = retention_bytes
-
     def _inc(self, counter, amount=1):
         # Caller holds the lock; MetricsRegistry has its own.
         if self.metrics is not None and amount:
@@ -520,7 +498,6 @@ class NodeResultCache:
                 return None
             self._entries.move_to_end(fingerprint)
             self._hits += 1
-            entry.hits += 1
             self._inc("hits")
             return entry.value
 
@@ -536,21 +513,15 @@ class NodeResultCache:
             self._current_bytes += entry.nbytes
             self._stores += 1
             self._inc("stores")
-            self._evict_over_capacity()
-
-    def _evict_over_capacity(self):
-        # Caller holds the lock.
-        while len(self._entries) > self.max_entries:
-            _, evicted = self._entries.popitem(last=False)
-            self._current_bytes -= evicted.nbytes
-            self._evictions += 1
-            self._inc("evictions")
+            while len(self._entries) > self.max_entries:
+                _, evicted = self._entries.popitem(last=False)
+                self._current_bytes -= evicted.nbytes
+                self._evictions += 1
+                self._inc("evictions")
 
     def invalidate(self, changed_tables):
         """Delta propagation: drop every entry whose sub-plan reads one of
-        ``changed_tables``, then trim the survivors to the retention byte
-        budget (hottest-per-byte retained first).  Returns the number of
-        entries invalidated."""
+        ``changed_tables``.  Returns the number of entries invalidated."""
         changed = frozenset(changed_tables)
         dropped = 0
         with self._lock:
@@ -561,29 +532,7 @@ class NodeResultCache:
                     self._invalidations += 1
                     self._inc("invalidations")
                     dropped += 1
-            if self.retention_bytes is not None:
-                self._apply_retention()
         return dropped
-
-    def _apply_retention(self):
-        # Caller holds the lock.  Score survivors by hit-rate-per-byte and
-        # keep the best within the budget; the rest are capacity evictions.
-        if self._current_bytes <= self.retention_bytes:
-            return
-        ranked = sorted(
-            self._entries.items(),
-            key=lambda item: (1 + item[1].hits) / item[1].nbytes,
-            reverse=True,
-        )
-        budget = 0.0
-        for fingerprint, entry in ranked:
-            budget += entry.nbytes
-            if budget > self.retention_bytes:
-                del self._entries[fingerprint]
-                self._current_bytes -= entry.nbytes
-                self._evictions += 1
-                self._inc("evictions")
-                budget -= entry.nbytes
 
     def clear(self):
         with self._lock:
@@ -597,8 +546,8 @@ class NodeResultCache:
             metrics.gauge(f"{prefix}.{name}", value)
 
     def stats(self):
-        """A :class:`CacheStats` snapshot (``max_bytes`` reports the
-        retention budget, infinite when unset)."""
+        """A :class:`CacheStats` snapshot (``max_bytes`` is infinite: the
+        bound is the entry count)."""
         with self._lock:
             return CacheStats(
                 hits=self._hits,
@@ -608,11 +557,7 @@ class NodeResultCache:
                 oversize_rejections=0,
                 entries=len(self._entries),
                 current_bytes=self._current_bytes,
-                max_bytes=(
-                    self.retention_bytes
-                    if self.retention_bytes is not None
-                    else float("inf")
-                ),
+                max_bytes=float("inf"),
                 invalidations=self._invalidations,
             )
 

@@ -38,6 +38,18 @@ from repro.relational.sqltext import render_sql
 from repro.relational.types import width_function
 
 
+def resolve_options(options, overrides):
+    """:func:`repro.core.options.resolve_options` for this package, whose
+    calls hand the resolved bundle down untouched (the first branch).  The
+    import waits for the first call that needs it because ``repro.core``
+    imports this package while it loads."""
+    if options is not None and not overrides:
+        return options
+    from repro.core import options as core_options
+
+    return core_options.resolve_options(options, overrides)
+
+
 @dataclass(frozen=True)
 class TransferModel:
     """Client-side binding/transfer coefficients, in simulated ms."""
@@ -146,6 +158,9 @@ class TupleCursor:
         self.transfer_ms = 0.0
         self.rows_read = 0
         self.closed = False
+        #: Connection latency drawn when the cursor was opened, as on
+        #: :class:`TupleStream`.
+        self.fault_latency_ms = 0.0
         #: Backend identity + wall clock, as on :class:`TupleStream`.  For
         #: a real backend the cross-validation runs when the cursor is
         #: exhausted (the oracle rows only exist once streamed).
@@ -285,28 +300,6 @@ class Connection:
         (possibly faulty) simulated source."""
         return self.engine.cached_complete(plan)
 
-    def _fault_check(self, plan, label, attempt, faults):
-        """Draw the fault decision for one submission; raise on failure.
-
-        ``faults`` overrides the installed policy (``False`` disables
-        injection — used when replaying from cache, where no connection to
-        the source is opened).  Returns the injected latency in simulated
-        ms.  Draws are keyed by ``(label, plan fingerprint, attempt)``, so
-        they are independent of dispatch order and a degraded re-plan
-        (same label, different fingerprint) draws fresh outcomes.
-        """
-        policy = self.faults if faults is None else faults
-        if not policy or attempt is None:
-            return 0.0
-        decision = policy.decide(label or "?", plan.fingerprint(), attempt)
-        if decision.fail:
-            raise TransientConnectionError(
-                stream_label=label,
-                attempt=attempt,
-                latency_ms=decision.latency_ms,
-            )
-        return decision.latency_ms
-
     def sql(self, text, budget_ms=None, label=None):
         """Execute SQL *text* (the generated dialect) and return a
         :class:`TupleStream` — a small SQL console over the simulated
@@ -316,16 +309,61 @@ class Connection:
         plan = parse_sql(text, self.database.schema)
         return self.execute(plan, sql=text, label=label, budget_ms=budget_ms)
 
-    def execute(self, plan, compact_rows=False, budget_ms=None, sql=None,
-                label=None, attempt=1, faults=None, obs=None,
-                engine=None, batch_size=None, backend=None):
+    def _submit(self, run, plan, sql, label, attempt, faults, opts):
+        """What :meth:`execute` and :meth:`execute_iter` share: the fault
+        draw, the backend decision, and the engine call ``run`` (the
+        engine's ``execute`` or ``execute_iter``).  Returns ``(result,
+        latency_ms, backend, text)``.
+
+        The draw comes first and raises before the engine or its cache is
+        touched: ``faults`` overrides the bundle's policy, which overrides
+        the installed one (``False`` disables injection — used when
+        replaying from cache, where no connection to the source is
+        opened); ``latency_ms`` is the injected latency in simulated ms.
+        Draws are keyed by ``(label, plan fingerprint, attempt)``, so they
+        are independent of dispatch order and a degraded re-plan (same
+        label, different fingerprint) draws fresh outcomes.  ``text`` is
+        the SQL to run on ``backend`` — None unless it is a real backend
+        and the plan is not about to be replayed from the cache."""
+        if faults is None:
+            faults = opts.faults if opts.faults is not None else self.faults
+        latency_ms = 0.0
+        if faults and attempt is not None:
+            decision = faults.decide(label or "?", plan.fingerprint(), attempt)
+            if decision.fail:
+                raise TransientConnectionError(
+                    stream_label=label,
+                    attempt=attempt,
+                    latency_ms=decision.latency_ms,
+                )
+            latency_ms = decision.latency_ms
+        backend = self._resolve_backend(opts.backend)
+        text = None
+        if (backend is not None and backend.is_real
+                and not self.engine.cached_complete(plan)):
+            text = sql if sql is not None else render_sql(plan)
+        result = run(
+            plan, budget_ms=opts.budget_ms,
+            metrics=obs_parts(opts.obs)[1] if opts.obs is not None else None,
+            engine=opts.engine, batch_size=opts.batch_size,
+        )
+        return result, latency_ms, backend, text
+
+    def execute(self, plan, compact_rows=False, sql=None, label=None,
+                attempt=1, faults=None, options=None, **overrides):
         """Execute ``plan`` and return a :class:`TupleStream`.
 
         ``compact_rows`` marks union-shaped results whose driver-side row
-        format skips NULL columns (see module docstring).  ``budget_ms``
-        bounds *server* time (the paper's per-subquery timeout).
-        ``engine``/``batch_size`` override the engine's execution mode for
-        this call (performance only; results and timings are identical).
+        format skips NULL columns (see module docstring); ``sql``/``label``
+        name the stream.  Execution knobs are the fields of
+        :class:`~repro.core.options.ExecutionOptions` this layer reads —
+        bundle them in ``options=`` or override single ones by keyword, as
+        everywhere: ``budget_ms`` bounds *server* time (the paper's
+        per-subquery timeout); ``engine``/``batch_size`` override the
+        engine's execution mode for this call (performance only; results
+        and timings are identical); ``obs`` (an
+        :class:`~repro.obs.ObsOptions` session) forwards the metrics
+        registry to the engine's plan-cache hit/miss counters.
 
         ``backend`` (a name or :class:`~repro.relational.backends.Backend`;
         None uses the connection default) selects a real backend to *also*
@@ -338,28 +376,22 @@ class Connection:
         backend, mirroring the existing "a replay never touches the
         source" contract.
 
-        With a :class:`~repro.relational.faults.FaultPolicy` installed (or
-        passed via ``faults``), the submission first draws that policy's
-        deterministic outcome for ``(label, plan, attempt)`` — possibly
-        raising :class:`~repro.common.errors.TransientConnectionError`
-        *before* the engine (and its result cache) is touched, so fault
-        outcomes are never cached.  ``faults=False`` disables injection
-        for this call.
-
-        ``obs`` (an :class:`~repro.obs.ObsOptions` session) forwards the
-        metrics registry to the engine's plan-cache hit/miss counters.
+        ``attempt`` and ``faults`` belong to this one submission: with a
+        :class:`~repro.relational.faults.FaultPolicy` in play (``faults``,
+        else the bundle's, else the installed one), the submission first
+        draws that policy's deterministic outcome for ``(label, plan,
+        attempt)`` — possibly raising
+        :class:`~repro.common.errors.TransientConnectionError` *before*
+        the engine (and its result cache) is touched, so fault outcomes
+        are never cached.  ``faults=False`` disables injection for this
+        call.
         """
-        latency_ms = self._fault_check(plan, label, attempt, faults)
-        metrics = obs_parts(obs)[1] if obs is not None else None
-        backend = self._resolve_backend(backend)
-        real = backend is not None and backend.is_real
-        replayed = real and self.engine.cached_complete(plan)
-        result = self.engine.execute(plan, budget_ms=budget_ms,
-                                     metrics=metrics, engine=engine,
-                                     batch_size=batch_size)
+        opts = resolve_options(options, overrides)
+        result, latency_ms, backend, text = self._submit(
+            self.engine.execute, plan, sql, label, attempt, faults, opts
+        )
         backend_wall_ms = 0.0
-        if real and not replayed:
-            text = sql if sql is not None else render_sql(plan)
+        if text is not None:
             backend_rows, backend_wall_ms = backend.execute_sql(plan, text)
             align_backend_rows(plan, result.rows, backend_rows,
                                backend.name, label=label, sql=text)
@@ -378,10 +410,10 @@ class Connection:
             stream.backend_wall_ms = backend_wall_ms
         return stream
 
-    def execute_iter(self, plan, compact_rows=False, budget_ms=None, sql=None,
-                     label=None, attempt=1, faults=None, obs=None,
-                     engine=None, batch_size=None, backend=None):
+    def execute_iter(self, plan, compact_rows=False, sql=None, label=None,
+                     attempt=1, faults=None, options=None, **overrides):
         """Execute ``plan`` streaming; return a :class:`TupleCursor`.
+        Arguments as on :meth:`execute`.
 
         With a real ``backend`` the generated SQL is executed (and its
         wall clock measured) when the cursor is opened, but the
@@ -393,8 +425,8 @@ class Connection:
         simulated-backend guarantee.  Cache replays skip the backend, as
         on :meth:`execute`.
 
-        An installed :class:`~repro.relational.faults.FaultPolicy` draws
-        its outcome when the cursor is *opened* (the streaming path has no
+        A :class:`~repro.relational.faults.FaultPolicy` in play draws its
+        outcome when the cursor is *opened* (the streaming path has no
         retry layer — callers see the
         :class:`~repro.common.errors.TransientConnectionError` directly
         and decide; the materializing path is the one with
@@ -410,16 +442,12 @@ class Connection:
         the cached rows; misses are *not* inserted (that would require
         materializing).
         """
-        self._fault_check(plan, label, attempt, faults)
-        metrics = obs_parts(obs)[1] if obs is not None else None
-        backend = self._resolve_backend(backend)
-        real = backend is not None and backend.is_real
-        replayed = real and self.engine.cached_complete(plan)
+        opts = resolve_options(options, overrides)
         try:
-            iter_result = self.engine.execute_iter(plan, budget_ms=budget_ms,
-                                                   metrics=metrics,
-                                                   engine=engine,
-                                                   batch_size=batch_size)
+            iter_result, latency_ms, backend, text = self._submit(
+                self.engine.execute_iter, plan, sql, label, attempt, faults,
+                opts,
+            )
         except TimeoutExceeded as exc:
             # The startup charge alone blew the budget — the cursor was
             # never built, so label the error here.
@@ -432,10 +460,10 @@ class Connection:
             sql=sql,
             label=label,
         )
+        cursor.fault_latency_ms = latency_ms
         if backend is not None:
             cursor.backend = backend.name
-        if real and not replayed:
-            text = sql if sql is not None else render_sql(plan)
+        if text is not None:
             backend_rows, wall_ms = backend.execute_sql(plan, text)
             cursor.backend_wall_ms = wall_ms
             _defer_backend_validation(cursor, plan, backend.name,

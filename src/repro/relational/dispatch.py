@@ -1,4 +1,10 @@
-"""Concurrent stream dispatch: run a plan's subqueries on a thread pool.
+"""Stream dispatch: submit a plan's subqueries and read back their streams.
+
+This is the one place the middle-ware talks to its source(s).
+:func:`open_spec` submits one spec on the routed connection,
+:func:`run_spec_with_retry` is the one submit/retry/route loop around it
+(a single connection and a replica pool run the same code), and
+:func:`execute_specs` collects a plan's streams in spec order.
 
 A partitioned plan is k independent SQL queries.  The middle-ware does not
 have to submit them one after another: dispatching them concurrently makes
@@ -31,18 +37,23 @@ scheduling, which reports expose as ``elapsed_query_ms``.
 
 import heapq
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.common.errors import (
     OverloadError,
     StaleGenerationError,
     TimeoutExceeded,
     TransientConnectionError,
-    tag_request,
+    tag_context,
 )
 from repro.obs import obs_parts
 from repro.obs.metrics import NULL_METRICS
+from repro.obs.tracer import NULL_SPAN
+from repro.relational.connection import resolve_options
 from repro.relational.faults import StreamAttemptStats
+from repro.relational.replicas import resolve_resilience
 
 
 def simulated_makespan(durations_ms, workers):
@@ -86,9 +97,6 @@ class DispatchResult:
       dispatch with an :class:`~repro.common.errors.OverloadError`;
       ``shed`` lists the labels of the streams that did not run
       (``streams``/``stats`` hold the ones completed before shedding).
-
-    Unpacks as the historical ``streams, timeout = execute_specs(...)``
-    pair.
     """
 
     streams: list
@@ -99,26 +107,68 @@ class DispatchResult:
     overload: object = None
     shed: tuple = ()
 
-    def __iter__(self):
-        return iter((self.streams, self.timeout))
+
+def open_spec(connection, spec, opts, epoch=None, replica=None, attempt=1,
+              faults=None, lazy=False, **span_attrs):
+    """Submit ``spec`` on the routed connection — the one place a stream is
+    opened: eagerly (a :class:`~repro.relational.connection.TupleStream`)
+    by the retry loop and its hedge step, or lazily (``lazy=True``, a
+    :class:`~repro.relational.connection.TupleCursor`) by the streaming
+    materializer.
+
+    Without an ``epoch`` the route is ``connection`` itself under
+    ``faults`` (this submission's policy; None defers to ``opts`` and the
+    connection), and nothing else happens.  With one, ``replica`` of the
+    pool ``opts.replicas`` (default: the epoch's best-ranked) serves the
+    submission under its own fault policy inside a ``replica:<i>`` span,
+    and the outcome — failure, or success with its simulated completion —
+    is buffered on the epoch for the pool's health.
+    """
+    if epoch is not None:
+        if replica is None:
+            replica = epoch.pick()
+        connection = opts.replicas.connections[replica]
+        faults = opts.replicas.policy_for(replica, opts.faults)
+        span = obs_parts(opts.obs)[0].span(
+            f"replica:{replica}", label=spec.label, attempt=attempt,
+            **span_attrs,
+        )
+    else:
+        span = NULL_SPAN
+    submit = connection.execute_iter if lazy else connection.execute
+    try:
+        with span:
+            stream = submit(
+                spec.plan, compact_rows=spec.compact, sql=spec.sql,
+                label=spec.label, attempt=attempt, faults=faults,
+                options=opts,
+            )
+    except TransientConnectionError as exc:
+        if epoch is not None:
+            epoch.observe(spec.label, attempt, replica, False, exc.latency_ms)
+        raise
+    if epoch is not None:
+        epoch.observe(
+            spec.label, attempt, replica, True, _completion_ms(stream)
+        )
+    return stream
 
 
-def run_spec_with_retry(connection, spec, budget_ms=None, retry=None,
-                        faults=None, breaker=None, obs=None, pool=None,
-                        epoch=None, hedge_ms=None, engine=None,
-                        batch_size=None, backend=None):
+def run_spec_with_retry(connection, spec, breaker=None, epoch=None,
+                        options=None, **overrides):
     """Execute one spec under the retry/backoff/breaker regime; return
-    ``(stream, stats)``.
+    ``(stream, stats)`` — the one submit/retry loop, for a single
+    connection and for a replica pool alike.
 
-    With a ``pool`` (a :class:`~repro.relational.replicas.ReplicaPool`),
-    execution is delegated to :meth:`ReplicaPool.run_spec
-    <repro.relational.replicas.ReplicaPool.run_spec>` — same retry,
-    deadline, and breaker semantics, plus replica routing, failover, and
-    hedging (``hedge_ms``).  ``epoch`` pins the routing snapshot; when
-    None, a single-spec epoch is opened and folded around the call.
-
-    Otherwise, the loop around :meth:`Connection.execute
-    <repro.relational.connection.Connection.execute>`:
+    Knobs come from ``options``/``overrides`` as everywhere (``budget_ms``,
+    ``retry``, ``faults``, ``hedge_ms``, ``obs``, and what
+    :meth:`Connection.execute
+    <repro.relational.connection.Connection.execute>` reads); ``replicas``
+    must already be a :class:`~repro.relational.replicas.ReplicaPool` or
+    None, as :func:`execute_specs` resolves it.  ``breaker`` and ``epoch``
+    are the dispatch's state: the plan-fingerprint breaker, and the
+    pool's pinned routing snapshot (when None, a single-spec epoch is
+    opened and folded around the call).
 
     * **cache short-circuit** — a plan the engine would replay from its
       :class:`~repro.relational.cache.PlanResultCache` never contacts the
@@ -135,26 +185,36 @@ def run_spec_with_retry(connection, spec, budget_ms=None, retry=None,
     * **circuit breaking** — ``breaker`` counts exhausted plans by
       fingerprint and fails repeat offenders fast.
 
+    A single connection is the degenerate route: one candidate, nothing
+    to observe, ``stats.replica`` None.  A pool only changes *which
+    connection next*:
+
+    * **routing** — the first attempt goes to ``epoch``'s best-ranked
+      replica;
+    * **failover** — a failure moves the next attempt to the next-ranked
+      replica *without* backoff (a different backend needs no cool-off);
+      only when every candidate has failed the stream once does the round
+      wrap, with the backoff charged and the tried set cleared — which on
+      a single connection is every time.  Failover consumes retry
+      attempts — without a ``retry`` policy the first fault is terminal
+      either way;
+    * **hedging** — see :func:`_hedge`.
+
     :class:`~repro.common.errors.TimeoutExceeded` is deterministic in
     simulated time and is never retried.  On exhaustion the raised
     ``TransientConnectionError`` carries ``stats`` (as ``exc.stats``) and
     the total ``attempts``.
     """
-    if pool is not None:
-        own_epoch = epoch is None
-        if own_epoch:
-            epoch = pool.begin_epoch()
+    opts = resolve_options(options, overrides)
+    pool = opts.replicas
+    if pool is not None and epoch is None:
+        epoch = pool.begin_epoch()
         try:
-            return pool.run_spec(
-                spec, epoch, budget_ms=budget_ms, retry=retry,
-                breaker=breaker, faults=faults, obs=obs, hedge_ms=hedge_ms,
-                engine=engine, batch_size=batch_size, backend=backend,
-            )
+            return run_spec_with_retry(connection, spec, breaker, epoch, opts)
         finally:
-            if own_epoch:
-                pool.finish_epoch(epoch)
-    tracer, _ = obs_parts(obs)
-    policy = faults if faults is not None else getattr(connection, "faults", None)
+            pool.finish_epoch(epoch)
+    tracer, _ = obs_parts(opts.obs)
+    retry = opts.retry
     stats = StreamAttemptStats(label=spec.label)
     fingerprint = spec.plan.fingerprint() if breaker is not None else None
     if breaker is not None and not breaker.allow(fingerprint):
@@ -164,34 +224,34 @@ def run_spec_with_retry(connection, spec, budget_ms=None, retry=None,
         )
         exc.stats = stats
         raise exc
+    if epoch is None:
+        first, installed = None, connection.faults
+    else:
+        first = stats.replica = epoch.pick()
+        connection = pool.connections[first]
+        installed = next((c.faults for c in pool.connections if c.faults), None)
+    # The fault policy in play: it decides whether a replay is worth
+    # checking for, and seeds the backoff jitter.
+    policy = opts.faults if opts.faults is not None else installed
     if policy and connection.is_cached(spec.plan):
         stats.from_cache = True
         with tracer.span("cache", label=spec.label, replay=True):
-            stream = connection.execute(
-                spec.plan, compact_rows=spec.compact, budget_ms=budget_ms,
-                sql=spec.sql, label=spec.label, faults=False, obs=obs,
-                engine=engine, batch_size=batch_size, backend=backend,
-            )
+            stream = open_spec(connection, spec, opts, faults=False)
         return stream, stats
     max_attempts = retry.max_attempts if retry is not None else 1
-    deadline = budget_ms
+    deadline = opts.budget_ms
     if retry is not None and retry.deadline_ms is not None:
         deadline = retry.deadline_ms
-    seed = policy.seed if policy else 0
     spent_ms = 0.0
+    tried = set()
+    current = first
     while True:
         stats.attempts += 1
         try:
-            stream = connection.execute(
-                spec.plan, compact_rows=spec.compact, budget_ms=budget_ms,
-                sql=spec.sql, label=spec.label, attempt=stats.attempts,
-                faults=policy if policy is not None else False, obs=obs,
-                engine=engine, batch_size=batch_size, backend=backend,
+            stream = open_spec(
+                connection, spec, opts, epoch, current, stats.attempts
             )
-            stats.fault_latency_ms += stream.fault_latency_ms
-            if breaker is not None:
-                breaker.record_success(fingerprint)
-            return stream, stats
+            break
         except TransientConnectionError as exc:
             stats.faults += 1
             stats.fault_latency_ms += exc.latency_ms
@@ -199,38 +259,121 @@ def run_spec_with_retry(connection, spec, budget_ms=None, retry=None,
             tracer.event(
                 "fault", label=spec.label, attempt=stats.attempts,
                 latency_ms=round(exc.latency_ms, 3),
+                **({} if epoch is None else {"replica": current}),
             )
-            exhausted = stats.attempts >= max_attempts
-            backoff = 0.0
-            if not exhausted:
+            if stats.attempts >= max_attempts:
+                _exhaust(exc, stats, breaker, fingerprint)
+            nxt = None
+            if epoch is not None:
+                tried.add(current)
+                nxt = epoch.pick(exclude=tried)
+            if nxt is None:
+                # Every candidate failed this stream once this round:
+                # wrap to the best-ranked one after a backoff.
+                tried.clear()
+                nxt = first
                 backoff = retry.backoff_for(
-                    spec.label, stats.faults, seed=seed
+                    spec.label, stats.faults,
+                    seed=policy.seed if policy else 0,
                 )
                 if deadline is not None and spent_ms + backoff > deadline:
-                    exhausted = True
-            if exhausted:
-                if breaker is not None:
-                    breaker.record_failure(fingerprint)
-                exc.attempts = stats.attempts
-                exc.stats = stats
-                raise
-            spent_ms += backoff
-            stats.backoff_ms += backoff
+                    _exhaust(exc, stats, breaker, fingerprint)
+                spent_ms += backoff
+                stats.backoff_ms += backoff
+                with tracer.span(
+                    "retry", label=spec.label, failure=stats.faults,
+                ) as retry_span:
+                    retry_span.set_sim(backoff)
+            if nxt != current:
+                stats.failovers += 1
+                tracer.event(
+                    "failover", label=spec.label, from_replica=current,
+                    to_replica=nxt, attempt=stats.attempts,
+                )
             stats.retries += 1
-            with tracer.span(
-                "retry", label=spec.label, failure=stats.faults,
-            ) as retry_span:
-                retry_span.set_sim(backoff)
+            current = nxt
+    if epoch is not None:
+        stream, stats.replica = _hedge(
+            spec, opts, epoch, stats, tried, current, stream
+        )
+    stats.fault_latency_ms += stream.fault_latency_ms
+    if breaker is not None:
+        breaker.record_success(fingerprint)
+    return stream, stats
 
 
-def execute_specs(connection, specs, budget_ms=None, workers=None,
-                  retry=None, faults=None, breaker=None, obs=None,
-                  pool=None, hedge_ms=None, admission=None, epoch=None,
-                  admission_elapsed_ms=0.0, engine=None, batch_size=None,
-                  backend=None, expect_generations=None, request=None):
+def _hedge(spec, opts, epoch, stats, tried, primary, stream):
+    """The hedge step of a pooled stream; returns the winning ``(stream,
+    replica)``.
+
+    After a successful attempt whose simulated completion exceeds
+    ``hedge_ms`` (the option, else the pool default), a backup executes on
+    the next-ranked untried replica.  The backup's simulated completion is
+    ``hedge_ms`` later than the primary's start; whichever finishes first
+    in simulated time wins (ties favour the primary).  A winning backup
+    charges ``hedge_wait_ms`` plus its own fault latency; the loser
+    charges nothing — its window is subsumed by the winner's, so
+    ``server_ms`` is never double-counted.
+    """
+    hedge_ms = opts.hedge_ms
+    if hedge_ms is None:
+        hedge_ms = opts.replicas.hedge_ms
+    primary_cost = _completion_ms(stream)
+    if hedge_ms is None or primary_cost <= hedge_ms:
+        return stream, primary
+    backup = epoch.pick(exclude=tried | {primary})
+    if backup is None:
+        return stream, primary
+    stats.attempts += 1
+    stats.hedges += 1
+    with obs_parts(opts.obs)[0].span(
+        "hedge", label=spec.label, primary=primary, backup=backup,
+        after_ms=hedge_ms,
+    ) as hedge_span:
+        try:
+            backup_stream = open_spec(
+                None, spec, opts, epoch, backup, stats.attempts, hedged=True
+            )
+        except TransientConnectionError:
+            # A failed backup is abandoned: the primary already
+            # succeeded, so the fault costs nothing but the count.
+            stats.faults += 1
+            hedge_span.set(won=False, backup_failed=True)
+            return stream, primary
+        backup_cost = _completion_ms(backup_stream)
+        if hedge_ms + backup_cost < primary_cost:
+            stats.hedge_wins += 1
+            stats.hedge_wait_ms += hedge_ms
+            hedge_span.set(
+                won=True,
+                saved_ms=round(primary_cost - hedge_ms - backup_cost, 3),
+            )
+            return backup_stream, backup
+        hedge_span.set(won=False)
+        return stream, primary
+
+
+def _exhaust(exc, stats, breaker, fingerprint):
+    if breaker is not None:
+        breaker.record_failure(fingerprint)
+    exc.attempts = stats.attempts
+    exc.stats = stats
+    raise exc
+
+
+def execute_specs(connection, specs, breaker=None, epoch=None,
+                  admission_elapsed_ms=0.0, expect_generations=None,
+                  options=None, **overrides):
     """Execute every :class:`~repro.core.sqlgen.StreamSpec`'s plan; return
-    a :class:`DispatchResult` (unpacks as the ``(streams, timeout)``
-    pair).
+    a :class:`DispatchResult`.
+
+    Execution knobs are the fields of
+    :class:`~repro.core.options.ExecutionOptions`: bundle them in
+    ``options=``, override single ones by keyword (``budget_ms=…``), or
+    both — the keyword wins.  The bundle is resolved once here
+    (``replicas``/``max_concurrent`` to a live pool/controller, ``workers``
+    clamped to the admission policy) and handed down as an object; the
+    other arguments are this dispatch's state.
 
     ``streams`` is the list of :class:`~repro.relational.connection.TupleStream`
     results in spec order.  On a per-subquery budget overrun, ``streams``
@@ -239,31 +382,33 @@ def execute_specs(connection, specs, budget_ms=None, workers=None,
     the raised :class:`~repro.common.errors.TimeoutExceeded`, annotated
     with ``stream_label``.  ``workers`` > 1 dispatches the subqueries on a
     thread pool; results, timings, and timeout behaviour are identical to
-    the sequential path.
+    the sequential path, because one collection loop reads the outcomes in
+    spec order either way — from calls it makes itself, or from futures
+    already running.
 
     ``retry`` (a :class:`~repro.relational.faults.RetryPolicy`) makes each
     stream resilient to
     :class:`~repro.common.errors.TransientConnectionError` injected by the
     connection's :class:`~repro.relational.faults.FaultPolicy` (or the
     ``faults`` override): failed submissions are retried with simulated
-    backoff (see :func:`run_spec_with_retry`).  A stream that exhausts its
+    backoff (see :func:`run_spec_with_retry`; ``breaker`` is its
+    plan-fingerprint circuit breaker).  A stream that exhausts its
     retries is reported via ``result.failure``/``failed_index`` — first
     failing spec in spec order wins, exactly like timeouts — so the caller
     can degrade the plan.  Fault draws are keyed by ``(label, plan,
     attempt)``: sequential and concurrent dispatch of the same specs see
     identical faults, retries, and results.
 
-    A :class:`~repro.relational.replicas.ReplicaPool` (``pool``) routes
-    each spec to the best healthy replica, failing over and hedging
-    (``hedge_ms``) per :meth:`ReplicaPool.run_spec
-    <repro.relational.replicas.ReplicaPool.run_spec>`.  Routing is frozen
-    for the duration of the call: unless the caller pins an ``epoch``
-    (e.g. one per sweep), a fresh one is opened here and its health
-    observations folded back when the call returns — so sequential and
-    concurrent dispatch route identically.
+    A :class:`~repro.relational.replicas.ReplicaPool` (``replicas``)
+    routes each spec to the best healthy replica, failing over and hedging
+    (``hedge_ms``) inside the same loop.  Routing is frozen for the
+    duration of the call: unless the caller pins an ``epoch`` (e.g. one
+    per sweep), a fresh one is opened here and its health observations
+    folded back when the call returns — so sequential and concurrent
+    dispatch route identically.
 
     An :class:`~repro.relational.replicas.AdmissionController`
-    (``admission``) protects the dispatch: a plan whose stream count
+    (``max_concurrent``) protects the dispatch: a plan whose stream count
     overflows the slots + queue capacity is refused up front, and with a
     ``deadline_ms`` each stream's deterministic scheduled start (the same
     heap schedule as :func:`simulated_makespan`, offset by
@@ -271,8 +416,7 @@ def execute_specs(connection, specs, budget_ms=None, workers=None,
     against the deadline — streams that would start too late are shed.
     Either way ``result.overload`` carries the
     :class:`~repro.common.errors.OverloadError` and ``result.shed`` the
-    unexecuted labels; completed earlier streams are kept.  The caller is
-    responsible for clamping ``workers`` to the admission policy.
+    unexecuted labels; completed earlier streams are kept.
 
     With an observability session (``obs``), each stream is wrapped in a
     ``stream:<label>`` span; the submitting thread's current span is
@@ -297,16 +441,8 @@ def execute_specs(connection, specs, budget_ms=None, workers=None,
     inside worker threads, so the serving layer can attribute failures
     without inspecting thread state.
     """
-
-    def tag(exc):
-        if request is not None:
-            tag_request(
-                exc,
-                getattr(request, "tenant", None),
-                getattr(request, "request_id", None),
-            )
-        return exc
-
+    opts = resolve_resilience(resolve_options(options, overrides), connection)
+    pool, admission, workers = opts.replicas, opts.max_concurrent, opts.workers
     if expect_generations is not None:
         current = connection.database.table_generations()
         if current != expect_generations:
@@ -315,34 +451,32 @@ def execute_specs(connection, specs, budget_ms=None, workers=None,
                 for name in current.keys() | expect_generations.keys()
                 if current.get(name) != expect_generations.get(name)
             )
-            raise tag(StaleGenerationError(
+            raise tag_context(StaleGenerationError(
                 changed, pinned=expect_generations, current=current
-            ))
-    tracer, metrics = obs_parts(obs)
+            ), opts.request)
+    tracer, metrics = obs_parts(opts.obs)
     parent = tracer.current()
 
     def run(spec):
         with tracer.span("stream:" + spec.label, parent=parent) as span:
             stream, stats = run_spec_with_retry(
-                connection, spec, budget_ms=budget_ms, retry=retry,
-                faults=faults, breaker=breaker, obs=obs,
-                pool=pool, epoch=epoch, hedge_ms=hedge_ms,
-                engine=engine, batch_size=batch_size, backend=backend,
+                connection, spec, breaker, epoch, opts
             )
-            span.set(
-                rows=len(stream), attempts=stats.attempts,
-                retries=stats.retries, from_cache=stats.from_cache,
-            )
-            if stats.replica is not None:
-                span.set(replica=stats.replica, hedges=stats.hedges)
-            span.set_sim(_stream_cost(stream, stats))
+            if tracer.enabled:
+                span.set(
+                    rows=len(stream), attempts=stats.attempts,
+                    retries=stats.retries, from_cache=stats.from_cache,
+                )
+                if stats.replica is not None:
+                    span.set(replica=stats.replica, hedges=stats.hedges)
+                span.set_sim(stream_cost(stream, stats))
             return stream, stats
 
     result = DispatchResult(streams=[])
     if admission is not None:
         overload = admission.admit_queue(specs)
         if overload is not None:
-            result.overload = tag(overload)
+            result.overload = tag_context(overload, opts.request)
             result.shed = overload.shed
             metrics.inc("dispatch.shed", len(overload.shed))
             tracer.event(
@@ -353,83 +487,68 @@ def execute_specs(connection, specs, budget_ms=None, workers=None,
     free_at = None
     if deadline is not None and specs:
         free_at = [0.0] * min(max(workers or 1, 1), len(specs))
-
-    def shed_deadline(index, start_ms):
-        labels = tuple(spec.label for spec in specs[index:])
-        overload = OverloadError(
-            f"stream {specs[index].label} would start at simulated "
-            f"{start_ms:.0f}ms, past the {deadline:.0f}ms admission "
-            f"deadline",
-            reason="deadline", shed=labels, stream_label=labels[0],
-        )
-        admission.note_shed(len(labels))
-        result.overload = tag(overload)
-        result.shed = labels
-        metrics.inc("dispatch.shed", len(labels))
-        tracer.event(
-            "shed", reason="deadline", streams=len(labels), first=labels[0],
-        )
-
-    own_epoch = False
-    if pool is not None and epoch is None:
+    threaded = workers is not None and workers > 1 and len(specs) > 1
+    own_epoch = pool is not None and epoch is None
+    if own_epoch:
         epoch = pool.begin_epoch()
-        own_epoch = True
     try:
-        if workers is not None and workers > 1 and len(specs) > 1:
-            # Render SQL text up front: StreamSpec renders lazily and the
-            # specs are shared across threads.
-            for spec in specs:
-                spec.sql
-            with ThreadPoolExecutor(max_workers=workers) as executor:
+        with (ThreadPoolExecutor(max_workers=workers) if threaded
+              else nullcontext()) as executor:
+            if threaded:
+                # Render SQL text up front: StreamSpec renders lazily and
+                # the specs are shared across threads.
+                for spec in specs:
+                    spec.sql
                 futures = [executor.submit(run, spec) for spec in specs]
-                for i, future in enumerate(futures):
-                    if free_at is not None:
-                        start_ms = heapq.heappop(free_at)
-                        if admission_elapsed_ms + start_ms >= deadline:
-                            # Shed this and every later stream; work the
-                            # threads already started is discarded (the
-                            # simulated outcome matches the sequential
-                            # path, which never starts them).
-                            for later in futures[i:]:
-                                later.cancel()
-                            shed_deadline(i, admission_elapsed_ms + start_ms)
-                            return result
-                    try:
-                        stream, stats = future.result()
-                    except (TimeoutExceeded, TransientConnectionError) as exc:
-                        # First terminally-failed spec in spec order wins;
-                        # later futures are cancelled if not yet running
-                        # and drained by the executor's shutdown otherwise.
-                        for later in futures[i + 1:]:
-                            later.cancel()
-                        _record_failure(result, tag(exc), specs[i], i, metrics)
-                        return result
-                    if free_at is not None:
-                        heapq.heappush(
-                            free_at, start_ms + _stream_cost(stream, stats)
+                outcomes = [future.result for future in futures]
+            else:
+                futures = ()
+                outcomes = [partial(run, spec) for spec in specs]
+            # The one collection loop: outcomes are read in spec order, so
+            # the first shed or terminally-failed spec in spec order wins
+            # however the work was scheduled.
+            for i, outcome in enumerate(outcomes):
+                if free_at is not None:
+                    start_ms = heapq.heappop(free_at)
+                    if admission_elapsed_ms + start_ms >= deadline:
+                        # Shed this and every later stream.
+                        labels = tuple(spec.label for spec in specs[i:])
+                        admission.note_shed(len(labels))
+                        result.overload = tag_context(OverloadError(
+                            f"stream {labels[0]} would start at simulated "
+                            f"{admission_elapsed_ms + start_ms:.0f}ms, past "
+                            f"the {deadline:.0f}ms admission deadline",
+                            reason="deadline", shed=labels,
+                            stream_label=labels[0],
+                        ), opts.request)
+                        result.shed = labels
+                        metrics.inc("dispatch.shed", len(labels))
+                        tracer.event(
+                            "shed", reason="deadline", streams=len(labels),
+                            first=labels[0],
                         )
-                    result.streams.append(stream)
-                    result.stats.append(stats)
-                    record_stream(metrics, stream, stats)
-            return result
-        for i, spec in enumerate(specs):
-            if free_at is not None:
-                start_ms = heapq.heappop(free_at)
-                if admission_elapsed_ms + start_ms >= deadline:
-                    shed_deadline(i, admission_elapsed_ms + start_ms)
-                    return result
-            try:
-                stream, stats = run(spec)
-            except (TimeoutExceeded, TransientConnectionError) as exc:
-                _record_failure(result, tag(exc), spec, i, metrics)
-                return result
-            if free_at is not None:
-                heapq.heappush(
-                    free_at, start_ms + _stream_cost(stream, stats)
-                )
-            result.streams.append(stream)
-            result.stats.append(stats)
-            record_stream(metrics, stream, stats)
+                        break
+                try:
+                    stream, stats = outcome()
+                except (TimeoutExceeded, TransientConnectionError) as exc:
+                    _record_failure(
+                        result, tag_context(exc, opts.request), specs[i], i,
+                        metrics,
+                    )
+                    break
+                if free_at is not None:
+                    heapq.heappush(
+                        free_at, start_ms + stream_cost(stream, stats)
+                    )
+                result.streams.append(stream)
+                result.stats.append(stats)
+                record_stream(metrics, stream, stats)
+            # After a break: futures not yet running are cancelled, running
+            # ones are drained by the executor's shutdown and their work
+            # discarded (the simulated outcome matches the sequential
+            # path, which never starts them).
+            for future in futures:
+                future.cancel()
         return result
     finally:
         if own_epoch:
@@ -440,6 +559,8 @@ def record_stream(metrics, stream, stats):
     """Enter one finished stream (a ``TupleStream``, or a drained or
     abandoned ``TupleCursor``) and its attempt ``stats`` into ``metrics``
     — the one place per-stream counters are recorded."""
+    if not metrics.enabled:
+        return
     stats.record(metrics)
     metrics.inc("streams.executed")
     metrics.inc("tuples.transferred", stream.rows_read)
@@ -449,7 +570,13 @@ def record_stream(metrics, stream, stats):
         metrics.observe("stream.backend_wall_ms", stream.backend_wall_ms)
 
 
-def _stream_cost(stream, stats):
+def _completion_ms(stream):
+    """One submission's simulated completion, as replica health and the
+    hedge race see it."""
+    return stream.fault_latency_ms + stream.server_ms + stream.transfer_ms
+
+
+def stream_cost(stream, stats):
     """One stream's simulated elapsed cost: fault-free execution plus the
     resilience overhead charged to the elapsed clock (backoff, wasted
     fault latency, hedge wait) — the duration the makespan schedules."""

@@ -370,14 +370,6 @@ class QueryEngine:
         (the "data half" sub-plan result cache)."""
         return self._node_results
 
-    def configure_node_cache(self, max_entries=None, retention_bytes=None):
-        """Adjust the node-result cache bounds (``None`` leaves a bound
-        unchanged) — the engine-level hook behind the
-        ``node_cache_entries`` / ``retention_bytes`` execution options."""
-        self._node_results.configure(
-            max_entries=max_entries, retention_bytes=retention_bytes
-        )
-
     def _refresh_dependencies(self, metrics=None):
         """Delta propagation: diff the live per-table generations against
         the last-seen snapshot and invalidate exactly the cache entries

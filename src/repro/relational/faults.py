@@ -270,6 +270,23 @@ class StreamAttemptStats:
     hedge_wins: int = 0
     hedge_wait_ms: float = 0.0
 
+    @classmethod
+    def total(cls, stats):
+        """The field-wise sum of ``stats`` (an iterable of these) — what
+        a plan's report and a sweep's timing total their streams into."""
+        total = cls(None)
+        for s in stats:
+            total.attempts += s.attempts
+            total.retries += s.retries
+            total.faults += s.faults
+            total.backoff_ms += s.backoff_ms
+            total.fault_latency_ms += s.fault_latency_ms
+            total.failovers += s.failovers
+            total.hedges += s.hedges
+            total.hedge_wins += s.hedge_wins
+            total.hedge_wait_ms += s.hedge_wait_ms
+        return total
+
     def record(self, metrics):
         """Record this stream's accounting into a metrics registry.
 

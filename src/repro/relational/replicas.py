@@ -1,4 +1,4 @@
-"""Replica-aware resilient dispatch: pools, hedging, failover, admission.
+"""Replica routing state and admission control for the stream dispatcher.
 
 SilkRoute is middle-ware over an RDBMS it does not control (Sec. 1); a
 production deployment would sit in front of *several* replicas of that
@@ -11,15 +11,14 @@ the same simulated clock as the rest of the system:
   :class:`~repro.relational.connection.TransferModel`.  Replica 0 is the
   original connection; derived replicas draw faults from a seed extended
   with their id, so each replica fails independently but reproducibly.
-* :class:`ReplicaPool` — routes each stream spec to the best healthy
-  replica (EWMA latency, consecutive failures, a per-replica
+* :class:`ReplicaPool` — the health of each replica (EWMA latency,
+  consecutive failures, a per-replica
   :class:`~repro.relational.faults.CircuitBreaker` with half-open
-  probing), **fails over** to the next replica on
-  :class:`~repro.common.errors.TransientConnectionError`, and issues a
-  **hedged backup request** on a second replica when the first attempt's
-  simulated completion exceeds ``hedge_ms`` — first simulated completion
-  wins, the loser is cancelled and charges nothing (its window is
-  subsumed by the winner's, so ``server_ms`` is never double-counted).
+  probing) and the ranking it implies.  The pool executes nothing: the
+  dispatcher's one submit/retry loop
+  (:func:`~repro.relational.dispatch.run_spec_with_retry`) asks an epoch
+  *which replica next*, which is all that routing, **failover** and the
+  **hedged backup request** need from here.
 * :class:`AdmissionPolicy` / :class:`AdmissionController` — clamps the
   dispatch width to ``max_concurrent_streams``, bounds the stream queue,
   and enforces a per-query simulated deadline; excess work is shed with a
@@ -44,15 +43,10 @@ share one result cache).
 import threading
 from dataclasses import dataclass, replace
 
-from repro.common.errors import (
-    OverloadError,
-    TransientConnectionError,
-    tag_request,
-)
-from repro.obs import obs_parts
+from repro.common.errors import OverloadError, tag_request
 from repro.relational.backends.base import resolve_backend
 from repro.relational.connection import Connection
-from repro.relational.faults import CircuitBreaker, StreamAttemptStats
+from repro.relational.faults import CircuitBreaker
 
 
 def replica_fault_policy(policy, index):
@@ -235,7 +229,7 @@ class ReplicaEpoch:
 
 
 class ReplicaPool:
-    """Health-tracked routing, failover, and hedging over a replica set.
+    """Health-tracked routing over a replica set.
 
     ``replicas`` is a :class:`ReplicaSet` or an iterable of connections
     over one database.  ``hedge_ms`` is the default hedge trigger (a
@@ -331,219 +325,6 @@ class ReplicaPool:
             else:
                 self.health[replica].record_failure()
                 self.breaker.record_failure(replica)
-
-    # -- dispatch ----------------------------------------------------------------
-
-    def run_spec(self, spec, epoch, budget_ms=None, retry=None, breaker=None,
-                 faults=None, obs=None, hedge_ms=None, engine=None,
-                 batch_size=None, backend=None):
-        """Execute one stream spec with routing, failover, and hedging;
-        return ``(stream, stats)``.
-
-        The replica-aware twin of
-        :func:`~repro.relational.dispatch.run_spec_with_retry` — same
-        cache short-circuit, retry budget, deadline, and plan-fingerprint
-        ``breaker`` semantics, with three additions:
-
-        * **routing** — the first attempt goes to ``epoch``'s best-ranked
-          replica;
-        * **failover** — a
-          :class:`~repro.common.errors.TransientConnectionError` moves
-          the next attempt to the next-ranked replica *without* backoff
-          (a different backend needs no cool-off); only when every
-          replica has failed the stream once does the round wrap, with
-          the retry policy's backoff charged and the tried set cleared.
-          Failover consumes retry attempts — without a ``retry`` policy
-          the first fault is terminal, exactly as on a single connection;
-        * **hedging** — after a successful attempt whose simulated
-          completion exceeds ``hedge_ms`` (argument, else the pool
-          default), a backup executes on the next-ranked untried replica.
-          The backup's simulated completion is ``hedge_ms`` later than
-          the primary's start; whichever finishes first in simulated time
-          wins (ties favour the primary).  A winning backup charges
-          ``hedge_wait_ms`` plus its own fault latency; the loser charges
-          nothing — its window is subsumed by the winner's.
-
-        With a 1-replica pool every branch degenerates to the
-        single-connection behaviour bit-identically.
-        """
-        tracer, _ = obs_parts(obs)
-        if hedge_ms is None:
-            hedge_ms = self.hedge_ms
-        stats = StreamAttemptStats(label=spec.label)
-        fingerprint = spec.plan.fingerprint() if breaker is not None else None
-        if breaker is not None and not breaker.allow(fingerprint):
-            exc = TransientConnectionError(
-                stream_label=spec.label, attempt=0, attempts=0,
-                reason="circuit breaker open",
-            )
-            exc.stats = stats
-            raise exc
-        policies = [
-            self.policy_for(replica, faults)
-            for replica in range(len(self.connections))
-        ]
-        primary = epoch.pick()
-        stats.replica = primary
-        conn = self.connections[primary]
-        if any(policies) and conn.is_cached(spec.plan):
-            stats.from_cache = True
-            with tracer.span("cache", label=spec.label, replay=True):
-                stream = conn.execute(
-                    spec.plan, compact_rows=spec.compact, budget_ms=budget_ms,
-                    sql=spec.sql, label=spec.label, faults=False, obs=obs,
-                    engine=engine, batch_size=batch_size, backend=backend,
-                )
-            return stream, stats
-        max_attempts = retry.max_attempts if retry is not None else 1
-        deadline = budget_ms
-        if retry is not None and retry.deadline_ms is not None:
-            deadline = retry.deadline_ms
-        seed = next((p.seed for p in policies if p), 0)
-        spent_ms = 0.0
-        tried = set()
-        current = primary
-        while True:
-            stats.attempts += 1
-            conn = self.connections[current]
-            policy = policies[current]
-            try:
-                with tracer.span(
-                    f"replica:{current}", label=spec.label,
-                    attempt=stats.attempts,
-                ):
-                    stream = conn.execute(
-                        spec.plan, compact_rows=spec.compact,
-                        budget_ms=budget_ms, sql=spec.sql, label=spec.label,
-                        attempt=stats.attempts,
-                        faults=policy if policy is not None else False,
-                        obs=obs, engine=engine, batch_size=batch_size,
-                        backend=backend,
-                    )
-                break
-            except TransientConnectionError as exc:
-                stats.faults += 1
-                stats.fault_latency_ms += exc.latency_ms
-                spent_ms += exc.latency_ms
-                tried.add(current)
-                epoch.observe(
-                    spec.label, stats.attempts, current, False, exc.latency_ms
-                )
-                tracer.event(
-                    "fault", label=spec.label, attempt=stats.attempts,
-                    latency_ms=round(exc.latency_ms, 3), replica=current,
-                )
-                if stats.attempts >= max_attempts:
-                    self._exhaust(exc, stats, breaker, fingerprint)
-                nxt = epoch.pick(exclude=tried)
-                if nxt is None:
-                    # Every replica failed this stream once this round:
-                    # wrap to the best-ranked replica after a backoff.
-                    tried.clear()
-                    nxt = epoch.pick()
-                    backoff = retry.backoff_for(
-                        spec.label, stats.faults, seed=seed
-                    )
-                    if deadline is not None and spent_ms + backoff > deadline:
-                        self._exhaust(exc, stats, breaker, fingerprint)
-                    spent_ms += backoff
-                    stats.backoff_ms += backoff
-                    with tracer.span(
-                        "retry", label=spec.label, failure=stats.faults,
-                    ) as retry_span:
-                        retry_span.set_sim(backoff)
-                if nxt != current:
-                    stats.failovers += 1
-                    tracer.event(
-                        "failover", label=spec.label, from_replica=current,
-                        to_replica=nxt, attempt=stats.attempts,
-                    )
-                stats.retries += 1
-                current = nxt
-        primary_attempt = stats.attempts
-        primary_cost = (
-            stream.fault_latency_ms + stream.server_ms + stream.transfer_ms
-        )
-        epoch.observe(
-            spec.label, primary_attempt, current, True, primary_cost
-        )
-        winning_latency = stream.fault_latency_ms
-        winner = current
-        if (hedge_ms is not None and len(self.connections) > 1
-                and primary_cost > hedge_ms):
-            backup = epoch.pick(exclude=tried | {current})
-            if backup is not None:
-                stream, winner, winning_latency = self._hedge(
-                    spec, epoch, stats, tracer, obs, budget_ms, policies,
-                    hedge_ms, current, stream, primary_cost,
-                    backup, winning_latency, engine, batch_size, backend,
-                )
-        stats.fault_latency_ms += winning_latency
-        stats.replica = winner
-        if breaker is not None:
-            breaker.record_success(fingerprint)
-        return stream, stats
-
-    def _hedge(self, spec, epoch, stats, tracer, obs, budget_ms, policies,
-               hedge_ms, primary, primary_stream, primary_cost,
-               backup, winning_latency, engine=None, batch_size=None,
-               backend=None):
-        """Issue the backup request; return the winning
-        ``(stream, replica, fault_latency)`` by simulated completion."""
-        stats.attempts += 1
-        stats.hedges += 1
-        policy = policies[backup]
-        with tracer.span(
-            "hedge", label=spec.label, primary=primary, backup=backup,
-            after_ms=hedge_ms,
-        ) as hedge_span:
-            try:
-                with tracer.span(
-                    f"replica:{backup}", label=spec.label,
-                    attempt=stats.attempts, hedged=True,
-                ):
-                    backup_stream = self.connections[backup].execute(
-                        spec.plan, compact_rows=spec.compact,
-                        budget_ms=budget_ms, sql=spec.sql, label=spec.label,
-                        attempt=stats.attempts,
-                        faults=policy if policy is not None else False,
-                        obs=obs, engine=engine, batch_size=batch_size,
-                        backend=backend,
-                    )
-            except TransientConnectionError as exc:
-                # A failed backup is abandoned: the primary already
-                # succeeded, so the fault costs nothing but the count.
-                stats.faults += 1
-                epoch.observe(
-                    spec.label, stats.attempts, backup, False, exc.latency_ms
-                )
-                hedge_span.set(won=False, backup_failed=True)
-                return primary_stream, primary, winning_latency
-            backup_cost = (
-                backup_stream.fault_latency_ms + backup_stream.server_ms
-                + backup_stream.transfer_ms
-            )
-            epoch.observe(
-                spec.label, stats.attempts, backup, True, backup_cost
-            )
-            if hedge_ms + backup_cost < primary_cost:
-                stats.hedge_wins += 1
-                stats.hedge_wait_ms += hedge_ms
-                hedge_span.set(
-                    won=True,
-                    saved_ms=round(primary_cost - hedge_ms - backup_cost, 3),
-                )
-                return backup_stream, backup, backup_stream.fault_latency_ms
-            hedge_span.set(won=False)
-            return primary_stream, primary, winning_latency
-
-    @staticmethod
-    def _exhaust(exc, stats, breaker, fingerprint):
-        if breaker is not None:
-            breaker.record_failure(fingerprint)
-        exc.attempts = stats.attempts
-        exc.stats = stats
-        raise exc
 
 
 def resolve_pool(replicas, connection):
@@ -690,3 +471,25 @@ def resolve_admission(max_concurrent):
     return AdmissionController(
         AdmissionPolicy(max_concurrent_streams=int(max_concurrent))
     )
+
+
+def resolve_resilience(opts, connection):
+    """``opts`` with ``replicas``/``max_concurrent`` normalized to a live
+    :class:`ReplicaPool` / :class:`AdmissionController` (idempotent —
+    resolved instances pass through) and ``workers`` clamped to the
+    admission policy, so the dispatch width, the deadline schedule, and
+    the report's makespans all agree."""
+    if opts.replicas is None and opts.max_concurrent is None:
+        return opts
+    pool = resolve_pool(opts.replicas, connection)
+    admission = resolve_admission(opts.max_concurrent)
+    overrides = {}
+    if pool is not opts.replicas:
+        overrides["replicas"] = pool
+    if admission is not opts.max_concurrent:
+        overrides["max_concurrent"] = admission
+    if admission is not None:
+        clamped = admission.clamp_workers(opts.workers)
+        if clamped != opts.workers:
+            overrides["workers"] = clamped
+    return replace(opts, **overrides) if overrides else opts

@@ -156,7 +156,9 @@ class TestCircuitBreakerStates:
 
 class TestRetryDeadline:
     """Budget exhaustion mid-backoff: a retry whose wait would cross the
-    deadline is abandoned; a wait landing *exactly on* it is allowed."""
+    deadline is abandoned; a wait landing *exactly on* it is allowed.
+    Each boundary is checked on the plain connection and through a
+    1-replica pool — one loop serves both routes."""
 
     @pytest.fixture
     def spec(self, q1_tree, tiny_db):
@@ -166,6 +168,12 @@ class TestRetryDeadline:
         generator = SqlGenerator(q1_tree, tiny_db.schema)
         return generator.streams_for_partition(fully_partitioned(q1_tree))[0]
 
+    @staticmethod
+    def routes(connection):
+        from repro.relational.replicas import ReplicaPool, ReplicaSet
+
+        return {}, {"replicas": ReplicaPool(ReplicaSet([connection]))}
+
     def test_deadline_exactly_on_backoff_boundary_allows_retry(
             self, spec, tiny_db):
         from repro.relational.dispatch import run_spec_with_retry
@@ -174,13 +182,15 @@ class TestRetryDeadline:
         faults = FaultPolicy(seed=0, fail_streams={spec.label: 1})
         retry = RetryPolicy(max_attempts=5, base_ms=100.0, jitter=0.0,
                             deadline_ms=100.0)
-        stream, stats = run_spec_with_retry(
-            connection, spec, retry=retry, faults=faults,
-        )
-        # spent (0) + backoff (100) == deadline (100): not over — retried.
-        assert stats.attempts == 2
-        assert stats.retries == 1
-        assert stats.backoff_ms == 100.0
+        for route in self.routes(connection):
+            stream, stats = run_spec_with_retry(
+                connection, spec, retry=retry, faults=faults, **route
+            )
+            # spent (0) + backoff (100) == deadline (100): not over —
+            # retried.
+            assert stats.attempts == 2
+            assert stats.retries == 1
+            assert stats.backoff_ms == 100.0
 
     def test_deadline_just_below_backoff_exhausts(self, spec, tiny_db):
         from repro.relational.dispatch import run_spec_with_retry
@@ -189,12 +199,15 @@ class TestRetryDeadline:
         faults = FaultPolicy(seed=0, fail_streams={spec.label: 1})
         retry = RetryPolicy(max_attempts=5, base_ms=100.0, jitter=0.0,
                             deadline_ms=99.0)
-        with pytest.raises(TransientConnectionError) as info:
-            run_spec_with_retry(connection, spec, retry=retry, faults=faults)
-        assert info.value.attempts == 1
-        # The abandoned wait is never charged: exhaustion happened before
-        # the backoff was spent.
-        assert info.value.stats.backoff_ms == 0.0
+        for route in self.routes(connection):
+            with pytest.raises(TransientConnectionError) as info:
+                run_spec_with_retry(
+                    connection, spec, retry=retry, faults=faults, **route
+                )
+            assert info.value.attempts == 1
+            # The abandoned wait is never charged: exhaustion happened
+            # before the backoff was spent.
+            assert info.value.stats.backoff_ms == 0.0
 
     def test_budget_exhausts_mid_backoff_before_max_attempts(
             self, spec, tiny_db):
@@ -204,13 +217,17 @@ class TestRetryDeadline:
         faults = FaultPolicy(seed=0, fail_streams=[spec.label])
         retry = RetryPolicy(max_attempts=10, base_ms=100.0, multiplier=2.0,
                             jitter=0.0, deadline_ms=500.0)
-        with pytest.raises(TransientConnectionError) as info:
-            run_spec_with_retry(connection, spec, retry=retry, faults=faults)
-        # Backoffs 100 + 200 fit under 500; the third (400) would cross it,
-        # so the stream exhausts at attempt 3 of an allowed 10.
-        assert info.value.attempts == 3
-        assert info.value.stats.retries == 2
-        assert info.value.stats.backoff_ms == 300.0
+        for route in self.routes(connection):
+            with pytest.raises(TransientConnectionError) as info:
+                run_spec_with_retry(
+                    connection, spec, retry=retry, faults=faults, **route
+                )
+            # Backoffs 100 + 200 fit under 500; the third (400) would
+            # cross it, so the stream exhausts at attempt 3 of an allowed
+            # 10.
+            assert info.value.attempts == 3
+            assert info.value.stats.retries == 2
+            assert info.value.stats.backoff_ms == 300.0
 
 
 class TestByteIdentity:

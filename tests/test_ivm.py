@@ -195,45 +195,14 @@ class TestNodeResultCache:
         assert cache.get("a") is None and cache.get("b") is None
         assert cache.stats().invalidations == 2
 
-    def test_retention_keeps_hottest_per_byte(self):
-        big, small = _FakeBatch(1000), _FakeBatch(1)
-        budget = 2 * (64.0 + 16.0 * small.length * small.arity) + 1
-        cache = NodeResultCache(retention_bytes=budget)
-        cache.store("cold-big", big, {"Part"})
-        cache.store("hot-small", small, {"Part"})
-        cache.store("warm-small", small, {"Part"})
-        for _ in range(5):
-            cache.get("hot-small")
-        cache.get("warm-small")
-        cache.invalidate({"Nation"})  # no dependents; retention still runs
-        assert cache.get("hot-small") is not None
-        assert cache.get("warm-small") is not None
-        assert cache.get("cold-big") is None
-        assert cache.stats().evictions == 1
-
-    def test_configure_tightens_and_lifts(self):
-        cache = NodeResultCache()
+    def test_capacity_evicts_oldest(self):
+        cache = NodeResultCache(max_entries=3)
         for i in range(6):
             cache.store(f"f{i}", _FakeBatch(1), {"Part"})
-        cache.configure(max_entries=3)
         assert len(cache) == 3
         assert cache.stats().evictions == 3
-        cache.configure(retention_bytes=1.0)
-        assert cache.stats().max_bytes == 1.0
-        cache.configure(retention_bytes=float("inf"))
+        assert cache.get("f2") is None and cache.get("f3") is not None
         assert cache.stats().max_bytes == float("inf")
-
-    def test_options_wire_the_bounds(self):
-        _, connection, _, view = fresh_setup()
-        view.materialize(
-            "fully-partitioned",
-            options=ExecutionOptions(node_cache_entries=5,
-                                     retention_bytes=1e6),
-        )
-        node_cache = connection.engine.node_cache
-        assert node_cache.max_entries == 5
-        assert node_cache.retention_bytes == 1e6
-        assert len(node_cache) <= 5
 
 
 # ---------------------------------------------------------------------------

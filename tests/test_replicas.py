@@ -20,10 +20,13 @@ The load-bearing invariants:
   dispatch, and light load sheds nothing.
 """
 
+import io
+import itertools
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from repro.bench.queries import QUERY_1
+from repro.bench.queries import QUERY_1, QUERY_2
 from repro.bench.sweep import sweep_partitions
 from repro.common.errors import (
     ExecutionError,
@@ -33,6 +36,7 @@ from repro.common.errors import (
 from repro.core.options import ExecutionOptions
 from repro.core.partition import fully_partitioned, unified_partition
 from repro.core.silkroute import SilkRoute
+from repro.obs import ObsOptions
 from repro.relational.connection import Connection
 from repro.relational.engine import CostModel
 from repro.relational.faults import FaultPolicy, RetryPolicy
@@ -47,10 +51,35 @@ from repro.relational.replicas import (
 )
 
 
-def fresh_view(tiny_db, tiny_estimator, **silk_kwargs):
+def fresh_view(tiny_db, tiny_estimator, query=QUERY_1, **silk_kwargs):
     connection = Connection(tiny_db, CostModel())
     silk = SilkRoute(connection, estimator=tiny_estimator, **silk_kwargs)
-    return connection, silk.define_view(QUERY_1)
+    return connection, silk.define_view(query)
+
+
+def stream_accounting(report, *extra):
+    """Per stream, what the one dispatch loop charged it."""
+    fields = ("label", "attempts", "retries", "faults", "backoff_ms",
+              "fault_latency_ms", "from_cache") + extra
+    return [tuple(getattr(s, f) for f in fields) for s in report.streams]
+
+
+def trace_shape(obs, replica_spans=True):
+    """The traced run's span and event names, in order — except that each
+    ``stream:<label>`` subtree is filed under its name (worker threads
+    attach those in start order, which is not deterministic)."""
+    streams = {}
+
+    def names(span):
+        out = [span.name] + ["event:" + e.name for e in span.events]
+        for child in span.children:
+            if child.name.startswith("stream:"):
+                streams.setdefault(child.name, []).append(names(child))
+            elif replica_spans or not child.name.startswith("replica:"):
+                out.extend(names(child))
+        return out
+
+    return [names(root) for root in obs.tracer.roots], streams
 
 
 @pytest.fixture(scope="module")
@@ -269,21 +298,25 @@ class TestByteIdentity:
     @settings(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(seed=st.integers(min_value=0, max_value=30),
-           hedge_ms=st.sampled_from([None, 2.0, 20.0]))
+           hedge_ms=st.sampled_from([None, 2.0, 20.0]),
+           query=st.sampled_from([QUERY_1, QUERY_2]))
     def test_sequential_and_concurrent_agree_exactly(
-            self, tiny_db, tiny_estimator, seed, hedge_ms):
+            self, tiny_db, tiny_estimator, seed, hedge_ms, query):
         """Same seed, same pool shape: workers=1 and workers=4 report the
-        same attempts, faults, failovers, hedges, and elapsed charges."""
-        reports = []
+        same attempts, faults, failovers, hedges, and elapsed charges,
+        stream by stream, and trace the same spans and events."""
+        reports, shapes = [], []
         for workers in (None, 4):
-            _, view = fresh_view(tiny_db, tiny_estimator)
+            _, view = fresh_view(tiny_db, tiny_estimator, query)
+            obs = ObsOptions()
             result = view.materialize(
                 "fully-partitioned", replicas=3, hedge_ms=hedge_ms,
-                workers=workers,
+                workers=workers, obs=obs,
                 faults=FaultPolicy(seed=seed, error_rate=0.35),
                 retry=RetryPolicy(max_attempts=6),
             )
             reports.append(result.report)
+            shapes.append(trace_shape(obs))
         sequential, concurrent = reports
         assert concurrent.attempts == sequential.attempts
         assert concurrent.faults_injected == sequential.faults_injected
@@ -292,32 +325,57 @@ class TestByteIdentity:
         assert concurrent.hedge_wins == sequential.hedge_wins
         assert concurrent.backoff_ms == sequential.backoff_ms
         assert concurrent.hedge_wait_ms == sequential.hedge_wait_ms
-        per_stream = [
-            [(s.label, s.replica, s.attempts, s.failovers, s.hedges)
-             for s in r.streams]
-            for r in reports
-        ]
-        assert per_stream[0] == per_stream[1]
+        extra = ("replica", "failovers", "hedges", "hedge_wins",
+                 "hedge_wait_ms")
+        assert (stream_accounting(concurrent, *extra)
+                == stream_accounting(sequential, *extra))
+        assert shapes[1] == shapes[0]
 
     def test_single_replica_pool_matches_plain_connection(
             self, tiny_db, tiny_estimator, baseline):
+        """A 1-replica pool is the single connection, bit for bit: the
+        same loop ran both, the pool only named the one candidate."""
         faults = FaultPolicy(seed=9, error_rate=0.4)
         retry = RetryPolicy(max_attempts=5)
-        _, plain_view = fresh_view(tiny_db, tiny_estimator)
-        plain = plain_view.materialize(
-            "fully-partitioned", faults=faults, retry=retry,
-        )
-        connection, pooled_view = fresh_view(tiny_db, tiny_estimator)
-        pool = ReplicaPool(ReplicaSet([connection]))
-        pooled = pooled_view.materialize(
-            "fully-partitioned", replicas=pool, faults=faults, retry=retry,
-        )
-        assert pooled.xml == plain.xml == baseline.xml
-        assert pooled.report.attempts == plain.report.attempts
-        assert pooled.report.faults_injected == plain.report.faults_injected
-        assert pooled.report.backoff_ms == plain.report.backoff_ms
-        assert pooled.report.fault_latency_ms == plain.report.fault_latency_ms
-        assert pooled.report.failovers == 0 and pooled.report.hedges == 0
+        for query, workers in itertools.product(
+                (QUERY_1, QUERY_2), (None, 4)):
+            _, plain_view = fresh_view(tiny_db, tiny_estimator, query)
+            plain_obs = ObsOptions()
+            plain = plain_view.materialize(
+                "fully-partitioned", faults=faults, retry=retry,
+                workers=workers, obs=plain_obs,
+            )
+            connection, pooled_view = fresh_view(
+                tiny_db, tiny_estimator, query
+            )
+            pool = ReplicaPool(ReplicaSet([connection]))
+            pooled_obs = ObsOptions()
+            pooled = pooled_view.materialize(
+                "fully-partitioned", replicas=pool, faults=faults,
+                retry=retry, workers=workers, obs=pooled_obs,
+            )
+            assert pooled.xml == plain.xml
+            if query is QUERY_1:
+                assert plain.xml == baseline.xml
+            assert plain.report.faults_injected > 0
+            assert pooled.report.attempts == plain.report.attempts
+            assert (pooled.report.faults_injected
+                    == plain.report.faults_injected)
+            assert pooled.report.backoff_ms == plain.report.backoff_ms
+            assert (pooled.report.fault_latency_ms
+                    == plain.report.fault_latency_ms)
+            assert pooled.report.failovers == 0
+            assert pooled.report.hedges == 0
+            assert (stream_accounting(pooled.report)
+                    == stream_accounting(plain.report))
+            assert (pooled.report.elapsed_query_ms
+                    == plain.report.elapsed_query_ms)
+            assert (pooled.report.elapsed_total_ms
+                    == plain.report.elapsed_total_ms)
+            assert all(s.replica is None for s in plain.report.streams)
+            assert not plain_obs.tracer.find("replica")
+            assert (trace_shape(pooled_obs, replica_spans=False)
+                    == trace_shape(plain_obs))
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +402,28 @@ class TestFailover:
         assert all(s.replica in (1, 2) for s in report.streams)
         # The pool learned: replica 0 accumulated only failures.
         assert pool.health[0].failures > 0 and pool.health[0].successes == 0
+
+    def test_streaming_pool_learns_from_a_failed_open(
+            self, tiny_db, tiny_estimator):
+        """``materialize_to`` has no retry layer, but its pool does learn:
+        a cursor that failed to open counts against the replica, so the
+        next call on the same pool opens everything on the healthy one."""
+        _, plain_view = fresh_view(tiny_db, tiny_estimator)
+        plain = io.StringIO()
+        plain_view.materialize_to(plain, "unified")
+        connection, view = fresh_view(tiny_db, tiny_estimator)
+        pool = ReplicaPool(ReplicaSet.from_connection(
+            connection, 2,
+            faults=[FaultPolicy(seed=1, error_rate=1.0), None],
+        ))
+        with pytest.raises(TransientConnectionError):
+            view.materialize_to(io.StringIO(), "unified", replicas=pool)
+        assert pool.health[0].failures == 1
+        sink = io.StringIO()
+        result = view.materialize_to(sink, "unified", replicas=pool)
+        assert sink.getvalue() == plain.getvalue()
+        assert pool.health[0].successes == 0
+        assert pool.health[1].successes == result.report.n_streams
 
     def test_failover_needs_a_retry_budget(self, tiny_db, tiny_estimator):
         from repro.common.errors import TransientConnectionError
