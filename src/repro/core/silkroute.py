@@ -710,22 +710,25 @@ class XmlView:
         """Stream the view's XML into a file-like ``sink`` in bounded memory.
 
         The same pipeline as :meth:`materialize`, run lazily: each subquery
-        executes through the engine's Volcano iterator
-        (:meth:`~repro.relational.engine.QueryEngine.execute_iter`), decoded
-        instances feed the k-way document-order merge, and the tagger
-        writes to ``sink`` as it goes — so neither the tuple streams nor
-        the document are ever held in memory and the paper's constant-space
-        tagger bound (Sec. 3.3) survives end to end.  The bytes written are
-        identical to ``materialize(...).xml``.
+        is a cursor
+        (:meth:`~repro.relational.engine.QueryEngine.execute_iter`: the
+        same compiled plan, run keeping nothing and drained
+        destructively), decoded instances feed the k-way document-order
+        merge, and the tagger writes to ``sink`` as it goes — so neither
+        the tuple streams nor the document are ever held as a whole, no
+        cache grows, and the paper's constant-space tagger bound
+        (Sec. 3.3) survives end to end.  What remains is each open
+        cursor's undrained sort buffer.  The bytes written are identical
+        to ``materialize(...).xml``.
 
         Returns a :class:`MaterializedView` whose ``xml`` is None and whose
         report's per-stream timings match the materializing path
-        bit-identically (the iterator engine charges operators in the batch
-        engine's evaluation order).  On a budget overrun the raised
+        bit-identically (a cursor charges what ``execute`` charges, in the
+        same order).  On a budget overrun the raised
         :class:`~repro.common.errors.TimeoutExceeded` carries the partial
         report; streams the merge had not yet finished appear with the
         rows/charges consumed so far.  Either way the abandoned cursors
-        are closed, releasing their pipeline-breaker buffers.
+        are closed, releasing their row buffers.
 
         What streaming lacks, and why, is stated once in
         :meth:`_materialize`: no retry, degradation, hedging, ``workers``
@@ -760,8 +763,8 @@ class XmlView:
         (``workers``), and to keep decoded instances and the finished
         document for the next call (the instance/document caches).  With a
         sink every stream is a *lazy cursor* drained by the merge while the
-        tagger is already writing: memory stays at the largest
-        pipeline-breaker, and none of the above can exist — a half-consumed
+        tagger is already writing: memory stays at the cursors' undrained
+        sort buffers, and none of the above can exist — a half-consumed
         cursor cannot be re-submitted or spliced out under a half-written
         sink, the k-way merge pulls the cursors in document order on one
         thread, and a cache entry would be the materialized stream the

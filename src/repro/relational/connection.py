@@ -133,22 +133,24 @@ class TupleCursor:
     """A *streaming* query result: rows are produced on demand.
 
     The iterator twin of :class:`TupleStream` — ``Connection.execute_iter``
-    returns one instead of a materialized stream.  Iterating drives the
-    engine's Volcano pipeline row by row; per-row transfer cost is charged
-    as each row crosses the client boundary, with the same per-row formula
+    returns one instead of a materialized stream.  The first ``next()``
+    evaluates the plan on the server side; rows then cross the client
+    boundary one at a time, each releasing its slot in the server's
+    buffer and paying its transfer cost with the same per-row formula
     (and float accumulation order) as the materializing path, so after
-    exhaustion ``transfer_ms`` matches ``TupleStream.transfer_ms`` and
-    ``server_ms`` matches the batch engine's — both bit-identically.
+    exhaustion ``transfer_ms`` and ``server_ms`` match
+    ``TupleStream``'s — both bit-identically.
 
     ``server_ms`` / ``transfer_ms`` / ``rows_read`` read the charges
     accumulated *so far*; they are final once :attr:`exhausted` is True.
     A :class:`~repro.common.errors.TimeoutExceeded` budget overrun
-    surfaces from the consuming ``next()`` call.
+    surfaces from the consuming ``next()`` call (only ``startup`` is
+    charged when the cursor is opened).
 
     A cursor is a context manager: abandoning one mid-stream (a degraded
     stream spliced out of a merge, an aborted export) should
-    :meth:`close` it so the engine's pipeline-breaker buffers are dropped
-    promptly instead of lingering until garbage collection.
+    :meth:`close` it so the engine's row buffer is dropped promptly
+    instead of lingering until garbage collection.
     """
 
     def __init__(self, iter_result, row_cost_fn, sql=None, label=None):
@@ -197,10 +199,10 @@ class TupleCursor:
 
     def close(self):
         """Release the cursor: close the client-side row generator and the
-        engine's iterator pipeline, dropping every pipeline-breaker buffer
-        (sort runs, hash indexes, shared-subplan memos).  Charges stay
-        frozen at the rows consumed so far.  Idempotent; iterating a
-        closed cursor yields nothing further."""
+        engine's, dropping the undrained rows (and, on the ``"tuple"``
+        interpreter, every pipeline-breaker buffer).  Charges stay frozen
+        at the rows consumed so far.  Idempotent; iterating a closed
+        cursor yields nothing further."""
         if self.closed:
             return
         self.closed = True
@@ -432,15 +434,19 @@ class Connection:
         and decide; the materializing path is the one with
         retry/degradation machinery).
 
-        The engine runs its Volcano pipeline
-        (:meth:`~repro.relational.engine.QueryEngine.execute_iter`), so
-        neither the server result nor the client-side rows are ever held as
-        a whole — memory stays bounded by the largest pipeline-breaker
-        (typically the final ORDER BY, whose buffer is drained
-        destructively).  Budget overruns raise from the consuming
-        ``next()``.  A result-cache hit replays its charge log and streams
-        the cached rows; misses are *not* inserted (that would require
-        materializing).
+        The engine opens a cursor
+        (:meth:`~repro.relational.engine.QueryEngine.execute_iter`) in
+        ``opts.engine``'s mode, the batch kernels by default: the plan is
+        evaluated on first ``next()`` keeping no intermediate and caching
+        nothing, and the final ORDER BY's buffer is drained destructively
+        — memory is bounded by that buffer plus the largest single
+        operator step, and the client side never holds the rows as a
+        whole.  ``startup`` is charged, and the result cache consulted,
+        when the cursor is opened: a budget below ``startup_ms`` raises
+        from this call (labelled here — no cursor exists yet), any later
+        overrun from the consuming ``next()``.  A result-cache hit
+        replays its charge log and streams the cached rows; misses are
+        *not* inserted (that would mean keeping the result).
         """
         opts = resolve_options(options, overrides)
         try:
@@ -449,8 +455,8 @@ class Connection:
                 opts,
             )
         except TimeoutExceeded as exc:
-            # The startup charge alone blew the budget — the cursor was
-            # never built, so label the error here.
+            # The startup charge alone blew the budget (in either engine
+            # mode) — the cursor was never built, so label the error here.
             if exc.stream_label is None:
                 exc.stream_label = label
             raise

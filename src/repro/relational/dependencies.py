@@ -19,6 +19,8 @@ the cached results that depend on the touched tables.
 
 from dataclasses import dataclass
 
+from repro.relational.algebra import Scan
+
 
 def plan_tables(plan):
     """The base tables a plan reads, as a frozenset of table names.
@@ -26,15 +28,19 @@ def plan_tables(plan):
     This is the dependency footprint behind delta propagation: a cached
     result for ``plan`` — in the :class:`~repro.relational.cache.PlanResultCache`,
     the batch engine's node-result cache, or the XML instance cache — stays
-    valid across any mutation of a table *not* in this set.  Walks the plan
-    once collecting :class:`~repro.relational.algebra.Scan` leaves; callers
-    memoize by ``plan.fingerprint()``.
+    valid across any mutation of a table *not* in this set.  A node's set
+    is the union of its children's (a :class:`~repro.relational.algebra.Scan`
+    names its table); like ``fingerprint()`` it is kept on the operator,
+    plans being immutable once built.
     """
-    from repro.relational.algebra import Scan, walk
-
-    return frozenset(
-        op.table_schema.name for op in walk(plan) if isinstance(op, Scan)
-    )
+    tables = getattr(plan, "_tables", None)
+    if tables is None:
+        if isinstance(plan, Scan):
+            tables = frozenset((plan.table_schema.name,))
+        else:
+            tables = frozenset().union(*map(plan_tables, plan.children))
+        plan._tables = tables
+    return tables
 
 
 @dataclass(frozen=True)

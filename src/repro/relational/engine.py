@@ -40,8 +40,8 @@ from repro.relational import algebra, vector_ops
 from repro.relational.batch import DEFAULT_BATCH_SIZE
 from repro.relational.cache import CacheEntry, NodeResultCache
 from repro.relational.dependencies import plan_tables
-from repro.relational.types import width_function
-from repro.relational.vector_ops import _key_plan
+from repro.relational.types import SqlType
+from repro.relational.vector_ops import _key_plan, _shared_fingerprints
 from repro.relational.algebra import (
     Scan,
     Filter,
@@ -164,9 +164,10 @@ class IterResult:
         return self._rows
 
     def close(self):
-        """Abandon the stream: close the generator pipeline so every
-        pipeline-breaker buffer (sort runs, hash indexes, shared-subplan
-        memos) is released immediately instead of at garbage collection.
+        """Abandon the stream: close the row generator so the undrained
+        rows (on the interpreter: every pipeline-breaker buffer — sort
+        runs, hash indexes) and the shared-sub-plan memo are released
+        immediately instead of at garbage collection.
         Safe to call repeatedly; a closed result stays un-:attr:`exhausted`
         and its charges are frozen at the consumed prefix."""
         if self._rows is not None:
@@ -186,15 +187,17 @@ class IterResult:
         return self._charges.breakdown
 
 
-def _shared_fingerprints(plan):
-    """Fingerprints occurring more than once in ``plan`` — the sub-plans the
-    optimizer's common-subexpression sharing will re-read, which the
-    streaming path must therefore materialize on first evaluation."""
-    counts = {}
-    for op in algebra.walk(plan):
-        fp = op.fingerprint()
-        counts[fp] = counts.get(fp, 0) + 1
-    return frozenset(fp for fp, n in counts.items() if n > 1)
+class _NoResults:
+    """The :class:`~repro.relational.cache.NodeResultCache` of an execution
+    that keeps nothing (a cursor): always empty."""
+
+    @staticmethod
+    def get(fingerprint):
+        return None
+
+    @staticmethod
+    def store(fingerprint, value, tables):
+        pass
 
 
 class _Charges:
@@ -206,9 +209,13 @@ class _Charges:
     totals, breakdown order, and timeout behaviour.
     """
 
-    def __init__(self, model, budget_ms):
+    def __init__(self, model, budget_ms, results=_NoResults):
         self.model = model
         self.budget_ms = budget_ms
+        #: Where the batch kernels look up and keep sub-plan results: the
+        #: engine's node-result cache under :meth:`QueryEngine.execute`,
+        #: nowhere under a cursor.
+        self.results = results
         self.total_ms = 0.0
         self.rows_examined = 0
         self.breakdown = {}
@@ -241,6 +248,16 @@ class _Charges:
                 raise TimeoutExceeded(self.budget_ms, self.total_ms)
 
 
+def _drain(rows):
+    """Yield ``rows`` destructively: a consumed row's slot is released, so
+    fully tagged prefixes of an arbitrarily large stream can be collected
+    while the tail is still being merged."""
+    for i in range(len(rows)):
+        row = rows[i]
+        rows[i] = None
+        yield row
+
+
 #: Recognized values for the ``engine=`` execution knob.
 ENGINE_MODES = ("batch", "tuple")
 
@@ -249,17 +266,22 @@ class QueryEngine:
     """Executes algebra plans over a :class:`repro.relational.database.Database`.
 
     Two interchangeable execution modes produce byte-identical results,
-    charge logs, and cache entries:
+    charge logs, and cache entries, behind both entry points
+    (:meth:`execute` returns the rows as a list, :meth:`execute_iter` a
+    cursor over them):
 
     * ``"batch"`` (the default) — plans are lowered once per (plan,
       batch size) into vectorized kernels
       (:mod:`repro.relational.vector_ops`) that process columnar
-      :class:`~repro.relational.batch.Batch` chunks;
+      :class:`~repro.relational.batch.Batch` chunks.  :meth:`execute`
+      keeps every sub-plan result in the node-result cache; a cursor runs
+      the *same* compiled plan keeping nothing, so its memory is the
+      final sort buffer plus the largest single parent-and-children step;
     * ``"tuple"`` — the row-at-a-time Volcano interpreter (the
-      ``_stream_*`` generators).  :meth:`execute_iter` hands its rows out
-      lazily, in bounded memory; :meth:`execute` with ``engine="tuple"``
-      drains the same generators into a list — the reference the batch
-      kernels are tested against.
+      ``_stream_*`` generators), drained into a list by :meth:`execute`
+      and handed out lazily by :meth:`execute_iter`.  It is the
+      independent *reference* the kernels are tested against, not a
+      production path.
 
     Every operator therefore exists exactly twice: as a batch kernel and
     as a ``_stream_*`` generator.
@@ -298,8 +320,6 @@ class QueryEngine:
         #: Per-table generation snapshot from the last batch evaluation;
         #: diffed against the live database to find mutated tables.
         self._table_gens = None
-        #: plan fingerprint -> frozenset of base-table names it reads.
-        self._plan_tables = {}
 
     def _engine_mode(self, engine):
         mode = engine or self.default_engine
@@ -331,18 +351,11 @@ class QueryEngine:
             cache[key] = self._average_row_bytes(columns, rows)
         return cache[key]
 
-    def tables_for(self, plan):
-        """The base tables ``plan`` reads (memoized by fingerprint) — the
-        plan's invalidation footprint for delta propagation."""
-        fingerprint = plan.fingerprint()
-        cache = self._plan_tables
-        tables = cache.get(fingerprint)
-        if tables is None:
-            if len(cache) >= 4096:
-                cache.pop(next(iter(cache)))
-            tables = plan_tables(plan)
-            cache[fingerprint] = tables
-        return tables
+    @staticmethod
+    def tables_for(plan):
+        """The base tables ``plan`` reads (kept on the plan) — its
+        invalidation footprint for delta propagation."""
+        return plan_tables(plan)
 
     def dependency_key(self, plan):
         """The dependency component of ``plan``'s cache key: the database
@@ -434,32 +447,11 @@ class QueryEngine:
         leaders); executions with no cache installed count neither.
         """
         mode = self._engine_mode(engine)
-        charges = _Charges(self.cost_model, budget_ms)
+        batch_size = batch_size or self.default_batch_size
+        charges = _Charges(self.cost_model, budget_ms,
+                           results=self._node_results)
         if include_startup:
             charges.charge("startup", self.cost_model.startup_ms)
-        return self._execute_cached(
-            plan, charges, include_startup, metrics, mode,
-            batch_size or self.default_batch_size,
-        )
-
-    def _evaluate(self, plan, charges, mode, batch_size, metrics):
-        """Evaluate ``plan`` fresh in ``mode``; return the result rows."""
-        if mode == "tuple":
-            return list(self._stream_plan(plan, charges))
-        self._node_results.metrics = metrics
-        self._refresh_dependencies(metrics)
-        compiled = self._compiled_for(plan, batch_size)
-        batch = compiled.run(charges)
-        if metrics is not None and charges.batches:
-            for label, count in charges.batches.items():
-                metrics.inc(f"batch.{label}.batches", count)
-        return batch.rows(batch_size)
-
-    def _execute_cached(self, plan, charges, include_startup, metrics,
-                        mode, batch_size):
-        """The cache-aware evaluation core shared by :meth:`execute` and
-        the batch mode of :meth:`execute_iter` (``charges`` already holds
-        the startup charge when applicable)."""
         cache = self.cache
         if cache is None:
             rows = self._evaluate(plan, charges, mode, batch_size, metrics)
@@ -517,62 +509,57 @@ class QueryEngine:
             cache.finish(key)
         return self._result(plan, rows, charges)
 
+    def _evaluate(self, plan, charges, mode, batch_size, metrics):
+        """Evaluate ``plan`` fresh in ``mode``; return the result rows."""
+        if mode == "tuple":
+            return list(self._stream_plan(plan, charges))
+        self._node_results.metrics = metrics
+        self._refresh_dependencies(metrics)
+        compiled = self._compiled_for(plan, batch_size)
+        batch = compiled.run(charges)
+        if metrics is not None and charges.batches:
+            for label, count in charges.batches.items():
+                metrics.inc(f"batch.{label}.batches", count)
+        return batch.rows(batch_size)
+
     def execute_iter(self, plan, budget_ms=None, include_startup=True,
                      metrics=None, engine=None, batch_size=None):
-        """Run ``plan`` Volcano-style; return an :class:`IterResult`.
+        """Open a cursor on ``plan``; return an :class:`IterResult`.
 
-        The streaming default is the ``"tuple"`` engine regardless of
-        :attr:`default_engine`: the Volcano pipeline is what bounds peak
-        memory, and the batch engine materializes by construction.  Passing
-        ``engine="batch"`` explicitly instead runs the (cache-aware,
-        cache-*storing*) materializing core lazily on first ``next()`` and
-        streams the finished result — same rows, same charge log, but
-        memory proportional to the result.
+        Arguments, modes and results are :meth:`execute`'s: the drained
+        rows, the charge log — same values, same order — and hence
+        ``server_ms``, the breakdown and the charge at which a
+        ``budget_ms`` overrun raises are bit-identical to it in either
+        mode.  What differs is what is kept.
 
-        Rows are produced by a generator pipeline instead of materialized
-        lists: scan → filter → project chains stream row by row, while
-        sort, distinct-build, and hash-join build sides remain pipeline
-        breakers that release their inputs eagerly (a consumed operator's
-        frame — hash indexes, unsorted lists — is freed as soon as its
-        output is drained).  Peak memory is bounded by the largest single
-        pipeline-breaker state instead of the sum of every intermediate
-        result, which is what lets :meth:`XmlView.materialize_to
-        <repro.core.silkroute.XmlView.materialize_to>` stream arbitrarily
-        large views.
+        Opening charges ``startup`` (so a budget below it raises
+        :class:`~repro.common.errors.TimeoutExceeded` from this call),
+        looks the plan up in :attr:`cache` and counts the hit or miss;
+        everything else happens on first ``next()``, which is where later
+        budget overruns raise.  A hit replays the recorded charge log and
+        streams the cached rows.  A *miss is never stored*, and the run
+        neither reads nor feeds the node-result cache.
 
-        This is the interpreter ``execute(engine="tuple")`` drains, so the
-        two agree by construction; against the batch kernels, charges use
-        the *same* cost-model formulas, accounted per operator as its
-        stream completes.  Operators complete in the batch engine's
-        evaluation order (join probe sides are consumed first —
-        materialized — and sub-plans shared within the query are drained
-        into the per-execution memo once and re-read at rescan cost), so
-        the charge log is *identical* — same values, same order — and
-        ``server_ms``, the breakdown, and timeout behaviour match the
-        materializing path bit-for-bit.  ``budget_ms`` raises
-        :class:`~repro.common.errors.TimeoutExceeded` from the consuming
-        ``next()`` call rather than from ``execute_iter`` itself.
+        On the default ``"batch"`` engine the first ``next()`` evaluates
+        the compiled plan — the one :meth:`execute` runs — in a transient
+        run: a sub-plan result lives only while its parent kernel consumes
+        it (sub-plans shared within the query stay in the per-execution
+        memo until the plan is done), and the sorted rows are handed out
+        destructively, so fully tagged prefixes of the output can be
+        collected while the tail is still being merged.  Peak memory is
+        the final sort buffer plus the largest single parent-and-children
+        step, not the sum of every intermediate — which is what lets
+        :meth:`XmlView.materialize_to
+        <repro.core.silkroute.XmlView.materialize_to>` stream large views.
 
-        With a :attr:`cache` installed, a hit replays the recorded charge
-        log (bit-identically, on first ``next()``) and streams the cached
-        rows; a *miss is not stored* — storing would require materializing
-        the result, defeating the constant-memory path.
+        With ``engine="tuple"`` the rows come from the ``_stream_*``
+        generators instead (scan → filter → project chains stream row by
+        row; sort, distinct and the hash joins are pipeline breakers): the
+        reference the kernels are checked against.  It wraps every sort
+        key and resumes a generator per row per operator, so it takes over
+        twice the time.
         """
-        mode = self._engine_mode(engine or "tuple")
-        if mode == "batch":
-            charges = _Charges(self.cost_model, budget_ms)
-            result = IterResult(plan.columns(), charges)
-
-            def batch_rows():
-                if include_startup:
-                    charges.charge("startup", self.cost_model.startup_ms)
-                executed = self._execute_cached(
-                    plan, charges, include_startup, metrics, "batch",
-                    batch_size or self.default_batch_size,
-                )
-                yield from executed.rows
-            result._attach(batch_rows())
-            return result
+        mode = self._engine_mode(engine)
         charges = _Charges(self.cost_model, budget_ms)
         if include_startup:
             charges.charge("startup", self.cost_model.startup_ms)
@@ -594,9 +581,26 @@ class QueryEngine:
                 return result
             if metrics is not None:
                 metrics.inc("plan_cache.misses")
-
-        result._attach(self._stream_plan(plan, charges))
+        if mode == "tuple":
+            result._attach(self._stream_plan(plan, charges))
+        else:
+            result._attach(self._drain_plan(
+                plan, charges, batch_size or self.default_batch_size, metrics
+            ))
         return result
+
+    def _drain_plan(self, plan, charges, batch_size, metrics):
+        """The batch engine's cursor: the compiled plan evaluated at the
+        first ``next()``, then drained from a copy of its row list — the
+        drain must not rest on every kernel returning a list that nothing
+        else (a table, a batch) holds."""
+        try:
+            rows = list(
+                self._evaluate(plan, charges, "batch", batch_size, metrics)
+            )
+        finally:
+            charges.memo.clear()
+        yield from _drain(rows)
 
     def _result(self, plan, rows, charges):
         return ExecutionResult(
@@ -619,8 +623,8 @@ class QueryEngine:
 
     # -- row-at-a-time (Volcano-style) evaluation ---------------------------
     #
-    # The one row interpreter: ``execute(engine="tuple")`` drains it into a
-    # list, ``execute_iter`` hands it out lazily.  Each operator is a
+    # The one row interpreter, behind ``engine="tuple"``: ``execute`` drains
+    # it into a list, ``execute_iter`` hands it out lazily.  Each operator is a
     # generator applying the *same* cost-model formulas as its batch kernel
     # in :mod:`~repro.relational.vector_ops`, charged when its stream
     # completes (the generator chain unwinds bottom-up, so a pipelined
@@ -903,13 +907,7 @@ class QueryEngine:
             )
             charges.charge("sort", self.cost_model.sort_ms(n, row_bytes), n)
         del rows
-        # Drain destructively: a consumed row's slot is released so fully
-        # tagged prefixes of an arbitrarily large stream can be collected
-        # while the tail is still being merged.
-        for i in range(len(out)):
-            row = out[i]
-            out[i] = None
-            yield row
+        yield from _drain(out)
 
     @staticmethod
     def _average_row_bytes(columns, rows, sample=500):
@@ -917,12 +915,15 @@ class QueryEngine:
         # are unrepresentative (e.g. the narrow supplier rows come first).
         stride = max(len(rows) // sample, 1)
         sampled = rows[::stride]
-        width_fns = [width_function(col.sql_type) for col in columns]
+        n = len(sampled)
+        # Summed per column, in C; an integer, so the average is exact.
         total = 0
-        for row in sampled:
-            for fn, value in zip(width_fns, row):
-                if value is None:
-                    total += 1  # null marker
-                else:
-                    total += fn(value)
-        return total / len(sampled)
+        for col, values in zip(columns, zip(*sampled)):
+            nulls = values.count(None)
+            total += nulls  # null markers
+            if col.sql_type in (SqlType.VARCHAR, SqlType.CHAR):
+                # filter(None, ...) also drops "", which is zero wide.
+                total += sum(map(len, filter(None, values)))
+            else:
+                total += (n - nulls) * col.sql_type.storage_width
+        return total / n

@@ -10,17 +10,16 @@ run tight C-level loops (listcomps, ``zip``, ``sorted``, ``dict``) over
 whole columns in ``batch_size`` chunks.
 
 The batch engine is the *identical twin* of the engine's Volcano
-interpreter (the ``_stream_*`` generators behind ``engine="tuple"`` and
-:meth:`~repro.relational.engine.QueryEngine.execute_iter`), not an
-approximation.  These two are the only implementations of the operator
+interpreter (the ``_stream_*`` generators behind ``engine="tuple"``), not
+an approximation.  These two are the only implementations of the operator
 set.  Every kernel performs the same logical work in the same order and
 applies the same cost-model formula to the same counts, so the charge log
 — every ``(label, ms, rows)`` triple, in order — is bit-identical to the
 interpreter's.  The load-bearing details:
 
-* sub-plan sharing: each compiled node checks the per-execution memo by
-  fingerprint and charges the same ``rescan`` cost on hits, in the same
-  recursion order (left before right);
+* sub-plan sharing: each compiled node whose fingerprint recurs in the
+  plan checks the per-execution memo and charges the same ``rescan`` cost
+  on hits, in the same recursion order (left before right);
 * the outer-join re-evaluation penalty is a *running-total delta* around
   the right side's evaluation, reproduced with the same float arithmetic;
 * union charges count rows after duplicate elimination, distinct uses
@@ -124,10 +123,22 @@ class CompiledPlan:
         self.batch_size = batch_size
 
 
+def _shared_fingerprints(plan):
+    """Fingerprints occurring more than once in ``plan`` — the sub-plans the
+    optimizer's common-subexpression sharing will re-read, and so the only
+    ones an execution has to keep (in its memo) after their first
+    evaluation."""
+    counts = {}
+    for op in algebra.walk(plan):
+        fp = op.fingerprint()
+        counts[fp] = counts.get(fp, 0) + 1
+    return frozenset(fp for fp, n in counts.items() if n > 1)
+
+
 def compile_plan(plan, engine, batch_size=DEFAULT_BATCH_SIZE):
     """Lower ``plan`` into a :class:`CompiledPlan` bound to ``engine``'s
     database and cost model (both fixed for the engine's lifetime)."""
-    compiler = _PlanCompiler(engine, batch_size)
+    compiler = _PlanCompiler(engine, batch_size, _shared_fingerprints(plan))
     return CompiledPlan(compiler.compile(plan), plan.columns(), batch_size)
 
 
@@ -152,20 +163,32 @@ class _PlanCompiler:
     footprint and shared across executions; a mutation invalidates only
     the dependent entries, and sweep partitions overlap heavily, so most
     executions touch no rows at all.
+
+    Kernels reach that cache through the execution (``charges.results``),
+    not the engine: :meth:`QueryEngine.execute` hands them the engine's, a
+    cursor (:meth:`QueryEngine.execute_iter`) one that holds nothing, so
+    one compiled plan serves both and a cursor's intermediates die with
+    the kernel call that consumed them.
     """
 
-    def __init__(self, engine, batch_size):
+    def __init__(self, engine, batch_size, shared):
         self.engine = engine
         self.model = engine.cost_model
         self.batch_size = batch_size
-        self.results = engine._node_results
+        #: Fingerprints occurring more than once in the plan being compiled.
+        self.shared = shared
 
     def compile(self, op):
-        """Compile one operator, wrapped in the shared-sub-plan memo check
-        (the optimizer's common-subexpression reuse, as in the
-        interpreter's ``_stream``)."""
+        """Compile one operator.  A sub-plan occurring more than once in
+        the plan is wrapped in the per-execution memo check (the
+        optimizer's common-subexpression reuse, as in the interpreter's
+        ``_stream``); any other node's result is held by nothing but its
+        parent's kernel call — ``rescan`` can only ever be charged on a
+        second encounter, so the charge log is the same either way."""
         fresh = self._fresh(op)
         fingerprint = op.fingerprint()
+        if fingerprint not in self.shared:
+            return fresh
         rescan_row_ms = self.model.rescan_row_ms
 
         def run(charges, _fp=fingerprint, _fresh=fresh,
@@ -209,16 +232,15 @@ class _PlanCompiler:
         arity = len(op.columns())
         scan_row_ms = self.model.scan_row_ms
         batch_size = self.batch_size
-        results = self.results
         fp = op.fingerprint()
         tables = plan_tables(op)
 
         def fresh(charges):
-            batch = results.get(fp)
+            batch = charges.results.get(fp)
             if batch is None:
                 rows = list(database.table(table_name).rows)
                 batch = Batch.from_rows(rows, arity)
-                results.store(fp, batch, tables)
+                charges.results.store(fp, batch, tables)
             n = batch.length
             _note_batches(charges, "scan", n, batch_size)
             charges.charge("scan", n * scan_row_ms, n)
@@ -233,14 +255,13 @@ class _PlanCompiler:
         filter_row_ms = self.model.filter_row_ms
         batch_size = self.batch_size
 
-        results = self.results
         fp = op.fingerprint()
         tables = plan_tables(op)
 
         def fresh(charges):
             batch = child(charges)
             n = batch.length
-            result = results.get(fp)
+            result = charges.results.get(fp)
             if result is None:
                 rows = batch.rows(batch_size)
                 if n > batch_size:
@@ -251,7 +272,7 @@ class _PlanCompiler:
                 else:
                     out = kernel(rows)
                 result = Batch.from_rows(out, arity)
-                results.store(fp, result, tables)
+                charges.results.store(fp, result, tables)
             _note_batches(charges, "filter", n, batch_size)
             charges.charge("filter", n * filter_row_ms, n)
             return result
@@ -272,14 +293,13 @@ class _PlanCompiler:
         project_row_ms = self.model.project_row_ms
         batch_size = self.batch_size
 
-        results = self.results
         fp = op.fingerprint()
         tables = plan_tables(op)
 
         def fresh(charges):
             batch = child(charges)
             n = batch.length
-            result = results.get(fp)
+            result = charges.results.get(fp)
             if result is None:
                 # Column references are shared (zero copy when the child is
                 # column-backed); constant columns are built in one C-level
@@ -288,7 +308,7 @@ class _PlanCompiler:
                     batch.col(p) if is_col else [p] * n for is_col, p in plan
                 ]
                 result = Batch.from_columns(columns, n)
-                results.store(fp, result, tables)
+                charges.results.store(fp, result, tables)
             _note_batches(charges, "project", n, batch_size)
             charges.charge("project", n * project_row_ms, n)
             return result
@@ -301,21 +321,20 @@ class _PlanCompiler:
         hash_row_ms = self.model.hash_row_ms
         batch_size = self.batch_size
 
-        results = self.results
         fp = op.fingerprint()
         tables = plan_tables(op)
 
         def fresh(charges):
             batch = child(charges)
             n = batch.length
-            result = results.get(fp)
+            result = charges.results.get(fp)
             if result is None:
                 # dict.fromkeys is the C spelling of first-occurrence dedup
                 # — the same output order as the tuple engine's seen-set
                 # loop.
                 out = list(dict.fromkeys(batch.rows(batch_size)))
                 result = Batch.from_rows(out, arity)
-                results.store(fp, result, tables)
+                charges.results.store(fp, result, tables)
             _note_batches(charges, "distinct", n, batch_size)
             charges.charge("distinct", n * hash_row_ms, n)
             return result
@@ -340,7 +359,6 @@ class _PlanCompiler:
         join_out_row_ms = model.join_out_row_ms
         batch_size = self.batch_size
 
-        results = self.results
         fp = op.fingerprint()
         tables = plan_tables(op)
 
@@ -349,7 +367,7 @@ class _PlanCompiler:
             right_batch = right(charges)
             n_left = left_batch.length
             n_right = right_batch.length
-            result = results.get(fp)
+            result = charges.results.get(fp)
             if result is None:
                 left_rows = left_batch.rows(batch_size)
                 right_rows = right_batch.rows(batch_size)
@@ -372,7 +390,7 @@ class _PlanCompiler:
                         for match in lookup(key, ()):
                             append(row + match)
                 result = Batch.from_rows(out, arity)
-                results.store(fp, result, tables)
+                charges.results.store(fp, result, tables)
             _note_batches(charges, "join", n_left + n_right, batch_size)
             charges.charge(
                 "join",
@@ -422,7 +440,6 @@ class _PlanCompiler:
         n_branches = len(op.branches)
         batch_size = self.batch_size
 
-        results = self.results
         fp = op.fingerprint()
         tables = plan_tables(op)
 
@@ -436,7 +453,7 @@ class _PlanCompiler:
             n_left = left_batch.length
             n_right = right_batch.length
 
-            cached = results.get(fp)
+            cached = charges.results.get(fp)
             if cached is None:
                 left_rows = left_batch.rows(batch_size)
                 right_rows = right_batch.rows(batch_size)
@@ -471,7 +488,7 @@ class _PlanCompiler:
                     if not matched:
                         append(row + null_pad)
                 cached = (Batch.from_rows(out, arity), build_work)
-                results.store(fp, cached, tables)
+                charges.results.store(fp, cached, tables)
             result, build_work = cached
 
             _note_batches(
@@ -512,7 +529,6 @@ class _PlanCompiler:
         union_row_ms = self.model.union_row_ms
         batch_size = self.batch_size
 
-        results = self.results
         fp = op.fingerprint()
         tables = plan_tables(op)
 
@@ -522,7 +538,7 @@ class _PlanCompiler:
             child_batches = [
                 child_run(charges) for child_run, _ in compiled_inputs
             ]
-            out = results.get(fp)
+            out = charges.results.get(fp)
             if out is None:
                 columns = [[] for _ in range(width)]
                 total = 0
@@ -540,7 +556,7 @@ class _PlanCompiler:
                 if distinct:
                     deduped = list(dict.fromkeys(out.rows(batch_size)))
                     out = Batch.from_rows(deduped, width)
-                results.store(fp, out, tables)
+                charges.results.store(fp, out, tables)
             n_out = out.length
             _note_batches(charges, "union", n_out, batch_size)
             charges.charge("union", n_out * union_row_ms, n_out)
@@ -562,14 +578,13 @@ class _PlanCompiler:
         sort_ms = self.model.sort_ms
         batch_size = self.batch_size
 
-        results = self.results
         fp = op.fingerprint()
         tables = plan_tables(op)
 
         def fresh(charges):
             batch = child(charges)
             n = batch.length
-            result = results.get(fp)
+            result = charges.results.get(fp)
             if result is None:
                 rows = batch.rows(batch_size)
                 if key_plan and n:
@@ -584,7 +599,7 @@ class _PlanCompiler:
                 else:
                     out = list(rows)
                 result = Batch.from_rows(out, arity)
-                results.store(fp, result, tables)
+                charges.results.store(fp, result, tables)
 
             if n:
                 # Width sampling sees the *input-order* rows, as in the

@@ -35,6 +35,7 @@ from repro.core.partition import enumerate_partitions, unified_partition
 from repro.core.silkroute import SilkRoute
 from repro.core.sqlgen import PlanStyle, SqlGenerator
 from repro.bench.queries import QUERY_1
+from repro.obs.metrics import MetricsRegistry
 from repro.relational import vector_ops
 from repro.relational.batch import Batch, DEFAULT_BATCH_SIZE, codec_for
 from repro.relational.cache import PlanResultCache
@@ -160,13 +161,16 @@ class TestSortPass:
 
 def _drain(engine, plan, budget_ms):
     """``execute_iter`` drained: ``(rows so far, IterResult, timeout)``.
-    The cursor charges startup when it is opened, so that can time out
-    too."""
+    The cursor charges startup when it is opened (in either mode), so
+    that can time out too."""
     rows = []
     try:
         cursor = engine.execute_iter(plan, budget_ms=budget_ms)
     except TimeoutExceeded as exc:
         return rows, None, exc
+    # Record what is charged from here on, the way ``execute`` does on a
+    # cache miss (after ``startup``), so the logs can be compared.
+    cursor._charges.log = []
     try:
         rows.extend(cursor)
     except TimeoutExceeded as exc:
@@ -184,8 +188,9 @@ def _entry(entry):
 class TestStreamIdentity:
     """``execute(engine="batch")`` (the kernels), ``execute(engine="tuple")``
     (the Volcano interpreter drained into a list) and a drained
-    ``execute_iter()`` (the same interpreter, lazily) must agree on
-    everything observable, with and without a budget."""
+    ``execute_iter()`` in both modes (the same compiled plan keeping
+    nothing; the same interpreter, lazily) must agree on everything
+    observable, with and without a budget."""
 
     @settings(
         max_examples=15, deadline=None,
@@ -236,29 +241,38 @@ class TestStreamIdentity:
                 batch_size=batch_size,
             )
             key = tuple_engine.cache_key_for(spec.plan)
-            iter_rows, cursor, iter_timeout = _drain(
-                QueryEngine(tiny_db), spec.plan, budget_ms
-            )
+            drained = [
+                _drain(
+                    QueryEngine(tiny_db, engine=mode, batch_size=batch_size),
+                    spec.plan, budget_ms,
+                )
+                for mode in ENGINE_MODES
+            ]
             if budget_ms is not None:
                 # Every path raises at the same charge ...
                 with pytest.raises(TimeoutExceeded) as expected:
                     tuple_engine.execute(spec.plan, budget_ms=budget_ms)
                 with pytest.raises(TimeoutExceeded) as actual:
                     batch_engine.execute(spec.plan, budget_ms=budget_ms)
-                for timeout in (actual.value, iter_timeout):
+                timeouts = [actual.value] + [t for _, _, t in drained]
+                for timeout in timeouts:
                     assert timeout.budget_ms == expected.value.budget_ms
                     assert timeout.elapsed_ms == expected.value.elapsed_ms
                 # ... and stores the same incomplete entry (none at all
                 # when the startup charge alone is over budget: that is
-                # charged before the cache is consulted).
+                # charged before the cache is consulted, and before a
+                # cursor exists).
                 stored = _entry(tuple_cache.peek(key))
                 assert _entry(batch_cache.peek(key)) == stored
-                assert (stored is None) == (cursor is None)
-                if cursor is not None:
+                for iter_rows, cursor, _ in drained:
+                    assert (stored is None) == (cursor is None)
+                    if cursor is None:
+                        continue
                     assert not cursor.exhausted
                     assert cursor.server_ms == expected.value.elapsed_ms
                     rows, charge_log, complete, _ = stored
                     assert rows is None and not complete
+                    assert tuple(cursor._charges.log) == charge_log
                     assert list(cursor.breakdown) == list(dict.fromkeys(
                         ["startup"] + [label for label, _, _ in charge_log]
                     ))
@@ -266,18 +280,20 @@ class TestStreamIdentity:
                 continue
             expected = tuple_engine.execute(spec.plan)
             actual = batch_engine.execute(spec.plan)
-            assert iter_timeout is None and cursor.exhausted
-            assert actual.rows == iter_rows == expected.rows
-            assert actual.server_ms == cursor.server_ms == expected.server_ms
-            assert (
-                actual.rows_examined == cursor.rows_examined
-                == expected.rows_examined
-            )
-            assert actual.breakdown == cursor.breakdown == expected.breakdown
-            assert (
-                list(actual.breakdown) == list(cursor.breakdown)
-                == list(expected.breakdown)
-            )
+            charge_log = tuple_cache.peek(key).charge_log
+            for iter_rows, cursor, iter_timeout in drained:
+                assert iter_timeout is None and cursor.exhausted
+                assert iter_rows == expected.rows
+                assert tuple(cursor._charges.log) == charge_log
+                assert cursor.server_ms == expected.server_ms
+                assert cursor.rows_examined == expected.rows_examined
+                assert cursor.breakdown == expected.breakdown
+                assert list(cursor.breakdown) == list(expected.breakdown)
+            assert actual.rows == expected.rows
+            assert actual.server_ms == expected.server_ms
+            assert actual.rows_examined == expected.rows_examined
+            assert actual.breakdown == expected.breakdown
+            assert list(actual.breakdown) == list(expected.breakdown)
             # The full ordered charge log — every (label, ms, rows)
             # triple — is recorded in the cache entry on the miss.
             assert _entry(batch_cache.peek(key)) == _entry(
@@ -288,6 +304,95 @@ class TestStreamIdentity:
             again = batch_engine.execute(spec.plan)
             assert again.rows == expected.rows
             assert again.server_ms == expected.server_ms
+
+
+# ---------------------------------------------------------------------------
+# Cursors: one opening protocol, nothing kept, nothing mutated
+
+
+@pytest.fixture(scope="module")
+def unified_plan(request):
+    """Q1's unified outer-join plan: one query whose branches share
+    sub-plans, so a run fills the per-execution memo."""
+    tiny_db = request.getfixturevalue("tiny_db")
+    tree = request.getfixturevalue("q1_tree")
+    generator = SqlGenerator(tree, tiny_db.schema, style=PlanStyle.OUTER_JOIN)
+    [spec] = generator.streams_for_partition(unified_partition(tree))
+    return spec.plan
+
+
+@pytest.mark.parametrize("mode", ENGINE_MODES)
+class TestCursor:
+    def test_opening_charges_startup_and_counts_the_lookup(
+        self, tiny_db, unified_plan, mode
+    ):
+        """Both modes charge ``startup`` and count the plan-cache lookup
+        when the cursor is opened — so a budget below ``startup_ms``
+        raises from ``execute_iter``, not from ``next()``."""
+        cache = PlanResultCache()
+        engine = QueryEngine(tiny_db, cache=cache, engine=mode)
+        metrics = MetricsRegistry()
+        with pytest.raises(TimeoutExceeded) as startup:
+            engine.execute_iter(
+                unified_plan, metrics=metrics,
+                budget_ms=engine.cost_model.startup_ms / 2,
+            )
+        assert startup.value.elapsed_ms == engine.cost_model.startup_ms
+        assert metrics.counter("plan_cache.misses") == 0
+
+        cursor = engine.execute_iter(unified_plan, metrics=metrics)
+        assert list(cursor.breakdown) == ["startup"]
+        assert metrics.counter("plan_cache.misses") == 1
+        cursor.close()
+
+        executed = engine.execute(unified_plan, metrics=metrics)
+        assert metrics.counter("plan_cache.misses") == 2
+        replay = engine.execute_iter(unified_plan, metrics=metrics)
+        assert metrics.counter("plan_cache.hits") == 1
+        assert list(replay.breakdown) == ["startup"]
+        assert list(replay) == executed.rows
+        assert replay.breakdown == executed.breakdown
+
+    def test_keeps_nothing(self, tiny_db, unified_plan, mode):
+        """A cursor run stores no plan-cache entry, neither reads nor
+        stores a node result, and its shared-sub-plan memo is gone once the
+        rows are — whether the cursor was exhausted or closed mid-stream."""
+        cache = PlanResultCache()
+        engine = QueryEngine(tiny_db, cache=cache, engine=mode)
+        drained = engine.execute_iter(unified_plan)
+        rows = list(drained)
+        assert drained.exhausted and "rescan" in drained.breakdown
+        abandoned = engine.execute_iter(unified_plan)
+        assert next(iter(abandoned)) == rows[0]
+        abandoned.close()
+        assert not abandoned.exhausted and list(abandoned) == []
+        for cursor in (drained, abandoned):
+            assert cursor._charges.memo == {}
+        assert len(cache) == 0 and cache.stats().stores == 0
+        node_stats = engine.node_cache.stats()
+        assert len(engine.node_cache) == 0
+        assert (node_stats.stores, node_stats.hits, node_stats.misses) == (
+            0, 0, 0
+        )
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_drain_never_mutates_a_cached_batch(
+        self, tiny_db, unified_plan, mode, cached
+    ):
+        """``execute`` → cursor → ``execute`` on one engine: the cursor
+        runs beside the node results ``execute`` cached (with ``cached`` it
+        replays the stored plan-cache entry) and hands its rows out
+        destructively; what ``execute`` returned and cached is untouched."""
+        engine = QueryEngine(
+            tiny_db, cache=PlanResultCache() if cached else None, engine=mode
+        )
+        before = engine.execute(unified_plan)
+        snapshot = list(before.rows)
+        cursor = engine.execute_iter(unified_plan)
+        assert list(cursor) == snapshot
+        after = engine.execute(unified_plan)
+        assert before.rows == snapshot == after.rows
+        assert cursor.server_ms == before.server_ms == after.server_ms
 
 
 # ---------------------------------------------------------------------------

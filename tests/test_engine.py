@@ -1,9 +1,13 @@
 """Tests for the executing engine and cost model (repro.relational.engine)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import TimeoutExceeded
+from repro.core.partition import unified_partition
+from repro.core.sqlgen import SqlGenerator
 from repro.relational.algebra import (
+    ColumnInfo,
     ColumnRef,
     Comparison,
     ConstantColumn,
@@ -22,7 +26,7 @@ from repro.relational.algebra import (
 from repro.relational.database import Database
 from repro.relational.engine import CostModel, QueryEngine
 from repro.relational.schema import Column, DatabaseSchema, TableSchema
-from repro.relational.types import SqlType
+from repro.relational.types import SqlType, width_function
 
 
 @pytest.fixture
@@ -291,3 +295,65 @@ class TestSpill:
 
 def emp_alias(db):
     return Scan(db.schema.table("Emp"), "e2")
+
+
+def _average_row_bytes_by_field(columns, rows, sample=500):
+    """The per-field loop ``QueryEngine._average_row_bytes`` replaced with
+    per-column sums: the reference it must equal to the last bit."""
+    stride = max(len(rows) // sample, 1)
+    sampled = rows[::stride]
+    width_fns = [width_function(col.sql_type) for col in columns]
+    total = 0
+    for row in sampled:
+        for fn, value in zip(width_fns, row):
+            if value is None:
+                total += 1  # null marker
+            else:
+                total += fn(value)
+    return total / len(sampled)
+
+
+_VALUES = {
+    SqlType.INTEGER: st.integers(-10 ** 6, 10 ** 6),
+    SqlType.DECIMAL: st.floats(allow_nan=False, allow_infinity=False),
+    SqlType.VARCHAR: st.text(max_size=12),
+    SqlType.CHAR: st.text(max_size=3),
+    SqlType.DATE: st.dates(),
+}
+
+
+@st.composite
+def _typed_rows(draw):
+    types = draw(st.lists(st.sampled_from(list(SqlType)), max_size=6))
+    columns = [
+        ColumnInfo(f"c{i}", sql_type) for i, sql_type in enumerate(types)
+    ]
+    row = st.tuples(*(st.none() | _VALUES[t] for t in types))
+    rows = draw(st.lists(row, min_size=1, max_size=40))
+    return columns, rows, draw(st.integers(1, 12))
+
+
+class TestAverageRowBytes:
+    @given(_typed_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_per_column_sum_equals_per_field_loop(self, case):
+        """Nullable columns, fixed and variable width mixed, zero arity,
+        empty strings, and a stride above one (``sample`` < rows)."""
+        columns, rows, sample = case
+        assert QueryEngine._average_row_bytes(
+            columns, rows, sample
+        ) == _average_row_bytes_by_field(columns, rows, sample)
+
+    def test_query_result(self, tiny_db, q1_tree):
+        """A real, wide, mostly-NULL result: Q1's unified outer union."""
+        tree = q1_tree
+        [spec] = SqlGenerator(tree, tiny_db.schema).streams_for_partition(
+            unified_partition(tree)
+        )
+        rows = QueryEngine(tiny_db).execute(spec.plan).rows
+        columns = spec.plan.columns()
+        assert len(rows) > 100 and any(None in row for row in rows)
+        for sample in (7, 500):
+            assert QueryEngine._average_row_bytes(
+                columns, rows, sample
+            ) == _average_row_bytes_by_field(columns, rows, sample)

@@ -6,15 +6,17 @@ Three surfaces are covered:
   byte-identical XML and a bit-identical report versus ``materialize()``,
   across queries, plan styles, partition strategies, reduction, and result
   cache warm/cold (property-based).
-* :meth:`Connection.execute_iter` / the engine's Volcano iterators — lazy
-  evaluation with the same charge log as the batch path.
+* :meth:`Connection.execute_iter` — cursors with the same rows and charges
+  as the materializing path, in no more memory than the interpreter's.
 * Concurrent dispatch — ``execute_partition(workers=N)`` must be
   indistinguishable from the sequential run except for the dispatch
   fields, including under timeouts and a shared result cache.
 """
 
+import gc
 import io
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -24,8 +26,10 @@ from repro.core.silkroute import SilkRoute
 from repro.core.sqlgen import PlanStyle
 from repro.relational.cache import PlanResultCache
 from repro.relational.connection import Connection
-from repro.relational.engine import CostModel
+from repro.relational.engine import ENGINE_MODES, CostModel
 from repro.bench.queries import QUERY_1, QUERY_2
+from repro.tpch.generator import TpchGenerator, TpchScale
+from repro.xmlgen.serializer import CountingSink
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +39,8 @@ def views(tiny_db):
 
     def make(cache):
         # engine="batch" spelled out: the reference side of every
-        # comparison here must stay the batch kernels — the tuple engine
-        # is the streaming interpreter itself.
+        # comparison here is ``materialize`` on the batch kernels; the
+        # streamed side runs cursors in both modes.
         silk = SilkRoute(
             Connection(tiny_db, CostModel(), engine="batch"), cache=cache
         )
@@ -74,9 +78,10 @@ class TestMaterializeToProperty:
         strategy=st.sampled_from(["unified", "fully-partitioned", None]),
         reduce=st.booleans(),
         cache=st.sampled_from(["cold", "warm"]),
+        engine=st.sampled_from(ENGINE_MODES),
     )
     def test_byte_identical_and_report_identical(
-        self, views, query, style, strategy, reduce, cache
+        self, views, query, style, strategy, reduce, cache, engine
     ):
         view = views[cache][query]
         if cache == "warm":
@@ -84,7 +89,9 @@ class TestMaterializeToProperty:
             view.materialize(strategy, style=style, reduce=reduce)
         ref = view.materialize(strategy, style=style, reduce=reduce)
         sink = io.StringIO()
-        out = view.materialize_to(sink, strategy, style=style, reduce=reduce)
+        out = view.materialize_to(
+            sink, strategy, style=style, reduce=reduce, engine=engine
+        )
         assert sink.getvalue() == ref.xml
         assert out.xml is None
         assert out.report.query_ms == ref.report.query_ms
@@ -128,16 +135,29 @@ class TestExecuteIter:
         assert cursor.transfer_ms > mid_transfer
 
     def test_budget_raises_with_label(self, tiny_conn, q1_view, tiny_db):
+        """One opening protocol in both modes: ``startup`` is charged when
+        the cursor is opened, the rest from ``next()``; either way the
+        error names the stream."""
         from repro.core.sqlgen import SqlGenerator
 
         generator = SqlGenerator(q1_view.tree, tiny_db.schema)
         [spec] = generator.streams_for_partition(q1_view.unified_partition())
-        with pytest.raises(TimeoutExceeded) as exc_info:
+        startup_ms = tiny_conn.engine.cost_model.startup_ms
+        for engine in ENGINE_MODES:
+            with pytest.raises(TimeoutExceeded) as at_open:
+                tiny_conn.execute_iter(
+                    spec.plan, budget_ms=0.001, label=spec.label,
+                    engine=engine,
+                )
+            assert at_open.value.stream_label == spec.label
             cursor = tiny_conn.execute_iter(
-                spec.plan, budget_ms=0.001, label=spec.label
+                spec.plan, budget_ms=startup_ms + 0.001, label=spec.label,
+                engine=engine,
             )
-            list(cursor)
-        assert exc_info.value.stream_label == spec.label
+            assert cursor.server_ms == startup_ms
+            with pytest.raises(TimeoutExceeded) as at_next:
+                next(iter(cursor))
+            assert at_next.value.stream_label == spec.label
 
 
 class TestConcurrentDispatch:
@@ -212,6 +232,31 @@ class TestConcurrentDispatch:
         assert cache.stats().misses == misses_after_cold
         assert cache.stats().hits >= warm.n_streams
         assert_same_stream_reports(cold.streams, warm.streams)
+
+
+class TestMaterializeToMemory:
+    def test_default_engine_peaks_no_higher_than_the_interpreter(self):
+        """``materialize_to`` on the default engine — cursors on the batch
+        kernels, nothing cached — must not need more heap than on the
+        row-at-a-time reference (``engine="tuple"``): fully-partitioned Q1
+        at scale 4, each on a fresh connection, into a discarding sink.
+        tracemalloc peaks are deterministic, so this can block."""
+        db = TpchGenerator(scale=TpchScale().scaled(4), seed=42).generate()
+        peaks = {}
+        for engine in ("batch", "tuple"):
+            view = SilkRoute(
+                Connection(db, CostModel(), engine=engine)
+            ).define_view(QUERY_1)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                view.materialize_to(
+                    CountingSink(), "fully-partitioned", reduce=False
+                )
+                peaks[engine] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["batch"] <= peaks["tuple"], peaks
 
 
 class TestMaterializeToTimeout:
