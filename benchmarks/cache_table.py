@@ -1,0 +1,181 @@
+"""Regenerate the cache table of DESIGN.md §6.
+
+    PYTHONPATH=src python3 benchmarks/cache_table.py               # rewrite it
+    PYTHONPATH=src python3 benchmarks/cache_table.py --workload plan_sweep
+
+Every bounded map in ``src/`` is a :class:`repro.relational.cache.BoundedCache`
+with a name, so one hook on its constructor sees them all.  For each of the
+four harness workloads this runs the harness's own traced run
+(``benchmarks/perf/run.py --workload W --trace 1``) in a child process with
+that hook installed, and adds up, per cache name, the counters of every
+instance the run created: hit rate = hits / (hits + misses) over all of
+them, peak = the most entries any one of them held.  The key and
+invalidation columns are facts about the code and are written here; the
+bounds are read off the live caches.  With ``--workload`` the process is
+the child: it prints that workload's counters as one JSON object.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import pathlib
+import subprocess
+import sys
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks" / "perf")]
+
+import run  # noqa: E402  (benchmarks/perf/run.py)
+from repro.relational.cache import BoundedCache  # noqa: E402
+
+WORKLOADS = run.WORKLOADS
+BEGIN = "<!-- cache-table:begin (benchmarks/cache_table.py) -->"
+END = "<!-- cache-table:end -->"
+
+#: name -> (owner, key, what invalidates an entry)
+CACHES = {
+    "plan_cache": (
+        "`PlanResultCache` on `QueryEngine.cache`",
+        "(plan fingerprint, dependency key, cost model, include_startup)",
+        "a write moves the dependency key of every plan reading the table; "
+        "`invalidate_tables` then frees the orphans",
+    ),
+    "node_cache": (
+        "`NodeResultCache` on `QueryEngine.node_cache`",
+        "sub-plan fingerprint (tables read stored beside the value)",
+        "`_refresh_dependencies` diffs the table generations before each "
+        "evaluation and drops the entries reading a changed table",
+    ),
+    "transfer_memo": (
+        "`Connection._transfer_memo`",
+        "(plan fingerprint, dependency key, compact_rows)",
+        "nothing; a write moves the key and the bound retires the orphan",
+    ),
+    "compiled_plans": (
+        "`QueryEngine._compiled`",
+        "plan fingerprint",
+        "nothing: a compiled plan reads the tables when it runs",
+    ),
+    "row_bytes": (
+        "`QueryEngine._row_bytes`",
+        "(plan fingerprint, dependency key)",
+        "nothing; a write moves the key",
+    ),
+    "instance_cache": (
+        "`StreamInstanceCache` on `XmlView.instance_cache`",
+        "(stream label, style, plan fingerprint, dependency key)",
+        "nothing; a write moves the key of the streams reading the table",
+    ),
+    "document_cache": (
+        "`XmlDocumentCache` on `XmlView.document_cache`",
+        "(root tag, indent, dependency key of every table the view reads)",
+        "nothing; a write to any table of the view moves the key",
+    ),
+    "decoders": (
+        "`ComparatorLayout._decoders`",
+        "stream shape (columns, unit paths, unit members)",
+        "nothing: a decoder depends on the view tree only",
+    ),
+    "mutation_dedup": (
+        "`Session._dedup` (sessions without a WAL)",
+        "request id",
+        "nothing",
+    ),
+}
+
+
+def record_workload(workload, seed):
+    """Run one traced harness workload here; return, per cache name, the
+    summed counters of every :class:`BoundedCache` it created."""
+    created = []
+    construct = BoundedCache.__init__
+
+    def recording(self, *args, **kwargs):
+        construct(self, *args, **kwargs)
+        created.append(self)
+
+    BoundedCache.__init__ = recording
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            result = run.run_one(run.parse_args(
+                ["--workload", workload, "--trace", "1", "--seed", str(seed)]
+            ))
+    finally:
+        BoundedCache.__init__ = construct
+    if not result["correct"]:
+        raise SystemExit(f"{workload}: the traced run reported failures")
+    totals = {}
+    for cache in created:
+        stats = cache.stats()
+        total = totals.setdefault(cache.name, {
+            "hits": 0, "misses": 0, "peak_entries": 0,
+            "max_entries": cache.max_entries, "max_bytes": cache.max_bytes,
+        })
+        total["hits"] += stats.hits
+        total["misses"] += stats.misses
+        total["peak_entries"] = max(total["peak_entries"], stats.peak_entries)
+    return totals
+
+
+def bound(total):
+    parts = []
+    if total["max_entries"] != float("inf"):
+        parts.append(f"{total['max_entries']:,} entries")
+    if total["max_bytes"] != float("inf"):
+        parts.append(f"{total['max_bytes'] / 2 ** 20:,.0f} MiB")
+    return " and ".join(parts)
+
+
+def cell(total):
+    if total is None:
+        return "not built"
+    requests = total["hits"] + total["misses"]
+    rate = f"{total['hits'] / requests:.0%}" if requests else "no lookups"
+    return f"{rate} · {total['peak_entries']:,}"
+
+
+def table(by_workload):
+    header = ["cache", "key", "bound", "what invalidates an entry",
+              *WORKLOADS]
+    rows = [header, ["---"] * len(header)]
+    for name, (owner, key, invalidation) in CACHES.items():
+        seen = [by_workload[w].get(name) for w in WORKLOADS]
+        bounds = {bound(total) for total in seen if total is not None}
+        rows.append([
+            f"`{name}` — {owner}", key, " / ".join(sorted(bounds)),
+            invalidation, *map(cell, seen),
+        ])
+    unknown = {n for totals in by_workload.values() for n in totals} - set(CACHES)
+    if unknown:
+        raise SystemExit(f"caches missing from CACHES: {sorted(unknown)}")
+    return "\n".join("| " + " | ".join(row) + " |" for row in rows)
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", choices=WORKLOADS)
+    parser.add_argument("--seed", type=int, default=20010521)
+    args = parser.parse_args(argv)
+    if args.workload:
+        print(json.dumps(record_workload(args.workload, args.seed)))
+        return
+    by_workload = {}
+    for workload in WORKLOADS:     # one after another: the box has two cores
+        child = subprocess.run(
+            [sys.executable, __file__, "--workload", workload,
+             "--seed", str(args.seed)],
+            stdout=subprocess.PIPE, text=True, check=True,
+        )
+        by_workload[workload] = json.loads(child.stdout.splitlines()[-1])
+    design = REPO_ROOT / "DESIGN.md"
+    text = design.read_text()
+    head, rest = text.split(BEGIN, 1)
+    _, tail = rest.split(END, 1)
+    rendered = table(by_workload)
+    design.write_text(f"{head}{BEGIN}\n{rendered}\n{END}{tail}")
+    print(rendered)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

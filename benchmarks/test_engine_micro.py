@@ -12,9 +12,9 @@ modes:
   accounting runs.
 
 Identity is asserted on every case: rows, simulated ``server_ms``, and
-``rows_examined`` must match the tuple engine bit-for-bit at every batch
-size.  Throughput numbers go to ``BENCH_engine.json`` at the repository
-root (a non-blocking CI artifact); the perf assertions here are
+``rows_examined`` must match the tuple engine bit-for-bit.  Throughput
+numbers go to ``BENCH_engine.json`` at the repository root (a
+non-blocking CI artifact); the perf assertions here are
 deliberately loose — regressions are tracked by the committed JSON, not by
 failing CI on a noisy runner.
 """
@@ -41,7 +41,6 @@ from repro.relational.engine import QueryEngine
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-BATCH_SIZES = [256, 4096, 65536]
 COLD_REPS = 10
 WARM_REPS = 50
 
@@ -118,47 +117,42 @@ def test_engine_micro(config_a, report_writer):
             "tuple_rows_per_s": round(
                 rows_per_exec * COLD_REPS / tuple_s
             ) if tuple_s else None,
-            "batch": {},
         }
         lines.append(
             f"  {label:10s} tuple {case['tuple_rows_per_s'] or 0:>12,}"
         )
-        for batch_size in BATCH_SIZES:
-            def make_batch_engine(bs=batch_size):
-                return QueryEngine(db, engine="batch", batch_size=bs)
 
-            cold_ref, cold_s = _timed(
-                make_batch_engine, plan, COLD_REPS, fresh_each=True
-            )
-            warm_ref, warm_s = _timed(
-                make_batch_engine, plan, WARM_REPS, fresh_each=False
-            )
-            # Bit-identity at every batch size, cold and warm.
-            for result in (cold_ref, warm_ref):
-                assert result.rows == tuple_ref.rows, label
-                assert result.server_ms == tuple_ref.server_ms, label
-                assert result.rows_examined == tuple_ref.rows_examined
-            cold_rate = (
-                round(rows_per_exec * COLD_REPS / cold_s) if cold_s else None
-            )
-            warm_rate = (
-                round(rows_per_exec * WARM_REPS / warm_s) if warm_s else None
-            )
-            case["batch"][str(batch_size)] = {
-                "cold_rows_per_s": cold_rate,
-                "warm_rows_per_s": warm_rate,
-            }
-            lines.append(
-                f"  {label:10s} batch/{batch_size:<6d} "
-                f"cold {cold_rate or 0:>12,}   warm {warm_rate or 0:>12,}"
-            )
+        def make_batch_engine():
+            return QueryEngine(db, engine="batch")
+
+        cold_ref, cold_s = _timed(
+            make_batch_engine, plan, COLD_REPS, fresh_each=True
+        )
+        warm_ref, warm_s = _timed(
+            make_batch_engine, plan, WARM_REPS, fresh_each=False
+        )
+        # Bit-identity, cold and warm.
+        for result in (cold_ref, warm_ref):
+            assert result.rows == tuple_ref.rows, label
+            assert result.server_ms == tuple_ref.server_ms, label
+            assert result.rows_examined == tuple_ref.rows_examined
+        case["batch_cold_rows_per_s"] = (
+            round(rows_per_exec * COLD_REPS / cold_s) if cold_s else None
+        )
+        case["batch_warm_rows_per_s"] = (
+            round(rows_per_exec * WARM_REPS / warm_s) if warm_s else None
+        )
+        lines.append(
+            f"  {label:10s} batch "
+            f"cold {case['batch_cold_rows_per_s'] or 0:>12,}   "
+            f"warm {case['batch_warm_rows_per_s'] or 0:>12,}"
+        )
         cases[label] = case
 
     payload = {
         "experiment": "per_operator_engine_micro",
         "cold_reps": COLD_REPS,
         "warm_reps": WARM_REPS,
-        "batch_sizes": BATCH_SIZES,
         "operators": cases,
     }
     (REPO_ROOT / "BENCH_engine.json").write_text(
@@ -169,8 +163,5 @@ def test_engine_micro(config_a, report_writer):
     # Loose sanity: warm batch execution (node-cache hits) must beat the
     # tuple interpreter on the expensive operators even on a loaded runner.
     for label in ("join", "sort", "distinct"):
-        warm = max(
-            entry["warm_rows_per_s"] or 0
-            for entry in cases[label]["batch"].values()
-        )
+        warm = cases[label]["batch_warm_rows_per_s"] or 0
         assert warm > (cases[label]["tuple_rows_per_s"] or 0), label

@@ -107,7 +107,6 @@ def _execution_options(args, default_budget_ms=None, obs=None, database=None):
         hedge_ms=args.hedge_ms,
         max_concurrent=args.max_concurrent,
         engine=getattr(args, "engine", None),
-        batch_size=getattr(args, "batch_size", None),
         backend=backend,
     )
 
@@ -247,8 +246,6 @@ def build_parser():
                        help="plan execution mode: vectorized batch kernels "
                             "or the row-at-a-time interpreter (results and "
                             "simulated timings are identical)")
-        p.add_argument("--batch-size", type=_positive_int, default=None,
-                       help="rows per chunk in the batch engine's kernels")
         p.add_argument("--backend", choices=sorted(BACKEND_NAMES),
                        default=None,
                        help="also execute the generated SQL on a real "

@@ -72,12 +72,11 @@ class ExecutionOptions:
     :class:`~repro.relational.replicas.AdmissionPolicy`, or an
     :class:`~repro.relational.replicas.AdmissionController`).
 
-    The execution-engine knobs are pure performance switches — results,
-    simulated timings, and cache entries are identical either way:
-    ``engine`` selects row-at-a-time (``"tuple"``) or vectorized columnar
-    (``"batch"``) plan evaluation, and ``batch_size`` the chunk size of
-    the batch kernels.  ``None`` (the default) defers to the connection's
-    :class:`~repro.relational.engine.QueryEngine` defaults.  ``backend``
+    ``engine`` is a pure performance switch — results, simulated timings,
+    and cache entries are identical either way: it selects row-at-a-time
+    (``"tuple"``) or vectorized columnar (``"batch"``) plan evaluation.
+    ``None`` (the default) defers to the connection's
+    :class:`~repro.relational.engine.QueryEngine` default.  ``backend``
     selects where the generated SQL is *also* executed for real
     (:mod:`repro.relational.backends`) — cross-validated against the
     simulated oracle, wall-clock recorded separately, results and
@@ -99,7 +98,6 @@ class ExecutionOptions:
     hedge_ms: float = None
     max_concurrent: object = None
     engine: str = None
-    batch_size: int = None
     #: Where generated SQL is executed: None defers to the connection's
     #: backend (usually pure simulation), ``"sqlite"``/``"simulated"`` or a
     #: :class:`~repro.relational.backends.Backend` instance select one for
@@ -113,17 +111,6 @@ class ExecutionOptions:
     #: its tenant/request id.  Purely diagnostic — never affects results,
     #: timings, or cache keys.
     request: object = None
-    #: Durability knobs, consumed by :class:`~repro.session.Session` (and
-    #: ``repro serve --wal``): ``wal_path`` is a directory for the
-    #: :class:`~repro.relational.wal.WriteAheadLog` (snapshot + log) the
-    #: session's database commits mutations through — on a restart the
-    #: same path recovers the pre-crash state; ``checkpoint_every``
-    #: snapshots + truncates after every N commit records (None never
-    #: auto-checkpoints).  Like ``obs``/``request``, these never affect
-    #: results, simulated timings, or cache keys — the serving layer
-    #: strips them from its canonical option keys.
-    wal_path: object = None
-    checkpoint_every: int = None
 
     def __post_init__(self):
         object.__setattr__(self, "keep", tuple(self.keep))

@@ -234,28 +234,16 @@ class XmlView:
         #: incremental maintenance (used by :meth:`materialize` when a
         #: result cache is installed; keys carry per-table generations,
         #: so mutations move only the affected streams' keys).
-        self._instances = StreamInstanceCache()
+        self.instance_cache = StreamInstanceCache()
         #: Finished (xml, tagger) documents per (root_tag, indent,
         #: dependency generations of every table the view reads) — every
         #: partition materializes the identical document, so the key
         #: carries no partition and any plan can serve a fresh-enough one.
-        self._documents = XmlDocumentCache()
+        self.document_cache = XmlDocumentCache()
         #: The tree's global sort layout and, inside it, the stream
         #: decoders compiled so far — one per stream shape, for the life
         #: of the view.
         self._layout = ComparatorLayout(tree)
-
-    @property
-    def instance_cache(self):
-        """The view's :class:`~repro.xmlgen.streams.StreamInstanceCache`
-        (the incremental-maintenance splice layer)."""
-        return self._instances
-
-    @property
-    def document_cache(self):
-        """The view's :class:`~repro.xmlgen.streams.XmlDocumentCache`
-        (finished documents, keyed by data generations)."""
-        return self._documents
 
     # -- plan space ---------------------------------------------------------------
 
@@ -895,17 +883,17 @@ class XmlView:
                     root_tag, indent,
                     query_engine.database.dependency_key(view_tables),
                 )
-                cached_doc = self._documents.get(doc_key)
+                cached_doc = self.document_cache.get(doc_key)
                 if cached_doc is not None:
                     root_span.set(document_cached=True)
                     return cached_doc
         document = tag_streams(
             self.tree, specs, streams, root_tag=root_tag, indent=indent,
-            obs=opts.obs, instance_cache=self._instances,
+            obs=opts.obs, instance_cache=self.instance_cache,
             instance_keys=instance_keys, layout=self._layout,
         )
         if doc_key is not None:
-            self._documents.store(doc_key, document)
+            self.document_cache.store(doc_key, document)
         return document
 
     def query(self, xmlql_text, root_tag="result", indent=None):

@@ -41,6 +41,11 @@ from the cached rows' value widths.
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from math import inf
+from operator import attrgetter
+
+_COUNTERS = ("hits", "misses", "stores", "evictions", "oversize_rejections",
+             "invalidations")
 
 
 @dataclass(frozen=True)
@@ -52,12 +57,15 @@ class CacheStats:
     stores: int
     evictions: int
     oversize_rejections: int
+    #: Entries dropped because a mutation made them stale (as opposed to
+    #: capacity ``evictions``).
+    invalidations: int
     entries: int
+    #: The most entries the cache ever held at once.
+    peak_entries: int
     current_bytes: float
+    #: ``inf`` when only the entry count is bounded.
     max_bytes: float
-    #: Entries dropped because a mutation made their dependency key stale
-    #: (as opposed to capacity ``evictions``).
-    invalidations: int = 0
 
     @property
     def requests(self):
@@ -65,33 +73,134 @@ class CacheStats:
 
     @property
     def hit_rate(self):
-        if not self.requests:
-            return 0.0
-        return self.hits / self.requests
+        return self.hits / self.requests if self.requests else 0.0
 
     def as_dict(self):
         """The snapshot as a plain (JSON-dumpable) dict, derived fields
         included — the shape the observability exporters publish."""
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "oversize_rejections": self.oversize_rejections,
-            "invalidations": self.invalidations,
-            "entries": self.entries,
-            "current_bytes": self.current_bytes,
-            "max_bytes": self.max_bytes,
-            "requests": self.requests,
+            **vars(self), "requests": self.requests,
             "hit_rate": self.hit_rate,
         }
 
-    def __str__(self):
-        return (
-            f"{self.hits}/{self.requests} hits ({self.hit_rate:.1%}), "
-            f"{self.entries} entries, {self.current_bytes / 1e6:.1f} MB "
-            f"of {self.max_bytes / 1e6:.1f} MB, {self.evictions} evicted"
-        )
+    def __getitem__(self, name):
+        """One field of :meth:`as_dict` by name; ``"bytes"`` reads
+        ``current_bytes``."""
+        return getattr(self, "current_bytes" if name == "bytes" else name)
+
+
+class BoundedCache:
+    """The one bounded map: thread-safe, least-recently-used first out.
+
+    Every bounded map in the package is one of these (DESIGN.md §6 lists
+    them), so there is one eviction policy and one :class:`CacheStats`.
+
+    ``max_entries`` and/or ``max_bytes`` bound it (None: unbounded);
+    ``size_of(value)`` is what a value weighs against ``max_bytes`` and
+    must not change while the value is stored.  A value heavier than the
+    whole byte bound is rejected, not stored.  Values are never None: that
+    is what a miss returns.  ``name`` prefixes the gauges of
+    :meth:`publish`.
+    """
+
+    def __init__(self, name, max_entries=None, max_bytes=None, size_of=None):
+        self.name = name
+        self.max_entries = inf if max_entries is None else max_entries
+        self.max_bytes = inf if max_bytes is None else max_bytes
+        self._size_of = size_of or (lambda value: 0)
+        self._entries = OrderedDict()
+        self._lock = threading.Lock()
+        self._bytes = 0
+        self._peak = 0
+        #: The event counters, under their :class:`CacheStats` names.
+        self._counts = dict.fromkeys(_COUNTERS, 0)
+
+    def __len__(self):
+        return len(self._entries)
+
+    def peek(self, key):
+        """The value for ``key`` (or None) without touching counters or
+        recency — a peek is not a request and must not skew
+        :meth:`stats`."""
+        with self._lock:
+            return self._entries.get(key)
+
+    def get(self, key, usable=None):
+        """The value for ``key``, or None; counted as a hit or a miss, and
+        a hit becomes the most recently used entry.  A stored value that
+        ``usable(value)`` turns down is a miss."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None or (usable is not None and not usable(value)):
+                self._counts["misses"] += 1
+                return None
+            self._entries.move_to_end(key)
+            self._counts["hits"] += 1
+            return value
+
+    def store(self, key, value):
+        """Insert (or replace) one entry, then evict least recently used
+        entries until the bounds hold again.  Returns how many were
+        evicted."""
+        size = self._size_of(value)
+        with self._lock:
+            if size > self.max_bytes:
+                self._counts["oversize_rejections"] += 1
+                return 0
+            entries = self._entries
+            old = entries.pop(key, None)
+            if old is not None:
+                self._bytes -= self._size_of(old)
+            entries[key] = value
+            self._bytes += size
+            self._counts["stores"] += 1
+            evicted = 0
+            while entries and (len(entries) > self.max_entries
+                               or self._bytes > self.max_bytes):
+                self._bytes -= self._size_of(entries.popitem(last=False)[1])
+                evicted += 1
+            self._counts["evictions"] += evicted
+            self._peak = max(self._peak, len(entries))
+            return evicted
+
+    def discard_where(self, stale):
+        """Drop every entry ``stale(key, value)`` holds for, counting each
+        as an invalidation.  Returns the number dropped."""
+        with self._lock:
+            doomed = [
+                key for key, value in self._entries.items()
+                if stale(key, value)
+            ]
+            for key in doomed:
+                self._bytes -= self._size_of(self._entries.pop(key))
+            self._counts["invalidations"] += len(doomed)
+            return len(doomed)
+
+    def clear(self):
+        """Drop the contents; the counters keep their lifetime totals."""
+        with self._lock:
+            self._entries.clear()
+            self._bytes = 0
+
+    def stats(self):
+        """A :class:`CacheStats` snapshot."""
+        with self._lock:
+            return CacheStats(
+                **self._counts, entries=len(self._entries),
+                peak_entries=self._peak, current_bytes=self._bytes,
+                max_bytes=self.max_bytes,
+            )
+
+    def publish(self, metrics):
+        """Publish a :meth:`stats` snapshot as ``<name>.<field>`` gauges
+        into an observability metrics registry (gauges, not counters: the
+        cache keeps its own lifetime totals and a snapshot is
+        last-write-wins)."""
+        for field, value in self.stats().as_dict().items():
+            metrics.gauge(f"{self.name}.{field}", value)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.name}: {self.stats()})"
 
 
 class CacheEntry:
@@ -101,9 +210,8 @@ class CacheEntry:
     charges the engine accumulated *after* the per-query startup charge
     (startup is charged by the engine before the cache is consulted; the
     ``include_startup`` mode is part of the engine's key).  ``complete`` is
-    False
-    when the recorded run raised ``TimeoutExceeded``; then ``rows`` is
-    ``None`` and the log ends at the raising charge.
+    False when the recorded run raised ``TimeoutExceeded``; then ``rows``
+    is ``None`` and the log ends at the raising charge.
     """
 
     __slots__ = ("rows", "charge_log", "complete", "nbytes")
@@ -246,44 +354,24 @@ def resolve_cache(cache):
     return cache
 
 
-class PlanResultCache:
-    """Thread-safe LRU cache of plan execution outcomes.
+class PlanResultCache(BoundedCache):
+    """LRU cache of plan execution outcomes, bounded by their bytes.
 
     Install one on a :class:`~repro.relational.engine.QueryEngine` (or pass
     ``cache=`` to ``Connection`` / ``sweep_partitions`` / ``SilkRoute``) and
     every ``execute`` call consults it.  Rows are returned by reference;
     callers must treat result rows as immutable (the engine's own
     common-subexpression memo already shares them the same way).
+    :meth:`peek` is how the resilient dispatcher decides whether a plan
+    can be replayed without contacting the (possibly faulty) source.
     """
 
-    #: Default memory bound: generous for the paper's workloads while still
-    #: bounding a long-lived middle-ware process.
-    DEFAULT_MAX_BYTES = 256 * 1024 * 1024
-
-    def __init__(self, max_bytes=DEFAULT_MAX_BYTES):
-        self.max_bytes = max_bytes
-        self._entries = OrderedDict()
-        self._lock = threading.Lock()
+    def __init__(self, max_bytes=256 * 1024 * 1024):
+        # The default is generous for the paper's workloads while still
+        # bounding a long-lived middle-ware process.
+        super().__init__("plan_cache", max_bytes=max_bytes,
+                         size_of=attrgetter("nbytes"))
         self._flight = SingleFlight()
-        self._hits = 0
-        self._misses = 0
-        self._stores = 0
-        self._evictions = 0
-        self._oversize = 0
-        self._invalidations = 0
-        self._current_bytes = 0.0
-
-    def __len__(self):
-        return len(self._entries)
-
-    def peek(self, key):
-        """Return the entry for ``key`` without touching counters or LRU
-        order (or None).  Used by the resilient dispatcher to decide
-        whether a plan can be replayed without contacting the (possibly
-        faulty) source — a peek is not a request and must not skew
-        :meth:`stats`."""
-        with self._lock:
-            return self._entries.get(key)
 
     def lookup(self, key, spent_ms=0.0, budget_ms=None):
         """Return a usable :class:`CacheEntry` or None.
@@ -292,159 +380,67 @@ class PlanResultCache:
         top of ``spent_ms`` is guaranteed to raise within ``budget_ms`` —
         otherwise the caller must re-execute (it may now complete).
         """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and not entry.complete:
-                if not entry.replay_raises(spent_ms, budget_ms):
-                    entry = None
-            if entry is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return entry
+        return self.get(
+            key,
+            lambda entry: entry.complete
+            or entry.replay_raises(spent_ms, budget_ms),
+        )
 
     def begin(self, key):
-        """Single-flight guard for concurrent misses on the same key.
-
-        Returns True when the caller becomes the *leader* for ``key`` (it
-        must execute the plan and call :meth:`finish` when done, whether or
-        not it stored an entry).  When another thread is already computing
-        the same key, blocks until that leader finishes and returns False —
-        the caller should then re-:meth:`lookup` (the leader's entry is
-        usually usable; if not, e.g. an incomplete entry under a larger
-        budget, the next ``begin`` makes the caller the new leader).
-
-        This is what makes concurrent stream dispatch insert each distinct
-        plan *once*: N simultaneous misses produce one execution and N-1
-        replays instead of N executions racing to store.  The guard itself
-        is a :class:`SingleFlight`, the same mechanism the serving layer
-        uses to coalesce whole client queries.
-        """
+        """:meth:`SingleFlight.begin` for concurrent misses on ``key``: the
+        leader (True) executes the plan and calls :meth:`finish`, whether or
+        not it stored an entry; a follower (False, once the leader is done)
+        looks the key up again and, if that entry is not usable to it
+        (incomplete, under a larger budget), leads the next ``begin``."""
         return self._flight.begin(key)
 
     def finish(self, key):
         """Release the single-flight guard taken by :meth:`begin`."""
         self._flight.finish(key)
 
-    def store(self, key, entry):
-        """Insert (or replace) one entry, evicting LRU entries as needed.
-        Entries larger than the whole bound are rejected."""
-        if entry.nbytes > self.max_bytes:
-            with self._lock:
-                self._oversize += 1
-            return
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._current_bytes -= old.nbytes
-            self._entries[key] = entry
-            self._current_bytes += entry.nbytes
-            self._stores += 1
-            while self._current_bytes > self.max_bytes and len(self._entries) > 1:
-                _, evicted = self._entries.popitem(last=False)
-                self._current_bytes -= evicted.nbytes
-                self._evictions += 1
-
     def invalidate_tables(self, token, tables, current_generations):
         """Drop entries made stale by a mutation of ``tables``.
 
         With dependency-scoped keys a stale entry can never be *served*
         (its key no longer matches), so this is garbage collection plus
-        accounting: it frees the bytes held by entries whose dependency
-        key records, for one of the mutated tables, a generation different
-        from ``current_generations[table]``, and counts them as
-        ``invalidations``.  Entries keyed by anything other than the
-        dependency-key shape for ``token`` — including caller-chosen
-        opaque keys — are left alone.  Returns the number dropped.
+        accounting: it frees the entries whose dependency key records, for
+        one of the mutated tables, a generation different from
+        ``current_generations[table]``, and counts them as
+        ``invalidations``.  Only keys shaped ``(fingerprint, (token,
+        ((table, generation), ...)), cost_model, startup)`` for this
+        ``token`` qualify; anything else — including caller-chosen opaque
+        keys — is not ours to judge.  Returns the number dropped.
         """
         tables = set(tables)
-        dropped = 0
-        with self._lock:
-            for key in list(self._entries):
-                if _stale_dependency_key(key, token, tables, current_generations):
-                    entry = self._entries.pop(key)
-                    self._current_bytes -= entry.nbytes
-                    self._invalidations += 1
-                    dropped += 1
-        return dropped
 
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-            self._current_bytes = 0.0
+        def stale(key, _entry):
+            try:
+                _, (key_token, generations), _, _ = key
+                return key_token == token and any(
+                    name in tables
+                    and generation != current_generations.get(name)
+                    for name, generation in generations
+                )
+            except (TypeError, ValueError):
+                return False
 
-    def publish(self, metrics, prefix="plan_cache"):
-        """Publish a :meth:`stats` snapshot as ``<prefix>.<field>`` gauges
-        into an observability metrics registry (gauges, not counters: the
-        cache keeps its own lifetime totals and a snapshot is
-        last-write-wins)."""
-        for name, value in self.stats().as_dict().items():
-            metrics.gauge(f"{prefix}.{name}", value)
-
-    def stats(self):
-        """A :class:`CacheStats` snapshot."""
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                stores=self._stores,
-                evictions=self._evictions,
-                oversize_rejections=self._oversize,
-                entries=len(self._entries),
-                current_bytes=self._current_bytes,
-                max_bytes=self.max_bytes,
-                invalidations=self._invalidations,
-            )
-
-    def __repr__(self):
-        return f"PlanResultCache({self.stats()})"
+        return self.discard_where(stale)
 
 
-def _stale_dependency_key(key, token, tables, current_generations):
-    """Does a plan-cache ``key`` record a stale generation for one of the
-    mutated ``tables``?  Duck-typed: only keys shaped
-    ``(fingerprint, (token, ((table, gen), ...)), cost_model, startup)``
-    for this ``token`` qualify; anything else is not ours to judge."""
-    if not (isinstance(key, tuple) and len(key) == 4):
-        return False
-    dep = key[1]
-    if not (isinstance(dep, tuple) and len(dep) == 2 and dep[0] == token):
-        return False
-    pairs = dep[1]
-    if not isinstance(pairs, tuple):
-        return False
-    for pair in pairs:
-        if not (isinstance(pair, tuple) and len(pair) == 2):
-            return False
-        name, generation = pair
-        if name in tables and generation != current_generations.get(name):
-            return True
-    return False
-
-
-class _NodeEntry:
-    __slots__ = ("value", "tables", "nbytes")
-
-    def __init__(self, value, tables, nbytes):
-        self.value = value
-        self.tables = tables
-        self.nbytes = nbytes
-
-
-def _node_value_bytes(value):
-    """Byte estimate for a node-cache value: a ``Batch`` or a
-    ``(Batch, build_work)`` pair (the outer-join kernel's shape).  A cheap
-    deterministic heuristic — 16 bytes per cell plus a fixed overhead —
-    reported as ``current_bytes`` in :meth:`NodeResultCache.stats`."""
+def _node_entry_bytes(entry):
+    """Byte estimate (16 per cell plus a fixed overhead) for a node-cache
+    entry ``(value, tables)`` whose value is a ``Batch`` or the outer-join
+    kernel's ``(Batch, build_work)`` pair."""
+    value = entry[0]
     batch = value[0] if isinstance(value, tuple) else value
     length = getattr(batch, "length", 0)
     arity = getattr(batch, "arity", 1)
     return 64.0 + 16.0 * length * max(arity, 1)
 
 
-class NodeResultCache:
-    """Dependency-tracked cache of batch-engine sub-plan results.
+class NodeResultCache(BoundedCache):
+    """Dependency-tracked cache of batch-engine sub-plan results, bounded
+    by entry count.
 
     This is the "data half" cache of the columnar engine: each entry maps
     a sub-plan fingerprint to its materialized
@@ -454,112 +450,26 @@ class NodeResultCache:
     entries that depend on mutated tables, which is what lets untouched
     view subtrees replay across writes instead of recomputing.
 
-    ``max_entries`` is a pop-oldest capacity bound enforced on store.
-
-    Thread-safe; an engine shared by concurrent stream dispatch threads
-    hits this cache from all of them.
+    An engine shared by concurrent stream dispatch threads hits this cache
+    from all of them.
     """
 
-    DEFAULT_MAX_ENTRIES = 4096
-
-    def __init__(self, max_entries=DEFAULT_MAX_ENTRIES):
-        self.max_entries = max_entries
-        #: Optional :class:`~repro.obs.metrics.MetricsRegistry`: when set,
-        #: every hit/miss/store/eviction/invalidation also increments the
-        #: matching ``node_cache.*`` counter at event time (so counters
-        #: reconcile exactly with :meth:`stats`, even under concurrent
-        #: dispatch).  The engine points this at the current execution's
-        #: registry.
-        self.metrics = None
-        self._entries = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._stores = 0
-        self._evictions = 0
-        self._invalidations = 0
-        self._current_bytes = 0.0
-
-    def __len__(self):
-        return len(self._entries)
-
-    def _inc(self, counter, amount=1):
-        # Caller holds the lock; MetricsRegistry has its own.
-        if self.metrics is not None and amount:
-            self.metrics.inc(f"node_cache.{counter}", amount)
+    def __init__(self, max_entries=4096):
+        super().__init__("node_cache", max_entries=max_entries,
+                         size_of=_node_entry_bytes)
 
     def get(self, fingerprint):
         """The cached value for a sub-plan fingerprint, or None."""
-        with self._lock:
-            entry = self._entries.get(fingerprint)
-            if entry is None:
-                self._misses += 1
-                self._inc("misses")
-                return None
-            self._entries.move_to_end(fingerprint)
-            self._hits += 1
-            self._inc("hits")
-            return entry.value
+        entry = super().get(fingerprint)
+        return None if entry is None else entry[0]
 
     def store(self, fingerprint, value, tables):
         """Cache ``value`` for a sub-plan reading ``tables`` (an iterable
         of base-table names — the invalidation footprint)."""
-        entry = _NodeEntry(value, frozenset(tables), _node_value_bytes(value))
-        with self._lock:
-            old = self._entries.pop(fingerprint, None)
-            if old is not None:
-                self._current_bytes -= old.nbytes
-            self._entries[fingerprint] = entry
-            self._current_bytes += entry.nbytes
-            self._stores += 1
-            self._inc("stores")
-            while len(self._entries) > self.max_entries:
-                _, evicted = self._entries.popitem(last=False)
-                self._current_bytes -= evicted.nbytes
-                self._evictions += 1
-                self._inc("evictions")
+        return super().store(fingerprint, (value, frozenset(tables)))
 
     def invalidate(self, changed_tables):
         """Delta propagation: drop every entry whose sub-plan reads one of
         ``changed_tables``.  Returns the number of entries invalidated."""
         changed = frozenset(changed_tables)
-        dropped = 0
-        with self._lock:
-            for fingerprint in list(self._entries):
-                if self._entries[fingerprint].tables & changed:
-                    entry = self._entries.pop(fingerprint)
-                    self._current_bytes -= entry.nbytes
-                    self._invalidations += 1
-                    self._inc("invalidations")
-                    dropped += 1
-        return dropped
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-            self._current_bytes = 0.0
-
-    def publish(self, metrics, prefix="node_cache"):
-        """Publish a :meth:`stats` snapshot as ``<prefix>.<field>`` gauges
-        (mirrors :meth:`PlanResultCache.publish`)."""
-        for name, value in self.stats().as_dict().items():
-            metrics.gauge(f"{prefix}.{name}", value)
-
-    def stats(self):
-        """A :class:`CacheStats` snapshot (``max_bytes`` is infinite: the
-        bound is the entry count)."""
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                stores=self._stores,
-                evictions=self._evictions,
-                oversize_rejections=0,
-                entries=len(self._entries),
-                current_bytes=self._current_bytes,
-                max_bytes=float("inf"),
-                invalidations=self._invalidations,
-            )
-
-    def __repr__(self):
-        return f"NodeResultCache({self.stats()})"
+        return self.discard_where(lambda _, entry: entry[1] & changed)

@@ -18,7 +18,6 @@ cheaply), so their effective width is the non-null field count; rows
 produced by a wide outer join bind every declared column.
 """
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.common.errors import (
@@ -32,7 +31,7 @@ from repro.relational.backends.base import (
     align_backend_rows,
     resolve_backend,
 )
-from repro.relational.cache import resolve_cache
+from repro.relational.cache import BoundedCache, resolve_cache
 from repro.relational.engine import QueryEngine
 from repro.relational.sqltext import render_sql
 from repro.relational.types import width_function
@@ -249,11 +248,10 @@ class Connection:
     """
 
     def __init__(self, database, cost_model, transfer_model=None, cache=None,
-                 faults=None, engine="batch", batch_size=None, backend=None):
+                 faults=None, engine="batch", backend=None):
         self.database = database
         self.engine = QueryEngine(database, cost_model,
-                                  cache=resolve_cache(cache),
-                                  engine=engine, batch_size=batch_size)
+                                  cache=resolve_cache(cache), engine=engine)
         self.transfer_model = transfer_model or TransferModel()
         self.faults = faults
         #: Default :class:`~repro.relational.backends.Backend` (or None for
@@ -267,8 +265,8 @@ class Connection:
         # produces against the read tables' current generations, so
         # replays (plan-cache hits, repeated sweep streams) skip the
         # per-row accumulation.  Mutations move the dependency key, which
-        # orphans stale entries; the pop-oldest cap bounds them.
-        self._transfer_memo = OrderedDict()
+        # orphans stale entries; the cap bounds them.
+        self._transfer_memo = BoundedCache("transfer_memo", max_entries=16384)
 
     @property
     def cache(self):
@@ -347,7 +345,7 @@ class Connection:
         result = run(
             plan, budget_ms=opts.budget_ms,
             metrics=obs_parts(opts.obs)[1] if opts.obs is not None else None,
-            engine=opts.engine, batch_size=opts.batch_size,
+            engine=opts.engine,
         )
         return result, latency_ms, backend, text
 
@@ -361,7 +359,7 @@ class Connection:
         :class:`~repro.core.options.ExecutionOptions` this layer reads —
         bundle them in ``options=`` or override single ones by keyword, as
         everywhere: ``budget_ms`` bounds *server* time (the paper's
-        per-subquery timeout); ``engine``/``batch_size`` override the
+        per-subquery timeout); ``engine`` overrides the
         engine's execution mode for this call (performance only; results
         and timings are identical); ``obs`` (an
         :class:`~repro.obs.ObsOptions` session) forwards the metrics
@@ -510,8 +508,6 @@ class Connection:
 
         return cost
 
-    _TRANSFER_MEMO_CAP = 16384
-
     def _transfer_cost_for(self, plan, result, compact_rows):
         """Memoized total transfer cost of a materialized execution.
 
@@ -531,15 +527,11 @@ class Connection:
         except AttributeError:
             return self._transfer_cost(result.columns, result.rows,
                                        compact_rows)
-        memo = self._transfer_memo
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = self._transfer_cost(result.columns, result.rows,
-                                    compact_rows)
-        memo[key] = total
-        while len(memo) > self._TRANSFER_MEMO_CAP:
-            memo.popitem(last=False)
+        total = self._transfer_memo.get(key)
+        if total is None:
+            total = self._transfer_cost(result.columns, result.rows,
+                                        compact_rows)
+            self._transfer_memo.store(key, total)
         return total
 
     def _transfer_cost(self, columns, rows, compact_rows):

@@ -37,8 +37,7 @@ from operator import itemgetter
 from repro.common.errors import ExecutionError, TimeoutExceeded
 from repro.common.ordering import NoneFirst, sort_key
 from repro.relational import algebra, vector_ops
-from repro.relational.batch import DEFAULT_BATCH_SIZE
-from repro.relational.cache import CacheEntry, NodeResultCache
+from repro.relational.cache import BoundedCache, CacheEntry, NodeResultCache
 from repro.relational.dependencies import plan_tables
 from repro.relational.types import SqlType
 from repro.relational.vector_ops import _key_plan, _shared_fingerprints
@@ -187,19 +186,6 @@ class IterResult:
         return self._charges.breakdown
 
 
-class _NoResults:
-    """The :class:`~repro.relational.cache.NodeResultCache` of an execution
-    that keeps nothing (a cursor): always empty."""
-
-    @staticmethod
-    def get(fingerprint):
-        return None
-
-    @staticmethod
-    def store(fingerprint, value, tables):
-        pass
-
-
 class _Charges:
     """Mutable accumulator for simulated cost, with a timeout budget.
 
@@ -209,13 +195,18 @@ class _Charges:
     totals, breakdown order, and timeout behaviour.
     """
 
-    def __init__(self, model, budget_ms, results=_NoResults):
+    def __init__(self, model, budget_ms, results=None, metrics=None):
         self.model = model
         self.budget_ms = budget_ms
         #: Where the batch kernels look up and keep sub-plan results: the
         #: engine's node-result cache under :meth:`QueryEngine.execute`,
-        #: nowhere under a cursor.
+        #: None (nowhere) under a cursor.
         self.results = results
+        #: This execution's :class:`~repro.obs.metrics.MetricsRegistry`
+        #: (or None).  It rides on the execution, not on the shared cache,
+        #: so concurrent executions under different observability
+        #: sessions each count their own ``node_cache.*`` events.
+        self.metrics = metrics
         self.total_ms = 0.0
         self.rows_examined = 0
         self.breakdown = {}
@@ -234,6 +225,28 @@ class _Charges:
             self.log.append((label, ms, rows))
         if self.budget_ms is not None and self.total_ms > self.budget_ms:
             raise TimeoutExceeded(self.budget_ms, self.total_ms)
+
+    def cached(self, fingerprint):
+        """The kept result of the sub-plan ``fingerprint``, or None."""
+        if self.results is None:
+            return None
+        value = self.results.get(fingerprint)
+        if self.metrics is not None:
+            self.metrics.inc(
+                "node_cache.misses" if value is None else "node_cache.hits"
+            )
+        return value
+
+    def keep(self, fingerprint, value, tables):
+        """Keep ``value`` as the result of the sub-plan ``fingerprint``,
+        which reads base ``tables``."""
+        if self.results is None:
+            return
+        evicted = self.results.store(fingerprint, value, tables)
+        if self.metrics is not None:
+            self.metrics.inc("node_cache.stores")
+            if evicted:
+                self.metrics.inc("node_cache.evictions", evicted)
 
     def replay(self, charge_log):
         """Re-apply a recorded charge log: the same additions in the same
@@ -270,9 +283,8 @@ class QueryEngine:
     (:meth:`execute` returns the rows as a list, :meth:`execute_iter` a
     cursor over them):
 
-    * ``"batch"`` (the default) — plans are lowered once per (plan,
-      batch size) into vectorized kernels
-      (:mod:`repro.relational.vector_ops`) that process columnar
+    * ``"batch"`` (the default) — plans are lowered once into vectorized
+      kernels (:mod:`repro.relational.vector_ops`) that process columnar
       :class:`~repro.relational.batch.Batch` chunks.  :meth:`execute`
       keeps every sub-plan result in the node-result cache; a cursor runs
       the *same* compiled plan keeping nothing, so its memory is the
@@ -286,13 +298,13 @@ class QueryEngine:
     Every operator therefore exists exactly twice: as a batch kernel and
     as a ``_stream_*`` generator.
 
-    ``engine``/``batch_size`` set the defaults; both can be overridden per
-    call.  Because results, simulated timings, and cache keys are
-    identical, modes may be mixed freely against a shared cache.
+    ``engine`` sets the default mode, which can be overridden per call.
+    Because results, simulated timings, and cache keys are identical,
+    modes may be mixed freely against a shared cache.
     """
 
     def __init__(self, database, cost_model=None, cache=None,
-                 engine="batch", batch_size=None):
+                 engine="batch"):
         self.database = database
         self.cost_model = cost_model or CostModel()
         #: Optional :class:`~repro.relational.cache.PlanResultCache` shared
@@ -301,22 +313,21 @@ class QueryEngine:
         if engine not in ENGINE_MODES:
             raise ValueError(f"unknown engine mode {engine!r}")
         self.default_engine = engine
-        self.default_batch_size = batch_size or DEFAULT_BATCH_SIZE
-        #: Compiled plans keyed by (plan fingerprint, batch size).  Plans
-        #: recur across sweep partitions, so compilation amortizes to zero.
-        self._compiled = {}
+        #: Compiled plans keyed by plan fingerprint.  Plans recur across
+        #: sweep partitions, so compilation amortizes to zero.
+        self._compiled = BoundedCache("compiled_plans", max_entries=512)
         #: Cached row-width estimates keyed by (plan fingerprint, plan
         #: dependency key): byte estimates never re-scan rows for a plan
         #: whose base tables' generations have already been sized.
-        self._row_bytes = {}
-        #: Batch-engine node-result cache: sub-plan fingerprint -> computed
-        #: Batch, tagged with the base tables the sub-plan reads.  Sweep
-        #: partitions share most of their sub-plans, so each distinct
-        #: sub-tree's rows are materialized once; every later execution
-        #: re-runs only the charge accounting over the shared immutable
-        #: batches.  A mutation invalidates only the dependent entries
-        #: (see :meth:`_refresh_dependencies`).
-        self._node_results = NodeResultCache()
+        self._row_bytes = BoundedCache("row_bytes", max_entries=4096)
+        #: Batch-engine node-result cache (the "data half"): sub-plan
+        #: fingerprint -> computed Batch, tagged with the base tables the
+        #: sub-plan reads.  Sweep partitions share most of their sub-plans,
+        #: so each distinct sub-tree's rows are materialized once; every
+        #: later execution re-runs only the charge accounting over the
+        #: shared immutable batches.  A mutation invalidates only the
+        #: dependent entries (see :meth:`_refresh_dependencies`).
+        self.node_cache = NodeResultCache()
         #: Per-table generation snapshot from the last batch evaluation;
         #: diffed against the live database to find mutated tables.
         self._table_gens = None
@@ -327,16 +338,6 @@ class QueryEngine:
             raise ValueError(f"unknown engine mode {mode!r}")
         return mode
 
-    def _compiled_for(self, plan, batch_size):
-        key = (plan.fingerprint(), batch_size)
-        compiled = self._compiled.get(key)
-        if compiled is None:
-            if len(self._compiled) >= 512:
-                self._compiled.pop(next(iter(self._compiled)))
-            compiled = vector_ops.compile_plan(plan, self, batch_size)
-            self._compiled[key] = compiled
-        return compiled
-
     def _row_bytes_for(self, fingerprint, columns, rows, tables):
         """Average row width for ``rows`` (the output of the plan with
         ``fingerprint``, reading base ``tables``), cached per dependency
@@ -344,12 +345,11 @@ class QueryEngine:
         entry, so estimates agree and each plan's rows are sampled at most
         once per generation of its base tables."""
         key = (fingerprint, self.database.dependency_key(tables))
-        cache = self._row_bytes
-        if key not in cache:
-            if len(cache) >= 4096:
-                cache.pop(next(iter(cache)))
-            cache[key] = self._average_row_bytes(columns, rows)
-        return cache[key]
+        row_bytes = self._row_bytes.get(key)
+        if row_bytes is None:
+            row_bytes = self._average_row_bytes(columns, rows)
+            self._row_bytes.store(key, row_bytes)
+        return row_bytes
 
     @staticmethod
     def tables_for(plan):
@@ -377,12 +377,6 @@ class QueryEngine:
             include_startup,
         )
 
-    @property
-    def node_cache(self):
-        """The batch engine's :class:`~repro.relational.cache.NodeResultCache`
-        (the "data half" sub-plan result cache)."""
-        return self._node_results
-
     def _refresh_dependencies(self, metrics=None):
         """Delta propagation: diff the live per-table generations against
         the last-seen snapshot and invalidate exactly the cache entries
@@ -402,7 +396,9 @@ class QueryEngine:
             for name in current.keys() | previous.keys()
             if current.get(name) != previous.get(name)
         }
-        self._node_results.invalidate(changed)
+        dropped = self.node_cache.invalidate(changed)
+        if metrics is not None and dropped:
+            metrics.inc("node_cache.invalidations", dropped)
         if self.cache is not None:
             dropped = self.cache.invalidate_tables(
                 self.database._token, changed, current
@@ -422,7 +418,7 @@ class QueryEngine:
         return entry is not None and entry.complete
 
     def execute(self, plan, budget_ms=None, include_startup=True,
-                metrics=None, engine=None, batch_size=None):
+                metrics=None, engine=None):
         """Run ``plan``; return an :class:`ExecutionResult`.
 
         ``budget_ms`` is a simulated-time budget (the paper's 5-minute
@@ -430,9 +426,8 @@ class QueryEngine:
         :class:`~repro.common.errors.TimeoutExceeded`.
 
         ``engine`` selects the execution mode (``"batch"`` or ``"tuple"``,
-        default :attr:`default_engine`) and ``batch_size`` the chunk size
-        of the batch kernels — performance knobs only: results, charge
-        logs, and cache entries are identical in every mode.
+        default :attr:`default_engine`) — a performance knob only:
+        results, charge logs, and cache entries are identical in both.
 
         With a :attr:`cache` installed, a plan already executed against the
         current database generation is *replayed* instead of re-evaluated:
@@ -447,14 +442,13 @@ class QueryEngine:
         leaders); executions with no cache installed count neither.
         """
         mode = self._engine_mode(engine)
-        batch_size = batch_size or self.default_batch_size
         charges = _Charges(self.cost_model, budget_ms,
-                           results=self._node_results)
+                           results=self.node_cache, metrics=metrics)
         if include_startup:
             charges.charge("startup", self.cost_model.startup_ms)
         cache = self.cache
         if cache is None:
-            rows = self._evaluate(plan, charges, mode, batch_size, metrics)
+            rows = self._evaluate(plan, charges, mode)
             return self._result(plan, rows, charges)
         # ``include_startup`` is part of the key: some charges (the
         # outer-join re-evaluation penalty) are measured as running-total
@@ -483,8 +477,7 @@ class QueryEngine:
         try:
             charges.log = []
             try:
-                rows = self._evaluate(plan, charges, mode, batch_size,
-                                      metrics)
+                rows = self._evaluate(plan, charges, mode)
             except TimeoutExceeded:
                 cache.store(
                     key,
@@ -509,21 +502,24 @@ class QueryEngine:
             cache.finish(key)
         return self._result(plan, rows, charges)
 
-    def _evaluate(self, plan, charges, mode, batch_size, metrics):
+    def _evaluate(self, plan, charges, mode):
         """Evaluate ``plan`` fresh in ``mode``; return the result rows."""
         if mode == "tuple":
             return list(self._stream_plan(plan, charges))
-        self._node_results.metrics = metrics
+        metrics = charges.metrics
         self._refresh_dependencies(metrics)
-        compiled = self._compiled_for(plan, batch_size)
+        compiled = self._compiled.get(plan.fingerprint())
+        if compiled is None:
+            compiled = vector_ops.compile_plan(plan, self)
+            self._compiled.store(plan.fingerprint(), compiled)
         batch = compiled.run(charges)
         if metrics is not None and charges.batches:
             for label, count in charges.batches.items():
                 metrics.inc(f"batch.{label}.batches", count)
-        return batch.rows(batch_size)
+        return batch.rows(compiled.batch_size)
 
     def execute_iter(self, plan, budget_ms=None, include_startup=True,
-                     metrics=None, engine=None, batch_size=None):
+                     metrics=None, engine=None):
         """Open a cursor on ``plan``; return an :class:`IterResult`.
 
         Arguments, modes and results are :meth:`execute`'s: the drained
@@ -560,7 +556,7 @@ class QueryEngine:
         twice the time.
         """
         mode = self._engine_mode(engine)
-        charges = _Charges(self.cost_model, budget_ms)
+        charges = _Charges(self.cost_model, budget_ms, metrics=metrics)
         if include_startup:
             charges.charge("startup", self.cost_model.startup_ms)
         result = IterResult(plan.columns(), charges)
@@ -584,20 +580,16 @@ class QueryEngine:
         if mode == "tuple":
             result._attach(self._stream_plan(plan, charges))
         else:
-            result._attach(self._drain_plan(
-                plan, charges, batch_size or self.default_batch_size, metrics
-            ))
+            result._attach(self._drain_plan(plan, charges))
         return result
 
-    def _drain_plan(self, plan, charges, batch_size, metrics):
+    def _drain_plan(self, plan, charges):
         """The batch engine's cursor: the compiled plan evaluated at the
         first ``next()``, then drained from a copy of its row list — the
         drain must not rest on every kernel returning a list that nothing
         else (a table, a batch) holds."""
         try:
-            rows = list(
-                self._evaluate(plan, charges, "batch", batch_size, metrics)
-            )
+            rows = list(self._evaluate(plan, charges, "batch"))
         finally:
             charges.memo.clear()
         yield from _drain(rows)

@@ -136,6 +136,7 @@ class ReplicaSet:
                 connection.engine.cost_model,
                 transfer_model=transfer or connection.transfer_model,
                 faults=per_replica[i],
+                engine=connection.engine.default_engine,
                 backend=backends[i] if backends is not None else None,
             )
             if connection.cache is not None:

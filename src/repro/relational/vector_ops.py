@@ -164,10 +164,10 @@ class _PlanCompiler:
     the dependent entries, and sweep partitions overlap heavily, so most
     executions touch no rows at all.
 
-    Kernels reach that cache through the execution (``charges.results``),
-    not the engine: :meth:`QueryEngine.execute` hands them the engine's, a
-    cursor (:meth:`QueryEngine.execute_iter`) one that holds nothing, so
-    one compiled plan serves both and a cursor's intermediates die with
+    Kernels reach that cache through the execution (``charges.cached`` /
+    ``charges.keep``), not the engine: :meth:`QueryEngine.execute` hands
+    them the engine's, a cursor (:meth:`QueryEngine.execute_iter`) none,
+    so one compiled plan serves both and a cursor's intermediates die with
     the kernel call that consumed them.
     """
 
@@ -236,11 +236,11 @@ class _PlanCompiler:
         tables = plan_tables(op)
 
         def fresh(charges):
-            batch = charges.results.get(fp)
+            batch = charges.cached(fp)
             if batch is None:
                 rows = list(database.table(table_name).rows)
                 batch = Batch.from_rows(rows, arity)
-                charges.results.store(fp, batch, tables)
+                charges.keep(fp, batch, tables)
             n = batch.length
             _note_batches(charges, "scan", n, batch_size)
             charges.charge("scan", n * scan_row_ms, n)
@@ -261,7 +261,7 @@ class _PlanCompiler:
         def fresh(charges):
             batch = child(charges)
             n = batch.length
-            result = charges.results.get(fp)
+            result = charges.cached(fp)
             if result is None:
                 rows = batch.rows(batch_size)
                 if n > batch_size:
@@ -272,7 +272,7 @@ class _PlanCompiler:
                 else:
                     out = kernel(rows)
                 result = Batch.from_rows(out, arity)
-                charges.results.store(fp, result, tables)
+                charges.keep(fp, result, tables)
             _note_batches(charges, "filter", n, batch_size)
             charges.charge("filter", n * filter_row_ms, n)
             return result
@@ -299,7 +299,7 @@ class _PlanCompiler:
         def fresh(charges):
             batch = child(charges)
             n = batch.length
-            result = charges.results.get(fp)
+            result = charges.cached(fp)
             if result is None:
                 # Column references are shared (zero copy when the child is
                 # column-backed); constant columns are built in one C-level
@@ -308,7 +308,7 @@ class _PlanCompiler:
                     batch.col(p) if is_col else [p] * n for is_col, p in plan
                 ]
                 result = Batch.from_columns(columns, n)
-                charges.results.store(fp, result, tables)
+                charges.keep(fp, result, tables)
             _note_batches(charges, "project", n, batch_size)
             charges.charge("project", n * project_row_ms, n)
             return result
@@ -327,14 +327,14 @@ class _PlanCompiler:
         def fresh(charges):
             batch = child(charges)
             n = batch.length
-            result = charges.results.get(fp)
+            result = charges.cached(fp)
             if result is None:
                 # dict.fromkeys is the C spelling of first-occurrence dedup
                 # — the same output order as the tuple engine's seen-set
                 # loop.
                 out = list(dict.fromkeys(batch.rows(batch_size)))
                 result = Batch.from_rows(out, arity)
-                charges.results.store(fp, result, tables)
+                charges.keep(fp, result, tables)
             _note_batches(charges, "distinct", n, batch_size)
             charges.charge("distinct", n * hash_row_ms, n)
             return result
@@ -367,7 +367,7 @@ class _PlanCompiler:
             right_batch = right(charges)
             n_left = left_batch.length
             n_right = right_batch.length
-            result = charges.results.get(fp)
+            result = charges.cached(fp)
             if result is None:
                 left_rows = left_batch.rows(batch_size)
                 right_rows = right_batch.rows(batch_size)
@@ -390,7 +390,7 @@ class _PlanCompiler:
                         for match in lookup(key, ()):
                             append(row + match)
                 result = Batch.from_rows(out, arity)
-                charges.results.store(fp, result, tables)
+                charges.keep(fp, result, tables)
             _note_batches(charges, "join", n_left + n_right, batch_size)
             charges.charge(
                 "join",
@@ -453,7 +453,7 @@ class _PlanCompiler:
             n_left = left_batch.length
             n_right = right_batch.length
 
-            cached = charges.results.get(fp)
+            cached = charges.cached(fp)
             if cached is None:
                 left_rows = left_batch.rows(batch_size)
                 right_rows = right_batch.rows(batch_size)
@@ -488,7 +488,7 @@ class _PlanCompiler:
                     if not matched:
                         append(row + null_pad)
                 cached = (Batch.from_rows(out, arity), build_work)
-                charges.results.store(fp, cached, tables)
+                charges.keep(fp, cached, tables)
             result, build_work = cached
 
             _note_batches(
@@ -538,7 +538,7 @@ class _PlanCompiler:
             child_batches = [
                 child_run(charges) for child_run, _ in compiled_inputs
             ]
-            out = charges.results.get(fp)
+            out = charges.cached(fp)
             if out is None:
                 columns = [[] for _ in range(width)]
                 total = 0
@@ -556,7 +556,7 @@ class _PlanCompiler:
                 if distinct:
                     deduped = list(dict.fromkeys(out.rows(batch_size)))
                     out = Batch.from_rows(deduped, width)
-                charges.results.store(fp, out, tables)
+                charges.keep(fp, out, tables)
             n_out = out.length
             _note_batches(charges, "union", n_out, batch_size)
             charges.charge("union", n_out * union_row_ms, n_out)
@@ -584,7 +584,7 @@ class _PlanCompiler:
         def fresh(charges):
             batch = child(charges)
             n = batch.length
-            result = charges.results.get(fp)
+            result = charges.cached(fp)
             if result is None:
                 rows = batch.rows(batch_size)
                 if key_plan and n:
@@ -599,7 +599,7 @@ class _PlanCompiler:
                 else:
                     out = list(rows)
                 result = Batch.from_rows(out, arity)
-                charges.results.store(fp, result, tables)
+                charges.keep(fp, result, tables)
 
             if n:
                 # Width sampling sees the *input-order* rows, as in the

@@ -54,7 +54,7 @@ MAX_FRAME_BYTES = 1 << 20
 WIRE_OPTIONS = (
     "style", "reduce", "budget_ms", "workers", "retries", "fault_seed",
     "fault_rate", "replicas", "hedge_ms", "max_concurrent", "engine",
-    "batch_size", "backend",
+    "backend",
 )
 
 _STYLES = {
@@ -123,7 +123,7 @@ def options_from_wire(wire):
     for name in ("budget_ms", "hedge_ms"):
         if wire.get(name) is not None:
             fields[name] = float(wire[name])
-    for name in ("workers", "replicas", "max_concurrent", "batch_size"):
+    for name in ("workers", "replicas", "max_concurrent"):
         if wire.get(name) is not None:
             fields[name] = int(wire[name])
     engine = wire.get("engine")
@@ -160,7 +160,7 @@ def options_to_wire(options):
         wire["fault_seed"] = options.faults.seed
         wire["fault_rate"] = options.faults.error_rate
     for name in ("budget_ms", "hedge_ms", "workers", "replicas",
-                 "max_concurrent", "batch_size", "engine"):
+                 "max_concurrent", "engine"):
         value = getattr(options, name)
         if value is not None:
             wire[name] = value

@@ -150,10 +150,6 @@ class Server:
         #: never collide across a restart — the WAL's dedup map must see
         #: a *retry* as equal and a *new request* as fresh.
         self._id_token = uuid.uuid4().hex[:8]
-        #: Fallback exactly-once map for servers without a WAL: request
-        #: id -> recorded mutate result (process-local, capped).
-        self._dedup = {}
-        self._dedup_order = []
         self._draining = False
         self._inflight = 0
         self._drain_cv = threading.Condition()
@@ -289,8 +285,7 @@ class Server:
                     or policy.max_queued_streams is not None
                     or policy.deadline_ms is not None):
                 opts = replace(opts, max_concurrent=policy)
-        return replace(opts, obs=None, request=None, wal_path=None,
-                       checkpoint_every=None)
+        return replace(opts, obs=None, request=None)
 
     def _append_log(self, kind, **payload):
         with self._log_lock:
@@ -383,26 +378,6 @@ class Server:
             )
             return self.session.explain(rxl, partition, options=opts)
 
-    def _recorded_mutation(self, request_id):
-        """The recorded result of an already-committed mutation request,
-        or None.  With a WAL the map is the log's (durable, restart-proof);
-        without one it is a process-local capped dict — enough to absorb
-        a client's in-session retries."""
-        if request_id is None:
-            return None
-        wal = self.session.wal
-        if wal is not None:
-            return wal.request_result(request_id)
-        return self._dedup.get(request_id)
-
-    def _record_mutation(self, request_id, recorded):
-        if request_id is None or self.session.wal is not None:
-            return  # the WAL's commit record already carries it
-        self._dedup[request_id] = recorded
-        self._dedup_order.append(request_id)
-        while len(self._dedup_order) > 4096:
-            self._dedup.pop(self._dedup_order.pop(0), None)
-
     def mutate(self, table, op="insert", rows=1, seed=0, tenant="default",
                request_id=None):
         """Apply a delta through the service: exclusive against every
@@ -412,7 +387,9 @@ class Server:
         ``request_id`` makes the mutation **exactly-once**: a repeat of
         an already-committed id (a client retry after a lost response —
         or, with a WAL, after a server crash and restart) returns the
-        recorded result without re-applying the delta."""
+        recorded result without re-applying the delta
+        (:meth:`Session.mutate <repro.session.Session.mutate>` keeps the
+        record) and is not appended to the execution log again."""
         request_id = self._request_id(request_id)
         self.metrics.inc("serve.requests")
         self.metrics.inc(f"serve.tenant.{tenant}.requests")
@@ -422,18 +399,6 @@ class Server:
         try:
             controller = self._admit(tenant, request_id)
             with self._rw.write():
-                recorded = self._recorded_mutation(request_id)
-                if recorded is not None:
-                    self.metrics.inc("serve.deduped")
-                    stats = {
-                        "generation": recorded["generation"],
-                        "deduplicated": True,
-                        "serve": {"tenant": tenant, "request_id": request_id},
-                    }
-                    return QueryResult(
-                        mutated=recorded["mutated"],
-                        table=recorded["table"], stats=stats,
-                    )
                 try:
                     result = self.session.mutate(table, op=op, rows=rows,
                                                  seed=seed,
@@ -441,15 +406,15 @@ class Server:
                 except Exception as exc:
                     self.metrics.inc("serve.errors")
                     raise tag_request(exc, tenant, request_id)
-                self._record_mutation(request_id, {
-                    "mutated": result.mutated, "table": result.table,
-                    "generation": result.stats.get("generation"),
-                })
-                self._append_log(
-                    "mutate", tenant=tenant, request_id=request_id,
-                    table=table, op=op, rows=rows, seed=seed,
-                )
-            self.metrics.inc("serve.mutations")
+                deduplicated = result.stats.get("deduplicated", False)
+                if not deduplicated:
+                    self._append_log(
+                        "mutate", tenant=tenant, request_id=request_id,
+                        table=table, op=op, rows=rows, seed=seed,
+                    )
+            self.metrics.inc(
+                "serve.deduped" if deduplicated else "serve.mutations"
+            )
             stats = dict(result.stats)
             stats["serve"] = {"tenant": tenant, "request_id": request_id}
             return QueryResult(

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from repro.bench.sweep import sweep_partitions
 from repro.core.options import ExecutionOptions, RequestContext  # noqa: F401
 from repro.core.silkroute import SilkRoute
+from repro.relational.cache import BoundedCache
 
 
 @dataclass
@@ -185,8 +186,7 @@ class Session:
     generation counters, and the request-dedup map come back exactly as
     committed, and :attr:`recovery` carries the
     :class:`~repro.relational.wal.RecoveryReport`.  ``checkpoint_every``
-    snapshots + truncates the log after every N commit records.  Both
-    default from ``options.wal_path`` / ``options.checkpoint_every``.
+    snapshots + truncates the log after every N commit records.
     """
 
     def __init__(self, db=None, options=None, cache=True, estimator=None,
@@ -196,10 +196,10 @@ class Session:
         self.document_cache_bytes = document_cache_bytes
         self._views = {}
         self._silkroute = self._resolve(db, cache, estimator, source)
-        if wal is None and options is not None:
-            wal = options.wal_path
-        if checkpoint_every is None and options is not None:
-            checkpoint_every = options.checkpoint_every
+        #: Without a WAL, request id -> recorded mutate result: process-
+        #: local and capped, enough to absorb a client's in-session
+        #: retries.  With one, the log's own (durable) map is consulted.
+        self._dedup = BoundedCache("mutation_dedup", max_entries=4096)
         self.wal = None
         self.recovery = None
         if wal is not None:
@@ -279,8 +279,8 @@ class Session:
         if cache is not None:
             stats["plan_cache"] = cache.stats().as_dict()
         if view is not None:
-            stats["document_cache"] = view.document_cache.stats()
-            stats["splice_cache"] = view.instance_cache.stats()
+            stats["document_cache"] = view.document_cache.stats().as_dict()
+            stats["splice_cache"] = view.instance_cache.stats().as_dict()
         return stats
 
     # -- queries -----------------------------------------------------------
@@ -360,34 +360,35 @@ class Session:
         dependent cache key — the next materialization of an affected
         view re-executes only what the delta touched.
 
-        With a :attr:`wal` attached the whole delta commits as ONE
-        durable record, and ``request_id`` makes it **exactly-once**: a
-        repeat of an already-committed id returns the recorded result
-        without touching the database — across process restarts too,
-        since the dedup map lives in the log.
+        ``request_id`` makes the mutation **exactly-once**: a repeat of
+        an already-committed id returns the recorded result, marked
+        ``stats["deduplicated"]``, without touching the database.  With a
+        :attr:`wal` attached the whole delta commits as ONE durable
+        record that carries the id, so that holds across process restarts
+        too; without one the session remembers its last 4,096 ids.
         """
-        if self.wal is not None:
-            if request_id is not None:
-                recorded = self.wal.request_result(request_id)
-                if recorded is not None:
-                    stats = self._stats()
-                    stats["generation"] = recorded["generation"]
-                    stats["deduplicated"] = True
-                    return QueryResult(
-                        mutated=recorded["mutated"],
-                        table=recorded["table"], stats=stats,
-                    )
-            with self.database.transaction(request_id) as txn:
-                changed = apply_delta(self.database, table, op=op,
-                                      rows=rows, seed=seed)
-                txn.result = {
-                    "mutated": changed, "table": table,
-                    "generation": self.database.table(table).version,
-                }
-        else:
+        if request_id is not None:
+            recorded = (self.wal.request_result(request_id)
+                        if self.wal is not None
+                        else self._dedup.get(request_id))
+            if recorded is not None:
+                stats = self._stats()
+                stats["generation"] = recorded["generation"]
+                stats["deduplicated"] = True
+                return QueryResult(
+                    mutated=recorded["mutated"], table=recorded["table"],
+                    stats=stats,
+                )
+        with self.database.transaction(request_id) as txn:
             changed = apply_delta(self.database, table, op=op, rows=rows,
                                   seed=seed)
+            txn.result = recorded = {
+                "mutated": changed, "table": table,
+                "generation": self.database.table(table).version,
+            }
+        if self.wal is None and request_id is not None:
+            self._dedup.store(request_id, recorded)
         stats = self._stats()
-        stats["generation"] = self.database.table(table).version
+        stats["generation"] = recorded["generation"]
         return QueryResult(mutated=changed, table=table, stats=stats)
 

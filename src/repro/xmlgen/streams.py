@@ -16,20 +16,15 @@ NULLs sort first, which places every parent instance before its children.
 """
 
 import heapq
-import threading
 from bisect import bisect_right
-from collections import OrderedDict
 from operator import attrgetter, itemgetter
 
 from repro.common.errors import PlanError
 from repro.common.ordering import TYPE_TAGS, flat_key
+from repro.relational.cache import BoundedCache
 
 _KEY = attrgetter("key")
 _TAG_OF = TYPE_TAGS.__getitem__
-
-# Compiled decoders a layout keeps before it starts over (see
-# ComparatorLayout.decoder).
-MAX_DECODERS = 256
 
 
 class Instance:
@@ -80,7 +75,7 @@ class ComparatorLayout:
             for stv in tree.stvs_at_level(level):
                 if stv in key_stvs:
                     self.entries.append(("stv", stv))
-        self._decoders = {}
+        self._decoders = BoundedCache("decoders", max_entries=256)
 
     def instance_key(self, node, values):
         """The key of ``node``'s instance with Skolem arguments ``values``
@@ -101,8 +96,8 @@ class ComparatorLayout:
         are regenerated per execution, so the cache is keyed by shape, not
         by spec object; a concurrent first use at worst compiles twice.
         A view served under a handful of plans has a handful of shapes,
-        but the shapes of a tree grow with its partitions: past
-        ``MAX_DECODERS`` the cache starts over (a compile is well under a
+        but the shapes of a tree grow with its partitions, so the cache
+        keeps the 256 most recently used (a compile is well under a
         millisecond)."""
         shape = (
             spec.column_names,
@@ -114,11 +109,8 @@ class ComparatorLayout:
         )
         decoder = self._decoders.get(shape)
         if decoder is None:
-            if len(self._decoders) >= MAX_DECODERS:
-                self._decoders.clear()
-            decoder = self._decoders[shape] = StreamDecoder(
-                spec, shape[0], self
-            )
+            decoder = StreamDecoder(spec, shape[0], self)
+            self._decoders.store(shape, decoder)
         return decoder
 
 
@@ -322,7 +314,7 @@ class CountingIterator:
         return item
 
 
-class StreamInstanceCache:
+class StreamInstanceCache(BoundedCache):
     """LRU cache of decoded per-stream :class:`Instance` lists.
 
     The splice layer of incremental view maintenance: re-materializing a
@@ -336,70 +328,11 @@ class StreamInstanceCache:
     affected streams only.
     """
 
-    def __init__(self, max_entries=512, max_bytes=None):
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self._entries = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._bytes = 0
-
-    @staticmethod
-    def _size(value):
-        """Bytes charged against ``max_bytes`` for one entry; the base
-        class does not charge (entry-count bound only)."""
-        return 0
-
-    def __len__(self):
-        return len(self._entries)
-
-    def get(self, key):
-        """The cached instance list for ``key``, or None."""
-        with self._lock:
-            instances = self._entries.get(key)
-            if instances is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return instances
-
-    def store(self, key, instances):
-        with self._lock:
-            previous = self._entries.pop(key, None)
-            if previous is not None:
-                self._bytes -= self._size(previous)
-            self._entries[key] = instances
-            self._bytes += self._size(instances)
-            while self._entries and (
-                len(self._entries) > self.max_entries
-                or (self.max_bytes is not None
-                    and self._bytes > self.max_bytes)
-            ):
-                _, evicted = self._entries.popitem(last=False)
-                self._bytes -= self._size(evicted)
-                self.evictions += 1
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
-
-    def stats(self):
-        """Counters as a plain dict (for reports and metrics gauges)."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "entries": len(self._entries),
-                "bytes": self._bytes,
-            }
+    def __init__(self, max_entries=512):
+        super().__init__("instance_cache", max_entries=max_entries)
 
 
-class XmlDocumentCache(StreamInstanceCache):
+class XmlDocumentCache(BoundedCache):
     """LRU cache of fully tagged ``(xml, tagger)`` documents.
 
     The top layer of incremental maintenance: every partition of a view
@@ -421,12 +354,9 @@ class XmlDocumentCache(StreamInstanceCache):
     """
 
     def __init__(self, max_entries=64, max_bytes=None):
-        super().__init__(max_entries=max_entries, max_bytes=max_bytes)
-
-    @staticmethod
-    def _size(value):
-        xml, _tagger = value
-        return len(xml)
+        super().__init__("document_cache", max_entries=max_entries,
+                         max_bytes=max_bytes,
+                         size_of=lambda document: len(document[0]))
 
 
 def instance_sources(specs, row_sources, layout, instance_cache=None,

@@ -10,15 +10,16 @@ that composes with execution.  Tested here:
   column views;
 * **per-stream identity** (hypothesis) — over random sweep partitions and
   both plan styles, every stream's rows, simulated timings, breakdown,
-  and full ordered charge log match the tuple engine's at several batch
-  sizes;
+  and full ordered charge log match the tuple engine's, and the plan
+  lowered at several chunk sizes (``vector_ops.compile_plan``) matches
+  them too;
 * **end-to-end identity** (hypothesis) — materialized XML bytes and
   report figures match sequentially, with concurrent dispatch, and under
   injected faults on a replica pool;
 * **sort semantics** — the batch engine's stable single-key passes
   reproduce :class:`~repro.common.ordering.NoneFirst` exactly for NULLs
   and pathological mixed-type columns;
-* **mode plumbing** — engine/batch_size knobs validate and flow through
+* **mode plumbing** — the engine knob validates and flows through
   ``ExecutionOptions``, ``Connection``, and the CLI parser.
 """
 
@@ -40,7 +41,9 @@ from repro.relational import vector_ops
 from repro.relational.batch import Batch, DEFAULT_BATCH_SIZE, codec_for
 from repro.relational.cache import PlanResultCache
 from repro.relational.connection import Connection
-from repro.relational.engine import ENGINE_MODES, CostModel, QueryEngine
+from repro.relational.engine import (
+    ENGINE_MODES, CostModel, QueryEngine, _Charges,
+)
 from repro.relational.faults import FaultPolicy, RetryPolicy
 from repro.relational.algebra import Scan
 
@@ -178,6 +181,24 @@ def _drain(engine, plan, budget_ms):
     return rows, cursor, None
 
 
+def _run_compiled(engine, plan, batch_size, budget_ms):
+    """``plan`` lowered at ``batch_size`` and run the way ``execute`` runs
+    a cache miss: ``(rows or None, charge log after startup, timeout)``."""
+    charges = _Charges(engine.cost_model, budget_ms,
+                       results=engine.node_cache)
+    try:
+        charges.charge("startup", engine.cost_model.startup_ms)
+    except TimeoutExceeded as exc:
+        return None, None, exc
+    charges.log = []
+    compiled = vector_ops.compile_plan(plan, engine, batch_size)
+    try:
+        rows = compiled.run(charges).rows(batch_size)
+    except TimeoutExceeded as exc:
+        return None, tuple(charges.log), exc
+    return rows, tuple(charges.log), None
+
+
 def _entry(entry):
     """A ``CacheEntry``'s fields, comparable (None when nothing stored)."""
     if entry is None:
@@ -237,24 +258,25 @@ class TestStreamIdentity:
                 tiny_db, cache=tuple_cache, engine="tuple"
             )
             batch_engine = QueryEngine(
-                tiny_db, cache=batch_cache, engine="batch",
-                batch_size=batch_size,
+                tiny_db, cache=batch_cache, engine="batch"
             )
             key = tuple_engine.cache_key_for(spec.plan)
             drained = [
-                _drain(
-                    QueryEngine(tiny_db, engine=mode, batch_size=batch_size),
-                    spec.plan, budget_ms,
-                )
+                _drain(QueryEngine(tiny_db, engine=mode), spec.plan, budget_ms)
                 for mode in ENGINE_MODES
             ]
+            chunked_rows, chunked_log, chunked_timeout = _run_compiled(
+                QueryEngine(tiny_db), spec.plan, batch_size, budget_ms
+            )
             if budget_ms is not None:
                 # Every path raises at the same charge ...
                 with pytest.raises(TimeoutExceeded) as expected:
                     tuple_engine.execute(spec.plan, budget_ms=budget_ms)
                 with pytest.raises(TimeoutExceeded) as actual:
                     batch_engine.execute(spec.plan, budget_ms=budget_ms)
-                timeouts = [actual.value] + [t for _, _, t in drained]
+                timeouts = [actual.value, chunked_timeout] + [
+                    t for _, _, t in drained
+                ]
                 for timeout in timeouts:
                     assert timeout.budget_ms == expected.value.budget_ms
                     assert timeout.elapsed_ms == expected.value.elapsed_ms
@@ -264,6 +286,7 @@ class TestStreamIdentity:
                 # cursor exists).
                 stored = _entry(tuple_cache.peek(key))
                 assert _entry(batch_cache.peek(key)) == stored
+                assert chunked_log == (stored and stored[1])
                 for iter_rows, cursor, _ in drained:
                     assert (stored is None) == (cursor is None)
                     if cursor is None:
@@ -281,6 +304,9 @@ class TestStreamIdentity:
             expected = tuple_engine.execute(spec.plan)
             actual = batch_engine.execute(spec.plan)
             charge_log = tuple_cache.peek(key).charge_log
+            assert chunked_timeout is None
+            assert chunked_rows == expected.rows
+            assert chunked_log == charge_log
             for iter_rows, cursor, iter_timeout in drained:
                 assert iter_timeout is None and cursor.exhausted
                 assert iter_rows == expected.rows
@@ -404,19 +430,16 @@ class TestEndToEndIdentity:
         max_examples=8, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(
-        index=st.integers(min_value=0, max_value=10 ** 9),
-        batch_size=st.sampled_from(BATCH_SIZES),
-    )
+    @given(index=st.integers(min_value=0, max_value=10 ** 9))
     def test_random_partition_xml_identity(
-        self, tiny_db, tiny_estimator, q1_partitions, index, batch_size
+        self, tiny_db, tiny_estimator, q1_partitions, index
     ):
         partition = q1_partitions[index % len(q1_partitions)]
         tuple_result = fresh_view(tiny_db, tiny_estimator).materialize(
             partition, engine="tuple"
         )
         batch_result = fresh_view(tiny_db, tiny_estimator).materialize(
-            partition, engine="batch", batch_size=batch_size
+            partition, engine="batch"
         )
         assert batch_result.xml == tuple_result.xml
         assert (
@@ -435,17 +458,13 @@ class TestEndToEndIdentity:
         max_examples=6, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(
-        batch_size=st.sampled_from(BATCH_SIZES),
-        workers=st.sampled_from([2, 4]),
-    )
+    @given(workers=st.sampled_from([2, 4]))
     def test_concurrent_dispatch_identity(
-        self, tiny_db, tiny_estimator, baseline, batch_size, workers
+        self, tiny_db, tiny_estimator, baseline, workers
     ):
         view = fresh_view(tiny_db, tiny_estimator)
         result = view.materialize(
-            "fully-partitioned", engine="batch", batch_size=batch_size,
-            workers=workers,
+            "fully-partitioned", engine="batch", workers=workers,
         )
         assert result.xml == baseline.xml
         assert result.report.query_ms == baseline.report.query_ms
@@ -455,12 +474,9 @@ class TestEndToEndIdentity:
         max_examples=8, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(
-        seed=st.integers(min_value=0, max_value=30),
-        batch_size=st.sampled_from(BATCH_SIZES),
-    )
+    @given(seed=st.integers(min_value=0, max_value=30))
     def test_faulted_replicated_dispatch_identity(
-        self, tiny_db, tiny_estimator, baseline, seed, batch_size
+        self, tiny_db, tiny_estimator, baseline, seed
     ):
         """Faults + replicas + retries around the batch engine leave the
         document and figures identical to the tuple fault-free run.  Retry
@@ -469,8 +485,7 @@ class TestEndToEndIdentity:
         view = fresh_view(tiny_db, tiny_estimator)
         try:
             result = view.materialize(
-                "fully-partitioned", engine="batch", batch_size=batch_size,
-                replicas=2, workers=2,
+                "fully-partitioned", engine="batch", replicas=2, workers=2,
                 faults=FaultPolicy(seed=seed, error_rate=0.3),
                 retry=RetryPolicy(max_attempts=6),
             )
@@ -498,23 +513,20 @@ class TestModePlumbing:
             engine.execute(plan, engine="columnar")
 
     def test_connection_forwards_defaults(self, tiny_db):
-        connection = Connection(
-            tiny_db, CostModel(), engine="tuple", batch_size=64
-        )
+        connection = Connection(tiny_db, CostModel(), engine="tuple")
         assert connection.engine.default_engine == "tuple"
-        assert connection.engine.default_batch_size == 64
 
     def test_execution_options_carry_engine_knobs(self):
-        options = ExecutionOptions(engine="batch", batch_size=128)
+        options = ExecutionOptions(engine="batch")
         assert options.engine == "batch"
-        assert options.batch_size == 128
+        with pytest.raises(TypeError):
+            ExecutionOptions(batch_size=128)
 
     def test_cli_parses_engine_flags(self):
         args = build_parser().parse_args(
-            ["materialize", "--engine", "tuple", "--batch-size", "32"]
+            ["materialize", "--engine", "tuple"]
         )
         assert args.engine == "tuple"
-        assert args.batch_size == 32
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["materialize", "--engine", "columnar"]
@@ -532,7 +544,7 @@ class TestModePlumbing:
         plan = Scan(tiny_db.schema.table("Region"), "r")
         engine = QueryEngine(tiny_db, engine="batch")
         before = engine.execute(plan)
-        assert engine._node_results  # populated by the run
+        assert engine.node_cache  # populated by the run
         tiny_db.insert("Region", 999999, "zz-new-region")
         after = engine.execute(plan)
         reference = QueryEngine(tiny_db, engine="tuple").execute(plan)

@@ -19,6 +19,7 @@ The load-bearing invariants:
 
 import json
 import math
+import threading
 import time
 
 import pytest
@@ -28,7 +29,11 @@ from repro.bench.queries import QUERY_1
 from repro.bench.sweep import sweep_partitions
 from repro.core.options import ExecutionOptions
 from repro.core import silkroute as silkroute_module
-from repro.core.partition import enumerate_partitions, unified_partition
+from repro.core.partition import (
+    enumerate_partitions,
+    fully_partitioned,
+    unified_partition,
+)
 from repro.core.silkroute import SilkRoute
 from repro.core.sqlgen import SqlGenerator
 from repro.obs import (
@@ -46,7 +51,7 @@ from repro.obs import (
 )
 from repro.relational.cache import PlanResultCache
 from repro.relational.connection import Connection
-from repro.relational.engine import CostModel
+from repro.relational.engine import CostModel, QueryEngine
 from repro.relational.faults import FaultPolicy, RetryPolicy
 from repro.tpch.configs import CONFIG_A, build_database
 from repro.xmlgen.serializer import XmlWriter
@@ -589,6 +594,51 @@ class TestMetricsReconciliation:
         gauges = obs.metrics.snapshot()["gauges"]
         assert gauges["node_cache.hits"] == stats.hits
         assert gauges["node_cache.entries"] == stats.entries
+
+    def test_node_cache_counters_stay_with_their_session(
+            self, tiny_db, q1_tree, monkeypatch):
+        """Two executions under different metrics registries, in flight on
+        one engine at once, each count their own node-cache events."""
+        specs = SqlGenerator(q1_tree, tiny_db.schema).streams_for_partition(
+            fully_partitioned(q1_tree)
+        )
+        plans = [specs[0].plan, specs[-1].plan]
+
+        def lookups(registry):
+            counters = registry.snapshot()["counters"]
+            return (counters.get("node_cache.hits", 0)
+                    + counters.get("node_cache.misses", 0))
+
+        alone = []
+        for plan in plans:
+            registry = MetricsRegistry()
+            QueryEngine(tiny_db).execute(plan, metrics=registry)
+            alone.append(lookups(registry))
+        assert all(alone)
+
+        # An evaluation reads the table generations once, before its first
+        # node-cache lookup: hold both there until both have started.
+        barrier = threading.Barrier(2, timeout=30)
+        table_generations = tiny_db.table_generations
+
+        def gated():
+            barrier.wait()
+            return table_generations()
+
+        monkeypatch.setattr(tiny_db, "table_generations", gated)
+        engine = QueryEngine(tiny_db)
+        registries = [MetricsRegistry(), MetricsRegistry()]
+        threads = [
+            threading.Thread(target=engine.execute, args=(plan,),
+                             kwargs={"metrics": registry})
+            for plan, registry in zip(plans, registries)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert [lookups(registry) for registry in registries] == alone
+        assert sum(alone) == engine.node_cache.stats().requests
 
     def test_cache_replays_shield_a_faulty_source(self, tiny_db,
                                                   tiny_estimator):

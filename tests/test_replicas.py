@@ -114,11 +114,12 @@ class TestReplicaSet:
             ReplicaSet([])
 
     def test_from_connection_replica_zero_is_the_connection(self, tiny_db):
-        connection = Connection(tiny_db, CostModel())
+        connection = Connection(tiny_db, CostModel(), engine="tuple")
         rset = ReplicaSet.from_connection(connection, 3)
         assert len(rset) == 3
         assert rset.connections[0] is connection
         assert all(c.database is tiny_db for c in rset)
+        assert all(c.engine.default_engine == "tuple" for c in rset)
 
     def test_from_connection_rejects_bad_counts(self, tiny_db):
         connection = Connection(tiny_db, CostModel())

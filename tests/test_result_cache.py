@@ -7,7 +7,13 @@ per-operator breakdown (including dict insertion order), and the same
 compare cached engines against uncached ones across the paper workload
 queries on both configurations' cost models, and check invalidation when
 the underlying database mutates.
+
+``TestBoundedCacheContract`` is the one statement of what the bounded maps
+under it all do — bounds, recency, byte accounting, counters, threads —
+run against every way ``src/`` instantiates :class:`BoundedCache`.
 """
+
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -20,7 +26,12 @@ from repro.core.partition import (
     unified_partition,
 )
 from repro.core.sqlgen import PlanStyle, SqlGenerator
-from repro.relational.cache import CacheEntry, PlanResultCache
+from repro.relational.cache import (
+    BoundedCache,
+    CacheEntry,
+    NodeResultCache,
+    PlanResultCache,
+)
 from repro.relational.engine import (
     CONFIG_A_COST_MODEL,
     CONFIG_B_COST_MODEL,
@@ -28,6 +39,7 @@ from repro.relational.engine import (
     QueryEngine,
 )
 from repro.tpch.generator import TpchGenerator, TpchScale
+from repro.xmlgen.streams import StreamInstanceCache, XmlDocumentCache
 
 
 def sample_partitions(tree):
@@ -220,33 +232,6 @@ class TestCacheBookkeeping:
             complete=True, nbytes=nbytes,
         )
 
-    def test_lru_eviction_under_memory_bound(self):
-        cache = PlanResultCache(max_bytes=1000)
-        for i in range(4):
-            cache.store(("plan", i), self.entry(300, i))
-        # 4 * 300 > 1000: the least recently used entry was evicted.
-        assert len(cache) == 3
-        stats = cache.stats()
-        assert stats.evictions == 1
-        assert stats.current_bytes == 900
-        assert cache.lookup(("plan", 0)) is None
-        assert cache.lookup(("plan", 3)).rows == [(3,)]
-
-    def test_lookup_refreshes_recency(self):
-        cache = PlanResultCache(max_bytes=1000)
-        for i in range(3):
-            cache.store(("plan", i), self.entry(300, i))
-        cache.lookup(("plan", 0))  # refresh the oldest
-        cache.store(("plan", 3), self.entry(300, 3))
-        assert cache.lookup(("plan", 0)) is not None
-        assert cache.lookup(("plan", 1)) is None
-
-    def test_oversize_entry_rejected(self):
-        cache = PlanResultCache(max_bytes=100)
-        cache.store(("big",), self.entry(500, 0))
-        assert len(cache) == 0
-        assert cache.stats().oversize_rejections == 1
-
     def test_clear_resets_contents_not_counters(self):
         cache = PlanResultCache()
         cache.store(("plan",), self.entry(64, 0))
@@ -269,3 +254,176 @@ class TestCacheBookkeeping:
         assert hit is entry
         assert hit.replay_raises(0.0, 8.0)
         assert not hit.replay_raises(0.0, 10.0)  # exactly on budget: no raise
+
+
+class _FakeBatch:
+    def __init__(self, length):
+        self.length = length
+        self.arity = 1
+
+
+class _Kind:
+    """One way the package instantiates :class:`BoundedCache`, behind one
+    face: ``make(max_entries, max_bytes)`` builds it, ``value(size)`` is
+    something to store that weighs ``size`` where the kind weighs values
+    at all (``weighs``), ``get``/``store`` are its own read and write."""
+
+    def __init__(self, name, make, value, get=BoundedCache.get,
+                 store=BoundedCache.store, entry_bound=True, weighs=True):
+        self.name = name
+        self.make = make
+        self.value = value
+        self.get = get
+        self.store = store
+        self.entry_bound = entry_bound
+        self.weighs = weighs
+
+    def holding_three(self):
+        """A cache with room for exactly three ``value(300)``."""
+        if self.entry_bound:
+            return self.make(3, None)
+        return self.make(None, 1000)
+
+    def __repr__(self):
+        return self.name
+
+
+KINDS = [
+    # The engine's compiled-plan and row-width maps, the connection's
+    # transfer memo, the session's dedup map, a layout's decoders.
+    _Kind("bare",
+          lambda n, b: BoundedCache("t", max_entries=n, max_bytes=b,
+                                    size_of=len),
+          lambda size: "x" * size),
+    _Kind("plan",
+          lambda n, b: PlanResultCache(max_bytes=b),
+          lambda size: CacheEntry(rows=[], charge_log=(), complete=True,
+                                  nbytes=size),
+          get=PlanResultCache.lookup, entry_bound=False),
+    _Kind("node",
+          lambda n, b: NodeResultCache(max_entries=n),
+          _FakeBatch,
+          get=NodeResultCache.get,
+          store=lambda cache, key, value: cache.store(key, value, {"Part"}),
+          weighs=False),
+    _Kind("instances",
+          lambda n, b: StreamInstanceCache(max_entries=n),
+          lambda size: [None] * size, weighs=False),
+    _Kind("documents",
+          lambda n, b: XmlDocumentCache(max_entries=n, max_bytes=b),
+          lambda size: ("x" * size, None)),
+]
+ENTRY_BOUND = [kind for kind in KINDS if kind.entry_bound]
+WEIGHING = [kind for kind in KINDS if kind.weighs]
+
+
+class TestBoundedCacheContract:
+    """What every bounded map in ``src/`` does, asserted once."""
+
+    @pytest.mark.parametrize("kind", KINDS, ids=repr)
+    def test_evicts_least_recently_used_first(self, kind):
+        cache = kind.holding_three()
+        for i in range(3):
+            assert kind.store(cache, i, kind.value(300)) == 0
+        assert kind.get(cache, 0) is not None  # refresh the oldest
+        assert kind.store(cache, 3, kind.value(300)) == 1
+        assert len(cache) == 3
+        assert cache.stats().evictions == 1
+        assert cache.peek(0) is not None and cache.peek(1) is None
+        assert cache.stats().peak_entries == 3
+
+    @pytest.mark.parametrize("kind", ENTRY_BOUND, ids=repr)
+    def test_entry_bound(self, kind):
+        cache = kind.make(3, None)
+        for i in range(6):
+            kind.store(cache, i, kind.value(1))
+        stats = cache.stats()
+        assert (len(cache), stats.entries, stats.evictions) == (3, 3, 3)
+        assert [cache.peek(i) is not None for i in range(6)] == (
+            [False] * 3 + [True] * 3
+        )
+
+    @pytest.mark.parametrize("kind", WEIGHING, ids=repr)
+    def test_byte_bound(self, kind):
+        cache = kind.make(None, 1000)
+        for i in range(4):
+            kind.store(cache, i, kind.value(300))
+        stats = cache.stats()
+        assert (len(cache), stats.evictions) == (3, 1)
+        assert stats.current_bytes == stats["bytes"] == 900
+        assert stats.max_bytes == 1000
+        assert cache.peek(0) is None
+
+    @pytest.mark.parametrize("kind", KINDS, ids=repr)
+    def test_replacing_keeps_byte_accounting_exact(self, kind):
+        cache, fresh = kind.make(None, None), kind.make(None, None)
+        kind.store(cache, "k", kind.value(300))
+        kind.store(cache, "k", kind.value(500))
+        kind.store(fresh, "k", kind.value(500))
+        stats = cache.stats()
+        assert (stats.entries, stats.stores) == (1, 2)
+        assert stats.current_bytes == fresh.stats().current_bytes
+        if kind.weighs:
+            assert stats.current_bytes == 500
+
+    @pytest.mark.parametrize("kind", WEIGHING, ids=repr)
+    def test_oversize_value_rejected(self, kind):
+        cache = kind.make(None, 100)
+        kind.store(cache, "k", kind.value(60))
+        assert kind.store(cache, "k", kind.value(500)) == 0
+        kind.store(cache, "big", kind.value(101))
+        stats = cache.stats()
+        assert (stats.oversize_rejections, stats.evictions) == (2, 0)
+        assert (len(cache), stats.current_bytes) == (1, 60)
+
+    @pytest.mark.parametrize("kind", KINDS, ids=repr)
+    def test_every_get_is_a_hit_or_a_miss(self, kind):
+        cache = kind.make(None, None)
+        for i in range(4):
+            kind.store(cache, i, kind.value(10))
+        found = [kind.get(cache, i) is not None for i in range(-3, 7)]
+        cache.peek(0), cache.peek(99)  # not requests
+        stats = cache.stats()
+        assert stats.hits == sum(found) == 4
+        assert stats.hits + stats.misses == stats.requests == len(found)
+        assert stats["hits"] == 4 and stats.as_dict()["hit_rate"] == 0.4
+        cache.clear()
+        assert (len(cache), cache.stats().current_bytes) == (0, 0)
+        assert cache.stats().hits == 4  # counters are lifetime totals
+
+    @pytest.mark.parametrize("kind", KINDS, ids=repr)
+    def test_discard_where_counts_invalidations(self, kind):
+        cache, fresh = kind.make(None, None), kind.make(None, None)
+        for i in range(6):
+            kind.store(cache, i, kind.value(100))
+        assert cache.discard_where(lambda key, value: key % 2) == 3
+        for i in (0, 2, 4):
+            kind.store(fresh, i, kind.value(100))
+        stats = cache.stats()
+        assert (stats.invalidations, stats.evictions, len(cache)) == (3, 0, 3)
+        assert stats.current_bytes == fresh.stats().current_bytes
+        assert cache.peek(1) is None and cache.peek(2) is not None
+
+    @pytest.mark.parametrize("kind", KINDS, ids=repr)
+    def test_eight_threads(self, kind):
+        cache = kind.holding_three()
+        rounds = 300
+
+        def work(seed):
+            for i in range(rounds):
+                key = (seed + i) % 7
+                if kind.get(cache, key) is None:
+                    kind.store(cache, key, kind.value(300))
+
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        stats = cache.stats()
+        assert stats.requests == 8 * rounds
+        assert stats.entries == len(cache) <= 3 == stats.peak_entries
+        assert stats.stores >= stats.entries + stats.evictions
+        assert cache.discard_where(lambda key, value: True) == stats.entries
+        assert cache.stats().current_bytes == 0

@@ -120,7 +120,7 @@ class TestProtocol:
             style=PlanStyle.OUTER_UNION, reduce=True, budget_ms=125.0,
             workers=2, retry=RetryPolicy(max_attempts=3),
             faults=FaultPolicy(seed=7, error_rate=0.25), replicas=2,
-            hedge_ms=4.0, max_concurrent=3, engine="tuple", batch_size=64,
+            hedge_ms=4.0, max_concurrent=3, engine="tuple",
         )
         back = options_from_wire(options_to_wire(opts))
         assert back.style is PlanStyle.OUTER_UNION
@@ -134,7 +134,6 @@ class TestProtocol:
         assert back.hedge_ms == 4.0
         assert back.max_concurrent == 3
         assert back.engine == "tuple"
-        assert back.batch_size == 64
 
     def test_unknown_wire_option_is_refused(self):
         with pytest.raises(ProtocolError, match="workerz"):
@@ -689,6 +688,9 @@ class TestClientRetry:
                 assert second["mutated"] == first["mutated"]
                 assert second["generation"] == first["generation"]
                 assert server.stats()["deduped"] == 1
+                # ... and the replayable log holds the request once.
+                assert [entry["request_id"]
+                        for entry in server.execution_log()] == ["x-1"]
                 # A fresh call (retries pin a NEW auto id) applies.
                 third = client.mutate("Nation", op="insert", rows=1, seed=9)
                 assert third["deduplicated"] is False

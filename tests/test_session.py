@@ -148,6 +148,24 @@ class TestMutate:
         assert result.table == "Nation"
         assert result.stats["generation"] > before
 
+    def test_repeated_request_id_applies_once_without_a_wal(self):
+        session = Session(fresh_db())
+        first = session.mutate("Nation", op="insert", rows=2, seed=3,
+                               request_id="rq-1")
+        assert "deduplicated" not in first.stats
+        rows = len(session.database.table("Nation"))
+        again = session.mutate("Nation", op="insert", rows=2, seed=3,
+                               request_id="rq-1")
+        assert again.stats["deduplicated"] is True
+        assert again.mutated == first.mutated == 2
+        assert again.stats["generation"] == first.stats["generation"]
+        assert len(session.database.table("Nation")) == rows
+        # No id, or a new one, applies.
+        session.mutate("Nation", op="insert", rows=1, seed=4)
+        session.mutate("Nation", op="insert", rows=1, seed=5,
+                       request_id="rq-2")
+        assert len(session.database.table("Nation")) == rows + 2
+
     def test_incremental_matches_cold_oracle(self):
         session = Session(fresh_db())
         session.materialize(QUERY_1, "unified")

@@ -381,15 +381,6 @@ class TestExactlyOnce:
 
 
 class TestSessionWiring:
-    def test_options_wal_path_builds_the_log(self, wal_dir):
-        options = ExecutionOptions(wal_path=wal_dir, checkpoint_every=2)
-        session = Session(fresh_db(), options=options)
-        assert session.wal is not None
-        assert session.wal.checkpoint_every == 2
-        session.mutate("Nation", op="insert", rows=1)
-        session.wal.close()
-        assert os.path.exists(os.path.join(wal_dir, "snapshot"))
-
     def test_recovered_session_serves_bit_identically(self, wal_dir):
         session = Session(fresh_db(), wal=wal_dir)
         session.mutate("Supplier", op="update", rows=2, seed=5)

@@ -16,7 +16,6 @@ from repro.core.sqlgen import PlanStyle, SqlGenerator
 from repro.core.viewtree import build_view_tree
 from repro.rxl.parser import parse_rxl
 from repro.xmlgen.serializer import XmlWriter, escape_text, format_value
-from repro.xmlgen import streams as streams_module
 from repro.xmlgen.streams import (
     ComparatorLayout,
     decode_stream,
@@ -183,12 +182,13 @@ class TestDecodeStream:
         assert layout.decoder(unified) is not layout.decoder(plain)
 
     def test_decoder_cache_starts_over_at_its_cap(self, q1_tree, tiny_db,
-                                                  layout, monkeypatch):
+                                                  layout):
         specs = SqlGenerator(q1_tree, tiny_db.schema, reduce=True) \
             .streams_for_partition(fully_partitioned(q1_tree))
-        monkeypatch.setattr(streams_module, "MAX_DECODERS", 2)
+        assert layout._decoders.max_entries == 256
+        layout._decoders.max_entries = 2
         decoders = [layout.decoder(spec) for spec in specs]
-        assert len(specs) > 2 and len(layout._decoders) <= 2
+        assert len(specs) > 2 and len(layout._decoders) == 2
         assert layout.decoder(specs[-1]) is decoders[-1]
         assert layout.decoder(specs[0]) is not decoders[0]
 
