@@ -11,8 +11,12 @@ that hook installed, and adds up, per cache name, the counters of every
 instance the run created: hit rate = hits / (hits + misses) over all of
 them, peak = the most entries any one of them held.  The key and
 invalidation columns are facts about the code and are written here; the
-bounds are read off the live caches.  With ``--workload`` the process is
-the child: it prints that workload's counters as one JSON object.
+bounds are read off the live caches.  The per-view memo of prepared plans
+(``SqlGenerator._stream_cache``) is a plain dict bounded by the view tree,
+not a ``BoundedCache``: a second hook, on ``SqlGenerator.__init__``, reads
+the largest one's size, and its row is written out below the others.  With
+``--workload`` the process is the child: it prints that workload's
+counters as one JSON object.
 """
 
 import argparse
@@ -27,19 +31,42 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks" / "perf")]
 
 import run  # noqa: E402  (benchmarks/perf/run.py)
+from repro.core.sqlgen import SqlGenerator  # noqa: E402
 from repro.relational.cache import BoundedCache  # noqa: E402
 
 WORKLOADS = run.WORKLOADS
 BEGIN = "<!-- cache-table:begin (benchmarks/cache_table.py) -->"
 END = "<!-- cache-table:end -->"
 
+#: What retires the entries a write orphans: in the engine's
+#: generation-keyed maps, and in the view's.
+ENGINE_SWEEP = (
+    "a write moves the dependency key; the next evaluation "
+    "(`_refresh_dependencies`) retires every entry whose key names a dead "
+    "generation (`discard_stale`)"
+)
+VIEW_SWEEP = (
+    "the view's next document-cache miss (`_tag_cached`) retires every "
+    "entry whose key names a dead generation (`discard_stale`)"
+)
+#: The row of the one map on the request path that is not a BoundedCache.
+PREPARED = "prepared_plans"
+PREPARED_ROW = [
+    f"`{PREPARED}` — `SqlGenerator._stream_cache`, one generator per "
+    "`XmlView` and (style, reduce, keep); a dict, and a compile cache like "
+    "`compiled_plans` and `decoders`",
+    "node-index set of the subtree",
+    "the view tree: its connected subtrees (233 for nine edges)",
+    "nothing: a `StreamSpec` (plan, SQL text, fingerprint) depends on the "
+    "view tree only",
+]
+
 #: name -> (owner, key, what invalidates an entry)
 CACHES = {
     "plan_cache": (
         "`PlanResultCache` on `QueryEngine.cache`",
         "(plan fingerprint, dependency key, cost model, include_startup)",
-        "a write moves the dependency key of every plan reading the table; "
-        "`invalidate_tables` then frees the orphans",
+        ENGINE_SWEEP,
     ),
     "node_cache": (
         "`NodeResultCache` on `QueryEngine.node_cache`",
@@ -50,7 +77,7 @@ CACHES = {
     "transfer_memo": (
         "`Connection._transfer_memo`",
         "(plan fingerprint, dependency key, compact_rows)",
-        "nothing; a write moves the key and the bound retires the orphan",
+        ENGINE_SWEEP,
     ),
     "compiled_plans": (
         "`QueryEngine._compiled`",
@@ -60,17 +87,19 @@ CACHES = {
     "row_bytes": (
         "`QueryEngine._row_bytes`",
         "(plan fingerprint, dependency key)",
-        "nothing; a write moves the key",
+        ENGINE_SWEEP,
     ),
     "instance_cache": (
         "`StreamInstanceCache` on `XmlView.instance_cache`",
-        "(stream label, style, plan fingerprint, dependency key)",
-        "nothing; a write moves the key of the streams reading the table",
+        "(stream label, style, plan fingerprint, dependency key) — only for "
+        "a stream reading a proper subset of the view's tables",
+        "a write moves the key of the streams reading the table; "
+        + VIEW_SWEEP,
     ),
     "document_cache": (
         "`XmlDocumentCache` on `XmlView.document_cache`",
         "(root tag, indent, dependency key of every table the view reads)",
-        "nothing; a write to any table of the view moves the key",
+        "a write to any table of the view moves the key; " + VIEW_SWEEP,
     ),
     "decoders": (
         "`ComparatorLayout._decoders`",
@@ -82,20 +111,32 @@ CACHES = {
         "request id",
         "nothing",
     ),
+    "views": (
+        "`Session._views`",
+        "RXL text",
+        "nothing: a view depends on its text and the schema only (an "
+        "evicted view is defined again)",
+    ),
 }
 
 
 def record_workload(workload, seed):
     """Run one traced harness workload here; return, per cache name, the
     summed counters of every :class:`BoundedCache` it created."""
-    created = []
+    created, generators = [], []
     construct = BoundedCache.__init__
+    construct_generator = SqlGenerator.__init__
 
     def recording(self, *args, **kwargs):
         construct(self, *args, **kwargs)
         created.append(self)
 
+    def recording_generator(self, *args, **kwargs):
+        construct_generator(self, *args, **kwargs)
+        generators.append(self)
+
     BoundedCache.__init__ = recording
+    SqlGenerator.__init__ = recording_generator
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             result = run.run_one(run.parse_args(
@@ -103,6 +144,7 @@ def record_workload(workload, seed):
             ))
     finally:
         BoundedCache.__init__ = construct
+        SqlGenerator.__init__ = construct_generator
     if not result["correct"]:
         raise SystemExit(f"{workload}: the traced run reported failures")
     totals = {}
@@ -115,6 +157,8 @@ def record_workload(workload, seed):
         total["hits"] += stats.hits
         total["misses"] += stats.misses
         total["peak_entries"] = max(total["peak_entries"], stats.peak_entries)
+    # The memo never shrinks: the largest one's size now is the peak.
+    totals[PREPARED] = max(len(g._stream_cache) for g in generators)
     return totals
 
 
@@ -139,6 +183,7 @@ def table(by_workload):
     header = ["cache", "key", "bound", "what invalidates an entry",
               *WORKLOADS]
     rows = [header, ["---"] * len(header)]
+    prepared = [by_workload[w].pop(PREPARED) for w in WORKLOADS]
     for name, (owner, key, invalidation) in CACHES.items():
         seen = [by_workload[w].get(name) for w in WORKLOADS]
         bounds = {bound(total) for total in seen if total is not None}
@@ -149,6 +194,7 @@ def table(by_workload):
     unknown = {n for totals in by_workload.values() for n in totals} - set(CACHES)
     if unknown:
         raise SystemExit(f"caches missing from CACHES: {sorted(unknown)}")
+    rows.append(PREPARED_ROW + [f"not counted · {peak:,}" for peak in prepared])
     return "\n".join("| " + " | ".join(row) + " |" for row in rows)
 
 

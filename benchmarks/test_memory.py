@@ -14,6 +14,14 @@ tagger writing straight to the sink).  This bench measures both with
   that lowers the small-scale peak more than the large-scale one is a gain
   at both scales and must not read as worse scaling.
 
+A second case watches the other way memory can grow: not with the data
+but with the *write count*.  A long-lived server's loop — write, read,
+write, read — runs 40 cycles under ``tracemalloc``; every cache on the
+request path keys its entries by table generation, so unless each write
+retires what it orphans the heap grows by one generation's worth of
+results per cycle.  The live heap after cycle 40 may not exceed 1.25x the
+heap after cycle 5, nor the committed one.
+
 Peaks are *real* heap bytes (unlike the simulated milliseconds elsewhere)
 and, for one interpreter version, the same on every box and every run, so
 the checks can block a merge; ``BENCH_memory.json`` at the repository root
@@ -33,6 +41,7 @@ from repro.bench.queries import QUERY_1
 from repro.core.silkroute import SilkRoute
 from repro.relational.connection import Connection
 from repro.relational.engine import CostModel
+from repro.session import Session
 from repro.tpch.generator import TpchGenerator, TpchScale
 from repro.xmlgen.serializer import CountingSink
 
@@ -43,22 +52,34 @@ SCALE_FACTOR = 8
 PLAN = "fully-partitioned"
 BENCH_FILE = REPO_ROOT / "BENCH_memory.json"
 PYTHON = "%d.%d" % sys.version_info[:2]
+SERVING_CYCLES = 40
+SERVING_TABLES = ("Supplier", "Customer", "Region")
+
+
+def committed():
+    """The ``BENCH_memory.json`` in the checkout, or {} when there is none
+    or another interpreter version wrote it (object sizes, hence peaks,
+    differ between versions)."""
+    try:
+        payload = json.loads(BENCH_FILE.read_text())
+    except FileNotFoundError:
+        return {}
+    return payload if payload.get("python") == PYTHON else {}
 
 
 def committed_streaming_peaks():
-    """{scale factor: ``materialize_to`` peak} from the ``BENCH_memory.json``
-    in the checkout, or {} when there is none or another interpreter
-    version wrote it (object sizes, hence peaks, differ between versions)."""
-    try:
-        committed = json.loads(BENCH_FILE.read_text())
-    except FileNotFoundError:
-        return {}
-    if committed.get("python") != PYTHON:
-        return {}
+    """{scale factor: committed ``materialize_to`` peak}."""
     return {
         m["scale_factor"]: m["materialize_to_peak_bytes"]
-        for m in committed["scales"]
+        for m in committed().get("scales", ())
     }
+
+
+def update_bench_file(**sections):
+    """Rewrite ``sections`` of ``BENCH_memory.json`` (each case owns its
+    own), keeping the others when this interpreter version wrote them."""
+    payload = {**committed(), "python": PYTHON, **sections}
+    BENCH_FILE.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def traced_peak(fn):
@@ -124,16 +145,14 @@ def test_streaming_peak_within_committed(report_writer):
         large["materialize_peak_bytes"]
         / large["materialize_to_peak_bytes"]
     )
-    payload = {
-        "experiment": "q1_streaming_peak_memory",
-        "plan": PLAN,
-        "python": PYTHON,
-        "scales": [small, large],
-        "output_growth": round(output_growth, 2),
-        "streaming_peak_growth": round(stream_growth, 2),
-        "materialize_over_streaming_at_large_scale": round(advantage, 2),
-    }
-    BENCH_FILE.write_text(json.dumps(payload, indent=2) + "\n")
+    update_bench_file(
+        experiment="q1_streaming_peak_memory",
+        plan=PLAN,
+        scales=[small, large],
+        output_growth=round(output_growth, 2),
+        streaming_peak_growth=round(stream_growth, 2),
+        materialize_over_streaming_at_large_scale=round(advantage, 2),
+    )
     report_writer(
         "memory_streaming_peak",
         "\n".join(
@@ -155,3 +174,63 @@ def test_streaming_peak_within_committed(report_writer):
     # peak (measured 2.8x at the large scale; the margin is loose because
     # allocator details vary across Python versions).
     assert advantage >= 1.25
+
+
+def measure_serving():
+    """The serving loop on one warm session: the live heap after cycle 5
+    and after the last cycle, and the peak in between."""
+    session = Session(TpchGenerator(scale=BASE_SCALE, seed=42).generate())
+    session.materialize(QUERY_1)    # planner, prepared plan, decoders
+    heap = {}
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for cycle in range(1, SERVING_CYCLES + 1):
+            session.mutate(SERVING_TABLES[cycle % 3], op="update", rows=2,
+                           seed=cycle)
+            session.materialize(QUERY_1)
+            if cycle in (5, SERVING_CYCLES):
+                gc.collect()
+                heap[cycle] = tracemalloc.get_traced_memory()[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    view = session.view(QUERY_1)
+    return {
+        "cycles": SERVING_CYCLES,
+        "heap_bytes_after_5": heap[5],
+        "heap_bytes_after_last": heap[SERVING_CYCLES],
+        "peak_bytes": peak,
+        "entries_after_last": {
+            cache.name: len(cache) for cache in (
+                session.silkroute.cache, session.connection._transfer_memo,
+                session.connection.engine._row_bytes,
+                view.instance_cache, view.document_cache,
+            )
+        },
+    }
+
+
+def test_serving_heap_within_committed(report_writer):
+    ceiling = committed().get("serving_heap", {}).get("heap_bytes_after_last")
+    measured = measure_serving()
+    last, early = (measured["heap_bytes_after_last"],
+                   measured["heap_bytes_after_5"])
+    assert last <= 1.25 * early, measured
+    if ceiling is None:
+        print(f"no serving heap from Python {PYTHON}: no ceiling checked")
+    else:
+        assert last <= ceiling, measured
+    update_bench_file(serving_heap=measured)
+    report_writer(
+        "memory_serving_heap",
+        "\n".join([
+            f"Q1 greedy, {SERVING_CYCLES} cycles of update + materialize "
+            "on one session (live heap, tracemalloc)",
+            f"  after cycle 5: {early:>9} B   after cycle "
+            f"{SERVING_CYCLES}: {last:>9} B   peak {measured['peak_bytes']:>9} B",
+            "  entries after the last cycle: " + ", ".join(
+                f"{name} {count}"
+                for name, count in measured["entries_after_last"].items()),
+        ]),
+    )

@@ -139,10 +139,9 @@ def run_single_partition(tree, schema, connection, partition, generator=None,
     tracer, _ = obs_parts(opts.obs)
     if generator is None:
         generator = SqlGenerator(tree, schema, style=opts.style,
-                                 reduce=opts.reduce, keep=opts.keep,
-                                 tracer=tracer)
+                                 reduce=opts.reduce, keep=opts.keep)
     with tracer.span("partition", parent=span_parent) as partition_span:
-        specs = generator.streams_for_partition(partition)
+        specs = generator.streams_for_partition(partition, tracer)
         result = execute_specs(
             connection, specs, epoch=epoch,
             expect_generations=expect_generations, options=opts,
@@ -245,7 +244,6 @@ def sweep_partitions(tree, schema, connection, partitions=None,
         partitions = list(enumerate_partitions(tree))
     generator = SqlGenerator(
         tree, schema, style=style, reduce=reduce, keep=opts.keep,
-        tracer=tracer,
     )
     query_engine = connection.engine
     pinned_generations = connection.database.table_generations()

@@ -85,7 +85,9 @@ class GreedyPlan:
 
 
 class GreedyPlanner:
-    """Runs genPlan over a labeled view tree."""
+    """Runs genPlan over a labeled view tree, costing the component
+    queries of its ``generator`` — which a view then executes with, so
+    the plan that wins is served from the very specs that were costed."""
 
     def __init__(self, tree, schema, estimator, style=PlanStyle.OUTER_JOIN,
                  reduce=False, keep=()):
@@ -98,14 +100,14 @@ class GreedyPlanner:
         self._component_cost = {}
         self.oracle_requests = 0
         self.oracle_cache_hits = 0
+        self.family = None  # the last plan; degradation re-plans along it
 
-    def plan(self, params=None, tracer=None):
+    def plan(self, params=None, tracer=NULL_TRACER):
         """Run genPlan; ``tracer`` (an observability tracer) records the
         run as a ``plan`` span with the chosen edge counts and the oracle
         traffic as attributes."""
-        tracer = tracer if tracer is not None else NULL_TRACER
         with tracer.span("plan", style=self.generator.style.value) as span:
-            plan = self._plan(params)
+            plan = self.family = self._plan(params, tracer)
             span.set(
                 mandatory=len(plan.mandatory),
                 optional=len(plan.optional),
@@ -114,7 +116,7 @@ class GreedyPlanner:
             )
             return plan
 
-    def _plan(self, params=None):
+    def _plan(self, params, tracer):
         params = params or GreedyParameters()
         components = {node.index: frozenset([node.index]) for node in self.tree.nodes}
         edges = {child.index: (parent.index, child.index)
@@ -129,9 +131,9 @@ class GreedyPlanner:
                 comp2 = components[child_index]
                 combined = comp1 | comp2
                 relative = (
-                    self._cost(combined, params)
-                    - self._cost(comp1, params)
-                    - self._cost(comp2, params)
+                    self._cost(combined, params, tracer)
+                    - self._cost(comp1, params, tracer)
+                    - self._cost(comp2, params, tracer)
                 )
                 if best is None or relative < best[0]:
                     best = (relative, edge_id, combined)
@@ -155,13 +157,13 @@ class GreedyPlanner:
 
     # -- component costing -------------------------------------------------------
 
-    def _cost(self, component, params):
+    def _cost(self, component, params, tracer):
         key = component
         if key in self._component_cost:
             self.oracle_cache_hits += 1
             return self._component_cost[key]
         self.oracle_requests += 1
-        plan = self._component_plan(component)
+        plan = self._component_plan(component, tracer)
         evaluation = (
             self.estimator.evaluation_cost(plan)
             + self.estimator.cost_model.scaled(
@@ -173,7 +175,7 @@ class GreedyPlanner:
         self._component_cost[key] = cost
         return cost
 
-    def _component_plan(self, component):
+    def _component_plan(self, component, tracer):
         nodes = [self.tree.node(index) for index in sorted(component)]
         roots = [
             node
@@ -183,4 +185,4 @@ class GreedyPlanner:
         if len(roots) != 1:
             raise PlanError("component is not connected")
         subtree = Subtree(self.tree, roots[0], nodes)
-        return self.generator.stream_for_subtree(subtree).plan
+        return self.generator.stream_for_subtree(subtree, tracer).plan

@@ -45,7 +45,6 @@ from repro.core.partition import (
     partition_subtrees,
     unified_partition,
 )
-from repro.core.sqlgen import SqlGenerator
 from repro.core.viewtree import build_view_tree
 from repro.obs import obs_parts
 from repro.relational.cache import resolve_cache
@@ -222,27 +221,30 @@ class _DispatchOutcome:
 
 
 class XmlView:
-    """One defined RXL view over a connection."""
+    """One defined RXL view over a connection.
+
+    What it keeps lives as long as it is valid.  For its own life: per
+    ``(style, reduce, keep)`` one planner whose generator serves
+    planning, :meth:`explain`, execution and degradation alike (a
+    partition is served from the same prepared specs every time), and
+    the sort layout with its compiled decoders.  For one generation
+    vector: decoded instances and finished documents, retired by the
+    first read that sees the write (:meth:`_tag_cached`).
+    """
 
     def __init__(self, silkroute, tree, rxl_text):
         self.silkroute = silkroute
         self.tree = tree
         self.rxl_text = rxl_text
         self._planners = {}
-        self._greedy_plans = {}
-        #: Decoded per-stream instance lists for the splice layer of
-        #: incremental maintenance (used by :meth:`materialize` when a
-        #: result cache is installed; keys carry per-table generations,
-        #: so mutations move only the affected streams' keys).
+        #: The incremental-maintenance caches, filled and retired by
+        #: :meth:`_tag_cached` when a result cache is installed: decoded
+        #: instance lists of the streams a splice can reuse, and finished
+        #: (xml, tagger) documents (the same under every partition).
         self.instance_cache = StreamInstanceCache()
-        #: Finished (xml, tagger) documents per (root_tag, indent,
-        #: dependency generations of every table the view reads) — every
-        #: partition materializes the identical document, so the key
-        #: carries no partition and any plan can serve a fresh-enough one.
         self.document_cache = XmlDocumentCache()
         #: The tree's global sort layout and, inside it, the stream
-        #: decoders compiled so far — one per stream shape, for the life
-        #: of the view.
+        #: decoders compiled so far, one per stream shape.
         self._layout = ComparatorLayout(tree)
 
     # -- plan space ---------------------------------------------------------------
@@ -260,31 +262,27 @@ class XmlView:
         """Run the Sec. 5 algorithm; returns a
         :class:`repro.core.greedy.GreedyPlan`.
 
-        The planner (and thus its per-component oracle memo) is cached per
-        ``(style, reduce, keep)``, so repeated planning — e.g. exploring
-        several threshold settings via ``params`` — reuses every oracle
-        answer instead of re-estimating from scratch.  ``keep`` is passed
-        through to the generator's reduction step (Sec. 3.5's
-        reduction-prohibition list).  The returned plan *family* is also
-        remembered: adaptive degradation consults it to re-plan a failing
-        subtree along the family's optional edges.
+        The planner (:meth:`_planner`) keeps its per-component oracle
+        memo, so repeated planning — e.g. exploring several threshold
+        settings via ``params`` — reuses every oracle answer; ``keep`` is
+        Sec. 3.5's reduction-prohibition list.  It also remembers the
+        returned plan *family*: adaptive degradation re-plans a failing
+        subtree along its optional edges.
         """
         opts = resolve_options(options, overrides)
+        return self._planner(opts).plan(params, obs_parts(opts.obs)[0])
+
+    def _planner(self, opts):
+        """The view's planner for ``opts``' ``(style, reduce, keep)``; its
+        ``generator`` is the one the view generates with under them."""
         key = (opts.style, bool(opts.reduce), tuple(opts.keep))
         planner = self._planners.get(key)
         if planner is None:
-            planner = GreedyPlanner(
-                self.tree,
-                self.silkroute.schema,
-                self.silkroute.estimator,
-                style=opts.style,
-                reduce=opts.reduce,
-                keep=opts.keep,
-            )
-            self._planners[key] = planner
-        plan = planner.plan(params, tracer=obs_parts(opts.obs)[0])
-        self._greedy_plans[key] = plan
-        return plan
+            planner = self._planners.setdefault(key, GreedyPlanner(
+                self.tree, self.silkroute.schema, self.silkroute.estimator,
+                style=opts.style, reduce=opts.reduce, keep=opts.keep,
+            ))
+        return planner
 
     # -- execution ------------------------------------------------------------------
 
@@ -297,12 +295,9 @@ class XmlView:
         the ``with`` clause)."""
         opts = resolve_options(options, overrides, reduce=False)
         partition = self._resolve_partition(partition, opts)
-        generator = SqlGenerator(
-            self.tree, self.silkroute.schema, style=opts.style,
-            reduce=opts.reduce, keep=opts.keep,
-            tracer=obs_parts(opts.obs)[0],
+        specs = self._planner(opts).generator.streams_for_partition(
+            partition, obs_parts(opts.obs)[0]
         )
-        specs = generator.streams_for_partition(partition)
         if use_with:
             return [spec.sql_with for spec in specs]
         return [spec.sql for spec in specs]
@@ -354,42 +349,39 @@ class XmlView:
         report).  Pooled runs produce byte-identical XML and identical
         ``query_ms``/``transfer_ms`` to the single-connection run.
         """
-        opts, generator, specs = self._prepare(
+        opts, specs = self._prepare(
             partition, resolve_options(options, overrides, reduce=False)
         )
-        outcome, report = self._dispatch(generator, partition, specs, opts)
+        outcome, report = self._dispatch(partition, specs, opts)
         if outcome.timeout is not None:
             return outcome.specs, None, report
         return outcome.specs, outcome.streams, report
 
     def _prepare(self, partition, opts):
         """Options → SQL, the front half every execution shares: resolve
-        the replica/admission knobs (``resolve_resilience``), generate
-        ``partition``'s stream specs under the ``sqlgen`` span, and check
-        them against the source description.  Returns ``(opts, generator,
-        specs)`` with ``opts`` resolved."""
+        the replica/admission knobs (``resolve_resilience``), take
+        ``partition``'s stream specs from the view's generator under the
+        ``sqlgen`` span (generated once, the same objects ever after) and
+        check them against the source description.  Returns the resolved
+        ``(opts, specs)``."""
         opts = resolve_resilience(opts, self.silkroute.connection)
         tracer, _ = obs_parts(opts.obs)
-        generator = SqlGenerator(
-            self.tree, self.silkroute.schema, style=opts.style,
-            reduce=opts.reduce, keep=opts.keep, tracer=tracer,
-        )
         with tracer.span("sqlgen", style=opts.style.value) as sqlgen_span:
-            specs = generator.streams_for_partition(partition)
+            specs = self._planner(opts).generator.streams_for_partition(
+                partition, tracer
+            )
             sqlgen_span.set(streams=len(specs))
         self._check_source(specs)
-        return opts, generator, specs
+        return opts, specs
 
-    def _dispatch(self, generator, partition, specs, opts):
+    def _dispatch(self, partition, specs, opts):
         """Eagerly dispatch ``specs`` (retrying and degrading as ``opts``
         allow); returns ``(outcome, report)``.  A failure that leaves a
         partial outcome behind propagates with the partial report attached
         (``exc.report``)."""
         start = time.perf_counter()
         try:
-            outcome = self._dispatch_resilient(
-                generator, partition, specs, opts
-            )
+            outcome = self._dispatch_resilient(partition, specs, opts)
         except Exception as exc:
             tag_context(exc, opts.request)
             partial = getattr(exc, "partial_outcome", None)
@@ -412,7 +404,7 @@ class XmlView:
                     spec.uses_outer_join(), spec.uses_union()
                 )
 
-    def _dispatch_resilient(self, generator, partition, specs, opts):
+    def _dispatch_resilient(self, partition, specs, opts):
         """Dispatch ``specs``, degrading failing subtrees until the plan
         completes, times out, or a stream fails undegradably.
 
@@ -493,7 +485,10 @@ class XmlView:
                     failure.partial_outcome = outcome()
                     raise failure
                 degraded.append(failing_spec.label)
-                finer_specs = [generator.stream_for_subtree(s) for s in finer]
+                generator = self._planner(opts).generator
+                finer_specs = [
+                    generator.stream_for_subtree(s, tracer) for s in finer
+                ]
                 dispatch_span.event(
                     "degrade", label=failing_spec.label,
                     finer_streams=len(finer_specs),
@@ -522,8 +517,7 @@ class XmlView:
         inner = {
             node.index for node in subtree.nodes if node is not subtree.root
         }
-        key = (opts.style, bool(opts.reduce), tuple(opts.keep))
-        family = self._greedy_plans.get(key)
+        family = self._planner(opts).family
         kept = set()
         if family is not None:
             cut = inner & set(family.optional)
@@ -764,11 +758,9 @@ class XmlView:
             "materialize_to" if streaming else "materialize"
         ) as root_span:
             partition = self._resolve_partition(partition, opts, greedy_params)
-            opts, generator, specs = self._prepare(partition, opts)
+            opts, specs = self._prepare(partition, opts)
             if not streaming:
-                outcome, report = self._dispatch(
-                    generator, partition, specs, opts
-                )
+                outcome, report = self._dispatch(partition, specs, opts)
                 if outcome.timeout is not None:
                     raise tag_context(TimeoutExceeded(
                         opts.budget_ms, float("nan"),
@@ -854,39 +846,46 @@ class XmlView:
         """Integrate eagerly dispatched ``streams`` into ``(xml, tagger)``
         through the view's incremental-maintenance caches.
 
-        With a result cache installed, decoded instance sequences are kept
-        per (stream, plan, dependency generations): after a mutation only
-        the affected streams decode again, the rest splice from the cache —
-        the merged document stays byte-identical because cached instances
-        are exactly what re-decoding the identical rows would produce.  One
-        level up, the finished document is kept per (serialization options,
-        dependency generations of every table the view reads): every
-        partition of a view produces the identical document, so any plan's
-        re-materialization against unchanged generations can serve it
-        outright — execution still ran live, so the report's simulated
-        timings stay per-plan faithful.  Degraded or shed output is never
-        canonical and bypasses the document cache.
+        With a result cache installed, the finished document is kept per
+        (serialization options, dependency generations of every table the
+        view reads): every partition produces the identical document, so
+        any plan's re-materialization against unchanged generations
+        serves it outright — execution still ran live, so the report's
+        simulated timings stay per-plan faithful.  Degraded or shed
+        output is never canonical and bypasses the document cache.
+
+        A miss there is how the view learns of a write, so there it
+        retires every document and decoded list keyed by a dead
+        generation; then it tags.  A stream's decoded instances are kept,
+        per (stream, plan, dependency generations), only where a splice
+        can happen: when the stream reads a *proper subset* of the view's
+        tables, so a write elsewhere leaves it reusable while its
+        siblings decode again.  A stream reading every table (any
+        single-stream plan) is reusable only when nothing was written,
+        which the document cache already answered: it decodes lazily.
         """
         instance_keys = doc_key = None
         if self.silkroute.cache is not None:
             query_engine = self.silkroute.connection.engine
-            instance_keys = [
-                (spec.label, spec.style.value, spec.plan.fingerprint(),
-                 query_engine.dependency_key(spec.plan))
-                for spec in specs
-            ]
+            database = query_engine.database
+            footprints = [query_engine.tables_for(spec.plan) for spec in specs]
+            view_tables = frozenset().union(*footprints)
             if not report.degraded_streams and not report.shed_streams:
-                view_tables = frozenset().union(
-                    *(query_engine.tables_for(spec.plan) for spec in specs)
-                )
                 doc_key = (
-                    root_tag, indent,
-                    query_engine.database.dependency_key(view_tables),
+                    root_tag, indent, database.dependency_key(view_tables),
                 )
                 cached_doc = self.document_cache.get(doc_key)
                 if cached_doc is not None:
                     root_span.set(document_cached=True)
                     return cached_doc
+            self.document_cache.discard_stale(database, at=2)
+            self.instance_cache.discard_stale(database, at=3)
+            instance_keys = [
+                (spec.label, spec.style.value, spec.plan.fingerprint(),
+                 database.dependency_key(tables))
+                if tables < view_tables else None
+                for spec, tables in zip(specs, footprints)
+            ]
         document = tag_streams(
             self.tree, specs, streams, root_tag=root_tag, indent=indent,
             obs=opts.obs, instance_cache=self.instance_cache,

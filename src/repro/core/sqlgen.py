@@ -24,7 +24,8 @@ always identifies the tuple's terminal node.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.common.errors import PlanError
 from repro.relational.algebra import (
@@ -43,8 +44,9 @@ from repro.relational.algebra import (
     ProjectItem,
     Scan,
     Sort,
+    count_operators,
 )
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import NULL_SPAN, NULL_TRACER
 from repro.relational.sqltext import render_sql, render_sql_with
 from repro.relational.types import SqlType
 from repro.core.partition import partition_subtrees
@@ -75,19 +77,12 @@ class StreamSpec:
     label: str
     style: PlanStyle
 
-    _sql: str = field(default=None, repr=False)
+    # Worked out on first use and kept (a raced first use computes twice).
 
-    @property
+    @cached_property
     def sql(self):
-        """The SQL text actually sent to the RDBMS (rendered lazily).
-
-        Specs are shared across threads by the concurrent dispatcher; the
-        lazy render is idempotent, so the benign race at worst renders the
-        text twice (the dispatcher pre-renders before fanning out anyway).
-        """
-        if self._sql is None:
-            self._sql = render_sql(self.plan)
-        return self._sql
+        """The SQL text actually sent to the RDBMS."""
+        return render_sql(self.plan)
 
     @property
     def sql_with(self):
@@ -96,60 +91,57 @@ class StreamSpec:
         sets ``supports_with``."""
         return render_sql_with(self.plan)
 
-    @property
+    @cached_property
     def column_names(self):
         return tuple(c.name for c in self.plan.columns())
 
     def uses_outer_join(self):
-        from repro.relational.algebra import count_operators
-
         return count_operators(self.plan, LeftOuterJoin) > 0
 
     def uses_union(self):
-        from repro.relational.algebra import count_operators
-
         return count_operators(self.plan, OuterUnion) > 0
 
 
 class SqlGenerator:
-    """Generates one :class:`StreamSpec` per subtree of a partition."""
+    """Generates one :class:`StreamSpec` per subtree of a partition.
+
+    One generator serves many partitions (a sweep visits 2^|E|, a view
+    keeps its generator for life) but the same subtree — the same node
+    set — recurs across most, so specs are memoized by node-index set: a
+    partition is served from the *same* specs every time.  The memo is
+    bounded by the tree (512 partitions of nine edges share 233
+    subtrees); specs are immutable and nothing here is per-request, so
+    threads share both (a raced first use keeps one).
+    """
 
     def __init__(self, tree, schema, style=PlanStyle.OUTER_JOIN,
-                 reduce=False, keep=(), tracer=None):
+                 reduce=False, keep=()):
         self.tree = tree
         self.schema = schema
         self.style = style
         self.reduce = reduce
         self.keep = tuple(keep)
-        #: Observability tracer; ``reduce`` work is recorded as a span per
-        #: subtree actually reduced (cache misses only).
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        # One generator serves many partitions (a sweep visits 2^|E| of
-        # them) but the same subtree — the same node set — recurs across
-        # most, so specs are memoized by node-index set.  StreamSpecs are
-        # immutable after construction and safe to share.
         self._stream_cache = {}
 
-    def streams_for_partition(self, partition):
-        """The partitioned relations' queries, in document order."""
+    def streams_for_partition(self, partition, tracer=NULL_TRACER):
+        """The partitioned relations' queries, in document order; the
+        calling request's ``tracer`` gets a ``reduce`` span per subtree
+        actually reduced (memo misses only)."""
         subtrees = partition_subtrees(self.tree, partition)
-        return [self.stream_for_subtree(s) for s in subtrees]
+        return [self.stream_for_subtree(s, tracer) for s in subtrees]
 
-    def stream_for_subtree(self, subtree):
+    def stream_for_subtree(self, subtree, tracer=NULL_TRACER):
         key = tuple(node.index for node in subtree.nodes)
         spec = self._stream_cache.get(key)
         if spec is None:
-            if self.reduce and self.tracer.enabled:
-                with self.tracer.span("reduce", nodes=len(subtree.nodes)):
-                    unit_tree = reduce_subtree(
-                        subtree, reduce=self.reduce, keep=self.keep
-                    )
-            else:
+            with (tracer.span("reduce", nodes=len(subtree.nodes))
+                  if self.reduce else NULL_SPAN):
                 unit_tree = reduce_subtree(
                     subtree, reduce=self.reduce, keep=self.keep
                 )
-            spec = self._build_stream(unit_tree)
-            self._stream_cache[key] = spec
+            spec = self._stream_cache.setdefault(
+                key, self._build_stream(unit_tree)
+            )
         return spec
 
     # -- stream assembly -------------------------------------------------------

@@ -44,6 +44,8 @@ from dataclasses import dataclass
 from math import inf
 from operator import attrgetter
 
+from repro.relational.dependencies import is_stale
+
 _COUNTERS = ("hits", "misses", "stores", "evictions", "oversize_rejections",
              "invalidations")
 
@@ -118,6 +120,11 @@ class BoundedCache:
     def __len__(self):
         return len(self._entries)
 
+    def items(self):
+        """The ``(key, value)`` entries now, oldest first; not a request."""
+        with self._lock:
+            return list(self._entries.items())
+
     def peek(self, key):
         """The value for ``key`` (or None) without touching counters or
         recency — a peek is not a request and must not skew
@@ -175,6 +182,22 @@ class BoundedCache:
                 self._bytes -= self._size_of(self._entries.pop(key))
             self._counts["invalidations"] += len(doomed)
             return len(doomed)
+
+    def discard_stale(self, database, at=1):
+        """Retire on write: :meth:`discard_where` over the entries whose
+        key holds, at position ``at``, a dependency key naming a dead
+        generation of ``database`` (``dependencies.is_stale``) — garbage
+        collection: no lookup can ask for such a key again.  A key of any
+        other shape is not ours to judge."""
+        token, current = database._token, database.table_generations()
+
+        def stale(key, _value):
+            try:
+                return is_stale(key[at], token, current)
+            except (TypeError, ValueError, IndexError):
+                return False
+
+        return self.discard_where(stale)
 
     def clear(self):
         """Drop the contents; the counters keep their lifetime totals."""
@@ -397,34 +420,6 @@ class PlanResultCache(BoundedCache):
     def finish(self, key):
         """Release the single-flight guard taken by :meth:`begin`."""
         self._flight.finish(key)
-
-    def invalidate_tables(self, token, tables, current_generations):
-        """Drop entries made stale by a mutation of ``tables``.
-
-        With dependency-scoped keys a stale entry can never be *served*
-        (its key no longer matches), so this is garbage collection plus
-        accounting: it frees the entries whose dependency key records, for
-        one of the mutated tables, a generation different from
-        ``current_generations[table]``, and counts them as
-        ``invalidations``.  Only keys shaped ``(fingerprint, (token,
-        ((table, generation), ...)), cost_model, startup)`` for this
-        ``token`` qualify; anything else — including caller-chosen opaque
-        keys — is not ours to judge.  Returns the number dropped.
-        """
-        tables = set(tables)
-
-        def stale(key, _entry):
-            try:
-                _, (key_token, generations), _, _ = key
-                return key_token == token and any(
-                    name in tables
-                    and generation != current_generations.get(name)
-                    for name, generation in generations
-                )
-            except (TypeError, ValueError):
-                return False
-
-        return self.discard_where(stale)
 
 
 def _node_entry_bytes(entry):

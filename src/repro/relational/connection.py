@@ -18,7 +18,7 @@ cheaply), so their effective width is the non-null field count; rows
 produced by a wide outer join bind every declared column.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import (
     PlanError,
@@ -261,12 +261,10 @@ class Connection:
         self.backend = resolve_backend(backend, database)
         self._backend_memo = {}
         # Total transfer cost per (plan fingerprint, dependency key,
-        # compact flag): a deterministic function of the rows a plan
-        # produces against the read tables' current generations, so
-        # replays (plan-cache hits, repeated sweep streams) skip the
-        # per-row accumulation.  Mutations move the dependency key, which
-        # orphans stale entries; the cap bounds them.
+        # compact flag), see :meth:`_transfer_cost_for`.  A mutation moves
+        # the dependency key; the engine retires the orphans with its own.
         self._transfer_memo = BoundedCache("transfer_memo", max_entries=16384)
+        self.engine.generation_keyed.append(self._transfer_memo)
 
     @property
     def cache(self):

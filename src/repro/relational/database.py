@@ -12,8 +12,8 @@ Mutations (:meth:`Database.insert` / :meth:`Database.update` /
 the generations of exactly the tables a plan reads
 (:meth:`dependency_key`), so a write invalidates only the cached results
 that actually depend on the touched tables — the incremental-maintenance
-story of the delta-propagation layer.  The summed :attr:`generation` and
-:meth:`cache_key` survive as the coarse whole-database version.
+story of the delta-propagation layer.  The summed :attr:`generation`
+survives as the coarse whole-database version.
 """
 
 import itertools
@@ -87,12 +87,6 @@ class Database:
         result caches key on the finer per-table
         :meth:`table_generations`."""
         return sum(table.version for table in self.tables.values())
-
-    def cache_key(self):
-        """What identifies this database's current contents as a whole —
-        the coarse key; plans are cached under the dependency-scoped
-        :meth:`dependency_key` of the tables they read."""
-        return (self._token, self.generation)
 
     def table_generations(self):
         """The per-table generation map ``{table name: version}`` — the

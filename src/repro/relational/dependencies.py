@@ -14,7 +14,7 @@ happens in :mod:`repro.core.labeling`.
 This module also hosts the *data* dependencies of the incremental-
 maintenance layer: :func:`plan_tables` maps a relational plan to the set
 of base tables it reads, which is what lets a mutation invalidate only
-the cached results that depend on the touched tables.
+the cached results that depend on the touched tables (:func:`is_stale`).
 """
 
 from dataclasses import dataclass
@@ -41,6 +41,17 @@ def plan_tables(plan):
             tables = frozenset().union(*map(plan_tables, plan.children))
         plan._tables = tables
     return tables
+
+
+def is_stale(dependency_key, token, current):
+    """Does ``dependency_key`` (a ``Database.dependency_key`` value) name
+    a dead generation of the database with instance ``token`` and
+    per-table generations ``current``?  Nothing cached under such a key
+    can be served again.  (Another database's keys are not judged.)"""
+    key_token, generations = dependency_key
+    return key_token == token and any(
+        current.get(name) != generation for name, generation in generations
+    )
 
 
 @dataclass(frozen=True)

@@ -495,10 +495,6 @@ def execute_specs(connection, specs, breaker=None, epoch=None,
         with (ThreadPoolExecutor(max_workers=workers) if threaded
               else nullcontext()) as executor:
             if threaded:
-                # Render SQL text up front: StreamSpec renders lazily and
-                # the specs are shared across threads.
-                for spec in specs:
-                    spec.sql
                 futures = [executor.submit(run, spec) for spec in specs]
                 outcomes = [future.result for future in futures]
             else:

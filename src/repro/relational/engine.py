@@ -331,6 +331,9 @@ class QueryEngine:
         #: Per-table generation snapshot from the last batch evaluation;
         #: diffed against the live database to find mutated tables.
         self._table_gens = None
+        #: Dependency-keyed like :attr:`cache`, retired with it (the
+        #: connection adds its transfer memo).
+        self.generation_keyed = [self._row_bytes]
 
     def _engine_mode(self, engine):
         mode = engine or self.default_engine
@@ -378,12 +381,14 @@ class QueryEngine:
         )
 
     def _refresh_dependencies(self, metrics=None):
-        """Delta propagation: diff the live per-table generations against
-        the last-seen snapshot and invalidate exactly the cache entries
-        that depend on mutated tables.  Node-cache entries for untouched
-        sub-plans survive and keep serving; plan-cache entries under stale
-        dependency keys can never be served again (the key moved), so
-        dropping them there is garbage collection plus accounting."""
+        """Delta propagation, at the first evaluation that sees a write:
+        diff the live per-table generations against the last-seen
+        snapshot and invalidate exactly the cache entries that depend on
+        mutated tables.  Node-cache entries for untouched sub-plans
+        survive and keep serving; plan-cache, row-width and transfer-sum
+        entries under dead dependency keys can never be served again (the
+        key moved), so retiring them is garbage collection plus
+        accounting: the heap follows the live data, not the write count."""
         current = self.database.table_generations()
         previous = self._table_gens
         if previous == current:
@@ -392,17 +397,16 @@ class QueryEngine:
         if previous is None:
             return
         changed = {
-            name
-            for name in current.keys() | previous.keys()
-            if current.get(name) != previous.get(name)
+            name for name, generation in current.items()
+            if previous.get(name) != generation
         }
         dropped = self.node_cache.invalidate(changed)
         if metrics is not None and dropped:
             metrics.inc("node_cache.invalidations", dropped)
+        for cache in self.generation_keyed:
+            cache.discard_stale(self.database)
         if self.cache is not None:
-            dropped = self.cache.invalidate_tables(
-                self.database._token, changed, current
-            )
+            dropped = self.cache.discard_stale(self.database)
             if metrics is not None and dropped:
                 metrics.inc("plan_cache.invalidations", dropped)
 

@@ -431,41 +431,60 @@ class Server:
     def stats(self):
         """Service counters: requests/coalesced/shed/mutations/errors,
         per-tenant admission, latency percentiles, and the shared
-        session's cache stats."""
+        session's cache stats (``plan_cache``; all of them in ``caches``)."""
+        def counters(layer, *names):
+            return {name: self.metrics.counter(f"{layer}.{name}")
+                    for name in names}
+
         snapshot = self.metrics.snapshot()
-        latency = snapshot["histograms"].get("serve.latency_ms")
         stats = {
-            "requests": self.metrics.counter("serve.requests"),
-            "coalesced": self.metrics.counter("serve.coalesced"),
-            "shed": self.metrics.counter("serve.shed"),
-            "mutations": self.metrics.counter("serve.mutations"),
-            "errors": self.metrics.counter("serve.errors"),
-            "deduped": self.metrics.counter("serve.deduped"),
+            **counters("serve", "requests", "coalesced", "shed", "mutations",
+                       "errors", "deduped", "draining_shed",
+                       "client_disconnects", "malformed_frames",
+                       "oversized_frames"),
             "draining": self._draining,
-            "draining_shed": self.metrics.counter("serve.draining_shed"),
-            "client_disconnects": self.metrics.counter(
-                "serve.client_disconnects"),
-            "malformed_frames": self.metrics.counter(
-                "serve.malformed_frames"),
-            "oversized_frames": self.metrics.counter(
-                "serve.oversized_frames"),
             "tenants": self.registry.stats(),
-            "latency_ms": latency,
+            "latency_ms": snapshot["histograms"].get("serve.latency_ms"),
             "log_entries": len(self.execution_log()),
         }
         wal = self.session.wal
         if wal is not None:
             stats["wal"] = {
-                "appends": self.metrics.counter("wal.appends"),
-                "fsyncs": self.metrics.counter("wal.fsyncs"),
-                "checkpoints": self.metrics.counter("wal.checkpoints"),
-                "dedup_hits": self.metrics.counter("wal.dedup_hits"),
+                **counters("wal", "appends", "fsyncs", "checkpoints",
+                           "dedup_hits"),
                 "size_bytes": wal.size_bytes(),
             }
         cache = self.session.silkroute.cache
         if cache is not None:
             stats["plan_cache"] = cache.stats().as_dict()
+        stats["caches"] = self._cache_stats()
         return stats
+
+    def _cache_stats(self):
+        """``stats()`` of every bounded map behind a request, a view's own
+        under ``by_view`` and the name (else the text) clients call it."""
+        def summary(*caches):
+            return {
+                cache.name: {
+                    name: value
+                    for name, value in cache.stats().as_dict().items()
+                    if value != float("inf")    # unbounded: not JSON
+                }
+                for cache in caches if cache is not None
+            }
+
+        session, engine = self.session, self.session.connection.engine
+        names = {rxl: name for name, rxl in self._queries.items()}
+        return {
+            **summary(engine.cache, engine.node_cache, engine._compiled,
+                      *engine.generation_keyed, session._views),
+            "by_view": {
+                names.get(rxl, rxl): summary(
+                    view.instance_cache, view.document_cache,
+                    view._layout._decoders)
+                for rxl, view in session._views.items()
+            },
+        }
 
     # -- the serial oracle -------------------------------------------------
 

@@ -194,7 +194,8 @@ class Session:
                  checkpoint_every=None):
         self.options = options
         self.document_cache_bytes = document_cache_bytes
-        self._views = {}
+        #: RXL text -> view; bounded, for a client may send any number.
+        self._views = BoundedCache("views", max_entries=256)
         self._silkroute = self._resolve(db, cache, estimator, source)
         #: Without a WAL, request id -> recorded mutate result: process-
         #: local and capped, enough to absorb a client's in-session
@@ -259,14 +260,14 @@ class Session:
 
     def view(self, query):
         """The parsed :class:`~repro.core.silkroute.XmlView` for ``query``
-        (RXL text or an already-defined view), cached per RXL text."""
+        (RXL text or a defined view), the 256 last used texts cached."""
         if isinstance(query, str):
             view = self._views.get(query)
             if view is None:
                 view = self._silkroute.define_view(query)
                 if self.document_cache_bytes is not None:
                     view.document_cache.max_bytes = self.document_cache_bytes
-                self._views[query] = view
+                self._views.store(query, view)
             return view
         return query  # an XmlView (or duck-typed equivalent)
 

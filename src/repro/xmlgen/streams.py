@@ -92,13 +92,13 @@ class ComparatorLayout:
 
     def decoder(self, spec):
         """The compiled :class:`StreamDecoder` for ``spec``'s shape (its
-        columns and its units' member nodes), built on first use.  Specs
-        are regenerated per execution, so the cache is keyed by shape, not
-        by spec object; a concurrent first use at worst compiles twice.
-        A view served under a handful of plans has a handful of shapes,
-        but the shapes of a tree grow with its partitions, so the cache
-        keeps the 256 most recently used (a compile is well under a
-        millisecond)."""
+        columns and its units' member nodes), built on first use.  Two
+        generators' specs of one subtree have equal shapes, so the cache
+        is keyed by shape, not by spec object; a concurrent first use at
+        worst compiles twice.  A view served under a handful of plans has
+        a handful of shapes, but the shapes of a tree grow with its
+        partitions, so the cache keeps the 256 most recently used (a
+        compile is well under a millisecond)."""
         shape = (
             spec.column_names,
             tuple(spec.unit_paths),
@@ -317,15 +317,12 @@ class CountingIterator:
 class StreamInstanceCache(BoundedCache):
     """LRU cache of decoded per-stream :class:`Instance` lists.
 
-    The splice layer of incremental view maintenance: re-materializing a
-    view after a mutation re-executes only the streams whose base tables
-    changed, while every untouched stream's decoded instance sequence is
-    replayed from here — the document-order merge then *splices* fresh and
-    cached sequences back together, byte-identical to a cold run (the
-    cached instances are exactly what decoding the identical rows would
-    produce).  Callers key entries by (stream label, plan style, plan
-    fingerprint, dependency generations), so a write moves the key of
-    affected streams only.
+    The splice layer of incremental view maintenance: after a mutation
+    only the streams whose base tables changed decode again, an
+    untouched stream's sequence is replayed from here, and the
+    document-order merge *splices* the two, byte-identical to a cold
+    run.  Which streams are kept, under which key, and when an entry is
+    retired is decided in ``XmlView._tag_cached``.
     """
 
     def __init__(self, max_entries=512):
@@ -338,19 +335,10 @@ class XmlDocumentCache(BoundedCache):
     The top layer of incremental maintenance: every partition of a view
     materializes the *identical* document (the system's central
     invariant), so the key carries no partition — only the serialization
-    options and the dependency generations of every table the view reads,
-    e.g. ``(root_tag, indent, database.dependency_key(view_tables))``.
-    After a write, the first re-materialization re-tags (splicing
-    unchanged streams via :class:`StreamInstanceCache`) and re-fills the
-    moved key; every other plan of the same view then serves the document
-    directly while its streams still execute live — simulated timings
-    stay per-plan faithful, only the decode→merge→tag replay is skipped.
-    Callers must bypass the cache for non-canonical output (degraded or
-    shed streams).
-
-    ``max_bytes`` additionally bounds the cache by total document size
-    (the serving layer's process-wide budget): storing past the budget
-    evicts least-recently-served documents first.
+    options and the dependency generations of every table the view
+    reads (``XmlView._tag_cached``, which also keeps non-canonical output
+    out and retires what a write orphans).  ``max_bytes`` additionally
+    bounds the cache by total document size (the serving layer's budget).
     """
 
     def __init__(self, max_entries=64, max_bytes=None):
@@ -360,36 +348,35 @@ class XmlDocumentCache(BoundedCache):
 
 
 def instance_sources(specs, row_sources, layout, instance_cache=None,
-                     instance_keys=None):
+                     instance_keys=None, eager=False):
     """One document-ordered instance sequence per stream, plus how many
     instances were decoded eagerly to build them.
 
     Without a cache every sequence is a lazy :func:`decode_stream`
     generator (nothing is decoded yet, so the count is 0).  With a
-    :class:`StreamInstanceCache` and per-spec ``instance_keys`` (None
-    entries opt a stream out), a stream whose key matches is served the
-    cached list; a miss is decoded here and now, and stored — the merge
-    then splices cached and fresh sequences transparently.  Cached
-    streams are materialized lists: only the uncached path pulls rows on
-    demand and so keeps the decode→merge pipeline in bounded memory.
+    :class:`StreamInstanceCache` and per-spec ``instance_keys``, a stream
+    whose key matches is served the cached list; a miss is decoded here
+    and now, and stored — the merge splices cached and fresh sequences
+    transparently.  A None key opts a stream out: it decodes lazily into
+    the merge, its instances dying young — unless ``eager`` (tracing is
+    on: the work gets its ``decode`` span), when it is decoded here too,
+    not stored.  Only lazy sequences pull rows on demand and keep the
+    decode→merge pipeline in bounded memory.
     """
     if instance_cache is None or instance_keys is None:
-        return [
-            decode_stream(spec, rows, layout)
-            for spec, rows in zip(specs, row_sources)
-        ], 0
+        instance_keys, eager = [None] * len(specs), False
     sources = []
     decoded = 0
     for spec, rows, key in zip(specs, row_sources, instance_keys):
-        if key is None:
-            sources.append(decode_stream(spec, rows, layout))
-            continue
-        cached = instance_cache.get(key)
-        if cached is None:
-            cached = list(decode_stream(spec, rows, layout))
-            instance_cache.store(key, cached)
-            decoded += len(cached)
-        sources.append(cached)
+        source = None if key is None else instance_cache.get(key)
+        if source is None:
+            source = decode_stream(spec, rows, layout)
+            if key is not None or eager:
+                source = list(source)
+                decoded += len(source)
+            if key is not None:
+                instance_cache.store(key, source)
+        sources.append(source)
     return sources, decoded
 
 

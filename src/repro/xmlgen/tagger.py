@@ -150,8 +150,9 @@ def tag_streams(tree, specs, streams, root_tag="view", indent=None,
     compiled against it are reused; by default a fresh one is built.
 
     ``obs`` (an :class:`~repro.obs.ObsOptions` session) records the
-    integration as a ``decode`` span (the streams decoded eagerly to fill
-    the instance cache; empty when decoding is lazy) followed by a
+    integration as a ``decode`` span (with ``instance_keys``, every
+    stream not spliced: tracing-on decodes eagerly so the work has a
+    span, tracing-off decodes un-keyed streams lazily) followed by a
     ``merge`` span containing a ``tag`` span — those two stages interleave
     (the tagger pulls the merge, and the merge pulls any lazy decoder), so
     the merge span brackets both and carries the merged instance count —
@@ -161,9 +162,9 @@ def tag_streams(tree, specs, streams, root_tag="view", indent=None,
 
     ``instance_cache``/``instance_keys`` (a
     :class:`~repro.xmlgen.streams.StreamInstanceCache` plus one key per
-    spec, None to opt a stream out) replay unchanged streams' decoded
-    instance sequences across materializations and splice them into the
-    merge — see :func:`~repro.xmlgen.streams.instance_sources`.
+    spec, None for a stream no splice can reuse) replay unchanged streams'
+    decoded instance sequences across materializations and splice them
+    into the merge — see :func:`~repro.xmlgen.streams.instance_sources`.
     """
     writer = writer or XmlWriter(indent=indent)
     tagger = XmlTagger(tree, writer, root_tag=root_tag)
@@ -178,7 +179,8 @@ def tag_streams(tree, specs, streams, root_tag="view", indent=None,
     else:
         with tracer.span("decode", streams=len(specs)) as decode_span:
             sources, decoded = instance_sources(
-                specs, streams, layout, instance_cache, instance_keys
+                specs, streams, layout, instance_cache, instance_keys,
+                eager=True,
             )
             decode_span.set(instances=decoded)
         metrics.inc("decode.instances", decoded)

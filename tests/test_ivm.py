@@ -10,7 +10,8 @@ random interleavings of writes and materializations through both
 engines, concurrent dispatch, faults, and replicas.
 """
 
-import dataclasses
+import gc
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -25,11 +26,12 @@ from repro.obs import ObsOptions
 from repro.relational.cache import NodeResultCache, PlanResultCache
 from repro.relational.connection import Connection
 from repro.relational.database import Database, synthesize_rows
-from repro.relational.dependencies import plan_tables
+from repro.relational.dependencies import is_stale, plan_tables
 from repro.relational.dispatch import execute_specs
 from repro.relational.engine import CostModel
 from repro.relational.estimator import CostEstimator
 from repro.relational.faults import FaultPolicy, RetryPolicy
+from repro.session import Session
 from repro.tpch.generator import TpchGenerator, TpchScale
 
 TINY = TpchScale(suppliers=8, parts=16, customers=10, orders=40)
@@ -236,11 +238,13 @@ class TestPlanCacheInvalidation:
             nbytes = 1.0
             complete = True
         cache.store(("plan", 1), Entry())
-        dropped = cache.invalidate_tables(
-            db._token, {"Nation"}, db.table_generations(),
-        )
-        assert dropped == 0
+        cache.store("opaque", Entry())
+        cache.store(7, Entry())
+        [row] = synthesize_rows(db, "Nation", 1)
+        db.insert("Nation", *row)
+        assert cache.discard_stale(db) == 0
         assert cache.peek(("plan", 1)) is not None
+        assert len(cache) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +331,75 @@ class TestIncrementalEquivalence:
         cold = cold_materialize(db, "fully-partitioned", options)
         assert incremental.xml == cold.xml
         assert repeat.xml != incremental.xml  # the delta is visible
+
+
+# ---------------------------------------------------------------------------
+# Lifetimes: a write retires what it orphans
+
+
+def generation_keyed_caches(session, view):
+    """The five dependency-keyed maps behind ``view``, each with the
+    position of the dependency key in its keys."""
+    engine = session.connection.engine
+    return [
+        (session.silkroute.cache, 1),
+        (session.connection._transfer_memo, 1),
+        (engine._row_bytes, 1),
+        (view.instance_cache, 3),
+        (view.document_cache, 2),
+    ]
+
+
+class TestLifetimes:
+    CYCLES = 40
+    TABLES = ("Supplier", "Customer", "Region")
+
+    @pytest.mark.parametrize("strategy",
+                             [None, "unified", "fully-partitioned"])
+    def test_heap_follows_live_data_not_the_write_count(self, strategy):
+        session = Session()
+        connection, database = session.connection, session.database
+        view = session.view(QUERY_1)
+        # Live heap blocks: what ``tracemalloc`` would report in bytes
+        # (benchmarks/test_memory.py does, and asserts them), at none of
+        # its 6x cost on a loop this allocation-heavy.
+        blocks = {}
+        for cycle in range(1, self.CYCLES + 1):
+            session.mutate(self.TABLES[cycle % 3], op="update", rows=2,
+                           seed=cycle)
+            # Two serialization variants, so the document bound below
+            # is not trivially 1.
+            served = session.materialize(QUERY_1, strategy)
+            indented = session.materialize(QUERY_1, strategy, indent=2)
+            assert indented.xml != served.xml
+
+            current = database.table_generations()
+            for cache, at in generation_keyed_caches(session, view):
+                dead = [
+                    key for key, _ in cache.items()
+                    if is_stale(key[at], database._token, current)
+                ]
+                assert not dead, (cache.name, cycle, dead[:1])
+            streams = served.report.n_streams
+            assert len(view.instance_cache) <= (
+                0 if streams == 1 else streams)
+            assert len(view.document_cache) <= 2
+            if cycle in (5, self.CYCLES):
+                gc.collect()
+                blocks[cycle] = sys.getallocatedblocks()
+
+            fresh = Session(
+                Connection(database, connection.engine.cost_model,
+                           connection.transfer_model),
+                estimator=session.silkroute.estimator,
+            ).materialize(QUERY_1, strategy)
+            assert served.xml == fresh.xml
+            assert served.query_ms == fresh.query_ms
+            assert served.transfer_ms == fresh.transfer_ms
+            del fresh
+        assert blocks[self.CYCLES] <= 1.25 * blocks[5], blocks
+        if strategy == "fully-partitioned":
+            assert view.instance_cache.stats()["hits"] > 0  # still splices
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from repro.relational.engine import (
     CostModel,
     QueryEngine,
 )
+from repro.relational.database import synthesize_rows
 from repro.tpch.generator import TpchGenerator, TpchScale
 from repro.xmlgen.streams import StreamInstanceCache, XmlDocumentCache
 
@@ -290,7 +291,7 @@ class _Kind:
 
 KINDS = [
     # The engine's compiled-plan and row-width maps, the connection's
-    # transfer memo, the session's dedup map, a layout's decoders.
+    # transfer memo, the session's view and dedup maps, a layout's decoders.
     _Kind("bare",
           lambda n, b: BoundedCache("t", max_entries=n, max_bytes=b,
                                     size_of=len),
@@ -403,6 +404,33 @@ class TestBoundedCacheContract:
         assert (stats.invalidations, stats.evictions, len(cache)) == (3, 0, 3)
         assert stats.current_bytes == fresh.stats().current_bytes
         assert cache.peek(1) is None and cache.peek(2) is not None
+
+    @pytest.mark.parametrize("kind", KINDS, ids=repr)
+    def test_discard_stale_retires_dead_generations_only(self, kind):
+        tiny = TpchScale(suppliers=2, parts=2, customers=2, orders=2)
+        db, other = (TpchGenerator(scale=tiny, seed=1).generate()
+                     for _ in range(2))
+        cache = kind.make(None, None)
+        keys = {
+            "written": ("p", db.dependency_key({"Nation", "Region"})),
+            "untouched": ("p", db.dependency_key({"Region"})),
+            "elsewhere": ("p", other.dependency_key({"Nation"})),
+            "opaque": ("p", 1),
+            "bare": 7,
+        }
+        for key in keys.values():
+            kind.store(cache, key, kind.value(100))
+        assert cache.discard_stale(db) == 0
+        db.insert("Nation", *synthesize_rows(db, "Nation", 1)[0])
+        other.insert("Region", *synthesize_rows(other, "Region", 1)[0])
+        assert cache.discard_stale(db) == 1
+        assert cache.discard_stale(db, at=0) == 0
+        assert {key for key, _ in cache.items()} == (
+            set(keys.values()) - {keys["written"]})
+        assert cache.discard_stale(other) == 0   # reads Nation, not Region
+        stats = cache.stats()
+        assert (stats.invalidations, stats.entries) == (1, 4)
+        assert stats.requests == 0      # neither sweep nor items() asks
 
     @pytest.mark.parametrize("kind", KINDS, ids=repr)
     def test_eight_threads(self, kind):

@@ -233,6 +233,59 @@ class TestServerBasics:
         assert stats["log_entries"] == 2
         assert stats["latency_ms"]["count"] == 2
 
+    def test_inline_texts_cannot_pin_views_forever(self):
+        """Every distinct inline text defines a view; the session keeps
+        the most recently used ones, and an evicted view asked for again
+        is simply defined again."""
+        server = make_server()
+        views = server.session._views
+        assert views.max_entries == 256
+        views.max_entries = 3
+        texts = [QUERY_1 + " " * i for i in range(8)]
+        documents = [
+            server.query(text, partition="unified").xml for text in texts
+        ]
+        assert len(set(documents)) == 1
+        assert len(views) == 3
+        assert views.stats().evictions == 5
+        assert views.peek(texts[0]) is None
+        again = server.query(texts[0], partition="unified")
+        assert again.xml == documents[0]
+        assert len(views) == 3 and views.stats().evictions == 6
+
+    def test_stats_walk_every_cache_on_the_request_path(self):
+        server = make_server()
+        inline = QUERY_2 + " "      # a text no name is registered for
+        for _ in range(2):
+            server.query("q1")
+            server.query(inline, partition="fully-partitioned")
+        server.mutate("Supplier", op="update", rows=2, seed=1)
+        server.query("q1")
+        caches = server.handle_request({"op": "stats"})["stats"]["caches"]
+        assert decode(encode(caches)) == caches     # crosses the wire
+        assert set(caches) == {
+            "plan_cache", "node_cache", "transfer_memo", "row_bytes",
+            "compiled_plans", "views", "by_view",
+        }
+        assert caches["plan_cache"] == decode(encode(
+            server.stats()["plan_cache"]))
+        assert caches["views"]["entries"] == 2
+        # A registered view goes by its name, an inline one by its text.
+        assert set(caches["by_view"]) == {"q1", inline}
+        for view_caches in caches["by_view"].values():
+            assert set(view_caches) == {
+                "instance_cache", "document_cache", "decoders"}
+        q1 = caches["by_view"]["q1"]
+        assert q1["document_cache"]["entries"] == 1
+        assert q1["document_cache"]["invalidations"] == 1
+        assert q1["document_cache"]["hit_rate"] == pytest.approx(1 / 3)
+        assert q1["instance_cache"]["entries"] == 0   # one stream: no splice
+        q2 = caches["by_view"][inline]
+        assert q2["instance_cache"]["entries"] == 10
+        assert q2["document_cache"]["current_bytes"] > 0
+        assert caches["transfer_memo"]["invalidations"] >= 1
+        assert caches["row_bytes"]["invalidations"] >= 1
+
     def test_mutation_is_immediately_visible(self):
         server = make_server()
         before = server.query("q1", partition="unified")

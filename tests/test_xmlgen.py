@@ -181,8 +181,8 @@ class TestDecodeStream:
             .streams_for_partition(unified_partition(q1_tree))
         assert layout.decoder(unified) is not layout.decoder(plain)
 
-    def test_decoder_cache_starts_over_at_its_cap(self, q1_tree, tiny_db,
-                                                  layout):
+    def test_decoder_cache_evicts_lru_at_its_cap(self, q1_tree, tiny_db,
+                                                 layout):
         specs = SqlGenerator(q1_tree, tiny_db.schema, reduce=True) \
             .streams_for_partition(fully_partitioned(q1_tree))
         assert layout._decoders.max_entries == 256
