@@ -27,6 +27,7 @@ import time
 
 from repro.bench.queries import QUERY_1
 from repro.core.silkroute import SilkRoute
+from repro.relational.connection import Connection
 from repro.tpch.configs import CONFIG_A, build_configuration
 from repro.xmlgen.tagger import tag_streams
 
@@ -73,7 +74,7 @@ def materialize_all(view, partitions):
     return xml, timings, time.perf_counter() - start
 
 
-def baseline_all(view, partitions, ivm_xml, ivm_timings, engine="batch"):
+def baseline_all(view, partitions, ivm_xml, ivm_timings):
     """The pre-IVM re-materialization: execute and tag every plan with no
     instance or document cache (those layers are dependency-keyed and did
     not exist before delta propagation).  Asserts byte- and
@@ -85,7 +86,7 @@ def baseline_all(view, partitions, ivm_xml, ivm_timings, engine="batch"):
         # reduce=True matches the materializer's default, so the baseline
         # runs the very same reduced plans.
         specs, streams, report = view.execute_partition(
-            partition, reduce=True, engine=engine
+            partition, reduce=True
         )
         xml, _ = tag_streams(view.tree, specs, streams, root_tag="view")
         assert xml == ivm_xml
@@ -125,15 +126,17 @@ def test_ivm_delta_speedup(report_writer):
     ).define_view(QUERY_1)
     full_s = baseline_all(full_view, partitions, ivm_xml, ivm_timings)
 
-    # Independent oracle: the row-at-a-time interpreter on a plan sample.
-    _, tuple_conn, tuple_estimator = build_configuration(CONFIG_A, database=db)
+    # Independent oracle: a connection built on the row-at-a-time
+    # interpreter, on a plan sample.
+    tuple_conn = Connection(db, CONFIG_A.cost_model, CONFIG_A.transfer_model,
+                            engine="tuple")
     tuple_view = SilkRoute(
-        tuple_conn, estimator=tuple_estimator, cache=True
+        tuple_conn, estimator=full_estimator, cache=True
     ).define_view(QUERY_1)
     sample = partitions[::TUPLE_SAMPLE_STRIDE]
     tuple_s = baseline_all(
         tuple_view, sample, ivm_xml,
-        ivm_timings[::TUPLE_SAMPLE_STRIDE], engine="tuple",
+        ivm_timings[::TUPLE_SAMPLE_STRIDE],
     )
 
     speedup = full_s / ivm_s if ivm_s else float("inf")

@@ -28,8 +28,7 @@ from statistics import median
 from repro.bench.queries import QUERY_1, load_view
 from repro.core.partition import enumerate_partitions
 from repro.core.sqlgen import SqlGenerator
-from repro.relational.backends import SqliteBackend
-from repro.relational.backends.base import align_backend_rows
+from repro.relational.backends import SqliteBackend, cross_validate
 from repro.relational.calibrate import (
     CALIBRATION_GROUPS,
     CalibrationObservation,
@@ -79,19 +78,12 @@ def test_sqlite_partition_sweep(report_writer):
         specs = generator.streams_for_partition(partitions[index])
         simulated_ms = 0.0
         wall_ms = 0.0
-        for spec in specs:
-            result = engine.execute(spec.plan)
+        # The cross-validation pass: a row divergence fails the bench
+        # here, which is what licenses the byte_identical flag in the
+        # payload.
+        for spec, result, walls in cross_validate(engine, specs, backend):
             simulated_ms += result.server_ms
-            rows, first_wall = backend.execute_sql(spec.plan, spec.sql)
-            # The cross-validation pass: a row divergence fails the
-            # bench here, which is what licenses the byte_identical
-            # flag in the payload.
-            align_backend_rows(
-                spec.plan, result.rows, rows, backend.name,
-                label=spec.label, sql=spec.sql,
-            )
-            walls = [first_wall]
-            if first_wall < SINGLE_RUN_ABOVE_MS:
+            if walls[0] < SINGLE_RUN_ABOVE_MS:
                 for _ in range(REPEATS - 1):
                     walls.append(
                         backend.execute_sql(spec.plan, spec.sql)[1]

@@ -27,6 +27,7 @@ import time
 from repro.bench.queries import QUERY_1, load_view
 from repro.bench.sweep import sweep_partitions
 from repro.core.silkroute import SilkRoute
+from repro.relational.connection import Connection
 from repro.relational.engine import QueryEngine
 from repro.tpch.configs import CONFIG_A, build_configuration
 
@@ -37,7 +38,9 @@ def timed_sweep(engine_mode, cache):
     """Run the Q1/A non-reduced sweep on a fresh configuration; return
     ``(sweep, wall_seconds, engine_seconds)`` where engine_seconds is the
     wall time spent inside ``QueryEngine.execute``."""
-    db, conn, _ = build_configuration(CONFIG_A)
+    db, _, _ = build_configuration(CONFIG_A)
+    conn = Connection(db, CONFIG_A.cost_model, CONFIG_A.transfer_model,
+                      engine=engine_mode)
     tree = load_view(QUERY_1, db.schema)
     engine_s = [0.0]
     original = QueryEngine.execute
@@ -59,7 +62,6 @@ def timed_sweep(engine_mode, cache):
             reduce=False,
             budget_ms=CONFIG_A.subquery_budget_ms,
             cache=cache,
-            engine=engine_mode,
         )
         wall_s = time.perf_counter() - start
     finally:

@@ -1,11 +1,12 @@
-"""Run the generated SQL on a real engine: SQLite behind the Connection.
+"""Run the generated SQL on a real engine: SQLite beside the Connection.
 
-Everything in this repository normally executes on the simulated engine
-with deterministic, paper-shaped timings.  This example attaches the real
-SQLite backend: the same generated SQL runs on an in-memory SQLite mirror
-of the database, every row is cross-validated against the simulated
-oracle, the XML comes out byte-identical, and the measured wall-clock is
-reported *separately* so the simulated numbers never move.  It then fits
+Everything in this repository executes on the simulated engine with
+deterministic, paper-shaped timings.  This example builds the real SQLite
+target and calls the one comparison, ``cross_validate``: the SQL the
+served plan sent runs on an in-memory SQLite mirror of the database,
+every row is aligned with the simulated oracle, and the measured
+wall-clock is reported *separately* — the session never learns of the
+check, so its document and simulated numbers cannot move.  It then fits
 the cost model's constants to the measured walls (calibration) and shows
 how the calibrated model re-ranks candidate partitions.  Run::
 
@@ -14,10 +15,10 @@ how the calibrated model re-ranks candidate partitions.  Run::
 
 from repro import (
     CostModel,
-    ExecutionOptions,
     Session,
     SqliteBackend,
     calibrate,
+    cross_validate,
 )
 from repro.bench.queries import QUERY_1
 from repro.core.sqlgen import SqlGenerator
@@ -31,24 +32,26 @@ def main():
     scale = TpchScale(suppliers=8, parts=16, customers=10, orders=40)
     database = TpchGenerator(scale=scale, seed=42).generate()
 
-    # 1. Materialize the Query 1 view twice: simulated only, then with
-    #    the SQLite backend attached.  Timings stay identical; the
-    #    backend adds cross-validation and a real wall-clock.
-    plain = Session(Connection(database, CostModel())).materialize(
-        QUERY_1, "fully-partitioned"
+    # 1. Materialize the Query 1 view, then check the plan it served on
+    #    SQLite: the specs are the very statements the session sent, the
+    #    session's engine is the oracle, the backend the witness.
+    session = Session(Connection(database, CostModel()))
+    served = session.materialize(QUERY_1, "fully-partitioned")
+    backend = SqliteBackend(database)
+    checked = cross_validate(
+        session.connection.engine,
+        session.view(QUERY_1).specs("fully-partitioned"), backend,
     )
-    backed = Session(Connection(database, CostModel())).materialize(
-        QUERY_1, "fully-partitioned",
-        options=ExecutionOptions(backend="sqlite"),
-    )
-    assert backed.xml == plain.xml
-    assert backed.report.query_ms == plain.report.query_ms
-    print(f"XML byte-identical across engines: {len(backed.xml)} bytes")
+    backend.close()
+    assert sum(oracle.server_ms for _, oracle, _ in checked) \
+        == served.report.query_ms
+    print(f"{len(checked)} streams, "
+          f"{sum(len(oracle.rows) for _, oracle, _ in checked)} rows "
+          f"cross-validated on SQLite ({len(served.xml)} bytes of XML)")
     print(f"simulated query time (unchanged): "
-          f"{backed.report.query_ms:.1f}ms")
+          f"{served.report.query_ms:.1f}ms")
     print(f"measured SQLite wall (reported separately): "
-          f"{backed.report.backend_wall_ms:.1f}ms over "
-          f"{backed.report.n_streams} streams")
+          f"{sum(sum(walls) for _, _, walls in checked):.1f}ms")
 
     # 2. Calibrate the cost model against measured walls: sweep a few
     #    partitions' streams on SQLite and fit per-group scale factors.

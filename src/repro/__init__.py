@@ -39,8 +39,8 @@ from repro.relational import (
     WriteAheadLog,
     recover,
     Backend,
-    SimulatedBackend,
     SqliteBackend,
+    cross_validate,
     CalibratedCostModel,
     calibrate,
     NO_RETRY,
@@ -137,8 +137,8 @@ __all__ = [
     "Column",
     "Connection",
     "Backend",
-    "SimulatedBackend",
     "SqliteBackend",
+    "cross_validate",
     "CalibratedCostModel",
     "calibrate",
     "CostEstimator",

@@ -22,9 +22,12 @@ the child that kills itself).  The experiment:
    exactly which requests committed — ACKs alone cannot, since
    ``mid_response`` commits without acknowledging).  Comparison is the
    repo's strongest equivalence: byte-identical XML and bit-identical
-   simulated timings for every workload query, on both engines (tuple
-   and batch) and both backends (pure simulation and the cross-validated
-   SQLite mirror), plus identical generation vectors.
+   simulated timings for every workload query, evaluated on both
+   engines (a session built on the reference interpreter and one on the
+   batch kernels) and, for a round that asks, checked statement by
+   statement on a real SQLite mirror of the database
+   (:func:`~repro.relational.backends.cross_validate`), plus identical
+   generation vectors.
 4. Exactly-once: the parent restarts a server **on the recovered state**
    and retries *every* request id of the plan — committed ones must
    deduplicate (served from the log's recorded results), lost ones must
@@ -117,36 +120,47 @@ def fingerprint(database, engines=("tuple", "batch"), backends=("simulated",),
     for every (query, engine, backend) combination the XML text and the
     simulated timings, plus the generation vector and row counts.
 
-    The SQLite backend self-cross-validates every stream against the
-    simulated oracle (:class:`~repro.common.errors.BackendMismatchError`
-    on any divergence), so including ``"sqlite"`` in ``backends`` proves
-    the real-backend mirror recovered too.
+    Every key is an evaluation.  Each engine gets a fresh session over a
+    connection built in that mode, so nothing is a replay of another
+    engine's cache entry; ``"sqlite"`` in ``backends`` additionally runs
+    the served plan's SQL on a SQLite mirror loaded from ``database`` and
+    aligns its rows with that engine's
+    (:func:`~repro.relational.backends.cross_validate`, raising
+    :class:`~repro.common.errors.BackendMismatchError` on any divergence)
+    — which is what proves a recovered database mirrors like the oracle.
     """
     from repro.bench.queries import QUERY_1, QUERY_2
-    from repro.core.options import ExecutionOptions
+    from repro.relational.backends import SqliteBackend, cross_validate
+    from repro.relational.connection import Connection
+    from repro.relational.engine import CostModel
     from repro.session import Session
 
     rxl = {"q1": QUERY_1, "q2": QUERY_2}
-    session = Session(database)
     out = {
         "generations": dict(sorted(database.table_generations().items())),
         "rows": {name: len(t) for name, t in sorted(database.tables.items())},
     }
-    for query in queries:
+    mirror = SqliteBackend(database)
+    try:
         for engine in engines:
-            for backend in backends:
-                options = ExecutionOptions(
-                    engine=engine,
-                    backend=None if backend == "simulated" else backend,
-                )
-                result = session.materialize(rxl[query], root_tag="view",
-                                             options=options)
-                out[f"{query}/{engine}/{backend}"] = {
+            session = Session(Connection(database, CostModel(), engine=engine))
+            for query in queries:
+                result = session.materialize(rxl[query], root_tag="view")
+                served = {
                     "xml_bytes": len(result.xml),
                     "xml": result.xml,
                     "query_ms": result.report.query_ms,
                     "transfer_ms": result.report.transfer_ms,
                 }
+                for backend in backends:
+                    if backend == "sqlite":
+                        cross_validate(
+                            session.connection.engine,
+                            session.view(rxl[query]).specs(), mirror,
+                        )
+                    out[f"{query}/{engine}/{backend}"] = served
+    finally:
+        mirror.close()
     return out
 
 

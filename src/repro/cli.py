@@ -27,88 +27,28 @@ import repro
 from repro.bench.queries import QUERY_1, QUERY_2, load_view
 from repro.bench.report import format_series
 from repro.core.greedy import GreedyPlanner
-from repro.core.options import ExecutionOptions
+from repro.core.options import (
+    STYLES,
+    options_from_flat,
+    positive_float,
+    positive_int,
+    probability,
+)
 from repro.core.silkroute import SilkRoute
-from repro.core.sqlgen import PlanStyle
 from repro.obs import ObsOptions, metrics_json
-from repro.relational.backends import BACKEND_NAMES, SqliteBackend
-from repro.relational.engine import ENGINE_MODES
-from repro.relational.faults import FaultPolicy, RetryPolicy
+from repro.relational.backends import SqliteBackend, cross_validate
 from repro.session import Session, apply_delta as _apply_delta  # noqa: F401
 from repro.tpch.configs import CONFIG_A, build_configuration
 
 _QUERIES = {"q1": QUERY_1, "q2": QUERY_2}
-_STYLES = {
-    "outer-join": PlanStyle.OUTER_JOIN,
-    "outer-union": PlanStyle.OUTER_UNION,
-}
 
 
-def _probability(text):
-    """argparse type: a float in [0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"{value} is not a probability (must be between 0 and 1)")
-    return value
-
-
-def _positive_int(text):
-    """argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} must be at least 1")
-    return value
-
-
-def _positive_float(text):
-    """argparse type: a float > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"{value} must be positive")
-    return value
-
-
-def _execution_options(args, default_budget_ms=None, obs=None, database=None):
+def _execution_options(args, default_budget_ms=None, obs=None):
     """The :class:`ExecutionOptions` described by the command line."""
-    backend = getattr(args, "backend", None)
-    if backend == "sqlite" and getattr(args, "db_path", None) is not None:
-        backend = SqliteBackend(database, db_path=args.db_path)
-    retry = None
-    if args.retries is not None:
-        retry = RetryPolicy(max_attempts=args.retries)
-    faults = None
-    if args.fault_seed is not None or args.fault_rate is not None:
-        faults = FaultPolicy(
-            seed=args.fault_seed if args.fault_seed is not None else 0,
-            error_rate=args.fault_rate if args.fault_rate is not None else 0.0,
-        )
-    budget_ms = args.budget_ms
-    if budget_ms is None:
-        budget_ms = default_budget_ms
-    return ExecutionOptions(
-        style=_STYLES[args.style],
-        reduce=args.reduce,
-        budget_ms=budget_ms,
-        workers=args.workers,
-        retry=retry,
-        faults=faults,
-        obs=obs,
-        replicas=args.replicas,
-        hedge_ms=args.hedge_ms,
-        max_concurrent=args.max_concurrent,
-        engine=getattr(args, "engine", None),
-        backend=backend,
-    )
+    flat = vars(args)
+    if flat.get("budget_ms") is None:
+        flat = dict(flat, budget_ms=default_budget_ms)
+    return options_from_flat(flat, obs=obs)
 
 
 def _obs_session(args):
@@ -127,7 +67,7 @@ def _run_mutate(args, database, connection, estimator, rxl, out):
     import time
 
     obs = _obs_session(args)
-    options = _execution_options(args, obs=obs, database=database)
+    options = _execution_options(args, obs=obs)
     session = Session(connection, estimator=estimator)
     strategy = None if args.strategy == "greedy" else args.strategy
 
@@ -216,48 +156,44 @@ def build_parser():
     def add_common(p):
         p.add_argument("--query", choices=sorted(_QUERIES), default="q1",
                        help="workload query (default: q1)")
-        p.add_argument("--style", choices=sorted(_STYLES),
+        p.add_argument("--style", choices=sorted(STYLES),
                        default="outer-join", help="SQL generation style")
         p.add_argument("--reduce", action="store_true",
                        help="apply view-tree reduction")
 
     def add_execution(p):
-        p.add_argument("--workers", type=_positive_int, default=None,
+        p.add_argument("--workers", type=positive_int, default=None,
                        help="concurrent dispatch width (subqueries, or "
                             "partitions for sweep)")
-        p.add_argument("--budget-ms", type=_positive_float, default=None,
+        p.add_argument("--budget-ms", type=positive_float, default=None,
                        help="per-subquery simulated timeout")
-        p.add_argument("--retries", type=_positive_int, default=None,
+        p.add_argument("--retries", type=positive_int, default=None,
                        help="max attempts per stream under fault injection")
         p.add_argument("--fault-seed", type=int, default=None,
                        help="deterministic fault-injection seed")
-        p.add_argument("--fault-rate", type=_probability, default=None,
+        p.add_argument("--fault-rate", type=probability, default=None,
                        help="per-attempt transient failure probability "
                             "(between 0 and 1)")
-        p.add_argument("--replicas", type=_positive_int, default=None,
+        p.add_argument("--replicas", type=positive_int, default=None,
                        help="serve streams from N simulated replicas with "
                             "health-checked routing and failover")
-        p.add_argument("--hedge-ms", type=_positive_float, default=None,
+        p.add_argument("--hedge-ms", type=positive_float, default=None,
                        help="hedge a backup request on a second replica when "
                             "a stream exceeds this simulated latency")
-        p.add_argument("--max-concurrent", type=_positive_int, default=None,
+        p.add_argument("--max-concurrent", type=positive_int, default=None,
                        help="admission-control cap on concurrent streams")
-        p.add_argument("--engine", choices=ENGINE_MODES, default=None,
-                       help="plan execution mode: vectorized batch kernels "
-                            "or the row-at-a-time interpreter (results and "
-                            "simulated timings are identical)")
-        p.add_argument("--backend", choices=sorted(BACKEND_NAMES),
-                       default=None,
-                       help="also execute the generated SQL on a real "
-                            "backend, cross-validated against the simulated "
-                            "oracle (results and simulated timings are "
-                            "identical; measured wall-clock is reported "
-                            "separately)")
+        p.add_argument("--metrics", action="store_true",
+                       help="print observability counters as JSON afterwards")
+
+    def add_backend_check(p):
+        p.add_argument("--backend", choices=["sqlite"], default=None,
+                       help="after the document is produced, run the plan's "
+                            "SQL on a real backend and cross-validate its "
+                            "rows against the simulated oracle (measured "
+                            "wall-clock is reported separately)")
         p.add_argument("--db-path", default=None, metavar="FILE",
                        help="SQLite database file for --backend sqlite "
                             "(default: a private in-memory instance)")
-        p.add_argument("--metrics", action="store_true",
-                       help="print observability counters as JSON afterwards")
 
     explain = sub.add_parser("explain", help="print the SQL a plan sends")
     add_common(explain)
@@ -270,6 +206,7 @@ def build_parser():
                                  help="materialize the XML view")
     add_common(materialize)
     add_execution(materialize)
+    add_backend_check(materialize)
     materialize.add_argument("--strategy", default="greedy",
                              choices=["unified", "fully-partitioned", "greedy"])
     materialize.add_argument("--indent", type=int, default=None)
@@ -292,6 +229,7 @@ def build_parser():
     )
     add_common(query)
     add_execution(query)
+    add_backend_check(query)
     query.add_argument("name", nargs="?", choices=sorted(_QUERIES),
                        default=None,
                        help="workload query (same as --query)")
@@ -313,10 +251,10 @@ def build_parser():
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7414,
                        help="listen port (0 picks an ephemeral port)")
-    serve.add_argument("--max-inflight", type=_positive_int, default=None,
+    serve.add_argument("--max-inflight", type=positive_int, default=None,
                        help="per-tenant in-flight request quota "
                             "(default: unthrottled)")
-    serve.add_argument("--document-cache-bytes", type=_positive_int,
+    serve.add_argument("--document-cache-bytes", type=positive_int,
                        default=None,
                        help="LRU byte budget for finished documents")
     serve.add_argument("--wal", default=None, metavar="PATH",
@@ -325,11 +263,11 @@ def build_parser():
                             "apply, and a restart on the same path recovers "
                             "the pre-crash state (tables, generations, and "
                             "the request-dedup map) before serving")
-    serve.add_argument("--checkpoint-every", type=_positive_int, default=None,
+    serve.add_argument("--checkpoint-every", type=positive_int, default=None,
                        help="snapshot the database and truncate the WAL "
                             "after every N commit records (default: only "
                             "on startup and graceful shutdown)")
-    serve.add_argument("--drain-timeout", type=_positive_float, default=30.0,
+    serve.add_argument("--drain-timeout", type=positive_float, default=30.0,
                        help="seconds SIGTERM waits for in-flight requests "
                             "before exiting (default: 30)")
 
@@ -358,7 +296,7 @@ def build_parser():
     mutate.add_argument("--op", choices=["insert", "update", "delete"],
                         default="insert",
                         help="mutation kind (default: insert)")
-    mutate.add_argument("--rows", type=_positive_int, default=1,
+    mutate.add_argument("--rows", type=positive_int, default=1,
                         help="rows to insert/update/delete (default: 1)")
     mutate.add_argument("--seed", type=int, default=0,
                         help="deterministic delta-synthesis seed")
@@ -369,7 +307,7 @@ def build_parser():
     )
     trace.add_argument("query", nargs="?", choices=sorted(_QUERIES),
                        default="q1", help="workload query (default: q1)")
-    trace.add_argument("--style", choices=sorted(_STYLES),
+    trace.add_argument("--style", choices=sorted(STYLES),
                        default="outer-join", help="SQL generation style")
     trace.add_argument("--reduce", action="store_true",
                        help="apply view-tree reduction")
@@ -545,6 +483,8 @@ def main(argv=None, out=sys.stdout):
     if (getattr(args, "db_path", None) is not None
             and getattr(args, "backend", None) != "sqlite"):
         parser.error("--db-path requires --backend sqlite")
+    if getattr(args, "backend", None) and getattr(args, "connect", None):
+        parser.error("--backend checks a local run; drop --connect")
     if getattr(args, "name", None):
         args.query = args.name
     if args.command == "experiments":
@@ -590,14 +530,14 @@ def main(argv=None, out=sys.stdout):
               f"{result.server_ms:.0f}ms", file=out)
         return 0
 
-    style = _STYLES[args.style]
+    style = STYLES[args.style]
 
     if args.command == "mutate":
         return _run_mutate(args, database, connection, estimator, rxl, out)
 
     if args.command == "trace":
         obs = _obs_session(args)
-        options = _execution_options(args, obs=obs, database=database)
+        options = _execution_options(args, obs=obs)
         session = Session(connection, estimator=estimator)
         strategy = None if args.strategy == "greedy" else args.strategy
         result = session.materialize(rxl, strategy, root_tag="view",
@@ -619,7 +559,7 @@ def main(argv=None, out=sys.stdout):
 
     if args.command in ("explain", "materialize", "query"):
         obs = _obs_session(args)
-        options = _execution_options(args, obs=obs, database=database)
+        options = _execution_options(args, obs=obs)
         session = Session(connection, estimator=estimator)
         strategy = None if args.strategy == "greedy" else args.strategy
         if args.command == "explain":
@@ -646,10 +586,21 @@ def main(argv=None, out=sys.stdout):
             f"{result.report.transfer_ms:.0f}ms transfer",
             file=out,
         )
-        if result.report.backend is not None:
+        if args.backend is not None:
+            backend = SqliteBackend(database, db_path=args.db_path)
+            try:
+                checked = cross_validate(
+                    connection.engine,
+                    session.view(rxl).specs(
+                        strategy, style=options.style, reduce=options.reduce,
+                    ),
+                    backend,
+                )
+            finally:
+                backend.close()
+            wall_ms = sum(sum(walls) for _, _, walls in checked)
             print(
-                f"-- backend: {result.report.backend}, measured "
-                f"{result.report.backend_wall_ms:.1f}ms wall, "
+                f"-- backend: {backend.name}, measured {wall_ms:.1f}ms wall, "
                 "rows cross-validated against the simulated oracle",
                 file=out,
             )
@@ -691,7 +642,6 @@ def main(argv=None, out=sys.stdout):
         obs = _obs_session(args)
         options = _execution_options(
             args, default_budget_ms=CONFIG_A.subquery_budget_ms, obs=obs,
-            database=database,
         )
         session = Session(connection, estimator=estimator)
         sweep = session.sweep(rxl, options=options).sweep

@@ -216,10 +216,9 @@ class WalError(ReproError):
 class BackendMismatchError(ExecutionError):
     """A real backend's rows disagreed with the simulated oracle.
 
-    Every execution against a real backend (:mod:`repro.relational.backends`)
-    is cross-validated: the simulated engine's rows are the oracle, and the
-    backend's converted result must be the same bag of rows in a compatible
-    order.  A disagreement means the dialect adaptation, the schema load, or
+    Raised by :func:`~repro.relational.backends.cross_validate`: the
+    simulated engine's rows are the oracle, and the backend's converted
+    result must be the same bag of rows in a compatible order.  A disagreement means the dialect adaptation, the schema load, or
     the engine semantics diverged — never a transient condition — so it is
     raised loudly instead of silently preferring either side.
 

@@ -16,10 +16,11 @@ process repeats until no edge qualifies.
 The result is a *family* of plans: the mandatory edges plus any subset of
 the optional edges (Fig. 18's solid and dashed edges).
 
-Cost estimates are memoized by component (the set of view-tree nodes it
-covers); ``oracle_requests`` counts the distinct component queries actually
-sent to the oracle — the paper's Sec. 5.1 observation is that this is far
-below the worst case.
+The oracle's two answers are memoized by component (the set of view-tree
+nodes it covers) and weighed by ``a``/``b`` at use, so one planner serves
+any parameters; ``oracle_requests`` counts the distinct component queries
+actually sent to the oracle — the paper's Sec. 5.1 observation is that
+this is far below the worst case.
 """
 
 import itertools
@@ -97,6 +98,7 @@ class GreedyPlanner:
         self.generator = SqlGenerator(
             tree, schema, style=style, reduce=reduce, keep=keep
         )
+        #: component -> the oracle's ``(evaluation_cost, data_size)``.
         self._component_cost = {}
         self.oracle_requests = 0
         self.oracle_cache_hits = 0
@@ -158,22 +160,23 @@ class GreedyPlanner:
     # -- component costing -------------------------------------------------------
 
     def _cost(self, component, params, tracer):
-        key = component
-        if key in self._component_cost:
+        answers = self._component_cost.get(component)
+        if answers is not None:
             self.oracle_cache_hits += 1
-            return self._component_cost[key]
-        self.oracle_requests += 1
-        plan = self._component_plan(component, tracer)
-        evaluation = (
-            self.estimator.evaluation_cost(plan)
-            + self.estimator.cost_model.scaled(
-                self.estimator.cost_model.startup_ms
+        else:
+            self.oracle_requests += 1
+            plan = self._component_plan(component, tracer)
+            evaluation = (
+                self.estimator.evaluation_cost(plan)
+                + self.estimator.cost_model.scaled(
+                    self.estimator.cost_model.startup_ms
+                )
             )
-        )
-        data_size = self.estimator.data_size(plan)
-        cost = params.a * evaluation + params.b * data_size
-        self._component_cost[key] = cost
-        return cost
+            answers = self._component_cost[component] = (
+                evaluation, self.estimator.data_size(plan),
+            )
+        evaluation, data_size = answers
+        return params.a * evaluation + params.b * data_size
 
     def _component_plan(self, component, tracer):
         nodes = [self.tree.node(index) for index in sorted(component)]

@@ -27,6 +27,7 @@ object supplies a value.
 from dataclasses import dataclass, replace
 
 from repro.core.sqlgen import PlanStyle
+from repro.relational.faults import FaultPolicy, RetryPolicy
 
 
 @dataclass(frozen=True)
@@ -72,15 +73,11 @@ class ExecutionOptions:
     :class:`~repro.relational.replicas.AdmissionPolicy`, or an
     :class:`~repro.relational.replicas.AdmissionController`).
 
-    ``engine`` is a pure performance switch — results, simulated timings,
-    and cache entries are identical either way: it selects row-at-a-time
-    (``"tuple"``) or vectorized columnar (``"batch"``) plan evaluation.
-    ``None`` (the default) defers to the connection's
-    :class:`~repro.relational.engine.QueryEngine` default.  ``backend``
-    selects where the generated SQL is *also* executed for real
-    (:mod:`repro.relational.backends`) — cross-validated against the
-    simulated oracle, wall-clock recorded separately, results and
-    simulated timings untouched.
+    What is *not* here is which engine evaluates the plans and whether
+    SQLite is asked too: the reference interpreter is a connection built
+    in that mode (``Connection(engine="tuple")``) and the SQLite check a
+    call (:func:`~repro.relational.backends.cross_validate`) — oracles a
+    test or tool constructs, never something a request carries.
 
     Hashable as long as its fields are, so it can key plan caches
     (``ObsOptions`` hashes by identity).
@@ -97,15 +94,6 @@ class ExecutionOptions:
     replicas: object = None
     hedge_ms: float = None
     max_concurrent: object = None
-    engine: str = None
-    #: Where generated SQL is executed: None defers to the connection's
-    #: backend (usually pure simulation), ``"sqlite"``/``"simulated"`` or a
-    #: :class:`~repro.relational.backends.Backend` instance select one for
-    #: this execution.  A real backend never changes results, simulated
-    #: timings, or cache keys — it adds measured ``backend_wall_ms`` to the
-    #: reports (see :mod:`repro.relational.backends`).  Backend instances
-    #: hash by identity, keeping the options bundle hashable.
-    backend: object = None
     #: Optional :class:`RequestContext` naming the client request this
     #: execution serves; errors raised anywhere under the dispatch carry
     #: its tenant/request id.  Purely diagnostic — never affects results,
@@ -125,3 +113,78 @@ def resolve_options(options, overrides, **method_defaults):
     if options is None:
         options = ExecutionOptions(**method_defaults)
     return replace(options, **overrides) if overrides else options
+
+
+# -- flat option names ------------------------------------------------------
+#
+# The command line and the wire protocol spell the bundle the same way: flat
+# scalar names (``argparse``'s namespace, the keys of a request's ``options``
+# object).  The value checks and the flat -> bundle step live here, for both.
+
+#: The spellings of :class:`~repro.core.sqlgen.PlanStyle` outside Python.
+STYLES = {style.value: style for style in PlanStyle}
+
+
+def _checked(name, convert, what, accept=lambda result: True):
+    """The check ``name``: ``convert(value)`` (from text or a number) when
+    that is ``what`` says, a :class:`ValueError` saying so otherwise."""
+    def check(value):
+        try:
+            result = convert(value)
+            if accept(result):
+                return result
+        except (KeyError, TypeError, ValueError, OverflowError):
+            pass
+        raise ValueError(f"{value!r} is not {what}")
+    check.__name__ = name       # what argparse calls a bad value's type
+    return check
+
+
+def _whole(value):
+    number = int(value)
+    if number != float(value):      # 2.7 is not 2
+        raise ValueError(value)
+    return number
+
+
+positive_int = _checked(
+    "positive_int", _whole, "an integer >= 1", lambda n: n >= 1)
+positive_float = _checked(
+    "positive_float", float, "a number > 0", lambda x: x > 0.0)
+probability = _checked(
+    "probability", float, "a probability (0 to 1)", lambda x: 0.0 <= x <= 1.0)
+_style = _checked("style", STYLES.__getitem__, f"one of {sorted(STYLES)}")
+
+#: Flat option name -> the check its value must pass (None: unset).
+FLAT_OPTIONS = {
+    "style": _style, "reduce": bool, "budget_ms": positive_float,
+    "workers": positive_int, "retries": positive_int, "fault_seed": int,
+    "fault_rate": probability, "replicas": positive_int,
+    "hedge_ms": positive_float, "max_concurrent": positive_int,
+}
+
+
+def options_from_flat(flat, **fields):
+    """The :class:`ExecutionOptions` a mapping of :data:`FLAT_OPTIONS`
+    names describes (other keys, and None values, are ignored; ``fields``
+    are further bundle fields, set as given).  Every value is checked — a
+    bad one raises :class:`ValueError` naming the option — and
+    ``retries`` becomes the :class:`~repro.relational.faults.RetryPolicy`,
+    ``fault_seed``/``fault_rate`` the
+    :class:`~repro.relational.faults.FaultPolicy`, ``style`` the
+    :class:`~repro.core.sqlgen.PlanStyle`."""
+    given = {}
+    for name, check in FLAT_OPTIONS.items():
+        value = flat.get(name)
+        if value is not None:
+            try:
+                given[name] = check(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"option {name!r}: {exc}") from None
+    retries = given.pop("retries", None)
+    if retries is not None:
+        fields["retry"] = RetryPolicy(max_attempts=retries)
+    seed, rate = given.pop("fault_seed", None), given.pop("fault_rate", None)
+    if seed is not None or rate is not None:
+        fields["faults"] = FaultPolicy(seed=seed or 0, error_rate=rate or 0.0)
+    return ExecutionOptions(**given, **fields)

@@ -84,14 +84,6 @@ class StreamReport:
     ``hedge_wins`` / ``hedge_wait_ms`` account the backup requests (a
     hedge loser charges nothing — see
     :class:`~repro.relational.faults.StreamAttemptStats`).
-
-    When a real execution backend was selected
-    (:mod:`repro.relational.backends`), ``backend`` names it and
-    ``backend_wall_ms`` is the *measured wall-clock* of the stream's SQL
-    on that backend — kept strictly apart from the simulated
-    ``server_ms``/``transfer_ms``, which are byte-identical with and
-    without a backend.  0.0 means the backend was not contacted (pure
-    simulation, or a cache replay).
     """
 
     label: str
@@ -110,8 +102,6 @@ class StreamReport:
     hedges: int = 0
     hedge_wins: int = 0
     hedge_wait_ms: float = 0.0
-    backend: str = None
-    backend_wall_ms: float = 0.0
 
 
 @dataclass
@@ -138,12 +128,6 @@ class PlanReport:
     per-stream stats, so they reconcile with the
     ``dispatch.failovers/hedges/hedge_wins`` metrics counters), and
     ``shed_streams`` — labels the admission controller refused to run.
-
-    ``backend`` / ``backend_wall_ms`` summarize real-backend execution
-    (:mod:`repro.relational.backends`): the backend name the plan's
-    streams ran on (None for pure simulation) and the summed measured
-    wall-clock of their SQL — real milliseconds, reported next to but
-    never mixed into the simulated ``query_ms``/``transfer_ms``.
 
     ``obs`` is the :class:`~repro.obs.ObsOptions` observability session
     the execution ran under (None when tracing/metrics were off) — the
@@ -178,8 +162,6 @@ class PlanReport:
     hedge_wins: int = 0
     hedge_wait_ms: float = 0.0
     shed_streams: tuple = ()
-    backend: str = None
-    backend_wall_ms: float = 0.0
     obs: object = None
 
     @property
@@ -293,14 +275,31 @@ class XmlView:
         ``use_with`` phrases shared node queries as common table
         expressions (requires a target whose source description supports
         the ``with`` clause)."""
-        opts = resolve_options(options, overrides, reduce=False)
-        partition = self._resolve_partition(partition, opts)
-        specs = self._planner(opts).generator.streams_for_partition(
-            partition, obs_parts(opts.obs)[0]
+        specs = self.specs(
+            partition, resolve_options(options, overrides, reduce=False)
         )
         if use_with:
             return [spec.sql_with for spec in specs]
         return [spec.sql for spec in specs]
+
+    def specs(self, partition=None, options=None, **overrides):
+        """The prepared stream specs (:class:`~repro.core.sqlgen.StreamSpec`)
+        of a plan: what :meth:`explain` renders, every execution submits and
+        :func:`~repro.relational.backends.cross_validate` checks on a real
+        backend.  ``partition`` and the options are :meth:`materialize`'s
+        (None: the greedy plan; ``reduce`` defaults to True).  Generated
+        once per view, under the ``sqlgen`` span, and checked against the
+        source description."""
+        opts = resolve_options(options, overrides)
+        partition = self._resolve_partition(partition, opts)
+        tracer, _ = obs_parts(opts.obs)
+        with tracer.span("sqlgen", style=opts.style.value) as sqlgen_span:
+            specs = self._planner(opts).generator.streams_for_partition(
+                partition, tracer
+            )
+            sqlgen_span.set(streams=len(specs))
+        self._check_source(specs)
+        return specs
 
     def execute_partition(self, partition, options=None, **overrides):
         """Execute one plan; returns ``(specs, streams, report)``.
@@ -331,14 +330,6 @@ class XmlView:
         with the partial report attached (``exc.report``).  Without
         ``retry``, the first transient failure propagates the same way.
 
-        ``backend`` additionally executes every stream's SQL on a real
-        backend (``"sqlite"`` or a
-        :class:`~repro.relational.backends.Backend` instance) and
-        cross-validates the rows against the simulated oracle — specs,
-        streams, simulated timings, and the document are byte-identical;
-        the report gains the backend name and measured
-        ``backend_wall_ms``.
-
         ``replicas``/``hedge_ms`` route the plan's streams over a
         health-checked :class:`~repro.relational.replicas.ReplicaPool`
         with failover and hedged backup requests; ``max_concurrent``
@@ -359,20 +350,11 @@ class XmlView:
 
     def _prepare(self, partition, opts):
         """Options → SQL, the front half every execution shares: resolve
-        the replica/admission knobs (``resolve_resilience``), take
-        ``partition``'s stream specs from the view's generator under the
-        ``sqlgen`` span (generated once, the same objects ever after) and
-        check them against the source description.  Returns the resolved
-        ``(opts, specs)``."""
+        the replica/admission knobs (``resolve_resilience``) and take
+        ``partition``'s :meth:`specs`.  Returns the resolved ``(opts,
+        specs)``."""
         opts = resolve_resilience(opts, self.silkroute.connection)
-        tracer, _ = obs_parts(opts.obs)
-        with tracer.span("sqlgen", style=opts.style.value) as sqlgen_span:
-            specs = self._planner(opts).generator.streams_for_partition(
-                partition, tracer
-            )
-            sqlgen_span.set(streams=len(specs))
-        self._check_source(specs)
-        return opts, specs
+        return opts, self.specs(partition, opts)
 
     def _dispatch(self, partition, specs, opts):
         """Eagerly dispatch ``specs`` (retrying and degrading as ``opts``
@@ -556,17 +538,11 @@ class XmlView:
                 hedges=st.hedges,
                 hedge_wins=st.hedge_wins,
                 hedge_wait_ms=st.hedge_wait_ms,
-                backend=getattr(stream, "backend", None),
-                backend_wall_ms=getattr(stream, "backend_wall_ms", 0.0),
             )
             for spec, stream, st in zip(
                 outcome.specs, outcome.streams, stats
             )
         ]
-        backend_name = next(
-            (r.backend for r in reports if r.backend is not None), None
-        )
-        backend_wall_ms = sum(r.backend_wall_ms for r in reports)
         total = StreamAttemptStats.total(list(stats) + outcome.spent_stats)
         n_workers = max(opts.workers or 1, 1)
         resilience = dict(
@@ -581,8 +557,6 @@ class XmlView:
             hedge_wins=total.hedge_wins,
             hedge_wait_ms=total.hedge_wait_ms,
             shed_streams=tuple(outcome.shed),
-            backend=backend_name,
-            backend_wall_ms=backend_wall_ms,
         )
         if outcome.timeout is not None:
             nan = float("nan")

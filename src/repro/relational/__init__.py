@@ -17,7 +17,7 @@ over JDBC.  It provides:
   (:mod:`repro.relational.estimator`), and
 * a client/server connection layer with simulated transfer timing
   (:mod:`repro.relational.connection`),
-* real execution backends with cross-engine validation
+* a real SQLite target and the cross-validation of generated SQL on it
   (:mod:`repro.relational.backends`), and
 * measurement-calibrated cost estimation
   (:mod:`repro.relational.calibrate`).
@@ -80,11 +80,9 @@ from repro.relational.dispatch import (
     simulated_makespan,
 )
 from repro.relational.backends import (
-    BACKEND_NAMES,
     Backend,
-    SimulatedBackend,
     SqliteBackend,
-    resolve_backend,
+    cross_validate,
 )
 from repro.relational.calibrate import (
     CalibratedCostModel,
@@ -170,11 +168,9 @@ __all__ = [
     "explain_plan",
     "parse_sql",
     "render_sql",
-    "BACKEND_NAMES",
     "Backend",
-    "SimulatedBackend",
     "SqliteBackend",
-    "resolve_backend",
+    "cross_validate",
     "CalibratedCostModel",
     "CalibrationResult",
     "calibrate",

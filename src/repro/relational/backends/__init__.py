@@ -1,24 +1,20 @@
-"""Pluggable execution backends for the generated SQL.
+"""Real engines the generated SQL can be checked on.
 
-See :mod:`repro.relational.backends.base` for the abstraction and the
-determinism contract, and :mod:`repro.relational.backends.sqlite` for the
-real SQLite member.
+See :mod:`repro.relational.backends.base` for the target abstraction and
+the one comparison (:func:`cross_validate`), and
+:mod:`repro.relational.backends.sqlite` for the real SQLite member.
 """
 
 from repro.relational.backends.base import (
-    BACKEND_NAMES,
     Backend,
-    SimulatedBackend,
     align_backend_rows,
-    resolve_backend,
+    cross_validate,
 )
 from repro.relational.backends.sqlite import SqliteBackend
 
 __all__ = [
-    "BACKEND_NAMES",
     "Backend",
-    "SimulatedBackend",
     "SqliteBackend",
     "align_backend_rows",
-    "resolve_backend",
+    "cross_validate",
 ]

@@ -1,53 +1,36 @@
-"""Backend abstraction: where generated SQL is actually executed.
+"""Backends: a real engine the generated SQL can be checked on.
 
 The paper's middle-ware sends every partition's SQL to a commercial RDBMS
-over JDBC.  This repo historically simulated that source end to end — the
+over JDBC.  This repo simulates that source end to end — the
 :class:`~repro.relational.engine.QueryEngine` evaluates plans with an
 analytical cost model, so timings are deterministic and experiments are
-reproducible bit for bit.  A :class:`Backend` makes the *source* a
-pluggable axis without giving that up:
+reproducible bit for bit — and no request ever leaves it.  A
+:class:`Backend` is a *target* the same SQL can additionally be run on
+(:class:`~repro.relational.backends.sqlite.SqliteBackend`: a real SQLite
+instance loaded from the same :class:`Database`), and
+:func:`cross_validate` is the one comparison: the simulated engine runs
+each stream first and stays the *oracle*, the backend's rows are aligned
+against it row for row (a disagreement raises
+:class:`~repro.common.errors.BackendMismatchError` instead of silently
+preferring either side) and its wall clock is measured.
 
-* :class:`SimulatedBackend` — the in-memory engine alone.  The default;
-  nothing changes.
-* :class:`~repro.relational.backends.sqlite.SqliteBackend` — a real
-  SQLite instance loaded from the same :class:`Database`.  The simulated
-  engine still runs first and stays the *oracle*: its rows, simulated
-  timings, budget semantics, and cache behavior are untouched.  The
-  dialect-adapted SQL is additionally executed on SQLite, its wall-clock
-  time measured, and its rows cross-validated against the oracle
-  (:func:`align_backend_rows`) — a disagreement raises
-  :class:`~repro.common.errors.BackendMismatchError` instead of silently
-  preferring either side.
-
-This is the determinism contract: ``backend="sqlite"`` never changes XML
-output, ``server_ms``/``transfer_ms``, or plan-cache keys; it *adds* a
-measured ``backend_wall_ms`` per stream (surfaced through
-:class:`~repro.core.silkroute.StreamReport` / ``PlanReport`` and the
-metrics registry), which is what the calibration layer
-(:mod:`repro.relational.calibrate`) fits the cost model against.
+Both are things a caller builds and calls — the calibration layer
+(:mod:`repro.relational.calibrate`), the SQLite bench, the crash soak,
+the property tests and the CLI's ``--backend sqlite`` check — never an
+option a query carries: what a request returns, charges and caches
+cannot depend on whether anybody also asked SQLite.
 """
 
-from repro.common.errors import BackendMismatchError, QueryError
+from repro.common.errors import BackendMismatchError
 from repro.common.ordering import sort_key
 from repro.relational.algebra import Sort
 
-#: The backend names :func:`resolve_backend` accepts as strings.
-BACKEND_NAMES = ("simulated", "sqlite")
-
 
 class Backend:
-    """One place generated SQL can be executed.
+    """One real engine generated SQL can be executed on."""
 
-    Hashes by identity (so an :class:`~repro.core.options.ExecutionOptions`
-    carrying one stays hashable) and never compares equal to another
-    instance.
-    """
-
-    #: Short stable name, also the CLI spelling (``--backend <name>``).
+    #: Short stable name, as errors and reports spell it.
     name = "backend"
-    #: True when executing contacts a real engine whose wall-clock time is
-    #: measured; False for pure pass-throughs like :class:`SimulatedBackend`.
-    is_real = False
 
     def execute_sql(self, plan, sql):
         """Execute ``sql`` (the generated dialect, pre-adaptation) for
@@ -63,39 +46,32 @@ class Backend:
         return f"{type(self).__name__}()"
 
 
-class SimulatedBackend(Backend):
-    """The in-memory engine alone — an explicit spelling of the default.
+def cross_validate(engine, specs, backend, repeats=1):
+    """Run every :class:`~repro.core.sqlgen.StreamSpec` of ``specs`` on
+    ``engine`` (a :class:`~repro.relational.engine.QueryEngine`, the
+    oracle, first) and ``repeats`` times on ``backend``; return
+    ``[(spec, ExecutionResult, walls_ms)]`` with one measured wall per
+    backend run.
 
-    Exists so ``backend="simulated"`` round-trips through options, CLI
-    flags, and mixed :class:`~repro.relational.replicas.ReplicaSet`
-    members; :meth:`execute_sql` is never called on it.
-    """
-
-    name = "simulated"
-    is_real = False
-
-
-def resolve_backend(value, database=None):
-    """Normalize a backend argument: None and :class:`Backend` instances
-    pass through; the strings ``"simulated"``/``"sqlite"`` construct the
-    corresponding backend over ``database``."""
-    if value is None or isinstance(value, Backend):
-        return value
-    if value == "simulated":
-        return SimulatedBackend()
-    if value == "sqlite":
-        if database is None:
-            raise QueryError(
-                "backend 'sqlite' needs a database to load; resolve it "
-                "through a Connection (or pass a SqliteBackend instance)"
-            )
-        from repro.relational.backends.sqlite import SqliteBackend
-
-        return SqliteBackend(database)
-    raise QueryError(
-        f"unknown backend {value!r} (expected one of {BACKEND_NAMES} "
-        "or a Backend instance)"
-    )
+    The first backend run is the validation pass: its rows are aligned
+    with the oracle's (:func:`align_backend_rows`), and a difference
+    raises :class:`~repro.common.errors.BackendMismatchError` carrying
+    the stream's label and SQL.  Later runs only add wall samples — SQLite
+    statements at test scale run in microseconds, where one sample is
+    mostly noise."""
+    checked = []
+    for spec in specs:
+        result = engine.execute(spec.plan)
+        walls = []
+        for run in range(max(1, repeats)):
+            rows, wall_ms = backend.execute_sql(spec.plan, spec.sql)
+            if run == 0:
+                align_backend_rows(spec.plan, result.rows, rows,
+                                   backend.name, label=spec.label,
+                                   sql=spec.sql)
+            walls.append(wall_ms)
+        checked.append((spec, result, walls))
+    return checked
 
 
 def align_backend_rows(plan, oracle_rows, backend_rows, backend_name,

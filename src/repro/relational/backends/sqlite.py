@@ -16,7 +16,9 @@ The backend tracks the database's per-table generations
 (:meth:`~repro.relational.database.Database.table_generations`): a
 mutation through the database API marks the table stale and it is
 reloaded before the next execution, so the SQLite mirror follows the
-incremental-maintenance workloads without a manual refresh step.
+incremental-maintenance workloads without a manual refresh step.  Build
+the mirror *after* a :func:`~repro.relational.wal.recover`: a restore
+rewrites rows and pins the generation counters, which the diff cannot see.
 
 Loading runs with foreign-key enforcement off (SQLite would otherwise
 demand topological insert order); a ``PRAGMA foreign_key_check`` after
@@ -25,11 +27,10 @@ in-memory database enforces them on mutation, so a violation here means
 the mirror diverged and is raised as a
 :class:`~repro.common.errors.BackendMismatchError`.
 
-Thread safety: the dispatch layer executes streams from worker threads,
-so one connection is shared under a lock (``check_same_thread=False``).
-Queries serialize on the backend — wall-clock measurements stay
-per-statement honest — while the simulated timings, computed engine-side,
-remain exactly as concurrent as before.
+Thread safety: one connection is shared under a lock
+(``check_same_thread=False``), so a backend may be called from several
+threads; statements serialize on it and wall-clock measurements stay
+per-statement honest.
 """
 
 import datetime
@@ -68,7 +69,6 @@ class SqliteBackend(Backend):
     """
 
     name = "sqlite"
-    is_real = True
 
     def __init__(self, database, db_path=None):
         self.database = database
@@ -185,18 +185,6 @@ class SqliteBackend(Backend):
                 f"SELECT COUNT(*) FROM {_q(table_name)}"
             )
             return cursor.fetchone()[0]
-
-    def refresh(self):
-        """Forget the recorded per-table generations so the next
-        execution reloads **every** table from the in-memory database.
-
-        The post-recovery hook: :func:`~repro.relational.wal.recover`
-        calls this on each attached backend after restoring table
-        contents, because a restore rewrites rows *and* pins generation
-        counters — the generation diff alone can no longer be trusted to
-        notice which mirrored tables changed underneath it."""
-        with self._lock:
-            self._generations = {}
 
     def close(self):
         with self._lock:

@@ -44,6 +44,7 @@ from dataclasses import dataclass, fields
 from statistics import median
 
 from repro.common.errors import QueryError
+from repro.relational.backends import SqliteBackend, cross_validate
 from repro.relational.engine import CostModel
 
 #: Fitted charge groups, in solve order.
@@ -148,34 +149,24 @@ class CalibrationResult:
 
 def measure_streams(connection, specs, backend, repeats=3):
     """Execute every spec on the simulated engine (for its charge
-    breakdown) and on ``backend`` ``repeats`` times (for its wall);
-    return :class:`CalibrationObservation` per spec.
+    breakdown) and on ``backend`` ``repeats`` times (for its wall) through
+    :func:`~repro.relational.backends.cross_validate`, so the rows are
+    checked against the simulated oracle on the way; return a
+    :class:`CalibrationObservation` per spec.
 
     The wall is the median over the repeats — SQLite statements at this
     scale run in microseconds, where a single sample is mostly noise.
-    The first backend run doubles as the cross-validation pass: rows are
-    checked against the simulated oracle like any backend execution.
     """
-    from repro.relational.backends.base import align_backend_rows
-
-    observations = []
-    for spec in specs:
-        result = connection.engine.execute(spec.plan)
-        walls = []
-        for attempt in range(max(1, repeats)):
-            rows, wall_ms = backend.execute_sql(spec.plan, spec.sql)
-            if attempt == 0:
-                align_backend_rows(
-                    spec.plan, result.rows, rows, backend.name,
-                    label=spec.label, sql=spec.sql,
-                )
-            walls.append(wall_ms)
-        observations.append(CalibrationObservation(
+    return [
+        CalibrationObservation(
             label=spec.label,
             features=group_features(result.breakdown),
             wall_ms=median(walls),
-        ))
-    return observations
+        )
+        for spec, result, walls in cross_validate(
+            connection.engine, specs, backend, repeats
+        )
+    ]
 
 
 def fit_scales(observations, ridge=1e-3, prior=1.0):
@@ -279,9 +270,7 @@ def calibrate(connection, specs, backend=None, repeats=3, ridge=1e-3):
     everything from the unified plan's wide outer joins to the fully
     partitioned plan's many small scans.
     """
-    from repro.relational.backends.base import resolve_backend
-
-    backend = resolve_backend(backend or "sqlite", connection.database)
+    backend = backend or SqliteBackend(connection.database)
     observations = measure_streams(connection, specs, backend, repeats)
     scales = fit_scales(observations, ridge=ridge)
     model = apply_scales(

@@ -26,14 +26,8 @@ from repro.common.errors import (
     TransientConnectionError,
 )
 from repro.obs import obs_parts
-from repro.relational.backends.base import (
-    Backend,
-    align_backend_rows,
-    resolve_backend,
-)
 from repro.relational.cache import BoundedCache, resolve_cache
 from repro.relational.engine import QueryEngine
-from repro.relational.sqltext import render_sql
 from repro.relational.types import width_function
 
 
@@ -99,11 +93,6 @@ class TupleStream:
         self.sql = sql
         self.label = label
         self.fault_latency_ms = 0.0
-        #: Name of the backend that cross-validated this stream (None for
-        #: pure simulation) and its measured wall-clock milliseconds —
-        #: reporting only, never part of the simulated timings.
-        self.backend = None
-        self.backend_wall_ms = 0.0
 
     @property
     def total_ms(self):
@@ -162,11 +151,6 @@ class TupleCursor:
         #: Connection latency drawn when the cursor was opened, as on
         #: :class:`TupleStream`.
         self.fault_latency_ms = 0.0
-        #: Backend identity + wall clock, as on :class:`TupleStream`.  For
-        #: a real backend the cross-validation runs when the cursor is
-        #: exhausted (the oracle rows only exist once streamed).
-        self.backend = None
-        self.backend_wall_ms = 0.0
         self._iter_result = iter_result
 
         def rows():
@@ -245,21 +229,21 @@ class Connection:
     (:func:`~repro.relational.dispatch.execute_specs` with a
     :class:`~repro.relational.faults.RetryPolicy`) retries, breaks, or
     degrades around.
+
+    ``engine`` is the :class:`~repro.relational.engine.QueryEngine` mode
+    every plan of this connection runs in, fixed here: ``"batch"`` (the
+    production kernels) or ``"tuple"`` (the reference interpreter the
+    identity tests, the perf harness and the crash soak build to compare
+    against — same rows, same simulated timings).
     """
 
     def __init__(self, database, cost_model, transfer_model=None, cache=None,
-                 faults=None, engine="batch", backend=None):
+                 faults=None, engine="batch"):
         self.database = database
         self.engine = QueryEngine(database, cost_model,
                                   cache=resolve_cache(cache), engine=engine)
         self.transfer_model = transfer_model or TransferModel()
         self.faults = faults
-        #: Default :class:`~repro.relational.backends.Backend` (or None for
-        #: pure simulation); per-call ``backend=`` overrides.  String names
-        #: are resolved once and memoized so repeated ``backend="sqlite"``
-        #: calls share one loaded mirror.
-        self.backend = resolve_backend(backend, database)
-        self._backend_memo = {}
         # Total transfer cost per (plan fingerprint, dependency key,
         # compact flag), see :meth:`_transfer_cost_for`.  A mutation moves
         # the dependency key; the engine retires the orphans with its own.
@@ -276,22 +260,6 @@ class Connection:
     def cache(self, cache):
         self.engine.cache = resolve_cache(cache)
 
-    def _resolve_backend(self, backend):
-        """Per-call backend override: None → the connection default,
-        instances pass through, names are memoized per connection."""
-        if backend is None:
-            return self.backend
-        if isinstance(backend, Backend):
-            return backend
-        resolved = self._backend_memo.get(backend)
-        if resolved is None:
-            if self.backend is not None and backend == self.backend.name:
-                resolved = self.backend
-            else:
-                resolved = resolve_backend(backend, self.database)
-            self._backend_memo[backend] = resolved
-        return resolved
-
     def is_cached(self, plan):
         """True when the engine would replay ``plan`` from its result
         cache without re-evaluating — i.e. executing it cannot touch the
@@ -307,11 +275,10 @@ class Connection:
         plan = parse_sql(text, self.database.schema)
         return self.execute(plan, sql=text, label=label, budget_ms=budget_ms)
 
-    def _submit(self, run, plan, sql, label, attempt, faults, opts):
+    def _submit(self, run, plan, label, attempt, faults, opts):
         """What :meth:`execute` and :meth:`execute_iter` share: the fault
-        draw, the backend decision, and the engine call ``run`` (the
-        engine's ``execute`` or ``execute_iter``).  Returns ``(result,
-        latency_ms, backend, text)``.
+        draw and the engine call ``run`` (the engine's ``execute`` or
+        ``execute_iter``).  Returns ``(result, latency_ms)``.
 
         The draw comes first and raises before the engine or its cache is
         touched: ``faults`` overrides the bundle's policy, which overrides
@@ -320,9 +287,7 @@ class Connection:
         opened); ``latency_ms`` is the injected latency in simulated ms.
         Draws are keyed by ``(label, plan fingerprint, attempt)``, so they
         are independent of dispatch order and a degraded re-plan (same
-        label, different fingerprint) draws fresh outcomes.  ``text`` is
-        the SQL to run on ``backend`` — None unless it is a real backend
-        and the plan is not about to be replayed from the cache."""
+        label, different fingerprint) draws fresh outcomes."""
         if faults is None:
             faults = opts.faults if opts.faults is not None else self.faults
         latency_ms = 0.0
@@ -335,17 +300,11 @@ class Connection:
                     latency_ms=decision.latency_ms,
                 )
             latency_ms = decision.latency_ms
-        backend = self._resolve_backend(opts.backend)
-        text = None
-        if (backend is not None and backend.is_real
-                and not self.engine.cached_complete(plan)):
-            text = sql if sql is not None else render_sql(plan)
         result = run(
             plan, budget_ms=opts.budget_ms,
             metrics=obs_parts(opts.obs)[1] if opts.obs is not None else None,
-            engine=opts.engine,
         )
-        return result, latency_ms, backend, text
+        return result, latency_ms
 
     def execute(self, plan, compact_rows=False, sql=None, label=None,
                 attempt=1, faults=None, options=None, **overrides):
@@ -357,22 +316,9 @@ class Connection:
         :class:`~repro.core.options.ExecutionOptions` this layer reads —
         bundle them in ``options=`` or override single ones by keyword, as
         everywhere: ``budget_ms`` bounds *server* time (the paper's
-        per-subquery timeout); ``engine`` overrides the
-        engine's execution mode for this call (performance only; results
-        and timings are identical); ``obs`` (an
-        :class:`~repro.obs.ObsOptions` session) forwards the metrics
-        registry to the engine's plan-cache hit/miss counters.
-
-        ``backend`` (a name or :class:`~repro.relational.backends.Backend`;
-        None uses the connection default) selects a real backend to *also*
-        execute the generated SQL on: the simulated engine remains the
-        oracle — its rows, simulated timings, budget and cache semantics
-        are unchanged — while the backend's rows are cross-validated
-        against it (:class:`~repro.common.errors.BackendMismatchError` on
-        any difference) and its wall-clock lands in the stream's
-        ``backend_wall_ms``.  Plan-cache replays never contact the
-        backend, mirroring the existing "a replay never touches the
-        source" contract.
+        per-subquery timeout); ``obs`` (an :class:`~repro.obs.ObsOptions`
+        session) forwards the metrics registry to the engine's plan-cache
+        hit/miss counters.
 
         ``attempt`` and ``faults`` belong to this one submission: with a
         :class:`~repro.relational.faults.FaultPolicy` in play (``faults``,
@@ -385,14 +331,9 @@ class Connection:
         call.
         """
         opts = resolve_options(options, overrides)
-        result, latency_ms, backend, text = self._submit(
-            self.engine.execute, plan, sql, label, attempt, faults, opts
+        result, latency_ms = self._submit(
+            self.engine.execute, plan, label, attempt, faults, opts
         )
-        backend_wall_ms = 0.0
-        if text is not None:
-            backend_rows, backend_wall_ms = backend.execute_sql(plan, text)
-            align_backend_rows(plan, result.rows, backend_rows,
-                               backend.name, label=label, sql=text)
         transfer_ms = self._transfer_cost_for(plan, result, compact_rows)
         stream = TupleStream(
             columns=result.columns,
@@ -403,25 +344,12 @@ class Connection:
             label=label,
         )
         stream.fault_latency_ms = latency_ms
-        if backend is not None:
-            stream.backend = backend.name
-            stream.backend_wall_ms = backend_wall_ms
         return stream
 
     def execute_iter(self, plan, compact_rows=False, sql=None, label=None,
                      attempt=1, faults=None, options=None, **overrides):
         """Execute ``plan`` streaming; return a :class:`TupleCursor`.
         Arguments as on :meth:`execute`.
-
-        With a real ``backend`` the generated SQL is executed (and its
-        wall clock measured) when the cursor is opened, but the
-        cross-validation against the simulated oracle necessarily waits
-        until the cursor is exhausted — the oracle rows only exist once
-        streamed — so a :class:`~repro.common.errors.BackendMismatchError`
-        surfaces from the final ``next()``.  The validation buffers the
-        streamed rows for comparison: bounded-memory streaming is a
-        simulated-backend guarantee.  Cache replays skip the backend, as
-        on :meth:`execute`.
 
         A :class:`~repro.relational.faults.FaultPolicy` in play draws its
         outcome when the cursor is *opened* (the streaming path has no
@@ -432,7 +360,7 @@ class Connection:
 
         The engine opens a cursor
         (:meth:`~repro.relational.engine.QueryEngine.execute_iter`) in
-        ``opts.engine``'s mode, the batch kernels by default: the plan is
+        the connection's mode, the batch kernels by default: the plan is
         evaluated on first ``next()`` keeping no intermediate and caching
         nothing, and the final ORDER BY's buffer is drained destructively
         — memory is bounded by that buffer plus the largest single
@@ -446,9 +374,8 @@ class Connection:
         """
         opts = resolve_options(options, overrides)
         try:
-            iter_result, latency_ms, backend, text = self._submit(
-                self.engine.execute_iter, plan, sql, label, attempt, faults,
-                opts,
+            iter_result, latency_ms = self._submit(
+                self.engine.execute_iter, plan, label, attempt, faults, opts,
             )
         except TimeoutExceeded as exc:
             # The startup charge alone blew the budget (in either engine
@@ -463,13 +390,6 @@ class Connection:
             label=label,
         )
         cursor.fault_latency_ms = latency_ms
-        if backend is not None:
-            cursor.backend = backend.name
-        if text is not None:
-            backend_rows, wall_ms = backend.execute_sql(plan, text)
-            cursor.backend_wall_ms = wall_ms
-            _defer_backend_validation(cursor, plan, backend.name,
-                                      backend_rows, text)
         return cursor
 
     def _row_cost_fn(self, columns, compact_rows):
@@ -538,25 +458,3 @@ class Connection:
         for row in rows:
             total += row_cost(row)
         return total
-
-
-def _defer_backend_validation(cursor, plan, backend_name, backend_rows, sql):
-    """Wrap the cursor's row generator so the streamed oracle rows are
-    collected and cross-validated against ``backend_rows`` at exhaustion.
-    Abandoned (closed-early) cursors skip validation — there is no full
-    oracle to compare against."""
-    inner = cursor._rows
-
-    def rows():
-        seen = []
-        try:
-            for row in inner:
-                seen.append(row)
-                yield row
-        finally:
-            inner.close()
-        if cursor.exhausted:
-            align_backend_rows(plan, seen, backend_rows, backend_name,
-                               label=cursor.label, sql=sql)
-
-    cursor._rows = rows()

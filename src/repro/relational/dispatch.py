@@ -562,8 +562,6 @@ def record_stream(metrics, stream, stats):
     metrics.inc("tuples.transferred", stream.rows_read)
     metrics.observe("stream.query_ms", stream.server_ms)
     metrics.observe("stream.transfer_ms", stream.transfer_ms)
-    if getattr(stream, "backend_wall_ms", 0.0):
-        metrics.observe("stream.backend_wall_ms", stream.backend_wall_ms)
 
 
 def _completion_ms(stream):

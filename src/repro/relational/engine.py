@@ -271,7 +271,7 @@ def _drain(rows):
         yield row
 
 
-#: Recognized values for the ``engine=`` execution knob.
+#: The execution modes a :class:`QueryEngine` can be built in.
 ENGINE_MODES = ("batch", "tuple")
 
 
@@ -298,9 +298,10 @@ class QueryEngine:
     Every operator therefore exists exactly twice: as a batch kernel and
     as a ``_stream_*`` generator.
 
-    ``engine`` sets the default mode, which can be overridden per call.
+    ``engine`` fixes the mode for the engine's life (:attr:`mode`): a
+    reference is an engine you build, not something a call asks for.
     Because results, simulated timings, and cache keys are identical,
-    modes may be mixed freely against a shared cache.
+    engines of different modes may share one :attr:`cache`.
     """
 
     def __init__(self, database, cost_model=None, cache=None,
@@ -312,7 +313,7 @@ class QueryEngine:
         self.cache = cache
         if engine not in ENGINE_MODES:
             raise ValueError(f"unknown engine mode {engine!r}")
-        self.default_engine = engine
+        self.mode = engine
         #: Compiled plans keyed by plan fingerprint.  Plans recur across
         #: sweep partitions, so compilation amortizes to zero.
         self._compiled = BoundedCache("compiled_plans", max_entries=512)
@@ -334,12 +335,6 @@ class QueryEngine:
         #: Dependency-keyed like :attr:`cache`, retired with it (the
         #: connection adds its transfer memo).
         self.generation_keyed = [self._row_bytes]
-
-    def _engine_mode(self, engine):
-        mode = engine or self.default_engine
-        if mode not in ENGINE_MODES:
-            raise ValueError(f"unknown engine mode {mode!r}")
-        return mode
 
     def _row_bytes_for(self, fingerprint, columns, rows, tables):
         """Average row width for ``rows`` (the output of the plan with
@@ -422,16 +417,12 @@ class QueryEngine:
         return entry is not None and entry.complete
 
     def execute(self, plan, budget_ms=None, include_startup=True,
-                metrics=None, engine=None):
+                metrics=None):
         """Run ``plan``; return an :class:`ExecutionResult`.
 
         ``budget_ms`` is a simulated-time budget (the paper's 5-minute
         per-subquery timeout); exceeding it raises
         :class:`~repro.common.errors.TimeoutExceeded`.
-
-        ``engine`` selects the execution mode (``"batch"`` or ``"tuple"``,
-        default :attr:`default_engine`) — a performance knob only:
-        results, charge logs, and cache entries are identical in both.
 
         With a :attr:`cache` installed, a plan already executed against the
         current database generation is *replayed* instead of re-evaluated:
@@ -445,14 +436,13 @@ class QueryEngine:
         ``plan_cache.misses`` (evaluated fresh, including single-flight
         leaders); executions with no cache installed count neither.
         """
-        mode = self._engine_mode(engine)
         charges = _Charges(self.cost_model, budget_ms,
                            results=self.node_cache, metrics=metrics)
         if include_startup:
             charges.charge("startup", self.cost_model.startup_ms)
         cache = self.cache
         if cache is None:
-            rows = self._evaluate(plan, charges, mode)
+            rows = self._evaluate(plan, charges)
             return self._result(plan, rows, charges)
         # ``include_startup`` is part of the key: some charges (the
         # outer-join re-evaluation penalty) are measured as running-total
@@ -481,7 +471,7 @@ class QueryEngine:
         try:
             charges.log = []
             try:
-                rows = self._evaluate(plan, charges, mode)
+                rows = self._evaluate(plan, charges)
             except TimeoutExceeded:
                 cache.store(
                     key,
@@ -506,9 +496,10 @@ class QueryEngine:
             cache.finish(key)
         return self._result(plan, rows, charges)
 
-    def _evaluate(self, plan, charges, mode):
-        """Evaluate ``plan`` fresh in ``mode``; return the result rows."""
-        if mode == "tuple":
+    def _evaluate(self, plan, charges):
+        """Evaluate ``plan`` fresh in :attr:`mode`; return the result
+        rows."""
+        if self.mode == "tuple":
             return list(self._stream_plan(plan, charges))
         metrics = charges.metrics
         self._refresh_dependencies(metrics)
@@ -523,7 +514,7 @@ class QueryEngine:
         return batch.rows(compiled.batch_size)
 
     def execute_iter(self, plan, budget_ms=None, include_startup=True,
-                     metrics=None, engine=None):
+                     metrics=None):
         """Open a cursor on ``plan``; return an :class:`IterResult`.
 
         Arguments, modes and results are :meth:`execute`'s: the drained
@@ -552,14 +543,13 @@ class QueryEngine:
         :meth:`XmlView.materialize_to
         <repro.core.silkroute.XmlView.materialize_to>` stream large views.
 
-        With ``engine="tuple"`` the rows come from the ``_stream_*``
+        On a ``"tuple"`` engine the rows come from the ``_stream_*``
         generators instead (scan → filter → project chains stream row by
         row; sort, distinct and the hash joins are pipeline breakers): the
         reference the kernels are checked against.  It wraps every sort
         key and resumes a generator per row per operator, so it takes over
         twice the time.
         """
-        mode = self._engine_mode(engine)
         charges = _Charges(self.cost_model, budget_ms, metrics=metrics)
         if include_startup:
             charges.charge("startup", self.cost_model.startup_ms)
@@ -581,7 +571,7 @@ class QueryEngine:
                 return result
             if metrics is not None:
                 metrics.inc("plan_cache.misses")
-        if mode == "tuple":
+        if self.mode == "tuple":
             result._attach(self._stream_plan(plan, charges))
         else:
             result._attach(self._drain_plan(plan, charges))
@@ -593,7 +583,7 @@ class QueryEngine:
         drain must not rest on every kernel returning a list that nothing
         else (a table, a batch) holds."""
         try:
-            rows = list(self._evaluate(plan, charges, "batch"))
+            rows = list(self._evaluate(plan, charges))
         finally:
             charges.memo.clear()
         yield from _drain(rows)
@@ -619,7 +609,7 @@ class QueryEngine:
 
     # -- row-at-a-time (Volcano-style) evaluation ---------------------------
     #
-    # The one row interpreter, behind ``engine="tuple"``: ``execute`` drains
+    # The one row interpreter, what a ``"tuple"`` engine runs: ``execute`` drains
     # it into a list, ``execute_iter`` hands it out lazily.  Each operator is a
     # generator applying the *same* cost-model formulas as its batch kernel
     # in :mod:`~repro.relational.vector_ops`, charged when its stream

@@ -44,7 +44,6 @@ import threading
 from dataclasses import dataclass, replace
 
 from repro.common.errors import OverloadError, tag_request
-from repro.relational.backends.base import resolve_backend
 from repro.relational.connection import Connection
 from repro.relational.faults import CircuitBreaker
 
@@ -85,8 +84,7 @@ class ReplicaSet:
         self.connections = connections
 
     @classmethod
-    def from_connection(cls, connection, n, faults=None, transfer_models=None,
-                        backends=None):
+    def from_connection(cls, connection, n, faults=None, transfer_models=None):
         """Clone ``connection`` into an ``n``-replica set.
 
         Replica 0 *is* the given connection (same engine, same cache);
@@ -101,13 +99,6 @@ class ReplicaSet:
         (the lever for chaos scenarios — one hard-down replica, one slow
         one).  ``transfer_models`` optionally does the same for transfer
         coefficients; identical models keep hedged timings identical.
-        ``backends`` pins each replica's default execution backend the
-        same way — a sequence of length ``n`` of backend names or
-        :class:`~repro.relational.backends.Backend` instances (None
-        entries keep pure simulation), so a set can mix simulated and
-        real-SQLite members.  Because a real backend never changes rows
-        or simulated timings, a mixed set still routes, hedges, and
-        fails over byte-identically to an all-simulated one.
         """
         if n < 1:
             raise ValueError(f"need at least 1 replica, got {n}")
@@ -116,17 +107,9 @@ class ReplicaSet:
                 f"transfer_models has {len(transfer_models)} entries "
                 f"for {n} replicas"
             )
-        if backends is not None and len(backends) != n:
-            raise ValueError(
-                f"backends has {len(backends)} entries for {n} replicas"
-            )
         per_replica = cls._fault_plan(connection, n, faults)
         connections = [connection]
         connection.faults = per_replica[0]
-        if backends is not None:
-            connection.backend = resolve_backend(
-                backends[0], connection.database
-            )
         for i in range(1, n):
             transfer = None
             if transfer_models is not None:
@@ -136,8 +119,7 @@ class ReplicaSet:
                 connection.engine.cost_model,
                 transfer_model=transfer or connection.transfer_model,
                 faults=per_replica[i],
-                engine=connection.engine.default_engine,
-                backend=backends[i] if backends is not None else None,
+                engine=connection.engine.mode,
             )
             if connection.cache is not None:
                 conn.cache = connection.cache

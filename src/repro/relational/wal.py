@@ -303,18 +303,13 @@ def _restore_snapshot(database, payload):
     return rows_restored
 
 
-def recover(path, schema=None, database=None, backends=(), metrics=None,
-            tracer=None):
+def recover(path, schema=None, database=None, metrics=None, tracer=None):
     """Reconstruct a database from ``path``'s snapshot + log tail.
 
     Pass ``schema`` to build a fresh :class:`~repro.relational.database.
     Database` (the restart path), or ``database`` to restore into an
     existing *unqueried* instance.  Torn/partial trailing records are
-    tolerated and reported, never raised.  ``backends`` are real-backend
-    mirrors (e.g. :class:`~repro.relational.backends.SqliteBackend`) to
-    re-mirror from the recovered state — each has
-    :meth:`~repro.relational.backends.sqlite.SqliteBackend.refresh`
-    called so its next execution reloads every table.
+    tolerated and reported, never raised.
 
     Returns ``(database, RecoveryReport)``.
     """
@@ -371,8 +366,6 @@ def recover(path, schema=None, database=None, backends=(), metrics=None,
     metrics.inc("wal.records_replayed", report.records_scanned)
     metrics.inc("wal.ops_replayed", ops_applied)
     metrics.inc("wal.torn_bytes", report.torn_bytes)
-    for backend in backends:
-        backend.refresh()
     return database, report
 
 

@@ -39,28 +39,24 @@ import json
 import math
 
 from repro.common.errors import ReproError
-from repro.core.options import ExecutionOptions
-from repro.core.sqlgen import PlanStyle
-from repro.relational.backends import BACKEND_NAMES
-from repro.relational.engine import ENGINE_MODES
-from repro.relational.faults import FaultPolicy, RetryPolicy
+from repro.core.options import FLAT_OPTIONS, options_from_flat
 
 #: Hard cap on one request frame (bytes, newline included).  Far above
 #: any legitimate request — inline RXL texts are a few KiB — and far
 #: below what a hostile or confused client could make the server buffer.
 MAX_FRAME_BYTES = 1 << 20
 
-#: ExecutionOptions fields a client may set, with their wire codecs.
-WIRE_OPTIONS = (
-    "style", "reduce", "budget_ms", "workers", "retries", "fault_seed",
-    "fault_rate", "replicas", "hedge_ms", "max_concurrent", "engine",
-    "backend",
-)
+#: What a client may set of :class:`~repro.core.options.ExecutionOptions`:
+#: the flat names the command line spells too.
+WIRE_OPTIONS = tuple(FLAT_OPTIONS)
 
-_STYLES = {
-    "outer-join": PlanStyle.OUTER_JOIN,
-    "outer-union": PlanStyle.OUTER_UNION,
-}
+#: What one request may ask of a shared server, whatever its options and
+#: fields say — constants of the service, not options: a document indented
+#: deeper or a delta, a replica set, a dispatch or a retry loop larger than
+#: this is refused before it costs anything.
+MAX_INDENT = 8
+MAX_MUTATION_ROWS = 10_000
+WIRE_OPTION_LIMITS = {"replicas": 8, "workers": 32, "retries": 16}
 
 
 class ProtocolError(ReproError, ValueError):
@@ -88,61 +84,44 @@ def decode(line):
     return obj
 
 
+def request_int(request, name, default, low, high):
+    """The integer ``request[name]`` (``default`` when absent or null),
+    refused with a :class:`ProtocolError` naming the field unless it is an
+    integer in ``low..high``."""
+    value = request.get(name)
+    if value is None:
+        return default
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or not low <= value <= high):
+        raise ProtocolError(
+            f"{name!r} must be an integer in {low}..{high}, got {value!r}"
+        )
+    return value
+
+
 def options_from_wire(wire):
     """A client's ``options`` object to :class:`ExecutionOptions`.
 
     Unknown keys are refused (a typo should not silently run with
-    defaults); ``retries``/``fault_seed``/``fault_rate`` build the
-    resilience policies the engine understands.
+    defaults), every value is checked as the command line checks its
+    flags (:func:`~repro.core.options.options_from_flat`, which also
+    builds the resilience policies from ``retries``/``fault_seed``/
+    ``fault_rate``), and the sizes are held to
+    :data:`WIRE_OPTION_LIMITS`.
     """
     if wire is None:
         return None
+    if not isinstance(wire, dict):
+        raise ProtocolError("'options' is not a JSON object")
     unknown = set(wire) - set(WIRE_OPTIONS)
     if unknown:
         raise ProtocolError(f"unknown wire option(s): {sorted(unknown)}")
-    fields = {}
-    style = wire.get("style")
-    if style is not None:
-        try:
-            fields["style"] = _STYLES[style]
-        except KeyError:
-            raise ProtocolError(
-                f"unknown style {style!r} (expected one of "
-                f"{sorted(_STYLES)})"
-            ) from None
-    if "reduce" in wire:
-        fields["reduce"] = bool(wire["reduce"])
-    retries = wire.get("retries")
-    if retries is not None:
-        fields["retry"] = RetryPolicy(max_attempts=int(retries))
-    if wire.get("fault_seed") is not None or wire.get("fault_rate") is not None:
-        fields["faults"] = FaultPolicy(
-            seed=int(wire.get("fault_seed") or 0),
-            error_rate=float(wire.get("fault_rate") or 0.0),
-        )
-    for name in ("budget_ms", "hedge_ms"):
-        if wire.get(name) is not None:
-            fields[name] = float(wire[name])
-    for name in ("workers", "replicas", "max_concurrent"):
-        if wire.get(name) is not None:
-            fields[name] = int(wire[name])
-    engine = wire.get("engine")
-    if engine is not None:
-        if engine not in ENGINE_MODES:
-            raise ProtocolError(
-                f"unknown engine {engine!r} (expected "
-                f"{' or '.join(map(repr, ENGINE_MODES))})"
-            )
-        fields["engine"] = engine
-    backend = wire.get("backend")
-    if backend is not None:
-        if backend not in BACKEND_NAMES:
-            raise ProtocolError(
-                f"unknown backend {backend!r} "
-                f"(expected one of {', '.join(BACKEND_NAMES)})"
-            )
-        fields["backend"] = backend
-    return ExecutionOptions(**fields)
+    for name, limit in WIRE_OPTION_LIMITS.items():
+        request_int(wire, name, None, 1, limit)
+    try:
+        return options_from_flat(wire)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 def options_to_wire(options):
@@ -160,14 +139,10 @@ def options_to_wire(options):
         wire["fault_seed"] = options.faults.seed
         wire["fault_rate"] = options.faults.error_rate
     for name in ("budget_ms", "hedge_ms", "workers", "replicas",
-                 "max_concurrent", "engine"):
+                 "max_concurrent"):
         value = getattr(options, name)
         if value is not None:
             wire[name] = value
-    # Only backend *names* cross the wire; a live Backend instance is a
-    # local resource and stays client-side.
-    if isinstance(options.backend, str):
-        wire["backend"] = options.backend
     return wire
 
 

@@ -48,10 +48,13 @@ from repro.obs.metrics import MetricsRegistry
 from repro.relational.cache import SingleFlight
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
+    MAX_INDENT,
+    MAX_MUTATION_ROWS,
     ProtocolError,
     error_to_wire,
     options_from_wire,
     report_to_wire,
+    request_int,
 )
 from repro.serve.tenants import TenantRegistry
 from repro.session import QueryResult, Session
@@ -535,7 +538,8 @@ class Server:
                     request_id=request_id,
                     partition=request.get("partition"),
                     root_tag=request.get("root_tag", "view"),
-                    indent=request.get("indent"),
+                    indent=request_int(request, "indent", None, 0,
+                                       MAX_INDENT),
                     options=options_from_wire(request.get("options")),
                 )
                 return {
@@ -557,7 +561,8 @@ class Server:
                 result = self.mutate(
                     request.get("table"),
                     op=request.get("mutation", "insert"),
-                    rows=int(request.get("rows", 1)),
+                    rows=request_int(request, "rows", 1, 1,
+                                     MAX_MUTATION_ROWS),
                     seed=int(request.get("seed", 0)),
                     tenant=tenant, request_id=request_id,
                 )

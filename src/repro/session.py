@@ -101,6 +101,8 @@ def apply_delta(database, table_name, op="insert", rows=1, seed=0):
     from repro.common.errors import SchemaError
     from repro.relational.database import synthesize_rows
 
+    if rows < 1:
+        raise ValueError(f"a delta needs at least 1 row, got {rows}")
     table = database.table(table_name)
     schema = table.schema
     if op == "insert":

@@ -1,10 +1,10 @@
 """Tests for the real-backend layer (repro.relational.backends).
 
-The contract under test: a real backend never changes *anything*
-observable from the simulated path — rows, XML bytes, simulated timings,
-cache behaviour — it only adds cross-validation and a separately-reported
-measured wall clock.  The simulated engine stays the oracle; SQLite is
-the witness.
+The contract under test: a backend is a *target* one builds and
+``cross_validate`` the one comparison one calls — the simulated engine
+runs first and stays the oracle, SQLite is the witness: its rows must
+align with the oracle's, its wall clock is measured, and nothing a
+request returns, charges or caches depends on whether it was asked.
 """
 
 import io
@@ -13,8 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bench.queries import QUERY_1, QUERY_2
-from repro.common.errors import BackendMismatchError, QueryError
-from repro.core.options import ExecutionOptions
+from repro.common.errors import BackendMismatchError
 from repro.core.partition import enumerate_partitions
 from repro.core.silkroute import SilkRoute
 from repro.core.sqlgen import PlanStyle, SqlGenerator
@@ -29,11 +28,9 @@ from repro.relational.algebra import (
     Sort,
 )
 from repro.relational.backends import (
-    BACKEND_NAMES,
     Backend,
-    SimulatedBackend,
     SqliteBackend,
-    resolve_backend,
+    cross_validate,
 )
 from repro.relational.connection import Connection
 from repro.relational.database import Database
@@ -58,32 +55,20 @@ def conn(tiny_db):
     return Connection(tiny_db, CostModel())
 
 
+class _Spec:
+    """What ``cross_validate`` reads of a stream spec, for bare plans."""
+
+    def __init__(self, plan, label="s"):
+        self.plan, self.sql, self.label = plan, render_sql(plan), label
+
+
+def region_spec(db):
+    return _Spec(Sort(Scan(db.schema.table("Region"), "r"), ["r.regionkey"]))
+
+
 class TestResolveBackend:
-    def test_names(self):
-        assert BACKEND_NAMES == ("simulated", "sqlite")
-
-    def test_none_passes_through(self):
-        assert resolve_backend(None) is None
-
-    def test_instance_passes_through(self, tiny_db):
-        backend = SqliteBackend(tiny_db)
-        assert resolve_backend(backend, tiny_db) is backend
-        backend.close()
-
-    def test_simulated_by_name(self):
-        backend = resolve_backend("simulated")
-        assert isinstance(backend, SimulatedBackend)
-        assert not backend.is_real
-
-    def test_sqlite_by_name_needs_database(self):
-        with pytest.raises(QueryError):
-            resolve_backend("sqlite")
-
-    def test_unknown_name_lists_choices(self, tiny_db):
-        with pytest.raises(QueryError) as info:
-            resolve_backend("postgres", tiny_db)
-        assert "simulated" in str(info.value)
-        assert "sqlite" in str(info.value)
+    """Name resolution is gone (a backend is built, not named); what is
+    left of it is the abstract target."""
 
     def test_base_backend_is_abstract(self):
         with pytest.raises(NotImplementedError):
@@ -161,37 +146,32 @@ class TestSqliteMirror:
 
 
 class TestConnectionIntegration:
-    def test_rows_and_timings_identical(self, conn, q1_tree, tiny_db):
+    """``cross_validate`` beside a connection: the oracle side is the
+    connection's engine, and the connection never learns of the check."""
+
+    def test_rows_and_timings_identical(self, conn, q1_tree, tiny_db,
+                                        sqlite_backend):
         gen = SqlGenerator(q1_tree, tiny_db.schema)
-        spec = gen.streams_for_partition(
+        specs = gen.streams_for_partition(
             list(enumerate_partitions(q1_tree))[0]
-        )[0]
-        plain = conn.execute(spec.plan, sql=spec.sql, label=spec.label)
-        real = conn.execute(spec.plan, sql=spec.sql, label=spec.label,
-                            backend="sqlite")
-        assert list(real) == list(plain)
-        assert real.server_ms == plain.server_ms
-        assert real.transfer_ms == plain.transfer_ms
-        assert real.backend == "sqlite"
-        assert real.backend_wall_ms > 0.0
-        assert plain.backend is None
+        )
+        plain = [
+            conn.execute(spec.plan, sql=spec.sql, label=spec.label)
+            for spec in specs
+        ]
+        checked = cross_validate(conn.engine, specs, sqlite_backend)
+        assert [spec for spec, _, _ in checked] == specs
+        for stream, (spec, oracle, walls) in zip(plain, checked):
+            assert oracle.rows == list(stream)
+            assert oracle.server_ms == stream.server_ms
+            assert len(walls) == 1 and walls[0] > 0.0
+            # ... and the connection answers exactly as before the check.
+            again = conn.execute(spec.plan, sql=spec.sql, label=spec.label)
+            assert list(again) == list(stream)
+            assert again.server_ms == stream.server_ms
+            assert again.transfer_ms == stream.transfer_ms
 
-    def test_connection_default_backend(self, tiny_db):
-        connection = Connection(tiny_db, CostModel(), backend="sqlite")
-        plan = Sort(Scan(tiny_db.schema.table("Region"), "r"),
-                    ["r.regionkey"])
-        stream = connection.execute(plan)
-        assert stream.backend == "sqlite"
-        assert stream.backend_wall_ms > 0.0
-
-    def test_simulated_backend_name_is_inert(self, conn, tiny_db):
-        plan = Sort(Scan(tiny_db.schema.table("Region"), "r"),
-                    ["r.regionkey"])
-        stream = conn.execute(plan, backend="simulated")
-        assert stream.backend == "simulated"
-        assert stream.backend_wall_ms == 0.0
-
-    def test_cache_replay_skips_backend(self, tiny_db):
+    def test_repeats_measure_one_wall_each(self, conn, tiny_db):
         calls = []
 
         class CountingBackend(SqliteBackend):
@@ -199,119 +179,87 @@ class TestConnectionIntegration:
                 calls.append(sql)
                 return super().execute_sql(plan, sql)
 
-        connection = Connection(tiny_db, CostModel(), cache=True)
         backend = CountingBackend(tiny_db)
-        plan = Sort(Scan(tiny_db.schema.table("Nation"), "n"),
-                    ["n.nationkey"])
-        first = connection.execute(plan, backend=backend)
-        assert len(calls) == 1
-        replay = connection.execute(plan, backend=backend)
-        assert len(calls) == 1, "cache replay must not contact the backend"
-        assert list(replay) == list(first)
-        assert replay.backend_wall_ms == 0.0
+        spec = region_spec(tiny_db)
+        [(_, _, walls)] = cross_validate(conn.engine, [spec], backend,
+                                         repeats=3)
+        assert len(walls) == len(calls) == 3
+        [(_, _, walls)] = cross_validate(conn.engine, [spec], backend,
+                                         repeats=0)
+        assert len(walls) == 1      # never fewer than the validation pass
         backend.close()
 
-    def test_missing_rows_raise_mismatch(self, tiny_db):
+    def test_missing_rows_raise_mismatch(self, conn, tiny_db):
         class LyingBackend(SqliteBackend):
             def execute_sql(self, plan, sql):
                 rows, wall_ms = super().execute_sql(plan, sql)
                 return rows[1:], wall_ms
 
-        connection = Connection(tiny_db, CostModel())
         backend = LyingBackend(tiny_db)
-        plan = Sort(Scan(tiny_db.schema.table("Region"), "r"),
-                    ["r.regionkey"])
+        spec = region_spec(tiny_db)
         with pytest.raises(BackendMismatchError) as info:
-            connection.execute(plan, backend=backend)
+            cross_validate(conn.engine, [spec], backend)
         assert info.value.backend == "sqlite"
+        assert info.value.stream_label == spec.label
+        assert info.value.sql == spec.sql
         backend.close()
 
-    def test_wrong_order_raises_mismatch(self, tiny_db):
+    def test_wrong_order_raises_mismatch(self, conn, tiny_db):
         class ShuffledBackend(SqliteBackend):
             def execute_sql(self, plan, sql):
                 rows, wall_ms = super().execute_sql(plan, sql)
                 return list(reversed(rows)), wall_ms
 
-        connection = Connection(tiny_db, CostModel())
         backend = ShuffledBackend(tiny_db)
-        plan = Sort(Scan(tiny_db.schema.table("Region"), "r"),
-                    ["r.regionkey"])
         with pytest.raises(BackendMismatchError) as info:
-            connection.execute(plan, backend=backend)
+            cross_validate(conn.engine, [region_spec(tiny_db)], backend)
         assert "order" in str(info.value).lower()
         backend.close()
 
-    def test_cursor_validates_on_exhaustion(self, conn, tiny_db):
-        plan = Sort(Scan(tiny_db.schema.table("Nation"), "n"),
-                    ["n.nationkey"])
-        cursor = conn.execute_iter(plan, backend="sqlite")
-        rows = list(cursor)
-        assert rows == conn.engine.execute(plan).rows
-        assert cursor.backend == "sqlite"
-        assert cursor.backend_wall_ms > 0.0
+    def test_only_the_first_run_is_aligned(self, conn, tiny_db):
+        """Later repeats are wall samples: a backend that lies from its
+        second answer on is not caught, one that lies first is."""
+        class LateLiar(SqliteBackend):
+            runs = 0
 
-    def test_cursor_mismatch_raises_on_exhaustion(self, tiny_db):
-        class LyingBackend(SqliteBackend):
             def execute_sql(self, plan, sql):
                 rows, wall_ms = super().execute_sql(plan, sql)
-                return rows[:-1], wall_ms
+                self.runs += 1
+                return (rows if self.runs == 1 else rows[1:]), wall_ms
 
-        connection = Connection(tiny_db, CostModel())
-        backend = LyingBackend(tiny_db)
-        plan = Sort(Scan(tiny_db.schema.table("Region"), "r"),
-                    ["r.regionkey"])
-        cursor = connection.execute_iter(plan, backend=backend)
+        backend = LateLiar(tiny_db)
+        cross_validate(conn.engine, [region_spec(tiny_db)], backend,
+                       repeats=3)
         with pytest.raises(BackendMismatchError):
-            list(cursor)
-        backend.close()
-
-    def test_partial_drain_skips_validation(self, tiny_db):
-        class LyingBackend(SqliteBackend):
-            def execute_sql(self, plan, sql):
-                rows, wall_ms = super().execute_sql(plan, sql)
-                return rows[:-1], wall_ms
-
-        connection = Connection(tiny_db, CostModel())
-        backend = LyingBackend(tiny_db)
-        plan = Sort(Scan(tiny_db.schema.table("Region"), "r"),
-                    ["r.regionkey"])
-        cursor = connection.execute_iter(plan, backend=backend)
-        next(iter(cursor))
-        cursor.close()   # abandoned before exhaustion: no verdict, no raise
+            cross_validate(conn.engine, [region_spec(tiny_db)], backend)
         backend.close()
 
 
 class TestOptionsAndSession:
-    def test_options_hashable_with_backend(self, tiny_db):
-        backend = SqliteBackend(tiny_db)
-        opts = ExecutionOptions(backend=backend)
-        assert hash(opts) == hash(ExecutionOptions(backend=backend))
-        assert opts != ExecutionOptions(backend="sqlite")
-        assert hash(ExecutionOptions(backend="sqlite")) is not None
-        backend.close()
-
-    def test_session_materialize_with_backend(self, tiny_db):
+    def test_session_materialize_with_backend(self, tiny_db, sqlite_backend):
         from repro.session import Session
 
-        # Separate sessions: a shared session would replay the first
-        # run's cached streams, and cache replays never contact the
-        # backend (so its wall would legitimately be zero).
-        plain = Session(Connection(tiny_db, CostModel())).materialize(
-            QUERY_1, "fully-partitioned"
+        session = Session(Connection(tiny_db, CostModel()))
+        before = session.materialize(QUERY_1, "fully-partitioned")
+        specs = session.view(QUERY_1).specs("fully-partitioned")
+        checked = cross_validate(
+            session.connection.engine, specs, sqlite_backend
         )
-        real = Session(Connection(tiny_db, CostModel())).materialize(
-            QUERY_1, "fully-partitioned",
-            options=ExecutionOptions(backend="sqlite"),
-        )
-        assert real.xml == plain.xml
-        assert real.report.query_ms == plain.report.query_ms
-        assert real.report.backend == "sqlite"
-        assert real.report.backend_wall_ms > 0.0
-        assert plain.report.backend is None
+        # The specs are the ones the session executed, stream for stream,
+        # and the oracle side replays what it served.
+        assert [s.sql for s in specs] == [
+            s.sql for s in before.report.streams
+        ]
+        assert [oracle.server_ms for _, oracle, _ in checked] == [
+            s.server_ms for s in before.report.streams
+        ]
+        after = session.materialize(QUERY_1, "fully-partitioned")
+        assert after.xml == before.xml
+        assert after.report.query_ms == before.report.query_ms
 
 
-def _views(tiny_db):
-    silk = SilkRoute(Connection(tiny_db, CostModel()))
+def _views(tiny_db, engine="batch"):
+    silk = SilkRoute(Connection(tiny_db, CostModel(), engine=engine))
     return {
         "q1": silk.define_view(QUERY_1),
         "q2": silk.define_view(QUERY_2),
@@ -319,87 +267,72 @@ def _views(tiny_db):
 
 
 class TestCrossEngineByteIdentity:
-    """Hypothesis-random partitions of both query families are
-    byte-identical across simulated-only and sqlite-validated runs, for
-    both execution engines and concurrent dispatch."""
+    """Hypothesis-random partitions of both query families serve the same
+    bytes on both execution engines, and every stream behind them aligns
+    with real SQLite."""
 
     @settings(
         max_examples=12, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(data=st.data())
-    def test_random_partition_byte_identity(self, tiny_db, data):
-        views = _views(tiny_db)
-        query = data.draw(st.sampled_from(sorted(views)))
-        view = views[query]
-        partitions = list(enumerate_partitions(view.tree))
+    def test_random_partition_byte_identity(self, tiny_db, sqlite_backend,
+                                            data):
+        query = data.draw(st.sampled_from(["q1", "q2"]))
+        views = {mode: _views(tiny_db, mode)[query]
+                 for mode in ("tuple", "batch")}
+        partitions = list(enumerate_partitions(views["batch"].tree))
         partition = partitions[
             data.draw(st.integers(0, len(partitions) - 1))
         ]
-        engine = data.draw(st.sampled_from(["tuple", "batch"]))
         style = data.draw(st.sampled_from([
             PlanStyle.OUTER_JOIN, PlanStyle.OUTER_UNION,
         ]))
-        plain = view.materialize(
-            partition, engine=engine, style=style, workers=3,
-        )
-        real = view.materialize(
-            partition, engine=engine, style=style, workers=3,
-            backend="sqlite",
-        )
-        assert real.xml == plain.xml
-        assert real.report.query_ms == plain.report.query_ms
-        assert real.report.transfer_ms == plain.report.transfer_ms
-        for plain_stream, real_stream in zip(
-            plain.report.streams, real.report.streams
-        ):
-            assert real_stream.server_ms == plain_stream.server_ms
-            assert real_stream.backend == "sqlite"
+        served = {
+            mode: view.materialize(partition, style=style, workers=3)
+            for mode, view in views.items()
+        }
+        assert served["tuple"].xml == served["batch"].xml
+        for mode, view in views.items():
+            checked = cross_validate(
+                view.silkroute.connection.engine,
+                view.specs(partition, style=style), sqlite_backend,
+            )
+            assert [oracle.server_ms for _, oracle, _ in checked] == [
+                stream.server_ms for stream in served[mode].report.streams
+            ]
+            assert served[mode].report.query_ms == sum(
+                oracle.server_ms for _, oracle, _ in checked
+            )
 
-    def test_streaming_path_byte_identity(self, tiny_db):
-        views = _views(tiny_db)
-        for view in views.values():
+    def test_streaming_path_byte_identity(self, tiny_db, sqlite_backend):
+        for view in _views(tiny_db).values():
             plain = view.materialize("fully-partitioned")
             sink = io.StringIO()
-            streamed = view.materialize_to(
-                sink, "fully-partitioned", backend="sqlite"
-            )
+            streamed = view.materialize_to(sink, "fully-partitioned")
             assert sink.getvalue() == plain.xml
-            assert streamed.report.backend == "sqlite"
-            assert streamed.report.backend_wall_ms > 0.0
+            checked = cross_validate(
+                view.silkroute.connection.engine,
+                view.specs("fully-partitioned"), sqlite_backend,
+            )
+            assert [len(oracle.rows) for _, oracle, _ in checked] == [
+                stream.rows for stream in streamed.report.streams
+            ]
 
-    def test_replica_pool_with_backend(self, tiny_db):
-        views = _views(tiny_db)
-        view = views["q1"]
-        plain = view.materialize("fully-partitioned", workers=2)
-        real = view.materialize(
-            "fully-partitioned", workers=2, replicas=2, backend="sqlite",
-        )
-        assert real.xml == plain.xml
-        assert real.report.backend == "sqlite"
-
-    def test_mixed_replica_set(self, tiny_db):
+    def test_replica_pool_with_backend(self, tiny_db, sqlite_backend):
         from repro.relational.replicas import ReplicaSet
 
-        connection = Connection(tiny_db, CostModel())
-        silk = SilkRoute(connection)
-        view = silk.define_view(QUERY_1)
+        view = _views(tiny_db)["q1"]
         plain = view.materialize("fully-partitioned", workers=2)
-        replicas = ReplicaSet.from_connection(
-            connection, 3, backends=[None, "sqlite", None]
-        )
-        mixed = view.materialize(
+        replicas = ReplicaSet.from_connection(view.silkroute.connection, 2)
+        pooled = view.materialize(
             "fully-partitioned", workers=2, replicas=replicas,
         )
-        assert mixed.xml == plain.xml
-        assert mixed.report.query_ms == plain.report.query_ms
-
-    def test_mixed_replica_set_length_checked(self, tiny_db):
-        from repro.relational.replicas import ReplicaSet
-
-        connection = Connection(tiny_db, CostModel())
-        with pytest.raises(ValueError):
-            ReplicaSet.from_connection(connection, 2, backends=["sqlite"])
+        assert pooled.xml == plain.xml
+        # Every replica's engine is an oracle SQLite agrees with.
+        specs = view.specs("fully-partitioned")
+        for replica in replicas:
+            cross_validate(replica.engine, specs, sqlite_backend)
 
 
 RESERVED_ROWS = [
@@ -469,6 +402,10 @@ class TestReservedWordIdentifiers:
             ),
             ["key"],
         )
-        stream = connection.execute(plan, backend="sqlite")
-        assert stream.backend == "sqlite"
-        assert list(stream) == connection.engine.execute(plan).rows
+        backend = SqliteBackend(db)
+        [(_, oracle, _)] = cross_validate(
+            connection.engine, [_Spec(plan)], backend
+        )
+        backend.close()
+        assert oracle.rows == list(connection.execute(plan))
+        assert [row[0] for row in oracle.rows] == [1, 3]

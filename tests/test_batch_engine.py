@@ -19,8 +19,9 @@ that composes with execution.  Tested here:
 * **sort semantics** — the batch engine's stable single-key passes
   reproduce :class:`~repro.common.ordering.NoneFirst` exactly for NULLs
   and pathological mixed-type columns;
-* **mode plumbing** — the engine knob validates and flows through
-  ``ExecutionOptions``, ``Connection``, and the CLI parser.
+* **mode plumbing** — the mode is fixed at construction
+  (``QueryEngine(engine=…)`` / ``Connection(engine=…)``), validated there,
+  and engines of different modes replay each other's cache entries.
 """
 
 import pytest
@@ -31,7 +32,7 @@ from hypothesis import (
 from repro.cli import build_parser
 from repro.common.errors import TimeoutExceeded, TransientConnectionError
 from repro.common.ordering import NoneFirst
-from repro.core.options import ExecutionOptions
+from repro.core.options import ExecutionOptions, resolve_options
 from repro.core.partition import enumerate_partitions, unified_partition
 from repro.core.silkroute import SilkRoute
 from repro.core.sqlgen import PlanStyle, SqlGenerator
@@ -51,8 +52,8 @@ from repro.relational.algebra import Scan
 BATCH_SIZES = [1, 5, DEFAULT_BATCH_SIZE]
 
 
-def fresh_view(tiny_db, tiny_estimator):
-    connection = Connection(tiny_db, CostModel())
+def fresh_view(tiny_db, tiny_estimator, engine="batch"):
+    connection = Connection(tiny_db, CostModel(), engine=engine)
     silk = SilkRoute(connection, estimator=tiny_estimator)
     return silk.define_view(QUERY_1)
 
@@ -62,8 +63,8 @@ def baseline(request):
     """The tuple-engine fully-partitioned run every identity test uses."""
     tiny_db = request.getfixturevalue("tiny_db")
     tiny_estimator = request.getfixturevalue("tiny_estimator")
-    view = fresh_view(tiny_db, tiny_estimator)
-    return view.materialize("fully-partitioned", engine="tuple")
+    view = fresh_view(tiny_db, tiny_estimator, engine="tuple")
+    return view.materialize("fully-partitioned")
 
 
 @pytest.fixture(scope="module")
@@ -207,8 +208,8 @@ def _entry(entry):
 
 
 class TestStreamIdentity:
-    """``execute(engine="batch")`` (the kernels), ``execute(engine="tuple")``
-    (the Volcano interpreter drained into a list) and a drained
+    """``execute`` on a ``"batch"`` engine (the kernels), on a ``"tuple"``
+    engine (the Volcano interpreter drained into a list) and a drained
     ``execute_iter()`` in both modes (the same compiled plan keeping
     nothing; the same interpreter, lazily) must agree on everything
     observable, with and without a budget."""
@@ -435,11 +436,11 @@ class TestEndToEndIdentity:
         self, tiny_db, tiny_estimator, q1_partitions, index
     ):
         partition = q1_partitions[index % len(q1_partitions)]
-        tuple_result = fresh_view(tiny_db, tiny_estimator).materialize(
-            partition, engine="tuple"
-        )
+        tuple_result = fresh_view(
+            tiny_db, tiny_estimator, engine="tuple"
+        ).materialize(partition)
         batch_result = fresh_view(tiny_db, tiny_estimator).materialize(
-            partition, engine="batch"
+            partition
         )
         assert batch_result.xml == tuple_result.xml
         assert (
@@ -463,9 +464,7 @@ class TestEndToEndIdentity:
         self, tiny_db, tiny_estimator, baseline, workers
     ):
         view = fresh_view(tiny_db, tiny_estimator)
-        result = view.materialize(
-            "fully-partitioned", engine="batch", workers=workers,
-        )
+        result = view.materialize("fully-partitioned", workers=workers)
         assert result.xml == baseline.xml
         assert result.report.query_ms == baseline.report.query_ms
         assert result.report.transfer_ms == baseline.report.transfer_ms
@@ -485,7 +484,7 @@ class TestEndToEndIdentity:
         view = fresh_view(tiny_db, tiny_estimator)
         try:
             result = view.materialize(
-                "fully-partitioned", engine="batch", replicas=2, workers=2,
+                "fully-partitioned", replicas=2, workers=2,
                 faults=FaultPolicy(seed=seed, error_rate=0.3),
                 retry=RetryPolicy(max_attempts=6),
             )
@@ -507,38 +506,73 @@ class TestModePlumbing:
     def test_invalid_mode_rejected(self, tiny_db):
         with pytest.raises(ValueError, match="engine mode"):
             QueryEngine(tiny_db, engine="vectorized")
-        engine = QueryEngine(tiny_db)
-        plan = Scan(tiny_db.schema.table("Region"), "r")
         with pytest.raises(ValueError, match="engine mode"):
-            engine.execute(plan, engine="columnar")
+            Connection(tiny_db, CostModel(), engine="columnar")
+        # The mode is the engine's, not a call's.
+        plan = Scan(tiny_db.schema.table("Region"), "r")
+        with pytest.raises(TypeError):
+            QueryEngine(tiny_db).execute(plan, engine="tuple")
 
     def test_connection_forwards_defaults(self, tiny_db):
         connection = Connection(tiny_db, CostModel(), engine="tuple")
-        assert connection.engine.default_engine == "tuple"
+        assert connection.engine.mode == "tuple"
+        assert Connection(tiny_db, CostModel()).engine.mode == "batch"
 
     def test_execution_options_carry_engine_knobs(self):
-        options = ExecutionOptions(engine="batch")
-        assert options.engine == "batch"
-        with pytest.raises(TypeError):
-            ExecutionOptions(batch_size=128)
+        """They carry none: the mode is a connection's, the chunk size
+        ``compile_plan``'s."""
+        for knob in ({"engine": "batch"}, {"batch_size": 128}):
+            with pytest.raises(TypeError):
+                ExecutionOptions(**knob)
+            with pytest.raises(TypeError):
+                resolve_options(None, knob)
 
     def test_cli_parses_engine_flags(self):
-        args = build_parser().parse_args(
-            ["materialize", "--engine", "tuple"]
-        )
-        assert args.engine == "tuple"
+        """There are none to parse: ``--engine`` went with the option."""
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["materialize", "--engine", "columnar"]
-            )
+            build_parser().parse_args(["materialize", "--engine", "tuple"])
+        assert "engine" not in vars(
+            build_parser().parse_args(["materialize"])
+        )
 
-    def test_per_call_override_beats_default(self, tiny_db):
-        plan = Scan(tiny_db.schema.table("Region"), "r")
-        engine = QueryEngine(tiny_db, engine="batch")
-        tuple_result = engine.execute(plan, engine="tuple")
-        batch_result = engine.execute(plan, engine="batch")
-        assert tuple_result.rows == batch_result.rows
-        assert tuple_result.server_ms == batch_result.server_ms
+    @pytest.mark.parametrize("writer", ENGINE_MODES)
+    @pytest.mark.parametrize("budget", [None, 0.6])
+    def test_modes_share_one_plan_cache(self, tiny_db, unified_plan, writer,
+                                        budget):
+        """Two engines of different modes over one ``PlanResultCache``: an
+        entry written by either — complete, or the incomplete one a budget
+        overrun leaves — replays bit-identically on the other (rows,
+        ``server_ms``, breakdown order, timeout charge)."""
+        reader = next(mode for mode in ENGINE_MODES if mode != writer)
+        cache = PlanResultCache()
+        engines = {
+            mode: QueryEngine(tiny_db, cache=cache, engine=mode)
+            for mode in ENGINE_MODES
+        }
+        evaluated = {mode: 0 for mode in ENGINE_MODES}
+        for mode, engine in engines.items():
+            def counted(plan, charges, mode=mode, run=engine._evaluate):
+                evaluated[mode] += 1
+                return run(plan, charges)
+            engine._evaluate = counted
+        budget_ms = budget and budget * QueryEngine(tiny_db).execute(
+            unified_plan
+        ).server_ms
+        if budget_ms is None:
+            written = engines[writer].execute(unified_plan)
+            replayed = engines[reader].execute(unified_plan)
+            assert replayed.rows == written.rows
+            assert replayed.server_ms == written.server_ms
+            assert replayed.breakdown == written.breakdown
+            assert list(replayed.breakdown) == list(written.breakdown)
+        else:
+            with pytest.raises(TimeoutExceeded) as written:
+                engines[writer].execute(unified_plan, budget_ms=budget_ms)
+            with pytest.raises(TimeoutExceeded) as replayed:
+                engines[reader].execute(unified_plan, budget_ms=budget_ms)
+            assert replayed.value.elapsed_ms == written.value.elapsed_ms
+        assert evaluated == {writer: 1, reader: 0}
+        assert len(cache) == 1
 
     def test_node_cache_clears_on_database_mutation(self, tiny_db):
         plan = Scan(tiny_db.schema.table("Region"), "r")

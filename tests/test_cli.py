@@ -321,20 +321,37 @@ class TestBackendFlags:
         assert "--db-path" in error_lines[0]
 
     def test_db_path_with_simulated_backend_rejected(self):
+        # "simulated" is what every run is; the flag names a real check.
         code, err = reject_main(
             "materialize", "--backend", "simulated", "--db-path", "x.db"
         )
         assert code == 2
-        assert "--db-path" in err
+        assert "--backend" in err and "'sqlite'" in err
+
+    def test_backend_is_a_local_check_of_two_commands(self):
+        for argv in (["sweep", "--backend", "sqlite"],
+                     ["explain", "--backend", "sqlite"]):
+            code, _ = reject(*argv)
+            assert code == 2
+        code, err = reject_main(
+            "query", "q1", "--backend", "sqlite", "--connect", "127.0.0.1:1"
+        )
+        assert code == 2
+        assert "--connect" in err
 
     def test_materialize_with_sqlite_backend(self):
-        code, output = run_cli(
-            "materialize", "--strategy", "fully-partitioned",
-            "--backend", "sqlite",
-        )
-        assert code == 0
-        assert "-- backend: sqlite" in output
-        assert "cross-validated" in output
+        for command in ("materialize", "query"):
+            code, output = run_cli(
+                command, "--strategy", "fully-partitioned",
+                "--backend", "sqlite",
+            )
+            assert code == 0
+            assert output.rstrip().splitlines()[-1].startswith(
+                "-- backend: sqlite, measured "
+            )
+            assert output.rstrip().endswith(
+                "wall, rows cross-validated against the simulated oracle"
+            )
 
     def test_backend_run_matches_plain_run(self):
         _, plain = run_cli("materialize", "--strategy", "fully-partitioned")
@@ -351,13 +368,6 @@ class TestBackendFlags:
                           if "stream(s), simulated" in l]
         assert backed_summary == plain_summary
 
-    def test_simulated_backend_named_in_summary(self):
-        code, output = run_cli(
-            "materialize", "--strategy", "unified", "--backend", "simulated"
-        )
-        assert code == 0
-        assert "-- backend: simulated" in output
-
     def test_db_path_writes_file(self, tmp_path):
         target = tmp_path / "silk.db"
         code, output = run_cli(
@@ -367,7 +377,3 @@ class TestBackendFlags:
         assert code == 0
         assert "-- backend: sqlite" in output
         assert target.exists() and target.stat().st_size > 0
-
-    def test_sweep_accepts_backend_flag(self):
-        args = build_parser().parse_args(["sweep", "--backend", "sqlite"])
-        assert args.backend == "sqlite"

@@ -1,5 +1,7 @@
 """Tests for the greedy plan-generation algorithm (repro.core.greedy)."""
 
+import itertools
+
 import pytest
 
 from repro.core.greedy import GreedyParameters, GreedyPlan, GreedyPlanner
@@ -66,6 +68,36 @@ class TestPlanner:
             q1_tree, tiny_db.schema, tiny_estimator, reduce=True
         ).plan(GreedyParameters(t1=float("-inf"), t2=float("-inf")))
         assert not nothing.mandatory and not nothing.optional
+
+    @pytest.mark.parametrize("first,second", itertools.permutations(
+        [(100.0, 1.0), (1.0, 100.0), (1000.0, 0.0), (0.0, 1000.0)], 2,
+    ), ids=str)
+    def test_one_planner_serves_any_coefficients(self, planner, q1_tree,
+                                                 tiny_db, tiny_estimator,
+                                                 first, second):
+        """The memo holds the oracle's answers, not a weighted cost: after
+        planning under one ``(a, b)`` the same planner plans under another
+        exactly as a fresh one would (four pairs, four different families),
+        asking the oracle only about components it has not seen — and
+        about nothing when either setting comes round again."""
+        def fresh(pair):
+            return GreedyPlanner(
+                q1_tree, tiny_db.schema, tiny_estimator, reduce=True
+            ).plan(GreedyParameters(a=pair[0], b=pair[1]))
+
+        def edges(plan):
+            return plan.mandatory, plan.optional
+
+        assert edges(fresh(first)) != edges(fresh(second))
+        for pair in (first, second):
+            plan = planner.plan(GreedyParameters(a=pair[0], b=pair[1]))
+            assert edges(plan) == edges(fresh(pair))
+        asked = planner.oracle_requests
+        assert asked == len(planner._component_cost) < 81
+        for pair in (first, second):
+            again = planner.plan(GreedyParameters(a=pair[0], b=pair[1]))
+            assert edges(again) == edges(fresh(pair))
+        assert planner.oracle_requests == asked
 
     def test_deterministic(self, q1_tree, tiny_db, tiny_estimator):
         a = GreedyPlanner(q1_tree, tiny_db.schema, tiny_estimator, reduce=True).plan()

@@ -37,11 +37,12 @@ from repro.tpch.generator import TpchGenerator, TpchScale
 TINY = TpchScale(suppliers=8, parts=16, customers=10, orders=40)
 
 
-def fresh_setup(seed=42, cache=True):
+def fresh_setup(seed=42, cache=True, engine="batch"):
     """A private mutable database plus a cached SilkRoute view over it
-    (the session fixtures are shared, so mutation tests build their own)."""
+    (the session fixtures are shared, so mutation tests build their own),
+    on a connection in ``engine`` mode."""
     db = TpchGenerator(scale=TINY, seed=seed).generate()
-    connection = Connection(db, CostModel())
+    connection = Connection(db, CostModel(), engine=engine)
     silk = SilkRoute(
         connection, estimator=CostEstimator(db, CostModel()), cache=cache,
     )
@@ -59,11 +60,11 @@ def clone_from_state(db):
     return clone
 
 
-def cold_materialize(db, strategy, options):
+def cold_materialize(db, strategy, options, engine="batch"):
     """Materialize ``QUERY_1`` over a clone of ``db`` through a fresh
-    (cache-empty) connection."""
+    (cache-empty) connection in ``engine`` mode."""
     clone = clone_from_state(db)
-    connection = Connection(clone, CostModel())
+    connection = Connection(clone, CostModel(), engine=engine)
     view = SilkRoute(
         connection, estimator=CostEstimator(clone, CostModel()),
     ).define_view(QUERY_1)
@@ -289,14 +290,14 @@ class TestIncrementalEquivalence:
         ("delete", "PartSupp"),
     ])
     def test_delta_matches_cold_run(self, engine, op, table):
-        db, _, _, view = fresh_setup()
-        options = ExecutionOptions(engine=engine)
+        db, _, _, view = fresh_setup(engine=engine)
+        options = ExecutionOptions()
         view.materialize("fully-partitioned", root_tag="view",
                          options=options)
         assert _apply_delta(db, table, op, 2, seed=3) > 0
         incremental = view.materialize("fully-partitioned", root_tag="view",
                                        options=options)
-        cold = cold_materialize(db, "fully-partitioned", options)
+        cold = cold_materialize(db, "fully-partitioned", options, engine)
         assert incremental.xml == cold.xml
         assert incremental.report.query_ms == cold.report.query_ms
         assert incremental.report.transfer_ms == cold.report.transfer_ms
@@ -422,7 +423,7 @@ _STEPS = st.lists(
 )
 
 
-def _variant_options(engine, workers, resilience):
+def _variant_options(workers, resilience):
     retry = faults = replicas = None
     if resilience == "faults":
         faults = FaultPolicy(seed=5, error_rate=0.15)
@@ -430,8 +431,8 @@ def _variant_options(engine, workers, resilience):
     elif resilience == "replicas":
         replicas = 2
         retry = RetryPolicy(max_attempts=6)
-    return ExecutionOptions(engine=engine, workers=workers, retry=retry,
-                            faults=faults, replicas=replicas)
+    return ExecutionOptions(workers=workers, retry=retry, faults=faults,
+                            replicas=replicas)
 
 
 class TestInterleavingProperty:
@@ -446,8 +447,8 @@ class TestInterleavingProperty:
     @given(steps=_STEPS)
     def test_interleavings_match_final_state(self, steps, engine, workers,
                                              resilience):
-        db, _, _, view = fresh_setup(seed=11)
-        options = _variant_options(engine, workers, resilience)
+        db, _, _, view = fresh_setup(seed=11, engine=engine)
+        options = _variant_options(workers, resilience)
         for i, step in enumerate(steps):
             if step[0] == "materialize":
                 view.materialize("fully-partitioned", root_tag="view",
@@ -460,7 +461,7 @@ class TestInterleavingProperty:
                     continue  # e.g. key space exhausted; skip the step
         final = view.materialize("fully-partitioned", root_tag="view",
                                  options=options)
-        cold = cold_materialize(db, "fully-partitioned", options)
+        cold = cold_materialize(db, "fully-partitioned", options, engine)
         assert final.xml == cold.xml
         if resilience is None:
             assert final.report.query_ms == cold.report.query_ms

@@ -186,10 +186,9 @@ def test_random_partition_sql_roundtrip(tiny_db, q1_tree, q2_tree, data):
 @given(data=st.data())
 def test_random_partition_sqlite_identity(tiny_db, q1_tree, q2_tree, data):
     """The same streams, executed on a real SQLite mirror through the
-    dialect layer, align with the simulated oracle row-for-row (the
-    production cross-validation check, run directly)."""
-    from repro.relational.backends import SqliteBackend
-    from repro.relational.backends.base import align_backend_rows
+    dialect layer, align with the simulated oracle row-for-row
+    (``cross_validate``, the one comparison every caller runs)."""
+    from repro.relational.backends import SqliteBackend, cross_validate
 
     tree = data.draw(st.sampled_from([q1_tree, q2_tree]))
     style = data.draw(
@@ -198,20 +197,17 @@ def test_random_partition_sqlite_identity(tiny_db, q1_tree, q2_tree, data):
     partitions = list(enumerate_partitions(tree))
     partition = partitions[data.draw(st.integers(0, len(partitions) - 1))]
     specs = SqlGenerator(
-        tree, tiny_db.schema, style=style
+        tree, tiny_db.schema, style=style, reduce=data.draw(st.booleans()),
     ).streams_for_partition(partition)
-    engine = QueryEngine(tiny_db, CostModel())
     backend = SqliteBackend(tiny_db)
     try:
-        for spec in specs:
-            oracle = engine.execute(spec.plan).rows
-            rows, _ = backend.execute_sql(spec.plan, spec.sql)
-            align_backend_rows(
-                spec.plan, oracle, rows, backend.name,
-                label=spec.label, sql=spec.sql,
-            )
+        checked = cross_validate(
+            QueryEngine(tiny_db, CostModel()), specs, backend
+        )
     finally:
         backend.close()
+    assert [spec for spec, _, _ in checked] == specs
+    assert all(len(walls) == 1 for _, _, walls in checked)
 
 
 @settings(

@@ -119,7 +119,7 @@ class TestReplicaSet:
         assert len(rset) == 3
         assert rset.connections[0] is connection
         assert all(c.database is tiny_db for c in rset)
-        assert all(c.engine.default_engine == "tuple" for c in rset)
+        assert all(c.engine.mode == "tuple" for c in rset)
 
     def test_from_connection_rejects_bad_counts(self, tiny_db):
         connection = Connection(tiny_db, CostModel())

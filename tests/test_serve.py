@@ -37,10 +37,13 @@ from repro.common.errors import (
 from repro.core.options import ExecutionOptions
 from repro.core.silkroute import PlanReport
 from repro.core.sqlgen import PlanStyle
+from repro.relational.connection import Connection
+from repro.relational.engine import CostModel
 from repro.relational.faults import FaultPolicy, RetryPolicy
 from repro.relational.replicas import AdmissionPolicy
 from repro.serve import Server, ServeClient, ServeError
 from repro.serve.protocol import (
+    WIRE_OPTIONS,
     ProtocolError,
     decode,
     encode,
@@ -120,7 +123,7 @@ class TestProtocol:
             style=PlanStyle.OUTER_UNION, reduce=True, budget_ms=125.0,
             workers=2, retry=RetryPolicy(max_attempts=3),
             faults=FaultPolicy(seed=7, error_rate=0.25), replicas=2,
-            hedge_ms=4.0, max_concurrent=3, engine="tuple",
+            hedge_ms=4.0, max_concurrent=3,
         )
         back = options_from_wire(options_to_wire(opts))
         assert back.style is PlanStyle.OUTER_UNION
@@ -133,36 +136,22 @@ class TestProtocol:
         assert back.replicas == 2
         assert back.hedge_ms == 4.0
         assert back.max_concurrent == 3
-        assert back.engine == "tuple"
+        assert set(options_to_wire(opts)) == set(WIRE_OPTIONS)
 
     def test_unknown_wire_option_is_refused(self):
         with pytest.raises(ProtocolError, match="workerz"):
             options_from_wire({"workerz": 4})
         with pytest.raises(ProtocolError, match="style"):
             options_from_wire({"style": "sideways-join"})
-        with pytest.raises(ProtocolError, match="engine"):
-            options_from_wire({"engine": "quantum"})
+        # The oracles are not a request's to choose: neither knob is on
+        # the wire any more.
+        for gone in ("engine", "backend"):
+            with pytest.raises(ProtocolError, match=gone):
+                options_from_wire({gone: "sqlite"})
 
     def test_none_options_pass_through(self):
         assert options_from_wire(None) is None
         assert options_to_wire(None) is None
-
-    def test_backend_name_roundtrips(self):
-        back = options_from_wire(
-            options_to_wire(ExecutionOptions(backend="sqlite"))
-        )
-        assert back.backend == "sqlite"
-        with pytest.raises(ProtocolError, match="backend"):
-            options_from_wire({"backend": "postgres"})
-
-    def test_backend_instance_stays_client_side(self):
-        # A live Backend object is a local resource: it must not be
-        # serialized onto the wire (only names cross).
-        class FakeBackend:
-            pass
-
-        wire = options_to_wire(ExecutionOptions(backend=FakeBackend()))
-        assert "backend" not in wire
 
     def test_report_nan_crosses_as_null(self):
         report = PlanReport(
@@ -507,7 +496,7 @@ class TestSocketFrontEnd:
             with ServeClient(host, port) as client:
                 reply = client.query(
                     "q1", partition="fully-partitioned",
-                    options={"workers": 3, "engine": "tuple"},
+                    options={"workers": 3, "style": "outer-union"},
                 )
                 assert reply["report"]["workers"] == 3
 
@@ -623,7 +612,63 @@ class TestDrain:
             shutil.rmtree(wal_dir, ignore_errors=True)
 
 
+def _query_with(**options):
+    return {"op": "query", "query": "q1", "options": options}
+
+
+#: (field the refusal must name, request): what one request may not ask of
+#: a shared server.  Each was answered ``ok`` — or with a bare TypeError or
+#: a timeout on "nanms" — before the wire checked what the CLI checks.
+_OUT_OF_RANGE = [
+    ("rows", {"op": "mutate", "table": "LineItem", "mutation": "delete",
+              "rows": -1}),
+    ("rows", {"op": "mutate", "table": "Orders", "mutation": "update",
+              "rows": -1}),
+    ("rows", {"op": "mutate", "table": "Nation", "mutation": "delete",
+              "rows": 0}),
+    ("rows", {"op": "mutate", "table": "Nation", "rows": 10_001}),
+    ("indent", {"op": "query", "query": "q1", "indent": 100_000}),
+    ("indent", {"op": "query", "query": "q1", "indent": "x"}),
+    ("replicas", _query_with(replicas=20_000)),
+    ("workers", _query_with(workers=-5)),
+    ("workers", _query_with(workers=33)),
+    ("retries", _query_with(retries=0)),
+    ("retries", _query_with(retries=17)),
+    ("fault_rate", _query_with(fault_rate=9)),
+    ("max_concurrent", _query_with(max_concurrent=0)),
+    ("budget_ms", _query_with(budget_ms=-1)),
+    ("hedge_ms", _query_with(hedge_ms="soon")),
+]
+
+
 class TestFrameHardening:
+    @pytest.mark.parametrize(
+        "field,request_", _OUT_OF_RANGE,
+        ids=[f"{field}-{i}" for i, (field, _) in enumerate(_OUT_OF_RANGE)],
+    )
+    def test_out_of_range_request_is_refused(self, field, request_):
+        with make_server() as server:
+            database = server.session.database
+
+            def state():
+                return (database.table_generations(),
+                        {name: len(t) for name, t in database.tables.items()})
+
+            before = state()
+            direct = server.handle_request(dict(request_))
+            assert direct["ok"] is False
+            assert direct["error"]["type"] == "ProtocolError"
+            assert field in direct["error"]["message"]
+            host, port = server.start()
+            with ServeClient(host, port) as client:
+                with pytest.raises(ServeError) as refused:
+                    client._call(dict(request_))
+                assert refused.value.kind == "ProtocolError"
+                assert field in str(refused.value)
+                # The same connection answers the next, valid request.
+                assert client.query("q1", indent=2)["xml"].startswith("<view>")
+            assert state() == before
+
     def test_oversized_frame_gets_structured_error(self):
         with make_server(max_frame_bytes=512) as server:
             host, port = server.start()
@@ -807,8 +852,8 @@ class TestSoak:
     @given(plans=_CLIENT_PLANS)
     def test_concurrent_run_equals_serial_replay(self, engine, plans):
         server = Server(
-            session=Session(fresh_db(),
-                            options=ExecutionOptions(engine=engine)),
+            session=Session(Connection(fresh_db(), CostModel(),
+                                       engine=engine)),
             queries=QUERIES,
         )
         live = {}

@@ -34,22 +34,24 @@ from repro.xmlgen.serializer import CountingSink
 
 @pytest.fixture(scope="module")
 def views(tiny_db):
-    """Views over two independent connections: one uncached ("cold"), one
-    with a shared result cache ("warm" — examples re-populate it)."""
+    """Views per engine mode, uncached ("cold") or over one result cache
+    both modes' connections share ("warm" — examples re-populate it).  The
+    reference side of every comparison here is ``materialize`` on the
+    batch kernels; the streamed side runs cursors in both modes."""
 
     def make(cache):
-        # engine="batch" spelled out: the reference side of every
-        # comparison here is ``materialize`` on the batch kernels; the
-        # streamed side runs cursors in both modes.
-        silk = SilkRoute(
-            Connection(tiny_db, CostModel(), engine="batch"), cache=cache
-        )
-        return {
-            "Q1": silk.define_view(QUERY_1),
-            "Q2": silk.define_view(QUERY_2),
-        }
+        views = {}
+        for mode in ENGINE_MODES:
+            silk = SilkRoute(
+                Connection(tiny_db, CostModel(), engine=mode), cache=cache
+            )
+            views[mode] = {
+                "Q1": silk.define_view(QUERY_1),
+                "Q2": silk.define_view(QUERY_2),
+            }
+        return views
 
-    return {"cold": make(False), "warm": make(True)}
+    return {"cold": make(False), "warm": make(PlanResultCache())}
 
 
 @pytest.fixture(scope="module")
@@ -83,14 +85,14 @@ class TestMaterializeToProperty:
     def test_byte_identical_and_report_identical(
         self, views, query, style, strategy, reduce, cache, engine
     ):
-        view = views[cache][query]
+        view = views[cache]["batch"][query]
         if cache == "warm":
             # Populate the result cache so the streaming run replays hits.
             view.materialize(strategy, style=style, reduce=reduce)
         ref = view.materialize(strategy, style=style, reduce=reduce)
         sink = io.StringIO()
-        out = view.materialize_to(
-            sink, strategy, style=style, reduce=reduce, engine=engine
+        out = views[cache][engine][query].materialize_to(
+            sink, strategy, style=style, reduce=reduce
         )
         assert sink.getvalue() == ref.xml
         assert out.xml is None
@@ -107,9 +109,7 @@ class TestExecuteIter:
         generator = SqlGenerator(q1_view.tree, tiny_db.schema)
         specs = generator.streams_for_partition(q1_view.unified_partition())
         for spec in specs:
-            batch = tiny_conn.execute(
-                spec.plan, compact_rows=spec.compact, engine="batch"
-            )
+            batch = tiny_conn.execute(spec.plan, compact_rows=spec.compact)
             cursor = tiny_conn.execute_iter(
                 spec.plan, compact_rows=spec.compact
             )
@@ -144,15 +144,15 @@ class TestExecuteIter:
         [spec] = generator.streams_for_partition(q1_view.unified_partition())
         startup_ms = tiny_conn.engine.cost_model.startup_ms
         for engine in ENGINE_MODES:
+            conn = Connection(tiny_db, tiny_conn.engine.cost_model,
+                              engine=engine)
             with pytest.raises(TimeoutExceeded) as at_open:
-                tiny_conn.execute_iter(
+                conn.execute_iter(
                     spec.plan, budget_ms=0.001, label=spec.label,
-                    engine=engine,
                 )
             assert at_open.value.stream_label == spec.label
-            cursor = tiny_conn.execute_iter(
+            cursor = conn.execute_iter(
                 spec.plan, budget_ms=startup_ms + 0.001, label=spec.label,
-                engine=engine,
             )
             assert cursor.server_ms == startup_ms
             with pytest.raises(TimeoutExceeded) as at_next:

@@ -30,7 +30,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bench.queries import QUERY_1
 from repro.common.errors import SchemaError, WalError
-from repro.core.options import ExecutionOptions
+from repro.relational.connection import Connection
+from repro.relational.engine import CostModel
 from repro.relational.wal import (
     MAGIC,
     RecoveryReport,
@@ -396,22 +397,29 @@ class TestSessionWiring:
         restarted.wal.close()
 
     def test_recovery_remirrors_sqlite_backend(self, wal_dir):
-        from repro.core.options import ExecutionOptions
+        from repro.relational.backends import SqliteBackend, cross_validate
 
         session = Session(fresh_db(), wal=wal_dir)
         session.mutate("Nation", op="insert", rows=2, seed=3)
         session.wal.close()
 
         restarted = Session(fresh_db(), wal=wal_dir)
-        # The sqlite backend cross-validates every stream against the
-        # simulated engine; a stale mirror would raise
-        # BackendMismatchError here.
-        sqlite_run = restarted.materialize(
-            QUERY_1, root_tag="view",
-            options=ExecutionOptions(backend="sqlite"),
-        )
-        pure = restarted.materialize(QUERY_1, root_tag="view")
-        assert sqlite_run.xml == pure.xml
+        # A mirror built over the recovered database holds the recovered
+        # rows: cross-validation aligns every stream of the served plan
+        # with the simulated engine (BackendMismatchError otherwise).
+        mirror = SqliteBackend(restarted.database)
+        try:
+            assert mirror.table_count("Nation") \
+                == len(session.database.table("Nation"))
+            checked = cross_validate(
+                restarted.connection.engine,
+                restarted.view(QUERY_1).specs(), mirror,
+            )
+        finally:
+            mirror.close()
+        served = restarted.materialize(QUERY_1, root_tag="view")
+        assert [oracle.server_ms for _, oracle, _ in checked] \
+            == [stream.server_ms for stream in served.report.streams]
         restarted.wal.close()
 
     def test_recover_function_reports(self, wal_dir):
@@ -427,6 +435,45 @@ class TestSessionWiring:
         as_dict = report.as_dict()
         assert as_dict["records_scanned"] == 1
         assert "Nation" in as_dict["tables"]
+
+
+@pytest.mark.parametrize("query", ["q1", "q2"])
+def test_crash_fingerprint_evaluates_every_key(monkeypatch, query):
+    """The recovery soak's oracles are real: every (engine, backend) key
+    of ``crash.fingerprint`` is an evaluation on that engine — not a
+    plan- or document-cache replay of the first one — and its SQLite axis
+    sends the served SQL to SQLite."""
+    from repro.bench import crash
+    from repro.relational.backends import SqliteBackend
+    from repro.relational.engine import QueryEngine
+
+    modes, statements = [], []
+    evaluate, execute_sql = QueryEngine._evaluate, SqliteBackend.execute_sql
+
+    def counted_evaluate(self, plan, charges):
+        modes.append(self.mode)
+        return evaluate(self, plan, charges)
+
+    def counted_execute_sql(self, plan, sql):
+        statements.append(sql)
+        return execute_sql(self, plan, sql)
+
+    monkeypatch.setattr(QueryEngine, "_evaluate", counted_evaluate)
+    monkeypatch.setattr(SqliteBackend, "execute_sql", counted_execute_sql)
+    prints = crash.fingerprint(
+        crash.build_database(), backends=("simulated", "sqlite"),
+        queries=(query,),
+    )
+    served = {key: value for key, value in prints.items() if "/" in key}
+    assert sorted(served) == sorted(
+        f"{query}/{engine}/{backend}" for engine in ("tuple", "batch")
+        for backend in ("simulated", "sqlite")
+    )
+    assert modes.count("tuple") >= 1 and modes.count("batch") >= 1
+    assert len(statements) >= 2        # the served plan, once per engine
+    # ... and the engines and the mirror agree, which is the point.
+    assert len({value["xml"] for value in served.values()}) == 1
+    assert len({value["query_ms"] for value in served.values()}) == 1
 
 
 @settings(
@@ -446,8 +493,10 @@ def test_soak_crashes_interleaved_with_traffic(data, engine):
     the same committed mutations directly — on both engines."""
     wal_path = tempfile.mkdtemp(prefix="wal-soak-")
     try:
-        options = ExecutionOptions(engine=engine)
-        session = Session(fresh_db(), wal=wal_path)
+        def connect(db):
+            return Connection(db, CostModel(), engine=engine)
+
+        session = Session(connect(fresh_db()), wal=wal_path)
         oracle = fresh_db()
         steps = data.draw(st.lists(
             st.tuples(
@@ -463,15 +512,14 @@ def test_soak_crashes_interleaved_with_traffic(data, engine):
                 session.mutate(table, op=op, rows=rows, seed=i)
                 apply_delta(oracle, table, op=op, rows=rows, seed=i)
             elif kind == "query":
-                live = session.materialize(QUERY_1, root_tag="view",
-                                           options=options)
-                expected = Session(oracle, cache=False).materialize(
-                    QUERY_1, root_tag="view", options=options)
+                live = session.materialize(QUERY_1, root_tag="view")
+                expected = Session(connect(oracle), cache=False).materialize(
+                    QUERY_1, root_tag="view")
                 assert live.xml == expected.xml
                 assert live.report.query_ms == expected.report.query_ms
             else:  # crash: abandon the session, recover from disk
                 session.wal.close()
-                session = Session(fresh_db(), wal=wal_path)
+                session = Session(connect(fresh_db()), wal=wal_path)
                 assert session.database.table_generations() \
                     == oracle.table_generations()
                 assert {n: list(t.rows)
