@@ -11,12 +11,11 @@ a :class:`~repro.relational.cache.PlanResultCache` on the connection's
 engine for its duration, so each distinct stream plan is executed once and
 replayed everywhere else — wall-clock drops by an order of magnitude while
 every simulated millisecond (including timeout behaviour) stays
-bit-identical.  ``workers=N`` additionally fans partitions out over a
-thread pool with deterministic result ordering.
+bit-identical.  Plans run one after another in input order; ``workers``
+is, as everywhere, each plan's *simulated* dispatch width.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.options import resolve_options
 from repro.core.partition import enumerate_partitions
@@ -114,23 +113,23 @@ class SweepResult:
 
 
 def run_single_partition(tree, schema, connection, partition, generator=None,
-                         span_parent=None, epoch=None,
-                         expect_generations=None, options=None, **overrides):
+                         epoch=None, expect_generations=None, options=None,
+                         **overrides):
     """Execute one plan; returns a :class:`PlanTiming`.
 
     Execution knobs come from ``options``/``overrides`` as everywhere
     (``reduce`` defaults to False) and go to
-    :func:`repro.relational.dispatch.execute_specs` as one bundle, so here
-    ``workers`` is the plan's *subquery* fan-out; the remaining arguments
-    are the per-sweep state :func:`sweep_partitions` shares between its
-    plans.  Pass a prebuilt ``generator`` (one per sweep) to reuse its
-    memoized per-subtree stream specs across partitions.
+    :func:`repro.relational.dispatch.execute_specs` as one bundle; the
+    remaining arguments are the per-sweep state :func:`sweep_partitions`
+    shares between its plans.  Pass a prebuilt ``generator`` (one per
+    sweep) to reuse its memoized per-subtree stream specs across
+    partitions.
     ``retry``/``faults`` run the plan under the resilience regime: a
     stream that exhausts its retries marks the timing ``failed`` (sweeps
     record, they do not degrade).  ``replicas``/``hedge_ms`` route the
     streams over a :class:`~repro.relational.replicas.ReplicaPool` (a
-    sweep pins one ``epoch`` for all partitions so routing stays
-    deterministic under partition-level concurrency); ``max_concurrent``
+    sweep pins one ``epoch`` for all partitions, so routing does not
+    depend on partition order); ``max_concurrent``
     sheds overloaded plans, marking the timing ``shed``.  With ``obs`` (an
     :class:`~repro.obs.ObsOptions` session) the run is wrapped in a
     ``partition`` span and records per-stream metrics.
@@ -140,7 +139,7 @@ def run_single_partition(tree, schema, connection, partition, generator=None,
     if generator is None:
         generator = SqlGenerator(tree, schema, style=opts.style,
                                  reduce=opts.reduce, keep=opts.keep)
-    with tracer.span("partition", parent=span_parent) as partition_span:
+    with tracer.span("partition") as partition_span:
         specs = generator.streams_for_partition(partition, tracer)
         result = execute_specs(
             connection, specs, epoch=epoch,
@@ -187,8 +186,7 @@ def run_single_partition(tree, schema, connection, partition, generator=None,
 
 
 def sweep_partitions(tree, schema, connection, partitions=None,
-                     progress=None, cache=True, stream_workers=None,
-                     options=None, **overrides):
+                     progress=None, cache=True, options=None, **overrides):
     """Execute every plan (or the given ``partitions``); returns a
     :class:`SweepResult`.
 
@@ -197,10 +195,8 @@ def sweep_partitions(tree, schema, connection, partitions=None,
     Execution knobs are the fields of
     :class:`~repro.core.options.ExecutionOptions`: bundle them in
     ``options=``, override single ones by keyword, or both — the keyword
-    wins.  In a sweep, ``workers`` fans *partitions* out over a thread
-    pool of that size (``stream_workers`` is the per-plan subquery
-    fan-out).  The per-method default ``reduce=False`` applies when
-    neither a keyword nor an options object supplies a value.
+    wins.  The per-method default ``reduce=False`` applies when neither a
+    keyword nor an options object supplies a value.
 
     ``cache`` controls cross-plan result caching for the duration of the
     sweep, through the same :func:`~repro.relational.cache.resolve_cache`
@@ -212,19 +208,17 @@ def sweep_partitions(tree, schema, connection, partitions=None,
     across sweeps.  Cached and uncached sweeps produce bit-identical
     simulated timings — only wall-clock changes.
 
-    ``workers`` fans partitions out over a thread pool of that size.
-    Result ordering is deterministic (timings follow the input partition
-    order) and per-subquery timeouts are handled inside each worker, so a
-    timed-out plan is recorded exactly as in the serial path — and the
-    order-independent fault draws make this hold under ``faults`` too.
-    ``stream_workers`` additionally dispatches each plan's subqueries
-    concurrently (usually redundant when ``workers`` already saturates the
-    pool).
+    Plans run one after another and timings follow the input partition
+    order; ``progress(done, total)`` is called after each.  ``workers``
+    means what it means for every execution method — each plan's
+    simulated dispatch width — so in a sweep, whose timings are per-stream
+    sums, it shows only where a plan's schedule decides something: which
+    streams a ``max_concurrent`` deadline sheds.
 
     ``replicas``/``hedge_ms`` route every plan's streams over one
     :class:`~repro.relational.replicas.ReplicaPool` whose routing epoch
     spans the whole sweep (health folds once, at the end — partition
-    order and partition-level concurrency cannot change the routing).
+    order cannot change the routing).
     ``max_concurrent`` applies admission control per plan: an overloaded
     plan is recorded ``shed``, not raised.
 
@@ -238,7 +232,7 @@ def sweep_partitions(tree, schema, connection, partitions=None,
     only the affected plans.
     """
     opts = resolve_options(options, overrides, reduce=False)
-    style, reduce, workers = opts.style, opts.reduce, opts.workers
+    style, reduce = opts.style, opts.reduce
     tracer, metrics = obs_parts(opts.obs)
     if partitions is None:
         partitions = list(enumerate_partitions(tree))
@@ -256,41 +250,24 @@ def sweep_partitions(tree, schema, connection, partitions=None,
         )
     else:
         query_engine.cache = resolve_cache(cache)
-    # What each plan runs under: ``workers`` is its subquery fan-out.
     # Resolved after the cache swap so a freshly built replica set shares
     # the cache the sweep actually runs under.
-    plan_opts = resolve_resilience(
-        replace(opts, workers=stream_workers), connection
-    )
-    replica_pool = plan_opts.replicas
+    opts = resolve_resilience(opts, connection)
+    replica_pool = opts.replicas
     epoch = replica_pool.begin_epoch() if replica_pool is not None else None
     try:
         with tracer.span(
             "sweep", style=style.value, plans=len(partitions),
         ) as sweep_span:
-            # Captured in the submitting thread so worker-thread partition
-            # spans still hang under the sweep span.
-            parent = tracer.current()
-
-            def run(partition):
-                return run_single_partition(
-                    tree, schema, connection, partition,
-                    generator=generator, span_parent=parent, epoch=epoch,
-                    expect_generations=pinned_generations, options=plan_opts,
-                )
-
             timings = []
-            if workers is not None and workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    for i, timing in enumerate(pool.map(run, partitions)):
-                        timings.append(timing)
-                        if progress is not None:
-                            progress(i + 1, len(partitions))
-            else:
-                for i, partition in enumerate(partitions):
-                    timings.append(run(partition))
-                    if progress is not None:
-                        progress(i + 1, len(partitions))
+            for partition in partitions:
+                timings.append(run_single_partition(
+                    tree, schema, connection, partition,
+                    generator=generator, epoch=epoch,
+                    expect_generations=pinned_generations, options=opts,
+                ))
+                if progress is not None:
+                    progress(len(timings), len(partitions))
             completed = sum(
                 1 for t in timings
                 if not t.timed_out and not t.failed and not t.shed

@@ -163,8 +163,8 @@ def build_parser():
 
     def add_execution(p):
         p.add_argument("--workers", type=positive_int, default=None,
-                       help="concurrent dispatch width (subqueries, or "
-                            "partitions for sweep)")
+                       help="simulated dispatch width: subqueries the "
+                            "source runs at once (sets the makespans)")
         p.add_argument("--budget-ms", type=positive_float, default=None,
                        help="per-subquery simulated timeout")
         p.add_argument("--retries", type=positive_int, default=None,

@@ -51,7 +51,7 @@ class ExecutionError(ReproError):
     are stamped — once, closest to the raise site — by the dispatch layer
     or the serving front end (see :func:`tag_request`), so an
     :class:`OverloadError` or :class:`StaleGenerationError` surfacing from
-    a dispatch worker thread still names the tenant and request that
+    deep inside a dispatch still names the tenant and request that
     triggered it.
     """
 

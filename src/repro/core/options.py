@@ -36,7 +36,7 @@ class RequestContext:
 
     The serving layer (:mod:`repro.serve`) attaches one of these to the
     :class:`ExecutionOptions` it executes under (``request=``) so that
-    errors raised deep inside dispatch worker threads —
+    errors raised deep inside the dispatch —
     :class:`~repro.common.errors.OverloadError`,
     :class:`~repro.common.errors.StaleGenerationError`,
     :class:`~repro.common.errors.TimeoutExceeded` — surface carrying the
@@ -54,9 +54,9 @@ class ExecutionOptions:
     """Frozen bundle of execution knobs.
 
     ``style``/``reduce``/``keep`` select and reduce the SQL generation,
-    ``budget_ms`` is the per-subquery simulated timeout, ``workers``
-    dispatches subqueries (or sweep partitions) concurrently,
-    ``retry``/``faults`` are the resilience policies
+    ``budget_ms`` is the per-subquery simulated timeout, ``workers`` is
+    the *simulated* dispatch width (below), ``retry``/``faults`` are the
+    resilience policies
     (:class:`~repro.relational.faults.RetryPolicy` /
     :class:`~repro.relational.faults.FaultPolicy`), and ``obs`` is an
     optional :class:`~repro.obs.ObsOptions` observability session
@@ -72,6 +72,19 @@ class ExecutionOptions:
     replica), and ``max_concurrent`` (an integer stream cap, an
     :class:`~repro.relational.replicas.AdmissionPolicy`, or an
     :class:`~repro.relational.replicas.AdmissionController`).
+
+    Concurrency lives on the simulated clock.  ``workers=N`` says the
+    source runs N of a plan's subqueries at once, and that is computed,
+    not enacted: it sets ``PlanReport.workers``, the
+    ``elapsed_query_ms``/``elapsed_total_ms`` makespans
+    (:func:`~repro.relational.dispatch.simulated_makespan`) and the
+    admission deadline's scheduled stream starts, after
+    :meth:`AdmissionController.clamp_workers
+    <repro.relational.replicas.AdmissionController.clamp_workers>`.  It
+    starts no thread — the in-process engine waits on nothing a thread
+    could overlap — and moves no document, per-stream time, fault draw or
+    routing decision; it means the same for every method, a sweep
+    included.
 
     What is *not* here is which engine evaluates the plans and whether
     SQLite is asked too: the reference interpreter is a connection built

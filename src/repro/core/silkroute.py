@@ -49,6 +49,7 @@ from repro.core.viewtree import build_view_tree
 from repro.obs import obs_parts
 from repro.relational.cache import resolve_cache
 from repro.relational.dispatch import (
+    dispatch_width,
     execute_specs,
     open_spec,
     record_stream,
@@ -112,8 +113,8 @@ class PlanReport:
     per-stream simulated times, independent of how the streams were
     dispatched, and identical with and without fault injection (retries
     re-submit until the clean execution succeeds).  ``elapsed_query_ms`` /
-    ``elapsed_total_ms`` are the simulated elapsed times under the
-    dispatch that actually ran (``workers`` concurrent submissions),
+    ``elapsed_total_ms`` are the simulated elapsed times at the dispatch
+    width asked for (``workers`` subqueries at once on the source),
     *including* the resilience overhead — per-stream backoff and wasted
     fault latency, plus the submissions burned by streams that were
     degraded away.  ``wall_s`` is the real (harness) execution time — the
@@ -307,16 +308,15 @@ class XmlView:
         A subquery exceeding ``budget_ms`` (simulated server time) marks the
         report as timed out, mirroring the paper's "no time was reported".
 
-        ``workers`` > 1 dispatches the plan's subqueries concurrently on a
-        thread pool.  Specs, streams, and the report are identical to the
-        sequential run (the simulated engine is deterministic and the
-        result cache is single-flighted) except for the dispatch fields:
-        ``report.elapsed_query_ms`` / ``elapsed_total_ms`` become the
-        simulated makespan over ``workers`` workers — approaching
-        ``max(server_ms)`` instead of ``sum(server_ms)`` — and ``wall_s``
-        reflects the real concurrent execution.  Timeout semantics are
-        preserved: the first stream (in spec order) to exceed the budget
-        wins, and in-flight later streams are cancelled or drained.
+        ``workers`` is the simulated dispatch width (see
+        :class:`~repro.core.options.ExecutionOptions`): the subqueries run
+        one after another either way, and specs, streams and the report
+        are those of the width-1 run except for the dispatch fields —
+        ``report.workers``, and ``elapsed_query_ms`` / ``elapsed_total_ms``,
+        the simulated makespan over ``workers`` workers, approaching
+        ``max(server_ms)`` instead of ``sum(server_ms)``.  The first stream
+        (in spec order) to exceed the budget stops the dispatch; later
+        ones are never started.
 
         With ``retry`` (a :class:`~repro.relational.faults.RetryPolicy`)
         and a fault policy in play, transient failures are retried with
@@ -405,7 +405,7 @@ class XmlView:
         done_specs, done_streams, done_stats = [], [], []
         degraded, spent_stats = [], []
         elapsed_rounds_ms = 0.0       # earlier rounds' makespan (deadline)
-        n_workers = max(opts.workers or 1, 1)
+        n_workers = dispatch_width(opts)
         tracer, _ = obs_parts(opts.obs)
         dispatch_span = tracer.span(
             "dispatch", streams=len(specs), workers=n_workers,
@@ -522,29 +522,16 @@ class XmlView:
         stats = outcome.stats
         reports = [
             StreamReport(
-                label=spec.label,
-                rows=stream.rows_read,
-                server_ms=stream.server_ms,
-                transfer_ms=stream.transfer_ms,
-                sql=spec.sql,
-                attempts=st.attempts,
-                retries=st.retries,
-                faults=st.faults,
-                backoff_ms=st.backoff_ms,
-                fault_latency_ms=st.fault_latency_ms,
-                from_cache=st.from_cache,
-                replica=st.replica,
-                failovers=st.failovers,
-                hedges=st.hedges,
-                hedge_wins=st.hedge_wins,
-                hedge_wait_ms=st.hedge_wait_ms,
+                rows=stream.rows_read, server_ms=stream.server_ms,
+                transfer_ms=stream.transfer_ms, sql=spec.sql, **vars(st),
             )
             for spec, stream, st in zip(
                 outcome.specs, outcome.streams, stats
             )
         ]
-        total = StreamAttemptStats.total(list(stats) + outcome.spent_stats)
-        n_workers = max(opts.workers or 1, 1)
+        all_stats = stats + outcome.spent_stats
+        total = StreamAttemptStats.total(all_stats)
+        n_workers = dispatch_width(opts)
         resilience = dict(
             attempts=total.attempts,
             retries=total.retries,
@@ -580,13 +567,7 @@ class XmlView:
         # including the submissions burned by degraded-away streams) is
         # charged to the simulated elapsed clock, never to the paper's
         # query/transfer sums.
-        overhead = [
-            s.backoff_ms + s.fault_latency_ms + s.hedge_wait_ms
-            for s in stats
-        ] + [
-            s.backoff_ms + s.fault_latency_ms + s.hedge_wait_ms
-            for s in outcome.spent_stats
-        ]
+        overhead = [s.overhead_ms for s in all_stats]
         query_durations = [
             stream.server_ms + extra
             for stream, extra in zip(streams, overhead)
@@ -637,9 +618,9 @@ class XmlView:
         them in ``options=``, override single ones by keyword
         (``workers=4``), or both — the keyword wins.
 
-        ``workers`` dispatches the plan's subqueries concurrently (see
-        :meth:`execute_partition`); the produced document is identical
-        either way.  With ``retry``/``faults``, transient stream failures
+        ``workers`` is the simulated dispatch width (see
+        :meth:`execute_partition`): it sets the report's makespans, never
+        the document.  With ``retry``/``faults``, transient stream failures
         are retried and degraded around: the produced XML is byte-identical
         to the fault-free run, and the report records
         ``attempts``/``retries``/``faults_injected``/``backoff_ms``/
@@ -715,16 +696,16 @@ class XmlView:
         *dispatched eagerly* (:meth:`_dispatch`): every stream is a
         finished list before tagging starts, which is what makes it
         possible to re-submit one (``retry``, ``hedge_ms``), to replace a
-        failing one by finer streams (degradation), to run several at once
-        (``workers``), and to keep decoded instances and the finished
-        document for the next call (the instance/document caches).  With a
-        sink every stream is a *lazy cursor* drained by the merge while the
-        tagger is already writing: memory stays at the cursors' undrained
-        sort buffers, and none of the above can exist — a half-consumed
-        cursor cannot be re-submitted or spliced out under a half-written
-        sink, the k-way merge pulls the cursors in document order on one
-        thread, and a cache entry would be the materialized stream the
-        path exists to avoid.
+        failing one by finer streams (degradation), to schedule them as if
+        several ran at once (``workers``), and to keep decoded instances
+        and the finished document for the next call (the instance/document
+        caches).  With a sink every stream is a *lazy cursor* drained by
+        the merge while the tagger is already writing: memory stays at the
+        cursors' undrained sort buffers, and none of the above can exist —
+        a half-consumed cursor cannot be re-submitted or spliced out under
+        a half-written sink, the one k-way merge pulls the cursors in
+        document order (so the report is the width-1 one), and a cache
+        entry would be the materialized stream the path exists to avoid.
         """
         streaming = sink is not None
         tracer, metrics = obs_parts(opts.obs)
@@ -748,8 +729,8 @@ class XmlView:
                 root_span.set(streams=len(specs), chars=len(xml))
                 return MaterializedView(xml=xml, report=report, tagger=tagger)
 
-            # One thread drains the cursors, whatever ``workers`` says:
-            # the report's worker count and makespans must say so too.
+            # One merge drains the cursors, whatever ``workers`` says:
+            # the report's width and makespans must say so too.
             opts = replace(opts, workers=None)
             start = time.perf_counter()
             cursors = []

@@ -5,7 +5,7 @@ goes* — query vs. transfer vs. tagging, per decomposition.  This package
 makes that visible for any execution, not just the benchmark sweeps:
 
 * :mod:`repro.obs.tracer` — nested spans over the wall and simulated
-  clocks, propagated across the concurrent dispatcher's worker threads;
+  clocks, safe to share between the server's request threads;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms snapshotable as a
   plain dict;
 * :mod:`repro.obs.export` — Chrome-trace JSON (``about:tracing`` /

@@ -15,7 +15,7 @@ Three instrument kinds, all created on first use by name:
 * **histograms** (:meth:`MetricsRegistry.observe`) — count/sum/min/max
   summaries of per-stream distributions.
 
-Everything is lock-protected (one registry serves a concurrent dispatch)
+Everything is lock-protected (one registry may serve concurrent requests)
 and :meth:`~MetricsRegistry.snapshot` returns a plain nested dict that is
 ``json.dumps``-able as is.
 

@@ -15,12 +15,14 @@ intervals that nest into a tree.  A span records
   fault draws, cache replays, degradations.
 
 Span nesting follows the *logical* structure, not the thread structure:
-:meth:`Tracer.span` maintains a per-thread current-span stack, and the
-concurrent dispatcher passes the submitting thread's current span as the
-explicit ``parent`` when it fans streams out to a pool, so a worker
-thread's ``stream:<label>`` span still hangs under the ``dispatch`` span
-that scheduled it.  All tree mutation is lock-protected; spans from any
-number of worker threads may attach concurrently.
+:meth:`Tracer.span` maintains a per-thread current-span stack, so the
+server's request threads can share one tracer without their spans
+interleaving, and an explicit ``parent`` hangs a span opened on one
+thread under a span of another.  The dispatcher and the sweep need
+neither — they run on the caller's thread, so a ``stream:<label>`` span
+nests under its ``dispatch`` span by position.  All tree mutation is
+lock-protected; spans from any number of threads may attach
+concurrently.
 
 The **no-overhead-when-off contract**: every instrumentation point in the
 library defaults to :data:`NULL_TRACER`, whose :meth:`~NullTracer.span`
@@ -141,8 +143,7 @@ class Tracer:
             span.event("degrade", label="S1.4")
 
     Spans opened on the same thread nest under the thread's innermost open
-    span; a worker thread adopts a submitting thread's span by passing it
-    as ``parent=`` (see :func:`repro.relational.dispatch.execute_specs`).
+    span; another thread adopts a span by passing it as ``parent=``.
     Spans with no parent become roots of :attr:`roots`.
     """
 

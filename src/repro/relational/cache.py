@@ -445,7 +445,7 @@ class NodeResultCache(BoundedCache):
     entries that depend on mutated tables, which is what lets untouched
     view subtrees replay across writes instead of recomputing.
 
-    An engine shared by concurrent stream dispatch threads hits this cache
+    An engine shared by the server's request threads hits this cache
     from all of them.
     """
 

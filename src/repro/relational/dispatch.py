@@ -6,40 +6,28 @@ This is the one place the middle-ware talks to its source(s).
 (a single connection and a replica pool run the same code), and
 :func:`execute_specs` collects a plan's streams in spec order.
 
-A partitioned plan is k independent SQL queries.  The middle-ware does not
-have to submit them one after another: dispatching them concurrently makes
-the plan's *elapsed* query time approach ``max`` of the per-stream server
-times instead of their ``sum`` — the tuple-delivery phase the paper's
-scaling argument (and the XML-reconstruction literature after it)
-identifies as the dominant cost.
+A partitioned plan is k independent SQL queries.  A middle-ware that
+submits them concurrently sees the plan's *elapsed* query time approach
+``max`` of the per-stream server times instead of their ``sum`` — the
+tuple-delivery phase the paper's scaling argument (and the
+XML-reconstruction literature after it) identifies as the dominant cost.
 
-:func:`execute_specs` preserves the sequential path's observable behaviour
-exactly:
-
-* **ordering** — streams are returned in spec (document) order regardless
-  of completion order;
-* **timeouts** — the first spec (in spec order) whose subquery exceeds the
-  budget "wins": its earlier siblings are reported as completed, later
-  futures are cancelled where possible and drained otherwise, and the
-  outcome is indistinguishable from the sequential run that would have
-  stopped at the same spec;
-* **caching** — the engine's :class:`~repro.relational.cache.PlanResultCache`
-  is thread-safe and single-flighted, so concurrent hits replay charge logs
-  bit-identically and concurrent misses on the same plan insert once.
-
-Because the simulated engine is deterministic, per-stream ``server_ms`` /
-``transfer_ms`` are identical in both modes; only wall-clock changes.
-
-:func:`simulated_makespan` is the simulated-time counterpart: the elapsed
-time of k durations on N workers under the pool's submission-order
-scheduling, which reports expose as ``elapsed_query_ms``.
+Here that concurrency lives on the *simulated* clock only.  The source is
+an in-process, deterministic engine, so nothing on this path waits on
+I/O and a thread could overlap nothing but simulated work:
+:func:`execute_specs` runs the specs one after another, in spec order,
+and ``workers`` — read by :func:`dispatch_width` — is the width the
+simulated schedule is computed for: :func:`simulated_makespan` (what
+reports expose as ``elapsed_query_ms`` / ``elapsed_total_ms``) and the
+admission deadline's scheduled stream starts.  A hedged backup races its
+primary the same way, by comparing simulated completions.  Per-stream
+``server_ms`` / ``transfer_ms``, fault draws, routing and what a
+dispatch that stops early leaves behind are therefore the same for
+every width.
 """
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 
 from repro.common.errors import (
     OverloadError,
@@ -56,13 +44,19 @@ from repro.relational.faults import StreamAttemptStats
 from repro.relational.replicas import resolve_resilience
 
 
+def dispatch_width(opts):
+    """The simulated dispatch width ``opts.workers`` asks for (None: 1) —
+    how many subqueries the source is taken to run at once."""
+    return max(opts.workers or 1, 1)
+
+
 def simulated_makespan(durations_ms, workers):
     """Elapsed simulated time of ``durations_ms`` on ``workers`` workers.
 
     Jobs are assigned in submission order to the earliest-available worker
-    (exactly what a thread pool does when job order is fixed), so with one
-    worker this is the plain sum and with ``workers >= len(durations)`` it
-    is the max."""
+    (what a source serving ``workers`` connections does when job order is
+    fixed), so with one worker this is the plain sum and with
+    ``workers >= len(durations)`` it is the max."""
     durations_ms = list(durations_ms)
     if not durations_ms:
         return 0.0
@@ -377,14 +371,16 @@ def execute_specs(connection, specs, breaker=None, epoch=None,
 
     ``streams`` is the list of :class:`~repro.relational.connection.TupleStream`
     results in spec order.  On a per-subquery budget overrun, ``streams``
-    holds only the streams *preceding* the first timed-out spec (spec
-    order — identical to where a sequential run stops) and ``timeout`` is
-    the raised :class:`~repro.common.errors.TimeoutExceeded`, annotated
-    with ``stream_label``.  ``workers`` > 1 dispatches the subqueries on a
-    thread pool; results, timings, and timeout behaviour are identical to
-    the sequential path, because one collection loop reads the outcomes in
-    spec order either way — from calls it makes itself, or from futures
-    already running.
+    holds only the streams *preceding* the first timed-out spec and
+    ``timeout`` is the raised
+    :class:`~repro.common.errors.TimeoutExceeded`, annotated with
+    ``stream_label``.  The specs run one after another in spec order, and
+    a dispatch that stops early — timeout, terminal failure, shed — never
+    starts the later specs: no fault is drawn for them, no replica
+    observes them, no span or cache entry is left behind.  ``workers`` is
+    the *simulated* dispatch width (see the module docstring): it
+    schedules the admission deadline below and the report's makespans,
+    nothing else.
 
     ``retry`` (a :class:`~repro.relational.faults.RetryPolicy`) makes each
     stream resilient to
@@ -396,16 +392,14 @@ def execute_specs(connection, specs, breaker=None, epoch=None,
     retries is reported via ``result.failure``/``failed_index`` — first
     failing spec in spec order wins, exactly like timeouts — so the caller
     can degrade the plan.  Fault draws are keyed by ``(label, plan,
-    attempt)``: sequential and concurrent dispatch of the same specs see
-    identical faults, retries, and results.
+    attempt)``, not by execution order.
 
     A :class:`~repro.relational.replicas.ReplicaPool` (``replicas``)
     routes each spec to the best healthy replica, failing over and hedging
     (``hedge_ms``) inside the same loop.  Routing is frozen for the
     duration of the call: unless the caller pins an ``epoch`` (e.g. one
     per sweep), a fresh one is opened here and its health observations
-    folded back when the call returns — so sequential and concurrent
-    dispatch route identically.
+    folded back when the call returns.
 
     An :class:`~repro.relational.replicas.AdmissionController`
     (``max_concurrent``) protects the dispatch: a plan whose stream count
@@ -419,13 +413,11 @@ def execute_specs(connection, specs, breaker=None, epoch=None,
     unexecuted labels; completed earlier streams are kept.
 
     With an observability session (``obs``), each stream is wrapped in a
-    ``stream:<label>`` span; the submitting thread's current span is
-    captured *before* the fan-out and passed as the explicit span parent,
-    so worker-thread spans still hang under the ``dispatch`` span that
-    scheduled them.  Stream metrics are recorded once per completed stream
-    (and once for a terminally-failed stream's burned attempts), from the
-    same :class:`~repro.relational.faults.StreamAttemptStats` the plan
-    report sums.
+    ``stream:<label>`` span under the caller's current one (the
+    ``dispatch`` span).  Stream metrics are recorded once per completed
+    stream (and once for a terminally-failed stream's burned attempts),
+    from the same :class:`~repro.relational.faults.StreamAttemptStats`
+    the plan report sums.
 
     ``expect_generations`` — a per-table generation map pinned by the
     caller (see :meth:`~repro.relational.database.Database.table_generations`)
@@ -437,12 +429,11 @@ def execute_specs(connection, specs, breaker=None, epoch=None,
     ``request`` — an optional
     :class:`~repro.core.options.RequestContext` — stamps its
     tenant/request id onto every error raised here (timeouts, transient
-    failures, overloads, stale generations), including those raised
-    inside worker threads, so the serving layer can attribute failures
-    without inspecting thread state.
+    failures, overloads, stale generations), so the serving layer can
+    attribute failures without inspecting thread state.
     """
     opts = resolve_resilience(resolve_options(options, overrides), connection)
-    pool, admission, workers = opts.replicas, opts.max_concurrent, opts.workers
+    pool, admission = opts.replicas, opts.max_concurrent
     if expect_generations is not None:
         current = connection.database.table_generations()
         if current != expect_generations:
@@ -455,23 +446,6 @@ def execute_specs(connection, specs, breaker=None, epoch=None,
                 changed, pinned=expect_generations, current=current
             ), opts.request)
     tracer, metrics = obs_parts(opts.obs)
-    parent = tracer.current()
-
-    def run(spec):
-        with tracer.span("stream:" + spec.label, parent=parent) as span:
-            stream, stats = run_spec_with_retry(
-                connection, spec, breaker, epoch, opts
-            )
-            if tracer.enabled:
-                span.set(
-                    rows=len(stream), attempts=stats.attempts,
-                    retries=stats.retries, from_cache=stats.from_cache,
-                )
-                if stats.replica is not None:
-                    span.set(replica=stats.replica, hedges=stats.hedges)
-                span.set_sim(stream_cost(stream, stats))
-            return stream, stats
-
     result = DispatchResult(streams=[])
     if admission is not None:
         overload = admission.admit_queue(specs)
@@ -486,65 +460,60 @@ def execute_specs(connection, specs, breaker=None, epoch=None,
     deadline = admission.policy.deadline_ms if admission is not None else None
     free_at = None
     if deadline is not None and specs:
-        free_at = [0.0] * min(max(workers or 1, 1), len(specs))
-    threaded = workers is not None and workers > 1 and len(specs) > 1
+        free_at = [0.0] * min(dispatch_width(opts), len(specs))
     own_epoch = pool is not None and epoch is None
     if own_epoch:
         epoch = pool.begin_epoch()
     try:
-        with (ThreadPoolExecutor(max_workers=workers) if threaded
-              else nullcontext()) as executor:
-            if threaded:
-                futures = [executor.submit(run, spec) for spec in specs]
-                outcomes = [future.result for future in futures]
-            else:
-                futures = ()
-                outcomes = [partial(run, spec) for spec in specs]
-            # The one collection loop: outcomes are read in spec order, so
-            # the first shed or terminally-failed spec in spec order wins
-            # however the work was scheduled.
-            for i, outcome in enumerate(outcomes):
-                if free_at is not None:
-                    start_ms = heapq.heappop(free_at)
-                    if admission_elapsed_ms + start_ms >= deadline:
-                        # Shed this and every later stream.
-                        labels = tuple(spec.label for spec in specs[i:])
-                        admission.note_shed(len(labels))
-                        result.overload = tag_context(OverloadError(
-                            f"stream {labels[0]} would start at simulated "
-                            f"{admission_elapsed_ms + start_ms:.0f}ms, past "
-                            f"the {deadline:.0f}ms admission deadline",
-                            reason="deadline", shed=labels,
-                            stream_label=labels[0],
-                        ), opts.request)
-                        result.shed = labels
-                        metrics.inc("dispatch.shed", len(labels))
-                        tracer.event(
-                            "shed", reason="deadline", streams=len(labels),
-                            first=labels[0],
-                        )
-                        break
-                try:
-                    stream, stats = outcome()
-                except (TimeoutExceeded, TransientConnectionError) as exc:
-                    _record_failure(
-                        result, tag_context(exc, opts.request), specs[i], i,
-                        metrics,
+        for i, spec in enumerate(specs):
+            if free_at is not None:
+                start_ms = heapq.heappop(free_at)
+                if admission_elapsed_ms + start_ms >= deadline:
+                    # Shed this and every later stream.
+                    labels = tuple(spec.label for spec in specs[i:])
+                    admission.note_shed(len(labels))
+                    result.overload = tag_context(OverloadError(
+                        f"stream {labels[0]} would start at simulated "
+                        f"{admission_elapsed_ms + start_ms:.0f}ms, past "
+                        f"the {deadline:.0f}ms admission deadline",
+                        reason="deadline", shed=labels,
+                        stream_label=labels[0],
+                    ), opts.request)
+                    result.shed = labels
+                    metrics.inc("dispatch.shed", len(labels))
+                    tracer.event(
+                        "shed", reason="deadline", streams=len(labels),
+                        first=labels[0],
                     )
                     break
-                if free_at is not None:
-                    heapq.heappush(
-                        free_at, start_ms + stream_cost(stream, stats)
+            try:
+                with tracer.span("stream:" + spec.label) as span:
+                    stream, stats = run_spec_with_retry(
+                        connection, spec, breaker, epoch, opts
                     )
-                result.streams.append(stream)
-                result.stats.append(stats)
-                record_stream(metrics, stream, stats)
-            # After a break: futures not yet running are cancelled, running
-            # ones are drained by the executor's shutdown and their work
-            # discarded (the simulated outcome matches the sequential
-            # path, which never starts them).
-            for future in futures:
-                future.cancel()
+                    if tracer.enabled:
+                        span.set(
+                            rows=len(stream), attempts=stats.attempts,
+                            retries=stats.retries,
+                            from_cache=stats.from_cache,
+                        )
+                        if stats.replica is not None:
+                            span.set(
+                                replica=stats.replica, hedges=stats.hedges
+                            )
+                        span.set_sim(stream_cost(stream, stats))
+            except (TimeoutExceeded, TransientConnectionError) as exc:
+                # The first timed-out or terminally-failed spec stops the
+                # dispatch; later specs are never started.
+                _record_failure(
+                    result, tag_context(exc, opts.request), spec, i, metrics
+                )
+                break
+            if free_at is not None:
+                heapq.heappush(free_at, start_ms + stream_cost(stream, stats))
+            result.streams.append(stream)
+            result.stats.append(stats)
+            record_stream(metrics, stream, stats)
         return result
     finally:
         if own_epoch:
@@ -572,12 +541,9 @@ def _completion_ms(stream):
 
 def stream_cost(stream, stats):
     """One stream's simulated elapsed cost: fault-free execution plus the
-    resilience overhead charged to the elapsed clock (backoff, wasted
-    fault latency, hedge wait) — the duration the makespan schedules."""
-    return (
-        stream.server_ms + stream.transfer_ms + stats.backoff_ms
-        + stats.fault_latency_ms + stats.hedge_wait_ms
-    )
+    resilience overhead charged to the elapsed clock — the duration the
+    makespan schedules."""
+    return stream.server_ms + stream.transfer_ms + stats.overhead_ms
 
 
 def _record_failure(result, exc, spec, index, metrics=NULL_METRICS):

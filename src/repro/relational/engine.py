@@ -461,9 +461,10 @@ class QueryEngine:
                 # guaranteed to raise, so reaching here means the entry is
                 # complete and ``entry.rows`` is the full result.
                 return self._result(plan, entry.rows, charges)
-            # Single-flight: under concurrent dispatch, N simultaneous
-            # misses on the same plan run it once; the waiters loop back
-            # and replay the leader's entry bit-identically.
+            # Single-flight: N simultaneous misses on the same plan (the
+            # server's request threads share the engine) run it once; the
+            # waiters loop back and replay the leader's entry
+            # bit-identically.
             if cache.begin(key):
                 if metrics is not None:
                     metrics.inc("plan_cache.misses")

@@ -12,9 +12,9 @@ CI:
   :class:`~repro.common.errors.TransientConnectionError` and how much
   simulated connection latency to add.  Decisions come from a PRNG seeded
   by ``(seed, label, plan fingerprint, attempt)``, so they are independent
-  of execution order (sequential and concurrent dispatch draw identical
-  outcomes) and stable across processes (string seeding hashes through
-  SHA-512, not ``PYTHONHASHSEED``).
+  of execution order (a sweep, a degraded re-plan and a replay draw
+  identical outcomes) and stable across processes (string seeding hashes
+  through SHA-512, not ``PYTHONHASHSEED``).
 * :class:`RetryPolicy` — exponential backoff with deterministic jitter.
   Backoff is charged to the *simulated* clock (reports' ``backoff_ms`` and
   the ``elapsed_*`` makespans), preserving the sim/wall-clock separation
@@ -66,7 +66,7 @@ class FaultPolicy:
 
     The policy is frozen and stateless: the decision for ``(label,
     fingerprint, attempt)`` is a pure function of the seed, which is what
-    makes concurrent dispatch, retries, and degradation re-planning
+    makes retries, degradation re-planning and concurrent requests
     replayable.  Fault draws follow the stream *label*, so a degraded
     re-plan whose root stream keeps the failing label keeps failing —
     by design (the finer plan still opens the same logical stream) — while
@@ -177,7 +177,7 @@ class CircuitBreaker:
 
     :meth:`state` reports ``"closed"`` / ``"open"`` / ``"half-open"``
     without side effects (the replica pool ranks replicas by it).  Thread
-    safe — one breaker serves a concurrent dispatch.
+    safe — a reused pool's breaker serves concurrent requests.
     """
 
     def __init__(self, threshold=3, cooldown=None):
@@ -270,21 +270,38 @@ class StreamAttemptStats:
     hedge_wins: int = 0
     hedge_wait_ms: float = 0.0
 
+    #: The additive counters as ``(field, metric name)``: what
+    #: :meth:`total` sums and :meth:`record` publishes.  A new counter is
+    #: a field above and a row here.
+    COUNTERS = (
+        ("attempts", "dispatch.attempts"),
+        ("retries", "dispatch.retries"),
+        ("faults", "faults.injected"),
+        ("backoff_ms", "retry.backoff_ms"),
+        ("fault_latency_ms", "faults.latency_ms"),
+        ("failovers", "dispatch.failovers"),
+        ("hedges", "dispatch.hedges"),
+        ("hedge_wins", "dispatch.hedge_wins"),
+        ("hedge_wait_ms", "hedge.wait_ms"),
+    )
+
+    @property
+    def overhead_ms(self):
+        """What resilience charged to the simulated elapsed clock on top
+        of the fault-free execution: backoff, wasted fault latency, hedge
+        wait."""
+        return self.backoff_ms + self.fault_latency_ms + self.hedge_wait_ms
+
     @classmethod
     def total(cls, stats):
-        """The field-wise sum of ``stats`` (an iterable of these) — what
+        """The counter-wise sum of ``stats`` (a sequence of these) — what
         a plan's report and a sweep's timing total their streams into."""
         total = cls(None)
-        for s in stats:
-            total.attempts += s.attempts
-            total.retries += s.retries
-            total.faults += s.faults
-            total.backoff_ms += s.backoff_ms
-            total.fault_latency_ms += s.fault_latency_ms
-            total.failovers += s.failovers
-            total.hedges += s.hedges
-            total.hedge_wins += s.hedge_wins
-            total.hedge_wait_ms += s.hedge_wait_ms
+        for name, _ in cls.COUNTERS:
+            value = getattr(total, name)
+            for s in stats:
+                value += getattr(s, name)
+            setattr(total, name, value)
         return total
 
     def record(self, metrics):
@@ -296,23 +313,9 @@ class StreamAttemptStats:
         :class:`~repro.core.silkroute.PlanReport` sums, so the metrics
         snapshot reconciles with the report by construction.
         """
-        if self.attempts:
-            metrics.inc("dispatch.attempts", self.attempts)
-        if self.retries:
-            metrics.inc("dispatch.retries", self.retries)
-        if self.faults:
-            metrics.inc("faults.injected", self.faults)
-        if self.backoff_ms:
-            metrics.inc("retry.backoff_ms", self.backoff_ms)
-        if self.fault_latency_ms:
-            metrics.inc("faults.latency_ms", self.fault_latency_ms)
+        for name, metric in self.COUNTERS:
+            value = getattr(self, name)
+            if value:
+                metrics.inc(metric, value)
         if self.from_cache:
             metrics.inc("cache.replays")
-        if self.failovers:
-            metrics.inc("dispatch.failovers", self.failovers)
-        if self.hedges:
-            metrics.inc("dispatch.hedges", self.hedges)
-        if self.hedge_wins:
-            metrics.inc("dispatch.hedge_wins", self.hedge_wins)
-        if self.hedge_wait_ms:
-            metrics.inc("hedge.wait_ms", self.hedge_wait_ms)

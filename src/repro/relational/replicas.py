@@ -31,9 +31,11 @@ snapshots the health ranking; every health observation made while the
 epoch is open is buffered and folded back in deterministically sorted
 order by :meth:`ReplicaPool.finish_epoch`.  Within an epoch, the replica
 chosen for a stream is a pure function of the snapshot and the stream's
-own failure history — never of wall-clock completion order — so
-sequential and concurrent dispatch route identically, draw identical
-faults, and produce byte-identical XML with identical simulated timings.
+own failure history — never of wall-clock completion order or of the
+dispatch width — so every run routes identically, draws identical
+faults, and produces byte-identical XML with identical simulated timings;
+and because a dispatch that stops early never starts its later streams,
+what it leaves on the pool's health is the same at every width too.
 Hedging preserves the invariant because the winner is chosen by comparing
 *simulated* completions, and both candidate streams carry identical
 ``server_ms``/``transfer_ms`` (the engine is deterministic and replicas
@@ -183,7 +185,8 @@ class ReplicaEpoch:
 
     ``ranking`` orders replica ids best-first as of
     :meth:`ReplicaPool.begin_epoch`; :meth:`pick` is a pure function of
-    it.  Observations buffer here (thread safe) until
+    it.  Observations buffer here (thread safe: the server's request
+    threads may share a reused pool) until
     :meth:`ReplicaPool.finish_epoch` folds them into the live health
     state in sorted order.
     """
@@ -299,8 +302,8 @@ class ReplicaPool:
     def finish_epoch(self, epoch):
         """Fold the epoch's buffered observations into the live health
         state and per-replica breaker, in deterministic sorted order —
-        the reason concurrent dispatch leaves the same health trail as
-        sequential."""
+        so the health trail does not depend on the order the streams
+        ran in."""
         for _label, _attempt, replica, ok, cost_ms in epoch.observations():
             if ok:
                 self.health[replica].record_success(cost_ms, self.ewma_alpha)
@@ -336,8 +339,8 @@ def resolve_pool(replicas, connection):
 class AdmissionPolicy:
     """Capacity limits the admission controller enforces.
 
-    ``max_concurrent_streams`` clamps the dispatch width (the thread-pool
-    ``workers`` never exceeds it) and, together with
+    ``max_concurrent_streams`` clamps the simulated dispatch width
+    (``workers`` never exceeds it) and, together with
     ``max_queued_streams``, bounds how many streams one dispatch may
     submit: a plan needing more than slots + queue is refused up front.
     ``deadline_ms`` is a per-query simulated deadline — a stream whose
@@ -365,9 +368,9 @@ class AdmissionController:
     """Enforces an :class:`AdmissionPolicy`; counts admitted/shed streams.
 
     Shedding decisions are functions of deterministic quantities only —
-    the spec count and the simulated schedule — never of wall-clock
-    concurrency, so an overloaded run sheds the same streams under
-    sequential and threaded dispatch.
+    the spec count and the simulated schedule at the (clamped) dispatch
+    width — never of wall-clock concurrency, so an overloaded run sheds
+    the same streams every time.
     """
 
     def __init__(self, policy):

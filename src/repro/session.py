@@ -338,7 +338,7 @@ class Session:
         return QueryResult(sql=tuple(sqls))
 
     def sweep(self, query, partitions=None, progress=None, cache=True,
-              stream_workers=None, options=None, **overrides):
+              options=None, **overrides):
         """Execute every plan of ``query`` (or the given ``partitions``);
         returns a :class:`QueryResult` whose ``sweep`` is the
         :class:`~repro.bench.sweep.SweepResult`."""
@@ -346,8 +346,7 @@ class Session:
         sweep = sweep_partitions(
             view.tree, self._silkroute.schema, self.connection,
             partitions=partitions, progress=progress, cache=cache,
-            stream_workers=stream_workers, options=self._options(options),
-            **overrides,
+            options=self._options(options), **overrides,
         )
         stats = self._stats()
         if sweep.cache_stats is not None:

@@ -14,8 +14,8 @@ that composes with execution.  Tested here:
   lowered at several chunk sizes (``vector_ops.compile_plan``) matches
   them too;
 * **end-to-end identity** (hypothesis) — materialized XML bytes and
-  report figures match sequentially, with concurrent dispatch, and under
-  injected faults on a replica pool;
+  report figures match at every dispatch width and under injected
+  faults on a replica pool;
 * **sort semantics** — the batch engine's stable single-key passes
   reproduce :class:`~repro.common.ordering.NoneFirst` exactly for NULLs
   and pathological mixed-type columns;
@@ -460,7 +460,7 @@ class TestEndToEndIdentity:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(workers=st.sampled_from([2, 4]))
-    def test_concurrent_dispatch_identity(
+    def test_dispatch_width_identity(
         self, tiny_db, tiny_estimator, baseline, workers
     ):
         view = fresh_view(tiny_db, tiny_estimator)

@@ -155,21 +155,25 @@ class TestCachedAndParallelSweep:
         assert uncached.cache_stats is None
         assert cached.cache_stats.hits > 0  # subtree queries recur
 
-    def test_workers_match_serial(self, q1_tree, tiny_db, tiny_conn, sample):
+    def test_width_leaves_timings_unchanged(
+        self, q1_tree, tiny_db, tiny_conn, sample
+    ):
+        """A sweep's timings are per-stream sums: the dispatch width
+        (``workers``) moves none of them."""
         kwargs = dict(partitions=sample, reduce=True, budget_ms=50.0)
-        serial = sweep_partitions(
+        narrow = sweep_partitions(
             q1_tree, tiny_db.schema, tiny_conn, cache=False, **kwargs
         )
-        threaded = sweep_partitions(
+        wide = sweep_partitions(
             q1_tree, tiny_db.schema, tiny_conn, cache=False, workers=3,
             **kwargs
         )
-        assert threaded.timings == serial.timings  # same values, same order
+        assert wide.timings == narrow.timings  # same values, same order
 
     def test_workers_with_shared_cache(self, q1_tree, tiny_db, tiny_conn, sample):
         from repro.relational.cache import PlanResultCache
 
-        serial = sweep_partitions(
+        uncached = sweep_partitions(
             q1_tree, tiny_db.schema, tiny_conn, cache=False,
             partitions=sample, reduce=True,
         )
@@ -182,8 +186,8 @@ class TestCachedAndParallelSweep:
             q1_tree, tiny_db.schema, tiny_conn, cache=shared, workers=2,
             partitions=sample, reduce=True,
         )
-        assert first.timings == serial.timings
-        assert second.timings == serial.timings
+        assert first.timings == uncached.timings
+        assert second.timings == uncached.timings
         # The second sweep found every plan already cached.
         assert second.cache_stats.misses == first.cache_stats.misses
 

@@ -4,7 +4,7 @@ degradation (repro.relational.faults + the resilient dispatch and facade).
 The load-bearing invariants:
 
 * fault draws are deterministic and order-independent — a seed replays
-  bit-identically, sequentially or concurrently;
+  bit-identically, at any dispatch width;
 * the document produced under faults + retries is byte-identical to the
   fault-free run, and the paper's ``query_ms``/``transfer_ms`` figures are
   untouched (resilience overhead is charged to the elapsed makespan only);
@@ -270,19 +270,19 @@ class TestByteIdentity:
                 injected += result.report.faults_injected
             assert injected > 0
 
-    def test_concurrent_dispatch_draws_identically(self, view):
+    def test_fault_draws_independent_of_width(self, view):
         opts = ExecutionOptions(
             retry=RetryPolicy(max_attempts=6),
             faults=FaultPolicy(seed=7, error_rate=0.4),
         )
-        serial = view.materialize("fully-partitioned", options=opts)
-        concurrent = view.materialize(
+        narrow = view.materialize("fully-partitioned", options=opts)
+        wide = view.materialize(
             "fully-partitioned", options=dataclasses.replace(opts, workers=4)
         )
-        assert concurrent.xml == serial.xml
-        assert concurrent.report.faults_injected == serial.report.faults_injected
-        assert concurrent.report.retries == serial.report.retries
-        assert concurrent.report.backoff_ms == serial.report.backoff_ms
+        assert wide.xml == narrow.xml
+        assert wide.report.faults_injected == narrow.report.faults_injected
+        assert wide.report.retries == narrow.report.retries
+        assert wide.report.backoff_ms == narrow.report.backoff_ms
 
     @settings(
         max_examples=8,

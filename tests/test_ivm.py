@@ -7,7 +7,7 @@ entries that read those tables, and re-materializing a view afterwards
 is byte-identical — XML and simulated timings — to a cold run against a
 fresh database holding the same final state.  The property test drives
 random interleavings of writes and materializations through both
-engines, concurrent dispatch, faults, and replicas.
+engines, several dispatch widths, faults, and replicas.
 """
 
 import gc

@@ -6,7 +6,7 @@ The load-bearing invariants:
   session attached, the XML document is byte-identical and every
   simulated figure (``query_ms``, ``transfer_ms``, the elapsed
   makespans) is identical to the tracing-off run, over random
-  partitions, sequentially and with concurrent dispatch;
+  partitions and dispatch widths;
 * the Chrome-trace export is valid Trace Event JSON and covers the whole
   pipeline — plan, sqlgen, per-stream dispatch (including retries under
   injected faults), merge, tag;

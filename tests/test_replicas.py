@@ -6,8 +6,8 @@ The load-bearing invariants:
 * **byte identity** — with any replica count >= 2, any hedge trigger,
   failover traffic, and injected faults, the materialized document and
   the paper's simulated ``query_ms``/``transfer_ms`` figures are
-  identical to the single-replica fault-free run, sequentially and with
-  concurrent dispatch (the acceptance property, hypothesis-tested);
+  identical to the single-replica fault-free run, at every dispatch
+  width (the acceptance property, hypothesis-tested);
 * **failover completes the query** — a pool with one permanently-down
   replica serves every stream via the healthy ones, with zero
   user-visible errors;
@@ -16,8 +16,11 @@ The load-bearing invariants:
   double-charge ``server_ms``;
 * **admission sheds deterministically** — queue overflow and deadline
   shedding raise a typed :class:`~repro.common.errors.OverloadError`
-  listing the shed streams, identically under sequential and threaded
-  dispatch, and light load sheds nothing.
+  listing the shed streams, a function of the simulated schedule only,
+  and light load sheds nothing;
+* **an early stop leaves the same state at every width** — a dispatch
+  that fails or times out part-way never starts the later streams,
+  whatever ``workers`` says.
 """
 
 import io
@@ -31,10 +34,15 @@ from repro.bench.sweep import sweep_partitions
 from repro.common.errors import (
     ExecutionError,
     OverloadError,
+    TimeoutExceeded,
     TransientConnectionError,
 )
 from repro.core.options import ExecutionOptions
-from repro.core.partition import fully_partitioned, unified_partition
+from repro.core.partition import (
+    Partition,
+    fully_partitioned,
+    unified_partition,
+)
 from repro.core.silkroute import SilkRoute
 from repro.obs import ObsOptions
 from repro.relational.connection import Connection
@@ -65,21 +73,16 @@ def stream_accounting(report, *extra):
 
 
 def trace_shape(obs, replica_spans=True):
-    """The traced run's span and event names, in order — except that each
-    ``stream:<label>`` subtree is filed under its name (worker threads
-    attach those in start order, which is not deterministic)."""
-    streams = {}
+    """The traced run's span and event names, in order."""
 
     def names(span):
         out = [span.name] + ["event:" + e.name for e in span.events]
         for child in span.children:
-            if child.name.startswith("stream:"):
-                streams.setdefault(child.name, []).append(names(child))
-            elif replica_spans or not child.name.startswith("replica:"):
+            if replica_spans or not child.name.startswith("replica:"):
                 out.extend(names(child))
         return out
 
-    return [names(root) for root in obs.tracer.roots], streams
+    return [names(root) for root in obs.tracer.roots]
 
 
 @pytest.fixture(scope="module")
@@ -301,11 +304,12 @@ class TestByteIdentity:
     @given(seed=st.integers(min_value=0, max_value=30),
            hedge_ms=st.sampled_from([None, 2.0, 20.0]),
            query=st.sampled_from([QUERY_1, QUERY_2]))
-    def test_sequential_and_concurrent_agree_exactly(
+    def test_every_width_agrees_exactly(
             self, tiny_db, tiny_estimator, seed, hedge_ms, query):
-        """Same seed, same pool shape: workers=1 and workers=4 report the
+        """Same seed, same pool shape: width 1 and width 4 report the
         same attempts, faults, failovers, hedges, and elapsed charges,
-        stream by stream, and trace the same spans and events."""
+        stream by stream, and trace the same spans and events in the
+        same order."""
         reports, shapes = [], []
         for workers in (None, 4):
             _, view = fresh_view(tiny_db, tiny_estimator, query)
@@ -318,18 +322,18 @@ class TestByteIdentity:
             )
             reports.append(result.report)
             shapes.append(trace_shape(obs))
-        sequential, concurrent = reports
-        assert concurrent.attempts == sequential.attempts
-        assert concurrent.faults_injected == sequential.faults_injected
-        assert concurrent.failovers == sequential.failovers
-        assert concurrent.hedges == sequential.hedges
-        assert concurrent.hedge_wins == sequential.hedge_wins
-        assert concurrent.backoff_ms == sequential.backoff_ms
-        assert concurrent.hedge_wait_ms == sequential.hedge_wait_ms
+        narrow, wide = reports
+        assert wide.attempts == narrow.attempts
+        assert wide.faults_injected == narrow.faults_injected
+        assert wide.failovers == narrow.failovers
+        assert wide.hedges == narrow.hedges
+        assert wide.hedge_wins == narrow.hedge_wins
+        assert wide.backoff_ms == narrow.backoff_ms
+        assert wide.hedge_wait_ms == narrow.hedge_wait_ms
         extra = ("replica", "failovers", "hedges", "hedge_wins",
                  "hedge_wait_ms")
-        assert (stream_accounting(concurrent, *extra)
-                == stream_accounting(sequential, *extra))
+        assert (stream_accounting(wide, *extra)
+                == stream_accounting(narrow, *extra))
         assert shapes[1] == shapes[0]
 
     def test_single_replica_pool_matches_plain_connection(
@@ -377,6 +381,85 @@ class TestByteIdentity:
             assert not plain_obs.tracer.find("replica")
             assert (trace_shape(pooled_obs, replica_spans=False)
                     == trace_shape(plain_obs))
+
+
+# ---------------------------------------------------------------------------
+# Early stops
+
+
+class TestEarlyStop:
+    WIDTHS = (None, 2, 10)
+
+    @staticmethod
+    def left_behind(tiny_db, tiny_estimator, workers, **scenario):
+        """Run fully-partitioned Q1 (10 streams) over one reused 2-replica
+        pool into ``scenario``'s early stop; return everything the
+        dispatch left behind."""
+        connection, view = fresh_view(tiny_db, tiny_estimator, cache=True)
+        pool = ReplicaPool(ReplicaSet.from_connection(connection, 2))
+        obs = ObsOptions()
+        with pytest.raises((TimeoutExceeded, TransientConnectionError)) as info:
+            view.materialize(
+                "fully-partitioned", replicas=pool, workers=workers, obs=obs,
+                **scenario,
+            )
+        counters = obs.metrics_snapshot()["counters"]
+        return {
+            "stopped_at": (type(info.value), info.value.stream_label),
+            "health": [
+                (h.successes, h.failures, h.consecutive_failures,
+                 h.ewma_latency_ms)
+                for h in pool.health
+            ],
+            "breaker": [pool.breaker.state(r) for r in range(len(pool))],
+            "stream_spans": [
+                span.name for span in obs.tracer.walk()
+                if span.name.startswith("stream:")
+            ],
+            "faults": counters.get("faults.injected", 0),
+            "attempts": counters.get("dispatch.attempts", 0),
+            "cached_plans": len(connection.cache),
+        }
+
+    def test_terminal_failure_leaves_the_same_state_at_every_width(
+            self, tiny_db, tiny_estimator):
+        """Without ``retry`` the first drawn fault is terminal.  Under seed
+        0 it hits the second of ten streams: one stream ran, one failed,
+        eight were never started — at any width."""
+        faults = FaultPolicy(seed=0, error_rate=0.25)
+        narrow, *wider = [
+            self.left_behind(tiny_db, tiny_estimator, workers, faults=faults)
+            for workers in self.WIDTHS
+        ]
+        assert narrow["stopped_at"] == (TransientConnectionError, "S1.1")
+        assert narrow["stream_spans"] == ["stream:S1", "stream:S1.1"]
+        assert narrow["health"][0][:2] == (1, 1)
+        assert narrow["cached_plans"] == 1
+        for state in wider:
+            assert state == narrow
+
+    def test_timeout_leaves_the_same_state_at_every_width(
+            self, tiny_db, tiny_estimator):
+        _, view = fresh_view(tiny_db, tiny_estimator)
+        _, _, clean = view.execute_partition(view.fully_partitioned())
+        times = [s.server_ms for s in clean.streams]
+        # The first clearly slower stream that is not the last one.
+        cut = next(i for i in range(1, len(times) - 1)
+                   if times[i] > 1.1 * max(times[:i]))
+        budget = (max(times[:cut]) + times[cut]) / 2
+        narrow, *wider = [
+            self.left_behind(
+                tiny_db, tiny_estimator, workers, budget_ms=budget
+            )
+            for workers in self.WIDTHS
+        ]
+        assert narrow["stopped_at"] == (
+            TimeoutExceeded, clean.streams[cut].label
+        )
+        assert len(narrow["stream_spans"]) == cut + 1
+        assert narrow["health"][0][:2] == (cut, 0)
+        for state in wider:
+            assert state == narrow
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +669,12 @@ class TestAdmission:
                 )
             return info.value.shed
 
-        # The shed set is a function of the simulated schedule, not of
-        # thread timing: identical across repeated threaded runs.
+        # The shed set is a function of the simulated schedule only:
+        # identical across repeated runs at the same width.
         assert shed_with(4) == shed_with(4)
         assert shed_with(None) == shed_with(None)
         # A wider (clamped to 2) schedule starts streams earlier than the
-        # sequential one, so it never sheds more.
+        # width-1 one, so it never sheds more.
         assert len(shed_with(4)) <= len(shed_with(None))
 
     def test_light_load_sheds_nothing(self, tiny_db, tiny_estimator,
@@ -667,6 +750,40 @@ class TestSweepReplicas:
         assert len(result.shed()) == 1
         timing = result.shed()[0]
         assert timing.shed and timing.total_ms is None
+
+    def test_sweep_width_is_each_plans_dispatch_width(
+            self, q1_tree, tiny_db, tiny_estimator):
+        """``workers`` means in a sweep what it means everywhere: under an
+        admission deadline a width-4 sweep sheds, plan by plan and stream
+        by stream, what ``execute_partition(workers=4)`` sheds."""
+        partitions = [unified_partition(q1_tree),
+                      Partition([(1, 4), (1, 4, 2)]),
+                      fully_partitioned(q1_tree)]
+        policy = AdmissionPolicy(deadline_ms=30.0)
+
+        def swept_at(workers):
+            controller = AdmissionController(policy)
+            result = sweep_partitions(
+                q1_tree, tiny_db.schema, Connection(tiny_db, CostModel()),
+                partitions=partitions, cache=False, workers=workers,
+                max_concurrent=controller,
+            )
+            return ([t.shed for t in result.timings],
+                    controller.shed, controller.admitted)
+
+        direct = AdmissionController(policy)
+        _, view = fresh_view(tiny_db, tiny_estimator)
+        shed = []
+        for partition in partitions:
+            try:
+                view.execute_partition(
+                    partition, workers=4, max_concurrent=direct
+                )
+                shed.append(False)
+            except OverloadError:
+                shed.append(True)
+        assert swept_at(4) == (shed, direct.shed, direct.admitted)
+        assert 0 < direct.shed < swept_at(None)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,29 @@ class TestServerBasics:
         inline = server.query(QUERY_1, partition="unified")
         assert inline.xml == by_name.xml
 
+    def test_a_request_starts_no_threads(self, monkeypatch):
+        """``workers`` (the wire option ``{"workers": 32}``) is a simulated
+        dispatch width: it sets the report's makespans and cannot make the
+        server start a thread."""
+        server = make_server()
+        narrow = server.query("q1", partition="fully-partitioned")
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start",
+            lambda thread: (started.append(thread.name), start(thread)),
+        )
+        wide = Server(session=Session(fresh_db()), queries=QUERIES).query(
+            "q1", partition="fully-partitioned", workers=32,
+        )
+        assert started == []
+        assert wide.xml == narrow.xml
+        assert wide.report.workers == 32
+        assert wide.report.elapsed_query_ms == max(
+            s.server_ms for s in wide.report.streams
+        )
+        assert narrow.report.elapsed_query_ms == wide.report.query_ms
+
     def test_unknown_query_name_is_refused(self):
         server = make_server()
         with pytest.raises(QueryError, match="q1"):

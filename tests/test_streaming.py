@@ -8,9 +8,10 @@ Three surfaces are covered:
   cache warm/cold (property-based).
 * :meth:`Connection.execute_iter` — cursors with the same rows and charges
   as the materializing path, in no more memory than the interpreter's.
-* Concurrent dispatch — ``execute_partition(workers=N)`` must be
-  indistinguishable from the sequential run except for the dispatch
-  fields, including under timeouts and a shared result cache.
+* Dispatch width — ``execute_partition(workers=N)`` must be
+  indistinguishable from the width-1 run except for the dispatch fields
+  (``workers`` and the makespans), including under timeouts and a shared
+  result cache.
 """
 
 import gc
@@ -160,24 +161,24 @@ class TestExecuteIter:
             assert at_next.value.stream_label == spec.label
 
 
-class TestConcurrentDispatch:
-    def test_identical_to_sequential(self, q1_view):
+class TestDispatchWidth:
+    def test_identical_across_widths(self, q1_view):
         part = q1_view.fully_partitioned()
-        specs_s, streams_s, seq = q1_view.execute_partition(part, reduce=False)
-        specs_c, streams_c, con = q1_view.execute_partition(
+        specs_1, streams_1, one = q1_view.execute_partition(part, reduce=False)
+        specs_4, streams_4, four = q1_view.execute_partition(
             part, reduce=False, workers=4
         )
-        assert [s.sql for s in specs_s] == [s.sql for s in specs_c]
-        assert [list(s) for s in streams_s] == [list(s) for s in streams_c]
-        assert_same_stream_reports(seq.streams, con.streams)
-        assert seq.query_ms == con.query_ms
-        assert seq.transfer_ms == con.transfer_ms
-        assert seq.workers == 1 and con.workers == 4
-        # Sequential makespan is the sum; concurrent approaches the max.
-        assert seq.elapsed_query_ms == seq.query_ms
-        assert con.elapsed_query_ms < seq.elapsed_query_ms
-        assert con.elapsed_query_ms >= max(
-            s.server_ms for s in streams_s
+        assert [s.sql for s in specs_1] == [s.sql for s in specs_4]
+        assert [list(s) for s in streams_1] == [list(s) for s in streams_4]
+        assert_same_stream_reports(one.streams, four.streams)
+        assert one.query_ms == four.query_ms
+        assert one.transfer_ms == four.transfer_ms
+        assert one.workers == 1 and four.workers == 4
+        # The width-1 makespan is the sum; a wider one approaches the max.
+        assert one.elapsed_query_ms == one.query_ms
+        assert four.elapsed_query_ms < one.elapsed_query_ms
+        assert four.elapsed_query_ms >= max(
+            s.server_ms for s in streams_1
         )
 
     def test_stream_report_sql_populated(self, q1_view):
@@ -187,7 +188,7 @@ class TestConcurrentDispatch:
         for stream_report in report.streams:
             assert stream_report.sql.lstrip().upper().startswith("SELECT")
 
-    def test_timeout_deterministic_across_workers(self, q1_view):
+    def test_timeout_independent_of_width(self, q1_view):
         part = q1_view.fully_partitioned()
         _, streams, _ = q1_view.execute_partition(part, reduce=False)
         times = sorted(s.server_ms for s in streams)
@@ -204,7 +205,7 @@ class TestConcurrentDispatch:
         assert [x.label for x in r1.streams] == [x.label for x in r2.streams]
         assert math.isnan(r1.total_ms) and math.isnan(r2.total_ms)
 
-    def test_materialize_workers_same_document(self, q1_view):
+    def test_materialize_width_same_document(self, q1_view):
         a = q1_view.materialize("fully-partitioned", reduce=False)
         b = q1_view.materialize("fully-partitioned", reduce=False, workers=4)
         assert a.xml == b.xml
@@ -220,7 +221,7 @@ class TestConcurrentDispatch:
         assert exc.report.timed_out_label == exc.stream_label
         assert math.isnan(exc.report.total_ms)
 
-    def test_concurrent_cache_single_flight(self, tiny_db):
+    def test_cache_fills_once_at_any_width(self, tiny_db):
         cache = PlanResultCache()
         silk = SilkRoute(Connection(tiny_db, CostModel()), cache=cache)
         view = silk.define_view(QUERY_1)
