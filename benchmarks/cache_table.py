@@ -38,12 +38,13 @@ WORKLOADS = run.WORKLOADS
 BEGIN = "<!-- cache-table:begin (benchmarks/cache_table.py) -->"
 END = "<!-- cache-table:end -->"
 
-#: What retires the entries a write orphans: in the engine's
-#: generation-keyed maps, and in the view's.
+#: What retires the entries a write orphans: in the engine's plan cache,
+#: and in the view's two generation-keyed maps.
 ENGINE_SWEEP = (
-    "a write moves the dependency key; the next evaluation "
-    "(`_refresh_dependencies`) retires every entry whose key names a dead "
-    "generation (`discard_stale`)"
+    "a write moves the dependency key; the next evaluation, in either "
+    "engine mode (`_refresh_dependencies`), retires every entry whose key "
+    "names a dead generation (`discard_stale`) — rows, charge log and the "
+    "transfer sums kept on the entry"
 )
 VIEW_SWEEP = (
     "the view's next document-cache miss (`_tag_cached`) retires every "
@@ -65,7 +66,7 @@ PREPARED_ROW = [
 CACHES = {
     "plan_cache": (
         "`PlanResultCache` on `QueryEngine.cache`",
-        "(plan fingerprint, dependency key, cost model, include_startup)",
+        "(plan fingerprint, dependency key, cost model)",
         ENGINE_SWEEP,
     ),
     "node_cache": (
@@ -74,20 +75,17 @@ CACHES = {
         "`_refresh_dependencies` diffs the table generations before each "
         "evaluation and drops the entries reading a changed table",
     ),
-    "transfer_memo": (
-        "`Connection._transfer_memo`",
-        "(plan fingerprint, dependency key, compact_rows)",
-        ENGINE_SWEEP,
-    ),
     "compiled_plans": (
         "`QueryEngine._compiled`",
         "plan fingerprint",
         "nothing: a compiled plan reads the tables when it runs",
     ),
-    "row_bytes": (
-        "`QueryEngine._row_bytes`",
-        "(plan fingerprint, dependency key)",
-        ENGINE_SWEEP,
+    "estimates": (
+        "`EstimateCache` on `CostEstimator.cache`, one estimator per "
+        "session",
+        "plan fingerprint",
+        "nothing: a kept estimate outlives writes (re-costing is ROADMAP "
+        "item 4); an evicted one is computed again from the live statistics",
     ),
     "instance_cache": (
         "`StreamInstanceCache` on `XmlView.instance_cache`",

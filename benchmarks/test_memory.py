@@ -203,9 +203,8 @@ def measure_serving():
         "peak_bytes": peak,
         "entries_after_last": {
             cache.name: len(cache) for cache in (
-                session.silkroute.cache, session.connection._transfer_memo,
-                session.connection.engine._row_bytes,
-                view.instance_cache, view.document_cache,
+                session.silkroute.cache, view.instance_cache,
+                view.document_cache,
             )
         },
     }

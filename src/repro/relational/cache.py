@@ -20,8 +20,8 @@ the charge prefix up to the raise); an incomplete entry is served only when
 replaying it is guaranteed to raise within the caller's budget, otherwise
 the plan is re-executed (and the entry upgraded if it now completes).
 
-Keys are ``(plan.fingerprint(), database.dependency_key(tables), cost_model,
-include_startup)``:
+Keys are ``(plan.fingerprint(), database.dependency_key(tables),
+cost_model)``:
 
 * the structural fingerprint identifies the plan,
 * the dependency key combines a unique per-instance token with the
@@ -30,9 +30,7 @@ include_startup)``:
   served after a write — while entries for plans that do not read the
   mutated table stay valid and keep replaying,
 * the (hashable, frozen) cost model guards against a cache shared by
-  connections with different simulated servers,
-* ``include_startup`` separates the two timing modes, whose charge values
-  can differ at the ulp level (some charges are running-total deltas).
+  connections with different simulated servers.
 
 Entries are LRU-evicted against a configurable memory bound, estimated
 from the cached rows' value widths.
@@ -231,19 +229,29 @@ class CacheEntry:
 
     ``charge_log`` is the ordered tuple of ``(label, scaled_ms, rows)``
     charges the engine accumulated *after* the per-query startup charge
-    (startup is charged by the engine before the cache is consulted; the
-    ``include_startup`` mode is part of the engine's key).  ``complete`` is
-    False when the recorded run raised ``TimeoutExceeded``; then ``rows``
-    is ``None`` and the log ends at the raising charge.
+    (startup is charged by the engine before the cache is consulted).
+    ``complete`` is False when the recorded run raised
+    ``TimeoutExceeded``; then ``rows`` is ``None`` and the log ends at the
+    raising charge.
+
+    ``transfer_sums`` holds what clients summed over ``rows``: the total
+    transfer cost per ``(transfer model, compact row format)`` — per
+    model because replicas with different
+    :class:`~repro.relational.connection.TransferModel` s share one plan
+    cache.  Filled by :meth:`Connection.execute
+    <repro.relational.connection.Connection.execute>`, so a replay skips
+    the row walk, and gone with the entry: nothing else to bound, count or
+    invalidate.
     """
 
-    __slots__ = ("rows", "charge_log", "complete", "nbytes")
+    __slots__ = ("rows", "charge_log", "complete", "nbytes", "transfer_sums")
 
     def __init__(self, rows, charge_log, complete, nbytes):
         self.rows = rows
         self.charge_log = charge_log
         self.complete = complete
         self.nbytes = nbytes
+        self.transfer_sums = {}
 
     def replay_raises(self, spent_ms, budget_ms):
         """Would replaying this log on top of ``spent_ms`` exceed the
@@ -384,7 +392,9 @@ class PlanResultCache(BoundedCache):
     ``cache=`` to ``Connection`` / ``sweep_partitions`` / ``SilkRoute``) and
     every ``execute`` call consults it.  Rows are returned by reference;
     callers must treat result rows as immutable (the engine's own
-    common-subexpression memo already shares them the same way).
+    common-subexpression memo already shares them the same way).  What
+    a connection sums over an entry's rows rides on the entry
+    (:attr:`CacheEntry.transfer_sums`) and is evicted or retired with it.
     :meth:`peek` is how the resilient dispatcher decides whether a plan
     can be replayed without contacting the (possibly faulty) source.
     """

@@ -26,7 +26,7 @@ from repro.common.errors import (
     TransientConnectionError,
 )
 from repro.obs import obs_parts
-from repro.relational.cache import BoundedCache, resolve_cache
+from repro.relational.cache import resolve_cache
 from repro.relational.engine import QueryEngine
 from repro.relational.types import width_function
 
@@ -220,7 +220,10 @@ class Connection:
     :attr:`cache` property (like ``SilkRoute(cache=...)``) are views of
     the same slot, normalized by
     :func:`~repro.relational.cache.resolve_cache` — pass ``True`` for a
-    fresh cache or an instance to share one.
+    fresh cache or an instance to share one.  A cached entry also keeps
+    the transfer cost this connection summed over its rows, under the
+    connection's ``transfer_model``; without a cache every execution
+    walks its rows.
 
     ``faults`` installs a :class:`~repro.relational.faults.FaultPolicy`:
     stream executions then draw deterministic transient failures
@@ -244,11 +247,6 @@ class Connection:
                                   cache=resolve_cache(cache), engine=engine)
         self.transfer_model = transfer_model or TransferModel()
         self.faults = faults
-        # Total transfer cost per (plan fingerprint, dependency key,
-        # compact flag), see :meth:`_transfer_cost_for`.  A mutation moves
-        # the dependency key; the engine retires the orphans with its own.
-        self._transfer_memo = BoundedCache("transfer_memo", max_entries=16384)
-        self.engine.generation_keyed.append(self._transfer_memo)
 
     @property
     def cache(self):
@@ -334,7 +332,16 @@ class Connection:
         result, latency_ms = self._submit(
             self.engine.execute, plan, label, attempt, faults, opts
         )
-        transfer_ms = self._transfer_cost_for(plan, result, compact_rows)
+        # Summed once per plan-cache entry and kept on it (see
+        # ``CacheEntry.transfer_sums``); a racing thread stores the same
+        # float twice.
+        sums = result.transfer_sums
+        key = (self.transfer_model, compact_rows)
+        transfer_ms = sums.get(key)
+        if transfer_ms is None:
+            transfer_ms = sums[key] = self._transfer_cost(
+                result.columns, result.rows, compact_rows
+            )
         stream = TupleStream(
             columns=result.columns,
             rows=result.rows,
@@ -425,32 +432,6 @@ class Connection:
             return ms
 
         return cost
-
-    def _transfer_cost_for(self, plan, result, compact_rows):
-        """Memoized total transfer cost of a materialized execution.
-
-        Keyed by the plan's fingerprint plus the dependency generations of
-        the tables it reads (see
-        :meth:`~repro.relational.engine.QueryEngine.dependency_key`): as
-        long as none of those tables has been mutated, the plan's rows —
-        and therefore the per-row charge sum — are bit-identical, so
-        replays skip the row walk entirely.  A benign race (two threads
-        computing the same key) just stores the same float twice."""
-        try:
-            key = (
-                plan.fingerprint(),
-                self.engine.dependency_key(plan),
-                compact_rows,
-            )
-        except AttributeError:
-            return self._transfer_cost(result.columns, result.rows,
-                                       compact_rows)
-        total = self._transfer_memo.get(key)
-        if total is None:
-            total = self._transfer_cost(result.columns, result.rows,
-                                        compact_rows)
-            self._transfer_memo.store(key, total)
-        return total
 
     def _transfer_cost(self, columns, rows, compact_rows):
         row_cost = self._row_cost_fn(columns, compact_rows)

@@ -126,13 +126,20 @@ CONFIG_B_COST_MODEL = CostModel(speed=1.0, sort_memory_bytes=1024 * 1024)
 
 @dataclass
 class ExecutionResult:
-    """Result of executing one plan: exact rows plus simulated timings."""
+    """Result of executing one plan: exact rows plus simulated timings.
+
+    ``transfer_sums`` is where the connection keeps what it summed over
+    these rows: the plan-cache entry's dict
+    (:attr:`~repro.relational.cache.CacheEntry.transfer_sums`) when the
+    rows are an entry's, one of the result's own when no cache is installed.
+    """
 
     columns: tuple
     rows: list
     server_ms: float
     rows_examined: int
     breakdown: dict
+    transfer_sums: dict
 
     @property
     def row_count(self):
@@ -212,9 +219,6 @@ class _Charges:
         self.breakdown = {}
         self.memo = {}
         self.log = None
-        #: Per-operator-label chunk counts (batch engine only; published as
-        #: ``batch.<label>.batches`` metrics).  Never affects ``total_ms``.
-        self.batches = {}
 
     def charge(self, label, ms, rows=0):
         ms = self.model.scaled(ms)
@@ -284,8 +288,8 @@ class QueryEngine:
     cursor over them):
 
     * ``"batch"`` (the default) — plans are lowered once into vectorized
-      kernels (:mod:`repro.relational.vector_ops`) that process columnar
-      :class:`~repro.relational.batch.Batch` chunks.  :meth:`execute`
+      kernels (:mod:`repro.relational.vector_ops`) that pass columnar
+      :class:`~repro.relational.batch.Batch` objects.  :meth:`execute`
       keeps every sub-plan result in the node-result cache; a cursor runs
       the *same* compiled plan keeping nothing, so its memory is the
       final sort buffer plus the largest single parent-and-children step;
@@ -317,10 +321,6 @@ class QueryEngine:
         #: Compiled plans keyed by plan fingerprint.  Plans recur across
         #: sweep partitions, so compilation amortizes to zero.
         self._compiled = BoundedCache("compiled_plans", max_entries=512)
-        #: Cached row-width estimates keyed by (plan fingerprint, plan
-        #: dependency key): byte estimates never re-scan rows for a plan
-        #: whose base tables' generations have already been sized.
-        self._row_bytes = BoundedCache("row_bytes", max_entries=4096)
         #: Batch-engine node-result cache (the "data half"): sub-plan
         #: fingerprint -> computed Batch, tagged with the base tables the
         #: sub-plan reads.  Sweep partitions share most of their sub-plans,
@@ -329,25 +329,9 @@ class QueryEngine:
         #: shared immutable batches.  A mutation invalidates only the
         #: dependent entries (see :meth:`_refresh_dependencies`).
         self.node_cache = NodeResultCache()
-        #: Per-table generation snapshot from the last batch evaluation;
-        #: diffed against the live database to find mutated tables.
+        #: Per-table generation snapshot from the last evaluation; diffed
+        #: against the live database to find mutated tables.
         self._table_gens = None
-        #: Dependency-keyed like :attr:`cache`, retired with it (the
-        #: connection adds its transfer memo).
-        self.generation_keyed = [self._row_bytes]
-
-    def _row_bytes_for(self, fingerprint, columns, rows, tables):
-        """Average row width for ``rows`` (the output of the plan with
-        ``fingerprint``, reading base ``tables``), cached per dependency
-        generation.  Both engines — and the byte estimator — share one
-        entry, so estimates agree and each plan's rows are sampled at most
-        once per generation of its base tables."""
-        key = (fingerprint, self.database.dependency_key(tables))
-        row_bytes = self._row_bytes.get(key)
-        if row_bytes is None:
-            row_bytes = self._average_row_bytes(columns, rows)
-            self._row_bytes.store(key, row_bytes)
-        return row_bytes
 
     @staticmethod
     def tables_for(plan):
@@ -361,29 +345,25 @@ class QueryEngine:
         reads.  Mutating any other table leaves this key valid."""
         return self.database.dependency_key(self.tables_for(plan))
 
-    def cache_key_for(self, plan, include_startup=True):
+    def cache_key_for(self, plan):
         """The :attr:`cache` key identifying ``plan`` on this engine.
 
         Dependency-scoped: the database component holds per-table
         generations of the plan's base tables, so entries for plans that
         do not read a mutated table survive the write and keep replaying.
         """
-        return (
-            plan.fingerprint(),
-            self.dependency_key(plan),
-            self.cost_model,
-            include_startup,
-        )
+        return (plan.fingerprint(), self.dependency_key(plan), self.cost_model)
 
     def _refresh_dependencies(self, metrics=None):
         """Delta propagation, at the first evaluation that sees a write:
         diff the live per-table generations against the last-seen
         snapshot and invalidate exactly the cache entries that depend on
         mutated tables.  Node-cache entries for untouched sub-plans
-        survive and keep serving; plan-cache, row-width and transfer-sum
-        entries under dead dependency keys can never be served again (the
-        key moved), so retiring them is garbage collection plus
-        accounting: the heap follows the live data, not the write count."""
+        survive and keep serving; plan-cache entries under dead dependency
+        keys can never be served again (the key moved), so retiring them
+        — rows, charge log and transfer sums together — is garbage
+        collection plus accounting: the heap follows the live data, not
+        the write count."""
         current = self.database.table_generations()
         previous = self._table_gens
         if previous == current:
@@ -398,14 +378,12 @@ class QueryEngine:
         dropped = self.node_cache.invalidate(changed)
         if metrics is not None and dropped:
             metrics.inc("node_cache.invalidations", dropped)
-        for cache in self.generation_keyed:
-            cache.discard_stale(self.database)
         if self.cache is not None:
             dropped = self.cache.discard_stale(self.database)
             if metrics is not None and dropped:
                 metrics.inc("plan_cache.invalidations", dropped)
 
-    def cached_complete(self, plan, include_startup=True):
+    def cached_complete(self, plan):
         """True when :attr:`cache` holds a *complete* entry for ``plan`` —
         i.e. :meth:`execute` would replay it without re-evaluating.  A
         peek: does not count as a cache request.  The resilient dispatcher
@@ -413,16 +391,16 @@ class QueryEngine:
         faulty) source."""
         if self.cache is None:
             return False
-        entry = self.cache.peek(self.cache_key_for(plan, include_startup))
+        entry = self.cache.peek(self.cache_key_for(plan))
         return entry is not None and entry.complete
 
-    def execute(self, plan, budget_ms=None, include_startup=True,
-                metrics=None):
+    def execute(self, plan, budget_ms=None, metrics=None):
         """Run ``plan``; return an :class:`ExecutionResult`.
 
         ``budget_ms`` is a simulated-time budget (the paper's 5-minute
         per-subquery timeout); exceeding it raises
-        :class:`~repro.common.errors.TimeoutExceeded`.
+        :class:`~repro.common.errors.TimeoutExceeded`.  The per-query
+        ``startup`` charge comes first, always.
 
         With a :attr:`cache` installed, a plan already executed against the
         current database generation is *replayed* instead of re-evaluated:
@@ -438,17 +416,12 @@ class QueryEngine:
         """
         charges = _Charges(self.cost_model, budget_ms,
                            results=self.node_cache, metrics=metrics)
-        if include_startup:
-            charges.charge("startup", self.cost_model.startup_ms)
+        charges.charge("startup", self.cost_model.startup_ms)
         cache = self.cache
         if cache is None:
             rows = self._evaluate(plan, charges)
-            return self._result(plan, rows, charges)
-        # ``include_startup`` is part of the key: some charges (the
-        # outer-join re-evaluation penalty) are measured as running-total
-        # deltas, so their float values differ at the ulp level between the
-        # two modes and a shared entry would not replay bit-identically.
-        key = self.cache_key_for(plan, include_startup)
+            return self._result(plan, rows, charges, {})
+        key = self.cache_key_for(plan)
         while True:
             entry = cache.lookup(
                 key, spent_ms=charges.total_ms, budget_ms=charges.budget_ms
@@ -460,7 +433,8 @@ class QueryEngine:
                 # An incomplete entry is only served when the replay is
                 # guaranteed to raise, so reaching here means the entry is
                 # complete and ``entry.rows`` is the full result.
-                return self._result(plan, entry.rows, charges)
+                return self._result(plan, entry.rows, charges,
+                                    entry.transfer_sums)
             # Single-flight: N simultaneous misses on the same plan (the
             # server's request threads share the engine) run it once; the
             # waiters loop back and replay the leader's entry
@@ -484,38 +458,31 @@ class QueryEngine:
                     ),
                 )
                 raise
-            cache.store(
-                key,
-                CacheEntry(
-                    rows=rows,
-                    charge_log=tuple(charges.log),
-                    complete=True,
-                    nbytes=self._estimate_result_bytes(plan, rows, charges.log),
-                ),
+            entry = CacheEntry(
+                rows=rows,
+                charge_log=tuple(charges.log),
+                complete=True,
+                nbytes=self._estimate_result_bytes(plan, rows, charges.log),
             )
+            cache.store(key, entry)
         finally:
             cache.finish(key)
-        return self._result(plan, rows, charges)
+        return self._result(plan, rows, charges, entry.transfer_sums)
 
     def _evaluate(self, plan, charges):
         """Evaluate ``plan`` fresh in :attr:`mode`; return the result
-        rows."""
+        rows.  In either mode this is the read that first sees a write,
+        so the retire-on-write sweep runs here."""
+        self._refresh_dependencies(charges.metrics)
         if self.mode == "tuple":
             return list(self._stream_plan(plan, charges))
-        metrics = charges.metrics
-        self._refresh_dependencies(metrics)
-        compiled = self._compiled.get(plan.fingerprint())
-        if compiled is None:
-            compiled = vector_ops.compile_plan(plan, self)
-            self._compiled.store(plan.fingerprint(), compiled)
-        batch = compiled.run(charges)
-        if metrics is not None and charges.batches:
-            for label, count in charges.batches.items():
-                metrics.inc(f"batch.{label}.batches", count)
-        return batch.rows(compiled.batch_size)
+        run = self._compiled.get(plan.fingerprint())
+        if run is None:
+            run = vector_ops.compile_plan(plan, self)
+            self._compiled.store(plan.fingerprint(), run)
+        return run(charges).rows()
 
-    def execute_iter(self, plan, budget_ms=None, include_startup=True,
-                     metrics=None):
+    def execute_iter(self, plan, budget_ms=None, metrics=None):
         """Open a cursor on ``plan``; return an :class:`IterResult`.
 
         Arguments, modes and results are :meth:`execute`'s: the drained
@@ -552,14 +519,13 @@ class QueryEngine:
         twice the time.
         """
         charges = _Charges(self.cost_model, budget_ms, metrics=metrics)
-        if include_startup:
-            charges.charge("startup", self.cost_model.startup_ms)
+        charges.charge("startup", self.cost_model.startup_ms)
         result = IterResult(plan.columns(), charges)
         cache = self.cache
         if cache is not None:
-            key = self.cache_key_for(plan, include_startup)
             entry = cache.lookup(
-                key, spent_ms=charges.total_ms, budget_ms=budget_ms
+                self.cache_key_for(plan),
+                spent_ms=charges.total_ms, budget_ms=budget_ms,
             )
             if entry is not None:
                 if metrics is not None:
@@ -589,22 +555,21 @@ class QueryEngine:
             charges.memo.clear()
         yield from _drain(rows)
 
-    def _result(self, plan, rows, charges):
+    def _result(self, plan, rows, charges, transfer_sums):
         return ExecutionResult(
             columns=plan.columns(),
             rows=rows,
             server_ms=charges.total_ms,
             rows_examined=charges.rows_examined,
             breakdown=charges.breakdown,
+            transfer_sums=transfer_sums,
         )
 
     def _estimate_result_bytes(self, plan, rows, log):
         overhead = 128 + len(log) * 64
         if not rows:
             return overhead
-        avg = self._row_bytes_for(
-            plan.fingerprint(), plan.columns(), rows, self.tables_for(plan)
-        )
+        avg = self._average_row_width(plan.columns(), rows)
         # ~56 bytes of tuple/pointer overhead per row in CPython.
         return overhead + len(rows) * (avg + 56 + 8 * len(plan.columns()))
 
@@ -888,16 +853,13 @@ class QueryEngine:
 
         n = len(rows)
         if n:
-            row_bytes = self._row_bytes_for(
-                op.child.fingerprint(), op.child.columns(), rows,
-                self.tables_for(op.child),
-            )
+            row_bytes = self._average_row_width(op.child.columns(), rows)
             charges.charge("sort", self.cost_model.sort_ms(n, row_bytes), n)
         del rows
         yield from _drain(out)
 
     @staticmethod
-    def _average_row_bytes(columns, rows, sample=500):
+    def _average_row_width(columns, rows, sample=500):
         # Sample evenly: consecutive rows share a document-order prefix and
         # are unrepresentative (e.g. the narrow supplier rows come first).
         stride = max(len(rows) // sample, 1)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.common.errors import QueryError
 from repro.relational import algebra
+from repro.relational.cache import BoundedCache
 from repro.relational.algebra import (
     Scan,
     Filter,
@@ -51,31 +52,50 @@ class Estimate:
         return value
 
 
-class EstimateCache:
-    """Fingerprint-keyed cache of :class:`Estimate` with a request counter.
+#: Greedy-planning the paper's two queries in every generator variant
+#: (Q1 + Q2 x both styles x reduce on/off) on one estimator leaves 860
+#: estimates, 45 to 241 (mean 108) per (view, style, reduce): the bound
+#: holds ~38 such plannings, and a session keeps at most 256 views.
+MAX_ESTIMATES = 4096
+
+
+class EstimateCache(BoundedCache):
+    """Fingerprint-keyed cache of :class:`Estimate` with a request counter,
+    the ``MAX_ESTIMATES`` last used kept.
 
     ``requests`` counts cache *misses* — the calls that would actually reach
-    the RDBMS optimizer.  ``hits`` counts avoided round trips.
+    the RDBMS optimizer.  ``hits`` counts avoided round trips.  An evicted
+    estimate is simply computed again, so over unchanged tables plans do
+    not depend on the bound.
+
+    The key names no table generation: a kept estimate outlives writes to
+    the tables under it (a recomputed one reads the live statistics).
+    Whether and when to re-cost after a write is ROADMAP item 4's
+    decision, not this cache's.
     """
 
     def __init__(self):
-        self._cache = {}
-        self.requests = 0
-        self.hits = 0
+        super().__init__("estimates", max_entries=MAX_ESTIMATES)
+
+    @property
+    def requests(self):
+        return self._counts["misses"]
+
+    @property
+    def hits(self):
+        return self._counts["hits"]
 
     def get_or_compute(self, key, compute):
-        if key in self._cache:
-            self.hits += 1
-            return self._cache[key]
-        self.requests += 1
-        value = compute()
-        self._cache[key] = value
+        value = self.get(key)
+        if value is None:
+            value = compute()
+            self.store(key, value)
         return value
 
     def clear(self):
-        self._cache.clear()
-        self.requests = 0
-        self.hits = 0
+        """Drop the contents and start counting afresh."""
+        super().clear()
+        self._counts = dict.fromkeys(self._counts, 0)
 
 
 class CostEstimator:

@@ -73,7 +73,7 @@ def _walk(op, depth, lines, estimator, engine, indent):
         annotations.append(f"est_rows={estimate.cardinality:.0f}")
         annotations.append(f"est_ms={estimate.server_ms:.1f}")
     if engine is not None:
-        result = engine.execute(op, include_startup=False)
+        result = engine.execute(op)
         annotations.append(f"rows={result.row_count}")
     suffix = f"  ({', '.join(annotations)})" if annotations else ""
     lines.append(f"{indent * depth}{_describe(op)}{suffix}")

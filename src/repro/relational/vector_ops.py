@@ -7,7 +7,7 @@ engine re-derives per execution — predicate dispatch, projection plans,
 join key extractors, column positions, outer-join nesting depth,
 fingerprints — is resolved once here, at compile time; the closures then
 run tight C-level loops (listcomps, ``zip``, ``sorted``, ``dict``) over
-whole columns in ``batch_size`` chunks.
+whole batches.
 
 The batch engine is the *identical twin* of the engine's Volcano
 interpreter (the ``_stream_*`` generators behind ``engine="tuple"``), not
@@ -27,11 +27,9 @@ interpreter's.  The load-bearing details:
   ``NULLS FIRST`` relation of :class:`~repro.common.ordering.NoneFirst`
   exactly — including its ordering of mixed-type columns by type name —
   via stable single-key passes (last key first);
-* sort cost samples the *input-order* rows through the engine's shared
-  row-width estimator, so cached estimates agree across engines.
-
-``charges.batches`` counts the chunks each operator label processed; the
-engine publishes them as per-operator metrics when observability is on.
+* sort cost samples the *input-order* rows through the engine's
+  deterministic row-width estimator, so both engines charge the same
+  width to the bit.
 """
 
 from operator import itemgetter
@@ -50,7 +48,7 @@ from repro.relational.algebra import (
     ColumnRef,
     Literal,
 )
-from repro.relational.batch import Batch, DEFAULT_BATCH_SIZE
+from repro.relational.batch import Batch
 from repro.relational.dependencies import plan_tables
 from repro.common.errors import QueryError
 
@@ -111,18 +109,6 @@ def compile_filter_kernel(predicate, positions):
     )
 
 
-class CompiledPlan:
-    """One plan lowered to kernels for a fixed engine and batch size."""
-
-    __slots__ = ("run", "columns", "batch_size")
-
-    def __init__(self, run, columns, batch_size):
-        #: ``run(charges) -> Batch`` — execute the whole plan.
-        self.run = run
-        self.columns = columns
-        self.batch_size = batch_size
-
-
 def _shared_fingerprints(plan):
     """Fingerprints occurring more than once in ``plan`` — the sub-plans the
     optimizer's common-subexpression sharing will re-read, and so the only
@@ -135,22 +121,15 @@ def _shared_fingerprints(plan):
     return frozenset(fp for fp, n in counts.items() if n > 1)
 
 
-def compile_plan(plan, engine, batch_size=DEFAULT_BATCH_SIZE):
-    """Lower ``plan`` into a :class:`CompiledPlan` bound to ``engine``'s
-    database and cost model (both fixed for the engine's lifetime)."""
-    compiler = _PlanCompiler(engine, batch_size, _shared_fingerprints(plan))
-    return CompiledPlan(compiler.compile(plan), plan.columns(), batch_size)
-
-
-def _note_batches(charges, label, n, batch_size):
-    """Count the chunks operator ``label`` processed (observability only;
-    never touches the simulated clock)."""
-    chunks = -(-n // batch_size) if n else 0
-    charges.batches[label] = charges.batches.get(label, 0) + chunks
+def compile_plan(plan, engine):
+    """Lower ``plan`` into its kernel, ``run(charges) -> Batch``, bound to
+    ``engine``'s database and cost model (both fixed for the engine's
+    lifetime)."""
+    return _PlanCompiler(engine, _shared_fingerprints(plan)).compile(plan)
 
 
 class _PlanCompiler:
-    """Per-(engine, batch_size) lowering context.
+    """Per-engine lowering context.
 
     Kernels split into two halves.  The *charge* half — child evaluation
     order, memo checks, cost-model formulas, running-total deltas — always
@@ -171,10 +150,9 @@ class _PlanCompiler:
     the kernel call that consumed them.
     """
 
-    def __init__(self, engine, batch_size, shared):
+    def __init__(self, engine, shared):
         self.engine = engine
         self.model = engine.cost_model
-        self.batch_size = batch_size
         #: Fingerprints occurring more than once in the plan being compiled.
         self.shared = shared
 
@@ -231,7 +209,6 @@ class _PlanCompiler:
         table_name = op.table_schema.name
         arity = len(op.columns())
         scan_row_ms = self.model.scan_row_ms
-        batch_size = self.batch_size
         fp = op.fingerprint()
         tables = plan_tables(op)
 
@@ -242,7 +219,6 @@ class _PlanCompiler:
                 batch = Batch.from_rows(rows, arity)
                 charges.keep(fp, batch, tables)
             n = batch.length
-            _note_batches(charges, "scan", n, batch_size)
             charges.charge("scan", n * scan_row_ms, n)
             return batch
 
@@ -253,7 +229,6 @@ class _PlanCompiler:
         kernel = compile_filter_kernel(op.predicate, op.child.positions())
         arity = len(op.columns())
         filter_row_ms = self.model.filter_row_ms
-        batch_size = self.batch_size
 
         fp = op.fingerprint()
         tables = plan_tables(op)
@@ -263,17 +238,8 @@ class _PlanCompiler:
             n = batch.length
             result = charges.cached(fp)
             if result is None:
-                rows = batch.rows(batch_size)
-                if n > batch_size:
-                    out = []
-                    extend = out.extend
-                    for start in range(0, n, batch_size):
-                        extend(kernel(rows[start:start + batch_size]))
-                else:
-                    out = kernel(rows)
-                result = Batch.from_rows(out, arity)
+                result = Batch.from_rows(kernel(batch.rows()), arity)
                 charges.keep(fp, result, tables)
-            _note_batches(charges, "filter", n, batch_size)
             charges.charge("filter", n * filter_row_ms, n)
             return result
 
@@ -291,7 +257,6 @@ class _PlanCompiler:
             else:
                 raise ExecutionError(f"unsupported projection {item.expr!r}")
         project_row_ms = self.model.project_row_ms
-        batch_size = self.batch_size
 
         fp = op.fingerprint()
         tables = plan_tables(op)
@@ -309,7 +274,6 @@ class _PlanCompiler:
                 ]
                 result = Batch.from_columns(columns, n)
                 charges.keep(fp, result, tables)
-            _note_batches(charges, "project", n, batch_size)
             charges.charge("project", n * project_row_ms, n)
             return result
 
@@ -319,7 +283,6 @@ class _PlanCompiler:
         child = self.compile(op.child)
         arity = len(op.columns())
         hash_row_ms = self.model.hash_row_ms
-        batch_size = self.batch_size
 
         fp = op.fingerprint()
         tables = plan_tables(op)
@@ -332,10 +295,9 @@ class _PlanCompiler:
                 # dict.fromkeys is the C spelling of first-occurrence dedup
                 # — the same output order as the tuple engine's seen-set
                 # loop.
-                out = list(dict.fromkeys(batch.rows(batch_size)))
+                out = list(dict.fromkeys(batch.rows()))
                 result = Batch.from_rows(out, arity)
                 charges.keep(fp, result, tables)
-            _note_batches(charges, "distinct", n, batch_size)
             charges.charge("distinct", n * hash_row_ms, n)
             return result
 
@@ -357,7 +319,6 @@ class _PlanCompiler:
         hash_row_ms = model.hash_row_ms
         probe_row_ms = model.probe_row_ms
         join_out_row_ms = model.join_out_row_ms
-        batch_size = self.batch_size
 
         fp = op.fingerprint()
         tables = plan_tables(op)
@@ -369,8 +330,8 @@ class _PlanCompiler:
             n_right = right_batch.length
             result = charges.cached(fp)
             if result is None:
-                left_rows = left_batch.rows(batch_size)
-                right_rows = right_batch.rows(batch_size)
+                left_rows = left_batch.rows()
+                right_rows = right_batch.rows()
                 index = _hash_index(right_rows, build_get, build_single)
                 out = []
                 append = out.append
@@ -391,7 +352,6 @@ class _PlanCompiler:
                             append(row + match)
                 result = Batch.from_rows(out, arity)
                 charges.keep(fp, result, tables)
-            _note_batches(charges, "join", n_left + n_right, batch_size)
             charges.charge(
                 "join",
                 n_right * hash_row_ms
@@ -438,7 +398,6 @@ class _PlanCompiler:
         reevaluation_factor = model.reevaluation_factor
         speed = model.speed
         n_branches = len(op.branches)
-        batch_size = self.batch_size
 
         fp = op.fingerprint()
         tables = plan_tables(op)
@@ -455,8 +414,8 @@ class _PlanCompiler:
 
             cached = charges.cached(fp)
             if cached is None:
-                left_rows = left_batch.rows(batch_size)
-                right_rows = right_batch.rows(batch_size)
+                left_rows = left_batch.rows()
+                right_rows = right_batch.rows()
                 branch_indexes = []
                 build_work = 0
                 for (build_get, build_single, tag_position, tag_value,
@@ -491,9 +450,6 @@ class _PlanCompiler:
                 charges.keep(fp, cached, tables)
             result, build_work = cached
 
-            _note_batches(
-                charges, "outer_join", n_left + n_right, batch_size
-            )
             charges.charge(
                 "outer_join",
                 build_work * hash_row_ms
@@ -527,7 +483,6 @@ class _PlanCompiler:
             compiled_inputs.append((self.compile(child), slots))
         distinct = op.distinct
         union_row_ms = self.model.union_row_ms
-        batch_size = self.batch_size
 
         fp = op.fingerprint()
         tables = plan_tables(op)
@@ -554,11 +509,10 @@ class _PlanCompiler:
                             column.extend(batch.col(slot))
                 out = Batch.from_columns(columns, total)
                 if distinct:
-                    deduped = list(dict.fromkeys(out.rows(batch_size)))
+                    deduped = list(dict.fromkeys(out.rows()))
                     out = Batch.from_rows(deduped, width)
                 charges.keep(fp, out, tables)
             n_out = out.length
-            _note_batches(charges, "union", n_out, batch_size)
             charges.charge("union", n_out * union_row_ms, n_out)
             return out
 
@@ -570,13 +524,10 @@ class _PlanCompiler:
         key_plan = [
             (positions[key], itemgetter(positions[key])) for key in op.keys
         ]
-        child_fp = op.child.fingerprint()
         child_columns = op.child.columns()
-        child_tables = plan_tables(op.child)
-        engine = self.engine
+        average_row_width = self.engine._average_row_width
         arity = len(op.columns())
         sort_ms = self.model.sort_ms
-        batch_size = self.batch_size
 
         fp = op.fingerprint()
         tables = plan_tables(op)
@@ -586,7 +537,7 @@ class _PlanCompiler:
             n = batch.length
             result = charges.cached(fp)
             if result is None:
-                rows = batch.rows(batch_size)
+                rows = batch.rows()
                 if key_plan and n:
                     # Stable single-key passes, last key first:
                     # lexicographic by (k1, k2, ...) with ties in input
@@ -603,13 +554,8 @@ class _PlanCompiler:
 
             if n:
                 # Width sampling sees the *input-order* rows, as in the
-                # tuple engine; the estimate is cached per (child plan,
-                # dependency generations) and shared across engines.
-                row_bytes = engine._row_bytes_for(
-                    child_fp, child_columns, batch.rows(batch_size),
-                    child_tables,
-                )
-                _note_batches(charges, "sort", n, batch_size)
+                # tuple engine.
+                row_bytes = average_row_width(child_columns, batch.rows())
                 charges.charge("sort", sort_ms(n, row_bytes), n)
             return result
 

@@ -272,6 +272,39 @@ class Server:
                 raise
         return controller
 
+    @contextmanager
+    def _request(self, tenant, request_id):
+        """The bracket every served request runs in; yields the request's
+        id (generated when the client sent none) and its tenant's
+        admission controller (None: unthrottled).
+
+        Counts the request, sheds it while draining or over the tenant's
+        quota (a shed is not an error) and holds the tenant's slot for the
+        body.  Whatever the body raises — an unknown query or table, a
+        malformed option, a failed execution — is one ``serve.errors`` and
+        leaves stamped with the request's identity; every request past the
+        drain gate lands in ``serve.latency_ms``."""
+        request_id = self._request_id(request_id)
+        self.metrics.inc("serve.requests")
+        self.metrics.inc(f"serve.tenant.{tenant}.requests")
+        start = time.perf_counter()
+        self._enter_request(tenant, request_id)
+        controller = None
+        try:
+            controller = self._admit(tenant, request_id)
+            try:
+                yield request_id, controller
+            except Exception as exc:
+                self.metrics.inc("serve.errors")
+                raise tag_request(exc, tenant, request_id)
+        finally:
+            if controller is not None:
+                controller.release_request()
+            self._exit_request()
+            self.metrics.observe(
+                "serve.latency_ms", (time.perf_counter() - start) * 1000.0,
+            )
+
     def _canonical_options(self, options, overrides, controller):
         """The request's resolved options with everything that cannot (or
         must not) key coalescing stripped: the observability session and
@@ -315,14 +348,7 @@ class Server:
         observability session to executions this request *leads* (a
         coalesced follower performs no execution to observe).
         """
-        request_id = self._request_id(request_id)
-        self.metrics.inc("serve.requests")
-        self.metrics.inc(f"serve.tenant.{tenant}.requests")
-        start = time.perf_counter()
-        self._enter_request(tenant, request_id)
-        controller = None
-        try:
-            controller = self._admit(tenant, request_id)
+        with self._request(tenant, request_id) as (request_id, controller):
             with self._rw.read():
                 rxl = self._resolve_rxl(query)
                 opts = self._canonical_options(options, overrides, controller)
@@ -339,11 +365,7 @@ class Server:
                         options=replace(opts, obs=obs, request=context),
                     )
 
-                try:
-                    shared, led = self._flight.do(key, run)
-                except Exception:
-                    self.metrics.inc("serve.errors")
-                    raise
+                shared, led = self._flight.do(key, run)
                 # Logged only once the execution succeeded (a failed
                 # request produced no document to replay) — still under
                 # the read lock, so no mutation lands between the
@@ -360,13 +382,6 @@ class Server:
             return QueryResult(
                 xml=shared.xml, report=shared.report, tagger=shared.tagger,
                 stats=stats, coalesced=not led,
-            )
-        finally:
-            if controller is not None:
-                controller.release_request()
-            self._exit_request()
-            self.metrics.observe(
-                "serve.latency_ms", (time.perf_counter() - start) * 1000.0,
             )
 
     def explain(self, query, tenant="default", request_id=None,
@@ -393,22 +408,10 @@ class Server:
         recorded result without re-applying the delta
         (:meth:`Session.mutate <repro.session.Session.mutate>` keeps the
         record) and is not appended to the execution log again."""
-        request_id = self._request_id(request_id)
-        self.metrics.inc("serve.requests")
-        self.metrics.inc(f"serve.tenant.{tenant}.requests")
-        start = time.perf_counter()
-        self._enter_request(tenant, request_id)
-        controller = None
-        try:
-            controller = self._admit(tenant, request_id)
+        with self._request(tenant, request_id) as (request_id, _):
             with self._rw.write():
-                try:
-                    result = self.session.mutate(table, op=op, rows=rows,
-                                                 seed=seed,
-                                                 request_id=request_id)
-                except Exception as exc:
-                    self.metrics.inc("serve.errors")
-                    raise tag_request(exc, tenant, request_id)
+                result = self.session.mutate(table, op=op, rows=rows,
+                                             seed=seed, request_id=request_id)
                 deduplicated = result.stats.get("deduplicated", False)
                 if not deduplicated:
                     self._append_log(
@@ -422,13 +425,6 @@ class Server:
             stats["serve"] = {"tenant": tenant, "request_id": request_id}
             return QueryResult(
                 mutated=result.mutated, table=result.table, stats=stats,
-            )
-        finally:
-            if controller is not None:
-                controller.release_request()
-            self._exit_request()
-            self.metrics.observe(
-                "serve.latency_ms", (time.perf_counter() - start) * 1000.0,
             )
 
     def stats(self):
@@ -480,7 +476,7 @@ class Server:
         names = {rxl: name for name, rxl in self._queries.items()}
         return {
             **summary(engine.cache, engine.node_cache, engine._compiled,
-                      *engine.generation_keyed, session._views),
+                      session.silkroute.estimator.cache, session._views),
             "by_view": {
                 names.get(rxl, rxl): summary(
                     view.instance_cache, view.document_cache,

@@ -5,14 +5,12 @@ interpreter: same rows, same simulated charges in the same order, same
 cache entries — so the two modes are interchangeable under every feature
 that composes with execution.  Tested here:
 
-* **row codecs and batches** — compiled encode/decode round-trips at any
-  arity (including zero), chunked decode at awkward batch sizes, shared
-  column views;
+* **batches** — the row-major view of a column-major batch at any arity
+  (including zero), single columns without a transpose;
 * **per-stream identity** (hypothesis) — over random sweep partitions and
   both plan styles, every stream's rows, simulated timings, breakdown,
-  and full ordered charge log match the tuple engine's, and the plan
-  lowered at several chunk sizes (``vector_ops.compile_plan``) matches
-  them too;
+  and full ordered charge log match the tuple engine's, and the lowered
+  plan run bare (``vector_ops.compile_plan``) matches them too;
 * **end-to-end identity** (hypothesis) — materialized XML bytes and
   report figures match at every dispatch width and under injected
   faults on a replica pool;
@@ -39,17 +37,17 @@ from repro.core.sqlgen import PlanStyle, SqlGenerator
 from repro.bench.queries import QUERY_1
 from repro.obs.metrics import MetricsRegistry
 from repro.relational import vector_ops
-from repro.relational.batch import Batch, DEFAULT_BATCH_SIZE, codec_for
+from repro.relational.batch import Batch
 from repro.relational.cache import PlanResultCache
 from repro.relational.connection import Connection
 from repro.relational.engine import (
     ENGINE_MODES, CostModel, QueryEngine, _Charges,
 )
 from repro.relational.faults import FaultPolicy, RetryPolicy
-from repro.relational.algebra import Scan
-
-
-BATCH_SIZES = [1, 5, DEFAULT_BATCH_SIZE]
+from repro.relational.algebra import (
+    ColumnRef, Comparison, Distinct, Filter, InnerJoin, Literal, OuterUnion,
+    Project, ProjectItem, Scan, Sort,
+)
 
 
 def fresh_view(tiny_db, tiny_estimator, engine="batch"):
@@ -75,47 +73,39 @@ def q1_partitions(request):
 
 
 # ---------------------------------------------------------------------------
-# Batches and codecs
+# Batches
 
 
 class TestBatch:
-    def test_codec_round_trip(self):
+    def test_row_and_column_construction_agree(self):
         for arity in range(1, 5):
-            codec = codec_for(arity)
-            assert codec.arity == arity
             rows = [
                 tuple(f"v{r}.{c}" for c in range(arity)) for r in range(7)
             ]
-            columns = codec.encode(rows)
-            assert len(columns) == arity
-            assert codec.decode(columns) == rows
-        # Zero-arity rows carry no columns; the length lives on the Batch
-        # (see test_zero_arity_and_empty), so the raw codec decodes to [].
-        assert codec_for(0).encode([(), ()]) == []
-        assert codec_for(0).decode([]) == []
-
-    def test_codecs_are_shared(self):
-        assert codec_for(3) is codec_for(3)
-
-    def test_row_and_column_construction_agree(self):
-        rows = [(i, str(i), i % 2 == 0) for i in range(10)]
-        by_rows = Batch.from_rows(rows, 3)
-        by_cols = Batch.from_columns(
-            [list(c) for c in zip(*rows)], len(rows)
-        )
-        for batch_size in (1, 3, len(rows), len(rows) + 7):
-            assert by_rows.rows(batch_size) == rows
-            assert by_cols.rows(batch_size) == rows
-        for i in range(3):
-            assert by_rows.col(i) == by_cols.col(i) == [r[i] for r in rows]
-        assert len(by_rows) == len(by_cols) == 10
+            by_rows = Batch.from_rows(rows, arity)
+            by_cols = Batch.from_columns(
+                [list(c) for c in zip(*rows)], len(rows)
+            )
+            assert by_rows.rows() is rows
+            assert by_cols.rows() == rows
+            # Transposed once, then kept.
+            assert by_cols.rows() is by_cols.rows()
+            for i in range(arity):
+                assert by_rows.col(i) == by_cols.col(i) == [
+                    r[i] for r in rows
+                ]
+            assert len(by_rows) == len(by_cols) == 7
+            assert by_cols.arity == arity
 
     def test_zero_arity_and_empty(self):
         empty = Batch.from_rows([], 2)
         assert empty.rows() == [] and empty.length == 0
-        zero = Batch.from_rows([(), (), ()], 0)
-        assert zero.rows(2) == [(), (), ()]
-        assert zero.columns() == []
+        assert Batch.from_columns([[], []], 0).rows() == []
+        # Zero-arity rows carry no columns; the length lives on the Batch.
+        assert Batch.from_rows([(), (), ()], 0).rows() == [(), (), ()]
+        zero = Batch.from_columns([], 3)
+        assert zero.arity == 0 and len(zero) == 3
+        assert zero.rows() == [(), (), ()]
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +172,9 @@ def _drain(engine, plan, budget_ms):
     return rows, cursor, None
 
 
-def _run_compiled(engine, plan, batch_size, budget_ms):
-    """``plan`` lowered at ``batch_size`` and run the way ``execute`` runs
-    a cache miss: ``(rows or None, charge log after startup, timeout)``."""
+def _run_compiled(engine, plan, budget_ms):
+    """``plan`` lowered and run the way ``execute`` runs a cache miss:
+    ``(rows or None, charge log after startup, timeout)``."""
     charges = _Charges(engine.cost_model, budget_ms,
                        results=engine.node_cache)
     try:
@@ -192,9 +182,9 @@ def _run_compiled(engine, plan, batch_size, budget_ms):
     except TimeoutExceeded as exc:
         return None, None, exc
     charges.log = []
-    compiled = vector_ops.compile_plan(plan, engine, batch_size)
+    run = vector_ops.compile_plan(plan, engine)
     try:
-        rows = compiled.run(charges).rows(batch_size)
+        rows = run(charges).rows()
     except TimeoutExceeded as exc:
         return None, tuple(charges.log), exc
     return rows, tuple(charges.log), None
@@ -221,23 +211,21 @@ class TestStreamIdentity:
     @given(
         query=st.sampled_from(["q1", "q2"]),
         index=st.integers(min_value=0, max_value=10 ** 9),
-        batch_size=st.sampled_from(BATCH_SIZES),
         style=st.sampled_from([PlanStyle.OUTER_UNION, PlanStyle.OUTER_JOIN]),
         budget=st.sampled_from([None, 0.0, 0.3, 0.7, 0.999]),
     )
     # index -1 is the unified plan: one query whose branches share
     # sub-plans, the case the interpreter's per-execution memo exists for.
-    @example("q1", -1, 5, PlanStyle.OUTER_JOIN, None)
-    @example("q1", -1, 5, PlanStyle.OUTER_JOIN, 0.7)
-    @example("q1", -1, 1, PlanStyle.OUTER_UNION, None)
-    @example("q1", -1, DEFAULT_BATCH_SIZE, PlanStyle.OUTER_UNION, 0.3)
-    @example("q2", -1, DEFAULT_BATCH_SIZE, PlanStyle.OUTER_JOIN, None)
-    @example("q2", -1, 1, PlanStyle.OUTER_JOIN, 0.3)
-    @example("q2", -1, 5, PlanStyle.OUTER_UNION, None)
-    @example("q2", -1, 5, PlanStyle.OUTER_UNION, 0.999)
+    @example("q1", -1, PlanStyle.OUTER_JOIN, None)
+    @example("q1", -1, PlanStyle.OUTER_JOIN, 0.7)
+    @example("q1", -1, PlanStyle.OUTER_UNION, None)
+    @example("q1", -1, PlanStyle.OUTER_UNION, 0.3)
+    @example("q2", -1, PlanStyle.OUTER_JOIN, None)
+    @example("q2", -1, PlanStyle.OUTER_JOIN, 0.3)
+    @example("q2", -1, PlanStyle.OUTER_UNION, None)
+    @example("q2", -1, PlanStyle.OUTER_UNION, 0.999)
     def test_rows_timings_and_charge_log_match(
-        self, tiny_db, q1_tree, q2_tree, query, index, batch_size, style,
-        budget,
+        self, tiny_db, q1_tree, q2_tree, query, index, style, budget,
     ):
         tree = {"q1": q1_tree, "q2": q2_tree}[query]
         partitions = list(enumerate_partitions(tree))
@@ -266,8 +254,8 @@ class TestStreamIdentity:
                 _drain(QueryEngine(tiny_db, engine=mode), spec.plan, budget_ms)
                 for mode in ENGINE_MODES
             ]
-            chunked_rows, chunked_log, chunked_timeout = _run_compiled(
-                QueryEngine(tiny_db), spec.plan, batch_size, budget_ms
+            compiled_rows, compiled_log, compiled_timeout = _run_compiled(
+                QueryEngine(tiny_db), spec.plan, budget_ms
             )
             if budget_ms is not None:
                 # Every path raises at the same charge ...
@@ -275,7 +263,7 @@ class TestStreamIdentity:
                     tuple_engine.execute(spec.plan, budget_ms=budget_ms)
                 with pytest.raises(TimeoutExceeded) as actual:
                     batch_engine.execute(spec.plan, budget_ms=budget_ms)
-                timeouts = [actual.value, chunked_timeout] + [
+                timeouts = [actual.value, compiled_timeout] + [
                     t for _, _, t in drained
                 ]
                 for timeout in timeouts:
@@ -287,7 +275,7 @@ class TestStreamIdentity:
                 # cursor exists).
                 stored = _entry(tuple_cache.peek(key))
                 assert _entry(batch_cache.peek(key)) == stored
-                assert chunked_log == (stored and stored[1])
+                assert compiled_log == (stored and stored[1])
                 for iter_rows, cursor, _ in drained:
                     assert (stored is None) == (cursor is None)
                     if cursor is None:
@@ -305,9 +293,9 @@ class TestStreamIdentity:
             expected = tuple_engine.execute(spec.plan)
             actual = batch_engine.execute(spec.plan)
             charge_log = tuple_cache.peek(key).charge_log
-            assert chunked_timeout is None
-            assert chunked_rows == expected.rows
-            assert chunked_log == charge_log
+            assert compiled_timeout is None
+            assert compiled_rows == expected.rows
+            assert compiled_log == charge_log
             for iter_rows, cursor, iter_timeout in drained:
                 assert iter_timeout is None and cursor.exhausted
                 assert iter_rows == expected.rows
@@ -331,6 +319,49 @@ class TestStreamIdentity:
             again = batch_engine.execute(spec.plan)
             assert again.rows == expected.rows
             assert again.server_ms == expected.server_ms
+
+    def test_identity_above_4096_rows(self, tiny_db):
+        """No ``tiny_db`` view plan has an intermediate of 4,096 rows —
+        where the kernels once cut their input into chunks — so one that
+        does: an 8,000-row cross product, projected (column-major, and
+        read twice: the memo), filtered (the transpose), united,
+        deduplicated and sorted."""
+        tables = [Scan(tiny_db.schema.table(name), alias) for name, alias
+                  in (("LineItem", "l"), ("Orders", "o"), ("Region", "r"))]
+        crossed = InnerJoin(InnerJoin(tables[0], tables[1], []), tables[2], [])
+        projected = Project(crossed, [
+            ProjectItem(ColumnRef("l.orderkey"), "lk"),
+            ProjectItem(ColumnRef("o.orderkey"), "ok"),
+            ProjectItem(ColumnRef("r.name"), "region"),
+            ProjectItem(Literal(1), "one"),
+        ])
+        halves = [
+            Filter(projected, Comparison(op, ColumnRef("lk"), ColumnRef("ok")))
+            for op in ("<", ">")
+        ]
+        plan = Sort(Distinct(OuterUnion(halves)), ["region", "lk", "ok"])
+
+        caches = {mode: PlanResultCache() for mode in ENGINE_MODES}
+        results = {
+            mode: QueryEngine(tiny_db, cache=caches[mode], engine=mode)
+            .execute(plan) for mode in ENGINE_MODES
+        }
+        expected = results["tuple"]
+        key = QueryEngine(tiny_db).cache_key_for(plan)
+        charge_log = caches["tuple"].peek(key).charge_log
+        charged = {label: rows for label, _, rows in charge_log}
+        assert charged["project"] == charged["rescan"] == 8000
+        assert 4096 < charged["union"] == charged["distinct"] < 8000
+        assert _entry(caches["batch"].peek(key)) == _entry(
+            caches["tuple"].peek(key))
+        assert results["batch"].server_ms == expected.server_ms
+        for mode in ENGINE_MODES:
+            rows, cursor, timeout = _drain(
+                QueryEngine(tiny_db, engine=mode), plan, None)
+            assert timeout is None and cursor.exhausted
+            assert rows == expected.rows
+            assert tuple(cursor._charges.log) == charge_log
+            assert cursor.server_ms == expected.server_ms
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +550,8 @@ class TestModePlumbing:
         assert Connection(tiny_db, CostModel()).engine.mode == "batch"
 
     def test_execution_options_carry_engine_knobs(self):
-        """They carry none: the mode is a connection's, the chunk size
-        ``compile_plan``'s."""
+        """They carry none: the mode is a connection's, and the kernels
+        have no chunk size."""
         for knob in ({"engine": "batch"}, {"batch_size": 128}):
             with pytest.raises(TypeError):
                 ExecutionOptions(**knob)

@@ -178,11 +178,16 @@ class TestUnionSort:
 
 
 class TestCostAccounting:
-    def test_startup_charged_once(self, engine, db):
-        with_startup = engine.execute(dept(db)).server_ms
-        without = engine.execute(dept(db), include_startup=False).server_ms
-        assert with_startup - without == pytest.approx(
-            engine.cost_model.scaled(engine.cost_model.startup_ms)
+    def test_startup_charged_once(self, db):
+        """One query, one startup charge, scaled like every other — however
+        many operators the plan has."""
+        engine = QueryEngine(db, CostModel(speed=4.0))
+        plan = InnerJoin(emp(db), dept(db), [("e.deptno", "d.deptno")])
+        result = engine.execute(plan)
+        assert list(result.breakdown)[0] == "startup"
+        assert result.breakdown["startup"] == 4.0 * engine.cost_model.startup_ms
+        assert result.server_ms == pytest.approx(
+            sum(result.breakdown.values())
         )
 
     def test_speed_scales_costs(self, db):
@@ -298,7 +303,7 @@ def emp_alias(db):
 
 
 def _average_row_bytes_by_field(columns, rows, sample=500):
-    """The per-field loop ``QueryEngine._average_row_bytes`` replaced with
+    """The per-field loop ``QueryEngine._average_row_width`` replaced with
     per-column sums: the reference it must equal to the last bit."""
     stride = max(len(rows) // sample, 1)
     sampled = rows[::stride]
@@ -340,7 +345,7 @@ class TestAverageRowBytes:
         """Nullable columns, fixed and variable width mixed, zero arity,
         empty strings, and a stride above one (``sample`` < rows)."""
         columns, rows, sample = case
-        assert QueryEngine._average_row_bytes(
+        assert QueryEngine._average_row_width(
             columns, rows, sample
         ) == _average_row_bytes_by_field(columns, rows, sample)
 
@@ -354,6 +359,6 @@ class TestAverageRowBytes:
         columns = spec.plan.columns()
         assert len(rows) > 100 and any(None in row for row in rows)
         for sample in (7, 500):
-            assert QueryEngine._average_row_bytes(
+            assert QueryEngine._average_row_width(
                 columns, rows, sample
             ) == _average_row_bytes_by_field(columns, rows, sample)

@@ -190,8 +190,7 @@ class TestOrderingAgreement:
         )
         est_costs = [estimator.evaluation_cost(p) for p in (small, medium, large)]
         real_costs = [
-            engine.execute(p, include_startup=False).server_ms
-            for p in (small, medium, large)
+            engine.execute(p).server_ms for p in (small, medium, large)
         ]
         assert est_costs == sorted(est_costs)
         assert real_costs == sorted(real_costs)

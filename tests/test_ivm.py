@@ -23,12 +23,14 @@ from repro.core.options import ExecutionOptions
 from repro.core.silkroute import SilkRoute
 from repro.core.sqlgen import SqlGenerator
 from repro.obs import ObsOptions
-from repro.relational.cache import NodeResultCache, PlanResultCache
+from repro.relational.cache import (
+    BoundedCache, NodeResultCache, PlanResultCache,
+)
 from repro.relational.connection import Connection
 from repro.relational.database import Database, synthesize_rows
 from repro.relational.dependencies import is_stale, plan_tables
 from repro.relational.dispatch import execute_specs
-from repro.relational.engine import CostModel
+from repro.relational.engine import ENGINE_MODES, CostModel
 from repro.relational.estimator import CostEstimator
 from repro.relational.faults import FaultPolicy, RetryPolicy
 from repro.session import Session
@@ -339,13 +341,10 @@ class TestIncrementalEquivalence:
 
 
 def generation_keyed_caches(session, view):
-    """The five dependency-keyed maps behind ``view``, each with the
+    """The three dependency-keyed maps behind ``view``, each with the
     position of the dependency key in its keys."""
-    engine = session.connection.engine
     return [
         (session.silkroute.cache, 1),
-        (session.connection._transfer_memo, 1),
-        (engine._row_bytes, 1),
         (view.instance_cache, 3),
         (view.document_cache, 2),
     ]
@@ -401,6 +400,43 @@ class TestLifetimes:
         assert blocks[self.CYCLES] <= 1.25 * blocks[5], blocks
         if strategy == "fully-partitioned":
             assert view.instance_cache.stats()["hits"] > 0  # still splices
+        # What was summed over a plan's rows lives on its entry, one sum
+        # per (transfer model, row format), and nowhere else: the plan
+        # cache, the node cache and the compile cache are the only maps
+        # hanging off the connection or its engine.
+        formats = {(connection.transfer_model, compact)
+                   for compact in (False, True)}
+        for _, entry in session.silkroute.cache.items():
+            assert entry.transfer_sums and set(entry.transfer_sums) <= formats
+        maps = {
+            value.name
+            for owner in (connection, connection.engine)
+            for value in vars(owner).values()
+            if isinstance(value, BoundedCache)
+        }
+        assert maps == {"plan_cache", "node_cache", "compiled_plans"}
+
+    @pytest.mark.parametrize("engine", ENGINE_MODES)
+    def test_either_engine_retires_dead_plan_entries(self, engine):
+        """Retire-on-write belongs to the engine, not to the batch
+        kernels: 7 reads of the fully partitioned Q1 (10 streams, all
+        reading Supplier) with a one-row ``Supplier`` update between them
+        leave the 10 live plan entries, not 10 per generation."""
+        session = Session(Connection(
+            TpchGenerator(scale=TINY, seed=42).generate(), CostModel(),
+            engine=engine,
+        ))
+        for read in range(7):
+            if read:
+                session.mutate("Supplier", op="update", rows=1, seed=read)
+            served = session.materialize(QUERY_1, "fully-partitioned")
+        cache, database = session.silkroute.cache, session.database
+        assert served.report.n_streams == len(cache) == 10
+        current = database.table_generations()
+        assert not [
+            key for key, _ in cache.items()
+            if is_stale(key[1], database._token, current)
+        ]
 
 
 # ---------------------------------------------------------------------------

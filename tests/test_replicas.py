@@ -45,7 +45,7 @@ from repro.core.partition import (
 )
 from repro.core.silkroute import SilkRoute
 from repro.obs import ObsOptions
-from repro.relational.connection import Connection
+from repro.relational.connection import Connection, TransferModel
 from repro.relational.engine import CostModel
 from repro.relational.faults import FaultPolicy, RetryPolicy
 from repro.relational.replicas import (
@@ -157,6 +157,64 @@ class TestReplicaSet:
         rset = ReplicaSet.from_connection(connection, 2, faults=[down, ok])
         assert rset.connections[0].faults is down
         assert rset.connections[1].faults is ok
+
+    def test_replicas_sharing_a_plan_cache_sum_their_own_transfer(
+            self, tiny_db, tiny_estimator):
+        """Replicas with different transfer models share one plan cache —
+        rows and charge log — but not a transfer sum: whichever replica
+        stored the entry, each one's ``transfer_ms``, cold and replayed,
+        is what a cache-less connection with its model reports; so is the
+        winner's in a hedged race, where the backup replays the entry the
+        primary has just stored."""
+        models = [TransferModel(), TransferModel(row_ms=1.0, byte_ms=0.02)]
+
+        def shared_cache_set(faults=None):
+            connection = Connection(tiny_db, CostModel(), models[0])
+            view = SilkRoute(
+                connection, estimator=tiny_estimator, cache=True,
+            ).define_view(QUERY_1)
+            rset = ReplicaSet.from_connection(
+                connection, 2, faults=faults, transfer_models=models)
+            assert rset.connections[1].cache is connection.cache
+            return view, rset
+
+        view, rset = shared_cache_set()
+        specs = view.specs("fully-partitioned")
+        want = [
+            {spec.label: Connection(tiny_db, CostModel(), model).execute(
+                spec.plan, compact_rows=spec.compact).transfer_ms
+             for spec in specs}
+            for model in models
+        ]
+        for i, spec in enumerate(specs):
+            # Alternate which replica runs the plan and which replays it.
+            order = rset.connections[::-1] if i % 2 else rset.connections
+            for _ in ("cold", "replayed"):
+                for conn in order:
+                    replica = rset.connections.index(conn)
+                    stream = conn.execute(spec.plan, compact_rows=spec.compact)
+                    assert stream.transfer_ms == want[replica][spec.label]
+            assert want[0][spec.label] != want[1][spec.label]
+        cache = rset.connections[0].cache
+        assert cache.stats().stores == len(cache) == len(specs)
+        for _, entry in cache.items():
+            assert {model for model, _ in entry.transfer_sums} == set(models)
+            assert len(entry.transfer_sums) == 2
+
+        view, rset = shared_cache_set(faults=[
+            FaultPolicy(seed=3, latency_ms=500.0), FaultPolicy(seed=4)])
+        pool = ReplicaPool(rset)
+        for run in ("hedged", "replayed"):
+            report = view.materialize(
+                "fully-partitioned", replicas=pool, hedge_ms=10.0,
+                retry=RetryPolicy(max_attempts=2),
+            ).report
+            assert [s.transfer_ms for s in report.streams] == [
+                want[s.replica][s.label] for s in report.streams]
+            if run == "hedged":
+                assert {s.replica for s in report.streams
+                        if s.hedge_wins} == {1}
+        assert all(s.from_cache for s in report.streams)
 
 
 class TestResolvers:

@@ -104,23 +104,6 @@ class TestCachedExecutionIdentity:
         assert stats.hits > 0  # shared subtrees + the explicit re-run
         assert stats.misses == stats.stores
 
-    def test_include_startup_modes_keyed_separately(self, q1_tree, tiny_db):
-        # Some charges are running-total float deltas, so the two timing
-        # modes differ at the ulp level; each mode gets its own entry and
-        # each replays bit-identically against its own uncached run.
-        engine = QueryEngine(tiny_db, CostModel(), cache=PlanResultCache())
-        plain = QueryEngine(tiny_db, CostModel())
-        spec = SqlGenerator(q1_tree, tiny_db.schema).streams_for_partition(
-            unified_partition(q1_tree)
-        )[0]
-        engine.execute(spec.plan, include_startup=True)
-        for include_startup in (False, True):
-            got = engine.execute(spec.plan, include_startup=include_startup)
-            want = plain.execute(spec.plan, include_startup=include_startup)
-            assert_identical(got, want)
-        assert engine.cache.stats().hits == 1
-        assert engine.cache.stats().misses == 2
-
     def test_timeout_replay_identical(self, q1_tree, tiny_db):
         generator = SqlGenerator(q1_tree, tiny_db.schema, reduce=True)
         specs = generator.streams_for_partition(unified_partition(q1_tree))
@@ -290,8 +273,9 @@ class _Kind:
 
 
 KINDS = [
-    # The engine's compiled-plan and row-width maps, the connection's
-    # transfer memo, the session's view and dedup maps, a layout's decoders.
+    # The engine's compiled plans, the session's view and dedup maps, a
+    # layout's decoders, the estimator's estimates (whose request counters
+    # and counting ``clear`` are tests/test_estimator.py's).
     _Kind("bare",
           lambda n, b: BoundedCache("t", max_entries=n, max_bytes=b,
                                     size_of=len),

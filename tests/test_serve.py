@@ -39,6 +39,7 @@ from repro.core.silkroute import PlanReport
 from repro.core.sqlgen import PlanStyle
 from repro.relational.connection import Connection
 from repro.relational.engine import CostModel
+from repro.relational.estimator import MAX_ESTIMATES
 from repro.relational.faults import FaultPolicy, RetryPolicy
 from repro.relational.replicas import AdmissionPolicy
 from repro.serve import Server, ServeClient, ServeError
@@ -265,6 +266,27 @@ class TestServerBasics:
         assert again.xml == documents[0]
         assert len(views) == 3 and views.stats().evictions == 6
 
+    def test_inline_texts_cannot_pin_estimates_forever(self):
+        """The estimator lives as long as the session and costs every
+        view it is asked to plan; it keeps the most recently used
+        estimates, and an evicted one asked for again is simply computed
+        again — same plan, same document as under the full bound."""
+        server, roomy = make_server(), make_server()
+        estimates = server.session.silkroute.estimator.cache
+        unevicted = roomy.session.silkroute.estimator.cache
+        assert estimates.max_entries == MAX_ESTIMATES
+        estimates.max_entries = 32      # below what one planning asks for
+        for query in ("q1", "q2"):
+            for style in PlanStyle:
+                got = server.query(query, style=style)
+                want = roomy.query(query, style=style)
+                assert got.report.partition == want.report.partition
+                assert got.xml == want.xml
+                assert len(estimates) == 32
+        assert len(unevicted) == unevicted.requests > 32
+        assert estimates.stats().evictions == estimates.requests - 32
+        assert estimates.requests > unevicted.requests  # asked for again
+
     def test_stats_walk_every_cache_on_the_request_path(self):
         server = make_server()
         inline = QUERY_2 + " "      # a text no name is registered for
@@ -276,8 +298,8 @@ class TestServerBasics:
         caches = server.handle_request({"op": "stats"})["stats"]["caches"]
         assert decode(encode(caches)) == caches     # crosses the wire
         assert set(caches) == {
-            "plan_cache", "node_cache", "transfer_memo", "row_bytes",
-            "compiled_plans", "views", "by_view",
+            "plan_cache", "node_cache", "compiled_plans", "estimates",
+            "views", "by_view",
         }
         assert caches["plan_cache"] == decode(encode(
             server.stats()["plan_cache"]))
@@ -295,8 +317,10 @@ class TestServerBasics:
         q2 = caches["by_view"][inline]
         assert q2["instance_cache"]["entries"] == 10
         assert q2["document_cache"]["current_bytes"] > 0
-        assert caches["transfer_memo"]["invalidations"] >= 1
-        assert caches["row_bytes"]["invalidations"] >= 1
+        assert caches["plan_cache"]["invalidations"] >= 1
+        # Greedy planning of q1 asked the oracle; explicit plans do not.
+        assert caches["estimates"]["entries"] == caches["estimates"]["misses"]
+        assert 0 < caches["estimates"]["entries"] <= MAX_ESTIMATES
 
     def test_mutation_is_immediately_visible(self):
         server = make_server()
@@ -446,7 +470,7 @@ class TestTenancy:
         assert exc.request_id == "over"
         assert done and done[0].xml
         stats = server.stats()
-        assert stats["shed"] == 1
+        assert stats["shed"] == 1 and stats["errors"] == 0   # not an error
         assert stats["tenants"]["greedy"]["shed"] == 1
         assert stats["tenants"]["greedy"]["inflight"] == 0
 
@@ -487,6 +511,36 @@ class TestErrorStamping:
         assert exc.request_id == "rq-9"
         assert exc.report is not None
         assert server.stats()["errors"] == 1
+        assert server.execution_log() == ()
+
+    def test_every_failed_request_counts_one_error(self):
+        """Whatever an admitted request fails on — resolving its query,
+        its options or its table, as much as executing — is one
+        ``serve.errors`` and leaves stamped with the request's identity:
+        ``query`` and ``mutate`` run in one bracket, which also gives the
+        tenant's one slot back every time."""
+        server = make_server()
+        server.register_tenant("acme", 1)
+        probes = [
+            {"op": "query", "query": "nope"},
+            {"op": "query", "query": 7},
+            {"op": "mutate", "table": "NoSuchTable"},
+        ]
+        for n, request in enumerate(probes, 1):
+            reply = server.handle_request(
+                dict(request, tenant="acme", id=f"p-{n}"))
+            assert reply["ok"] is False
+            assert reply["error"]["tenant"] == "acme"
+            assert reply["error"]["request_id"] == f"p-{n}"
+            assert server.stats()["errors"] == n
+        with pytest.raises(TypeError) as info:
+            server.query("q1", tenant="acme", request_id="p-4",
+                         bogus_option=1)
+        assert info.value.request_id == "p-4"
+        stats = server.stats()
+        assert stats["errors"] == stats["requests"] == 4
+        assert stats["shed"] == 0 and stats["latency_ms"]["count"] == 4
+        assert stats["tenants"]["acme"]["inflight"] == 0
         assert server.execution_log() == ()
 
 
@@ -539,8 +593,11 @@ class TestSocketFrontEnd:
                 assert err.tenant == "acme"
                 assert err.request_id == "w-9"
                 assert err.report is not None
-                # The connection survives failed requests.
+                # The connection survives failed requests, and the server
+                # counted both: the one it could not resolve as much as
+                # the one it could not finish.
                 assert client.ping() is True
+                assert client.stats()["errors"] == 2
 
     def test_malformed_line_does_not_kill_the_connection(self):
         with make_server() as server:
