@@ -65,15 +65,19 @@ PREPARED_ROW = [
 #: name -> (owner, key, what invalidates an entry)
 CACHES = {
     "plan_cache": (
-        "`PlanResultCache` on `QueryEngine.cache`",
+        "`PlanResultCache` on `QueryEngine.cache` (during a sweep: its "
+        "own `PlanCostCache`, entries without rows)",
         "(plan fingerprint, dependency key, cost model)",
         ENGINE_SWEEP,
     ),
     "node_cache": (
         "`NodeResultCache` on `QueryEngine.node_cache`",
-        "sub-plan fingerprint (tables read stored beside the value)",
+        "sub-plan fingerprint (tables read stored beside the value; a "
+        "value is kept from the fingerprint's second store on, the first "
+        "leaves a marker)",
         "`_refresh_dependencies` diffs the table generations before each "
-        "evaluation and drops the entries reading a changed table",
+        "evaluation and retires the values reading a changed table (their "
+        "markers stay, so the next computation is kept at once)",
     ),
     "compiled_plans": (
         "`QueryEngine._compiled`",

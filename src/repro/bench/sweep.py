@@ -7,12 +7,13 @@ the per-subquery budget are recorded as timed out ("no time was reported").
 
 The 2^|E| plans share almost all of their relational work: the same
 subtree query recurs across most partitions.  By default a sweep installs
-a :class:`~repro.relational.cache.PlanResultCache` on the connection's
+a :class:`~repro.relational.cache.PlanCostCache` on the connection's
 engine for its duration, so each distinct stream plan is executed once and
-replayed everywhere else — wall-clock drops by an order of magnitude while
-every simulated millisecond (including timeout behaviour) stays
-bit-identical.  Plans run one after another in input order; ``workers``
-is, as everywhere, each plan's *simulated* dispatch width.
+its costs (a sweep reads no rows) replayed everywhere else — wall-clock
+drops by an order of magnitude while every simulated millisecond
+(including timeout behaviour) stays bit-identical.  Plans run one after
+another in input order; ``workers`` is, as everywhere, each plan's
+*simulated* dispatch width.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from repro.core.options import resolve_options
 from repro.core.partition import enumerate_partitions
 from repro.core.sqlgen import PlanStyle, SqlGenerator
 from repro.obs import obs_parts
-from repro.relational.cache import PlanResultCache, resolve_cache
+from repro.relational.cache import PlanCostCache, resolve_cache
 from repro.relational.dispatch import execute_specs
 from repro.relational.faults import StreamAttemptStats
 from repro.relational.replicas import resolve_resilience
@@ -201,12 +202,15 @@ def sweep_partitions(tree, schema, connection, partitions=None,
     ``cache`` controls cross-plan result caching for the duration of the
     sweep, through the same :func:`~repro.relational.cache.resolve_cache`
     flow as ``Connection(cache=...)`` and ``SilkRoute(cache=...)``:
-    ``True`` (the default) reuses the cache already installed on the
-    connection's engine or installs a fresh
-    :class:`~repro.relational.cache.PlanResultCache`; ``False`` runs
-    uncached; or pass a :class:`PlanResultCache` instance to share one
-    across sweeps.  Cached and uncached sweeps produce bit-identical
-    simulated timings — only wall-clock changes.
+    ``True`` (the default) installs a fresh
+    :class:`~repro.relational.cache.PlanCostCache` — charge logs, row
+    counts and transfer sums, no rows: a sweep reads two floats per
+    stream; ``False`` runs uncached; an instance is used as it is (to
+    share costs across sweeps, or a row-holding ``PlanResultCache`` to
+    leave the results behind).  The connection's own cache is set aside
+    for the duration and comes back untouched.  Cached and uncached sweeps
+    produce bit-identical simulated timings — only wall-clock and memory
+    change.
 
     Plans run one after another and timings follow the input partition
     order; ``progress(done, total)`` is called after each.  ``workers``
@@ -242,14 +246,7 @@ def sweep_partitions(tree, schema, connection, partitions=None,
     query_engine = connection.engine
     pinned_generations = connection.database.table_generations()
     previous = query_engine.cache
-    if cache is True:
-        # The sweep's historical True semantics: reuse the cache already
-        # installed on the engine, else install a fresh one for the sweep.
-        query_engine.cache = (
-            previous if previous is not None else PlanResultCache()
-        )
-    else:
-        query_engine.cache = resolve_cache(cache)
+    used = query_engine.cache = resolve_cache(cache, fresh=PlanCostCache)
     # Resolved after the cache swap so a freshly built replica set shares
     # the cache the sweep actually runs under.
     opts = resolve_resilience(opts, connection)
@@ -268,24 +265,17 @@ def sweep_partitions(tree, schema, connection, partitions=None,
                 ))
                 if progress is not None:
                     progress(len(timings), len(partitions))
-            completed = sum(
-                1 for t in timings
-                if not t.timed_out and not t.failed and not t.shed
-            )
-            sweep_span.set(completed=completed)
+            result = SweepResult(timings, style, reduce)
+            sweep_span.set(completed=len(result.completed()))
         metrics.inc("sweep.plans", len(partitions))
-        stats = (
-            query_engine.cache.stats()
-            if query_engine.cache is not None else None
-        )
-        if query_engine.cache is not None and metrics.enabled:
-            query_engine.cache.publish(metrics)
+        if used is not None:
+            result.cache_stats = used.stats()
+            if metrics.enabled:
+                used.publish(metrics)
         if metrics.enabled:
             query_engine.node_cache.publish(metrics)
     finally:
         if replica_pool is not None:
             replica_pool.finish_epoch(epoch)
         query_engine.cache = previous
-    return SweepResult(
-        timings=timings, style=style, reduced=reduce, cache_stats=stats
-    )
+    return result

@@ -52,6 +52,7 @@ from repro.relational.algebra import (
 from repro.relational.cache import (
     CacheStats,
     NodeResultCache,
+    PlanCostCache,
     PlanResultCache,
     resolve_cache,
 )
@@ -136,6 +137,7 @@ __all__ = [
     "ConstantColumn",
     "CacheStats",
     "NodeResultCache",
+    "PlanCostCache",
     "PlanResultCache",
     "resolve_cache",
     "FaultPolicy",

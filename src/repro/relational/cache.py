@@ -9,7 +9,8 @@ collapse to 185 distinct plans, so memoizing whole-plan outcomes removes
 millisecond.
 
 :class:`PlanResultCache` stores, per executed plan, the exact result rows
-**and** the ordered log of simulated cost charges.  A hit *replays* the
+(a sweep's :class:`PlanCostCache`: only their number) **and** the ordered
+log of simulated cost charges.  A hit *replays* the
 charge log through a fresh accumulator, so the returned
 :class:`~repro.relational.engine.ExecutionResult` is byte-identical to an
 uncached execution — same ``server_ms``, same per-operator ``breakdown``
@@ -42,6 +43,7 @@ from dataclasses import dataclass
 from math import inf
 from operator import attrgetter
 
+from repro.common.errors import ExecutionError
 from repro.relational.dependencies import is_stale
 
 _COUNTERS = ("hits", "misses", "stores", "evictions", "oversize_rejections",
@@ -168,8 +170,9 @@ class BoundedCache:
             self._peak = max(self._peak, len(entries))
             return evicted
 
-    def discard_where(self, stale):
-        """Drop every entry ``stale(key, value)`` holds for, counting each
+    def discard_where(self, stale, leave=None):
+        """Drop every entry ``stale(key, value)`` holds for — or put
+        ``leave(value)`` in its place, recency unchanged — counting each
         as an invalidation.  Returns the number dropped."""
         with self._lock:
             doomed = [
@@ -177,7 +180,12 @@ class BoundedCache:
                 if stale(key, value)
             ]
             for key in doomed:
-                self._bytes -= self._size_of(self._entries.pop(key))
+                self._bytes -= self._size_of(self._entries[key])
+                if leave is None:
+                    del self._entries[key]
+                else:
+                    left = self._entries[key] = leave(self._entries[key])
+                    self._bytes += self._size_of(left)
             self._counts["invalidations"] += len(doomed)
             return len(doomed)
 
@@ -224,6 +232,19 @@ class BoundedCache:
         return f"{type(self).__name__}({self.name}: {self.stats()})"
 
 
+class RowCount(int):
+    """The rows of a complete :class:`PlanCostCache` entry — their number:
+    ``len()`` answers, iterating is an error, never an empty result."""
+
+    __len__ = int.__int__
+
+    def __iter__(self):
+        raise ExecutionError(
+            f"the {self:d} rows of this result were not kept: it replays "
+            "a cost-only plan-cache entry (a sweep's) — timings, not data"
+        )
+
+
 class CacheEntry:
     """One cached execution outcome.
 
@@ -232,7 +253,8 @@ class CacheEntry:
     (startup is charged by the engine before the cache is consulted).
     ``complete`` is False when the recorded run raised
     ``TimeoutExceeded``; then ``rows`` is ``None`` and the log ends at the
-    raising charge.
+    raising charge.  In a :class:`PlanCostCache` the ``rows`` of a
+    complete entry are a :class:`RowCount`.
 
     ``transfer_sums`` holds what clients summed over ``rows``: the total
     transfer cost per ``(transfer model, compact row format)`` — per
@@ -366,12 +388,13 @@ class SingleFlight:
         return value, True
 
 
-def resolve_cache(cache):
+def resolve_cache(cache, fresh=None):
     """Normalize the one cache-wiring convention shared by every layer.
 
     ``SilkRoute(cache=...)``, ``Connection(cache=...)``, the
     ``Connection.cache`` property, and ``sweep_partitions(cache=...)`` all
-    funnel through this: ``True`` builds a fresh :class:`PlanResultCache`,
+    funnel through this: ``True`` builds a fresh :class:`PlanResultCache`
+    (or ``fresh()``: a sweep names its :class:`PlanCostCache`),
     ``False``/``None`` disables caching, and an instance (possibly empty —
     ``len()`` is falsy) is used as-is, which is how one cache is shared
     across systems.  The cache itself always lives in exactly one place:
@@ -379,7 +402,7 @@ def resolve_cache(cache):
     attribute.
     """
     if cache is True:
-        return PlanResultCache()
+        return (fresh or PlanResultCache)()
     if cache is False or cache is None:
         return None
     return cache
@@ -432,28 +455,57 @@ class PlanResultCache(BoundedCache):
         self._flight.finish(key)
 
 
+class PlanCostCache(PlanResultCache):
+    """The plan cache a sweep installs: entries hold costs, not rows.
+
+    A sweep reads a stream's server and transfer time, never its rows, so
+    a complete entry is stored with a :class:`RowCount` in their place.
+    The charge log replays as ever and the transfer sum the first
+    execution took, over the rows it still had, rides on the entry; a
+    connection with no sum under its own ``(transfer model, row format)``
+    re-evaluates the plan.
+    """
+
+    def store(self, key, entry):
+        if entry.complete:
+            entry.rows = RowCount(len(entry.rows))
+            entry.nbytes = 128 + 64 * len(entry.charge_log)
+        return super().store(key, entry)
+
+
 def _node_entry_bytes(entry):
     """Byte estimate (16 per cell plus a fixed overhead) for a node-cache
     entry ``(value, tables)`` whose value is a ``Batch`` or the outer-join
-    kernel's ``(Batch, build_work)`` pair."""
+    kernel's ``(Batch, build_work)`` pair; a marker (no value) weighs
+    nothing."""
     value = entry[0]
+    if value is None:
+        return 0.0
     batch = value[0] if isinstance(value, tuple) else value
     length = getattr(batch, "length", 0)
     arity = getattr(batch, "arity", 1)
     return 64.0 + 16.0 * length * max(arity, 1)
 
 
+def _kept(entry):
+    return entry[0] is not None
+
+
 class NodeResultCache(BoundedCache):
     """Dependency-tracked cache of batch-engine sub-plan results, bounded
-    by entry count.
+    by entry count, admitting a result on its second computation.
 
     This is the "data half" cache of the columnar engine: each entry maps
     a sub-plan fingerprint to its materialized
     :class:`~repro.relational.batch.Batch` (charges always run live, so
-    simulated timings never depend on hits).  Every entry remembers the
-    base tables its sub-plan reads; :meth:`invalidate` drops exactly the
-    entries that depend on mutated tables, which is what lets untouched
-    view subtrees replay across writes instead of recomputing.
+    simulated timings never depend on hits).  Most results are read once,
+    by the kernel call that computed them, so the first :meth:`store` of a
+    fingerprint leaves a weightless *marker* (an entry without a value: a
+    miss to :meth:`get`, evicted like any other) and the value is kept
+    from the second on.  Every entry remembers the base tables its
+    sub-plan reads; :meth:`invalidate` retires exactly the values that
+    depend on mutated tables, which is what lets untouched view subtrees
+    replay across writes instead of recomputing.
 
     An engine shared by the server's request threads hits this cache
     from all of them.
@@ -464,17 +516,24 @@ class NodeResultCache(BoundedCache):
                          size_of=_node_entry_bytes)
 
     def get(self, fingerprint):
-        """The cached value for a sub-plan fingerprint, or None."""
-        entry = super().get(fingerprint)
+        """The kept value for a sub-plan fingerprint, or None."""
+        entry = super().get(fingerprint, _kept)
         return None if entry is None else entry[0]
 
     def store(self, fingerprint, value, tables):
-        """Cache ``value`` for a sub-plan reading ``tables`` (an iterable
-        of base-table names — the invalidation footprint)."""
+        """Keep ``value`` for a sub-plan reading ``tables`` (an iterable
+        of base-table names — the invalidation footprint) if the
+        fingerprint was stored before, else only mark it seen."""
+        if self.peek(fingerprint) is None:
+            value = None
         return super().store(fingerprint, (value, frozenset(tables)))
 
     def invalidate(self, changed_tables):
-        """Delta propagation: drop every entry whose sub-plan reads one of
-        ``changed_tables``.  Returns the number of entries invalidated."""
+        """Delta propagation: retire every value whose sub-plan reads one
+        of ``changed_tables``, leaving its marker, so the next computation
+        is kept at once.  Returns the number retired."""
         changed = frozenset(changed_tables)
-        return self.discard_where(lambda _, entry: entry[1] & changed)
+        return self.discard_where(
+            lambda _, entry: _kept(entry) and entry[1] & changed,
+            leave=lambda entry: (None, entry[1]),
+        )

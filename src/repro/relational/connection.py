@@ -26,7 +26,7 @@ from repro.common.errors import (
     TransientConnectionError,
 )
 from repro.obs import obs_parts
-from repro.relational.cache import resolve_cache
+from repro.relational.cache import RowCount, resolve_cache
 from repro.relational.engine import QueryEngine
 from repro.relational.types import width_function
 
@@ -76,6 +76,10 @@ class SourceDescription:
 
 class TupleStream:
     """One executed query's sorted result stream with its simulated timings.
+
+    Replayed from a sweep's :class:`~repro.relational.cache.PlanCostCache`,
+    ``rows`` is a :class:`~repro.relational.cache.RowCount`: the stream
+    has its timings and its length, and iterating it is an error.
 
     ``fault_latency_ms`` is simulated connection latency injected by an
     installed :class:`~repro.relational.faults.FaultPolicy` on the
@@ -339,8 +343,13 @@ class Connection:
         key = (self.transfer_model, compact_rows)
         transfer_ms = sums.get(key)
         if transfer_ms is None:
+            rows = result.rows
+            if isinstance(rows, RowCount):
+                # A cost-only entry summed under another transfer model
+                # (a replica's) or row format: re-evaluate, never guess.
+                rows = self.engine.rows(plan, obs_parts(opts.obs)[1])
             transfer_ms = sums[key] = self._transfer_cost(
-                result.columns, result.rows, compact_rows
+                result.columns, rows, compact_rows
             )
         stream = TupleStream(
             columns=result.columns,

@@ -133,9 +133,8 @@ def open_spec(connection, spec, opts, epoch=None, replica=None, attempt=1,
     try:
         with span:
             stream = submit(
-                spec.plan, compact_rows=spec.compact, sql=spec.sql,
-                label=spec.label, attempt=attempt, faults=faults,
-                options=opts,
+                spec.plan, compact_rows=spec.compact, label=spec.label,
+                attempt=attempt, faults=faults, options=opts,
             )
     except TransientConnectionError as exc:
         if epoch is not None:

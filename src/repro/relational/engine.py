@@ -32,10 +32,9 @@ time from total time.
 
 import math
 from dataclasses import dataclass, replace
-from operator import itemgetter
 
 from repro.common.errors import ExecutionError, TimeoutExceeded
-from repro.common.ordering import NoneFirst, sort_key
+from repro.common.ordering import sort_key
 from repro.relational import algebra, vector_ops
 from repro.relational.cache import BoundedCache, CacheEntry, NodeResultCache
 from repro.relational.dependencies import plan_tables
@@ -290,9 +289,10 @@ class QueryEngine:
     * ``"batch"`` (the default) — plans are lowered once into vectorized
       kernels (:mod:`repro.relational.vector_ops`) that pass columnar
       :class:`~repro.relational.batch.Batch` objects.  :meth:`execute`
-      keeps every sub-plan result in the node-result cache; a cursor runs
-      the *same* compiled plan keeping nothing, so its memory is the
-      final sort buffer plus the largest single parent-and-children step;
+      offers every sub-plan result to the node-result cache, which keeps
+      one from its second computation on; a cursor runs the *same*
+      compiled plan keeping nothing, so its memory is the final sort
+      buffer plus the largest single parent-and-children step;
     * ``"tuple"`` — the row-at-a-time Volcano interpreter (the
       ``_stream_*`` generators), drained into a list by :meth:`execute`
       and handed out lazily by :meth:`execute_iter`.  It is the
@@ -321,23 +321,17 @@ class QueryEngine:
         #: Compiled plans keyed by plan fingerprint.  Plans recur across
         #: sweep partitions, so compilation amortizes to zero.
         self._compiled = BoundedCache("compiled_plans", max_entries=512)
-        #: Batch-engine node-result cache (the "data half"): sub-plan
-        #: fingerprint -> computed Batch, tagged with the base tables the
-        #: sub-plan reads.  Sweep partitions share most of their sub-plans,
-        #: so each distinct sub-tree's rows are materialized once; every
-        #: later execution re-runs only the charge accounting over the
-        #: shared immutable batches.  A mutation invalidates only the
-        #: dependent entries (see :meth:`_refresh_dependencies`).
+        #: Sub-plan results shared across executions (the batch kernels'
+        #: "data half"): kept from their second computation on, retired by
+        #: :meth:`_refresh_dependencies` after a write to a table they read.
         self.node_cache = NodeResultCache()
         #: Per-table generation snapshot from the last evaluation; diffed
         #: against the live database to find mutated tables.
         self._table_gens = None
 
-    @staticmethod
-    def tables_for(plan):
-        """The base tables ``plan`` reads (kept on the plan) — its
-        invalidation footprint for delta propagation."""
-        return plan_tables(plan)
+    #: The base tables a plan reads (kept on the plan) — its invalidation
+    #: footprint for delta propagation.
+    tables_for = staticmethod(plan_tables)
 
     def dependency_key(self, plan):
         """The dependency component of ``plan``'s cache key: the database
@@ -432,7 +426,8 @@ class QueryEngine:
                 charges.replay(entry.charge_log)
                 # An incomplete entry is only served when the replay is
                 # guaranteed to raise, so reaching here means the entry is
-                # complete and ``entry.rows`` is the full result.
+                # complete and ``entry.rows`` is the full result (or, from
+                # a cost-only cache, its ``RowCount``).
                 return self._result(plan, entry.rows, charges,
                                     entry.transfer_sums)
             # Single-flight: N simultaneous misses on the same plan (the
@@ -448,26 +443,35 @@ class QueryEngine:
             try:
                 rows = self._evaluate(plan, charges)
             except TimeoutExceeded:
-                cache.store(
-                    key,
-                    CacheEntry(
-                        rows=None,
-                        charge_log=tuple(charges.log),
-                        complete=False,
-                        nbytes=len(charges.log) * 64,
-                    ),
-                )
+                self._record(cache, key, plan, None, charges.log)
                 raise
-            entry = CacheEntry(
-                rows=rows,
-                charge_log=tuple(charges.log),
-                complete=True,
-                nbytes=self._estimate_result_bytes(plan, rows, charges.log),
-            )
-            cache.store(key, entry)
+            entry = self._record(cache, key, plan, rows, charges.log)
         finally:
             cache.finish(key)
         return self._result(plan, rows, charges, entry.transfer_sums)
+
+    def _record(self, cache, key, plan, rows, log):
+        """Store the outcome of a fresh evaluation — ``rows``, or None for
+        the charge prefix of a timed-out one — and return the entry."""
+        nbytes = len(log) * 64
+        if rows is not None:
+            nbytes += 128
+        if rows:
+            # ~56 bytes of tuple/pointer overhead per row in CPython.
+            columns = plan.columns()
+            nbytes += len(rows) * (
+                self._average_row_width(columns, rows) + 56 + 8 * len(columns)
+            )
+        entry = CacheEntry(rows, tuple(log), rows is not None, nbytes)
+        cache.store(key, entry)
+        return entry
+
+    def rows(self, plan, metrics=None):
+        """``plan``'s rows, evaluated fresh and charged to nobody: what a
+        caller replaying a cost-only entry asks for when it needs data."""
+        return self._evaluate(plan, _Charges(
+            self.cost_model, None, results=self.node_cache, metrics=metrics,
+        ))
 
     def _evaluate(self, plan, charges):
         """Evaluate ``plan`` fresh in :attr:`mode`; return the result
@@ -565,14 +569,6 @@ class QueryEngine:
             transfer_sums=transfer_sums,
         )
 
-    def _estimate_result_bytes(self, plan, rows, log):
-        overhead = 128 + len(log) * 64
-        if not rows:
-            return overhead
-        avg = self._average_row_width(plan.columns(), rows)
-        # ~56 bytes of tuple/pointer overhead per row in CPython.
-        return overhead + len(rows) * (avg + 56 + 8 * len(plan.columns()))
-
     # -- row-at-a-time (Volcano-style) evaluation ---------------------------
     #
     # The one row interpreter, what a ``"tuple"`` engine runs: ``execute`` drains
@@ -623,25 +619,13 @@ class QueryEngine:
         return predicate
 
     def _stream_fresh(self, op, charges, shared):
-        if isinstance(op, Scan):
-            return self._stream_scan(op, charges)
-        if isinstance(op, Filter):
-            return self._stream_filter(op, charges, shared)
-        if isinstance(op, Project):
-            return self._stream_project(op, charges, shared)
-        if isinstance(op, Distinct):
-            return self._stream_distinct(op, charges, shared)
-        if isinstance(op, InnerJoin):
-            return self._stream_inner_join(op, charges, shared)
-        if isinstance(op, LeftOuterJoin):
-            return self._stream_outer_join(op, charges, shared)
-        if isinstance(op, OuterUnion):
-            return self._stream_union(op, charges, shared)
-        if isinstance(op, Sort):
-            return self._stream_sort(op, charges, shared)
-        raise ExecutionError(f"cannot execute operator {op!r}")
+        try:
+            stream = self._STREAMS[type(op)]
+        except KeyError:
+            raise ExecutionError(f"cannot execute operator {op!r}") from None
+        return stream(self, op, charges, shared)
 
-    def _stream_scan(self, op, charges):
+    def _stream_scan(self, op, charges, shared):
         rows = self.database.table(op.table_schema.name).rows
         charges.charge("scan", len(rows) * self.cost_model.scan_row_ms, len(rows))
         yield from rows
@@ -658,37 +642,17 @@ class QueryEngine:
     def _stream_project(self, op, charges, shared):
         positions = op.child.positions()
         plan = []
-        all_columns = True
         for item in op.items:
             if isinstance(item.expr, ColumnRef):
                 plan.append((True, positions[item.expr.name]))
             elif isinstance(item.expr, Literal):
                 plan.append((False, item.expr.value))
-                all_columns = False
             else:
                 raise ExecutionError(f"unsupported projection {item.expr!r}")
         n = 0
-        child = self._stream(op.child, charges, shared)
-        if all_columns:
-            indices = [p for _, p in plan]
-            if len(indices) == 1:
-                p = indices[0]
-                for row in child:
-                    n += 1
-                    yield (row[p],)
-            elif indices:
-                getter = itemgetter(*indices)
-                for row in child:
-                    n += 1
-                    yield getter(row)
-            else:
-                for row in child:
-                    n += 1
-                    yield ()
-        else:
-            for row in child:
-                n += 1
-                yield tuple(row[p] if is_col else p for is_col, p in plan)
+        for row in self._stream(op.child, charges, shared):
+            n += 1
+            yield tuple(row[p] if is_col else p for is_col, p in plan)
         charges.charge("project", n * self.cost_model.project_row_ms, n)
 
     def _stream_distinct(self, op, charges, shared):
@@ -842,14 +806,9 @@ class QueryEngine:
         rows = list(self._stream(op.child, charges, shared))
         positions = op.child.positions()
         key_positions = [positions[k] for k in op.keys]
-        if len(key_positions) == 1:
-            p = key_positions[0]
-            out = sorted(rows, key=lambda r: NoneFirst(r[p]))
-        elif key_positions:
-            getter = itemgetter(*key_positions)
-            out = sorted(rows, key=lambda r: sort_key(getter(r)))
-        else:
-            out = rows
+        out = sorted(
+            rows, key=lambda r: sort_key([r[p] for p in key_positions])
+        )
 
         n = len(rows)
         if n:
@@ -857,6 +816,13 @@ class QueryEngine:
             charges.charge("sort", self.cost_model.sort_ms(n, row_bytes), n)
         del rows
         yield from _drain(out)
+
+    _STREAMS = {
+        Scan: _stream_scan, Filter: _stream_filter, Project: _stream_project,
+        Distinct: _stream_distinct, InnerJoin: _stream_inner_join,
+        LeftOuterJoin: _stream_outer_join, OuterUnion: _stream_union,
+        Sort: _stream_sort,
+    }
 
     @staticmethod
     def _average_row_width(columns, rows, sample=500):

@@ -137,11 +137,12 @@ class _PlanCompiler:
     the tuple engine's on every execution.  The *data* half — the actual
     row work — is deterministic given the sub-plan fingerprint and the
     generations of the base tables the sub-plan reads, so its result
-    :class:`Batch` is cached in the engine's
-    :class:`~repro.relational.cache.NodeResultCache` under that dependency
-    footprint and shared across executions; a mutation invalidates only
-    the dependent entries, and sweep partitions overlap heavily, so most
-    executions touch no rows at all.
+    :class:`Batch` is offered to the engine's
+    :class:`~repro.relational.cache.NodeResultCache` under that footprint:
+    kept from its second computation on and shared across executions, so
+    the scans, node queries and join prefixes sweep partitions have in
+    common touch no rows again, while a result nothing re-reads dies with
+    the kernel call that consumed it.
 
     Kernels reach that cache through the execution (``charges.cached`` /
     ``charges.keep``), not the engine: :meth:`QueryEngine.execute` hands
@@ -184,33 +185,21 @@ class _PlanCompiler:
         return run
 
     def _fresh(self, op):
-        if isinstance(op, Scan):
-            return self._scan(op)
-        if isinstance(op, Filter):
-            return self._filter(op)
-        if isinstance(op, Project):
-            return self._project(op)
-        if isinstance(op, Distinct):
-            return self._distinct(op)
-        if isinstance(op, InnerJoin):
-            return self._inner_join(op)
-        if isinstance(op, LeftOuterJoin):
-            return self._outer_join(op)
-        if isinstance(op, OuterUnion):
-            return self._union(op)
-        if isinstance(op, Sort):
-            return self._sort(op)
-        raise ExecutionError(f"cannot compile operator {op!r}")
+        """The kernel of ``op`` proper, handed what every kernel keys its
+        node-cache entry by: the fingerprint and the tables read."""
+        try:
+            kernel = self._KERNELS[type(op)]
+        except KeyError:
+            raise ExecutionError(f"cannot compile operator {op!r}") from None
+        return kernel(self, op, op.fingerprint(), plan_tables(op))
 
     # -- kernels ------------------------------------------------------------
 
-    def _scan(self, op):
+    def _scan(self, op, fp, tables):
         database = self.engine.database
         table_name = op.table_schema.name
         arity = len(op.columns())
         scan_row_ms = self.model.scan_row_ms
-        fp = op.fingerprint()
-        tables = plan_tables(op)
 
         def fresh(charges):
             batch = charges.cached(fp)
@@ -224,14 +213,11 @@ class _PlanCompiler:
 
         return fresh
 
-    def _filter(self, op):
+    def _filter(self, op, fp, tables):
         child = self.compile(op.child)
         kernel = compile_filter_kernel(op.predicate, op.child.positions())
         arity = len(op.columns())
         filter_row_ms = self.model.filter_row_ms
-
-        fp = op.fingerprint()
-        tables = plan_tables(op)
 
         def fresh(charges):
             batch = child(charges)
@@ -245,7 +231,7 @@ class _PlanCompiler:
 
         return fresh
 
-    def _project(self, op):
+    def _project(self, op, fp, tables):
         child = self.compile(op.child)
         positions = op.child.positions()
         plan = []
@@ -257,9 +243,6 @@ class _PlanCompiler:
             else:
                 raise ExecutionError(f"unsupported projection {item.expr!r}")
         project_row_ms = self.model.project_row_ms
-
-        fp = op.fingerprint()
-        tables = plan_tables(op)
 
         def fresh(charges):
             batch = child(charges)
@@ -279,13 +262,10 @@ class _PlanCompiler:
 
         return fresh
 
-    def _distinct(self, op):
+    def _distinct(self, op, fp, tables):
         child = self.compile(op.child)
         arity = len(op.columns())
         hash_row_ms = self.model.hash_row_ms
-
-        fp = op.fingerprint()
-        tables = plan_tables(op)
 
         def fresh(charges):
             batch = child(charges)
@@ -303,7 +283,7 @@ class _PlanCompiler:
 
         return fresh
 
-    def _inner_join(self, op):
+    def _inner_join(self, op, fp, tables):
         left = self.compile(op.left)
         right = self.compile(op.right)
         left_pos = op.left.positions()
@@ -319,9 +299,6 @@ class _PlanCompiler:
         hash_row_ms = model.hash_row_ms
         probe_row_ms = model.probe_row_ms
         join_out_row_ms = model.join_out_row_ms
-
-        fp = op.fingerprint()
-        tables = plan_tables(op)
 
         def fresh(charges):
             left_batch = left(charges)
@@ -363,7 +340,7 @@ class _PlanCompiler:
 
         return fresh
 
-    def _outer_join(self, op):
+    def _outer_join(self, op, fp, tables):
         left = self.compile(op.left)
         right = self.compile(op.right)
         left_pos = op.left.positions()
@@ -398,9 +375,6 @@ class _PlanCompiler:
         reevaluation_factor = model.reevaluation_factor
         speed = model.speed
         n_branches = len(op.branches)
-
-        fp = op.fingerprint()
-        tables = plan_tables(op)
 
         def fresh(charges):
             left_batch = left(charges)
@@ -471,7 +445,7 @@ class _PlanCompiler:
 
         return fresh
 
-    def _union(self, op):
+    def _union(self, op, fp, tables):
         out_columns = op.column_names()
         width = len(out_columns)
         compiled_inputs = []
@@ -483,9 +457,6 @@ class _PlanCompiler:
             compiled_inputs.append((self.compile(child), slots))
         distinct = op.distinct
         union_row_ms = self.model.union_row_ms
-
-        fp = op.fingerprint()
-        tables = plan_tables(op)
 
         def fresh(charges):
             # Children are always evaluated (in input order) so their
@@ -518,7 +489,7 @@ class _PlanCompiler:
 
         return fresh
 
-    def _sort(self, op):
+    def _sort(self, op, fp, tables):
         child = self.compile(op.child)
         positions = op.child.positions()
         key_plan = [
@@ -528,9 +499,6 @@ class _PlanCompiler:
         average_row_width = self.engine._average_row_width
         arity = len(op.columns())
         sort_ms = self.model.sort_ms
-
-        fp = op.fingerprint()
-        tables = plan_tables(op)
 
         def fresh(charges):
             batch = child(charges)
@@ -560,6 +528,12 @@ class _PlanCompiler:
             return result
 
         return fresh
+
+    _KERNELS = {
+        Scan: _scan, Filter: _filter, Project: _project,
+        Distinct: _distinct, InnerJoin: _inner_join,
+        LeftOuterJoin: _outer_join, OuterUnion: _union, Sort: _sort,
+    }
 
 
 def _sort_pass(rows, column, position, getter):

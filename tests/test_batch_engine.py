@@ -608,10 +608,17 @@ class TestModePlumbing:
     def test_node_cache_clears_on_database_mutation(self, tiny_db):
         plan = Scan(tiny_db.schema.table("Region"), "r")
         engine = QueryEngine(tiny_db, engine="batch")
+        cache = engine.node_cache
         before = engine.execute(plan)
-        assert engine.node_cache  # populated by the run
+        assert cache and cache.stats().current_bytes == 0  # seen, not kept
+        engine.execute(plan)
+        assert cache.get(plan.fingerprint()).length == len(before.rows)
         tiny_db.insert("Region", 999999, "zz-new-region")
         after = engine.execute(plan)
         reference = QueryEngine(tiny_db, engine="tuple").execute(plan)
         assert after.rows == reference.rows
         assert len(after.rows) == len(before.rows) + 1
+        # The write retired the kept scan; the run that saw it computed
+        # the sub-plan for the second time or later, so kept it at once.
+        assert cache.stats().invalidations == 1
+        assert cache.get(plan.fingerprint()).length == len(after.rows)

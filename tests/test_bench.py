@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Session
 from repro.core.partition import (
     Partition,
     fully_partitioned,
@@ -16,6 +17,12 @@ from repro.bench.sweep import (
     run_single_partition,
     sweep_partitions,
 )
+from repro.obs import ObsOptions
+from repro.relational.cache import PlanCostCache, RowCount
+from repro.relational.connection import Connection, TransferModel
+from repro.relational.replicas import ReplicaPool, ReplicaSet
+from repro.tpch.configs import CONFIG_A, build_database
+from tests.test_xmlgen_golden import GOLDEN, PARTITIONS, fingerprint
 
 
 class TestRunSinglePartition:
@@ -198,3 +205,101 @@ class TestCachedAndParallelSweep:
             partitions=[fully_partitioned(q1_tree)],
         )
         assert tiny_conn.engine.cache is before
+
+
+class TestCostOnlySweep:
+    """``cache=True`` installs a cost-only cache for the sweep: nothing a
+    sweep reports can tell it from an uncached run, and nothing it leaves
+    behind can serve a stale or rowless result."""
+
+    @pytest.fixture(scope="class")
+    def config_a(self):
+        database = build_database(CONFIG_A)
+        return database, load_view(QUERY_1, database.schema)
+
+    @staticmethod
+    def connect(database, transfer_model=CONFIG_A.transfer_model):
+        return Connection(database, CONFIG_A.cost_model, transfer_model)
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "obs"])
+    def test_full_sweep_equals_uncached(self, config_a, traced):
+        """All 512 plans of Query 1, non-reduced, the 112 timeouts
+        included."""
+        database, tree = config_a
+        cached, uncached = (
+            sweep_partitions(
+                tree, database.schema, self.connect(database), cache=cache,
+                budget_ms=CONFIG_A.subquery_budget_ms,
+                obs=ObsOptions() if traced else None,
+            )
+            for cache in (True, False)
+        )
+        assert cached.timings == uncached.timings
+        assert len(cached.timings) == 512 and len(cached.timed_out()) == 112
+        assert cached.cache_stats.hits > 2000
+
+    def test_entries_hold_costs_not_rows(self, q1_tree, tiny_db, tiny_conn):
+        cache = PlanCostCache()
+        sweep_partitions(
+            q1_tree, tiny_db.schema, tiny_conn, cache=cache, budget_ms=50.0,
+            partitions=[unified_partition(q1_tree),
+                        fully_partitioned(q1_tree)],
+        )
+        entries = [entry for _, entry in cache.items()]
+        assert {entry.complete for entry in entries} == {True, False}
+        for entry in entries:
+            if entry.complete:
+                assert isinstance(entry.rows, RowCount)
+                assert len(entry.transfer_sums) == 1
+            assert entry.nbytes <= 128 + 64 * len(entry.charge_log)
+
+    def test_session_cache_is_set_aside(self, tiny_db):
+        session = Session(Connection(tiny_db, CONFIG_A.cost_model))
+        view = session.view(QUERY_1)
+        own = session.silkroute.cache
+        result = session.sweep(QUERY_1, partitions=[
+            view.unified_partition(), view.fully_partitioned()])
+        assert session.connection.cache is own
+        assert len(own) == 0 and own.stats().requests == 0
+        assert result.stats["sweep_cache"]["stores"] == 11
+
+    def test_replicas_with_their_own_transfer_models(self, q1_tree, tiny_db):
+        """A pool whose replicas bind rows at different costs shares the
+        sweep's cost-only cache; each stream still reports its replica's
+        own transfer time."""
+        models = [TransferModel(), TransferModel(row_ms=1.0, byte_ms=0.02)]
+        partitions = [unified_partition(q1_tree), fully_partitioned(q1_tree),
+                      Partition([(1, 1)]), Partition([(1, 4), (1, 4, 1)])]
+
+        def sweep(cache):
+            rset = ReplicaSet.from_connection(
+                self.connect(tiny_db, models[0]), 2, transfer_models=models)
+            pool = ReplicaPool(rset)
+            timings = []
+            # The first sweep runs on replica 1, the second on replica 0,
+            # which then replays entries summed under the other model.
+            for ailing in (0, 1):
+                for replica, health in enumerate(pool.health):
+                    health.consecutive_failures = int(replica == ailing)
+                timings.append(sweep_partitions(
+                    q1_tree, tiny_db.schema, rset.connections[0],
+                    partitions=partitions, cache=cache, replicas=pool,
+                ).timings)
+            assert timings[0] != timings[1]
+            return timings
+
+        shared = PlanCostCache()
+        assert sweep(shared) == sweep(False)
+        assert {len(entry.transfer_sums) for _, entry in shared.items()} == {2}
+
+    @pytest.mark.parametrize("partition", PARTITIONS, ids=str)
+    def test_materialize_after_sweep_matches_golden(self, config_a, partition):
+        database, _ = config_a
+        session = Session(self.connect(database))
+        view = session.view(QUERY_1)
+        session.sweep(
+            QUERY_1, budget_ms=CONFIG_A.subquery_budget_ms, reduce=True,
+            partitions=[view.unified_partition(), view.fully_partitioned()],
+        )
+        xml = session.materialize(QUERY_1, partition).xml
+        assert fingerprint(xml) == GOLDEN[("A", "q1", None)]

@@ -190,20 +190,32 @@ class _FakeBatch:
 
 
 class TestNodeResultCache:
+    @staticmethod
+    def keep(cache, fingerprint, tables, length=4):
+        """Store ``fingerprint`` as its second computation does: the
+        first store only marks it seen."""
+        for _ in range(2):
+            cache.store(fingerprint, _FakeBatch(length), tables)
+
     def test_invalidate_drops_only_dependents(self):
         cache = NodeResultCache()
-        cache.store("a", _FakeBatch(4), {"Nation"})
-        cache.store("b", _FakeBatch(4), {"Supplier", "Nation"})
-        cache.store("c", _FakeBatch(4), {"Region"})
+        self.keep(cache, "a", {"Nation"})
+        self.keep(cache, "b", {"Supplier", "Nation"})
+        self.keep(cache, "c", {"Region"})
         assert cache.invalidate({"Nation"}) == 2
         assert cache.get("c") is not None
         assert cache.get("a") is None and cache.get("b") is None
         assert cache.stats().invalidations == 2
+        # What a write retires is the value; that the sub-plan recurs is
+        # remembered, so its next computation is kept at once.
+        cache.store("a", _FakeBatch(4), {"Nation"})
+        assert cache.get("a") is not None
+        assert cache.invalidate({"Region", "Supplier"}) == 1   # c; b is gone
 
     def test_capacity_evicts_oldest(self):
         cache = NodeResultCache(max_entries=3)
         for i in range(6):
-            cache.store(f"f{i}", _FakeBatch(1), {"Part"})
+            self.keep(cache, f"f{i}", {"Part"}, length=1)
         assert len(cache) == 3
         assert cache.stats().evictions == 3
         assert cache.get("f2") is None and cache.get("f3") is not None

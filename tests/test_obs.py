@@ -293,28 +293,34 @@ class TestObservationIdentity:
     def test_sweep_timings_identical_under_obs(self, tiny_db, tiny_estimator,
                                                q1_tree, schema):
         partitions = list(enumerate_partitions(q1_tree))[:16]
-        # Both runs pass an options object: an explicit ExecutionOptions
+        # Every run passes an options object: an explicit ExecutionOptions
         # supplies its own reduce default, overriding the sweep's
         # per-method reduce=False.
-        baseline = sweep_partitions(
-            q1_tree, schema, Connection(tiny_db, CostModel()),
-            partitions=partitions, options=ExecutionOptions(),
-        )
         obs = ObsOptions()
-        traced = sweep_partitions(
-            q1_tree, schema, Connection(tiny_db, CostModel()),
-            partitions=partitions, options=ExecutionOptions(obs=obs),
+        baseline, traced, uncached, traced_uncached = (
+            sweep_partitions(
+                q1_tree, schema, Connection(tiny_db, CostModel()),
+                partitions=partitions, cache=cache, options=options,
+            )
+            for cache, options in (
+                (True, ExecutionOptions()),
+                (True, ExecutionOptions(obs=obs)),
+                (False, ExecutionOptions()),
+                (False, ExecutionOptions(obs=ObsOptions())),
+            )
         )
-        assert (
-            [t.total_ms for t in traced.timings]
-            == [t.total_ms for t in baseline.timings]
-        )
+        # The cached sweeps replay cost-only entries: a stream span's
+        # ``rows`` comes from the recorded count, and nothing moves.
+        assert traced.timings == baseline.timings == uncached.timings
+        assert traced_uncached.timings == baseline.timings
+        assert traced.cache_stats.hits == baseline.cache_stats.hits > 0
         assert len(obs.tracer.find("partition")) == len(partitions)
         sweep_span = obs.tracer.find("sweep")[0]
         assert sweep_span.attrs["plans"] == len(partitions)
-        assert obs.metrics.snapshot()["counters"]["sweep.plans"] == len(
-            partitions
-        )
+        snapshot = obs.metrics.snapshot()
+        assert snapshot["counters"]["sweep.plans"] == len(partitions)
+        assert snapshot["counters"]["plan_cache.hits"] == (
+            traced.cache_stats.hits)
 
 
 # ---------------------------------------------------------------------------
@@ -578,15 +584,22 @@ class TestMetricsReconciliation:
         opts = ExecutionOptions(obs=obs)
         first = view.materialize("fully-partitioned", options=opts)
         second = view.materialize("fully-partitioned", options=opts)
-        assert second.xml == first.xml
+        third = view.materialize("fully-partitioned", options=opts)
+        assert third.xml == second.xml == first.xml
         counters = self._counters(obs)
-        stats = connection.engine.node_cache.stats()
+        cache = connection.engine.node_cache
+        stats = cache.stats()
         # Per-event counters match the cache's lifetime totals exactly —
-        # every lookup counted once, as a hit or a miss, never both.
+        # every lookup counted once, as a hit or a miss, never both; a
+        # store that only marks a sub-plan as seen is a store, and its
+        # marker an entry.
         assert stats.hits > 0 and stats.misses > 0
         assert counters["node_cache.hits"] == stats.hits
         assert counters["node_cache.misses"] == stats.misses
         assert counters["node_cache.stores"] == stats.stores
+        kept = sum(value is not None for _, (value, _) in cache.items())
+        assert 0 < kept <= stats.entries
+        assert stats.stores == stats.entries + kept     # seen, then kept
         assert counters.get("node_cache.evictions", 0) == stats.evictions
         assert (
             counters.get("node_cache.invalidations", 0) == stats.invalidations

@@ -21,6 +21,7 @@ from repro.core.silkroute import SilkRoute
 from repro.core.sqlgen import PlanStyle
 from repro.obs import NULL_TRACER, ObsOptions
 from repro.relational.connection import Connection
+from repro.relational.dispatch import execute_specs
 from repro.relational.engine import CostModel
 from repro.relational.faults import FaultPolicy, RetryPolicy
 
@@ -49,6 +50,19 @@ class TestOneGeneratorPerView:
         _, plain = view._prepare(view.fully_partitioned(),
                                  ExecutionOptions(reduce=False))
         assert all(a is not b for a, b in zip(first, plain))
+
+    def test_dispatch_renders_no_sql(self, make_view):
+        """Nothing reads the SQL text off a dispatched stream, so the
+        dispatch does not render it (a sweep never does); the report
+        takes it from the spec."""
+        view = make_view()
+        specs = view.specs("fully-partitioned")
+        result = execute_specs(view.silkroute.connection, specs)
+        assert [stream.sql for stream in result.streams] == [None] * 10
+        assert not any("sql" in vars(spec) for spec in specs)
+        report = view.materialize("fully-partitioned").report
+        assert [stream.sql for stream in report.streams] == [
+            spec.sql for spec in specs]
 
     def test_explain_costing_and_degradation_see_them(self, make_view):
         view = make_view()

@@ -18,7 +18,7 @@ import threading
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.common.errors import TimeoutExceeded
+from repro.common.errors import ExecutionError, TimeoutExceeded
 from repro.core.partition import (
     Partition,
     enumerate_partitions,
@@ -30,8 +30,11 @@ from repro.relational.cache import (
     BoundedCache,
     CacheEntry,
     NodeResultCache,
+    PlanCostCache,
     PlanResultCache,
+    RowCount,
 )
+from repro.relational.connection import Connection, TransferModel
 from repro.relational.engine import (
     CONFIG_A_COST_MODEL,
     CONFIG_B_COST_MODEL,
@@ -246,6 +249,18 @@ class _FakeBatch:
         self.arity = 1
 
 
+def _store_seen(cache, key, value):
+    """The node cache's write as its second caller sees it.  The cache
+    keeps a value from the second store of its key on
+    (``TestNodeAdmission``), so a key it has not seen is shown to it once
+    first; from there it is a bounded map like the others.  Returns what
+    both stores evicted."""
+    evicted = 0
+    if cache.peek(key) is None:
+        evicted = cache.store(key, value, {"Part"})
+    return evicted + cache.store(key, value, {"Part"})
+
+
 class _Kind:
     """One way the package instantiates :class:`BoundedCache`, behind one
     face: ``make(max_entries, max_bytes)`` builds it, ``value(size)`` is
@@ -288,9 +303,7 @@ KINDS = [
     _Kind("node",
           lambda n, b: NodeResultCache(max_entries=n),
           _FakeBatch,
-          get=NodeResultCache.get,
-          store=lambda cache, key, value: cache.store(key, value, {"Part"}),
-          weighs=False),
+          get=NodeResultCache.get, store=_store_seen, weighs=False),
     _Kind("instances",
           lambda n, b: StreamInstanceCache(max_entries=n),
           lambda size: [None] * size, weighs=False),
@@ -346,7 +359,8 @@ class TestBoundedCacheContract:
         kind.store(cache, "k", kind.value(500))
         kind.store(fresh, "k", kind.value(500))
         stats = cache.stats()
-        assert (stats.entries, stats.stores) == (1, 2)
+        # One store more than the cache that stored the key once.
+        assert (stats.entries, stats.stores - fresh.stats().stores) == (1, 1)
         assert stats.current_bytes == fresh.stats().current_bytes
         if kind.weighs:
             assert stats.current_bytes == 500
@@ -439,3 +453,155 @@ class TestBoundedCacheContract:
         assert stats.stores >= stats.entries + stats.evictions
         assert cache.discard_where(lambda key, value: True) == stats.entries
         assert cache.stats().current_bytes == 0
+
+
+class TestNodeAdmission:
+    """The node cache admits a sub-plan result on its second computation:
+    a single-use intermediate dies with the kernel call that read it."""
+
+    def test_second_store_keeps_third_lookup_hits(self):
+        cache = NodeResultCache()
+        first, second = _FakeBatch(10), _FakeBatch(10)
+        assert cache.get("fp") is None
+        cache.store("fp", first, {"Part"})
+        # Seen, not kept: a marker entry that weighs nothing and that no
+        # lookup returns.
+        assert cache.peek("fp") == (None, frozenset({"Part"}))
+        assert cache.get("fp") is None
+        assert (len(cache), cache.stats().current_bytes) == (1, 0)
+        cache.store("fp", second, {"Part"})
+        assert cache.get("fp") is second
+        stats = cache.stats()
+        assert (stats.stores, stats.hits, stats.misses) == (2, 1, 2)
+        assert (stats.entries, stats.current_bytes) == (1, 64 + 16 * 10)
+
+    def test_write_retires_the_value_and_keeps_the_marker(self):
+        cache = NodeResultCache()
+        for key, tables in (("a", {"Nation"}), ("b", {"Region"})):
+            cache.store(key, _FakeBatch(4), tables)
+            cache.store(key, _FakeBatch(4), tables)
+        cache.store("seen-once", _FakeBatch(4), {"Nation"})
+        assert cache.invalidate({"Nation"}) == 1    # markers are skipped
+        assert [key for key, _ in cache.items()] == ["a", "b", "seen-once"]
+        assert cache.get("a") is None and cache.get("b") is not None
+        assert len(cache) == 3
+        assert cache.stats().current_bytes == 64 + 16 * 4
+        # The next computation after the write is kept at once.
+        again = _FakeBatch(5)
+        cache.store("a", again, {"Nation"})
+        assert cache.get("a") is again
+        assert cache.invalidate({"Nation"}) == 1
+        assert cache.stats().invalidations == 2
+
+    def test_markers_are_bounded_with_the_values(self):
+        cache = NodeResultCache(max_entries=3)
+        for i in range(6):
+            cache.store(i, _FakeBatch(1), {"Part"})
+        stats = cache.stats()
+        assert (len(cache), stats.evictions, stats.peak_entries) == (3, 3, 3)
+        assert cache.peek(2) is None and cache.peek(3) is not None
+        # Key 0's marker was evicted: its next store is a first one again.
+        cache.store(0, _FakeBatch(1), {"Part"})
+        assert cache.get(0) is None
+
+    def test_engine_keeps_from_the_second_execution(self, q1_tree, tiny_db):
+        spec = SqlGenerator(q1_tree, tiny_db.schema).streams_for_partition(
+            unified_partition(q1_tree))[0]
+        engine = QueryEngine(tiny_db, CostModel())
+        reference = QueryEngine(tiny_db, CostModel(), engine="tuple").execute(
+            spec.plan)
+        cache = engine.node_cache
+        seen = []
+        for _ in range(3):
+            assert_identical(engine.execute(spec.plan), reference)
+            seen.append(cache.stats())
+        first, second, third = seen
+        assert first.hits == 0 and first.stores == first.misses > 0
+        assert first.current_bytes == 0         # markers only
+        assert second.hits == 0 and second.current_bytes > 0
+        assert second.entries == first.entries  # kept where it was seen
+        assert third.hits - second.hits == first.misses   # every lookup
+        assert third.stores == second.stores
+        kept = [value for _, (value, _) in cache.items()]
+        assert all(value is not None for value in kept)
+
+
+class TestCostOnlyEntries:
+    """A :class:`PlanCostCache` entry replays the charge log and keeps the
+    row count and the transfer sums, not the rows."""
+
+    @pytest.fixture()
+    def specs(self, q1_tree, tiny_db):
+        return SqlGenerator(q1_tree, tiny_db.schema).streams_for_partition(
+            fully_partitioned(q1_tree))
+
+    def test_row_count_answers_len_and_refuses_iteration(self):
+        rows = RowCount(3)
+        assert len(rows) == 3 and not RowCount(0)
+        with pytest.raises(ExecutionError, match="not kept"):
+            iter(rows)
+        with pytest.raises(ExecutionError):
+            list(rows)
+
+    def test_store_drops_the_rows_of_a_complete_entry(self):
+        cache = PlanCostCache()
+        log = (("scan", 1.0, 1), ("sort", 2.0, 0))
+        complete = CacheEntry(rows=[(1,), (2,)], charge_log=log,
+                              complete=True, nbytes=10_000)
+        timed_out = CacheEntry(rows=None, charge_log=log, complete=False,
+                               nbytes=128)
+        cache.store("done", complete)
+        cache.store("late", timed_out)
+        assert isinstance(complete.rows, RowCount) and len(complete.rows) == 2
+        assert complete.charge_log == log
+        assert timed_out.rows is None
+        assert cache.stats().current_bytes == (128 + 64 * 2) + 128
+
+    def test_replay_is_identical_but_for_the_rows(self, specs, tiny_db):
+        plain = QueryEngine(tiny_db, CostModel())
+        costed = QueryEngine(tiny_db, CostModel(), cache=PlanCostCache())
+        for spec in specs:
+            reference = plain.execute(spec.plan)
+            assert_identical(costed.execute(spec.plan), reference)
+            replayed = costed.execute(spec.plan)
+            assert isinstance(replayed.rows, RowCount)
+            assert replayed.row_count == reference.row_count
+            replayed.rows = reference.rows
+            assert_identical(replayed, reference)
+
+    def test_stream_has_timings_and_length_not_rows(self, specs, tiny_db):
+        connection = Connection(tiny_db, CostModel(), cache=PlanCostCache())
+        spec = specs[0]
+        cold = connection.execute(spec.plan, compact_rows=spec.compact)
+        replayed = connection.execute(spec.plan, compact_rows=spec.compact)
+        assert list(cold) and len(replayed) == len(cold) == replayed.rows_read
+        assert (replayed.server_ms, replayed.transfer_ms) == (
+            cold.server_ms, cold.transfer_ms)
+        assert f"{len(cold)} rows" in repr(replayed)
+        with pytest.raises(ExecutionError, match="not kept"):
+            list(replayed)
+        # The cursor path finds the same entry and says the same.
+        with pytest.raises(ExecutionError, match="not kept"):
+            list(connection.execute_iter(spec.plan))
+
+    def test_unrecorded_transfer_sum_is_re_evaluated(self, specs, tiny_db):
+        """Connections with different transfer models (replicas) and row
+        formats share one cost-only cache: whichever stored the entry,
+        each reports what a cache-less connection with its model does."""
+        models = [TransferModel(), TransferModel(row_ms=1.0, byte_ms=0.02)]
+        cache = PlanCostCache()
+        shared = [Connection(tiny_db, CostModel(), model, cache=cache)
+                  for model in models]
+        for i, spec in enumerate(specs):
+            order = shared[::-1] if i % 2 else shared
+            for compact in (spec.compact, not spec.compact):
+                for connection in order + order:
+                    want = Connection(
+                        tiny_db, CostModel(), connection.transfer_model,
+                    ).execute(spec.plan, compact_rows=compact)
+                    got = connection.execute(spec.plan, compact_rows=compact)
+                    assert (got.server_ms, got.transfer_ms, len(got)) == (
+                        want.server_ms, want.transfer_ms, len(want))
+        assert cache.stats().stores == len(cache) == len(specs)
+        for _, entry in cache.items():
+            assert len(entry.transfer_sums) == 4
