@@ -7,8 +7,9 @@ query; costs come from the RDBMS oracle via
 
     cost(q, a, b) = a * evaluation_cost(q) + b * data_size(q)
 
-plus the per-query startup overhead (combining two queries saves one
-round-trip, which is part of what makes an edge attractive).  The cheapest
+plus the per-query startup overhead (the oracle's ``query_cost``:
+combining two queries saves one round-trip, which is part of what makes an
+edge attractive).  The cheapest
 edge is added as **mandatory** if its relative cost is below ``t1``, as
 **optional** if below ``t2``; in both cases the components merge and the
 process repeats until no edge qualifies.
@@ -98,7 +99,7 @@ class GreedyPlanner:
         self.generator = SqlGenerator(
             tree, schema, style=style, reduce=reduce, keep=keep
         )
-        #: component -> the oracle's ``(evaluation_cost, data_size)``.
+        #: component -> the oracle's ``(query_cost, data_size)``.
         self._component_cost = {}
         self.oracle_requests = 0
         self.oracle_cache_hits = 0
@@ -166,14 +167,9 @@ class GreedyPlanner:
         else:
             self.oracle_requests += 1
             plan = self._component_plan(component, tracer)
-            evaluation = (
-                self.estimator.evaluation_cost(plan)
-                + self.estimator.cost_model.scaled(
-                    self.estimator.cost_model.startup_ms
-                )
-            )
             answers = self._component_cost[component] = (
-                evaluation, self.estimator.data_size(plan),
+                self.estimator.query_cost(plan),
+                self.estimator.data_size(plan),
             )
         evaluation, data_size = answers
         return params.a * evaluation + params.b * data_size

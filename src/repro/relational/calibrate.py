@@ -10,21 +10,9 @@ charge breakdown to the measured walls.
 
 The fit is per *charge group*, not per raw constant — several constants
 always appear together in a plan's breakdown (hash build, probe, and join
-output rows, for instance), so they are scaled jointly:
-
-===========  =====================================================
-group        cost-model constants scaled by the fitted factor
-===========  =====================================================
-startup      ``startup_ms``
-scan         ``scan_row_ms``
-filter       ``filter_row_ms``
-project      ``project_row_ms``
-hash         ``hash_row_ms``, ``probe_row_ms``, ``join_out_row_ms``
-union        ``union_row_ms``
-sort         ``sort_cmp_ms``
-rescan       ``rescan_row_ms``
-reevaluation ``reevaluation_factor``
-===========  =====================================================
+output rows, for instance), so they are scaled jointly.
+:data:`CHARGE_TAXONOMY` is the one table of which breakdown labels fold
+into which group and which constants its fitted factor scales.
 
 Solving uses plain normal equations with a small ridge pulling every
 scale toward 1.0 (the identity), so a group the sweep never exercises
@@ -47,38 +35,30 @@ from repro.common.errors import QueryError
 from repro.relational.backends import SqliteBackend, cross_validate
 from repro.relational.engine import CostModel
 
+#: Charge group → (the engine breakdown labels folded into it, the
+#: cost-model constants its fitted factor scales), in solve order.  A
+#: constant no group scales (``speed``, the sort-memory and spill shape,
+#: the re-evaluation threshold) is structural and survives a fit as set.
+CHARGE_TAXONOMY = {
+    "startup": (("startup",), ("startup_ms",)),
+    "scan": (("scan",), ("scan_row_ms",)),
+    "filter": (("filter",), ("filter_row_ms",)),
+    "project": (("project",), ("project_row_ms",)),
+    "hash": (("distinct", "join", "outer_join"),
+             ("hash_row_ms", "probe_row_ms", "join_out_row_ms")),
+    "union": (("union",), ("union_row_ms",)),
+    "sort": (("sort",), ("sort_cmp_ms",)),
+    "rescan": (("rescan",), ("rescan_row_ms",)),
+    "reevaluation": (("outer_join_reevaluation",), ("reevaluation_factor",)),
+}
+
 #: Fitted charge groups, in solve order.
-CALIBRATION_GROUPS = (
-    "startup", "scan", "filter", "project", "hash", "union", "sort",
-    "rescan", "reevaluation",
-)
+CALIBRATION_GROUPS = tuple(CHARGE_TAXONOMY)
 
 #: Engine breakdown label → charge group.
 _LABEL_GROUP = {
-    "startup": "startup",
-    "scan": "scan",
-    "filter": "filter",
-    "project": "project",
-    "distinct": "hash",
-    "join": "hash",
-    "outer_join": "hash",
-    "union": "union",
-    "sort": "sort",
-    "rescan": "rescan",
-    "outer_join_reevaluation": "reevaluation",
-}
-
-#: Charge group → cost-model constants it scales.
-_GROUP_CONSTANTS = {
-    "startup": ("startup_ms",),
-    "scan": ("scan_row_ms",),
-    "filter": ("filter_row_ms",),
-    "project": ("project_row_ms",),
-    "hash": ("hash_row_ms", "probe_row_ms", "join_out_row_ms"),
-    "union": ("union_row_ms",),
-    "sort": ("sort_cmp_ms",),
-    "rescan": ("rescan_row_ms",),
-    "reevaluation": ("reevaluation_factor",),
+    label: group
+    for group, (labels, _) in CHARGE_TAXONOMY.items() for label in labels
 }
 
 
@@ -241,12 +221,9 @@ def apply_scales(cost_model, scales, backend_name="sqlite"):
     values = {
         f.name: getattr(cost_model, f.name) for f in fields(CostModel)
     }
-    for group, constants in _GROUP_CONSTANTS.items():
-        scale = scales.get(group)
-        if scale is None:
-            continue
+    for group, (_, constants) in CHARGE_TAXONOMY.items():
         for constant in constants:
-            values[constant] = values[constant] * scale
+            values[constant] *= scales.get(group, 1.0)
     return CalibratedCostModel(
         calibrated_on=backend_name,
         calibration_scales=tuple(
@@ -318,6 +295,7 @@ def plan_agreement(predicted_costs, measured_walls):
 
 __all__ = [
     "CALIBRATION_GROUPS",
+    "CHARGE_TAXONOMY",
     "CalibratedCostModel",
     "CalibrationObservation",
     "CalibrationResult",

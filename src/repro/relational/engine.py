@@ -56,12 +56,18 @@ from repro.relational.algebra import (
 
 @dataclass(frozen=True)
 class CostModel:
-    """Coefficients of the simulated server, in milliseconds.
+    """Coefficients of the simulated server, in milliseconds, and the one
+    statement of every charge formula over them.
 
     ``speed`` scales every charge: Config A's 350 MHz server uses a larger
     value than Config B's 566 MHz one.  The remaining knobs correspond to
     the mechanisms listed in the module docstring; the ablation benchmark
     switches them off one at a time.
+
+    Each ``*_ms`` method is one operator's unscaled charge as a pure
+    function of counts: the batch kernels and the ``_stream_*`` reference
+    call it with what they counted, the estimator with what it guessed,
+    and no coefficient is read outside this class.
     """
 
     speed: float = 1.0
@@ -88,12 +94,61 @@ class CostModel:
     def scaled(self, ms):
         return ms * self.speed
 
+    def scan_ms(self, n):
+        """Reading ``n`` rows of a base table."""
+        return n * self.scan_row_ms
+
+    def filter_ms(self, n):
+        """Testing a predicate on ``n`` input rows."""
+        return n * self.filter_row_ms
+
+    def project_ms(self, n):
+        """Projecting ``n`` rows."""
+        return n * self.project_row_ms
+
+    def distinct_ms(self, n):
+        """Hashing ``n`` input rows for duplicate elimination."""
+        return n * self.hash_row_ms
+
+    def union_ms(self, n_out):
+        """Assembling the ``n_out`` rows an outer union emits."""
+        return n_out * self.union_row_ms
+
+    def rescan_ms(self, n):
+        """Re-reading the ``n`` rows of a sub-plan shared within a query."""
+        return n * self.rescan_row_ms
+
+    def join_ms(self, n_build, n_probes, n_out):
+        """A hash join: ``n_build`` rows indexed, ``n_probes`` lookups,
+        ``n_out`` rows emitted.  An inner join indexes its right rows and
+        probes once per left row; an outer join indexes a right row per
+        branch accepting it and probes every branch per left row."""
+        return (
+            n_build * self.hash_row_ms
+            + n_probes * self.probe_row_ms
+            + n_out * self.join_out_row_ms
+        )
+
+    def reevaluates(self, right_plan):
+        """Whether an outer join over the derived table ``right_plan`` pays
+        :meth:`reevaluation_ms`: it nests outer joins
+        ``reevaluation_threshold`` deep.  Plan-structural."""
+        depth = algebra.outer_join_nesting(right_plan)
+        return depth >= self.reevaluation_threshold
+
+    def reevaluation_ms(self, n_left, right_ms):
+        """Re-evaluating the derived table for every left row but the
+        first.  ``right_ms`` is what the right side cost *as charged*, so
+        already scaled; a charge is scaled again, so the speed goes out."""
+        penalty = max(n_left - 1, 0) * right_ms * self.reevaluation_factor
+        if self.speed:
+            penalty /= self.speed
+        return penalty
+
     def sort_ms(self, n, row_bytes):
-        """Unscaled cost of sorting ``n`` rows averaging ``row_bytes``:
-        ``n log2(n+1)`` comparisons weighted by row width, times the spill
-        penalty once the input outgrows ``sort_memory_bytes``.  The one
-        statement of the formula, shared by both engines and the
-        estimator."""
+        """Sorting ``n`` rows averaging ``row_bytes``: ``n log2(n+1)``
+        comparisons weighted by row width, times the spill penalty once
+        the input outgrows ``sort_memory_bytes``."""
         cost = n * math.log2(n + 1) * self.sort_cmp_ms * (
             1.0 + row_bytes / self.sort_width_norm
         )
@@ -104,15 +159,12 @@ class CostModel:
         return cost
 
     def without(self, knob):
-        """A copy with one mechanism disabled — for ablation benches."""
-        neutral = {
-            "startup_ms": 0.0,
-            "spill_factor": 1.0,
-            "reevaluation_factor": 0.0,
-        }
-        if knob not in neutral:
+        """A copy with one mechanism disabled — for ablation benches.
+        Each of the three enters its formula as a term or a factor of one
+        (``1.0 + spill_factor * overflow``), so zero is neutral for all."""
+        if knob not in ("startup_ms", "spill_factor", "reevaluation_factor"):
             raise ValueError(f"unknown ablation knob {knob!r}")
-        return replace(self, **{knob: neutral[knob]})
+        return replace(self, **{knob: 0.0})
 
 
 #: Cost model for the paper's Configuration A (1 MB database, AMD K6-2
@@ -573,8 +625,9 @@ class QueryEngine:
     #
     # The one row interpreter, what a ``"tuple"`` engine runs: ``execute`` drains
     # it into a list, ``execute_iter`` hands it out lazily.  Each operator is a
-    # generator applying the *same* cost-model formulas as its batch kernel
-    # in :mod:`~repro.relational.vector_ops`, charged when its stream
+    # generator that counts its own rows and charges the :class:`CostModel`
+    # method its batch kernel in :mod:`~repro.relational.vector_ops` calls —
+    # the formula is that method, neither copy states one — when its stream
     # completes (the generator chain unwinds bottom-up, so a pipelined
     # scan→filter→project charges in the batch order).  Sub-plans occurring
     # more than once in the query (``shared``) are drained into the
@@ -595,7 +648,7 @@ class QueryEngine:
         if key in charges.memo:
             rows = charges.memo[key]
             charges.charge(
-                "rescan", len(rows) * self.cost_model.rescan_row_ms, len(rows)
+                "rescan", self.cost_model.rescan_ms(len(rows)), len(rows)
             )
             return iter(rows)
         if key in shared:
@@ -627,7 +680,7 @@ class QueryEngine:
 
     def _stream_scan(self, op, charges, shared):
         rows = self.database.table(op.table_schema.name).rows
-        charges.charge("scan", len(rows) * self.cost_model.scan_row_ms, len(rows))
+        charges.charge("scan", self.cost_model.scan_ms(len(rows)), len(rows))
         yield from rows
 
     def _stream_filter(self, op, charges, shared):
@@ -637,7 +690,7 @@ class QueryEngine:
             n += 1
             if predicate(row):
                 yield row
-        charges.charge("filter", n * self.cost_model.filter_row_ms, n)
+        charges.charge("filter", self.cost_model.filter_ms(n), n)
 
     def _stream_project(self, op, charges, shared):
         positions = op.child.positions()
@@ -653,7 +706,7 @@ class QueryEngine:
         for row in self._stream(op.child, charges, shared):
             n += 1
             yield tuple(row[p] if is_col else p for is_col, p in plan)
-        charges.charge("project", n * self.cost_model.project_row_ms, n)
+        charges.charge("project", self.cost_model.project_ms(n), n)
 
     def _stream_distinct(self, op, charges, shared):
         seen = set()
@@ -663,7 +716,7 @@ class QueryEngine:
             if row not in seen:
                 seen.add(row)
                 yield row
-        charges.charge("distinct", n * self.cost_model.hash_row_ms, n)
+        charges.charge("distinct", self.cost_model.distinct_ms(n), n)
 
     def _stream_inner_join(self, op, charges, shared):
         # The probe (left) side is consumed *first and materialized*: the
@@ -700,12 +753,9 @@ class QueryEngine:
             for match in lookup(key, ()):
                 n_out += 1
                 yield row + match
-        model = self.cost_model
         charges.charge(
             "join",
-            n_right * model.hash_row_ms
-            + len(left_rows) * model.probe_row_ms
-            + n_out * model.join_out_row_ms,
+            self.cost_model.join_ms(n_right, len(left_rows), n_out),
             len(left_rows) + n_right,
         )
 
@@ -772,17 +822,16 @@ class QueryEngine:
         model = self.cost_model
         charges.charge(
             "outer_join",
-            build_work * model.hash_row_ms
-            + len(left_rows) * len(op.branches) * model.probe_row_ms
-            + n_out * model.join_out_row_ms,
+            model.join_ms(
+                build_work, len(left_rows) * len(op.branches), n_out
+            ),
             len(left_rows) + n_right,
         )
-        if algebra.outer_join_nesting(op.right) >= model.reevaluation_threshold:
-            reevaluations = max(len(left_rows) - 1, 0)
-            penalty = reevaluations * right_cost_ms * model.reevaluation_factor
-            if model.speed:
-                penalty /= model.speed
-            charges.charge("outer_join_reevaluation", penalty)
+        if model.reevaluates(op.right):
+            charges.charge(
+                "outer_join_reevaluation",
+                model.reevaluation_ms(len(left_rows), right_cost_ms),
+            )
 
     def _stream_union(self, op, charges, shared):
         out_columns = op.column_names()
@@ -800,7 +849,7 @@ class QueryEngine:
                     seen.add(out)
                 n_out += 1
                 yield out
-        charges.charge("union", n_out * self.cost_model.union_row_ms, n_out)
+        charges.charge("union", self.cost_model.union_ms(n_out), n_out)
 
     def _stream_sort(self, op, charges, shared):
         rows = list(self._stream(op.child, charges, shared))

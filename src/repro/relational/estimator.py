@@ -4,8 +4,11 @@ Sec. 5 of the paper: *"The only reliable source of query costs is the target
 RDBMs ... The RDBMs serves as an oracle, providing the values for the
 functions evaluation_cost and cardinality."*  This module plays that oracle:
 it walks an algebra plan and predicts cardinality, average row width, and
-evaluation cost using the same formulas as the executing engine, but fed by
-table statistics instead of actual rows.
+evaluation cost by calling the same
+:class:`~repro.relational.engine.CostModel` methods as the executing
+engine, with counts guessed from table statistics instead of counted —
+except that a sub-plan shared within a query is charged in full at every
+occurrence, where the engines charge it once plus ``rescan``.
 
 Estimates are cached by structural plan fingerprint; the cache also counts
 *oracle requests*, reproducing the paper's observation (Sec. 5.1) that the
@@ -16,7 +19,6 @@ because combined queries recur.
 from dataclasses import dataclass
 
 from repro.common.errors import QueryError
-from repro.relational import algebra
 from repro.relational.cache import BoundedCache
 from repro.relational.algebra import (
     Scan,
@@ -45,11 +47,9 @@ class Estimate:
     server_ms: float
     distincts: dict
 
-    def distinct(self, column, default=None):
+    def distinct(self, column):
         value = self.distincts.get(column)
-        if value is None:
-            return default if default is not None else max(self.cardinality, 1.0)
-        return value
+        return max(self.cardinality, 1.0) if value is None else value
 
 
 #: Greedy-planning the paper's two queries in every generator variant
@@ -116,9 +116,16 @@ class CostEstimator:
         """Estimated number of result rows."""
         return self.estimate(plan).cardinality
 
+    def query_cost(self, plan):
+        """:meth:`evaluation_cost` plus the startup the engine charges
+        every submitted query: the estimated ``server_ms`` of ``plan``."""
+        model = self.cost_model
+        return self.evaluation_cost(plan) + model.scaled(model.startup_ms)
+
     def data_size(self, plan):
         """The paper's ``data_size = f(|attrs(q)| * cardinality(q))``, with
-        ``f`` = identity scaled by the average attribute width."""
+        ``f`` the identity: attribute values, not bytes (the greedy
+        thresholds are tuned against this number)."""
         est = self.estimate(plan)
         n_attrs = len(plan.columns())
         return n_attrs * est.cardinality
@@ -131,23 +138,11 @@ class CostEstimator:
     # -- estimation walk ----------------------------------------------------
 
     def _estimate(self, op):
-        if isinstance(op, Scan):
-            return self._estimate_scan(op)
-        if isinstance(op, Filter):
-            return self._estimate_filter(op)
-        if isinstance(op, Project):
-            return self._estimate_project(op)
-        if isinstance(op, Distinct):
-            return self._estimate_distinct(op)
-        if isinstance(op, InnerJoin):
-            return self._estimate_inner_join(op)
-        if isinstance(op, LeftOuterJoin):
-            return self._estimate_outer_join(op)
-        if isinstance(op, OuterUnion):
-            return self._estimate_union(op)
-        if isinstance(op, Sort):
-            return self._estimate_sort(op)
-        raise QueryError(f"cannot estimate operator {op!r}")
+        try:
+            estimate = self._ESTIMATES[type(op)]
+        except KeyError:
+            raise QueryError(f"cannot estimate operator {op!r}") from None
+        return estimate(self, op)
 
     def _estimate_scan(self, op):
         stats = self.database.stats(op.table_schema.name)
@@ -162,7 +157,7 @@ class CostEstimator:
         return Estimate(
             cardinality=card,
             row_width=width,
-            server_ms=model.scaled(card * model.scan_row_ms),
+            server_ms=model.scaled(model.scan_ms(card)),
             distincts=distincts,
         )
 
@@ -175,7 +170,7 @@ class CostEstimator:
             cardinality=card,
             row_width=child.row_width,
             server_ms=child.server_ms
-            + model.scaled(child.cardinality * model.filter_row_ms),
+            + model.scaled(model.filter_ms(child.cardinality)),
             distincts=_cap_distincts(child.distincts, card),
         )
 
@@ -211,14 +206,15 @@ class CostEstimator:
 
     def _estimate_project(self, op):
         child = self.estimate(op.child)
+        # Column widths ride along via the child estimate's average row width;
+        # apportion it equally across columns as a simple, stable heuristic.
+        column_width = child.row_width / max(len(op.child.columns()), 1)
         distincts = {}
         width = 0.0
         for item in op.items:
             if isinstance(item.expr, ColumnRef):
                 distincts[item.name] = child.distinct(item.expr.name)
-                width += _column_width_estimate(
-                    op, item.name, child, item.expr.name
-                )
+                width += column_width
             else:
                 distincts[item.name] = 1.0
                 width += 4.0
@@ -227,7 +223,7 @@ class CostEstimator:
             cardinality=child.cardinality,
             row_width=width,
             server_ms=child.server_ms
-            + model.scaled(child.cardinality * model.project_row_ms),
+            + model.scaled(model.project_ms(child.cardinality)),
             distincts=distincts,
         )
 
@@ -241,7 +237,7 @@ class CostEstimator:
             cardinality=child.cardinality,
             row_width=child.row_width,
             server_ms=child.server_ms
-            + model.scaled(child.cardinality * model.hash_row_ms),
+            + model.scaled(model.distinct_ms(child.cardinality)),
             distincts=dict(child.distincts),
         )
 
@@ -259,9 +255,7 @@ class CostEstimator:
         card = left.cardinality * right.cardinality * selectivity
         model = self.cost_model
         cost = left.server_ms + right.server_ms + model.scaled(
-            right.cardinality * model.hash_row_ms
-            + left.cardinality * model.probe_row_ms
-            + card * model.join_out_row_ms
+            model.join_ms(right.cardinality, left.cardinality, card)
         )
         distincts = _cap_distincts({**left.distincts, **right.distincts}, card)
         return Estimate(card, left.row_width + right.row_width, cost, distincts)
@@ -279,18 +273,18 @@ class CostEstimator:
         card = max(left.cardinality, matched)
         model = self.cost_model
         cost = left.server_ms + right.server_ms + model.scaled(
-            right.cardinality * model.hash_row_ms
-            + left.cardinality * len(op.branches) * model.probe_row_ms
-            + card * model.join_out_row_ms
+            model.join_ms(
+                right.cardinality, left.cardinality * len(op.branches), card
+            )
         )
-        if algebra.outer_join_nesting(op.right) >= model.reevaluation_threshold:
-            # Mirror the engine's derived-table re-evaluation penalty so
-            # the greedy planner's oracle predicts (and avoids) the same
-            # blowups the engine would produce.
-            cost += (
-                max(left.cardinality - 1.0, 0.0)
-                * right.server_ms
-                * model.reevaluation_factor
+        if model.reevaluates(op.right):
+            # So the greedy planner's oracle predicts (and avoids) the
+            # blowups the engine would produce.  ``right.server_ms`` is
+            # scaled, as the engines' running-total delta is, so this is
+            # ``(x / speed) * speed``: ``x`` exactly at the committed speeds
+            # (4.0, 1.0), within an ulp at one that is no power of two.
+            cost += model.scaled(
+                model.reevaluation_ms(left.cardinality, right.server_ms)
             )
         distincts = _cap_distincts({**left.distincts, **right.distincts}, card)
         return Estimate(card, left.row_width + right.row_width, cost, distincts)
@@ -310,9 +304,8 @@ class CostEstimator:
             for name, d in child.distincts.items():
                 distincts[name] = distincts.get(name, 0.0) + d
         model = self.cost_model
-        cost = sum(c.server_ms for c in children) + model.scaled(
-            card * model.union_row_ms
-        )
+        cost = sum(c.server_ms for c in children)
+        cost += model.scaled(model.union_ms(card))
         return Estimate(card, width, cost, _cap_distincts(distincts, card))
 
     def _estimate_sort(self, op):
@@ -327,14 +320,14 @@ class CostEstimator:
             distincts=dict(child.distincts),
         )
 
+    _ESTIMATES = {
+        Scan: _estimate_scan, Filter: _estimate_filter,
+        Project: _estimate_project, Distinct: _estimate_distinct,
+        InnerJoin: _estimate_inner_join, LeftOuterJoin: _estimate_outer_join,
+        OuterUnion: _estimate_union, Sort: _estimate_sort,
+    }
+
 
 def _cap_distincts(distincts, cardinality):
     cap = max(cardinality, 1.0)
     return {name: min(d, cap) for name, d in distincts.items()}
-
-
-def _column_width_estimate(op, out_name, child_estimate, in_name):
-    # Column widths ride along via the child estimate's average row width;
-    # apportion it equally across columns as a simple, stable heuristic.
-    n = max(len(op.child.columns()), 1)
-    return child_estimate.row_width / n

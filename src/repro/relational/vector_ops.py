@@ -13,15 +13,17 @@ The batch engine is the *identical twin* of the engine's Volcano
 interpreter (the ``_stream_*`` generators behind ``engine="tuple"``), not
 an approximation.  These two are the only implementations of the operator
 set.  Every kernel performs the same logical work in the same order and
-applies the same cost-model formula to the same counts, so the charge log
-— every ``(label, ms, rows)`` triple, in order — is bit-identical to the
-interpreter's.  The load-bearing details:
+hands the same counts to the same
+:class:`~repro.relational.engine.CostModel` method — the formula is that
+method, stated nowhere else — so the charge log — every ``(label, ms,
+rows)`` triple, in order — is bit-identical to the interpreter's.  The
+load-bearing details:
 
 * sub-plan sharing: each compiled node whose fingerprint recurs in the
   plan checks the per-execution memo and charges the same ``rescan`` cost
   on hits, in the same recursion order (left before right);
-* the outer-join re-evaluation penalty is a *running-total delta* around
-  the right side's evaluation, reproduced with the same float arithmetic;
+* the outer-join re-evaluation penalty is charged on a *running-total
+  delta* around the right side's evaluation, snapshot at the same points;
 * union charges count rows after duplicate elimination, distinct uses
   first-occurrence order (``dict.fromkeys``), and sorts reproduce the
   ``NULLS FIRST`` relation of :class:`~repro.common.ordering.NoneFirst`
@@ -34,7 +36,7 @@ interpreter's.  The load-bearing details:
 
 from operator import itemgetter
 
-from repro.common.errors import ExecutionError
+from repro.common.errors import ExecutionError, QueryError
 from repro.relational import algebra
 from repro.relational.algebra import (
     Scan,
@@ -50,7 +52,6 @@ from repro.relational.algebra import (
 )
 from repro.relational.batch import Batch
 from repro.relational.dependencies import plan_tables
-from repro.common.errors import QueryError
 
 
 def _key_plan(positions):
@@ -123,8 +124,8 @@ def _shared_fingerprints(plan):
 
 def compile_plan(plan, engine):
     """Lower ``plan`` into its kernel, ``run(charges) -> Batch``, bound to
-    ``engine``'s database and cost model (both fixed for the engine's
-    lifetime)."""
+    ``engine``'s database and cost model (fixed for the engine's lifetime;
+    a run prices its charges on ``charges.model``, the same object)."""
     return _PlanCompiler(engine, _shared_fingerprints(plan)).compile(plan)
 
 
@@ -132,7 +133,9 @@ class _PlanCompiler:
     """Per-engine lowering context.
 
     Kernels split into two halves.  The *charge* half — child evaluation
-    order, memo checks, cost-model formulas, running-total deltas — always
+    order, memo checks, running-total deltas, and one call per operator
+    of the ``charges.model`` method that is its formula (the execution's
+    :class:`~repro.relational.engine.CostModel`) — always
     runs live, so the simulated clock and charge log are bit-identical to
     the tuple engine's on every execution.  The *data* half — the actual
     row work — is deterministic given the sub-plan fingerprint and the
@@ -153,7 +156,6 @@ class _PlanCompiler:
 
     def __init__(self, engine, shared):
         self.engine = engine
-        self.model = engine.cost_model
         #: Fingerprints occurring more than once in the plan being compiled.
         self.shared = shared
 
@@ -168,15 +170,13 @@ class _PlanCompiler:
         fingerprint = op.fingerprint()
         if fingerprint not in self.shared:
             return fresh
-        rescan_row_ms = self.model.rescan_row_ms
 
-        def run(charges, _fp=fingerprint, _fresh=fresh,
-                _rescan=rescan_row_ms):
+        def run(charges, _fp=fingerprint, _fresh=fresh):
             memo = charges.memo
             batch = memo.get(_fp)
             if batch is not None:
                 n = batch.length
-                charges.charge("rescan", n * _rescan, n)
+                charges.charge("rescan", charges.model.rescan_ms(n), n)
                 return batch
             batch = _fresh(charges)
             memo[_fp] = batch
@@ -199,7 +199,6 @@ class _PlanCompiler:
         database = self.engine.database
         table_name = op.table_schema.name
         arity = len(op.columns())
-        scan_row_ms = self.model.scan_row_ms
 
         def fresh(charges):
             batch = charges.cached(fp)
@@ -208,7 +207,7 @@ class _PlanCompiler:
                 batch = Batch.from_rows(rows, arity)
                 charges.keep(fp, batch, tables)
             n = batch.length
-            charges.charge("scan", n * scan_row_ms, n)
+            charges.charge("scan", charges.model.scan_ms(n), n)
             return batch
 
         return fresh
@@ -217,7 +216,6 @@ class _PlanCompiler:
         child = self.compile(op.child)
         kernel = compile_filter_kernel(op.predicate, op.child.positions())
         arity = len(op.columns())
-        filter_row_ms = self.model.filter_row_ms
 
         def fresh(charges):
             batch = child(charges)
@@ -226,7 +224,7 @@ class _PlanCompiler:
             if result is None:
                 result = Batch.from_rows(kernel(batch.rows()), arity)
                 charges.keep(fp, result, tables)
-            charges.charge("filter", n * filter_row_ms, n)
+            charges.charge("filter", charges.model.filter_ms(n), n)
             return result
 
         return fresh
@@ -242,7 +240,6 @@ class _PlanCompiler:
                 plan.append((False, item.expr.value))
             else:
                 raise ExecutionError(f"unsupported projection {item.expr!r}")
-        project_row_ms = self.model.project_row_ms
 
         def fresh(charges):
             batch = child(charges)
@@ -257,7 +254,7 @@ class _PlanCompiler:
                 ]
                 result = Batch.from_columns(columns, n)
                 charges.keep(fp, result, tables)
-            charges.charge("project", n * project_row_ms, n)
+            charges.charge("project", charges.model.project_ms(n), n)
             return result
 
         return fresh
@@ -265,7 +262,6 @@ class _PlanCompiler:
     def _distinct(self, op, fp, tables):
         child = self.compile(op.child)
         arity = len(op.columns())
-        hash_row_ms = self.model.hash_row_ms
 
         def fresh(charges):
             batch = child(charges)
@@ -278,7 +274,7 @@ class _PlanCompiler:
                 out = list(dict.fromkeys(batch.rows()))
                 result = Batch.from_rows(out, arity)
                 charges.keep(fp, result, tables)
-            charges.charge("distinct", n * hash_row_ms, n)
+            charges.charge("distinct", charges.model.distinct_ms(n), n)
             return result
 
         return fresh
@@ -295,10 +291,6 @@ class _PlanCompiler:
             [left_pos[l] for l, _ in op.equalities]
         )
         arity = len(op.columns())
-        model = self.model
-        hash_row_ms = model.hash_row_ms
-        probe_row_ms = model.probe_row_ms
-        join_out_row_ms = model.join_out_row_ms
 
         def fresh(charges):
             left_batch = left(charges)
@@ -331,9 +323,7 @@ class _PlanCompiler:
                 charges.keep(fp, result, tables)
             charges.charge(
                 "join",
-                n_right * hash_row_ms
-                + n_left * probe_row_ms
-                + result.length * join_out_row_ms,
+                charges.model.join_ms(n_right, n_left, result.length),
                 n_left + n_right,
             )
             return result
@@ -363,17 +353,8 @@ class _PlanCompiler:
                  probe_get, probe_single)
             )
         # 'Optimizer stress' is plan-structural: resolved at compile time.
-        penalized = (
-            algebra.outer_join_nesting(op.right)
-            >= self.model.reevaluation_threshold
-        )
+        penalized = self.engine.cost_model.reevaluates(op.right)
         arity = len(op.columns())
-        model = self.model
-        hash_row_ms = model.hash_row_ms
-        probe_row_ms = model.probe_row_ms
-        join_out_row_ms = model.join_out_row_ms
-        reevaluation_factor = model.reevaluation_factor
-        speed = model.speed
         n_branches = len(op.branches)
 
         def fresh(charges):
@@ -426,21 +407,16 @@ class _PlanCompiler:
 
             charges.charge(
                 "outer_join",
-                build_work * hash_row_ms
-                + n_left * n_branches * probe_row_ms
-                + result.length * join_out_row_ms,
+                charges.model.join_ms(
+                    build_work, n_left * n_branches, result.length
+                ),
                 n_left + n_right,
             )
             if penalized:
-                # Already-scaled ms: divide the speed back out (see the
-                # tuple engine's twin charge).
-                reevaluations = max(n_left - 1, 0)
-                penalty = (
-                    reevaluations * right_cost_ms * reevaluation_factor
+                charges.charge(
+                    "outer_join_reevaluation",
+                    charges.model.reevaluation_ms(n_left, right_cost_ms),
                 )
-                if speed:
-                    penalty /= speed
-                charges.charge("outer_join_reevaluation", penalty)
             return result
 
         return fresh
@@ -456,7 +432,6 @@ class _PlanCompiler:
             slots = tuple(mapping.get(name) for name in out_columns)
             compiled_inputs.append((self.compile(child), slots))
         distinct = op.distinct
-        union_row_ms = self.model.union_row_ms
 
         def fresh(charges):
             # Children are always evaluated (in input order) so their
@@ -484,7 +459,7 @@ class _PlanCompiler:
                     out = Batch.from_rows(deduped, width)
                 charges.keep(fp, out, tables)
             n_out = out.length
-            charges.charge("union", n_out * union_row_ms, n_out)
+            charges.charge("union", charges.model.union_ms(n_out), n_out)
             return out
 
         return fresh
@@ -498,7 +473,6 @@ class _PlanCompiler:
         child_columns = op.child.columns()
         average_row_width = self.engine._average_row_width
         arity = len(op.columns())
-        sort_ms = self.model.sort_ms
 
         def fresh(charges):
             batch = child(charges)
@@ -524,7 +498,7 @@ class _PlanCompiler:
                 # Width sampling sees the *input-order* rows, as in the
                 # tuple engine.
                 row_bytes = average_row_width(child_columns, batch.rows())
-                charges.charge("sort", sort_ms(n, row_bytes), n)
+                charges.charge("sort", charges.model.sort_ms(n, row_bytes), n)
             return result
 
         return fresh

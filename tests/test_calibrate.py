@@ -6,7 +6,10 @@ from known per-group scales — so recovery can be asserted exactly;
 the end-to-end path runs a real (tiny) sweep on SQLite.
 """
 
+import dataclasses
+import inspect
 import math
+import re
 
 import pytest
 
@@ -15,8 +18,10 @@ from repro.core.partition import enumerate_partitions
 from repro.core.sqlgen import SqlGenerator
 from repro.relational.backends import SqliteBackend
 from repro.relational.cache import PlanResultCache
+from repro.relational import engine as engine_module, vector_ops
 from repro.relational.calibrate import (
     CALIBRATION_GROUPS,
+    CHARGE_TAXONOMY,
     CalibratedCostModel,
     CalibrationObservation,
     apply_scales,
@@ -49,6 +54,47 @@ def _synthetic_observations(true_scales, rows):
         )
         for i, row in enumerate(rows)
     ]
+
+
+class TestTaxonomy:
+    """``CHARGE_TAXONOMY`` is the one statement of which label folds into
+    which group and which constants a group scales: a new charge label
+    or coefficient cannot go silently uncalibrated."""
+
+    #: Shape, not price: no fit may scale these.
+    STRUCTURAL = {
+        "speed", "sort_width_norm", "sort_memory_bytes", "spill_factor",
+        "reevaluation_threshold",
+    }
+
+    def test_every_emitted_label_is_in_the_table(self):
+        emitted = set()
+        for module in (engine_module, vector_ops):
+            emitted |= set(re.findall(
+                r'charges\.charge\(\s*"(\w+)"', inspect.getsource(module)
+            ))
+        labels = [
+            label for labels, _ in CHARGE_TAXONOMY.values() for label in labels
+        ]
+        assert sorted(labels) == sorted(emitted)
+
+    def test_every_coefficient_is_scaled_once_or_structural(self):
+        scaled = [
+            constant
+            for _, constants in CHARGE_TAXONOMY.values()
+            for constant in constants
+        ]
+        assert len(scaled) == len(set(scaled))
+        assert not set(scaled) & self.STRUCTURAL
+        assert set(scaled) | self.STRUCTURAL == {
+            f.name for f in dataclasses.fields(CostModel)
+        }
+
+    def test_groups_are_the_table_in_solve_order(self):
+        assert CALIBRATION_GROUPS == tuple(CHARGE_TAXONOMY) == (
+            "startup", "scan", "filter", "project", "hash", "union", "sort",
+            "rescan", "reevaluation",
+        )
 
 
 class TestGroupFeatures:

@@ -200,6 +200,30 @@ class TestExperiments:
             path = entry.bench.split("::")[0]
             assert (root / path).exists(), path
 
+    def test_experiments_md_quotes_the_committed_results(self):
+        """EXPERIMENTS.md is typed by hand: every ``N.NNx`` factor and ms
+        figure of ``headline_claims.txt`` and of the one-line
+        ``ablation_*.txt`` results must appear in it, digit for digit
+        (it groups thousands and puts a space before ``ms``)."""
+        import pathlib
+        import re
+
+        root = pathlib.Path(__file__).parent.parent
+        results = root / "benchmarks" / "results"
+        quoted = re.sub(r"(?<=\d),(?=\d{3})", "",
+                        (root / "EXPERIMENTS.md").read_text())
+        quoted = re.sub(r"(?<=\d) ms\b", "ms", quoted)
+        files = [results / "headline_claims.txt"] + [
+            path for path in sorted(results.glob("ablation_*.txt"))
+            if len(path.read_text().splitlines()) == 1
+        ]
+        assert len(files) == 5
+        for path in files:
+            figures = re.findall(r"\d+\.\d\dx|\d+ms", path.read_text())
+            assert figures, path.name
+            for figure in figures:
+                assert figure in quoted, (path.name, figure)
+
 
 class TestVersion:
     def test_version_prints_package_version(self, capsys):

@@ -24,7 +24,12 @@ from repro.relational.algebra import (
     Sort,
 )
 from repro.relational.database import Database
-from repro.relational.engine import CostModel, QueryEngine
+from repro.relational.engine import (
+    CONFIG_A_COST_MODEL,
+    CostModel,
+    QueryEngine,
+)
+from repro.relational.estimator import CostEstimator
 from repro.relational.schema import Column, DatabaseSchema, TableSchema
 from repro.relational.types import SqlType, width_function
 
@@ -293,9 +298,115 @@ class TestSpill:
         assert spilled.breakdown["sort"] > fit.breakdown["sort"]
         assert spilled.rows == fit.rows
 
+    def test_without_spill_is_unlimited_sort_memory(self, db):
+        """The neutral ``spill_factor`` is 0.0 (the formula multiplies by
+        ``1.0 + spill_factor * overflow``): with it, a sort that overflows
+        its memory a thousandfold costs what one that fits costs."""
+        plan = Sort(emp(db), ["e.empno"])
+        tight = CostModel(sort_memory_bytes=10.0)
+        roomy = CostModel(sort_memory_bytes=1e12)
+        assert (
+            QueryEngine(db, tight).execute(plan).breakdown["sort"]
+            > QueryEngine(db, roomy).execute(plan).breakdown["sort"]
+        )
+        assert (
+            QueryEngine(db, tight.without("spill_factor"))
+            .execute(plan).breakdown["sort"]
+            == QueryEngine(db, roomy).execute(plan).breakdown["sort"]
+        )
+
     def test_without_unknown_knob(self):
         with pytest.raises(ValueError):
             CostModel().without("nonsense")
+
+
+def _doubling(method):
+    """A :class:`CostModel` class whose ``method`` charges twice the base
+    formula, everything else inherited."""
+    base = getattr(CostModel, method)
+    return type("Doubled", (CostModel,), {
+        method: lambda self, *counts: 2 * base(self, *counts),
+    })
+
+
+class TestOneDefinition:
+    """Each charge formula is stated once, on :class:`CostModel`: override
+    one method and both engines *and* the estimator move.  Three equal
+    copies would pass every identity test and fail this one."""
+
+    #: charge method -> the breakdown labels it prices.
+    METHODS = {
+        "scan_ms": {"scan"},
+        "filter_ms": {"filter"},
+        "project_ms": {"project"},
+        "distinct_ms": {"distinct"},
+        "join_ms": {"join", "outer_join"},
+        "reevaluation_ms": {"outer_join_reevaluation"},
+        "rescan_ms": {"rescan"},
+        "union_ms": {"union"},
+        "sort_ms": {"sort"},
+    }
+
+    @pytest.fixture(scope="class")
+    def plans(self, tiny_db, q1_tree):
+        """Q1's unified outer-join stream (non-reduced) carries every
+        label but ``filter``; a ``Filter∘Scan`` supplies that one."""
+        [spec] = SqlGenerator(q1_tree, tiny_db.schema).streams_for_partition(
+            unified_partition(q1_tree)
+        )
+        part = Scan(tiny_db.schema.table("Part"), "p")
+        selection = Filter(
+            part, Comparison(">", ColumnRef("p.partkey"), Literal(4))
+        )
+        return spec.plan, selection
+
+    @staticmethod
+    def _plan_for(plans, method):
+        stream, selection = plans
+        return selection if method == "filter_ms" else stream
+
+    def test_the_plans_carry_every_label(self, tiny_db, plans):
+        labels = set()
+        for plan in plans:
+            labels |= set(QueryEngine(tiny_db).execute(plan).breakdown)
+        assert labels == {"startup"}.union(*self.METHODS.values())
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("mode", ["batch", "tuple"])
+    def test_doubled_method_doubles_its_labels(
+        self, tiny_db, plans, method, mode
+    ):
+        doubled_labels = self.METHODS[method]
+        plan = self._plan_for(plans, method)
+        doubled_model = _doubling(method)(speed=CONFIG_A_COST_MODEL.speed)
+        base = QueryEngine(
+            tiny_db, CONFIG_A_COST_MODEL, engine=mode
+        ).execute(plan).breakdown
+        doubled = QueryEngine(
+            tiny_db, doubled_model, engine=mode
+        ).execute(plan).breakdown
+        assert list(doubled) == list(base)
+        for label, ms in base.items():
+            if label in doubled_labels:
+                assert doubled[label] == 2 * ms, label
+            elif label != "outer_join_reevaluation":
+                # (the penalty is a multiple of what the right side cost)
+                assert doubled[label] == ms, label
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_doubled_method_moves_the_estimate(self, tiny_db, plans, method):
+        plan = self._plan_for(plans, method)
+        base = CostEstimator(tiny_db, CONFIG_A_COST_MODEL)
+        doubled = CostEstimator(
+            tiny_db, _doubling(method)(speed=CONFIG_A_COST_MODEL.speed)
+        )
+        if method == "rescan_ms":
+            # The estimator charges a shared sub-plan in full at every
+            # occurrence, never ``rescan`` (see
+            # tests/test_estimator.py::TestOracleIsTheCostModel).
+            assert doubled.evaluation_cost(plan) == base.evaluation_cost(plan)
+        else:
+            assert doubled.evaluation_cost(plan) > base.evaluation_cost(plan)
 
 
 def emp_alias(db):

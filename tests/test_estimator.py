@@ -1,5 +1,7 @@
 """Tests for the cost/cardinality oracle (repro.relational.estimator)."""
 
+import hashlib
+
 import pytest
 
 from repro.relational.algebra import (
@@ -16,8 +18,17 @@ from repro.relational.algebra import (
     Scan,
     Sort,
 )
-from repro.relational.engine import CostModel, QueryEngine
+from repro.bench.queries import QUERY_1, QUERY_2, load_view
+from repro.core.greedy import GreedyPlanner
+from repro.core.sqlgen import PlanStyle
+from repro.relational.engine import (
+    CONFIG_A_COST_MODEL,
+    CONFIG_B_COST_MODEL,
+    CostModel,
+    QueryEngine,
+)
 from repro.relational.estimator import CostEstimator, EstimateCache
+from repro.tpch.configs import CONFIG_A, build_configuration
 
 
 @pytest.fixture
@@ -194,3 +205,104 @@ class TestOrderingAgreement:
         ]
         assert est_costs == sorted(est_costs)
         assert real_costs == sorted(real_costs)
+
+
+def _scan_with_names(db, table):
+    """``table`` scanned as ``t`` plus the names of its first two columns."""
+    base = scan(db, table, "t")
+    return base, [col.name for col in base.columns()[:2]]
+
+
+#: Plans whose input counts the oracle knows exactly (the table statistics).
+EXACT_SHAPES = {
+    "scan": lambda base, names: base,
+    "filter": lambda base, names: Filter(
+        base, Comparison(">", ColumnRef(names[0]), Literal(3))
+    ),
+    "project": lambda base, names: Project(
+        base, [ProjectItem(ColumnRef(name), name) for name in names]
+    ),
+    "distinct": lambda base, names: Distinct(Project(
+        base, [ProjectItem(ColumnRef(name), name) for name in names]
+    )),
+}
+
+
+class TestOracleIsTheCostModel:
+    """The oracle is the engine's :class:`CostModel` fed with guessed
+    counts: where the guesses are exact, so is the cost — to the bit."""
+
+    @pytest.mark.parametrize("shape", EXACT_SHAPES)
+    @pytest.mark.parametrize(
+        "model", [CONFIG_A_COST_MODEL, CONFIG_B_COST_MODEL], ids=["A", "B"]
+    )
+    @pytest.mark.parametrize("mode", ["batch", "tuple"])
+    def test_exact_counts_give_the_exact_cost(
+        self, tiny_db, shape, model, mode
+    ):
+        estimator = CostEstimator(tiny_db, model)
+        engine = QueryEngine(tiny_db, model, engine=mode)
+        for table in tiny_db.schema.tables:
+            plan = EXACT_SHAPES[shape](*_scan_with_names(tiny_db, table.name))
+            charged = 0.0
+            for label, ms in engine.execute(plan).breakdown.items():
+                if label != "startup":
+                    charged += ms
+            assert estimator.evaluation_cost(plan) == charged, table.name
+
+    @pytest.mark.parametrize("mode", ["batch", "tuple"])
+    def test_shared_sub_plan_is_estimated_in_full_twice(self, tiny_db, mode):
+        """The boundary of "the same cost model": both engines evaluate a
+        sub-plan occurring on both sides of a join once and re-read it at
+        ``rescan`` cost; the estimator charges it in full at each
+        occurrence and never charges ``rescan``.  Teaching it to share
+        moves greedy's plan family in 5 of the 8 (Q1, Q2) x style x reduce
+        cells on Config A, so it is ROADMAP item 4's to flip — with the
+        Fig. 18 comparison — not a refactor's."""
+        model = CostModel()
+        shared = scan(tiny_db, "Nation", "n")
+        left = Project(shared, [ProjectItem(ColumnRef("n.nationkey"), "lk")])
+        right = Project(shared, [ProjectItem(ColumnRef("n.nationkey"), "rk")])
+        plan = InnerJoin(left, right, [("lk", "rk")])
+        n = len(tiny_db.table("Nation"))
+
+        breakdown = QueryEngine(tiny_db, model, engine=mode).execute(
+            plan
+        ).breakdown
+        assert breakdown["scan"] == model.scan_ms(n)
+        assert breakdown["rescan"] == model.rescan_ms(n)
+
+        estimator = CostEstimator(tiny_db, model)
+        for side in (left, right):
+            assert estimator.evaluation_cost(side) == (
+                model.scan_ms(n) + model.project_ms(n)
+            )
+        assert estimator.cardinality(plan) == n
+        assert estimator.evaluation_cost(plan) == (
+            estimator.evaluation_cost(left) + estimator.evaluation_cost(right)
+            + model.join_ms(n, n, n)
+        )
+
+
+class TestEstimatesUnchanged:
+    def test_greedy_estimate_digest_config_a(self):
+        """Every estimate greedy-planning Q1 + Q2 x both styles x reduce
+        on/off leaves in one cache on Config A, to the last bit of each
+        ``server_ms`` (digest taken at commit 37d5f85, before the charge
+        formulas moved onto ``CostModel``): tier-1's copy of what the
+        Fig. 18 bench pins through the plan families."""
+        db, _, estimator = build_configuration(CONFIG_A)
+        for query in (QUERY_1, QUERY_2):
+            tree = load_view(query, db.schema)
+            for style in PlanStyle:
+                for reduce in (False, True):
+                    GreedyPlanner(
+                        tree, db.schema, estimator, style=style, reduce=reduce
+                    ).plan()
+        cache = estimator.cache
+        costs = sorted(repr(est.server_ms) for _, est in cache.items())
+        assert len(costs) == 860
+        assert (cache.requests, cache.hits) == (860, 902)
+        assert hashlib.sha256("\n".join(costs).encode()).hexdigest() == (
+            "b63799dd553123c082555a3ffb5c74acd99fc3f5953c9a31a405e5cc041458aa"
+        )
