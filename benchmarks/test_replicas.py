@@ -1,24 +1,24 @@
 """Chaos soak for the replica serving layer (randomized, deterministic).
 
 Two scenarios over Query 1 / Configuration A, both asserting the
-load-bearing invariants loosely enough for a non-blocking CI job:
+load-bearing invariants (a blocking step of CI's ``tests`` job):
 
 * **hard-down soak** — a 3-replica pool whose primary replica fails every
   attempt, with light random faults on the healthy pair.  Every seeded
   run must complete the query through failover with zero user-visible
-  errors, produce the byte-identical document with the fault-free
-  simulated figures, and shed nothing under light admission load.
+  errors and produce the byte-identical document with the fault-free
+  simulated figures.
 * **slow-replica hedging** — a 2-replica pool whose primary carries heavy
   injected connection latency.  Hedged runs must cut the p99 simulated
   makespan versus the unhedged runs of the same seeds.
 
-Per-seed counters land in ``BENCH_replicas.json`` at the repository root
-so CI can track failover and hedging behaviour over time.
+Per-seed counters land in ``BENCH_replicas.json`` at the repository
+root.  Everything runs on the simulated clock, so the file holds no wall
+time and a run reproduces it to the digit: CI diffs it.
 """
 
 import json
 import pathlib
-import time
 
 from repro.bench.queries import QUERY_1
 from repro.core.silkroute import SilkRoute
@@ -52,8 +52,6 @@ def test_replica_chaos_soak(config_a, report_writer):
     _, clean_view = _fresh_view(db, conn, est)
     clean = clean_view.materialize()
 
-    start = time.perf_counter()
-
     # -- scenario 1: one replica hard down, light faults elsewhere --------
     soak_cells = []
     for seed in SOAK_SEEDS:
@@ -66,16 +64,14 @@ def test_replica_chaos_soak(config_a, report_writer):
         ))
         result = view.materialize(
             retry=RetryPolicy(max_attempts=6),
-            replicas=pool, hedge_ms=50.0, max_concurrent=8, workers=4,
+            replicas=pool, hedge_ms=50.0, workers=4,
         )
         report = result.report
         # Zero user-visible errors: the hard-down replica is routed
-        # around, the document and the paper's figures are untouched,
-        # and light load sheds nothing.
+        # around, the document and the paper's figures are untouched.
         assert result.xml == clean.xml
         assert report.query_ms == clean.report.query_ms
         assert report.transfer_ms == clean.report.transfer_ms
-        assert report.shed_streams == ()
         assert report.failovers > 0
         assert all(s.replica != 0 for s in report.streams)
         soak_cells.append({
@@ -86,7 +82,6 @@ def test_replica_chaos_soak(config_a, report_writer):
             "failovers": report.failovers,
             "hedges": report.hedges,
             "hedge_wins": report.hedge_wins,
-            "shed": len(report.shed_streams),
             "byte_identical": result.xml == clean.xml,
         })
 
@@ -126,7 +121,6 @@ def test_replica_chaos_soak(config_a, report_writer):
 
     payload = {
         "experiment": "q1_config_a_replica_chaos_soak",
-        "wall_seconds": round(time.perf_counter() - start, 3),
         "hard_down_soak": {
             "replicas": 3,
             "permanently_failing": 0,
@@ -134,7 +128,6 @@ def test_replica_chaos_soak(config_a, report_writer):
             "all_byte_identical": all(
                 c["byte_identical"] for c in soak_cells
             ),
-            "total_shed": sum(c["shed"] for c in soak_cells),
         },
         "slow_replica_hedging": {
             "replicas": 2,
@@ -154,7 +147,6 @@ def test_replica_chaos_soak(config_a, report_writer):
     lines = [
         f"hard-down soak: {len(soak_cells)} seeds, "
         f"{sum(c['failovers'] for c in soak_cells)} failovers, "
-        f"{sum(c['shed'] for c in soak_cells)} shed, "
         f"byte-identical {all(c['byte_identical'] for c in soak_cells)}",
         f"hedging p99: {round(p99_unhedged, 1)}ms -> "
         f"{round(p99_hedged, 1)}ms "

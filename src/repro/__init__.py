@@ -44,9 +44,6 @@ from repro.relational import (
     CalibratedCostModel,
     calibrate,
     NO_RETRY,
-    AdmissionController,
-    AdmissionPolicy,
-    CircuitBreaker,
     Column,
     Connection,
     CostEstimator,
@@ -93,7 +90,13 @@ from repro.obs import (
     profile_tree,
 )
 from repro.rxl import parse_rxl, validate_rxl
-from repro.serve import ServeClient, ServeError, Server
+from repro.serve import (
+    AdmissionController,
+    AdmissionPolicy,
+    ServeClient,
+    ServeError,
+    Server,
+)
 from repro.session import QueryResult, Session, apply_delta
 from repro.xmlgen import parse_dtd, validate_document
 
@@ -121,7 +124,6 @@ __all__ = [
     "FaultPolicy",
     "RetryPolicy",
     "NO_RETRY",
-    "CircuitBreaker",
     "ReplicaSet",
     "ReplicaPool",
     "AdmissionPolicy",

@@ -35,9 +35,7 @@ class PlanTiming:
     ``failed`` marks a plan whose stream exhausted its retries under fault
     injection (sweeps record the failure instead of degrading the plan —
     degradation is :meth:`repro.core.silkroute.XmlView.execute_partition`'s
-    job); ``shed`` marks a plan the admission controller refused or cut
-    short (:class:`~repro.common.errors.OverloadError`).
-    ``attempts``/``retries``/``faults_injected``/``backoff_ms`` and the
+    job).  ``attempts``/``retries``/``faults_injected``/``backoff_ms`` and the
     replica counters (``failovers``/``hedges``/``hedge_wins``) total the
     resilience accounting over the plan's streams.
     """
@@ -48,7 +46,6 @@ class PlanTiming:
     transfer_ms: float = None
     timed_out: bool = False
     failed: bool = False
-    shed: bool = False
     attempts: int = 0
     retries: int = 0
     faults_injected: int = 0
@@ -59,7 +56,7 @@ class PlanTiming:
 
     @property
     def total_ms(self):
-        if self.timed_out or self.failed or self.shed:
+        if self.timed_out or self.failed:
             return None
         return self.query_ms + self.transfer_ms
 
@@ -80,8 +77,7 @@ class SweepResult:
 
     def completed(self):
         return [
-            t for t in self.timings
-            if not t.timed_out and not t.failed and not t.shed
+            t for t in self.timings if not t.timed_out and not t.failed
         ]
 
     def timed_out(self):
@@ -91,7 +87,10 @@ class SweepResult:
         return [t for t in self.timings if t.failed]
 
     def shed(self):
-        return [t for t in self.timings if t.shed]
+        # Nothing sheds a plan any more.  Kept for its one caller, the
+        # frozen harness (benchmarks/perf/perf_workloads.py:367), until the
+        # benchmark-only PR of ROADMAP item 1(b) drops the call.
+        return []
 
     def fastest(self, n=1, key="query_ms"):
         ranked = sorted(self.completed(), key=lambda t: getattr(t, key))
@@ -130,8 +129,7 @@ def run_single_partition(tree, schema, connection, partition, generator=None,
     record, they do not degrade).  ``replicas``/``hedge_ms`` route the
     streams over a :class:`~repro.relational.replicas.ReplicaPool` (a
     sweep pins one ``epoch`` for all partitions, so routing does not
-    depend on partition order); ``max_concurrent``
-    sheds overloaded plans, marking the timing ``shed``.  With ``obs`` (an
+    depend on partition order).  With ``obs`` (an
     :class:`~repro.obs.ObsOptions` session) the run is wrapped in a
     ``partition`` span and records per-stream metrics.
     """
@@ -152,8 +150,7 @@ def run_single_partition(tree, schema, connection, partition, generator=None,
             all_stats.append(failure_stats)
         total = StreamAttemptStats.total(all_stats)
         query_ms = transfer_ms = None
-        if (result.timeout is None and result.failure is None
-                and result.overload is None):
+        if result.timeout is None and result.failure is None:
             query_ms = transfer_ms = 0.0
             for stream in result.streams:
                 query_ms += stream.server_ms
@@ -165,7 +162,6 @@ def run_single_partition(tree, schema, connection, partition, generator=None,
             transfer_ms=transfer_ms,
             timed_out=result.timeout is not None,
             failed=result.failure is not None,
-            shed=result.overload is not None,
             attempts=total.attempts,
             retries=total.retries,
             faults_injected=total.faults,
@@ -179,8 +175,6 @@ def run_single_partition(tree, schema, connection, partition, generator=None,
             partition_span.set(timed_out=True)
         elif timing.failed:
             partition_span.set(failed=True)
-        elif timing.shed:
-            partition_span.set(shed=True)
         else:
             partition_span.set_sim(timing.total_ms)
         return timing
@@ -216,15 +210,12 @@ def sweep_partitions(tree, schema, connection, partitions=None,
     order; ``progress(done, total)`` is called after each.  ``workers``
     means what it means for every execution method — each plan's
     simulated dispatch width — so in a sweep, whose timings are per-stream
-    sums, it shows only where a plan's schedule decides something: which
-    streams a ``max_concurrent`` deadline sheds.
+    sums, it changes nothing.
 
     ``replicas``/``hedge_ms`` route every plan's streams over one
     :class:`~repro.relational.replicas.ReplicaPool` whose routing epoch
     spans the whole sweep (health folds once, at the end — partition
     order cannot change the routing).
-    ``max_concurrent`` applies admission control per plan: an overloaded
-    plan is recorded ``shed``, not raised.
 
     A sweep's timings are only comparable if every plan saw the same
     data, so the per-table generation vector is pinned at the start and

@@ -180,8 +180,6 @@ def build_parser():
         p.add_argument("--hedge-ms", type=positive_float, default=None,
                        help="hedge a backup request on a second replica when "
                             "a stream exceeds this simulated latency")
-        p.add_argument("--max-concurrent", type=positive_int, default=None,
-                       help="admission-control cap on concurrent streams")
         p.add_argument("--metrics", action="store_true",
                        help="print observability counters as JSON afterwards")
 
@@ -353,8 +351,7 @@ def _run_serve(args, out):
     import signal
     import threading
 
-    from repro.relational.replicas import AdmissionPolicy
-    from repro.serve import Server
+    from repro.serve import AdmissionPolicy, Server
 
     policy = None
     if args.max_inflight is not None:

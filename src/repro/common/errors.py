@@ -49,9 +49,9 @@ class ExecutionError(ReproError):
     Every execution error can carry the identity of the client request it
     failed on behalf of: ``tenant`` / ``request_id`` default to None and
     are stamped — once, closest to the raise site — by the dispatch layer
-    or the serving front end (see :func:`tag_request`), so an
-    :class:`OverloadError` or :class:`StaleGenerationError` surfacing from
-    deep inside a dispatch still names the tenant and request that
+    or the serving front end (see :func:`tag_request`), so a
+    :class:`TimeoutExceeded` or :class:`StaleGenerationError` surfacing
+    from deep inside a dispatch still names the tenant and request that
     triggered it.
     """
 
@@ -170,32 +170,18 @@ class TransientConnectionError(ExecutionError):
 
 
 class OverloadError(ExecutionError):
-    """The admission controller refused or shed work to protect the system.
+    """The serving layer refused a whole request to protect the system.
 
-    Raised by the :class:`~repro.relational.replicas.AdmissionController`
-    when a dispatch would exceed the configured capacity: either the plan's
-    stream count overflows ``max_concurrent_streams`` plus the queue bound
-    up front, or the deterministic simulated schedule shows a stream would
-    *start* past the per-query ``deadline_ms``.  Shedding is load
-    protection, not a failure of the shed work itself — the same plan
-    succeeds under a laxer policy.
-
-    ``reason`` is ``"queue"``, ``"deadline"``, or ``"tenant"`` (the
-    serving layer's per-tenant in-flight quota refused the whole request
-    before any stream was planned); ``shed`` holds the labels
-    of the streams that were not executed (in spec order) and
-    ``stream_label`` the first of them.  When the error is raised on
-    behalf of a whole plan, ``report`` carries the partial
-    :class:`~repro.core.silkroute.PlanReport` of the streams completed
-    before shedding began.
+    Raised before any stream is planned, so shedding is load protection,
+    not a failure of the shed work itself — the same request succeeds
+    when resent later.  ``reason`` says who refused: ``"tenant"`` (the
+    tenant's :class:`~repro.serve.tenants.AdmissionController`: its
+    in-flight quota is full) or ``"draining"`` (the server is shutting
+    down).  Nothing below a request sheds.
     """
 
-    def __init__(self, message, reason="queue", shed=(), stream_label=None,
-                 report=None):
+    def __init__(self, message, reason):
         self.reason = reason
-        self.shed = tuple(shed)
-        self.stream_label = stream_label
-        self.report = report
         super().__init__(message)
 
 

@@ -37,7 +37,7 @@ class RequestContext:
     The serving layer (:mod:`repro.serve`) attaches one of these to the
     :class:`ExecutionOptions` it executes under (``request=``) so that
     errors raised deep inside the dispatch —
-    :class:`~repro.common.errors.OverloadError`,
+    :class:`~repro.common.errors.TransientConnectionError`,
     :class:`~repro.common.errors.StaleGenerationError`,
     :class:`~repro.common.errors.TimeoutExceeded` — surface carrying the
     originating ``tenant`` and ``request_id`` (see
@@ -62,25 +62,18 @@ class ExecutionOptions:
     optional :class:`~repro.obs.ObsOptions` observability session
     (tracing/metrics; None — the default — keeps the no-op fast path).
 
-    The replica serving layer adds three knobs, normalized by
-    :func:`~repro.relational.replicas.resolve_pool` /
-    :func:`~repro.relational.replicas.resolve_admission`: ``replicas``
-    (an integer replica count, a
-    :class:`~repro.relational.replicas.ReplicaSet`, or a
-    :class:`~repro.relational.replicas.ReplicaPool`), ``hedge_ms`` (the
+    The replica serving layer adds two knobs: ``replicas`` (an integer
+    replica count, a :class:`~repro.relational.replicas.ReplicaSet`, or a
+    :class:`~repro.relational.replicas.ReplicaPool`, normalized by
+    :func:`~repro.relational.replicas.resolve_pool`) and ``hedge_ms`` (the
     simulated latency past which a backup request is hedged on a second
-    replica), and ``max_concurrent`` (an integer stream cap, an
-    :class:`~repro.relational.replicas.AdmissionPolicy`, or an
-    :class:`~repro.relational.replicas.AdmissionController`).
+    replica).
 
     Concurrency lives on the simulated clock.  ``workers=N`` says the
     source runs N of a plan's subqueries at once, and that is computed,
-    not enacted: it sets ``PlanReport.workers``, the
+    not enacted: it sets ``PlanReport.workers`` and the
     ``elapsed_query_ms``/``elapsed_total_ms`` makespans
-    (:func:`~repro.relational.dispatch.simulated_makespan`) and the
-    admission deadline's scheduled stream starts, after
-    :meth:`AdmissionController.clamp_workers
-    <repro.relational.replicas.AdmissionController.clamp_workers>`.  It
+    (:func:`~repro.relational.dispatch.simulated_makespan`).  It
     starts no thread — the in-process engine waits on nothing a thread
     could overlap — and moves no document, per-stream time, fault draw or
     routing decision; it means the same for every method, a sweep
@@ -106,7 +99,6 @@ class ExecutionOptions:
     obs: object = None
     replicas: object = None
     hedge_ms: float = None
-    max_concurrent: object = None
     #: Optional :class:`RequestContext` naming the client request this
     #: execution serves; errors raised anywhere under the dispatch carry
     #: its tenant/request id.  Purely diagnostic — never affects results,
@@ -173,7 +165,7 @@ FLAT_OPTIONS = {
     "style": _style, "reduce": bool, "budget_ms": positive_float,
     "workers": positive_int, "retries": positive_int, "fault_seed": int,
     "fault_rate": probability, "replicas": positive_int,
-    "hedge_ms": positive_float, "max_concurrent": positive_int,
+    "hedge_ms": positive_float,
 }
 
 

@@ -18,8 +18,8 @@ keywords override option fields.
 Execution is *fault tolerant*: with a
 :class:`~repro.relational.faults.FaultPolicy` installed on the connection
 and a :class:`~repro.relational.faults.RetryPolicy` in play, transient
-stream failures are retried with simulated backoff, repeat offenders are
-circuit-broken, and a stream that exhausts its retries is *degraded* —
+stream failures are retried with simulated backoff, and a stream that
+exhausts its retries is *degraded* —
 the failing subtree is re-planned into finer streams (consulting the
 cached greedy family's optional edges first, then the full cut) whose
 sorted outputs splice back into the k-way document merge.  The document
@@ -54,10 +54,9 @@ from repro.relational.dispatch import (
     open_spec,
     record_stream,
     simulated_makespan,
-    stream_cost,
 )
 from repro.relational.estimator import CostEstimator
-from repro.relational.faults import CircuitBreaker, StreamAttemptStats
+from repro.relational.faults import StreamAttemptStats
 from repro.rxl.parser import parse_rxl
 from repro.xmlgen.serializer import XmlWriter
 from repro.xmlgen.streams import (
@@ -127,8 +126,7 @@ class PlanReport:
     finer streams found in ``streams``.  Replica totals: ``failovers``,
     ``hedges``, ``hedge_wins``, ``hedge_wait_ms`` (summed over the same
     per-stream stats, so they reconcile with the
-    ``dispatch.failovers/hedges/hedge_wins`` metrics counters), and
-    ``shed_streams`` — labels the admission controller refused to run.
+    ``dispatch.failovers/hedges/hedge_wins`` metrics counters).
 
     ``obs`` is the :class:`~repro.obs.ObsOptions` observability session
     the execution ran under (None when tracing/metrics were off) — the
@@ -162,7 +160,6 @@ class PlanReport:
     hedges: int = 0
     hedge_wins: int = 0
     hedge_wait_ms: float = 0.0
-    shed_streams: tuple = ()
     obs: object = None
 
     @property
@@ -199,7 +196,6 @@ class _DispatchOutcome:
     # stats burned by degraded-away streams
     spent_stats: list = field(default_factory=list)
     timeout: object = None
-    shed: tuple = ()        # labels the admission controller shed
     span: object = None     # the dispatch trace span (None when tracing off)
 
 
@@ -332,13 +328,9 @@ class XmlView:
 
         ``replicas``/``hedge_ms`` route the plan's streams over a
         health-checked :class:`~repro.relational.replicas.ReplicaPool`
-        with failover and hedged backup requests; ``max_concurrent``
-        puts an admission controller in front (clamping ``workers``,
-        bounding the stream queue, and shedding streams past the
-        per-query deadline with an
-        :class:`~repro.common.errors.OverloadError` carrying the partial
-        report).  Pooled runs produce byte-identical XML and identical
-        ``query_ms``/``transfer_ms`` to the single-connection run.
+        with failover and hedged backup requests.  Pooled runs produce
+        byte-identical XML and identical ``query_ms``/``transfer_ms`` to
+        the single-connection run.
         """
         opts, specs = self._prepare(
             partition, resolve_options(options, overrides, reduce=False)
@@ -350,9 +342,8 @@ class XmlView:
 
     def _prepare(self, partition, opts):
         """Options → SQL, the front half every execution shares: resolve
-        the replica/admission knobs (``resolve_resilience``) and take
-        ``partition``'s :meth:`specs`.  Returns the resolved ``(opts,
-        specs)``."""
+        the replica pool (``resolve_resilience``) and take ``partition``'s
+        :meth:`specs`.  Returns the resolved ``(opts, specs)``."""
         opts = resolve_resilience(opts, self.silkroute.connection)
         return opts, self.specs(partition, opts)
 
@@ -394,8 +385,6 @@ class XmlView:
         ``partial_outcome`` attribute (consumed by :meth:`_dispatch`, which
         turns it into the attached partial report)."""
         connection = self.silkroute.connection
-        breaker = CircuitBreaker() if opts.retry is not None else None
-        admission = opts.max_concurrent     # resolved by _prepare
         # One plan's rounds (including degradation re-dispatches) must all
         # see the same data: a concurrent mutation raises
         # StaleGenerationError instead of splicing mixed-generation
@@ -404,18 +393,16 @@ class XmlView:
         pending = list(zip(specs, partition_subtrees(self.tree, partition)))
         done_specs, done_streams, done_stats = [], [], []
         degraded, spent_stats = [], []
-        elapsed_rounds_ms = 0.0       # earlier rounds' makespan (deadline)
-        n_workers = dispatch_width(opts)
         tracer, _ = obs_parts(opts.obs)
         dispatch_span = tracer.span(
-            "dispatch", streams=len(specs), workers=n_workers,
+            "dispatch", streams=len(specs), workers=dispatch_width(opts),
         )
 
-        def outcome(timeout=None, shed=()):
+        def outcome(timeout=None):
             return _DispatchOutcome(
                 specs=done_specs, streams=done_streams, stats=done_stats,
                 degraded=tuple(degraded), spent_stats=spent_stats,
-                timeout=timeout, shed=tuple(shed),
+                timeout=timeout,
                 span=dispatch_span if tracer.enabled else None,
             )
 
@@ -423,33 +410,18 @@ class XmlView:
             while True:
                 result = execute_specs(
                     connection, [spec for spec, _ in pending],
-                    breaker=breaker, admission_elapsed_ms=elapsed_rounds_ms,
                     expect_generations=pinned_generations, options=opts,
                 )
                 completed = len(result.streams)
                 done_specs.extend(spec for spec, _ in pending[:completed])
                 done_streams.extend(result.streams)
                 done_stats.extend(result.stats)
-                if (admission is not None
-                        and admission.policy.deadline_ms is not None):
-                    # Degradation re-dispatches count against the same
-                    # per-query deadline: carry this round's simulated
-                    # makespan into the next round's schedule offset.
-                    elapsed_rounds_ms += simulated_makespan(
-                        map(stream_cost, result.streams, result.stats),
-                        n_workers,
-                    )
                 if result.timeout is not None:
                     dispatch_span.set(
                         timed_out=True,
                         timed_out_label=result.timeout.stream_label,
                     )
                     return outcome(timeout=result.timeout)
-                if result.overload is not None:
-                    dispatch_span.set(shed=result.shed)
-                    overload = result.overload
-                    overload.partial_outcome = outcome(shed=result.shed)
-                    raise overload
                 if result.failure is None:
                     if degraded:
                         dispatch_span.set(degraded=tuple(degraded))
@@ -543,7 +515,6 @@ class XmlView:
             hedges=total.hedges,
             hedge_wins=total.hedge_wins,
             hedge_wait_ms=total.hedge_wait_ms,
-            shed_streams=tuple(outcome.shed),
         )
         if outcome.timeout is not None:
             nan = float("nan")
@@ -624,17 +595,15 @@ class XmlView:
         are retried and degraded around: the produced XML is byte-identical
         to the fault-free run, and the report records
         ``attempts``/``retries``/``faults_injected``/``backoff_ms``/
-        ``degraded_streams``.  ``replicas``/``hedge_ms``/``max_concurrent``
-        run the plan over a replica pool under admission control; the
-        document stays byte-identical.
+        ``degraded_streams``.  ``replicas``/``hedge_ms`` run the plan over
+        a replica pool; the document stays byte-identical.
 
         On a budget overrun the raised
         :class:`~repro.common.errors.TimeoutExceeded` carries the partial
         :class:`PlanReport` (``exc.report``) and the label of the offending
         stream (``exc.stream_label``); an unrecoverable transient failure
         raises :class:`~repro.common.errors.TransientConnectionError` the
-        same way, and admission shedding raises
-        :class:`~repro.common.errors.OverloadError` likewise.
+        same way.
         """
         return self._materialize(
             None, partition, root_tag, indent, greedy_params,
@@ -676,10 +645,7 @@ class XmlView:
         memory.  ``replicas`` routes cursor *opening* to the pool's
         best-ranked replica and records each open's outcome on the pool's
         health, so a reused pool routes the next call around a replica
-        that refused one; ``max_concurrent`` applies the admission queue
-        bound — an overflowing plan raises
-        :class:`~repro.common.errors.OverloadError` before any cursor
-        opens.
+        that refused one.
         """
         return self._materialize(
             sink, partition, root_tag, indent, greedy_params,
@@ -735,7 +701,7 @@ class XmlView:
             start = time.perf_counter()
             cursors = []
 
-            def cursor_report(timeout=None, shed=()):
+            def cursor_report(timeout=None):
                 stats = [
                     StreamAttemptStats(cursor.label, attempts=1)
                     for cursor in cursors
@@ -746,23 +712,12 @@ class XmlView:
                     partition,
                     _DispatchOutcome(
                         specs=specs, streams=cursors, stats=stats,
-                        timeout=timeout, shed=shed,
+                        timeout=timeout,
                     ),
                     opts, wall_s=time.perf_counter() - start,
                 )
 
             pool = opts.replicas          # resolved by _prepare
-            if opts.max_concurrent is not None:
-                overload = opts.max_concurrent.admit_queue(specs)
-                if overload is not None:
-                    tracer.event(
-                        "shed", reason="queue", streams=len(overload.shed),
-                    )
-                    # Every shed path carries a (here: empty) partial
-                    # report, so callers can account shed streams without
-                    # special-casing the streaming front end.
-                    overload.report = cursor_report(shed=overload.shed)
-                    raise tag_context(overload, opts.request)
             epoch = pool.begin_epoch() if pool is not None else None
             try:
                 # The dispatch span brackets cursor *opening* only: the
@@ -806,8 +761,8 @@ class XmlView:
         view reads): every partition produces the identical document, so
         any plan's re-materialization against unchanged generations
         serves it outright — execution still ran live, so the report's
-        simulated timings stay per-plan faithful.  Degraded or shed
-        output is never canonical and bypasses the document cache.
+        simulated timings stay per-plan faithful.  Degraded output is
+        never canonical and bypasses the document cache.
 
         A miss there is how the view learns of a write, so there it
         retires every document and decoded list keyed by a dead
@@ -825,7 +780,7 @@ class XmlView:
             database = query_engine.database
             footprints = [query_engine.tables_for(spec.plan) for spec in specs]
             view_tables = frozenset().union(*footprints)
-            if not report.degraded_streams and not report.shed_streams:
+            if not report.degraded_streams:
                 doc_key = (
                     root_tag, indent, database.dependency_key(view_tables),
                 )

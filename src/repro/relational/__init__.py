@@ -61,7 +61,6 @@ from repro.relational.estimator import CostEstimator, EstimateCache
 from repro.relational.explain import explain_plan
 from repro.relational.faults import (
     NO_RETRY,
-    CircuitBreaker,
     FaultPolicy,
     RetryPolicy,
     StreamAttemptStats,
@@ -97,13 +96,10 @@ from repro.relational.wal import (
     recover,
 )
 from repro.relational.replicas import (
-    AdmissionController,
-    AdmissionPolicy,
     ReplicaHealth,
     ReplicaPool,
     ReplicaSet,
     replica_fault_policy,
-    resolve_admission,
     resolve_pool,
 )
 
@@ -143,7 +139,6 @@ __all__ = [
     "FaultPolicy",
     "RetryPolicy",
     "NO_RETRY",
-    "CircuitBreaker",
     "StreamAttemptStats",
     "CostModel",
     "QueryEngine",
@@ -158,13 +153,10 @@ __all__ = [
     "execute_specs",
     "run_spec_with_retry",
     "simulated_makespan",
-    "AdmissionController",
-    "AdmissionPolicy",
     "ReplicaHealth",
     "ReplicaPool",
     "ReplicaSet",
     "replica_fault_policy",
-    "resolve_admission",
     "resolve_pool",
     "SourceDescription",
     "explain_plan",

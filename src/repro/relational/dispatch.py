@@ -17,10 +17,10 @@ an in-process, deterministic engine, so nothing on this path waits on
 I/O and a thread could overlap nothing but simulated work:
 :func:`execute_specs` runs the specs one after another, in spec order,
 and ``workers`` — read by :func:`dispatch_width` — is the width the
-simulated schedule is computed for: :func:`simulated_makespan` (what
-reports expose as ``elapsed_query_ms`` / ``elapsed_total_ms``) and the
-admission deadline's scheduled stream starts.  A hedged backup races its
-primary the same way, by comparing simulated completions.  Per-stream
+simulated schedule is computed for: :func:`simulated_makespan`, what
+reports expose as ``elapsed_query_ms`` / ``elapsed_total_ms``.  A hedged
+backup races its primary the same way, by comparing simulated completions.
+Per-stream
 ``server_ms`` / ``transfer_ms``, fault draws, routing and what a
 dispatch that stops early leaves behind are therefore the same for
 every width.
@@ -30,7 +30,6 @@ import heapq
 from dataclasses import dataclass, field
 
 from repro.common.errors import (
-    OverloadError,
     StaleGenerationError,
     TimeoutExceeded,
     TransientConnectionError,
@@ -76,8 +75,8 @@ class DispatchResult:
     ``streams`` holds the completed
     :class:`~repro.relational.connection.TupleStream` results in spec
     order, ``stats`` the matching per-stream
-    :class:`~repro.relational.faults.StreamAttemptStats`.  Exactly one of
-    the failure slots may be set:
+    :class:`~repro.relational.faults.StreamAttemptStats`.  At most one of
+    the failure slots is set:
 
     * ``timeout`` — the first spec (in spec order) whose subquery exceeded
       the budget; ``streams``/``stats`` stop before it,
@@ -86,11 +85,7 @@ class DispatchResult:
       :class:`~repro.common.errors.TransientConnectionError`;
       ``failure.stats`` carries the attempts it burned and
       ``failed_index`` its position, so a caller can degrade that spec
-      and re-dispatch the remainder,
-    * ``overload`` — the admission controller refused or shed part of the
-      dispatch with an :class:`~repro.common.errors.OverloadError`;
-      ``shed`` lists the labels of the streams that did not run
-      (``streams``/``stats`` hold the ones completed before shedding).
+      and re-dispatch the remainder.
     """
 
     streams: list
@@ -98,8 +93,6 @@ class DispatchResult:
     failure: object = None
     failed_index: int = None
     stats: list = field(default_factory=list)
-    overload: object = None
-    shed: tuple = ()
 
 
 def open_spec(connection, spec, opts, epoch=None, replica=None, attempt=1,
@@ -115,8 +108,9 @@ def open_spec(connection, spec, opts, epoch=None, replica=None, attempt=1,
     connection), and nothing else happens.  With one, ``replica`` of the
     pool ``opts.replicas`` (default: the epoch's best-ranked) serves the
     submission under its own fault policy inside a ``replica:<i>`` span,
-    and the outcome — failure, or success with its simulated completion —
-    is buffered on the epoch for the pool's health.
+    and the outcome — failure, or success with its simulated completion
+    (None for a lazy open, which has not run yet) — is buffered on the
+    epoch for the pool's health.
     """
     if epoch is not None:
         if replica is None:
@@ -141,15 +135,18 @@ def open_spec(connection, spec, opts, epoch=None, replica=None, attempt=1,
             epoch.observe(spec.label, attempt, replica, False, exc.latency_ms)
         raise
     if epoch is not None:
+        # A lazy cursor has executed nothing yet: the pool learns that the
+        # replica accepted it, not how long it takes.
         epoch.observe(
-            spec.label, attempt, replica, True, _completion_ms(stream)
+            spec.label, attempt, replica, True,
+            None if lazy else _completion_ms(stream),
         )
     return stream
 
 
-def run_spec_with_retry(connection, spec, breaker=None, epoch=None,
-                        options=None, **overrides):
-    """Execute one spec under the retry/backoff/breaker regime; return
+def run_spec_with_retry(connection, spec, epoch=None, options=None,
+                        **overrides):
+    """Execute one spec under the retry/backoff regime; return
     ``(stream, stats)`` — the one submit/retry loop, for a single
     connection and for a replica pool alike.
 
@@ -158,10 +155,9 @@ def run_spec_with_retry(connection, spec, breaker=None, epoch=None,
     :meth:`Connection.execute
     <repro.relational.connection.Connection.execute>` reads); ``replicas``
     must already be a :class:`~repro.relational.replicas.ReplicaPool` or
-    None, as :func:`execute_specs` resolves it.  ``breaker`` and ``epoch``
-    are the dispatch's state: the plan-fingerprint breaker, and the
-    pool's pinned routing snapshot (when None, a single-spec epoch is
-    opened and folded around the call).
+    None, as :func:`execute_specs` resolves it.  ``epoch`` is the
+    dispatch's state: the pool's pinned routing snapshot (when None, a
+    single-spec epoch is opened and folded around the call).
 
     * **cache short-circuit** — a plan the engine would replay from its
       :class:`~repro.relational.cache.PlanResultCache` never contacts the
@@ -175,8 +171,6 @@ def run_spec_with_retry(connection, spec, breaker=None, epoch=None,
       stream is exhausted after ``retry.max_attempts`` submissions or when
       the next backoff would cross the deadline (``retry.deadline_ms``,
       defaulting to the plan's ``budget_ms``).
-    * **circuit breaking** — ``breaker`` counts exhausted plans by
-      fingerprint and fails repeat offenders fast.
 
     A single connection is the degenerate route: one candidate, nothing
     to observe, ``stats.replica`` None.  A pool only changes *which
@@ -203,20 +197,12 @@ def run_spec_with_retry(connection, spec, breaker=None, epoch=None,
     if pool is not None and epoch is None:
         epoch = pool.begin_epoch()
         try:
-            return run_spec_with_retry(connection, spec, breaker, epoch, opts)
+            return run_spec_with_retry(connection, spec, epoch, opts)
         finally:
             pool.finish_epoch(epoch)
     tracer, _ = obs_parts(opts.obs)
     retry = opts.retry
     stats = StreamAttemptStats(label=spec.label)
-    fingerprint = spec.plan.fingerprint() if breaker is not None else None
-    if breaker is not None and not breaker.allow(fingerprint):
-        exc = TransientConnectionError(
-            stream_label=spec.label, attempt=0, attempts=0,
-            reason="circuit breaker open",
-        )
-        exc.stats = stats
-        raise exc
     if epoch is None:
         first, installed = None, connection.faults
     else:
@@ -255,7 +241,7 @@ def run_spec_with_retry(connection, spec, breaker=None, epoch=None,
                 **({} if epoch is None else {"replica": current}),
             )
             if stats.attempts >= max_attempts:
-                _exhaust(exc, stats, breaker, fingerprint)
+                _exhaust(exc, stats)
             nxt = None
             if epoch is not None:
                 tried.add(current)
@@ -270,7 +256,7 @@ def run_spec_with_retry(connection, spec, breaker=None, epoch=None,
                     seed=policy.seed if policy else 0,
                 )
                 if deadline is not None and spent_ms + backoff > deadline:
-                    _exhaust(exc, stats, breaker, fingerprint)
+                    _exhaust(exc, stats)
                 spent_ms += backoff
                 stats.backoff_ms += backoff
                 with tracer.span(
@@ -290,8 +276,6 @@ def run_spec_with_retry(connection, spec, breaker=None, epoch=None,
             spec, opts, epoch, stats, tried, current, stream
         )
     stats.fault_latency_ms += stream.fault_latency_ms
-    if breaker is not None:
-        breaker.record_success(fingerprint)
     return stream, stats
 
 
@@ -346,16 +330,13 @@ def _hedge(spec, opts, epoch, stats, tried, primary, stream):
         return stream, primary
 
 
-def _exhaust(exc, stats, breaker, fingerprint):
-    if breaker is not None:
-        breaker.record_failure(fingerprint)
+def _exhaust(exc, stats):
     exc.attempts = stats.attempts
     exc.stats = stats
     raise exc
 
 
-def execute_specs(connection, specs, breaker=None, epoch=None,
-                  admission_elapsed_ms=0.0, expect_generations=None,
+def execute_specs(connection, specs, epoch=None, expect_generations=None,
                   options=None, **overrides):
     """Execute every :class:`~repro.core.sqlgen.StreamSpec`'s plan; return
     a :class:`DispatchResult`.
@@ -364,9 +345,8 @@ def execute_specs(connection, specs, breaker=None, epoch=None,
     :class:`~repro.core.options.ExecutionOptions`: bundle them in
     ``options=``, override single ones by keyword (``budget_ms=…``), or
     both — the keyword wins.  The bundle is resolved once here
-    (``replicas``/``max_concurrent`` to a live pool/controller, ``workers``
-    clamped to the admission policy) and handed down as an object; the
-    other arguments are this dispatch's state.
+    (``replicas`` to a live pool) and handed down as an object; the other
+    arguments are this dispatch's state.
 
     ``streams`` is the list of :class:`~repro.relational.connection.TupleStream`
     results in spec order.  On a per-subquery budget overrun, ``streams``
@@ -374,20 +354,18 @@ def execute_specs(connection, specs, breaker=None, epoch=None,
     ``timeout`` is the raised
     :class:`~repro.common.errors.TimeoutExceeded`, annotated with
     ``stream_label``.  The specs run one after another in spec order, and
-    a dispatch that stops early — timeout, terminal failure, shed — never
+    a dispatch that stops early — timeout, terminal failure — never
     starts the later specs: no fault is drawn for them, no replica
     observes them, no span or cache entry is left behind.  ``workers`` is
     the *simulated* dispatch width (see the module docstring): it
-    schedules the admission deadline below and the report's makespans,
-    nothing else.
+    schedules the report's makespans, nothing here.
 
     ``retry`` (a :class:`~repro.relational.faults.RetryPolicy`) makes each
     stream resilient to
     :class:`~repro.common.errors.TransientConnectionError` injected by the
     connection's :class:`~repro.relational.faults.FaultPolicy` (or the
     ``faults`` override): failed submissions are retried with simulated
-    backoff (see :func:`run_spec_with_retry`; ``breaker`` is its
-    plan-fingerprint circuit breaker).  A stream that exhausts its
+    backoff (see :func:`run_spec_with_retry`).  A stream that exhausts its
     retries is reported via ``result.failure``/``failed_index`` — first
     failing spec in spec order wins, exactly like timeouts — so the caller
     can degrade the plan.  Fault draws are keyed by ``(label, plan,
@@ -399,17 +377,6 @@ def execute_specs(connection, specs, breaker=None, epoch=None,
     duration of the call: unless the caller pins an ``epoch`` (e.g. one
     per sweep), a fresh one is opened here and its health observations
     folded back when the call returns.
-
-    An :class:`~repro.relational.replicas.AdmissionController`
-    (``max_concurrent``) protects the dispatch: a plan whose stream count
-    overflows the slots + queue capacity is refused up front, and with a
-    ``deadline_ms`` each stream's deterministic scheduled start (the same
-    heap schedule as :func:`simulated_makespan`, offset by
-    ``admission_elapsed_ms`` already spent by earlier rounds) is checked
-    against the deadline — streams that would start too late are shed.
-    Either way ``result.overload`` carries the
-    :class:`~repro.common.errors.OverloadError` and ``result.shed`` the
-    unexecuted labels; completed earlier streams are kept.
 
     With an observability session (``obs``), each stream is wrapped in a
     ``stream:<label>`` span under the caller's current one (the
@@ -428,11 +395,11 @@ def execute_specs(connection, specs, breaker=None, epoch=None,
     ``request`` — an optional
     :class:`~repro.core.options.RequestContext` — stamps its
     tenant/request id onto every error raised here (timeouts, transient
-    failures, overloads, stale generations), so the serving layer can
+    failures, stale generations), so the serving layer can
     attribute failures without inspecting thread state.
     """
     opts = resolve_resilience(resolve_options(options, overrides), connection)
-    pool, admission = opts.replicas, opts.max_concurrent
+    pool = opts.replicas
     if expect_generations is not None:
         current = connection.database.table_generations()
         if current != expect_generations:
@@ -446,49 +413,15 @@ def execute_specs(connection, specs, breaker=None, epoch=None,
             ), opts.request)
     tracer, metrics = obs_parts(opts.obs)
     result = DispatchResult(streams=[])
-    if admission is not None:
-        overload = admission.admit_queue(specs)
-        if overload is not None:
-            result.overload = tag_context(overload, opts.request)
-            result.shed = overload.shed
-            metrics.inc("dispatch.shed", len(overload.shed))
-            tracer.event(
-                "shed", reason="queue", streams=len(overload.shed),
-            )
-            return result
-    deadline = admission.policy.deadline_ms if admission is not None else None
-    free_at = None
-    if deadline is not None and specs:
-        free_at = [0.0] * min(dispatch_width(opts), len(specs))
     own_epoch = pool is not None and epoch is None
     if own_epoch:
         epoch = pool.begin_epoch()
     try:
         for i, spec in enumerate(specs):
-            if free_at is not None:
-                start_ms = heapq.heappop(free_at)
-                if admission_elapsed_ms + start_ms >= deadline:
-                    # Shed this and every later stream.
-                    labels = tuple(spec.label for spec in specs[i:])
-                    admission.note_shed(len(labels))
-                    result.overload = tag_context(OverloadError(
-                        f"stream {labels[0]} would start at simulated "
-                        f"{admission_elapsed_ms + start_ms:.0f}ms, past "
-                        f"the {deadline:.0f}ms admission deadline",
-                        reason="deadline", shed=labels,
-                        stream_label=labels[0],
-                    ), opts.request)
-                    result.shed = labels
-                    metrics.inc("dispatch.shed", len(labels))
-                    tracer.event(
-                        "shed", reason="deadline", streams=len(labels),
-                        first=labels[0],
-                    )
-                    break
             try:
                 with tracer.span("stream:" + spec.label) as span:
                     stream, stats = run_spec_with_retry(
-                        connection, spec, breaker, epoch, opts
+                        connection, spec, epoch, opts
                     )
                     if tracer.enabled:
                         span.set(
@@ -508,8 +441,6 @@ def execute_specs(connection, specs, breaker=None, epoch=None,
                     result, tag_context(exc, opts.request), spec, i, metrics
                 )
                 break
-            if free_at is not None:
-                heapq.heappush(free_at, start_ms + stream_cost(stream, stats))
             result.streams.append(stream)
             result.stats.append(stats)
             record_stream(metrics, stream, stats)

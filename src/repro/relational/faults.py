@@ -1,4 +1,4 @@
-"""Deterministic fault injection, retry policies, and circuit breaking.
+"""Deterministic fault injection and retry policies.
 
 SilkRoute's premise (Sec. 1) is that the middle-ware does **not** control
 the RDBMS: the tuple source is a remote server reached over a connection
@@ -19,10 +19,6 @@ CI:
   Backoff is charged to the *simulated* clock (reports' ``backoff_ms`` and
   the ``elapsed_*`` makespans), preserving the sim/wall-clock separation
   of docs/API.md; per-stream deadlines default to the plan's ``budget_ms``.
-* :class:`CircuitBreaker` — per-plan-fingerprint consecutive-failure
-  counter: once a stream has exhausted its retries ``threshold`` times,
-  further submissions of the same plan fail fast instead of burning more
-  attempts and backoff against a source that keeps refusing it.
 
 The injection point is the connection boundary, *before* the engine sees
 the plan: a faulted attempt never reads or writes the
@@ -32,7 +28,6 @@ flaky source at all (no fault draw, no attempt recorded).
 """
 
 import random
-import threading
 from dataclasses import dataclass
 
 
@@ -155,82 +150,6 @@ class RetryPolicy:
 
 #: A policy that never retries: one attempt, no backoff.
 NO_RETRY = RetryPolicy(max_attempts=1, base_ms=0.0, jitter=0.0)
-
-
-class CircuitBreaker:
-    """Per-key consecutive-failure breaker with an optional half-open probe.
-
-    The key is whatever the caller counts by — historically a plan
-    fingerprint, and since the replica layer also a replica id.
-    ``record_failure`` counts a stream that exhausted its retries; once a
-    key accumulates ``threshold`` consecutive exhaustions, :meth:`allow`
-    returns False and the dispatcher fails that plan fast instead of
-    hammering it.  ``record_success`` closes the circuit again.
-
-    ``cooldown`` (None by default, preserving the legacy always-open
-    behaviour) enables the classic third state: after an open key has been
-    *denied* ``cooldown`` times, the next :meth:`allow` admits a single
-    probe.  A successful probe (``record_success``) closes the circuit; a
-    failed one (``record_failure``) re-opens it and the denial count starts
-    over.  Denials stand in for elapsed time, so the state machine is a
-    deterministic function of the call sequence — no wall clock.
-
-    :meth:`state` reports ``"closed"`` / ``"open"`` / ``"half-open"``
-    without side effects (the replica pool ranks replicas by it).  Thread
-    safe — a reused pool's breaker serves concurrent requests.
-    """
-
-    def __init__(self, threshold=3, cooldown=None):
-        self.threshold = threshold
-        self.cooldown = cooldown
-        self._failures = {}
-        self._denials = {}
-        self._lock = threading.Lock()
-        self.trips = 0
-        self.fast_failures = 0
-
-    def state(self, key):
-        """``"closed"``, ``"open"``, or ``"half-open"`` — no side effects."""
-        with self._lock:
-            if self._failures.get(key, 0) < self.threshold:
-                return "closed"
-            if (self.cooldown is not None
-                    and self._denials.get(key, 0) >= self.cooldown):
-                return "half-open"
-            return "open"
-
-    def allow(self, key):
-        with self._lock:
-            if self._failures.get(key, 0) < self.threshold:
-                return True
-            if self.cooldown is not None:
-                denials = self._denials.get(key, 0)
-                if denials >= self.cooldown:
-                    # Half-open: admit one probe; the denial count restarts
-                    # so a failed probe must sit out another cooldown.
-                    self._denials[key] = 0
-                    return True
-                self._denials[key] = denials + 1
-            self.fast_failures += 1
-            return False
-
-    def record_failure(self, key):
-        with self._lock:
-            count = self._failures.get(key, 0) + 1
-            self._failures[key] = count
-            self._denials.pop(key, None)
-            if count == self.threshold:
-                self.trips += 1
-
-    def record_success(self, key):
-        with self._lock:
-            self._failures.pop(key, None)
-            self._denials.pop(key, None)
-
-    def reset(self):
-        with self._lock:
-            self._failures.clear()
-            self._denials.clear()
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Replica routing state and admission control for the stream dispatcher.
+"""Replica routing state for the stream dispatcher.
 
 SilkRoute is middle-ware over an RDBMS it does not control (Sec. 1); a
 production deployment would sit in front of *several* replicas of that
@@ -11,19 +11,13 @@ the same simulated clock as the rest of the system:
   :class:`~repro.relational.connection.TransferModel`.  Replica 0 is the
   original connection; derived replicas draw faults from a seed extended
   with their id, so each replica fails independently but reproducibly.
-* :class:`ReplicaPool` — the health of each replica (EWMA latency,
-  consecutive failures, a per-replica
-  :class:`~repro.relational.faults.CircuitBreaker` with half-open
-  probing) and the ranking it implies.  The pool executes nothing: the
+* :class:`ReplicaPool` — the health of each replica (consecutive
+  failures, EWMA latency) and the ranking it implies.  The pool executes
+  nothing: the
   dispatcher's one submit/retry loop
   (:func:`~repro.relational.dispatch.run_spec_with_retry`) asks an epoch
   *which replica next*, which is all that routing, **failover** and the
   **hedged backup request** need from here.
-* :class:`AdmissionPolicy` / :class:`AdmissionController` — clamps the
-  dispatch width to ``max_concurrent_streams``, bounds the stream queue,
-  and enforces a per-query simulated deadline; excess work is shed with a
-  typed :class:`~repro.common.errors.OverloadError` instead of queueing
-  unboundedly.
 
 Determinism contract (the property every byte-identity test rides on):
 routing decisions are frozen per **epoch**.  :meth:`ReplicaPool.begin_epoch`
@@ -45,9 +39,7 @@ share one result cache).
 import threading
 from dataclasses import dataclass, replace
 
-from repro.common.errors import OverloadError, tag_request
 from repro.relational.connection import Connection
-from repro.relational.faults import CircuitBreaker
 
 
 def replica_fault_policy(policy, index):
@@ -155,10 +147,11 @@ class ReplicaHealth:
     """Rolling health of one replica, in simulated milliseconds.
 
     ``ewma_latency_ms`` smooths the simulated completion cost of
-    successful attempts (fault latency + server + transfer);
-    ``consecutive_failures`` resets on success.  Both are folded from
-    epoch observations in deterministic order — see the module
-    docstring's determinism contract.
+    successful attempts (fault latency + server + transfer; a success
+    reported without one — a lazily opened cursor, which has run nothing
+    yet — leaves it alone); ``consecutive_failures`` resets on success.
+    Both are folded from epoch observations in deterministic order — see
+    the module docstring's determinism contract.
     """
 
     replica: int
@@ -170,6 +163,8 @@ class ReplicaHealth:
     def record_success(self, cost_ms, alpha):
         self.successes += 1
         self.consecutive_failures = 0
+        if cost_ms is None:
+            return
         if self.ewma_latency_ms is None:
             self.ewma_latency_ms = cost_ms
         else:
@@ -220,10 +215,8 @@ class ReplicaPool:
     ``replicas`` is a :class:`ReplicaSet` or an iterable of connections
     over one database.  ``hedge_ms`` is the default hedge trigger (a
     stream whose first attempt's simulated completion exceeds it gets a
-    backup request on the next-ranked replica); ``unhealthy_after`` /
-    ``cooldown`` configure the per-replica breaker (consecutive
-    stream-level failures to open; epochs of denial before a half-open
-    probe); ``ewma_alpha`` the latency smoothing.
+    backup request on the next-ranked replica); ``ewma_alpha`` the
+    latency smoothing.
 
     A pool accumulates health across epochs, so reusing one instance
     across materializations routes around a replica that went dark in an
@@ -232,8 +225,7 @@ class ReplicaPool:
     and reproducible.
     """
 
-    def __init__(self, replicas, hedge_ms=None, unhealthy_after=3,
-                 cooldown=2, ewma_alpha=0.25):
+    def __init__(self, replicas, hedge_ms=None, ewma_alpha=0.25):
         if isinstance(replicas, ReplicaSet):
             connections = list(replicas.connections)
         else:
@@ -242,9 +234,6 @@ class ReplicaPool:
         self.hedge_ms = hedge_ms
         self.ewma_alpha = ewma_alpha
         self.health = [ReplicaHealth(i) for i in range(len(connections))]
-        self.breaker = CircuitBreaker(
-            threshold=unhealthy_after, cooldown=cooldown
-        )
 
     def __len__(self):
         return len(self.connections)
@@ -268,23 +257,16 @@ class ReplicaPool:
     def begin_epoch(self):
         """Freeze the current health ranking into a :class:`ReplicaEpoch`.
 
-        Replicas the breaker admits (closed, or open-and-due for a
-        half-open probe) rank first, ordered by consecutive failures,
-        then EWMA latency, then id; denied replicas rank last (still
-        reachable as a stream's final wrap-around resort).  Also
-        re-shares replica 0's result cache across the set, so a cache
-        installed after the pool was built still serves every replica.
+        Replicas rank by consecutive failures, then EWMA latency, then
+        id — the worst is still reachable, as a stream's last resort
+        before the round wraps.  Also re-shares replica 0's result cache
+        across the set, so a cache installed after the pool was built
+        still serves every replica.
         """
         base_cache = self.connections[0].engine.cache
         for conn in self.connections[1:]:
             if conn.engine.cache is not base_cache:
                 conn.cache = base_cache
-        admitted, denied = [], []
-        for replica in range(len(self.connections)):
-            if self.breaker.allow(replica):
-                admitted.append(replica)
-            else:
-                denied.append(replica)
 
         def health_key(replica):
             health = self.health[replica]
@@ -295,22 +277,18 @@ class ReplicaPool:
                 replica,
             )
 
-        ranking = sorted(admitted, key=health_key)
-        ranking += sorted(denied, key=health_key)
-        return ReplicaEpoch(ranking)
+        return ReplicaEpoch(sorted(range(len(self.connections)),
+                                   key=health_key))
 
     def finish_epoch(self, epoch):
         """Fold the epoch's buffered observations into the live health
-        state and per-replica breaker, in deterministic sorted order —
-        so the health trail does not depend on the order the streams
-        ran in."""
+        state, in deterministic sorted order — so the health trail does
+        not depend on the order the streams ran in."""
         for _label, _attempt, replica, ok, cost_ms in epoch.observations():
             if ok:
                 self.health[replica].record_success(cost_ms, self.ewma_alpha)
-                self.breaker.record_success(replica)
             else:
                 self.health[replica].record_failure()
-                self.breaker.record_failure(replica)
 
 
 def resolve_pool(replicas, connection):
@@ -335,147 +313,9 @@ def resolve_pool(replicas, connection):
     return ReplicaPool(ReplicaSet.from_connection(connection, n))
 
 
-@dataclass(frozen=True)
-class AdmissionPolicy:
-    """Capacity limits the admission controller enforces.
-
-    ``max_concurrent_streams`` clamps the simulated dispatch width
-    (``workers`` never exceeds it) and, together with
-    ``max_queued_streams``, bounds how many streams one dispatch may
-    submit: a plan needing more than slots + queue is refused up front.
-    ``deadline_ms`` is a per-query simulated deadline — a stream whose
-    deterministic scheduled *start* falls on or past it is shed (work
-    already started is allowed to finish).
-
-    ``max_inflight_requests`` is the serving layer's per-tenant quota: a
-    cap on whole client *requests* (queries/mutations) one controller
-    admits concurrently, enforced by
-    :meth:`AdmissionController.acquire_request` before any stream is
-    planned.  Unlike the stream-level limits it guards wall-clock
-    concurrency (a tenant hammering the service), so it plays no part in
-    the deterministic simulated schedule.
-
-    All limits are optional; ``None`` disables that check.
-    """
-
-    max_concurrent_streams: int = None
-    max_queued_streams: int = None
-    deadline_ms: float = None
-    max_inflight_requests: int = None
-
-
-class AdmissionController:
-    """Enforces an :class:`AdmissionPolicy`; counts admitted/shed streams.
-
-    Shedding decisions are functions of deterministic quantities only —
-    the spec count and the simulated schedule at the (clamped) dispatch
-    width — never of wall-clock concurrency, so an overloaded run sheds
-    the same streams every time.
-    """
-
-    def __init__(self, policy):
-        self.policy = policy
-        self._lock = threading.Lock()
-        self.admitted = 0
-        self.shed = 0
-        #: Whole requests currently inside :meth:`acquire_request` /
-        #: :meth:`release_request` (the serving layer's per-tenant gauge).
-        self.inflight = 0
-
-    def clamp_workers(self, workers):
-        """``workers`` bounded by ``max_concurrent_streams``."""
-        limit = self.policy.max_concurrent_streams
-        if limit is None:
-            return workers
-        return min(max(workers or 1, 1), limit)
-
-    def admit_queue(self, specs):
-        """Admit the whole dispatch or return the :class:`OverloadError`
-        refusing it (streams beyond slots + queue would wait unboundedly)."""
-        slots = self.policy.max_concurrent_streams
-        queued = self.policy.max_queued_streams
-        if slots is None or queued is None:
-            with self._lock:
-                self.admitted += len(specs)
-            return None
-        capacity = slots + queued
-        if len(specs) > capacity:
-            labels = tuple(spec.label for spec in specs)
-            with self._lock:
-                self.shed += len(specs)
-            return OverloadError(
-                f"{len(specs)} streams exceed admission capacity "
-                f"{capacity} ({slots} concurrent + {queued} queued)",
-                reason="queue", shed=labels, stream_label=labels[0],
-            )
-        with self._lock:
-            self.admitted += len(specs)
-        return None
-
-    def note_shed(self, count):
-        with self._lock:
-            self.shed += count
-
-    def acquire_request(self, tenant=None, request_id=None):
-        """Admit one whole client request against the per-tenant quota, or
-        shed it with an :class:`~repro.common.errors.OverloadError`
-        (``reason="tenant"``) carrying the originating tenant/request id.
-        The caller must pair every successful acquire with
-        :meth:`release_request` (``try/finally``)."""
-        limit = self.policy.max_inflight_requests
-        with self._lock:
-            if limit is not None and self.inflight >= limit:
-                self.shed += 1
-                raise tag_request(
-                    OverloadError(
-                        f"tenant quota exceeded: {self.inflight} request(s) "
-                        f"already in flight (limit {limit})",
-                        reason="tenant",
-                    ),
-                    tenant, request_id,
-                )
-            self.inflight += 1
-            self.admitted += 1
-
-    def release_request(self):
-        """Release one :meth:`acquire_request` admission."""
-        with self._lock:
-            self.inflight = max(0, self.inflight - 1)
-
-
-def resolve_admission(max_concurrent):
-    """Normalize the ``max_concurrent`` execution option to an
-    :class:`AdmissionController` (or None): an integer caps concurrent
-    streams, an :class:`AdmissionPolicy` is wrapped, a controller is used
-    as-is (sharing its admitted/shed counters across calls)."""
-    if max_concurrent is None:
-        return None
-    if isinstance(max_concurrent, AdmissionController):
-        return max_concurrent
-    if isinstance(max_concurrent, AdmissionPolicy):
-        return AdmissionController(max_concurrent)
-    return AdmissionController(
-        AdmissionPolicy(max_concurrent_streams=int(max_concurrent))
-    )
-
-
 def resolve_resilience(opts, connection):
-    """``opts`` with ``replicas``/``max_concurrent`` normalized to a live
-    :class:`ReplicaPool` / :class:`AdmissionController` (idempotent —
-    resolved instances pass through) and ``workers`` clamped to the
-    admission policy, so the dispatch width, the deadline schedule, and
-    the report's makespans all agree."""
-    if opts.replicas is None and opts.max_concurrent is None:
-        return opts
+    """``opts`` with ``replicas`` normalized to a live :class:`ReplicaPool`
+    by :func:`resolve_pool` (idempotent — a resolved pool passes
+    through)."""
     pool = resolve_pool(opts.replicas, connection)
-    admission = resolve_admission(opts.max_concurrent)
-    overrides = {}
-    if pool is not opts.replicas:
-        overrides["replicas"] = pool
-    if admission is not opts.max_concurrent:
-        overrides["max_concurrent"] = admission
-    if admission is not None:
-        clamped = admission.clamp_workers(opts.workers)
-        if clamped != opts.workers:
-            overrides["workers"] = clamped
-    return replace(opts, **overrides) if overrides else opts
+    return opts if pool is opts.replicas else replace(opts, replicas=pool)

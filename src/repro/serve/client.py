@@ -10,8 +10,8 @@
 Each method sends one protocol request and returns the response's
 payload dict; a ``{"ok": false}`` response raises
 :class:`~repro.serve.protocol.ServeError` carrying the server-side
-exception type, the stamped tenant/request id, and (for sheds and
-timeouts) the partial report.  One client drives one connection and is
+exception type, the stamped tenant/request id, and (for timeouts and
+exhausted retries) the partial report.  One client drives one connection and is
 not thread-safe — give each client thread its own.
 
 **Transient-failure retry.**  ``retries=N`` makes every call survive up

@@ -138,8 +138,7 @@ def options_to_wire(options):
     if options.faults is not None:
         wire["fault_seed"] = options.faults.seed
         wire["fault_rate"] = options.faults.error_rate
-    for name in ("budget_ms", "hedge_ms", "workers", "replicas",
-                 "max_concurrent"):
+    for name in ("budget_ms", "hedge_ms", "workers", "replicas"):
         value = getattr(options, name)
         if value is not None:
             wire[name] = value
@@ -175,7 +174,6 @@ def report_to_wire(report):
         "hedges": report.hedges,
         "hedge_wins": report.hedge_wins,
         "degraded_streams": list(report.degraded_streams),
-        "shed_streams": list(report.shed_streams),
     }
 
 

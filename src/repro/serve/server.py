@@ -6,12 +6,9 @@ splice caches, and finished-document cache — and layers the serving
 concerns on top:
 
 * **Tenancy** — each tenant is admitted by its own
-  :class:`~repro.relational.replicas.AdmissionController`
-  (:mod:`repro.serve.tenants`): the whole-request quota
-  (``max_inflight_requests``) sheds a hammering tenant with
-  ``OverloadError(reason="tenant")`` before any work is planned, and a
-  tenant policy's stream-level limits ride into the execution as its
-  ``max_concurrent``.
+  :class:`~repro.serve.tenants.AdmissionController`: the whole-request
+  quota (``max_inflight_requests``) sheds a hammering tenant with
+  ``OverloadError(reason="tenant")`` before any work is planned.
 * **Coalescing** — identical in-flight queries (same view text, plan,
   serialization, execution options, and per-table generation vector)
   share one execution through a
@@ -168,7 +165,7 @@ class Server:
 
     def register_tenant(self, name, policy=None):
         """Register tenant ``name`` under an
-        :class:`~repro.relational.replicas.AdmissionPolicy` (or an int —
+        :class:`~repro.serve.tenants.AdmissionPolicy` (or an int —
         a bare ``max_inflight_requests`` quota)."""
         return self.registry.register(name, policy)
 
@@ -275,8 +272,7 @@ class Server:
     @contextmanager
     def _request(self, tenant, request_id):
         """The bracket every served request runs in; yields the request's
-        id (generated when the client sent none) and its tenant's
-        admission controller (None: unthrottled).
+        id (generated when the client sent none).
 
         Counts the request, sheds it while draining or over the tenant's
         quota (a shed is not an error) and holds the tenant's slot for the
@@ -293,7 +289,7 @@ class Server:
         try:
             controller = self._admit(tenant, request_id)
             try:
-                yield request_id, controller
+                yield request_id
             except Exception as exc:
                 self.metrics.inc("serve.errors")
                 raise tag_request(exc, tenant, request_id)
@@ -305,22 +301,14 @@ class Server:
                 "serve.latency_ms", (time.perf_counter() - start) * 1000.0,
             )
 
-    def _canonical_options(self, options, overrides, controller):
-        """The request's resolved options with everything that cannot (or
-        must not) key coalescing stripped: the observability session and
-        request context hash by identity, and a tenant controller is
-        replaced by its frozen policy so equal policies coalesce and the
-        execution log replays without live objects."""
+    def _canonical_options(self, options, overrides):
+        """The request's resolved options with what cannot key coalescing
+        stripped: the observability session and request context hash by
+        identity (and the execution log replays without live objects)."""
         opts = resolve_options(
             options if options is not None else self.session.options,
             overrides,
         )
-        if controller is not None:
-            policy = controller.policy
-            if (policy.max_concurrent_streams is not None
-                    or policy.max_queued_streams is not None
-                    or policy.deadline_ms is not None):
-                opts = replace(opts, max_concurrent=policy)
         return replace(opts, obs=None, request=None)
 
     def _append_log(self, kind, **payload):
@@ -348,10 +336,10 @@ class Server:
         observability session to executions this request *leads* (a
         coalesced follower performs no execution to observe).
         """
-        with self._request(tenant, request_id) as (request_id, controller):
+        with self._request(tenant, request_id) as request_id:
             with self._rw.read():
                 rxl = self._resolve_rxl(query)
-                opts = self._canonical_options(options, overrides, controller)
+                opts = self._canonical_options(options, overrides)
                 generations = tuple(
                     sorted(self.session.database.table_generations().items())
                 )
@@ -408,7 +396,7 @@ class Server:
         recorded result without re-applying the delta
         (:meth:`Session.mutate <repro.session.Session.mutate>` keeps the
         record) and is not appended to the execution log again."""
-        with self._request(tenant, request_id) as (request_id, _):
+        with self._request(tenant, request_id) as request_id:
             with self._rw.write():
                 result = self.session.mutate(table, op=op, rows=rows,
                                              seed=seed, request_id=request_id)

@@ -1,13 +1,11 @@
 """Tenant registry: per-tenant admission quotas for the query service.
 
-Each tenant owns one
-:class:`~repro.relational.replicas.AdmissionController` built from its
-:class:`~repro.relational.replicas.AdmissionPolicy`, so the serving
-layer's whole-request quota (``max_inflight_requests``) and the
-engine-level stream limits (``max_concurrent_streams`` /
-``max_queued_streams`` / ``deadline_ms``) are enforced by the same
-object the dispatch layer already understands — a tenant's controller
-is simply passed down as the execution's ``max_concurrent``.
+Each tenant owns one :class:`AdmissionController` built from its
+:class:`AdmissionPolicy`: a cap on the whole client requests
+(queries/mutations) the tenant may have in flight at once.  That is a
+wall-clock guard on real request threads — a tenant hammering the service
+— and plays no part in the simulated clock: the execution below a request
+knows nothing of it.
 
 Unknown tenants are admitted under ``default_policy`` (each still gets
 its *own* controller, so one tenant's quota never counts against
@@ -18,7 +16,55 @@ unthrottled.
 import threading
 from dataclasses import dataclass
 
-from repro.relational.replicas import AdmissionController, AdmissionPolicy
+from repro.common.errors import OverloadError, tag_request
+
+
+@dataclass(frozen=True)
+class AdmissionPolicy:
+    """What one tenant may ask of the service: at most
+    ``max_inflight_requests`` whole requests at once (None: no limit)."""
+
+    max_inflight_requests: int = None
+
+
+class AdmissionController:
+    """Enforces an :class:`AdmissionPolicy`; counts the requests it
+    admitted and shed and those in flight now."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self._lock = threading.Lock()
+        self.admitted = 0
+        self.shed = 0
+        #: Whole requests currently inside :meth:`acquire_request` /
+        #: :meth:`release_request`.
+        self.inflight = 0
+
+    def acquire_request(self, tenant=None, request_id=None):
+        """Admit one whole client request against the per-tenant quota, or
+        shed it with an :class:`~repro.common.errors.OverloadError`
+        (``reason="tenant"``) carrying the originating tenant/request id.
+        The caller must pair every successful acquire with
+        :meth:`release_request` (``try/finally``)."""
+        limit = self.policy.max_inflight_requests
+        with self._lock:
+            if limit is not None and self.inflight >= limit:
+                self.shed += 1
+                raise tag_request(
+                    OverloadError(
+                        f"tenant quota exceeded: {self.inflight} request(s) "
+                        f"already in flight (limit {limit})",
+                        reason="tenant",
+                    ),
+                    tenant, request_id,
+                )
+            self.inflight += 1
+            self.admitted += 1
+
+    def release_request(self):
+        """Release one :meth:`acquire_request` admission."""
+        with self._lock:
+            self.inflight = max(0, self.inflight - 1)
 
 
 @dataclass(frozen=True)

@@ -74,12 +74,10 @@ class TestValidation:
     def test_valid_boundary_values_accepted(self):
         args = build_parser().parse_args(
             ["materialize", "--fault-rate", "0", "--workers", "1",
-             "--replicas", "2", "--hedge-ms", "0.5",
-             "--max-concurrent", "1", "--budget-ms", "0.1"])
+             "--replicas", "2", "--hedge-ms", "0.5", "--budget-ms", "0.1"])
         assert args.fault_rate == 0.0
         assert args.replicas == 2
         assert args.hedge_ms == 0.5
-        assert args.max_concurrent == 1
         args = build_parser().parse_args(["materialize", "--fault-rate", "1"])
         assert args.fault_rate == 1.0
 
@@ -309,14 +307,6 @@ class TestReplicaFlags:
         plain_xml = plain[:plain.index("\n-- ")]
         replicated_xml = replicated[:replicated.index("\n-- ")]
         assert replicated_xml == plain_xml
-
-    def test_max_concurrent_accepted(self):
-        code, output = run_cli(
-            "materialize", "--strategy", "fully-partitioned",
-            "--max-concurrent", "4", "--workers", "8",
-        )
-        assert code == 0
-        assert output.startswith("<view>")
 
 
 def reject_main(*argv):

@@ -82,12 +82,8 @@ class TestHierarchy:
             assert getattr(repro, name) is getattr(errors, name)
 
     def test_overload_error_shape(self):
-        exc = repro.OverloadError(
-            "too much", reason="queue", shed=("S1", "S2"), stream_label="S1",
-        )
+        exc = repro.OverloadError("too much", reason="tenant")
         assert isinstance(exc, repro.ExecutionError)
         assert isinstance(exc, ReproError)
-        assert exc.reason == "queue"
-        assert exc.shed == ("S1", "S2")
-        assert exc.stream_label == "S1"
-        assert exc.report is None
+        assert exc.reason == "tenant"
+        assert str(exc) == "too much"

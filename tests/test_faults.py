@@ -1,4 +1,4 @@
-"""Fault injection, retry/backoff, circuit breaking, and adaptive plan
+"""Fault injection, retry/backoff, and adaptive plan
 degradation (repro.relational.faults + the resilient dispatch and facade).
 
 The load-bearing invariants:
@@ -32,10 +32,10 @@ from repro.relational.connection import Connection
 from repro.relational.engine import CostModel
 from repro.relational.faults import (
     NO_RETRY,
-    CircuitBreaker,
     FaultPolicy,
     RetryPolicy,
 )
+from repro.relational.replicas import ReplicaPool, ReplicaSet
 from repro.session import Session
 
 
@@ -93,66 +93,6 @@ class TestFaultPolicy:
         assert first == jittered.backoff_for("S1", 1, seed=5)
         assert 75.0 <= first <= 125.0
 
-    def test_circuit_breaker_trips_and_resets(self):
-        breaker = CircuitBreaker(threshold=2)
-        assert breaker.allow("fp")
-        breaker.record_failure("fp")
-        assert breaker.allow("fp")
-        breaker.record_failure("fp")
-        assert not breaker.allow("fp")
-        assert breaker.trips == 1
-        breaker.reset()
-        assert breaker.allow("fp")
-
-
-class TestCircuitBreakerStates:
-    def test_closed_open_half_open_closed(self):
-        breaker = CircuitBreaker(threshold=2, cooldown=2)
-        assert breaker.state("fp") == "closed"
-        breaker.record_failure("fp")
-        assert breaker.state("fp") == "closed"
-        breaker.record_failure("fp")
-        assert breaker.state("fp") == "open"
-        # Two denials stand in for the cooldown period.
-        assert not breaker.allow("fp")
-        assert not breaker.allow("fp")
-        assert breaker.state("fp") == "half-open"
-        # Half-open admits exactly one probe; the denial count restarts.
-        assert breaker.allow("fp")
-        assert breaker.state("fp") == "open"
-        # A successful probe closes the circuit again.
-        breaker.record_success("fp")
-        assert breaker.state("fp") == "closed"
-        assert breaker.allow("fp")
-
-    def test_failed_probe_reopens(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=1)
-        breaker.record_failure("fp")
-        assert breaker.state("fp") == "open"
-        assert not breaker.allow("fp")
-        assert breaker.state("fp") == "half-open"
-        assert breaker.allow("fp")        # the probe
-        breaker.record_failure("fp")      # ...which fails
-        assert breaker.state("fp") == "open"
-        assert not breaker.allow("fp")    # sits out another cooldown
-        assert breaker.allow("fp")        # before the next probe
-
-    def test_no_cooldown_preserves_legacy_behaviour(self):
-        breaker = CircuitBreaker(threshold=1)
-        breaker.record_failure("fp")
-        assert breaker.state("fp") == "open"
-        assert not any(breaker.allow("fp") for _ in range(10))
-        assert breaker.fast_failures == 10
-
-    def test_state_has_no_side_effects(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=3)
-        breaker.record_failure("fp")
-        for _ in range(10):
-            assert breaker.state("fp") == "open"
-        # state() never advanced the denial count or counted fast failures.
-        assert breaker.fast_failures == 0
-        assert not breaker.allow("fp")
-
 
 class TestRetryDeadline:
     """Budget exhaustion mid-backoff: a retry whose wait would cross the
@@ -170,8 +110,6 @@ class TestRetryDeadline:
 
     @staticmethod
     def routes(connection):
-        from repro.relational.replicas import ReplicaPool, ReplicaSet
-
         return {}, {"replicas": ReplicaPool(ReplicaSet([connection]))}
 
     def test_deadline_exactly_on_backoff_boundary_allows_retry(
@@ -402,6 +340,31 @@ class TestDegradation:
         assert result.xml == baseline.xml
         assert result.report.degraded_streams == ("S1'",)
         assert result.report.n_streams > 1
+
+    def test_pooled_plan_degrades_when_every_replica_refuses_a_stream(
+            self, silk, view):
+        """Degradation under a pool: the unified stream is pinned to fail
+        wherever it lands, so failover runs out of replicas and the plan
+        is re-planned into finer streams — which the pool then serves."""
+        baseline = view.materialize("unified")
+        pool = ReplicaPool(ReplicaSet.from_connection(
+            silk.connection, 3,
+            faults=[FaultPolicy(seed=i, fail_streams=("S1'",))
+                    for i in range(3)],
+        ))
+        result = view.materialize(
+            "unified", replicas=pool, retry=RetryPolicy(max_attempts=4),
+        )
+        report = result.report
+        assert result.xml == baseline.xml
+        assert report.query_ms > baseline.report.query_ms    # finer plans
+        assert report.degraded_streams == ("S1'",)
+        assert report.n_streams == 10
+        # The coarse stream tried every replica, then wrapped; its four
+        # burned attempts stay in the totals.
+        assert report.failovers == 3
+        assert report.attempts == 4 + report.n_streams
+        assert all(h.failures for h in pool.health)
 
     def test_single_node_stream_propagates(self, view):
         faults = FaultPolicy(seed=0, fail_streams={"S1": None})

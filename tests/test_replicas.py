@@ -1,5 +1,5 @@
 """Replica-aware resilient dispatch (repro.relational.replicas): pools,
-health-checked routing, failover, hedged requests, and admission control.
+health-checked routing, failover and hedged requests.
 
 The load-bearing invariants:
 
@@ -14,10 +14,6 @@ The load-bearing invariants:
 * **hedging pays off deterministically** — against a slow replica the
   hedged elapsed makespan is strictly lower, and hedge losers never
   double-charge ``server_ms``;
-* **admission sheds deterministically** — queue overflow and deadline
-  shedding raise a typed :class:`~repro.common.errors.OverloadError`
-  listing the shed streams, a function of the simulated schedule only,
-  and light load sheds nothing;
 * **an early stop leaves the same state at every width** — a dispatch
   that fails or times out part-way never starts the later streams,
   whatever ``workers`` says.
@@ -31,13 +27,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.bench.queries import QUERY_1, QUERY_2
 from repro.bench.sweep import sweep_partitions
-from repro.common.errors import (
-    ExecutionError,
-    OverloadError,
-    TimeoutExceeded,
-    TransientConnectionError,
-)
-from repro.core.options import ExecutionOptions
+from repro.common.errors import TimeoutExceeded, TransientConnectionError
 from repro.core.partition import (
     Partition,
     fully_partitioned,
@@ -49,12 +39,9 @@ from repro.relational.connection import Connection, TransferModel
 from repro.relational.engine import CostModel
 from repro.relational.faults import FaultPolicy, RetryPolicy
 from repro.relational.replicas import (
-    AdmissionController,
-    AdmissionPolicy,
     ReplicaPool,
     ReplicaSet,
     replica_fault_policy,
-    resolve_admission,
     resolve_pool,
 )
 
@@ -229,23 +216,6 @@ class TestResolvers:
         assert isinstance(wrapped, ReplicaPool) and len(wrapped) == 2
         assert resolve_pool(wrapped, connection) is wrapped
 
-    def test_resolve_admission_contract(self):
-        assert resolve_admission(None) is None
-        controller = resolve_admission(4)
-        assert isinstance(controller, AdmissionController)
-        assert controller.policy.max_concurrent_streams == 4
-        policy = AdmissionPolicy(max_concurrent_streams=2, deadline_ms=10.0)
-        assert resolve_admission(policy).policy is policy
-        assert resolve_admission(controller) is controller
-
-    def test_clamp_workers(self):
-        controller = resolve_admission(2)
-        assert controller.clamp_workers(8) == 2
-        assert controller.clamp_workers(None) == 1
-        assert controller.clamp_workers(1) == 1
-        unlimited = AdmissionController(AdmissionPolicy(deadline_ms=5.0))
-        assert unlimited.clamp_workers(8) == 8
-
 
 # ---------------------------------------------------------------------------
 # Health, epochs, and routing
@@ -298,13 +268,62 @@ class TestPoolHealth:
         assert [h.consecutive_failures for h in first.health] == \
                [h.consecutive_failures for h in second.health]
 
-    def test_breaker_denied_replica_ranks_last(self, tiny_db):
-        pool = self._pool(tiny_db)
-        for _ in range(pool.breaker.threshold):
-            pool.breaker.record_failure(0)
-        ranking = pool.begin_epoch().ranking
-        assert ranking[-1] == 0
-        assert ranking[:2] == (1, 2)
+    def test_a_streamed_open_says_nothing_about_latency(
+            self, tiny_db, tiny_estimator):
+        """A lazily opened cursor has executed nothing: its open tells the
+        pool that the replica took it, not how fast the replica is.  (It
+        used to record the cursor's startup charge as the completion, and
+        one streamed call made a replica look ~30x faster than its twin
+        for the pool's life.)"""
+        connection, view = fresh_view(tiny_db, tiny_estimator)
+        pool = ReplicaPool(ReplicaSet.from_connection(connection, 2))
+        [stream] = view.materialize("unified", replicas=pool).report.streams
+        true_cost = stream.server_ms + stream.transfer_ms
+        assert pool.health[0].ewma_latency_ms == true_cost
+        # The replica nothing has measured yet ranks first and takes the
+        # nine streamed opens...
+        for _ in range(9):
+            view.materialize_to(io.StringIO(), "unified", replicas=pool)
+        assert pool.health[1].successes == 9
+        assert pool.health[1].ewma_latency_ms is None
+        assert pool.health[0].ewma_latency_ms == true_cost
+        # ...so the next eager run measures it: identical replicas tie.
+        view.materialize("unified", replicas=pool)
+        assert pool.health[1].ewma_latency_ms == true_cost
+        assert pool.begin_epoch().ranking == (0, 1)
+        # A refused open is still a failure.
+        connection.faults = FaultPolicy(seed=1, error_rate=1.0)
+        with pytest.raises(TransientConnectionError):
+            view.materialize_to(io.StringIO(), "unified", replicas=pool)
+        assert pool.health[0].consecutive_failures == 1
+
+    def test_second_call_is_routed_by_what_the_first_learned(
+            self, tiny_db, tiny_estimator, baseline):
+        """Health routing across calls: on a reused pool whose primary is
+        slow, the first call pays for the discovery (hedges that win), the
+        second is served by the fast replica outright — no hedge issued."""
+        connection, view = fresh_view(tiny_db, tiny_estimator)
+        pool = ReplicaPool(ReplicaSet.from_connection(
+            connection, 2,
+            faults=[FaultPolicy(seed=3, latency_ms=500.0), None],
+        ))
+        slowest = max(
+            s.server_ms + s.transfer_ms for s in baseline.report.streams
+        )
+        assert slowest < 200.0 < 0.5 * 500.0    # only replica 0 is past it
+
+        def call():
+            return view.materialize(
+                "fully-partitioned", replicas=pool, hedge_ms=200.0,
+            )
+
+        first, second = call(), call()
+        assert first.xml == second.xml == baseline.xml
+        assert first.report.hedge_wins == first.report.n_streams
+        assert second.report.hedges == 0
+        assert {s.replica for s in second.report.streams} == {1}
+        assert (second.report.elapsed_total_ms
+                < first.report.elapsed_total_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +488,6 @@ class TestEarlyStop:
                  h.ewma_latency_ms)
                 for h in pool.health
             ],
-            "breaker": [pool.breaker.state(r) for r in range(len(pool))],
             "stream_spans": [
                 span.name for span in obs.tracer.walk()
                 if span.name.startswith("stream:")
@@ -680,96 +698,6 @@ class TestHedging:
 
 
 # ---------------------------------------------------------------------------
-# Admission control
-
-
-class TestAdmission:
-    def test_queue_overflow_is_refused_up_front(self, tiny_db,
-                                                tiny_estimator):
-        _, view = fresh_view(tiny_db, tiny_estimator)
-        controller = AdmissionController(AdmissionPolicy(
-            max_concurrent_streams=2, max_queued_streams=3,
-        ))
-        with pytest.raises(OverloadError) as info:
-            view.materialize("fully-partitioned", max_concurrent=controller)
-        exc = info.value
-        assert isinstance(exc, ExecutionError)
-        assert exc.reason == "queue"
-        assert len(exc.shed) == 10
-        assert controller.shed == 10 and controller.admitted == 0
-        # The partial report shows nothing ran.
-        assert exc.report is not None and exc.report.n_streams == 0
-
-    def test_deadline_sheds_late_streams(self, tiny_db, tiny_estimator):
-        _, view = fresh_view(tiny_db, tiny_estimator)
-        controller = AdmissionController(AdmissionPolicy(
-            max_concurrent_streams=2, deadline_ms=50.0,
-        ))
-        with pytest.raises(OverloadError) as info:
-            view.materialize("fully-partitioned", max_concurrent=controller)
-        exc = info.value
-        assert exc.reason == "deadline"
-        assert 0 < len(exc.shed) < 10
-        report = exc.report
-        assert report.n_streams == 10 - len(exc.shed)
-        assert report.shed_streams == exc.shed
-
-    def test_deadline_shedding_is_deterministic(self, tiny_db,
-                                                tiny_estimator):
-        def shed_with(workers):
-            _, view = fresh_view(tiny_db, tiny_estimator)
-            with pytest.raises(OverloadError) as info:
-                view.materialize(
-                    "fully-partitioned", workers=workers,
-                    max_concurrent=AdmissionController(AdmissionPolicy(
-                        max_concurrent_streams=2, deadline_ms=50.0,
-                    )),
-                )
-            return info.value.shed
-
-        # The shed set is a function of the simulated schedule only:
-        # identical across repeated runs at the same width.
-        assert shed_with(4) == shed_with(4)
-        assert shed_with(None) == shed_with(None)
-        # A wider (clamped to 2) schedule starts streams earlier than the
-        # width-1 one, so it never sheds more.
-        assert len(shed_with(4)) <= len(shed_with(None))
-
-    def test_light_load_sheds_nothing(self, tiny_db, tiny_estimator,
-                                      baseline):
-        _, view = fresh_view(tiny_db, tiny_estimator)
-        result = view.materialize(
-            "fully-partitioned", max_concurrent=4, workers=8,
-        )
-        assert result.xml == baseline.xml
-        assert result.report.shed_streams == ()
-
-    def test_workers_clamped_to_admission_limit(self, tiny_db,
-                                                tiny_estimator, baseline):
-        # The elapsed makespan reflects the clamped width, not the
-        # requested one.
-        _, view = fresh_view(tiny_db, tiny_estimator)
-        wide = view.materialize("fully-partitioned", workers=8)
-        _, view = fresh_view(tiny_db, tiny_estimator)
-        clamped = view.materialize(
-            "fully-partitioned", workers=8, max_concurrent=1,
-        )
-        assert clamped.xml == wide.xml == baseline.xml
-        assert clamped.report.elapsed_total_ms > wide.report.elapsed_total_ms
-
-    def test_options_bundle_carries_the_knobs(self, tiny_db, tiny_estimator,
-                                              baseline):
-        _, view = fresh_view(tiny_db, tiny_estimator)
-        opts = ExecutionOptions(
-            replicas=2, hedge_ms=25.0, max_concurrent=4,
-            faults=FaultPolicy(seed=11, error_rate=0.2),
-            retry=RetryPolicy(max_attempts=4),
-        )
-        result = view.materialize("fully-partitioned", options=opts)
-        assert result.xml == baseline.xml
-
-
-# ---------------------------------------------------------------------------
 # Sweep integration
 
 
@@ -793,55 +721,30 @@ class TestSweepReplicas:
         assert [t.transfer_ms for t in replicated.timings] == \
                [t.transfer_ms for t in clean.timings]
 
-    def test_sweep_sheds_over_capacity_plans(self, q1_tree, tiny_db):
-        result = sweep_partitions(
-            q1_tree, tiny_db.schema, Connection(tiny_db, CostModel()),
-            partitions=[unified_partition(q1_tree),
-                        fully_partitioned(q1_tree)],
-            cache=False,
-            max_concurrent=AdmissionPolicy(
-                max_concurrent_streams=2, max_queued_streams=3,
-            ),
-        )
-        # The unified plan (1 stream) fits; the 10-stream plan is shed.
-        assert len(result.completed()) == 1
-        assert len(result.shed()) == 1
-        timing = result.shed()[0]
-        assert timing.shed and timing.total_ms is None
-
     def test_sweep_width_is_each_plans_dispatch_width(
             self, q1_tree, tiny_db, tiny_estimator):
-        """``workers`` means in a sweep what it means everywhere: under an
-        admission deadline a width-4 sweep sheds, plan by plan and stream
-        by stream, what ``execute_partition(workers=4)`` sheds."""
+        """``workers`` means in a sweep what it means everywhere — each
+        plan's simulated dispatch width — and a sweep records per-stream
+        sums, which no width moves: a width-4 sweep times every plan as
+        the width-1 sweep and as ``execute_partition(workers=4)`` do."""
         partitions = [unified_partition(q1_tree),
                       Partition([(1, 4), (1, 4, 2)]),
                       fully_partitioned(q1_tree)]
-        policy = AdmissionPolicy(deadline_ms=30.0)
 
         def swept_at(workers):
-            controller = AdmissionController(policy)
             result = sweep_partitions(
                 q1_tree, tiny_db.schema, Connection(tiny_db, CostModel()),
                 partitions=partitions, cache=False, workers=workers,
-                max_concurrent=controller,
             )
-            return ([t.shed for t in result.timings],
-                    controller.shed, controller.admitted)
+            return [(t.query_ms, t.transfer_ms) for t in result.timings]
 
-        direct = AdmissionController(policy)
         _, view = fresh_view(tiny_db, tiny_estimator)
-        shed = []
+        direct = []
         for partition in partitions:
-            try:
-                view.execute_partition(
-                    partition, workers=4, max_concurrent=direct
-                )
-                shed.append(False)
-            except OverloadError:
-                shed.append(True)
-        assert swept_at(4) == (shed, direct.shed, direct.admitted)
-        assert 0 < direct.shed < swept_at(None)[1]
+            _, _, report = view.execute_partition(partition, workers=4)
+            assert report.elapsed_query_ms <= report.query_ms
+            direct.append((report.query_ms, report.transfer_ms))
+        assert swept_at(4) == swept_at(None) == direct
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,8 @@ from repro import (
 )
 from repro.bench.queries import QUERY_1
 from repro.bench.sweep import sweep_partitions
-from repro.common.errors import OverloadError
 from repro.core.options import ExecutionOptions
 from repro.core.silkroute import SilkRoute
-from repro.relational.replicas import AdmissionPolicy
 from repro.tpch.generator import TpchGenerator, TpchScale
 
 TINY = TpchScale(suppliers=8, parts=16, customers=10, orders=40)
@@ -195,21 +193,3 @@ class TestMutate:
         from repro.cli import _apply_delta
 
         assert _apply_delta is apply_delta
-
-
-class TestShedPartialReports:
-    """Every shed path surfaces a partial PlanReport on the error."""
-
-    def test_streaming_queue_shed_attaches_partial_report(self, session):
-        policy = AdmissionPolicy(max_concurrent_streams=1,
-                                 max_queued_streams=0)
-        with pytest.raises(OverloadError) as info:
-            session.materialize_to(QUERY_1, io.StringIO(),
-                                   "fully-partitioned",
-                                   max_concurrent=policy)
-        exc = info.value
-        assert exc.reason == "queue"
-        assert exc.report is not None
-        assert exc.report.n_streams > 1
-        assert tuple(exc.report.shed_streams) == tuple(exc.shed)
-        assert exc.report.streams == []
