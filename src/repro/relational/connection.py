@@ -414,11 +414,14 @@ class Connection:
         per-row costs in identical order."""
         model = self.transfer_model
         declared_width = len(columns)
-        width_fns = [width_function(col.sql_type) for col in columns]
         row_ms = model.row_ms
         field_ms = model.field_ms
         byte_ms = model.byte_ms
         null_field_ms = model.null_field_ms
+        # A fixed-width field's charge, once, by the same float operations
+        # as per value; None where the width is the value's length.
+        addends = [None if width_function(col.sql_type) is len
+                   else field_ms + col.sql_type.storage_width * byte_ms for col in columns]
         # The paper's "anomalous caching behavior in JDBC": rows produced
         # by a wide outer join bind every declared column and pay a
         # super-linear penalty; union-shaped results use the compact
@@ -431,11 +434,13 @@ class Connection:
 
         def cost(row):
             ms = row_ms
-            for fn, value in zip(width_fns, row):
+            for addend, value in zip(addends, row):
                 if value is None:
                     ms += null_field_ms
+                elif addend is None:
+                    ms += field_ms + len(value) * byte_ms
                 else:
-                    ms += field_ms + fn(value) * byte_ms
+                    ms += addend
             if wide:
                 ms *= wide_factor
             return ms

@@ -32,18 +32,45 @@ def format_value(value):
     return str(value)
 
 
+#: :func:`escape_text` by exact type for the values a column holds;
+#: any other type (``bool``, ``datetime``, …) takes the function itself.
+_CHARACTER_DATA = {
+    str: escape_text,
+    int: int.__repr__,
+    float: "{:.2f}".format,
+    datetime.date: datetime.date.isoformat,
+}
+
+
+class _Markup(dict):
+    """``tag -> markup`` from one template: a memo of a pure function,
+    shared by every writer, that starts over past 1,024 tags."""
+
+    def __init__(self, template):
+        self.template = template
+
+    def __missing__(self, tag):
+        if len(self) >= 1024:
+            self.clear()
+        markup = self[tag] = self.template.format(tag)
+        return markup
+
+
+_OPENING, _CLOSING = _Markup("<{}>"), _Markup("</{}>")
+
+
 class XmlWriter:
     """Streaming XML writer.
 
     Writes to an internal buffer (or any file-like ``sink``), one event at a
     time, so the tagger never holds the document in memory.  ``indent`` of
-    ``None`` produces compact output.
+    ``None`` produces compact output: one ``write`` per event.
     """
 
     def __init__(self, sink=None, indent=None):
         self.sink = sink if sink is not None else io.StringIO()
         self.indent = indent
-        self.depth = 0
+        self.depth = 0  # kept for indented output only
         self._write = self.sink.write
         self._open_tag_has_children = []
         self._started = False
@@ -55,17 +82,18 @@ class XmlWriter:
             if self._open_tag_has_children:
                 self._open_tag_has_children[-1] = True
             self._open_tag_has_children.append(False)
-        self._write(f"<{tag}>")
-        self.depth += 1
+            self.depth += 1
+        self._write(_OPENING[tag])
 
     def text(self, value):
-        self._write(escape_text(value))
+        self._write(_CHARACTER_DATA.get(type(value), escape_text)(value))
 
     def end_element(self, tag):
-        self.depth -= 1
-        if self.indent is not None and self._open_tag_has_children.pop():
-            self._newline(closing=True)
-        self._write(f"</{tag}>")
+        if self.indent is not None:
+            self.depth -= 1
+            if self._open_tag_has_children.pop():
+                self._newline(closing=True)
+        self._write(_CLOSING[tag])
 
     def _newline(self, closing=False):
         if not self._started and not closing:

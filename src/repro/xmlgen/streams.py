@@ -17,6 +17,7 @@ NULLs sort first, which places every parent instance before its children.
 
 import heapq
 from bisect import bisect_right
+from functools import cmp_to_key
 from operator import attrgetter, itemgetter
 
 from repro.common.errors import PlanError
@@ -170,9 +171,10 @@ class StreamDecoder:
         self._constants = ("", None, TYPE_TAGS[int], *range(top + 1))
 
         steps = {}
+        templates = {}
         for slot, (index, member) in enumerate(members.items()):
             carried = {stv.name for stv in member.args}
-            template = []
+            template = templates[index] = []
             for kind, what in layout.entries:
                 if kind == "L":
                     if what <= member.level:
@@ -189,18 +191,31 @@ class StreamDecoder:
             steps[index] = (slot, member, term, itemgetter(*template))
         self._slots = len(steps)
 
-        # Terminal index -> (steps of every member on the path, key getter
-        # of the terminal unit's representative).
-        self._paths = {
-            terminal: (
-                tuple(
-                    steps[member.index]
-                    for unit in path for member in unit.members
-                ),
-                steps[path[-1].representative.index][3],
-            )
-            for terminal, path in spec.unit_paths.items()
-        }
+        def order(left, right):
+            """``left``'s key against ``right``'s on every row (-1, 0, 1),
+            None where a row value decides.  Tags and ordinals ascend in
+            the constant tail (a NULL value is never reached: its tag
+            decides first), so constant positions compare as values do."""
+            for a, b in zip(templates[left], templates[right]):
+                if a != b:
+                    return None if min(a, b) < null_tag else (a > b) - (a < b)
+            return 0
+
+        # Terminal index -> (steps, key getter of the row's own position —
+        # the terminal unit's representative —, late steps): where ``order``
+        # decides the path, its members at or before that position and
+        # those after it, each in key order; else all members and None.
+        self._paths = {}
+        for terminal, path in spec.unit_paths.items():
+            indices = [m.index for unit in path for m in unit.members]
+            rep = path[-1].representative.index
+            table = {(a, b): order(a, b) for a in indices for b in indices}
+            late = None
+            if None not in table.values():
+                indices.sort(key=cmp_to_key(lambda a, b: table[a, b]))
+                late = tuple(steps[i] for i in indices if table[i, rep] > 0)
+                indices = [i for i in indices if table[i, rep] <= 0]
+            self._paths[terminal] = (tuple(steps[i] for i in indices), steps[rep][3], late)
 
     def decode(self, rows, label):
         """Yield the :class:`Instance` sequence of ``rows``, in order;
@@ -224,7 +239,7 @@ class StreamDecoder:
                 raise PlanError(
                     f"no unit with index {terminal} in stream {label}"
                 )
-            steps, threshold_of = plan
+            steps, threshold_of, late_steps = plan
             extended = (
                 *row, *map(_TAG_OF, map(type, key_columns_of(row))),
                 *constants,
@@ -235,8 +250,6 @@ class StreamDecoder:
                 if memo[slot] != term:
                     memo[slot] = term
                     fresh.append(Instance(key_of(extended), node, term))
-            if len(fresh) > 1:
-                fresh.sort(key=_KEY)
             # The row pins everything up to its own sort position — the
             # terminal unit's *representative* (whose index is the row's L
             # prefix).  Rows arrive in document order, so without
@@ -245,19 +258,35 @@ class StreamDecoder:
             # rows still to come (e.g. a sibling subtree with a smaller
             # ordinal kept as its own unit): it waits in ``pending`` until
             # a row's position passes it.
-            threshold = threshold_of(extended)
-            if pending or (fresh and fresh[-1].key > threshold):
-                cut = bisect_right(fresh, threshold, key=_KEY)
-                late = fresh[cut:]
-                del fresh[cut:]
+            if late_steps is None:
+                # Sort and split at the row's position, per row.
+                if len(fresh) > 1:
+                    fresh.sort(key=_KEY)
+                threshold = threshold_of(extended)
+                late = ()
+                if pending or (fresh and fresh[-1].key > threshold):
+                    cut = bisect_right(fresh, threshold, key=_KEY)
+                    late = fresh[cut:]
+                    del fresh[cut:]
+            else:
+                # Sorted and split when the decoder was compiled.
+                late = []
+                for slot, node, term_of, key_of in late_steps:
+                    term = term_of(extended)
+                    if memo[slot] != term:
+                        memo[slot] = term
+                        late.append(Instance(key_of(extended), node, term))
+                if pending:
+                    threshold = threshold_of(extended)
+            if pending:
                 cut = bisect_right(pending, threshold, key=_KEY)
                 if cut:
                     fresh += pending[:cut]
                     del pending[:cut]
                     fresh.sort(key=_KEY)
-                if late:
-                    pending += late
-                    pending.sort(key=_KEY)
+            if late:
+                pending += late
+                pending.sort(key=_KEY)
             yield from fresh
         yield from pending
 

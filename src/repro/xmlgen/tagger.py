@@ -14,6 +14,8 @@ opened from its own instance (an implicit open would indicate a plan whose
 streams do not cover some node).
 """
 
+import io
+
 from repro.core.viewtree import Stv
 from repro.obs import obs_parts
 from repro.xmlgen.serializer import XmlWriter
@@ -36,7 +38,6 @@ class XmlTagger:
         self.max_stack_depth = 0
         self.implicit_opens = 0
         self.elements_written = 0
-        self._chains = {}
 
     def run(self, instances):
         """Consume the merged instance stream and emit the document.
@@ -46,38 +47,42 @@ class XmlTagger:
         match ancestors) and the *full* Skolem-term identity (all
         arguments — available on the element's own instance, used to
         distinguish siblings that share key values, e.g. the simplified
-        leaf terms of Sec. 3.1)."""
+        leaf terms of Sec. 3.1).
+
+        The stack is one root path; an instance keeps open the prefix its
+        chain shares with it, up to the shallowest frame that does not
+        match.  Frames are checked from the deepest candidate up, and on a
+        *nested* chain (:meth:`_chain`) the first match ends the search:
+        every frame below it matches too."""
         writer = self.writer
         start_element = writer.start_element
         end_element = writer.end_element
         text = writer.text
         if self.root_tag is not None:
             start_element(self.root_tag)
-        chains = self._chains
+        chains = {}  # node -> _chain(node), for this run only
         stack = []  # (node, key_identity, full_identity_or_None)
-        max_depth = 0
+        max_depth = written = 0
         for instance in instances:
             node = instance.node
-            chain = chains.get(node)
-            if chain is None:
-                chain = chains[node] = self._chain(node)
+            entry = chains.get(node)
+            if entry is None:
+                entry = chains[node] = self._chain(node)
+            chain, nested = entry
             term = instance.term
             depth = len(stack)
-            common = 0
-            for element, key_of, _ in chain:
-                if common == depth:
+            length = len(chain)
+            common = level = depth if depth < length else length
+            while level:
+                level -= 1
+                frame = stack[level]
+                element, key_of, _ = chain[level]
+                if frame[0] is not element or frame[1] != key_of(term) or (
+                        element is node and frame[2] not in (None, term)):
+                    common = level
+                elif nested:
                     break
-                frame = stack[common]
-                if frame[0] is not element or frame[1] != key_of(term):
-                    break
-                if (
-                    element is node
-                    and frame[2] is not None
-                    and frame[2] != term
-                ):
-                    break
-                common += 1
-            else:
+            if common == length:
                 continue  # duplicate instance; element already open
             while depth > common:
                 end_element(stack.pop()[0].tag)
@@ -95,26 +100,31 @@ class XmlTagger:
                         value = term[index]
                         if value is not None:
                             text(value)
-            self.elements_written += len(chain) - common
-            if len(chain) > max_depth:
-                max_depth = len(chain)
+            written += length - common
+            if length > max_depth:
+                max_depth = length
         while stack:
             end_element(stack.pop()[0].tag)
         if self.root_tag is not None:
             end_element(self.root_tag)
+        self.elements_written += written
         self.max_stack_depth = max(self.max_stack_depth, max_depth)
         return writer
 
     def _chain(self, node):
         """What opening ``node``'s instance takes, worked out once per
-        node: for every ancestor-or-self, root first, ``(element node,
-        key identity picker, content plan)``.  Key identities come from
-        the instance's own term (ancestors' key arguments are always among
-        a descendant's Skolem arguments); the content plan is a tuple of
-        ``(position in the term, None)`` for a displayed variable and
-        ``(None, text)`` for literal text."""
+        node and run: ``(chain, nested)``, the chain holding for every
+        ancestor-or-self, root first, ``(element node, key identity
+        picker, content plan)``.  Key identities come from the instance's
+        own term; the content plan is a tuple of ``(position in the term,
+        None)`` for a displayed variable and ``(None, text)`` for literal
+        text.  ``nested``: each element's key arguments include its
+        parent's — wherever both have automatic Skolem functions (a
+        child's scope extends its parent's), not always next to an
+        ``ID=F(...)``."""
         at = {stv.name: i for i, stv in enumerate(node.args)}
         chain = []
+        nested = True
         element = node
         while element is not None:
             contents = []
@@ -129,8 +139,11 @@ class XmlTagger:
                 tuple(contents),
             ))
             element = element.parent
+            if element is not None and not set(element.key_args) <= set(
+                    chain[-1][0].key_args):
+                nested = False
         chain.reverse()
-        return tuple(chain)
+        return tuple(chain), nested
 
 
 def tag_streams(tree, specs, streams, root_tag="view", indent=None,
@@ -143,7 +156,8 @@ def tag_streams(tree, specs, streams, root_tag="view", indent=None,
     materialized ``TupleStream`` lists or lazy ``TupleCursor`` pipelines;
     with cursors and a sink-backed ``writer`` the whole
     decode→merge→tag→serialize path runs in constant memory).
-    Returns ``(xml_text_or_writer, tagger)``.
+    Returns ``(xml_text, tagger)`` when the writer's ``sink`` is an
+    in-memory ``StringIO``, else ``(writer, tagger)``.
 
     ``layout`` is the tree's :class:`~repro.xmlgen.streams.ComparatorLayout`
     — pass the one a long-lived caller keeps, so the stream decoders
@@ -201,16 +215,15 @@ def tag_streams(tree, specs, streams, root_tag="view", indent=None,
             written = chars_after - chars_before
             metrics.inc("tag.bytes", written)
             tag_span.set(bytes=written)
-    try:
+    if isinstance(getattr(writer, "sink", None), io.StringIO):
         return writer.getvalue(), tagger
-    except TypeError:
-        return writer, tagger
+    return writer, tagger
 
 
 def _chars_written(writer):
-    """How many characters ``writer`` has emitted so far, or None when
-    neither its sink nor the writer can say (an opaque external stream).
-    The sink is asked first: ``getvalue()`` copies the whole document."""
+    """How many characters ``writer``'s sink has received so far, or None
+    when the sink cannot say (an opaque external stream).  Never
+    ``getvalue()``, which copies the whole document."""
     sink = getattr(writer, "sink", None)
     chars = getattr(sink, "chars", None)
     if chars is not None:
@@ -221,7 +234,4 @@ def _chars_written(writer):
             return tell()
         except (OSError, ValueError):
             pass
-    try:
-        return len(writer.getvalue())
-    except (TypeError, AttributeError):
-        return None
+    return None

@@ -1,11 +1,15 @@
 """Tests for the client/server layer (repro.relational.connection)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import PlanError, TimeoutExceeded
-from repro.relational.algebra import Scan
+from repro.core.partition import unified_partition
+from repro.core.sqlgen import PlanStyle, SqlGenerator
+from repro.relational.algebra import ColumnInfo, Scan
 from repro.relational.connection import Connection, SourceDescription, TransferModel
 from repro.relational.engine import CostModel
+from repro.relational.types import SqlType, width_function
 
 
 @pytest.fixture
@@ -66,6 +70,87 @@ class TestTransferModel:
         assert conn._transfer_cost(scan.columns(), row, False) == pytest.approx(
             conn._transfer_cost(scan.columns(), row, True)
         )
+
+
+def _reference_row_cost(model, columns, compact_rows):
+    """The per-row transfer charge as first written: one width call and
+    one ``field_ms + width * byte_ms`` per non-NULL field."""
+    width_fns = [width_function(col.sql_type) for col in columns]
+    wide = not compact_rows and len(columns) > model.wide_threshold
+    wide_factor = 1.0 + model.wide_row_factor * (
+        len(columns) - model.wide_threshold
+    )
+
+    def cost(row):
+        ms = model.row_ms
+        for fn, value in zip(width_fns, row):
+            if value is None:
+                ms += model.null_field_ms
+            else:
+                ms += model.field_ms + fn(value) * model.byte_ms
+        if wide:
+            ms *= wide_factor
+        return ms
+
+    return cost
+
+
+_VALUES = {
+    SqlType.INTEGER: st.integers(-10 ** 6, 10 ** 6),
+    SqlType.DECIMAL: st.floats(allow_nan=False, allow_infinity=False),
+    SqlType.VARCHAR: st.text(max_size=30),
+    SqlType.CHAR: st.text(max_size=3),
+    SqlType.DATE: st.dates(),
+}
+_COEFFICIENT = st.floats(1e-4, 2.0, allow_nan=False)
+
+
+@st.composite
+def _rows_under_a_model(draw):
+    model = TransferModel(
+        row_ms=draw(_COEFFICIENT), field_ms=draw(_COEFFICIENT),
+        byte_ms=draw(_COEFFICIENT), null_field_ms=draw(_COEFFICIENT),
+        wide_threshold=draw(st.integers(0, 12)),
+        wide_row_factor=draw(_COEFFICIENT),
+    )
+    types = draw(st.lists(st.sampled_from(list(SqlType)), max_size=16))
+    columns = [ColumnInfo(f"c{i}", t) for i, t in enumerate(types)]
+    row = st.tuples(*(st.none() | _VALUES[t] for t in types))
+    rows = draw(st.lists(row, max_size=30))
+    return model, columns, rows, draw(st.booleans())
+
+
+class TestTransferCharge:
+    """The per-row charge equals the per-field formula to the last bit."""
+
+    @given(_rows_under_a_model())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_field_formula(self, tiny_db, case):
+        model, columns, rows, compact = case
+        conn = Connection(tiny_db, CostModel(), model)
+        reference = _reference_row_cost(model, columns, compact)
+        row_cost = conn._row_cost_fn(columns, compact)
+        total = 0.0
+        for row in rows:
+            assert row_cost(row) == reference(row)
+            total += reference(row)
+        assert conn._transfer_cost(columns, rows, compact) == total
+
+    @pytest.mark.parametrize("style", list(PlanStyle))
+    def test_cursor_total_equals_materialized_total(self, q1_tree, tiny_db,
+                                                    style):
+        """Outer-join rows are wide and not compact; outer-union rows are
+        compact and full of NULLs."""
+        [spec] = SqlGenerator(q1_tree, tiny_db.schema, style=style) \
+            .streams_for_partition(unified_partition(q1_tree))
+        assert len(spec.column_names) > TransferModel().wide_threshold
+        conn = Connection(tiny_db, CostModel())
+        stream = conn.execute(spec.plan, compact_rows=spec.compact)
+        cursor = conn.execute_iter(spec.plan, compact_rows=spec.compact)
+        assert list(cursor) == stream.rows
+        assert cursor.transfer_ms == stream.transfer_ms
+        assert stream.transfer_ms == conn._transfer_cost(
+            stream.columns, stream.rows, spec.compact)
 
 
 class TestSourceDescription:

@@ -2,8 +2,16 @@
 
 import pytest
 
-from repro.core.partition import Partition, fully_partitioned, unified_partition
-from repro.core.sqlgen import PlanStyle, SqlGenerator
+from repro.core.greedy import GreedyPlanner
+from repro.core.partition import (
+    Partition,
+    enumerate_partitions,
+    fully_partitioned,
+    unified_partition,
+)
+from repro.core.sqlgen import PlanStyle, SqlGenerator, rule_to_algebra
+from repro.relational.engine import CostModel
+from repro.relational.estimator import CostEstimator
 from repro.relational.algebra import (
     Distinct,
     InnerJoin,
@@ -216,6 +224,70 @@ class TestExecutionRowShape:
         positions = [spec.column_names.index(k) for k in spec.sort_keys]
         keys = [sort_key(tuple(row[p] for p in positions)) for row in rows]
         assert keys == sorted(keys)
+
+
+class _Unmemoized(SqlGenerator):
+    """Rebuilds every rule's base query wherever it occurs."""
+
+    def _rule_query(self, unit, rule):
+        return rule_to_algebra(rule, self.schema)
+
+
+def _base_queries(specs):
+    return {id(op) for spec in specs for op in _walk(spec.plan)
+            if isinstance(op, Distinct)}
+
+
+class TestRuleMemo:
+    """One base query per rule value: shared by every spec that contains
+    the rule, and indistinguishable from rebuilt ones."""
+
+    @pytest.mark.parametrize("tree_name", ["q1_tree", "q2_tree"])
+    @pytest.mark.parametrize("style", list(PlanStyle))
+    @pytest.mark.parametrize("reduce", [False, True])
+    def test_specs_equal_rebuilt_ones(self, request, tiny_db, tree_name,
+                                      style, reduce):
+        tree = request.getfixturevalue(tree_name)
+        memoized, rebuilt = (
+            cls(tree, tiny_db.schema, style=style, reduce=reduce)
+            for cls in (SqlGenerator, _Unmemoized)
+        )
+        for partition in list(enumerate_partitions(tree))[::5]:
+            specs = memoized.streams_for_partition(partition)
+            reference = rebuilt.streams_for_partition(partition)
+            assert [s.sql for s in specs] == [s.sql for s in reference]
+            assert [s.plan.fingerprint() for s in specs] \
+                == [s.plan.fingerprint() for s in reference]
+
+    def test_components_share_base_queries(self, q1_tree, tiny_db):
+        rules = {node.rule for node in q1_tree.nodes}
+        assert len(rules) == 9   # <order> and its <okey> share one rule
+        for cls, shared in ((SqlGenerator, True), (_Unmemoized, False)):
+            generator = cls(q1_tree, tiny_db.schema)
+            unified = generator.streams_for_partition(
+                unified_partition(q1_tree))
+            leaves = generator.streams_for_partition(
+                fully_partitioned(q1_tree))
+            common = _base_queries(unified) & _base_queries(leaves)
+            assert len(common) == (len(rules) if shared else 0)
+
+    @pytest.mark.parametrize("tree_name", ["q1_tree", "q2_tree"])
+    @pytest.mark.parametrize("reduce", [False, True])
+    def test_greedy_asks_the_same_questions(self, request, tiny_db,
+                                            tree_name, reduce):
+        tree = request.getfixturevalue(tree_name)
+        planners = []
+        for cls in (SqlGenerator, _Unmemoized):
+            planner = GreedyPlanner(
+                tree, tiny_db.schema, CostEstimator(tiny_db, CostModel()),
+                reduce=reduce,
+            )
+            planner.generator = cls(tree, tiny_db.schema, reduce=reduce)
+            planners.append((planner, planner.plan()))
+        (memoized, plan), (rebuilt, reference) = planners
+        assert plan == reference
+        assert plan.oracle_requests == reference.oracle_requests > 0
+        assert memoized._component_cost == rebuilt._component_cost
 
 
 def _walk(plan):

@@ -1,29 +1,46 @@
 """Tests for stream decoding, merging, tagging, and serialization."""
 
+import collections
+import copy
 import dataclasses
+import datetime
+import importlib.util
 import itertools
+import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.bench.queries import QUERY_1, QUERY_2, load_view
 from repro.common.errors import PlanError
 from repro.core.labeling import label_view_tree
 from repro.core.partition import (
+    Partition,
     enumerate_partitions,
     fully_partitioned,
     unified_partition,
 )
 from repro.core.sqlgen import PlanStyle, SqlGenerator
-from repro.core.viewtree import build_view_tree
+from repro.core.viewtree import Stv, ViewTree, ViewTreeNode, build_view_tree
+from repro.relational.types import SqlType
 from repro.rxl.parser import parse_rxl
-from repro.xmlgen.serializer import XmlWriter, escape_text, format_value
+from repro.xmlgen.serializer import (
+    _CLOSING,
+    _OPENING,
+    CountingSink,
+    XmlWriter,
+    escape_text,
+    format_value,
+)
 from repro.xmlgen.streams import (
     ComparatorLayout,
+    Instance,
     decode_stream,
     instance_sources,
     iter_instances,
     merge_streams,
 )
-from repro.xmlgen.tagger import tag_streams
+from repro.xmlgen.tagger import XmlTagger, tag_streams
 
 
 @pytest.fixture
@@ -467,3 +484,430 @@ class TestSerializer:
         assert "".join(sink.chunks) == "<a></a>"
         with pytest.raises(TypeError):
             writer.getvalue()
+
+    class _StrSubclass(str):
+        pass
+
+    #: (value, character data) — the exact types a column holds and the
+    #: ones that fall back to ``escape_text``.
+    CORPUS = [
+        ("plain", "plain"),
+        ("a&b", "a&amp;b"),
+        ("<tag>", "&lt;tag&gt;"),
+        ("x > y & y < z", "x &gt; y &amp; y &lt; z"),
+        ("", ""),
+        (_StrSubclass("s<t"), "s&lt;t"),
+        (True, "True"),
+        (False, "False"),
+        (0, "0"),
+        (-42, "-42"),
+        (3.14159, "3.14"),
+        (2.5, "2.50"),
+        (-0.004, "-0.00"),
+        (1e21, "1000000000000000000000.00"),
+        (datetime.date(2001, 5, 21), "2001-05-21"),
+        (datetime.datetime(2001, 5, 21, 9, 30), "2001-05-21T09:30:00"),
+    ]
+
+    @pytest.mark.parametrize("value, expected", CORPUS,
+                             ids=[repr(v) for v, _ in CORPUS])
+    def test_compact_character_data(self, value, expected):
+        writer = XmlWriter()
+        writer.start_element("v")
+        writer.text(value)
+        writer.end_element("v")
+        assert writer.getvalue() == f"<v>{expected}</v>"
+        assert escape_text(value) == expected
+
+    def test_tagger_skips_a_null_value(self):
+        tree, (g, p, c) = _hand_built_tree()
+        xml = XmlTagger(tree, XmlWriter()).run([
+            Instance(None, g, (1,)),
+            Instance(None, p, (1, 5)),
+            Instance(None, c, (1, 5, 9, None)),
+        ]).getvalue()
+        assert xml == "<g>1<p>5<c></c></p></g>"
+
+    def test_markup_is_shared_and_bounded(self):
+        tags = [f"t{i}" for i in range(1500)]
+        writer = XmlWriter()
+        for tag in tags:
+            writer.start_element(tag)
+            writer.end_element(tag)
+        assert writer.getvalue() == "".join(f"<{t}></{t}>" for t in tags)
+        assert len(_OPENING) <= 1024 and len(_CLOSING) <= 1024
+
+    def test_overriding_subclass_receives_every_event(self, q1_tree, tiny_db,
+                                                      tiny_conn):
+        """The compact fast path lives inside the three methods, so a
+        subclass overriding them sees every event the tagger makes."""
+
+        class Counting(XmlWriter):
+            def __init__(self):
+                super().__init__()
+                self.events = collections.Counter()
+
+            def start_element(self, tag):
+                self.events["start"] += 1
+                super().start_element(tag)
+
+            def text(self, value):
+                self.events["text"] += 1
+                super().text(value)
+
+            def end_element(self, tag):
+                self.events["end"] += 1
+                super().end_element(tag)
+
+        specs, streams = executed(
+            q1_tree, tiny_db, tiny_conn, fully_partitioned(q1_tree)
+        )
+        recorder = RecordingWriter()
+        XmlTagger(q1_tree, recorder, root_tag="view").run(
+            iter_instances(q1_tree, specs, streams))
+        writer = Counting()
+        xml, _ = tag_streams(q1_tree, specs, streams, root_tag="view",
+                             writer=writer)
+        kinds = collections.Counter(kind for kind, _ in recorder.events)
+        assert writer.events == kinds
+        assert xml == recorder.replay(XmlWriter()).getvalue()
+
+    def test_a_type_error_inside_getvalue_is_not_swallowed(
+            self, q1_tree, tiny_db, tiny_conn):
+        class Broken(XmlWriter):
+            def getvalue(self):
+                raise TypeError("broken getvalue")
+
+        specs, streams = executed(
+            q1_tree, tiny_db, tiny_conn, unified_partition(q1_tree)
+        )
+        with pytest.raises(TypeError, match="broken getvalue"):
+            tag_streams(q1_tree, specs, streams, writer=Broken())
+
+    def test_an_external_sink_returns_the_writer(self, q1_tree, tiny_db,
+                                                 tiny_conn):
+        specs, streams = executed(
+            q1_tree, tiny_db, tiny_conn, unified_partition(q1_tree)
+        )
+        writer = XmlWriter(sink=CountingSink())
+        result, _ = tag_streams(q1_tree, specs, streams, writer=writer)
+        assert result is writer
+        assert writer.sink.chars == len(
+            tag_streams(q1_tree, specs, streams)[0])
+
+
+class RecordingWriter:
+    """Keeps the tagger's events, to compare two taggers event by event."""
+
+    def __init__(self):
+        self.events = []
+
+    def start_element(self, tag):
+        self.events.append(("start", tag))
+
+    def text(self, value):
+        self.events.append(("text", value))
+
+    def end_element(self, tag):
+        self.events.append(("end", tag))
+
+    def replay(self, writer):
+        handlers = {"start": writer.start_element, "text": writer.text,
+                    "end": writer.end_element}
+        for kind, value in self.events:
+            handlers[kind](value)
+        return writer
+
+
+class ForwardTagger(XmlTagger):
+    """The tagger as first written, every chain matched root first with
+    one key comparison per level: the reference the deepest-frame-first
+    matching must reproduce."""
+
+    def run(self, instances):
+        writer = self.writer
+        if self.root_tag is not None:
+            writer.start_element(self.root_tag)
+        stack = []
+        for instance in instances:
+            node, term = instance.node, instance.term
+            chain, _ = self._chain(node)
+            common = 0
+            for element, key_of, _ in chain:
+                if common == len(stack):
+                    break
+                frame = stack[common]
+                if frame[0] is not element or frame[1] != key_of(term):
+                    break
+                if element is node and frame[2] is not None \
+                        and frame[2] != term:
+                    break
+                common += 1
+            else:
+                continue  # duplicate instance; element already open
+            while len(stack) > common:
+                writer.end_element(stack.pop()[0].tag)
+            for element, key_of, contents in chain[common:]:
+                own = element is node
+                self.implicit_opens += not own
+                stack.append((element, key_of(term), term if own else None))
+                writer.start_element(element.tag)
+                for index, literal in contents:
+                    if index is None:
+                        writer.text(literal)
+                    elif term[index] is not None:
+                        writer.text(term[index])
+            self.elements_written += len(chain) - common
+            self.max_stack_depth = max(self.max_stack_depth, len(chain))
+        while stack:
+            writer.end_element(stack.pop()[0].tag)
+        if self.root_tag is not None:
+            writer.end_element(self.root_tag)
+        return writer
+
+
+class AssumedNestedTagger(XmlTagger):
+    """The tagger with every chain matched deepest frame first, whether
+    or not its keys nest."""
+
+    def _chain(self, node):
+        chain, _ = super()._chain(node)
+        return chain, True
+
+
+def _nests(tree, node):
+    """Whether ``node``'s tagger chain is nested."""
+    return XmlTagger(tree, None)._chain(node)[1]
+
+
+def _hand_built_tree():
+    """``<g ID=G(g)>g<p ID=P(p)>p<c ID=C(p, c)>d</c></p></g>``, each
+    term carrying its ancestors' variables: ``<p>``'s key does not
+    include ``<g>``'s, so no chain through ``<p>`` is nested."""
+    g, p, c, d = (Stv(level, 1, name, SqlType.INTEGER, ("T", name))
+                  for level, name in ((1, "g"), (2, "p"), (3, "c"), (4, "d")))
+    nodes = []
+    for index, tag, args, keys in (((1,), "g", (g,), (g,)),
+                                   ((1, 1), "p", (g, p), (p,)),
+                                   ((1, 1, 1), "c", (g, p, c, d), (p, c))):
+        node = ViewTreeNode(tag, skolem_name=tag.upper())
+        node.index, node.args, node.key_args = index, args, keys
+        node.contents = [args[-1]]
+        if nodes:
+            node.parent = nodes[-1]
+            nodes[-1].children = [node]
+        nodes.append(node)
+    return ViewTree(nodes[0], {n.index: n for n in nodes}, (g, p, c, d)), \
+        nodes
+
+
+def _example(name):
+    path = pathlib.Path(__file__).resolve().parent.parent / "examples" \
+        / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"example_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _party_directory_tree(schema):
+    return load_view(_example("custom_catalog").PARTY_DIRECTORY, schema)
+
+
+def _view_trees(schema):
+    """Every view tree the repository builds, by name."""
+    catalog = _example("custom_catalog")
+    quickstart = _example("quickstart")
+    trees = {
+        f"{name}{'-simplified' if simplify else ''}":
+            load_view(query, schema, simplify_args=simplify)
+        for name, query in (("q1", QUERY_1), ("q2", QUERY_2),
+                            ("region_catalog", catalog.REGION_CATALOG))
+        for simplify in (False, True)
+    }
+    trees["quickstart"] = load_view(quickstart.VIEW, quickstart.schema)
+    return trees
+
+
+class TestNestedKeys:
+    """Deepest-frame-first matching is sound where every element's key
+    arguments include its parent's."""
+
+    def test_every_view_tree_of_the_repository_nests(self, schema):
+        for name, tree in _view_trees(schema).items():
+            for node in tree.nodes:
+                if node.parent is not None:
+                    assert set(node.parent.key_args) <= set(node.key_args), \
+                        (name, node)
+                assert _nests(tree, node), (name, node)
+
+    def test_a_user_skolem_function_can_break_the_nesting(self, schema):
+        tree = _party_directory_tree(schema)
+        nested = {node.tag: _nests(tree, node) for node in tree.nodes}
+        assert nested == {"directory": True, "party": False}
+
+    def test_a_chain_that_does_not_nest_is_matched_root_first(self):
+        """``<c>`` 8 under ``<p>`` 5 of ``<g>`` 2 arrives while ``<p>`` 5
+        of ``<g>`` 1 is open: its ``<p>`` frame matches, its ``<g>`` frame
+        does not.  Ending the search at the first match would put it under
+        ``<g>`` 1."""
+        tree, (g, p, c) = _hand_built_tree()
+        nested = {n.tag: _nests(tree, n) for n in (g, p, c)}
+        assert nested == {"g": True, "p": False, "c": False}
+        runs = _three_ways(tree, [
+            Instance(None, g, (1,)),
+            Instance(None, p, (1, 5)),
+            Instance(None, c, (1, 5, 9, 90)),
+            Instance(None, c, (2, 5, 8, 80)),
+        ])
+        assert runs[XmlTagger] == runs[ForwardTagger] == (
+            "<g>1<p>5<c>90</c></p></g><g>2<p>5<c>80</c></p></g>", 2)
+        assert runs[AssumedNestedTagger][0] \
+            == "<g>1<p>5<c>90</c><c>80</c></p></g>"
+
+    def test_siblings_sharing_a_key_are_told_apart_by_their_terms(self):
+        """Two ``<c>`` with key ``(5, 9)`` and different terms are two
+        elements; the same term twice is one."""
+        tree, (g, p, c) = _hand_built_tree()
+        runs = _three_ways(tree, [
+            Instance(None, g, (1,)),
+            Instance(None, p, (1, 5)),
+            Instance(None, c, (1, 5, 9, 90)),
+            Instance(None, c, (1, 5, 9, 91)),
+            Instance(None, c, (1, 5, 9, 91)),
+        ])
+        assert set(runs.values()) == {
+            ("<g>1<p>5<c>90</c><c>91</c></p></g>", 0)}
+
+
+def _three_ways(tree, instances):
+    """``tagger class -> (document, implicit opens)``."""
+    runs = {}
+    for tagger_class in (XmlTagger, ForwardTagger, AssumedNestedTagger):
+        tagger = tagger_class(tree, XmlWriter())
+        runs[tagger_class] = (tagger.run(instances).getvalue(),
+                              tagger.implicit_opens)
+    return runs
+
+
+def _partitions(tree):
+    edges = [child.index for _, child in tree.edges]
+    return st.sets(st.sampled_from(edges)).map(
+        lambda chosen: Partition(frozenset(chosen)))
+
+
+@pytest.fixture(scope="module")
+def q1_simplified(tiny_db):
+    return load_view(QUERY_1, tiny_db.schema, simplify_args=True)
+
+
+class TestDeepestFrameFirst:
+    """The tagger emits exactly the forward reference's events."""
+
+    @pytest.mark.parametrize("tree_name",
+                             ["q1_tree", "q2_tree", "q1_simplified"])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_events_as_the_forward_reference(
+            self, request, tiny_db, tiny_conn, tree_name, data):
+        tree = request.getfixturevalue(tree_name)
+        partition = data.draw(_partitions(tree))
+        style = data.draw(st.sampled_from(list(PlanStyle)))
+        reduce = data.draw(st.booleans())
+        specs, streams = executed(tree, tiny_db, tiny_conn, partition,
+                                  style=style, reduce=reduce)
+        merged = list(iter_instances(tree, specs, streams))
+        runs = []
+        for tagger_class in (XmlTagger, ForwardTagger):
+            tagger = tagger_class(tree, RecordingWriter(), root_tag="view")
+            runs.append((
+                tagger.run(merged).events, tagger.elements_written,
+                tagger.implicit_opens, tagger.max_stack_depth,
+            ))
+        assert runs[0] == runs[1]
+        assert runs[0][2] == 0
+
+    def test_party_directory_keeps_its_document(self, tiny_db, tiny_conn):
+        tree = _party_directory_tree(tiny_db.schema)
+        for partition in enumerate_partitions(tree):
+            specs, streams = executed(tree, tiny_db, tiny_conn, partition)
+            merged = list(iter_instances(tree, specs, streams))
+            assert XmlTagger(tree, XmlWriter()).run(merged).getvalue() \
+                == ForwardTagger(tree, XmlWriter()).run(merged).getvalue()
+
+
+def _generic_twin(decoder):
+    """``decoder`` with every path on the per-row sort and split: the
+    order it would take without the compile-time classification."""
+    twin = copy.copy(decoder)
+    twin._paths = {
+        terminal: (early + (late or ()), threshold_of, None)
+        for terminal, (early, threshold_of, late) in decoder._paths.items()
+    }
+    return twin
+
+
+class TestDecoderOrderTable:
+    """A decoder whose path order was decided when it was compiled emits
+    what the per-row sort and split would, instance for instance."""
+
+    @staticmethod
+    def _both_ways(tree, db, conn, partition, style, reduce):
+        layout = ComparatorLayout(tree)
+        specs, streams = executed(tree, db, conn, partition, style=style,
+                                  reduce=reduce)
+        for spec, stream in zip(specs, streams):
+            decoder = layout.decoder(spec)
+            fast = decoder.decode(stream.rows, spec.label)
+            generic = _generic_twin(decoder).decode(stream.rows, spec.label)
+            yield decoder, spec, stream, decoded_plain(fast), \
+                decoded_plain(generic)
+
+    @pytest.mark.parametrize("tree_name", ["q1_tree", "q2_tree"])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_decided_paths_equal_the_generic_path(
+            self, request, tiny_db, tiny_conn, tree_name, data):
+        tree = request.getfixturevalue(tree_name)
+        partition = data.draw(_partitions(tree))
+        style = data.draw(st.sampled_from(list(PlanStyle)))
+        reduce = data.draw(st.booleans())
+        for decoder, *_, fast, generic in self._both_ways(
+                tree, tiny_db, tiny_conn, partition, style, reduce):
+            assert all(late is not None
+                       for _, _, late in decoder._paths.values())
+            assert fast == generic
+
+    def test_reduction_leaves_members_after_the_row(self, q1_tree, tiny_db,
+                                                    tiny_conn):
+        late = [
+            late
+            for *_, late in ComparatorLayout(q1_tree).decoder(
+                SqlGenerator(q1_tree, tiny_db.schema, reduce=True)
+                .streams_for_partition(unified_partition(q1_tree))[0]
+            )._paths.values()
+        ]
+        assert any(late)
+
+    @pytest.mark.parametrize("style", list(PlanStyle))
+    @pytest.mark.parametrize("reduce", [False, True])
+    def test_an_undecidable_member_keeps_the_generic_path(
+            self, tiny_db, tiny_conn, style, reduce):
+        """``<party>`` does not carry the directory's key, so where the
+        two keys first differ one side is a row value: the party path is
+        sorted per row, the directory path beside it in the same stream
+        is not."""
+        tree = _party_directory_tree(tiny_db.schema)
+        for decoder, spec, stream, fast, generic in self._both_ways(
+                tree, tiny_db, tiny_conn, unified_partition(tree), style,
+                reduce):
+            decided = {
+                terminal: late is not None
+                for terminal, (_, _, late) in decoder._paths.items()
+            }
+            assert decided == {(1,): True, (1, 1): False}
+            assert fast == generic
+            assert sorted(fast) == sorted(
+                reference_decode(spec, stream.rows, ComparatorLayout(tree)))
