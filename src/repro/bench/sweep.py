@@ -16,6 +16,7 @@ another in input order; ``workers`` is, as everywhere, each plan's
 *simulated* dispatch width.
 """
 
+import gc
 from dataclasses import dataclass
 
 from repro.core.options import resolve_options
@@ -225,6 +226,10 @@ def sweep_partitions(tree, schema, connection, partitions=None,
     silently recording mixed-generation timings.  Mutate between sweeps,
     not during one — the dependency-scoped caches then re-materialize
     only the affected plans.
+
+    The plan loop runs with the (process-wide) cyclic garbage collector
+    paused; the caller's collector state is back when the sweep returns
+    or raises.
     """
     opts = resolve_options(options, overrides, reduce=False)
     style, reduce = opts.style, opts.reduce
@@ -243,6 +248,12 @@ def sweep_partitions(tree, schema, connection, partitions=None,
     opts = resolve_resilience(opts, connection)
     replica_pool = opts.replicas
     epoch = replica_pool.begin_epoch() if replica_pool is not None else None
+    # Nothing the plan loop allocates is in a reference cycle: reference
+    # counting frees all of it, and the collector would only rescan
+    # millions of row tuples (DESIGN.md §6, "The collector").  It is
+    # switched back on only if it was on.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         with tracer.span(
             "sweep", style=style.value, plans=len(partitions),
@@ -266,6 +277,8 @@ def sweep_partitions(tree, schema, connection, partitions=None,
         if metrics.enabled:
             query_engine.node_cache.publish(metrics)
     finally:
+        if collecting:
+            gc.enable()
         if replica_pool is not None:
             replica_pool.finish_epoch(epoch)
         query_engine.cache = previous

@@ -650,9 +650,11 @@ def outer_join_nesting(plan):
     Query 1 plans nest outer joins (chained ``*`` edges) while Query 2's are
     parallel, and only Query 1 plans timed out.
     """
+    return _outer_join_depth(plan)
 
-    def depth(op):
-        below = max((depth(c) for c in op.children), default=0)
-        return below + (1 if isinstance(op, LeftOuterJoin) else 0)
 
-    return depth(plan)
+def _outer_join_depth(op):
+    # Module-level, not a closure: a recursive closure is a function <->
+    # cell reference cycle, left to the cyclic collector on every call.
+    below = max((_outer_join_depth(c) for c in op.children), default=0)
+    return below + (1 if isinstance(op, LeftOuterJoin) else 0)

@@ -45,6 +45,7 @@ from operator import attrgetter
 
 from repro.common.errors import ExecutionError
 from repro.relational.dependencies import is_stale
+from repro.relational.types import average_row_width
 
 _COUNTERS = ("hits", "misses", "stores", "evictions", "oversize_rejections",
              "invalidations")
@@ -442,6 +443,26 @@ class PlanResultCache(BoundedCache):
             or entry.replay_raises(spent_ms, budget_ms),
         )
 
+    #: Whether a complete entry keeps its rows — and so weighs them.
+    keeps_rows = True
+
+    def record(self, key, plan, rows, charge_log):
+        """Store a fresh evaluation of ``plan`` — its ``rows``, or None for
+        the charge prefix of a timed-out run — weighed by what this cache
+        keeps of it; return the entry."""
+        nbytes = 64 * len(charge_log)
+        if rows is not None:
+            nbytes += 128
+        if rows and self.keeps_rows:
+            # ~56 bytes of tuple/pointer overhead per row in CPython.
+            columns = plan.columns()
+            nbytes += len(rows) * (
+                average_row_width(columns, rows) + 56 + 8 * len(columns)
+            )
+        entry = CacheEntry(rows, tuple(charge_log), rows is not None, nbytes)
+        self.store(key, entry)
+        return entry
+
     def begin(self, key):
         """:meth:`SingleFlight.begin` for concurrent misses on ``key``: the
         leader (True) executes the plan and calls :meth:`finish`, whether or
@@ -465,6 +486,8 @@ class PlanCostCache(PlanResultCache):
     connection with no sum under its own ``(transfer model, row format)``
     re-evaluates the plan.
     """
+
+    keeps_rows = False
 
     def store(self, key, entry):
         if entry.complete:

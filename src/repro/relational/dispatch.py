@@ -479,6 +479,11 @@ def stream_cost(stream, stats):
 def _record_failure(result, exc, spec, index, metrics=NULL_METRICS):
     if exc.stream_label is None:
         exc.stream_label = spec.label
+    # Kept without its traceback: that holds execute_specs' frame, whose
+    # ``result`` holds the exception — a cycle that would pin the failed
+    # plan's kernel frames and batches until a full collection.  Callers
+    # read the label and stats; none needs the frames.
+    exc.__traceback__ = None
     if isinstance(exc, TimeoutExceeded):
         result.timeout = exc
     else:

@@ -36,9 +36,9 @@ from dataclasses import dataclass, replace
 from repro.common.errors import ExecutionError, TimeoutExceeded
 from repro.common.ordering import sort_key
 from repro.relational import algebra, vector_ops
-from repro.relational.cache import BoundedCache, CacheEntry, NodeResultCache
+from repro.relational.cache import BoundedCache, NodeResultCache
 from repro.relational.dependencies import plan_tables
-from repro.relational.types import SqlType
+from repro.relational.types import average_row_width
 from repro.relational.vector_ops import _key_plan, _shared_fingerprints
 from repro.relational.algebra import (
     Scan,
@@ -370,8 +370,11 @@ class QueryEngine:
         if engine not in ENGINE_MODES:
             raise ValueError(f"unknown engine mode {engine!r}")
         self.mode = engine
-        #: Compiled plans keyed by plan fingerprint.  Plans recur across
-        #: sweep partitions, so compilation amortizes to zero.
+        #: Compiled plans keyed by plan fingerprint alone.  What hits is a
+        #: plan evaluated again on the same engine: after a write (the
+        #: plan-cache entry is retired, the kernels are not — a serving
+        #: engine) or by :meth:`rows`.  A sweep's plan cache evaluates each
+        #: distinct stream plan once, and an export's engine is new.
         self._compiled = BoundedCache("compiled_plans", max_entries=512)
         #: Sub-plan results shared across executions (the batch kernels'
         #: "data half"): kept from their second computation on, retired by
@@ -495,28 +498,12 @@ class QueryEngine:
             try:
                 rows = self._evaluate(plan, charges)
             except TimeoutExceeded:
-                self._record(cache, key, plan, None, charges.log)
+                cache.record(key, plan, None, charges.log)
                 raise
-            entry = self._record(cache, key, plan, rows, charges.log)
+            entry = cache.record(key, plan, rows, charges.log)
         finally:
             cache.finish(key)
         return self._result(plan, rows, charges, entry.transfer_sums)
-
-    def _record(self, cache, key, plan, rows, log):
-        """Store the outcome of a fresh evaluation — ``rows``, or None for
-        the charge prefix of a timed-out one — and return the entry."""
-        nbytes = len(log) * 64
-        if rows is not None:
-            nbytes += 128
-        if rows:
-            # ~56 bytes of tuple/pointer overhead per row in CPython.
-            columns = plan.columns()
-            nbytes += len(rows) * (
-                self._average_row_width(columns, rows) + 56 + 8 * len(columns)
-            )
-        entry = CacheEntry(rows, tuple(log), rows is not None, nbytes)
-        cache.store(key, entry)
-        return entry
 
     def rows(self, plan, metrics=None):
         """``plan``'s rows, evaluated fresh and charged to nobody: what a
@@ -861,7 +848,7 @@ class QueryEngine:
 
         n = len(rows)
         if n:
-            row_bytes = self._average_row_width(op.child.columns(), rows)
+            row_bytes = average_row_width(op.child.columns(), rows)
             charges.charge("sort", self.cost_model.sort_ms(n, row_bytes), n)
         del rows
         yield from _drain(out)
@@ -872,22 +859,3 @@ class QueryEngine:
         LeftOuterJoin: _stream_outer_join, OuterUnion: _stream_union,
         Sort: _stream_sort,
     }
-
-    @staticmethod
-    def _average_row_width(columns, rows, sample=500):
-        # Sample evenly: consecutive rows share a document-order prefix and
-        # are unrepresentative (e.g. the narrow supplier rows come first).
-        stride = max(len(rows) // sample, 1)
-        sampled = rows[::stride]
-        n = len(sampled)
-        # Summed per column, in C; an integer, so the average is exact.
-        total = 0
-        for col, values in zip(columns, zip(*sampled)):
-            nulls = values.count(None)
-            total += nulls  # null markers
-            if col.sql_type in (SqlType.VARCHAR, SqlType.CHAR):
-                # filter(None, ...) also drops "", which is zero wide.
-                total += sum(map(len, filter(None, values)))
-            else:
-                total += (n - nulls) * col.sql_type.storage_width
-        return total / n

@@ -84,6 +84,28 @@ def width_function(sql_type):
     return fn
 
 
+def average_row_width(columns, rows, sample=500):
+    """Average width in bytes of ``rows`` (typed by ``columns``), from an
+    even sample of at most about ``sample`` rows: what a sort charges per
+    row and what a row-holding plan-cache entry weighs."""
+    # Sample evenly: consecutive rows share a document-order prefix and
+    # are unrepresentative (e.g. the narrow supplier rows come first).
+    stride = max(len(rows) // sample, 1)
+    sampled = rows[::stride]
+    n = len(sampled)
+    # Summed per column, in C; an integer, so the average is exact.
+    total = 0
+    for col, values in zip(columns, zip(*sampled)):
+        nulls = values.count(None)
+        total += nulls  # null markers
+        if col.sql_type in (SqlType.VARCHAR, SqlType.CHAR):
+            # filter(None, ...) also drops "", which is zero wide.
+            total += sum(map(len, filter(None, values)))
+        else:
+            total += (n - nulls) * col.sql_type.storage_width
+    return total / n
+
+
 _STORAGE_WIDTHS = {
     SqlType.INTEGER: 4,
     SqlType.DECIMAL: 8,

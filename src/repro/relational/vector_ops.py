@@ -52,6 +52,7 @@ from repro.relational.algebra import (
 )
 from repro.relational.batch import Batch
 from repro.relational.dependencies import plan_tables
+from repro.relational.types import average_row_width
 
 
 def _key_plan(positions):
@@ -471,7 +472,6 @@ class _PlanCompiler:
             (positions[key], itemgetter(positions[key])) for key in op.keys
         ]
         child_columns = op.child.columns()
-        average_row_width = self.engine._average_row_width
         arity = len(op.columns())
 
         def fresh(charges):

@@ -1,10 +1,16 @@
 """Tests for the experiment harness (repro.bench)."""
 
+import contextlib
+import gc
+from types import FrameType, TracebackType
+
 import pytest
 
 from repro import Session
+from repro.common.errors import StaleGenerationError
 from repro.core.partition import (
     Partition,
+    enumerate_partitions,
     fully_partitioned,
     unified_partition,
 )
@@ -18,10 +24,16 @@ from repro.bench.sweep import (
     sweep_partitions,
 )
 from repro.obs import ObsOptions
+from repro.relational.batch import Batch
 from repro.relational.cache import PlanCostCache, RowCount
 from repro.relational.connection import Connection, TransferModel
+from repro.relational.database import synthesize_rows
+from repro.relational.engine import CostModel
+from repro.relational.faults import FaultPolicy, RetryPolicy
 from repro.relational.replicas import ReplicaPool, ReplicaSet
 from repro.tpch.configs import CONFIG_A, build_database
+from repro.tpch.generator import TpchGenerator
+from tests.conftest import TINY_SCALE
 from tests.test_xmlgen_golden import GOLDEN, PARTITIONS, fingerprint
 
 
@@ -303,3 +315,115 @@ class TestCostOnlySweep:
         )
         xml = session.materialize(QUERY_1, partition).xml
         assert fingerprint(xml) == GOLDEN[("A", "q1", None)]
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """Run the block with the cyclic collector on or off, then put back
+    the state it had."""
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+class TestCollectorPause:
+    """A sweep's plan loop leaves nothing for the cyclic collector, so it
+    runs with the collector paused — and gives the caller's state back."""
+
+    #: From here on, a 50 ms budget times out some of Q1's chained-``*``
+    #: plans in both the 16- and the 64-plan window.
+    START = 200
+
+    @staticmethod
+    def swept_garbage(sweep):
+        """``sweep()``'s result and every object of a reference cycle it
+        left unreachable (kept, not freed, under ``DEBUG_SAVEALL``)."""
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            result = sweep()
+            gc.collect()
+            return result, list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+
+    @pytest.mark.parametrize("case", ["timeout", "failure", "obs"])
+    def test_no_garbage_cycle_grows_with_the_plans(self, case, q1_tree,
+                                                   tiny_db):
+        """A timed-out plan, a stream that exhausts its retries and a
+        traced sweep leave no cycle holding batches, frames or exceptions,
+        and none whose size follows the plan count."""
+        partitions = list(enumerate_partitions(q1_tree))
+        counts = []
+        for n in (16, 64):
+            options = {
+                "timeout": dict(budget_ms=50.0),
+                "failure": dict(faults=FaultPolicy(seed=3, error_rate=0.3),
+                                retry=RetryPolicy(max_attempts=2)),
+                "obs": dict(budget_ms=50.0, obs=ObsOptions()),
+            }[case]
+            result, garbage = self.swept_garbage(lambda: sweep_partitions(
+                q1_tree, tiny_db.schema, Connection(tiny_db, CostModel()),
+                partitions=partitions[self.START:self.START + n], **options,
+            ))
+            assert result.timed_out() or result.failed()
+            held = (Batch, FrameType, TracebackType, BaseException)
+            assert [
+                type(obj).__name__ for obj in garbage
+                if isinstance(obj, held)
+            ] == []
+            counts.append(len(garbage))
+            del garbage
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_paused_in_the_loop_and_restored(self, enabled, q1_tree, tiny_db,
+                                             tiny_conn):
+        seen = []
+        with collector(enabled):
+            sweep_partitions(
+                q1_tree, tiny_db.schema, tiny_conn,
+                partitions=[fully_partitioned(q1_tree), Partition([(1, 1)])],
+                progress=lambda done, total: seen.append(gc.isenabled()),
+            )
+            assert gc.isenabled() is enabled
+        assert seen == [False, False]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_restored_when_progress_raises(self, enabled, q1_tree, tiny_db,
+                                           tiny_conn):
+        def progress(done, total):
+            raise RuntimeError("stop")
+
+        with collector(enabled):
+            with pytest.raises(RuntimeError, match="stop"):
+                sweep_partitions(
+                    q1_tree, tiny_db.schema, tiny_conn, progress=progress,
+                    partitions=[fully_partitioned(q1_tree)],
+                )
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_restored_on_a_write_mid_sweep(self, enabled):
+        """A write made inside ``progress`` makes the next plan's dispatch
+        raise ``StaleGenerationError``."""
+        db = TpchGenerator(scale=TINY_SCALE, seed=42).generate()
+        tree = load_view(QUERY_1, db.schema)
+
+        def progress(done, total):
+            [row] = synthesize_rows(db, "Supplier", 1, seed=done)
+            db.insert("Supplier", *row)
+
+        with collector(enabled):
+            with pytest.raises(StaleGenerationError):
+                sweep_partitions(
+                    tree, db.schema, Connection(db, CostModel()),
+                    progress=progress,
+                    partitions=[fully_partitioned(tree),
+                                Partition([(1, 1)])],
+                )
+            assert gc.isenabled() is enabled

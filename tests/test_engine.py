@@ -31,7 +31,7 @@ from repro.relational.engine import (
 )
 from repro.relational.estimator import CostEstimator
 from repro.relational.schema import Column, DatabaseSchema, TableSchema
-from repro.relational.types import SqlType, width_function
+from repro.relational.types import SqlType, average_row_width, width_function
 
 
 @pytest.fixture
@@ -414,7 +414,7 @@ def emp_alias(db):
 
 
 def _average_row_bytes_by_field(columns, rows, sample=500):
-    """The per-field loop ``QueryEngine._average_row_width`` replaced with
+    """The per-field loop ``types.average_row_width`` replaced with
     per-column sums: the reference it must equal to the last bit."""
     stride = max(len(rows) // sample, 1)
     sampled = rows[::stride]
@@ -456,7 +456,7 @@ class TestAverageRowBytes:
         """Nullable columns, fixed and variable width mixed, zero arity,
         empty strings, and a stride above one (``sample`` < rows)."""
         columns, rows, sample = case
-        assert QueryEngine._average_row_width(
+        assert average_row_width(
             columns, rows, sample
         ) == _average_row_bytes_by_field(columns, rows, sample)
 
@@ -470,6 +470,6 @@ class TestAverageRowBytes:
         columns = spec.plan.columns()
         assert len(rows) > 100 and any(None in row for row in rows)
         for sample in (7, 500):
-            assert QueryEngine._average_row_width(
+            assert average_row_width(
                 columns, rows, sample
             ) == _average_row_bytes_by_field(columns, rows, sample)
