@@ -39,7 +39,7 @@ BEGIN = "<!-- cache-table:begin (benchmarks/cache_table.py) -->"
 END = "<!-- cache-table:end -->"
 
 #: What retires the entries a write orphans: in the engine's plan cache,
-#: and in the view's two generation-keyed maps.
+#: and in the view's generation-keyed documents.
 ENGINE_SWEEP = (
     "a write moves the dependency key; the next evaluation, in either "
     "engine mode (`_refresh_dependencies`), retires every entry whose key "
@@ -92,11 +92,12 @@ CACHES = {
         "item 4); an evicted one is computed again from the live statistics",
     ),
     "instance_cache": (
-        "`StreamInstanceCache` on `XmlView.instance_cache`",
-        "(stream label, style, plan fingerprint, dependency key) — only for "
-        "a stream reading a proper subset of the view's tables",
-        "a write moves the key of the streams reading the table; "
-        + VIEW_SWEEP,
+        "`FragmentCache` on `XmlView.instance_cache`: the last tagging, "
+        "cut into top-level groups (hit rate: groups copied, not re-tagged)",
+        "(root tag, indent, the plan's stream decoders) — none for a shape "
+        "that fails the group check",
+        "nothing: each tagging replaces the last of its key, and a group is "
+        "copied only where its rows are equal, type for type",
     ),
     "document_cache": (
         "`XmlDocumentCache` on `XmlView.document_cache`",

@@ -4,9 +4,10 @@ The scenario the delta-propagation layer exists for: the 512 plans of the
 Query 1 / Configuration A sweep have all been materialized as XML, then a
 ~1%-of-rows update lands on one table.  Re-materializing every plan's view
 with the dependency-scoped caches re-executes only the streams that read
-the mutated table, re-tags the document once (splicing untouched streams'
-decoded instances back in), and serves the other plans from the document
-cache — while before this subsystem existed a write staled every
+the mutated table, tags the document once (re-tagging only the top-level
+elements whose rows changed and copying the others from the last
+document), and serves the other plans from the document cache — while
+before this subsystem existed a write staled every
 generation-keyed entry, so each of the 512 plans re-executed, re-decoded,
 re-merged, and re-tagged from scratch.  That pre-IVM behaviour is the
 baseline here, reproduced with a fresh connection and no splice layer.
@@ -37,7 +38,8 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 # catch an engine divergence without paying the interpreter's full sweep.
 TUPLE_SAMPLE_STRIDE = 64
 
-# The splice/document cache counters BENCH_ivm.json records.
+# The splice/document cache counters BENCH_ivm.json records (the
+# splice's hits and misses count top-level elements copied and re-tagged).
 XML_CACHE = ("hits", "misses", "evictions", "entries", "bytes")
 
 
@@ -108,8 +110,8 @@ def test_ivm_delta_speedup(report_writer):
     total_rows = sum(len(t) for t in db.tables.values())
 
     # Incremental: only Customer-dependent entries re-execute; the first
-    # plan re-tags (splicing untouched streams from the instance cache),
-    # the rest serve the re-filled document key.
+    # plan re-tags the suppliers whose rows changed (copying the others
+    # from the last tagging), the rest serve the re-filled document key.
     ivm_xml, ivm_timings, ivm_s = materialize_all(view, partitions)
     plan_stats = silk.cache.stats()
     node_stats = conn.engine.node_cache.stats()

@@ -59,11 +59,8 @@ from repro.relational.estimator import CostEstimator
 from repro.relational.faults import StreamAttemptStats
 from repro.rxl.parser import parse_rxl
 from repro.xmlgen.serializer import XmlWriter
-from repro.xmlgen.streams import (
-    ComparatorLayout,
-    StreamInstanceCache,
-    XmlDocumentCache,
-)
+from repro.xmlgen.splice import FragmentCache, splice_streams
+from repro.xmlgen.streams import ComparatorLayout, XmlDocumentCache
 from repro.xmlgen.tagger import tag_streams
 
 
@@ -207,8 +204,9 @@ class XmlView:
     planning, :meth:`explain`, execution and degradation alike (a
     partition is served from the same prepared specs every time), and
     the sort layout with its compiled decoders.  For one generation
-    vector: decoded instances and finished documents, retired by the
-    first read that sees the write (:meth:`_tag_cached`).
+    vector: finished documents, retired by the first read that sees the
+    write; and per serialization and plan shape the last tagging, which
+    the next one re-tags from (:meth:`_tag_cached`).
     """
 
     def __init__(self, silkroute, tree, rxl_text):
@@ -217,10 +215,11 @@ class XmlView:
         self.rxl_text = rxl_text
         self._planners = {}
         #: The incremental-maintenance caches, filled and retired by
-        #: :meth:`_tag_cached` when a result cache is installed: decoded
-        #: instance lists of the streams a splice can reuse, and finished
-        #: (xml, tagger) documents (the same under every partition).
-        self.instance_cache = StreamInstanceCache()
+        #: :meth:`_tag_cached` when a result cache is installed: the last
+        #: tagging per serialization and plan shape, cut into top-level
+        #: groups a splice can reuse, and finished (xml, tagger)
+        #: documents (the same under every partition).
+        self.instance_cache = FragmentCache()
         self.document_cache = XmlDocumentCache()
         #: The tree's global sort layout and, inside it, the stream
         #: decoders compiled so far, one per stream shape.
@@ -762,45 +761,46 @@ class XmlView:
         any plan's re-materialization against unchanged generations
         serves it outright — execution still ran live, so the report's
         simulated timings stay per-plan faithful.  Degraded output is
-        never canonical and bypasses the document cache.
+        never canonical and bypasses both caches.
 
         A miss there is how the view learns of a write, so there it
-        retires every document and decoded list keyed by a dead
-        generation; then it tags.  A stream's decoded instances are kept,
-        per (stream, plan, dependency generations), only where a splice
-        can happen: when the stream reads a *proper subset* of the view's
-        tables, so a write elsewhere leaves it reusable while its
-        siblings decode again.  A stream reading every table (any
-        single-stream plan) is reusable only when nothing was written,
-        which the document cache already answered: it decodes lazily.
+        retires every document keyed by a dead generation; then it tags
+        through the top-level splice
+        (:func:`~repro.xmlgen.splice.splice_streams`): against the last
+        tagging of the same serialization and stream shapes, only the
+        top-level groups whose rows changed are tagged again.  Each
+        tagging replaces the last, so what the splice keeps needs no
+        generation in its key.
         """
-        instance_keys = doc_key = None
-        if self.silkroute.cache is not None:
+        doc_key = spliced = None
+        if self.silkroute.cache is not None and not report.degraded_streams:
             query_engine = self.silkroute.connection.engine
             database = query_engine.database
-            footprints = [query_engine.tables_for(spec.plan) for spec in specs]
-            view_tables = frozenset().union(*footprints)
-            if not report.degraded_streams:
-                doc_key = (
-                    root_tag, indent, database.dependency_key(view_tables),
-                )
-                cached_doc = self.document_cache.get(doc_key)
-                if cached_doc is not None:
-                    root_span.set(document_cached=True)
-                    return cached_doc
+            view_tables = frozenset().union(
+                *(query_engine.tables_for(spec.plan) for spec in specs)
+            )
+            doc_key = (root_tag, indent, database.dependency_key(view_tables))
+            document = self.document_cache.get(doc_key)
+            if document is not None:
+                root_span.set(document_cached=True)
+                return document
             self.document_cache.discard_stale(database, at=2)
-            self.instance_cache.discard_stale(database, at=3)
-            instance_keys = [
-                (spec.label, spec.style.value, spec.plan.fingerprint(),
-                 database.dependency_key(tables))
-                if tables < view_tables else None
-                for spec, tables in zip(specs, footprints)
-            ]
-        document = tag_streams(
-            self.tree, specs, streams, root_tag=root_tag, indent=indent,
-            obs=opts.obs, instance_cache=self.instance_cache,
-            instance_keys=instance_keys, layout=self._layout,
-        )
+            decoders = tuple(self._layout.decoder(spec) for spec in specs)
+            key = (root_tag, indent, decoders)
+            spliced = splice_streams(
+                self.tree, specs, streams, decoders, root_tag, indent,
+                previous=self.instance_cache.peek(key), obs=opts.obs,
+            )
+        if spliced is None:
+            document = tag_streams(
+                self.tree, specs, streams, root_tag=root_tag, indent=indent,
+                obs=opts.obs, layout=self._layout,
+            )
+        else:
+            xml, tagger, tagging, reused = spliced
+            self.instance_cache.store(key, tagging)
+            self.instance_cache.count(reused, len(tagging.groups) - reused)
+            document = (xml, tagger)
         if doc_key is not None:
             self.document_cache.store(doc_key, document)
         return document

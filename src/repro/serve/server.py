@@ -432,7 +432,7 @@ class Server:
             "draining": self._draining,
             "tenants": self.registry.stats(),
             "latency_ms": snapshot["histograms"].get("serve.latency_ms"),
-            "log_entries": len(self.execution_log()),
+            "log_entries": len(self._log),
         }
         wal = self.session.wal
         if wal is not None:

@@ -13,7 +13,6 @@ used to check produced documents against Fig. 2-style DTDs.
 from repro.xmlgen.streams import (
     Instance,
     ComparatorLayout,
-    StreamInstanceCache,
     XmlDocumentCache,
     decode_stream,
     instance_sources,
@@ -22,12 +21,12 @@ from repro.xmlgen.streams import (
 )
 from repro.xmlgen.serializer import CountingSink, XmlWriter, escape_text
 from repro.xmlgen.tagger import XmlTagger, tag_streams
+from repro.xmlgen.splice import FragmentCache, Tagging, splice_streams
 from repro.xmlgen.dtd import Dtd, parse_dtd, validate_document
 
 __all__ = [
     "Instance",
     "ComparatorLayout",
-    "StreamInstanceCache",
     "XmlDocumentCache",
     "decode_stream",
     "instance_sources",
@@ -38,6 +37,9 @@ __all__ = [
     "escape_text",
     "XmlTagger",
     "tag_streams",
+    "FragmentCache",
+    "Tagging",
+    "splice_streams",
     "Dtd",
     "parse_dtd",
     "validate_document",

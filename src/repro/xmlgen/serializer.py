@@ -95,6 +95,15 @@ class XmlWriter:
                 self._newline(closing=True)
         self._write(_CLOSING[tag])
 
+    def fragment(self, text):
+        """Write ``text``, finished elements at the current depth, as if
+        each had been written event by event."""
+        if self.indent is not None and text:
+            self._started = True
+            if self._open_tag_has_children:
+                self._open_tag_has_children[-1] = True
+        self._write(text)
+
     def _newline(self, closing=False):
         if not self._started and not closing:
             return

@@ -23,9 +23,14 @@ from operator import attrgetter, itemgetter
 from repro.common.errors import PlanError
 from repro.common.ordering import TYPE_TAGS, flat_key
 from repro.relational.cache import BoundedCache
+from repro.relational.types import SqlType
 
 _KEY = attrgetter("key")
 _TAG_OF = TYPE_TAGS.__getitem__
+#: Column types whose equal values are one Python type and print alike.
+_EXACT = frozenset(
+    (SqlType.INTEGER, SqlType.VARCHAR, SqlType.CHAR, SqlType.DATE)
+)
 
 
 class Instance:
@@ -169,6 +174,35 @@ class StreamDecoder:
         }
         top = max(max(index) for index in members)
         self._constants = ("", None, TYPE_TAGS[int], *range(top + 1))
+
+        # A top-level *group* is the rows sharing the root's key values.
+        # It decodes alone exactly as inside the stream when every member
+        # carries those keys (so no member's memo or pending instance
+        # crosses a group boundary, and the tagger's stack is empty
+        # there), the rows sort by them first, and equal keys cannot
+        # differ in type (a DECIMAL holds 2 and 2.0).
+        root_keys = [stv.name for stv in layout.tree.root.key_args]
+        sound = (
+            root_keys
+            and {s.name for s in spec.stvs if s.level == 1} <= set(root_keys)
+            and set(root_keys) <= positions.keys()
+            and all(stv.sql_type in _EXACT
+                    for stv in layout.tree.root.key_args)
+            and all(set(root_keys) <= {stv.name for stv in member.args}
+                    for member in members.values())
+        )
+        #: ``row -> `` its group's key (one value, or a tuple of several),
+        #: None when the shape fails the check above.
+        self.group_of = (
+            itemgetter(*[positions[name] for name in root_keys])
+            if sound else None
+        )
+        #: Row positions of the columns whose equal values may still
+        #: print differently (``2 == 2.0``, ``0.0 == -0.0``).
+        self.inexact = tuple(
+            i for i, column in enumerate(spec.plan.columns())
+            if column.sql_type not in _EXACT
+        )
 
         steps = {}
         templates = {}
@@ -343,21 +377,6 @@ class CountingIterator:
         return item
 
 
-class StreamInstanceCache(BoundedCache):
-    """LRU cache of decoded per-stream :class:`Instance` lists.
-
-    The splice layer of incremental view maintenance: after a mutation
-    only the streams whose base tables changed decode again, an
-    untouched stream's sequence is replayed from here, and the
-    document-order merge *splices* the two, byte-identical to a cold
-    run.  Which streams are kept, under which key, and when an entry is
-    retired is decided in ``XmlView._tag_cached``.
-    """
-
-    def __init__(self, max_entries=512):
-        super().__init__("instance_cache", max_entries=max_entries)
-
-
 class XmlDocumentCache(BoundedCache):
     """LRU cache of fully tagged ``(xml, tagger)`` documents.
 
@@ -376,47 +395,20 @@ class XmlDocumentCache(BoundedCache):
                          size_of=lambda document: len(document[0]))
 
 
-def instance_sources(specs, row_sources, layout, instance_cache=None,
-                     instance_keys=None, eager=False):
-    """One document-ordered instance sequence per stream, plus how many
-    instances were decoded eagerly to build them.
-
-    Without a cache every sequence is a lazy :func:`decode_stream`
-    generator (nothing is decoded yet, so the count is 0).  With a
-    :class:`StreamInstanceCache` and per-spec ``instance_keys``, a stream
-    whose key matches is served the cached list; a miss is decoded here
-    and now, and stored — the merge splices cached and fresh sequences
-    transparently.  A None key opts a stream out: it decodes lazily into
-    the merge, its instances dying young — unless ``eager`` (tracing is
-    on: the work gets its ``decode`` span), when it is decoded here too,
-    not stored.  Only lazy sequences pull rows on demand and keep the
-    decode→merge pipeline in bounded memory.
-    """
-    if instance_cache is None or instance_keys is None:
-        instance_keys, eager = [None] * len(specs), False
-    sources = []
-    decoded = 0
-    for spec, rows, key in zip(specs, row_sources, instance_keys):
-        source = None if key is None else instance_cache.get(key)
-        if source is None:
-            source = decode_stream(spec, rows, layout)
-            if key is not None or eager:
-                source = list(source)
-                decoded += len(source)
-            if key is not None:
-                instance_cache.store(key, source)
-        sources.append(source)
-    return sources, decoded
+def instance_sources(specs, row_sources, layout):
+    """One document-ordered instance sequence per stream: lazy
+    :func:`decode_stream` generators, which pull rows on demand and keep
+    the decode→merge pipeline in bounded memory."""
+    return [
+        decode_stream(spec, rows, layout)
+        for spec, rows in zip(specs, row_sources)
+    ]
 
 
-def iter_instances(tree, specs, row_sources, layout=None,
-                   instance_cache=None, instance_keys=None):
+def iter_instances(tree, specs, row_sources, layout=None):
     """The merged document-order instance iterator of a set of streams:
     :func:`merge_streams` over :func:`instance_sources`, with a fresh
     :class:`ComparatorLayout` of ``tree`` unless one is passed."""
     if layout is None:
         layout = ComparatorLayout(tree)
-    sources, _ = instance_sources(
-        specs, row_sources, layout, instance_cache, instance_keys
-    )
-    return merge_streams(sources)
+    return merge_streams(instance_sources(specs, row_sources, layout))

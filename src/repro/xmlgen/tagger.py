@@ -38,9 +38,21 @@ class XmlTagger:
         self.max_stack_depth = 0
         self.implicit_opens = 0
         self.elements_written = 0
+        self._chains = {}  # node -> _chain(node)
 
     def run(self, instances):
-        """Consume the merged instance stream and emit the document.
+        """Consume the merged instance stream and emit the document: the
+        root tag, if any, around :meth:`tag`."""
+        if self.root_tag is not None:
+            self.writer.start_element(self.root_tag)
+        self.tag(instances)
+        if self.root_tag is not None:
+            self.writer.end_element(self.root_tag)
+        return self.writer
+
+    def tag(self, instances, marks=None):
+        """Nest and tag ``instances``, from an empty stack to an empty
+        stack.
 
         Stack frames carry two identities: the *key* identity (the key
         arguments — reconstructible from any descendant tuple, used to
@@ -53,16 +65,21 @@ class XmlTagger:
         chain shares with it, up to the shallowest frame that does not
         match.  Frames are checked from the deepest candidate up, and on a
         *nested* chain (:meth:`_chain`) the first match ends the search:
-        every frame below it matches too."""
+        every frame below it matches too.
+
+        ``marks``, a list, gets one entry each time the stack returns to
+        depth 0 — after every top-level element: ``(key identity, sink
+        position, elements, implicit opens, depth)``, the last three the
+        running counts of this call and the deepest stack since the
+        previous mark.  The writer's sink must then be able to ``tell``."""
         writer = self.writer
         start_element = writer.start_element
         end_element = writer.end_element
         text = writer.text
-        if self.root_tag is not None:
-            start_element(self.root_tag)
-        chains = {}  # node -> _chain(node), for this run only
+        tell = None if marks is None else writer.sink.tell
+        chains = self._chains
         stack = []  # (node, key_identity, full_identity_or_None)
-        max_depth = written = 0
+        deepest = max_depth = written = implicit = 0
         for instance in instances:
             node = instance.node
             entry = chains.get(node)
@@ -84,13 +101,20 @@ class XmlTagger:
                     break
             if common == length:
                 continue  # duplicate instance; element already open
-            while depth > common:
-                end_element(stack.pop()[0].tag)
-                depth -= 1
+            if depth > common:
+                while depth > common:
+                    closed = stack.pop()
+                    end_element(closed[0].tag)
+                    depth -= 1
+                if not common and tell is not None:
+                    marks.append(
+                        (closed[1], tell(), written, implicit, max_depth))
+                    deepest = max(deepest, max_depth)
+                    max_depth = 0
             for element, key_of, contents in chain[common:]:
                 own = element is node
                 if not own:
-                    self.implicit_opens += 1
+                    implicit += 1
                 stack.append((element, key_of(term), term if own else None))
                 start_element(element.tag)
                 for index, literal in contents:
@@ -103,17 +127,19 @@ class XmlTagger:
             written += length - common
             if length > max_depth:
                 max_depth = length
-        while stack:
-            end_element(stack.pop()[0].tag)
-        if self.root_tag is not None:
-            end_element(self.root_tag)
+        if stack:
+            while stack:
+                closed = stack.pop()
+                end_element(closed[0].tag)
+            if tell is not None:
+                marks.append((closed[1], tell(), written, implicit, max_depth))
         self.elements_written += written
-        self.max_stack_depth = max(self.max_stack_depth, max_depth)
-        return writer
+        self.implicit_opens += implicit
+        self.max_stack_depth = max(self.max_stack_depth, deepest, max_depth)
 
     def _chain(self, node):
         """What opening ``node``'s instance takes, worked out once per
-        node and run: ``(chain, nested)``, the chain holding for every
+        node and tagger: ``(chain, nested)``, the chain holding for every
         ancestor-or-self, root first, ``(element node, key identity
         picker, content plan)``.  Key identities come from the instance's
         own term; the content plan is a tuple of ``(position in the term,
@@ -147,8 +173,7 @@ class XmlTagger:
 
 
 def tag_streams(tree, specs, streams, root_tag="view", indent=None,
-                writer=None, obs=None, instance_cache=None,
-                instance_keys=None, layout=None):
+                writer=None, obs=None, layout=None):
     """Decode, merge, and tag a set of executed streams.
 
     ``specs`` are the :class:`~repro.core.sqlgen.StreamSpec` objects and
@@ -164,60 +189,67 @@ def tag_streams(tree, specs, streams, root_tag="view", indent=None,
     compiled against it are reused; by default a fresh one is built.
 
     ``obs`` (an :class:`~repro.obs.ObsOptions` session) records the
-    integration as a ``decode`` span (with ``instance_keys``, every
-    stream not spliced: tracing-on decodes eagerly so the work has a
-    span, tracing-off decodes un-keyed streams lazily) followed by a
-    ``merge`` span containing a ``tag`` span — those two stages interleave
-    (the tagger pulls the merge, and the merge pulls any lazy decoder), so
-    the merge span brackets both and carries the merged instance count —
-    plus ``decode.instances`` / ``merge.instances`` / ``tag.elements`` /
-    ``tag.bytes`` counters (bytes best-effort: the characters the
-    writer's sink received, when the sink can tell).
-
-    ``instance_cache``/``instance_keys`` (a
-    :class:`~repro.xmlgen.streams.StreamInstanceCache` plus one key per
-    spec, None for a stream no splice can reuse) replay unchanged streams'
-    decoded instance sequences across materializations and splice them
-    into the merge — see :func:`~repro.xmlgen.streams.instance_sources`.
+    integration as :func:`integrate` does.
     """
     writer = writer or XmlWriter(indent=indent)
     tagger = XmlTagger(tree, writer, root_tag=root_tag)
     if layout is None:
         layout = ComparatorLayout(tree)
-    tracer, metrics = obs_parts(obs)
-    if not (tracer.enabled or metrics.enabled):
-        sources, _ = instance_sources(
-            specs, streams, layout, instance_cache, instance_keys
-        )
-        tagger.run(merge_streams(sources))
-    else:
-        with tracer.span("decode", streams=len(specs)) as decode_span:
-            sources, decoded = instance_sources(
-                specs, streams, layout, instance_cache, instance_keys,
-                eager=True,
-            )
-            decode_span.set(instances=decoded)
-        metrics.inc("decode.instances", decoded)
-        counted = CountingIterator(merge_streams(sources))
-        chars_before = _chars_written(writer)
-        with tracer.span("merge", streams=len(specs)) as merge_span:
-            with tracer.span("tag", root_tag=root_tag) as tag_span:
-                tagger.run(counted)
-            tag_span.set(
-                elements=tagger.elements_written,
-                max_stack_depth=tagger.max_stack_depth,
-            )
-            merge_span.set(instances=counted.count)
-        metrics.inc("merge.instances", counted.count)
-        metrics.inc("tag.elements", tagger.elements_written)
-        chars_after = _chars_written(writer)
-        if chars_before is not None and chars_after is not None:
-            written = chars_after - chars_before
-            metrics.inc("tag.bytes", written)
-            tag_span.set(bytes=written)
+    sources = instance_sources(specs, streams, layout)
+
+    def tag(merged):
+        before = _chars_written(writer)
+        tagger.run(merged[0])
+        after = _chars_written(writer)
+        written = None if None in (before, after) else after - before
+        return tagger.elements_written, written
+
+    integrate(obs, tagger, len(specs), [sources], tag)
     if isinstance(getattr(writer, "sink", None), io.StringIO):
         return writer.getvalue(), tagger
     return writer, tagger
+
+
+def integrate(obs, tagger, streams, runs, tag, eager=False):
+    """Merge and tag ``runs`` — per run, lazy instance sequences of some
+    of the ``streams`` streams — by ``tag(merged)``, which gets one
+    document-order iterator per run and returns the ``(elements,
+    characters)`` it wrote (characters None when the sink cannot tell).
+
+    With ``obs`` (an :class:`~repro.obs.ObsOptions` session) on, the work
+    is a ``decode`` span followed by a ``merge`` span containing a
+    ``tag`` span — those two stages interleave (the tagger pulls the
+    merge, and the merge pulls any lazy decoder), so the merge span
+    brackets both and carries the merged instance count — plus
+    ``decode.instances`` / ``merge.instances`` / ``tag.elements`` /
+    ``tag.bytes`` counters.  ``eager`` decodes inside the decode span, so
+    the work has a span of its own; otherwise decoding is lazy, inside
+    the merge, and the decode span counts 0 — what a streamed document
+    needs to stay in bounded memory."""
+    tracer, metrics = obs_parts(obs)
+    if not (tracer.enabled or metrics.enabled):
+        tag([merge_streams(sources) for sources in runs])
+        return
+    decoded = 0
+    with tracer.span("decode", streams=streams) as span:
+        if eager:
+            runs = [[list(source) for source in sources] for sources in runs]
+            decoded = sum(map(len, (s for run in runs for s in run)))
+        span.set(instances=decoded)
+    metrics.inc("decode.instances", decoded)
+    counted = [CountingIterator(merge_streams(sources)) for sources in runs]
+    with tracer.span("merge", streams=streams) as merge_span:
+        with tracer.span("tag", root_tag=tagger.root_tag) as tag_span:
+            elements, written = tag(counted)
+        tag_span.set(elements=elements,
+                     max_stack_depth=tagger.max_stack_depth)
+        merged = sum(iterator.count for iterator in counted)
+        merge_span.set(instances=merged)
+    metrics.inc("merge.instances", merged)
+    metrics.inc("tag.elements", elements)
+    if written is not None:
+        metrics.inc("tag.bytes", written)
+        tag_span.set(bytes=written)
 
 
 def _chars_written(writer):

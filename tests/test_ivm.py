@@ -5,23 +5,28 @@ The contract under test: a mutation through the
 tables' generations, the dependency-scoped caches drop exactly the
 entries that read those tables, and re-materializing a view afterwards
 is byte-identical — XML and simulated timings — to a cold run against a
-fresh database holding the same final state.  The property test drives
+fresh database holding the same final state.  The property tests drive
 random interleavings of writes and materializations through both
-engines, several dispatch widths, faults, and replicas.
+engines, several dispatch widths, faults, and replicas, and through the
+top-level splice over both queries, styles and reductions and several
+plans.
 """
 
 import gc
+import random
 import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.bench.queries import QUERY_1
+from repro.bench.queries import QUERY_1, QUERY_2
 from repro.cli import _apply_delta
 from repro.common.errors import ReproError, SchemaError, StaleGenerationError
 from repro.core.options import ExecutionOptions
+from repro.core.partition import Partition
 from repro.core.silkroute import SilkRoute
-from repro.core.sqlgen import SqlGenerator
+from repro.core.sqlgen import PlanStyle, SqlGenerator
 from repro.obs import ObsOptions
 from repro.relational.cache import (
     BoundedCache, NodeResultCache, PlanResultCache,
@@ -322,6 +327,7 @@ class TestIncrementalEquivalence:
         view.materialize("fully-partitioned", root_tag="view",
                          options=options)
         first = view.instance_cache.stats()
+        # The first tagging tags every top-level group.
         assert first["misses"] > 0 and first["hits"] == 0
         # An unchanged re-materialization serves the finished document —
         # no re-decode, no re-tag.
@@ -338,11 +344,11 @@ class TestIncrementalEquivalence:
         incremental = view.materialize("fully-partitioned", root_tag="view",
                                        options=options)
         third = view.instance_cache.stats()
-        replayed = third["hits"] - first["hits"]
-        redecoded = third["misses"] - first["misses"]
-        assert redecoded > 0            # the Region-reading streams moved
-        assert replayed > 0             # ...but untouched siblings spliced
-        assert replayed + redecoded == first["misses"]
+        reused = third["hits"] - first["hits"]
+        retagged = third["misses"] - first["misses"]
+        assert retagged > 0         # the suppliers of the renamed region
+        assert reused > 0           # ...but the others were copied
+        assert reused + retagged == first["misses"]
         cold = cold_materialize(db, "fully-partitioned", options)
         assert incremental.xml == cold.xml
         assert repeat.xml != incremental.xml  # the delta is visible
@@ -353,11 +359,12 @@ class TestIncrementalEquivalence:
 
 
 def generation_keyed_caches(session, view):
-    """The three dependency-keyed maps behind ``view``, each with the
-    position of the dependency key in its keys."""
+    """The two dependency-keyed maps behind ``view``, each with the
+    position of the dependency key in its keys.  (The splice's last
+    taggings are keyed by serialization and plan shape: each tagging
+    replaces the one before.)"""
     return [
         (session.silkroute.cache, 1),
-        (view.instance_cache, 3),
         (view.document_cache, 2),
     ]
 
@@ -392,9 +399,8 @@ class TestLifetimes:
                     if is_stale(key[at], database._token, current)
                 ]
                 assert not dead, (cache.name, cycle, dead[:1])
-            streams = served.report.n_streams
-            assert len(view.instance_cache) <= (
-                0 if streams == 1 else streams)
+            # One last tagging, one document per serialization variant.
+            assert len(view.instance_cache) <= 2
             assert len(view.document_cache) <= 2
             if cycle in (5, self.CYCLES):
                 gc.collect()
@@ -410,8 +416,7 @@ class TestLifetimes:
             assert served.transfer_ms == fresh.transfer_ms
             del fresh
         assert blocks[self.CYCLES] <= 1.25 * blocks[5], blocks
-        if strategy == "fully-partitioned":
-            assert view.instance_cache.stats()["hits"] > 0  # still splices
+        assert view.instance_cache.stats()["hits"] > 0  # still splices
         # What was summed over a plan's rows lives on its entry, one sum
         # per (transfer model, row format), and nowhere else: the plan
         # cache, the node cache and the compile cache are the only maps
@@ -514,3 +519,245 @@ class TestInterleavingProperty:
         if resilience is None:
             assert final.report.query_ms == cold.report.query_ms
             assert final.report.transfer_ms == cold.report.transfer_ms
+
+
+# ---------------------------------------------------------------------------
+# The top-level splice: re-tagging only the groups whose rows changed
+
+
+QUERIES = {"q1": QUERY_1, "q2": QUERY_2}
+
+#: Q1's supplier with its parts' DECIMAL retail prices on display.
+RETAIL_VIEW = """
+from Supplier $s
+construct
+  <supplier>
+    <name>$s.name</name>
+    { from PartSupp $ps, Part $p
+      where $s.suppkey = $ps.suppkey and $ps.partkey = $p.partkey
+      construct <part><retail>$p.retail</retail></part> }
+  </supplier>
+"""
+
+#: examples/custom_catalog.py's directory: a ``<party>`` per supplier and
+#: per customer, keyed by name (a user Skolem function).
+PARTY_DIRECTORY = """
+from Region $r0
+construct
+  <directory>
+    { from Supplier $s
+      construct <party ID=Party($s.name)>$s.name</party> }
+    { from Customer $c
+      construct <party ID=Party($c.name)>$c.name</party> }
+  </directory>
+"""
+
+_WRITES = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "update", "delete"]),
+        st.sampled_from(_MUTABLE_TABLES),
+        st.integers(min_value=1, max_value=3),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def tagged(result):
+    """What a splice must reproduce of a cold run: the document and the
+    tagger's counts."""
+    tagger = result.tagger
+    return (result.xml, tagger.elements_written, tagger.implicit_opens,
+            tagger.max_stack_depth)
+
+
+def cold_run(db, query, partition=None, options=None, **materialize):
+    """``query`` materialized by a fresh session without caches over a
+    clone of ``db``'s state: the plain single-pass tagging."""
+    session = Session(Connection(clone_from_state(db), CostModel()),
+                      cache=False)
+    return session.materialize(query, partition, options=options,
+                               **materialize)
+
+
+def splice_session(seed=11):
+    """A caching session over a private tiny database."""
+    db = TpchGenerator(scale=TINY, seed=seed).generate()
+    return db, Session(Connection(db, CostModel()))
+
+
+def random_partition(tree, seed):
+    rng = random.Random(seed)
+    return Partition(tuple(
+        child.index for _, child in tree.edges if rng.random() < 0.5
+    ))
+
+
+class TestSpliceEqualsCold:
+    """After writes, a re-materialization copies every top-level group
+    whose rows are unchanged and re-tags the rest: the document, and the
+    tagger's counts, are a cold run's."""
+
+    @pytest.mark.parametrize("reduce", [False, True], ids=["plain", "reduced"])
+    @pytest.mark.parametrize("style", list(PlanStyle), ids=lambda s: s.value)
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(writes=_WRITES,
+           plan=st.sampled_from(
+               ["unified", "greedy", "fully-partitioned", "random"]),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    def test_random_writes_splice_to_the_cold_document(
+            self, query, style, reduce, writes, plan, seed):
+        db, session = splice_session()
+        rxl = QUERIES[query]
+        view = session.view(rxl)
+        partition = {
+            "greedy": None,
+            "random": random_partition(view.tree, seed),
+        }.get(plan, plan)
+        options = ExecutionOptions(style=style, reduce=reduce)
+        session.materialize(rxl, partition, options=options)
+        for i, (op, table, count) in enumerate(writes):
+            try:
+                _apply_delta(db, table, op, count, seed=seed + i)
+            except SchemaError:
+                continue  # e.g. key space exhausted; skip the write
+            served = session.materialize(rxl, partition, options=options)
+            cold = cold_run(db, rxl, served.report.partition, options)
+            assert tagged(served) == tagged(cold)
+        assert view.instance_cache.stats()["misses"] > 0
+
+    def test_most_groups_are_copied(self):
+        db, session = splice_session()
+        session.materialize(QUERY_1)
+        view = session.view(QUERY_1)
+        first = view.instance_cache.stats()
+        session.mutate("Supplier", op="update", rows=2, seed=3)
+        served = session.materialize(QUERY_1)
+        stats = view.instance_cache.stats()
+        assert stats["misses"] - first["misses"] == 2
+        assert stats["hits"] == first["misses"] - 2
+        assert tagged(served) == tagged(cold_run(db, QUERY_1))
+
+    @pytest.mark.parametrize("op,change", [("delete", -1), ("insert", 1)])
+    def test_a_write_that_removes_or_adds_a_top_level_element(self, op,
+                                                               change):
+        db, session = splice_session()
+        before = session.materialize(QUERY_1, indent=2)
+        if op == "delete":
+            # A supplier no part refers to: the whole element goes.
+            used = set(db.table("PartSupp").column_values("suppkey"))
+            victim = next(row[0] for row in db.table("Supplier").rows
+                          if row[0] not in used)
+            assert db.delete("Supplier", {"suppkey": victim}) == 1
+        else:
+            assert _apply_delta(db, "Supplier", "insert", 1, seed=5) == 1
+        served = session.materialize(QUERY_1, indent=2)
+        assert served.xml.count("<supplier>") == (
+            before.xml.count("<supplier>") + change)
+        assert tagged(served) == tagged(cold_run(db, QUERY_1, indent=2))
+        assert session.view(QUERY_1).instance_cache.stats()["hits"] > 0
+
+    @pytest.mark.parametrize("values,texts", [
+        ((2, 2.0, 2), ("2", "2.00", "2")),
+        ((0.0, -0.0, 0.0), ("0.00", "-0.00", "0.00")),
+    ], ids=["int-float", "signed-zero"])
+    def test_equal_decimals_that_print_differently_are_re_tagged(
+            self, values, texts):
+        db, session = splice_session()
+        partkey = db.table("PartSupp").rows[0][0]
+        for value, text in zip(values, texts):
+            db.update("Part", {"partkey": partkey}, {"retail": value})
+            served = session.materialize(RETAIL_VIEW)
+            assert f"<retail>{text}</retail>" in served.xml
+            assert tagged(served) == tagged(cold_run(db, RETAIL_VIEW))
+
+    def test_an_empty_result(self):
+        db, session = splice_session()
+        region_view = ("from Region $r construct "
+                       "<region><name>$r.name</name></region>")
+        assert session.materialize(region_view, indent=1).xml.count(
+            "<region>") > 1
+        db.delete("Region", lambda row: True)
+        served = session.materialize(region_view, indent=1)
+        assert served.xml == "<view></view>"
+        assert tagged(served) == tagged(cold_run(db, region_view, indent=1))
+        _apply_delta(db, "Region", "insert", 1, seed=2)
+        served = session.materialize(region_view, indent=1)
+        assert served.xml.count("<region>") == 1
+        assert tagged(served) == tagged(cold_run(db, region_view, indent=1))
+
+    @pytest.mark.parametrize("plan", ["unified", "fully-partitioned"])
+    def test_a_shape_that_fails_the_check_re_tags_in_full(self, plan):
+        """A ``<party>`` keyed by its name alone does not carry the
+        ``<directory>``'s key: its rows cannot be cut into groups."""
+        db, session = splice_session()
+        view = session.view(PARTY_DIRECTORY)
+        session.materialize(PARTY_DIRECTORY, plan)
+        decoders = [view._layout.decoder(spec) for spec in view.specs(plan)]
+        assert None in [decoder.group_of for decoder in decoders]
+        _apply_delta(db, "Customer", "update", 2, seed=4)
+        served = session.materialize(PARTY_DIRECTORY, plan)
+        assert tagged(served) == tagged(cold_run(db, PARTY_DIRECTORY, plan))
+        assert len(view.instance_cache) == 0
+        assert view.instance_cache.stats()["requests"] == 0
+
+    def test_groups_the_tagger_does_not_confirm_are_not_kept(self):
+        """The top-level elements the tagger marks must be the groups the
+        rows spell, one each: grouping two suppliers together fails it,
+        and the document is tagged the ordinary way."""
+        db, session = splice_session()
+        view = session.view(QUERY_1)
+        for spec in view.specs():
+            decoder = view._layout.decoder(spec)
+            decoder.group_of = (
+                lambda row, key=decoder.group_of: key(row) // 2)
+        served = session.materialize(QUERY_1)
+        assert tagged(served) == tagged(cold_run(db, QUERY_1))
+        assert len(view.instance_cache) == 0
+
+    def test_two_threads_re_materialize_one_view(self):
+        db, session = splice_session()
+        session.materialize(QUERY_1)
+        barrier = threading.Barrier(2, timeout=30)
+        for write in range(4):
+            session.mutate(("Supplier", "Customer")[write % 2], op="update",
+                           rows=2, seed=write)
+            # Each thread misses the document cache; both splice.
+            session.view(QUERY_1).document_cache.clear()
+            served = [None, None]
+
+            def read(slot):
+                barrier.wait()
+                served[slot] = session.materialize(QUERY_1)
+
+            threads = [threading.Thread(target=read, args=(slot,))
+                       for slot in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            cold = tagged(cold_run(db, QUERY_1))
+            assert [tagged(result) for result in served] == [cold, cold]
+
+    def test_a_traced_splice_spans_only_the_retagged_groups(self):
+        db, session = splice_session()
+        session.materialize(QUERY_1)
+        session.mutate("Supplier", op="update", rows=2, seed=3)
+        obs = ObsOptions()
+        traced = session.materialize(QUERY_1,
+                                     options=ExecutionOptions(obs=obs))
+        [splice] = obs.tracer.find("splice")
+        groups = traced.xml.count("<supplier>")
+        assert splice.attrs == {"groups": groups, "reused": groups - 2,
+                                "retagged": 2}
+        [decode] = splice.find("decode")
+        [tag] = splice.find("tag")
+        assert 0 < tag.attrs["elements"] < traced.tagger.elements_written
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["splice.reused"] == groups - 2
+        assert counters["splice.retagged"] == 2
+        assert counters["decode.instances"] == decode.attrs["instances"]
+        assert counters["tag.elements"] == tag.attrs["elements"]
+        assert tagged(traced) == tagged(cold_run(db, QUERY_1))

@@ -328,10 +328,11 @@ class TestObservationIdentity:
 
 
 class TestIntegrationSpans:
-    """With an instance cache installed the streams are decoded eagerly,
-    before the merge is pulled — the dominant layer of a cold export.  It
-    must sit in a ``decode`` span, so that decode + merge (which brackets
-    tag) account for the whole integration."""
+    """With a result cache installed the streams are decoded eagerly,
+    before the merge is pulled (the first tagging of the top-level splice)
+    — the dominant layer of a cold export.  It must sit in a ``decode``
+    span, so that decode + merge (which brackets tag) account for the
+    whole integration."""
 
     @pytest.fixture(scope="class")
     def config_a_db(self):
@@ -341,15 +342,18 @@ class TestIntegrationSpans:
                                                     monkeypatch):
         walls = []
 
-        def timed_tag_streams(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return tag_streams(*args, **kwargs)
-            finally:
-                walls.append((time.perf_counter() - start) * 1000.0)
+        def timed(integration):
+            def run(*args, **kwargs):
+                start = time.perf_counter()
+                try:
+                    return integration(*args, **kwargs)
+                finally:
+                    walls.append((time.perf_counter() - start) * 1000.0)
+            return run
 
-        monkeypatch.setattr(silkroute_module, "tag_streams",
-                            timed_tag_streams)
+        for name in ("tag_streams", "splice_streams"):
+            monkeypatch.setattr(silkroute_module, name,
+                                timed(getattr(silkroute_module, name)))
         shares = []
         for partition in ("unified", "fully-partitioned"):
             obs = ObsOptions()

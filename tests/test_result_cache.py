@@ -43,7 +43,8 @@ from repro.relational.engine import (
 )
 from repro.relational.database import synthesize_rows
 from repro.tpch.generator import TpchGenerator, TpchScale
-from repro.xmlgen.streams import StreamInstanceCache, XmlDocumentCache
+from repro.xmlgen.splice import FragmentCache, Tagging
+from repro.xmlgen.streams import XmlDocumentCache
 
 
 def sample_partitions(tree):
@@ -305,8 +306,8 @@ KINDS = [
           _FakeBatch,
           get=NodeResultCache.get, store=_store_seen, weighs=False),
     _Kind("instances",
-          lambda n, b: StreamInstanceCache(max_entries=n),
-          lambda size: [None] * size, weighs=False),
+          lambda n, b: FragmentCache(max_entries=n, max_bytes=b),
+          lambda size: Tagging("x" * size, (), {})),
     _Kind("documents",
           lambda n, b: XmlDocumentCache(max_entries=n, max_bytes=b),
           lambda size: ("x" * size, None)),
