@@ -4,7 +4,8 @@
     PYTHONPATH=src python3 benchmarks/cache_table.py --workload plan_sweep
 
 Every bounded map in ``src/`` is a :class:`repro.relational.cache.BoundedCache`
-with a name, so one hook on its constructor sees them all.  For each of the
+with a name, so one hook on its constructor sees them all (but the one
+created at import, ``connection.TRANSFER_CHARGES``, added by hand).  For each of the
 four harness workloads this runs the harness's own traced run
 (``benchmarks/perf/run.py --workload W --trace 1``) in a child process with
 that hook installed, and adds up, per cache name, the counters of every
@@ -33,6 +34,7 @@ sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks" / "perf")]
 import run  # noqa: E402  (benchmarks/perf/run.py)
 from repro.core.sqlgen import SqlGenerator  # noqa: E402
 from repro.relational.cache import BoundedCache  # noqa: E402
+from repro.relational.connection import TRANSFER_CHARGES  # noqa: E402
 
 WORKLOADS = run.WORKLOADS
 BEGIN = "<!-- cache-table:begin (benchmarks/cache_table.py) -->"
@@ -109,6 +111,12 @@ CACHES = {
         "stream shape (columns, unit paths, unit members)",
         "nothing: a decoder depends on the view tree only",
     ),
+    "transfer_charges": (
+        "`repro.relational.connection.TRANSFER_CHARGES`, one per process",
+        "(transfer model, column SQL types, row format, per-row or summed "
+        "form)",
+        "nothing: generated code depends on its key only",
+    ),
     "mutation_dedup": (
         "`Session._dedup` (sessions without a WAL)",
         "request id",
@@ -126,7 +134,9 @@ CACHES = {
 def record_workload(workload, seed):
     """Run one traced harness workload here; return, per cache name, the
     summed counters of every :class:`BoundedCache` it created."""
-    created, generators = [], []
+    # The one module-level map exists before the hook; this process is
+    # fresh, so its counters are this run's.
+    created, generators = [TRANSFER_CHARGES], []
     construct = BoundedCache.__init__
     construct_generator = SqlGenerator.__init__
 

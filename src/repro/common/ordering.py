@@ -13,14 +13,17 @@ totally ordered: ``None`` sorts before everything, and values of different
 types are ordered by type name first (a deterministic, if arbitrary, rule that
 only matters for pathological mixed-type columns).
 
-:class:`NoneFirst` is the *reference* definition of that order; the engine
-and the backend validation sort with it.  The XML integration hot path
-(:mod:`repro.xmlgen.streams`) compares millions of keys and uses the
-equivalent wrapper-free encoding of :func:`flat_key`, which compares
-entirely in C.
+:class:`NoneFirst` is the *reference* definition of that order; the tuple
+engine and the backend validation sort with it.  The hot paths compare
+millions of keys and use the equivalent wrapper-free encoding of
+:func:`flat_key`, which compares entirely in C: the XML integration
+(:mod:`repro.xmlgen.streams`) row by row, the batch engine's ``ORDER BY``
+column by column (:func:`column_keys`).
 """
 
 from functools import total_ordering
+from itertools import repeat
+from operator import is_not
 
 
 @total_ordering
@@ -102,6 +105,30 @@ def flat_key(values):
         key.append(TYPE_TAGS[type(value)])
         key.append(value)
     return tuple(key)
+
+
+def column_keys(columns):
+    """:func:`flat_key` built column-wise, with what it does not need left
+    out: one key per row of ``columns`` (equal-length, non-empty value
+    lists), comparing as that row's :func:`sort_key`.  A column holding
+    one value of one type orders nothing and is dropped; any other column
+    of one value type compares raw.  In front of a column of one type
+    and NULLs goes ``value is not None`` (False sorts first: all a tag
+    has to tell there), in front of a column of mixed types its tag
+    column.  None when every column was dropped (all rows tie).  The
+    batch engine sorts with these keys, so the comparisons run in C."""
+    parts = []
+    for column in columns:
+        kinds = set(map(type, column))
+        if len(kinds) == 1:
+            if column.count(column[0]) == len(column):
+                continue
+        elif len(kinds) == 2 and type(None) in kinds:
+            parts.append(list(map(is_not, column, repeat(None))))
+        else:
+            parts.append(list(map(TYPE_TAGS.__getitem__, map(type, column))))
+        parts.append(column)
+    return list(zip(*parts)) if parts else None
 
 
 def compare(left, right):

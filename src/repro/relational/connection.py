@@ -19,6 +19,8 @@ produced by a wide outer join bind every declared column.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from repro.common.errors import (
     PlanError,
@@ -26,7 +28,8 @@ from repro.common.errors import (
     TransientConnectionError,
 )
 from repro.obs import obs_parts
-from repro.relational.cache import RowCount, resolve_cache
+from repro.relational.algebra import compile_source
+from repro.relational.cache import BoundedCache, RowCount, resolve_cache
 from repro.relational.engine import QueryEngine
 from repro.relational.types import width_function
 
@@ -128,10 +131,11 @@ class TupleCursor:
     returns one instead of a materialized stream.  The first ``next()``
     evaluates the plan on the server side; rows then cross the client
     boundary one at a time, each releasing its slot in the server's
-    buffer and paying its transfer cost with the same per-row formula
-    (and float accumulation order) as the materializing path, so after
-    exhaustion ``transfer_ms`` and ``server_ms`` match
-    ``TupleStream``'s — both bit-identically.
+    buffer and paying its transfer cost: the per-row form of the generated
+    charge (:func:`compile_transfer_charge`), added up in row order — the
+    expression and the float accumulation order the materializing path
+    folds over the whole result — so after exhaustion ``transfer_ms`` and
+    ``server_ms`` match ``TupleStream``'s, both bit-identically.
 
     ``server_ms`` / ``transfer_ms`` / ``rows_read`` read the charges
     accumulated *so far*; they are final once :attr:`exhausted` is True.
@@ -409,47 +413,72 @@ class Connection:
         return cursor
 
     def _row_cost_fn(self, columns, compact_rows):
-        """The per-row transfer charge as a compiled closure — shared by the
-        materializing and streaming paths so both accumulate identical
-        per-row costs in identical order."""
-        model = self.transfer_model
-        declared_width = len(columns)
-        row_ms = model.row_ms
-        field_ms = model.field_ms
-        byte_ms = model.byte_ms
-        null_field_ms = model.null_field_ms
-        # A fixed-width field's charge, once, by the same float operations
-        # as per value; None where the width is the value's length.
-        addends = [None if width_function(col.sql_type) is len
-                   else field_ms + col.sql_type.storage_width * byte_ms for col in columns]
-        # The paper's "anomalous caching behavior in JDBC": rows produced
-        # by a wide outer join bind every declared column and pay a
-        # super-linear penalty; union-shaped results use the compact
-        # per-branch row format and do not.
-        wide = not compact_rows and declared_width > model.wide_threshold
-        if wide:
-            wide_factor = 1.0 + model.wide_row_factor * (
-                declared_width - model.wide_threshold
-            )
-
-        def cost(row):
-            ms = row_ms
-            for addend, value in zip(addends, row):
-                if value is None:
-                    ms += null_field_ms
-                elif addend is None:
-                    ms += field_ms + len(value) * byte_ms
-                else:
-                    ms += addend
-            if wide:
-                ms *= wide_factor
-            return ms
-
-        return cost
+        """The per-row transfer charge, ``row -> ms``: the generated form
+        :class:`TupleCursor` adds row by row (see
+        :func:`compile_transfer_charge`)."""
+        return self._charge(columns, compact_rows, "row")
 
     def _transfer_cost(self, columns, rows, compact_rows):
-        row_cost = self._row_cost_fn(columns, compact_rows)
-        total = 0.0
-        for row in rows:
-            total += row_cost(row)
-        return total
+        """The transfer charge summed over ``rows``, left to right from
+        0.0 — what the cursor accumulates, to the bit."""
+        return self._charge(columns, compact_rows, "rows")(rows)
+
+    def _charge(self, columns, compact_rows, form):
+        key = (self.transfer_model, tuple(col.sql_type for col in columns),
+               compact_rows, form)
+        compiled = TRANSFER_CHARGES.get(key)
+        if compiled is None:
+            compiled = compile_transfer_charge(*key)
+            TRANSFER_CHARGES.store(key, compiled)
+        return compiled
+
+
+#: The compiled transfer charges by ``(transfer model, column SQL types,
+#: compact_rows, form)``: a result shape recurs across plans and
+#: connections, and compiling costs more than charging a small result.
+#: A form is compiled when it is first asked for: a sweep sums whole
+#: results and never needs the per-row one.
+TRANSFER_CHARGES = BoundedCache("transfer_charges", max_entries=256)
+
+
+def compile_transfer_charge(model, sql_types, compact_rows, form):
+    """The per-row transfer formula of ``model`` over columns of
+    ``sql_types`` as generated source, unrolled per column:
+    ``R + (N if r[0] is None else A_INTEGER) + (N if r[1] is None else F +
+    len(r[1]) * B) ...``, times ``W`` when the row is wide.  The additions
+    run left to right in the order of the per-field formula, so every
+    float is the same.  ``form`` ``"row"`` is the expression as a ``row ->
+    ms`` lambda; ``"rows"`` sums it over a list of rows by a left fold
+    from 0.0 (``reduce``, not ``sum``, which compensates on Python 3.12).
+    """
+    consts = {"R": model.row_ms, "N": model.null_field_ms,
+              "F": model.field_ms, "B": model.byte_ms, "len": len}
+    expr = "R"
+    for i, sql_type in enumerate(sql_types):
+        if width_function(sql_type) is len:
+            value = f"F + len(r[{i}]) * B"
+        else:
+            # A fixed-width field's charge, once per type, by the same
+            # float operations as per value.
+            value = f"A_{sql_type.name}"
+            consts[value] = (
+                model.field_ms + sql_type.storage_width * model.byte_ms
+            )
+        # A line per column keeps the code's location table small.
+        expr += f"\n+ (N if r[{i}] is None else {value})"
+    # The paper's "anomalous caching behavior in JDBC": rows produced by a
+    # wide outer join bind every declared column and pay a super-linear
+    # penalty; union-shaped results use the compact per-branch row format
+    # and do not.
+    declared_width = len(sql_types)
+    if not compact_rows and declared_width > model.wide_threshold:
+        consts["W"] = 1.0 + model.wide_row_factor * (
+            declared_width - model.wide_threshold
+        )
+        expr = f"({expr}) * W"
+    if form == "row":
+        return compile_source(f"lambda r: ({expr})", consts)
+    return compile_source(
+        f"lambda rows: reduce(add, [({expr}) for r in rows], 0.0)",
+        {**consts, "reduce": reduce, "add": add},
+    )

@@ -265,8 +265,12 @@ class Table:
     def apply_update(self, pairs):
         """Replace rows by ``(pre-image key, new row)`` pairs, preserving
         slots — the recovery applier for a logged update.  The pre-image
-        key identifies the slot even when the update moved key columns."""
+        key identifies the slot even when the update moved key columns.
+        The new rows are type-checked as :meth:`update` checks them, and
+        nothing is committed if one fails."""
         replacement = {tuple(key): tuple(row) for key, row in pairs}
+        for row in replacement.values():
+            self._check_types(row)
         key_positions = self._key_positions()
         new_rows = [
             replacement.get(tuple(row[p] for p in key_positions), row)

@@ -8,6 +8,7 @@ maxima, while per-table statistics track observed average widths.
 
 import enum
 import datetime
+import math
 
 
 class SqlType(enum.Enum):
@@ -29,7 +30,10 @@ class SqlType(enum.Enum):
         if self is SqlType.INTEGER:
             return isinstance(value, int) and not isinstance(value, bool)
         if self is SqlType.DECIMAL:
-            return isinstance(value, (int, float)) and not isinstance(value, bool)
+            # Finite only: NaN is unordered, and a sort needs a total order.
+            if isinstance(value, float):
+                return math.isfinite(value)
+            return isinstance(value, int) and not isinstance(value, bool)
         if self in (SqlType.VARCHAR, SqlType.CHAR):
             return isinstance(value, str)
         if self is SqlType.DATE:
@@ -52,7 +56,10 @@ class SqlType(enum.Enum):
         if self is SqlType.INTEGER:
             return str(value)
         if self is SqlType.DECIMAL:
-            return repr(float(value))
+            value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"{value!r} is not a SQL decimal")
+            return repr(value)
         if self in (SqlType.VARCHAR, SqlType.CHAR):
             escaped = value.replace("'", "''")
             return f"'{escaped}'"

@@ -28,7 +28,8 @@ load-bearing details:
   first-occurrence order (``dict.fromkeys``), and sorts reproduce the
   ``NULLS FIRST`` relation of :class:`~repro.common.ordering.NoneFirst`
   exactly — including its ordering of mixed-type columns by type name —
-  via stable single-key passes (last key first);
+  with one stable sort on a composite key built column-wise
+  (:func:`~repro.common.ordering.column_keys`);
 * sort cost samples the *input-order* rows through the engine's
   deterministic row-width estimator, so both engines charge the same
   width to the bit.
@@ -37,6 +38,7 @@ load-bearing details:
 from operator import itemgetter
 
 from repro.common.errors import ExecutionError, QueryError
+from repro.common.ordering import column_keys
 from repro.relational import algebra
 from repro.relational.algebra import (
     Scan,
@@ -468,9 +470,7 @@ class _PlanCompiler:
     def _sort(self, op, fp, tables):
         child = self.compile(op.child)
         positions = op.child.positions()
-        key_plan = [
-            (positions[key], itemgetter(positions[key])) for key in op.keys
-        ]
+        key_positions = [positions[key] for key in op.keys]
         child_columns = op.child.columns()
         arity = len(op.columns())
 
@@ -480,15 +480,14 @@ class _PlanCompiler:
             result = charges.cached(fp)
             if result is None:
                 rows = batch.rows()
-                if key_plan and n:
-                    # Stable single-key passes, last key first:
-                    # lexicographic by (k1, k2, ...) with ties in input
-                    # order — exactly the tuple engine's
-                    # sorted(key=sort_key(...)).
-                    out = rows
-                    for position, getter in reversed(key_plan):
-                        out = _sort_pass(out, batch.col(position), position,
-                                         getter)
+                keys = key_positions and n and column_keys(
+                    [batch.col(p) for p in key_positions])
+                if keys:
+                    # One sort on the composite key: lexicographic by
+                    # (k1, k2, ...) with ties in input order — exactly the
+                    # tuple engine's sorted(key=sort_key(...)).
+                    order = sorted(range(n), key=keys.__getitem__)
+                    out = list(map(rows.__getitem__, order))
                 else:
                     out = list(rows)
                 result = Batch.from_rows(out, arity)
@@ -508,37 +507,3 @@ class _PlanCompiler:
         Distinct: _distinct, InnerJoin: _inner_join,
         LeftOuterJoin: _outer_join, OuterUnion: _union, Sort: _sort,
     }
-
-
-def _sort_pass(rows, column, position, getter):
-    """One stable ``NULLS FIRST`` pass over ``rows`` by ``column``.
-
-    Replicates the :class:`~repro.common.ordering.NoneFirst` relation
-    without a per-comparison wrapper object: NULLs sort first (stable
-    among themselves); non-NULL values of one type compare raw (the fast
-    path — a single C-keyed sort); a mixed-type column falls back to the
-    (type name, value) rank NoneFirst defines.
-    """
-    kinds = set(map(type, column))
-    has_none = type(None) in kinds
-    kinds.discard(type(None))
-    if len(kinds) > 1:
-        def key(row, _p=position):
-            value = row[_p]
-            return (type(value).__name__, value)
-    else:
-        key = getter
-    if not has_none:
-        return sorted(rows, key=key)
-    null_rows = []
-    value_rows = []
-    null_append = null_rows.append
-    value_append = value_rows.append
-    for row in rows:
-        if row[position] is None:
-            null_append(row)
-        else:
-            value_append(row)
-    value_rows.sort(key=key)
-    null_rows.extend(value_rows)
-    return null_rows

@@ -43,6 +43,7 @@ from repro.common.errors import OverloadError, QueryError, ReproError, tag_reque
 from repro.core.options import RequestContext, resolve_options
 from repro.obs.metrics import MetricsRegistry
 from repro.relational.cache import SingleFlight
+from repro.relational.connection import TRANSFER_CHARGES
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     MAX_INDENT,
@@ -464,7 +465,8 @@ class Server:
         names = {rxl: name for name, rxl in self._queries.items()}
         return {
             **summary(engine.cache, engine.node_cache, engine._compiled,
-                      session.silkroute.estimator.cache, session._views),
+                      session.silkroute.estimator.cache, session._views,
+                      TRANSFER_CHARGES),
             "by_view": {
                 names.get(rxl, rxl): summary(
                     view.instance_cache, view.document_cache,

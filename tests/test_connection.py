@@ -1,5 +1,7 @@
 """Tests for the client/server layer (repro.relational.connection)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +9,9 @@ from repro.common.errors import PlanError, TimeoutExceeded
 from repro.core.partition import unified_partition
 from repro.core.sqlgen import PlanStyle, SqlGenerator
 from repro.relational.algebra import ColumnInfo, Scan
-from repro.relational.connection import Connection, SourceDescription, TransferModel
+from repro.relational.connection import (
+    TRANSFER_CHARGES, Connection, SourceDescription, TransferModel,
+)
 from repro.relational.engine import CostModel
 from repro.relational.types import SqlType, width_function
 
@@ -121,7 +125,9 @@ def _rows_under_a_model(draw):
 
 
 class TestTransferCharge:
-    """The per-row charge equals the per-field formula to the last bit."""
+    """Both generated forms of the transfer charge — the per-row lambda a
+    cursor adds up and the left fold over a result's rows — equal the
+    per-field formula to the last bit."""
 
     @given(_rows_under_a_model())
     @settings(max_examples=300, deadline=None)
@@ -135,6 +141,38 @@ class TestTransferCharge:
             assert row_cost(row) == reference(row)
             total += reference(row)
         assert conn._transfer_cost(columns, rows, compact) == total
+
+    def test_total_is_a_left_fold_not_a_compensated_sum(self, tiny_db):
+        """One 1e16 ms row, then NULL rows of 0.262 ms: each of those
+        rounds away against 1e16 when added left to right, as the cursor
+        adds them.  A compensated sum (``math.fsum``; ``sum`` on Python
+        3.12 and later) keeps them and lands 2 ms higher."""
+        conn = Connection(tiny_db, CostModel(), TransferModel(byte_ms=1e16))
+        columns = [ColumnInfo("c0", SqlType.VARCHAR)]
+        rows = [("a",)] + [(None,)] * 8
+        row_cost = conn._row_cost_fn(columns, True)
+        assert conn._transfer_cost(columns, rows, True) == 1e16
+        assert math.fsum(map(row_cost, rows)) == 1e16 + 2
+
+    def test_recompiled_after_eviction_to_the_bit(self, tiny_db):
+        """More shapes than the memo holds: the first one is evicted, and
+        compiled again it charges the same floats."""
+        conn = Connection(tiny_db, CostModel())
+        types = [SqlType.INTEGER, SqlType.VARCHAR, SqlType.DATE]
+        first = [ColumnInfo(f"c{i}", t) for i, t in enumerate(types)]
+        rows = [(1, "abc", None), (None, "", None)]
+        before = ([conn._row_cost_fn(first, False)(r) for r in rows],
+                  conn._transfer_cost(first, rows, False))
+        for width in range(TRANSFER_CHARGES.max_entries + 1):
+            conn._transfer_cost(
+                [ColumnInfo(f"d{i}", SqlType.CHAR) for i in range(width)],
+                [], True)
+        for form in ("row", "rows"):
+            key = (conn.transfer_model, tuple(types), False, form)
+            assert TRANSFER_CHARGES.peek(key) is None
+        after = ([conn._row_cost_fn(first, False)(r) for r in rows],
+                 conn._transfer_cost(first, rows, False))
+        assert after == before
 
     @pytest.mark.parametrize("style", list(PlanStyle))
     def test_cursor_total_equals_materialized_total(self, q1_tree, tiny_db,

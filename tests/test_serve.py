@@ -298,7 +298,7 @@ class TestServerBasics:
         assert decode(encode(caches)) == caches     # crosses the wire
         assert set(caches) == {
             "plan_cache", "node_cache", "compiled_plans", "estimates",
-            "views", "by_view",
+            "views", "transfer_charges", "by_view",
         }
         assert caches["plan_cache"] == decode(encode(
             server.stats()["plan_cache"]))

@@ -1,6 +1,7 @@
 """Tests for SQL value types (repro.relational.types)."""
 
 import datetime
+import math
 
 import pytest
 
@@ -18,6 +19,14 @@ class TestAccepts:
         assert SqlType.DECIMAL.accepts(5)
         assert SqlType.DECIMAL.accepts(5.5)
         assert not SqlType.DECIMAL.accepts(True)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_decimal_is_finite(self, value):
+        """NaN would make ``ORDER BY`` non-total (and the engines
+        disagree), and no non-finite float has a SQL literal."""
+        assert not SqlType.DECIMAL.accepts(value)
+        with pytest.raises(ValueError):
+            SqlType.DECIMAL.to_sql_literal(value)
 
     def test_strings(self):
         assert SqlType.VARCHAR.accepts("x")

@@ -20,6 +20,7 @@ The load-bearing contracts:
 
 import datetime
 import json
+import math
 import os
 import shutil
 import struct
@@ -127,6 +128,32 @@ class TestLogThenApply:
         # the log append and the apply).
         assert db.table("Nation").version == fresh_db().table("Nation").version
         wal.close()
+
+    def test_non_finite_decimal_is_refused_everywhere(self, wal_dir):
+        """NaN in a DECIMAL column: refused by insert and update before
+        the log, and by recovery when a log holds one anyway."""
+        db, wal, _ = attach_fresh(wal_dir)
+        part = db.table("Part")
+        size_before, state = wal.size_bytes(), db_state(db)
+        key = part.rows[0][0]
+        with pytest.raises(SchemaError):
+            db.insert("Part", 900, "p900", "m", "b", 1, math.nan)
+        with pytest.raises(SchemaError):
+            db.update("Part", {"partkey": key}, {"retail": math.nan})
+        assert (wal.size_bytes(), db_state(db)) == (size_before, state)
+        # A log written before the check: one finite update, turned NaN.
+        db.update("Part", {"partkey": key}, {"retail": 1.5})
+        wal.close()
+        data = open(wal.wal_file, "rb").read()
+        [(payload, _)] = iter_records(data, len(MAGIC))
+        record = json.loads(payload)
+        record["ops"][0]["pairs"][0][1][-1] = math.nan
+        with open(wal.wal_file, "wb") as f:
+            f.write(MAGIC + pack_record(json.dumps(record).encode()))
+        restarted = fresh_db()
+        with pytest.raises(SchemaError):
+            WriteAheadLog(wal_dir).attach(restarted)
+        assert db_state(restarted) == state
 
     def test_update_callables_replay_by_value(self, wal_dir):
         # The logged delta is physical: replay never re-runs the lambda,
