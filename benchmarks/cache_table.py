@@ -4,8 +4,9 @@
     PYTHONPATH=src python3 benchmarks/cache_table.py --workload plan_sweep
 
 Every bounded map in ``src/`` is a :class:`repro.relational.cache.BoundedCache`
-with a name, so one hook on its constructor sees them all (but the one
-created at import, ``connection.TRANSFER_CHARGES``, added by hand).  For each of the
+with a name, so one hook on its constructor sees them all (but the two
+created at import, ``connection.TRANSFER_CHARGES`` and ``xmlgen.kernel.KERNELS``,
+added by hand).  For each of the
 four harness workloads this runs the harness's own traced run
 (``benchmarks/perf/run.py --workload W --trace 1``) in a child process with
 that hook installed, and adds up, per cache name, the counters of every
@@ -35,6 +36,7 @@ import run  # noqa: E402  (benchmarks/perf/run.py)
 from repro.core.sqlgen import SqlGenerator  # noqa: E402
 from repro.relational.cache import BoundedCache  # noqa: E402
 from repro.relational.connection import TRANSFER_CHARGES  # noqa: E402
+from repro.xmlgen.kernel import KERNELS  # noqa: E402
 
 WORKLOADS = run.WORKLOADS
 BEGIN = "<!-- cache-table:begin (benchmarks/cache_table.py) -->"
@@ -108,8 +110,16 @@ CACHES = {
     ),
     "decoders": (
         "`ComparatorLayout._decoders`",
-        "stream shape (columns, unit paths, unit members)",
+        "stream shape (columns, sort keys, unit paths, their units' "
+        "representatives and members)",
         "nothing: a decoder depends on the view tree only",
+    ),
+    "xml_kernels": (
+        "`repro.xmlgen.kernel.KERNELS`, one per process: the generated "
+        "decoders, tag steps and single-stream kernels",
+        "(view-tree shape, stream shape, form, indent, root tag or not)",
+        "nothing: generated code depends on its key only, and holds no "
+        "rows and no tree objects",
     ),
     "transfer_charges": (
         "`repro.relational.connection.TRANSFER_CHARGES`, one per process",
@@ -134,9 +144,9 @@ CACHES = {
 def record_workload(workload, seed):
     """Run one traced harness workload here; return, per cache name, the
     summed counters of every :class:`BoundedCache` it created."""
-    # The one module-level map exists before the hook; this process is
-    # fresh, so its counters are this run's.
-    created, generators = [TRANSFER_CHARGES], []
+    # The module-level maps exist before the hook; this process is
+    # fresh, so their counters are this run's.
+    created, generators = [TRANSFER_CHARGES, KERNELS], []
     construct = BoundedCache.__init__
     construct_generator = SqlGenerator.__init__
 

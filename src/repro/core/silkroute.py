@@ -788,7 +788,7 @@ class XmlView:
             decoders = tuple(self._layout.decoder(spec) for spec in specs)
             key = (root_tag, indent, decoders)
             spliced = splice_streams(
-                self.tree, specs, streams, decoders, root_tag, indent,
+                self._layout, specs, streams, decoders, root_tag, indent,
                 previous=self.instance_cache.peek(key), obs=opts.obs,
             )
         if spliced is None:

@@ -253,7 +253,19 @@ def predicate_source(predicate, positions, var="row"):
 
 def compile_source(source, consts):
     """Evaluate compiler-generated ``source`` with ``consts`` bound as
-    closure parameters (no builtins are exposed to the evaluated code)."""
+    closure parameters (no builtins are exposed to the evaluated code).
+
+    ``source`` is an expression, or one ``def`` statement (the statement
+    form): the function it defines is returned, its free names being
+    ``consts``."""
+    if source.startswith("def "):
+        name = source[4:source.index("(")]
+        body = source.replace("\n", "\n    ")
+        namespace = {"__builtins__": {}}
+        exec(compile(  # noqa: S102 - compiler-built source, no builtins
+            f"def make({', '.join(consts)}):\n    {body}\n    return {name}",
+            f"<generated {name}>", "exec"), namespace)
+        return namespace["make"](**consts)
     if consts:
         params = ", ".join(consts)
         return eval(  # noqa: S307 - compiler-built source, whitelisted ops

@@ -56,6 +56,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.tenants import TenantRegistry
 from repro.session import QueryResult, Session
+from repro.xmlgen.kernel import KERNELS
 
 
 class _ReadWriteLock:
@@ -466,7 +467,7 @@ class Server:
         return {
             **summary(engine.cache, engine.node_cache, engine._compiled,
                       session.silkroute.estimator.cache, session._views,
-                      TRANSFER_CHARGES),
+                      TRANSFER_CHARGES, KERNELS),
             "by_view": {
                 names.get(rxl, rxl): summary(
                     view.instance_cache, view.document_cache,

@@ -34,7 +34,8 @@ def format_value(value):
 
 #: :func:`escape_text` by exact type for the values a column holds;
 #: any other type (``bool``, ``datetime``, …) takes the function itself.
-_CHARACTER_DATA = {
+#: The generated kernels format a column by the entry of its type.
+CHARACTER_DATA = {
     str: escape_text,
     int: int.__repr__,
     float: "{:.2f}".format,
@@ -59,6 +60,44 @@ class _Markup(dict):
 _OPENING, _CLOSING = _Markup("<{}>"), _Markup("</{}>")
 
 
+# The markup of an element, shared by XmlWriter and the generated kernels
+# (repro.xmlgen.kernel), which pre-render it per (node, depth).  ``level``
+# is the element's nesting: 0 for the outermost element of the document.
+
+
+def opening(tag, indent=None, level=0):
+    """``tag``'s start tag; indented, on a new line (:class:`FirstLine`
+    takes the document's first line break off)."""
+    if indent is None:
+        return _OPENING[tag]
+    return "\n" + " " * (indent * level) + _OPENING[tag]
+
+
+def closing(tag, indent=None, level=0, children=False):
+    """``tag``'s end tag; indented, on a new line where the element has
+    child elements."""
+    if indent is None or not children:
+        return _CLOSING[tag]
+    return "\n" + " " * (indent * level) + _CLOSING[tag]
+
+
+class FirstLine:
+    """``write`` for indented output: the line break that comes with the
+    document's first start tag is dropped."""
+
+    __slots__ = ("_write", "_first")
+
+    def __init__(self, write):
+        self._write, self._first = write, True
+
+    def __call__(self, text):
+        if self._first and text:
+            self._first = False
+            if text[0] == "\n":
+                text = text[1:]
+        return self._write(text)
+
+
 class XmlWriter:
     """Streaming XML writer.
 
@@ -70,44 +109,28 @@ class XmlWriter:
     def __init__(self, sink=None, indent=None):
         self.sink = sink if sink is not None else io.StringIO()
         self.indent = indent
-        self.depth = 0  # kept for indented output only
-        self._write = self.sink.write
+        self.depth = 0
+        self._write = self.sink.write if indent is None else FirstLine(
+            self.sink.write)
         self._open_tag_has_children = []
         self._started = False
 
     def start_element(self, tag):
         if self.indent is not None:
-            self._newline()
             self._started = True
             if self._open_tag_has_children:
                 self._open_tag_has_children[-1] = True
             self._open_tag_has_children.append(False)
-            self.depth += 1
-        self._write(_OPENING[tag])
+        self._write(opening(tag, self.indent, self.depth))
+        self.depth += 1
 
     def text(self, value):
-        self._write(_CHARACTER_DATA.get(type(value), escape_text)(value))
+        self._write(CHARACTER_DATA.get(type(value), escape_text)(value))
 
     def end_element(self, tag):
-        if self.indent is not None:
-            self.depth -= 1
-            if self._open_tag_has_children.pop():
-                self._newline(closing=True)
-        self._write(_CLOSING[tag])
-
-    def fragment(self, text):
-        """Write ``text``, finished elements at the current depth, as if
-        each had been written event by event."""
-        if self.indent is not None and text:
-            self._started = True
-            if self._open_tag_has_children:
-                self._open_tag_has_children[-1] = True
-        self._write(text)
-
-    def _newline(self, closing=False):
-        if not self._started and not closing:
-            return
-        self._write("\n" + " " * self.indent * self.depth)
+        self.depth -= 1
+        self._write(closing(tag, self.indent, self.depth, self.indent
+                            is not None and self._open_tag_has_children.pop()))
 
     def getvalue(self):
         if isinstance(self.sink, io.StringIO):

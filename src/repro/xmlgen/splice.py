@@ -13,16 +13,15 @@ top-level element ends (:meth:`XmlTagger.tag
 <repro.xmlgen.tagger.XmlTagger.tag>`).
 """
 
-import heapq
-from itertools import groupby
+import io
+from itertools import chain, groupby
 from math import copysign
 from operator import attrgetter
 
 from repro.common.ordering import flat_key
 from repro.obs import obs_parts
 from repro.relational.cache import BoundedCache
-from repro.xmlgen.serializer import XmlWriter
-from repro.xmlgen.tagger import XmlTagger, integrate
+from repro.xmlgen.tagger import Document, integrate
 
 
 class Tagging:
@@ -58,14 +57,13 @@ class FragmentCache(BoundedCache):
 
 def _row_groups(rows, group_of, single):
     """``{key: (first, stop)}`` of ``rows``' runs of one group key, in row
-    order."""
-    groups = {}
-    first = 0
-    for key, run in groupby(map(group_of, rows)):
-        stop = first + len(list(run))
-        groups[(key,) if single else key] = (first, stop)
-        first = stop
-    return groups
+    order (the rows sort by it first, so each key is one run): the last
+    and first position of each key, found by two dicts built in C."""
+    keys = list(map(group_of, rows))
+    stops = dict(zip(keys, range(1, len(keys) + 1)))
+    firsts = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return {(key,) if single else key: (firsts[key], stop)
+            for key, stop in stops.items()}
 
 
 def _same_rows(old, new, inexact):
@@ -85,9 +83,9 @@ def _same_rows(old, new, inexact):
     return True
 
 
-def splice_streams(tree, specs, streams, decoders, root_tag, indent,
+def splice_streams(layout, specs, streams, decoders, root_tag, indent,
                    previous=None, obs=None):
-    """Tag executed ``streams`` into ``(xml, tagger, tagging, reused)``,
+    """Tag executed ``streams`` into ``(xml, counts, tagging, reused)``,
     tagging again only the groups whose rows differ from ``previous`` (a
     :class:`Tagging` of the same decoders and serialization, or None) and
     copying the text of the ``reused`` others.
@@ -104,12 +102,9 @@ def splice_streams(tree, specs, streams, decoders, root_tag, indent,
     if root_tag is None and indent is not None or None in (
             decoder.group_of for decoder in decoders):
         return None
-    single = len(tree.root.key_args) == 1
+    single = len(layout.tree.root.key_args) == 1
     rows = tuple(stream.rows for stream in streams)
-    where = [_row_groups(stream_rows, decoder.group_of, single)
-             for decoder, stream_rows in zip(decoders, rows)]
-    # Document order: each stream's keys are sorted and distinct.
-    order = list(dict.fromkeys(heapq.merge(*where, key=flat_key)))
+    where = order = segments = None
 
     def reusable(key):
         """Every stream has the same rows for ``key`` as last time."""
@@ -126,56 +121,62 @@ def splice_streams(tree, specs, streams, decoders, root_tag, indent,
                 return False
         return True
 
-    # Consecutive groups of one fate form a segment: copied, or decoded,
-    # merged and tagged in one run.
-    segments = [(reuse, list(keys)) for reuse, keys in groupby(
-        order, reusable if previous is not None else lambda key: False)]
-    runs = []
-    for reuse, keys in segments:
-        if not reuse:
-            runs.append([])
-            for decoder, spec, stream_rows, spans in zip(
-                    decoders, specs, rows, where):
-                present = [spans[key] for key in keys if key in spans]
-                if present:
-                    runs[-1].append(decoder.decode(
-                        stream_rows[present[0][0]:present[-1][1]],
-                        spec.label))
+    def cut():
+        """Group the rows (a read of every row: decoding work) and return
+        the runs to tag."""
+        nonlocal where, order, segments
+        where = [_row_groups(stream_rows, decoder.group_of, single)
+                 for decoder, stream_rows in zip(decoders, rows)]
+        # Document order.
+        order = sorted(set(chain.from_iterable(where)), key=flat_key)
+        # Consecutive groups of one fate form a segment: copied, or
+        # decoded, merged and tagged in one run.
+        segments = [(reuse, list(keys)) for reuse, keys in groupby(
+            order, reusable if previous is not None else lambda key: False)]
+        runs = []
+        for reuse, keys in segments:
+            if not reuse:
+                runs.append([])
+                for decoder, spec, stream_rows, spans in zip(
+                        decoders, specs, rows, where):
+                    present = [spans[key] for key in keys if key in spans]
+                    if present:
+                        runs[-1].append((
+                            decoder,
+                            stream_rows[present[0][0]:present[-1][1]],
+                            spec.label))
+        return runs
 
-    writer = XmlWriter(indent=indent)
-    tagger = XmlTagger(tree, writer, root_tag=root_tag)
-    tell = writer.sink.tell
+    sink = io.StringIO()
+    document = Document(layout, sink, indent, root_tag)
+    tell = sink.tell
     groups = {}
     unsound = []
 
     def ranges(key):
         return tuple(spans.get(key) for spans in where)
 
-    def tag(merged):
+    def tag(feeds):
         """Write the document; returns the elements and characters it did
         not copy."""
         elements = copied = 0
-        merged = iter(merged)
-        if root_tag is not None:
-            writer.start_element(root_tag)
+        feeds = iter(feeds)
+        document.open()
         for reuse, keys in segments:
             if reuse:
                 for key in keys:
                     start, stop, written, implicit, depth, _ = \
                         previous.groups[key]
                     at = tell()
-                    writer.fragment(previous.xml[start:stop])
+                    document.copy(previous.xml[start:stop], written,
+                                  implicit, depth)
                     copied += stop - start
                     groups[key] = (at, at + stop - start, written, implicit,
                                    depth, ranges(key))
-                    tagger.elements_written += written
-                    tagger.implicit_opens += implicit
-                    tagger.max_stack_depth = max(tagger.max_stack_depth,
-                                                 depth)
                 continue
             marks = []
             at = tell()
-            tagger.tag(next(merged), marks)
+            document.tag(next(feeds), marks)
             # One top-level element per group, in the groups' order.
             if [mark[0] for mark in marks] != keys:
                 unsound.append(keys)
@@ -186,21 +187,22 @@ def splice_streams(tree, specs, streams, decoders, root_tag, indent,
                                implicit_to - implicit, depth, ranges(key))
                 at, written, implicit = stop, elements_to, implicit_to
             elements += written
-        if root_tag is not None:
-            writer.end_element(root_tag)
+        document.close()
         return elements, tell() - copied
 
     tracer, metrics = obs_parts(obs)
-    reused = sum(len(keys) for reuse, keys in segments if reuse)
     if previous is None:
-        integrate(obs, tagger, len(specs), runs, tag, eager=True)
+        integrate(obs, document.counts, len(specs), cut, tag)
+        reused = 0
     else:
-        with tracer.span("splice", groups=len(order), reused=reused,
-                         retagged=len(order) - reused):
-            integrate(obs, tagger, len(specs), runs, tag, eager=True)
+        with tracer.span("splice") as span:
+            integrate(obs, document.counts, len(specs), cut, tag)
+            reused = sum(len(keys) for reuse, keys in segments if reuse)
+            span.set(groups=len(order), reused=reused,
+                     retagged=len(order) - reused)
         metrics.inc("splice.reused", reused)
         metrics.inc("splice.retagged", len(order) - reused)
     if unsound:
         return None
-    xml = writer.getvalue()
-    return xml, tagger, Tagging(xml, rows, groups), reused
+    xml = sink.getvalue()
+    return xml, document.counts, Tagging(xml, rows, groups), reused

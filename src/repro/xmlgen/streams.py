@@ -17,16 +17,21 @@ NULLs sort first, which places every parent instance before its children.
 
 import heapq
 from bisect import bisect_right
-from functools import cmp_to_key
 from operator import attrgetter, itemgetter
 
 from repro.common.errors import PlanError
-from repro.common.ordering import TYPE_TAGS, flat_key
+from repro.common.ordering import flat_key
 from repro.relational.cache import BoundedCache
 from repro.relational.types import SqlType
+from repro.xmlgen.kernel import (
+    TreeShape,
+    decoder_kernel,
+    stream_key,
+    stream_kernel,
+)
 
 _KEY = attrgetter("key")
-_TAG_OF = TYPE_TAGS.__getitem__
+_K0 = itemgetter(0)
 #: Column types whose equal values are one Python type and print alike.
 _EXACT = frozenset(
     (SqlType.INTEGER, SqlType.VARCHAR, SqlType.CHAR, SqlType.DATE)
@@ -65,9 +70,9 @@ class ComparatorLayout:
     An instance key is a flat tuple ``(tag, value, tag, value, ...)`` with
     one pair per layout entry (:func:`repro.common.ordering.flat_key`):
     NULLs first, compared entirely in C.  The layout also owns the
-    compiled :class:`StreamDecoder` of every stream shape decoded against
-    it, so whoever keeps the layout (an :class:`~repro.core.silkroute.XmlView`
-    does, for its lifetime) compiles each shape once.
+    :class:`StreamDecoder` of every stream shape decoded against it, kept
+    by whoever keeps the layout (an :class:`~repro.core.silkroute.XmlView`
+    does, for its lifetime).
     """
 
     def __init__(self, tree):
@@ -81,6 +86,8 @@ class ComparatorLayout:
             for stv in tree.stvs_at_level(level):
                 if stv in key_stvs:
                     self.entries.append(("stv", stv))
+        #: The tree numbered for the generated kernels.
+        self.shape = TreeShape(tree, self.entries)
         self._decoders = BoundedCache("decoders", max_entries=256)
 
     def instance_key(self, node, values):
@@ -97,25 +104,18 @@ class ComparatorLayout:
         return flat_key(raw)
 
     def decoder(self, spec):
-        """The compiled :class:`StreamDecoder` for ``spec``'s shape (its
-        columns and its units' member nodes), built on first use.  Two
-        generators' specs of one subtree have equal shapes, so the cache
-        is keyed by shape, not by spec object; a concurrent first use at
-        worst compiles twice.  A view served under a handful of plans has
-        a handful of shapes, but the shapes of a tree grow with its
-        partitions, so the cache keeps the 256 most recently used (a
-        compile is well under a millisecond)."""
-        shape = (
-            spec.column_names,
-            tuple(spec.unit_paths),
-            tuple(
-                tuple(unit.members for unit in path)
-                for path in spec.unit_paths.values()
-            ),
-        )
+        """The :class:`StreamDecoder` for ``spec``'s shape (its columns and
+        its units' member nodes), built on first use.  Two generators'
+        specs of one subtree have equal shapes, so the cache is keyed by
+        shape, not by spec object.  A view served under a handful of plans
+        has a handful of shapes, but the shapes of a tree grow with its
+        partitions, so the cache keeps the 256 most recently used; their
+        code is compiled once per process
+        (:data:`~repro.xmlgen.kernel.KERNELS`)."""
+        shape = stream_key(spec)
         decoder = self._decoders.get(shape)
         if decoder is None:
-            decoder = StreamDecoder(spec, shape[0], self)
+            decoder = StreamDecoder(spec, shape, self)
             self._decoders.store(shape, decoder)
         return decoder
 
@@ -138,43 +138,25 @@ def tuple_getter(indices):
 
 
 class StreamDecoder:
-    """One stream shape, compiled: everything about decoding that does not
-    depend on the rows, resolved ahead of time.
+    """One stream shape against a layout: the generated kernels of the
+    shape (:mod:`repro.xmlgen.kernel`, shared by every equal shape in the
+    process) and the splice's group check.
 
-    Per row the decoder builds one *extended row*: the row itself, then
-    the type tag of every key column, then the constants a key can hold
-    (the NULL pair, the ``int`` tag, the ``L`` ordinals).  A member's
-    identity and its comparator key are then each a single
-    :func:`~operator.itemgetter` call over the extended row — the
-    constant parts of a key (its ``L`` tags, the variables the member
-    does not carry) are positions in the constant tail.
+    :meth:`items` is the generated decoder, :meth:`decode` the same as
+    :class:`Instance` objects, :meth:`writer` the single-stream kernel
+    that writes the stream's markup itself.  Each is looked up once and
+    then held (code only).
     """
 
-    def __init__(self, spec, column_names, layout):
-        positions = {name: i for i, name in enumerate(column_names)}
-        width = len(column_names)
-        self._l_values = tuple_getter(
-            [positions[f"L{level}"] for level in spec.l_levels]
-        )
-        key_columns = [
-            stv.name for kind, stv in layout.entries
-            if kind == "stv" and stv.name in positions
-        ]
-        self._key_columns = tuple_getter(
-            [positions[name] for name in key_columns]
-        )
-        tag_at = {name: width + i for i, name in enumerate(key_columns)}
-        null_tag = width + len(key_columns)
-        null, int_tag, first_int = null_tag + 1, null_tag + 2, null_tag + 3
-        members = {
-            member.index: member
+    def __init__(self, spec, shape, layout):
+        self._spec, self._shape, self._tree = spec, shape, layout.shape
+        positions = {name: i for i, name in enumerate(spec.column_names)}
+        members = [
+            member
             for path in spec.unit_paths.values()
             for unit in path
             for member in unit.members
-        }
-        top = max(max(index) for index in members)
-        self._constants = ("", None, TYPE_TAGS[int], *range(top + 1))
-
+        ]
         # A top-level *group* is the rows sharing the root's key values.
         # It decodes alone exactly as inside the stream when every member
         # carries those keys (so no member's memo or pending instance
@@ -189,7 +171,7 @@ class StreamDecoder:
             and all(stv.sql_type in _EXACT
                     for stv in layout.tree.root.key_args)
             and all(set(root_keys) <= {stv.name for stv in member.args}
-                    for member in members.values())
+                    for member in members)
         )
         #: ``row -> `` its group's key (one value, or a tuple of several),
         #: None when the shape fails the check above.
@@ -203,130 +185,90 @@ class StreamDecoder:
             i for i, column in enumerate(spec.plan.columns())
             if column.sql_type not in _EXACT
         )
+        self._decode = None
+        self._writers = {}
 
-        steps = {}
-        templates = {}
-        for slot, (index, member) in enumerate(members.items()):
-            carried = {stv.name for stv in member.args}
-            template = templates[index] = []
-            for kind, what in layout.entries:
-                if kind == "L":
-                    if what <= member.level:
-                        template += (int_tag, first_int + index[what - 1])
-                    else:
-                        template += (null_tag, null)
-                elif what.name in carried and what.name in positions:
-                    template += (tag_at[what.name], positions[what.name])
-                else:
-                    template += (null_tag, null)
-            term = tuple_getter(
-                [positions.get(stv.name, null) for stv in member.args]
-            )
-            steps[index] = (slot, member, term, itemgetter(*template))
-        self._slots = len(steps)
-
-        def order(left, right):
-            """``left``'s key against ``right``'s on every row (-1, 0, 1),
-            None where a row value decides.  Tags and ordinals ascend in
-            the constant tail (a NULL value is never reached: its tag
-            decides first), so constant positions compare as values do."""
-            for a, b in zip(templates[left], templates[right]):
-                if a != b:
-                    return None if min(a, b) < null_tag else (a > b) - (a < b)
-            return 0
-
-        # Terminal index -> (steps, key getter of the row's own position —
-        # the terminal unit's representative —, late steps): where ``order``
-        # decides the path, its members at or before that position and
-        # those after it, each in key order; else all members and None.
-        self._paths = {}
-        for terminal, path in spec.unit_paths.items():
-            indices = [m.index for unit in path for m in unit.members]
-            rep = path[-1].representative.index
-            table = {(a, b): order(a, b) for a in indices for b in indices}
-            late = None
-            if None not in table.values():
-                indices.sort(key=cmp_to_key(lambda a, b: table[a, b]))
-                late = tuple(steps[i] for i in indices if table[i, rep] > 0)
-                indices = [i for i in indices if table[i, rep] <= 0]
-            self._paths[terminal] = (tuple(steps[i] for i in indices), steps[rep][3], late)
+    def items(self, rows, label):
+        """The ``(key, node id, term)`` items of ``rows``, in document
+        order; ``label`` names the stream in errors (equal shapes share
+        one decoder, whatever their specs are called)."""
+        if self._decode is None:
+            self._decode = decoder_kernel(self._tree, self._spec,
+                                          self._shape)
+        return self._decode(rows, label)
 
     def decode(self, rows, label):
-        """Yield the :class:`Instance` sequence of ``rows``, in order;
-        ``label`` names the stream in errors (equal shapes share one
-        decoder, whatever their specs are called)."""
-        l_values_of = self._l_values
-        key_columns_of = self._key_columns
-        constants = self._constants
-        paths = self._paths
-        memo = [None] * self._slots   # last term emitted per member
-        pending = []                  # deferred instances, sorted by key
-        for row in rows:
-            # The L tags up to the first NULL spell the terminal unit.
-            terminal = l_values_of(row)
-            if None in terminal:
-                terminal = terminal[:terminal.index(None)]
-            plan = paths.get(terminal)
-            if plan is None:
-                if not terminal:
-                    raise PlanError("tuple with no L tag cannot be decoded")
-                raise PlanError(
-                    f"no unit with index {terminal} in stream {label}"
-                )
-            steps, threshold_of, late_steps = plan
-            extended = (
-                *row, *map(_TAG_OF, map(type, key_columns_of(row))),
-                *constants,
-            )
-            fresh = []
-            for slot, node, term_of, key_of in steps:
-                term = term_of(extended)
-                if memo[slot] != term:
-                    memo[slot] = term
-                    fresh.append(Instance(key_of(extended), node, term))
-            # The row pins everything up to its own sort position — the
-            # terminal unit's *representative* (whose index is the row's L
-            # prefix).  Rows arrive in document order, so without
-            # reduction that is all of ``fresh`` and nothing below runs.
-            # A merged member deeper than the representative sorts after
-            # rows still to come (e.g. a sibling subtree with a smaller
-            # ordinal kept as its own unit): it waits in ``pending`` until
-            # a row's position passes it.
-            if late_steps is None:
-                # Sort and split at the row's position, per row.
-                if len(fresh) > 1:
-                    fresh.sort(key=_KEY)
-                threshold = threshold_of(extended)
-                late = ()
-                if pending or (fresh and fresh[-1].key > threshold):
-                    cut = bisect_right(fresh, threshold, key=_KEY)
-                    late = fresh[cut:]
-                    del fresh[cut:]
-            else:
-                # Sorted and split when the decoder was compiled.
-                late = []
-                for slot, node, term_of, key_of in late_steps:
-                    term = term_of(extended)
-                    if memo[slot] != term:
-                        memo[slot] = term
-                        late.append(Instance(key_of(extended), node, term))
-                if pending:
-                    threshold = threshold_of(extended)
-            if pending:
-                cut = bisect_right(pending, threshold, key=_KEY)
-                if cut:
-                    fresh += pending[:cut]
-                    del pending[:cut]
-                    fresh.sort(key=_KEY)
-            if late:
-                pending += late
-                pending.sort(key=_KEY)
-            yield from fresh
-        yield from pending
+        """Yield the :class:`Instance` sequence of ``rows``, in order."""
+        nodes = self._tree.nodes
+        for key, node, term in self.items(rows, label):
+            yield Instance(key, nodes[node], term)
+
+    def writer(self, indent, rooted):
+        """The kernel writing this shape's rows as markup alone (a plan of
+        one stream, or a run only this stream has rows in)."""
+        kernel = self._writers.get((indent, rooted))
+        if kernel is None:
+            kernel = self._writers[indent, rooted] = stream_kernel(
+                self._tree, self._spec, self._shape, indent, rooted)
+        return kernel
+
+
+def reference_decode(spec, rows, layout):
+    """The decoder's definition, uncompiled: per row every member of every
+    unit on its path, consecutive repeats dropped, keyed by
+    :meth:`ComparatorLayout.instance_key`, sorted; those after the row's
+    own position (its terminal unit's representative) wait until a row
+    passes them.  The generated decoder must yield exactly this."""
+    names = spec.column_names
+    l_columns = [names.index(f"L{level}") for level in spec.l_levels]
+    memo = {}
+    pending = []
+    for row in rows:
+        terminal = []
+        for column in l_columns:
+            if row[column] is None:
+                break
+            terminal.append(row[column])
+        path = spec.unit_paths.get(tuple(terminal))
+        if path is None:
+            if not terminal:
+                raise PlanError("tuple with no L tag cannot be decoded")
+            raise PlanError(
+                f"no unit with index {tuple(terminal)} in stream {spec.label}")
+
+        def instance(member):
+            values = {stv.name: row[names.index(stv.name)]
+                      for stv in member.args if stv.name in names}
+            term = tuple(values.get(stv.name) for stv in member.args)
+            return Instance(layout.instance_key(member, values), member, term)
+
+        fresh = []
+        for unit in path:
+            for member in unit.members:
+                candidate = instance(member)
+                if memo.get(member.index) != candidate.term:
+                    memo[member.index] = candidate.term
+                    fresh.append(candidate)
+        fresh.sort(key=_KEY)
+        threshold = instance(path[-1].representative).key
+        cut = bisect_right(fresh, threshold, key=_KEY)
+        late = fresh[cut:]
+        del fresh[cut:]
+        cut = bisect_right(pending, threshold, key=_KEY)
+        if cut:
+            fresh += pending[:cut]
+            del pending[:cut]
+            fresh.sort(key=_KEY)
+        pending += late
+        pending.sort(key=_KEY)
+        yield from fresh
+    yield from pending
 
 
 def decode_stream(spec, rows, layout):
-    """Yield the :class:`Instance` sequence of one stream, in order.
+    """Yield the :class:`Instance` sequence of one stream, in order: the
+    generated decoder (:meth:`StreamDecoder.items`) as objects — what the
+    event API (:class:`~repro.xmlgen.tagger.XmlTagger`) consumes.
 
     ``spec`` is a :class:`repro.core.sqlgen.StreamSpec`; ``rows`` its
     executed, sorted tuples, pulled lazily.  Memory is bounded by the
@@ -351,6 +293,14 @@ def merge_streams(instance_iterables):
     if len(sources) == 1:
         return iter(sources[0])
     return heapq.merge(*sources, key=_KEY)
+
+
+def merge_items(sources):
+    """:func:`merge_streams` of generated decoders' ``(key, node id,
+    term)`` items."""
+    if len(sources) == 1:
+        return iter(sources[0])
+    return heapq.merge(*sources, key=_K0)
 
 
 class CountingIterator:

@@ -18,11 +18,12 @@ import io
 
 from repro.core.viewtree import Stv
 from repro.obs import obs_parts
-from repro.xmlgen.serializer import XmlWriter
+from repro.xmlgen.kernel import tag_kernel
+from repro.xmlgen.serializer import FirstLine, XmlWriter, closing, opening
 from repro.xmlgen.streams import (
     ComparatorLayout,
     CountingIterator,
-    instance_sources,
+    merge_items,
     merge_streams,
     tuple_getter,
 )
@@ -172,6 +173,84 @@ class XmlTagger:
         return tuple(chain), nested
 
 
+class TagCounts:
+    """What a tagging wrote: elements, implicit opens (an element opened
+    for a descendant's instance before its own, which would mean a plan
+    whose streams do not cover some node) and the deepest stack — the
+    counters of :class:`XmlTagger`, kept by the generated kernels — and
+    the instances the kernels decoded and tagged (none for copied text)."""
+
+    __slots__ = ("root_tag", "elements_written", "implicit_opens",
+                 "max_stack_depth", "instances")
+
+    def __init__(self, root_tag=None):
+        self.root_tag = root_tag
+        self.elements_written = self.implicit_opens = 0
+        self.max_stack_depth = self.instances = 0
+
+    def add(self, written, implicit, depth, instances=0):
+        self.elements_written += written
+        self.implicit_opens += implicit
+        self.max_stack_depth = max(self.max_stack_depth, depth)
+        self.instances += instances
+
+
+class Document:
+    """One document written into ``sink`` by the generated kernels
+    (:mod:`repro.xmlgen.kernel`), :class:`XmlTagger`'s twin: the root tag
+    around runs of a plan's streams — a run of one stream by its
+    single-stream kernel, of several by the tag step over their merged
+    items — and copied text.  Its markup is
+    :class:`~repro.xmlgen.serializer.XmlWriter`'s, compact or indented,
+    character for character."""
+
+    def __init__(self, layout, sink, indent, root_tag):
+        self.layout, self.indent, self.root_tag = layout, indent, root_tag
+        self.write = sink.write if indent is None else FirstLine(sink.write)
+        self.tell = getattr(sink, "tell", None)
+        self.counts = TagCounts(root_tag)
+        self._children = False
+
+    def open(self):
+        if self.root_tag is not None:
+            self.write(opening(self.root_tag, self.indent))
+
+    def run(self, feed):
+        """Write the document of one run: the root tag around
+        :meth:`tag`."""
+        self.open()
+        self.tag(feed)
+        self.close()
+
+    def tag(self, feed, marks=None):
+        """Write one run's elements: ``feed`` is a lone stream's
+        ``(decoder, rows, label)`` or an iterator of merged items.
+        ``marks`` gets the tagger's top-level marks
+        (:meth:`XmlTagger.tag`)."""
+        rooted = self.root_tag is not None
+        if type(feed) is tuple:
+            decoder, rows, label = feed
+            counts = decoder.writer(self.indent, rooted)(
+                rows, label, self.write, self.tell, marks)
+        else:
+            counts = tag_kernel(self.layout.shape, self.indent, rooted)(
+                feed, self.write, self.tell, marks, None)
+        self.counts.add(*counts)
+        self._children = self._children or counts[0] > 0
+
+    def copy(self, text, written, implicit, depth):
+        """Write ``text``, finished top-level elements of an earlier
+        document, with their counts."""
+        self.write(text)
+        self.counts.add(written, implicit, depth)
+        self._children = self._children or bool(text)
+
+    def close(self):
+        if self.root_tag is not None:
+            self.write(closing(self.root_tag, self.indent,
+                               children=self._children))
+
+
 def tag_streams(tree, specs, streams, root_tag="view", indent=None,
                 writer=None, obs=None, layout=None):
     """Decode, merge, and tag a set of executed streams.
@@ -181,71 +260,93 @@ def tag_streams(tree, specs, streams, root_tag="view", indent=None,
     materialized ``TupleStream`` lists or lazy ``TupleCursor`` pipelines;
     with cursors and a sink-backed ``writer`` the whole
     decode→merge→tag→serialize path runs in constant memory).
-    Returns ``(xml_text, tagger)`` when the writer's ``sink`` is an
-    in-memory ``StringIO``, else ``(writer, tagger)``.
+    Returns ``(xml_text, counts)`` when the writer's ``sink`` is an
+    in-memory ``StringIO``, else ``(writer, counts)``; ``counts`` has
+    :class:`XmlTagger`'s counters.
+
+    A fresh :class:`~repro.xmlgen.serializer.XmlWriter` (the default) is
+    written by the generated kernels (:class:`Document`), into its sink;
+    any other writer gets :class:`XmlTagger`'s events.
 
     ``layout`` is the tree's :class:`~repro.xmlgen.streams.ComparatorLayout`
-    — pass the one a long-lived caller keeps, so the stream decoders
-    compiled against it are reused; by default a fresh one is built.
+    — pass the one a long-lived caller keeps, so its stream decoders are
+    reused; by default a fresh one is built.
 
     ``obs`` (an :class:`~repro.obs.ObsOptions` session) records the
     integration as :func:`integrate` does.
     """
-    writer = writer or XmlWriter(indent=indent)
-    tagger = XmlTagger(tree, writer, root_tag=root_tag)
     if layout is None:
         layout = ComparatorLayout(tree)
-    sources = instance_sources(specs, streams, layout)
+    writer = writer or XmlWriter(indent=indent)
+    run = [(layout.decoder(spec), rows, spec.label)
+           for spec, rows in zip(specs, streams)]
+    events = type(writer) is not XmlWriter or writer._started
+    if events:
+        document = counts = XmlTagger(tree, writer, root_tag=root_tag)
+    else:
+        document = Document(layout, writer.sink, writer.indent, root_tag)
+        counts = document.counts
 
-    def tag(merged):
+    def tag(feeds):
         before = _chars_written(writer)
-        tagger.run(merged[0])
+        document.run(feeds[0])
         after = _chars_written(writer)
         written = None if None in (before, after) else after - before
-        return tagger.elements_written, written
+        return counts.elements_written, written
 
-    integrate(obs, tagger, len(specs), [sources], tag)
+    integrate(obs, counts, len(specs), [run], tag, events=events)
     if isinstance(getattr(writer, "sink", None), io.StringIO):
-        return writer.getvalue(), tagger
-    return writer, tagger
+        return writer.getvalue(), counts
+    return writer, counts
 
 
-def integrate(obs, tagger, streams, runs, tag, eager=False):
-    """Merge and tag ``runs`` — per run, lazy instance sequences of some
-    of the ``streams`` streams — by ``tag(merged)``, which gets one
-    document-order iterator per run and returns the ``(elements,
-    characters)`` it wrote (characters None when the sink cannot tell).
+def integrate(obs, counts, streams, runs, tag, events=False):
+    """Merge and tag ``runs`` — per run, ``(decoder, rows, label)`` of
+    some of the ``streams`` streams, or a function returning them, called
+    as part of decoding — by ``tag(feeds)``, which gets one
+    feed per run and returns the ``(elements, characters)`` it wrote
+    (characters None when the sink cannot tell).  A feed is what
+    :meth:`Document.run` takes: a lone stream as it came, for its
+    single-stream kernel, else the merge of the streams' generated
+    decoders; with ``events``, the merge of their :class:`Instance`
+    sequences, for :class:`XmlTagger` (``counts``).
 
-    With ``obs`` (an :class:`~repro.obs.ObsOptions` session) on, the work
-    is a ``decode`` span followed by a ``merge`` span containing a
-    ``tag`` span — those two stages interleave (the tagger pulls the
-    merge, and the merge pulls any lazy decoder), so the merge span
-    brackets both and carries the merged instance count — plus
-    ``decode.instances`` / ``merge.instances`` / ``tag.elements`` /
-    ``tag.bytes`` counters.  ``eager`` decodes inside the decode span, so
-    the work has a span of its own; otherwise decoding is lazy, inside
-    the merge, and the decode span counts 0 — what a streamed document
-    needs to stay in bounded memory."""
+    With ``obs`` (an :class:`~repro.obs.ObsOptions` session) on, the same
+    feeds run inside spans: ``decode`` (the runs taken apart; decoding is
+    lazy, or fused into a single-stream kernel), then ``merge`` around
+    ``tag``.  Both the ``decode`` and ``merge`` spans and counters carry
+    the instances tagged (:attr:`TagCounts.instances`, or with
+    ``events`` those merged); ``tag`` carries what was written."""
     tracer, metrics = obs_parts(obs)
-    if not (tracer.enabled or metrics.enabled):
-        tag([merge_streams(sources) for sources in runs])
+    traced = tracer.enabled or metrics.enabled
+
+    def feed(run):
+        if events:
+            merged = merge_streams([decoder.decode(rows, label)
+                                    for decoder, rows, label in run])
+            return CountingIterator(merged) if traced else merged
+        if len(run) == 1:
+            return run[0]
+        return merge_items([decoder.items(rows, label)
+                            for decoder, rows, label in run])
+
+    if not traced:
+        tag([feed(run) for run in (runs() if callable(runs) else runs)])
         return
-    decoded = 0
-    with tracer.span("decode", streams=streams) as span:
-        if eager:
-            runs = [[list(source) for source in sources] for sources in runs]
-            decoded = sum(map(len, (s for run in runs for s in run)))
-        span.set(instances=decoded)
-    metrics.inc("decode.instances", decoded)
-    counted = [CountingIterator(merge_streams(sources)) for sources in runs]
+    with tracer.span("decode", streams=streams) as decode_span:
+        feeds = [feed(run) for run in (runs() if callable(runs) else runs)]
+    before = 0 if events else counts.instances
     with tracer.span("merge", streams=streams) as merge_span:
-        with tracer.span("tag", root_tag=tagger.root_tag) as tag_span:
-            elements, written = tag(counted)
+        with tracer.span("tag", root_tag=counts.root_tag) as tag_span:
+            elements, written = tag(feeds)
         tag_span.set(elements=elements,
-                     max_stack_depth=tagger.max_stack_depth)
-        merged = sum(iterator.count for iterator in counted)
-        merge_span.set(instances=merged)
-    metrics.inc("merge.instances", merged)
+                     max_stack_depth=counts.max_stack_depth)
+        instances = (sum(feed.count for feed in feeds) if events
+                     else counts.instances - before)
+        merge_span.set(instances=instances)
+    decode_span.set(instances=instances)
+    metrics.inc("decode.instances", instances)
+    metrics.inc("merge.instances", instances)
     metrics.inc("tag.elements", elements)
     if written is not None:
         metrics.inc("tag.bytes", written)

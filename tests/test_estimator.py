@@ -257,7 +257,7 @@ class TestOracleIsTheCostModel:
         ``rescan`` cost; the estimator charges it in full at each
         occurrence and never charges ``rescan``.  Teaching it to share
         moves greedy's plan family in 5 of the 8 (Q1, Q2) x style x reduce
-        cells on Config A, so it is ROADMAP item 4's to flip — with the
+        cells on Config A, so it is ROADMAP item 12's to flip — with the
         Fig. 18 comparison — not a refactor's."""
         model = CostModel()
         shared = scan(tiny_db, "Nation", "n")

@@ -55,6 +55,7 @@ from repro.relational.engine import CostModel, QueryEngine
 from repro.relational.faults import FaultPolicy, RetryPolicy
 from repro.tpch.configs import CONFIG_A, build_database
 from repro.xmlgen.serializer import XmlWriter
+from repro.xmlgen.streams import StreamDecoder
 from repro.xmlgen.tagger import tag_streams
 
 
@@ -328,11 +329,11 @@ class TestObservationIdentity:
 
 
 class TestIntegrationSpans:
-    """With a result cache installed the streams are decoded eagerly,
-    before the merge is pulled (the first tagging of the top-level splice)
-    — the dominant layer of a cold export.  It must sit in a ``decode``
-    span, so that decode + merge (which brackets tag) account for the
-    whole integration."""
+    """A traced integration runs the generated kernels an untraced one
+    runs, inside a ``decode`` span (the streams taken apart into runs)
+    and a ``merge`` span bracketing ``tag`` (which pulls the decoders, or
+    is a single-stream kernel decoding its own rows), so that decode +
+    merge account for the whole integration."""
 
     @pytest.fixture(scope="class")
     def config_a_db(self):
@@ -377,17 +378,37 @@ class TestIntegrationSpans:
         assert min(shares) >= 0.90, shares
 
     def test_lazy_decode_is_counted_in_the_merge(self, tiny_db,
-                                                 tiny_estimator):
-        """Without a cache nothing is decoded ahead of the merge: the
-        decode span is there, empty, and the merge span carries the work."""
+                                                 tiny_estimator,
+                                                 monkeypatch):
+        """Nothing is decoded ahead of the merge: the decode span holds no
+        stage of its own, the merge span carries the work — a unified
+        plan's single-stream kernel, as untraced — and the instances it
+        decoded are counted once, on both spans."""
+        kernels = []
+        writer = StreamDecoder.writer
+
+        def counted(decoder, indent, rooted):
+            kernels.append(decoder)
+            return writer(decoder, indent, rooted)
+
+        monkeypatch.setattr(StreamDecoder, "writer", counted)
         obs = ObsOptions()
         view = fresh_view(tiny_db, tiny_estimator)
-        view.materialize("unified", options=ExecutionOptions(obs=obs))
+        traced = view.materialize("unified",
+                                  options=ExecutionOptions(obs=obs))
+        assert len(kernels) == 1
         [decode] = obs.tracer.find("decode")
         [merge] = obs.tracer.find("merge")
-        assert decode.attrs["instances"] == 0
-        assert merge.attrs["instances"] > 0
-        assert obs.metrics.snapshot()["counters"]["decode.instances"] == 0
+        assert decode.children == [] and \
+            [child.name for child in merge.children] == ["tag"]
+        instances = merge.attrs["instances"]
+        assert decode.attrs["instances"] == instances > 0
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["decode.instances"] == instances
+        assert counters["merge.instances"] == instances
+        assert traced.xml == fresh_view(tiny_db, tiny_estimator) \
+            .materialize("unified").xml
+        assert len(kernels) == 2
 
     def test_document_is_not_copied_to_count_its_characters(self, q1_tree,
                                                             tiny_db,

@@ -1,7 +1,6 @@
 """Tests for stream decoding, merging, tagging, and serialization."""
 
 import collections
-import copy
 import dataclasses
 import datetime
 import importlib.util
@@ -32,6 +31,7 @@ from repro.xmlgen.serializer import (
     escape_text,
     format_value,
 )
+from repro.xmlgen.kernel import StreamShape
 from repro.xmlgen.streams import (
     ComparatorLayout,
     Instance,
@@ -39,6 +39,7 @@ from repro.xmlgen.streams import (
     instance_sources,
     iter_instances,
     merge_streams,
+    reference_decode,
 )
 from repro.xmlgen.tagger import XmlTagger, tag_streams
 
@@ -221,7 +222,7 @@ class TestDecodeStream:
             == [(i.key, i.node, i.term) for i in expected]
 
 
-def reference_decode(spec, rows, layout):
+def row_order_decode(spec, rows, layout):
     """The decoder's definition without its machinery: every member of
     every unit on each row's path, consecutive repeats dropped, keyed by
     the uncompiled :meth:`ComparatorLayout.instance_key` — in *row* order,
@@ -286,7 +287,7 @@ class TestDecodeOrder:
                 instances = list(decode_stream(spec, rows, layout))
                 keys = [i.key for i in instances]
                 assert keys == sorted(keys), spec.label
-                reference = reference_decode(spec, rows, layout)
+                reference = row_order_decode(spec, rows, layout)
                 assert sorted(decoded_plain(instances)) == sorted(reference)
                 decoded[id(spec)] = instances
             streams = [decoded[id(spec)] for spec in specs]
@@ -315,7 +316,7 @@ class TestDecodeOrder:
             )
             [supplier_unit] = spec.unit_paths[(1,)]
             assert [m.index for m in supplier_unit.members] == [(1,), (1, 2)]
-            in_row_order = reference_decode(spec, stream.rows, layout)
+            in_row_order = row_order_decode(spec, stream.rows, layout)
             keys = [key for key, _, _ in in_row_order]
             assert keys != sorted(keys)       # emitting per row is wrong
             instances = list(decode_stream(spec, stream.rows, layout))
@@ -836,15 +837,11 @@ class TestDeepestFrameFirst:
                 == ForwardTagger(tree, XmlWriter()).run(merged).getvalue()
 
 
-def _generic_twin(decoder):
-    """``decoder`` with every path on the per-row sort and split: the
-    order it would take without the compile-time classification."""
-    twin = copy.copy(decoder)
-    twin._paths = {
-        terminal: (early + (late or ()), threshold_of, None)
-        for terminal, (early, threshold_of, late) in decoder._paths.items()
-    }
-    return twin
+def _decided(tree, spec):
+    """terminal -> whether the compile-time order table decided the
+    path's member order."""
+    return {terminal: late is not None for terminal, _, _, late, _ in
+            StreamShape(ComparatorLayout(tree).shape, spec).paths}
 
 
 class TestDecoderOrderTable:
@@ -857,11 +854,9 @@ class TestDecoderOrderTable:
         specs, streams = executed(tree, db, conn, partition, style=style,
                                   reduce=reduce)
         for spec, stream in zip(specs, streams):
-            decoder = layout.decoder(spec)
-            fast = decoder.decode(stream.rows, spec.label)
-            generic = _generic_twin(decoder).decode(stream.rows, spec.label)
-            yield decoder, spec, stream, decoded_plain(fast), \
-                decoded_plain(generic)
+            fast = decode_stream(spec, stream.rows, layout)
+            generic = reference_decode(spec, stream.rows, layout)
+            yield spec, stream, decoded_plain(fast), decoded_plain(generic)
 
     @pytest.mark.parametrize("tree_name", ["q1_tree", "q2_tree"])
     @given(data=st.data())
@@ -873,21 +868,17 @@ class TestDecoderOrderTable:
         partition = data.draw(_partitions(tree))
         style = data.draw(st.sampled_from(list(PlanStyle)))
         reduce = data.draw(st.booleans())
-        for decoder, *_, fast, generic in self._both_ways(
+        for spec, _, fast, generic in self._both_ways(
                 tree, tiny_db, tiny_conn, partition, style, reduce):
-            assert all(late is not None
-                       for _, _, late in decoder._paths.values())
+            assert all(_decided(tree, spec).values())
             assert fast == generic
 
     def test_reduction_leaves_members_after_the_row(self, q1_tree, tiny_db,
                                                     tiny_conn):
-        late = [
-            late
-            for *_, late in ComparatorLayout(q1_tree).decoder(
-                SqlGenerator(q1_tree, tiny_db.schema, reduce=True)
-                .streams_for_partition(unified_partition(q1_tree))[0]
-            )._paths.values()
-        ]
+        [spec] = SqlGenerator(q1_tree, tiny_db.schema, reduce=True) \
+            .streams_for_partition(unified_partition(q1_tree))
+        late = [late for *_, late, _ in StreamShape(
+            ComparatorLayout(q1_tree).shape, spec).paths]
         assert any(late)
 
     @pytest.mark.parametrize("style", list(PlanStyle))
@@ -899,14 +890,10 @@ class TestDecoderOrderTable:
         sorted per row, the directory path beside it in the same stream
         is not."""
         tree = _party_directory_tree(tiny_db.schema)
-        for decoder, spec, stream, fast, generic in self._both_ways(
+        for spec, stream, fast, generic in self._both_ways(
                 tree, tiny_db, tiny_conn, unified_partition(tree), style,
                 reduce):
-            decided = {
-                terminal: late is not None
-                for terminal, (_, _, late) in decoder._paths.items()
-            }
-            assert decided == {(1,): True, (1, 1): False}
+            assert _decided(tree, spec) == {(1,): True, (1, 1): False}
             assert fast == generic
             assert sorted(fast) == sorted(
-                reference_decode(spec, stream.rows, ComparatorLayout(tree)))
+                row_order_decode(spec, stream.rows, ComparatorLayout(tree)))
