@@ -4,9 +4,9 @@
     PYTHONPATH=src python3 benchmarks/cache_table.py --workload plan_sweep
 
 Every bounded map in ``src/`` is a :class:`repro.relational.cache.BoundedCache`
-with a name, so one hook on its constructor sees them all (but the two
-created at import, ``connection.TRANSFER_CHARGES`` and ``xmlgen.kernel.KERNELS``,
-added by hand).  For each of the
+with a name, so one hook on its constructor sees them all (but the three
+created at import, ``connection.TRANSFER_CHARGES``, ``xmlgen.kernel.KERNELS``
+and ``pipeline.PIPELINES``, added by hand).  For each of the
 four harness workloads this runs the harness's own traced run
 (``benchmarks/perf/run.py --workload W --trace 1``) in a child process with
 that hook installed, and adds up, per cache name, the counters of every
@@ -36,6 +36,7 @@ import run  # noqa: E402  (benchmarks/perf/run.py)
 from repro.core.sqlgen import SqlGenerator  # noqa: E402
 from repro.relational.cache import BoundedCache  # noqa: E402
 from repro.relational.connection import TRANSFER_CHARGES  # noqa: E402
+from repro.relational.pipeline import PIPELINES  # noqa: E402
 from repro.xmlgen.kernel import KERNELS  # noqa: E402
 
 WORKLOADS = run.WORKLOADS
@@ -59,7 +60,7 @@ PREPARED = "prepared_plans"
 PREPARED_ROW = [
     f"`{PREPARED}` — `SqlGenerator._stream_cache`, one generator per "
     "`XmlView` and (style, reduce, keep); a dict, and a compile cache like "
-    "`compiled_plans` and `decoders`",
+    "`decoders`",
     "node-index set of the subtree",
     "the view tree: its connected subtrees (233 for nine edges)",
     "nothing: a `StreamSpec` (plan, SQL text, fingerprint) depends on the "
@@ -82,11 +83,6 @@ CACHES = {
         "`_refresh_dependencies` diffs the table generations before each "
         "evaluation and retires the values reading a changed table (their "
         "markers stay, so the next computation is kept at once)",
-    ),
-    "compiled_plans": (
-        "`QueryEngine._compiled`",
-        "plan fingerprint",
-        "nothing: a compiled plan reads the tables when it runs",
     ),
     "estimates": (
         "`EstimateCache` on `CostEstimator.cache`, one estimator per "
@@ -121,6 +117,13 @@ CACHES = {
         "nothing: generated code depends on its key only, and holds no "
         "rows and no tree objects",
     ),
+    "pipelines": (
+        "`repro.relational.pipeline.PIPELINES`, one per process: the "
+        "batch engine's generated loop nests",
+        "the generated source text (constants are arguments)",
+        "nothing: generated code depends on its key only, and holds no "
+        "values, rows or plan objects",
+    ),
     "transfer_charges": (
         "`repro.relational.connection.TRANSFER_CHARGES`, one per process",
         "(transfer model, column SQL types, row format, per-row or summed "
@@ -146,7 +149,7 @@ def record_workload(workload, seed):
     summed counters of every :class:`BoundedCache` it created."""
     # The module-level maps exist before the hook; this process is
     # fresh, so their counters are this run's.
-    created, generators = [TRANSFER_CHARGES, KERNELS], []
+    created, generators = [TRANSFER_CHARGES, KERNELS, PIPELINES], []
     construct = BoundedCache.__init__
     construct_generator = SqlGenerator.__init__
 

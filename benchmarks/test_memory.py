@@ -23,14 +23,16 @@ results per cycle.  The live heap after cycle 40 may not exceed 1.25x the
 heap after cycle 5, nor the committed one.
 
 A third case watches what a *sweep* leaves in memory.  All 512 plans of
-Query 2, non-reduced, compute some 1,450 distinct sub-plan results and 233
-distinct streams; a sweep reads two floats per stream and re-reads under a
-tenth of the sub-plans, so what the caches hold when it ends is checked
+Query 2, non-reduced, compute some 750 distinct pipeline and breaker
+results and 233 distinct streams; a sweep reads two floats per stream and
+re-reads an eighth of those results, so what the caches hold when it ends
+is checked
 against what it computed (node-cache cells held ≤ 15 % of the cells
 computed: kept on the second computation, not the first) and the live heap
-at that point against the committed one (24 MB, most of it the 233
-compiled plans, which do not grow with the data; with every first
-computation and every stream's rows kept it was 120 MB).
+at that point against the committed one (24 MB when it held the 233
+compiled plans; with every first computation and every stream's rows
+kept it was 120 MB).  The generated pipeline code is process-wide and
+compiled by a warm-up sweep of the same plans before the traced window.
 
 Peaks are *real* heap bytes (unlike the simulated milliseconds elsewhere)
 and, for one interpreter version, the same on every box and every run, so
@@ -111,9 +113,11 @@ def measure(factor):
         scale=BASE_SCALE.scaled(factor), seed=42
     ).generate()
     view = SilkRoute(Connection(db, CostModel())).define_view(QUERY_1)
-    # The integration kernels are compiled once per process
-    # (repro.xmlgen.kernel.KERNELS): compile them outside the measured
-    # runs, in a view whose caches the measured one does not share.
+    # The integration kernels and the engine's pipelines are compiled once
+    # per process (repro.xmlgen.kernel.KERNELS,
+    # repro.relational.pipeline.PIPELINES): compile them outside the
+    # measured runs, in a view whose caches the measured one does not
+    # share.
     SilkRoute(Connection(db, CostModel())).define_view(QUERY_1) \
         .materialize(PLAN, reduce=False)
 
@@ -264,12 +268,11 @@ def measure_sweep():
     """The live heap and the node-cache cells held when a 512-plan sweep
     of Query 2 (non-reduced, base scale) ends, session still open."""
     database = TpchGenerator(scale=BASE_SCALE, seed=42).generate()
-    # Module-level memos (compiled predicates, width functions) fill on a
-    # throwaway session, outside the traced window.
+    # Module-level memos (compiled predicates, width functions, every
+    # plan's generated pipelines) fill on a throwaway session's sweep of
+    # the same plans, outside the traced window.
     warm = Session(database)
-    view = warm.view(QUERY_2)
-    warm.sweep(QUERY_2, partitions=[
-        view.unified_partition(), view.fully_partitioned()])
+    warm.sweep(QUERY_2, reduce=False, budget_ms=CONFIG_A.subquery_budget_ms)
     session = Session(database)
     gc.collect()
     tracemalloc.start()

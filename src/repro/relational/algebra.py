@@ -192,7 +192,8 @@ _PY_COMPARISON_OPS = {
 
 
 def _comparison_source(comparison, positions, var, consts):
-    """Python source for one :class:`Comparison` over row variable ``var``.
+    """Python source for one :class:`Comparison` over row variable ``var``
+    (with ``var`` None, ``positions`` maps each column to its source text).
 
     NULL guards reproduce :meth:`Comparison.evaluate`'s three-valued
     logic: a NULL operand makes the predicate false, for ``!=`` too.
@@ -203,11 +204,13 @@ def _comparison_source(comparison, positions, var, consts):
     def operand(side):
         if isinstance(side, ColumnRef):
             try:
-                return f"{var}[{positions[side.name]:d}]", True
+                position = positions[side.name]
             except KeyError:
                 raise QueryError(
                     f"unknown column {side.name!r} in predicate"
                 ) from None
+            return (position if var is None
+                    else f"{var}[{position:d}]"), True
         if isinstance(side, Literal):
             if side.value is None:
                 return None, False
@@ -229,16 +232,18 @@ def _comparison_source(comparison, positions, var, consts):
     return "(" + " and ".join(parts) + ")"
 
 
-def predicate_source(predicate, positions, var="row"):
+def predicate_source(predicate, positions, var="row", consts=None):
     """Compile ``predicate`` to Python source over row variable ``var``.
 
     Returns ``(condition, consts)`` where ``condition`` is a boolean
     expression and ``consts`` maps parameter names to the literal values
-    the expression references.  Raises :class:`QueryError` for predicate
-    shapes the compiler does not handle (callers fall back to
+    the expression references (added to ``consts`` when one is given).
+    With ``var`` None, ``positions`` maps each column name to the source
+    text of its value.  Raises :class:`QueryError` for predicate shapes
+    the compiler does not handle (callers fall back to
     :meth:`Comparison.evaluate`).
     """
-    consts = {}
+    consts = {} if consts is None else consts
     if isinstance(predicate, And):
         if not predicate.conjuncts:
             return "True", consts
@@ -655,12 +660,30 @@ def count_operators(plan, kind):
     return sum(1 for op in walk(plan) if isinstance(op, kind))
 
 
+def shared_fingerprints(plan):
+    """Fingerprints occurring more than once in ``plan``: the sub-plans the
+    optimizer's common-subexpression sharing evaluates once and re-reads
+    (at ``rescan`` cost), in both engines."""
+    seen, shared = set(), set()
+    stack = [plan]
+    while stack:
+        op = stack.pop()
+        fp = op.fingerprint()
+        if fp in seen:
+            shared.add(fp)
+        else:
+            seen.add(fp)
+        stack.extend(op.children)
+    return frozenset(shared)
+
+
 def outer_join_nesting(plan):
     """Maximum number of LeftOuterJoin operators on any root-to-leaf path.
 
     The cost model uses this as the 'optimizer stress' signal: the paper's
     Query 1 plans nest outer joins (chained ``*`` edges) while Query 2's are
-    parallel, and only Query 1 plans timed out.
+    parallel, and only Query 1 plans timed out.  Kept per operator, like
+    the fingerprint: plans are immutable.
     """
     return _outer_join_depth(plan)
 
@@ -668,5 +691,8 @@ def outer_join_nesting(plan):
 def _outer_join_depth(op):
     # Module-level, not a closure: a recursive closure is a function <->
     # cell reference cycle, left to the cyclic collector on every call.
-    below = max((_outer_join_depth(c) for c in op.children), default=0)
-    return below + (1 if isinstance(op, LeftOuterJoin) else 0)
+    depth = getattr(op, "_oj_depth", None)
+    if depth is None:
+        below = max((_outer_join_depth(c) for c in op.children), default=0)
+        depth = op._oj_depth = below + isinstance(op, LeftOuterJoin)
+    return depth

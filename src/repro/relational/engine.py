@@ -32,14 +32,14 @@ time from total time.
 
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from repro.common.errors import ExecutionError, TimeoutExceeded
 from repro.common.ordering import sort_key
-from repro.relational import algebra, vector_ops
-from repro.relational.cache import BoundedCache, NodeResultCache
+from repro.relational import algebra, pipeline
+from repro.relational.cache import NodeResultCache
 from repro.relational.dependencies import plan_tables
 from repro.relational.types import average_row_width
-from repro.relational.vector_ops import _key_plan, _shared_fingerprints
 from repro.relational.algebra import (
     Scan,
     Filter,
@@ -65,7 +65,7 @@ class CostModel:
     switches them off one at a time.
 
     Each ``*_ms`` method is one operator's unscaled charge as a pure
-    function of counts: the batch kernels and the ``_stream_*`` reference
+    function of counts: the batch pipelines and the ``_stream_*`` reference
     call it with what they counted, the estimator with what it guessed,
     and no coefficient is read outside this class.
     """
@@ -256,7 +256,7 @@ class _Charges:
     def __init__(self, model, budget_ms, results=None, metrics=None):
         self.model = model
         self.budget_ms = budget_ms
-        #: Where the batch kernels look up and keep sub-plan results: the
+        #: Where the batch pipelines look up and keep their results: the
         #: engine's node-result cache under :meth:`QueryEngine.execute`,
         #: None (nowhere) under a cursor.
         self.results = results
@@ -326,6 +326,21 @@ def _drain(rows):
         yield row
 
 
+def _key_plan(positions):
+    """Join-key extraction for the interpreter: ``(extractor, single)``.
+    One column's key is the scalar (tested with ``is None``), several
+    columns' an :func:`~operator.itemgetter` tuple."""
+    if not positions:
+        return _empty_key, False
+    if len(positions) == 1:
+        return itemgetter(positions[0]), True
+    return itemgetter(*positions), False
+
+
+def _empty_key(row):
+    return ()
+
+
 #: The execution modes a :class:`QueryEngine` can be built in.
 ENGINE_MODES = ("batch", "tuple")
 
@@ -338,21 +353,22 @@ class QueryEngine:
     (:meth:`execute` returns the rows as a list, :meth:`execute_iter` a
     cursor over them):
 
-    * ``"batch"`` (the default) — plans are lowered once into vectorized
-      kernels (:mod:`repro.relational.vector_ops`) that pass columnar
+    * ``"batch"`` (the default) — plans are cut into pipelines, each run
+      as one generated loop nest, and pipeline breakers
+      (:mod:`repro.relational.pipeline`) that pass
       :class:`~repro.relational.batch.Batch` objects.  :meth:`execute`
-      offers every sub-plan result to the node-result cache, which keeps
-      one from its second computation on; a cursor runs the *same*
-      compiled plan keeping nothing, so its memory is the final sort
-      buffer plus the largest single parent-and-children step;
+      offers every pipeline's and breaker's result to the node-result
+      cache, which keeps one from its second computation on; a cursor runs
+      the *same* lowered plan keeping nothing, so its memory is the final
+      sort buffer plus the largest single pipeline step;
     * ``"tuple"`` — the row-at-a-time Volcano interpreter (the
       ``_stream_*`` generators), drained into a list by :meth:`execute`
       and handed out lazily by :meth:`execute_iter`.  It is the
-      independent *reference* the kernels are tested against, not a
+      independent *reference* the pipelines are tested against, not a
       production path.
 
-    Every operator therefore exists exactly twice: as a batch kernel and
-    as a ``_stream_*`` generator.
+    Every operator therefore exists exactly twice: as generated pipeline
+    code (or a breaker) and as a ``_stream_*`` generator.
 
     ``engine`` fixes the mode for the engine's life (:attr:`mode`): a
     reference is an engine you build, not something a call asks for.
@@ -370,15 +386,10 @@ class QueryEngine:
         if engine not in ENGINE_MODES:
             raise ValueError(f"unknown engine mode {engine!r}")
         self.mode = engine
-        #: Compiled plans keyed by plan fingerprint alone.  What hits is a
-        #: plan evaluated again on the same engine: after a write (the
-        #: plan-cache entry is retired, the kernels are not — a serving
-        #: engine) or by :meth:`rows`.  A sweep's plan cache evaluates each
-        #: distinct stream plan once, and an export's engine is new.
-        self._compiled = BoundedCache("compiled_plans", max_entries=512)
-        #: Sub-plan results shared across executions (the batch kernels'
-        #: "data half"): kept from their second computation on, retired by
-        #: :meth:`_refresh_dependencies` after a write to a table they read.
+        #: Pipeline and breaker results shared across executions (the batch
+        #: engine's "data half"): kept from their second computation on,
+        #: retired by :meth:`_refresh_dependencies` after a write to a
+        #: table they read.
         self.node_cache = NodeResultCache()
         #: Per-table generation snapshot from the last evaluation; diffed
         #: against the live database to find mutated tables.
@@ -519,11 +530,7 @@ class QueryEngine:
         self._refresh_dependencies(charges.metrics)
         if self.mode == "tuple":
             return list(self._stream_plan(plan, charges))
-        run = self._compiled.get(plan.fingerprint())
-        if run is None:
-            run = vector_ops.compile_plan(plan, self)
-            self._compiled.store(plan.fingerprint(), run)
-        return run(charges).rows()
+        return pipeline.evaluate(plan, self.database, charges).rows()
 
     def execute_iter(self, plan, budget_ms=None, metrics=None):
         """Open a cursor on ``plan``; return an :class:`IterResult`.
@@ -543,21 +550,21 @@ class QueryEngine:
         neither reads nor feeds the node-result cache.
 
         On the default ``"batch"`` engine the first ``next()`` evaluates
-        the compiled plan — the one :meth:`execute` runs — in a transient
-        run: a sub-plan result lives only while its parent kernel consumes
-        it (sub-plans shared within the query stay in the per-execution
-        memo until the plan is done), and the sorted rows are handed out
-        destructively, so fully tagged prefixes of the output can be
-        collected while the tail is still being merged.  Peak memory is
-        the final sort buffer plus the largest single parent-and-children
-        step, not the sum of every intermediate — which is what lets
+        the lowered plan — the one :meth:`execute` runs — in a transient
+        run: a pipeline's or breaker's result lives only while the unit
+        above consumes it (sub-plans shared within the query stay in the
+        per-execution memo until the plan is done), and the sorted rows are
+        handed out destructively, so fully tagged prefixes of the output
+        can be collected while the tail is still being merged.  Peak memory
+        is the final sort buffer plus the largest single pipeline step, not
+        the sum of every intermediate — which is what lets
         :meth:`XmlView.materialize_to
         <repro.core.silkroute.XmlView.materialize_to>` stream large views.
 
         On a ``"tuple"`` engine the rows come from the ``_stream_*``
         generators instead (scan → filter → project chains stream row by
         row; sort, distinct and the hash joins are pipeline breakers): the
-        reference the kernels are checked against.  It wraps every sort
+        reference the pipelines are checked against.  It wraps every sort
         key and resumes a generator per row per operator, so it takes over
         twice the time.
         """
@@ -588,9 +595,9 @@ class QueryEngine:
         return result
 
     def _drain_plan(self, plan, charges):
-        """The batch engine's cursor: the compiled plan evaluated at the
+        """The batch engine's cursor: the lowered plan evaluated at the
         first ``next()``, then drained from a copy of its row list — the
-        drain must not rest on every kernel returning a list that nothing
+        drain must not rest on every unit returning a list that nothing
         else (a table, a batch) holds."""
         try:
             rows = list(self._evaluate(plan, charges))
@@ -613,7 +620,7 @@ class QueryEngine:
     # The one row interpreter, what a ``"tuple"`` engine runs: ``execute`` drains
     # it into a list, ``execute_iter`` hands it out lazily.  Each operator is a
     # generator that counts its own rows and charges the :class:`CostModel`
-    # method its batch kernel in :mod:`~repro.relational.vector_ops` calls —
+    # method its pipeline event in :mod:`~repro.relational.pipeline` calls —
     # the formula is that method, neither copy states one — when its stream
     # completes (the generator chain unwinds bottom-up, so a pipelined
     # scan→filter→project charges in the batch order).  Sub-plans occurring
@@ -626,7 +633,8 @@ class QueryEngine:
         """All of ``plan``'s rows, lazily; the shared-sub-plan memo is
         released when the stream ends or is closed."""
         try:
-            yield from self._stream(plan, charges, _shared_fingerprints(plan))
+            yield from self._stream(plan, charges,
+                                    algebra.shared_fingerprints(plan))
         finally:
             charges.memo.clear()
 

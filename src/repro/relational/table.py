@@ -1,6 +1,42 @@
 """In-memory table storage with key enforcement and hash indexes."""
 
+from operator import itemgetter
+
 from repro.common.errors import SchemaError
+
+
+def hash_rows(rows, positions):
+    """Hash ``rows`` into ``{key: [rows]}``, in row order, by the values at
+    ``positions``: the value itself for one position, the tuple of values
+    for several (``()`` for none).  A row with a NULL in a key position is
+    left out — a NULL joins nothing — so a probe with a NULL key misses."""
+    index = {}
+    get = index.get
+    if len(positions) == 1:
+        position = positions[0]
+        for row in rows:
+            key = row[position]
+            if key is not None:
+                bucket = get(key)
+                if bucket is None:
+                    index[key] = [row]
+                else:
+                    bucket.append(row)
+        return index
+    key_of = itemgetter(*positions) if positions else _no_key
+    for row in rows:
+        key = key_of(row)
+        if None not in key:
+            bucket = get(key)
+            if bucket is None:
+                index[key] = [row]
+            else:
+                bucket.append(row)
+    return index
+
+
+def _no_key(row):
+    return ()
 
 
 class Table:
@@ -8,8 +44,8 @@ class Table:
 
     Rows are plain tuples in schema column order.  The primary key is
     enforced on insert.  Hash indexes over arbitrary column subsets are
-    built lazily and cached; the engine uses them for join builds against
-    base tables.
+    built lazily and kept until the next write; the batch engine probes
+    them where a join's build side is a base table.
     """
 
     def __init__(self, schema):
@@ -310,16 +346,16 @@ class Table:
         return self._key_index.get(tuple(key_values))
 
     def index_on(self, column_names):
-        """Return (building if needed) a hash index mapping value-tuples of
-        ``column_names`` to the list of matching rows."""
+        """The hash index of the rows on ``column_names``, built on first
+        use and dropped by every write: :func:`hash_rows` by their
+        positions (scalar keys for one column, tuples for several; rows
+        with a NULL key left out).  Treat it as immutable."""
         key = tuple(column_names)
         index = self._indexes.get(key)
         if index is None:
-            positions = [self.schema.column_index(name) for name in key]
-            index = {}
-            for row in self.rows:
-                index.setdefault(tuple(row[p] for p in positions), []).append(row)
-            self._indexes[key] = index
+            index = self._indexes[key] = hash_rows(
+                self.rows, [self.schema.column_index(name) for name in key]
+            )
         return index
 
     def column_values(self, name):

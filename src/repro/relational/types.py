@@ -97,12 +97,29 @@ def average_row_width(columns, rows, sample=500):
     row and what a row-holding plan-cache entry weighs."""
     # Sample evenly: consecutive rows share a document-order prefix and
     # are unrepresentative (e.g. the narrow supplier rows come first).
-    stride = max(len(rows) // sample, 1)
-    sampled = rows[::stride]
-    n = len(sampled)
+    sampled = rows[::_stride(len(rows), sample)]
+    return _sampled_width(columns, zip(*sampled), len(sampled))
+
+
+def average_column_width(columns, values, length, sample=500):
+    """:func:`average_row_width` of the ``length`` rows whose column
+    value lists are ``values``, sampled from the columns at the same
+    stride — the same rows, the same integer sum — with no transpose."""
+    stride = _stride(length, sample)
+    return _sampled_width(
+        columns, [column[::stride] for column in values],
+        len(range(0, length, stride)),
+    )
+
+
+def _stride(length, sample):
+    return max(length // sample, 1)
+
+
+def _sampled_width(columns, sampled_columns, n):
     # Summed per column, in C; an integer, so the average is exact.
     total = 0
-    for col, values in zip(columns, zip(*sampled)):
+    for col, values in zip(columns, sampled_columns):
         nulls = values.count(None)
         total += nulls  # null markers
         if col.sql_type in (SqlType.VARCHAR, SqlType.CHAR):

@@ -44,6 +44,7 @@ from repro.core.options import RequestContext, resolve_options
 from repro.obs.metrics import MetricsRegistry
 from repro.relational.cache import SingleFlight
 from repro.relational.connection import TRANSFER_CHARGES
+from repro.relational.pipeline import PIPELINES
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     MAX_INDENT,
@@ -465,9 +466,9 @@ class Server:
         session, engine = self.session, self.session.connection.engine
         names = {rxl: name for name, rxl in self._queries.items()}
         return {
-            **summary(engine.cache, engine.node_cache, engine._compiled,
+            **summary(engine.cache, engine.node_cache,
                       session.silkroute.estimator.cache, session._views,
-                      TRANSFER_CHARGES, KERNELS),
+                      TRANSFER_CHARGES, KERNELS, PIPELINES),
             "by_view": {
                 names.get(rxl, rxl): summary(
                     view.instance_cache, view.document_cache,

@@ -1,16 +1,16 @@
-"""Batch engine (repro.relational.batch / vector_ops): the identity twin.
+"""Batch engine (repro.relational.batch / pipeline): the identity twin.
 
 The vectorized engine's contract is *bit-identity* with the tuple
 interpreter: same rows, same simulated charges in the same order, same
 cache entries — so the two modes are interchangeable under every feature
 that composes with execution.  Tested here:
 
-* **batches** — the row-major view of a column-major batch at any arity
-  (including zero), single columns without a transpose;
+* **batches** — the row-major view of a column-major batch and the
+  column view of a row-major one, at any arity (including zero);
 * **per-stream identity** (hypothesis) — over random sweep partitions and
   both plan styles, every stream's rows, simulated timings, breakdown,
   and full ordered charge log match the tuple engine's, and the lowered
-  plan run bare (``vector_ops.compile_plan``) matches them too;
+  plan run bare (``pipeline.lower``) matches them too;
 * **end-to-end identity** (hypothesis) — materialized XML bytes and
   report figures match at every dispatch width and under injected
   faults on a replica pool;
@@ -19,10 +19,23 @@ that composes with execution.  Tested here:
   exactly, for NULLs, duplicates and pathological mixed-type columns;
 * **mode plumbing** — the mode is fixed at construction
   (``QueryEngine(engine=…)`` / ``Connection(engine=…)``), validated there,
-  and engines of different modes replay each other's cache entries.
+  and engines of different modes replay each other's cache entries;
+* **pipelines, differentially** (hypothesis) — plans the view generator
+  never builds, over tables with NULL join keys: rows, the charge log and
+  the ``TimeoutExceeded`` charge through ``execute`` and ``execute_iter``,
+  plus hand-built cases (NULL probe keys from outer-join padding, a
+  multi-column key with one NULL, tagged multi-branch outer joins, a
+  shared prefix that cuts a chain, a budget that runs out inside a
+  pipeline, node-cache hits at breakers, concurrent first runs);
+* **table indexes** — no write path (insert, update, delete,
+  ``apply_update``, ``apply_delete``, ``restore``, WAL recovery) leaves a
+  join probing an index of the old rows;
+* **sort width** — sampled from columns, the row form's integer sum.
 """
 
 import datetime
+import sys
+import threading
 
 import pytest
 from hypothesis import (
@@ -38,7 +51,7 @@ from repro.core.silkroute import SilkRoute
 from repro.core.sqlgen import PlanStyle, SqlGenerator
 from repro.bench.queries import QUERY_1
 from repro.obs.metrics import MetricsRegistry
-from repro.relational import vector_ops
+from repro.relational import pipeline
 from repro.relational.batch import Batch
 from repro.relational.cache import PlanResultCache
 from repro.relational.connection import Connection
@@ -47,10 +60,16 @@ from repro.relational.engine import (
 )
 from repro.relational.faults import FaultPolicy, RetryPolicy
 from repro.relational.algebra import (
-    ColumnInfo, ColumnRef, Comparison, Distinct, Filter, InnerJoin, Literal,
-    Operator, OuterUnion, Project, ProjectItem, Scan, Sort,
+    And, ColumnInfo, ColumnRef, Comparison, Distinct, Filter, InnerJoin,
+    JoinBranch, LeftOuterJoin, Literal, OuterUnion, Project, ProjectItem,
+    Scan, Sort,
 )
-from repro.relational.types import SqlType
+from repro.relational.database import Database
+from repro.relational.schema import Column, DatabaseSchema, TableSchema
+from repro.relational.types import (
+    SqlType, average_column_width, average_row_width,
+)
+from repro.relational.wal import WriteAheadLog, recover
 
 
 def fresh_view(tiny_db, tiny_estimator, engine="batch"):
@@ -94,7 +113,7 @@ class TestBatch:
             # Transposed once, then kept.
             assert by_cols.rows() is by_cols.rows()
             for i in range(arity):
-                assert by_rows.col(i) == by_cols.col(i) == [
+                assert list(by_rows.columns()[i]) == by_cols.columns()[i] == [
                     r[i] for r in rows
                 ]
             assert len(by_rows) == len(by_cols) == 7
@@ -113,29 +132,6 @@ class TestBatch:
 
 # ---------------------------------------------------------------------------
 # Sort semantics
-
-
-class _Rows(Operator):
-    """A leaf handing the kernel above it a prepared batch."""
-
-    def __init__(self, batch):
-        self.batch = batch
-        self._cols = tuple(
-            ColumnInfo(f"c{i}", SqlType.INTEGER) for i in range(batch.arity)
-        )
-
-    def columns(self):
-        return self._cols
-
-    def _fingerprint(self):
-        return ("rows", id(self))
-
-
-class _LeafCompiler(vector_ops._PlanCompiler):
-    _KERNELS = {
-        **vector_ops._PlanCompiler._KERNELS,
-        _Rows: lambda self, op, fp, tables: lambda charges: op.batch,
-    }
 
 
 _DATES = [datetime.date(2001, 5, 21) + datetime.timedelta(days=d)
@@ -171,35 +167,31 @@ def _sort_cases(draw):
 
 
 class TestSortKernel:
-    """The batch ``Sort`` kernel is the tuple engine's
-    ``sorted(key=sort_key(...))``: NULLs first, mixed types by type name,
-    ties in input order — over row-backed and column-backed input."""
+    """The batch ``Sort`` (:func:`pipeline.sort_rows`) is the tuple
+    engine's ``sorted(key=sort_key(...))``: NULLs first, mixed types by
+    type name, ties in input order — over row-backed and column-backed
+    input."""
 
     @given(case=_sort_cases(), column_backed=st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_equals_sorted_by_sort_key(self, tiny_db, case, column_backed):
+    def test_equals_sorted_by_sort_key(self, case, column_backed):
         rows, arity, keys = case
         batch = (
             Batch.from_columns([[r[i] for r in rows] for i in range(arity)],
                                len(rows))
             if column_backed else Batch.from_rows(rows, arity)
         )
-        leaf = _Rows(batch)
-        plan = Sort(leaf, [f"c{k}" for k in keys])
-        run = _LeafCompiler(QueryEngine(tiny_db), frozenset()).compile(plan)
-        out = run(_Charges(CostModel(), None)).rows()
+        out = pipeline.sort_rows(batch, list(keys))
         assert out == sorted(rows, key=lambda r: sort_key([r[k] for k in keys]))
 
 
 class TestSortPass:
-    """One key column through the ``Sort`` kernel, against
+    """One key column through the ``Sort``, against
     ``sorted(key=NoneFirst)`` on that column."""
 
     def _check(self, tiny_db, values):
         rows = [(value, i) for i, value in enumerate(values)]
-        plan = Sort(_Rows(Batch.from_rows(rows, 2)), ["c0"])
-        run = _LeafCompiler(QueryEngine(tiny_db), frozenset()).compile(plan)
-        out = run(_Charges(CostModel(), None)).rows()
+        out = pipeline.sort_rows(Batch.from_rows(rows, 2), [0])
         assert out == sorted(rows, key=lambda row: NoneFirst(row[0]))
 
     @given(
@@ -260,9 +252,9 @@ def _run_compiled(engine, plan, budget_ms):
     except TimeoutExceeded as exc:
         return None, None, exc
     charges.log = []
-    run = vector_ops.compile_plan(plan, engine)
+    program = pipeline.lower(plan)
     try:
-        rows = run(charges).rows()
+        rows = program.run(engine.database, charges).rows()
     except TimeoutExceeded as exc:
         return None, tuple(charges.log), exc
     return rows, tuple(charges.log), None
@@ -700,3 +692,490 @@ class TestModePlumbing:
         # the sub-plan for the second time or later, so kept it at once.
         assert cache.stats().invalidations == 1
         assert cache.get(plan.fingerprint()).length == len(after.rows)
+
+
+# ---------------------------------------------------------------------------
+# Differential: generated pipelines against the interpreter, on plans the
+# view generator never builds
+
+
+_NULLS_SCHEMA = DatabaseSchema([
+    TableSchema("A", [
+        Column("id", SqlType.INTEGER), Column("k", SqlType.INTEGER, True),
+        Column("j", SqlType.INTEGER, True), Column("s", SqlType.VARCHAR, True),
+        Column("d", SqlType.DECIMAL, True),
+    ], key=["id"]),
+    TableSchema("B", [
+        Column("id", SqlType.INTEGER), Column("k", SqlType.INTEGER, True),
+        Column("j", SqlType.INTEGER, True), Column("s", SqlType.VARCHAR, True),
+    ], key=["id"]),
+    TableSchema("C", [
+        Column("id", SqlType.INTEGER), Column("k", SqlType.INTEGER, True),
+        Column("t", SqlType.INTEGER, True),
+    ], key=["id"]),
+])
+
+
+def _nulls_db():
+    """Three small tables whose join columns hold NULLs and duplicates."""
+    db = Database(_NULLS_SCHEMA)
+    ks, js = [0, 1, None, 2, 1, None, 0], [1, None, 0, 1, None, 2, 0]
+    strings, decimals = ["a", "", None, "bb", "a", None, "c"], [
+        0.5, None, 2.0, 1.5, None, 0.25, 3.0]
+    for i in range(7):
+        db.insert("A", i, ks[i], js[i], strings[i], decimals[i])
+        db.insert("B", i, ks[(i + 2) % 7], js[(i + 3) % 7], strings[i])
+        db.insert("C", i, ks[(i + 4) % 7], js[(i + 1) % 7])
+    return db
+
+
+@pytest.fixture(scope="module")
+def nulls_db():
+    return _nulls_db()
+
+
+class _Plans:
+    """Draws plans over ``_NULLS_SCHEMA`` out of every operator: chains of
+    filters, projections (constant columns too), inner joins on base
+    tables and on derived tables, tagged multi-branch outer joins, outer
+    unions, distincts and sub-plans used twice (the memo).  A join is left
+    out where the product of its inputs' row bounds could pass ``CAP``."""
+
+    CAP = 3000
+
+    def __init__(self, draw):
+        self.draw = draw
+        self.n = 0
+        self.pool = []
+        self.bounds = {}     # id(op) -> the most rows it can produce
+
+    def bounded(self, op, rows):
+        self.bounds[id(op)] = rows
+        return op
+
+    def bound(self, op):
+        return self.bounds[id(op)]
+
+    def name(self, prefix):
+        self.n += 1
+        return f"{prefix}{self.n}"
+
+    def ints(self, op):
+        return [c.name for c in op.columns() if c.sql_type is SqlType.INTEGER]
+
+    def pick(self, values):
+        return self.draw(st.sampled_from(values))
+
+    def scan(self):
+        table = self.pick(["A", "B", "C"])
+        return self.bounded(Scan(_NULLS_SCHEMA.table(table), self.name("t")),
+                            7)
+
+    def renamed(self, op):
+        """``op`` again under new column names: one fingerprint, two
+        occurrences, and the copy can join the original."""
+        prefix = self.name("r")
+        return self.bounded(Project(op, [
+            ProjectItem(ColumnRef(c), f"{prefix}.{c}")
+            for c in op.column_names()]), self.bound(op))
+
+    def relation(self, depth):
+        kinds = ["scan", "scan", "reuse"] + (["distinct", "union"] * (depth > 0))
+        kind = self.pick(kinds)
+        if kind == "reuse" and self.pool:
+            op = self.renamed(self.pick(self.pool))
+        elif kind == "distinct":
+            child = self.relation(depth - 1)
+            op = self.bounded(Distinct(child), self.bound(child))
+        elif kind == "union":
+            inputs = [self.relation(depth - 1), self.relation(depth - 1)]
+            op = self.bounded(
+                OuterUnion(inputs, distinct=self.draw(st.booleans())),
+                sum(map(self.bound, inputs)))
+        else:
+            op = self.scan()
+        for _ in range(self.draw(st.integers(0, 4))):
+            op = self.step(op, depth)
+        self.pool.append(op)
+        return op
+
+    def step(self, op, depth):
+        kind = self.pick(["filter", "project", "join", "join", "outer"])
+        ints = self.ints(op)
+        if kind == "filter" and ints:
+            column = self.pick(ints)
+            other = self.pick(ints + [None])
+            operand = (ColumnRef(other) if other is not None else Literal(
+                self.draw(st.none() | st.integers(0, 2)), SqlType.INTEGER))
+            return self.bounded(Filter(op, Comparison(
+                self.pick(["=", "!=", "<", ">="]), ColumnRef(column),
+                operand)), self.bound(op))
+        if kind == "project":
+            names = self.draw(st.lists(st.sampled_from(op.column_names()),
+                                       min_size=1, unique=True))
+            items = [ProjectItem(ColumnRef(c), self.name("p")) for c in names]
+            if self.draw(st.booleans()):
+                value = self.draw(st.none() | st.integers(0, 2))
+                items.append(ProjectItem(Literal(value, SqlType.INTEGER),
+                                         self.name("c")))
+            return self.bounded(Project(op, items), self.bound(op))
+        if kind == "join" or depth == 0:
+            right = (self.scan() if depth == 0 or self.draw(st.booleans())
+                     else self.relation(depth - 1))
+            rights = self.ints(right)
+            rows = self.bound(op) * self.bound(right)
+            if not (ints and rights) or rows > self.CAP:
+                return op
+            pairs = [(self.pick(ints), self.pick(rights))
+                     for _ in range(self.draw(st.integers(0, 2)))]
+            return self.bounded(InnerJoin(op, right, pairs), rows)
+        return self.outer(op, depth)
+
+    def outer(self, op, depth):
+        """A left outer join on a derived table: untagged, or tagged with
+        one branch per input of an outer union carrying the tag."""
+        ints = self.ints(op)
+        if not ints:
+            return op
+        if self.draw(st.booleans()):
+            right = self.relation(depth - 1)
+            rights = self.ints(right)
+            rows = self.bound(op) * max(self.bound(right), 1)
+            if not rights or rows > self.CAP:
+                return op
+            return self.bounded(LeftOuterJoin.simple(
+                op, right, [(self.pick(ints), self.pick(rights))]), rows)
+        tag = self.name("tag")
+        inputs, branches = [], []
+        for value in range(self.draw(st.integers(1, 3))):
+            branch = self.relation(depth - 1)
+            rights = self.ints(branch)
+            if not rights:
+                continue
+            inputs.append(self.bounded(Project(branch, [
+                *(ProjectItem(ColumnRef(c), c) for c in branch.column_names()),
+                ProjectItem(Literal(value), tag),
+            ]), self.bound(branch)))
+            branches.append(JoinBranch(
+                ((self.pick(ints), self.pick(rights)),), tag, value))
+        rows = self.bound(op) * max(sum(map(self.bound, inputs)), 1)
+        if not inputs or rows > self.CAP:
+            return op
+        return self.bounded(
+            LeftOuterJoin(op, OuterUnion(inputs), branches), rows)
+
+
+@st.composite
+def _random_plans(draw):
+    plans = _Plans(draw)
+    plan = plans.relation(depth=2)
+    if draw(st.booleans()):
+        plan = Sort(plan, draw(st.lists(st.sampled_from(plan.column_names()),
+                                        min_size=1, max_size=4, unique=True)))
+    return plan
+
+
+def _interpreted(db, plan):
+    """The tuple engine's rows and charge log (after ``startup``)."""
+    cache = PlanResultCache()
+    engine = QueryEngine(db, cache=cache, engine="tuple")
+    rows = engine.execute(plan).rows
+    return rows, cache.peek(engine.cache_key_for(plan)).charge_log
+
+
+def _cut_budget(charge_log, k):
+    """A budget that the ``k``-th charge of ``charge_log`` overruns."""
+    total = CostModel().startup_ms
+    before = total
+    for _, ms, _ in charge_log[:k + 1]:
+        before, total = total, total + ms
+    return (before + total) / 2
+
+
+def _assert_twins(db, plan, budget_ms=None):
+    """Rows, the charge log (triples, order) and the ``TimeoutExceeded``
+    charge agree with the interpreter's through ``execute`` (twice on one
+    engine: the second run serves the node cache) and a drained
+    ``execute_iter``."""
+    expected_rows, expected_log = _interpreted(db, plan)
+    caches = {mode: PlanResultCache() for mode in ENGINE_MODES}
+    engines = {mode: QueryEngine(db, cache=caches[mode], engine=mode)
+               for mode in ENGINE_MODES}
+    key = engines["tuple"].cache_key_for(plan)
+    if budget_ms is None:
+        batch = QueryEngine(db)
+        for _ in range(2):
+            result = batch.execute(plan)
+            assert result.rows == expected_rows
+            assert _run_compiled(batch, plan, None)[:2] == (
+                expected_rows, expected_log)
+        engines["batch"].execute(plan)
+        assert caches["batch"].peek(key).charge_log == expected_log
+        rows, cursor, timeout = _drain(QueryEngine(db), plan, None)
+        assert timeout is None and rows == expected_rows
+        assert tuple(cursor._charges.log) == expected_log
+        return
+    raised = {}
+    for mode, engine in engines.items():
+        with pytest.raises(TimeoutExceeded) as caught:
+            engine.execute(plan, budget_ms=budget_ms)
+        raised[mode] = caught.value
+    assert raised["batch"].elapsed_ms == raised["tuple"].elapsed_ms
+    assert _entry(caches["batch"].peek(key)) == _entry(caches["tuple"].peek(key))
+    for mode in ENGINE_MODES:
+        rows, cursor, timeout = _drain(QueryEngine(db, engine=mode), plan,
+                                       budget_ms)
+        assert timeout.elapsed_ms == raised["tuple"].elapsed_ms
+        assert tuple(cursor._charges.log) == caches["tuple"].peek(
+            key).charge_log
+    _, log, timeout = _run_compiled(QueryEngine(db), plan, budget_ms)
+    assert timeout.elapsed_ms == raised["tuple"].elapsed_ms
+    assert log == caches["tuple"].peek(key).charge_log
+
+
+class TestPipelinesDifferential:
+    """Hypothesis plans and hand-built cases where cutting a plan into
+    pipelines could go wrong: NULL keys, a cut chain, the memo, the node
+    cache, and a budget that runs out inside a pipeline's events."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(plan=_random_plans(), cut=st.none() | st.floats(0, 1))
+    def test_random_plans(self, nulls_db, plan, cut):
+        _, log = _interpreted(nulls_db, plan)
+        budget_ms = None
+        if cut is not None:
+            steps = [k for k, (_, ms, _) in enumerate(log) if ms > 0]
+            assume(steps)
+            budget_ms = _cut_budget(log, steps[int(cut * (len(steps) - 1))])
+        _assert_twins(nulls_db, plan, budget_ms)
+
+    def scan(self, table, alias):
+        return Scan(_NULLS_SCHEMA.table(table), alias)
+
+    def test_null_probe_keys_from_outer_join_padding(self, nulls_db):
+        """Unmatched rows of an outer join carry NULL in ``b.j``; the
+        inner join above probes ``C``'s index with it, and ``C.t`` holds
+        NULLs too: a NULL joins nothing."""
+        padded = LeftOuterJoin.simple(
+            Filter(self.scan("A", "a"), Comparison("=", ColumnRef("a.k"),
+                                                   Literal(2))),
+            self.scan("B", "b"), [("a.id", "b.k")])
+        plan = InnerJoin(padded, self.scan("C", "c"), [("b.j", "c.t")])
+        engine = QueryEngine(nulls_db, engine="tuple")
+        outer = engine.execute(padded).rows
+        assert any(row[5] is None for row in outer)
+        assert None in nulls_db.table("C").column_values("t")
+        _assert_twins(nulls_db, plan)
+        assert all(row[6] is not None for row in engine.execute(plan).rows)
+
+    def test_predicate_the_compiler_cannot_inline(self, nulls_db):
+        """A nested conjunction is no comparison chain: the loop calls the
+        predicate's ``evaluate`` on the logical row, a constant argument
+        of the generated code."""
+        nested = And((Comparison(">=", ColumnRef("a.k"), Literal(0)), And(
+            (Comparison("!=", ColumnRef("b.j"), Literal(1)),))))
+        plan = Filter(InnerJoin(self.scan("A", "a"), self.scan("B", "b"),
+                                [("a.k", "b.k")]), nested)
+        rows, log = _interpreted(nulls_db, plan)
+        assert rows and [label for label, _, _ in log][-1] == "filter"
+        _assert_twins(nulls_db, plan)
+
+    def test_multi_column_keys_with_one_null_component(self, nulls_db):
+        plan = Project(InnerJoin(
+            self.scan("A", "a"), self.scan("B", "b"),
+            [("a.k", "b.k"), ("a.j", "b.j")]),
+            [ProjectItem(ColumnRef("a.id"), "a"),
+             ProjectItem(ColumnRef("b.id"), "b")])
+        rows, _ = _interpreted(nulls_db, plan)
+        a_rows = nulls_db.table("A").rows
+        assert any(None in row[1:3] and row[1:3] != (None, None)
+                   for row in a_rows)
+        assert rows and all(a_rows[a][1:3].count(None) == 0 for a, _ in rows)
+        _assert_twins(nulls_db, plan)
+
+    def test_tagged_multi_branch_outer_join(self, nulls_db):
+        inputs = [
+            Project(self.scan(table, alias), [
+                ProjectItem(ColumnRef(f"{alias}.id"), f"{alias}.id"),
+                ProjectItem(ColumnRef(f"{alias}.k"), f"{alias}.k"),
+                ProjectItem(Literal(tag), "btag"),
+            ]) for tag, (table, alias) in enumerate((("B", "b"), ("C", "c")))
+        ]
+        plan = Sort(LeftOuterJoin(self.scan("A", "a"), OuterUnion(inputs), [
+            JoinBranch((("a.k", "b.k"),), "btag", 0),
+            JoinBranch((("a.j", "c.k"),), "btag", 1),
+        ]), ["a.id", "btag", "b.id", "c.id"])
+        _assert_twins(nulls_db, plan)
+        _, log = _interpreted(nulls_db, plan)
+        assert [label for label, _, _ in log].count("outer_join") == 1
+
+    def shared_prefix_plan(self):
+        """``a ⋈ b`` is read twice: as the start of a three-way chain
+        (which it cuts: the chain's pipeline starts from the memo) and
+        renamed, as the second input of a union."""
+        prefix = InnerJoin(self.scan("A", "a"), self.scan("B", "b"),
+                           [("a.k", "b.k")])
+        chain = InnerJoin(prefix, self.scan("C", "c"), [("b.j", "c.t")])
+        again = Project(prefix, [ProjectItem(ColumnRef(c), f"x.{c}")
+                                 for c in prefix.column_names()])
+        return prefix, chain, OuterUnion([chain, again])
+
+    def test_shared_prefix_inside_a_chain(self, nulls_db):
+        prefix, chain, plan = self.shared_prefix_plan()
+        _, log = _interpreted(nulls_db, plan)
+        assert "rescan" in [label for label, _, _ in log]
+        _assert_twins(nulls_db, plan)
+        # The chain alone fuses the prefix; both lowerings of the chain
+        # share one node cache and still charge what they counted.
+        engine = QueryEngine(nulls_db)
+        for query in (chain, plan, chain, plan, chain):
+            for _ in range(2):
+                assert engine.execute(query).rows == _interpreted(
+                    nulls_db, query)[0]
+                assert _run_compiled(engine, query, None)[1] == _interpreted(
+                    nulls_db, query)[1]
+
+    def test_budget_overrun_inside_a_pipeline(self, nulls_db):
+        """Overrun at each charge of a five-table chain: the scans of its
+        build sides and its joins are events of one pipeline, charged in
+        the interpreter's order around the loop."""
+        plan = Project(InnerJoin(InnerJoin(InnerJoin(
+            self.scan("A", "a"), self.scan("B", "b"), [("a.k", "b.k")]),
+            self.scan("C", "c"), [("b.j", "c.t")]),
+            self.scan("B", "b2"), [("c.k", "b2.k")]),
+            [ProjectItem(ColumnRef("a.id"), "a"),
+             ProjectItem(ColumnRef("b2.id"), "b2")])
+        _, log = _interpreted(nulls_db, plan)
+        labels = [label for label, _, _ in log]
+        assert labels == ["scan", "scan", "join", "scan", "join", "scan",
+                          "join", "project"]
+        for k in range(len(log)):
+            _assert_twins(nulls_db, plan, _cut_budget(log, k))
+
+    def test_node_cache_hit_at_a_breaker(self, nulls_db):
+        """A second execution serves the distinct, the union and the
+        pipelines under them from the node cache (the sort above, a plan
+        root, is left to the plan cache), and charges the same log."""
+        _, _, union = self.shared_prefix_plan()
+        plan = Sort(Distinct(union), list(union.column_names()[:3]))
+        _assert_twins(nulls_db, plan)
+        engine = QueryEngine(nulls_db)
+        metrics = MetricsRegistry()
+        expected_rows, expected_log = _interpreted(nulls_db, plan)
+        for run in range(3):
+            rows, log, _ = _run_compiled(engine, plan, None)
+            assert (rows, log) == (expected_rows, expected_log)
+            engine.execute(plan, metrics=metrics)
+        assert engine.node_cache.get(plan.fingerprint()) is None
+        kept = engine.node_cache.get(plan.child.fingerprint())
+        assert sorted(kept.rows(), key=sort_key) == sorted(
+            expected_rows, key=sort_key)
+        assert engine.node_cache.get(union.fingerprint()) is not None
+        assert metrics.counter("node_cache.hits") > 0
+
+    def test_concurrent_first_runs(self):
+        """Eight threads run two fresh plans on one engine over a fresh
+        database at once, with a switch interval short enough to interleave
+        the first lowering of the operators, the first build of the
+        tables' and the batches' indexes and the node cache's first
+        stores: every run returns and charges what the interpreter does."""
+        db = _nulls_db()
+        plans = [self.shared_prefix_plan()[2], Distinct(self.shared_prefix_plan()[1])]
+        expected = [_interpreted(_nulls_db(), plan) for plan in plans]
+        engine = QueryEngine(db)
+        failures = []
+
+        def work(i):
+            try:
+                for _ in range(5):
+                    rows, log, _ = _run_compiled(engine, plans[i % 2], None)
+                    assert (rows, log) == expected[i % 2]
+            except Exception as exc:  # reported below, with the thread's
+                failures.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+
+class TestTableIndexes:
+    """A join whose build side is a base table probes ``Table.index_on``;
+    every write path must leave no index of the old rows behind."""
+
+    PLAN_TABLES = ("A", "C")
+
+    def plan(self):
+        return InnerJoin(Scan(_NULLS_SCHEMA.table("A"), "a"),
+                         Scan(_NULLS_SCHEMA.table("C"), "c"),
+                         [("a.k", "c.k")])
+
+    def check(self, db):
+        plan = self.plan()
+        expected = QueryEngine(db, engine="tuple").execute(plan).rows
+        assert QueryEngine(db).execute(plan).rows == expected
+        assert db.table("C")._indexes  # the read built the index
+
+    def test_every_write_path_drops_the_index(self):
+        db = _nulls_db()
+        c = db.table("C")
+        self.check(db)
+        db.insert("C", 100, 1, 1)
+        self.check(db)
+        db.update("C", {"id": 100}, {"k": 0})
+        self.check(db)
+        db.delete("C", {"k": 2})
+        self.check(db)
+        c.apply_update([((0,), (0, 1, 5))])
+        self.check(db)
+        c.apply_delete([(1,)])
+        self.check(db)
+        c.restore(_nulls_db().table("C").rows, c.version + 1)
+        self.check(db)
+
+    def test_recovery_drops_the_index(self, tmp_path):
+        logged = _nulls_db()
+        wal = WriteAheadLog(tmp_path)
+        wal.attach(logged)
+        logged.insert("C", 100, 0, 1)
+        logged.update("C", {"id": 0}, {"k": 2})
+        logged.delete("C", {"id": 3})
+        wal.close()
+        restarted = _nulls_db()
+        self.check(restarted)
+        recover(tmp_path, database=restarted)
+        assert restarted.table("C").rows == logged.table("C").rows
+        self.check(restarted)
+
+
+class TestSortWidth:
+    """The sort samples its input's width from whichever form the batch
+    holds: the column form gives the row form's integer sum."""
+
+    @given(rows=st.lists(st.tuples(
+        st.none() | st.text(alphabet="ab", max_size=3),
+        st.none() | st.integers(-2, 2),
+        st.none() | st.sampled_from([0.5, 2.0, 7])), min_size=1, max_size=1200))
+    @settings(max_examples=60, deadline=None)
+    def test_column_form_is_the_row_form(self, rows):
+        columns = (
+            ColumnInfo("v", SqlType.VARCHAR), ColumnInfo("i", SqlType.INTEGER),
+            ColumnInfo("d", SqlType.DECIMAL),
+        )
+        expected = average_row_width(columns, rows)
+        by_columns = Batch.from_columns([list(c) for c in zip(*rows)],
+                                        len(rows))
+        assert by_columns.average_width(columns) == expected
+        assert average_column_width(columns, list(zip(*rows)),
+                                    len(rows)) == expected
+        assert Batch.from_rows(rows, 3).average_width(columns) == expected

@@ -18,7 +18,7 @@ from repro.core.partition import enumerate_partitions
 from repro.core.sqlgen import SqlGenerator
 from repro.relational.backends import SqliteBackend
 from repro.relational.cache import PlanResultCache
-from repro.relational import engine as engine_module, vector_ops
+from repro.relational import engine as engine_module, pipeline
 from repro.relational.calibrate import (
     CALIBRATION_GROUPS,
     CHARGE_TAXONOMY,
@@ -69,7 +69,7 @@ class TestTaxonomy:
 
     def test_every_emitted_label_is_in_the_table(self):
         emitted = set()
-        for module in (engine_module, vector_ops):
+        for module in (engine_module, pipeline):
             emitted |= set(re.findall(
                 r'charges\.charge\(\s*"(\w+)"', inspect.getsource(module)
             ))

@@ -419,8 +419,8 @@ class TestLifetimes:
         assert view.instance_cache.stats()["hits"] > 0  # still splices
         # What was summed over a plan's rows lives on its entry, one sum
         # per (transfer model, row format), and nowhere else: the plan
-        # cache, the node cache and the compile cache are the only maps
-        # hanging off the connection or its engine.
+        # cache and the node cache are the only maps hanging off the
+        # connection or its engine.
         formats = {(connection.transfer_model, compact)
                    for compact in (False, True)}
         for _, entry in session.silkroute.cache.items():
@@ -431,7 +431,7 @@ class TestLifetimes:
             for value in vars(owner).values()
             if isinstance(value, BoundedCache)
         }
-        assert maps == {"plan_cache", "node_cache", "compiled_plans"}
+        assert maps == {"plan_cache", "node_cache"}
 
     @pytest.mark.parametrize("engine", ENGINE_MODES)
     def test_either_engine_retires_dead_plan_entries(self, engine):

@@ -297,8 +297,8 @@ class TestServerBasics:
         caches = server.handle_request({"op": "stats"})["stats"]["caches"]
         assert decode(encode(caches)) == caches     # crosses the wire
         assert set(caches) == {
-            "plan_cache", "node_cache", "compiled_plans", "estimates",
-            "views", "transfer_charges", "xml_kernels", "by_view",
+            "plan_cache", "node_cache", "estimates", "views",
+            "transfer_charges", "xml_kernels", "pipelines", "by_view",
         }
         assert caches["plan_cache"] == decode(encode(
             server.stats()["plan_cache"]))

@@ -78,18 +78,26 @@ class TestLookup:
         assert table.lookup_key((8,)) is None
 
     def test_index_on(self, table):
+        """One column keys by the value itself, several by the tuple; a
+        row with a NULL key component is not indexed (it joins nothing)."""
         table.insert(1, "a", 30)
         table.insert(2, "b", 30)
         table.insert(3, "c", 40)
+        table.insert(4, "d", None)
         index = table.index_on(["age"])
-        assert len(index[(30,)]) == 2
-        assert len(index[(40,)]) == 1
+        assert [row[0] for row in index[30]] == [1, 2]
+        assert len(index[40]) == 1
+        assert None not in index and len(index) == 2
+        pairs = table.index_on(["name", "age"])
+        assert pairs[("a", 30)] == [(1, "a", 30)]
+        assert ("d", None) not in pairs and len(pairs) == 3
+        assert table.index_on(["age"]) is index     # built once
 
     def test_index_invalidated_on_insert(self, table):
         table.insert(1, "a", 30)
         table.index_on(["age"])
         table.insert(2, "b", 30)
-        assert len(table.index_on(["age"])[(30,)]) == 2
+        assert len(table.index_on(["age"])[30]) == 2
 
     def test_column_values(self, table):
         table.insert(1, "a", 30)
