@@ -4,9 +4,8 @@
     PYTHONPATH=src python3 benchmarks/cache_table.py --workload plan_sweep
 
 Every bounded map in ``src/`` is a :class:`repro.relational.cache.BoundedCache`
-with a name, so one hook on its constructor sees them all (but the three
-created at import, ``connection.TRANSFER_CHARGES``, ``xmlgen.kernel.KERNELS``
-and ``pipeline.PIPELINES``, added by hand).  For each of the
+with a name, so one hook on its constructor sees them all (but the one
+created at import, ``codegen.CODE``, added by hand).  For each of the
 four harness workloads this runs the harness's own traced run
 (``benchmarks/perf/run.py --workload W --trace 1``) in a child process with
 that hook installed, and adds up, per cache name, the counters of every
@@ -35,9 +34,7 @@ sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks" / "perf")]
 import run  # noqa: E402  (benchmarks/perf/run.py)
 from repro.core.sqlgen import SqlGenerator  # noqa: E402
 from repro.relational.cache import BoundedCache  # noqa: E402
-from repro.relational.connection import TRANSFER_CHARGES  # noqa: E402
-from repro.relational.pipeline import PIPELINES  # noqa: E402
-from repro.xmlgen.kernel import KERNELS  # noqa: E402
+from repro.relational.codegen import CODE  # noqa: E402
 
 WORKLOADS = run.WORKLOADS
 BEGIN = "<!-- cache-table:begin (benchmarks/cache_table.py) -->"
@@ -110,25 +107,16 @@ CACHES = {
         "representatives and members)",
         "nothing: a decoder depends on the view tree only",
     ),
-    "xml_kernels": (
-        "`repro.xmlgen.kernel.KERNELS`, one per process: the generated "
-        "decoders, tag steps and single-stream kernels",
-        "(view-tree shape, stream shape, form, indent, root tag or not)",
+    "generated_code": (
+        "`repro.relational.codegen.CODE`, one per process: the XML "
+        "integration's decoders, tag steps and single-stream kernels, the "
+        "batch engine's loop nests and the transfer charges",
+        "per generator: a kernel by (view-tree shape, stream shape, form, "
+        "indent, root tag or not); a pipeline by its source text "
+        "(constants are arguments); a charge by (transfer model, column "
+        "SQL types, row format, per-row or summed form)",
         "nothing: generated code depends on its key only, and holds no "
-        "rows and no tree objects",
-    ),
-    "pipelines": (
-        "`repro.relational.pipeline.PIPELINES`, one per process: the "
-        "batch engine's generated loop nests",
-        "the generated source text (constants are arguments)",
-        "nothing: generated code depends on its key only, and holds no "
-        "values, rows or plan objects",
-    ),
-    "transfer_charges": (
-        "`repro.relational.connection.TRANSFER_CHARGES`, one per process",
-        "(transfer model, column SQL types, row format, per-row or summed "
-        "form)",
-        "nothing: generated code depends on its key only",
+        "rows, no tree and no plan objects",
     ),
     "mutation_dedup": (
         "`Session._dedup` (sessions without a WAL)",
@@ -147,9 +135,9 @@ CACHES = {
 def record_workload(workload, seed):
     """Run one traced harness workload here; return, per cache name, the
     summed counters of every :class:`BoundedCache` it created."""
-    # The module-level maps exist before the hook; this process is
-    # fresh, so their counters are this run's.
-    created, generators = [TRANSFER_CHARGES, KERNELS, PIPELINES], []
+    # The module-level map exists before the hook; this process is
+    # fresh, so its counters are this run's.
+    created, generators = [CODE], []
     construct = BoundedCache.__init__
     construct_generator = SqlGenerator.__init__
 

@@ -114,9 +114,8 @@ def measure(factor):
     ).generate()
     view = SilkRoute(Connection(db, CostModel())).define_view(QUERY_1)
     # The integration kernels and the engine's pipelines are compiled once
-    # per process (repro.xmlgen.kernel.KERNELS,
-    # repro.relational.pipeline.PIPELINES): compile them outside the
-    # measured runs, in a view whose caches the measured one does not
+    # per process (repro.relational.codegen.CODE): compile them outside
+    # the measured runs, in a view whose caches the measured one does not
     # share.
     SilkRoute(Connection(db, CostModel())).define_view(QUERY_1) \
         .materialize(PLAN, reduce=False)

@@ -179,8 +179,8 @@ def _eval_expr(expr, row, positions):
 
 # Python spellings of the SQL comparison operators, for predicate
 # compilation.  Only these whitelisted tokens ever reach the generated
-# source; operand positions are integers and constants are bound as
-# closure parameters, never interpolated into the source text.
+# source; operands are the source texts of columns and the parameter
+# names of literals, never a value interpolated into the text.
 _PY_COMPARISON_OPS = {
     "=": "==",
     "!=": "!=",
@@ -191,9 +191,8 @@ _PY_COMPARISON_OPS = {
 }
 
 
-def _comparison_source(comparison, positions, var, consts):
-    """Python source for one :class:`Comparison` over row variable ``var``
-    (with ``var`` None, ``positions`` maps each column to its source text).
+def _comparison_source(comparison, columns, src):
+    """Python source for one :class:`Comparison`.
 
     NULL guards reproduce :meth:`Comparison.evaluate`'s three-valued
     logic: a NULL operand makes the predicate false, for ``!=`` too.
@@ -204,19 +203,15 @@ def _comparison_source(comparison, positions, var, consts):
     def operand(side):
         if isinstance(side, ColumnRef):
             try:
-                position = positions[side.name]
+                return columns[side.name], True
             except KeyError:
                 raise QueryError(
                     f"unknown column {side.name!r} in predicate"
                 ) from None
-            return (position if var is None
-                    else f"{var}[{position:d}]"), True
         if isinstance(side, Literal):
             if side.value is None:
                 return None, False
-            name = f"_k{len(consts)}"
-            consts[name] = side.value
-            return name, False
+            return src.arg(side.value), False
         raise QueryError(f"unsupported expression {side!r}")
 
     left, left_is_col = operand(comparison.left)
@@ -232,64 +227,19 @@ def _comparison_source(comparison, positions, var, consts):
     return "(" + " and ".join(parts) + ")"
 
 
-def predicate_source(predicate, positions, var="row", consts=None):
-    """Compile ``predicate`` to Python source over row variable ``var``.
-
-    Returns ``(condition, consts)`` where ``condition`` is a boolean
-    expression and ``consts`` maps parameter names to the literal values
-    the expression references (added to ``consts`` when one is given).
-    With ``var`` None, ``positions`` maps each column name to the source
-    text of its value.  Raises :class:`QueryError` for predicate shapes
-    the compiler does not handle (callers fall back to
-    :meth:`Comparison.evaluate`).
+def predicate_source(predicate, columns, src):
+    """``predicate`` as a Python boolean expression: ``columns`` maps each
+    column name to the source text of its value, and every literal is an
+    argument of ``src`` (a :class:`~repro.relational.codegen.Source`).
+    Raises :class:`QueryError` for predicate shapes the compiler does not
+    handle (callers fall back to :meth:`Comparison.evaluate`).
     """
-    consts = {} if consts is None else consts
-    if isinstance(predicate, And):
-        if not predicate.conjuncts:
-            return "True", consts
-        condition = " and ".join(
-            _comparison_source(c, positions, var, consts)
-            for c in predicate.conjuncts
-        )
-    else:
-        condition = _comparison_source(predicate, positions, var, consts)
-    return condition, consts
-
-
-def compile_source(source, consts):
-    """Evaluate compiler-generated ``source`` with ``consts`` bound as
-    closure parameters (no builtins are exposed to the evaluated code).
-
-    ``source`` is an expression, or one ``def`` statement (the statement
-    form): the function it defines is returned, its free names being
-    ``consts``."""
-    if source.startswith("def "):
-        name = source[4:source.index("(")]
-        body = source.replace("\n", "\n    ")
-        namespace = {"__builtins__": {}}
-        exec(compile(  # noqa: S102 - compiler-built source, no builtins
-            f"def make({', '.join(consts)}):\n    {body}\n    return {name}",
-            f"<generated {name}>", "exec"), namespace)
-        return namespace["make"](**consts)
-    if consts:
-        params = ", ".join(consts)
-        return eval(  # noqa: S307 - compiler-built source, whitelisted ops
-            f"lambda {params}: {source}", {"__builtins__": {}}
-        )(**consts)
-    return eval(source, {"__builtins__": {}})  # noqa: S307
-
-
-def compile_predicate(predicate, positions):
-    """Compile an :class:`And`/:class:`Comparison` to a ``row -> bool``
-    closure, hoisting the per-row ``_eval_expr`` dispatch and positions
-    lookups out of the filter loop.  Semantically identical to
-    ``predicate.evaluate(row, positions)``; unsupported shapes fall back
-    to exactly that call."""
-    try:
-        condition, consts = predicate_source(predicate, positions, var="row")
-    except QueryError:
-        return lambda row: predicate.evaluate(row, positions)
-    return compile_source(f"lambda row: {condition}", consts)
+    conjuncts = (predicate.conjuncts if isinstance(predicate, And)
+                 else (predicate,))
+    if not conjuncts:
+        return "True"
+    return " and ".join(_comparison_source(c, columns, src)
+                        for c in conjuncts)
 
 
 # ---------------------------------------------------------------------------

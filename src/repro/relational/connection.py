@@ -28,8 +28,8 @@ from repro.common.errors import (
     TransientConnectionError,
 )
 from repro.obs import obs_parts
-from repro.relational.algebra import compile_source
-from repro.relational.cache import BoundedCache, RowCount, resolve_cache
+from repro.relational.cache import RowCount, resolve_cache
+from repro.relational.codegen import Source, compiled
 from repro.relational.engine import QueryEngine
 from repro.relational.types import width_function
 
@@ -132,7 +132,7 @@ class TupleCursor:
     evaluates the plan on the server side; rows then cross the client
     boundary one at a time, each releasing its slot in the server's
     buffer and paying its transfer cost: the per-row form of the generated
-    charge (:func:`compile_transfer_charge`), added up in row order — the
+    charge (:func:`transfer_charge_source`), added up in row order — the
     expression and the float accumulation order the materializing path
     folds over the whole result — so after exhaustion ``transfer_ms`` and
     ``server_ms`` match ``TupleStream``'s, both bit-identically.
@@ -415,7 +415,7 @@ class Connection:
     def _row_cost_fn(self, columns, compact_rows):
         """The per-row transfer charge, ``row -> ms``: the generated form
         :class:`TupleCursor` adds row by row (see
-        :func:`compile_transfer_charge`)."""
+        :func:`transfer_charge_source`)."""
         return self._charge(columns, compact_rows, "row")
 
     def _transfer_cost(self, columns, rows, compact_rows):
@@ -424,61 +424,59 @@ class Connection:
         return self._charge(columns, compact_rows, "rows")(rows)
 
     def _charge(self, columns, compact_rows, form):
+        # A result shape recurs across plans and connections, and
+        # compiling costs more than charging a small result; a form is
+        # compiled when first asked for (a sweep never needs "row").
         key = (self.transfer_model, tuple(col.sql_type for col in columns),
                compact_rows, form)
-        compiled = TRANSFER_CHARGES.get(key)
-        if compiled is None:
-            compiled = compile_transfer_charge(*key)
-            TRANSFER_CHARGES.store(key, compiled)
-        return compiled
+        return compiled(("transfer", *key),
+                        lambda: transfer_charge_source(*key))
 
 
-#: The compiled transfer charges by ``(transfer model, column SQL types,
-#: compact_rows, form)``: a result shape recurs across plans and
-#: connections, and compiling costs more than charging a small result.
-#: A form is compiled when it is first asked for: a sweep sums whole
-#: results and never needs the per-row one.
-TRANSFER_CHARGES = BoundedCache("transfer_charges", max_entries=256)
-
-
-def compile_transfer_charge(model, sql_types, compact_rows, form):
+def transfer_charge_source(model, sql_types, compact_rows, form):
     """The per-row transfer formula of ``model`` over columns of
     ``sql_types`` as generated source, unrolled per column:
     ``R + (N if r[0] is None else A_INTEGER) + (N if r[1] is None else F +
-    len(r[1]) * B) ...``, times ``W`` when the row is wide.  The additions
-    run left to right in the order of the per-field formula, so every
-    float is the same.  ``form`` ``"row"`` is the expression as a ``row ->
-    ms`` lambda; ``"rows"`` sums it over a list of rows by a left fold
-    from 0.0 (``reduce``, not ``sum``, which compensates on Python 3.12).
+    len(r[1]) * B) ...``, times ``W`` when the row is wide (each capital a
+    constant of the source).  The additions run left to right in the
+    order of the per-field formula, so every float is the same.  ``form``
+    ``"row"`` is ``charge(r) -> ms``; ``"rows"`` sums it over a list of
+    rows by a left fold from 0.0 (``reduce``, not ``sum``, which
+    compensates on Python 3.12).
     """
-    consts = {"R": model.row_ms, "N": model.null_field_ms,
-              "F": model.field_ms, "B": model.byte_ms, "len": len}
-    expr = "R"
+    src = Source()
+    null = src.const(model.null_field_ms, "N")
+    fixed = {}
+    expr = src.const(model.row_ms, "R")
     for i, sql_type in enumerate(sql_types):
         if width_function(sql_type) is len:
-            value = f"F + len(r[{i}]) * B"
+            value = (f"{src.const(model.field_ms, 'F')} + "
+                     f"{src.const(len, 'LEN')}(r[{i}]) * "
+                     f"{src.const(model.byte_ms, 'B')}")
         else:
             # A fixed-width field's charge, once per type, by the same
             # float operations as per value.
-            value = f"A_{sql_type.name}"
-            consts[value] = (
-                model.field_ms + sql_type.storage_width * model.byte_ms
-            )
+            if sql_type not in fixed:
+                fixed[sql_type] = src.const(
+                    model.field_ms + sql_type.storage_width * model.byte_ms,
+                    "A")
+            value = fixed[sql_type]
         # A line per column keeps the code's location table small.
-        expr += f"\n+ (N if r[{i}] is None else {value})"
+        expr += f"\n+ ({null} if r[{i}] is None else {value})"
     # The paper's "anomalous caching behavior in JDBC": rows produced by a
     # wide outer join bind every declared column and pay a super-linear
     # penalty; union-shaped results use the compact per-branch row format
     # and do not.
     declared_width = len(sql_types)
     if not compact_rows and declared_width > model.wide_threshold:
-        consts["W"] = 1.0 + model.wide_row_factor * (
-            declared_width - model.wide_threshold
-        )
-        expr = f"({expr}) * W"
+        wide = src.const(1.0 + model.wide_row_factor * (
+            declared_width - model.wide_threshold), "W")
+        expr = f"({expr}) * {wide}"
     if form == "row":
-        return compile_source(f"lambda r: ({expr})", consts)
-    return compile_source(
-        f"lambda rows: reduce(add, [({expr}) for r in rows], 0.0)",
-        {**consts, "reduce": reduce, "add": add},
-    )
+        src.add(0, "def charge(r):")
+        src.add(1, f"return ({expr})")
+    else:
+        src.add(0, "def charge(rows):")
+        src.add(1, f"return {src.const(reduce, 'REDUCE')}("
+                   f"{src.const(add, 'ADD')}, [({expr}) for r in rows], 0.0)")
+    return src

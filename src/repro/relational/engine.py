@@ -653,19 +653,6 @@ class QueryEngine:
             return iter(rows)
         return self._stream_fresh(op, charges, shared)
 
-    @staticmethod
-    def _compiled_predicate(op):
-        """The filter's predicate compiled to a ``row -> bool`` closure,
-        once per operator instance (plans are immutable, so the closure is
-        reused across executions)."""
-        predicate = getattr(op, "_row_predicate", None)
-        if predicate is None:
-            predicate = algebra.compile_predicate(
-                op.predicate, op.child.positions()
-            )
-            op._row_predicate = predicate
-        return predicate
-
     def _stream_fresh(self, op, charges, shared):
         try:
             stream = self._STREAMS[type(op)]
@@ -679,11 +666,13 @@ class QueryEngine:
         yield from rows
 
     def _stream_filter(self, op, charges, shared):
-        predicate = self._compiled_predicate(op)
+        # The predicate's own definition, not the source the pipelines
+        # inline: the reference shares no code with what it checks.
+        evaluate, positions = op.predicate.evaluate, op.child.positions()
         n = 0
         for row in self._stream(op.child, charges, shared):
             n += 1
-            if predicate(row):
+            if evaluate(row, positions):
                 yield row
         charges.charge("filter", self.cost_model.filter_ms(n), n)
 

@@ -4,7 +4,7 @@
 A pipeline is a chain of operators that pass one row at a time — a scan or
 an earlier result as its source, then inner-join probes, outer-join
 probes, filters and projections — and runs as one generated Python loop
-nest (compiled by :func:`~repro.relational.algebra.compile_source`) that
+nest (written into a :class:`~repro.relational.codegen.Source`) that
 builds only the columns its output keeps.  A chain breaks at ``Distinct``,
 ``Sort`` and ``OuterUnion`` (the breakers, run here as plain Python over
 whole :class:`~repro.relational.batch.Batch` objects), at the build side
@@ -32,16 +32,17 @@ Each pipeline's and breaker's result but a sort's is offered to the
 engine's :class:`~repro.relational.cache.NodeResultCache` under its
 fingerprint (through the execution: ``charges.cached`` / ``charges.keep``;
 a cursor passes none), with the loop's counts on the batch, so a hit
-charges what the computation would have.  The generated code is kept process-wide in
-:data:`PIPELINES`, keyed by its own source text: constants (literals,
-predicates the compiler cannot inline) are arguments, so the code holds
-no values, no rows and no plan objects, and a fresh session running a
-known shape compiles nothing.
+charges what the computation would have.  The generated code is kept
+process-wide in :data:`~repro.relational.codegen.CODE`, keyed by its own
+source text: constants (literals, predicates the compiler cannot inline)
+are arguments, so the code holds no values, no rows and no plan objects,
+plans that differ only in a literal share it, and a fresh session running
+a known shape compiles nothing.
 """
 
 from repro.common.errors import ExecutionError, QueryError
 from repro.common.ordering import column_keys
-from repro.relational import algebra
+from repro.relational import algebra, codegen
 from repro.relational.algebra import (
     Scan,
     Filter,
@@ -55,11 +56,7 @@ from repro.relational.algebra import (
     Literal,
 )
 from repro.relational.batch import Batch
-from repro.relational.cache import BoundedCache
 from repro.relational.dependencies import plan_tables
-
-#: Compiled pipeline loops by source text; code only.
-PIPELINES = BoundedCache("pipelines", max_entries=1024)
 
 _FUSED = (Scan, Filter, Project, InnerJoin, LeftOuterJoin)
 
@@ -432,7 +429,7 @@ class _Builder:
 
     The logical row is held as the source text of each column: ``r<j>[i]``
     for a column of the ``j``-th row variable (the source is ``r0``, each
-    join adds one), ``_k<n>`` for a constant argument, ``None`` for a
+    join adds one), an argument of ``src`` for a constant, ``None`` for a
     literal NULL.  Filters become ``continue`` tests, joins nested loops
     over index buckets, projections a new list of column texts; the
     innermost level appends the output row.
@@ -442,7 +439,7 @@ class _Builder:
         self.lowering = lowering
         self.events = []
         self.builds = []
-        self.consts = {}
+        self.src = codegen.Source()
         #: One ("filter", ...) or ("join", ...) entry per loop level.
         self.levels = []
         self.counters = []       # slots the loop counts, in return order
@@ -480,11 +477,6 @@ class _Builder:
         self.counters.append(slot)
         return slot
 
-    def _const(self, value):
-        name = f"_k{len(self.consts)}"
-        self.consts[name] = value
-        return name
-
     def add(self, op):
         self.fused += 1
         if self.cols is None:
@@ -514,18 +506,16 @@ class _Builder:
     def _literal(self, expr):
         if not isinstance(expr, Literal):
             raise ExecutionError(f"unsupported projection {expr!r}")
-        return "None" if expr.value is None else self._const(expr.value)
+        return "None" if expr.value is None else self.src.arg(expr.value)
 
     def _condition(self, op, names, cols):
         columns = {name: cols[i] for name, i in names.items()}
         try:
-            condition, self.consts = algebra.predicate_source(
-                op.predicate, columns, var=None, consts=dict(self.consts))
+            return algebra.predicate_source(op.predicate, columns, self.src)
         except QueryError:
-            evaluate = self._const(op.predicate.evaluate)
-            positions = self._const(names)
+            evaluate = self.src.arg(op.predicate.evaluate)
+            positions = self.src.arg(names)
             return f"{evaluate}({_row(cols)}, {positions})"
-        return condition
 
     def _key(self, names, cols, columns):
         return _row([cols[names[column]] for column in columns],
@@ -600,11 +590,9 @@ class _Builder:
                 self.cols == self.source_cols):
             kernel = None   # projections that rename only: share the rows
         else:
-            source = self._source()
-            kernel = PIPELINES.get(source)
-            if kernel is None:
-                kernel = algebra.compile_source(source, {"len": len})
-                PIPELINES.store(source, kernel)
+            self._emit()
+            kernel = codegen.compiled(("pipeline", self.src.text()),
+                                      lambda: self.src)
         split = len(self.events) if self.split is None else self.split
         # Build work is computed beside the loop, ahead of its counts.
         counted = tuple(self.build_work) + tuple(self.counters)
@@ -616,41 +604,44 @@ class _Builder:
             key = (key, self.fused)
         return _Pipeline(op, key, self.source, tuple(self.builds),
                          tuple(self.events), split, counted, self.n_slots,
-                         kernel, tuple(self.consts.values()))
+                         kernel, tuple(self.src.args.values()))
 
-    def _source(self):
-        """The loop nest's source text.  The last counter is ``len(out)``
-        (the runner adds it), every other one is counted in the loop."""
+    def _emit(self):
+        """Write the loop nest into ``src``.  The last counter is
+        ``len(out)`` (the runner adds it), every other one is counted in
+        the loop."""
+        src, add = self.src, self.src.add
         n_builds = sum(1 if kind != "outer" else len(branches)
                        for kind, _, _, *branches in self.builds)
-        params = ["S"] + [f"X{i}" for i in range(n_builds)] + list(self.consts)
-        lines = [f"def pipeline({', '.join(params)}):"]
+        params = ["S"] + [f"X{i}" for i in range(n_builds)] + list(src.args)
+        add(0, f"def pipeline({', '.join(params)}):")
         row = (" + ".join(self.rows) if self.rows is not None
                else _row(self.cols))
         inline = self.counters[-1:]
         if not self.joins and self.filters <= 1:
             tests = "".join(f" if {level[1]}" for level in self.levels)
-            lines.append(f"    return [{row} for r0 in S{tests}],")
-            return "\n".join(lines)
+            add(1, f"return [{row} for r0 in S{tests}],")
+            return
         counters = [f"n{slot}" for slot in self.counters
                     if slot not in inline]
-        lines += ["    out = []", "    append = out.append", "    E = []"]
+        add(1, "out = []")
+        add(1, "append = out.append")
+        add(1, "E = []")
         if counters:
-            lines.append(f"    {' = '.join(counters)} = 0")
+            add(1, f"{' = '.join(counters)} = 0")
         for level in self.levels:
             if level[0] == "join" and level[3]:
-                lines.append(f"    P{level[1]} = ((None,) * {level[4]},)")
-        lines.append("    for r0 in S:")
+                add(1, f"P{level[1]} = ((None,) * {level[4]},)")
+        add(1, "for r0 in S:")
         depth = 2
         build = 0
         for level in self.levels:
-            pad = "    " * depth
             if level[0] == "filter":
                 _, condition, slot = level
-                lines.append(f"{pad}if not ({condition}):")
-                lines.append(f"{pad}    continue")
+                add(depth, f"if not ({condition}):")
+                add(depth + 1, "continue")
                 if slot not in inline:
-                    lines.append(f"{pad}n{slot} += 1")
+                    add(depth, f"n{slot} += 1")
                 continue
             _, j, keys, outer, _, slot = level
             probes = []
@@ -662,16 +653,15 @@ class _Builder:
                 bucket = f"({bucket}) or P{j}" if len(probes) > 1 else (
                     f"{bucket} or P{j}")
             if slot in inline:
-                lines.append(f"{pad}for r{j} in {bucket}:")
+                add(depth, f"for r{j} in {bucket}:")
             else:
-                lines.append(f"{pad}b{j} = {bucket}")
-                lines.append(f"{pad}n{slot} += len(b{j})")
-                lines.append(f"{pad}for r{j} in b{j}:")
+                add(depth, f"b{j} = {bucket}")
+                add(depth, f"n{slot} += {src.const(len, 'LEN')}(b{j})")
+                add(depth, f"for r{j} in b{j}:")
             depth += 1
-        lines.append(f"{'    ' * depth}append({row})")
-        lines.append(f"    return out, {', '.join(counters)}" if counters
-                     else "    return out,")
-        return "\n".join(lines)
+        add(depth, f"append({row})")
+        add(1, f"return out, {', '.join(counters)}" if counters
+            else "return out,")
 
 
 def _row(texts, scalar=False):

@@ -43,8 +43,7 @@ from repro.common.errors import OverloadError, QueryError, ReproError, tag_reque
 from repro.core.options import RequestContext, resolve_options
 from repro.obs.metrics import MetricsRegistry
 from repro.relational.cache import SingleFlight
-from repro.relational.connection import TRANSFER_CHARGES
-from repro.relational.pipeline import PIPELINES
+from repro.relational.codegen import CODE
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     MAX_INDENT,
@@ -57,7 +56,6 @@ from repro.serve.protocol import (
 )
 from repro.serve.tenants import TenantRegistry
 from repro.session import QueryResult, Session
-from repro.xmlgen.kernel import KERNELS
 
 
 class _ReadWriteLock:
@@ -468,7 +466,7 @@ class Server:
         return {
             **summary(engine.cache, engine.node_cache,
                       session.silkroute.estimator.cache, session._views,
-                      TRANSFER_CHARGES, KERNELS, PIPELINES),
+                      CODE),
             "by_view": {
                 names.get(rxl, rxl): summary(
                     view.instance_cache, view.document_cache,

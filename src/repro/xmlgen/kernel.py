@@ -3,8 +3,8 @@
 Sec. 3.3's integration is a fixed template over a sorted outer union, so
 everything about it that does not depend on the rows is resolved before
 the first row arrives.  For one view tree and one stream shape this
-module writes Python source and compiles it with
-:func:`~repro.relational.algebra.compile_source`:
+module writes Python source into a
+:class:`~repro.relational.codegen.Source`:
 
 * a **decoder** (:func:`decoder_kernel`): per row, the memo check on each
   member's term positions and, where an instance must wait, the keyed
@@ -23,9 +23,10 @@ All three keep the tagger's rules (:class:`~repro.xmlgen.tagger.XmlTagger`
 is their reference): the stack is one root path, so it is held as the
 node whose chain it is plus one key and one term per depth; frames match
 deepest first on a nested chain, root first otherwise; a top-level close
-leaves a splice mark.  The code is kept in :data:`KERNELS`, process-wide,
-under a structural key: it holds no rows and no tree objects, so a fresh
-session exporting a known shape compiles nothing.
+leaves a splice mark.  The code is kept in
+:data:`~repro.relational.codegen.CODE`, process-wide, under a structural
+key: it holds no rows and no tree objects, so a fresh session exporting a
+known shape compiles nothing.
 """
 
 import datetime
@@ -37,8 +38,7 @@ from operator import itemgetter
 from repro.common.errors import PlanError
 from repro.common.ordering import TYPE_TAGS
 from repro.core.viewtree import Stv
-from repro.relational.algebra import compile_source
-from repro.relational.cache import BoundedCache
+from repro.relational.codegen import Source, compiled
 from repro.relational.types import SqlType
 from repro.xmlgen.serializer import (
     CHARACTER_DATA,
@@ -46,9 +46,6 @@ from repro.xmlgen.serializer import (
     escape_text,
     opening,
 )
-
-#: Compiled kernels by (tree shape, stream shape, form); code only.
-KERNELS = BoundedCache("xml_kernels", max_entries=256)
 
 #: Not a value: the memo of a member nothing was emitted for yet.
 _NO = type("NoTerm", (), {"__slots__": (), "__repr__": lambda _: "NO"})()
@@ -95,55 +92,14 @@ class TreeShape:
         return out[::-1]
 
 
-class _Source:
-    """Lines of generated code and the constants they name: ``type``,
-    ``len``, ``CL`` and ``_<hint><n>`` — no generated local starts with
-    an underscore, so a constant is never shadowed by one (the stack's
-    ``K<depth>``, a memo's ``M<node>``)."""
-
-    def __init__(self):
-        self.lines = []
-        self.consts = {"type": type, "len": len}
-        self._names = {}
-
-    def add(self, depth, line):
-        self.lines.append("    " * depth + line)
-
-    def const(self, value, hint="C"):
-        """A parameter name bound to ``value`` (one name per equal
-        hashable value)."""
-        try:
-            key = (hint, type(value), value)
-            name = self._names.get(key)
-        except TypeError:
-            key, name = None, None
-        if name is None:
-            name = f"_{hint}{len(self.consts)}"
-            self.consts[name] = value
-            if key is not None:
-                self._names[key] = name
-        return name
-
-    def compile(self):
-        return compile_source("\n".join(self.lines), self.consts)
-
-
-def _compiled(key, build):
-    kernel = KERNELS.get(key)
-    if kernel is None:
-        kernel = build().compile()
-        KERNELS.store(key, kernel)
-    return kernel
-
-
 # -- the tag step ---------------------------------------------------------
 
 
 class _Tagging:
     """Emits the tagger's step for one instance as straight-line code, and
     the tables it reads: per node the chain prefix it shares with every
-    other (``A<id>[last]``) and per (last node, depth) the closing markup
-    (``CL[last][depth]``)."""
+    other (a constant ``_A<n>[last]``) and per (last node, depth) the
+    closing markup (``_CL<n>[last][depth]``)."""
 
     def __init__(self, shape, src, indent, rooted):
         self.shape, self.src = shape, src
@@ -160,7 +116,7 @@ class _Tagging:
                             children=depth < len(tags))
                     for depth in range(len(tags), common, -1)))
             table.append(tuple(row))
-        src.consts["CL"] = tuple(table)
+        self.cl = src.const(tuple(table), "CL")
         self.chains = chains
         self.root_single = len(shape.nodes[1].key_args) == 1
 
@@ -185,7 +141,7 @@ class _Tagging:
         implicitly, or is a duplicate (``dup``)."""
         add = self.src.add
         add(at, "if last:")
-        add(at + 1, "write(CL[last][0])")
+        add(at + 1, f"write({self.cl}[last][0])")
         add(at + 1, "if marks is not None:")
         add(at + 2, f"marks.append(({self._mark_key()}, tell(), written, "
                     "implicit, top))")
@@ -246,7 +202,7 @@ class _Tagging:
             add(at + 1, f"c = {length}")
         add(at, f"if c < {length}:")
         at += 1
-        add(at, "o = CL[last][c]")
+        add(at, f"o = {self.cl}[last][c]")
         add(at, "if not c and last:")
         self._mark(at + 1)
         for depth, element in enumerate(self.chains[node_id][:-1], 1):
@@ -278,7 +234,7 @@ class _Tagging:
         add(at, f"if {guard}m == {length} and K{length} == {keys[-1]} and "
                 f"(F{length} is None or F{length} == {term}):")
         add(at + 1, "break")
-        add(at, f"o = CL[last][{length - 1}]")
+        add(at, f"o = {self.cl}[last][{length - 1}]")
         if length == 1:
             add(at, "if last:")
             self._mark(at + 1)
@@ -328,7 +284,8 @@ class _Tagging:
                 add(at + 1, f"o += {src.const(escape_text, 'E')}(v)")
             else:
                 add(at + 1, f"o += {src.const(CHARACTER_DATA[kind], 'X')}(v) "
-                            f"if type(v) is {src.const(kind, 'P')} else "
+                            f"if {src.const(type, 'TY')}(v) is "
+                            f"{src.const(kind, 'P')} else "
                             f"{src.const(escape_text, 'E')}(v)")
 
     def dispatch(self, at, ids, term="t"):
@@ -366,7 +323,7 @@ def tag_kernel(shape, indent, rooted):
     kernel's, for the instances it does not tag itself — it returns the
     state it leaves."""
     def build():
-        src = _Source()
+        src = Source()
         tagging = _Tagging(shape, src, indent, rooted)
         src.add(0, "def tag(items, write, tell, marks, state):")
         src.add(1, "if state is None:")
@@ -381,8 +338,8 @@ def tag_kernel(shape, indent, rooted):
         return src
     step = shape.steps.get((indent, rooted))
     if step is None:
-        step = shape.steps[indent, rooted] = _compiled(
-            (shape.key, "tag", indent, rooted), build)
+        step = shape.steps[indent, rooted] = compiled(
+            ("xmlgen", shape.key, "tag", indent, rooted), build)
     return step
 
 
@@ -508,7 +465,8 @@ class StreamShape:
                 parts.append(f"{var}[{slot}]")
             elif slot < null_tag:
                 parts.append(f"{src.const(TYPE_TAGS, 'TG')}"
-                             f"[type({var}[{names[slot]}])]")
+                             f"[{src.const(type, 'TY')}"
+                             f"({var}[{names[slot]}])]")
             elif slot - null_tag < 3:
                 parts.append(repr(self.constants[slot - null_tag]))
             else:
@@ -578,7 +536,7 @@ def _stream_source(stream, form, tagging=None, step=None):
     :func:`~repro.xmlgen.streams.reference_decode` — which the kernel
     hands to the tag step ``step``."""
     shape = stream.shape
-    src = tagging.src if tagging is not None else _Source()
+    src = tagging.src if tagging is not None else Source()
     add = src.add
     ids = shape.ids
     node_of = {index: ids[member] for index, member in stream.members.items()}
@@ -669,7 +627,7 @@ def _stream_source(stream, form, tagging=None, step=None):
         for index in early:
             fresh_check(3, index, lambda at, i: keyed(at, i, "fresh"))
         if late is None:
-            add(3, "if len(fresh) > 1:")
+            add(3, f"if {src.const(len, 'LEN')}(fresh) > 1:")
             add(4, f"fresh.sort(key={k0})")
             add(3, f"h = {stream.key(rep, src)}")
             add(3, "late = ()")
@@ -730,8 +688,8 @@ def stream_key(spec):
 def decoder_kernel(shape, spec, key):
     """``decode(rows, label)``: the generator of ``spec``'s stream shape's
     ``(key, node id, term)`` items, in document order."""
-    return _compiled((shape.key, key, "decode"), lambda: _stream_source(
-        StreamShape(shape, spec), "decode"))
+    return compiled(("xmlgen", shape.key, key, "decode"),
+                    lambda: _stream_source(StreamShape(shape, spec), "decode"))
 
 
 def stream_kernel(shape, spec, key, indent, rooted):
@@ -740,6 +698,7 @@ def stream_kernel(shape, spec, key, indent, rooted):
     markup, alone."""
     def build():
         return _stream_source(StreamShape(shape, spec), "write",
-                              _Tagging(shape, _Source(), indent, rooted),
+                              _Tagging(shape, Source(), indent, rooted),
                               tag_kernel(shape, indent, rooted))
-    return _compiled((shape.key, key, "write", indent, rooted), build)
+    return compiled(("xmlgen", shape.key, key, "write", indent, rooted),
+                    build)

@@ -111,7 +111,7 @@ class ComparatorLayout:
         has a handful of shapes, but the shapes of a tree grow with its
         partitions, so the cache keeps the 256 most recently used; their
         code is compiled once per process
-        (:data:`~repro.xmlgen.kernel.KERNELS`)."""
+        (:data:`~repro.relational.codegen.CODE`)."""
         shape = stream_key(spec)
         decoder = self._decoders.get(shape)
         if decoder is None:

@@ -23,10 +23,11 @@ that composes with execution.  Tested here:
 * **pipelines, differentially** (hypothesis) — plans the view generator
   never builds, over tables with NULL join keys: rows, the charge log and
   the ``TimeoutExceeded`` charge through ``execute`` and ``execute_iter``,
-  plus hand-built cases (NULL probe keys from outer-join padding, a
-  multi-column key with one NULL, tagged multi-branch outer joins, a
-  shared prefix that cuts a chain, a budget that runs out inside a
-  pipeline, node-cache hits at breakers, concurrent first runs);
+  plus hand-built cases (NULL probe keys from outer-join padding, NULL
+  operands of ``=`` and ``!=`` filters, literals that are equal but not
+  the same value, a multi-column key with one NULL, tagged multi-branch
+  outer joins, a shared prefix that cuts a chain, a budget that runs out
+  inside a pipeline, node-cache hits at breakers, concurrent first runs);
 * **table indexes** — no write path (insert, update, delete,
   ``apply_update``, ``apply_delete``, ``restore``, WAL recovery) leaves a
   join probing an index of the old rows;
@@ -34,6 +35,7 @@ that composes with execution.  Tested here:
 """
 
 import datetime
+import math
 import sys
 import threading
 
@@ -54,6 +56,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.relational import pipeline
 from repro.relational.batch import Batch
 from repro.relational.cache import PlanResultCache
+from repro.relational.codegen import CODE
 from repro.relational.connection import Connection
 from repro.relational.engine import (
     ENGINE_MODES, CostModel, QueryEngine, _Charges,
@@ -981,6 +984,44 @@ class TestPipelinesDifferential:
         rows, log = _interpreted(nulls_db, plan)
         assert rows and [label for label, _, _ in log][-1] == "filter"
         _assert_twins(nulls_db, plan)
+
+    def test_null_operands_never_match(self, nulls_db):
+        """``a.k = b.j`` where both are NULL, ``a.s != 'a'`` where
+        ``a.s`` is NULL: false, as the reference evaluates the predicate's
+        own definition — the generated NULL guards are checked against
+        it, not against themselves."""
+        joined = InnerJoin(self.scan("A", "a"), self.scan("B", "b"),
+                           [("a.id", "b.id")])
+        both_null = [row[0] for row in QueryEngine(
+            nulls_db, engine="tuple").execute(joined).rows
+            if row[1] is None and row[7] is None]
+        assert both_null
+        for predicate, column in (
+                (Comparison("=", ColumnRef("a.k"), ColumnRef("b.j")), 1),
+                (Comparison("!=", ColumnRef("a.s"), Literal("a")), 3)):
+            plan = Filter(joined, predicate)
+            rows, _ = _interpreted(nulls_db, plan)
+            assert rows and all(row[column] is not None for row in rows)
+            _assert_twins(nulls_db, plan)
+
+    def test_literals_are_arguments_not_code(self, nulls_db):
+        """Two plans that differ only in a projected literal share one
+        compiled loop, yet each returns its own value: ``0.0 == -0.0``
+        and the two hash alike, so code or constants keyed by value would
+        hand one plan the other's sign."""
+        CODE.discard_where(lambda key, _: key[0] == "pipeline")
+        before = CODE.stats()
+        signs = []
+        for zero in (0.0, -0.0):
+            plan = Project(self.scan("A", "a"), [
+                ProjectItem(ColumnRef("a.id"), "id"),
+                ProjectItem(Literal(zero), "zero")])
+            rows = QueryEngine(nulls_db).execute(plan).rows
+            signs.append({math.copysign(1.0, row[1]) for row in rows})
+        after = CODE.stats()
+        assert after.misses - before.misses == 1
+        assert after.stores - before.stores == 1
+        assert signs == [{1.0}, {-1.0}]
 
     def test_multi_column_keys_with_one_null_component(self, nulls_db):
         plan = Project(InnerJoin(

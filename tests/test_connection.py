@@ -9,8 +9,9 @@ from repro.common.errors import PlanError, TimeoutExceeded
 from repro.core.partition import unified_partition
 from repro.core.sqlgen import PlanStyle, SqlGenerator
 from repro.relational.algebra import ColumnInfo, Scan
+from repro.relational.codegen import CODE
 from repro.relational.connection import (
-    TRANSFER_CHARGES, Connection, SourceDescription, TransferModel,
+    Connection, SourceDescription, TransferModel,
 )
 from repro.relational.engine import CostModel
 from repro.relational.types import SqlType, width_function
@@ -155,21 +156,21 @@ class TestTransferCharge:
         assert math.fsum(map(row_cost, rows)) == 1e16 + 2
 
     def test_recompiled_after_eviction_to_the_bit(self, tiny_db):
-        """More shapes than the memo holds: the first one is evicted, and
-        compiled again it charges the same floats."""
+        """More shapes than the code cache holds: the first one is
+        evicted, and compiled again it charges the same floats."""
         conn = Connection(tiny_db, CostModel())
         types = [SqlType.INTEGER, SqlType.VARCHAR, SqlType.DATE]
         first = [ColumnInfo(f"c{i}", t) for i, t in enumerate(types)]
         rows = [(1, "abc", None), (None, "", None)]
         before = ([conn._row_cost_fn(first, False)(r) for r in rows],
                   conn._transfer_cost(first, rows, False))
-        for width in range(TRANSFER_CHARGES.max_entries + 1):
-            conn._transfer_cost(
-                [ColumnInfo(f"d{i}", SqlType.CHAR) for i in range(width)],
-                [], True)
+        column = [ColumnInfo("d", SqlType.CHAR)]
+        for i in range(CODE.max_entries + 1):
+            Connection(tiny_db, CostModel(), TransferModel(
+                row_ms=1.0 + i))._transfer_cost(column, [], True)
         for form in ("row", "rows"):
-            key = (conn.transfer_model, tuple(types), False, form)
-            assert TRANSFER_CHARGES.peek(key) is None
+            key = ("transfer", conn.transfer_model, tuple(types), False, form)
+            assert CODE.peek(key) is None
         after = ([conn._row_cost_fn(first, False)(r) for r in rows],
                  conn._transfer_cost(first, rows, False))
         assert after == before

@@ -298,7 +298,7 @@ class TestServerBasics:
         assert decode(encode(caches)) == caches     # crosses the wire
         assert set(caches) == {
             "plan_cache", "node_cache", "estimates", "views",
-            "transfer_charges", "xml_kernels", "pipelines", "by_view",
+            "generated_code", "by_view",
         }
         assert caches["plan_cache"] == decode(encode(
             server.stats()["plan_cache"]))

@@ -21,10 +21,11 @@ from repro.bench.queries import QUERY_1, QUERY_2, load_view
 from repro.common.ordering import flat_key
 from repro.core.partition import Partition, unified_partition
 from repro.core.sqlgen import PlanStyle, SqlGenerator
+from repro.relational.codegen import CODE
 from repro.relational.connection import Connection
 from repro.relational.engine import CostModel
 from repro.session import Session
-from repro.xmlgen.kernel import KERNELS, StreamShape
+from repro.xmlgen.kernel import StreamShape
 from repro.xmlgen.serializer import XmlWriter
 from repro.xmlgen.streams import (
     ComparatorLayout,
@@ -333,25 +334,27 @@ class TestCrafted:
 
 class TestCompiledOncePerProcess:
     def test_a_second_session_compiles_nothing(self, tiny_db):
-        """The kernels are cached process-wide by shape: a fresh session
-        exporting a shape another session exported hits the cache."""
-        for partition in ("unified", "fully-partitioned"):
-            first = Session(Connection(tiny_db, CostModel()))
-            first.materialize(QUERY_1, partition)
-            before = KERNELS.stats()
-            second = Session(Connection(tiny_db, CostModel()))
-            assert second.materialize(QUERY_1, partition).xml \
-                == first.materialize(QUERY_1, partition).xml
-            after = KERNELS.stats()
-            assert after.misses == before.misses
-            assert after.stores == before.stores
-            assert after.hits > before.hits
+        """All generated code — kernels, pipelines, transfer charges — is
+        cached process-wide by shape: a fresh session exporting what
+        another session exported hits the cache and compiles nothing."""
+        for query in (QUERY_1, QUERY_2):
+            for partition in (None, "unified", "fully-partitioned"):
+                first = Session(Connection(tiny_db, CostModel()))
+                first.materialize(query, partition)
+                before = CODE.stats()
+                second = Session(Connection(tiny_db, CostModel()))
+                assert second.materialize(query, partition).xml \
+                    == first.materialize(query, partition).xml
+                after = CODE.stats()
+                assert after.misses == before.misses
+                assert after.stores == before.stores
+                assert after.hits > before.hits
 
     def test_the_cache_is_bounded_and_holds_code(self, tiny_db):
-        assert KERNELS.name == "xml_kernels"
-        assert KERNELS.max_entries == 256
+        assert CODE.name == "generated_code"
+        assert CODE.max_entries == 1536
         Session(Connection(tiny_db, CostModel())).materialize(QUERY_2)
-        for _, kernel in KERNELS.items():
+        for _, kernel in CODE.items():
             assert callable(kernel)
             for cell in kernel.__closure__ or ():
                 value = cell.cell_contents
