@@ -4,15 +4,16 @@
     PYTHONPATH=src python3 benchmarks/cache_table.py --workload plan_sweep
 
 Every bounded map in ``src/`` is a :class:`repro.relational.cache.BoundedCache`
-with a name, so one hook on its constructor sees them all (but the one
-created at import, ``codegen.CODE``, added by hand).  For each of the
+with a name, so one hook on its constructor sees them all (but the ones
+created at import, ``codegen.CODE`` and ``silkroute.VIEW_DEFINITIONS``,
+added by hand).  For each of the
 four harness workloads this runs the harness's own traced run
 (``benchmarks/perf/run.py --workload W --trace 1``) in a child process with
 that hook installed, and adds up, per cache name, the counters of every
 instance the run created: hit rate = hits / (hits + misses) over all of
 them, peak = the most entries any one of them held.  The key and
 invalidation columns are facts about the code and are written here; the
-bounds are read off the live caches.  The per-view memo of prepared plans
+bounds are read off the live caches.  The memo of prepared plans
 (``SqlGenerator._stream_cache``) is a plain dict bounded by the view tree,
 not a ``BoundedCache``: a second hook, on ``SqlGenerator.__init__``, reads
 the largest one's size, and its row is written out below the others.  With
@@ -32,6 +33,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks" / "perf")]
 
 import run  # noqa: E402  (benchmarks/perf/run.py)
+from repro.core.silkroute import VIEW_DEFINITIONS  # noqa: E402
 from repro.core.sqlgen import SqlGenerator  # noqa: E402
 from repro.relational.cache import BoundedCache  # noqa: E402
 from repro.relational.codegen import CODE  # noqa: E402
@@ -56,12 +58,12 @@ VIEW_SWEEP = (
 PREPARED = "prepared_plans"
 PREPARED_ROW = [
     f"`{PREPARED}` — `SqlGenerator._stream_cache`, one generator per "
-    "`XmlView` and (style, reduce, keep); a dict, and a compile cache like "
-    "`decoders`",
+    "view definition and (style, reduce, keep), and one per sweep; a dict, "
+    "and a compile cache like `decoders`",
     "node-index set of the subtree",
     "the view tree: its connected subtrees (233 for nine edges)",
-    "nothing: a `StreamSpec` (plan, SQL text, fingerprint) depends on the "
-    "view tree only",
+    "nothing: a `StreamSpec` (plan, SQL text, fingerprint, lowered "
+    "pipelines) depends on the view tree only; a sweep's go with it",
 ]
 
 #: name -> (owner, key, what invalidates an entry)
@@ -102,7 +104,7 @@ CACHES = {
         "a write to any table of the view moves the key; " + VIEW_SWEEP,
     ),
     "decoders": (
-        "`ComparatorLayout._decoders`",
+        "`ComparatorLayout._decoders`, one layout per view definition",
         "stream shape (columns, sort keys, unit paths, their units' "
         "representatives and members)",
         "nothing: a decoder depends on the view tree only",
@@ -124,10 +126,20 @@ CACHES = {
         "nothing",
     ),
     "views": (
-        "`Session._views`",
+        "`Session._views`: a view's session half (planners with their "
+        "oracle answers, splice and document caches)",
         "RXL text",
-        "nothing: a view depends on its text and the schema only (an "
-        "evicted view is defined again)",
+        "nothing: an evicted view is made again on its definition, "
+        "planning anew",
+    ),
+    "view_definitions": (
+        "`repro.core.silkroute.VIEW_DEFINITIONS`, one per process: the "
+        "labeled view tree, its layout (`decoders`) and its generators "
+        "(`prepared_plans`)",
+        "(RXL text, `simplify_args`, the schema's structure: tables, "
+        "columns and types, keys, foreign keys with `not_null`)",
+        "nothing: a definition depends on its key only and holds no rows "
+        "(an evicted one is defined again)",
     ),
 }
 
@@ -135,9 +147,9 @@ CACHES = {
 def record_workload(workload, seed):
     """Run one traced harness workload here; return, per cache name, the
     summed counters of every :class:`BoundedCache` it created."""
-    # The module-level map exists before the hook; this process is
-    # fresh, so its counters are this run's.
-    created, generators = [CODE], []
+    # The module-level maps exist before the hook; this process is
+    # fresh, so their counters are this run's.
+    created, generators = [CODE, VIEW_DEFINITIONS], []
     construct = BoundedCache.__init__
     construct_generator = SqlGenerator.__init__
 

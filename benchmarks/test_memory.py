@@ -114,9 +114,10 @@ def measure(factor):
     ).generate()
     view = SilkRoute(Connection(db, CostModel())).define_view(QUERY_1)
     # The integration kernels and the engine's pipelines are compiled once
-    # per process (repro.relational.codegen.CODE): compile them outside
-    # the measured runs, in a view whose caches the measured one does not
-    # share.
+    # per process (repro.relational.codegen.CODE), and the view is defined
+    # once (its specs and decoders, VIEW_DEFINITIONS): compile them outside
+    # the measured runs, in a view whose result caches the measured one
+    # does not share.
     SilkRoute(Connection(db, CostModel())).define_view(QUERY_1) \
         .materialize(PLAN, reduce=False)
 

@@ -34,7 +34,7 @@ from repro.core.options import (
     positive_int,
     probability,
 )
-from repro.core.silkroute import SilkRoute
+from repro.core.silkroute import SilkRoute, view_definition
 from repro.obs import ObsOptions, metrics_json
 from repro.relational.backends import SqliteBackend, cross_validate
 from repro.session import Session, apply_delta as _apply_delta  # noqa: F401
@@ -626,12 +626,11 @@ def main(argv=None, out=sys.stdout):
             print(metrics_json(obs.metrics), file=out)
         return 0
 
-    tree = load_view(rxl, database.schema)
     if args.command == "plan":
-        planner = GreedyPlanner(
-            tree, database.schema, estimator, style=style, reduce=args.reduce
-        )
-        greedy = planner.plan()
+        definition = view_definition(rxl, database.schema)
+        tree = definition.tree
+        greedy = GreedyPlanner(tree, database.schema, estimator, generator=(
+            definition.generator(style, args.reduce))).plan()
         described = greedy.describe()
         print(f"mandatory edges: {described['mandatory']}", file=out)
         print(f"optional edges:  {described['optional']}", file=out)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from repro.common.errors import PlanError
 from repro.core.partition import Partition, Subtree
-from repro.core.sqlgen import PlanStyle, SqlGenerator
+from repro.core.sqlgen import PlanStyle
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -92,13 +92,13 @@ class GreedyPlanner:
     the plan that wins is served from the very specs that were costed."""
 
     def __init__(self, tree, schema, estimator, style=PlanStyle.OUTER_JOIN,
-                 reduce=False, keep=()):
+                 reduce=False, keep=(), generator=None):
+        if generator is None:   # a bare tree: define it here
+            from repro.core.silkroute import ViewDefinition
+            generator = ViewDefinition(tree, schema).generator(style, reduce, keep)
         self.tree = tree
-        self.schema = schema
         self.estimator = estimator
-        self.generator = SqlGenerator(
-            tree, schema, style=style, reduce=reduce, keep=keep
-        )
+        self.generator = generator
         #: component -> the oracle's ``(query_cost, data_size)``.
         self._component_cost = {}
         self.oracle_requests = 0

@@ -46,8 +46,9 @@ from repro.core.partition import (
     unified_partition,
 )
 from repro.core.viewtree import build_view_tree
+from repro.core.sqlgen import PlanStyle, SqlGenerator
 from repro.obs import obs_parts
-from repro.relational.cache import resolve_cache
+from repro.relational.cache import BoundedCache, resolve_cache
 from repro.relational.dispatch import (
     dispatch_width,
     execute_specs,
@@ -196,23 +197,59 @@ class _DispatchOutcome:
     span: object = None     # the dispatch trace span (None when tracing off)
 
 
+class ViewDefinition:
+    """What a view is before any data is read (Secs. 3–4): the labeled
+    ``tree``, its sort ``layout`` and decoders, and one generator (with its
+    prepared specs) per ``(style, reduce, keep)``.  It holds no rows and
+    nothing per session: the process shares it (:func:`view_definition`)."""
+
+    def __init__(self, tree, schema):
+        self.tree, self.schema = tree, schema
+        self.layout = ComparatorLayout(tree)
+        self._generators = {}
+
+    def generator(self, style=PlanStyle.OUTER_JOIN, reduce=False, keep=()):
+        key = (style, bool(reduce), tuple(keep))
+        generator = self._generators.get(key)
+        if generator is None:
+            generator = self._generators.setdefault(key, SqlGenerator(
+                self.tree, self.schema, style=style, reduce=reduce, keep=keep))
+        return generator
+
+
+#: (RXL text, simplify_args, schema structure) -> ViewDefinition.
+VIEW_DEFINITIONS = BoundedCache("view_definitions", max_entries=256)
+
+
+def view_definition(rxl_text, schema, simplify_args=False):
+    """Parse, validate and label ``rxl_text`` over ``schema``, once per
+    process (keyed by the schema's structure: a schema is mutable)."""
+    key = (rxl_text, bool(simplify_args), schema.structure())
+    definition = VIEW_DEFINITIONS.get(key)
+    if definition is None:
+        tree = build_view_tree(parse_rxl(rxl_text), schema, simplify_args=simplify_args)
+        label_view_tree(tree, schema)
+        definition = ViewDefinition(tree, schema)
+        VIEW_DEFINITIONS.store(key, definition)
+    return definition
+
+
 class XmlView:
     """One defined RXL view over a connection.
 
-    What it keeps lives as long as it is valid.  For its own life: per
-    ``(style, reduce, keep)`` one planner whose generator serves
-    planning, :meth:`explain`, execution and degradation alike (a
-    partition is served from the same prepared specs every time), and
-    the sort layout with its compiled decoders.  For one generation
-    vector: finished documents, retired by the first read that sees the
-    write; and per serialization and plan shape the last tagging, which
-    the next one re-tags from (:meth:`_tag_cached`).
+    What needs no data is the process's :class:`ViewDefinition`.  The
+    view keeps what is its session's: per ``(style, reduce, keep)`` a
+    planner over the definition's generator, asking the session's
+    estimator; for one generation vector, finished documents, retired by
+    the first read that sees the write; and per serialization and plan
+    shape the last tagging, which the next one re-tags from
+    (:meth:`_tag_cached`).
     """
 
-    def __init__(self, silkroute, tree, rxl_text):
+    def __init__(self, silkroute, definition):
         self.silkroute = silkroute
-        self.tree = tree
-        self.rxl_text = rxl_text
+        self.definition = definition
+        self.tree = definition.tree
         self._planners = {}
         #: The incremental-maintenance caches, filled and retired by
         #: :meth:`_tag_cached` when a result cache is installed: the last
@@ -221,9 +258,6 @@ class XmlView:
         #: documents (the same under every partition).
         self.instance_cache = FragmentCache()
         self.document_cache = XmlDocumentCache()
-        #: The tree's global sort layout and, inside it, the stream
-        #: decoders compiled so far, one per stream shape.
-        self._layout = ComparatorLayout(tree)
 
     # -- plan space ---------------------------------------------------------------
 
@@ -250,6 +284,9 @@ class XmlView:
         opts = resolve_options(options, overrides)
         return self._planner(opts).plan(params, obs_parts(opts.obs)[0])
 
+    def _generator(self, opts):
+        return self.definition.generator(opts.style, opts.reduce, opts.keep)
+
     def _planner(self, opts):
         """The view's planner for ``opts``' ``(style, reduce, keep)``; its
         ``generator`` is the one the view generates with under them."""
@@ -258,7 +295,7 @@ class XmlView:
         if planner is None:
             planner = self._planners.setdefault(key, GreedyPlanner(
                 self.tree, self.silkroute.schema, self.silkroute.estimator,
-                style=opts.style, reduce=opts.reduce, keep=opts.keep,
+                generator=self._generator(opts),
             ))
         return planner
 
@@ -284,13 +321,13 @@ class XmlView:
         :func:`~repro.relational.backends.cross_validate` checks on a real
         backend.  ``partition`` and the options are :meth:`materialize`'s
         (None: the greedy plan; ``reduce`` defaults to True).  Generated
-        once per view, under the ``sqlgen`` span, and checked against the
-        source description."""
+        once per process, under the ``sqlgen`` span, and checked against
+        the source description."""
         opts = resolve_options(options, overrides)
         partition = self._resolve_partition(partition, opts)
         tracer, _ = obs_parts(opts.obs)
         with tracer.span("sqlgen", style=opts.style.value) as sqlgen_span:
-            specs = self._planner(opts).generator.streams_for_partition(
+            specs = self._generator(opts).streams_for_partition(
                 partition, tracer
             )
             sqlgen_span.set(streams=len(specs))
@@ -438,7 +475,7 @@ class XmlView:
                     failure.partial_outcome = outcome()
                     raise failure
                 degraded.append(failing_spec.label)
-                generator = self._planner(opts).generator
+                generator = self._generator(opts)
                 finer_specs = [
                     generator.stream_for_subtree(s, tracer) for s in finer
                 ]
@@ -733,7 +770,7 @@ class XmlView:
                 _, tagger = tag_streams(
                     self.tree, specs, cursors, root_tag=root_tag,
                     writer=XmlWriter(sink=sink, indent=indent),
-                    obs=opts.obs, layout=self._layout,
+                    obs=opts.obs, layout=self.definition.layout,
                 )
             except Exception as exc:
                 if isinstance(exc, TimeoutExceeded):
@@ -785,16 +822,16 @@ class XmlView:
                 root_span.set(document_cached=True)
                 return document
             self.document_cache.discard_stale(database, at=2)
-            decoders = tuple(self._layout.decoder(spec) for spec in specs)
+            decoders = tuple(self.definition.layout.decoder(spec) for spec in specs)
             key = (root_tag, indent, decoders)
             spliced = splice_streams(
-                self._layout, specs, streams, decoders, root_tag, indent,
+                self.definition.layout, specs, streams, decoders, root_tag, indent,
                 previous=self.instance_cache.peek(key), obs=opts.obs,
             )
         if spliced is None:
             document = tag_streams(
                 self.tree, specs, streams, root_tag=root_tag, indent=indent,
-                obs=opts.obs, layout=self._layout,
+                obs=opts.obs, layout=self.definition.layout,
             )
         else:
             xml, tagger, tagging, reused = spliced
@@ -880,10 +917,6 @@ class SilkRoute:
         self.connection.faults = policy
 
     def define_view(self, rxl_text, simplify_args=False):
-        """Parse, validate, and label an RXL view definition."""
-        query = parse_rxl(rxl_text)
-        tree = build_view_tree(
-            query, self.schema, validate=True, simplify_args=simplify_args
-        )
-        label_view_tree(tree, self.schema)
-        return XmlView(self, tree, rxl_text)
+        """A view of ``rxl_text`` over this connection, on the process's
+        :class:`ViewDefinition` of it (:func:`view_definition`)."""
+        return XmlView(self, view_definition(rxl_text, self.schema, simplify_args))

@@ -106,9 +106,9 @@ class SqlGenerator:
     """Generates one :class:`StreamSpec` per subtree of a partition.
 
     One generator serves many partitions (a sweep visits 2^|E|, a view
-    keeps its generator for life) but the same subtree — the same node
-    set — recurs across most, so specs are memoized by node-index set: a
-    partition is served from the *same* specs every time.  The memo is
+    definition keeps its own for the process) but the same subtree — the
+    same node set — recurs across most, so specs are memoized by node-index
+    set: a partition is served from the *same* specs every time.  The memo is
     bounded by the tree (512 partitions of nine edges share 233
     subtrees); specs are immutable and nothing here is per-request, so
     threads share both (a raced first use keeps one).  Below the specs,
@@ -126,6 +126,7 @@ class SqlGenerator:
         self.keep = tuple(keep)
         self._stream_cache = {}
         self._rule_plans = {}
+        self._items = {}
 
     def streams_for_partition(self, partition, tracer=NULL_TRACER):
         """The partitioned relations' queries, in document order; the
@@ -217,17 +218,38 @@ class SqlGenerator:
         for level in l_levels:
             name = _l_name(level)
             if name in present:
-                items.append(ProjectItem(ColumnRef(name), name))
+                items.append(self._item(name))
             elif level < root.level:
-                items.append(ConstantColumn(name, root_prefix[level], SqlType.INTEGER))
+                items.append(self._constant(name, root_prefix[level]))
             else:
-                items.append(ConstantColumn(name, None, SqlType.INTEGER))
+                items.append(self._constant(name, None))
         for stv in stvs:
             if stv.name in present:
-                items.append(ProjectItem(ColumnRef(stv.name), stv.name))
+                items.append(self._item(stv.name))
             else:
-                items.append(ConstantColumn(stv.name, None, stv.sql_type))
+                items.append(self._constant(stv.name, None, stv.sql_type))
         return Project(body, items)
+
+    def _item(self, column, name=None):
+        """The item reading ``column`` as ``name`` (default: its own)."""
+        return self._shared(ProjectItem(ColumnRef(column), name or column))
+
+    def _constant(self, name, value, sql_type=SqlType.INTEGER):
+        """The item of a constant column: an L tag, a branch tag, a NULL."""
+        return self._shared(ConstantColumn(name, value, sql_type))
+
+    def _renamed(self, plan, keys):
+        """``plan`` with its ``keys`` columns renamed apart, as the right
+        input of a join on them."""
+        return Project(plan, [
+            self._item(c.name, _JOIN_PREFIX + c.name if c.name in keys else None)
+            for c in plan.columns()
+        ])
+
+    def _shared(self, item):
+        """``item``, or the equal one made before: the generator's
+        projections share their items, and the items their fingerprints."""
+        return self._items.setdefault(item, item)
 
     # -- node (unit) base queries ------------------------------------------------
 
@@ -264,18 +286,15 @@ class SqlGenerator:
         the L path and stop early."""
         base = self._node_query(unit)
         own_tags = self._l_constants(unit, parent_level)
-        own_items = own_tags + [
-            ProjectItem(ColumnRef(stv.name), stv.name) for stv in unit.args
-        ]
+        own_items = own_tags + [self._item(stv.name) for stv in unit.args]
         if not unit.children:
             return Project(base, own_items)
 
         child_plans = []
         for ordinal, child in enumerate(unit.children):
             plan = self._outer_join_plan(child, unit.level)
-            items = [ProjectItem(ColumnRef(c.name), c.name)
-                     for c in plan.columns()]
-            items.append(ConstantColumn(_BRANCH_TAG, ordinal, SqlType.INTEGER))
+            items = [self._item(c.name) for c in plan.columns()]
+            items.append(self._constant(_BRANCH_TAG, ordinal))
             child_plans.append(Project(plan, items))
         union = child_plans[0] if len(child_plans) == 1 else OuterUnion(child_plans)
 
@@ -283,15 +302,7 @@ class SqlGenerator:
         for child in unit.children:
             join_key_names.update(s.name for s in unit.shared_args(child))
         join_key_names.add(_BRANCH_TAG)
-        renamed_items = []
-        for col in union.columns():
-            if col.name in join_key_names:
-                renamed_items.append(
-                    ProjectItem(ColumnRef(col.name), _JOIN_PREFIX + col.name)
-                )
-            else:
-                renamed_items.append(ProjectItem(ColumnRef(col.name), col.name))
-        renamed = Project(union, renamed_items)
+        renamed = self._renamed(union, join_key_names)
 
         # Tag each branch on the child's first bridged level (paper style:
         # ``ON (L2=1 AND ...) OR (L2=2 AND ...)``).  When reduction makes
@@ -321,14 +332,10 @@ class SqlGenerator:
             )
         join = LeftOuterJoin(base, renamed, branches)
 
-        out_items = list(own_tags)
-        out_items.extend(
-            ProjectItem(ColumnRef(stv.name), stv.name) for stv in unit.args
-        )
-        for col in renamed.columns():
-            if not col.name.startswith(_JOIN_PREFIX):
-                out_items.append(ProjectItem(ColumnRef(col.name), col.name))
-        return Project(join, out_items)
+        return Project(join, own_items + [
+            self._item(c.name) for c in renamed.columns()
+            if not c.name.startswith(_JOIN_PREFIX)
+        ])
 
     # -- outer-union style ([9]) ------------------------------------------------------
 
@@ -348,15 +355,7 @@ class SqlGenerator:
         for parent, child in zip(path, path[1:]):
             child_base = self._tagged_base(child, parent.level)
             shared = parent.shared_args(child)
-            renamed_items = []
-            for col in child_base.columns():
-                if col.name in {s.name for s in shared}:
-                    renamed_items.append(
-                        ProjectItem(ColumnRef(col.name), _JOIN_PREFIX + col.name)
-                    )
-                else:
-                    renamed_items.append(ProjectItem(ColumnRef(col.name), col.name))
-            renamed = Project(child_base, renamed_items)
+            renamed = self._renamed(child_base, {s.name for s in shared})
             equalities = [(s.name, _JOIN_PREFIX + s.name) for s in shared]
             label = child.representative.label
             if label in ("1", "+"):
@@ -366,7 +365,7 @@ class SqlGenerator:
                     plan, renamed, [JoinBranch(tuple(equalities))]
                 )
             out_items = [
-                ProjectItem(ColumnRef(c.name), c.name)
+                self._item(c.name)
                 for c in joined.columns()
                 if not c.name.startswith(_JOIN_PREFIX)
             ]
@@ -376,17 +375,15 @@ class SqlGenerator:
     def _tagged_base(self, unit, parent_level):
         base = self._node_query(unit)
         items = self._l_constants(unit, parent_level)
-        items.extend(ProjectItem(ColumnRef(s.name), s.name) for s in unit.args)
+        items.extend(self._item(s.name) for s in unit.args)
         return Project(base, items)
 
-    @staticmethod
-    def _l_constants(unit, parent_level):
+    def _l_constants(self, unit, parent_level):
         """The L tag constants this unit contributes: its own level plus
         any levels bridging the gap to the parent unit's representative."""
         start = unit.level if parent_level is None else parent_level + 1
         return [
-            ConstantColumn(_l_name(level), unit.index[level - 1],
-                           SqlType.INTEGER)
+            self._constant(_l_name(level), unit.index[level - 1])
             for level in range(start, unit.level + 1)
         ]
 

@@ -262,12 +262,8 @@ class Operator:
         return tuple(c.name for c in self.columns())
 
     def positions(self):
-        """Map column name -> index; cached per instance."""
-        cached = getattr(self, "_positions", None)
-        if cached is None:
-            cached = {c.name: i for i, c in enumerate(self.columns())}
-            self._positions = cached
-        return cached
+        """Map column name -> index (not kept: read once per lowering)."""
+        return {c.name: i for i, c in enumerate(self.columns())}
 
     def fingerprint(self):
         """Structural fingerprint (a hashable tuple); cached per instance.
@@ -346,6 +342,14 @@ class ProjectItem:
     name: str
     sql_type: SqlType = None
 
+    def fingerprint(self):
+        """``(name, expr fingerprint)``, kept: generators share items."""
+        cached = getattr(self, "_fp", None)
+        if cached is None:
+            cached = (self.name, self.expr.fingerprint())
+            object.__setattr__(self, "_fp", cached)
+        return cached
+
 
 def ConstantColumn(name, value, sql_type=None):
     """Sugar: a :class:`ProjectItem` producing a constant column, used for
@@ -370,6 +374,9 @@ class Project(Operator):
                     raise QueryError(
                         f"projection references unknown column {expr.name!r}"
                     ) from None
+                if item.name == base.name and item.sql_type in (None, base.sql_type):
+                    out.append(base)    # passed through: the child's own
+                    continue
                 out.append(
                     ColumnInfo(
                         name=item.name,
@@ -400,7 +407,7 @@ class Project(Operator):
     def _fingerprint(self):
         return (
             "project",
-            tuple((i.name, i.expr.fingerprint()) for i in self.items),
+            tuple(item.fingerprint() for item in self.items),
             self.child.fingerprint(),
         )
 

@@ -157,6 +157,13 @@ class DatabaseSchema:
     def tables(self):
         return tuple(self._tables.values())
 
+    def structure(self):
+        """What view trees and labels depend on, hashable: tables (columns,
+        keys, unique sets) and foreign keys (``not_null`` too); per call."""
+        tables = tuple((t.name, t.columns, t.key, t.unique_sets)
+                       for t in self._tables.values())
+        return tables, tuple(self.foreign_keys)
+
     def foreign_keys_from(self, table_name):
         """Foreign keys whose referencing side is ``table_name``."""
         return [fk for fk in self.foreign_keys if fk.table == table_name]

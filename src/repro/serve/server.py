@@ -41,6 +41,7 @@ from dataclasses import replace
 
 from repro.common.errors import OverloadError, QueryError, ReproError, tag_request
 from repro.core.options import RequestContext, resolve_options
+from repro.core.silkroute import VIEW_DEFINITIONS
 from repro.obs.metrics import MetricsRegistry
 from repro.relational.cache import SingleFlight
 from repro.relational.codegen import CODE
@@ -466,11 +467,10 @@ class Server:
         return {
             **summary(engine.cache, engine.node_cache,
                       session.silkroute.estimator.cache, session._views,
-                      CODE),
+                      VIEW_DEFINITIONS, CODE),
             "by_view": {
                 names.get(rxl, rxl): summary(
-                    view.instance_cache, view.document_cache,
-                    view._layout._decoders)
+                    view.instance_cache, view.document_cache)
                 for rxl, view in session._views.items()
             },
         }

@@ -21,8 +21,9 @@ so callers switch between ``materialize``/``explain``/``sweep`` without
 re-learning a result shape.
 
 A session owns one :class:`~repro.core.silkroute.SilkRoute` (or wraps
-one you built) and caches the parsed :class:`XmlView` per RXL text, so
-repeated queries share planners, splice caches, and finished-document
+one you built) and caches its :class:`XmlView` per RXL text (over the
+process's :class:`~repro.core.silkroute.ViewDefinition`), so repeated
+queries share planners, splice caches, and finished-document
 caches.  Default :class:`~repro.core.options.ExecutionOptions` given at
 construction apply to every call; per-call ``options=`` or explicit
 keywords override them.
@@ -261,7 +262,7 @@ class Session:
         return self._silkroute.connection.database
 
     def view(self, query):
-        """The parsed :class:`~repro.core.silkroute.XmlView` for ``query``
+        """The :class:`~repro.core.silkroute.XmlView` for ``query``
         (RXL text or a defined view), the 256 last used texts cached."""
         if isinstance(query, str):
             view = self._views.get(query)

@@ -71,8 +71,8 @@ class ComparatorLayout:
     one pair per layout entry (:func:`repro.common.ordering.flat_key`):
     NULLs first, compared entirely in C.  The layout also owns the
     :class:`StreamDecoder` of every stream shape decoded against it, kept
-    by whoever keeps the layout (an :class:`~repro.core.silkroute.XmlView`
-    does, for its lifetime).
+    by whoever keeps the layout (a view's
+    :class:`~repro.core.silkroute.ViewDefinition`, for the process).
     """
 
     def __init__(self, tree):

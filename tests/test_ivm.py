@@ -695,7 +695,8 @@ class TestSpliceEqualsCold:
         db, session = splice_session()
         view = session.view(PARTY_DIRECTORY)
         session.materialize(PARTY_DIRECTORY, plan)
-        decoders = [view._layout.decoder(spec) for spec in view.specs(plan)]
+        decoders = [view.definition.layout.decoder(spec)
+                    for spec in view.specs(plan)]
         assert None in [decoder.group_of for decoder in decoders]
         _apply_delta(db, "Customer", "update", 2, seed=4)
         served = session.materialize(PARTY_DIRECTORY, plan)
@@ -703,15 +704,18 @@ class TestSpliceEqualsCold:
         assert len(view.instance_cache) == 0
         assert view.instance_cache.stats()["requests"] == 0
 
-    def test_groups_the_tagger_does_not_confirm_are_not_kept(self):
+    def test_groups_the_tagger_does_not_confirm_are_not_kept(
+            self, monkeypatch):
         """The top-level elements the tagger marks must be the groups the
         rows spell, one each: grouping two suppliers together fails it,
-        and the document is tagged the ordinary way."""
+        and the document is tagged the ordinary way.  (The decoders are
+        the process's view definition's: the test puts them back.)"""
         db, session = splice_session()
         view = session.view(QUERY_1)
         for spec in view.specs():
-            decoder = view._layout.decoder(spec)
-            decoder.group_of = (
+            decoder = view.definition.layout.decoder(spec)
+            monkeypatch.setattr(
+                decoder, "group_of",
                 lambda row, key=decoder.group_of: key(row) // 2)
         served = session.materialize(QUERY_1)
         assert tagged(served) == tagged(cold_run(db, QUERY_1))

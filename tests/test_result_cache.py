@@ -289,9 +289,10 @@ class _Kind:
 
 
 KINDS = [
-    # The engine's compiled plans, the session's view and dedup maps, a
-    # layout's decoders, the estimator's estimates (whose request counters
-    # and counting ``clear`` are tests/test_estimator.py's).
+    # The engine's compiled plans, the session's view and dedup maps, the
+    # process's view definitions, a layout's decoders, the estimator's
+    # estimates (whose request counters and counting ``clear`` are
+    # tests/test_estimator.py's).
     _Kind("bare",
           lambda n, b: BoundedCache("t", max_entries=n, max_bytes=b,
                                     size_of=len),

@@ -298,16 +298,18 @@ class TestServerBasics:
         assert decode(encode(caches)) == caches     # crosses the wire
         assert set(caches) == {
             "plan_cache", "node_cache", "estimates", "views",
-            "generated_code", "by_view",
+            "view_definitions", "generated_code", "by_view",
         }
         assert caches["plan_cache"] == decode(encode(
             server.stats()["plan_cache"]))
         assert caches["views"]["entries"] == 2
+        # Each view is defined once in the process; the definitions (and
+        # their decoders) are shared, so no view lists them as its own.
+        assert caches["view_definitions"]["entries"] >= 2
         # A registered view goes by its name, an inline one by its text.
         assert set(caches["by_view"]) == {"q1", inline}
         for view_caches in caches["by_view"].values():
-            assert set(view_caches) == {
-                "instance_cache", "document_cache", "decoders"}
+            assert set(view_caches) == {"instance_cache", "document_cache"}
         q1 = caches["by_view"]["q1"]
         assert q1["document_cache"]["entries"] == 1
         assert q1["document_cache"]["invalidations"] == 1
