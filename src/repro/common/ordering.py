@@ -18,12 +18,17 @@ engine and the backend validation sort with it.  The hot paths compare
 millions of keys and use the equivalent wrapper-free encoding of
 :func:`flat_key`, which compares entirely in C: the XML integration
 (:mod:`repro.xmlgen.streams`) row by row, the batch engine's ``ORDER BY``
-column by column (:func:`column_keys`).
+column by column (:func:`column_keys`).  That sort never scans a key
+column for its value types: the caller passes them, derived from the plan
+and the tables' kept facts, and where they show that the keys are the
+whole row and each column holds one type (:func:`rows_are_keys`) it sorts
+the rows themselves, with no key at all.
 """
 
 from functools import total_ordering
 from itertools import repeat
 from operator import is_not
+from types import NoneType
 
 
 @total_ordering
@@ -107,28 +112,43 @@ def flat_key(values):
     return tuple(key)
 
 
-def column_keys(columns):
+def column_keys(columns, kinds):
     """:func:`flat_key` built column-wise, with what it does not need left
     out: one key per row of ``columns`` (equal-length, non-empty value
-    lists), comparing as that row's :func:`sort_key`.  A column holding
-    one value of one type orders nothing and is dropped; any other column
-    of one value type compares raw.  In front of a column of one type
-    and NULLs goes ``value is not None`` (False sorts first: all a tag
-    has to tell there), in front of a column of mixed types its tag
-    column.  None when every column was dropped (all rows tie).  The
-    batch engine sorts with these keys, so the comparisons run in C."""
+    lists), comparing as that row's :func:`sort_key`.  ``kinds`` holds,
+    per column, the value types it may hold (``NoneType`` for a NULL) —
+    facts the caller knows from the plan and the tables; a superset is
+    correct, only slower.  A column of one type holding one value orders
+    nothing and is dropped; any other column of one type compares raw.
+    In front of a column of one type and NULLs goes ``value is not None``
+    (False sorts first: all a tag has to tell there), in front of a
+    column of mixed types its tag column.  None when every column was
+    dropped (all rows tie).  The batch engine sorts with these keys, so
+    the comparisons run in C."""
     parts = []
-    for column in columns:
-        kinds = set(map(type, column))
-        if len(kinds) == 1:
+    for column, types in zip(columns, kinds):
+        if len(types) == 1:
             if column.count(column[0]) == len(column):
                 continue
-        elif len(kinds) == 2 and type(None) in kinds:
+        elif len(types) == 2 and NoneType in types:
             parts.append(list(map(is_not, column, repeat(None))))
         else:
             parts.append(list(map(TYPE_TAGS.__getitem__, map(type, column))))
         parts.append(column)
     return list(zip(*parts)) if parts else None
+
+
+def rows_are_keys(arity, key_positions, kinds, constant=()):
+    """Whether rows of ``arity`` columns sort by the columns at
+    ``key_positions`` (of value types ``kinds``) exactly as the rows
+    themselves compare: the keys are the whole row in order — leaving
+    aside the positions in ``constant``, which hold one value throughout
+    and tie everywhere — and no key column may hold two types (a column
+    of NULLs only is equal throughout, never compared by ``<``).  Then
+    ``sorted(rows)`` is the :func:`sort_key` order, ties in input order."""
+    return ([p for p in key_positions if p not in constant]
+            == [p for p in range(arity) if p not in constant]
+            and all(len(types) == 1 for types in kinds))
 
 
 def compare(left, right):

@@ -17,7 +17,7 @@ lists may be mutated after construction.
 """
 
 from repro.relational.table import hash_rows
-from repro.relational.types import average_column_width
+from repro.relational.types import average_column_width, average_row_width
 
 
 class Batch:
@@ -106,15 +106,15 @@ class Batch:
         return list(zip(*[map(column.__getitem__, order)
                           for column in self._columns]))
 
-    def average_width(self, columns, values=None):
-        """:func:`~repro.relational.types.average_column_width` of the
-        rows typed by ``columns``, sampled from the column ``values`` (by
-        default :meth:`columns`): the rows
-        :func:`~repro.relational.types.average_row_width` samples, the
-        same sum."""
-        if values is None:
-            values = self.columns()
-        return average_column_width(columns, values, self.length)
+    def average_width(self, columns, nullable=None):
+        """:func:`~repro.relational.types.average_row_width` of the rows
+        typed by ``columns`` (``nullable`` as there), sampled from
+        whichever form the batch holds: the same rows, the same integer
+        sum, and no transpose."""
+        if self._rows is not None:
+            return average_row_width(columns, self._rows, nullable=nullable)
+        return average_column_width(columns, self._columns, self.length,
+                                    nullable=nullable)
 
     def __len__(self):
         return self.length

@@ -446,19 +446,21 @@ class PlanResultCache(BoundedCache):
     #: Whether a complete entry keeps its rows — and so weighs them.
     keeps_rows = True
 
-    def record(self, key, plan, rows, charge_log):
+    def record(self, key, plan, rows, charge_log, row_bytes=None):
         """Store a fresh evaluation of ``plan`` — its ``rows``, or None for
         the charge prefix of a timed-out run — weighed by what this cache
-        keeps of it; return the entry."""
+        keeps of it; return the entry.  ``row_bytes`` is the rows' average
+        width when the run already sampled it (a root sort does), else
+        the rows are sampled here."""
         nbytes = 64 * len(charge_log)
         if rows is not None:
             nbytes += 128
         if rows and self.keeps_rows:
             # ~56 bytes of tuple/pointer overhead per row in CPython.
             columns = plan.columns()
-            nbytes += len(rows) * (
-                average_row_width(columns, rows) + 56 + 8 * len(columns)
-            )
+            if row_bytes is None:
+                row_bytes = average_row_width(columns, rows)
+            nbytes += len(rows) * (row_bytes + 56 + 8 * len(columns))
         entry = CacheEntry(rows, tuple(charge_log), rows is not None, nbytes)
         self.store(key, entry)
         return entry

@@ -270,6 +270,10 @@ class _Charges:
         self.breakdown = {}
         self.memo = {}
         self.log = None
+        #: The width the last sort sampled from its input (the root sort
+        #: runs last): what a plan-cache entry of a sorted plan weighs per
+        #: row, so the rows are not sampled twice.
+        self.sort_row_bytes = None
 
     def charge(self, label, ms, rows=0):
         ms = self.model.scaled(ms)
@@ -511,7 +515,9 @@ class QueryEngine:
             except TimeoutExceeded:
                 cache.record(key, plan, None, charges.log)
                 raise
-            entry = cache.record(key, plan, rows, charges.log)
+            entry = cache.record(
+                key, plan, rows, charges.log,
+                charges.sort_row_bytes if isinstance(plan, Sort) else None)
         finally:
             cache.finish(key)
         return self._result(plan, rows, charges, entry.transfer_sums)
@@ -845,7 +851,8 @@ class QueryEngine:
 
         n = len(rows)
         if n:
-            row_bytes = average_row_width(op.child.columns(), rows)
+            row_bytes = charges.sort_row_bytes = average_row_width(
+                op.child.columns(), rows)
             charges.charge("sort", self.cost_model.sort_ms(n, row_bytes), n)
         del rows
         yield from _drain(out)

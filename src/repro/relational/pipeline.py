@@ -40,8 +40,10 @@ plans that differ only in a literal share it, and a fresh session running
 a known shape compiles nothing.
 """
 
+from types import NoneType
+
 from repro.common.errors import ExecutionError, QueryError
-from repro.common.ordering import column_keys
+from repro.common.ordering import column_keys, rows_are_keys
 from repro.relational import algebra, codegen
 from repro.relational.algebra import (
     Scan,
@@ -78,22 +80,79 @@ def lower(plan):
     return program
 
 
-def sort_rows(batch, key_positions, columns=None):
+def sort_rows(batch, key_positions, kinds, constant=()):
     """The rows of ``batch`` in a new list, sorted by the columns at
-    ``key_positions``: one stable sort on a composite key built
-    column-wise (:func:`~repro.common.ordering.column_keys`), lexicographic
-    with ties in input order — exactly the tuple engine's
-    ``sorted(key=sort_key(...))``, NULLS FIRST and mixed types by type
-    name included.  ``columns`` are the batch's value columns, if already
-    at hand."""
+    ``key_positions``, whose value types are ``kinds`` (per key column,
+    the types it may hold, ``NoneType`` for a NULL); ``constant`` are
+    positions known to hold one value throughout.  The rows themselves
+    are sorted where that is the order
+    (:func:`~repro.common.ordering.rows_are_keys`), else the row indexes,
+    once, on a composite key built column-wise
+    (:func:`~repro.common.ordering.column_keys`) — lexicographic with ties
+    in input order, exactly the tuple engine's ``sorted(key=sort_key(...))``,
+    NULLS FIRST and mixed types by type name included."""
+    if rows_are_keys(batch.arity, key_positions, kinds, constant):
+        return sorted(batch.rows())
     n = batch.length
-    if columns is None:
-        columns = batch.columns()
+    columns = batch.columns()
     keys = key_positions and n and column_keys(
-        [columns[p] for p in key_positions])
+        [columns[p] for p in key_positions], kinds)
     if not keys:
         return list(batch.rows())
     return batch.gather(sorted(range(n), key=keys.__getitem__))
+
+
+def column_facts(plan, memo=None):
+    """What ``plan`` tells of the values of each of its output columns,
+    in order: ``(types, sources, constant)`` — the types the plan itself
+    puts there (a literal's; ``NoneType`` where a left outer join pads or
+    an outer-union input lacks the column), the base columns ``(table,
+    column)`` whose values reach it, and whether it is one literal
+    throughout.  ``memo`` (by operator id) serves a sub-plan the plan
+    reads twice.  An operator it does not know raises
+    :class:`~repro.common.errors.ExecutionError`: a sort above it has no
+    facts, and no fallback that would scan its rows."""
+    memo = {} if memo is None else memo
+    facts = memo.get(id(plan))
+    if facts is not None:
+        return facts
+    if isinstance(plan, Scan):
+        facts = [((), (column.source,), False) for column in plan.columns()]
+    elif isinstance(plan, (Filter, Distinct, Sort)):
+        facts = column_facts(plan.child, memo)
+    elif isinstance(plan, Project):
+        # A projection admits a column reference or a literal only.
+        below = column_facts(plan.child, memo)
+        positions = plan.child.positions()
+        facts = [
+            below[positions[item.expr.name]]
+            if isinstance(item.expr, ColumnRef)
+            else ((type(item.expr.value),), (), True)
+            for item in plan.items
+        ]
+    elif isinstance(plan, InnerJoin):
+        facts = column_facts(plan.left, memo) + column_facts(plan.right, memo)
+    elif isinstance(plan, LeftOuterJoin):
+        facts = column_facts(plan.left, memo) + [
+            (types if NoneType in types else (*types, NoneType), sources,
+             False)
+            for types, sources, _ in column_facts(plan.right, memo)]
+    elif isinstance(plan, OuterUnion):
+        merged = {name: ({}, {}) for name in plan.column_names()}
+        for child in plan.inputs:
+            found = dict(zip(child.column_names(), column_facts(child, memo)))
+            for name, (types, sources) in merged.items():
+                if name in found:
+                    types.update(dict.fromkeys(found[name][0]))
+                    sources.update(dict.fromkeys(found[name][1]))
+                else:
+                    types[NoneType] = None
+        facts = [(tuple(types), tuple(sources), False)
+                 for types, sources in merged.values()]
+    else:
+        raise ExecutionError(f"cannot tell the value types of {plan!r}")
+    memo[id(plan)] = facts
+    return facts
 
 
 # -- units ----------------------------------------------------------------
@@ -208,26 +267,49 @@ class _Sort:
     """A breaker not offered to the node cache: in every plan the view
     generator builds the sort is the root, whose result is the plan
     cache's to keep and is never looked up again by fingerprint.  It
-    charges before it sorts: the charge needs only the input."""
+    charges before it sorts: the charge needs only the input.  Each
+    column's value types are read from the tables its values come from
+    (:func:`column_facts`, :meth:`Table.value_types
+    <repro.relational.table.Table.value_types>`), never from the rows:
+    they pick the sort's path and spare the width sample the fixed-width
+    columns that hold no NULL."""
 
     def __init__(self, op, inputs):
         self.inputs = inputs
         self.arity = len(op.columns())
         positions = op.child.positions()
         self.key_positions = [positions[key] for key in op.keys]
+        facts = column_facts(op.child)
+        self.types = tuple(types for types, _, _ in facts)
+        self.sources = tuple(sources for _, sources, _ in facts)
+        self.constant = tuple(
+            p for p, (_, _, constant) in enumerate(facts) if constant)
         self.child_columns = op.child.columns()
+
+    def kinds(self, database):
+        """Per input column, the value types it may hold over
+        ``database``."""
+        table = database.table
+        return [
+            set(types).union(*[table(name).value_types(column)
+                               for name, column in sources])
+            for types, sources in zip(self.types, self.sources)
+        ]
 
     def run(self, database, charges):
         batch = self.inputs[0].run(database, charges)
         n = batch.length
-        columns = batch.columns()
+        kinds = self.kinds(database)
         if n:
             # The width is sampled from the *input-order* rows, as in the
-            # tuple engine.
-            row_bytes = batch.average_width(self.child_columns, columns)
+            # tuple engine; a plan-cache entry of a sorted plan weighs it.
+            row_bytes = charges.sort_row_bytes = batch.average_width(
+                self.child_columns, [NoneType in types for types in kinds])
             charges.charge("sort", charges.model.sort_ms(n, row_bytes), n)
         return Batch.from_rows(
-            sort_rows(batch, self.key_positions, columns), self.arity)
+            sort_rows(batch, self.key_positions,
+                      [kinds[p] for p in self.key_positions], self.constant),
+            self.arity)
 
 
 class _Pipeline:

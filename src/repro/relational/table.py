@@ -43,9 +43,10 @@ class Table:
     """A bag of rows conforming to a :class:`TableSchema`.
 
     Rows are plain tuples in schema column order.  The primary key is
-    enforced on insert.  Hash indexes over arbitrary column subsets are
-    built lazily and kept until the next write; the batch engine probes
-    them where a join's build side is a base table.
+    enforced on insert.  Hash indexes over arbitrary column subsets and
+    each column's value types are built lazily and kept until the next
+    write; the batch engine probes the indexes where a join's build side
+    is a base table and sorts by the types.
     """
 
     def __init__(self, schema):
@@ -357,6 +358,19 @@ class Table:
                 self.rows, [self.schema.column_index(name) for name in key]
             )
         return index
+
+    def value_types(self, name):
+        """The types of the values in column ``name`` — ``NoneType`` among
+        them when it holds a NULL, none for an empty table: one C-level
+        pass on first use, kept beside :meth:`index_on`'s indexes and
+        dropped with them by every write.  The batch engine's sort reads
+        its key columns' types here instead of from the rows it sorts."""
+        key = (type, name)
+        kinds = self._indexes.get(key)
+        if kinds is None:
+            column = map(itemgetter(self.schema.column_index(name)), self.rows)
+            kinds = self._indexes[key] = frozenset(map(type, column))
+        return kinds
 
     def column_values(self, name):
         """All values of one column, in row order."""

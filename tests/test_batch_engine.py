@@ -14,9 +14,16 @@ that composes with execution.  Tested here:
 * **end-to-end identity** (hypothesis) — materialized XML bytes and
   report figures match at every dispatch width and under injected
   faults on a replica pool;
-* **sort semantics** (hypothesis) — the batch engine's one sort on a
-  composite key reproduces :class:`~repro.common.ordering.NoneFirst`
-  exactly, for NULLs, duplicates and pathological mixed-type columns;
+* **sort semantics** (hypothesis) — the batch engine's sort, told each
+  key column's value types, reproduces
+  :class:`~repro.common.ordering.NoneFirst` exactly, for NULLs,
+  duplicates and pathological mixed-type columns, whether it builds a
+  composite key or sorts rows that are their own key;
+* **sort facts** — on random lowered plans (mixed-type base columns,
+  NULL literals, outer-join padding, outer-union slots a branch lacks)
+  rows, charge log and plan-cache entry equal the tuple engine's; on the
+  paper's plans the derived types hold every scanned type and the number
+  of sorts that sort rows as they are is pinned;
 * **mode plumbing** — the mode is fixed at construction
   (``QueryEngine(engine=…)`` / ``Connection(engine=…)``), validated there,
   and engines of different modes replay each other's cache entries;
@@ -29,8 +36,9 @@ that composes with execution.  Tested here:
   outer joins, a shared prefix that cuts a chain, a budget that runs out
   inside a pipeline, node-cache hits at breakers, concurrent first runs);
 * **table indexes** — no write path (insert, update, delete,
-  ``apply_update``, ``apply_delete``, ``restore``, WAL recovery) leaves a
-  join probing an index of the old rows;
+  ``apply_update``, ``apply_delete``, ``restore``, WAL recovery,
+  ``Session.mutate``) leaves a join probing an index, or a sort reading
+  value types, of the old rows;
 * **sort width** — sampled from columns, the row form's integer sum.
 """
 
@@ -45,13 +53,16 @@ from hypothesis import (
 )
 
 from repro.cli import build_parser
-from repro.common.errors import TimeoutExceeded, TransientConnectionError
+from repro.common.errors import (
+    ExecutionError, TimeoutExceeded, TransientConnectionError,
+)
+from repro.common import ordering
 from repro.common.ordering import NoneFirst, sort_key
 from repro.core.options import ExecutionOptions, resolve_options
 from repro.core.partition import enumerate_partitions, unified_partition
 from repro.core.silkroute import SilkRoute
 from repro.core.sqlgen import PlanStyle, SqlGenerator
-from repro.bench.queries import QUERY_1
+from repro.bench.queries import QUERY_1, QUERY_2
 from repro.obs.metrics import MetricsRegistry
 from repro.relational import pipeline
 from repro.relational.batch import Batch
@@ -64,8 +75,8 @@ from repro.relational.engine import (
 from repro.relational.faults import FaultPolicy, RetryPolicy
 from repro.relational.algebra import (
     And, ColumnInfo, ColumnRef, Comparison, Distinct, Filter, InnerJoin,
-    JoinBranch, LeftOuterJoin, Literal, OuterUnion, Project, ProjectItem,
-    Scan, Sort,
+    JoinBranch, LeftOuterJoin, Literal, Operator, OuterUnion, Project,
+    ProjectItem, Scan, Sort,
 )
 from repro.relational.database import Database
 from repro.relational.schema import Column, DatabaseSchema, TableSchema
@@ -73,6 +84,8 @@ from repro.relational.types import (
     SqlType, average_column_width, average_row_width,
 )
 from repro.relational.wal import WriteAheadLog, recover
+from repro.session import Session
+from repro.tpch.generator import TpchGenerator, TpchScale
 
 
 def fresh_view(tiny_db, tiny_estimator, engine="batch"):
@@ -169,23 +182,114 @@ def _sort_cases(draw):
     return rows, len(kinds) + 1, keys[:draw(st.integers(1, len(kinds)))]
 
 
+def _scanned_types(rows, keys):
+    """The value types each key column of ``rows`` holds, found by
+    scanning: what the sort is told instead of scanning."""
+    return [frozenset(type(row[k]) for row in rows) for k in keys]
+
+
 class TestSortKernel:
     """The batch ``Sort`` (:func:`pipeline.sort_rows`) is the tuple
     engine's ``sorted(key=sort_key(...))``: NULLs first, mixed types by
     type name, ties in input order — over row-backed and column-backed
-    input."""
+    input, told each key column's value types exactly or as a superset."""
 
-    @given(case=_sort_cases(), column_backed=st.booleans())
+    @given(case=_sort_cases(), column_backed=st.booleans(),
+           widen=st.sets(st.sampled_from([type(None), int, str])))
     @settings(max_examples=300, deadline=None)
-    def test_equals_sorted_by_sort_key(self, case, column_backed):
+    def test_equals_sorted_by_sort_key(self, case, column_backed, widen):
         rows, arity, keys = case
         batch = (
             Batch.from_columns([[r[i] for r in rows] for i in range(arity)],
                                len(rows))
             if column_backed else Batch.from_rows(rows, arity)
         )
-        out = pipeline.sort_rows(batch, list(keys))
+        kinds = [types | widen for types in _scanned_types(rows, keys)]
+        out = pipeline.sort_rows(batch, list(keys), kinds)
         assert out == sorted(rows, key=lambda r: sort_key([r[k] for k in keys]))
+
+
+class _Name(str):
+    """A ``str`` subclass: its own type name, so ``NoneFirst`` orders it
+    apart from plain strings."""
+
+
+_DATETIMES = [datetime.datetime(2001, 5, 21, 12), datetime.datetime(2001, 5, 22)]
+#: Key columns as the tables and plans hold them: one type, a type with
+#: NULLs, DECIMAL's int/float mix, DATE's date/datetime mix, a ``str``
+#: subclass beside ``str``, NULL only.
+_FACT_COLUMNS = [
+    st.integers(-2, 2),
+    st.sampled_from([-1.5, -0.0, 0.0, 2.25]),
+    st.text(alphabet="ab", max_size=2).map(_Name),
+    st.sampled_from(_DATES),
+    st.none() | st.integers(-2, 2),
+    st.integers(-2, 2) | st.sampled_from([-0.0, 0.0, 1.0, 0.5]),
+    st.sampled_from(_DATES + _DATETIMES),
+    st.text(alphabet="ab", max_size=2)
+    | st.text(alphabet="ab", max_size=2).map(_Name),
+    st.none(),
+]
+
+
+@st.composite
+def _whole_row_cases(draw):
+    """``(rows, key positions, constant positions)``: rows whose sort keys
+    are mostly the whole row — in order, with the constant columns (one
+    value throughout, as a projected literal is) anywhere among them, or
+    in another order."""
+    kinds = draw(st.lists(st.sampled_from(_FACT_COLUMNS),
+                          min_size=1, max_size=6))
+    constant = draw(st.sets(st.integers(0, len(kinds) - 1)))
+    values = [draw(kind) for kind in kinds]
+    row = st.tuples(*[st.just(values[p]) if p in constant else kind
+                      for p, kind in enumerate(kinds)])
+    rows = draw(st.lists(row, max_size=30))
+    varying = [p for p in range(len(kinds)) if p not in constant]
+    keys = list(varying)
+    for p in sorted(constant):
+        keys.insert(draw(st.integers(0, len(keys))), p)
+    if draw(st.booleans()):
+        keys = draw(st.permutations(range(len(kinds))))
+    return rows, list(keys), tuple(sorted(constant))
+
+
+class TestSortFacts:
+    """The sort told its key columns' value types (as the plan and the
+    tables know them) instead of scanning: the rows themselves are sorted
+    where they are their own key, and the result is still the tuple
+    engine's ``sorted(key=sort_key(...))``, down to which of two equal
+    values (``0.0``, ``-0.0``) comes first."""
+
+    @given(case=_whole_row_cases(), column_backed=st.booleans(),
+           widen=st.sets(st.sampled_from([type(None), int, float])))
+    @settings(max_examples=400, deadline=None)
+    @example(([(0.5, 1), (-0.0, 1), (0.0, 0), (-0.0, 0)], [0, 1], ()),
+             False, set())
+    def test_equals_sorted_by_sort_key(self, case, column_backed, widen):
+        rows, keys, constant = case
+        arity = len(keys)
+        batch = (
+            Batch.from_columns([[r[i] for r in rows] for i in range(arity)],
+                               len(rows))
+            if column_backed else Batch.from_rows(rows, arity)
+        )
+        kinds = [types | widen for types in _scanned_types(rows, keys)]
+        out = pipeline.sort_rows(batch, keys, kinds, constant)
+        expected = sorted(rows, key=lambda r: sort_key([r[k] for k in keys]))
+        assert repr(out) == repr(expected)
+
+    def test_whole_rows_of_one_type_sort_as_they_are(self):
+        rows = [(1, _Name("b"), 2.0), (1, _Name("a"), 3.0), (1, _Name("a"), 1.0)]
+        kinds = _scanned_types(rows, range(3))
+        assert ordering.rows_are_keys(3, [0, 1, 2], kinds)
+        assert ordering.rows_are_keys(3, [1, 0, 2], kinds, constant=(0,))
+        assert not ordering.rows_are_keys(3, [1, 0, 2], kinds)
+        assert not ordering.rows_are_keys(3, [0, 1], kinds[:2])
+        assert not ordering.rows_are_keys(
+            3, [0, 1, 2], [kinds[0], kinds[1], {float, type(None)}])
+        assert pipeline.sort_rows(Batch.from_rows(rows, 3), [0, 1, 2],
+                                  kinds) == sorted(rows)
 
 
 class TestSortPass:
@@ -194,7 +298,8 @@ class TestSortPass:
 
     def _check(self, tiny_db, values):
         rows = [(value, i) for i, value in enumerate(values)]
-        out = pipeline.sort_rows(Batch.from_rows(rows, 2), [0])
+        out = pipeline.sort_rows(Batch.from_rows(rows, 2), [0],
+                                 _scanned_types(rows, [0]))
         assert out == sorted(rows, key=lambda row: NoneFirst(row[0]))
 
     @given(
@@ -745,6 +850,7 @@ class _Plans:
     out where the product of its inputs' row bounds could pass ``CAP``."""
 
     CAP = 3000
+    SCHEMA = _NULLS_SCHEMA
 
     def __init__(self, draw):
         self.draw = draw
@@ -771,7 +877,7 @@ class _Plans:
 
     def scan(self):
         table = self.pick(["A", "B", "C"])
-        return self.bounded(Scan(_NULLS_SCHEMA.table(table), self.name("t")),
+        return self.bounded(Scan(self.SCHEMA.table(table), self.name("t")),
                             7)
 
     def renamed(self, op):
@@ -1150,9 +1256,200 @@ class TestPipelinesDifferential:
         assert failures == []
 
 
+# ---------------------------------------------------------------------------
+# Sort facts over lowered plans
+
+
+_FACTS_SCHEMA = DatabaseSchema([
+    TableSchema(name, [
+        Column("id", SqlType.INTEGER), Column("k", SqlType.INTEGER, True),
+        Column("d", SqlType.DECIMAL, True), Column("t", SqlType.DATE, True),
+        Column("s", SqlType.VARCHAR, True),
+    ], key=["id"]) for name in ("A", "B", "C")
+])
+
+
+def _facts_db():
+    """``A`` mixes value types in every nullable column (DECIMAL int and
+    float, DATE date and datetime, VARCHAR ``str`` and a subclass) beside
+    NULLs; ``B`` holds one type per column and no NULL; ``C`` one type
+    per column and NULLs."""
+    db = Database(_FACTS_SCHEMA)
+    day = datetime.date(2001, 5, 21)
+    mixed = [
+        (0, 0.5, day, "a"), (1, 2, _DATETIMES[0], _Name("a")),
+        (None, -0.0, None, None), (2, 0.0, day, _Name("")), (1, None, day, "b"),
+        (0, 1, _DATETIMES[1], "a"), (None, 2.0, day, _Name("b")),
+    ]
+    for i, (k, d, t, s) in enumerate(mixed):
+        db.insert("A", i, k, d, t, s)
+        db.insert("B", i, i % 3, 0.5 * (i % 4), day, "ab"[i % 2])
+        db.insert("C", i, k, None if d is None else float(d), t and day, s and str(s))
+    return db
+
+
+class _FactsPlans(_Plans):
+    SCHEMA = _FACTS_SCHEMA
+
+
+@st.composite
+def _sorted_plans(draw):
+    """A random plan under a ``Sort`` whose keys are its whole row in
+    order, in another order, or a few of its columns."""
+    plan = _FactsPlans(draw).relation(depth=2)
+    names = list(plan.column_names())
+    keys = draw(st.sampled_from(["whole", "permuted", "some"]))
+    if keys == "permuted":
+        names = draw(st.permutations(names))
+    elif keys == "some":
+        names = draw(st.lists(st.sampled_from(names), min_size=1,
+                              max_size=4, unique=True))
+    return Sort(plan, names)
+
+
+def _sorts_rows(db, plan):
+    """Whether the batch engine sorts ``plan``'s rows as they are."""
+    unit = pipeline.lower(plan)
+    kinds = unit.kinds(db)
+    return ordering.rows_are_keys(
+        unit.arity, unit.key_positions,
+        [kinds[p] for p in unit.key_positions], unit.constant)
+
+
+def _assert_entries_equal(db, plan):
+    """The plan-cache entries the two engines store for ``plan``: rows,
+    charge log and weight (``nbytes``, from the width the sort sampled)."""
+    caches = {mode: PlanResultCache() for mode in ENGINE_MODES}
+    for mode in ENGINE_MODES:
+        QueryEngine(db, cache=caches[mode], engine=mode).execute(plan)
+    key = QueryEngine(db).cache_key_for(plan)
+    assert _entry(caches["batch"].peek(key)) == _entry(
+        caches["tuple"].peek(key))
+
+
+class TestSortFactsOnPlans:
+    """Key columns fed by mixed-type base columns, NULL literals,
+    outer-join padding and outer-union slots a branch lacks: the facts
+    the sort derives from the plan and the tables give the tuple engine's
+    rows, charge log and plan-cache entry."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(plan=_sorted_plans())
+    def test_random_plans(self, plan):
+        db = _facts_db()
+        _assert_twins(db, plan)
+        _assert_entries_equal(db, plan)
+
+    def scan(self, table, alias):
+        return Scan(_FACTS_SCHEMA.table(table), alias)
+
+    def columns(self, op, *names):
+        return Project(op, [ProjectItem(ColumnRef(name), name.split(".")[1])
+                            for name in names])
+
+    def test_one_type_columns_sort_as_rows(self):
+        db = _facts_db()
+        plan = Sort(self.columns(self.scan("B", "b"), "b.d", "b.t", "b.s",
+                                 "b.id"), ["d", "t", "s", "id"])
+        assert _sorts_rows(db, plan)
+        _assert_twins(db, plan)
+        _assert_entries_equal(db, plan)
+
+    def test_literals_tie_and_nulls_pad(self):
+        """A tag literal is a constant column, left aside; a NULL literal
+        and outer-join padding add ``NoneType``, so the key is built."""
+        db = _facts_db()
+        tagged = Project(self.scan("B", "b"), [
+            ProjectItem(Literal(1), "L1"), ProjectItem(ColumnRef("b.k"), "k"),
+            ProjectItem(ColumnRef("b.id"), "id")])
+        plan = Sort(tagged, ["k", "L1", "id"])
+        assert _sorts_rows(db, plan)
+        _assert_twins(db, plan)
+        null = Project(tagged, [ProjectItem(ColumnRef("k"), "k"),
+                                ProjectItem(Literal(None, SqlType.INTEGER),
+                                            "n"),
+                                ProjectItem(ColumnRef("id"), "id")])
+        padded = LeftOuterJoin.simple(self.scan("B", "b"), self.scan(
+            "B", "x"), [("b.k", "x.id")])
+        for plan in (Sort(null, ["k", "n", "id"]),
+                     Sort(null, ["n", "k", "id"]),
+                     Sort(padded, list(padded.column_names()))):
+            _assert_twins(db, plan)
+            _assert_entries_equal(db, plan)
+        assert pipeline.lower(Sort(padded, ["x.id"])).kinds(db)[5] == {
+            int, type(None)}
+
+    def test_union_slots_a_branch_lacks(self):
+        db = _facts_db()
+        union = OuterUnion([
+            self.columns(self.scan("A", "a"), "a.id", "a.d", "a.s"),
+            self.columns(self.scan("B", "b"), "b.id", "b.t"),
+        ])
+        plan = Sort(union, ["id", "d", "s", "t"])
+        unit = pipeline.lower(plan)
+        assert unit.kinds(db) == [{int}, {int, float, type(None)},
+                                  {str, _Name, type(None)},
+                                  {datetime.date, type(None)}]
+        _assert_twins(db, plan)
+        _assert_entries_equal(db, plan)
+
+    def test_no_facts_no_sort(self):
+        """An operator the facts cannot see through fails the lowering
+        of a sort above it: there is no scanning fallback."""
+
+        class Opaque(Operator):
+            def __init__(self, child):
+                self.child = child
+
+            def columns(self):
+                return self.child.columns()
+
+        with pytest.raises(ExecutionError, match="value types"):
+            pipeline.column_facts(Opaque(self.scan("B", "b")))
+
+
+class TestSortFactsCoverage:
+    """Every root sort of the paper's plans — Q1 and Q2, greedy, unified
+    and fully partitioned, both styles, reduced or not — derives facts
+    holding every value type its input really has, and the number that
+    sort their rows as they are is pinned, so a plan that silently falls
+    back to building keys fails here."""
+
+    #: Root sorts of the 24 plans on the tiny database: all of them, and
+    #: those that sort their rows as they are — the 80 streams of the
+    #: fully partitioned plans; every multi-node stream has a NULL-padded
+    #: key column.
+    SORTS = 97
+    ROW_SORTS = 80
+
+    def test_facts_cover_the_scanned_types(self, tiny_db, tiny_estimator):
+        interpreter = QueryEngine(tiny_db, engine="tuple")
+        sorts = row_sorts = 0
+        for query in (QUERY_1, QUERY_2):
+            view = SilkRoute(Connection(tiny_db, CostModel()),
+                             estimator=tiny_estimator).define_view(query)
+            for partition in (None, "unified", "fully-partitioned"):
+                for style in PlanStyle:
+                    for reduce in (False, True):
+                        for spec in view.specs(partition, style=style,
+                                               reduce=reduce):
+                            unit = pipeline.lower(spec.plan)
+                            assert isinstance(unit, pipeline._Sort)
+                            kinds = unit.kinds(tiny_db)
+                            rows = interpreter.execute(spec.plan.child).rows
+                            for p, column in enumerate(zip(*rows)):
+                                assert set(map(type, column)) <= kinds[p]
+                            sorts += 1
+                            row_sorts += _sorts_rows(tiny_db, spec.plan)
+        assert (sorts, row_sorts) == (self.SORTS, self.ROW_SORTS)
+
+
 class TestTableIndexes:
-    """A join whose build side is a base table probes ``Table.index_on``;
-    every write path must leave no index of the old rows behind."""
+    """A join whose build side is a base table probes ``Table.index_on``,
+    and a sort reads its key columns' value types from
+    ``Table.value_types``; every write path must leave no index and no
+    types of the old rows behind."""
 
     PLAN_TABLES = ("A", "C")
 
@@ -1161,28 +1458,45 @@ class TestTableIndexes:
                          Scan(_NULLS_SCHEMA.table("C"), "c"),
                          [("a.k", "c.k")])
 
+    def sort_plan(self):
+        """Sorted by ``A.d`` then ``A.id``, the whole row in order: the
+        rows sort as they are while ``d`` holds floats only."""
+        return Sort(Project(Scan(_NULLS_SCHEMA.table("A"), "a"), [
+            ProjectItem(ColumnRef("a.d"), "d"),
+            ProjectItem(ColumnRef("a.id"), "id")]), ["d", "id"])
+
     def check(self, db):
-        plan = self.plan()
-        expected = QueryEngine(db, engine="tuple").execute(plan).rows
-        assert QueryEngine(db).execute(plan).rows == expected
+        """Join and sort equal the interpreter's; returns whether the sort
+        took the rows as they are."""
+        for plan in (self.plan(), self.sort_plan()):
+            expected = QueryEngine(db, engine="tuple").execute(plan).rows
+            assert repr(QueryEngine(db).execute(plan).rows) == repr(expected)
         assert db.table("C")._indexes  # the read built the index
+        assert db.table("A")._indexes  # ... and the value types
+        return _sorts_rows(db, self.sort_plan())
 
     def test_every_write_path_drops_the_index(self):
         db = _nulls_db()
-        c = db.table("C")
-        self.check(db)
+        a, c = db.table("A"), db.table("C")
+        assert not self.check(db)                     # NULLs in A.d
         db.insert("C", 100, 1, 1)
-        self.check(db)
+        db.update("A", {"d": None}, {"d": -0.0})
+        assert self.check(db)                         # floats only
         db.update("C", {"id": 100}, {"k": 0})
-        self.check(db)
+        db.insert("A", 100, 0, 0, "x", 2)
+        assert not self.check(db)                     # an int beside them
         db.delete("C", {"k": 2})
-        self.check(db)
+        db.delete("A", {"id": 100})
+        assert self.check(db)
         c.apply_update([((0,), (0, 1, 5))])
-        self.check(db)
+        a.apply_update([((0,), (0, 0, 1, "a", None))])
+        assert not self.check(db)                     # the first NULL
         c.apply_delete([(1,)])
-        self.check(db)
+        a.apply_delete([(0,)])
+        assert self.check(db)
         c.restore(_nulls_db().table("C").rows, c.version + 1)
-        self.check(db)
+        a.restore(_nulls_db().table("A").rows, a.version + 1)
+        assert not self.check(db)
 
     def test_recovery_drops_the_index(self, tmp_path):
         logged = _nulls_db()
@@ -1191,17 +1505,51 @@ class TestTableIndexes:
         logged.insert("C", 100, 0, 1)
         logged.update("C", {"id": 0}, {"k": 2})
         logged.delete("C", {"id": 3})
+        logged.update("A", {"d": None}, {"d": 1.0})
+        logged.insert("A", 100, 0, 0, "x", 2)
+        logged.delete("A", {"id": 100})
         wal.close()
         restarted = _nulls_db()
-        self.check(restarted)
+        assert not self.check(restarted)
         recover(tmp_path, database=restarted)
-        assert restarted.table("C").rows == logged.table("C").rows
-        self.check(restarted)
+        for name in self.PLAN_TABLES:
+            assert restarted.table(name).rows == logged.table(name).rows
+        assert self.check(restarted)
+
+    @pytest.mark.parametrize("op", ["insert", "update", "delete"])
+    def test_session_mutate_then_materialize(self, op):
+        """Writes through ``Session.mutate`` between reads: each document
+        is a fresh database's holding the same rows."""
+        db = TpchGenerator(scale=TpchScale(suppliers=8, parts=16,
+                                           customers=10, orders=40),
+                           seed=7).generate()
+        session = Session(Connection(db, CostModel()))
+        for query in (QUERY_1, QUERY_2):
+            session.materialize(query, "fully-partitioned")
+        for i, table in enumerate(("Supplier", "Part", "Orders")):
+            session.mutate(table, op=op, rows=2, seed=i)
+            for query in (QUERY_1, QUERY_2):
+                for partition in ("fully-partitioned", "unified", None):
+                    served = session.materialize(query, partition)
+                    fresh = Session(Connection(_same_rows(db), CostModel()),
+                                    cache=False)
+                    assert served.xml == fresh.materialize(
+                        query, partition).xml
+
+
+def _same_rows(db):
+    """A fresh database holding ``db``'s rows, in stored order."""
+    clone = Database(db.schema)
+    for name, table in db.tables.items():
+        for row in table.rows:
+            clone.table(name).insert(*row)
+    return clone
 
 
 class TestSortWidth:
     """The sort samples its input's width from whichever form the batch
-    holds: the column form gives the row form's integer sum."""
+    holds: the column form gives the row form's integer sum, and so does
+    a sample that reads only the columns whose values decide it."""
 
     @given(rows=st.lists(st.tuples(
         st.none() | st.text(alphabet="ab", max_size=3),
@@ -1220,3 +1568,9 @@ class TestSortWidth:
         assert average_column_width(columns, list(zip(*rows)),
                                     len(rows)) == expected
         assert Batch.from_rows(rows, 3).average_width(columns) == expected
+        # Told which columns may hold a NULL (exactly, or all of them),
+        # the sample skips fixed-width columns that hold none: same sum.
+        exact = [None in column for column in zip(*rows)]
+        for nullable in (exact, [True] * 3):
+            for batch in (by_columns, Batch.from_rows(rows, 3)):
+                assert batch.average_width(columns, nullable) == expected
