@@ -27,6 +27,8 @@ import pathlib
 import time
 
 from repro.bench.queries import QUERY_1
+from repro.core.options import ExecutionOptions
+from repro.core.partition import enumerate_partitions
 from repro.core.silkroute import SilkRoute
 from repro.relational.connection import Connection
 from repro.tpch.configs import CONFIG_A, build_configuration
@@ -87,10 +89,12 @@ def baseline_all(view, partitions, ivm_xml, ivm_timings):
     for i, partition in enumerate(partitions):
         # reduce=True matches the materializer's default, so the baseline
         # runs the very same reduced plans.
-        specs, streams, report = view.execute_partition(
-            partition, reduce=True
+        opts = ExecutionOptions(reduce=True)
+        outcome, report = view._dispatch(
+            partition, view.specs(partition, options=opts), opts
         )
-        xml, _ = tag_streams(view.tree, specs, streams, root_tag="view")
+        xml, _ = tag_streams(view.tree, outcome.specs, outcome.streams,
+                             root_tag="view")
         assert xml == ivm_xml
         assert (report.query_ms, report.transfer_ms) == ivm_timings[i]
     return time.perf_counter() - start
@@ -100,7 +104,7 @@ def test_ivm_delta_speedup(report_writer):
     db, conn, estimator = build_configuration(CONFIG_A)
     silk = SilkRoute(conn, estimator=estimator, cache=True)
     view = silk.define_view(QUERY_1)
-    partitions = list(view.enumerate_partitions())
+    partitions = list(enumerate_partitions(view.tree))
     assert len(partitions) == 512
 
     # Warm: all 512 plans' views materialized, caches full.

@@ -158,13 +158,11 @@ def test_concurrent_dispatch_makespan(config_a, report_writer):
     view = SilkRoute(conn).define_view(QUERY_1)
     partition = view.fully_partitioned()
 
-    _, streams, seq = view.execute_partition(partition, reduce=False)
+    seq = view.materialize(partition, reduce=False).report
     workers = seq.n_streams
-    _, _, con = view.execute_partition(
-        partition, reduce=False, workers=workers
-    )
+    con = view.materialize(partition, reduce=False, workers=workers).report
 
-    max_server = max(s.server_ms for s in streams)
+    max_server = max(s.server_ms for s in seq.streams)
     speedup = seq.elapsed_query_ms / con.elapsed_query_ms
     payload = {
         "experiment": "q1_config_a_concurrent_dispatch",

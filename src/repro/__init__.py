@@ -83,7 +83,6 @@ from repro.core import (
 from repro.obs import (
     MetricsRegistry,
     ObsOptions,
-    ObsSnapshot,
     Tracer,
     chrome_trace_json,
     metrics_json,
@@ -169,7 +168,6 @@ __all__ = [
     "label_view_tree",
     "unified_partition",
     "ObsOptions",
-    "ObsSnapshot",
     "Tracer",
     "MetricsRegistry",
     "chrome_trace_json",

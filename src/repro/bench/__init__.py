@@ -13,7 +13,7 @@ from repro.bench.report import (
     summarize_sweep,
 )
 from repro.bench.figures import scatter_plot
-from repro.bench.experiments import EXPERIMENTS, Experiment, experiment, format_registry
+from repro.bench.experiments import EXPERIMENTS, Experiment, format_registry
 
 __all__ = [
     "QUERY_1",
@@ -30,6 +30,5 @@ __all__ = [
     "scatter_plot",
     "EXPERIMENTS",
     "Experiment",
-    "experiment",
     "format_registry",
 ]

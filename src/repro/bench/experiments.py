@@ -122,14 +122,6 @@ EXPERIMENTS = (
 )
 
 
-def experiment(id):
-    """Look up one experiment by id (e.g. ``"E3"``)."""
-    for entry in EXPERIMENTS:
-        if entry.id == id:
-            return entry
-    raise KeyError(f"no experiment {id!r}")
-
-
 def format_registry():
     """The registry as a text table."""
     lines = []

@@ -35,7 +35,7 @@ class PlanTiming:
 
     ``failed`` marks a plan whose stream exhausted its retries under fault
     injection (sweeps record the failure instead of degrading the plan —
-    degradation is :meth:`repro.core.silkroute.XmlView.execute_partition`'s
+    degradation is :meth:`repro.core.silkroute.XmlView.materialize`'s
     job).  ``attempts``/``retries``/``faults_injected``/``backoff_ms`` and the
     replica counters (``failovers``/``hedges``/``hedge_wins``) total the
     resilience accounting over the plan's streams.

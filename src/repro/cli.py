@@ -198,12 +198,15 @@ def build_parser():
                        help="SQLite database file for --backend sqlite "
                             "(default: a private in-memory instance)")
 
+    # explain renders SQL without dispatching it: no execution flag
+    # applies to it.
     explain = sub.add_parser("explain", help="print the SQL a plan sends")
     add_common(explain)
     explain.add_argument("--strategy", default="greedy",
                          choices=["unified", "fully-partitioned", "greedy"])
-
-    add_execution(explain)
+    explain.add_argument("--metrics", action="store_true",
+                         help="print observability counters as JSON "
+                              "afterwards")
 
     materialize = sub.add_parser("materialize",
                                  help="materialize the XML view")
@@ -328,9 +331,6 @@ def build_parser():
     tree.add_argument("--query", choices=sorted(_QUERIES), default="q1")
     tree.add_argument("--no-args", action="store_true",
                       help="hide Skolem-term arguments")
-
-    sql = sub.add_parser("sql", help="run SQL against the TPC-H database")
-    sql.add_argument("statement", help="a SELECT in the supported dialect")
 
     xmlql = sub.add_parser(
         "xmlql", help="run an XML-QL query against the virtual view"
@@ -510,17 +510,6 @@ def main(argv=None, out=sys.stdout):
     if args.command == "tree":
         tree = load_view(rxl, database.schema)
         print(tree.render(show_args=not args.no_args), file=out)
-        return 0
-
-    if args.command == "sql":
-        stream = connection.sql(args.statement)
-        names = tuple(c.name for c in stream.columns)
-        print("  ".join(names), file=out)
-        for row in stream:
-            print("  ".join("NULL" if v is None else str(v) for v in row),
-                  file=out)
-        print(f"-- {len(stream)} row(s), simulated {stream.server_ms:.0f}ms",
-              file=out)
         return 0
 
     if args.command == "xmlql":

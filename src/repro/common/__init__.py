@@ -17,7 +17,7 @@ from repro.common.errors import (
     DtdError,
     ValidationError,
 )
-from repro.common.ordering import NONE_FIRST, NoneFirst, sort_key, compare
+from repro.common.ordering import NoneFirst, sort_key
 
 __all__ = [
     "ReproError",
@@ -30,8 +30,6 @@ __all__ = [
     "TimeoutExceeded",
     "DtdError",
     "ValidationError",
-    "NONE_FIRST",
     "NoneFirst",
     "sort_key",
-    "compare",
 ]

@@ -61,17 +61,6 @@ class NoneFirst:
             return False
         return self.value < other.value
 
-    def __hash__(self):
-        return hash((self._rank()[:2], self.value))
-
-    def __repr__(self):
-        return f"NoneFirst({self.value!r})"
-
-
-def NONE_FIRST(value):
-    """Convenience constructor: ``NONE_FIRST(x)`` == ``NoneFirst(x)``."""
-    return NoneFirst(value)
-
 
 def sort_key(values):
     """Map a sequence of nullable values to a tuple usable as a sort key.
@@ -149,22 +138,3 @@ def rows_are_keys(arity, key_positions, kinds, constant=()):
     return ([p for p in key_positions if p not in constant]
             == [p for p in range(arity) if p not in constant]
             and all(len(types) == 1 for types in kinds))
-
-
-def compare(left, right):
-    """Three-way comparison of two nullable-value sequences.
-
-    Returns -1, 0, or 1.  Shorter sequences are padded with ``None`` (which
-    sorts first), so a parent tuple missing the deeper sort positions orders
-    before its children — exactly the property the merge/tagger needs.
-    """
-    width = max(len(left), len(right))
-    padded_left = list(left) + [None] * (width - len(left))
-    padded_right = list(right) + [None] * (width - len(right))
-    key_left = sort_key(padded_left)
-    key_right = sort_key(padded_right)
-    if key_left < key_right:
-        return -1
-    if key_left > key_right:
-        return 1
-    return 0

@@ -15,7 +15,6 @@ from repro.core.partition import (
 from repro.core.reduction import (
     ReducedSubtree,
     reduce_subtree,
-    reduce_partition,
     suggest_keep,
 )
 from repro.core.sqlgen import SqlGenerator, StreamSpec, PlanStyle
@@ -49,7 +48,6 @@ __all__ = [
     "fully_partitioned",
     "ReducedSubtree",
     "reduce_subtree",
-    "reduce_partition",
     "suggest_keep",
     "SqlGenerator",
     "StreamSpec",

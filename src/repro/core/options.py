@@ -1,7 +1,7 @@
 """One options object for the whole execution surface.
 
 Every execution-facing method (``XmlView.materialize``, ``materialize_to``,
-``execute_partition``, ``explain``, ``greedy_plan``,
+``explain``, ``greedy_plan``,
 ``repro.bench.sweep.sweep_partitions``, the ``Session``/``Server``
 methods in front of them, and the dispatch layer behind them —
 ``execute_specs``, ``run_spec_with_retry``, ``Connection.execute`` /
@@ -18,10 +18,10 @@ is one field of it by name, so one-off changes stay cheap, and
     view.materialize(options=opts, workers=1)        # one-off override
     view.materialize(workers=1)                      # no bundle at all
 
-``explain``, ``execute_partition`` and ``sweep_partitions`` default
-``reduce=False`` (the materializers use the field default, ``reduce=True``)
-— a method default applies only when neither a keyword nor an ``options``
-object supplies a value.
+``explain`` and ``sweep_partitions`` default ``reduce=False`` (the
+materializers use the field default, ``reduce=True``) — a method default
+applies only when neither a keyword nor an ``options`` object supplies a
+value.
 """
 
 from dataclasses import dataclass, replace

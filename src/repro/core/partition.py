@@ -29,9 +29,6 @@ class Partition:
     def __hash__(self):
         return hash(self.kept)
 
-    def __len__(self):
-        return len(self.kept)
-
     def __repr__(self):
         kept = sorted(self.kept)
         return "Partition(" + ", ".join("S" + ".".join(map(str, i)) for i in kept) + ")"
@@ -52,14 +49,6 @@ class Subtree:
     def kept_children(self, node):
         """Children of ``node`` that belong to this subtree."""
         return [c for c in node.children if c in self._node_set]
-
-    def max_index_length(self):
-        """``SFImax``: the longest Skolem-function index in the subtree,
-        which determines the ``L1..Lmax`` columns of its relation."""
-        return max(len(n.index) for n in self.nodes)
-
-    def __repr__(self):
-        return f"Subtree({self.root.sfi}: {len(self.nodes)} nodes)"
 
 
 def unified_partition(tree):

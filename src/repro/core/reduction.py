@@ -69,10 +69,6 @@ class PlanUnit:
         return len(self.index)
 
     @property
-    def tag_value(self):
-        return self.index[-1]
-
-    @property
     def is_reduced(self):
         return len(self.members) > 1
 
@@ -97,9 +93,6 @@ class PlanUnit:
         for child in self.children:
             yield from child.walk()
 
-    def __repr__(self):
-        return f"PlanUnit({self.skolem_name()}: {len(self.members)} member(s))"
-
 
 @dataclass
 class ReducedSubtree:
@@ -108,16 +101,6 @@ class ReducedSubtree:
     subtree: object   # core.partition.Subtree
     root: PlanUnit
     reduced: bool
-
-    @property
-    def units(self):
-        return tuple(self.root.walk())
-
-    def unit_of(self, node):
-        for unit in self.root.walk():
-            if node in unit.members:
-                return unit
-        raise PlanError(f"{node.sfi} not in this subtree")
 
 
 def reduce_subtree(subtree, reduce=True, keep=()):
@@ -166,11 +149,6 @@ def reduce_subtree(subtree, reduce=True, keep=()):
     for unit in unit_list:
         unit.children.sort(key=lambda u: u.index)
     return ReducedSubtree(subtree=subtree, root=roots[0], reduced=reduce)
-
-
-def reduce_partition(tree, partition, subtrees, reduce=True, keep=()):
-    """Unit trees for every subtree of a partition, in document order."""
-    return [reduce_subtree(s, reduce=reduce, keep=keep) for s in subtrees]
 
 
 def suggest_keep(tree, database, max_avg_bytes=256.0):

@@ -40,7 +40,6 @@ from repro.core.options import resolve_options
 from repro.core.partition import (
     Partition,
     Subtree,
-    enumerate_partitions,
     fully_partitioned,
     partition_subtrees,
     unified_partition,
@@ -130,7 +129,7 @@ class PlanReport:
     the execution ran under (None when tracing/metrics were off) — the
     *live* session object, so its trace and metrics snapshot are one
     attribute away from the report (``report.obs.profile()``,
-    ``report.obs.metrics_snapshot()``); sessions reused across executions
+    ``report.obs.metrics.snapshot()``); sessions reused across executions
     accumulate.
     """
 
@@ -267,9 +266,6 @@ class XmlView:
     def fully_partitioned(self):
         return fully_partitioned(self.tree)
 
-    def enumerate_partitions(self):
-        return enumerate_partitions(self.tree)
-
     def greedy_plan(self, params=None, options=None, **overrides):
         """Run the Sec. 5 algorithm; returns a
         :class:`repro.core.greedy.GreedyPlan`.
@@ -333,48 +329,6 @@ class XmlView:
             sqlgen_span.set(streams=len(specs))
         self._check_source(specs)
         return specs
-
-    def execute_partition(self, partition, options=None, **overrides):
-        """Execute one plan; returns ``(specs, streams, report)``.
-
-        A subquery exceeding ``budget_ms`` (simulated server time) marks the
-        report as timed out, mirroring the paper's "no time was reported".
-
-        ``workers`` is the simulated dispatch width (see
-        :class:`~repro.core.options.ExecutionOptions`): the subqueries run
-        one after another either way, and specs, streams and the report
-        are those of the width-1 run except for the dispatch fields —
-        ``report.workers``, and ``elapsed_query_ms`` / ``elapsed_total_ms``,
-        the simulated makespan over ``workers`` workers, approaching
-        ``max(server_ms)`` instead of ``sum(server_ms)``.  The first stream
-        (in spec order) to exceed the budget stops the dispatch; later
-        ones are never started.
-
-        With ``retry`` (a :class:`~repro.relational.faults.RetryPolicy`)
-        and a fault policy in play, transient failures are retried with
-        simulated backoff; a stream that exhausts its retries is
-        *degraded*: its subtree is re-planned into finer streams (the
-        greedy family's optional edges are cut first, then every edge)
-        which are executed in its place — the spliced specs/streams
-        produce a byte-identical document.  If a single-node stream keeps
-        failing, the
-        :class:`~repro.common.errors.TransientConnectionError` propagates
-        with the partial report attached (``exc.report``).  Without
-        ``retry``, the first transient failure propagates the same way.
-
-        ``replicas``/``hedge_ms`` route the plan's streams over a
-        health-checked :class:`~repro.relational.replicas.ReplicaPool`
-        with failover and hedged backup requests.  Pooled runs produce
-        byte-identical XML and identical ``query_ms``/``transfer_ms`` to
-        the single-connection run.
-        """
-        opts, specs = self._prepare(
-            partition, resolve_options(options, overrides, reduce=False)
-        )
-        outcome, report = self._dispatch(partition, specs, opts)
-        if outcome.timeout is not None:
-            return outcome.specs, None, report
-        return outcome.specs, outcome.streams, report
 
     def _prepare(self, partition, opts):
         """Options → SQL, the front half every execution shares: resolve
@@ -626,8 +580,11 @@ class XmlView:
         (``workers=4``), or both — the keyword wins.
 
         ``workers`` is the simulated dispatch width (see
-        :meth:`execute_partition`): it sets the report's makespans, never
-        the document.  With ``retry``/``faults``, transient stream failures
+        :class:`~repro.core.options.ExecutionOptions`): it sets the
+        report's makespans, ``elapsed_query_ms`` / ``elapsed_total_ms``
+        (the simulated makespan over ``workers`` workers, approaching
+        ``max(server_ms)`` instead of ``sum(server_ms)``), never the
+        document.  With ``retry``/``faults``, transient stream failures
         are retried and degraded around: the produced XML is byte-identical
         to the fault-free run, and the report records
         ``attempts``/``retries``/``faults_injected``/``backoff_ms``/
@@ -905,16 +862,6 @@ class SilkRoute:
     @cache.setter
     def cache(self, cache):
         self.connection.cache = resolve_cache(cache)
-
-    @property
-    def faults(self):
-        """The connection's installed
-        :class:`~repro.relational.faults.FaultPolicy` (or None)."""
-        return self.connection.faults
-
-    @faults.setter
-    def faults(self, policy):
-        self.connection.faults = policy
 
     def define_view(self, rxl_text, simplify_args=False):
         """A view of ``rxl_text`` over this connection, on the process's

@@ -71,17 +71,6 @@ class NodeRule:
     filters: tuple
     head: tuple  # of (Stv, "alias.field")
 
-    def head_stvs(self):
-        return tuple(stv for stv, _ in self.head)
-
-    def atom_key(self):
-        """Canonical identity of the body (used for rule equivalence)."""
-        return (
-            frozenset(self.atoms),
-            frozenset(frozenset(e) for e in self.equalities),
-            frozenset(self.filters),
-        )
-
 
 class ViewTreeNode:
     """One node of the view tree — one element template."""
@@ -109,27 +98,11 @@ class ViewTreeNode:
     def level(self):
         return len(self.index)
 
-    @property
-    def rule(self):
-        if len(self.rules) != 1:
-            raise PlanError(
-                f"node {self.sfi} has {len(self.rules)} rules; expected one"
-            )
-        return self.rules[0]
-
     def is_ancestor_of(self, other):
         return (
             len(self.index) < len(other.index)
             and other.index[: len(self.index)] == self.index
         )
-
-    def descendants(self):
-        for child in self.children:
-            yield child
-            yield from child.descendants()
-
-    def __repr__(self):
-        return f"ViewTreeNode({self.sfi} <{self.tag}>)"
 
 
 class ViewTree:

@@ -21,7 +21,7 @@ then export::
     result = view.materialize(options=ExecutionOptions(obs=obs))
     open("trace.json", "w").write(obs.chrome_trace_json())
     print(obs.profile())
-    print(obs.metrics_snapshot()["counters"]["dispatch.attempts"])
+    print(obs.metrics.snapshot()["counters"]["dispatch.attempts"])
 
 Span taxonomy (see DESIGN.md §9): operation roots ``materialize`` /
 ``materialize_to`` / ``sweep``; stages ``plan``, ``reduce``, ``sqlgen``,
@@ -49,15 +49,6 @@ from repro.obs.metrics import NULL_METRICS, Histogram, MetricsRegistry
 from repro.obs.tracer import NULL_SPAN, NULL_TRACER, Span, SpanEvent, Tracer
 
 
-@dataclass(frozen=True)
-class ObsSnapshot:
-    """A frozen export of one session: the root spans recorded so far plus
-    a point-in-time metrics dict."""
-
-    trace: tuple   # of Span roots
-    metrics: dict  # MetricsRegistry.snapshot()
-
-
 class ObsOptions:
     """One observability session: a tracer plus a metrics registry.
 
@@ -70,17 +61,13 @@ class ObsOptions:
 
     Reusing one session across several executions accumulates; reports
     attach the live session (:attr:`PlanReport.obs
-    <repro.core.silkroute.PlanReport.obs>`), so snapshot when you need a
-    frozen view.
+    <repro.core.silkroute.PlanReport.obs>`), so copy
+    ``metrics.snapshot()`` when you need a frozen view.
     """
 
     def __init__(self, trace=True, metrics=True):
         self.tracer = Tracer() if trace else NULL_TRACER
         self.metrics = MetricsRegistry() if metrics else NULL_METRICS
-
-    @property
-    def enabled(self):
-        return self.tracer.enabled or self.metrics.enabled
 
     # -- exports -----------------------------------------------------------
 
@@ -96,19 +83,6 @@ class ObsOptions:
     def profile(self):
         """The recorded spans as an indented text profile tree."""
         return profile_tree(self.tracer)
-
-    def metrics_snapshot(self):
-        """The metrics registry as a plain nested dict."""
-        return self.metrics.snapshot()
-
-    def snapshot(self):
-        """A frozen :class:`ObsSnapshot` of the session so far."""
-        return ObsSnapshot(
-            trace=tuple(self.tracer.roots), metrics=self.metrics_snapshot()
-        )
-
-    def __repr__(self):
-        return f"ObsOptions(tracer={self.tracer!r}, metrics={self.metrics!r})"
 
 
 def obs_parts(obs):
@@ -128,7 +102,6 @@ def obs_parts(obs):
 
 __all__ = [
     "ObsOptions",
-    "ObsSnapshot",
     "obs_parts",
     "Tracer",
     "Span",

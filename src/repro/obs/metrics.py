@@ -94,9 +94,6 @@ class Histogram:
             "p99": self.percentile(99),
         }
 
-    def __repr__(self):
-        return f"Histogram({self.as_dict()})"
-
 
 class MetricsRegistry:
     """Thread-safe named counters, gauges, and histograms."""
@@ -136,11 +133,6 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get(name, default)
 
-    def histogram(self, name):
-        """The :class:`Histogram` recorded under ``name`` (or None)."""
-        with self._lock:
-            return self._histograms.get(name)
-
     def snapshot(self):
         """The whole registry as a plain (JSON-dumpable) nested dict:
         ``{"counters": {...}, "gauges": {...}, "histograms": {name:
@@ -153,14 +145,6 @@ class MetricsRegistry:
                     name: h.as_dict() for name, h in self._histograms.items()
                 },
             }
-
-    def __repr__(self):
-        with self._lock:
-            return (
-                f"MetricsRegistry({len(self._counters)} counter(s), "
-                f"{len(self._gauges)} gauge(s), "
-                f"{len(self._histograms)} histogram(s))"
-            )
 
 
 class _NullMetrics:
@@ -175,21 +159,6 @@ class _NullMetrics:
 
     def gauge(self, name, value):
         pass
-
-    def observe(self, name, value):
-        pass
-
-    def counter(self, name, default=0):
-        return default
-
-    def histogram(self, name):
-        return None
-
-    def snapshot(self):
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def __repr__(self):
-        return "<null metrics>"
 
 
 #: The process-wide disabled registry (metrics off).

@@ -93,14 +93,6 @@ class Span:
         for child in self.children:
             yield from child.walk()
 
-    def find(self, name):
-        """Every descendant-or-self span with the given name, or whose name
-        starts with ``name + ":"`` (so ``find("stream")`` matches every
-        ``stream:<label>`` span)."""
-        prefix = name + ":"
-        return [s for s in self.walk()
-                if s.name == name or s.name.startswith(prefix)]
-
     # -- context management ------------------------------------------------
 
     def __enter__(self):
@@ -113,10 +105,6 @@ class Span:
         self._tracer._pop(self)
         return False
 
-    def __repr__(self):
-        state = "open" if self.wall_end_s is None else f"{self.wall_ms:.2f}ms"
-        return f"Span({self.name!r}, {state}, {len(self.children)} children)"
-
 
 class SpanEvent:
     """A zero-duration mark inside a span (a retry, a fault draw, ...)."""
@@ -127,9 +115,6 @@ class SpanEvent:
         self.name = name
         self.wall_s = wall_s
         self.attrs = attrs
-
-    def __repr__(self):
-        return f"SpanEvent({self.name!r}, {self.attrs})"
 
 
 class Tracer:
@@ -188,12 +173,6 @@ class Tracer:
         for root in list(self.roots):
             yield from root.walk()
 
-    def find(self, name):
-        """Every recorded span matching ``name`` (see :meth:`Span.find`)."""
-        prefix = name + ":"
-        return [s for s in self.walk()
-                if s.name == name or s.name.startswith(prefix)]
-
     def _stack(self):
         stack = getattr(self._local, "stack", None)
         if stack is None:
@@ -207,9 +186,6 @@ class Tracer:
             stack.pop()
         elif stack and span in stack:   # unwound out of order (error paths)
             stack.remove(span)
-
-    def __repr__(self):
-        return f"Tracer({len(self.roots)} root span(s))"
 
 
 class _NullSpan:
@@ -239,9 +215,6 @@ class _NullSpan:
     def __exit__(self, exc_type, exc, tb):
         return False
 
-    def __repr__(self):
-        return "<null span>"
-
 
 #: The process-wide no-op span returned by :data:`NULL_TRACER`.
 NULL_SPAN = _NullSpan()
@@ -259,20 +232,8 @@ class _NullTracer:
     def span(self, name, parent=None, **attrs):
         return NULL_SPAN
 
-    def current(self):
-        return None
-
     def event(self, name, **attrs):
         pass
-
-    def walk(self):
-        return iter(())
-
-    def find(self, name):
-        return []
-
-    def __repr__(self):
-        return "<null tracer>"
 
 
 #: The process-wide disabled tracer (tracing off).

@@ -9,8 +9,7 @@ over JDBC.  It provides:
 * functional/inclusion dependency reasoning used by view-tree labeling
   (:mod:`repro.relational.dependencies`),
 * a relational-algebra IR (:mod:`repro.relational.algebra`),
-* SQL text rendering and a parser for the generated subset
-  (:mod:`repro.relational.sqltext`, :mod:`repro.relational.sqlparse`),
+* SQL text rendering (:mod:`repro.relational.sqltext`),
 * the executing engine with a deterministic analytical cost model
   (:mod:`repro.relational.engine`),
 * a cardinality/cost estimator, the "RDBMS oracle" of Sec. 5
@@ -31,7 +30,6 @@ from repro.relational.dependencies import (
     FunctionalDependency,
     InclusionDependency,
     attribute_closure,
-    implies_fd,
     plan_tables,
 )
 from repro.relational.algebra import (
@@ -58,14 +56,12 @@ from repro.relational.cache import (
 )
 from repro.relational.engine import CostModel, QueryEngine, ExecutionResult, IterResult
 from repro.relational.estimator import CostEstimator, EstimateCache
-from repro.relational.explain import explain_plan
 from repro.relational.faults import (
     NO_RETRY,
     FaultPolicy,
     RetryPolicy,
     StreamAttemptStats,
 )
-from repro.relational.sqlparse import parse_sql
 from repro.relational.sqltext import render_sql
 from repro.relational.connection import (
     Connection,
@@ -116,7 +112,6 @@ __all__ = [
     "FunctionalDependency",
     "InclusionDependency",
     "attribute_closure",
-    "implies_fd",
     "plan_tables",
     "ColumnRef",
     "Literal",
@@ -159,8 +154,6 @@ __all__ = [
     "replica_fault_policy",
     "resolve_pool",
     "SourceDescription",
-    "explain_plan",
-    "parse_sql",
     "render_sql",
     "Backend",
     "SqliteBackend",

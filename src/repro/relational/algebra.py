@@ -67,24 +67,11 @@ class ColumnRef:
 
 @dataclass(frozen=True)
 class Literal:
-    """A constant.  ``sql_type`` must be given for NULL constants so the
-    output column still has a type."""
+    """A constant.  A projected constant needs a ``sql_type`` (here or on
+    its :class:`ProjectItem`) so the output column has a type."""
 
     value: object
     sql_type: SqlType = None
-
-    def inferred_type(self):
-        if self.sql_type is not None:
-            return self.sql_type
-        if self.value is None:
-            raise QueryError("NULL literal requires an explicit sql_type")
-        if isinstance(self.value, int):
-            return SqlType.INTEGER
-        if isinstance(self.value, float):
-            return SqlType.DECIMAL
-        if isinstance(self.value, str):
-            return SqlType.VARCHAR
-        return SqlType.DATE
 
     def to_sql(self):
         return sql_literal(self.value)
@@ -251,9 +238,6 @@ class Operator:
     """Base class: every operator exposes ``columns`` (tuple of ColumnInfo),
     ``children``, and a structural ``fingerprint`` for estimate caching."""
 
-    def columns(self):
-        raise NotImplementedError
-
     @property
     def children(self):
         return ()
@@ -279,9 +263,6 @@ class Operator:
             self._fp = cached
         return cached
 
-    def _fingerprint(self):
-        raise NotImplementedError
-
 
 class Scan(Operator):
     """Full scan of a base table under an alias.  Output columns are named
@@ -305,9 +286,6 @@ class Scan(Operator):
     def _fingerprint(self):
         return ("scan", self.table_schema.name, self.alias)
 
-    def __repr__(self):
-        return f"Scan({self.table_schema.name} {self.alias})"
-
 
 class Filter(Operator):
     """Row filter with an :class:`And`/:class:`Comparison` predicate."""
@@ -329,9 +307,6 @@ class Filter(Operator):
 
     def _fingerprint(self):
         return ("filter", self.predicate.fingerprint(), self.child.fingerprint())
-
-    def __repr__(self):
-        return f"Filter({self.predicate.to_sql()})"
 
 
 @dataclass(frozen=True)
@@ -385,13 +360,12 @@ class Project(Operator):
                     )
                 )
             elif isinstance(expr, Literal):
-                out.append(
-                    ColumnInfo(
-                        name=item.name,
-                        sql_type=item.sql_type or expr.inferred_type(),
-                        source=None,
-                    )
-                )
+                sql_type = item.sql_type or expr.sql_type
+                if sql_type is None:
+                    raise QueryError(
+                        f"constant column {item.name!r} needs a sql_type")
+                out.append(ColumnInfo(name=item.name, sql_type=sql_type,
+                                      source=None))
             else:
                 raise QueryError(f"unsupported projection expression {expr!r}")
         self._cols = tuple(out)
@@ -411,9 +385,6 @@ class Project(Operator):
             self.child.fingerprint(),
         )
 
-    def __repr__(self):
-        return "Project(" + ", ".join(i.name for i in self.items) + ")"
-
 
 class Distinct(Operator):
     """Duplicate elimination (datalog set semantics for node queries)."""
@@ -430,9 +401,6 @@ class Distinct(Operator):
 
     def _fingerprint(self):
         return ("distinct", self.child.fingerprint())
-
-    def __repr__(self):
-        return "Distinct"
 
 
 class InnerJoin(Operator):
@@ -466,10 +434,6 @@ class InnerJoin(Operator):
             self.left.fingerprint(),
             self.right.fingerprint(),
         )
-
-    def __repr__(self):
-        conds = ", ".join(f"{l}={r}" for l, r in self.equalities)
-        return f"InnerJoin({conds})"
 
 
 @dataclass(frozen=True)
@@ -509,11 +473,6 @@ class LeftOuterJoin(Operator):
         self._cols = left.columns() + right.columns()
         _check_unique(self._cols, "LeftOuterJoin")
 
-    @classmethod
-    def simple(cls, left, right, equalities):
-        """Plain (single-branch, untagged) left outer join."""
-        return cls(left, right, [JoinBranch(tuple(equalities))])
-
     def columns(self):
         return self._cols
 
@@ -530,9 +489,6 @@ class LeftOuterJoin(Operator):
             self.left.fingerprint(),
             self.right.fingerprint(),
         )
-
-    def __repr__(self):
-        return f"LeftOuterJoin({len(self.branches)} branch(es))"
 
 
 class OuterUnion(Operator):
@@ -571,9 +527,6 @@ class OuterUnion(Operator):
             c.fingerprint() for c in self.inputs
         )
 
-    def __repr__(self):
-        return f"OuterUnion({len(self.inputs)} inputs)"
-
 
 class Sort(Operator):
     """Sort by the named columns, NULLS FIRST (see :mod:`repro.common.ordering`)."""
@@ -595,9 +548,6 @@ class Sort(Operator):
 
     def _fingerprint(self):
         return ("sort", self.keys, self.child.fingerprint())
-
-    def __repr__(self):
-        return f"Sort({', '.join(self.keys)})"
 
 
 # ---------------------------------------------------------------------------

@@ -27,23 +27,15 @@ from repro.relational.algebra import Sort
 
 
 class Backend:
-    """One real engine generated SQL can be executed on."""
+    """One real engine generated SQL can be executed on.
+
+    A backend implements ``execute_sql(plan, sql)`` — run ``sql`` (the
+    generated dialect, pre-adaptation) for ``plan`` and return ``(rows,
+    wall_ms)``, the rows converted back to the plan's column types — and
+    ``close()``, which releases its real resources and is idempotent."""
 
     #: Short stable name, as errors and reports spell it.
     name = "backend"
-
-    def execute_sql(self, plan, sql):
-        """Execute ``sql`` (the generated dialect, pre-adaptation) for
-        ``plan``; return ``(rows, wall_ms)`` where ``rows`` are plain
-        tuples converted back to the plan's column types and ``wall_ms``
-        is the measured wall-clock milliseconds."""
-        raise NotImplementedError
-
-    def close(self):
-        """Release any real resources; idempotent."""
-
-    def __repr__(self):
-        return f"{type(self).__name__}()"
 
 
 def cross_validate(engine, specs, backend, repeats=1):

@@ -176,26 +176,12 @@ class SqliteBackend(Backend):
         types = [column.sql_type for column in plan.columns()]
         return [_convert_row(types, row) for row in raw], wall_ms
 
-    def table_count(self, table_name):
-        """Row count straight from SQLite — a cheap mirror sanity probe
-        used by tests and the example."""
-        with self._lock:
-            self._ensure_fresh()
-            cursor = self._conn.execute(
-                f"SELECT COUNT(*) FROM {_q(table_name)}"
-            )
-            return cursor.fetchone()[0]
-
     def close(self):
         with self._lock:
             if self._conn is not None:
                 self._conn.close()
                 self._conn = None
                 self._generations = {}
-
-    def __repr__(self):
-        where = self.db_path or ":memory:"
-        return f"SqliteBackend({where!r})"
 
 
 def _convert_row(types, row):

@@ -17,7 +17,7 @@ lists may be mutated after construction.
 """
 
 from repro.relational.table import hash_rows
-from repro.relational.types import average_column_width, average_row_width
+from repro.relational.types import average_row_width
 
 
 class Batch:
@@ -108,17 +108,5 @@ class Batch:
 
     def average_width(self, columns, nullable=None):
         """:func:`~repro.relational.types.average_row_width` of the rows
-        typed by ``columns`` (``nullable`` as there), sampled from
-        whichever form the batch holds: the same rows, the same integer
-        sum, and no transpose."""
-        if self._rows is not None:
-            return average_row_width(columns, self._rows, nullable=nullable)
-        return average_column_width(columns, self._columns, self.length,
-                                    nullable=nullable)
-
-    def __len__(self):
-        return self.length
-
-    def __repr__(self):
-        held = "rows" if self._rows is not None else "columns"
-        return f"Batch({self.length}x{self.arity}, {held})"
+        typed by ``columns`` (``nullable`` as there)."""
+        return average_row_width(columns, self.rows(), nullable=nullable)

@@ -206,12 +206,6 @@ class BoundedCache:
 
         return self.discard_where(stale)
 
-    def clear(self):
-        """Drop the contents; the counters keep their lifetime totals."""
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
-
     def stats(self):
         """A :class:`CacheStats` snapshot."""
         with self._lock:
@@ -228,9 +222,6 @@ class BoundedCache:
         last-write-wins)."""
         for field, value in self.stats().as_dict().items():
             metrics.gauge(f"{self.name}.{field}", value)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.name}: {self.stats()})"
 
 
 class RowCount(int):
@@ -331,11 +322,6 @@ class SingleFlight:
         self._lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
         self._flights = {}
-
-    def __len__(self):
-        """Number of keys currently in flight."""
-        with self._lock:
-            return len(self._flights)
 
     def begin(self, key):
         """Return True when the caller becomes the leader for ``key`` (it

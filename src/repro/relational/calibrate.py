@@ -115,17 +115,6 @@ class CalibrationResult:
     scales: dict
     observations: list
 
-    def predicted_wall_ms(self, observation):
-        """The fitted model's wall prediction for one observation."""
-        return predict_wall_ms(observation.features, self.scales)
-
-    def residuals(self):
-        """Per-observation (label, predicted_ms, measured_ms) triples."""
-        return [
-            (obs.label, self.predicted_wall_ms(obs), obs.wall_ms)
-            for obs in self.observations
-        ]
-
 
 def measure_streams(connection, specs, backend, repeats=3):
     """Execute every spec on the simulated engine (for its charge
@@ -207,14 +196,6 @@ def _solve(matrix, vector):
     return solution
 
 
-def predict_wall_ms(features, scales):
-    """The linear model's wall prediction for one feature vector."""
-    return sum(
-        scales.get(group, 1.0) * features.get(group, 0.0)
-        for group in CALIBRATION_GROUPS
-    )
-
-
 def apply_scales(cost_model, scales, backend_name="sqlite"):
     """``cost_model`` with each group's constants multiplied by its
     fitted scale, as a :class:`CalibratedCostModel`."""
@@ -242,7 +223,7 @@ def calibrate(connection, specs, backend=None, repeats=3, ridge=1e-3):
     connection's database.  ``specs`` are
     :class:`~repro.core.sqlgen.StreamSpec` objects — typically the
     streams of several partitions of a view
-    (:meth:`~repro.core.silkroute.XmlView.enumerate_partitions` +
+    (:func:`~repro.core.partition.enumerate_partitions` +
     :class:`~repro.core.sqlgen.SqlGenerator`), so the sweep exercises
     everything from the unified plan's wide outer joins to the fully
     partitioned plan's many small scans.
@@ -305,5 +286,4 @@ __all__ = [
     "group_features",
     "measure_streams",
     "plan_agreement",
-    "predict_wall_ms",
 ]

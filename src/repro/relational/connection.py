@@ -102,10 +102,6 @@ class TupleStream:
         self.fault_latency_ms = 0.0
 
     @property
-    def total_ms(self):
-        return self.server_ms + self.transfer_ms
-
-    @property
     def rows_read(self):
         """Rows delivered to the client — all of them; the name is shared
         with :class:`TupleCursor`, where it counts the rows read so far."""
@@ -116,12 +112,6 @@ class TupleStream:
 
     def __len__(self):
         return len(self.rows)
-
-    def __repr__(self):
-        return (
-            f"TupleStream({self.label or '?'}: {len(self.rows)} rows, "
-            f"query {self.server_ms:.1f}ms + transfer {self.transfer_ms:.1f}ms)"
-        )
 
 
 class TupleCursor:
@@ -181,10 +171,6 @@ class TupleCursor:
     def exhausted(self):
         return self._iter_result.exhausted
 
-    @property
-    def total_ms(self):
-        return self.server_ms + self.transfer_ms
-
     def __iter__(self):
         return self._rows
 
@@ -206,15 +192,6 @@ class TupleCursor:
     def __exit__(self, exc_type, exc, tb):
         self.close()
         return False
-
-    def __repr__(self):
-        state = "closed" if self.closed else (
-            "done" if self.exhausted else "open"
-        )
-        return (
-            f"TupleCursor({self.label or '?'}: {self.rows_read} rows {state}, "
-            f"query {self.server_ms:.1f}ms + transfer {self.transfer_ms:.1f}ms)"
-        )
 
 
 class Connection:
@@ -271,15 +248,6 @@ class Connection:
         cache without re-evaluating — i.e. executing it cannot touch the
         (possibly faulty) simulated source."""
         return self.engine.cached_complete(plan)
-
-    def sql(self, text, budget_ms=None, label=None):
-        """Execute SQL *text* (the generated dialect) and return a
-        :class:`TupleStream` — a small SQL console over the simulated
-        engine, closing the middle-ware loop the other way around."""
-        from repro.relational.sqlparse import parse_sql
-
-        plan = parse_sql(text, self.database.schema)
-        return self.execute(plan, sql=text, label=label, budget_ms=budget_ms)
 
     def _submit(self, run, plan, label, attempt, faults, opts):
         """What :meth:`execute` and :meth:`execute_iter` share: the fault

@@ -79,15 +79,6 @@ class Database:
             raise WalError("database is already attached to a WAL")
         self._wal = wal
 
-    @property
-    def generation(self):
-        """Monotonic data-version counter, bumped by any table mutation
-        (through the :meth:`insert`/:meth:`update`/:meth:`delete` API or
-        directly on a table).  The coarse whole-database version; the
-        result caches key on the finer per-table
-        :meth:`table_generations`."""
-        return sum(table.version for table in self.tables.values())
-
     def table_generations(self):
         """The per-table generation map ``{table name: version}`` — the
         vector a sweep pins to detect mid-run mutations and the caches
@@ -135,8 +126,8 @@ class Database:
 
     def update(self, table_name, where, changes):
         """Update rows of ``table_name`` matching ``where``; returns the
-        matched-row count.  ``where`` is a ``{column: value}`` equality
-        mapping or a callable over the row dict; ``changes`` maps columns
+        matched-row count.  ``where`` is a callable over the row dict;
+        ``changes`` maps columns
         to new values (or callables over the row dict).  Order-preserving:
         updated rows keep their slots, so unaffected plans replay
         byte-identically.  With a WAL attached the *computed* new rows

@@ -66,11 +66,6 @@ class FunctionalDependency:
         """Build from any iterables of attribute names."""
         return cls(frozenset(lhs), frozenset(rhs))
 
-    def __repr__(self):
-        left = ",".join(sorted(self.lhs))
-        right = ",".join(sorted(self.rhs))
-        return f"FD({left} -> {right})"
-
 
 @dataclass(frozen=True)
 class InclusionDependency:
@@ -84,12 +79,6 @@ class InclusionDependency:
     lhs_attrs: tuple
     rhs_relation: str
     rhs_attrs: tuple
-
-    def __repr__(self):
-        return (
-            f"IND({self.lhs_relation}[{','.join(self.lhs_attrs)}] ⊆ "
-            f"{self.rhs_relation}[{','.join(self.rhs_attrs)}])"
-        )
 
 
 def attribute_closure(attributes, fds):
@@ -128,27 +117,3 @@ def attribute_closure(attributes, fds):
                 if missing[i] == 0:
                     ready.append(i)
     return frozenset(closure)
-
-
-def implies_fd(fds, candidate):
-    """Does the FD set imply ``candidate``?  (Armstrong-complete via closure.)"""
-    return candidate.rhs <= attribute_closure(candidate.lhs, fds)
-
-
-def minimal_cover_lhs(attributes, fds):
-    """Remove attributes from ``attributes`` that are implied by the rest.
-
-    Handy for canonicalizing Skolem-term arguments when, as in Sec. 3.1's
-    simplification, one argument functionally determines another.
-    """
-    kept = list(attributes)
-    changed = True
-    while changed:
-        changed = False
-        for attr in list(kept):
-            rest = [a for a in kept if a != attr]
-            if attr in attribute_closure(rest, fds):
-                kept = rest
-                changed = True
-                break
-    return tuple(kept)

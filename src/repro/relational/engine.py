@@ -192,10 +192,6 @@ class ExecutionResult:
     breakdown: dict
     transfer_sums: dict
 
-    @property
-    def row_count(self):
-        return len(self.rows)
-
 
 class IterResult:
     """Result of a streaming execution: a row iterator plus live charges.
@@ -548,12 +544,12 @@ class QueryEngine:
         mode.  What differs is what is kept.
 
         Opening charges ``startup`` (so a budget below it raises
-        :class:`~repro.common.errors.TimeoutExceeded` from this call),
-        looks the plan up in :attr:`cache` and counts the hit or miss;
+        :class:`~repro.common.errors.TimeoutExceeded` from this call);
         everything else happens on first ``next()``, which is where later
-        budget overruns raise.  A hit replays the recorded charge log and
-        streams the cached rows.  A *miss is never stored*, and the run
-        neither reads nor feeds the node-result cache.
+        budget overruns raise.  A cursor neither reads nor stores a
+        plan-cache entry, and the run neither reads nor feeds the
+        node-result cache: a plan streamed twice is evaluated twice, to
+        the same rows and charges.
 
         On the default ``"batch"`` engine the first ``next()`` evaluates
         the lowered plan — the one :meth:`execute` runs — in a transient
@@ -577,23 +573,6 @@ class QueryEngine:
         charges = _Charges(self.cost_model, budget_ms, metrics=metrics)
         charges.charge("startup", self.cost_model.startup_ms)
         result = IterResult(plan.columns(), charges)
-        cache = self.cache
-        if cache is not None:
-            entry = cache.lookup(
-                self.cache_key_for(plan),
-                spent_ms=charges.total_ms, budget_ms=budget_ms,
-            )
-            if entry is not None:
-                if metrics is not None:
-                    metrics.inc("plan_cache.hits")
-
-                def replay_rows():
-                    charges.replay(entry.charge_log)
-                    yield from entry.rows
-                result._attach(replay_rows())
-                return result
-            if metrics is not None:
-                metrics.inc("plan_cache.misses")
         if self.mode == "tuple":
             result._attach(self._stream_plan(plan, charges))
         else:

@@ -77,25 +77,12 @@ class EstimateCache(BoundedCache):
     def __init__(self):
         super().__init__("estimates", max_entries=MAX_ESTIMATES)
 
-    @property
-    def requests(self):
-        return self._counts["misses"]
-
-    @property
-    def hits(self):
-        return self._counts["hits"]
-
     def get_or_compute(self, key, compute):
         value = self.get(key)
         if value is None:
             value = compute()
             self.store(key, value)
         return value
-
-    def clear(self):
-        """Drop the contents and start counting afresh."""
-        super().clear()
-        self._counts = dict.fromkeys(self._counts, 0)
 
 
 class CostEstimator:
@@ -111,10 +98,6 @@ class CostEstimator:
     def evaluation_cost(self, plan):
         """Estimated server-side evaluation cost in simulated ms."""
         return self.estimate(plan).server_ms
-
-    def cardinality(self, plan):
-        """Estimated number of result rows."""
-        return self.estimate(plan).cardinality
 
     def query_cost(self, plan):
         """:meth:`evaluation_cost` plus the startup the engine charges

@@ -132,15 +132,6 @@ class ReplicaSet:
             )
         return per_replica
 
-    def __len__(self):
-        return len(self.connections)
-
-    def __iter__(self):
-        return iter(self.connections)
-
-    def __repr__(self):
-        return f"ReplicaSet({len(self.connections)} replicas)"
-
 
 @dataclass
 class ReplicaHealth:
@@ -234,15 +225,6 @@ class ReplicaPool:
         self.hedge_ms = hedge_ms
         self.ewma_alpha = ewma_alpha
         self.health = [ReplicaHealth(i) for i in range(len(connections))]
-
-    def __len__(self):
-        return len(self.connections)
-
-    def __repr__(self):
-        return (
-            f"ReplicaPool({len(self.connections)} replicas, "
-            f"hedge_ms={self.hedge_ms})"
-        )
 
     def policy_for(self, replica, override=None):
         """The fault policy replica ``replica`` runs under: the per-call

@@ -77,16 +77,6 @@ class TableSchema:
         self.column(name)
         return self.column_names.index(name)
 
-    def row_width(self):
-        """Nominal width in bytes of one row (for cost estimation)."""
-        return sum(c.sql_type.storage_width for c in self.columns)
-
-    def __repr__(self):
-        cols = ", ".join(
-            ("*" if c.name in self.key else "") + c.name for c in self.columns
-        )
-        return f"{self.name}({cols})"
-
 
 @dataclass(frozen=True)
 class ForeignKey:
@@ -153,10 +143,6 @@ class DatabaseSchema:
     def table_names(self):
         return tuple(self._tables)
 
-    @property
-    def tables(self):
-        return tuple(self._tables.values())
-
     def structure(self):
         """What view trees and labels depend on, hashable: tables (columns,
         keys, unique sets) and foreign keys (``not_null`` too); per call."""
@@ -167,6 +153,3 @@ class DatabaseSchema:
     def foreign_keys_from(self, table_name):
         """Foreign keys whose referencing side is ``table_name``."""
         return [fk for fk in self.foreign_keys if fk.table == table_name]
-
-    def __repr__(self):
-        return "DatabaseSchema(" + ", ".join(self.table_names) + ")"

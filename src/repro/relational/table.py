@@ -62,9 +62,6 @@ class Table:
     def __len__(self):
         return len(self.rows)
 
-    def __iter__(self):
-        return iter(self.rows)
-
     def insert(self, *values, **named):
         """Insert one row, given positionally or by column name."""
         row = self.prepare_row(values, named)
@@ -130,10 +127,6 @@ class Table:
     def _key_positions(self):
         return [self.schema.column_index(k) for k in self.schema.key]
 
-    def row_key(self, row):
-        """The primary-key tuple of ``row``."""
-        return tuple(row[p] for p in self._key_positions())
-
     def _check_types(self, row):
         for column, value in zip(self.schema.columns, row):
             if value is None:
@@ -149,24 +142,12 @@ class Table:
                 )
 
     def _predicate(self, where):
-        """Compile a mutation's ``where`` into a ``row -> bool`` closure.
-
-        ``where`` is either a mapping of column-name equalities or a
-        callable receiving the row as a ``{column: value}`` dict.
-        """
-        if callable(where):
-            names = self.schema.column_names
-
-            def pred(row):
-                return bool(where(dict(zip(names, row))))
-            return pred
-        items = [
-            (self.schema.column_index(name), value)
-            for name, value in where.items()
-        ]
+        """Compile a mutation's ``where`` — a callable receiving the row as
+        a ``{column: value}`` dict — into a ``row -> bool`` closure."""
+        names = self.schema.column_names
 
         def pred(row):
-            return all(row[i] == v for i, v in items)
+            return bool(where(dict(zip(names, row))))
         return pred
 
     def _reindexed(self, rows):
@@ -386,6 +367,3 @@ class Table:
             for column, value in zip(self.schema.columns, row):
                 total += column.sql_type.value_width(value)
         return total / len(self.rows)
-
-    def __repr__(self):
-        return f"Table({self.schema.name}, {len(self.rows)} rows)"

@@ -100,26 +100,8 @@ def average_row_width(columns, rows, sample=500, nullable=None):
     reading the fixed-width columns that hold none: the same sum."""
     # Sample evenly: consecutive rows share a document-order prefix and
     # are unrepresentative (e.g. the narrow supplier rows come first).
-    sampled = rows[::_stride(len(rows), sample)]
-    return _sampled_width(columns, nullable, len(sampled),
-                          lambda p: list(map(itemgetter(p), sampled)))
-
-
-def average_column_width(columns, values, length, sample=500,
-                         nullable=None):
-    """:func:`average_row_width` of the ``length`` rows whose column
-    value lists are ``values``, sampled from the columns at the same
-    stride — the same rows, the same integer sum — with no transpose."""
-    stride = _stride(length, sample)
-    return _sampled_width(columns, nullable, len(range(0, length, stride)),
-                          lambda p: values[p][::stride])
-
-
-def _stride(length, sample):
-    return max(length // sample, 1)
-
-
-def _sampled_width(columns, nullable, n, sampled):
+    sampled = rows[::max(len(rows) // sample, 1)]
+    n = len(sampled)
     # Summed per column, in C; an integer, so the average is exact.
     total = 0
     for position, col in enumerate(columns):
@@ -127,7 +109,7 @@ def _sampled_width(columns, nullable, n, sampled):
         if not (text or nullable is None or nullable[position]):
             total += n * col.sql_type.storage_width
             continue
-        values = sampled(position)
+        values = list(map(itemgetter(position), sampled))
         nulls = values.count(None)
         total += nulls  # null markers
         if text:
@@ -148,9 +130,8 @@ _STORAGE_WIDTHS = {
 
 
 #: Words that cannot appear as bare identifiers in the generated SQL —
-#: the union of the keywords our own parser (:mod:`repro.relational.sqlparse`)
-#: reserves and SQLite's reserved-keyword list, so quoted output is accepted
-#: verbatim by both consumers.
+#: SQLite's reserved-keyword list and the keywords of the generated dialect
+#: itself, so quoted output is accepted verbatim by a real SQL parser.
 SQL_RESERVED_WORDS = frozenset("""
     abort action add after all alter always analyze and as asc attach
     autoincrement before begin between by cascade case cast check collate

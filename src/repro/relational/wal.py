@@ -425,11 +425,6 @@ class WriteAheadLog:
             self.metrics.inc("wal.dedup_hits")
         return result
 
-    def request_results(self):
-        """A copy of the committed ``{request_id: result}`` map."""
-        with self._lock:
-            return dict(self._dedup)
-
     # -- attach / restore ---------------------------------------------------
 
     def attach(self, database):
@@ -611,16 +606,6 @@ class WriteAheadLog:
             if self._file is not None:
                 self._file.close()
                 self._file = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
-    def __repr__(self):
-        return (f"WriteAheadLog({str(self.path)!r}, "
-                f"checkpoint_every={self.checkpoint_every})")
 
 
 class WalTransaction:

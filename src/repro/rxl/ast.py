@@ -10,9 +10,6 @@ class VarField:
     var: str
     field: str
 
-    def __str__(self):
-        return f"${self.var}.{self.field}"
-
 
 @dataclass(frozen=True)
 class LiteralValue:
@@ -44,9 +41,6 @@ class TupleVarDecl:
 
     table: str
     var: str
-
-    def __str__(self):
-        return f"{self.table} ${self.var}"
 
 
 @dataclass(frozen=True)
@@ -83,15 +77,6 @@ class RxlElement:
     contents: list = field(default_factory=list)  # RxlElement|RxlBlock|TextExpr|TextLiteral
     skolem: SkolemSpec = None
 
-    def child_elements(self):
-        return [c for c in self.contents if isinstance(c, RxlElement)]
-
-    def child_blocks(self):
-        return [c for c in self.contents if isinstance(c, RxlBlock)]
-
-    def text_contents(self):
-        return [c for c in self.contents if isinstance(c, (TextExpr, TextLiteral))]
-
 
 @dataclass
 class RxlBlock:
@@ -115,6 +100,3 @@ class RxlQuery:
     froms: list      # of TupleVarDecl
     conditions: list  # of RxlCondition
     construct: list  # of RxlElement (usually exactly one at each level)
-
-    def var_names(self):
-        return [decl.var for decl in self.froms]

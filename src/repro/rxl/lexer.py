@@ -29,9 +29,6 @@ class Token:
     line: int
     column: int
 
-    def __repr__(self):
-        return f"Token({self.kind}, {self.value!r})"
-
 
 def tokenize(text):
     """Tokenize RXL source; ``#`` starts a line comment.  Returns a list of

@@ -17,8 +17,6 @@ from repro.xmlgen.streams import (
     ComparatorLayout,
     XmlDocumentCache,
     decode_stream,
-    instance_sources,
-    iter_instances,
     merge_streams,
     reference_decode,
 )
@@ -32,8 +30,6 @@ __all__ = [
     "ComparatorLayout",
     "XmlDocumentCache",
     "decode_stream",
-    "instance_sources",
-    "iter_instances",
     "merge_streams",
     "reference_decode",
     "CountingSink",

@@ -113,11 +113,9 @@ class XmlWriter:
         self._write = self.sink.write if indent is None else FirstLine(
             self.sink.write)
         self._open_tag_has_children = []
-        self._started = False
 
     def start_element(self, tag):
         if self.indent is not None:
-            self._started = True
             if self._open_tag_has_children:
                 self._open_tag_has_children[-1] = True
             self._open_tag_has_children.append(False)

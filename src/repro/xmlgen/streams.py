@@ -48,20 +48,12 @@ class Instance:
         self.node = node  # ViewTreeNode
         self.term = term  # the Skolem-term argument values, in node.args order
 
-    def identity(self):
-        """The full Skolem-term identity (all arguments) — what fuses or
-        distinguishes element instances."""
-        return self.term
-
     @property
     def values(self):
         """stv name -> value, for the node's Skolem-term arguments."""
         return {
             stv.name: value for stv, value in zip(self.node.args, self.term)
         }
-
-    def __repr__(self):
-        return f"Instance({self.node.sfi}{self.term!r})"
 
 
 class ComparatorLayout:
@@ -303,30 +295,6 @@ def merge_items(sources):
     return heapq.merge(*sources, key=_K0)
 
 
-class CountingIterator:
-    """Wrap an iterator and count the items that pass through.
-
-    The observability layer's per-stream-free way to report how many
-    merged instances the tagger consumed: wrapping costs one integer
-    increment per instance and is only installed when tracing or metrics
-    are enabled, keeping the default path untouched.
-    """
-
-    __slots__ = ("_it", "count")
-
-    def __init__(self, iterable):
-        self._it = iter(iterable)
-        self.count = 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        item = next(self._it)
-        self.count += 1
-        return item
-
-
 class XmlDocumentCache(BoundedCache):
     """LRU cache of fully tagged ``(xml, tagger)`` documents.
 
@@ -343,22 +311,3 @@ class XmlDocumentCache(BoundedCache):
         super().__init__("document_cache", max_entries=max_entries,
                          max_bytes=max_bytes,
                          size_of=lambda document: len(document[0]))
-
-
-def instance_sources(specs, row_sources, layout):
-    """One document-ordered instance sequence per stream: lazy
-    :func:`decode_stream` generators, which pull rows on demand and keep
-    the decode→merge pipeline in bounded memory."""
-    return [
-        decode_stream(spec, rows, layout)
-        for spec, rows in zip(specs, row_sources)
-    ]
-
-
-def iter_instances(tree, specs, row_sources, layout=None):
-    """The merged document-order instance iterator of a set of streams:
-    :func:`merge_streams` over :func:`instance_sources`, with a fresh
-    :class:`ComparatorLayout` of ``tree`` unless one is passed."""
-    if layout is None:
-        layout = ComparatorLayout(tree)
-    return merge_streams(instance_sources(specs, row_sources, layout))

@@ -22,9 +22,7 @@ from repro.xmlgen.kernel import tag_kernel
 from repro.xmlgen.serializer import FirstLine, XmlWriter, closing, opening
 from repro.xmlgen.streams import (
     ComparatorLayout,
-    CountingIterator,
     merge_items,
-    merge_streams,
     tuple_getter,
 )
 
@@ -264,9 +262,10 @@ def tag_streams(tree, specs, streams, root_tag="view", indent=None,
     in-memory ``StringIO``, else ``(writer, counts)``; ``counts`` has
     :class:`XmlTagger`'s counters.
 
-    A fresh :class:`~repro.xmlgen.serializer.XmlWriter` (the default) is
-    written by the generated kernels (:class:`Document`), into its sink;
-    any other writer gets :class:`XmlTagger`'s events.
+    The generated kernels (:class:`Document`) write the document into
+    the sink of ``writer``, a fresh
+    :class:`~repro.xmlgen.serializer.XmlWriter` (by default, one over a
+    ``StringIO``).
 
     ``layout`` is the tree's :class:`~repro.xmlgen.streams.ComparatorLayout`
     — pass the one a long-lived caller keeps, so its stream decoders are
@@ -280,12 +279,8 @@ def tag_streams(tree, specs, streams, root_tag="view", indent=None,
     writer = writer or XmlWriter(indent=indent)
     run = [(layout.decoder(spec), rows, spec.label)
            for spec, rows in zip(specs, streams)]
-    events = type(writer) is not XmlWriter or writer._started
-    if events:
-        document = counts = XmlTagger(tree, writer, root_tag=root_tag)
-    else:
-        document = Document(layout, writer.sink, writer.indent, root_tag)
-        counts = document.counts
+    document = Document(layout, writer.sink, writer.indent, root_tag)
+    counts = document.counts
 
     def tag(feeds):
         before = _chars_written(writer)
@@ -294,13 +289,13 @@ def tag_streams(tree, specs, streams, root_tag="view", indent=None,
         written = None if None in (before, after) else after - before
         return counts.elements_written, written
 
-    integrate(obs, counts, len(specs), [run], tag, events=events)
+    integrate(obs, counts, len(specs), [run], tag)
     if isinstance(getattr(writer, "sink", None), io.StringIO):
         return writer.getvalue(), counts
     return writer, counts
 
 
-def integrate(obs, counts, streams, runs, tag, events=False):
+def integrate(obs, counts, streams, runs, tag):
     """Merge and tag ``runs`` — per run, ``(decoder, rows, label)`` of
     some of the ``streams`` streams, or a function returning them, called
     as part of decoding — by ``tag(feeds)``, which gets one
@@ -308,23 +303,18 @@ def integrate(obs, counts, streams, runs, tag, events=False):
     (characters None when the sink cannot tell).  A feed is what
     :meth:`Document.run` takes: a lone stream as it came, for its
     single-stream kernel, else the merge of the streams' generated
-    decoders; with ``events``, the merge of their :class:`Instance`
-    sequences, for :class:`XmlTagger` (``counts``).
+    decoders.
 
     With ``obs`` (an :class:`~repro.obs.ObsOptions` session) on, the same
     feeds run inside spans: ``decode`` (the runs taken apart; decoding is
     lazy, or fused into a single-stream kernel), then ``merge`` around
     ``tag``.  Both the ``decode`` and ``merge`` spans and counters carry
-    the instances tagged (:attr:`TagCounts.instances`, or with
-    ``events`` those merged); ``tag`` carries what was written."""
+    the instances tagged (:attr:`TagCounts.instances`); ``tag`` carries
+    what was written."""
     tracer, metrics = obs_parts(obs)
     traced = tracer.enabled or metrics.enabled
 
     def feed(run):
-        if events:
-            merged = merge_streams([decoder.decode(rows, label)
-                                    for decoder, rows, label in run])
-            return CountingIterator(merged) if traced else merged
         if len(run) == 1:
             return run[0]
         return merge_items([decoder.items(rows, label)
@@ -335,14 +325,13 @@ def integrate(obs, counts, streams, runs, tag, events=False):
         return
     with tracer.span("decode", streams=streams) as decode_span:
         feeds = [feed(run) for run in (runs() if callable(runs) else runs)]
-    before = 0 if events else counts.instances
+    before = counts.instances
     with tracer.span("merge", streams=streams) as merge_span:
         with tracer.span("tag", root_tag=counts.root_tag) as tag_span:
             elements, written = tag(feeds)
         tag_span.set(elements=elements,
                      max_stack_depth=counts.max_stack_depth)
-        instances = (sum(feed.count for feed in feeds) if events
-                     else counts.instances - before)
+        instances = counts.instances - before
         merge_span.set(instances=instances)
     decode_span.set(instances=instances)
     metrics.inc("decode.instances", instances)

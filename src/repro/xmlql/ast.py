@@ -62,6 +62,3 @@ class XmlQlQuery:
     pattern: PatternElement
     conditions: list  # of VarCondition
     construct: ConstructNode
-
-    def bound_variables(self):
-        return self.pattern.variables()

@@ -7,6 +7,7 @@ structural property (suppliers without parts, parts without orders, etc.).
 
 import pytest
 
+from repro.relational.algebra import JoinBranch, LeftOuterJoin
 from repro.relational.connection import Connection
 from repro.relational.engine import CostModel
 from repro.relational.estimator import CostEstimator
@@ -15,6 +16,18 @@ from repro.tpch.schema import tpch_schema
 from repro.bench.queries import QUERY_1, QUERY_2, load_view
 
 TINY_SCALE = TpchScale(suppliers=8, parts=16, customers=10, orders=40)
+
+
+def simple_outer_join(left, right, equalities):
+    """A single-branch, untagged left outer join."""
+    return LeftOuterJoin(left, right, [JoinBranch(tuple(equalities))])
+
+
+def spans_named(root, name):
+    """Every span under ``root`` (a tracer or a span) named ``name`` or
+    ``name:<suffix>`` (``"stream"`` matches every ``stream:<label>``)."""
+    return [s for s in root.walk()
+            if s.name == name or s.name.startswith(name + ":")]
 
 
 @pytest.fixture(scope="session")

@@ -25,6 +25,7 @@ from repro.relational.algebra import (
 )
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import SqlType
+from conftest import simple_outer_join
 
 
 @pytest.fixture
@@ -114,10 +115,6 @@ class TestFilterProject:
         assert proj.column_names() == ("id",)
         assert proj.columns()[0].source == ("People", "id")
 
-    def test_project_constant(self, people):
-        proj = Project(Scan(people, "p"), [ConstantColumn("L1", 1)])
-        assert proj.columns()[0].sql_type is SqlType.INTEGER
-
     def test_project_null_constant_needs_type(self, people):
         item = ConstantColumn("x", None, SqlType.VARCHAR)
         proj = Project(Scan(people, "p"), [item])
@@ -164,7 +161,7 @@ class TestJoins:
             )
 
     def test_simple_constructor(self, people, pets):
-        join = LeftOuterJoin.simple(
+        join = simple_outer_join(
             Scan(people, "p"), Scan(pets, "q"), [("p.id", "q.owner")]
         )
         assert len(join.branches) == 1
@@ -201,11 +198,11 @@ class TestInspection:
 
     def test_outer_join_nesting(self, people, pets):
         p, q = Scan(people, "p"), Scan(pets, "q")
-        flat = LeftOuterJoin.simple(p, q, [("p.id", "q.owner")])
+        flat = simple_outer_join(p, q, [("p.id", "q.owner")])
         assert outer_join_nesting(flat) == 1
         assert outer_join_nesting(p) == 0
         r = Scan(people, "r")
-        nested = LeftOuterJoin.simple(
+        nested = simple_outer_join(
             r, Project(flat, [ProjectItem(ColumnRef("p.id"), "x")]),
             [("r.id", "x")],
         )

@@ -63,6 +63,13 @@ class TestValidation:
         assert code == 2
         assert "--query" in err
 
+    def test_explain_takes_no_execution_flag(self):
+        """explain renders SQL without dispatching it: a flag only
+        dispatch reads is an error, not silently ignored."""
+        code, err = reject("explain", "--retries", "3")
+        assert code == 2
+        assert "--retries" in err
+
     def test_error_message_is_one_line(self):
         _, err = reject("sweep", "--fault-rate", "7")
         # argparse prints usage + a single error line; the error itself
@@ -161,15 +168,6 @@ class TestTreeAndSql:
         _, output = run_cli("tree", "--no-args")
         assert "suppkey(1,1)" not in output
 
-    def test_sql_command(self):
-        code, output = run_cli(
-            "sql",
-            "SELECT r.name AS name FROM Region r ORDER BY name NULLS FIRST",
-        )
-        assert code == 0
-        assert "AFRICA" in output
-        assert "row(s)" in output
-
 
 class TestExperiments:
     def test_registry_listing(self):
@@ -180,13 +178,11 @@ class TestExperiments:
         assert "benchmarks/test_sec2_table.py" in output
 
     def test_registry_lookup(self):
-        from repro.bench.experiments import EXPERIMENTS, experiment
+        from repro.bench.experiments import EXPERIMENTS
 
-        assert len(EXPERIMENTS) == 10
-        assert experiment("E7").artifact.startswith("Fig. 18")
-        import pytest as _pytest
-        with _pytest.raises(KeyError):
-            experiment("E99")
+        by_id = {entry.id: entry for entry in EXPERIMENTS}
+        assert len(by_id) == len(EXPERIMENTS) == 10
+        assert by_id["E7"].artifact.startswith("Fig. 18")
 
     def test_benches_exist(self):
         import pathlib

@@ -32,8 +32,6 @@ class TestTupleStream:
         assert len(stream) == len(tiny_db.table("Supplier"))
         assert stream.server_ms > 0
         assert stream.transfer_ms > 0
-        assert stream.total_ms == stream.server_ms + stream.transfer_ms
-        assert "suppliers" in repr(stream)
 
     def test_stream_iterable(self, conn, tiny_db):
         stream = conn.execute(supplier_scan(tiny_db))

@@ -4,10 +4,7 @@ from hypothesis import given, strategies as st
 
 from repro.relational.dependencies import (
     FunctionalDependency,
-    InclusionDependency,
     attribute_closure,
-    implies_fd,
-    minimal_cover_lhs,
 )
 
 FD = FunctionalDependency.of
@@ -40,38 +37,6 @@ class TestClosure:
     def test_no_spurious_attributes(self):
         fds = [FD(["x"], ["y"])]
         assert attribute_closure(["a"], fds) == {"a"}
-
-
-class TestImplies:
-    def test_implied(self):
-        fds = [FD(["a"], ["b"]), FD(["b"], ["c"])]
-        assert implies_fd(fds, FD(["a"], ["c"]))
-
-    def test_not_implied(self):
-        fds = [FD(["a"], ["b"])]
-        assert not implies_fd(fds, FD(["b"], ["a"]))
-
-    def test_augmentation(self):
-        fds = [FD(["a"], ["b"])]
-        assert implies_fd(fds, FD(["a", "x"], ["b", "x"]))
-
-
-class TestMinimalCover:
-    def test_drops_implied(self):
-        fds = [FD(["name"], ["key"])]
-        assert minimal_cover_lhs(["key", "name"], fds) == ("name",)
-
-    def test_keeps_independent(self):
-        assert minimal_cover_lhs(["a", "b"], []) == ("a", "b")
-
-
-class TestReprs:
-    def test_fd_repr(self):
-        assert "a" in repr(FD(["a"], ["b"]))
-
-    def test_ind_repr(self):
-        ind = InclusionDependency("R", ("x",), "S", ("y",))
-        assert "R[x]" in repr(ind)
 
 
 # -- property-based ----------------------------------------------------------

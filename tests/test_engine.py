@@ -32,6 +32,7 @@ from repro.relational.engine import (
 from repro.relational.estimator import CostEstimator
 from repro.relational.schema import Column, DatabaseSchema, TableSchema
 from repro.relational.types import SqlType, average_row_width, width_function
+from conftest import simple_outer_join
 
 
 @pytest.fixture
@@ -81,7 +82,7 @@ def emp(db):
 class TestScanFilterProject:
     def test_scan(self, engine, db):
         result = engine.execute(dept(db))
-        assert result.row_count == 3
+        assert len(result.rows) == 3
         assert result.rows[0] == (1, "eng")
 
     def test_filter(self, engine, db):
@@ -97,7 +98,7 @@ class TestScanFilterProject:
     def test_project_constants_and_rename(self, engine, db):
         plan = Project(
             dept(db),
-            [ConstantColumn("L1", 1), ProjectItem(ColumnRef("d.dname"), "name")],
+            [ConstantColumn("L1", 1, SqlType.INTEGER), ProjectItem(ColumnRef("d.dname"), "name")],
         )
         assert engine.execute(plan).rows[0] == (1, "eng")
 
@@ -122,10 +123,10 @@ class TestJoins:
 
     def test_cartesian_join(self, engine, db):
         plan = InnerJoin(dept(db), emp_alias(db), [])
-        assert engine.execute(plan).row_count == 12
+        assert len(engine.execute(plan).rows) == 12
 
     def test_left_outer_join_pads_nulls(self, engine, db):
-        plan = LeftOuterJoin.simple(dept(db), emp(db), [("d.deptno", "e.deptno")])
+        plan = simple_outer_join(dept(db), emp(db), [("d.deptno", "e.deptno")])
         rows = engine.execute(plan).rows
         assert len(rows) == 4  # 3 matches + bare 'empty' dept
         bare = [r for r in rows if r[2] is None]
@@ -172,7 +173,7 @@ class TestUnionSort:
     def test_union_distinct(self, engine, db):
         a = Project(emp(db), [ProjectItem(ColumnRef("e.deptno"), "d")])
         plan = OuterUnion([a, a], distinct=True)
-        assert engine.execute(plan).row_count == 3
+        assert len(engine.execute(plan).rows) == 3
 
     def test_sort_nulls_first(self, engine, db):
         plan = Sort(
@@ -253,13 +254,13 @@ class TestSharing:
 
 class TestReevaluationPenalty:
     def _nested(self, db):
-        inner = LeftOuterJoin.simple(
+        inner = simple_outer_join(
             Project(emp(db), [ProjectItem(ColumnRef("e.deptno"), "dep"),
                               ProjectItem(ColumnRef("e.ename"), "en")]),
             Project(dept(db), [ProjectItem(ColumnRef("d.deptno"), "dd")]),
             [("dep", "dd")],
         )
-        return LeftOuterJoin.simple(
+        return simple_outer_join(
             Project(dept(db), [ProjectItem(ColumnRef("d.deptno"), "k")]),
             inner,
             [("k", "dep")],

@@ -414,7 +414,6 @@ class TestExecutionOptions:
         calls = [
             lambda **kw: view.materialize("unified", **kw),
             lambda **kw: view.materialize_to(io.StringIO(), "unified", **kw),
-            lambda **kw: view.execute_partition(partition, **kw),
             lambda **kw: view.explain("unified", **kw),
             lambda **kw: view.greedy_plan(**kw),
             lambda **kw: session.sweep(QUERY_1, partitions=[partition], **kw),
@@ -442,8 +441,6 @@ class TestExecutionOptions:
         assert reduced != plain
         assert view.explain("unified") == plain
         partition = view.unified_partition()
-        _, _, report = view.execute_partition(partition)
-        assert [s.sql for s in report.streams] == plain
         sweep = Session(silk).sweep(QUERY_1, partitions=[partition]).sweep
         assert sweep.reduced is False
         for result in (
@@ -498,11 +495,9 @@ class TestCacheWiring:
 
 class TestCursorClose:
     def test_context_manager_closes(self, tiny_conn):
-        from repro.relational.sqlparse import parse_sql
+        from repro.relational.algebra import Scan
 
-        plan = parse_sql(
-            "SELECT s.suppkey AS k FROM Supplier s", tiny_conn.database.schema
-        )
+        plan = Scan(tiny_conn.database.schema.table("Supplier"), "s")
         cursor = tiny_conn.execute_iter(plan)
         with cursor:
             next(iter(cursor))

@@ -1,145 +1,4 @@
-"""Tests for CSV/TBL data import/export (repro.relational.io)."""
-
-import io
-
-import pytest
-
-from repro.common.errors import SchemaError
-from repro.relational.io import (
-    dump_directory,
-    dump_table,
-    dump_tbl_directory,
-    format_value,
-    load_directory,
-    load_table,
-    load_tbl_directory,
-    parse_value,
-)
-from repro.relational.types import SqlType
-from repro.tpch.schema import tpch_schema
-
-
-class TestValueConversion:
-    def test_parse_types(self):
-        import datetime
-
-        assert parse_value("42", SqlType.INTEGER) == 42
-        assert parse_value("3.5", SqlType.DECIMAL) == 3.5
-        assert parse_value("x", SqlType.VARCHAR) == "x"
-        assert parse_value("2001-05-21", SqlType.DATE) == datetime.date(2001, 5, 21)
-
-    def test_empty_is_null(self):
-        assert parse_value("", SqlType.INTEGER) is None
-        with pytest.raises(SchemaError):
-            parse_value("", SqlType.INTEGER, nullable=False)
-
-    def test_format_round_trip(self):
-        import datetime
-
-        for value, sql_type in [
-            (42, SqlType.INTEGER),
-            (3.5, SqlType.DECIMAL),
-            ("abc", SqlType.VARCHAR),
-            (datetime.date(2001, 5, 21), SqlType.DATE),
-        ]:
-            assert parse_value(format_value(value), sql_type) == value
-        assert format_value(None) == ""
-
-
-class TestTableIo:
-    def test_load_table(self, tiny_db):
-        from repro.relational.database import Database
-
-        db = Database(tpch_schema())
-        n = load_table(db, "Region", ["1,AFRICA", "2,ASIA"])
-        assert n == 2
-        assert db.table("Region").rows == [(1, "AFRICA"), (2, "ASIA")]
-
-    def test_header_skipped(self):
-        from repro.relational.database import Database
-
-        db = Database(tpch_schema())
-        load_table(db, "Region", ["regionkey,name", "1,AFRICA"], header=True)
-        assert len(db.table("Region")) == 1
-
-    def test_dbgen_trailing_pipe(self):
-        from repro.relational.database import Database
-
-        db = Database(tpch_schema())
-        load_table(db, "Region", ["1|AFRICA|"], delimiter="|")
-        assert db.table("Region").rows == [(1, "AFRICA")]
-
-    def test_field_count_mismatch(self):
-        from repro.relational.database import Database
-
-        db = Database(tpch_schema())
-        with pytest.raises(SchemaError, match="expected 2 fields"):
-            load_table(db, "Region", ["1,AFRICA,extra,junk"])
-
-    def test_dump_table(self, tiny_db):
-        sink = io.StringIO()
-        n = dump_table(tiny_db, "Region", sink, header=True)
-        lines = sink.getvalue().splitlines()
-        assert lines[0] == "regionkey,name"
-        assert len(lines) == n + 1
-
-
-class TestDirectoryRoundTrip:
-    def test_csv_round_trip(self, tiny_db, tmp_path):
-        written = dump_directory(tiny_db, tmp_path / "csv")
-        assert written["Supplier"] == len(tiny_db.table("Supplier"))
-        reloaded = load_directory(tpch_schema(), tmp_path / "csv")
-        for name in tpch_schema().table_names:
-            assert reloaded.table(name).rows == tiny_db.table(name).rows
-
-    def test_tbl_round_trip(self, tiny_db, tmp_path):
-        dump_tbl_directory(tiny_db, tmp_path / "tbl")
-        assert (tmp_path / "tbl" / "LineItem.tbl").exists()
-        reloaded = load_tbl_directory(tpch_schema(), tmp_path / "tbl")
-        assert reloaded.table("LineItem").rows == tiny_db.table("LineItem").rows
-
-    def test_missing_files_leave_tables_empty(self, tmp_path):
-        (tmp_path / "Region.csv").write_text("1,AFRICA\n")
-        db = load_directory(tpch_schema(), tmp_path, check=False)
-        assert len(db.table("Region")) == 1
-        assert len(db.table("Supplier")) == 0
-
-    def test_check_verifies_foreign_keys(self, tmp_path):
-        (tmp_path / "Nation.csv").write_text("1,GHOSTLAND,99\n")
-        with pytest.raises(SchemaError, match="dangling"):
-            load_directory(tpch_schema(), tmp_path)
-
-    def test_loaded_database_runs_views(self, tiny_db, tmp_path):
-        """A dumped-and-reloaded database materializes identical XML."""
-        from repro.bench.queries import QUERY_1, load_view
-        from repro.core.partition import unified_partition
-        from repro.core.sqlgen import SqlGenerator
-        from repro.relational.connection import Connection
-        from repro.relational.engine import CostModel
-        from repro.xmlgen.tagger import tag_streams
-
-        dump_directory(tiny_db, tmp_path / "data")
-        reloaded = load_directory(tpch_schema(), tmp_path / "data")
-
-        def materialize(db):
-            conn = Connection(db, CostModel())
-            tree = load_view(QUERY_1, db.schema)
-            generator = SqlGenerator(tree, db.schema)
-            specs = generator.streams_for_partition(unified_partition(tree))
-            streams = [conn.execute(s.plan) for s in specs]
-            return tag_streams(tree, specs, streams, root_tag="v")[0]
-
-        assert materialize(reloaded) == materialize(tiny_db)
-
-
-class TestConnectionSqlConsole:
-    def test_sql_text_execution(self, tiny_conn, tiny_db):
-        stream = tiny_conn.sql(
-            "SELECT s.suppkey AS k FROM Supplier s WHERE s.suppkey <= 3 "
-            "ORDER BY k NULLS FIRST"
-        )
-        assert [r[0] for r in stream] == [1, 2, 3]
-        assert stream.sql is not None
+"""The view tree drawn as text (``ViewTree.render``, ``repro tree``)."""
 
 
 class TestViewTreeRender:

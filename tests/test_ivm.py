@@ -40,6 +40,7 @@ from repro.relational.estimator import CostEstimator
 from repro.relational.faults import FaultPolicy, RetryPolicy
 from repro.session import Session
 from repro.tpch.generator import TpchGenerator, TpchScale
+from conftest import spans_named
 
 TINY = TpchScale(suppliers=8, parts=16, customers=10, orders=40)
 
@@ -108,7 +109,7 @@ class TestMutationApi:
     def test_no_match_update_is_a_version_noop(self):
         db, _, _, _ = fresh_setup()
         version = db.table("Supplier").version
-        assert db.update("Supplier", {"suppkey": -1}, {"name": "x"}) == 0
+        assert db.update("Supplier", lambda row: row["suppkey"] == -1, {"name": "x"}) == 0
         assert db.table("Supplier").version == version
 
     def test_delete_counts_and_preserves_order(self):
@@ -116,7 +117,7 @@ class TestMutationApi:
         table = db.table("Supplier")
         survivors = [row[0] for row in table.rows[1:]]
         victim = table.rows[0][0]
-        assert db.delete("Supplier", {"suppkey": victim}) == 1
+        assert db.delete("Supplier", lambda row: row["suppkey"] == victim) == 1
         assert [row[0] for row in table.rows] == survivors
 
     def test_failed_update_commits_nothing(self):
@@ -650,7 +651,7 @@ class TestSpliceEqualsCold:
             used = set(db.table("PartSupp").column_values("suppkey"))
             victim = next(row[0] for row in db.table("Supplier").rows
                           if row[0] not in used)
-            assert db.delete("Supplier", {"suppkey": victim}) == 1
+            assert db.delete("Supplier", lambda row: row["suppkey"] == victim) == 1
         else:
             assert _apply_delta(db, "Supplier", "insert", 1, seed=5) == 1
         served = session.materialize(QUERY_1, indent=2)
@@ -668,7 +669,7 @@ class TestSpliceEqualsCold:
         db, session = splice_session()
         partkey = db.table("PartSupp").rows[0][0]
         for value, text in zip(values, texts):
-            db.update("Part", {"partkey": partkey}, {"retail": value})
+            db.update("Part", lambda row: row["partkey"] == partkey, {"retail": value})
             served = session.materialize(RETAIL_VIEW)
             assert f"<retail>{text}</retail>" in served.xml
             assert tagged(served) == tagged(cold_run(db, RETAIL_VIEW))
@@ -729,7 +730,8 @@ class TestSpliceEqualsCold:
             session.mutate(("Supplier", "Customer")[write % 2], op="update",
                            rows=2, seed=write)
             # Each thread misses the document cache; both splice.
-            session.view(QUERY_1).document_cache.clear()
+            session.view(QUERY_1).document_cache.discard_where(
+                lambda key, value: True)
             served = [None, None]
 
             def read(slot):
@@ -752,12 +754,12 @@ class TestSpliceEqualsCold:
         obs = ObsOptions()
         traced = session.materialize(QUERY_1,
                                      options=ExecutionOptions(obs=obs))
-        [splice] = obs.tracer.find("splice")
+        [splice] = spans_named(obs.tracer, "splice")
         groups = traced.xml.count("<supplier>")
         assert splice.attrs == {"groups": groups, "reused": groups - 2,
                                 "retagged": 2}
-        [decode] = splice.find("decode")
-        [tag] = splice.find("tag")
+        [decode] = spans_named(splice, "decode")
+        [tag] = spans_named(splice, "tag")
         assert 0 < tag.attrs["elements"] < traced.tagger.elements_written
         counters = obs.metrics.snapshot()["counters"]
         assert counters["splice.reused"] == groups - 2

@@ -144,19 +144,19 @@ class TestConditionCases:
 
 class TestBodyFds:
     def test_key_fd_derived(self, schema, q1_tree):
-        rule = q1_tree.node((1, 2)).rule  # Supplier ⋈ Nation
+        rule = q1_tree.node((1, 2)).rules[0]  # Supplier ⋈ Nation
         fds = body_fds(rule, schema)
         closure = attribute_closure(["s.suppkey"], fds)
         assert "n.name" in closure  # suppkey -> nationkey -> name
 
     def test_unique_set_fd_derived(self, schema, q1_tree):
-        rule = q1_tree.node((1, 2)).rule
+        rule = q1_tree.node((1, 2)).rules[0]
         fds = body_fds(rule, schema)
         closure = attribute_closure(["n.name"], fds)
         assert "n.nationkey" in closure  # name is a candidate key
 
     def test_equality_fds_bidirectional(self, schema, q1_tree):
-        rule = q1_tree.node((1, 2)).rule
+        rule = q1_tree.node((1, 2)).rules[0]
         fds = body_fds(rule, schema)
         assert "n.nationkey" in attribute_closure(["s.nationkey"], fds)
         assert "s.nationkey" in attribute_closure(["n.nationkey"], fds)

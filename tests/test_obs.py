@@ -57,6 +57,7 @@ from repro.tpch.configs import CONFIG_A, build_database
 from repro.xmlgen.serializer import XmlWriter
 from repro.xmlgen.streams import StreamDecoder
 from repro.xmlgen.tagger import tag_streams
+from conftest import spans_named
 
 
 def fresh_view(tiny_db, tiny_estimator, **silk_kwargs):
@@ -131,10 +132,10 @@ class TestTracer:
                 pass
             with tracer.span("stream:S2"):
                 pass
-        assert len(tracer.find("stream")) == 2
-        assert len(tracer.find("stream:S1")) == 1
-        assert len(tracer.find("dispatch")) == 1
-        assert tracer.find("nonexistent") == []
+        assert len(spans_named(tracer, "stream")) == 2
+        assert len(spans_named(tracer, "stream:S1")) == 1
+        assert len(spans_named(tracer, "dispatch")) == 1
+        assert spans_named(tracer, "nonexistent") == []
 
     def test_exception_marks_span_and_unwinds(self):
         tracer = Tracer()
@@ -156,16 +157,11 @@ class TestNullObjects:
             s.set_sim(5.0)
             s.event("x")
         assert NULL_TRACER.roots == ()
-        assert NULL_TRACER.current() is None
 
     def test_null_metrics_is_a_shared_noop(self):
         assert NULL_METRICS.enabled is False
         NULL_METRICS.inc("c")
         NULL_METRICS.gauge("g", 1)
-        NULL_METRICS.observe("h", 1.0)
-        assert NULL_METRICS.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {}
-        }
 
     def test_obs_parts_resolves_none_to_singletons(self):
         assert obs_parts(None) == (NULL_TRACER, NULL_METRICS)
@@ -176,8 +172,6 @@ class TestNullObjects:
         obs = ObsOptions(trace=False, metrics=False)
         assert obs.tracer is NULL_TRACER
         assert obs.metrics is NULL_METRICS
-        assert obs.enabled is False
-        assert ObsOptions(trace=True, metrics=False).enabled is True
 
 
 class TestMetrics:
@@ -225,7 +219,7 @@ class TestOptionsIntegration:
         result = view.materialize(options=ExecutionOptions(obs=obs))
         assert result.report.obs is obs
         assert result.report.obs.profile()
-        assert obs.tracer.find("materialize")
+        assert spans_named(obs.tracer, "materialize")
 
     def test_default_execution_attaches_nothing(self, tiny_db, tiny_estimator):
         view = fresh_view(tiny_db, tiny_estimator)
@@ -267,8 +261,8 @@ class TestObservationIdentity:
             traced.report.elapsed_total_ms == baseline.report.elapsed_total_ms
         )
         # And the trace actually recorded the run.
-        assert obs.tracer.find("materialize")
-        assert len(obs.tracer.find("stream")) == traced.report.n_streams
+        assert spans_named(obs.tracer, "materialize")
+        assert len(spans_named(obs.tracer, "stream")) == traced.report.n_streams
 
     def test_identity_holds_under_faults(self, tiny_db, tiny_estimator):
         knobs = dict(
@@ -315,8 +309,8 @@ class TestObservationIdentity:
         assert traced.timings == baseline.timings == uncached.timings
         assert traced_uncached.timings == baseline.timings
         assert traced.cache_stats.hits == baseline.cache_stats.hits > 0
-        assert len(obs.tracer.find("partition")) == len(partitions)
-        sweep_span = obs.tracer.find("sweep")[0]
+        assert len(spans_named(obs.tracer, "partition")) == len(partitions)
+        sweep_span = spans_named(obs.tracer, "sweep")[0]
         assert sweep_span.attrs["plans"] == len(partitions)
         snapshot = obs.metrics.snapshot()
         assert snapshot["counters"]["sweep.plans"] == len(partitions)
@@ -364,7 +358,7 @@ class TestIntegrationSpans:
             result = silk.define_view(QUERY_1).materialize(
                 partition, options=ExecutionOptions(obs=obs),
             )
-            [root] = obs.tracer.find("materialize")
+            [root] = spans_named(obs.tracer, "materialize")
             spans = {child.name: child for child in root.children}
             decode, merge = spans["decode"], spans["merge"]
             [tag] = merge.children
@@ -397,8 +391,8 @@ class TestIntegrationSpans:
         traced = view.materialize("unified",
                                   options=ExecutionOptions(obs=obs))
         assert len(kernels) == 1
-        [decode] = obs.tracer.find("decode")
-        [merge] = obs.tracer.find("merge")
+        [decode] = spans_named(obs.tracer, "decode")
+        [merge] = spans_named(obs.tracer, "merge")
         assert decode.children == [] and \
             [child.name for child in merge.children] == ["tag"]
         instances = merge.attrs["instances"]
@@ -766,7 +760,7 @@ class TestMetricsReconciliation:
         # The interrupted attempt appears in neither the report nor the
         # metrics — they agree exactly.
         assert counters.get("dispatch.attempts", 0) == report.attempts
-        dispatch = obs.tracer.find("dispatch")[0]
+        dispatch = spans_named(obs.tracer, "dispatch")[0]
         assert dispatch.attrs.get("timed_out") is True
 
 
@@ -780,6 +774,5 @@ class TestEmptySession:
         assert json.loads(obs.chrome_trace_json()) == []
         assert profile_tree(obs.tracer) == ""
         assert chrome_trace_json(obs.tracer) == "[]"
-        snap = obs.snapshot()
-        assert snap.trace == ()
-        assert snap.metrics["counters"] == {}
+        assert obs.tracer.roots == []
+        assert obs.metrics.snapshot()["counters"] == {}

@@ -3,9 +3,7 @@
 from hypothesis import given, strategies as st
 
 from repro.common.ordering import (
-    NONE_FIRST,
     NoneFirst,
-    compare,
     flat_key,
     sort_key,
 )
@@ -34,19 +32,9 @@ class TestNoneFirst:
         values = [NoneFirst(v) for v in ["b", 2, None, 1.5, "a"]]
         assert sorted(values)[0].value is None
 
-    def test_hash_consistency(self):
-        assert hash(NoneFirst(None)) == hash(NoneFirst(None))
-        assert hash(NoneFirst(3)) == hash(NoneFirst(3))
-
     def test_equality_against_other_types(self):
         assert NoneFirst(1) != 1
         assert (NoneFirst(1) == 1) is False
-
-    def test_repr(self):
-        assert "NoneFirst" in repr(NoneFirst(5))
-
-    def test_none_first_alias(self):
-        assert NONE_FIRST(3) == NoneFirst(3)
 
 
 class TestSortKey:
@@ -60,41 +48,13 @@ class TestSortKey:
         assert ordered == [(None, 5), (1, None), (1, 1), (1, 2)]
 
 
-class TestCompare:
-    def test_equal(self):
-        assert compare([1, "a"], [1, "a"]) == 0
-
-    def test_less_and_greater(self):
-        assert compare([1], [2]) == -1
-        assert compare([2], [1]) == 1
-
-    def test_shorter_padded_with_none_sorts_first(self):
-        # A parent tuple (shorter) sorts before its children.
-        assert compare([1], [1, 5]) == -1
-        assert compare([1, 5], [1]) == 1
-
-    def test_padding_makes_equal(self):
-        assert compare([1, None], [1]) == 0
-
-
-@given(st.lists(st.one_of(st.none(), st.integers(), st.text()), max_size=6),
-       st.lists(st.one_of(st.none(), st.integers(), st.text()), max_size=6))
-def test_compare_antisymmetric(left, right):
-    assert compare(left, right) == -compare(right, left)
-
-
 @given(st.lists(st.lists(st.one_of(st.none(), st.integers()), max_size=4),
                 max_size=8))
 def test_sort_key_total_order(rows):
-    """Sorting never raises and is consistent with pairwise compare."""
+    """Sorting never raises, and every neighbour pair is in order."""
     ordered = sorted(rows, key=sort_key)
     for a, b in zip(ordered, ordered[1:]):
-        assert compare(a, b) <= 0
-
-
-@given(st.lists(st.one_of(st.none(), st.integers()), max_size=5))
-def test_compare_reflexive(values):
-    assert compare(values, values) == 0
+        assert sort_key(a) <= sort_key(b)
 
 
 # ---------------------------------------------------------------------------

@@ -142,9 +142,9 @@ class TestFig4ViewTree:
 
     def test_rules_match_fig4(self, fig4_tree):
         """S1.1 :- Supplier, Nation;  S1.2 :- Supplier, PartSupp, Part."""
-        nation = fig4_tree.node((1, 1)).rule
+        nation = fig4_tree.node((1, 1)).rules[0]
         assert [t for t, _ in nation.atoms] == ["Supplier", "Nation"]
-        part = fig4_tree.node((1, 2)).rule
+        part = fig4_tree.node((1, 2)).rules[0]
         assert [t for t, _ in part.atoms] == ["Supplier", "PartSupp", "Part"]
 
     def test_multiplicities(self, fig4_tree):

@@ -19,7 +19,7 @@ class TestPartition:
         b = Partition([(1, 4), (1, 2)])
         assert a == b
         assert hash(a) == hash(b)
-        assert len(a) == 2
+        assert len(a.kept) == 2
 
     def test_keeps(self, q1_tree):
         partition = Partition([(1, 4)])
@@ -32,10 +32,10 @@ class TestPartition:
 
 class TestNamedStrategies:
     def test_unified_keeps_all(self, q1_tree):
-        assert len(unified_partition(q1_tree)) == 9
+        assert len(unified_partition(q1_tree).kept) == 9
 
     def test_fully_partitioned_keeps_none(self, q1_tree):
-        assert len(fully_partitioned(q1_tree)) == 0
+        assert len(fully_partitioned(q1_tree).kept) == 0
 
 
 class TestEnumeration:
@@ -82,14 +82,6 @@ class TestSubtrees:
         part = q1_tree.node((1, 4))
         kept = part_subtree.kept_children(part)
         assert [c.sfi for c in kept] == ["S1.4.1"]
-
-    def test_max_index_length(self, q1_tree):
-        partition = Partition([(1, 4), (1, 4, 2)])
-        subtree = next(
-            s for s in partition_subtrees(q1_tree, partition)
-            if s.root is q1_tree.root
-        )
-        assert subtree.max_index_length() == 3
 
     def test_invalid_edge_rejected(self, q1_tree):
         with pytest.raises(PlanError):

@@ -26,7 +26,7 @@ import repro.core.silkroute as silkroute_module
 import repro.core.sqlgen as sqlgen_module
 from repro.bench.queries import QUERY_1, QUERY_2
 from repro.core.options import ExecutionOptions
-from repro.core.partition import Partition
+from repro.core.partition import Partition, enumerate_partitions
 from repro.core.silkroute import VIEW_DEFINITIONS, SilkRoute, view_definition
 from repro.core.sqlgen import PlanStyle
 from repro.obs import NULL_TRACER, ObsOptions
@@ -40,13 +40,14 @@ from repro.relational.table import Table
 from repro.session import Session
 from repro.tpch.configs import CONFIG_A, build_configuration
 from repro.tpch.schema import tpch_schema
+from conftest import spans_named
 
 
 @pytest.fixture
 def fresh_definitions():
     """An empty process-wide definition cache: the next view of a text is
     defined, and its specs generated, from scratch."""
-    VIEW_DEFINITIONS.clear()
+    VIEW_DEFINITIONS.discard_where(lambda key, value: True)
 
 
 @pytest.fixture
@@ -130,11 +131,12 @@ class TestOneGeneratorPerView:
         view = make_view()
         opts = ExecutionOptions()
         prepared = view._planner(opts).generator._stream_cache
-        specs, _, report = view.execute_partition(
-            view.unified_partition(), options=opts,
-            retry=RetryPolicy(max_attempts=2),
-            faults=FaultPolicy(seed=7, error_rate=0.4),
-        )
+        opts = replace(opts, retry=RetryPolicy(max_attempts=2),
+                       faults=FaultPolicy(seed=7, error_rate=0.4))
+        partition = view.unified_partition()
+        opts, planned = view._prepare(partition, opts)
+        outcome, report = view._dispatch(partition, planned, opts)
+        specs = outcome.specs
         assert report.degraded_streams and len(specs) > 1
         assert all(
             any(spec is kept for kept in prepared.values()) for spec in specs
@@ -166,7 +168,7 @@ class TestSharedAcrossThreads:
             report_facts(make_view().materialize(partition, style=style))
             for partition, style in variants
         ]
-        VIEW_DEFINITIONS.clear()    # the first uses below are raced
+        VIEW_DEFINITIONS.discard_where(lambda key, value: True)    # the first uses below are raced
         shared = make_view()
         barrier = threading.Barrier(self.THREADS)
 
@@ -207,11 +209,11 @@ class TestTracing:
         for obs in (first, second):
             view.materialize("unified", options=ExecutionOptions(obs=obs))
         for obs in (first, second):
-            [sqlgen] = obs.tracer.find("sqlgen")
+            [sqlgen] = spans_named(obs.tracer, "sqlgen")
             assert sqlgen.attrs["streams"] == 1
         # Only the request that missed reduced anything.
-        assert len(first.tracer.find("reduce")) == 1
-        assert second.tracer.find("reduce") == []
+        assert len(spans_named(first.tracer, "reduce")) == 1
+        assert spans_named(second.tracer, "reduce") == []
 
     def test_costing_traces_the_reduction_it_causes(self, make_view,
                                                     fresh_definitions):
@@ -219,9 +221,9 @@ class TestTracing:
         first, second = ObsOptions(), ObsOptions()
         for obs in (first, second):
             view.materialize(options=ExecutionOptions(obs=obs))
-        [plan] = first.tracer.find("plan")
+        [plan] = spans_named(first.tracer, "plan")
         assert {child.name for child in plan.children} == {"reduce"}
-        assert second.tracer.find("reduce") == []
+        assert spans_named(second.tracer, "reduce") == []
 
 
 class TestOneDefinitionPerProcess:
@@ -303,7 +305,7 @@ class TestOneDefinitionPerProcess:
             session.materialize(query, "fully-partitioned",
                                 style=PlanStyle.OUTER_UNION)
         session.sweep(QUERY_2, partitions=list(itertools.islice(
-            session.view(QUERY_2).enumerate_partitions(), 16)))
+            enumerate_partitions(session.view(QUERY_2).tree), 16)))
         session.mutate("Supplier", op="update", rows=1, seed=3)
         session.materialize(QUERY_1)
         rows = {id(table.rows) for table in tiny_db.tables.values()}

@@ -93,7 +93,7 @@ class TestGapBridging:
             PlanStyle.OUTER_JOIN, False,
         )
         n_regions_used = len(
-            {r[2] for r in tiny_db.table("Nation")}
+            {r[2] for r in tiny_db.table("Nation").rows}
         )
         n_nations = len(tiny_db.table("Nation"))
         # every nation appears under <c> and <d> once per nation sharing

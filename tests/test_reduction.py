@@ -9,19 +9,27 @@ from repro.core.partition import (
     partition_subtrees,
     unified_partition,
 )
-from repro.core.reduction import PlanUnit, reduce_partition, reduce_subtree
+from repro.core.reduction import PlanUnit, reduce_subtree
 
 
 def subtrees_for(tree, partition):
     return partition_subtrees(tree, partition)
 
 
+def units_of(unit_tree):
+    return tuple(unit_tree.root.walk())
+
+
+def unit_of(unit_tree, node):
+    return next(u for u in unit_tree.root.walk() if node in u.members)
+
+
 class TestNonReduced:
     def test_one_unit_per_node(self, q1_tree):
         [subtree] = subtrees_for(q1_tree, unified_partition(q1_tree))
         unit_tree = reduce_subtree(subtree, reduce=False)
-        assert len(unit_tree.units) == 10
-        assert all(len(u.members) == 1 for u in unit_tree.units)
+        assert len(units_of(unit_tree)) == 10
+        assert all(len(u.members) == 1 for u in units_of(unit_tree))
         assert not unit_tree.reduced
 
     def test_unit_tree_mirrors_subtree(self, q1_tree):
@@ -41,7 +49,7 @@ class TestReduced:
         Fig. 11 pattern."""
         [subtree] = subtrees_for(q1_tree, unified_partition(q1_tree))
         unit_tree = reduce_subtree(subtree, reduce=True)
-        units = unit_tree.units
+        units = units_of(unit_tree)
         assert len(units) == 3
         sizes = sorted(len(u.members) for u in units)
         assert sizes == [2, 4, 4]
@@ -49,7 +57,7 @@ class TestReduced:
     def test_primed_names(self, q1_tree):
         [subtree] = subtrees_for(q1_tree, unified_partition(q1_tree))
         unit_tree = reduce_subtree(subtree, reduce=True)
-        names = {u.skolem_name() for u in unit_tree.units}
+        names = {u.skolem_name() for u in units_of(unit_tree)}
         assert names == {"S1'", "S1.4'", "S1.4.2'"}
 
     def test_cut_edges_not_merged(self, q1_tree):
@@ -58,7 +66,7 @@ class TestReduced:
         subtrees = subtrees_for(q1_tree, partition)
         all_units = []
         for subtree in subtrees:
-            all_units.extend(reduce_subtree(subtree, reduce=True).units)
+            all_units.extend(reduce_subtree(subtree, reduce=True).root.walk())
         merged = [u for u in all_units if u.is_reduced]
         assert len(merged) == 1
         assert {m.sfi for m in merged[0].members} == {"S1.4", "S1.4.1"}
@@ -66,7 +74,7 @@ class TestReduced:
     def test_star_edges_never_merged(self, q1_tree):
         [subtree] = subtrees_for(q1_tree, unified_partition(q1_tree))
         unit_tree = reduce_subtree(subtree, reduce=True)
-        for unit in unit_tree.units:
+        for unit in units_of(unit_tree):
             labels = {m.label for m in unit.members if m is not unit.representative}
             assert "*" not in labels
 
@@ -74,20 +82,14 @@ class TestReduced:
         """The data-size heuristic: prohibited nodes stay separate."""
         [subtree] = subtrees_for(q1_tree, unified_partition(q1_tree))
         unit_tree = reduce_subtree(subtree, reduce=True, keep=[(1, 2)])
-        nation_unit = unit_tree.unit_of(q1_tree.node((1, 2)))
+        nation_unit = unit_of(unit_tree, q1_tree.node((1, 2)))
         assert len(nation_unit.members) == 1
-        assert len(unit_tree.units) == 4
+        assert len(units_of(unit_tree)) == 4
 
     def test_fully_partitioned_unaffected_by_reduction(self, q1_tree):
         for subtree in subtrees_for(q1_tree, fully_partitioned(q1_tree)):
             unit_tree = reduce_subtree(subtree, reduce=True)
-            assert len(unit_tree.units) == 1
-
-    def test_reduce_partition_helper(self, q1_tree):
-        partition = unified_partition(q1_tree)
-        subtrees = subtrees_for(q1_tree, partition)
-        unit_trees = reduce_partition(q1_tree, partition, subtrees, reduce=True)
-        assert len(unit_trees) == 1
+            assert len(units_of(unit_tree)) == 1
 
 
 class TestCombinedRule:
@@ -98,12 +100,12 @@ class TestCombinedRule:
         fields = [a.field_hint for a in root_unit.args]
         # supplier + name + nation + region values
         assert "suppkey" in fields and "name" in fields
-        assert len(root_unit.rule.head) == len(root_unit.args)
+        assert len(root_unit.rules[0].head) == len(root_unit.args)
 
     def test_merged_atoms_deduplicated(self, q1_tree):
         [subtree] = subtrees_for(q1_tree, unified_partition(q1_tree))
         unit_tree = reduce_subtree(subtree, reduce=True)
-        atoms = unit_tree.root.rule.atoms
+        atoms = unit_tree.root.rules[0].atoms
         assert len(atoms) == len(set(atoms))
         tables = {t for t, _ in atoms}
         assert "Supplier" in tables and "Nation" in tables and "Region" in tables
@@ -111,7 +113,7 @@ class TestCombinedRule:
     def test_equalities_deduplicated(self, q1_tree):
         [subtree] = subtrees_for(q1_tree, unified_partition(q1_tree))
         unit_tree = reduce_subtree(subtree, reduce=True)
-        eqs = [frozenset(e) for e in unit_tree.root.rule.equalities]
+        eqs = [frozenset(e) for e in unit_tree.root.rules[0].equalities]
         assert len(eqs) == len(set(eqs))
 
 
@@ -130,20 +132,8 @@ class TestPlanUnit:
         unit = PlanUnit([q1_tree.node((1, 4, 2))])
         assert unit.index == (1, 4, 2)
         assert unit.level == 3
-        assert unit.tag_value == 2
         assert not unit.is_reduced
-        assert "S1.4.2" in repr(unit)
 
     def test_max_index_length_includes_members(self, q1_tree):
         unit = PlanUnit([q1_tree.node((1, 4)), q1_tree.node((1, 4, 1))])
         assert unit.max_index_length() == 3
-
-    def test_unit_of_unknown_node(self, q1_tree):
-        partition = Partition([(1, 4)])
-        subtree = next(
-            s for s in subtrees_for(q1_tree, partition)
-            if s.root is q1_tree.root
-        )
-        unit_tree = reduce_subtree(subtree, reduce=False)
-        with pytest.raises(PlanError):
-            unit_tree.unit_of(q1_tree.node((1, 2)))

@@ -44,6 +44,7 @@ from repro.relational.replicas import (
     replica_fault_policy,
     resolve_pool,
 )
+from conftest import spans_named
 
 
 def fresh_view(tiny_db, tiny_estimator, query=QUERY_1, **silk_kwargs):
@@ -106,10 +107,10 @@ class TestReplicaSet:
     def test_from_connection_replica_zero_is_the_connection(self, tiny_db):
         connection = Connection(tiny_db, CostModel(), engine="tuple")
         rset = ReplicaSet.from_connection(connection, 3)
-        assert len(rset) == 3
+        assert len(rset.connections) == 3
         assert rset.connections[0] is connection
-        assert all(c.database is tiny_db for c in rset)
-        assert all(c.engine.mode == "tuple" for c in rset)
+        assert all(c.database is tiny_db for c in rset.connections)
+        assert all(c.engine.mode == "tuple" for c in rset.connections)
 
     def test_from_connection_rejects_bad_counts(self, tiny_db):
         connection = Connection(tiny_db, CostModel())
@@ -210,10 +211,10 @@ class TestResolvers:
         assert resolve_pool(None, connection) is None
         assert resolve_pool(1, connection) is None
         pool = resolve_pool(3, connection)
-        assert isinstance(pool, ReplicaPool) and len(pool) == 3
+        assert isinstance(pool, ReplicaPool) and len(pool.connections) == 3
         rset = ReplicaSet.from_connection(Connection(tiny_db, CostModel()), 2)
         wrapped = resolve_pool(rset, connection)
-        assert isinstance(wrapped, ReplicaPool) and len(wrapped) == 2
+        assert isinstance(wrapped, ReplicaPool) and len(wrapped.connections) == 2
         assert resolve_pool(wrapped, connection) is wrapped
 
 
@@ -455,7 +456,7 @@ class TestByteIdentity:
             assert (pooled.report.elapsed_total_ms
                     == plain.report.elapsed_total_ms)
             assert all(s.replica is None for s in plain.report.streams)
-            assert not plain_obs.tracer.find("replica")
+            assert not spans_named(plain_obs.tracer, "replica")
             assert (trace_shape(pooled_obs, replica_spans=False)
                     == trace_shape(plain_obs))
 
@@ -480,7 +481,7 @@ class TestEarlyStop:
                 "fully-partitioned", replicas=pool, workers=workers, obs=obs,
                 **scenario,
             )
-        counters = obs.metrics_snapshot()["counters"]
+        counters = obs.metrics.snapshot()["counters"]
         return {
             "stopped_at": (type(info.value), info.value.stream_label),
             "health": [
@@ -517,7 +518,8 @@ class TestEarlyStop:
     def test_timeout_leaves_the_same_state_at_every_width(
             self, tiny_db, tiny_estimator):
         _, view = fresh_view(tiny_db, tiny_estimator)
-        _, _, clean = view.execute_partition(view.fully_partitioned())
+        clean = view.materialize(view.fully_partitioned(),
+                                 reduce=False).report
         times = [s.server_ms for s in clean.streams]
         # The first clearly slower stream that is not the last one.
         cut = next(i for i in range(1, len(times) - 1)
@@ -726,7 +728,7 @@ class TestSweepReplicas:
         """``workers`` means in a sweep what it means everywhere — each
         plan's simulated dispatch width — and a sweep records per-stream
         sums, which no width moves: a width-4 sweep times every plan as
-        the width-1 sweep and as ``execute_partition(workers=4)`` do."""
+        the width-1 sweep and as ``materialize(workers=4)`` does."""
         partitions = [unified_partition(q1_tree),
                       Partition([(1, 4), (1, 4, 2)]),
                       fully_partitioned(q1_tree)]
@@ -741,7 +743,8 @@ class TestSweepReplicas:
         _, view = fresh_view(tiny_db, tiny_estimator)
         direct = []
         for partition in partitions:
-            _, _, report = view.execute_partition(partition, workers=4)
+            report = view.materialize(partition, workers=4,
+                                      reduce=False).report
             assert report.elapsed_query_ms <= report.query_ms
             direct.append((report.query_ms, report.transfer_ms))
         assert swept_at(4) == swept_at(None) == direct

@@ -69,12 +69,6 @@ class TestTableSchema:
         with pytest.raises(SchemaError):
             _table(unique_sets=[("missing",)])
 
-    def test_row_width(self):
-        assert _table().row_width() == 4 + 24
-
-    def test_repr_marks_key(self):
-        assert "*id" in repr(_table())
-
 
 class TestForeignKey:
     def test_arity_mismatch(self):
@@ -88,7 +82,6 @@ class TestDatabaseSchema:
         assert schema.table("A").name == "A"
         assert schema.has_table("B")
         assert set(schema.table_names) == {"A", "B"}
-        assert len(schema.tables) == 2
 
     def test_duplicate_table(self):
         with pytest.raises(SchemaError):

@@ -282,9 +282,9 @@ class TestServerBasics:
                 assert got.report.partition == want.report.partition
                 assert got.xml == want.xml
                 assert len(estimates) == 32
-        assert len(unevicted) == unevicted.requests > 32
-        assert estimates.stats().evictions == estimates.requests - 32
-        assert estimates.requests > unevicted.requests  # asked for again
+        assert len(unevicted) == unevicted.stats().misses > 32
+        assert estimates.stats().evictions == estimates.stats().misses - 32
+        assert estimates.stats().misses > unevicted.stats().misses  # asked for again
 
     def test_stats_walk_every_cache_on_the_request_path(self):
         server = make_server()

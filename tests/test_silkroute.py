@@ -1,7 +1,5 @@
 """Tests for the SilkRoute facade (repro.core.silkroute)."""
 
-import math
-
 import pytest
 
 from repro.common.errors import PlanError, TimeoutExceeded
@@ -30,9 +28,8 @@ class TestDefineView:
         assert view.tree.node((1, 4)).label == "*"
 
     def test_named_partitions(self, view):
-        assert len(view.unified_partition()) == 9
-        assert len(view.fully_partitioned()) == 0
-        assert len(list(view.enumerate_partitions())) == 512
+        assert len(view.unified_partition().kept) == 9
+        assert len(view.fully_partitioned().kept) == 0
 
 
 class TestExplain:
@@ -91,15 +88,7 @@ class TestMaterialize:
             view.materialize("unified", budget_ms=0.001)
 
 
-class TestExecutePartition:
-    def test_timeout_reported_not_raised(self, view):
-        specs, streams, report = view.execute_partition(
-            view.unified_partition(), budget_ms=0.001
-        )
-        assert streams is None
-        assert report.timed_out
-        assert math.isnan(report.query_ms)
-
+class TestSourceDescription:
     def test_source_description_blocks_unsupported(self, tiny_db):
         conn = Connection(tiny_db, CostModel())
         silk = SilkRoute(
@@ -107,10 +96,9 @@ class TestExecutePartition:
         )
         view = silk.define_view(QUERY_1)
         with pytest.raises(PlanError, match="OUTER JOIN"):
-            view.execute_partition(view.unified_partition())
+            view.materialize(view.unified_partition())
         # Fully partitioned plans need neither outer joins nor unions.
-        specs, streams, report = view.execute_partition(view.fully_partitioned())
-        assert streams is not None
+        assert view.materialize(view.fully_partitioned()).xml
 
 
 class TestGreedyIntegration:

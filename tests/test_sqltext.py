@@ -22,6 +22,7 @@ from repro.relational.algebra import (
 from repro.relational.sqltext import render_sql
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import SqlType
+from conftest import simple_outer_join
 
 
 @pytest.fixture
@@ -79,7 +80,7 @@ class TestFlatSelect:
         assert "'O''Brien'" in render_sql(plan)
 
     def test_constant_column(self, supplier):
-        plan = Project(Scan(supplier, "s"), [ConstantColumn("L1", 1)])
+        plan = Project(Scan(supplier, "s"), [ConstantColumn("L1", 1, SqlType.INTEGER)])
         assert "1 AS L1" in render_sql(plan)
 
     def test_compact_mode(self, supplier):
@@ -105,7 +106,7 @@ class TestOuterJoin:
             ProjectItem(ColumnRef("s.suppkey"), "sk"),
         ])
         right = Project(Scan(nation, "n"), [
-            ConstantColumn("L2", 1),
+            ConstantColumn("L2", 1, SqlType.INTEGER),
             ProjectItem(ColumnRef("n.nationkey"), "nk"),
         ])
         join = LeftOuterJoin(
@@ -119,7 +120,7 @@ class TestOuterJoin:
         assert ") OR (" in sql
 
     def test_unprojected_wrap_rejected(self, supplier, nation):
-        join = LeftOuterJoin.simple(
+        join = simple_outer_join(
             Scan(supplier, "s"), Scan(nation, "n"),
             [("s.nationkey", "n.nationkey")],
         )

@@ -8,7 +8,7 @@ Three surfaces are covered:
   cache warm/cold (property-based).
 * :meth:`Connection.execute_iter` — cursors with the same rows and charges
   as the materializing path, in no more memory than the interpreter's.
-* Dispatch width — ``execute_partition(workers=N)`` must be
+* Dispatch width — ``materialize(workers=N)`` must be
   indistinguishable from the width-1 run except for the dispatch fields
   (``workers`` and the makespans), including under timeouts and a shared
   result cache.
@@ -164,12 +164,11 @@ class TestExecuteIter:
 class TestDispatchWidth:
     def test_identical_across_widths(self, q1_view):
         part = q1_view.fully_partitioned()
-        specs_1, streams_1, one = q1_view.execute_partition(part, reduce=False)
-        specs_4, streams_4, four = q1_view.execute_partition(
-            part, reduce=False, workers=4
-        )
-        assert [s.sql for s in specs_1] == [s.sql for s in specs_4]
-        assert [list(s) for s in streams_1] == [list(s) for s in streams_4]
+        first = q1_view.materialize(part, reduce=False)
+        wide = q1_view.materialize(part, reduce=False, workers=4)
+        one, four = first.report, wide.report
+        assert [s.sql for s in one.streams] == [s.sql for s in four.streams]
+        assert first.xml == wide.xml
         assert_same_stream_reports(one.streams, four.streams)
         assert one.query_ms == four.query_ms
         assert one.transfer_ms == four.transfer_ms
@@ -178,28 +177,28 @@ class TestDispatchWidth:
         assert one.elapsed_query_ms == one.query_ms
         assert four.elapsed_query_ms < one.elapsed_query_ms
         assert four.elapsed_query_ms >= max(
-            s.server_ms for s in streams_1
+            s.server_ms for s in one.streams
         )
 
     def test_stream_report_sql_populated(self, q1_view):
-        _, _, report = q1_view.execute_partition(
+        report = q1_view.materialize(
             q1_view.fully_partitioned(), reduce=False
-        )
+        ).report
         for stream_report in report.streams:
             assert stream_report.sql.lstrip().upper().startswith("SELECT")
 
     def test_timeout_independent_of_width(self, q1_view):
         part = q1_view.fully_partitioned()
-        _, streams, _ = q1_view.execute_partition(part, reduce=False)
-        times = sorted(s.server_ms for s in streams)
+        clean = q1_view.materialize(part, reduce=False).report
+        times = sorted(s.server_ms for s in clean.streams)
         budget = (times[-1] + times[-2]) / 2
-        _, s1, r1 = q1_view.execute_partition(
-            part, reduce=False, budget_ms=budget
-        )
-        _, s2, r2 = q1_view.execute_partition(
-            part, reduce=False, budget_ms=budget, workers=4
-        )
-        assert s1 is None and s2 is None
+        reports = []
+        for workers in (None, 4):
+            with pytest.raises(TimeoutExceeded) as timeout:
+                q1_view.materialize(part, reduce=False, budget_ms=budget,
+                                    workers=workers)
+            reports.append(timeout.value.report)
+        r1, r2 = reports
         assert r1.timed_out and r2.timed_out
         assert r1.timed_out_label == r2.timed_out_label
         assert [x.label for x in r1.streams] == [x.label for x in r2.streams]
@@ -226,10 +225,10 @@ class TestDispatchWidth:
         silk = SilkRoute(Connection(tiny_db, CostModel()), cache=cache)
         view = silk.define_view(QUERY_1)
         part = view.fully_partitioned()
-        _, _, cold = view.execute_partition(part, reduce=False, workers=4)
+        cold = view.materialize(part, reduce=False, workers=4).report
         misses_after_cold = cache.stats().misses
         assert misses_after_cold == cold.n_streams
-        _, _, warm = view.execute_partition(part, reduce=False, workers=4)
+        warm = view.materialize(part, reduce=False, workers=4).report
         assert cache.stats().misses == misses_after_cold
         assert cache.stats().hits >= warm.n_streams
         assert_same_stream_reports(cold.streams, warm.streams)

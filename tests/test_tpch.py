@@ -56,18 +56,18 @@ class TestGenerator:
         assert tiny_db.check_foreign_keys() > 0
 
     def test_some_suppliers_without_parts(self, tiny_db):
-        stocked = {r[1] for r in tiny_db.table("PartSupp")}
-        all_suppliers = {r[0] for r in tiny_db.table("Supplier")}
+        stocked = {r[1] for r in tiny_db.table("PartSupp").rows}
+        all_suppliers = {r[0] for r in tiny_db.table("Supplier").rows}
         assert stocked < all_suppliers
 
     def test_some_parts_without_orders(self, tiny_db):
-        ordered = {r[1] for r in tiny_db.table("LineItem")}
-        all_parts = {r[0] for r in tiny_db.table("Part")}
+        ordered = {r[1] for r in tiny_db.table("LineItem").rows}
+        all_parts = {r[0] for r in tiny_db.table("Part").rows}
         assert ordered < all_parts
 
     def test_lineitem_supplier_consistent_with_partsupp(self, tiny_db):
-        supplier_of = {r[0]: r[1] for r in tiny_db.table("PartSupp")}
-        for row in tiny_db.table("LineItem"):
+        supplier_of = {r[0]: r[1] for r in tiny_db.table("PartSupp").rows}
+        for row in tiny_db.table("LineItem").rows:
             assert supplier_of[row[1]] == row[2]
 
     def test_stats_precomputed(self, tiny_db):

@@ -67,7 +67,7 @@ class TestQuery1Shape:
 
     def test_rules(self, q1_tree):
         """Rule bodies accumulate the enclosing scopes' atoms."""
-        order = q1_tree.node((1, 4, 2)).rule
+        order = q1_tree.node((1, 4, 2)).rules[0]
         tables = [t for t, _ in order.atoms]
         assert tables == ["Supplier", "PartSupp", "Part", "LineItem", "Orders"]
         assert len(order.equalities) == 5
@@ -116,7 +116,7 @@ class TestBuilderBehaviour:
             'from Part $p where $p.size = "M" construct <t>$p.name</t>'
         )
         tree = build_view_tree(query, schema)
-        rule = tree.root.rule
+        rule = tree.root.rules[0]
         assert any(op == "=" for _, op, _ in rule.filters)
 
     def test_duplicate_table_gets_fresh_alias(self, schema):
@@ -127,7 +127,7 @@ class TestBuilderBehaviour:
         )
         tree = build_view_tree(query, schema)
         child = tree.node((1, 1))
-        aliases = [a for _, a in child.rule.atoms]
+        aliases = [a for _, a in child.rules[0].atoms]
         assert len(set(aliases)) == 2
 
     def test_simplify_args_drops_determined_keys(self, schema):
@@ -181,26 +181,9 @@ class TestBuilderBehaviour:
         with pytest.raises(PlanError, match="Skolem"):
             build_view_tree(query, schema)
 
-    def test_rule_property_rejects_fused(self, schema):
-        query = parse_rxl(
-            "from Region $r construct <doc>"
-            "{ from Supplier $s construct <who ID=W($s.name)>$s.name</who> }"
-            "{ from Customer $c construct <who ID=W($c.name)>$c.name</who> }"
-            "</doc>"
-        )
-        tree = build_view_tree(query, schema)
-        [who] = [n for n in tree.nodes if n.tag == "who"]
-        with pytest.raises(PlanError, match="rules"):
-            who.rule
-
     def test_is_ancestor_of(self, q1_tree):
         root = q1_tree.node((1,))
         deep = q1_tree.node((1, 4, 2))
         assert root.is_ancestor_of(deep)
         assert not deep.is_ancestor_of(root)
         assert not root.is_ancestor_of(root)
-
-    def test_descendants(self, q1_tree):
-        part = q1_tree.node((1, 4))
-        sfis = {n.sfi for n in part.descendants()}
-        assert sfis == {"S1.4.1", "S1.4.2", "S1.4.2.1", "S1.4.2.2", "S1.4.2.3"}

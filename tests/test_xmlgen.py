@@ -1,6 +1,5 @@
 """Tests for stream decoding, merging, tagging, and serialization."""
 
-import collections
 import dataclasses
 import datetime
 import importlib.util
@@ -36,8 +35,6 @@ from repro.xmlgen.streams import (
     ComparatorLayout,
     Instance,
     decode_stream,
-    instance_sources,
-    iter_instances,
     merge_streams,
     reference_decode,
 )
@@ -47,6 +44,14 @@ from repro.xmlgen.tagger import XmlTagger, tag_streams
 @pytest.fixture
 def layout(q1_tree):
     return ComparatorLayout(q1_tree)
+
+
+def merged_instances(tree, specs, streams):
+    """The document-order instances of a set of streams: each decoded,
+    then merged (the reference pipeline the tagger tests feed)."""
+    layout = ComparatorLayout(tree)
+    return merge_streams([decode_stream(spec, rows, layout)
+                          for spec, rows in zip(specs, streams)])
 
 
 def executed(tree, db, conn, partition, style=PlanStyle.OUTER_JOIN, reduce=False):
@@ -110,7 +115,7 @@ class TestDecodeStream:
         instances = list(decode_stream(spec, stream.rows, layout))
         seen = set()
         for inst in instances:
-            key = (inst.node.index, inst.identity())
+            key = (inst.node.index, inst.term)
             assert key not in seen
             seen.add(key)
 
@@ -166,7 +171,7 @@ class TestDecodeStream:
         row = dict.fromkeys(spec.column_names)
         row.update(L1=1, L3=2, v1_1_suppkey=7)
         [supplier] = decode_stream(spec, [tuple(row.values())], layout)
-        assert supplier.node.sfi == "S1" and supplier.identity() == (7,)
+        assert supplier.node.sfi == "S1" and supplier.term == (7,)
 
     def test_instances_are_slots_objects_with_their_term(
             self, q1_tree, tiny_db, tiny_conn, layout):
@@ -175,7 +180,7 @@ class TestDecodeStream:
         )
         for inst in decode_stream(spec, stream.rows, layout):
             assert not hasattr(inst, "__dict__")
-            assert inst.identity() == tuple(
+            assert inst.term == tuple(
                 inst.values[stv.name] for stv in inst.node.args
             )
             assert inst.key == layout.instance_key(inst.node, inst.values)
@@ -210,17 +215,6 @@ class TestDecodeStream:
         assert layout.decoder(specs[-1]) is decoders[-1]
         assert layout.decoder(specs[0]) is not decoders[0]
 
-    def test_iter_instances_is_the_merge_of_its_sources(
-            self, q1_tree, tiny_db, tiny_conn, layout):
-        specs, streams = executed(
-            q1_tree, tiny_db, tiny_conn, fully_partitioned(q1_tree)
-        )
-        merged = list(iter_instances(q1_tree, specs, streams))
-        sources = instance_sources(specs, streams, layout)
-        expected = list(merge_streams(sources))
-        assert [(i.key, i.node, i.term) for i in merged] \
-            == [(i.key, i.node, i.term) for i in expected]
-
 
 def row_order_decode(spec, rows, layout):
     """The decoder's definition without its machinery: every member of
@@ -252,7 +246,7 @@ def row_order_decode(spec, rows, layout):
 
 
 def decoded_plain(instances):
-    return [(i.key, i.node.index, i.identity()) for i in instances]
+    return [(i.key, i.node.index, i.term) for i in instances]
 
 
 class TestDecodeOrder:
@@ -410,9 +404,9 @@ class TestTagger:
         assert xml.count("<order>") == len(tiny_db.table("LineItem"))
 
     def test_childless_supplier_still_appears(self, q1_tree, tiny_db, tiny_conn):
-        stocked = {r[1] for r in tiny_db.table("PartSupp")}
+        stocked = {r[1] for r in tiny_db.table("PartSupp").rows}
         stockless = [
-            r[0] for r in tiny_db.table("Supplier") if r[0] not in stocked
+            r[0] for r in tiny_db.table("Supplier").rows if r[0] not in stocked
         ]
         assert stockless  # generator guarantees some
         specs, streams = executed(
@@ -420,7 +414,7 @@ class TestTagger:
         )
         xml, _ = tag_streams(q1_tree, specs, streams, root_tag="view")
         names = {
-            r[1] for r in tiny_db.table("Supplier") if r[0] in stockless
+            r[1] for r in tiny_db.table("Supplier").rows if r[0] in stockless
         }
         for name in names:
             assert name in xml
@@ -536,41 +530,6 @@ class TestSerializer:
             writer.end_element(tag)
         assert writer.getvalue() == "".join(f"<{t}></{t}>" for t in tags)
         assert len(_OPENING) <= 1024 and len(_CLOSING) <= 1024
-
-    def test_overriding_subclass_receives_every_event(self, q1_tree, tiny_db,
-                                                      tiny_conn):
-        """The compact fast path lives inside the three methods, so a
-        subclass overriding them sees every event the tagger makes."""
-
-        class Counting(XmlWriter):
-            def __init__(self):
-                super().__init__()
-                self.events = collections.Counter()
-
-            def start_element(self, tag):
-                self.events["start"] += 1
-                super().start_element(tag)
-
-            def text(self, value):
-                self.events["text"] += 1
-                super().text(value)
-
-            def end_element(self, tag):
-                self.events["end"] += 1
-                super().end_element(tag)
-
-        specs, streams = executed(
-            q1_tree, tiny_db, tiny_conn, fully_partitioned(q1_tree)
-        )
-        recorder = RecordingWriter()
-        XmlTagger(q1_tree, recorder, root_tag="view").run(
-            iter_instances(q1_tree, specs, streams))
-        writer = Counting()
-        xml, _ = tag_streams(q1_tree, specs, streams, root_tag="view",
-                             writer=writer)
-        kinds = collections.Counter(kind for kind, _ in recorder.events)
-        assert writer.events == kinds
-        assert xml == recorder.replay(XmlWriter()).getvalue()
 
     def test_a_type_error_inside_getvalue_is_not_swallowed(
             self, q1_tree, tiny_db, tiny_conn):
@@ -817,7 +776,7 @@ class TestDeepestFrameFirst:
         reduce = data.draw(st.booleans())
         specs, streams = executed(tree, tiny_db, tiny_conn, partition,
                                   style=style, reduce=reduce)
-        merged = list(iter_instances(tree, specs, streams))
+        merged = list(merged_instances(tree, specs, streams))
         runs = []
         for tagger_class in (XmlTagger, ForwardTagger):
             tagger = tagger_class(tree, RecordingWriter(), root_tag="view")
@@ -832,7 +791,7 @@ class TestDeepestFrameFirst:
         tree = _party_directory_tree(tiny_db.schema)
         for partition in enumerate_partitions(tree):
             specs, streams = executed(tree, tiny_db, tiny_conn, partition)
-            merged = list(iter_instances(tree, specs, streams))
+            merged = list(merged_instances(tree, specs, streams))
             assert XmlTagger(tree, XmlWriter()).run(merged).getvalue() \
                 == ForwardTagger(tree, XmlWriter()).run(merged).getvalue()
 

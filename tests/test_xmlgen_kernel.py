@@ -29,7 +29,6 @@ from repro.xmlgen.kernel import StreamShape
 from repro.xmlgen.serializer import XmlWriter
 from repro.xmlgen.streams import (
     ComparatorLayout,
-    CountingIterator,
     merge_items,
     merge_streams,
     reference_decode,
@@ -116,7 +115,7 @@ def reference(tree, specs, rows, indent, root_tag="view"):
     """``(xml, (elements, implicit opens, depth, instances), marks)`` of
     the reference pipeline."""
     layout = ComparatorLayout(tree)
-    merged = CountingIterator(merge_streams([
+    merged = list(merge_streams([
         reference_decode(spec, stream, layout)
         for spec, stream in zip(specs, rows)]))
     writer = XmlWriter(indent=indent)
@@ -129,7 +128,7 @@ def reference(tree, specs, rows, indent, root_tag="view"):
         writer.end_element(root_tag)
     return writer.getvalue(), (tagger.elements_written,
                                tagger.implicit_opens,
-                               tagger.max_stack_depth, merged.count), marks
+                               tagger.max_stack_depth, len(merged)), marks
 
 
 def kernels(tree, specs, rows, indent, root_tag="view", staged=False):

