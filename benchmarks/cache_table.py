@@ -58,12 +58,13 @@ VIEW_SWEEP = (
 PREPARED = "prepared_plans"
 PREPARED_ROW = [
     f"`{PREPARED}` — `SqlGenerator._stream_cache`, one generator per "
-    "view definition and (style, reduce, keep), and one per sweep; a dict, "
-    "and a compile cache like `decoders`",
+    "view definition and (style, reduce, keep), which sweeps plan from "
+    "too; a dict, and a compile cache like `decoders`",
     "node-index set of the subtree",
     "the view tree: its connected subtrees (233 for nine edges)",
     "nothing: a `StreamSpec` (plan, SQL text, fingerprint, lowered "
-    "pipelines) depends on the view tree only; a sweep's go with it",
+    "pipelines) depends on the view tree only; the generator's operators "
+    "are hash-consed, so its specs share every equal sub-plan",
 ]
 
 #: name -> (owner, key, what invalidates an entry)

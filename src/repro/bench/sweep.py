@@ -5,8 +5,10 @@ queries against the simulated RDBMS and record query-only time (server
 execution) and total time (plus transfer).  Plans whose subqueries exceed
 the per-subquery budget are recorded as timed out ("no time was reported").
 
-The 2^|E| plans share almost all of their relational work: the same
-subtree query recurs across most partitions.  By default a sweep installs
+The 2^|E| plans share almost all of their work: the same subtree query
+recurs across most partitions.  Specs come from the view definition's
+generator, which keeps them (plans hash-consed, lowered once) for the
+process.  By default a sweep installs
 a :class:`~repro.relational.cache.PlanCostCache` on the connection's
 engine for its duration, so each distinct stream plan is executed once and
 its costs (a sweep reads no rows) replayed everywhere else — wall-clock
@@ -20,8 +22,8 @@ import gc
 from dataclasses import dataclass
 
 from repro.core.options import resolve_options
-from repro.core.partition import enumerate_partitions
-from repro.core.sqlgen import PlanStyle, SqlGenerator
+from repro.core.silkroute import ViewDefinition
+from repro.core.sqlgen import PlanStyle
 from repro.obs import obs_parts
 from repro.relational.cache import PlanCostCache, resolve_cache
 from repro.relational.dispatch import execute_specs
@@ -29,7 +31,7 @@ from repro.relational.faults import StreamAttemptStats
 from repro.relational.replicas import resolve_resilience
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanTiming:
     """One plan's outcome in a sweep.
 
@@ -122,9 +124,8 @@ def run_single_partition(tree, schema, connection, partition, generator=None,
     (``reduce`` defaults to False) and go to
     :func:`repro.relational.dispatch.execute_specs` as one bundle; the
     remaining arguments are the per-sweep state :func:`sweep_partitions`
-    shares between its plans.  Pass a prebuilt ``generator`` (one per
-    sweep) to reuse its memoized per-subtree stream specs across
-    partitions.
+    shares between its plans (``generator``: the definition's, else the
+    bare tree is defined here).
     ``retry``/``faults`` run the plan under the resilience regime: a
     stream that exhausts its retries marks the timing ``failed`` (sweeps
     record, they do not degrade).  ``replicas``/``hedge_ms`` route the
@@ -136,9 +137,9 @@ def run_single_partition(tree, schema, connection, partition, generator=None,
     """
     opts = resolve_options(options, overrides, reduce=False)
     tracer, _ = obs_parts(opts.obs)
-    if generator is None:
-        generator = SqlGenerator(tree, schema, style=opts.style,
-                                 reduce=opts.reduce, keep=opts.keep)
+    if generator is None:   # a bare tree: define it here
+        generator = ViewDefinition(tree, schema).generator(
+            opts.style, opts.reduce, opts.keep)
     with tracer.span("partition") as partition_span:
         specs = generator.streams_for_partition(partition, tracer)
         result = execute_specs(
@@ -182,7 +183,8 @@ def run_single_partition(tree, schema, connection, partition, generator=None,
 
 
 def sweep_partitions(tree, schema, connection, partitions=None,
-                     progress=None, cache=True, options=None, **overrides):
+                     progress=None, cache=True, definition=None, options=None,
+                     **overrides):
     """Execute every plan (or the given ``partitions``); returns a
     :class:`SweepResult`.
 
@@ -193,6 +195,10 @@ def sweep_partitions(tree, schema, connection, partitions=None,
     ``options=``, override single ones by keyword, or both — the keyword
     wins.  The per-method default ``reduce=False`` applies when neither a
     keyword nor an options object supplies a value.
+
+    Specs (and, by default, the partitions) come from ``definition``, a
+    view's :class:`~repro.core.silkroute.ViewDefinition` (else the bare
+    ``tree`` is defined here).
 
     ``cache`` controls cross-plan result caching for the duration of the
     sweep, through the same :func:`~repro.relational.cache.resolve_cache`
@@ -234,11 +240,11 @@ def sweep_partitions(tree, schema, connection, partitions=None,
     opts = resolve_options(options, overrides, reduce=False)
     style, reduce = opts.style, opts.reduce
     tracer, metrics = obs_parts(opts.obs)
+    if definition is None:   # a bare tree: define it here
+        definition = ViewDefinition(tree, schema)
     if partitions is None:
-        partitions = list(enumerate_partitions(tree))
-    generator = SqlGenerator(
-        tree, schema, style=style, reduce=reduce, keep=opts.keep,
-    )
+        partitions = definition.partitions
+    generator = definition.generator(style, reduce, opts.keep)
     query_engine = connection.engine
     pinned_generations = connection.database.table_generations()
     previous = query_engine.cache

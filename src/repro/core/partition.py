@@ -41,14 +41,13 @@ class Subtree:
         self.tree = tree
         self.root = root
         self.nodes = tuple(sorted(nodes, key=lambda n: n.index))
-        self._node_set = set(self.nodes)
 
     def contains(self, node):
-        return node in self._node_set
+        return node in self.nodes
 
     def kept_children(self, node):
         """Children of ``node`` that belong to this subtree."""
-        return [c for c in node.children if c in self._node_set]
+        return [c for c in node.children if c in self.nodes]
 
 
 def unified_partition(tree):

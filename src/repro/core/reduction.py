@@ -23,6 +23,8 @@ from repro.core.viewtree import NodeRule
 class PlanUnit:
     """One node of the (reduced) plan tree for a subtree."""
 
+    __slots__ = ("members", "children", "rules", "args")
+
     def __init__(self, members):
         self.members = tuple(sorted(members, key=lambda n: n.index))
         self.children = []

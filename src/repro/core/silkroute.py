@@ -31,6 +31,7 @@ the partial :class:`PlanReport` attached.
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.common.errors import PlanError, TimeoutExceeded, tag_context
 from repro.relational.replicas import resolve_resilience
@@ -40,6 +41,7 @@ from repro.core.options import resolve_options
 from repro.core.partition import (
     Partition,
     Subtree,
+    enumerate_partitions,
     fully_partitioned,
     partition_subtrees,
     unified_partition,
@@ -214,6 +216,11 @@ class ViewDefinition:
             generator = self._generators.setdefault(key, SqlGenerator(
                 self.tree, self.schema, style=style, reduce=reduce, keep=keep))
         return generator
+
+    @cached_property
+    def partitions(self):
+        """The tree's 2^|E| partitions, made once: sweeps share them."""
+        return tuple(enumerate_partitions(self.tree))
 
 
 #: (RXL text, simplify_args, schema structure) -> ViewDefinition.

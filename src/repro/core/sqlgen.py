@@ -24,6 +24,7 @@ always identifies the tuple's terminal node.
 """
 
 import enum
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -67,12 +68,11 @@ class PlanStyle(enum.Enum):
 class StreamSpec:
     """Everything needed to execute and decode one subtree's tuple stream."""
 
-    unit_tree: object            # core.reduction.ReducedSubtree
     plan: object                 # algebra operator, Sort at the top
     sort_keys: tuple
     l_levels: tuple              # the levels j for which an Lj column exists
     stvs: tuple                  # Stv columns, in schema order
-    unit_paths: dict             # terminal rep-index -> [PlanUnit] root..terminal
+    unit_paths: dict             # terminal rep-index -> (PlanUnit,) root..terminal
     compact: bool                # transfer rows in compact (union) format
     label: str
     style: PlanStyle
@@ -105,16 +105,18 @@ class StreamSpec:
 class SqlGenerator:
     """Generates one :class:`StreamSpec` per subtree of a partition.
 
-    One generator serves many partitions (a sweep visits 2^|E|, a view
-    definition keeps its own for the process) but the same subtree — the
-    same node set — recurs across most, so specs are memoized by node-index
-    set: a partition is served from the *same* specs every time.  The memo is
-    bounded by the tree (512 partitions of nine edges share 233
-    subtrees); specs are immutable and nothing here is per-request, so
-    threads share both (a raced first use keeps one).  Below the specs,
-    each rule's base query is memoized by its frozen ``NodeRule`` value:
-    the ≈ 35 component queries of one greedy run share one immutable
-    sub-plan (and its cached fingerprint) per rule, not one per use.
+    A view definition keeps one generator per ``(style, reduce, keep)`` for
+    the process, and exports, greedy costing, ``explain`` and sweeps (all
+    2^|E| partitions) plan from it.  The same subtree — the same node set —
+    recurs across most partitions, so specs are memoized by node-index set:
+    a partition is served from the *same* specs every time.  The memo is
+    bounded by the tree (512 partitions of nine edges share 233 subtrees).
+    Below the specs, plan units and operators are hash-consed: one equal
+    to one made before *is* that one (an operator by fingerprint and
+    columns), so each unit's sub-plan is built once and specs share their
+    sub-plans with the fingerprints, table sets and lowerings kept on them.
+    Specs are immutable and nothing here is per-request, so threads share
+    them (a raced first use keeps one).
     """
 
     def __init__(self, tree, schema, style=PlanStyle.OUTER_JOIN,
@@ -127,6 +129,9 @@ class SqlGenerator:
         self._stream_cache = {}
         self._rule_plans = {}
         self._items = {}
+        self._ops = {}
+        self._units = {}
+        self._unit_plans = {}
 
     def streams_for_partition(self, partition, tracer=NULL_TRACER):
         """The partitioned relations' queries, in document order; the
@@ -145,14 +150,20 @@ class SqlGenerator:
                     subtree, reduce=self.reduce, keep=self.keep
                 )
             spec = self._stream_cache.setdefault(
-                key, self._build_stream(unit_tree)
+                key, self._build_stream(self._unit(unit_tree.root))
             )
         return spec
 
+    def _unit(self, unit):
+        """``unit``, or the unit made before with its members and (shared)
+        children: a unit's plan depends on nothing else."""
+        unit.children = [self._unit(child) for child in unit.children]
+        key = (unit.members, tuple(map(id, unit.children)))
+        return self._units.setdefault(key, unit)
+
     # -- stream assembly -------------------------------------------------------
 
-    def _build_stream(self, unit_tree):
-        root = unit_tree.root
+    def _build_stream(self, root):
         if self.style is PlanStyle.OUTER_JOIN:
             body = self._outer_join_plan(root)
         else:
@@ -161,14 +172,13 @@ class SqlGenerator:
         l_levels, stvs = self._subtree_schema(root)
         body = self._canonicalize(body, root, l_levels, stvs)
         sort_keys = self._sort_keys(l_levels, stvs)
-        plan = Sort(body, sort_keys)
+        plan = self._op(Sort(body, sort_keys))
 
         unit_paths = {}
-        self._collect_paths(root, [], unit_paths)
+        self._collect_paths(root, (), unit_paths)
         return StreamSpec(
-            unit_tree=unit_tree,
             plan=plan,
-            sort_keys=tuple(sort_keys),
+            sort_keys=plan.keys,
             l_levels=tuple(l_levels),
             stvs=tuple(stvs),
             unit_paths=unit_paths,
@@ -178,7 +188,7 @@ class SqlGenerator:
         )
 
     def _collect_paths(self, unit, prefix, out):
-        path = prefix + [unit]
+        path = prefix + (unit,)
         out[unit.index] = path
         for child in unit.children:
             self._collect_paths(child, path, out)
@@ -228,7 +238,7 @@ class SqlGenerator:
                 items.append(self._item(stv.name))
             else:
                 items.append(self._constant(stv.name, None, stv.sql_type))
-        return Project(body, items)
+        return self._op(Project(body, items))
 
     def _item(self, column, name=None):
         """The item reading ``column`` as ``name`` (default: its own)."""
@@ -241,15 +251,22 @@ class SqlGenerator:
     def _renamed(self, plan, keys):
         """``plan`` with its ``keys`` columns renamed apart, as the right
         input of a join on them."""
-        return Project(plan, [
-            self._item(c.name, _JOIN_PREFIX + c.name if c.name in keys else None)
+        return self._op(Project(plan, [
+            self._item(c.name, _join_key(c.name) if c.name in keys else None)
             for c in plan.columns()
-        ])
+        ]))
 
     def _shared(self, item):
         """``item``, or the equal one made before: the generator's
         projections share their items, and the items their fingerprints."""
         return self._items.setdefault(item, item)
+
+    def _op(self, op):
+        """``op``, or the operator made before with its fingerprint and
+        columns: the generator's plans share their equal sub-plans.  The
+        columns are in the key because a fingerprint omits a constant's
+        declared type (a NULL as INTEGER or as VARCHAR)."""
+        return self._ops.setdefault((op.fingerprint(), op.columns()), op)
 
     # -- node (unit) base queries ------------------------------------------------
 
@@ -259,7 +276,7 @@ class SqlGenerator:
         per-rule queries with set semantics."""
         if len(unit.rules) > 1:
             branches = [self._rule_query(unit, rule) for rule in unit.rules]
-            return OuterUnion(branches, distinct=True)
+            return self._op(OuterUnion(branches, distinct=True))
         return self._rule_query(unit, unit.rule)
 
     def _rule_query(self, unit, rule):
@@ -269,12 +286,20 @@ class SqlGenerator:
         if plan is None:
             if not rule.atoms:
                 raise PlanError(f"unit {unit.skolem_name()} has an empty body")
-            plan = self._rule_plans.setdefault(rule, rule_to_algebra(rule, self.schema))
+            plan = self._rule_plans.setdefault(
+                rule, self._op(rule_to_algebra(rule, self.schema)))
         return plan
 
     # -- outer-join style (SilkRoute's generator) -----------------------------------
 
     def _outer_join_plan(self, unit, parent_level=None):
+        """:meth:`_outer_join`, built once per (hash-consed) unit."""
+        key = (unit, parent_level)
+        if key not in self._unit_plans:
+            self._unit_plans[key] = self._outer_join(unit, parent_level)
+        return self._unit_plans[key]
+
+    def _outer_join(self, unit, parent_level):
         """``base ⟕ (child1 ∪ child2 ∪ ...)`` with a tagged ON disjunction;
         the unit's L tags are constants on every output row.
 
@@ -288,15 +313,16 @@ class SqlGenerator:
         own_tags = self._l_constants(unit, parent_level)
         own_items = own_tags + [self._item(stv.name) for stv in unit.args]
         if not unit.children:
-            return Project(base, own_items)
+            return self._op(Project(base, own_items))
 
         child_plans = []
         for ordinal, child in enumerate(unit.children):
             plan = self._outer_join_plan(child, unit.level)
             items = [self._item(c.name) for c in plan.columns()]
             items.append(self._constant(_BRANCH_TAG, ordinal))
-            child_plans.append(Project(plan, items))
-        union = child_plans[0] if len(child_plans) == 1 else OuterUnion(child_plans)
+            child_plans.append(self._op(Project(plan, items)))
+        union = (child_plans[0] if len(child_plans) == 1
+                 else self._op(OuterUnion(child_plans)))
 
         join_key_names = set()
         for child in unit.children:
@@ -319,23 +345,23 @@ class SqlGenerator:
         branches = []
         for child, (tag_column, tag_value) in zip(unit.children, tags):
             equalities = [
-                (stv.name, _JOIN_PREFIX + stv.name)
+                (stv.name, _join_key(stv.name))
                 for stv in unit.shared_args(child)
             ]
             branches.append(
                 JoinBranch(
                     equalities=tuple(equalities),
                     tag_column=tag_column if tag_column != _BRANCH_TAG
-                    else _JOIN_PREFIX + _BRANCH_TAG,
+                    else _join_key(_BRANCH_TAG),
                     tag_value=tag_value,
                 )
             )
-        join = LeftOuterJoin(base, renamed, branches)
+        join = self._op(LeftOuterJoin(base, renamed, branches))
 
-        return Project(join, own_items + [
+        return self._op(Project(join, own_items + [
             self._item(c.name) for c in renamed.columns()
             if not c.name.startswith(_JOIN_PREFIX)
-        ])
+        ]))
 
     # -- outer-union style ([9]) ------------------------------------------------------
 
@@ -347,7 +373,7 @@ class SqlGenerator:
             branches.append(self._path_query(root, unit))
         if len(branches) == 1:
             return branches[0]
-        return OuterUnion(branches)
+        return self._op(OuterUnion(branches))
 
     def _path_query(self, root, terminal):
         path = self._path_to(root, terminal)
@@ -356,27 +382,27 @@ class SqlGenerator:
             child_base = self._tagged_base(child, parent.level)
             shared = parent.shared_args(child)
             renamed = self._renamed(child_base, {s.name for s in shared})
-            equalities = [(s.name, _JOIN_PREFIX + s.name) for s in shared]
+            equalities = [(s.name, _join_key(s.name)) for s in shared]
             label = child.representative.label
             if label in ("1", "+"):
-                joined = InnerJoin(plan, renamed, equalities)
+                joined = self._op(InnerJoin(plan, renamed, equalities))
             else:
-                joined = LeftOuterJoin(
+                joined = self._op(LeftOuterJoin(
                     plan, renamed, [JoinBranch(tuple(equalities))]
-                )
+                ))
             out_items = [
                 self._item(c.name)
                 for c in joined.columns()
                 if not c.name.startswith(_JOIN_PREFIX)
             ]
-            plan = Project(joined, out_items)
+            plan = self._op(Project(joined, out_items))
         return plan
 
     def _tagged_base(self, unit, parent_level):
         base = self._node_query(unit)
         items = self._l_constants(unit, parent_level)
         items.extend(self._item(s.name) for s in unit.args)
-        return Project(base, items)
+        return self._op(Project(base, items))
 
     def _l_constants(self, unit, parent_level):
         """The L tag constants this unit contributes: its own level plus
@@ -461,7 +487,12 @@ def rule_to_algebra(rule, schema, extra_filters=(), head=None):
 
 
 def _l_name(level):
-    return f"L{level}"
+    return sys.intern(f"L{level}")
+
+
+def _join_key(name):
+    """``name`` renamed apart as a join's right input (one string each)."""
+    return sys.intern(_JOIN_PREFIX + name)
 
 
 def _discard_eq(pending, eq):

@@ -23,7 +23,7 @@ from repro.relational.types import SqlType, quote_sql_ident, sql_literal
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColumnInfo:
     """Metadata for one output column of an operator.
 
@@ -238,6 +238,12 @@ class Operator:
     """Base class: every operator exposes ``columns`` (tuple of ColumnInfo),
     ``children``, and a structural ``fingerprint`` for estimate caching."""
 
+    # What an operator keeps once worked out (plans are immutable): its
+    # fingerprint, the tables it reads (dependencies.plan_tables), its
+    # outer-join depth and its lowerings (pipeline.lower).  Slots, as in
+    # every operator: a view's plans hold thousands for the process.
+    __slots__ = ("_fp", "_tables", "_oj_depth", "_units", "_program")
+
     @property
     def children(self):
         return ()
@@ -268,6 +274,8 @@ class Scan(Operator):
     """Full scan of a base table under an alias.  Output columns are named
     ``alias.column``."""
 
+    __slots__ = ("table_schema", "alias", "_cols")
+
     def __init__(self, table_schema, alias):
         self.table_schema = table_schema
         self.alias = alias
@@ -289,6 +297,8 @@ class Scan(Operator):
 
 class Filter(Operator):
     """Row filter with an :class:`And`/:class:`Comparison` predicate."""
+
+    __slots__ = ("child", "predicate")
 
     def __init__(self, child, predicate):
         self.child = child
@@ -334,6 +344,8 @@ def ConstantColumn(name, value, sql_type=None):
 
 class Project(Operator):
     """Projection / renaming / constant introduction."""
+
+    __slots__ = ("child", "items", "_cols")
 
     def __init__(self, child, items):
         self.child = child
@@ -389,6 +401,8 @@ class Project(Operator):
 class Distinct(Operator):
     """Duplicate elimination (datalog set semantics for node queries)."""
 
+    __slots__ = ("child",)
+
     def __init__(self, child):
         self.child = child
 
@@ -405,6 +419,8 @@ class Distinct(Operator):
 
 class InnerJoin(Operator):
     """Equi-join.  ``equalities`` is a list of (left_column, right_column)."""
+
+    __slots__ = ("left", "right", "equalities", "_cols")
 
     def __init__(self, left, right, equalities):
         self.left = left
@@ -436,7 +452,7 @@ class InnerJoin(Operator):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinBranch:
     """One disjunct of a tagged outer join: the right row participates in
     this branch when its ``tag_column`` equals ``tag_value`` (both ``None``
@@ -451,6 +467,8 @@ class JoinBranch:
 class LeftOuterJoin(Operator):
     """Left outer join, possibly with the paper's tagged-disjunction ON
     clause ``(L2=1 AND ...) OR (L2=2 AND ...)`` (Sec. 3.4)."""
+
+    __slots__ = ("left", "right", "branches", "_cols")
 
     def __init__(self, left, right, branches):
         self.left = left
@@ -495,6 +513,8 @@ class OuterUnion(Operator):
     """Outer union: schema is the union of the children's columns (first
     appearance order); each child's missing columns are NULL-padded."""
 
+    __slots__ = ("inputs", "distinct", "_cols")
+
     def __init__(self, inputs, distinct=False):
         self.inputs = tuple(inputs)
         self.distinct = distinct
@@ -511,9 +531,7 @@ class OuterUnion(Operator):
                     raise QueryError(
                         f"outer union: column {col.name!r} has conflicting types"
                     )
-        self._cols = tuple(
-            ColumnInfo(c.name, c.sql_type, c.source) for c in order
-        )
+        self._cols = tuple(order)
 
     def columns(self):
         return self._cols
@@ -530,6 +548,8 @@ class OuterUnion(Operator):
 
 class Sort(Operator):
     """Sort by the named columns, NULLS FIRST (see :mod:`repro.common.ordering`)."""
+
+    __slots__ = ("child", "keys")
 
     def __init__(self, child, keys):
         self.child = child

@@ -532,12 +532,13 @@ class NodeResultCache(BoundedCache):
         return None if entry is None else entry[0]
 
     def store(self, fingerprint, value, tables):
-        """Keep ``value`` for a sub-plan reading ``tables`` (an iterable
-        of base-table names — the invalidation footprint) if the
+        """Keep ``value`` for a sub-plan reading ``tables`` (the frozenset
+        of base-table names :func:`~repro.relational.dependencies.plan_tables`
+        gives — the invalidation footprint, kept as it is) if the
         fingerprint was stored before, else only mark it seen."""
         if self.peek(fingerprint) is None:
             value = None
-        return super().store(fingerprint, (value, frozenset(tables)))
+        return super().store(fingerprint, (value, tables))
 
     def invalidate(self, changed_tables):
         """Delta propagation: retire every value whose sub-plan reads one

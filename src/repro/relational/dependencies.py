@@ -31,7 +31,8 @@ def plan_tables(plan):
     valid across any mutation of a table *not* in this set.  A node's set
     is the union of its children's (a :class:`~repro.relational.algebra.Scan`
     names its table); like ``fingerprint()`` it is kept on the operator,
-    plans being immutable once built.
+    plans being immutable once built, and interned: the operators of a
+    view's plans read a handful of distinct sets.
     """
     tables = getattr(plan, "_tables", None)
     if tables is None:
@@ -39,8 +40,13 @@ def plan_tables(plan):
             tables = frozenset((plan.table_schema.name,))
         else:
             tables = frozenset().union(*map(plan_tables, plan.children))
-        plan._tables = tables
+        tables = plan._tables = _TABLE_SETS.setdefault(tables, tables)
     return tables
+
+
+#: Every table set :func:`plan_tables` has made, for sharing: a set of
+#: the schema's table names, so bounded by the names the process knows.
+_TABLE_SETS = {}
 
 
 def is_stale(dependency_key, token, current):

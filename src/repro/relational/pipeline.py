@@ -102,6 +102,10 @@ def sort_rows(batch, key_positions, kinds, constant=()):
     return batch.gather(sorted(range(n), key=keys.__getitem__))
 
 
+#: Every column's facts a sort keeps, once: a few per base column.
+_FACTS = {}
+
+
 def column_facts(plan, memo=None):
     """What ``plan`` tells of the values of each of its output columns,
     in order: ``(types, sources, constant)`` — the types the plan itself
@@ -279,11 +283,11 @@ class _Sort:
         self.arity = len(op.columns())
         positions = op.child.positions()
         self.key_positions = [positions[key] for key in op.keys]
-        facts = column_facts(op.child)
-        self.types = tuple(types for types, _, _ in facts)
-        self.sources = tuple(sources for _, sources, _ in facts)
+        # Per input column, the column's facts as every sort shares them.
+        self.facts = tuple(_FACTS.setdefault(fact, fact)
+                           for fact in column_facts(op.child))
         self.constant = tuple(
-            p for p, (_, _, constant) in enumerate(facts) if constant)
+            p for p, (_, _, constant) in enumerate(self.facts) if constant)
         self.child_columns = op.child.columns()
 
     def kinds(self, database):
@@ -293,7 +297,7 @@ class _Sort:
         return [
             set(types).union(*[table(name).value_types(column)
                                for name, column in sources])
-            for types, sources in zip(self.types, self.sources)
+            for types, sources, _ in self.facts
         ]
 
     def run(self, database, charges):
@@ -450,7 +454,9 @@ class _Lowering:
         # Kept on the operator, by the plan's shared set (all a lowering
         # depends on): the plans of one view share their sub-plans'
         # operators, so most are lowered once.
-        units = op.__dict__.setdefault("_units", {})
+        units = getattr(op, "_units", None)
+        if units is None:
+            units = op._units = {}
         unit = units.get(self.shared)
         if unit is None:
             unit = self._fresh(op)

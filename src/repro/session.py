@@ -347,7 +347,8 @@ class Session:
         sweep = sweep_partitions(
             view.tree, self._silkroute.schema, self.connection,
             partitions=partitions, progress=progress, cache=cache,
-            options=self._options(options), **overrides,
+            definition=view.definition, options=self._options(options),
+            **overrides,
         )
         stats = self._stats()
         if sweep.cache_stats is not None:

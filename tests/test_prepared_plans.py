@@ -13,7 +13,6 @@ definition cache (``fresh_definitions``).
 """
 
 import gc
-import itertools
 import sys
 import threading
 import types
@@ -25,10 +24,16 @@ import pytest
 import repro.core.silkroute as silkroute_module
 import repro.core.sqlgen as sqlgen_module
 from repro.bench.queries import QUERY_1, QUERY_2
+from repro.bench.sweep import sweep_partitions
 from repro.core.options import ExecutionOptions
-from repro.core.partition import Partition, enumerate_partitions
-from repro.core.silkroute import VIEW_DEFINITIONS, SilkRoute, view_definition
-from repro.core.sqlgen import PlanStyle
+from repro.core.partition import Partition
+from repro.core.silkroute import (
+    VIEW_DEFINITIONS,
+    SilkRoute,
+    ViewDefinition,
+    view_definition,
+)
+from repro.core.sqlgen import PlanStyle, SqlGenerator
 from repro.obs import NULL_TRACER, ObsOptions
 from repro.relational.batch import Batch
 from repro.relational.connection import Connection
@@ -270,6 +275,46 @@ class TestOneDefinitionPerProcess:
                     assert plans[1].oracle_requests > 0
         assert VIEW_DEFINITIONS.stats().misses == misses + 2
 
+    def test_a_second_session_sweeps_without_generating(self, tiny_db,
+                                                        fresh_definitions,
+                                                        monkeypatch):
+        """A fresh session sweeps from the definition an earlier session's
+        sweeps filled: it builds no spec and lowers no plan, and its
+        timings are those of a sweep over a bare tree, cached or not."""
+        variants = [(query, reduce, style) for query in (QUERY_1, QUERY_2)
+                    for reduce in (False, True) for style in PlanStyle]
+        first = Session(Connection(tiny_db, CostModel()))
+        for query, reduce, style in variants:
+            first.sweep(query, reduce=reduce, style=style)
+
+        def programs():
+            return {id(spec): (spec, getattr(spec.plan, "_program", None))
+                    for query in (QUERY_1, QUERY_2)
+                    for generator in first.view(query).definition
+                    ._generators.values()
+                    for spec in generator._stream_cache.values()}
+
+        before = programs()
+        built = counting(monkeypatch, SqlGenerator, "_build_stream")
+        second = Session(Connection(tiny_db, CostModel()))
+        swept = {variant: second.sweep(variant[0], reduce=variant[1],
+                                       style=variant[2]).sweep
+                 for variant in variants}
+        assert built == []
+        monkeypatch.undo()
+        after = programs()
+        assert after.keys() == before.keys()
+        assert all(after[key][1] is program is not None
+                   for key, (_, program) in before.items())
+        for (query, reduce, style), sweep in swept.items():
+            tree = second.view(query).tree
+            for cache in (True, False):
+                reference = sweep_partitions(
+                    tree, tiny_db.schema, Connection(tiny_db, CostModel()),
+                    cache=cache, definition=ViewDefinition(tree, tiny_db.schema),
+                    reduce=reduce, style=style)
+                assert repr(reference.timings) == repr(sweep.timings)
+
     def test_schema_structure_keys_the_definition(self):
         """Equal schemas share a definition whatever their identity; a
         foreign key that may be NULL moves the key, and the labels (C2)."""
@@ -295,17 +340,19 @@ class TestOneDefinitionPerProcess:
         assert view_definition(QUERY_1, schema) is nullable
 
     def test_a_definition_holds_no_rows(self, tiny_db, tiny_estimator):
-        """After an export, a sweep and a write, with the session gone,
-        nothing the definitions reach is a row batch, a table or a
-        database."""
+        """After exports, full sweeps (with and without the sweep's cache)
+        and a write, with the session gone, nothing the definitions reach
+        is a row batch, a table or a database: no node-cache batch and no
+        table index hangs off an operator the sweeps share."""
         session = Session(Connection(tiny_db, CostModel()),
                           estimator=tiny_estimator)
         for query in (QUERY_1, QUERY_2):
             session.materialize(query)
             session.materialize(query, "fully-partitioned",
                                 style=PlanStyle.OUTER_UNION)
-        session.sweep(QUERY_2, partitions=list(itertools.islice(
-            enumerate_partitions(session.view(QUERY_2).tree), 16)))
+        for query in (QUERY_1, QUERY_2):
+            for cache in (True, False):
+                session.sweep(query, cache=cache)
         session.mutate("Supplier", op="update", rows=1, seed=3)
         session.materialize(QUERY_1)
         rows = {id(table.rows) for table in tiny_db.tables.values()}

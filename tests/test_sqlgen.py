@@ -10,18 +10,24 @@ from repro.core.partition import (
     unified_partition,
 )
 from repro.core.sqlgen import PlanStyle, SqlGenerator, rule_to_algebra
+from repro.relational.connection import Connection
 from repro.relational.engine import CostModel
 from repro.relational.estimator import CostEstimator
 from repro.relational.algebra import (
+    ColumnRef,
+    ConstantColumn,
     Distinct,
     InnerJoin,
     LeftOuterJoin,
     OuterUnion,
+    Project,
+    ProjectItem,
     Scan,
     Sort,
     count_operators,
     outer_join_nesting,
 )
+from repro.relational.types import SqlType
 
 
 @pytest.fixture
@@ -195,7 +201,8 @@ class TestReducedGeneration:
             q1_tree, tiny_db.schema, reduce=True, keep=[(1, 2)]
         )
         [spec] = reduced.streams_for_partition(unified_partition(q1_tree))
-        assert len(tuple(spec.unit_tree.root.walk())) == 4
+        [root, *_] = next(iter(spec.unit_paths.values()))
+        assert len(tuple(root.walk())) == 4
 
 
 class TestExecutionRowShape:
@@ -227,10 +234,14 @@ class TestExecutionRowShape:
 
 
 class _Unmemoized(SqlGenerator):
-    """Rebuilds every rule's base query wherever it occurs."""
+    """Rebuilds every rule's base query wherever it occurs, and keeps
+    every operator it builds (no hash-consing)."""
 
     def _rule_query(self, unit, rule):
         return rule_to_algebra(rule, self.schema)
+
+    def _op(self, op):
+        return op
 
 
 def _base_queries(specs):
@@ -288,6 +299,56 @@ class TestRuleMemo:
         assert plan == reference
         assert plan.oracle_requests == reference.oracle_requests > 0
         assert memoized._component_cost == rebuilt._component_cost
+
+
+class TestHashConsing:
+    """The generator keeps one operator per (fingerprint, columns): its
+    specs share every equal sub-plan, and only equal ones."""
+
+    @pytest.mark.parametrize("style", list(PlanStyle))
+    @pytest.mark.parametrize("reduce", [False, True])
+    def test_equal_subplans_are_one_object(self, q2_tree, tiny_db, style,
+                                           reduce):
+        generator = SqlGenerator(q2_tree, tiny_db.schema, style=style,
+                                 reduce=reduce)
+        seen, stack, visits = {}, [], 0
+        for partition in enumerate_partitions(q2_tree):
+            stack.extend(spec.plan for spec
+                         in generator.streams_for_partition(partition))
+        while stack:
+            op = stack.pop()
+            visits += 1
+            assert seen.setdefault((op.fingerprint(), op.columns()), op) is op
+            if not isinstance(op, Distinct):   # a rule's query: memoized
+                stack.extend(op.children)
+        assert visits > 3 * len(seen)
+
+    def test_a_null_keeps_its_declared_type(self, q1_tree, tiny_db):
+        """Two plans that differ only in a NULL constant's type share a
+        fingerprint, not an object: each keeps its columns and is charged
+        as the tuple engine charges it."""
+        generator = SqlGenerator(q1_tree, tiny_db.schema)
+        scan = Scan(tiny_db.schema.table("Nation"), "n")
+
+        def plan(sql_type):
+            return generator._op(Project(scan, [
+                ProjectItem(ColumnRef("n.nationkey"), "k"),
+                ConstantColumn("v", None, sql_type),
+            ]))
+
+        integer, varchar = plan(SqlType.INTEGER), plan(SqlType.VARCHAR)
+        assert integer is not varchar
+        assert integer.fingerprint() == varchar.fingerprint()
+        assert plan(SqlType.INTEGER) is integer
+        for made, sql_type in ((integer, SqlType.INTEGER),
+                               (varchar, SqlType.VARCHAR)):
+            assert made.columns()[1].sql_type is sql_type
+            reference, batch = (
+                Connection(tiny_db, CostModel(), engine=mode).execute(made)
+                for mode in ("tuple", "batch"))
+            assert batch.columns == reference.columns == made.columns()
+            assert (batch.rows, batch.server_ms, batch.transfer_ms) == (
+                reference.rows, reference.server_ms, reference.transfer_ms)
 
 
 def _walk(plan):
