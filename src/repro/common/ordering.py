@@ -20,14 +20,17 @@ millions of keys and use the equivalent wrapper-free encoding of
 (:mod:`repro.xmlgen.streams`) row by row, the batch engine's ``ORDER BY``
 column by column (:func:`column_keys`).  That sort never scans a key
 column for its value types: the caller passes them, derived from the plan
-and the tables' kept facts, and where they show that the keys are the
-whole row and each column holds one type (:func:`rows_are_keys`) it sorts
-the rows themselves, with no key at all.
+and the tables' kept facts.  Where they show that the keys are the whole
+row and each column holds one type (:func:`rows_are_keys`) it sorts the
+rows themselves, with no key at all.  Otherwise, where no key column
+mixes types, it first checks whether the rows are already in key order
+(:func:`in_key_order`, plain tuple comparisons in C): the pipelines
+mostly emit them so, and then nothing is sorted.
 """
 
 from functools import total_ordering
-from itertools import repeat
-from operator import is_not
+from itertools import repeat, tee
+from operator import is_not, itemgetter, le, length_hint
 from types import NoneType
 
 
@@ -125,6 +128,38 @@ def column_keys(columns, kinds):
             parts.append(list(map(TYPE_TAGS.__getitem__, map(type, column))))
         parts.append(column)
     return list(zip(*parts)) if parts else None
+
+
+def in_key_order(rows, positions):
+    """Whether ``rows`` never descend in the :func:`sort_key` order of
+    their values at ``positions``, so that a stable sort would leave them
+    as they are.  Each of those positions must hold one value type, or
+    that type and NULL (where types mix, Python's order is not the
+    type-name order).  Neighbouring keys compare as plain tuples, in C,
+    built as the pass goes and stopping at the first descent.  Python
+    refuses to compare a NULL with a value, which is where two keys first
+    differ when one of them is NULL there: then the keys are listed, and
+    each such pair alone is decided by :func:`flat_key` (NULLS FIRST)."""
+    if not positions:
+        return True
+    left, right = tee(map(itemgetter(*positions), rows))
+    next(right, None)
+    try:
+        return all(map(le, left, right))
+    except TypeError:
+        pass
+    keys = list(zip(*[map(itemgetter(p), rows) for p in positions]))
+    left, right = iter(keys), iter(keys)
+    next(right)
+    while True:
+        try:
+            return all(map(le, left, right))
+        except TypeError:
+            # ``map`` took the pair from both iterators: the next pass
+            # starts after it.
+            later = len(keys) - length_hint(right) - 1
+            if flat_key(keys[later]) < flat_key(keys[later - 1]):
+                return False
 
 
 def rows_are_keys(arity, key_positions, kinds, constant=()):

@@ -97,15 +97,6 @@ class Batch:
             built = indexes[key] = (index, sum(map(len, index.values())))
         return built
 
-    def gather(self, order):
-        """A new list of the rows at the indexes ``order``; a column-major
-        batch is gathered column-wise and zipped once, never transposed
-        whole."""
-        if self._columns is None or not self.arity:
-            return list(map(self.rows().__getitem__, order))
-        return list(zip(*[map(column.__getitem__, order)
-                          for column in self._columns]))
-
     def average_width(self, columns, nullable=None):
         """:func:`~repro.relational.types.average_row_width` of the rows
         typed by ``columns`` (``nullable`` as there)."""

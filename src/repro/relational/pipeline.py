@@ -43,7 +43,7 @@ a known shape compiles nothing.
 from types import NoneType
 
 from repro.common.errors import ExecutionError, QueryError
-from repro.common.ordering import column_keys, rows_are_keys
+from repro.common.ordering import column_keys, in_key_order, rows_are_keys
 from repro.relational import algebra, codegen
 from repro.relational.algebra import (
     Scan,
@@ -80,26 +80,42 @@ def lower(plan):
     return program
 
 
-def sort_rows(batch, key_positions, kinds, constant=()):
+def sort_rows(batch, key_positions, kinds, constant=(), metrics=None):
     """The rows of ``batch`` in a new list, sorted by the columns at
     ``key_positions``, whose value types are ``kinds`` (per key column,
     the types it may hold, ``NoneType`` for a NULL); ``constant`` are
     positions known to hold one value throughout.  The rows themselves
     are sorted where that is the order
-    (:func:`~repro.common.ordering.rows_are_keys`), else the row indexes,
-    once, on a composite key built column-wise
+    (:func:`~repro.common.ordering.rows_are_keys`).  Otherwise, unless a
+    key column may mix value types, they are checked first
+    (:func:`~repro.common.ordering.in_key_order`): rows the pipelines
+    emitted in key order are copied as they are (the input may be a
+    batch the node cache keeps), which is what a stable sort returns,
+    ties included.  Any other input sorts its row indexes once, on a
+    composite key built column-wise
     (:func:`~repro.common.ordering.column_keys`) — lexicographic with ties
     in input order, exactly the tuple engine's ``sorted(key=sort_key(...))``,
-    NULLS FIRST and mixed types by type name included."""
+    NULLS FIRST and mixed types by type name included.  ``metrics``, when
+    given, counts the two as ``sort.presorted`` and ``sort.resorted``."""
+    rows = batch.rows()
     if rows_are_keys(batch.arity, key_positions, kinds, constant):
-        return sorted(batch.rows())
-    n = batch.length
-    columns = batch.columns()
-    keys = key_positions and n and column_keys(
-        [columns[p] for p in key_positions], kinds)
-    if not keys:
-        return list(batch.rows())
-    return batch.gather(sorted(range(n), key=keys.__getitem__))
+        return sorted(rows)
+    varying = [(p, types) for p, types in zip(key_positions, kinds)
+               if p not in constant]
+    if len(rows) < 2 or (
+            all(len(types) - (NoneType in types) <= 1 for _, types in varying)
+            and in_key_order(rows, [p for p, _ in varying])):
+        event, rows = "sort.presorted", list(rows)
+    else:
+        # Two rows or more, out of order or with a key column of mixed
+        # types, which is kept: the keys are never None here.
+        columns = batch.columns()
+        keys = column_keys([columns[p] for p in key_positions], kinds)
+        event, rows = "sort.resorted", list(map(
+            rows.__getitem__, sorted(range(len(rows)), key=keys.__getitem__)))
+    if metrics is not None:
+        metrics.inc(event)
+    return rows
 
 
 #: Every column's facts a sort keeps, once: a few per base column.
@@ -271,12 +287,15 @@ class _Sort:
     """A breaker not offered to the node cache: in every plan the view
     generator builds the sort is the root, whose result is the plan
     cache's to keep and is never looked up again by fingerprint.  It
-    charges before it sorts: the charge needs only the input.  Each
-    column's value types are read from the tables its values come from
-    (:func:`column_facts`, :meth:`Table.value_types
+    charges before it sorts: the charge needs only the input, and is the
+    same whether :func:`sort_rows` finds the input in order or sorts it.
+    Each column's value types are read from the tables its values come
+    from (:func:`column_facts`, :meth:`Table.value_types
     <repro.relational.table.Table.value_types>`), never from the rows:
-    they pick the sort's path and spare the width sample the fixed-width
-    columns that hold no NULL."""
+    they pick the sort's path, say whether its check may compare raw
+    tuples, and spare the width sample the fixed-width columns that hold
+    no NULL.  The execution's metrics count checked and re-sorted
+    inputs."""
 
     def __init__(self, op, inputs):
         self.inputs = inputs
@@ -312,7 +331,8 @@ class _Sort:
             charges.charge("sort", charges.model.sort_ms(n, row_bytes), n)
         return Batch.from_rows(
             sort_rows(batch, self.key_positions,
-                      [kinds[p] for p in self.key_positions], self.constant),
+                      [kinds[p] for p in self.key_positions], self.constant,
+                      charges.metrics),
             self.arity)
 
 

@@ -44,6 +44,7 @@ that composes with execution.  Tested here:
 
 import datetime
 import math
+import operator
 import sys
 import threading
 
@@ -63,6 +64,7 @@ from repro.core.partition import enumerate_partitions, unified_partition
 from repro.core.silkroute import SilkRoute
 from repro.core.sqlgen import PlanStyle, SqlGenerator
 from repro.bench.queries import QUERY_1, QUERY_2
+from repro.obs import ObsOptions
 from repro.obs.metrics import MetricsRegistry
 from repro.relational import pipeline
 from repro.relational.batch import Batch
@@ -170,23 +172,89 @@ _SORT_COLUMNS = [
 ]
 
 
+def _reference_sort(rows, keys):
+    """The tuple engine's ``ORDER BY``: a stable sort on ``sort_key``."""
+    return sorted(rows, key=lambda r: sort_key([r[k] for k in keys]))
+
+
+def _null_meets_value(before, after, keys):
+    """Whether the first key position where two rows differ holds a NULL
+    in one of them."""
+    for k in keys:
+        if NoneFirst(before[k]) != NoneFirst(after[k]):
+            return before[k] is None or after[k] is None
+    return False
+
+
+def _arranged(draw, rows, keys):
+    """``rows`` as drawn, or in the reference order, or that order with
+    one adjacent pair swapped: any pair, the last, or one whose first
+    differing key position has a NULL on one side (so the NULL comes
+    after a value).  A swapped pair that ties on the keys is still in
+    order, and differs only in the columns that are not keys."""
+    shape = draw(st.sampled_from(["drawn", "ordered", "swap", "last", "null"]))
+    if shape == "drawn":
+        return rows
+    ordered = _reference_sort(rows, keys)
+    pairs = list(range(len(ordered) - 1))
+    if shape == "last":
+        pairs = pairs[-1:]
+    elif shape == "null":
+        pairs = [i for i in pairs
+                 if _null_meets_value(ordered[i], ordered[i + 1], keys)]
+    if shape != "ordered" and pairs:
+        i = draw(st.sampled_from(pairs))
+        ordered[i], ordered[i + 1] = ordered[i + 1], ordered[i]
+    return ordered
+
+
 @st.composite
 def _sort_cases(draw):
     """``(rows, arity, key positions)``: up to 40 rows of 1-12 key candidates,
     drawn from few values so duplicates are common, plus a row id last
-    (never a key) that shows where ties went."""
+    (never a key) that shows where ties went; as drawn, or already in key
+    order, or one swap away from it."""
     kinds = draw(st.lists(st.sampled_from(_SORT_COLUMNS),
                           min_size=1, max_size=12))
     rows = draw(st.lists(st.tuples(*kinds), max_size=40))
     rows = [row + (i,) for i, row in enumerate(rows)]
     keys = draw(st.permutations(range(len(kinds))))
-    return rows, len(kinds) + 1, keys[:draw(st.integers(1, len(kinds)))]
+    keys = keys[:draw(st.integers(1, len(kinds)))]
+    return _arranged(draw, rows, keys), len(kinds) + 1, keys
 
 
 def _scanned_types(rows, keys):
     """The value types each key column of ``rows`` holds, found by
     scanning: what the sort is told instead of scanning."""
     return [frozenset(type(row[k]) for row in rows) for k in keys]
+
+
+def _assert_sorts_as_reference(rows, arity, keys, kinds, constant=(),
+                               column_backed=False):
+    """``sort_rows`` returns the reference order, ``repr``-equal (``0.0``
+    and ``-0.0`` where they were), in a new list, and sorts only what it
+    must: input already in key order is checked and copied, unless it
+    has two rows or more and a key column may mix value types; rows that
+    are their own key are sorted as they are and counted as neither."""
+    batch = (
+        Batch.from_columns([[r[i] for r in rows] for i in range(arity)],
+                           len(rows))
+        if column_backed else Batch.from_rows(rows, arity)
+    )
+    metrics = MetricsRegistry()
+    out = pipeline.sort_rows(batch, list(keys), kinds, constant, metrics)
+    expected = _reference_sort(rows, keys)
+    assert repr(out) == repr(expected)
+    assert out is not batch.rows()
+    counters = metrics.snapshot()["counters"]
+    if ordering.rows_are_keys(arity, keys, kinds, constant):
+        assert counters == {}
+        return
+    in_order = all(map(operator.is_, rows, expected))
+    mixed = any(len(types - {type(None)}) > 1
+                for k, types in zip(keys, kinds) if k not in constant)
+    presorted = len(rows) < 2 or (in_order and not mixed)
+    assert counters == {"sort.presorted" if presorted else "sort.resorted": 1}
 
 
 class TestSortKernel:
@@ -198,16 +266,17 @@ class TestSortKernel:
     @given(case=_sort_cases(), column_backed=st.booleans(),
            widen=st.sets(st.sampled_from([type(None), int, str])))
     @settings(max_examples=300, deadline=None)
+    @example(([(-0.0, 0), (0.0, 1), (-0.0, 2)], 2, [0]), False, set())
+    @example(([(None, 1, 0), (1, None, 1), (1, 2, 2)], 3, [0, 1]),
+             True, set())
+    @example(([(1, None, 0), (None, 1, 1)], 3, [0, 1]), False, set())
+    @example(([(1, None, 0), (1, 2, 1), (1, None, 2)], 3, [0, 1]),
+             False, set())
     def test_equals_sorted_by_sort_key(self, case, column_backed, widen):
         rows, arity, keys = case
-        batch = (
-            Batch.from_columns([[r[i] for r in rows] for i in range(arity)],
-                               len(rows))
-            if column_backed else Batch.from_rows(rows, arity)
-        )
         kinds = [types | widen for types in _scanned_types(rows, keys)]
-        out = pipeline.sort_rows(batch, list(keys), kinds)
-        assert out == sorted(rows, key=lambda r: sort_key([r[k] for k in keys]))
+        _assert_sorts_as_reference(rows, arity, keys, kinds,
+                                   column_backed=column_backed)
 
 
 class _Name(str):
@@ -235,10 +304,11 @@ _FACT_COLUMNS = [
 
 @st.composite
 def _whole_row_cases(draw):
-    """``(rows, key positions, constant positions)``: rows whose sort keys
-    are mostly the whole row — in order, with the constant columns (one
-    value throughout, as a projected literal is) anywhere among them, or
-    in another order."""
+    """``(rows, arity, key positions, constant positions)``: rows whose
+    sort keys are mostly the whole row — in order, with the constant
+    columns (one value throughout, as a projected literal is) anywhere
+    among them, or some columns in another order; the rows as drawn, or
+    in key order, or one swap away from it."""
     kinds = draw(st.lists(st.sampled_from(_FACT_COLUMNS),
                           min_size=1, max_size=6))
     constant = draw(st.sets(st.integers(0, len(kinds) - 1)))
@@ -252,7 +322,9 @@ def _whole_row_cases(draw):
         keys.insert(draw(st.integers(0, len(keys))), p)
     if draw(st.booleans()):
         keys = draw(st.permutations(range(len(kinds))))
-    return rows, list(keys), tuple(sorted(constant))
+        keys = keys[:draw(st.integers(1, len(kinds)))]
+    return (_arranged(draw, rows, list(keys)), len(kinds), list(keys),
+            tuple(sorted(constant)))
 
 
 class TestSortFacts:
@@ -265,20 +337,17 @@ class TestSortFacts:
     @given(case=_whole_row_cases(), column_backed=st.booleans(),
            widen=st.sets(st.sampled_from([type(None), int, float])))
     @settings(max_examples=400, deadline=None)
-    @example(([(0.5, 1), (-0.0, 1), (0.0, 0), (-0.0, 0)], [0, 1], ()),
+    @example(([(0.5, 1), (-0.0, 1), (0.0, 0), (-0.0, 0)], 2, [0, 1], ()),
              False, set())
+    @example(([(-0.0, 1), (0.0, 0), (-0.0, 2), (0.0, 2)], 2, [0], ()),
+             True, set())
+    @example(([(0, 0), (0.5, 1)], 2, [0], ()), False, set())
+    @example(([("a",), (_Name("b"),)], 1, [0], ()), True, set())
     def test_equals_sorted_by_sort_key(self, case, column_backed, widen):
-        rows, keys, constant = case
-        arity = len(keys)
-        batch = (
-            Batch.from_columns([[r[i] for r in rows] for i in range(arity)],
-                               len(rows))
-            if column_backed else Batch.from_rows(rows, arity)
-        )
+        rows, arity, keys, constant = case
         kinds = [types | widen for types in _scanned_types(rows, keys)]
-        out = pipeline.sort_rows(batch, keys, kinds, constant)
-        expected = sorted(rows, key=lambda r: sort_key([r[k] for k in keys]))
-        assert repr(out) == repr(expected)
+        _assert_sorts_as_reference(rows, arity, keys, kinds, constant,
+                                   column_backed)
 
     def test_whole_rows_of_one_type_sort_as_they_are(self):
         rows = [(1, _Name("b"), 2.0), (1, _Name("a"), 3.0), (1, _Name("a"), 1.0)]
@@ -1440,6 +1509,58 @@ class TestSortFactsCoverage:
                             sorts += 1
                             row_sorts += _sorts_rows(tiny_db, spec.plan)
         assert (sorts, row_sorts) == (self.SORTS, self.ROW_SORTS)
+
+
+class TestSortCheck:
+    """The root sort checks before it sorts.  Outer-join plans emit their
+    rows in key order, so a sweep of them copies every checked input as
+    it is; an outer union emits its branches one after another, and a
+    write can store a row out of key order: both are sorted, the latter
+    to the tuple engine's document."""
+
+    #: Per style, the root sorts that the full Q1 and Q2 sweeps (1,024
+    #: plans) on the tiny database evaluate — the sweep's cache answers a
+    #: stream it has run — and that check or sort keys: the rest sort rows
+    #: that are their own key.
+    CHECKED = 234
+
+    def test_only_outer_union_sweeps_resort(self, tiny_db):
+        counters = {}
+        for style in PlanStyle:
+            obs = ObsOptions()
+            session = Session(Connection(tiny_db, CostModel()))
+            for query in (QUERY_1, QUERY_2):
+                session.sweep(query, options=ExecutionOptions(
+                    obs=obs, style=style))
+            counters[style] = obs.metrics.snapshot()["counters"]
+        checked = {style: (counts.get("sort.presorted", 0),
+                           counts.get("sort.resorted", 0))
+                   for style, counts in counters.items()}
+        assert checked == {PlanStyle.OUTER_JOIN: (self.CHECKED, 0),
+                           PlanStyle.OUTER_UNION: (0, self.CHECKED)}
+
+    def test_a_row_keyed_before_the_table_is_resorted(self):
+        """Supplier 0 is stored after every other supplier, so the
+        unified Q1 stream emits it last; it is the first supplier of the
+        document."""
+        documents, counters = {}, {}
+        for mode in ENGINE_MODES:
+            db = TpchGenerator(scale=TpchScale(suppliers=8, parts=16,
+                                               customers=10, orders=40),
+                               seed=42).generate()
+            nation = db.table("Supplier").rows[-1][3]
+            db.insert("Supplier", 0, "Supplier#000000", "addr", nation)
+            obs = ObsOptions()
+            session = Session(Connection(db, CostModel(), engine=mode))
+            documents[mode] = session.materialize(
+                QUERY_1, "unified", options=ExecutionOptions(obs=obs)).xml
+            counters[mode] = obs.metrics.snapshot()["counters"]
+        assert documents["batch"] == documents["tuple"]
+        first = documents["batch"].index("<name>Supplier#")
+        assert documents["batch"].startswith("<name>Supplier#000000", first)
+        assert counters["batch"]["sort.resorted"] > 0
+        assert not {"sort.presorted", "sort.resorted"} & set(
+            counters["tuple"])
 
 
 class TestTableIndexes:
