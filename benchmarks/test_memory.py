@@ -40,6 +40,13 @@ the checks can block a merge; ``BENCH_memory.json`` at the repository root
 records that version beside them.  Refresh that file from a run of this
 file alone (as CI runs it): in a process that ran other benches first,
 module-level caches are already filled and the peaks read ≈ 0.3 % lower.
+
+A ceiling bounds from above only, so one left behind by a change that
+lowered the heap lets a regression of the same size pass.  On the
+interpreter version that wrote the file, each of the four ceilings
+(streaming peak at both scales, serving heap, sweep heap) may sit at most
+``STALE`` above its measurement; past that the case fails after
+rewriting the file, which then holds the measurement to commit.
 """
 
 import gc
@@ -68,6 +75,9 @@ BENCH_FILE = REPO_ROOT / "BENCH_memory.json"
 PYTHON = "%d.%d" % sys.version_info[:2]
 SERVING_CYCLES = 40
 SERVING_TABLES = ("Supplier", "Customer", "Region")
+#: How far above its measurement a committed ceiling may sit before it
+#: counts as stale.
+STALE = 1.10
 
 
 def committed():
@@ -94,6 +104,19 @@ def update_bench_file(**sections):
     own), keeping the others when this interpreter version wrote them."""
     payload = {**committed(), "python": PYTHON, **sections}
     BENCH_FILE.write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def check_not_stale(what, ceiling, measured):
+    """Fail when ``ceiling`` (None: not committed for this interpreter)
+    sits more than ``STALE`` above ``measured`` — called after the file was
+    rewritten, so the refreshed ceiling is ready to commit."""
+    if ceiling is not None and ceiling > STALE * measured:
+        raise AssertionError(
+            f"{what}: the committed ceiling {ceiling:,} B is more than "
+            f"{STALE - 1:.0%} above the measured {measured:,} B, so a "
+            "regression that large would pass; BENCH_memory.json now holds "
+            "the measurement - commit it (refreshed from a run of this file "
+            "alone)")
 
 
 def traced_peak(fn):
@@ -191,6 +214,10 @@ def test_streaming_peak_within_committed(report_writer):
             ]
         ),
     )
+    for m in (small, large):
+        check_not_stale(f"streaming peak x{m['scale_factor']}",
+                        ceilings.get(m["scale_factor"]),
+                        m["materialize_to_peak_bytes"])
     # The streaming peak must also stay clearly under the materializing
     # peak (measured 2.8x at the large scale; the margin is loose because
     # allocator details vary across Python versions).
@@ -262,6 +289,7 @@ def test_serving_heap_within_committed(report_writer):
                 for name, count in measured["entries_after_last"].items()),
         ]),
     )
+    check_not_stale("serving heap", ceiling, last)
 
 
 def measure_sweep():
@@ -325,3 +353,4 @@ def test_sweep_heap_within_committed(report_writer):
             f"{measured['plan_cache_bytes']:,.0f} B",
         ]),
     )
+    check_not_stale("sweep heap", ceiling, measured["heap_bytes_at_end"])
