@@ -4,8 +4,8 @@
     PYTHONPATH=src python3 benchmarks/resilience_table.py --print   # only print
 
 ROADMAP's rule for everything beyond the paper's pipeline — it earns its
-keep with a measured ablation or goes — applied to the dispatch stack
-(``dispatch.py``, ``replicas.py``, ``faults.py``).  The whole stack runs on
+keep with a measured ablation or goes — applied to the resilience stack
+(``resilience.py``, ``faults.py``).  The whole stack runs on
 the simulated clock, so failed ops and simulated ``elapsed_total_ms``
 repeat exactly: the table is generated, committed
 (``benchmarks/results/resilience_ablation.txt``, and the same text between
@@ -17,8 +17,9 @@ Configuration A over a 3-replica pool with no result cache (a replay never
 contacts the source): per seed one pool, reused for ``ROUNDS`` rounds so
 that what it learned routes the next op, each round under fresh fault
 seeds — 180 ops a row.  Two schedules say what is wrong with the source.
-A row switches one mechanism off, by option where there is one and by this
-file's own patch where there is not (``src/`` carries no switch for it),
+A row switches one mechanism off, through the ``Resilience`` it runs under
+where that has a field and by this file's own patch where it has not
+(``src/`` carries no switch for it),
 and reports the ops that produced no document (``failed``: retries and
 degradation exhausted; ``shed``: refused by admission), the ops that
 needed degradation, and p50/p90/p99 of ``elapsed_total_ms`` over the ops
@@ -33,21 +34,16 @@ Three mechanisms lost and were deleted with the table that convicted them
 (``CONVICTED``).  Their rows cannot be measured on this tree any more;
 they are carried in ``RECORDED`` as this script measured them at the last
 commit that had them, ``8c7f217``, and every run checks that this tree's
-"all on" row equals the "survivors only" row recorded there.  To measure
-them again, run this file against that commit's sources
-(``PYTHONPATH=<checkout of 8c7f217>/src python3
-benchmarks/resilience_table.py --print``; ``src`` is appended to
-``sys.path``, so a ``PYTHONPATH`` wins): there every row is live and
-``RECORDED`` is what gets checked.
+"all on" row equals the "survivors only" row recorded there.  The version
+of this file at ``b8c26a6`` still measures them: run it against
+``8c7f217``'s sources (``PYTHONPATH=<checkout of 8c7f217>/src python3
+<that file> --print``).
 """
 
 import argparse
 import contextlib
-import math
 import pathlib
-import pprint
 import sys
-from dataclasses import fields
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.append(str(REPO_ROOT / "src"))
@@ -59,9 +55,10 @@ from repro.common.errors import (  # noqa: E402
 )
 from repro.core import silkroute  # noqa: E402
 from repro.core.options import ExecutionOptions  # noqa: E402
-from repro.relational import dispatch, replicas  # noqa: E402
+from repro.relational import resilience  # noqa: E402
 from repro.relational.connection import Connection  # noqa: E402
 from repro.relational.faults import FaultPolicy, RetryPolicy  # noqa: E402
+from repro.relational.resilience import ReplicaPool, Resilience  # noqa: E402
 from repro.tpch.configs import CONFIG_A, build_configuration  # noqa: E402
 
 RESULT = REPO_ROOT / "benchmarks" / "results" / "resilience_ablation.txt"
@@ -87,13 +84,12 @@ SCHEDULES = {
     ),
 }
 FAULT_TEXT = {"latency_ms": "latency {:g} ms", "error_rate": "error rate {:g}"}
-#: What "all on" runs under, besides the pool.
-ALL_ON = {"retry": RetryPolicy(), "hedge_ms": 50.0, "workers": 4}
+#: What "all on" runs under, besides the pool and its faults: the
+#: ``Resilience`` fields and the dispatch width.
+ALL_ON = {"retry": RetryPolicy(), "hedge_ms": 50.0}
+WORKERS = 4
 COLUMNS = ("failed", "degraded", "shed", "p50", "p90", "p99")
 WORSE = 1.02    # a percentile counts as worse beyond this factor
-
-#: Whether the tree under judgement is the one that still has ``CONVICTED``.
-PARENT_TREE = any(f.name == "max_concurrent" for f in fields(ExecutionOptions))
 
 
 @contextlib.contextmanager
@@ -114,7 +110,8 @@ def no_failover():
     """The retry loop asks the epoch for the next untried replica
     (failover) and so does the hedge step (its backup): answer "none
     left" to the first only, so a failed stream retries where it was."""
-    pick, hedge, hedging = replicas.ReplicaEpoch.pick, dispatch._hedge, []
+    pick, hedging = resilience.ReplicaEpoch.pick, []
+    hedge = resilience.ResilientExecutor._hedge
 
     def pick_unless_failing_over(self, exclude=()):
         if exclude and not hedging:
@@ -128,27 +125,26 @@ def no_failover():
         finally:
             hedging.pop()
 
-    return [(replicas.ReplicaEpoch, "pick", pick_unless_failing_over),
-            (dispatch, "_hedge", marked_hedge)]
+    return [(resilience.ReplicaEpoch, "pick", pick_unless_failing_over),
+            (resilience.ResilientExecutor, "_hedge", marked_hedge)]
 
 
-#: mechanism -> (how its row switches it off, the switch: options
-#: overridden, ``ReplicaPool`` arguments, patches)
+#: mechanism -> (how its row switches it off, the switch: ``Resilience``
+#: fields overridden, patches)
 MECHANISMS = {
     "retry": (
         "`retry=None` (failover and degradation spend retry attempts, so "
-        "they go with it)", {"retry": None}, {}, list),
+        "they go with it)", {"retry": None}, list),
     "failover": (
         "patch: `ReplicaEpoch.pick` offers the retry loop no other replica "
-        "(the hedge step still gets its backup)", {}, {}, no_failover),
-    "hedging": ("`hedge_ms=None`", {"hedge_ms": None}, {}, list),
+        "(the hedge step still gets its backup)", {}, no_failover),
+    "hedging": ("`hedge_ms=None`", {"hedge_ms": None}, list),
     "health ranking": (
         "patch: `ReplicaPool.finish_epoch` folds nothing, so every epoch "
-        "ranks 0, 1, 2", {}, {},
-        lambda: [(replicas.ReplicaPool, "finish_epoch",
-                  lambda self, epoch: None)]),
+        "ranks 0, 1, 2", {},
+        lambda: [(ReplicaPool, "finish_epoch", lambda self, epoch: None)]),
     "degradation": (
-        "patch: `XmlView._finer_subtrees` finds no finer split", {}, {},
+        "patch: `XmlView._finer_subtrees` finds no finer split", {},
         lambda: [(silkroute.XmlView, "_finer_subtrees",
                   lambda self, subtree, opts: None)]),
 }
@@ -193,51 +189,29 @@ RECORDED = {
 }
 
 
-def convicted_switches():
-    """``ALL_ON`` as it was at 8c7f217 and the ``CONVICTED`` rows'
-    switches — constructible only on that tree."""
-    slack = replicas.AdmissionPolicy(
-        max_concurrent_streams=16, max_queued_streams=16,
-        deadline_ms=60_000.0)
-    binding = replicas.AdmissionPolicy(
-        max_concurrent_streams=2, max_queued_streams=4, deadline_ms=2_000.0)
-    no_breaker = lambda: [(silkroute, "CircuitBreaker", lambda: None)]
-    never_denied = {"unhealthy_after": math.inf}
-    switches = (
-        ({}, {}, no_breaker),
-        ({}, never_denied, list),
-        ({"max_concurrent": None}, {}, list),
-        ({"max_concurrent": binding}, {}, list),
-        ({"max_concurrent": None}, never_denied, no_breaker),
-    )
-    return ({**ALL_ON, "max_concurrent": slack},
-            dict(zip(CONVICTED, switches)))
-
-
-def run(schedule, base, database, estimator, clean, options=(), pool=(),
-        patches=list):
+def run(schedule, database, estimator, clean, overrides=(), patches=list):
     """One row's cells: ``SEEDS`` pools x ``ROUNDS`` rounds x ``VARIANTS``
-    under ``schedule``, ``base`` options overridden by ``options``."""
+    under ``schedule``, the ``ALL_ON`` fields overridden by
+    ``overrides``."""
     failed = degraded = shed = 0
     elapsed_ms = []
-    opts = ExecutionOptions(**{**base, **dict(options)})
+    policies = {**ALL_ON, **dict(overrides)}
     with patched(patches()):
         for seed in SEEDS:
             connection = Connection(
                 database, CONFIG_A.cost_model, CONFIG_A.transfer_model)
-            replica_pool = replicas.ReplicaPool(
-                replicas.ReplicaSet.from_connection(connection, 3),
-                **dict(pool))
+            pool = ReplicaPool.from_connection(connection, 3)
             silk = silkroute.SilkRoute(connection, estimator=estimator)
             views = {q: silk.define_view(text) for q, text in QUERIES.items()}
             for round_ in range(ROUNDS):
-                for i, replica in enumerate(replica_pool.connections):
-                    replica.faults = FaultPolicy(
-                        seed=f"{seed}|{round_}|r{i}", **schedule[i])
+                opts = ExecutionOptions(workers=WORKERS, resilience=Resilience(
+                    replicas=pool, **policies, faults=[
+                        FaultPolicy(seed=f"{seed}|{round_}|r{i}", **fields)
+                        for i, fields in enumerate(schedule)]))
                 for qname, partition in VARIANTS:
                     try:
                         result = views[qname].materialize(
-                            partition, options=opts, replicas=replica_pool)
+                            partition, options=opts)
                     except TransientConnectionError:
                         failed += 1
                         continue
@@ -246,7 +220,7 @@ def run(schedule, base, database, estimator, clean, options=(), pool=(),
                         continue
                     if result.xml != clean[qname]:
                         raise SystemExit(f"{qname}/{partition}: wrong document")
-                    degraded += bool(result.report.degraded_streams)
+                    degraded += bool(result.report.resilience.degraded_streams)
                     elapsed_ms.append(result.report.elapsed_total_ms)
     elapsed_ms.sort()
 
@@ -274,35 +248,20 @@ def worse(base, other):
 
 def measure():
     """``{schedule: {row: cells}}``: "all on" and the ``MECHANISMS`` rows
-    of this tree, then the ``CONVICTED`` rows — live where they exist,
-    else as ``RECORDED``, after checking that nothing else moved."""
+    of this tree, then the ``CONVICTED`` rows as ``RECORDED``, after
+    checking that nothing else moved."""
     database, _, estimator = build_configuration(CONFIG_A)
     silk = silkroute.SilkRoute(
         Connection(database, CONFIG_A.cost_model, CONFIG_A.transfer_model),
         estimator=estimator)
     clean = {q: silk.define_view(text).materialize().xml
              for q, text in QUERIES.items()}
-    base, convicted = ALL_ON, {}
-    if PARENT_TREE:
-        base, convicted = convicted_switches()
     tables = {}
     for title, schedule in SCHEDULES.items():
-        args = (schedule, base, database, estimator, clean)
+        args = (schedule, database, estimator, clean)
         rows = tables[title] = {"all on": run(*args)}
         for name, (_, *switch) in MECHANISMS.items():
             rows[f"− {name}"] = run(*args, *switch)
-        for name, switch in convicted.items():
-            rows[name] = run(*args, *switch)
-    if PARENT_TREE:
-        measured = {
-            title: {name: rows[name] for name in ("all on", *CONVICTED)}
-            for title, rows in tables.items()
-        }
-        if measured != RECORDED:
-            raise SystemExit("RECORDED is not what this tree measures:\n"
-                             + pprint.pformat(measured, sort_dicts=False))
-        return tables
-    for title, rows in tables.items():
         recorded = RECORDED[title]
         if rows["all on"] != recorded["survivors only"]:
             raise SystemExit(

@@ -27,6 +27,7 @@ from repro.bench.sweep import sweep_partitions
 from repro.core.silkroute import SilkRoute
 from repro.relational.cache import PlanResultCache
 from repro.relational.faults import FaultPolicy, RetryPolicy
+from repro.relational.resilience import Resilience
 from repro.common.errors import TransientConnectionError
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -53,12 +54,13 @@ def test_fault_soak(config_a, trees_a, report_writer):
     cells = []
     for seed in SEEDS:
         for rate in ERROR_RATES:
-            faults = FaultPolicy(seed=seed, error_rate=rate)
+            resilience = Resilience(
+                retry=retry, faults=FaultPolicy(seed=seed, error_rate=rate))
             sweep = sweep_partitions(
                 tree, db.schema, conn,
                 budget_ms=config.subquery_budget_ms,
                 cache=PlanResultCache(),
-                retry=retry, faults=faults,
+                resilience=resilience,
             )
             # Completed plans must carry the fault-free simulated figures.
             for timing in sweep.completed():
@@ -68,10 +70,10 @@ def test_fault_soak(config_a, trees_a, report_writer):
 
             degraded = 0
             try:
-                result = view.materialize(retry=retry, faults=faults)
+                result = view.materialize(resilience=resilience)
                 assert result.xml == clean.xml
                 materialize_ok = True
-                degraded = len(result.report.degraded_streams)
+                degraded = len(result.report.resilience.degraded_streams)
             except TransientConnectionError:
                 materialize_ok = False
 
@@ -81,11 +83,11 @@ def test_fault_soak(config_a, trees_a, report_writer):
                 "plans": len(sweep.timings),
                 "failed_plans": len(sweep.failed()),
                 "faults_injected": sum(
-                    t.faults_injected for t in sweep.timings
+                    t.resilience.faults for t in sweep.timings
                 ),
-                "retries": sum(t.retries for t in sweep.timings),
+                "retries": sum(t.resilience.retries for t in sweep.timings),
                 "backoff_ms": round(
-                    sum(t.backoff_ms for t in sweep.timings), 1
+                    sum(t.resilience.backoff_ms for t in sweep.timings), 1
                 ),
                 "materialize_byte_identical": materialize_ok,
                 "degraded_streams": degraded,

@@ -24,7 +24,7 @@ from repro.bench.queries import QUERY_1
 from repro.core.silkroute import SilkRoute
 from repro.relational.connection import Connection
 from repro.relational.faults import FaultPolicy, RetryPolicy
-from repro.relational.replicas import ReplicaPool, ReplicaSet
+from repro.relational.resilience import ReplicaPool, Resilience
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -59,29 +59,27 @@ def test_replica_chaos_soak(config_a, report_writer):
         hard_down = FaultPolicy(seed=seed, error_rate=1.0)
         flaky = [FaultPolicy(seed=f"{seed}|h{i}", error_rate=0.1)
                  for i in (1, 2)]
-        pool = ReplicaPool(ReplicaSet.from_connection(
-            connection, 3, faults=[hard_down, *flaky],
+        result = view.materialize(workers=4, resilience=Resilience(
+            replicas=ReplicaPool.from_connection(connection, 3),
+            faults=[hard_down, *flaky], retry=RetryPolicy(max_attempts=6),
+            hedge_ms=50.0,
         ))
-        result = view.materialize(
-            retry=RetryPolicy(max_attempts=6),
-            replicas=pool, hedge_ms=50.0, workers=4,
-        )
         report = result.report
         # Zero user-visible errors: the hard-down replica is routed
         # around, the document and the paper's figures are untouched.
         assert result.xml == clean.xml
         assert report.query_ms == clean.report.query_ms
         assert report.transfer_ms == clean.report.transfer_ms
-        assert report.failovers > 0
-        assert all(s.replica != 0 for s in report.streams)
+        assert report.resilience.failovers > 0
+        assert all(s.resilience.replica != 0 for s in report.streams)
         soak_cells.append({
             "seed": seed,
             "streams": report.n_streams,
-            "attempts": report.attempts,
-            "faults_injected": report.faults_injected,
-            "failovers": report.failovers,
-            "hedges": report.hedges,
-            "hedge_wins": report.hedge_wins,
+            "attempts": report.resilience.attempts,
+            "faults_injected": report.resilience.faults,
+            "failovers": report.resilience.failovers,
+            "hedges": report.resilience.hedges,
+            "hedge_wins": report.resilience.hedge_wins,
             "byte_identical": result.xml == clean.xml,
         })
 
@@ -92,15 +90,12 @@ def test_replica_chaos_soak(config_a, report_writer):
         runs = {}
         for mode, hedge in (("unhedged", None), ("hedged", 25.0)):
             connection, view = _fresh_view(db, conn, est)
-            pool = ReplicaPool(ReplicaSet.from_connection(
-                connection, 2,
+            result = view.materialize(resilience=Resilience(
+                replicas=ReplicaPool.from_connection(connection, 2),
                 faults=[FaultPolicy(seed=seed, latency_ms=400.0),
                         FaultPolicy(seed=f"{seed}|fast", latency_ms=5.0)],
+                retry=RetryPolicy(max_attempts=4), hedge_ms=hedge,
             ))
-            result = view.materialize(
-                retry=RetryPolicy(max_attempts=4),
-                replicas=pool, hedge_ms=hedge,
-            )
             assert result.xml == clean.xml
             runs[mode] = result.report
         hedged_ms.append(runs["hedged"].elapsed_total_ms)
@@ -111,8 +106,8 @@ def test_replica_chaos_soak(config_a, report_writer):
             "unhedged_elapsed_ms": round(
                 runs["unhedged"].elapsed_total_ms, 1
             ),
-            "hedges": runs["hedged"].hedges,
-            "hedge_wins": runs["hedged"].hedge_wins,
+            "hedges": runs["hedged"].resilience.hedges,
+            "hedge_wins": runs["hedged"].resilience.hedge_wins,
         })
 
     p99_hedged = _percentile(hedged_ms, 0.99)

@@ -23,6 +23,7 @@ import time
 from repro.bench.queries import QUERY_1, QUERY_2
 from repro.core.options import ExecutionOptions
 from repro.relational.faults import FaultPolicy, RetryPolicy
+from repro.relational.resilience import Resilience
 from repro.serve import Server
 from repro.session import Session
 from repro.tpch.configs import CONFIG_A, build_configuration
@@ -35,10 +36,12 @@ REQUESTS_PER_CLIENT = 40
 #: Every 3-replica chaos request retries around one seeded-faulty replica
 #: and hedges slow streams; the XML must stay byte-identical regardless.
 CHAOS_OPTIONS = ExecutionOptions(
-    retry=RetryPolicy(max_attempts=3),
-    faults=FaultPolicy(seed=17, error_rate=0.05),
-    replicas=3,
-    hedge_ms=50.0,
+    resilience=Resilience(
+        retry=RetryPolicy(max_attempts=3),
+        faults=FaultPolicy(seed=17, error_rate=0.05),
+        replicas=3,
+        hedge_ms=50.0,
+    ),
 )
 
 

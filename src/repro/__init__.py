@@ -55,7 +55,7 @@ from repro.relational import (
     ForeignKey,
     QueryEngine,
     ReplicaPool,
-    ReplicaSet,
+    Resilience,
     RetryPolicy,
     SourceDescription,
     SqlType,
@@ -64,7 +64,6 @@ from repro.relational import (
 )
 from repro.core import (
     ExecutionOptions,
-    RequestContext,
     GreedyParameters,
     GreedyPlan,
     GreedyPlanner,
@@ -123,12 +122,11 @@ __all__ = [
     "FaultPolicy",
     "RetryPolicy",
     "NO_RETRY",
-    "ReplicaSet",
+    "Resilience",
     "ReplicaPool",
     "AdmissionPolicy",
     "AdmissionController",
     "ExecutionOptions",
-    "RequestContext",
     "Session",
     "QueryResult",
     "apply_delta",

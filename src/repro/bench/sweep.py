@@ -19,6 +19,7 @@ another in input order; ``workers`` is, as everywhere, each plan's
 """
 
 import gc
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.core.options import resolve_options
@@ -27,8 +28,6 @@ from repro.core.sqlgen import PlanStyle
 from repro.obs import obs_parts
 from repro.relational.cache import PlanCostCache, resolve_cache
 from repro.relational.dispatch import execute_specs
-from repro.relational.faults import StreamAttemptStats
-from repro.relational.replicas import resolve_resilience
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,9 +37,10 @@ class PlanTiming:
     ``failed`` marks a plan whose stream exhausted its retries under fault
     injection (sweeps record the failure instead of degrading the plan —
     degradation is :meth:`repro.core.silkroute.XmlView.materialize`'s
-    job).  ``attempts``/``retries``/``faults_injected``/``backoff_ms`` and the
-    replica counters (``failovers``/``hedges``/``hedge_wins``) total the
-    resilience accounting over the plan's streams.
+    job).  ``resilience`` totals the plan's streams'
+    :class:`~repro.relational.faults.StreamAttemptStats` when the sweep ran
+    under a :class:`~repro.relational.resilience.Resilience`, and is None
+    otherwise.
     """
 
     partition: object
@@ -49,13 +49,7 @@ class PlanTiming:
     transfer_ms: float = None
     timed_out: bool = False
     failed: bool = False
-    attempts: int = 0
-    retries: int = 0
-    faults_injected: int = 0
-    backoff_ms: float = 0.0
-    failovers: int = 0
-    hedges: int = 0
-    hedge_wins: int = 0
+    resilience: object = None
 
     @property
     def total_ms(self):
@@ -116,7 +110,7 @@ class SweepResult:
 
 
 def run_single_partition(tree, schema, connection, partition, generator=None,
-                         epoch=None, expect_generations=None, options=None,
+                         executor=None, expect_generations=None, options=None,
                          **overrides):
     """Execute one plan; returns a :class:`PlanTiming`.
 
@@ -125,13 +119,11 @@ def run_single_partition(tree, schema, connection, partition, generator=None,
     :func:`repro.relational.dispatch.execute_specs` as one bundle; the
     remaining arguments are the per-sweep state :func:`sweep_partitions`
     shares between its plans (``generator``: the definition's, else the
-    bare tree is defined here).
-    ``retry``/``faults`` run the plan under the resilience regime: a
-    stream that exhausts its retries marks the timing ``failed`` (sweeps
-    record, they do not degrade).  ``replicas``/``hedge_ms`` route the
-    streams over a :class:`~repro.relational.replicas.ReplicaPool` (a
-    sweep pins one ``epoch`` for all partitions, so routing does not
-    depend on partition order).  With ``obs`` (an
+    bare tree is defined here; ``executor``: the sweep's resilient
+    executor, whose one epoch spans all partitions, so routing does not
+    depend on partition order).
+    Under ``resilience`` a stream that exhausts its retries marks the
+    timing ``failed`` (sweeps record, they do not degrade).  With ``obs`` (an
     :class:`~repro.obs.ObsOptions` session) the run is wrapped in a
     ``partition`` span and records per-stream metrics.
     """
@@ -143,14 +135,15 @@ def run_single_partition(tree, schema, connection, partition, generator=None,
     with tracer.span("partition") as partition_span:
         specs = generator.streams_for_partition(partition, tracer)
         result = execute_specs(
-            connection, specs, epoch=epoch,
+            connection, specs, executor=executor,
             expect_generations=expect_generations, options=opts,
         )
-        all_stats = list(result.stats)
-        failure_stats = getattr(result.failure, "stats", None)
-        if failure_stats is not None:
-            all_stats.append(failure_stats)
-        total = StreamAttemptStats.total(all_stats)
+        resilience = None
+        if opts.resilience is not None:
+            all_stats = list(result.stats)
+            if result.failure is not None:
+                all_stats.append(result.failure.stats)
+            resilience = opts.resilience.summary(all_stats)
         query_ms = transfer_ms = None
         if result.timeout is None and result.failure is None:
             query_ms = transfer_ms = 0.0
@@ -164,13 +157,7 @@ def run_single_partition(tree, schema, connection, partition, generator=None,
             transfer_ms=transfer_ms,
             timed_out=result.timeout is not None,
             failed=result.failure is not None,
-            attempts=total.attempts,
-            retries=total.retries,
-            faults_injected=total.faults,
-            backoff_ms=total.backoff_ms,
-            failovers=total.failovers,
-            hedges=total.hedges,
-            hedge_wins=total.hedge_wins,
+            resilience=resilience,
         )
         partition_span.set(n_streams=timing.n_streams)
         if timing.timed_out:
@@ -219,10 +206,9 @@ def sweep_partitions(tree, schema, connection, partitions=None,
     simulated dispatch width — so in a sweep, whose timings are per-stream
     sums, it changes nothing.
 
-    ``replicas``/``hedge_ms`` route every plan's streams over one
-    :class:`~repro.relational.replicas.ReplicaPool` whose routing epoch
-    spans the whole sweep (health folds once, at the end — partition
-    order cannot change the routing).
+    Under ``resilience`` every plan's streams go through one executor: its
+    replica pool's routing epoch spans the whole sweep (health folds once,
+    at the end — partition order cannot change the routing).
 
     A sweep's timings are only comparable if every plan saw the same
     data, so the per-table generation vector is pinned at the start and
@@ -249,11 +235,11 @@ def sweep_partitions(tree, schema, connection, partitions=None,
     pinned_generations = connection.database.table_generations()
     previous = query_engine.cache
     used = query_engine.cache = resolve_cache(cache, fresh=PlanCostCache)
-    # Resolved after the cache swap so a freshly built replica set shares
-    # the cache the sweep actually runs under.
-    opts = resolve_resilience(opts, connection)
-    replica_pool = opts.replicas
-    epoch = replica_pool.begin_epoch() if replica_pool is not None else None
+    # Built after the cache swap so a fresh replica pool shares the cache
+    # the sweep actually runs under.
+    executor = None
+    if opts.resilience is not None:
+        executor = opts.resilience.executor(connection)
     # Nothing the plan loop allocates is in a reference cycle: reference
     # counting frees all of it, and the collector would only rescan
     # millions of row tuples (DESIGN.md §6, "The collector").  It is
@@ -261,14 +247,14 @@ def sweep_partitions(tree, schema, connection, partitions=None,
     collecting = gc.isenabled()
     gc.disable()
     try:
-        with tracer.span(
+        with executor.routing() if executor else nullcontext(), tracer.span(
             "sweep", style=style.value, plans=len(partitions),
         ) as sweep_span:
             timings = []
             for partition in partitions:
                 timings.append(run_single_partition(
                     tree, schema, connection, partition,
-                    generator=generator, epoch=epoch,
+                    generator=generator, executor=executor,
                     expect_generations=pinned_generations, options=opts,
                 ))
                 if progress is not None:
@@ -285,7 +271,5 @@ def sweep_partitions(tree, schema, connection, partitions=None,
     finally:
         if collecting:
             gc.enable()
-        if replica_pool is not None:
-            replica_pool.finish_epoch(epoch)
         query_engine.cache = previous
     return result

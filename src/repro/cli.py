@@ -595,20 +595,21 @@ def main(argv=None, out=sys.stdout):
                 "rows cross-validated against the simulated oracle",
                 file=out,
             )
-        if options.faults is not None or options.replicas is not None:
-            report = result.report
+        resilience = result.report.resilience
+        if resilience is not None:
             print(
-                f"-- resilience: {report.attempts} attempt(s), "
-                f"{report.retries} retried, {report.faults_injected} fault(s) "
-                f"injected, {report.backoff_ms:.0f}ms backoff, "
-                f"{len(report.degraded_streams)} stream(s) degraded",
+                f"-- resilience: {resilience.attempts} attempt(s), "
+                f"{resilience.retries} retried, {resilience.faults} fault(s) "
+                f"injected, {resilience.backoff_ms:.0f}ms backoff, "
+                f"{len(resilience.degraded_streams)} stream(s) degraded",
                 file=out,
             )
-            if options.replicas is not None:
+            if options.resilience.replicas is not None:
                 print(
-                    f"-- replicas: {report.failovers} failover(s), "
-                    f"{report.hedges} hedge(s), {report.hedge_wins} hedge "
-                    f"win(s), {report.hedge_wait_ms:.0f}ms hedge wait",
+                    f"-- replicas: {resilience.failovers} failover(s), "
+                    f"{resilience.hedges} hedge(s), {resilience.hedge_wins} "
+                    f"hedge win(s), {resilience.hedge_wait_ms:.0f}ms hedge "
+                    "wait",
                     file=out,
                 )
         if args.metrics:

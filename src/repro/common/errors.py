@@ -48,11 +48,10 @@ class ExecutionError(ReproError):
 
     Every execution error can carry the identity of the client request it
     failed on behalf of: ``tenant`` / ``request_id`` default to None and
-    are stamped — once, closest to the raise site — by the dispatch layer
-    or the serving front end (see :func:`tag_request`), so a
-    :class:`TimeoutExceeded` or :class:`StaleGenerationError` surfacing
-    from deep inside a dispatch still names the tenant and request that
-    triggered it.
+    are stamped by the serving front end (see :func:`tag_request`) on
+    everything a request raises, so a :class:`TimeoutExceeded` or
+    :class:`StaleGenerationError` surfacing from deep inside a dispatch
+    still names the tenant and request that triggered it.
     """
 
     tenant = None
@@ -70,15 +69,6 @@ def tag_request(exc, tenant=None, request_id=None):
         exc.tenant = tenant
     if request_id is not None and getattr(exc, "request_id", None) is None:
         exc.request_id = request_id
-    return exc
-
-
-def tag_context(exc, context):
-    """:func:`tag_request` from a
-    :class:`~repro.core.options.RequestContext` (None: no-op); returns
-    ``exc``."""
-    if context is not None:
-        tag_request(exc, context.tenant, context.request_id)
     return exc
 
 
@@ -136,8 +126,9 @@ class StaleGenerationError(ExecutionError):
 class TransientConnectionError(ExecutionError):
     """A simulated transient failure of the client/server connection.
 
-    Raised by a :class:`~repro.relational.faults.FaultPolicy` installed on a
-    :class:`~repro.relational.connection.Connection`: the middle-ware does
+    Drawn from a :class:`~repro.relational.faults.FaultPolicy` by the
+    resilient executor (:mod:`repro.relational.resilience`) before it
+    submits a stream to its connection: the middle-ware does
     not control the RDBMS, so a stream execution can fail for reasons that
     have nothing to do with the plan — the connection dropped, the server
     shed load.  Transient means *retryable*: re-submitting the same query

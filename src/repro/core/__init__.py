@@ -21,7 +21,6 @@ from repro.core.sqlgen import SqlGenerator, StreamSpec, PlanStyle
 from repro.core.greedy import GreedyPlanner, GreedyPlan, GreedyParameters
 from repro.core.options import (
     ExecutionOptions,
-    RequestContext,
     resolve_options,
 )
 from repro.core.silkroute import (
@@ -56,7 +55,6 @@ __all__ = [
     "GreedyPlan",
     "GreedyParameters",
     "ExecutionOptions",
-    "RequestContext",
     "resolve_options",
     "SilkRoute",
     "MaterializedView",

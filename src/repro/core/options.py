@@ -4,8 +4,8 @@ Every execution-facing method (``XmlView.materialize``, ``materialize_to``,
 ``explain``, ``greedy_plan``,
 ``repro.bench.sweep.sweep_partitions``, the ``Session``/``Server``
 methods in front of them, and the dispatch layer behind them —
-``execute_specs``, ``run_spec_with_retry``, ``Connection.execute`` /
-``execute_iter``) has the signature ``(…, options=None, **overrides)``,
+``execute_specs``, ``Connection.execute`` / ``execute_iter``) has the
+signature ``(…, options=None, **overrides)``,
 and each hands the resolved bundle to the next as one object.
 :class:`ExecutionOptions` is the bundle: build one frozen object, pass it
 as ``options=`` everywhere, share it across calls and threads.  An override
@@ -13,7 +13,7 @@ is one field of it by name, so one-off changes stay cheap, and
 :func:`resolve_options` is the only place the two are merged::
 
     opts = ExecutionOptions(budget_ms=300_000, workers=4,
-                            retry=RetryPolicy(max_attempts=3))
+                            resilience=Resilience(retry=RetryPolicy()))
     view.materialize(options=opts)                   # uses everything
     view.materialize(options=opts, workers=1)        # one-off override
     view.materialize(workers=1)                      # no bundle at all
@@ -27,26 +27,11 @@ value.
 from dataclasses import dataclass, replace
 
 from repro.core.sqlgen import PlanStyle
+# The one module of repro.core that names the resilience policies: the
+# command line and the wire spell them as flat options, and this is where
+# they become a Resilience (options_from_flat).
 from repro.relational.faults import FaultPolicy, RetryPolicy
-
-
-@dataclass(frozen=True)
-class RequestContext:
-    """Identity of one client request flowing through the service.
-
-    The serving layer (:mod:`repro.serve`) attaches one of these to the
-    :class:`ExecutionOptions` it executes under (``request=``) so that
-    errors raised deep inside the dispatch —
-    :class:`~repro.common.errors.TransientConnectionError`,
-    :class:`~repro.common.errors.StaleGenerationError`,
-    :class:`~repro.common.errors.TimeoutExceeded` — surface carrying the
-    originating ``tenant`` and ``request_id`` (see
-    :func:`~repro.common.errors.tag_request`).  Frozen and hashable, like
-    everything else in the options bundle.
-    """
-
-    tenant: str = None
-    request_id: str = None
+from repro.relational.resilience import Resilience
 
 
 @dataclass(frozen=True)
@@ -55,19 +40,15 @@ class ExecutionOptions:
 
     ``style``/``reduce``/``keep`` select and reduce the SQL generation,
     ``budget_ms`` is the per-subquery simulated timeout, ``workers`` is
-    the *simulated* dispatch width (below), ``retry``/``faults`` are the
-    resilience policies
-    (:class:`~repro.relational.faults.RetryPolicy` /
-    :class:`~repro.relational.faults.FaultPolicy`), and ``obs`` is an
-    optional :class:`~repro.obs.ObsOptions` observability session
+    the *simulated* dispatch width (below), and ``obs`` is an optional
+    :class:`~repro.obs.ObsOptions` observability session
     (tracing/metrics; None — the default — keeps the no-op fast path).
 
-    The replica serving layer adds two knobs: ``replicas`` (an integer
-    replica count, a :class:`~repro.relational.replicas.ReplicaSet`, or a
-    :class:`~repro.relational.replicas.ReplicaPool`, normalized by
-    :func:`~repro.relational.replicas.resolve_pool`) and ``hedge_ms`` (the
-    simulated latency past which a backup request is hedged on a second
-    replica).
+    ``resilience`` is a :class:`~repro.relational.resilience.Resilience`
+    — retry, fault injection, replicas and hedging, each set there and
+    nowhere else — or None, the paper's path: the plan's queries go to
+    the connection as they are, and reports carry no resilience
+    accounting.
 
     Concurrency lives on the simulated clock.  ``workers=N`` says the
     source runs N of a plan's subqueries at once, and that is computed,
@@ -94,16 +75,8 @@ class ExecutionOptions:
     keep: tuple = ()
     budget_ms: float = None
     workers: int = None
-    retry: object = None
-    faults: object = None
     obs: object = None
-    replicas: object = None
-    hedge_ms: float = None
-    #: Optional :class:`RequestContext` naming the client request this
-    #: execution serves; errors raised anywhere under the dispatch carry
-    #: its tenant/request id.  Purely diagnostic — never affects results,
-    #: timings, or cache keys.
-    request: object = None
+    resilience: object = None
 
     def __post_init__(self):
         object.__setattr__(self, "keep", tuple(self.keep))
@@ -173,11 +146,14 @@ def options_from_flat(flat, **fields):
     """The :class:`ExecutionOptions` a mapping of :data:`FLAT_OPTIONS`
     names describes (other keys, and None values, are ignored; ``fields``
     are further bundle fields, set as given).  Every value is checked — a
-    bad one raises :class:`ValueError` naming the option — and
-    ``retries`` becomes the :class:`~repro.relational.faults.RetryPolicy`,
-    ``fault_seed``/``fault_rate`` the
-    :class:`~repro.relational.faults.FaultPolicy`, ``style`` the
-    :class:`~repro.core.sqlgen.PlanStyle`."""
+    bad one raises :class:`ValueError` naming the option — and ``style``
+    becomes the :class:`~repro.core.sqlgen.PlanStyle`.  ``retries``,
+    ``fault_seed``/``fault_rate``, ``replicas`` and ``hedge_ms``, when
+    any is given, become one
+    :class:`~repro.relational.resilience.Resilience`: a
+    :class:`~repro.relational.faults.RetryPolicy` of ``retries``
+    attempts, a :class:`~repro.relational.faults.FaultPolicy`, the replica
+    count and the hedge trigger."""
     given = {}
     for name, check in FLAT_OPTIONS.items():
         value = flat.get(name)
@@ -186,10 +162,16 @@ def options_from_flat(flat, **fields):
                 given[name] = check(value)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"option {name!r}: {exc}") from None
+    policies = {}
     retries = given.pop("retries", None)
     if retries is not None:
-        fields["retry"] = RetryPolicy(max_attempts=retries)
+        policies["retry"] = RetryPolicy(max_attempts=retries)
     seed, rate = given.pop("fault_seed", None), given.pop("fault_rate", None)
     if seed is not None or rate is not None:
-        fields["faults"] = FaultPolicy(seed=seed or 0, error_rate=rate or 0.0)
+        policies["faults"] = FaultPolicy(seed=seed or 0, error_rate=rate or 0.0)
+    for name in ("replicas", "hedge_ms"):
+        if name in given:
+            policies[name] = given.pop(name)
+    if policies:
+        fields["resilience"] = Resilience(**policies)
     return ExecutionOptions(**given, **fields)

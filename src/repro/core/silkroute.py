@@ -15,26 +15,26 @@ Execution knobs can be passed individually or bundled in a frozen
 :class:`~repro.core.options.ExecutionOptions` (``options=``); explicit
 keywords override option fields.
 
-Execution is *fault tolerant*: with a
-:class:`~repro.relational.faults.FaultPolicy` installed on the connection
-and a :class:`~repro.relational.faults.RetryPolicy` in play, transient
-stream failures are retried with simulated backoff, and a stream that
-exhausts its retries is *degraded* —
-the failing subtree is re-planned into finer streams (consulting the
-cached greedy family's optional edges first, then the full cut) whose
-sorted outputs splice back into the k-way document merge.  The document
-comes out byte-identical to the fault-free run, just later; only when a
-single-node stream keeps failing does the
+Resilience wraps this path and does not run through it: under an
+``ExecutionOptions.resilience``
+(:class:`~repro.relational.resilience.Resilience`) the dispatch hands each
+query to that policy's executor instead of the connection.  What stays
+here is *degradation*, because it re-plans along the greedy family
+(Sec. 5): under a ``retry`` policy, a stream that exhausts its retries is
+re-planned into finer streams (the cached greedy family's optional edges
+first, then the full cut) whose sorted outputs splice back into the k-way
+document merge.  The document comes out byte-identical to the fault-free
+run, just later; only when a single-node stream keeps failing does the
 :class:`~repro.common.errors.TransientConnectionError` propagate, with
 the partial :class:`PlanReport` attached.
 """
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from repro.common.errors import PlanError, TimeoutExceeded, tag_context
-from repro.relational.replicas import resolve_resilience
+from repro.common.errors import PlanError, TimeoutExceeded
 from repro.core.greedy import GreedyPlanner
 from repro.core.labeling import label_view_tree
 from repro.core.options import resolve_options
@@ -53,12 +53,11 @@ from repro.relational.cache import BoundedCache, resolve_cache
 from repro.relational.dispatch import (
     dispatch_width,
     execute_specs,
-    open_spec,
     record_stream,
     simulated_makespan,
+    submit,
 )
 from repro.relational.estimator import CostEstimator
-from repro.relational.faults import StreamAttemptStats
 from repro.rxl.parser import parse_rxl
 from repro.xmlgen.serializer import XmlWriter
 from repro.xmlgen.splice import FragmentCache, splice_streams
@@ -66,23 +65,23 @@ from repro.xmlgen.streams import ComparatorLayout, XmlDocumentCache
 from repro.xmlgen.tagger import tag_streams
 
 
+#: What the paper's path streams under: no routing epoch to hold open.
+_NO_ROUTING = nullcontext()
+
+
 @dataclass
 class StreamReport:
-    """Timing, size, and resilience accounting of one executed stream.
+    """Timing and size of one executed stream.
 
-    ``attempts`` counts submissions to the simulated source (0 when the
-    result was replayed from the plan cache — ``from_cache``); ``retries``
-    / ``faults`` / ``backoff_ms`` / ``fault_latency_ms`` are the
-    resilience overhead, in simulated ms, on top of the fault-free
-    ``server_ms``/``transfer_ms`` (which are unchanged by fault
-    injection).
-
-    Under a :class:`~repro.relational.replicas.ReplicaPool` dispatch,
-    ``replica`` is the id that served the winning result, ``failovers``
-    counts retries that moved to a different replica, and ``hedges`` /
-    ``hedge_wins`` / ``hedge_wait_ms`` account the backup requests (a
-    hedge loser charges nothing — see
-    :class:`~repro.relational.faults.StreamAttemptStats`).
+    ``resilience`` is the stream's
+    :class:`~repro.relational.faults.StreamAttemptStats` when the
+    execution ran under a
+    :class:`~repro.relational.resilience.Resilience` — attempts (0 when
+    the result was replayed from the plan cache), retries, faults,
+    backoff and fault latency in simulated ms on top of the fault-free
+    ``server_ms``/``transfer_ms`` (which fault injection never changes),
+    and under a replica pool the replica that served it, failovers and
+    hedges — and None on the paper's path.
     """
 
     label: str
@@ -90,17 +89,7 @@ class StreamReport:
     server_ms: float
     transfer_ms: float
     sql: str = field(repr=False, default="")
-    attempts: int = 1
-    retries: int = 0
-    faults: int = 0
-    backoff_ms: float = 0.0
-    fault_latency_ms: float = 0.0
-    from_cache: bool = False
-    replica: int = None
-    failovers: int = 0
-    hedges: int = 0
-    hedge_wins: int = 0
-    hedge_wait_ms: float = 0.0
+    resilience: object = None
 
 
 @dataclass
@@ -118,14 +107,16 @@ class PlanReport:
     degraded away.  ``wall_s`` is the real (harness) execution time — the
     only non-deterministic field.
 
-    Resilience totals: ``attempts`` (source submissions, cache replays
-    excluded), ``retries``, ``faults_injected``, ``backoff_ms``,
-    ``fault_latency_ms``, and ``degraded_streams`` — the labels of
-    streams that exhausted their retries and were re-planned into the
-    finer streams found in ``streams``.  Replica totals: ``failovers``,
-    ``hedges``, ``hedge_wins``, ``hedge_wait_ms`` (summed over the same
-    per-stream stats, so they reconcile with the
-    ``dispatch.failovers/hedges/hedge_wins`` metrics counters).
+    ``resilience`` is None on the paper's path.  Under a
+    :class:`~repro.relational.resilience.Resilience` it totals the
+    streams' :class:`~repro.relational.faults.StreamAttemptStats`
+    (``attempts`` — source submissions, cache replays excluded —
+    ``retries``, ``faults``, ``backoff_ms``, ``fault_latency_ms``,
+    ``failovers``, ``hedges``, ``hedge_wins``, ``hedge_wait_ms``: the same
+    stats the metrics counters are recorded from, so the two reconcile),
+    and its ``degraded_streams`` are the labels of streams that exhausted
+    their retries and were re-planned into the finer streams found in
+    ``streams``.
 
     ``obs`` is the :class:`~repro.obs.ObsOptions` observability session
     the execution ran under (None when tracing/metrics were off) — the
@@ -149,16 +140,7 @@ class PlanReport:
     elapsed_query_ms: float = None
     elapsed_total_ms: float = None
     wall_s: float = None
-    attempts: int = 0
-    retries: int = 0
-    faults_injected: int = 0
-    backoff_ms: float = 0.0
-    fault_latency_ms: float = 0.0
-    degraded_streams: tuple = ()
-    failovers: int = 0
-    hedges: int = 0
-    hedge_wins: int = 0
-    hedge_wait_ms: float = 0.0
+    resilience: object = None
     obs: object = None
 
     @property
@@ -337,23 +319,15 @@ class XmlView:
         self._check_source(specs)
         return specs
 
-    def _prepare(self, partition, opts):
-        """Options → SQL, the front half every execution shares: resolve
-        the replica pool (``resolve_resilience``) and take ``partition``'s
-        :meth:`specs`.  Returns the resolved ``(opts, specs)``."""
-        opts = resolve_resilience(opts, self.silkroute.connection)
-        return opts, self.specs(partition, opts)
-
-    def _dispatch(self, partition, specs, opts):
-        """Eagerly dispatch ``specs`` (retrying and degrading as ``opts``
-        allow); returns ``(outcome, report)``.  A failure that leaves a
-        partial outcome behind propagates with the partial report attached
-        (``exc.report``)."""
+    def _dispatch(self, partition, specs, opts, executor):
+        """Eagerly dispatch ``specs`` (through ``executor`` when there is
+        one, degrading as ``opts`` allow); returns ``(outcome, report)``.
+        A failure that leaves a partial outcome behind propagates with the
+        partial report attached (``exc.report``)."""
         start = time.perf_counter()
         try:
-            outcome = self._dispatch_resilient(partition, specs, opts)
+            outcome = self._dispatch_rounds(partition, specs, opts, executor)
         except Exception as exc:
-            tag_context(exc, opts.request)
             partial = getattr(exc, "partial_outcome", None)
             if partial is not None:
                 exc.report = self._outcome_report(
@@ -374,9 +348,10 @@ class XmlView:
                     spec.uses_outer_join(), spec.uses_union()
                 )
 
-    def _dispatch_resilient(self, partition, specs, opts):
+    def _dispatch_rounds(self, partition, specs, opts, executor):
         """Dispatch ``specs``, degrading failing subtrees until the plan
-        completes, times out, or a stream fails undegradably.
+        completes, times out, or a stream fails undegradably.  Every round
+        shares ``executor`` (a fresh replica pool learns across rounds).
 
         On an unrecoverable transient failure the raised error gets a
         ``partial_outcome`` attribute (consumed by :meth:`_dispatch`, which
@@ -407,6 +382,7 @@ class XmlView:
             while True:
                 result = execute_specs(
                     connection, [spec for spec, _ in pending],
+                    executor=executor,
                     expect_generations=pinned_generations, options=opts,
                 )
                 completed = len(result.streams)
@@ -425,12 +401,12 @@ class XmlView:
                     return outcome()
                 failure = result.failure
                 failing_spec, failing_subtree = pending[result.failed_index]
-                stats = getattr(failure, "stats", None)
-                if stats is not None:
-                    spent_stats.append(stats)
+                spent_stats.append(failure.stats)
+                # A failure is drawn only under a Resilience; degradation
+                # re-plans only under its retry policy.
                 finer = (
                     self._finer_subtrees(failing_subtree, opts)
-                    if opts.retry is not None else None
+                    if opts.resilience.retry is not None else None
                 )
                 if finer is None:
                     failure.partial_outcome = outcome()
@@ -491,28 +467,19 @@ class XmlView:
         stats = outcome.stats
         reports = [
             StreamReport(
-                rows=stream.rows_read, server_ms=stream.server_ms,
-                transfer_ms=stream.transfer_ms, sql=spec.sql, **vars(st),
+                label=spec.label, rows=stream.rows_read,
+                server_ms=stream.server_ms, transfer_ms=stream.transfer_ms,
+                sql=spec.sql, resilience=st,
             )
             for spec, stream, st in zip(
                 outcome.specs, outcome.streams, stats
             )
         ]
         all_stats = stats + outcome.spent_stats
-        total = StreamAttemptStats.total(all_stats)
+        resilience = None
+        if opts.resilience is not None:
+            resilience = opts.resilience.summary(all_stats, outcome.degraded)
         n_workers = dispatch_width(opts)
-        resilience = dict(
-            attempts=total.attempts,
-            retries=total.retries,
-            faults_injected=total.faults,
-            backoff_ms=total.backoff_ms,
-            fault_latency_ms=total.fault_latency_ms,
-            degraded_streams=tuple(outcome.degraded),
-            failovers=total.failovers,
-            hedges=total.hedges,
-            hedge_wins=total.hedge_wins,
-            hedge_wait_ms=total.hedge_wait_ms,
-        )
         if outcome.timeout is not None:
             nan = float("nan")
             return self._published_report(PlanReport(
@@ -527,15 +494,15 @@ class XmlView:
                 elapsed_query_ms=nan,
                 elapsed_total_ms=nan,
                 wall_s=wall_s,
+                resilience=resilience,
                 obs=opts.obs,
-                **resilience,
             ))
         streams = outcome.streams
         # Resilience overhead (backoff, wasted fault latency, hedge wait —
         # including the submissions burned by degraded-away streams) is
         # charged to the simulated elapsed clock, never to the paper's
         # query/transfer sums.
-        overhead = [s.overhead_ms for s in all_stats]
+        overhead = [0.0 if s is None else s.overhead_ms for s in all_stats]
         query_durations = [
             stream.server_ms + extra
             for stream, extra in zip(streams, overhead)
@@ -554,8 +521,8 @@ class XmlView:
             elapsed_query_ms=simulated_makespan(query_durations, n_workers),
             elapsed_total_ms=simulated_makespan(total_durations, n_workers),
             wall_s=wall_s,
+            resilience=resilience,
             obs=opts.obs,
-            **resilience,
         )
         if outcome.span is not None:
             # The dispatch span learns its simulated makespan only now that
@@ -591,12 +558,10 @@ class XmlView:
         report's makespans, ``elapsed_query_ms`` / ``elapsed_total_ms``
         (the simulated makespan over ``workers`` workers, approaching
         ``max(server_ms)`` instead of ``sum(server_ms)``), never the
-        document.  With ``retry``/``faults``, transient stream failures
-        are retried and degraded around: the produced XML is byte-identical
-        to the fault-free run, and the report records
-        ``attempts``/``retries``/``faults_injected``/``backoff_ms``/
-        ``degraded_streams``.  ``replicas``/``hedge_ms`` run the plan over
-        a replica pool; the document stays byte-identical.
+        document.  Under a ``resilience`` policy, transient stream
+        failures are retried, failed over, hedged and degraded around: the
+        produced XML is byte-identical to the fault-free run, and
+        ``report.resilience`` records what that cost.
 
         On a budget overrun the raised
         :class:`~repro.common.errors.TimeoutExceeded` carries the partial
@@ -637,15 +602,16 @@ class XmlView:
         are closed, releasing their row buffers.
 
         What streaming lacks, and why, is stated once in
-        :meth:`_materialize`: no retry, degradation, hedging, ``workers``
-        or instance/document caches.  With a fault policy in play a drawn
-        failure raises
-        :class:`~repro.common.errors.TransientConnectionError` directly —
-        use :meth:`materialize` when resilience matters more than constant
-        memory.  ``replicas`` routes cursor *opening* to the pool's
-        best-ranked replica and records each open's outcome on the pool's
-        health, so a reused pool routes the next call around a replica
-        that refused one.
+        :meth:`_materialize`: no degradation, hedging, ``workers`` or
+        instance/document caches.  Under a ``resilience`` policy each
+        cursor is opened by its executor as an eager stream is submitted —
+        routed, its fault drawn, retried and failed over, its stats in the
+        report — and the pool records each open's outcome, so a reused
+        pool routes the next call around a replica that refused one.  A
+        stream that exhausts its retries raises
+        :class:`~repro.common.errors.TransientConnectionError`: use
+        :meth:`materialize` when degradation matters more than constant
+        memory.
         """
         return self._materialize(
             sink, partition, root_tag, indent, greedy_params,
@@ -661,36 +627,44 @@ class XmlView:
         The two differ in one branch.  Without a sink the plan is
         *dispatched eagerly* (:meth:`_dispatch`): every stream is a
         finished list before tagging starts, which is what makes it
-        possible to re-submit one (``retry``, ``hedge_ms``), to replace a
+        possible to race a backup against one (hedging), to replace a
         failing one by finer streams (degradation), to schedule them as if
         several ran at once (``workers``), and to keep decoded instances
         and the finished document for the next call (the instance/document
         caches).  With a sink every stream is a *lazy cursor* drained by
         the merge while the tagger is already writing: memory stays at the
         cursors' undrained sort buffers, and none of the above can exist —
-        a half-consumed cursor cannot be re-submitted or spliced out under
-        a half-written sink, the one k-way merge pulls the cursors in
-        document order (so the report is the width-1 one), and a cache
-        entry would be the materialized stream the path exists to avoid.
+        an unread cursor has no completion to race, a half-consumed one
+        cannot be spliced out under a half-written sink, the one k-way
+        merge pulls the cursors in document order (so the report is the
+        width-1 one), and a cache entry would be the materialized stream
+        the path exists to avoid.  Opening a cursor is a submission like
+        any other, so a resilient one is routed and retried as on the
+        eager path.
         """
         streaming = sink is not None
-        tracer, metrics = obs_parts(opts.obs)
+        tracer, _ = obs_parts(opts.obs)
         with tracer.span(
             "materialize_to" if streaming else "materialize"
         ) as root_span:
             partition = self._resolve_partition(partition, opts, greedy_params)
-            opts, specs = self._prepare(partition, opts)
+            specs = self.specs(partition, opts)
+            connection = self.silkroute.connection
+            executor = None
+            if opts.resilience is not None:
+                executor = opts.resilience.executor(connection)
             if not streaming:
-                outcome, report = self._dispatch(partition, specs, opts)
+                outcome, report = self._dispatch(
+                    partition, specs, opts, executor)
                 if outcome.timeout is not None:
-                    raise tag_context(TimeoutExceeded(
+                    raise TimeoutExceeded(
                         opts.budget_ms, float("nan"),
                         stream_label=report.timed_out_label, report=report,
-                    ), opts.request)
+                    )
                 specs = outcome.specs     # degradation may have refined them
                 xml, tagger = self._tag_cached(
-                    specs, outcome.streams, report, root_tag, indent, opts,
-                    root_span,
+                    specs, outcome.streams, outcome.degraded, root_tag,
+                    indent, opts, root_span,
                 )
                 root_span.set(streams=len(specs), chars=len(xml))
                 return MaterializedView(xml=xml, report=report, tagger=tagger)
@@ -699,59 +673,60 @@ class XmlView:
             # the report's width and makespans must say so too.
             opts = replace(opts, workers=None)
             start = time.perf_counter()
-            cursors = []
-
-            def cursor_report(timeout=None):
-                stats = [
-                    StreamAttemptStats(cursor.label, attempts=1)
-                    for cursor in cursors
-                ]
-                for cursor, st in zip(cursors, stats):
-                    record_stream(metrics, cursor, st)
-                return self._outcome_report(
-                    partition,
-                    _DispatchOutcome(
-                        specs=specs, streams=cursors, stats=stats,
-                        timeout=timeout,
-                    ),
-                    opts, wall_s=time.perf_counter() - start,
-                )
-
-            pool = opts.replicas          # resolved by _prepare
-            epoch = pool.begin_epoch() if pool is not None else None
+            cursors, stats = [], []     # stats: under resilience only
             try:
-                # The dispatch span brackets cursor *opening* only: the
-                # subqueries execute lazily, inside the merge/tag spans
-                # that drain them.
-                with tracer.span(
-                    "dispatch", streams=len(specs), streaming=True,
-                ):
-                    for spec in specs:
-                        cursors.append(open_spec(
-                            self.silkroute.connection, spec, opts, epoch,
-                            lazy=True,
-                        ))
-                _, tagger = tag_streams(
-                    self.tree, specs, cursors, root_tag=root_tag,
-                    writer=XmlWriter(sink=sink, indent=indent),
-                    obs=opts.obs, layout=self.definition.layout,
-                )
+                # What a pool learns from a streamed plan is whether each
+                # cursor opened, and on which replica.
+                with executor.routing() if executor else _NO_ROUTING:
+                    # The dispatch span brackets cursor *opening* only:
+                    # the subqueries execute lazily, inside the merge/tag
+                    # spans that drain them.
+                    with tracer.span(
+                        "dispatch", streams=len(specs), streaming=True,
+                    ):
+                        for spec in specs:
+                            if executor is None:
+                                cursor, _ = submit(connection, spec, opts,
+                                                   lazy=True)
+                            else:
+                                cursor, st = executor.run(spec, opts,
+                                                          lazy=True)
+                                stats.append(st)
+                            cursors.append(cursor)
+                    _, tagger = tag_streams(
+                        self.tree, specs, cursors, root_tag=root_tag,
+                        writer=XmlWriter(sink=sink, indent=indent),
+                        obs=opts.obs, layout=self.definition.layout,
+                    )
             except Exception as exc:
                 if isinstance(exc, TimeoutExceeded):
-                    exc.report = cursor_report(timeout=exc)
+                    exc.report = self._streamed_report(
+                        partition, specs, cursors, stats, opts, start, exc)
                 for cursor in cursors:
                     cursor.close()
-                raise tag_context(exc, opts.request)
-            finally:
-                # What the pool learns from a streamed plan is whether
-                # each cursor opened, and on which replica.
-                if pool is not None:
-                    pool.finish_epoch(epoch)
-            report = cursor_report()
+                raise
+            report = self._streamed_report(
+                partition, specs, cursors, stats, opts, start)
             root_span.set(streams=len(specs))
         return MaterializedView(xml=None, report=report, tagger=tagger)
 
-    def _tag_cached(self, specs, streams, report, root_tag, indent, opts,
+    def _streamed_report(self, partition, specs, cursors, stats, opts, start,
+                         timeout=None):
+        """The report of a streamed plan, from its cursors' charges so far
+        (and their ``stats``: none on the paper's path), each recorded into
+        the metrics here, once."""
+        stats = stats or [None] * len(cursors)
+        metrics = obs_parts(opts.obs)[1]
+        for cursor, st in zip(cursors, stats):
+            record_stream(metrics, cursor, st)
+        return self._outcome_report(
+            partition,
+            _DispatchOutcome(specs=specs, streams=cursors, stats=stats,
+                             timeout=timeout),
+            opts, wall_s=time.perf_counter() - start,
+        )
+
+    def _tag_cached(self, specs, streams, degraded, root_tag, indent, opts,
                     root_span):
         """Integrate eagerly dispatched ``streams`` into ``(xml, tagger)``
         through the view's incremental-maintenance caches.
@@ -774,7 +749,7 @@ class XmlView:
         generation in its key.
         """
         doc_key = spliced = None
-        if self.silkroute.cache is not None and not report.degraded_streams:
+        if self.silkroute.cache is not None and not degraded:
             query_engine = self.silkroute.connection.engine
             database = query_engine.database
             view_tables = frozenset().union(

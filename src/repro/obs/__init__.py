@@ -21,7 +21,7 @@ then export::
     result = view.materialize(options=ExecutionOptions(obs=obs))
     open("trace.json", "w").write(obs.chrome_trace_json())
     print(obs.profile())
-    print(obs.metrics.snapshot()["counters"]["dispatch.attempts"])
+    print(obs.metrics.snapshot()["counters"]["streams.executed"])
 
 Span taxonomy (see DESIGN.md §9): operation roots ``materialize`` /
 ``materialize_to`` / ``sweep``; stages ``plan``, ``reduce``, ``sqlgen``,

@@ -19,12 +19,12 @@ Everything is lock-protected (one registry may serve concurrent requests)
 and :meth:`~MetricsRegistry.snapshot` returns a plain nested dict that is
 ``json.dumps``-able as is.
 
-The registry's counters are recorded from the *same*
+Under resilience, the registry's counters are recorded from the *same*
 :class:`~repro.relational.faults.StreamAttemptStats` objects the plan
-report sums (see :meth:`StreamAttemptStats.record
+report's ``resilience`` sums (see :meth:`StreamAttemptStats.record
 <repro.relational.faults.StreamAttemptStats.record>`), each exactly once
-— which is what makes the snapshot reconcile with
-:class:`~repro.core.silkroute.PlanReport` fields without double counting.
+— which is what makes the snapshot reconcile with the report without
+double counting.
 
 :data:`NULL_METRICS` is the disabled registry (the default at every
 instrumentation point): every method is a no-op.

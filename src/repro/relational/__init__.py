@@ -72,7 +72,6 @@ from repro.relational.connection import (
 from repro.relational.dispatch import (
     DispatchResult,
     execute_specs,
-    run_spec_with_retry,
     simulated_makespan,
 )
 from repro.relational.backends import (
@@ -91,12 +90,11 @@ from repro.relational.wal import (
     WriteAheadLog,
     recover,
 )
-from repro.relational.replicas import (
+from repro.relational.resilience import (
     ReplicaHealth,
     ReplicaPool,
-    ReplicaSet,
+    Resilience,
     replica_fault_policy,
-    resolve_pool,
 )
 
 __all__ = [
@@ -146,13 +144,11 @@ __all__ = [
     "TupleStream",
     "DispatchResult",
     "execute_specs",
-    "run_spec_with_retry",
     "simulated_makespan",
     "ReplicaHealth",
     "ReplicaPool",
-    "ReplicaSet",
+    "Resilience",
     "replica_fault_policy",
-    "resolve_pool",
     "SourceDescription",
     "render_sql",
     "Backend",

@@ -22,11 +22,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
-from repro.common.errors import (
-    PlanError,
-    TimeoutExceeded,
-    TransientConnectionError,
-)
+from repro.common.errors import PlanError, TimeoutExceeded
 from repro.obs import obs_parts
 from repro.relational.cache import RowCount, resolve_cache
 from repro.relational.codegen import Source, compiled
@@ -83,13 +79,6 @@ class TupleStream:
     Replayed from a sweep's :class:`~repro.relational.cache.PlanCostCache`,
     ``rows`` is a :class:`~repro.relational.cache.RowCount`: the stream
     has its timings and its length, and iterating it is an error.
-
-    ``fault_latency_ms`` is simulated connection latency injected by an
-    installed :class:`~repro.relational.faults.FaultPolicy` on the
-    successful attempt — kept separate from ``server_ms`` so fault-free
-    and faulted runs report identical query/transfer times (resilience
-    overhead is accounted in the plan report's ``backoff_ms`` /
-    ``fault_latency_ms`` and the elapsed makespans instead).
     """
 
     def __init__(self, columns, rows, server_ms, transfer_ms, sql=None, label=None):
@@ -99,7 +88,6 @@ class TupleStream:
         self.transfer_ms = transfer_ms
         self.sql = sql
         self.label = label
-        self.fault_latency_ms = 0.0
 
     @property
     def rows_read(self):
@@ -146,9 +134,6 @@ class TupleCursor:
         self.transfer_ms = 0.0
         self.rows_read = 0
         self.closed = False
-        #: Connection latency drawn when the cursor was opened, as on
-        #: :class:`TupleStream`.
-        self.fault_latency_ms = 0.0
         self._iter_result = iter_result
 
         def rows():
@@ -210,13 +195,8 @@ class Connection:
     connection's ``transfer_model``; without a cache every execution
     walks its rows.
 
-    ``faults`` installs a :class:`~repro.relational.faults.FaultPolicy`:
-    stream executions then draw deterministic transient failures
-    (:class:`~repro.common.errors.TransientConnectionError`) and simulated
-    connection latency, which the resilient dispatcher
-    (:func:`~repro.relational.dispatch.execute_specs` with a
-    :class:`~repro.relational.faults.RetryPolicy`) retries, breaks, or
-    degrades around.
+    A connection never fails: fault injection, retry and replicas wrap
+    it from outside (:mod:`repro.relational.resilience`).
 
     ``engine`` is the :class:`~repro.relational.engine.QueryEngine` mode
     every plan of this connection runs in, fixed here: ``"batch"`` (the
@@ -226,12 +206,11 @@ class Connection:
     """
 
     def __init__(self, database, cost_model, transfer_model=None, cache=None,
-                 faults=None, engine="batch"):
+                 engine="batch"):
         self.database = database
         self.engine = QueryEngine(database, cost_model,
                                   cache=resolve_cache(cache), engine=engine)
         self.transfer_model = transfer_model or TransferModel()
-        self.faults = faults
 
     @property
     def cache(self):
@@ -245,43 +224,21 @@ class Connection:
 
     def is_cached(self, plan):
         """True when the engine would replay ``plan`` from its result
-        cache without re-evaluating — i.e. executing it cannot touch the
-        (possibly faulty) simulated source."""
+        cache without re-evaluating — i.e. executing it does not contact
+        the source (so no fault is drawn for it)."""
         return self.engine.cached_complete(plan)
 
-    def _submit(self, run, plan, label, attempt, faults, opts):
-        """What :meth:`execute` and :meth:`execute_iter` share: the fault
-        draw and the engine call ``run`` (the engine's ``execute`` or
-        ``execute_iter``).  Returns ``(result, latency_ms)``.
-
-        The draw comes first and raises before the engine or its cache is
-        touched: ``faults`` overrides the bundle's policy, which overrides
-        the installed one (``False`` disables injection — used when
-        replaying from cache, where no connection to the source is
-        opened); ``latency_ms`` is the injected latency in simulated ms.
-        Draws are keyed by ``(label, plan fingerprint, attempt)``, so they
-        are independent of dispatch order and a degraded re-plan (same
-        label, different fingerprint) draws fresh outcomes."""
-        if faults is None:
-            faults = opts.faults if opts.faults is not None else self.faults
-        latency_ms = 0.0
-        if faults and attempt is not None:
-            decision = faults.decide(label or "?", plan.fingerprint(), attempt)
-            if decision.fail:
-                raise TransientConnectionError(
-                    stream_label=label,
-                    attempt=attempt,
-                    latency_ms=decision.latency_ms,
-                )
-            latency_ms = decision.latency_ms
-        result = run(
+    def _run(self, run, plan, opts):
+        """What :meth:`execute` and :meth:`execute_iter` share: the engine
+        call ``run`` (its ``execute`` or ``execute_iter``) under the
+        bundle's budget and metrics."""
+        return run(
             plan, budget_ms=opts.budget_ms,
             metrics=obs_parts(opts.obs)[1] if opts.obs is not None else None,
         )
-        return result, latency_ms
 
     def execute(self, plan, compact_rows=False, sql=None, label=None,
-                attempt=1, faults=None, options=None, **overrides):
+                options=None, **overrides):
         """Execute ``plan`` and return a :class:`TupleStream`.
 
         ``compact_rows`` marks union-shaped results whose driver-side row
@@ -293,21 +250,9 @@ class Connection:
         per-subquery timeout); ``obs`` (an :class:`~repro.obs.ObsOptions`
         session) forwards the metrics registry to the engine's plan-cache
         hit/miss counters.
-
-        ``attempt`` and ``faults`` belong to this one submission: with a
-        :class:`~repro.relational.faults.FaultPolicy` in play (``faults``,
-        else the bundle's, else the installed one), the submission first
-        draws that policy's deterministic outcome for ``(label, plan,
-        attempt)`` — possibly raising
-        :class:`~repro.common.errors.TransientConnectionError` *before*
-        the engine (and its result cache) is touched, so fault outcomes
-        are never cached.  ``faults=False`` disables injection for this
-        call.
         """
         opts = resolve_options(options, overrides)
-        result, latency_ms = self._submit(
-            self.engine.execute, plan, label, attempt, faults, opts
-        )
+        result = self._run(self.engine.execute, plan, opts)
         # Summed once per plan-cache entry and kept on it (see
         # ``CacheEntry.transfer_sums``); a racing thread stores the same
         # float twice.
@@ -323,7 +268,7 @@ class Connection:
             transfer_ms = sums[key] = self._transfer_cost(
                 result.columns, rows, compact_rows
             )
-        stream = TupleStream(
+        return TupleStream(
             columns=result.columns,
             rows=result.rows,
             server_ms=result.server_ms,
@@ -331,20 +276,11 @@ class Connection:
             sql=sql,
             label=label,
         )
-        stream.fault_latency_ms = latency_ms
-        return stream
 
     def execute_iter(self, plan, compact_rows=False, sql=None, label=None,
-                     attempt=1, faults=None, options=None, **overrides):
+                     options=None, **overrides):
         """Execute ``plan`` streaming; return a :class:`TupleCursor`.
         Arguments as on :meth:`execute`.
-
-        A :class:`~repro.relational.faults.FaultPolicy` in play draws its
-        outcome when the cursor is *opened* (the streaming path has no
-        retry layer — callers see the
-        :class:`~repro.common.errors.TransientConnectionError` directly
-        and decide; the materializing path is the one with
-        retry/degradation machinery).
 
         The engine opens a cursor
         (:meth:`~repro.relational.engine.QueryEngine.execute_iter`) in
@@ -362,23 +298,19 @@ class Connection:
         """
         opts = resolve_options(options, overrides)
         try:
-            iter_result, latency_ms = self._submit(
-                self.engine.execute_iter, plan, label, attempt, faults, opts,
-            )
+            iter_result = self._run(self.engine.execute_iter, plan, opts)
         except TimeoutExceeded as exc:
             # The startup charge alone blew the budget (in either engine
             # mode) — the cursor was never built, so label the error here.
             if exc.stream_label is None:
                 exc.stream_label = label
             raise
-        cursor = TupleCursor(
+        return TupleCursor(
             iter_result,
             self._row_cost_fn(iter_result.columns, compact_rows),
             sql=sql,
             label=label,
         )
-        cursor.fault_latency_ms = latency_ms
-        return cursor
 
     def _row_cost_fn(self, columns, compact_rows):
         """The per-row transfer charge, ``row -> ms``: the generated form

@@ -4,11 +4,10 @@ SilkRoute's premise (Sec. 1) is that the middle-ware does **not** control
 the RDBMS: the tuple source is a remote server reached over a connection
 that can drop, stall, or shed load.  This module models that unreliability
 *deterministically* so every failure scenario is replayable in tests and
-CI:
+CI; :class:`~repro.relational.resilience.Resilience` is where a run sets
+these policies, and its executor is what applies them:
 
-* :class:`FaultPolicy` — installable on a
-  :class:`~repro.relational.connection.Connection`; decides, per stream
-  execution attempt, whether to raise
+* :class:`FaultPolicy` — decides, per stream submission, whether to raise
   :class:`~repro.common.errors.TransientConnectionError` and how much
   simulated connection latency to add.  Decisions come from a PRNG seeded
   by ``(seed, label, plan fingerprint, attempt)``, so they are independent
@@ -19,9 +18,11 @@ CI:
   Backoff is charged to the *simulated* clock (reports' ``backoff_ms`` and
   the ``elapsed_*`` makespans), preserving the sim/wall-clock separation
   of docs/API.md; per-stream deadlines default to the plan's ``budget_ms``.
+* :class:`StreamAttemptStats` — what resilience charged one stream, and
+  (totalled) one plan.
 
-The injection point is the connection boundary, *before* the engine sees
-the plan: a faulted attempt never reads or writes the
+The draw happens before the connection sees the plan: a faulted attempt
+never reads or writes the
 :class:`~repro.relational.cache.PlanResultCache`, so fault outcomes are
 never cached, and a plan already cached is replayed without touching the
 flaky source at all (no fault draw, no attempt recorded).
@@ -165,7 +166,7 @@ class StreamAttemptStats:
     clock on top of the fault-free execution.
 
     Replica accounting (zero outside a
-    :class:`~repro.relational.replicas.ReplicaPool` dispatch):
+    :class:`~repro.relational.resilience.ReplicaPool` dispatch):
     ``replica`` is the id that served the winning result, ``failovers``
     counts retries that moved to a different replica, ``hedges`` counts
     issued backup requests (each is also an attempt), ``hedge_wins``
@@ -188,6 +189,9 @@ class StreamAttemptStats:
     hedges: int = 0
     hedge_wins: int = 0
     hedge_wait_ms: float = 0.0
+    #: A plan's total only: the labels of the streams that exhausted their
+    #: retries and were re-planned into finer ones.
+    degraded_streams: tuple = ()
 
     #: The additive counters as ``(field, metric name)``: what
     #: :meth:`total` sums and :meth:`record` publishes.  A new counter is
@@ -214,7 +218,8 @@ class StreamAttemptStats:
     @classmethod
     def total(cls, stats):
         """The counter-wise sum of ``stats`` (a sequence of these) — what
-        a plan's report and a sweep's timing total their streams into."""
+        a plan's report and a sweep's timing total their streams into
+        (:meth:`~repro.relational.resilience.Resilience.summary`)."""
         total = cls(None)
         for name, _ in cls.COUNTERS:
             value = getattr(total, name)
@@ -229,8 +234,9 @@ class StreamAttemptStats:
         The single point where resilience counters enter observability:
         the dispatcher calls it exactly once per stream outcome (success
         or failure) on the *same* stats object the
-        :class:`~repro.core.silkroute.PlanReport` sums, so the metrics
-        snapshot reconciles with the report by construction.
+        :class:`~repro.core.silkroute.PlanReport`'s ``resilience`` sums,
+        so the metrics snapshot reconciles with the report by
+        construction.
         """
         for name, metric in self.COUNTERS:
             value = getattr(self, name)

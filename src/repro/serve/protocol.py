@@ -133,15 +133,21 @@ def options_to_wire(options):
     if options.style is not None:
         wire["style"] = options.style.value
     wire["reduce"] = bool(options.reduce)
-    if options.retry is not None:
-        wire["retries"] = options.retry.max_attempts
-    if options.faults is not None:
-        wire["fault_seed"] = options.faults.seed
-        wire["fault_rate"] = options.faults.error_rate
-    for name in ("budget_ms", "hedge_ms", "workers", "replicas"):
+    for name in ("budget_ms", "workers"):
         value = getattr(options, name)
         if value is not None:
             wire[name] = value
+    resilience = options.resilience
+    if resilience is not None:
+        if resilience.retry is not None:
+            wire["retries"] = resilience.retry.max_attempts
+        if resilience.faults is not None:
+            wire["fault_seed"] = resilience.faults.seed
+            wire["fault_rate"] = resilience.faults.error_rate
+        for name in ("hedge_ms", "replicas"):
+            value = getattr(resilience, name)
+            if value is not None:
+                wire[name] = value
     return wire
 
 
@@ -155,10 +161,11 @@ def _finite(value):
 
 def report_to_wire(report):
     """A :class:`~repro.core.silkroute.PlanReport` summary as plain JSON
-    (non-finite simulated sums — a timed-out plan — cross as null)."""
+    (non-finite simulated sums — a timed-out plan — cross as null).  The
+    resilience totals cross only when resilience ran."""
     if report is None:
         return None
-    return {
+    wire = {
         "n_streams": report.n_streams,
         "query_ms": _finite(report.query_ms),
         "transfer_ms": _finite(report.transfer_ms),
@@ -167,14 +174,19 @@ def report_to_wire(report):
         "workers": report.workers,
         "timed_out": report.timed_out,
         "timed_out_label": report.timed_out_label,
-        "attempts": report.attempts,
-        "retries": report.retries,
-        "faults_injected": report.faults_injected,
-        "failovers": report.failovers,
-        "hedges": report.hedges,
-        "hedge_wins": report.hedge_wins,
-        "degraded_streams": list(report.degraded_streams),
     }
+    resilience = report.resilience
+    if resilience is not None:
+        wire.update(
+            attempts=resilience.attempts,
+            retries=resilience.retries,
+            faults_injected=resilience.faults,
+            failovers=resilience.failovers,
+            hedges=resilience.hedges,
+            hedge_wins=resilience.hedge_wins,
+            degraded_streams=list(resilience.degraded_streams),
+        )
+    return wire
 
 
 def error_to_wire(exc):

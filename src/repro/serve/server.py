@@ -40,7 +40,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from repro.common.errors import OverloadError, QueryError, ReproError, tag_request
-from repro.core.options import RequestContext, resolve_options
+from repro.core.options import resolve_options
 from repro.core.silkroute import VIEW_DEFINITIONS
 from repro.obs.metrics import MetricsRegistry
 from repro.relational.cache import SingleFlight
@@ -305,13 +305,13 @@ class Server:
 
     def _canonical_options(self, options, overrides):
         """The request's resolved options with what cannot key coalescing
-        stripped: the observability session and request context hash by
-        identity (and the execution log replays without live objects)."""
+        stripped: the observability session hashes by identity (and the
+        execution log replays without live objects)."""
         opts = resolve_options(
             options if options is not None else self.session.options,
             overrides,
         )
-        return replace(opts, obs=None, request=None)
+        return replace(opts, obs=None)
 
     def _append_log(self, kind, **payload):
         with self._log_lock:
@@ -346,14 +346,18 @@ class Server:
                     sorted(self.session.database.table_generations().items())
                 )
                 key = (rxl, partition, root_tag, indent, opts, generations)
-                context = RequestContext(tenant=tenant, request_id=request_id)
 
                 def run():
-                    return self.session.materialize(
-                        rxl, partition=partition, root_tag=root_tag,
-                        indent=indent,
-                        options=replace(opts, obs=obs, request=context),
-                    )
+                    # Stamped here, by the leader: a coalesced follower
+                    # shares this exception and keeps the leader's
+                    # identity (_request stamps only what is unstamped).
+                    try:
+                        return self.session.materialize(
+                            rxl, partition=partition, root_tag=root_tag,
+                            indent=indent, options=replace(opts, obs=obs),
+                        )
+                    except Exception as exc:
+                        raise tag_request(exc, tenant, request_id)
 
                 shared, led = self._flight.do(key, run)
                 # Logged only once the execution succeeded (a failed

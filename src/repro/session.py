@@ -36,7 +36,7 @@ reuse and request coalescing process-wide.
 from dataclasses import dataclass, field
 
 from repro.bench.sweep import sweep_partitions
-from repro.core.options import ExecutionOptions, RequestContext  # noqa: F401
+from repro.core.options import ExecutionOptions  # noqa: F401
 from repro.core.silkroute import SilkRoute
 from repro.relational.cache import BoundedCache
 

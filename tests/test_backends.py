@@ -313,13 +313,14 @@ class TestCrossEngineByteIdentity:
             ]
 
     def test_replica_pool_with_backend(self, tiny_db, sqlite_backend):
-        from repro.relational.replicas import ReplicaSet
+        from repro.relational.resilience import ReplicaPool, Resilience
 
         view = _views(tiny_db)["q1"]
         plain = view.materialize("fully-partitioned", workers=2)
-        replicas = ReplicaSet.from_connection(view.silkroute.connection, 2)
+        replicas = ReplicaPool.from_connection(view.silkroute.connection, 2)
         pooled = view.materialize(
-            "fully-partitioned", workers=2, replicas=replicas,
+            "fully-partitioned", workers=2,
+            resilience=Resilience(replicas=replicas),
         )
         assert pooled.xml == plain.xml
         # Every replica's engine is an oracle SQLite agrees with.

@@ -75,6 +75,7 @@ from repro.relational.engine import (
     ENGINE_MODES, CostModel, QueryEngine, _Charges,
 )
 from repro.relational.faults import FaultPolicy, RetryPolicy
+from repro.relational.resilience import Resilience
 from repro.relational.algebra import (
     And, ColumnInfo, ColumnRef, Comparison, Distinct, Filter, InnerJoin,
     JoinBranch, LeftOuterJoin, Literal, Operator, OuterUnion, Project,
@@ -759,9 +760,10 @@ class TestEndToEndIdentity:
         view = fresh_view(tiny_db, tiny_estimator)
         try:
             result = view.materialize(
-                "fully-partitioned", replicas=2, workers=2,
-                faults=FaultPolicy(seed=seed, error_rate=0.3),
-                retry=RetryPolicy(max_attempts=6),
+                "fully-partitioned", workers=2, resilience=Resilience(
+                    replicas=2, retry=RetryPolicy(max_attempts=6),
+                    faults=FaultPolicy(seed=seed, error_rate=0.3),
+                ),
             )
         except TransientConnectionError:
             assume(False)

@@ -30,7 +30,7 @@ from repro.relational.connection import Connection, TransferModel
 from repro.relational.database import synthesize_rows
 from repro.relational.engine import CostModel
 from repro.relational.faults import FaultPolicy, RetryPolicy
-from repro.relational.replicas import ReplicaPool, ReplicaSet
+from repro.relational.resilience import ReplicaPool, Resilience
 from repro.tpch.configs import CONFIG_A, build_database
 from repro.tpch.generator import TpchGenerator
 from tests.conftest import TINY_SCALE
@@ -284,9 +284,8 @@ class TestCostOnlySweep:
                       Partition([(1, 1)]), Partition([(1, 4), (1, 4, 1)])]
 
         def sweep(cache):
-            rset = ReplicaSet.from_connection(
-                self.connect(tiny_db, models[0]), 2, transfer_models=models)
-            pool = ReplicaPool(rset)
+            pool = ReplicaPool([self.connect(tiny_db, model)
+                                for model in models])
             timings = []
             # The first sweep runs on replica 1, the second on replica 0,
             # which then replays entries summed under the other model.
@@ -294,8 +293,9 @@ class TestCostOnlySweep:
                 for replica, health in enumerate(pool.health):
                     health.consecutive_failures = int(replica == ailing)
                 timings.append(sweep_partitions(
-                    q1_tree, tiny_db.schema, rset.connections[0],
-                    partitions=partitions, cache=cache, replicas=pool,
+                    q1_tree, tiny_db.schema, pool.connections[0],
+                    partitions=partitions, cache=cache,
+                    resilience=Resilience(replicas=pool),
                 ).timings)
             assert timings[0] != timings[1]
             return timings
@@ -362,8 +362,9 @@ class TestCollectorPause:
         for n in (16, 64):
             options = {
                 "timeout": dict(budget_ms=50.0),
-                "failure": dict(faults=FaultPolicy(seed=3, error_rate=0.3),
-                                retry=RetryPolicy(max_attempts=2)),
+                "failure": dict(resilience=Resilience(
+                    faults=FaultPolicy(seed=3, error_rate=0.3),
+                    retry=RetryPolicy(max_attempts=2))),
                 "obs": dict(budget_ms=50.0, obs=ObsOptions()),
             }[case]
             result, garbage = self.swept_garbage(lambda: sweep_partitions(

@@ -273,7 +273,7 @@ class TestMetricsFlag:
         )
         assert code == 0
         snap = json.loads(output[output.index("{"):])
-        assert snap["counters"]["dispatch.attempts"] >= 1
+        assert snap["counters"]["streams.executed"] >= 1
         assert "stream.query_ms" in snap["histograms"]
 
     def test_materialize_without_metrics_prints_no_json(self):

@@ -35,7 +35,7 @@ from repro.relational.faults import (
     FaultPolicy,
     RetryPolicy,
 )
-from repro.relational.replicas import ReplicaPool, ReplicaSet
+from repro.relational.resilience import ReplicaPool, Resilience
 from repro.session import Session
 
 
@@ -109,21 +109,27 @@ class TestRetryDeadline:
         return generator.streams_for_partition(fully_partitioned(q1_tree))[0]
 
     @staticmethod
-    def routes(connection):
-        return {}, {"replicas": ReplicaPool(ReplicaSet([connection]))}
+    def runs(connection, spec, **policies):
+        """One spec through the resilient executor, on the plain
+        connection and through a 1-replica pool: a callable per route."""
+        for replicas in (None, ReplicaPool([connection])):
+            executor = Resilience(replicas=replicas, **policies).executor(
+                connection)
+
+            def run(executor=executor):
+                with executor.routing():
+                    return executor.run(spec, ExecutionOptions())
+
+            yield run
 
     def test_deadline_exactly_on_backoff_boundary_allows_retry(
             self, spec, tiny_db):
-        from repro.relational.dispatch import run_spec_with_retry
-
         connection = Connection(tiny_db, CostModel())
         faults = FaultPolicy(seed=0, fail_streams={spec.label: 1})
         retry = RetryPolicy(max_attempts=5, base_ms=100.0, jitter=0.0,
                             deadline_ms=100.0)
-        for route in self.routes(connection):
-            stream, stats = run_spec_with_retry(
-                connection, spec, retry=retry, faults=faults, **route
-            )
+        for run in self.runs(connection, spec, retry=retry, faults=faults):
+            stream, stats = run()
             # spent (0) + backoff (100) == deadline (100): not over —
             # retried.
             assert stats.attempts == 2
@@ -131,17 +137,13 @@ class TestRetryDeadline:
             assert stats.backoff_ms == 100.0
 
     def test_deadline_just_below_backoff_exhausts(self, spec, tiny_db):
-        from repro.relational.dispatch import run_spec_with_retry
-
         connection = Connection(tiny_db, CostModel())
         faults = FaultPolicy(seed=0, fail_streams={spec.label: 1})
         retry = RetryPolicy(max_attempts=5, base_ms=100.0, jitter=0.0,
                             deadline_ms=99.0)
-        for route in self.routes(connection):
+        for run in self.runs(connection, spec, retry=retry, faults=faults):
             with pytest.raises(TransientConnectionError) as info:
-                run_spec_with_retry(
-                    connection, spec, retry=retry, faults=faults, **route
-                )
+                run()
             assert info.value.attempts == 1
             # The abandoned wait is never charged: exhaustion happened
             # before the backoff was spent.
@@ -149,17 +151,13 @@ class TestRetryDeadline:
 
     def test_budget_exhausts_mid_backoff_before_max_attempts(
             self, spec, tiny_db):
-        from repro.relational.dispatch import run_spec_with_retry
-
         connection = Connection(tiny_db, CostModel())
         faults = FaultPolicy(seed=0, fail_streams=[spec.label])
         retry = RetryPolicy(max_attempts=10, base_ms=100.0, multiplier=2.0,
                             jitter=0.0, deadline_ms=500.0)
-        for route in self.routes(connection):
+        for run in self.runs(connection, spec, retry=retry, faults=faults):
             with pytest.raises(TransientConnectionError) as info:
-                run_spec_with_retry(
-                    connection, spec, retry=retry, faults=faults, **route
-                )
+                run()
             # Backoffs 100 + 200 fit under 500; the third (400) would
             # cross it, so the stream exhausts at attempt 3 of an allowed
             # 10.
@@ -173,13 +171,12 @@ class TestByteIdentity:
         baseline = view.materialize("fully-partitioned")
         result = view.materialize(
             "fully-partitioned",
-            retry=RetryPolicy(max_attempts=6),
-            faults=FaultPolicy(seed=7, error_rate=0.4),
+            resilience=Resilience(retry=RetryPolicy(max_attempts=6), faults=FaultPolicy(seed=7, error_rate=0.4)),
         )
         assert result.xml == baseline.xml
-        assert result.report.faults_injected > 0
-        assert result.report.retries > 0
-        assert result.report.backoff_ms > 0
+        assert result.report.resilience.faults > 0
+        assert result.report.resilience.retries > 0
+        assert result.report.resilience.backoff_ms > 0
         # The paper's figures are untouched by resilience overhead.
         assert result.report.query_ms == baseline.report.query_ms
         assert result.report.transfer_ms == baseline.report.transfer_ms
@@ -201,26 +198,24 @@ class TestByteIdentity:
                 result = view.materialize(
                     "fully-partitioned",
                     style=plan_style,
-                    retry=RetryPolicy(),
-                    faults=FaultPolicy(seed=seed, error_rate=0.2),
+                    resilience=Resilience(retry=RetryPolicy(), faults=FaultPolicy(seed=seed, error_rate=0.2)),
                 )
                 assert result.xml == baseline.xml
-                injected += result.report.faults_injected
+                injected += result.report.resilience.faults
             assert injected > 0
 
     def test_fault_draws_independent_of_width(self, view):
         opts = ExecutionOptions(
-            retry=RetryPolicy(max_attempts=6),
-            faults=FaultPolicy(seed=7, error_rate=0.4),
+            resilience=Resilience(retry=RetryPolicy(max_attempts=6), faults=FaultPolicy(seed=7, error_rate=0.4)),
         )
         narrow = view.materialize("fully-partitioned", options=opts)
         wide = view.materialize(
             "fully-partitioned", options=dataclasses.replace(opts, workers=4)
         )
         assert wide.xml == narrow.xml
-        assert wide.report.faults_injected == narrow.report.faults_injected
-        assert wide.report.retries == narrow.report.retries
-        assert wide.report.backoff_ms == narrow.report.backoff_ms
+        assert wide.report.resilience.faults == narrow.report.resilience.faults
+        assert wide.report.resilience.retries == narrow.report.resilience.retries
+        assert wide.report.resilience.backoff_ms == narrow.report.resilience.backoff_ms
 
     @settings(
         max_examples=8,
@@ -241,8 +236,7 @@ class TestByteIdentity:
         try:
             result = view.materialize(
                 "fully-partitioned",
-                retry=RetryPolicy(max_attempts=8),
-                faults=FaultPolicy(seed=seed, error_rate=error_rate),
+                resilience=Resilience(retry=RetryPolicy(max_attempts=8), faults=FaultPolicy(seed=seed, error_rate=error_rate)),
             )
         except TransientConnectionError as exc:
             # Exhaustion is legitimate at high rates; the partial report
@@ -260,7 +254,7 @@ class TestNoRetry:
         labels = []
         for _ in range(2):
             with pytest.raises(TransientConnectionError) as excinfo:
-                view.materialize("fully-partitioned", faults=faults)
+                view.materialize("fully-partitioned", resilience=Resilience(faults=faults))
             exc = excinfo.value
             labels.append(exc.stream_label)
             assert exc.report is not None
@@ -272,7 +266,7 @@ class TestNoRetry:
         # Pin a mid-plan stream so earlier siblings complete first.
         faults = FaultPolicy(seed=0, fail_streams={"S1.4": None})
         with pytest.raises(TransientConnectionError) as excinfo:
-            view.materialize("fully-partitioned", faults=faults)
+            view.materialize("fully-partitioned", resilience=Resilience(faults=faults))
         exc = excinfo.value
         assert exc.stream_label == "S1.4"
         completed = [s.label for s in exc.report.streams]
@@ -283,11 +277,10 @@ class TestNoRetry:
         baseline = view.materialize("fully-partitioned")
         result = view.materialize(
             "fully-partitioned",
-            retry=NO_RETRY,
-            faults=FaultPolicy(seed=0, error_rate=0.0),
+            resilience=Resilience(retry=NO_RETRY, faults=FaultPolicy(seed=0, error_rate=0.0)),
         )
         assert result.xml == baseline.xml
-        assert result.report.retries == 0
+        assert result.report.resilience.retries == 0
 
 
 class TestCacheInterplay:
@@ -295,7 +288,7 @@ class TestCacheInterplay:
         silk.cache = True
         with pytest.raises(TransientConnectionError):
             view.materialize(
-                "fully-partitioned", faults=FaultPolicy(seed=0, error_rate=1.0)
+                "fully-partitioned", resilience=Resilience(faults=FaultPolicy(seed=0, error_rate=1.0))
             )
         assert len(silk.cache) == 0
 
@@ -305,28 +298,27 @@ class TestCacheInterplay:
         # Every stream is now cached: even a certain-failure policy cannot
         # touch the run, because cached plans never contact the source.
         result = view.materialize(
-            "fully-partitioned", faults=FaultPolicy(seed=0, error_rate=1.0)
+            "fully-partitioned", resilience=Resilience(faults=FaultPolicy(seed=0, error_rate=1.0))
         )
         assert result.xml == baseline.xml
-        assert result.report.attempts == 0
-        assert result.report.faults_injected == 0
-        assert all(s.from_cache for s in result.report.streams)
+        assert result.report.resilience.attempts == 0
+        assert result.report.resilience.faults == 0
+        assert all(s.resilience.from_cache for s in result.report.streams)
 
     def test_successful_retry_is_cached_cleanly(self, silk, view):
         silk.cache = True
         result = view.materialize(
             "fully-partitioned",
-            retry=RetryPolicy(max_attempts=6),
-            faults=FaultPolicy(seed=7, error_rate=0.4),
+            resilience=Resilience(retry=RetryPolicy(max_attempts=6), faults=FaultPolicy(seed=7, error_rate=0.4)),
         )
-        assert result.report.faults_injected > 0
+        assert result.report.resilience.faults > 0
         # The stored entries are the clean executions: replaying them is
         # attempt-free and byte-identical.
         replay = view.materialize(
-            "fully-partitioned", faults=FaultPolicy(seed=7, error_rate=1.0)
+            "fully-partitioned", resilience=Resilience(faults=FaultPolicy(seed=7, error_rate=1.0))
         )
         assert replay.xml == result.xml
-        assert replay.report.attempts == 0
+        assert replay.report.resilience.attempts == 0
 
 
 class TestDegradation:
@@ -334,11 +326,10 @@ class TestDegradation:
         baseline = view.materialize("unified")
         result = view.materialize(
             "unified",
-            retry=RetryPolicy(max_attempts=2),
-            faults=FaultPolicy(seed=7, error_rate=0.4),
+            resilience=Resilience(retry=RetryPolicy(max_attempts=2), faults=FaultPolicy(seed=7, error_rate=0.4)),
         )
         assert result.xml == baseline.xml
-        assert result.report.degraded_streams == ("S1'",)
+        assert result.report.resilience.degraded_streams == ("S1'",)
         assert result.report.n_streams > 1
 
     def test_pooled_plan_degrades_when_every_replica_refuses_a_stream(
@@ -347,23 +338,21 @@ class TestDegradation:
         wherever it lands, so failover runs out of replicas and the plan
         is re-planned into finer streams — which the pool then serves."""
         baseline = view.materialize("unified")
-        pool = ReplicaPool(ReplicaSet.from_connection(
-            silk.connection, 3,
+        pool = ReplicaPool.from_connection(silk.connection, 3)
+        result = view.materialize("unified", resilience=Resilience(
+            replicas=pool, retry=RetryPolicy(max_attempts=4),
             faults=[FaultPolicy(seed=i, fail_streams=("S1'",))
                     for i in range(3)],
         ))
-        result = view.materialize(
-            "unified", replicas=pool, retry=RetryPolicy(max_attempts=4),
-        )
         report = result.report
         assert result.xml == baseline.xml
         assert report.query_ms > baseline.report.query_ms    # finer plans
-        assert report.degraded_streams == ("S1'",)
+        assert report.resilience.degraded_streams == ("S1'",)
         assert report.n_streams == 10
         # The coarse stream tried every replica, then wrapped; its four
         # burned attempts stay in the totals.
-        assert report.failovers == 3
-        assert report.attempts == 4 + report.n_streams
+        assert report.resilience.failovers == 3
+        assert report.resilience.attempts == 4 + report.n_streams
         assert all(h.failures for h in pool.health)
 
     def test_single_node_stream_propagates(self, view):
@@ -371,23 +360,21 @@ class TestDegradation:
         with pytest.raises(TransientConnectionError) as excinfo:
             view.materialize(
                 "fully-partitioned",
-                retry=RetryPolicy(max_attempts=2),
-                faults=faults,
+                resilience=Resilience(retry=RetryPolicy(max_attempts=2), faults=faults),
             )
         exc = excinfo.value
         assert exc.stream_label == "S1"
         assert exc.report is not None
-        assert exc.report.degraded_streams == ()
+        assert exc.report.resilience.degraded_streams == ()
 
     def test_degradation_accounts_spent_attempts(self, view):
         result = view.materialize(
             "unified",
-            retry=RetryPolicy(max_attempts=2),
-            faults=FaultPolicy(seed=7, error_rate=0.4),
+            resilience=Resilience(retry=RetryPolicy(max_attempts=2), faults=FaultPolicy(seed=7, error_rate=0.4)),
         )
         # The degraded-away coarse stream burned two attempts that must
         # appear in the plan totals even though it produced no stream.
-        assert result.report.attempts > result.report.n_streams
+        assert result.report.resilience.attempts > result.report.n_streams
 
 
 class TestExecutionOptions:
@@ -464,6 +451,7 @@ class TestExecutionOptions:
         assert repro.ExecutionOptions is ExecutionOptions
         assert repro.FaultPolicy is FaultPolicy
         assert repro.RetryPolicy is RetryPolicy
+        assert repro.Resilience is Resilience
         assert repro.TransientConnectionError is TransientConnectionError
 
 
@@ -510,7 +498,7 @@ class TestCursorClose:
         with pytest.raises(TransientConnectionError):
             view.materialize_to(
                 sink, "fully-partitioned",
-                faults=FaultPolicy(seed=0, fail_streams={"S1.4": None}),
+                resilience=Resilience(faults=FaultPolicy(seed=0, fail_streams={"S1.4": None})),
             )
 
 
@@ -525,21 +513,19 @@ class TestSweepFaults:
             q1_tree, tiny_db.schema, connection,
             partitions=[fully_partitioned(q1_tree)],
             cache=False,
-            retry=RetryPolicy(max_attempts=2),
-            faults=FaultPolicy(seed=0, fail_streams={"S1": None}),
+            resilience=Resilience(retry=RetryPolicy(max_attempts=2), faults=FaultPolicy(seed=0, fail_streams={"S1": None})),
         )
         assert len(result.failed()) == 1
         timing = result.failed()[0]
         assert timing.failed and not timing.timed_out
         assert timing.total_ms is None
-        assert timing.attempts >= 2
+        assert timing.resilience.attempts >= 2
 
     def test_sweep_options_bundle(self, q1_tree, tiny_db):
         from repro.core.partition import unified_partition
 
         connection = Connection(tiny_db, CostModel())
-        opts = ExecutionOptions(faults=FaultPolicy(seed=7, error_rate=0.4),
-                                retry=RetryPolicy(max_attempts=6))
+        opts = ExecutionOptions(resilience=Resilience(faults=FaultPolicy(seed=7, error_rate=0.4), retry=RetryPolicy(max_attempts=6)))
         result = sweep_partitions(
             q1_tree, tiny_db.schema, connection,
             partitions=[unified_partition(q1_tree)],

@@ -38,6 +38,7 @@ from repro.relational.dispatch import execute_specs
 from repro.relational.engine import ENGINE_MODES, CostModel
 from repro.relational.estimator import CostEstimator
 from repro.relational.faults import FaultPolicy, RetryPolicy
+from repro.relational.resilience import Resilience
 from repro.session import Session
 from repro.tpch.generator import TpchGenerator, TpchScale
 from conftest import spans_named
@@ -478,15 +479,13 @@ _STEPS = st.lists(
 
 
 def _variant_options(workers, resilience):
-    retry = faults = replicas = None
+    policy = None
     if resilience == "faults":
-        faults = FaultPolicy(seed=5, error_rate=0.15)
-        retry = RetryPolicy(max_attempts=6)
+        policy = Resilience(faults=FaultPolicy(seed=5, error_rate=0.15),
+                            retry=RetryPolicy(max_attempts=6))
     elif resilience == "replicas":
-        replicas = 2
-        retry = RetryPolicy(max_attempts=6)
-    return ExecutionOptions(workers=workers, retry=retry, faults=faults,
-                            replicas=replicas)
+        policy = Resilience(replicas=2, retry=RetryPolicy(max_attempts=6))
+    return ExecutionOptions(workers=workers, resilience=policy)
 
 
 class TestInterleavingProperty:

@@ -53,6 +53,7 @@ from repro.relational.cache import PlanResultCache
 from repro.relational.connection import Connection
 from repro.relational.engine import CostModel, QueryEngine
 from repro.relational.faults import FaultPolicy, RetryPolicy
+from repro.relational.resilience import Resilience
 from repro.tpch.configs import CONFIG_A, build_database
 from repro.xmlgen.serializer import XmlWriter
 from repro.xmlgen.streams import StreamDecoder
@@ -266,8 +267,8 @@ class TestObservationIdentity:
 
     def test_identity_holds_under_faults(self, tiny_db, tiny_estimator):
         knobs = dict(
-            faults=FaultPolicy(seed=7, error_rate=0.3),
-            retry=RetryPolicy(max_attempts=5),
+            resilience=Resilience(faults=FaultPolicy(seed=7, error_rate=0.3),
+                                  retry=RetryPolicy(max_attempts=5)),
             workers=3,
         )
         baseline = fresh_view(tiny_db, tiny_estimator).materialize(
@@ -283,7 +284,7 @@ class TestObservationIdentity:
         assert (
             traced.report.elapsed_total_ms == baseline.report.elapsed_total_ms
         )
-        assert traced.report.backoff_ms == baseline.report.backoff_ms
+        assert traced.report.resilience == baseline.report.resilience
 
     def test_sweep_timings_identical_under_obs(self, tiny_db, tiny_estimator,
                                                q1_tree, schema):
@@ -443,8 +444,10 @@ class TestChromeTrace:
             "fully-partitioned",
             options=ExecutionOptions(
                 obs=obs,
-                faults=FaultPolicy(seed=0, fail_streams={"S1": 1}),
-                retry=RetryPolicy(max_attempts=3),
+                resilience=Resilience(
+                    faults=FaultPolicy(seed=0, fail_streams={"S1": 1}),
+                    retry=RetryPolicy(max_attempts=3),
+                ),
             ),
         )
         return obs, result
@@ -530,20 +533,23 @@ class TestMetricsReconciliation:
             "fully-partitioned",
             options=ExecutionOptions(
                 obs=obs,
-                faults=FaultPolicy(seed=3, error_rate=0.4),
-                retry=RetryPolicy(max_attempts=6),
+                resilience=Resilience(
+                    faults=FaultPolicy(seed=3, error_rate=0.4),
+                    retry=RetryPolicy(max_attempts=6),
+                ),
             ),
         )
         report = result.report
         counters = self._counters(obs)
-        assert counters["dispatch.attempts"] == report.attempts
-        assert counters.get("dispatch.retries", 0) == report.retries
-        assert counters.get("faults.injected", 0) == report.faults_injected
+        assert counters["dispatch.attempts"] == report.resilience.attempts
+        assert counters.get("dispatch.retries", 0) == report.resilience.retries
+        assert counters.get("faults.injected", 0) == report.resilience.faults
         assert math.isclose(
-            counters.get("retry.backoff_ms", 0.0), report.backoff_ms
+            counters.get("retry.backoff_ms", 0.0), report.resilience.backoff_ms
         )
         assert math.isclose(
-            counters.get("faults.latency_ms", 0.0), report.fault_latency_ms
+            counters.get("faults.latency_ms", 0.0),
+            report.resilience.fault_latency_ms,
         )
         assert counters["streams.executed"] == report.n_streams
         assert counters["tuples.transferred"] == sum(
@@ -558,8 +564,10 @@ class TestMetricsReconciliation:
             options=ExecutionOptions(obs=obs),
         )
         counters = self._counters(obs)
-        assert counters["dispatch.attempts"] == result.report.attempts
-        assert "dispatch.retries" not in counters
+        # The paper's path counts streams and rows, and no resilience.
+        assert result.report.resilience is None
+        assert counters["streams.executed"] == result.report.n_streams
+        assert "dispatch.attempts" not in counters
         assert "faults.injected" not in counters
         hist = obs.metrics.snapshot()["histograms"]
         assert hist["stream.query_ms"]["count"] == result.report.n_streams
@@ -590,10 +598,8 @@ class TestMetricsReconciliation:
         assert counters["plan_cache.hits"] == stats.hits
         assert counters["plan_cache.misses"] == stats.misses
         assert stats.hits == second.report.n_streams
-        assert (
-            counters["dispatch.attempts"]
-            == first.report.attempts + second.report.attempts
-        )
+        assert (counters["streams.executed"]
+                == first.report.n_streams + second.report.n_streams)
 
     def test_node_cache_counters_reconcile(self, tiny_db, tiny_estimator):
         obs = ObsOptions()
@@ -685,7 +691,8 @@ class TestMetricsReconciliation:
         shielded = view.materialize(
             "fully-partitioned",
             options=ExecutionOptions(
-                obs=obs, faults=FaultPolicy(seed=1, error_rate=1.0),
+                obs=obs,
+                resilience=Resilience(faults=FaultPolicy(seed=1, error_rate=1.0)),
             ),
         )
         assert shielded.xml == warm.xml
@@ -693,13 +700,10 @@ class TestMetricsReconciliation:
         # Replays are counted as replays, not as source attempts, and no
         # faults fired — the report agrees.
         assert counters["cache.replays"] == shielded.report.n_streams
-        assert shielded.report.attempts == 0
-        assert shielded.report.faults_injected == 0
+        assert shielded.report.resilience.attempts == 0
+        assert shielded.report.resilience.faults == 0
         assert "faults.injected" not in counters
-        assert (
-            counters["dispatch.attempts"]
-            == warm.report.attempts + shielded.report.attempts
-        )
+        assert "dispatch.attempts" not in counters
 
     def test_hedged_run_reconciles(self, tiny_db, tiny_estimator):
         obs = ObsOptions()
@@ -707,29 +711,28 @@ class TestMetricsReconciliation:
         result = view.materialize(
             "fully-partitioned",
             options=ExecutionOptions(
-                obs=obs, replicas=3, hedge_ms=5.0,
-                faults=FaultPolicy(seed=3, error_rate=0.3, latency_ms=20.0),
-                retry=RetryPolicy(max_attempts=5),
+                obs=obs, resilience=Resilience(
+                    replicas=3, hedge_ms=5.0, retry=RetryPolicy(max_attempts=5),
+                    faults=FaultPolicy(seed=3, error_rate=0.3, latency_ms=20.0),
+                ),
             ),
         )
         report = result.report
+        totals = report.resilience
         counters = self._counters(obs)
-        assert report.hedges > 0
-        assert counters["dispatch.attempts"] == report.attempts
-        assert counters.get("dispatch.retries", 0) == report.retries
-        assert counters.get("faults.injected", 0) == report.faults_injected
-        assert counters.get("dispatch.failovers", 0) == report.failovers
-        assert counters.get("dispatch.hedges", 0) == report.hedges
-        assert counters.get("dispatch.hedge_wins", 0) == report.hedge_wins
+        assert totals.hedges > 0
+        assert counters["dispatch.attempts"] == totals.attempts
+        assert counters.get("dispatch.retries", 0) == totals.retries
+        assert counters.get("faults.injected", 0) == totals.faults
+        assert counters.get("dispatch.failovers", 0) == totals.failovers
+        assert counters.get("dispatch.hedges", 0) == totals.hedges
+        assert counters.get("dispatch.hedge_wins", 0) == totals.hedge_wins
         assert math.isclose(
-            counters.get("hedge.wait_ms", 0.0), report.hedge_wait_ms
-        )
+            counters.get("hedge.wait_ms", 0.0), totals.hedge_wait_ms)
         assert math.isclose(
-            counters.get("retry.backoff_ms", 0.0), report.backoff_ms
-        )
+            counters.get("retry.backoff_ms", 0.0), totals.backoff_ms)
         assert math.isclose(
-            counters.get("faults.latency_ms", 0.0), report.fault_latency_ms
-        )
+            counters.get("faults.latency_ms", 0.0), totals.fault_latency_ms)
         # The abandoned side of a hedge never charges server time: the
         # per-stream histogram sums exactly to the report's totals, which
         # in turn are byte-for-byte the fault-free figures.
@@ -754,12 +757,13 @@ class TestMetricsReconciliation:
             view.materialize(
                 "fully-partitioned",
                 options=ExecutionOptions(obs=obs, budget_ms=0.01),
+                resilience=Resilience(retry=RetryPolicy()),
             )
         report = info.value.report
         counters = self._counters(obs)
         # The interrupted attempt appears in neither the report nor the
         # metrics — they agree exactly.
-        assert counters.get("dispatch.attempts", 0) == report.attempts
+        assert counters.get("dispatch.attempts", 0) == report.resilience.attempts
         dispatch = spans_named(obs.tracer, "dispatch")[0]
         assert dispatch.attrs.get("timed_out") is True
 

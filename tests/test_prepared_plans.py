@@ -41,6 +41,7 @@ from repro.relational.database import Database
 from repro.relational.dispatch import execute_specs
 from repro.relational.engine import CostModel
 from repro.relational.faults import FaultPolicy, RetryPolicy
+from repro.relational.resilience import Resilience
 from repro.relational.table import Table
 from repro.session import Session
 from repro.tpch.configs import CONFIG_A, build_configuration
@@ -81,16 +82,16 @@ class TestOneGeneratorPerView:
     def test_prepare_twice_returns_the_same_specs(self, make_view):
         view = make_view()
         opts = ExecutionOptions()
-        _, first = view._prepare(view.fully_partitioned(), opts)
-        _, again = view._prepare(view.fully_partitioned(), opts)
+        first = view.specs(view.fully_partitioned(), opts)
+        again = view.specs(view.fully_partitioned(), opts)
         assert len(first) == 10
         assert all(a is b for a, b in zip(first, again))
         # ... so what a spec works out on first use is worked out once.
         assert first[0].sql is again[0].sql
         assert first[0].column_names is again[0].column_names
         # Other options, other generator.
-        _, plain = view._prepare(view.fully_partitioned(),
-                                 ExecutionOptions(reduce=False))
+        plain = view.specs(view.fully_partitioned(),
+                           ExecutionOptions(reduce=False))
         assert all(a is not b for a, b in zip(first, plain))
 
     def test_dispatch_renders_no_sql(self, make_view, fresh_definitions,
@@ -115,7 +116,7 @@ class TestOneGeneratorPerView:
         planner = view._planner(opts)
         prepared = planner.generator._stream_cache
 
-        [unified] = view._prepare(view.unified_partition(), opts)[1]
+        [unified] = view.specs(view.unified_partition(), opts)
         assert view.explain("unified", options=opts) == [unified.sql]
         assert list(prepared.values()) == [unified]
 
@@ -125,7 +126,7 @@ class TestOneGeneratorPerView:
         assert planner._component_plan(
             frozenset(node.index for node in view.tree.nodes), NULL_TRACER,
         ) is unified.plan
-        chosen = view._prepare(plan.recommended(), opts)[1]
+        chosen = view.specs(plan.recommended(), opts)
         assert all(spec in prepared.values() for spec in chosen)
         known = len(prepared)
         view.materialize(options=opts)
@@ -136,13 +137,17 @@ class TestOneGeneratorPerView:
         view = make_view()
         opts = ExecutionOptions()
         prepared = view._planner(opts).generator._stream_cache
-        opts = replace(opts, retry=RetryPolicy(max_attempts=2),
-                       faults=FaultPolicy(seed=7, error_rate=0.4))
+        opts = replace(opts, resilience=Resilience(
+            retry=RetryPolicy(max_attempts=2),
+            faults=FaultPolicy(seed=7, error_rate=0.4),
+        ))
         partition = view.unified_partition()
-        opts, planned = view._prepare(partition, opts)
-        outcome, report = view._dispatch(partition, planned, opts)
+        planned = view.specs(partition, opts)
+        outcome, report = view._dispatch(
+            partition, planned, opts,
+            opts.resilience.executor(view.silkroute.connection))
         specs = outcome.specs
-        assert report.degraded_streams and len(specs) > 1
+        assert report.resilience.degraded_streams and len(specs) > 1
         assert all(
             any(spec is kept for kept in prepared.values()) for spec in specs
         )

@@ -1,4 +1,4 @@
-"""Replica-aware resilient dispatch (repro.relational.replicas): pools,
+"""Replica-aware resilient dispatch (repro.relational.resilience): pools,
 health-checked routing, failover and hedged requests.
 
 The load-bearing invariants:
@@ -38,11 +38,10 @@ from repro.obs import ObsOptions
 from repro.relational.connection import Connection, TransferModel
 from repro.relational.engine import CostModel
 from repro.relational.faults import FaultPolicy, RetryPolicy
-from repro.relational.replicas import (
+from repro.relational.resilience import (
     ReplicaPool,
-    ReplicaSet,
+    Resilience,
     replica_fault_policy,
-    resolve_pool,
 )
 from conftest import spans_named
 
@@ -57,7 +56,8 @@ def stream_accounting(report, *extra):
     """Per stream, what the one dispatch loop charged it."""
     fields = ("label", "attempts", "retries", "faults", "backoff_ms",
               "fault_latency_ms", "from_cache") + extra
-    return [tuple(getattr(s, f) for f in fields) for s in report.streams]
+    return [tuple(getattr(s.resilience, f) for f in fields)
+            for s in report.streams]
 
 
 def trace_shape(obs, replica_spans=True):
@@ -87,6 +87,8 @@ def baseline(request):
 
 
 class TestReplicaSet:
+    """A pool's replica set: N connections over one database."""
+
     def test_same_database_required(self, tiny_db, tiny_estimator):
         from repro.tpch.generator import TpchGenerator, TpchScale
 
@@ -95,31 +97,31 @@ class TestReplicaSet:
             seed=1,
         ).generate()
         with pytest.raises(ValueError, match="different Database"):
-            ReplicaSet([
+            ReplicaPool([
                 Connection(tiny_db, CostModel()),
                 Connection(other_db, CostModel()),
             ])
 
     def test_needs_at_least_one_connection(self):
         with pytest.raises(ValueError):
-            ReplicaSet([])
+            ReplicaPool([])
 
     def test_from_connection_replica_zero_is_the_connection(self, tiny_db):
         connection = Connection(tiny_db, CostModel(), engine="tuple")
-        rset = ReplicaSet.from_connection(connection, 3)
-        assert len(rset.connections) == 3
-        assert rset.connections[0] is connection
-        assert all(c.database is tiny_db for c in rset.connections)
-        assert all(c.engine.mode == "tuple" for c in rset.connections)
+        pool = ReplicaPool.from_connection(connection, 3)
+        assert len(pool.connections) == 3
+        assert pool.connections[0] is connection
+        assert all(c.database is tiny_db for c in pool.connections)
+        assert all(c.engine.mode == "tuple" for c in pool.connections)
 
     def test_from_connection_rejects_bad_counts(self, tiny_db):
         connection = Connection(tiny_db, CostModel())
         with pytest.raises(ValueError):
-            ReplicaSet.from_connection(connection, 0)
+            ReplicaPool.from_connection(connection, 0)
         with pytest.raises(ValueError, match="faults has"):
-            ReplicaSet.from_connection(
-                connection, 3, faults=[FaultPolicy(), FaultPolicy()]
-            )
+            Resilience(
+                replicas=3, faults=[FaultPolicy(), FaultPolicy()],
+            ).executor(connection)
 
     def test_seed_derivation_is_per_replica(self):
         base = FaultPolicy(seed=7, error_rate=0.5)
@@ -138,13 +140,32 @@ class TestReplicaSet:
             for a in range(1, 20)
         ]
 
-    def test_explicit_fault_plan_installs_per_replica(self, tiny_db):
+    def test_explicit_fault_plan_is_per_replica(self, tiny_db):
         connection = Connection(tiny_db, CostModel())
         down = FaultPolicy(seed=1, error_rate=1.0)
         ok = FaultPolicy(seed=2, error_rate=0.0)
-        rset = ReplicaSet.from_connection(connection, 2, faults=[down, ok])
-        assert rset.connections[0].faults is down
-        assert rset.connections[1].faults is ok
+        executor = Resilience(replicas=2, faults=[down, ok]).executor(
+            connection)
+        assert executor.policies == [down, ok]
+        assert executor.pool.connections[0] is connection
+
+    def test_a_pool_leaves_its_connection_fault_free(
+            self, tiny_db, tiny_estimator, baseline):
+        """Faults belong to the execution, never to a connection: after a
+        pool over this connection ran with replica 0 hard down, a plain
+        materialize on the connection draws nothing.  (When the pool
+        installed per-replica policies on its connections, the hard-down
+        one stayed on replica 0, which is this connection.)"""
+        connection, view = fresh_view(tiny_db, tiny_estimator)
+        pool = ReplicaPool.from_connection(connection, 2)
+        down = FaultPolicy(seed=1, error_rate=1.0)
+        pooled = view.materialize("fully-partitioned", resilience=Resilience(
+            replicas=pool, faults=[down, None], retry=RetryPolicy()))
+        assert pooled.report.resilience.faults > 0
+        plain = view.materialize("fully-partitioned")
+        assert plain.xml == baseline.xml
+        assert plain.report.resilience is None
+        assert not hasattr(connection, "faults")
 
     def test_replicas_sharing_a_plan_cache_sum_their_own_transfer(
             self, tiny_db, tiny_estimator):
@@ -156,17 +177,16 @@ class TestReplicaSet:
         primary has just stored."""
         models = [TransferModel(), TransferModel(row_ms=1.0, byte_ms=0.02)]
 
-        def shared_cache_set(faults=None):
+        def shared_cache_pool():
             connection = Connection(tiny_db, CostModel(), models[0])
             view = SilkRoute(
                 connection, estimator=tiny_estimator, cache=True,
             ).define_view(QUERY_1)
-            rset = ReplicaSet.from_connection(
-                connection, 2, faults=faults, transfer_models=models)
-            assert rset.connections[1].cache is connection.cache
-            return view, rset
+            pool = ReplicaPool([connection, Connection(
+                tiny_db, CostModel(), models[1], cache=connection.cache)])
+            return view, pool
 
-        view, rset = shared_cache_set()
+        view, rset = shared_cache_pool()
         specs = view.specs("fully-partitioned")
         want = [
             {spec.label: Connection(tiny_db, CostModel(), model).execute(
@@ -189,33 +209,39 @@ class TestReplicaSet:
             assert {model for model, _ in entry.transfer_sums} == set(models)
             assert len(entry.transfer_sums) == 2
 
-        view, rset = shared_cache_set(faults=[
-            FaultPolicy(seed=3, latency_ms=500.0), FaultPolicy(seed=4)])
-        pool = ReplicaPool(rset)
+        view, pool = shared_cache_pool()
+        resilience = Resilience(
+            replicas=pool, hedge_ms=10.0, retry=RetryPolicy(max_attempts=2),
+            faults=[FaultPolicy(seed=3, latency_ms=500.0), FaultPolicy(seed=4)],
+        )
         for run in ("hedged", "replayed"):
             report = view.materialize(
-                "fully-partitioned", replicas=pool, hedge_ms=10.0,
-                retry=RetryPolicy(max_attempts=2),
-            ).report
+                "fully-partitioned", resilience=resilience).report
             assert [s.transfer_ms for s in report.streams] == [
-                want[s.replica][s.label] for s in report.streams]
+                want[s.resilience.replica][s.label] for s in report.streams]
             if run == "hedged":
-                assert {s.replica for s in report.streams
-                        if s.hedge_wins} == {1}
-        assert all(s.from_cache for s in report.streams)
+                assert {s.resilience.replica for s in report.streams
+                        if s.resilience.hedge_wins} == {1}
+        assert all(s.resilience.from_cache for s in report.streams)
 
 
-class TestResolvers:
-    def test_resolve_pool_contract(self, tiny_db):
+class TestExecutorRoutes:
+    def test_replicas_contract(self, tiny_db):
+        """What ``Resilience.replicas`` becomes: None and 1 are the
+        connection alone, a count above 1 a fresh pool whose replica 0 is
+        the connection, and a live pool is used as it is."""
         connection = Connection(tiny_db, CostModel())
-        assert resolve_pool(None, connection) is None
-        assert resolve_pool(1, connection) is None
-        pool = resolve_pool(3, connection)
-        assert isinstance(pool, ReplicaPool) and len(pool.connections) == 3
-        rset = ReplicaSet.from_connection(Connection(tiny_db, CostModel()), 2)
-        wrapped = resolve_pool(rset, connection)
-        assert isinstance(wrapped, ReplicaPool) and len(wrapped.connections) == 2
-        assert resolve_pool(wrapped, connection) is wrapped
+
+        def pool(replicas):
+            return Resilience(replicas=replicas).executor(connection).pool
+
+        assert pool(None) is None and pool(1) is None
+        fresh = pool(3)
+        assert len(fresh.connections) == 3
+        assert fresh.connections[0] is connection
+        assert pool(3) is not fresh
+        live = ReplicaPool.from_connection(Connection(tiny_db, CostModel()), 2)
+        assert pool(live) is live
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +251,7 @@ class TestResolvers:
 class TestPoolHealth:
     def _pool(self, tiny_db, n=3):
         connection = Connection(tiny_db, CostModel())
-        return ReplicaPool(ReplicaSet.from_connection(connection, n))
+        return ReplicaPool.from_connection(connection, n)
 
     def test_epoch_pick_and_default_ranking(self, tiny_db):
         pool = self._pool(tiny_db)
@@ -277,25 +303,27 @@ class TestPoolHealth:
         one streamed call made a replica look ~30x faster than its twin
         for the pool's life.)"""
         connection, view = fresh_view(tiny_db, tiny_estimator)
-        pool = ReplicaPool(ReplicaSet.from_connection(connection, 2))
-        [stream] = view.materialize("unified", replicas=pool).report.streams
+        pool = ReplicaPool.from_connection(connection, 2)
+        pooled = Resilience(replicas=pool)
+        [stream] = view.materialize(
+            "unified", resilience=pooled).report.streams
         true_cost = stream.server_ms + stream.transfer_ms
         assert pool.health[0].ewma_latency_ms == true_cost
         # The replica nothing has measured yet ranks first and takes the
         # nine streamed opens...
         for _ in range(9):
-            view.materialize_to(io.StringIO(), "unified", replicas=pool)
+            view.materialize_to(io.StringIO(), "unified", resilience=pooled)
         assert pool.health[1].successes == 9
         assert pool.health[1].ewma_latency_ms is None
         assert pool.health[0].ewma_latency_ms == true_cost
         # ...so the next eager run measures it: identical replicas tie.
-        view.materialize("unified", replicas=pool)
+        view.materialize("unified", resilience=pooled)
         assert pool.health[1].ewma_latency_ms == true_cost
         assert pool.begin_epoch().ranking == (0, 1)
         # A refused open is still a failure.
-        connection.faults = FaultPolicy(seed=1, error_rate=1.0)
         with pytest.raises(TransientConnectionError):
-            view.materialize_to(io.StringIO(), "unified", replicas=pool)
+            view.materialize_to(io.StringIO(), "unified", resilience=Resilience(
+                replicas=pool, faults=FaultPolicy(seed=1, error_rate=1.0)))
         assert pool.health[0].consecutive_failures == 1
 
     def test_second_call_is_routed_by_what_the_first_learned(
@@ -304,25 +332,23 @@ class TestPoolHealth:
         slow, the first call pays for the discovery (hedges that win), the
         second is served by the fast replica outright — no hedge issued."""
         connection, view = fresh_view(tiny_db, tiny_estimator)
-        pool = ReplicaPool(ReplicaSet.from_connection(
-            connection, 2,
-            faults=[FaultPolicy(seed=3, latency_ms=500.0), None],
-        ))
+        pool = ReplicaPool.from_connection(connection, 2)
         slowest = max(
             s.server_ms + s.transfer_ms for s in baseline.report.streams
         )
         assert slowest < 200.0 < 0.5 * 500.0    # only replica 0 is past it
 
         def call():
-            return view.materialize(
-                "fully-partitioned", replicas=pool, hedge_ms=200.0,
-            )
+            return view.materialize("fully-partitioned", resilience=Resilience(
+                replicas=pool, hedge_ms=200.0,
+                faults=[FaultPolicy(seed=3, latency_ms=500.0), None],
+            ))
 
         first, second = call(), call()
         assert first.xml == second.xml == baseline.xml
-        assert first.report.hedge_wins == first.report.n_streams
-        assert second.report.hedges == 0
-        assert {s.replica for s in second.report.streams} == {1}
+        assert first.report.resilience.hedge_wins == first.report.n_streams
+        assert second.report.resilience.hedges == 0
+        assert {s.resilience.replica for s in second.report.streams} == {1}
         assert (second.report.elapsed_total_ms
                 < first.report.elapsed_total_ms)
 
@@ -335,15 +361,14 @@ class TestByteIdentity:
     def test_replicated_faulted_run_matches_baseline(
             self, tiny_db, tiny_estimator, baseline):
         _, view = fresh_view(tiny_db, tiny_estimator)
-        result = view.materialize(
-            "fully-partitioned", replicas=3, hedge_ms=5.0,
+        result = view.materialize("fully-partitioned", resilience=Resilience(
+            replicas=3, hedge_ms=5.0, retry=RetryPolicy(max_attempts=5),
             faults=FaultPolicy(seed=7, error_rate=0.3),
-            retry=RetryPolicy(max_attempts=5),
-        )
+        ))
         assert result.xml == baseline.xml
         assert result.report.query_ms == baseline.report.query_ms
         assert result.report.transfer_ms == baseline.report.transfer_ms
-        assert result.report.faults_injected > 0
+        assert result.report.resilience.faults > 0
 
     @settings(max_examples=8, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -366,10 +391,12 @@ class TestByteIdentity:
         _, view = fresh_view(tiny_db, tiny_estimator)
         try:
             result = view.materialize(
-                "fully-partitioned", replicas=replicas, hedge_ms=hedge_ms,
-                workers=workers,
-                faults=FaultPolicy(seed=seed, error_rate=error_rate),
-                retry=RetryPolicy(max_attempts=6),
+                "fully-partitioned", workers=workers,
+                resilience=Resilience(
+                    replicas=replicas, hedge_ms=hedge_ms,
+                    faults=FaultPolicy(seed=seed, error_rate=error_rate),
+                    retry=RetryPolicy(max_attempts=6),
+                ),
             )
         except TransientConnectionError:
             assume(False)
@@ -388,26 +415,25 @@ class TestByteIdentity:
         same attempts, faults, failovers, hedges, and elapsed charges,
         stream by stream, and trace the same spans and events in the
         same order."""
+        # The process generates a plan's SQL once, under the first run's
+        # sqlgen span: generate it before either traced run.
+        fresh_view(tiny_db, tiny_estimator, query)[1].specs("fully-partitioned")
         reports, shapes = [], []
         for workers in (None, 4):
             _, view = fresh_view(tiny_db, tiny_estimator, query)
             obs = ObsOptions()
             result = view.materialize(
-                "fully-partitioned", replicas=3, hedge_ms=hedge_ms,
-                workers=workers, obs=obs,
-                faults=FaultPolicy(seed=seed, error_rate=0.35),
-                retry=RetryPolicy(max_attempts=6),
+                "fully-partitioned", workers=workers, obs=obs,
+                resilience=Resilience(
+                    replicas=3, hedge_ms=hedge_ms,
+                    faults=FaultPolicy(seed=seed, error_rate=0.35),
+                    retry=RetryPolicy(max_attempts=6),
+                ),
             )
             reports.append(result.report)
             shapes.append(trace_shape(obs))
         narrow, wide = reports
-        assert wide.attempts == narrow.attempts
-        assert wide.faults_injected == narrow.faults_injected
-        assert wide.failovers == narrow.failovers
-        assert wide.hedges == narrow.hedges
-        assert wide.hedge_wins == narrow.hedge_wins
-        assert wide.backoff_ms == narrow.backoff_ms
-        assert wide.hedge_wait_ms == narrow.hedge_wait_ms
+        assert wide.resilience == narrow.resilience
         extra = ("replica", "failovers", "hedges", "hedge_wins",
                  "hedge_wait_ms")
         assert (stream_accounting(wide, *extra)
@@ -425,40 +451,76 @@ class TestByteIdentity:
             _, plain_view = fresh_view(tiny_db, tiny_estimator, query)
             plain_obs = ObsOptions()
             plain = plain_view.materialize(
-                "fully-partitioned", faults=faults, retry=retry,
+                "fully-partitioned",
+                resilience=Resilience(faults=faults, retry=retry),
                 workers=workers, obs=plain_obs,
             )
             connection, pooled_view = fresh_view(
                 tiny_db, tiny_estimator, query
             )
-            pool = ReplicaPool(ReplicaSet([connection]))
+            pool = ReplicaPool([connection])
             pooled_obs = ObsOptions()
             pooled = pooled_view.materialize(
-                "fully-partitioned", replicas=pool, faults=faults,
-                retry=retry, workers=workers, obs=pooled_obs,
+                "fully-partitioned",
+                resilience=Resilience(replicas=pool, faults=faults,
+                                      retry=retry),
+                workers=workers, obs=pooled_obs,
             )
             assert pooled.xml == plain.xml
             if query is QUERY_1:
                 assert plain.xml == baseline.xml
-            assert plain.report.faults_injected > 0
-            assert pooled.report.attempts == plain.report.attempts
-            assert (pooled.report.faults_injected
-                    == plain.report.faults_injected)
-            assert pooled.report.backoff_ms == plain.report.backoff_ms
-            assert (pooled.report.fault_latency_ms
-                    == plain.report.fault_latency_ms)
-            assert pooled.report.failovers == 0
-            assert pooled.report.hedges == 0
+            assert plain.report.resilience.faults > 0
+            totals = ("attempts", "faults", "backoff_ms", "fault_latency_ms")
+            assert ([getattr(pooled.report.resilience, f) for f in totals]
+                    == [getattr(plain.report.resilience, f) for f in totals])
+            assert pooled.report.resilience.failovers == 0
+            assert pooled.report.resilience.hedges == 0
             assert (stream_accounting(pooled.report)
                     == stream_accounting(plain.report))
             assert (pooled.report.elapsed_query_ms
                     == plain.report.elapsed_query_ms)
             assert (pooled.report.elapsed_total_ms
                     == plain.report.elapsed_total_ms)
-            assert all(s.replica is None for s in plain.report.streams)
+            assert all(s.resilience.replica is None
+                       for s in plain.report.streams)
             assert not spans_named(plain_obs.tracer, "replica")
             assert (trace_shape(pooled_obs, replica_spans=False)
                     == trace_shape(plain_obs))
+
+
+# ---------------------------------------------------------------------------
+# Streamed reports
+
+
+class TestStreamedReports:
+    @pytest.mark.parametrize("replicas", [None, 3])
+    def test_streamed_report_matches_the_eager_one(
+            self, tiny_db, tiny_estimator, replicas):
+        """Under a latency-only policy nothing is retried, so the streamed
+        and the eager run submit the same streams to the same replicas
+        and draw the same latencies: their reports agree per stream and
+        on the elapsed makespan.  (Streamed reports used to carry one
+        attempt, no latency and no replica per stream.)"""
+        resilience = Resilience(
+            replicas=replicas, faults=FaultPolicy(seed=1, latency_ms=20.0))
+        _, eager_view = fresh_view(tiny_db, tiny_estimator)
+        eager = eager_view.materialize(
+            "fully-partitioned", resilience=resilience).report
+        _, streamed_view = fresh_view(tiny_db, tiny_estimator)
+        streamed = streamed_view.materialize_to(
+            io.StringIO(), "fully-partitioned", resilience=resilience).report
+
+        def per_stream(report):
+            return [(s.label, s.resilience.fault_latency_ms,
+                     s.resilience.replica, s.resilience.attempts)
+                    for s in report.streams]
+
+        assert per_stream(streamed) == per_stream(eager)
+        assert eager.resilience.fault_latency_ms > 0
+        assert {s.resilience.replica for s in streamed.streams} == (
+            {None} if replicas is None else {0})
+        assert streamed.elapsed_total_ms == eager.elapsed_total_ms
+        assert streamed.elapsed_total_ms > eager.query_ms + eager.transfer_ms
 
 
 # ---------------------------------------------------------------------------
@@ -469,17 +531,19 @@ class TestEarlyStop:
     WIDTHS = (None, 2, 10)
 
     @staticmethod
-    def left_behind(tiny_db, tiny_estimator, workers, **scenario):
+    def left_behind(tiny_db, tiny_estimator, workers, faults=None,
+                    budget_ms=None):
         """Run fully-partitioned Q1 (10 streams) over one reused 2-replica
-        pool into ``scenario``'s early stop; return everything the
-        dispatch left behind."""
+        pool into an early stop (a fault or a budget); return everything
+        the dispatch left behind."""
         connection, view = fresh_view(tiny_db, tiny_estimator, cache=True)
-        pool = ReplicaPool(ReplicaSet.from_connection(connection, 2))
+        pool = ReplicaPool.from_connection(connection, 2)
         obs = ObsOptions()
         with pytest.raises((TimeoutExceeded, TransientConnectionError)) as info:
             view.materialize(
-                "fully-partitioned", replicas=pool, workers=workers, obs=obs,
-                **scenario,
+                "fully-partitioned", workers=workers, obs=obs,
+                budget_ms=budget_ms,
+                resilience=Resilience(replicas=pool, faults=faults),
             )
         counters = obs.metrics.snapshot()["counters"]
         return {
@@ -550,39 +614,39 @@ class TestFailover:
         connection, view = fresh_view(tiny_db, tiny_estimator)
         down = FaultPolicy(seed=1, error_rate=1.0)
         ok = FaultPolicy(seed=2, error_rate=0.0)
-        pool = ReplicaPool(
-            ReplicaSet.from_connection(connection, 3, faults=[down, ok, ok])
-        )
-        result = view.materialize(
-            "fully-partitioned", replicas=pool,
+        pool = ReplicaPool.from_connection(connection, 3)
+        result = view.materialize("fully-partitioned", resilience=Resilience(
+            replicas=pool, faults=[down, ok, ok],
             retry=RetryPolicy(max_attempts=4),
-        )
+        ))
         assert result.xml == baseline.xml
         assert result.report.query_ms == baseline.report.query_ms
         report = result.report
-        assert report.failovers >= report.n_streams
-        assert all(s.replica in (1, 2) for s in report.streams)
+        assert report.resilience.failovers >= report.n_streams
+        assert all(s.resilience.replica in (1, 2) for s in report.streams)
         # The pool learned: replica 0 accumulated only failures.
         assert pool.health[0].failures > 0 and pool.health[0].successes == 0
 
     def test_streaming_pool_learns_from_a_failed_open(
             self, tiny_db, tiny_estimator):
-        """``materialize_to`` has no retry layer, but its pool does learn:
-        a cursor that failed to open counts against the replica, so the
-        next call on the same pool opens everything on the healthy one."""
+        """Without ``retry`` a cursor that fails to open fails the call,
+        but the pool learns: the failed open counts against the replica,
+        so the next call on the same pool opens everything on the healthy
+        one."""
         _, plain_view = fresh_view(tiny_db, tiny_estimator)
         plain = io.StringIO()
         plain_view.materialize_to(plain, "unified")
         connection, view = fresh_view(tiny_db, tiny_estimator)
-        pool = ReplicaPool(ReplicaSet.from_connection(
-            connection, 2,
+        pooled = Resilience(
+            replicas=ReplicaPool.from_connection(connection, 2),
             faults=[FaultPolicy(seed=1, error_rate=1.0), None],
-        ))
+        )
+        pool = pooled.replicas
         with pytest.raises(TransientConnectionError):
-            view.materialize_to(io.StringIO(), "unified", replicas=pool)
+            view.materialize_to(io.StringIO(), "unified", resilience=pooled)
         assert pool.health[0].failures == 1
         sink = io.StringIO()
-        result = view.materialize_to(sink, "unified", replicas=pool)
+        result = view.materialize_to(sink, "unified", resilience=pooled)
         assert sink.getvalue() == plain.getvalue()
         assert pool.health[0].successes == 0
         assert pool.health[1].successes == result.report.n_streams
@@ -591,16 +655,15 @@ class TestFailover:
         from repro.common.errors import TransientConnectionError
 
         connection, view = fresh_view(tiny_db, tiny_estimator)
-        pool = ReplicaPool(ReplicaSet.from_connection(
-            connection, 2,
-            faults=[FaultPolicy(seed=1, error_rate=1.0),
-                    FaultPolicy(seed=2, error_rate=0.0)],
-        ))
         # Without a retry policy the first fault is terminal, exactly as
         # on a single connection — and "fully-partitioned" degrades
         # single-node streams by propagating the error.
         with pytest.raises(TransientConnectionError):
-            view.materialize("fully-partitioned", replicas=pool)
+            view.materialize("fully-partitioned", resilience=Resilience(
+                replicas=ReplicaPool.from_connection(connection, 2),
+                faults=[FaultPolicy(seed=1, error_rate=1.0),
+                        FaultPolicy(seed=2, error_rate=0.0)],
+            ))
 
     def test_wraparound_charges_backoff(self, tiny_db, tiny_estimator,
                                         baseline):
@@ -611,20 +674,19 @@ class TestFailover:
         down_everywhere = [
             FaultPolicy(seed=i, fail_streams={"S1": 2}) for i in range(2)
         ]
-        pool = ReplicaPool(ReplicaSet.from_connection(
-            connection, 2, faults=down_everywhere,
-        ))
-        result = view.materialize(
-            "fully-partitioned", replicas=pool,
+        result = view.materialize("fully-partitioned", resilience=Resilience(
+            replicas=ReplicaPool.from_connection(connection, 2),
+            faults=down_everywhere,
             retry=RetryPolicy(max_attempts=6, base_ms=100.0,
                               multiplier=2.0, jitter=0.0),
-        )
+        ))
         assert result.xml == baseline.xml
-        [s1] = [s for s in result.report.streams if s.label == "S1"]
+        [s1] = [s.resilience for s in result.report.streams
+                if s.label == "S1"]
         assert s1.attempts == 3 and s1.failovers == 2
         # The wrap charged exactly the second-failure backoff (100 * 2).
         assert s1.backoff_ms == 200.0
-        assert result.report.backoff_ms == 200.0
+        assert result.report.resilience.backoff_ms == 200.0
 
 
 # ---------------------------------------------------------------------------
@@ -632,44 +694,38 @@ class TestFailover:
 
 
 class TestHedging:
-    def _slow_fast_pool(self, tiny_db, tiny_estimator, latency_ms=500.0):
+    def _slow_fast_pool(self, tiny_db, tiny_estimator, hedge_ms=None):
+        """A view and a 2-replica policy: replica 0 slow, replica 1 fast."""
         connection, view = fresh_view(tiny_db, tiny_estimator)
-        slow = FaultPolicy(seed=3, error_rate=0.0, latency_ms=latency_ms)
+        slow = FaultPolicy(seed=3, error_rate=0.0, latency_ms=500.0)
         fast = FaultPolicy(seed=4, error_rate=0.0)
-        pool = ReplicaPool(
-            ReplicaSet.from_connection(connection, 2, faults=[slow, fast])
+        return view, Resilience(
+            replicas=2, faults=[slow, fast], hedge_ms=hedge_ms,
+            retry=RetryPolicy(max_attempts=2),
         )
-        return view, pool
 
     def test_hedge_wins_against_slow_replica(self, tiny_db, tiny_estimator,
                                              baseline):
-        view, pool = self._slow_fast_pool(tiny_db, tiny_estimator)
-        result = view.materialize(
-            "fully-partitioned", replicas=pool, hedge_ms=10.0,
-            retry=RetryPolicy(max_attempts=2),
-        )
+        view, hedged = self._slow_fast_pool(tiny_db, tiny_estimator, 10.0)
+        result = view.materialize("fully-partitioned", resilience=hedged)
         report = result.report
         assert result.xml == baseline.xml
         assert report.query_ms == baseline.report.query_ms
-        assert report.hedges > 0 and report.hedge_wins > 0
+        totals = report.resilience
+        assert totals.hedges > 0 and totals.hedge_wins > 0
         # A winning hedge charges the trigger wait, not the slow attempt.
-        assert report.hedge_wait_ms == 10.0 * report.hedge_wins
+        assert totals.hedge_wait_ms == 10.0 * totals.hedge_wins
         assert all(
-            s.replica == 1 for s in report.streams if s.hedge_wins
+            s.resilience.replica == 1
+            for s in report.streams if s.resilience.hedge_wins
         )
 
     def test_hedging_cuts_the_elapsed_makespan(self, tiny_db,
                                                tiny_estimator):
-        view, pool = self._slow_fast_pool(tiny_db, tiny_estimator)
-        hedged = view.materialize(
-            "fully-partitioned", replicas=pool, hedge_ms=10.0,
-            retry=RetryPolicy(max_attempts=2),
-        )
-        view, pool = self._slow_fast_pool(tiny_db, tiny_estimator)
-        unhedged = view.materialize(
-            "fully-partitioned", replicas=pool,
-            retry=RetryPolicy(max_attempts=2),
-        )
+        view, policy = self._slow_fast_pool(tiny_db, tiny_estimator, 10.0)
+        hedged = view.materialize("fully-partitioned", resilience=policy)
+        view, policy = self._slow_fast_pool(tiny_db, tiny_estimator)
+        unhedged = view.materialize("fully-partitioned", resilience=policy)
         assert hedged.xml == unhedged.xml
         assert (hedged.report.elapsed_total_ms
                 < unhedged.report.elapsed_total_ms)
@@ -679,20 +735,17 @@ class TestHedging:
         # With a huge trigger relative to the injected latency spread, the
         # backup can never beat hedge_ms + its own cost: hedges fire but
         # never win, and the report charges no hedge wait.
-        connection, view = fresh_view(tiny_db, tiny_estimator)
-        pool = ReplicaPool(ReplicaSet.from_connection(
-            connection, 2,
+        _, view = fresh_view(tiny_db, tiny_estimator)
+        result = view.materialize("fully-partitioned", resilience=Resilience(
+            replicas=2, hedge_ms=0.5, retry=RetryPolicy(max_attempts=2),
             faults=[FaultPolicy(seed=5, latency_ms=10.0),
                     FaultPolicy(seed=6, latency_ms=10.0)],
         ))
-        result = view.materialize(
-            "fully-partitioned", replicas=pool, hedge_ms=0.5,
-            retry=RetryPolicy(max_attempts=2),
-        )
         report = result.report
         assert result.xml == baseline.xml
-        assert report.hedges > 0
-        losers = [s for s in report.streams if s.hedges and not s.hedge_wins]
+        assert report.resilience.hedges > 0
+        losers = [s.resilience for s in report.streams
+                  if s.resilience.hedges and not s.resilience.hedge_wins]
         assert losers
         assert all(s.hedge_wait_ms == 0.0 for s in losers)
         # server_ms is never double-counted, win or lose.
@@ -714,9 +767,10 @@ class TestSweepReplicas:
         replicated = sweep_partitions(
             q1_tree, tiny_db.schema, Connection(tiny_db, CostModel()),
             partitions=partitions, cache=False,
-            replicas=3, hedge_ms=5.0,
-            faults=FaultPolicy(seed=5, error_rate=0.3),
-            retry=RetryPolicy(max_attempts=5),
+            resilience=Resilience(
+                replicas=3, hedge_ms=5.0, retry=RetryPolicy(max_attempts=5),
+                faults=FaultPolicy(seed=5, error_rate=0.3),
+            ),
         )
         assert [t.query_ms for t in replicated.timings] == \
                [t.query_ms for t in clean.timings]
@@ -758,7 +812,7 @@ class TestExports:
     def test_top_level_reexports(self):
         import repro
 
-        for name in ("OverloadError", "ReplicaSet", "ReplicaPool",
+        for name in ("OverloadError", "Resilience", "ReplicaPool",
                      "AdmissionPolicy", "AdmissionController"):
             assert name in repro.__all__
             assert getattr(repro, name) is not None

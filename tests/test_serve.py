@@ -41,6 +41,7 @@ from repro.relational.connection import Connection
 from repro.relational.engine import CostModel
 from repro.relational.estimator import MAX_ESTIMATES
 from repro.relational.faults import FaultPolicy, RetryPolicy
+from repro.relational.resilience import Resilience
 from repro.serve.tenants import AdmissionPolicy
 from repro.serve import Server, ServeClient, ServeError
 from repro.serve.protocol import (
@@ -122,20 +123,17 @@ class TestProtocol:
     def test_options_roundtrip(self):
         opts = ExecutionOptions(
             style=PlanStyle.OUTER_UNION, reduce=True, budget_ms=125.0,
-            workers=2, retry=RetryPolicy(max_attempts=3),
-            faults=FaultPolicy(seed=7, error_rate=0.25), replicas=2,
-            hedge_ms=4.0,
+            workers=2, resilience=Resilience(
+                retry=RetryPolicy(max_attempts=3), replicas=2, hedge_ms=4.0,
+                faults=FaultPolicy(seed=7, error_rate=0.25),
+            ),
         )
         back = options_from_wire(options_to_wire(opts))
         assert back.style is PlanStyle.OUTER_UNION
         assert back.reduce is True
         assert back.budget_ms == 125.0
         assert back.workers == 2
-        assert back.retry.max_attempts == 3
-        assert back.faults.seed == 7
-        assert back.faults.error_rate == 0.25
-        assert back.replicas == 2
-        assert back.hedge_ms == 4.0
+        assert back.resilience == opts.resilience
         assert set(options_to_wire(opts)) == set(WIRE_OPTIONS)
 
     def test_unknown_wire_option_is_refused(self):
