@@ -29,9 +29,10 @@ re-reads an eighth of those results, so what the caches hold when it ends
 is checked
 against what it computed (node-cache cells held ≤ 15 % of the cells
 computed: kept on the second computation, not the first) and the live heap
-at that point against the committed one (24 MB when it held the 233
-compiled plans; with every first computation and every stream's rows
-kept it was 120 MB).  The generated pipeline code is process-wide and
+at that point against the committed one (5.2 MB since sweeps plan from
+the view's process-wide definition, which the warm-up fills; 24 MB when
+each session held its own 233 compiled plans; with every first
+computation and every stream's rows kept it was 120 MB).  The generated pipeline code is process-wide and
 compiled by a warm-up sweep of the same plans before the traced window.
 
 Peaks are *real* heap bytes (unlike the simulated milliseconds elsewhere)
@@ -80,10 +81,22 @@ SERVING_TABLES = ("Supplier", "Customer", "Region")
 STALE = 1.10
 
 
+def profiled():
+    """Whether a profile hook is installed (``sys.setprofile``, as
+    ``benchmarks/reachability.py`` does in every process it runs).  For
+    the hook CPython builds a frame object per call, which tracemalloc
+    counts — 17 KB on the small streaming peak — so the figures measure
+    the hook as much as the code: they are neither held to the ceilings
+    nor written back."""
+    return sys.getprofile() is not None
+
+
 def committed():
-    """The ``BENCH_memory.json`` in the checkout, or {} when there is none
-    or another interpreter version wrote it (object sizes, hence peaks,
-    differ between versions)."""
+    """The ``BENCH_memory.json`` in the checkout, or {} when there is none,
+    another interpreter version wrote it (object sizes, hence peaks,
+    differ between versions) or the run is :func:`profiled`."""
+    if profiled():
+        return {}
     try:
         payload = json.loads(BENCH_FILE.read_text())
     except FileNotFoundError:
@@ -101,7 +114,10 @@ def committed_streaming_peaks():
 
 def update_bench_file(**sections):
     """Rewrite ``sections`` of ``BENCH_memory.json`` (each case owns its
-    own), keeping the others when this interpreter version wrote them."""
+    own), keeping the others when this interpreter version wrote them;
+    a :func:`profiled` run writes nothing."""
+    if profiled():
+        return
     payload = {**committed(), "python": PYTHON, **sections}
     BENCH_FILE.write_text(json.dumps(payload, indent=2) + "\n")
 

@@ -40,6 +40,7 @@ import math
 
 from repro.common.errors import ReproError
 from repro.core.options import FLAT_OPTIONS, options_from_flat
+from repro.relational.faults import FaultPolicy
 
 #: Hard cap on one request frame (bytes, newline included).  Far above
 #: any legitimate request — inline RXL texts are a few KiB — and far
@@ -126,7 +127,9 @@ def options_from_wire(wire):
 
 def options_to_wire(options):
     """The wire dict a client sends for ``options`` (inverse of
-    :func:`options_from_wire` over the whitelisted subset)."""
+    :func:`options_from_wire` over the whitelisted subset).  What the flat
+    names cannot spell — a fault policy per replica, a live replica pool —
+    is refused with :class:`ProtocolError`."""
     if options is None:
         return None
     wire = {}
@@ -139,6 +142,12 @@ def options_to_wire(options):
             wire[name] = value
     resilience = options.resilience
     if resilience is not None:
+        if (resilience.faults is not None
+                and not isinstance(resilience.faults, FaultPolicy)
+                or not isinstance(resilience.replicas, (int, type(None)))):
+            raise ProtocolError(
+                "the wire carries one fault policy and a replica count, "
+                "not per-replica policies or a live pool")
         if resilience.retry is not None:
             wire["retries"] = resilience.retry.max_attempts
         if resilience.faults is not None:

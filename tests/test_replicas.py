@@ -152,10 +152,8 @@ class TestReplicaSet:
     def test_a_pool_leaves_its_connection_fault_free(
             self, tiny_db, tiny_estimator, baseline):
         """Faults belong to the execution, never to a connection: after a
-        pool over this connection ran with replica 0 hard down, a plain
-        materialize on the connection draws nothing.  (When the pool
-        installed per-replica policies on its connections, the hard-down
-        one stayed on replica 0, which is this connection.)"""
+        pool over this connection ran with replica 0 — this connection —
+        hard down, a plain materialize on the connection draws nothing."""
         connection, view = fresh_view(tiny_db, tiny_estimator)
         pool = ReplicaPool.from_connection(connection, 2)
         down = FaultPolicy(seed=1, error_rate=1.0)
@@ -499,8 +497,7 @@ class TestStreamedReports:
         """Under a latency-only policy nothing is retried, so the streamed
         and the eager run submit the same streams to the same replicas
         and draw the same latencies: their reports agree per stream and
-        on the elapsed makespan.  (Streamed reports used to carry one
-        attempt, no latency and no replica per stream.)"""
+        on the elapsed makespan."""
         resilience = Resilience(
             replicas=replicas, faults=FaultPolicy(seed=1, latency_ms=20.0))
         _, eager_view = fresh_view(tiny_db, tiny_estimator)

@@ -136,6 +136,17 @@ class TestProtocol:
         assert back.resilience == opts.resilience
         assert set(options_to_wire(opts)) == set(WIRE_OPTIONS)
 
+    def test_in_process_resilience_is_refused(self, tiny_db):
+        """Per-replica fault policies and a live pool have no flat name:
+        a client asking to send one is told so, before anything is sent."""
+        from repro.relational.resilience import ReplicaPool
+
+        pool = ReplicaPool.from_connection(Connection(tiny_db, CostModel()), 2)
+        for resilience in (Resilience(faults=[FaultPolicy(), None]),
+                           Resilience(replicas=pool)):
+            with pytest.raises(ProtocolError, match="per-replica"):
+                options_to_wire(ExecutionOptions(resilience=resilience))
+
     def test_unknown_wire_option_is_refused(self):
         with pytest.raises(ProtocolError, match="workerz"):
             options_from_wire({"workerz": 4})
