@@ -32,8 +32,9 @@ computed: kept on the second computation, not the first) and the live heap
 at that point against the committed one (5.2 MB since sweeps plan from
 the view's process-wide definition, which the warm-up fills; 24 MB when
 each session held its own 233 compiled plans; with every first
-computation and every stream's rows kept it was 120 MB).  The generated pipeline code is process-wide and
-compiled by a warm-up sweep of the same plans before the traced window.
+computation and every stream's rows kept it was 120 MB).  The generated
+pipeline code is process-wide and compiled by a warm-up sweep of the same
+plans before the traced window.
 
 Peaks are *real* heap bytes (unlike the simulated milliseconds elsewhere)
 and, for one interpreter version, the same on every box and every run, so

@@ -171,7 +171,10 @@ class TestByteIdentity:
         baseline = view.materialize("fully-partitioned")
         result = view.materialize(
             "fully-partitioned",
-            resilience=Resilience(retry=RetryPolicy(max_attempts=6), faults=FaultPolicy(seed=7, error_rate=0.4)),
+            resilience=Resilience(
+                retry=RetryPolicy(max_attempts=6),
+                faults=FaultPolicy(seed=7, error_rate=0.4),
+            ),
         )
         assert result.xml == baseline.xml
         assert result.report.resilience.faults > 0
@@ -198,7 +201,10 @@ class TestByteIdentity:
                 result = view.materialize(
                     "fully-partitioned",
                     style=plan_style,
-                    resilience=Resilience(retry=RetryPolicy(), faults=FaultPolicy(seed=seed, error_rate=0.2)),
+                    resilience=Resilience(
+                        retry=RetryPolicy(),
+                        faults=FaultPolicy(seed=seed, error_rate=0.2),
+                    ),
                 )
                 assert result.xml == baseline.xml
                 injected += result.report.resilience.faults
@@ -206,16 +212,18 @@ class TestByteIdentity:
 
     def test_fault_draws_independent_of_width(self, view):
         opts = ExecutionOptions(
-            resilience=Resilience(retry=RetryPolicy(max_attempts=6), faults=FaultPolicy(seed=7, error_rate=0.4)),
+            resilience=Resilience(
+                retry=RetryPolicy(max_attempts=6),
+                faults=FaultPolicy(seed=7, error_rate=0.4),
+            ),
         )
         narrow = view.materialize("fully-partitioned", options=opts)
         wide = view.materialize(
             "fully-partitioned", options=dataclasses.replace(opts, workers=4)
         )
         assert wide.xml == narrow.xml
-        assert wide.report.resilience.faults == narrow.report.resilience.faults
-        assert wide.report.resilience.retries == narrow.report.resilience.retries
-        assert wide.report.resilience.backoff_ms == narrow.report.resilience.backoff_ms
+        assert wide.report.resilience.faults > 0
+        assert wide.report.resilience == narrow.report.resilience
 
     @settings(
         max_examples=8,
@@ -236,7 +244,10 @@ class TestByteIdentity:
         try:
             result = view.materialize(
                 "fully-partitioned",
-                resilience=Resilience(retry=RetryPolicy(max_attempts=8), faults=FaultPolicy(seed=seed, error_rate=error_rate)),
+                resilience=Resilience(
+                    retry=RetryPolicy(max_attempts=8),
+                    faults=FaultPolicy(seed=seed, error_rate=error_rate),
+                ),
             )
         except TransientConnectionError as exc:
             # Exhaustion is legitimate at high rates; the partial report
@@ -254,7 +265,9 @@ class TestNoRetry:
         labels = []
         for _ in range(2):
             with pytest.raises(TransientConnectionError) as excinfo:
-                view.materialize("fully-partitioned", resilience=Resilience(faults=faults))
+                view.materialize(
+                    "fully-partitioned",
+                    resilience=Resilience(faults=faults))
             exc = excinfo.value
             labels.append(exc.stream_label)
             assert exc.report is not None
@@ -266,7 +279,9 @@ class TestNoRetry:
         # Pin a mid-plan stream so earlier siblings complete first.
         faults = FaultPolicy(seed=0, fail_streams={"S1.4": None})
         with pytest.raises(TransientConnectionError) as excinfo:
-            view.materialize("fully-partitioned", resilience=Resilience(faults=faults))
+            view.materialize(
+                "fully-partitioned",
+                resilience=Resilience(faults=faults))
         exc = excinfo.value
         assert exc.stream_label == "S1.4"
         completed = [s.label for s in exc.report.streams]
@@ -277,7 +292,10 @@ class TestNoRetry:
         baseline = view.materialize("fully-partitioned")
         result = view.materialize(
             "fully-partitioned",
-            resilience=Resilience(retry=NO_RETRY, faults=FaultPolicy(seed=0, error_rate=0.0)),
+            resilience=Resilience(
+                retry=NO_RETRY,
+                faults=FaultPolicy(seed=0, error_rate=0.0),
+            ),
         )
         assert result.xml == baseline.xml
         assert result.report.resilience.retries == 0
@@ -288,7 +306,9 @@ class TestCacheInterplay:
         silk.cache = True
         with pytest.raises(TransientConnectionError):
             view.materialize(
-                "fully-partitioned", resilience=Resilience(faults=FaultPolicy(seed=0, error_rate=1.0))
+                "fully-partitioned", resilience=Resilience(
+                    faults=FaultPolicy(seed=0, error_rate=1.0),
+                )
             )
         assert len(silk.cache) == 0
 
@@ -298,7 +318,9 @@ class TestCacheInterplay:
         # Every stream is now cached: even a certain-failure policy cannot
         # touch the run, because cached plans never contact the source.
         result = view.materialize(
-            "fully-partitioned", resilience=Resilience(faults=FaultPolicy(seed=0, error_rate=1.0))
+            "fully-partitioned", resilience=Resilience(
+                faults=FaultPolicy(seed=0, error_rate=1.0),
+            )
         )
         assert result.xml == baseline.xml
         assert result.report.resilience.attempts == 0
@@ -309,13 +331,18 @@ class TestCacheInterplay:
         silk.cache = True
         result = view.materialize(
             "fully-partitioned",
-            resilience=Resilience(retry=RetryPolicy(max_attempts=6), faults=FaultPolicy(seed=7, error_rate=0.4)),
+            resilience=Resilience(
+                retry=RetryPolicy(max_attempts=6),
+                faults=FaultPolicy(seed=7, error_rate=0.4),
+            ),
         )
         assert result.report.resilience.faults > 0
         # The stored entries are the clean executions: replaying them is
         # attempt-free and byte-identical.
         replay = view.materialize(
-            "fully-partitioned", resilience=Resilience(faults=FaultPolicy(seed=7, error_rate=1.0))
+            "fully-partitioned", resilience=Resilience(
+                faults=FaultPolicy(seed=7, error_rate=1.0),
+            )
         )
         assert replay.xml == result.xml
         assert replay.report.resilience.attempts == 0
@@ -326,7 +353,10 @@ class TestDegradation:
         baseline = view.materialize("unified")
         result = view.materialize(
             "unified",
-            resilience=Resilience(retry=RetryPolicy(max_attempts=2), faults=FaultPolicy(seed=7, error_rate=0.4)),
+            resilience=Resilience(
+                retry=RetryPolicy(max_attempts=2),
+                faults=FaultPolicy(seed=7, error_rate=0.4),
+            ),
         )
         assert result.xml == baseline.xml
         assert result.report.resilience.degraded_streams == ("S1'",)
@@ -360,7 +390,10 @@ class TestDegradation:
         with pytest.raises(TransientConnectionError) as excinfo:
             view.materialize(
                 "fully-partitioned",
-                resilience=Resilience(retry=RetryPolicy(max_attempts=2), faults=faults),
+                resilience=Resilience(
+                    retry=RetryPolicy(max_attempts=2),
+                    faults=faults,
+                ),
             )
         exc = excinfo.value
         assert exc.stream_label == "S1"
@@ -370,7 +403,10 @@ class TestDegradation:
     def test_degradation_accounts_spent_attempts(self, view):
         result = view.materialize(
             "unified",
-            resilience=Resilience(retry=RetryPolicy(max_attempts=2), faults=FaultPolicy(seed=7, error_rate=0.4)),
+            resilience=Resilience(
+                retry=RetryPolicy(max_attempts=2),
+                faults=FaultPolicy(seed=7, error_rate=0.4),
+            ),
         )
         # The degraded-away coarse stream burned two attempts that must
         # appear in the plan totals even though it produced no stream.
@@ -498,7 +534,9 @@ class TestCursorClose:
         with pytest.raises(TransientConnectionError):
             view.materialize_to(
                 sink, "fully-partitioned",
-                resilience=Resilience(faults=FaultPolicy(seed=0, fail_streams={"S1.4": None})),
+                resilience=Resilience(
+                    faults=FaultPolicy(seed=0, fail_streams={"S1.4": None}),
+                ),
             )
 
 
@@ -513,7 +551,10 @@ class TestSweepFaults:
             q1_tree, tiny_db.schema, connection,
             partitions=[fully_partitioned(q1_tree)],
             cache=False,
-            resilience=Resilience(retry=RetryPolicy(max_attempts=2), faults=FaultPolicy(seed=0, fail_streams={"S1": None})),
+            resilience=Resilience(
+                retry=RetryPolicy(max_attempts=2),
+                faults=FaultPolicy(seed=0, fail_streams={"S1": None}),
+            ),
         )
         assert len(result.failed()) == 1
         timing = result.failed()[0]
@@ -525,7 +566,10 @@ class TestSweepFaults:
         from repro.core.partition import unified_partition
 
         connection = Connection(tiny_db, CostModel())
-        opts = ExecutionOptions(resilience=Resilience(faults=FaultPolicy(seed=7, error_rate=0.4), retry=RetryPolicy(max_attempts=6)))
+        opts = ExecutionOptions(resilience=Resilience(
+            faults=FaultPolicy(seed=7, error_rate=0.4),
+            retry=RetryPolicy(max_attempts=6),
+        ))
         result = sweep_partitions(
             q1_tree, tiny_db.schema, connection,
             partitions=[unified_partition(q1_tree)],

@@ -692,7 +692,9 @@ class TestMetricsReconciliation:
             "fully-partitioned",
             options=ExecutionOptions(
                 obs=obs,
-                resilience=Resilience(faults=FaultPolicy(seed=1, error_rate=1.0)),
+                resilience=Resilience(
+                    faults=FaultPolicy(seed=1, error_rate=1.0),
+                ),
             ),
         )
         assert shielded.xml == warm.xml
