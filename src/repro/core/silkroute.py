@@ -697,6 +697,8 @@ class XmlView:
                         self.tree, specs, cursors, root_tag=root_tag,
                         writer=XmlWriter(sink=sink, indent=indent),
                         obs=opts.obs, layout=self.definition.layout,
+                        compact=self.definition.layout.compact_keys(
+                            specs, connection.database),
                     )
             except Exception as exc:
                 if isinstance(exc, TimeoutExceeded):
@@ -749,9 +751,10 @@ class XmlView:
         generation in its key.
         """
         doc_key = spliced = None
+        layout = self.definition.layout
+        database = self.silkroute.connection.database
         if self.silkroute.cache is not None and not degraded:
             query_engine = self.silkroute.connection.engine
-            database = query_engine.database
             view_tables = frozenset().union(
                 *(query_engine.tables_for(spec.plan) for spec in specs)
             )
@@ -761,16 +764,19 @@ class XmlView:
                 root_span.set(document_cached=True)
                 return document
             self.document_cache.discard_stale(database, at=2)
-            decoders = tuple(self.definition.layout.decoder(spec) for spec in specs)
+        compact = layout.compact_keys(specs, database)
+        if doc_key is not None:
+            decoders = tuple(layout.decoder(spec) for spec in specs)
             key = (root_tag, indent, decoders)
             spliced = splice_streams(
-                self.definition.layout, specs, streams, decoders, root_tag, indent,
+                layout, specs, streams, decoders, root_tag, indent,
                 previous=self.instance_cache.peek(key), obs=opts.obs,
+                compact=compact,
             )
         if spliced is None:
             document = tag_streams(
                 self.tree, specs, streams, root_tag=root_tag, indent=indent,
-                obs=opts.obs, layout=self.definition.layout,
+                obs=opts.obs, layout=layout, compact=compact,
             )
         else:
             xml, tagger, tagging, reused = spliced

@@ -48,6 +48,7 @@ from repro.relational.algebra import (
     count_operators,
 )
 from repro.obs.tracer import NULL_SPAN, NULL_TRACER
+from repro.relational.pipeline import column_facts
 from repro.relational.sqltext import render_sql, render_sql_with
 from repro.relational.types import SqlType
 from repro.core.partition import partition_subtrees
@@ -94,6 +95,11 @@ class StreamSpec:
     @cached_property
     def column_names(self):
         return tuple(c.name for c in self.plan.columns())
+
+    @cached_property
+    def column_facts(self):
+        """The plan's :func:`~repro.relational.pipeline.column_facts`."""
+        return column_facts(self.plan)
 
     def uses_outer_join(self):
         return count_operators(self.plan, LeftOuterJoin) > 0

@@ -8,7 +8,9 @@ module writes Python source into a
 
 * a **decoder** (:func:`decoder_kernel`): per row, the memo check on each
   member's term positions and, where an instance must wait, the keyed
-  deferral; it yields ``(key, node id, term)`` items in document order;
+  deferral; it yields ``(key, node id, term)`` items in document order,
+  keyed flat or, for a merge the layout allows it, compactly
+  (:class:`~repro.xmlgen.streams.ComparatorLayout`);
 * a **tag step** (:func:`tag_kernel`): consumes merged items and writes
   markup, with open and close markup pre-rendered per (node, depth) and
   the character data formatted by the column's SQL type;
@@ -455,12 +457,18 @@ class StreamShape:
                  for stv in self.members[index].args]
         return "(" + "".join(p + ", " for p in parts) + ")"
 
-    def key(self, index, src, var="r"):
-        """The flat comparator key expression of member ``index``."""
+    def key(self, index, src, var="r", compact=False):
+        """The comparator key expression of member ``index``: flat, or
+        ``compact`` — the template's pairs without tags and NULL pairs."""
         width, null_tag = self.width, self.null_tag
         names = {self.width + i: c for i, c in enumerate(self.key_columns)}
+        template = self.templates[index]
+        if compact:
+            template = [value for tag, value in zip(template[::2],
+                                                    template[1::2])
+                        if tag != null_tag]
         parts = []
-        for slot in self.templates[index]:
+        for slot in template:
             if slot < width:
                 parts.append(f"{var}[{slot}]")
             elif slot < null_tag:
@@ -521,9 +529,9 @@ def _resolve(paths, terminal, row, label, end):
     return number
 
 
-def _stream_source(stream, form, tagging=None, step=None):
-    """The decoder (``form`` "decode") or the single-stream kernel
-    ("write") of ``stream``; one generator emits both.
+def _stream_source(stream, form, tagging=None, step=None, compact=False):
+    """The decoder (``form`` "decode", keyed ``compact`` or flat) or the
+    single-stream kernel ("write") of ``stream``; one generator emits both.
 
     Per row both find the path from the ``L`` tags and run the memo
     check of each member.  The decoder yields a fresh member at once
@@ -573,6 +581,9 @@ def _stream_source(stream, form, tagging=None, step=None):
     add(2, "if p is None:")
     add(3, f"p = {resolve}")
 
+    def key(index):
+        return stream.key(index, src, compact=compact)
+
     def fresh_check(at, index, then):
         add(at, f"t = {stream.term(index)}")
         add(at, f"if t != M{node_of[index]}:")
@@ -580,7 +591,7 @@ def _stream_source(stream, form, tagging=None, step=None):
         then(at + 1, index)
 
     def emit_now(at, index):
-        add(at, f"yield ({stream.key(index, src)}, {node_of[index]}, t)")
+        add(at, f"yield ({key(index)}, {node_of[index]}, t)")
 
     def write_now(at, index):
         add(at, f"t = {stream.term(index)}")
@@ -595,8 +606,7 @@ def _stream_source(stream, form, tagging=None, step=None):
                 f"marks, ({names}))")
 
     def keyed(at, index, into):
-        add(at, f"{into}.append(({stream.key(index, src)}, "
-                f"{node_of[index]}, t))")
+        add(at, f"{into}.append(({key(index)}, {node_of[index]}, t))")
 
     for number, (terminal, rep, early, late, look) in enumerate(
             stream.paths):
@@ -629,7 +639,7 @@ def _stream_source(stream, form, tagging=None, step=None):
         if late is None:
             add(3, f"if {src.const(len, 'LEN')}(fresh) > 1:")
             add(4, f"fresh.sort(key={k0})")
-            add(3, f"h = {stream.key(rep, src)}")
+            add(3, f"h = {key(rep)}")
             add(3, "late = ()")
             add(3, "if pending or (fresh and fresh[-1][0] > h):")
             add(4, f"x = {bisect}(fresh, h, key={k0})")
@@ -640,7 +650,7 @@ def _stream_source(stream, form, tagging=None, step=None):
             for index in late:
                 fresh_check(3, index, lambda at, i: keyed(at, i, "late"))
             add(3, "if pending:")
-            add(4, f"h = {stream.key(rep, src)}")
+            add(4, f"h = {key(rep)}")
         add(3, "if pending:")
         add(4, f"x = {bisect}(pending, h, key={k0})")
         add(4, "if x:")
@@ -685,11 +695,12 @@ def stream_key(spec):
     )
 
 
-def decoder_kernel(shape, spec, key):
+def decoder_kernel(shape, spec, key, compact=False):
     """``decode(rows, label)``: the generator of ``spec``'s stream shape's
-    ``(key, node id, term)`` items, in document order."""
-    return compiled(("xmlgen", shape.key, key, "decode"),
-                    lambda: _stream_source(StreamShape(shape, spec), "decode"))
+    ``(key, node id, term)`` items (keys ``compact`` or flat), in order."""
+    return compiled(("xmlgen", shape.key, key, "decode", compact),
+                    lambda: _stream_source(StreamShape(shape, spec), "decode",
+                                           compact=compact))
 
 
 def stream_kernel(shape, spec, key, indent, rooted):

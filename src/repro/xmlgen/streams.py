@@ -17,7 +17,10 @@ NULLs sort first, which places every parent instance before its children.
 
 import heapq
 from bisect import bisect_right
+from collections.abc import Sized
+from itertools import chain
 from operator import attrgetter, itemgetter
+from types import NoneType
 
 from repro.common.errors import PlanError
 from repro.common.ordering import flat_key
@@ -61,7 +64,10 @@ class ComparatorLayout:
 
     An instance key is a flat tuple ``(tag, value, tag, value, ...)`` with
     one pair per layout entry (:func:`repro.common.ordering.flat_key`):
-    NULLs first, compared entirely in C.  The layout also owns the
+    NULLs first, compared entirely in C.  Where :meth:`compact_keys`
+    allows, a multi-stream run keys its items *compactly*: the ``L``
+    ordinals and key values of the instance's chain, in layout order,
+    with no tag and no NULL pair.  The layout also owns the
     :class:`StreamDecoder` of every stream shape decoded against it, kept
     by whoever keeps the layout (a view's
     :class:`~repro.core.silkroute.ViewDefinition`, for the process).
@@ -81,6 +87,44 @@ class ComparatorLayout:
         #: The tree numbered for the generated kernels.
         self.shape = TreeShape(tree, self.entries)
         self._decoders = BoundedCache("decoders", max_entries=256)
+        self._key_names = {stv.name for kind, stv in self.entries
+                           if kind == "stv"}
+
+        def carried(node, level):
+            return [stv for stv in node.args
+                    if stv.level == level and stv.name in self._key_names]
+        #: Every node carries at each level the key variables its ancestor
+        #: there carries (a user Skolem function can break it).
+        self.aligned = all(
+            carried(node, level) == carried(tree.node(node.index[:level]),
+                                            level)
+            for node in tree.nodes for level in range(1, node.level))
+
+    def compact_keys(self, specs, database):
+        """Whether a run of ``specs``' streams over ``database`` orders
+        alike on compact keys (None for one stream: nothing is merged).
+        It does on an :attr:`aligned` tree when every key column holds
+        one type, the same in every stream, and no NULL: two keys then
+        first differ where both hold an ``L`` ordinal or a value of one
+        column, or one is a prefix of the other.  The types are the
+        plan's and the tables' facts, as the root sort reads them; a NULL
+        the plan pads with is off the path of every member carrying it."""
+        if len(specs) < 2:
+            return None
+        if not self.aligned:
+            return False
+        table = database.table
+        kinds = {}
+        for spec in specs:
+            for name, (types, sources, _) in zip(spec.column_names,
+                                                 spec.column_facts):
+                if name in self._key_names:
+                    found = kinds.setdefault(name, set())
+                    found.update(t for t in types if t is not NoneType)
+                    found.update(*[table(source).value_types(column)
+                                   for source, column in sources])
+        return all(len(found) <= 1 and NoneType not in found
+                   for found in kinds.values())
 
     def instance_key(self, node, values):
         """The key of ``node``'s instance with Skolem arguments ``values``
@@ -171,23 +215,28 @@ class StreamDecoder:
             itemgetter(*[positions[name] for name in root_keys])
             if sound else None
         )
+        #: Whether the items ascend: on an aligned tree a member's key is
+        #: its row's sort key cut after the member's level.
+        self.ordered = layout.aligned
         #: Row positions of the columns whose equal values may still
         #: print differently (``2 == 2.0``, ``0.0 == -0.0``).
         self.inexact = tuple(
             i for i, column in enumerate(spec.plan.columns())
             if column.sql_type not in _EXACT
         )
-        self._decode = None
+        self._decode = {}
         self._writers = {}
 
-    def items(self, rows, label):
+    def items(self, rows, label, compact=False):
         """The ``(key, node id, term)`` items of ``rows``, in document
-        order; ``label`` names the stream in errors (equal shapes share
-        one decoder, whatever their specs are called)."""
-        if self._decode is None:
-            self._decode = decoder_kernel(self._tree, self._spec,
-                                          self._shape)
-        return self._decode(rows, label)
+        order, keyed ``compact`` or flat (:class:`ComparatorLayout`);
+        ``label`` names the stream in errors (equal shapes share one
+        decoder, whatever their specs are called)."""
+        decode = self._decode.get(compact)
+        if decode is None:
+            decode = self._decode[compact] = decoder_kernel(
+                self._tree, self._spec, self._shape, compact)
+        return decode(rows, label)
 
     def decode(self, rows, label):
         """Yield the :class:`Instance` sequence of ``rows``, in order."""
@@ -287,12 +336,20 @@ def merge_streams(instance_iterables):
     return heapq.merge(*sources, key=_KEY)
 
 
-def merge_items(sources):
-    """:func:`merge_streams` of generated decoders' ``(key, node id,
-    term)`` items."""
-    if len(sources) == 1:
-        return iter(sources[0])
-    return heapq.merge(*sources, key=_K0)
+def merge_run(run, compact=False):
+    """:func:`merge_streams` of a run's ``(decoder, rows, label)``
+    streams, as generated decoders' ``(key, node id, term)`` items keyed
+    ``compact`` or flat.  Held rows whose items ascend are decoded one
+    stream after another and sorted once, stably: ties go to the earlier
+    stream, as in the heap merge of sorted runs."""
+    sources = [decoder.items(rows, label, compact)
+               for decoder, rows, label in run]
+    if not all(decoder.ordered and isinstance(rows, Sized)
+               for decoder, rows, _ in run):
+        return heapq.merge(*sources, key=_K0)
+    items = list(chain.from_iterable(sources))
+    items.sort(key=_K0)
+    return items
 
 
 class XmlDocumentCache(BoundedCache):

@@ -20,11 +20,7 @@ from repro.core.viewtree import Stv
 from repro.obs import obs_parts
 from repro.xmlgen.kernel import tag_kernel
 from repro.xmlgen.serializer import FirstLine, XmlWriter, closing, opening
-from repro.xmlgen.streams import (
-    ComparatorLayout,
-    merge_items,
-    tuple_getter,
-)
+from repro.xmlgen.streams import ComparatorLayout, merge_run, tuple_getter
 
 
 class XmlTagger:
@@ -250,7 +246,7 @@ class Document:
 
 
 def tag_streams(tree, specs, streams, root_tag="view", indent=None,
-                writer=None, obs=None, layout=None):
+                writer=None, obs=None, layout=None, compact=None):
     """Decode, merge, and tag a set of executed streams.
 
     ``specs`` are the :class:`~repro.core.sqlgen.StreamSpec` objects and
@@ -272,7 +268,7 @@ def tag_streams(tree, specs, streams, root_tag="view", indent=None,
     reused; by default a fresh one is built.
 
     ``obs`` (an :class:`~repro.obs.ObsOptions` session) records the
-    integration as :func:`integrate` does.
+    integration as :func:`integrate` does, merging on ``compact`` keys.
     """
     if layout is None:
         layout = ComparatorLayout(tree)
@@ -289,42 +285,46 @@ def tag_streams(tree, specs, streams, root_tag="view", indent=None,
         written = None if None in (before, after) else after - before
         return counts.elements_written, written
 
-    integrate(obs, counts, len(specs), [run], tag)
+    integrate(obs, counts, len(specs), [run], tag, compact)
     if isinstance(getattr(writer, "sink", None), io.StringIO):
         return writer.getvalue(), counts
     return writer, counts
 
 
-def integrate(obs, counts, streams, runs, tag):
+def integrate(obs, counts, streams, runs, tag, compact=None):
     """Merge and tag ``runs`` — per run, ``(decoder, rows, label)`` of
     some of the ``streams`` streams, or a function returning them, called
     as part of decoding — by ``tag(feeds)``, which gets one
     feed per run and returns the ``(elements, characters)`` it wrote
     (characters None when the sink cannot tell).  A feed is what
     :meth:`Document.run` takes: a lone stream as it came, for its
-    single-stream kernel, else the merge of the streams' generated
-    decoders.
+    single-stream kernel, else the streams' generated decoders merged
+    (:func:`~repro.xmlgen.streams.merge_run`) on ``compact`` keys when
+    true, counted as ``merge.compact_keys`` or ``merge.flat_keys``.
 
     With ``obs`` (an :class:`~repro.obs.ObsOptions` session) on, the same
-    feeds run inside spans: ``decode`` (the runs taken apart; decoding is
-    lazy, or fused into a single-stream kernel), then ``merge`` around
-    ``tag``.  Both the ``decode`` and ``merge`` spans and counters carry
-    the instances tagged (:attr:`TagCounts.instances`); ``tag`` carries
-    what was written."""
+    feeds run inside spans: ``decode`` (the runs taken apart: held rows
+    are decoded and their items sorted here; over cursors decoding is
+    lazy, and a lone stream's is fused into its kernel), then ``merge``
+    around ``tag``.  Both the ``decode`` and ``merge`` spans and counters
+    carry the instances tagged (:attr:`TagCounts.instances`); ``tag``
+    carries what was written."""
     tracer, metrics = obs_parts(obs)
     traced = tracer.enabled or metrics.enabled
 
     def feed(run):
-        if len(run) == 1:
-            return run[0]
-        return merge_items([decoder.items(rows, label)
-                            for decoder, rows, label in run])
+        return run[0] if len(run) == 1 else merge_run(run, bool(compact))
 
     if not traced:
         tag([feed(run) for run in (runs() if callable(runs) else runs)])
         return
     with tracer.span("decode", streams=streams) as decode_span:
         feeds = [feed(run) for run in (runs() if callable(runs) else runs)]
+    # A lone stream's feed is its (decoder, rows, label).
+    merged = sum(type(one) is not tuple for one in feeds)
+    if merged:
+        metrics.inc("merge.compact_keys" if compact else "merge.flat_keys",
+                    merged)
     before = counts.instances
     with tracer.span("merge", streams=streams) as merge_span:
         with tracer.span("tag", root_tag=counts.root_tag) as tag_span:

@@ -10,26 +10,34 @@ into a sink.
 """
 
 import dataclasses
+import heapq
 import importlib.util
 import io
 import pathlib
+from itertools import chain
+from operator import itemgetter
 
 import pytest
+from conftest import TINY_SCALE
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bench.queries import QUERY_1, QUERY_2, load_view
 from repro.common.ordering import flat_key
+from repro.core.options import ExecutionOptions
 from repro.core.partition import Partition, unified_partition
 from repro.core.sqlgen import PlanStyle, SqlGenerator
+from repro.obs import ObsOptions
 from repro.relational.codegen import CODE
 from repro.relational.connection import Connection
 from repro.relational.engine import CostModel
+from repro.relational.schema import TableSchema
 from repro.session import Session
+from repro.tpch.generator import TpchGenerator
 from repro.xmlgen.kernel import StreamShape
 from repro.xmlgen.serializer import XmlWriter
 from repro.xmlgen.streams import (
     ComparatorLayout,
-    merge_items,
+    merge_run,
     merge_streams,
     reference_decode,
 )
@@ -98,6 +106,20 @@ construct
 """
 
 
+#: Parts keyed by their supplier and their price, a DECIMAL, through a
+#: Skolem function: the tree is aligned, so the price's value types alone
+#: decide whether a fully partitioned plan merges on compact keys.
+PRICE_KEYED_QUERY = """
+from Supplier $s
+construct
+  <supplier>
+    { from PartSupp $ps, Part $p
+      where $s.suppkey = $ps.suppkey and $ps.partkey = $p.partkey
+      construct <part ID=Price($s.suppkey, $p.retail)>$p.retail</part> }
+  </supplier>
+"""
+
+
 class JoinSink:
     """A sink that is not a ``StringIO``: keeps what it is given."""
 
@@ -145,8 +167,7 @@ def kernels(tree, specs, rows, indent, root_tag="view", staged=False):
     if len(run) == 1 and not staged:
         document.tag(run[0], marks)
     else:
-        document.tag(merge_items([decoder.items(stream, label)
-                                  for decoder, stream, label in run]), marks)
+        document.tag(merge_run(run), marks)
     document.close()
     counts = document.counts
     return sink.getvalue(), (counts.elements_written, counts.implicit_opens,
@@ -365,3 +386,139 @@ class TestCompiledOncePerProcess:
         layout = ComparatorLayout(tree)
         assert layout.decoder(renamed).writer(None, True) \
             is layout.decoder(spec).writer(None, True)
+
+
+class _Listed:
+    """A decoder whose items are given: the merges' inputs, as objects."""
+
+    ordered = True
+
+    def __init__(self, items):
+        self.listed = items
+
+    def items(self, rows, label, compact):
+        return iter(self.listed)
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+class TestCompactKeys:
+    """Where the layout allows compact keys, they order every pair of
+    items as the flat keys do, and a run of held rows sorted once is the
+    heap merge of its streams, item for item."""
+
+    @pytest.mark.parametrize("name", sorted(VIEWS) + ["deferred"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_compact_keys_order_as_flat_keys(self, tiny_db, tiny_conn, trees,
+                                             name, data):
+        simplify = data.draw(st.booleans(), label="simplify")
+        tree = trees[name, simplify] if name in VIEWS else load_view(
+            DEFERRED_QUERY, tiny_db.schema, simplify_args=simplify)
+        edges = [child.index for _, child in tree.edges]
+        partition = Partition(frozenset(data.draw(
+            st.sets(st.sampled_from(edges)), label="cut edges")))
+        style = data.draw(st.sampled_from(list(PlanStyle)), label="style")
+        reduce = data.draw(st.booleans(), label="reduce")
+        specs, rows = executed(tree, tiny_db, tiny_conn, partition, style,
+                               reduce)
+        layout = ComparatorLayout(tree)
+        assert layout.aligned is (name != "party_directory")
+        assert layout.compact_keys(specs, tiny_db) is (
+            None if len(specs) == 1 else layout.aligned)
+        forms = [False, True] if layout.aligned else [False]
+        items = {compact: [list(layout.decoder(spec).items(
+            stream, spec.label, compact)) for spec, stream in zip(specs, rows)]
+            for compact in forms}
+        if layout.aligned:
+            assert [[item[1:] for item in stream] for stream in items[True]] \
+                == [[item[1:] for item in stream] for stream in items[False]]
+            # One stream after another (each boundary a step back) and in
+            # document order (equal keys of two streams side by side).
+            pairs = list(zip(chain(*items[False]), chain(*items[True])))
+            for order in (pairs, sorted(pairs, key=lambda p: p[0][0])):
+                for (flat, short), (flat2, short2) in zip(order, order[1:]):
+                    assert _sign(flat[0], flat2[0]) \
+                        == _sign(short[0], short2[0])
+        # Every stream, then one of them again: equal keys in two streams.
+        again = data.draw(st.sampled_from(range(len(specs))), label="again")
+        for compact in forms:
+            sources = items[compact] + [
+                [(key, node, term) for key, node, term in
+                 items[compact][again]]]
+            streams = [*rows, rows[again]]
+            run = [(layout.decoder(spec), stream, spec.label)
+                   for spec, stream in zip([*specs, specs[again]], streams)]
+            held = merge_run(run, compact)
+            assert list(held) == list(merge_run(
+                [(decoder, iter(stream), label)
+                 for decoder, stream, label in run], compact))
+            if not layout.aligned:
+                # A <party> key leaves out the <directory> the rows sort
+                # by first: its items do not ascend, so they are not
+                # sorted, but heap-merged.
+                assert type(held) is not list
+                continue
+            assert type(held) is list
+            listed = [(_Listed(source), stream, "s")
+                      for source, stream in zip(sources, streams)]
+            assert list(map(id, merge_run(listed, compact))) == list(map(
+                id, heapq.merge(*sources, key=itemgetter(0))))
+
+
+def _priced_db(prices):
+    """The tiny database with ``Part.retail`` nullable (on the table
+    only) and its first parts priced ``prices``."""
+    db = TpchGenerator(scale=TINY_SCALE, seed=42).generate()
+    part = db.table("Part")
+    part.schema = TableSchema(
+        "Part", [dataclasses.replace(column, nullable=True)
+                 if column.name == "retail" else column
+                 for column in part.schema.columns],
+        key=part.schema.key, unique_sets=part.schema.unique_sets)
+    for row, price in zip(list(part.rows), prices):
+        db.update("Part", lambda r, key=row[0]: r["partkey"] == key,
+                  {"retail": price})
+    return db
+
+
+class TestKeyDecision:
+    """A fully partitioned export merges on compact keys only where they
+    order as the flat ones, and counts which it used; either way its
+    document is the reference pipeline's over the tuple engine's rows."""
+
+    @pytest.mark.parametrize("rxl, prices, used", [
+        (QUERY_1, (), "compact"),
+        (QUERY_2, (), "compact"),
+        (PRICE_KEYED_QUERY, (), "compact"),
+        (PRICE_KEYED_QUERY, (None,), "flat"),
+        (PRICE_KEYED_QUERY, (2, 2.5), "flat"),
+        (VIEWS["party_directory"], (), "flat"),
+    ], ids=["q1", "q2", "price", "a NULL key", "a DECIMAL key of two types",
+            "not aligned"])
+    def test_the_keys_a_run_merges_on(self, rxl, prices, used):
+        db = _priced_db(prices)
+        session = Session(Connection(db, CostModel()))
+        obs = ObsOptions()
+        xml = session.materialize(rxl, "fully-partitioned",
+                                  options=ExecutionOptions(obs=obs)).xml
+        counters = obs.metrics.snapshot()["counters"]
+        assert {name: count for name, count in counters.items()
+                if name.endswith("_keys")} == {f"merge.{used}_keys": 1}
+        view = session.view(rxl)
+        specs = view.specs(view.fully_partitioned())
+        assert len(specs) > 1
+        engine = Connection(db, CostModel(), engine="tuple")
+        rows = [engine.execute(spec.plan, compact_rows=spec.compact).rows
+                for spec in specs]
+        assert xml == reference(view.tree, specs, rows, None)[0]
+
+    def test_one_stream_counts_neither(self, tiny_db):
+        obs = ObsOptions()
+        Session(Connection(tiny_db, CostModel())).materialize(
+            QUERY_1, "unified", options=ExecutionOptions(obs=obs))
+        counters = obs.metrics.snapshot()["counters"]
+        assert not {"merge.compact_keys", "merge.flat_keys"} & set(counters)
