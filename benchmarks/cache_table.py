@@ -101,7 +101,8 @@ CACHES = {
     ),
     "document_cache": (
         "`XmlDocumentCache` on `XmlView.document_cache`",
-        "(root tag, indent, dependency key of every table the view reads)",
+        "(root tag, indent, dependency key of every table the view reads; "
+        "then the plan, where the layout is not aligned)",
         "a write to any table of the view moves the key; " + VIEW_SWEEP,
     ),
     "decoders": (

@@ -225,14 +225,6 @@ KEEP = {
             "oracle: the reference filter, tests/test_batch_engine.py::"
             "TestPipelinesDifferential",
     },
-    "repro/relational/estimator.py": {
-        "CostEstimator._estimate_filter":
-            "paper Sec. 4: greedy prices a view with a selection",
-        "CostEstimator._predicate_selectivity":
-            "paper Sec. 4: as `_estimate_filter`",
-        "CostEstimator._comparison_selectivity":
-            "paper Sec. 4: as `_estimate_filter`",
-    },
     "repro/relational/sqltext.py": {
         "render_sql_with":
             "paper Sec. 3, footnote 1: shared node queries as WITH clauses",

@@ -2,8 +2,9 @@
 
 Most of the time users don't want the entire exported document — they ask
 small questions against the XML view.  SilkRoute keeps the view *virtual*:
-an XML-QL query is composed with the RXL view definition into one (usually
-simple) SQL query over the base tables.  This example contrasts that with
+an XML-QL query is composed with the RXL view definition into a small view
+of its own, usually one simple SQL query over the base tables, materialized
+like any view.  This example contrasts that with
 materializing the whole view first.  Run::
 
     python examples/virtual_view.py
@@ -12,6 +13,7 @@ materializing the whole view first.  Run::
 from repro import Session
 from repro.bench.queries import QUERY_1
 from repro.tpch import CONFIG_A, build_configuration
+from repro.xmlql import compose, parse_xmlql
 
 IRANIAN_SALES = """
 where <supplier>
@@ -41,9 +43,14 @@ def main():
     print("=== fragment query: Iranian suppliers' sales ===")
     result = view.query(IRANIAN_SALES, root_tag="sales", indent=2)
     print(result.xml[:600], "...\n" if len(result.xml) > 600 else "")
-    print(f"{result.bindings} bindings via ONE SQL query "
-          f"({result.server_ms:.1f}ms server):\n")
-    print(result.sql)
+    report = result.report
+    print(f"{report.n_streams} stream(s), {report.query_ms:.1f}ms query + "
+          f"{report.transfer_ms:.1f}ms transfer simulated; the composed "
+          "view and its SQL:\n")
+    composed = compose(parse_xmlql(IRANIAN_SALES), view.tree)
+    print(composed, "\n")
+    print("\n".join(session.view(composed).explain(report.partition,
+                                                    reduce=True)))
 
     print("\n=== fragment query: European suppliers ===")
     result2 = view.query(CHEAP_LOOKUP, root_tag="names")
@@ -54,8 +61,8 @@ def main():
     print(
         f"materializing everything: {materialized.report.total_ms:.0f}ms "
         f"simulated for {len(materialized.xml)} characters of XML,\n"
-        f"vs {result.total_ms:.0f}ms and {result2.total_ms:.0f}ms for the "
-        "virtual fragment queries."
+        f"vs {result.report.total_ms:.0f}ms and "
+        f"{result2.report.total_ms:.0f}ms for the virtual fragment queries."
     )
 
 

@@ -22,6 +22,7 @@ the Chrome-trace file (load it in ``about:tracing`` or Perfetto).
 
 import argparse
 import sys
+from xml.etree import ElementTree
 
 import repro
 from repro.bench.queries import QUERY_1, QUERY_2, load_view
@@ -517,8 +518,10 @@ def main(argv=None, out=sys.stdout):
         view = silk.define_view(rxl)
         result = view.query(args.expression, indent=args.indent)
         print(result.xml, file=out)
-        print(f"-- {result.bindings} binding(s), one SQL query, simulated "
-              f"{result.server_ms:.0f}ms", file=out)
+        bindings = len(ElementTree.fromstring(result.xml))
+        print(f"-- {bindings} binding(s), {result.report.n_streams} "
+              f"stream(s), simulated {result.report.total_ms:.0f}ms",
+              file=out)
         return 0
 
     style = STYLES[args.style]

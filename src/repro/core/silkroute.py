@@ -63,6 +63,7 @@ from repro.xmlgen.serializer import XmlWriter
 from repro.xmlgen.splice import FragmentCache, splice_streams
 from repro.xmlgen.streams import ComparatorLayout, XmlDocumentCache
 from repro.xmlgen.tagger import tag_streams
+from repro.xmlql import compose, parse_xmlql
 
 
 #: What the paper's path streams under: no routing epoch to hold open.
@@ -243,7 +244,7 @@ class XmlView:
         #: :meth:`_tag_cached` when a result cache is installed: the last
         #: tagging per serialization and plan shape, cut into top-level
         #: groups a splice can reuse, and finished (xml, tagger)
-        #: documents (the same under every partition).
+        #: documents (per plan only where the layout is not aligned).
         self.instance_cache = FragmentCache()
         self.document_cache = XmlDocumentCache()
 
@@ -663,8 +664,8 @@ class XmlView:
                     )
                 specs = outcome.specs     # degradation may have refined them
                 xml, tagger = self._tag_cached(
-                    specs, outcome.streams, outcome.degraded, root_tag,
-                    indent, opts, root_span,
+                    partition, specs, outcome.streams, outcome.degraded,
+                    root_tag, indent, opts, root_span,
                 )
                 root_span.set(streams=len(specs), chars=len(xml))
                 return MaterializedView(xml=xml, report=report, tagger=tagger)
@@ -728,17 +729,19 @@ class XmlView:
             opts, wall_s=time.perf_counter() - start,
         )
 
-    def _tag_cached(self, specs, streams, degraded, root_tag, indent, opts,
-                    root_span):
+    def _tag_cached(self, partition, specs, streams, degraded, root_tag,
+                    indent, opts, root_span):
         """Integrate eagerly dispatched ``streams`` into ``(xml, tagger)``
         through the view's incremental-maintenance caches.
 
         With a result cache installed, the finished document is kept per
         (serialization options, dependency generations of every table the
-        view reads): every partition produces the identical document, so
-        any plan's re-materialization against unchanged generations
-        serves it outright — execution still ran live, so the report's
-        simulated timings stay per-plan faithful.  Degraded output is
+        view reads): on an aligned layout every partition produces the
+        identical document, so any plan's re-materialization against
+        unchanged generations serves it outright — execution still ran
+        live, so the report's simulated timings stay per-plan faithful.
+        On a layout that is not aligned the merge of unsorted runs decides
+        the nesting, so the plan is in the key too.  Degraded output is
         never canonical and bypasses both caches.
 
         A miss there is how the view learns of a write, so there it
@@ -759,6 +762,8 @@ class XmlView:
                 *(query_engine.tables_for(spec.plan) for spec in specs)
             )
             doc_key = (root_tag, indent, database.dependency_key(view_tables))
+            if not layout.aligned:
+                doc_key += (partition, opts.style, opts.reduce, opts.keep)
             document = self.document_cache.get(doc_key)
             if document is not None:
                 root_span.set(document_cached=True)
@@ -788,16 +793,14 @@ class XmlView:
         return document
 
     def query(self, xmlql_text, root_tag="result", indent=None):
-        """Run an XML-QL query against this view *virtually* (Sec. 7):
-        the pattern is composed with the view definition and evaluated as
-        one SQL query — the view is never materialized.  Returns an
-        :class:`repro.xmlql.executor.XmlQlResult`."""
-        from repro.xmlql.executor import execute_xmlql
-
-        return execute_xmlql(
-            xmlql_text, self.tree, self.silkroute.connection,
-            root_tag=root_tag, indent=indent,
-        )
+        """Run an XML-QL query against this view *virtually* (Sec. 7): the
+        pattern is composed with the view definition into a view of its
+        own (:func:`repro.xmlql.compose.compose`), usually one small SQL
+        query, which is materialized like any other — this view never is.
+        Returns that :class:`MaterializedView`."""
+        rxl = compose(parse_xmlql(xmlql_text), self.tree)
+        return self.silkroute.define_view(rxl).materialize(
+            root_tag=root_tag, indent=indent)
 
     def _resolve_partition(self, partition, opts, greedy_params=None):
         if partition is None:

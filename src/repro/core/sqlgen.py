@@ -437,7 +437,7 @@ class SqlGenerator:
         return path
 
 
-def rule_to_algebra(rule, schema, extra_filters=(), head=None):
+def rule_to_algebra(rule, schema):
     """Translate one datalog rule into algebra: joins of the body atoms in
     rule (scope) order, the rule's filters, and a DISTINCT projection onto
     the head.
@@ -446,10 +446,6 @@ def rule_to_algebra(rule, schema, extra_filters=(), head=None):
     extends its parent's, so the parent's join chain is a structural prefix
     of the child's and the engine's common-subexpression sharing evaluates
     it only once per combined query.
-
-    ``extra_filters`` appends additional :class:`Comparison` predicates
-    (used by XML-QL composition); ``head`` overrides the projected
-    (Stv, ref) pairs.
     """
     if not rule.atoms:
         raise PlanError("rule has an empty body")
@@ -484,11 +480,9 @@ def rule_to_algebra(rule, schema, extra_filters=(), head=None):
         else:
             literal = value.value if hasattr(value, "value") else value
             residual.append(Comparison(op, ColumnRef(ref), Literal(literal)))
-    residual.extend(extra_filters)
     if residual:
         plan = Filter(plan, And.of(residual))
-    head = rule.head if head is None else head
-    items = [ProjectItem(ColumnRef(ref), stv.name) for stv, ref in head]
+    items = [ProjectItem(ColumnRef(ref), stv.name) for stv, ref in rule.head]
     return Distinct(Project(plan, items))
 
 

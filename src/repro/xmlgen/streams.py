@@ -357,10 +357,12 @@ class XmlDocumentCache(BoundedCache):
 
     The top layer of incremental maintenance: every partition of a view
     materializes the *identical* document (the system's central
-    invariant), so the key carries no partition — only the serialization
-    options and the dependency generations of every table the view
-    reads (``XmlView._tag_cached``, which also keeps non-canonical output
-    out and retires what a write orphans).  ``max_bytes`` additionally
+    invariant) where its layout is aligned, so the key carries no
+    partition there — only the serialization options and the dependency
+    generations of every table the view reads (``XmlView._tag_cached``,
+    which adds the plan where the layout is not aligned, keeps
+    non-canonical output out and retires what a write orphans).
+    ``max_bytes`` additionally
     bounds the cache by total document size (the serving layer's budget).
     """
 

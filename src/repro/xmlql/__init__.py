@@ -12,25 +12,25 @@ RDBMS.  This package implements that mode for a practical XML-QL subset:
 
 * tree patterns with text variables ``$v`` and literal text matches,
 * ``where``-clause conditions comparing variables to literals,
-* a flat ``construct`` template instantiated once per binding tuple.
+* a ``construct`` template, whose elements may name Skolem terms
+  (``ID=S($s)``) to group.
 
 Composition (``repro.xmlql.compose``) aligns the pattern with the view
 tree by tag, conjoins the matched nodes' datalog rules (correlation comes
-from their shared body atoms), pushes the conditions down as filters, and
-produces a single relational-algebra query over the base tables.
+from their shared body atoms), adds the conditions to their ``where`` list
+and writes the result as an RXL view with the template as its construct
+clause; :meth:`repro.core.silkroute.XmlView.query` materializes that view
+through the one pipeline every view takes.
 """
 
 from repro.xmlql.ast import PatternElement, XmlQlQuery, ConstructNode
 from repro.xmlql.parser import parse_xmlql
-from repro.xmlql.compose import ComposedQuery, compose
-from repro.xmlql.executor import execute_xmlql
+from repro.xmlql.compose import compose
 
 __all__ = [
     "PatternElement",
     "XmlQlQuery",
     "ConstructNode",
     "parse_xmlql",
-    "ComposedQuery",
     "compose",
-    "execute_xmlql",
 ]

@@ -39,14 +39,18 @@ class VarCondition:
 @dataclass
 class ConstructNode:
     """One element of the construct template.  ``contents`` holds child
-    :class:`ConstructNode` instances, variable names (str, prefixed with
-    ``$`` in the source), and literal text (plain str)."""
+    :class:`ConstructNode` instances, variables (``("var", name)``; ``$name``
+    in the source), and literal text (plain str); ``skolem`` is an explicit
+    ``ID=Name($v, ...)`` as ``(name, variable names)``."""
 
     tag: str
     contents: list = field(default_factory=list)
+    skolem: tuple = None
 
     def variables(self):
-        out = []
+        """Every variable the element and its descendants use (displayed
+        or in an ``ID=`` term)."""
+        out = list(self.skolem[1]) if self.skolem else []
         for content in self.contents:
             if isinstance(content, ConstructNode):
                 out.extend(content.variables())

@@ -3,92 +3,112 @@
 The pattern tree is aligned with the view tree by tag (each pattern element
 must match exactly one view-tree node among its parent match's children);
 text variables bind to the matched nodes' displayed columns.  The composed
-relational query is the *conjunction of the matched nodes' datalog rules* —
-their shared body atoms provide the correlation, exactly as in view-tree
-reduction — with the user's conditions pushed down as filters and the head
-projected onto the bound variables.
+query is the *conjunction of the matched nodes' datalog rules* — their
+shared body atoms provide the correlation, exactly as in view-tree
+reduction — with the pattern's literal matches and the user's conditions
+added to its ``where`` list.
 
-The result is one (usually small) SQL query per user query, instead of
-materializing the whole view: the paper's Sec. 7 virtual-view scenario.
+The result is itself an RXL view, whose construct clause is the query's
+template: it runs through the same pipeline as any view (planning, SQL
+generation, tagging, caches) and reads only what the pattern touches,
+usually one small SQL query, instead of the whole view: the paper's Sec. 7
+virtual-view scenario.
+
+Every template element gets an explicit Skolem term over pattern
+variables.  The root's is every pattern variable, in pattern order (one
+root element per distinct binding, in binding order), unless the template
+names one (``<s ID=S($s)>``); a nested element's is its parent's, then the
+variables it names or, without ``ID=``, the ones used inside it.  An
+element's own displayed variables are always in its term.  So
+``<s ID=S($s)><name>$s</name><p>$p</p></s>`` writes one ``<s>`` per
+``$s``, grouping its ``<p>`` children.
 """
 
-from dataclasses import dataclass
+from decimal import Decimal
 
 from repro.common.errors import PlanError
 from repro.core.reduction import _combine_rules
-from repro.core.sqlgen import rule_to_algebra
 from repro.core.viewtree import Stv
-from repro.relational.algebra import ColumnRef, Comparison, Literal, Sort
+from repro.xmlql.ast import ConstructNode
 
 
-@dataclass
-class ComposedQuery:
-    """The relational query one XML-QL query composes to."""
-
-    plan: object            # algebra, sorted by the bound variables
-    var_columns: dict       # variable name -> output column name
-    matched_nodes: tuple    # the view-tree nodes the pattern touched
-
-    @property
-    def column_names(self):
-        return tuple(c.name for c in self.plan.columns())
-
-
-def compose(query, tree, schema):
+def compose(query, tree):
     """Compose ``query`` (an :class:`~repro.xmlql.ast.XmlQlQuery`) with the
-    view ``tree``; returns a :class:`ComposedQuery`."""
-    matches = []
-    bindings = {}     # var -> Stv
+    view ``tree``; returns the RXL text of the composed view."""
+    bindings = {}         # var -> Stv
     literal_filters = []  # (Stv, value)
+    matched = set()
+    _align(query.pattern, _match_root(query.pattern, tree), matched,
+           bindings, literal_filters)
+    rule = _combine_rules(sorted(matched, key=lambda n: n.index))
+    ref_of = dict(rule.head)
 
-    root_node = _match_root(query.pattern, tree)
-    _align(query.pattern, root_node, matches, bindings, literal_filters)
-
-    matched_nodes = tuple(
-        sorted({node for _, node in matches}, key=lambda n: n.index)
-    )
-    combined = _combine_rules(matched_nodes)
-    ref_of = {stv: ref for stv, ref in combined.head}
-
-    extra_filters = []
+    where = [f"${left} = ${right}" for left, right in rule.equalities]
+    for ref, op, value in rule.filters:
+        if isinstance(value, tuple):  # ("col", alias.field)
+            where.append(f"${ref} {op} ${value[1]}")
+        else:
+            where.append(f"${ref} {op} {_literal(value.value)}")
     for stv, value in literal_filters:
-        extra_filters.append(
-            Comparison("=", ColumnRef(ref_of[stv]), Literal(value))
-        )
+        where.append(f"${ref_of[stv]} = {_literal(value)}")
     for condition in query.conditions:
         stv = bindings.get(condition.var)
         if stv is None:
             raise PlanError(
                 f"condition on unbound variable ${condition.var}"
             )
-        extra_filters.append(
-            Comparison(
-                condition.op, ColumnRef(ref_of[stv]), Literal(condition.value)
-            )
+        where.append(
+            f"${ref_of[stv]} {condition.op} {_literal(condition.value)}"
         )
-
     for var in query.construct.variables():
         if var not in bindings:
             raise PlanError(f"construct uses unbound variable ${var}")
 
-    head = []
-    seen = set()
+    # Each bound column ranked by its variable's first place in the pattern.
+    order = {}
     for var in query.pattern.variables():
-        stv = bindings[var]
-        if stv not in seen:
-            seen.add(stv)
-            head.append((stv, ref_of[stv]))
-    if not head:
+        order.setdefault(ref_of[bindings[var]], len(order))
+    if not order:
         raise PlanError("the pattern binds no variables")
+    var_ref = {var: ref_of[stv] for var, stv in bindings.items()}
 
-    body = rule_to_algebra(
-        combined, schema, extra_filters=extra_filters, head=head
-    )
-    plan = Sort(body, [stv.name for stv, _ in head])
-    var_columns = {var: bindings[var].name for var in bindings}
-    return ComposedQuery(
-        plan=plan, var_columns=var_columns, matched_nodes=matched_nodes
-    )
+    def element(node, path=(1,), inherited=()):
+        """Template ``node`` at ``path`` as an RXL element, under a parent
+        whose Skolem term is ``inherited``."""
+        if node.skolem is not None:
+            name, named = node.skolem
+        else:
+            name = "_Q" + "_".join(map(str, path))
+            named = var_ref if path == (1,) else node.variables()
+        own = [c[1] for c in node.contents if isinstance(c, tuple)]
+        refs = set(inherited).union(var_ref[v] for v in (*named, *own))
+        term = tuple(sorted(refs, key=order.__getitem__))
+        parts = [f"<{node.tag} ID={name}("
+                 + ", ".join(f"${ref}" for ref in term) + ")>"]
+        children = 0
+        for content in node.contents:
+            if isinstance(content, ConstructNode):
+                children += 1
+                parts.append(element(content, path + (children,), term))
+            elif isinstance(content, tuple):
+                parts.append(f"${var_ref[content[1]]}")
+            else:
+                parts.append(_literal(content))
+        return " ".join(parts) + f" </{node.tag}>"
+
+    froms = ", ".join(f"{table} ${alias}" for table, alias in rule.atoms)
+    text = f"from {froms}\n"
+    if where:
+        text += "where " + "\n  and ".join(where) + "\n"
+    return text + "construct " + element(query.construct)
+
+
+def _literal(value):
+    """``value`` as an RXL literal (a number positional: the lexer reads no
+    exponent)."""
+    if isinstance(value, str):
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return format(Decimal(repr(value)), "f")
 
 
 def _match_root(pattern, tree):
@@ -105,8 +125,8 @@ def _match_root(pattern, tree):
     return candidates[0]
 
 
-def _align(pattern, node, matches, bindings, literal_filters):
-    matches.append((pattern, node))
+def _align(pattern, node, matched, bindings, literal_filters):
+    matched.add(node)
     if pattern.text_var is not None or pattern.text_literal is not None:
         stv = _content_stv(node)
         if pattern.text_var is not None:
@@ -131,7 +151,7 @@ def _align(pattern, node, matches, bindings, literal_filters):
             raise PlanError(
                 f"ambiguous child <{child_pattern.tag}> under <{node.tag}>"
             )
-        _align(child_pattern, child_nodes[0], matches, bindings,
+        _align(child_pattern, child_nodes[0], matched, bindings,
                literal_filters)
 
 

@@ -5,7 +5,8 @@ Grammar::
     query      ::= 'where' pattern { ',' condition } 'construct' element
     pattern    ::= '<' TAG '>' ( '$' VAR | STRING | pattern* ) '</' TAG '>'
     condition  ::= '$' VAR op literal          op ∈ { = != < <= > >= }
-    element    ::= '<' TAG '>' ( element | '$' VAR | STRING )* '</' TAG '>'
+    element    ::= '<' TAG [ 'ID' '=' NAME '(' [ '$' VAR { ',' '$' VAR } ] ')' ]
+                   '>' ( element | '$' VAR | STRING )* '</' TAG '>'
 
 Example::
 
@@ -132,8 +133,18 @@ class _Parser:
     def _parse_construct(self):
         self.expect("op", "<")
         tag = self.expect("ident").value
-        self.expect("op", ">")
         node = ConstructNode(tag=tag)
+        if self.accept("keyword", "ID"):
+            self.expect("op", "=")
+            name = self.expect("ident").value
+            self.expect("punct", "(")
+            args = []
+            while not self.accept("punct", ")"):
+                if args:
+                    self.expect("punct", ",")
+                args.append(self.expect("var").value)
+            node.skolem = (name, tuple(args))
+        self.expect("op", ">")
         while True:
             token = self.current
             if token.kind == "op" and token.value == "<":

@@ -704,6 +704,25 @@ class TestSpliceEqualsCold:
         assert len(view.instance_cache) == 0
         assert view.instance_cache.stats()["requests"] == 0
 
+    def test_a_plan_dependent_document_is_kept_per_plan(self):
+        """``PARTY_DIRECTORY``'s layout is not aligned, so its document
+        depends on the plan: one plan's cached document is not another's,
+        while an aligned view serves one document to every plan."""
+        db, session = splice_session()
+        view = session.view(PARTY_DIRECTORY)
+        assert not view.definition.layout.aligned
+        unified = session.materialize(PARTY_DIRECTORY, "unified")
+        served = session.materialize(PARTY_DIRECTORY, "fully-partitioned")
+        assert served.xml != unified.xml
+        assert tagged(served) == tagged(
+            cold_run(db, PARTY_DIRECTORY, "fully-partitioned"))
+        assert session.materialize(PARTY_DIRECTORY, "unified").xml == (
+            unified.xml)
+        assert view.document_cache.stats()["hits"] == 1
+        session.materialize(QUERY_1, "unified")
+        session.materialize(QUERY_1, "fully-partitioned")
+        assert session.view(QUERY_1).document_cache.stats()["hits"] == 1
+
     def test_groups_the_tagger_does_not_confirm_are_not_kept(
             self, monkeypatch):
         """The top-level elements the tagger marks must be the groups the

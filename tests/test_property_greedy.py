@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.greedy import GreedyPlanner
 from repro.core.labeling import label_view_tree
 from repro.core.partition import unified_partition
+from repro.core.silkroute import SilkRoute
 from repro.core.sqlgen import SqlGenerator
 from repro.core.viewtree import build_view_tree
 from repro.relational.estimator import CostEstimator
@@ -24,6 +25,7 @@ from repro.rxl.parser import parse_rxl
 from repro.xmlgen.tagger import tag_streams
 
 from tests.test_property_rxl import rxl_views
+from tests.test_xmlql import assert_oracle_agrees
 
 
 def _materialize(tree, db, conn, partition, reduce):
@@ -75,32 +77,25 @@ def test_greedy_family_is_valid_and_correct(tiny_db, tiny_conn, data):
 @given(data=st.data())
 def test_xmlql_on_random_views(tiny_db, tiny_conn, data):
     """Any bound variable of a random view is queryable virtually, and the
-    answers match the materialized document's text content."""
-    import re
-
-    from repro.xmlql.executor import execute_xmlql
-
+    composed view's bindings are the etree oracle's over the materialized
+    document."""
     rxl = data.draw(rxl_views())
-    tree = build_view_tree(parse_rxl(rxl), tiny_db.schema)
-    label_view_tree(tree, tiny_db.schema)
+    view = SilkRoute(tiny_conn).define_view(rxl)
 
-    # Pick a leaf text node and query for its values through its parent.
+    # Pick a leaf text node and query for its values, with its
+    # grandparent's text when drawn (a pattern that joins two scopes).
     text_nodes = [
-        n for n in tree.nodes
+        n for n in view.tree.nodes
         if n.contents and not n.children and n.parent is not None
     ]
     node = data.draw(st.sampled_from(text_nodes))
     # Tags are unique in generated views, so the pattern is unambiguous.
-    pattern = f"where <{node.tag}>$x</{node.tag}> construct <r>$x</r>"
-    result = execute_xmlql(pattern, tree, tiny_conn)
-
-    reference = _materialize(
-        tree, tiny_db, tiny_conn, unified_partition(tree), False
-    )
-    materialized = set(
-        re.findall(rf"<{node.tag}>([^<]*)</{node.tag}>", reference)
-    )
-    virtual = set(re.findall(r"<r>([^<]*)</r>", result.xml))
-    # The virtual query returns DISTINCT bindings; the document may repeat
-    # them, so compare as sets of rendered values.
-    assert virtual == {v for v in materialized if v}
+    pattern = f"<{node.tag}>$x</{node.tag}>"
+    construct = "<b><x>$x</x></b>"
+    parent, up = node.parent, node.parent.parent
+    texts = [] if up is None else [c for c in up.children if c in text_nodes]
+    if texts and data.draw(st.booleans()):
+        pattern = (f"<{up.tag}><{texts[0].tag}>$y</{texts[0].tag}>"
+                   f"<{parent.tag}>{pattern}</{parent.tag}></{up.tag}>")
+        construct = "<b><y>$y</y><x>$x</x></b>"
+    assert_oracle_agrees(view, f"where {pattern} construct {construct}")
