@@ -86,10 +86,14 @@ CACHES = {
     ),
     "estimates": (
         "`EstimateCache` on `CostEstimator.cache`, one estimator per "
-        "session",
-        "plan fingerprint",
-        "nothing: a kept estimate outlives writes (re-costing is ROADMAP "
-        "item 4); an evicted one is computed again from the live statistics",
+        "(database, cost model), shared by every session that brings none "
+        "(`CostEstimator.shared`)",
+        "(plan fingerprint, dependency key)",
+        "a write moves the dependency key of exactly the plans that read "
+        "the written table, which are estimated again from the refreshed "
+        "statistics; an entry under a dead generation is never read again "
+        "and ages out under the LRU bound (no sweep: it would cost the "
+        "re-planning after a write more than the key does)",
     ),
     "instance_cache": (
         "`FragmentCache` on `XmlView.instance_cache`: the last tagging, "

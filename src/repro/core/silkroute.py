@@ -839,7 +839,7 @@ class SilkRoute:
         self.connection = connection
         self.schema = connection.database.schema
         self.source = source
-        self.estimator = estimator or CostEstimator(
+        self.estimator = estimator or CostEstimator.shared(
             connection.database, connection.engine.cost_model
         )
         if cache is not None:

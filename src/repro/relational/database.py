@@ -91,11 +91,10 @@ class Database:
         each table's generation, sorted by name.  A mutation of any
         *other* table leaves this key — and every cache entry under it —
         valid."""
+        tables_ = self.tables
         return (
             self._token,
-            tuple(
-                (name, self.tables[name].version) for name in sorted(tables)
-            ),
+            tuple([(name, tables_[name].version) for name in sorted(tables)]),
         )
 
     def table(self, name):

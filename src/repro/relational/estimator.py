@@ -10,16 +10,21 @@ engine, with counts guessed from table statistics instead of counted —
 except that a sub-plan shared within a query is charged in full at every
 occurrence, where the engines charge it once plus ``rescan``.
 
-Estimates are cached by structural plan fingerprint; the cache also counts
-*oracle requests*, reproducing the paper's observation (Sec. 5.1) that the
-greedy algorithm issues far fewer estimate requests than the worst case
-because combined queries recur.
+Estimates are cached by structural plan fingerprint and the generations
+of the tables the plan reads; the cache also counts *oracle requests*,
+reproducing the paper's observation (Sec. 5.1) that the greedy algorithm
+issues far fewer estimate requests than the worst case because combined
+queries recur.  They recur across sessions too: every session that brings
+no estimator asks the one of its database (:meth:`CostEstimator.shared`).
 """
 
+import threading
+import weakref
 from dataclasses import dataclass
 
 from repro.common.errors import QueryError
 from repro.relational.cache import BoundedCache
+from repro.relational.dependencies import plan_tables
 from repro.relational.algebra import (
     Scan,
     Filter,
@@ -60,38 +65,68 @@ MAX_ESTIMATES = 4096
 
 
 class EstimateCache(BoundedCache):
-    """Fingerprint-keyed cache of :class:`Estimate` with a request counter,
-    the ``MAX_ESTIMATES`` last used kept.
+    """:class:`Estimate` s keyed by ``(plan fingerprint, dependency key)``,
+    the plan cache's idiom, the ``MAX_ESTIMATES`` last used kept.
 
-    ``requests`` counts cache *misses* — the calls that would actually reach
-    the RDBMS optimizer.  ``hits`` counts avoided round trips.  An evicted
-    estimate is simply computed again, so over unchanged tables plans do
-    not depend on the bound.
+    The dependency key is :meth:`Database.dependency_key
+    <repro.relational.database.Database.dependency_key>` of the tables the
+    plan reads, so an estimate is served only for the table generations
+    it was computed from.  A write moves the key of exactly the plans that
+    read the written table: those are estimated again from the refreshed
+    statistics, and every other estimate keeps serving.  An entry under a
+    dead generation is never asked for again and ages out under the LRU
+    bound; sweeping the map at each write would cost the re-planning
+    after it more than the key does.
 
-    The key names no table generation: a kept estimate outlives writes to
-    the tables under it (a recomputed one reads the live statistics).
-    Whether and when to re-cost after a write is ROADMAP item 4's
-    decision, not this cache's.
+    ``misses`` count the requests that would actually reach the RDBMS
+    optimizer, ``hits`` the avoided round trips.  An evicted estimate is
+    simply computed again, so plans do not depend on the bound.
     """
 
     def __init__(self):
         super().__init__("estimates", max_entries=MAX_ESTIMATES)
 
-    def get_or_compute(self, key, compute):
-        value = self.get(key)
-        if value is None:
-            value = compute()
-            self.store(key, value)
-        return value
+
+#: database -> {cost model: its shared CostEstimator}; weak, so a dropped
+#: database takes its estimates with it.
+_SHARED = weakref.WeakKeyDictionary()
+_SHARED_LOCK = threading.Lock()
 
 
 class CostEstimator:
-    """Estimates cardinality and evaluation cost for algebra plans."""
+    """Estimates cardinality and evaluation cost for algebra plans.
+
+    Sessions, :class:`~repro.core.silkroute.SilkRoute` and
+    ``build_configuration`` take theirs from :meth:`shared`; one built
+    directly answers only its own caller.
+    """
 
     def __init__(self, database, cost_model, cache=None):
-        self.database = database
+        self._database = weakref.ref(database)
+        #: What keeps the database alive: none for a shared estimator,
+        #: whose registry entry must not (:meth:`shared`).
+        self._owner = database
         self.cost_model = cost_model
         self.cache = cache if cache is not None else EstimateCache()
+
+    @classmethod
+    def shared(cls, database, cost_model):
+        """The one estimator of ``database`` under ``cost_model``: a fresh
+        session plans from the answers earlier ones got, as far as the
+        tables they read are unwritten since.  It refers to the database
+        weakly and lives as long as the database does; any thread may ask
+        for it and use it."""
+        with _SHARED_LOCK:
+            by_model = _SHARED.setdefault(database, {})
+            estimator = by_model.get(cost_model)
+            if estimator is None:
+                estimator = by_model[cost_model] = cls(database, cost_model)
+                estimator._owner = None
+        return estimator
+
+    @property
+    def database(self):
+        return self._database()
 
     # -- public oracle API (the two functions of the paper's Sec. 5) -------
 
@@ -114,9 +149,16 @@ class CostEstimator:
         return n_attrs * est.cardinality
 
     def estimate(self, plan):
-        return self.cache.get_or_compute(
-            plan.fingerprint(), lambda: self._estimate(plan)
-        )
+        # The key is taken before the statistics are read: a concurrent
+        # write can only leave an entry under a dead key, never a stale
+        # one under a live key.
+        database = self._database()
+        key = (plan.fingerprint(), database.dependency_key(plan_tables(plan)))
+        estimate = self.cache.get(key)
+        if estimate is None:
+            estimate = self._estimate(plan)
+            self.cache.store(key, estimate)
+        return estimate
 
     # -- estimation walk ----------------------------------------------------
 

@@ -11,7 +11,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<comment>\#[^\n]*)
-  | (?P<number>\d+(\.\d+)?)
+  | (?P<number>-?\d+(\.\d+)?)
   | (?P<string>"(?:[^"\\]|\\.)*")
   | (?P<var>\$[A-Za-z_][A-Za-z_0-9]*)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)

@@ -7,12 +7,14 @@ Grammar (see the paper's Fig. 3 for the concrete style)::
     var        ::= '$' IDENT
     cond_list  ::= cond { (',' | 'and') cond }
     cond       ::= operand op operand            op ∈ { = != < <= > >= }
-    operand    ::= var '.' IDENT | NUMBER | STRING
+    operand    ::= var '.' IDENT | NUMBER | STRING | 'DATE' STRING
     element    ::= '<' TAG [ 'ID' '=' IDENT '(' skolem_args ')' ] '>'
                        content* '</' TAG '>'
     content    ::= element | block | var '.' IDENT | STRING
     block      ::= '{' query '}'
 """
+
+import datetime
 
 from repro.common.errors import RxlSyntaxError
 from repro.rxl.ast import (
@@ -141,6 +143,15 @@ class _Parser:
         if token.kind == "string":
             self.advance()
             return LiteralValue(unescape_string(token.value))
+        if token.value == "DATE" and self.peek().kind == "string":
+            self.advance()
+            text = unescape_string(self.current.value)
+            try:
+                value = datetime.date.fromisoformat(text)
+            except ValueError:
+                self.error(f"not an ISO date: {text!r}")
+            self.advance()
+            return LiteralValue(value)
         self.error(f"expected $var.field or literal, found {token.value!r}")
 
     def _parse_var_field(self):

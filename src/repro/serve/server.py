@@ -424,7 +424,9 @@ class Server:
     def stats(self):
         """Service counters: requests/coalesced/shed/mutations/errors,
         per-tenant admission, latency percentiles, and the shared
-        session's cache stats (``plan_cache``; all of them in ``caches``)."""
+        session's cache stats (``plan_cache``; all of them in ``caches``,
+        where ``estimates`` counts for the database: its estimator is
+        shared with every other session over it)."""
         def counters(layer, *names):
             return {name: self.metrics.counter(f"{layer}.{name}")
                     for name in names}

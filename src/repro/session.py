@@ -174,6 +174,12 @@ class Session:
       ``cache``/``estimator``/``source`` must then be left at their
       defaults).
 
+    ``estimator`` defaults to the database's shared
+    :class:`~repro.relational.estimator.CostEstimator` under the
+    connection's cost model (``CostEstimator.shared``), so greedy
+    planning reuses what the oracle answered earlier sessions; one given
+    is used as it is.
+
     ``options`` (an :class:`~repro.core.options.ExecutionOptions`) sets
     session-wide defaults; each call's ``options=``/keywords override.
     ``cache=True`` (the default) installs a shared
@@ -220,28 +226,18 @@ class Session:
     def _resolve(db, cache, estimator, source):
         if isinstance(db, SilkRoute):
             return db
+        from repro.relational.connection import Connection
+
         if db is None:
             from repro.tpch.configs import CONFIG_A, build_configuration
 
-            _, connection, built_estimator = build_configuration(CONFIG_A)
-            return SilkRoute(
-                connection, estimator=estimator or built_estimator,
-                cache=cache, source=source,
-            )
-        from repro.relational.connection import Connection
-
-        if isinstance(db, Connection):
+            connection = build_configuration(CONFIG_A)[1]
+        elif isinstance(db, Connection):
             connection = db
         else:
             from repro.relational.engine import CostModel
 
             connection = Connection(db, CostModel())
-        if estimator is None:
-            from repro.relational.estimator import CostEstimator
-
-            estimator = CostEstimator(
-                connection.database, connection.engine.cost_model,
-            )
         return SilkRoute(
             connection, estimator=estimator, cache=cache, source=source,
         )

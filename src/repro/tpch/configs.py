@@ -50,8 +50,8 @@ def build_database(config):
 
 
 def build_configuration(config, database=None):
-    """Return ``(database, connection, estimator)`` ready for experiments."""
+    """Return ``(database, connection, estimator)`` ready for experiments;
+    the estimator is the database's shared one (``CostEstimator.shared``)."""
     database = database or build_database(config)
     connection = Connection(database, config.cost_model, config.transfer_model)
-    estimator = CostEstimator(database, config.cost_model)
-    return database, connection, estimator
+    return database, connection, CostEstimator.shared(database, config.cost_model)

@@ -6,7 +6,9 @@ text variables bind to the matched nodes' displayed columns.  The composed
 query is the *conjunction of the matched nodes' datalog rules* — their
 shared body atoms provide the correlation, exactly as in view-tree
 reduction — with the pattern's literal matches and the user's conditions
-added to its ``where`` list.
+added to its ``where`` list.  A literal match compares the column's typed
+value, the one whose XML text is the literal (``"7"`` is ``7`` on an
+INTEGER column); where no value is written that way, it matches nothing.
 
 The result is itself an RXL view, whose construct clause is the query's
 template: it runs through the same pipeline as any view (planning, SQL
@@ -24,11 +26,14 @@ element's own displayed variables are always in its term.  So
 ``$s``, grouping its ``<p>`` children.
 """
 
+import datetime
 from decimal import Decimal
 
 from repro.common.errors import PlanError
 from repro.core.reduction import _combine_rules
 from repro.core.viewtree import Stv
+from repro.relational.types import SqlType
+from repro.xmlgen.serializer import format_value
 from repro.xmlql.ast import ConstructNode
 
 
@@ -49,8 +54,11 @@ def compose(query, tree):
             where.append(f"${ref} {op} ${value[1]}")
         else:
             where.append(f"${ref} {op} {_literal(value.value)}")
-    for stv, value in literal_filters:
-        where.append(f"${ref_of[stv]} = {_literal(value)}")
+    for stv, text in literal_filters:
+        ref = ref_of[stv]
+        value = _typed_literal(text, stv.sql_type)
+        where.append(f"${ref} != ${ref}" if value is None
+                     else f"${ref} = {_literal(value)}")
     for condition in query.conditions:
         stv = bindings.get(condition.var)
         if stv is None:
@@ -108,7 +116,34 @@ def _literal(value):
     exponent)."""
     if isinstance(value, str):
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(value, datetime.date):
+        return f'DATE "{value.isoformat()}"'
     return format(Decimal(repr(value)), "f")
+
+
+#: How a pattern literal reads as a value of a column that is not text.
+_PARSE = {
+    SqlType.INTEGER: int,
+    SqlType.DECIMAL: float,
+    SqlType.DATE: datetime.date.fromisoformat,
+}
+
+
+def _typed_literal(text, sql_type):
+    """The value of ``sql_type`` whose character data is ``text`` — the
+    element matches exactly where its text equals the literal — or None
+    when the type writes no value that way (``"07"`` on an INTEGER
+    column, ``"7"`` on a DECIMAL one, which writes ``7.00``)."""
+    parse = _PARSE.get(sql_type)
+    if parse is None:
+        return text
+    try:
+        value = parse(text)
+    except ValueError:
+        return None
+    if sql_type.accepts(value) and format_value(value) == text:
+        return value
+    return None
 
 
 def _match_root(pattern, tree):

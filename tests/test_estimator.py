@@ -26,9 +26,16 @@ from repro.relational.engine import (
     CostModel,
     QueryEngine,
 )
-from repro.relational.estimator import CostEstimator, EstimateCache
+from repro.relational.dependencies import is_stale, plan_tables
+from repro.relational.estimator import (
+    MAX_ESTIMATES,
+    CostEstimator,
+    EstimateCache,
+)
 from repro.tpch.configs import CONFIG_A, build_configuration
-from conftest import simple_outer_join
+from repro.session import apply_delta
+from repro.tpch.generator import TpchGenerator
+from conftest import TINY_SCALE, simple_outer_join
 
 
 @pytest.fixture
@@ -166,6 +173,116 @@ class TestCaching:
         estimator.estimate(Scan(tiny_db.schema.table("Supplier"), "s"))
         assert cache.stats().misses == first
         assert cache.stats().hits == 2
+
+
+def _nodes(plan):
+    """Every operator of ``plan`` (shared sub-plans once)."""
+    seen = {}
+    stack = [plan]
+    while stack:
+        op = stack.pop()
+        if id(op) not in seen:
+            seen[id(op)] = op
+            stack.extend(op.children)
+    return list(seen.values())
+
+
+class TestGenerationKeys:
+    """An estimate is kept for the generations of the tables its plan
+    reads: a write re-estimates exactly the plans over the written table,
+    and the entries it killed are retired at the next miss."""
+
+    @pytest.fixture
+    def db(self):
+        return TpchGenerator(scale=TINY_SCALE, seed=42).generate()
+
+    @staticmethod
+    def plans(db):
+        supplier_nation = InnerJoin(
+            scan(db, "Supplier", "s"), scan(db, "Nation", "n"),
+            [("s.nationkey", "n.nationkey")],
+        )
+        parts = Filter(scan(db, "Part", "p"),
+                       Comparison(">", ColumnRef("p.partkey"), Literal(3)))
+        return [supplier_nation, parts, scan(db, "Region", "r")]
+
+    def estimate_all(self, estimator, db):
+        return {plan.fingerprint(): estimator.estimate(plan)
+                for plan in self.plans(db)}
+
+    def test_a_write_no_plan_reads_keeps_every_estimate(self, db):
+        estimator = CostEstimator(db, CostModel())
+        before = self.estimate_all(estimator, db)
+        misses = estimator.cache.stats().misses
+        apply_delta(db, "Customer", op="insert", rows=3)
+        after = self.estimate_all(estimator, db)
+        stats = estimator.cache.stats()
+        assert (stats.misses, stats.hits) == (misses, len(self.plans(db)))
+        assert stats.invalidations == 0
+        assert all(after[k] is before[k] for k in before)
+
+    def test_a_write_re_estimates_only_the_plans_that_read_it(self, db):
+        estimator = CostEstimator(db, CostModel())
+        before = self.estimate_all(estimator, db)
+        nodes = {op.fingerprint(): op
+                 for plan in self.plans(db) for op in _nodes(plan)}
+        reading = {fp for fp, op in nodes.items()
+                   if "Supplier" in plan_tables(op)}
+        assert 0 < len(reading) < len(nodes)
+        stats = estimator.cache.stats()
+        suppliers = len(db.table("Supplier"))
+        db.update("Supplier", lambda row: True, {"addr": "moved"})
+        apply_delta(db, "Supplier", op="insert", rows=1)
+        after = self.estimate_all(estimator, db)
+        now = estimator.cache.stats()
+        assert now.misses - stats.misses == len(reading)
+        assert len(estimator.cache) == len(nodes) + len(reading)
+        for fp, estimate in after.items():
+            if fp in reading:
+                assert estimate != before[fp]
+            else:
+                assert estimate is before[fp]
+        supplier_scan = scan(db, "Supplier", "s")
+        assert estimator.estimate(supplier_scan).cardinality == suppliers + 1
+        # What the write killed is never served again.
+        current = db.table_generations()
+        dead = [key for key, _ in estimator.cache.items()
+                if is_stale(key[1], db._token, current)]
+        assert len(dead) == len(reading)
+
+    def test_the_cache_stays_bounded_under_repeated_writes(self, db):
+        """Each write leaves the plans over the written tables under dead
+        keys; those are the least recently used, so the bound evicts them
+        and every live estimate keeps serving."""
+        estimator = CostEstimator(db, CostModel())
+        nodes = {op.fingerprint(): op
+                 for plan in self.plans(db) for op in _nodes(plan)}
+        moved = sum(1 for op in nodes.values()
+                    if plan_tables(op) & {"Supplier", "Part"})
+        writes = MAX_ESTIMATES // moved + 10
+        for write in range(writes):
+            db.update("Supplier", lambda row: True, {"addr": f"w{write}"})
+            db.update("Part", lambda row: True, {"brand": f"w{write}"})
+            self.estimate_all(estimator, db)
+            assert len(estimator.cache) <= MAX_ESTIMATES
+        stats = estimator.cache.stats()
+        assert stats.evictions > 0
+        assert stats.misses == len(nodes) + moved * (writes - 1)
+        misses = stats.misses
+        self.estimate_all(estimator, db)
+        assert estimator.cache.stats().misses == misses
+
+    def test_a_small_bound_changes_no_estimate(self, db):
+        """Past the bound the LRU rule holds as before: the estimates are
+        those of an unbounded cache."""
+        estimator = CostEstimator(db, CostModel())
+        roomy = CostEstimator(db, CostModel())
+        estimator.cache.max_entries = 3
+        for write in range(5):
+            db.update("Supplier", lambda row: True, {"addr": f"w{write}"})
+            assert (self.estimate_all(estimator, db)
+                    == self.estimate_all(roomy, db))
+            assert len(estimator.cache) <= 3
 
 
 class TestOrderingAgreement:

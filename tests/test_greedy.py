@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from repro.core.greedy import GreedyParameters, GreedyPlan, GreedyPlanner
+from repro.core.options import resolve_options
 from repro.core.partition import Partition
 from repro.core.sqlgen import PlanStyle
 
@@ -125,3 +126,39 @@ class TestPlanner:
             and kept & {(1, 4, 2, 1), (1, 4, 2, 2), (1, 4, 2, 3)}
         )
         assert not has_chain
+
+
+class TestPlanningAfterAWrite:
+    """A planner made after a write costs the data as it is: a new view,
+    or a new ``(style, reduce)`` variant of a planned one, in a session
+    that wrote gets the family and the component costs a fresh session
+    gets (the session's estimator keys its answers by table generation)."""
+
+    def test_equals_a_fresh_session(self):
+        from repro import Session
+        from repro.bench.queries import QUERY_1
+        from repro.relational.connection import Connection
+        from repro.relational.engine import CostModel
+        from repro.tpch.generator import TpchGenerator
+        from conftest import TINY_SCALE
+
+        db = TpchGenerator(scale=TINY_SCALE, seed=42).generate()
+        session = Session(Connection(db, CostModel()))
+        session.materialize(QUERY_1)          # costs Q1 before the write
+        session.mutate("Supplier", op="insert", rows=200)
+        fresh = Session(Connection(db, CostModel()))
+        variant = {"style": PlanStyle.OUTER_UNION, "reduce": True}
+        planned_after = [
+            (session.view(QUERY_1 + " "), {}),   # a new view
+            (session.view(QUERY_1 + " "), variant),
+            (session.view(QUERY_1), variant),    # a new variant of a view
+        ]
+        for view, options in planned_after:
+            got = view.greedy_plan(**options)
+            want = fresh.view(QUERY_1).greedy_plan(**options)
+            assert (got.mandatory, got.optional) == (
+                want.mandatory, want.optional)
+            opts = resolve_options(None, options)
+            costs = fresh.view(QUERY_1)._planner(opts)._component_cost
+            assert view._planner(opts)._component_cost == costs
+            assert len(costs) > 0

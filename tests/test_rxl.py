@@ -132,6 +132,19 @@ class TestParser:
         )
         assert query.conditions[0].right == LiteralValue(1.5)
 
+    def test_negative_and_date_literals(self):
+        import datetime
+
+        query = parse_rxl(
+            'from A $a where $a.x > -7, $a.d = DATE "1998-01-05" '
+            "construct <t>$a.x</t>"
+        )
+        assert [c.right for c in query.conditions] == [
+            LiteralValue(-7), LiteralValue(datetime.date(1998, 1, 5))]
+        with pytest.raises(RxlSyntaxError, match="ISO date"):
+            parse_rxl('from A $a where $a.d = DATE "1998-1-5" '
+                      "construct <t>$a.x</t>")
+
     def test_error_position_reported(self):
         with pytest.raises(RxlSyntaxError) as excinfo:
             parse_rxl("from A $a\nwhere construct <t>$a.x</t>")

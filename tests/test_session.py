@@ -193,3 +193,74 @@ class TestMutate:
         from repro.cli import _apply_delta
 
         assert _apply_delta is apply_delta
+
+
+class TestSharedEstimator:
+    """Sessions that bring no estimator share their database's, one per
+    cost model; one given explicitly is used as it is."""
+
+    def test_two_sessions_over_one_database_share_one(self):
+        from repro.relational.connection import Connection
+        from repro.relational.engine import CostModel
+        from repro.relational.estimator import CostEstimator
+
+        db = fresh_db()
+        model = CostModel()
+        first = Session(db)
+        second = Session(Connection(db, model))
+        estimator = first.silkroute.estimator
+        assert second.silkroute.estimator is estimator
+        assert SilkRoute(Connection(db, model)).estimator is estimator
+        assert estimator is CostEstimator.shared(db, model)
+        assert Session(fresh_db()).silkroute.estimator is not estimator
+        other = CostModel(startup_ms=model.startup_ms + 1.0)
+        assert CostEstimator.shared(db, other) is not estimator
+
+    def test_a_second_session_plans_from_the_first_ones_answers(self):
+        db = fresh_db()
+        sessions = Session(db), Session(db)
+        first = sessions[0].view(QUERY_1).greedy_plan()
+        estimates = sessions[0].silkroute.estimator.cache
+        misses = estimates.stats().misses
+        second = sessions[1].view(QUERY_1).greedy_plan()
+        assert sessions[1].silkroute.estimator.cache is estimates
+        assert (second.mandatory, second.optional) == (
+            first.mandatory, first.optional)
+        assert second.oracle_requests == first.oracle_requests > 0
+        assert estimates.stats().misses == misses
+
+    def test_an_explicit_estimator_is_kept(self, tiny_conn, tiny_estimator):
+        session = Session(tiny_conn, estimator=tiny_estimator)
+        assert session.silkroute.estimator is tiny_estimator
+        assert SilkRoute(tiny_conn, estimator=tiny_estimator).estimator \
+            is tiny_estimator
+
+    def test_a_dropped_database_takes_its_estimates_with_it(self):
+        import gc
+        import weakref
+
+        db = fresh_db()
+        session = Session(db)
+        session.materialize(QUERY_1)
+        estimates = weakref.ref(session.silkroute.estimator.cache)
+        gone = weakref.ref(db)
+        del db, session
+        gc.collect()
+        assert gone() is None and estimates() is None
+
+    def test_threads_get_the_same_estimator(self):
+        import threading
+
+        from repro.relational.engine import CostModel
+        from repro.relational.estimator import CostEstimator
+
+        db, model = fresh_db(), CostModel()
+        got = []
+        threads = [threading.Thread(
+            target=lambda: got.append(CostEstimator.shared(db, model)))
+            for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(got) == 4 and len({id(e) for e in got}) == 1

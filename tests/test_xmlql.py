@@ -254,6 +254,18 @@ class TestCompose:
         texts = [r.text for r in ElementTree.fromstring(result.xml)]
         assert texts and all(t.endswith(' x"y') for t in texts)
 
+    def test_pattern_literals_take_the_column_type(self, q1_tree):
+        def where(literal):
+            return compose(parse_xmlql(
+                f'where <order><okey>"{literal}"</okey>'
+                "<customer>$c</customer></order> construct <r>$c</r>"),
+                q1_tree).split("construct")[0]
+
+        assert "$l.orderkey = 7\n" in where("7")
+        assert "$l.orderkey = -7\n" in where("-7")
+        for spelling in ("07", "7.0", "+7", " 7", "seven", "7_0"):
+            assert "$l.orderkey != $l.orderkey" in where(spelling), spelling
+
     def test_numbers_are_written_positionally(self, q1_tree, q1_view):
         every = "where <order><okey>$k</okey></order>"
         query = every + ", $k > 0.00001 construct <r>$k</r>"
@@ -494,6 +506,21 @@ class TestOracle:
     materialized view."""
 
     @pytest.mark.parametrize("qname", sorted(QUERIES))
+    @pytest.mark.parametrize("literal, found", [
+        ("7", True), ("07", False), ("7.0", False), ("+7", False),
+        ("-7", False),
+    ])
+    def test_integer_pattern_literals(self, config_a_views, qname, literal,
+                                      found):
+        """An order key matches where its text is the literal: ``"7"``
+        finds the order keyed 7 (``Customer#000023``'s), another
+        spelling of 7 finds nothing, as in the document."""
+        rows = assert_oracle_agrees(config_a_views[qname], (
+            f'where <order><okey>"{literal}"</okey><customer>$c</customer>'
+            "</order> construct <b><c>$c</c></b>"))
+        assert rows == ([("Customer#000023",)] if found else [])
+
+    @pytest.mark.parametrize("qname", sorted(QUERIES))
     @pytest.mark.parametrize("xmlql", [
         "where <supplier><name>$s</name><part><pname>$p</pname></part>"
         "</supplier> construct <b><s>$s</s><p>$p</p></b>",
@@ -527,3 +554,64 @@ class TestOracle:
         assert nested == pattern_bindings(view.materialize("unified").xml,
                                           parse_xmlql(flat + "construct <r>$s</r>"))
         assert len(groups) < len(nested)
+
+
+#: Orders with their DECIMAL price and DATE, one element each.
+ORDERS_VIEW = """
+from Orders $o
+construct
+  <order>
+    <okey>$o.orderkey</okey>
+    <price>$o.price</price>
+    <date>$o.date</date>
+    { from Customer $c
+      where $o.custkey = $c.custkey
+      construct <customer>$c.name</customer> }
+  </order>
+"""
+
+
+class TestTypedLiterals:
+    """Pattern literals on INTEGER, DECIMAL and DATE columns against the
+    etree oracle: a literal matches exactly the elements whose text it
+    is, and another spelling of the same value matches nothing."""
+
+    @pytest.fixture(scope="class")
+    def orders(self):
+        import datetime
+
+        from repro.tpch.generator import TpchGenerator
+        from conftest import TINY_SCALE
+
+        database = TpchGenerator(scale=TINY_SCALE, seed=42).generate()
+        first, second = (row[0] for row in database.table("Orders").rows[:2])
+        # Two orders at 7.00 on one day, so a literal finds more than one.
+        database.update(
+            "Orders", lambda row: row["orderkey"] in (first, second),
+            {"price": 7.0, "date": datetime.date(1998, 1, 5)},
+        )
+        return SilkRoute(Connection(database, CONFIG_A.cost_model)) \
+            .define_view(ORDERS_VIEW)
+
+    @pytest.mark.parametrize("element, literal, found", [
+        ("okey", "1", 1), ("okey", "01", 0), ("okey", "1.0", 0),
+        ("price", "7.00", 2), ("price", "7", 0), ("price", "7.0", 0),
+        ("price", "07.00", 0), ("price", "7.000", 0), ("price", "nan", 0),
+        ("date", "1998-01-05", 2), ("date", "1998-1-5", 0),
+        ("date", "19980105", 0), ("date", "1998-01-05 ", 0),
+    ])
+    def test_against_the_oracle(self, orders, element, literal, found):
+        rows = assert_oracle_agrees(orders, (
+            f'where <order><{element}>"{literal}"</{element}>'
+            "<okey>$k</okey></order> construct <b><k>$k</k></b>"))
+        assert len(rows) == found
+
+    def test_every_price_and_date_in_the_document_finds_its_orders(
+            self, orders):
+        document = ElementTree.fromstring(orders.materialize("unified").xml)
+        for element in ("price", "date"):
+            texts = sorted({order.find(element).text for order in document})
+            for text in texts[:3] + texts[-3:]:
+                assert assert_oracle_agrees(orders, (
+                    f'where <order><{element}>"{text}"</{element}>'
+                    "<okey>$k</okey></order> construct <b><k>$k</k></b>"))
