@@ -118,7 +118,6 @@ KEEP = {
     "repro/cli.py": {
         "_run_mutate": "entry `repro mutate`",
         "_run_serve": "entry `repro serve`",
-        "_run_recover": "entry `repro recover`",
         "_run_remote_query": "entry `repro query --connect`",
     },
     "repro/common/errors.py": {
@@ -173,6 +172,11 @@ KEEP = {
     "repro/obs/export.py": {
         "_jsonable":
             "safety: exports a span attribute JSON cannot encode as text",
+    },
+    "repro/obs/metrics.py": {
+        "_NullMetrics.gauge":
+            "safety: a view publishes its caches' gauges into the null "
+            "registry of an `ObsOptions(metrics=False)` session",
     },
     "repro/obs/tracer.py": {
         "Span.event": "safety: records a retry, failover or degradation",
@@ -232,13 +236,6 @@ KEEP = {
     "repro/relational/table.py": {
         "Table.delete": "entry `repro mutate --op delete`",
         "Table.plan_delete": "entry `repro mutate --op delete`",
-        "Table.apply_delete": "safety: recovery replays a logged delete",
-    },
-    "repro/relational/wal.py": {
-        "delete_op": "entry `repro mutate --op delete` (logged)",
-        "RecoveryReport.as_dict": "entry `repro recover`",
-        "WriteAheadLog._truncate_torn_tail":
-            "safety: drops a torn last record before appending",
     },
     "repro/rxl/ast.py": {
         "LiteralValue.__str__":

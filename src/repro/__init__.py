@@ -35,9 +35,6 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.relational import (
-    RecoveryReport,
-    WriteAheadLog,
-    recover,
     Backend,
     SqliteBackend,
     cross_validate,
@@ -114,9 +111,6 @@ __all__ = [
     "TransientConnectionError",
     "OverloadError",
     "WalError",
-    "RecoveryReport",
-    "WriteAheadLog",
-    "recover",
     "DtdError",
     "ValidationError",
     "FaultPolicy",

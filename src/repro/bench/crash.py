@@ -1,37 +1,38 @@
-"""The crash/chaos harness: SIGKILL a serving process, recover, compare.
+"""The crash/chaos harness: SIGKILL a serving process, restart, compare.
 
 This module is both a library (the parent-side helpers the recovery
 bench and tests drive) and a program (``python -m repro.bench.crash``,
 the child that kills itself).  The experiment:
 
 1. The parent picks a deterministic mutation plan and a **crash spec** —
-   a named WAL crash point (:data:`repro.relational.wal.CRASH_POINTS`:
-   mid-append before/after the write or the fsync, mid-checkpoint around
-   the rename and the truncation) or ``mid_response`` (the mutation
-   commits durably, then the process dies before acknowledging) — and
-   launches the child.
+   a store commit point (:data:`repro.relational.store.CRASH_POINTS`:
+   the request written but not committed, or committed but not yet
+   handed back to the database) or ``mid_response`` (the mutation
+   commits and applies, then the process dies before acknowledging) —
+   and launches the child.
 2. The child builds the tiny deterministic database, wraps it in a
    durable :class:`~repro.serve.Server` (``checkpoint_every`` small, so
-   crashes land inside checkpoints too), applies the plan one mutation
+   crashes land between checkpoints too), applies the plan one mutation
    per request id, prints ``ACK <request_id> <mutated>`` after each
    commit — and SIGKILLs itself when the crash spec fires.  No cleanup
    handlers run; the kill is as honest as a power cut.
-3. The parent :func:`~repro.relational.wal.recover`\\ s the directory and
-   compares against a **never-crashed oracle**: a fresh database with the
-   *committed prefix* of the plan applied (the WAL's dedup map says
-   exactly which requests committed — ACKs alone cannot, since
-   ``mid_response`` commits without acknowledging).  Comparison is the
-   repo's strongest equivalence: byte-identical XML and bit-identical
-   simulated timings for every workload query, evaluated on both
-   engines (a session built on the reference interpreter and one on the
-   batch kernels) and, for a round that asks, checked statement by
-   statement on a real SQLite mirror of the database
+3. The parent restarts a server on the directory, the way a restarted
+   process would (a fresh deterministic base, then the store's state),
+   and compares it against a **never-crashed oracle**: a fresh database
+   with the *committed prefix* of the plan applied (the store's request
+   record says exactly which requests committed — ACKs alone cannot,
+   since ``mid_response`` commits without acknowledging).  Comparison is
+   the repo's strongest equivalence: byte-identical XML and bit-identical
+   simulated timings for every workload query, evaluated on both engines
+   (a session built on the reference interpreter and one on the batch
+   kernels) and, for a round that asks, checked statement by statement
+   on SQLite — the store's own file for the restarted database
    (:func:`~repro.relational.backends.cross_validate`), plus identical
    generation vectors.
-4. Exactly-once: the parent restarts a server **on the recovered state**
-   and retries *every* request id of the plan — committed ones must
-   deduplicate (served from the log's recorded results), lost ones must
-   apply — and the final state must equal the full-plan oracle.
+4. Exactly-once: the parent retries *every* request id of the plan on
+   the restarted server — committed ones must deduplicate (served from
+   the store's recorded results), lost ones must apply — and the final
+   state must equal the full-plan oracle.
 
 Everything is deterministic given the seed, so a failure reproduces.
 """
@@ -42,6 +43,7 @@ import signal
 import subprocess
 import sys
 
+from repro.relational.store import CRASH_POINTS
 from repro.tpch.generator import TpchGenerator, TpchScale
 
 #: Small enough that a soak round is fast, big enough that q1/q2 exercise
@@ -52,17 +54,9 @@ CRASH_SCALE = TpchScale(suppliers=8, parts=16, customers=10, orders=40)
 #: every delta moves bytes in the served documents.
 MUTATION_TABLES = ("Nation", "Supplier", "Customer")
 
-#: Crash specs the harness randomizes over: WAL durability boundaries
-#: plus the commit-then-die response path.
-CRASH_POINT_CHOICES = (
-    "append.before_write",
-    "append.before_fsync",
-    "append.after_fsync",
-    "checkpoint.before_rename",
-    "checkpoint.after_rename",
-    "checkpoint.after_truncate",
-    "mid_response",
-)
+#: Crash specs the harness runs: the store's commit points plus the
+#: commit-then-die response path.
+CRASH_POINT_CHOICES = (*CRASH_POINTS, "mid_response")
 
 
 def build_database(seed=42):
@@ -86,7 +80,7 @@ def mutation_plan(n_ops, seed=0):
 
 
 def apply_plan(database, plan):
-    """Apply ``plan`` directly (no server, no WAL) — the oracle path.
+    """Apply ``plan`` directly (no server, no store) — the oracle path.
     Returns the per-request mutated counts."""
     from repro.session import apply_delta
 
@@ -97,16 +91,14 @@ def apply_plan(database, plan):
     return counts
 
 
-def build_server(wal_dir, checkpoint_every=5, database=None):
-    """A durable server over the deterministic database (or a recovered
-    ``database``), exposing the workload queries."""
+def build_server(wal_dir, checkpoint_every=5):
+    """A durable server over the deterministic database, exposing the
+    workload queries; on a directory with state, the restarted one."""
     from repro.bench.queries import QUERY_1, QUERY_2
     from repro.serve import Server
 
-    if database is None:
-        database = build_database()
     return Server(
-        db=database, queries={"q1": QUERY_1, "q2": QUERY_2},
+        db=build_database(), queries={"q1": QUERY_1, "q2": QUERY_2},
         wal=wal_dir, checkpoint_every=checkpoint_every,
     )
 
@@ -123,11 +115,12 @@ def fingerprint(database, engines=("tuple", "batch"), backends=("simulated",),
     Every key is an evaluation.  Each engine gets a fresh session over a
     connection built in that mode, so nothing is a replay of another
     engine's cache entry; ``"sqlite"`` in ``backends`` additionally runs
-    the served plan's SQL on a SQLite mirror loaded from ``database`` and
-    aligns its rows with that engine's
-    (:func:`~repro.relational.backends.cross_validate`, raising
+    the served plan's SQL on SQLite — the store's file when ``database``
+    has one, else a mirror loaded from it — and aligns its rows with that
+    engine's (:func:`~repro.relational.backends.cross_validate`, raising
     :class:`~repro.common.errors.BackendMismatchError` on any divergence)
-    — which is what proves a recovered database mirrors like the oracle.
+    — which is what proves the file a restart loaded holds what the
+    engines serve.
     """
     from repro.bench.queries import QUERY_1, QUERY_2
     from repro.relational.backends import SqliteBackend, cross_validate
@@ -189,10 +182,10 @@ def diff_fingerprints(recovered, oracle):
 
 
 def _install_crash(spec):
-    """Arm the crash: for a WAL point, SIGKILL self when the point has
+    """Arm the crash: for a store point, SIGKILL self when the point has
     been crossed ``spec['after']`` times; ``mid_response`` is handled by
     the mutation loop instead."""
-    from repro.relational import wal as wal_module
+    from repro.relational import store
 
     point = spec.get("point")
     if point is None or point == "mid_response":
@@ -205,7 +198,7 @@ def _install_crash(spec):
             if remaining[0] <= 0:
                 os.kill(os.getpid(), signal.SIGKILL)
 
-    wal_module.set_crash_hook(hook)
+    store._crash_point = hook
 
 
 def child_main(argv=None):
@@ -259,15 +252,13 @@ def run_child(wal_dir, n_ops, seed=0, point=None, after=1,
 
 def run_crash_round(wal_dir, n_ops=12, seed=0, point=None, after=1,
                     checkpoint_every=5, backends=("simulated",)):
-    """One full crash → recover → compare → retry-all round.
+    """One full crash → restart → compare → retry-all round.
 
-    Returns a result dict: what was committed, the recovery report
-    numbers, and the diff lists (both empty on success) of the
-    committed-prefix comparison and the post-retry full-plan comparison.
+    Returns a result dict: what was committed, the restart's numbers, and
+    the diff lists (both empty on success) of the committed-prefix
+    comparison and the post-retry full-plan comparison.
     """
     from time import perf_counter
-
-    from repro.relational.wal import recover
 
     plan = mutation_plan(n_ops, seed=seed)
     acked, returncode = run_child(
@@ -276,21 +267,20 @@ def run_crash_round(wal_dir, n_ops=12, seed=0, point=None, after=1,
     )
     crashed = returncode != 0
 
-    # Recover the way a restarted server would: regenerate the
-    # deterministic base data, then restore the snapshot (when one was
-    # completed before the crash) and replay the log tail over it.  The
-    # WAL logs *mutations*; a crash during the very first checkpoint
-    # legitimately leaves no snapshot — recovery then keeps the
-    # regenerated base and replays nothing.
+    # Restart the way a crashed server does: the deterministic base, then
+    # the store's committed rows and generations over it.
     started = perf_counter()
-    database, report = recover(wal_dir, database=build_database())
-    recover_wall_ms = (perf_counter() - started) * 1000.0
+    server = build_server(wal_dir, checkpoint_every=checkpoint_every)
+    restart_wall_ms = (perf_counter() - started) * 1000.0
+    database = server.session.database
+    store = database.store
 
-    # The WAL, not the ACK stream, is the truth about what committed:
-    # mid_response commits without ACKing, mid-append ACKs nothing extra.
-    committed = [entry[0] for entry in plan if entry[0] in report.dedup]
+    # The store, not the ACK stream, is the truth about what committed:
+    # mid_response commits without ACKing.
+    committed = [entry[0] for entry in plan
+                 if store.request_result(entry[0]) is not None]
     assert committed[:len(acked)] == acked or set(acked) <= set(committed), (
-        f"ACKed requests missing from the recovered dedup map: "
+        f"ACKed requests missing from the store: "
         f"{sorted(set(acked) - set(committed))}"
     )
 
@@ -301,9 +291,7 @@ def run_crash_round(wal_dir, n_ops=12, seed=0, point=None, after=1,
         fingerprint(oracle, backends=backends),
     )
 
-    # Exactly-once: restart on the recovered state, retry EVERYTHING.
-    server = build_server(wal_dir, checkpoint_every=checkpoint_every,
-                          database=database)
+    # Exactly-once: retry EVERYTHING on the restarted server.
     deduped = applied = 0
     for request_id, table, op, rows, op_seed in plan:
         result = server.mutate(table, op=op, rows=rows, seed=op_seed,
@@ -318,17 +306,14 @@ def run_crash_round(wal_dir, n_ops=12, seed=0, point=None, after=1,
         fingerprint(database, backends=backends),
         fingerprint(full_oracle, backends=backends),
     )
-    server.session.wal.close()
+    server.terminate()
 
     return {
         "point": point, "after": after, "n_ops": n_ops, "seed": seed,
         "crashed": crashed, "acked": len(acked),
         "committed": len(committed),
-        "recover_wall_ms": recover_wall_ms,
-        "snapshot_rows": report.snapshot_rows,
-        "records_replayed": report.records_scanned,
-        "ops_applied": report.ops_applied,
-        "torn_bytes": report.torn_bytes,
+        "restart_wall_ms": restart_wall_ms,
+        "rows_restored": store.restored,
         "retries_deduplicated": deduped,
         "retries_applied": applied,
         "prefix_diffs": prefix_diffs,

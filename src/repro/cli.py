@@ -10,7 +10,6 @@
     python -m repro mutate --table Nation --op insert --rows 2
     python -m repro serve --port 7414                # multi-tenant service
     python -m repro serve --wal state/ --checkpoint-every 256   # durable
-    python -m repro recover state/ --query q1        # inspect + prove a WAL
     python -m repro query --connect 127.0.0.1:7414 --query q1 --indent 2
 
 All commands run against a freshly generated Configuration-A TPC-H
@@ -265,30 +264,19 @@ def build_parser():
                        default=None,
                        help="LRU byte budget for finished documents")
     serve.add_argument("--wal", default=None, metavar="PATH",
-                       help="directory for the durable write-ahead log; "
-                            "mutations are logged + fsynced before they "
-                            "apply, and a restart on the same path recovers "
-                            "the pre-crash state (tables, generations, and "
-                            "the request-dedup map) before serving")
+                       help="directory of the durable store (one SQLite "
+                            "file): every mutation commits there before it "
+                            "is acknowledged, and a restart on the same "
+                            "path loads the committed state (tables, "
+                            "generations, and the request-dedup map) "
+                            "before serving")
     serve.add_argument("--checkpoint-every", type=positive_int, default=None,
-                       help="snapshot the database and truncate the WAL "
-                            "after every N commit records (default: only "
-                            "on startup and graceful shutdown)")
+                       help="checkpoint the store's write-ahead file after "
+                            "every N commits (default: SQLite's own "
+                            "auto-checkpoint, and on graceful shutdown)")
     serve.add_argument("--drain-timeout", type=positive_float, default=30.0,
                        help="seconds SIGTERM waits for in-flight requests "
                             "before exiting (default: 30)")
-
-    recover_cmd = sub.add_parser(
-        "recover",
-        help="recover a database from a WAL directory and report what "
-             "was replayed",
-    )
-    recover_cmd.add_argument("wal", metavar="PATH",
-                             help="the WAL directory a --wal serve wrote")
-    recover_cmd.add_argument("--query", choices=sorted(_QUERIES),
-                             default=None,
-                             help="also materialize this query against the "
-                                  "recovered database (proof of life)")
 
     mutate = sub.add_parser(
         "mutate",
@@ -348,11 +336,11 @@ def build_parser():
 def _run_serve(args, out):
     """The ``serve`` command: the multi-tenant service over q1/q2.
 
-    With ``--wal`` the server is durable (recovering the directory's
-    state before it listens) and SIGTERM triggers a graceful drain:
-    in-flight requests finish, new ones are shed with the typed
-    ``draining`` overload reason, the WAL is checkpointed, and the
-    process exits cleanly.
+    With ``--wal`` the server is durable (loading the directory's store
+    before it listens) and SIGTERM triggers a graceful drain: in-flight
+    requests finish, new ones are shed with the typed ``draining``
+    overload reason, the store is checkpointed, and the process exits
+    cleanly.
     """
     import signal
     import threading
@@ -367,16 +355,10 @@ def _run_serve(args, out):
         document_cache_bytes=args.document_cache_bytes,
         wal=args.wal, checkpoint_every=args.checkpoint_every,
     )
-    if server.session.recovery is not None:
-        report = server.session.recovery
-        print(
-            f"-- recovered {report.path}: {report.snapshot_rows} snapshot "
-            f"row(s) + {report.records_scanned} log record(s) "
-            f"({report.ops_applied} op(s) applied, "
-            f"{report.torn_bytes} torn byte(s) dropped) "
-            f"in {report.wall_ms:.1f}ms",
-            file=out,
-        )
+    store = server.session.database.store
+    if store is not None and store.restored is not None:
+        print(f"-- restored {store.restored} row(s) and their generations "
+              f"from {store.file}", file=out)
 
     drainers = []
 
@@ -410,40 +392,6 @@ def _run_serve(args, out):
         server.terminate(timeout=args.drain_timeout)
     for thread in drainers:
         thread.join(args.drain_timeout + 30)
-    return 0
-
-
-def _run_recover(args, out):
-    """The ``recover`` command: rebuild a database from a WAL directory,
-    print the recovery report, and optionally prove it serves."""
-    from repro.relational.wal import recover
-    from repro.tpch.schema import tpch_schema
-
-    database, report = recover(args.wal, schema=tpch_schema())
-    print(f"recovered {report.path} in {report.wall_ms:.1f}ms:", file=out)
-    print(
-        f"  snapshot: {report.snapshot_rows} row(s); log: "
-        f"{report.records_scanned} record(s) scanned, "
-        f"{report.ops_applied} op(s) applied, "
-        f"{report.ops_skipped} already in snapshot, "
-        f"{report.torn_bytes} torn byte(s) dropped",
-        file=out,
-    )
-    for name in sorted(report.tables):
-        rows, generation = report.tables[name]
-        print(f"  {name}: {rows} row(s), generation {generation}", file=out)
-    if report.dedup:
-        print(f"  dedup map: {len(report.dedup)} committed request id(s)",
-              file=out)
-    if args.query is not None:
-        session = Session(database)
-        result = session.materialize(_QUERIES[args.query], root_tag="view")
-        print(
-            f"-- {args.query}: {len(result.xml)} character(s), simulated "
-            f"{result.report.query_ms:.0f}ms query + "
-            f"{result.report.transfer_ms:.0f}ms transfer",
-            file=out,
-        )
     return 0
 
 
@@ -498,9 +446,6 @@ def main(argv=None, out=sys.stdout):
 
     if args.command == "serve":
         return _run_serve(args, out)
-
-    if args.command == "recover":
-        return _run_recover(args, out)
 
     if args.command == "query" and args.connect:
         return _run_remote_query(args, out)

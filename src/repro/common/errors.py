@@ -177,17 +177,10 @@ class OverloadError(ExecutionError):
 
 
 class WalError(ReproError):
-    """The write-ahead log or a recovery from it failed.
-
-    Raised for conditions that cannot be tolerated silently: an unreadable
-    or checksum-corrupt snapshot, a snapshot whose catalog does not match
-    the database it is being restored into, attaching one database to two
-    logs, or nesting :meth:`~repro.relational.database.Database.transaction`
-    groups.  A *torn or partially written trailing record* is explicitly
-    **not** an error — recovery tolerates it by construction (the crash
-    interrupted an uncommitted append) and reports the dropped suffix in
-    :class:`~repro.relational.wal.RecoveryReport.torn_bytes`.
-    """
+    """The durable store refused: its file is not a SQLite store, it holds
+    another catalog than the database attaching it, the database already
+    has a store, or :meth:`~repro.relational.database.Database.
+    transaction` groups were nested."""
 
 
 class BackendMismatchError(ExecutionError):

@@ -17,9 +17,11 @@ over JDBC.  It provides:
 * a client/server connection layer with simulated transfer timing
   (:mod:`repro.relational.connection`),
 * a real SQLite target and the cross-validation of generated SQL on it
-  (:mod:`repro.relational.backends`), and
+  (:mod:`repro.relational.backends`),
 * measurement-calibrated cost estimation
-  (:mod:`repro.relational.calibrate`).
+  (:mod:`repro.relational.calibrate`), and
+* the durable store, one SQLite file a database commits its writes to
+  (:mod:`repro.relational.store`).
 """
 
 from repro.relational.types import SqlType
@@ -85,11 +87,7 @@ from repro.relational.calibrate import (
     calibrate,
     plan_agreement,
 )
-from repro.relational.wal import (
-    RecoveryReport,
-    WriteAheadLog,
-    recover,
-)
+from repro.relational.store import Store
 from repro.relational.resilience import (
     ReplicaHealth,
     ReplicaPool,
@@ -158,7 +156,5 @@ __all__ = [
     "CalibrationResult",
     "calibrate",
     "plan_agreement",
-    "RecoveryReport",
-    "WriteAheadLog",
-    "recover",
+    "Store",
 ]

@@ -12,15 +12,15 @@ the ISO-8601 string (which sorts chronologically, so ORDER BY agrees with
 the simulated engine's date ordering).  Rows coming back are converted to
 the plan's declared column types before cross-validation.
 
-The backend tracks the database's per-table generations
-(:meth:`~repro.relational.database.Database.table_generations`): a
-mutation through the database API marks the table stale and it is
-reloaded before the next execution, so the SQLite mirror follows the
-incremental-maintenance workloads without a manual refresh step.  Build
-the mirror *after* a :func:`~repro.relational.wal.recover`: a restore
-rewrites rows and pins the generation counters, which the diff cannot see.
+A database with a :class:`~repro.relational.store.Store` is in SQLite
+already: the backend reads the store's file (WAL mode lets a second
+connection read while the server commits).  Otherwise it tracks the
+per-table generations (:meth:`~repro.relational.database.Database.
+table_generations`): a write marks the table stale and it is reloaded
+before the next execution, so the mirror follows the
+incremental-maintenance workloads without a manual refresh step.
 
-Loading runs with foreign-key enforcement off (SQLite would otherwise
+A mirror loads with foreign-key enforcement off (SQLite would otherwise
 demand topological insert order); a ``PRAGMA foreign_key_check`` after
 every (re)load asserts the declared constraints actually hold — the
 in-memory database enforces them on mutation, so a violation here means
@@ -41,6 +41,7 @@ from time import perf_counter
 from repro.common.errors import BackendMismatchError
 from repro.relational.backends.base import Backend
 from repro.relational.sqltext import to_sqlite
+from repro.relational.store import TableSql, encode_dates, quote
 from repro.relational.types import SqlType
 
 _TYPE_MAP = {
@@ -52,20 +53,14 @@ _TYPE_MAP = {
 }
 
 
-def _q(name):
-    """Always-quoted identifier for DDL (DDL is ours alone, so uniform
-    quoting beats minimal quoting)."""
-    return '"%s"' % name.replace('"', '""')
-
-
 class SqliteBackend(Backend):
     """Execute generated SQL on a real SQLite database mirroring
     ``database``.
 
-    ``db_path=None`` (the default) uses a private ``:memory:`` instance;
-    a path makes the mirror an ordinary on-disk SQLite file (handy for
-    poking at it with the ``sqlite3`` shell afterwards).  Construction is
-    cheap — the connection is opened and loaded lazily on first use.
+    Without a store, ``db_path=None`` (the default) uses a private
+    ``:memory:`` mirror; a path makes it an ordinary on-disk SQLite file
+    (handy for the ``sqlite3`` shell).  Construction is cheap — the
+    connection is opened and loaded lazily on first use.
     """
 
     name = "sqlite"
@@ -84,39 +79,43 @@ class SqliteBackend(Backend):
         for column in schema.columns:
             null = "" if column.nullable else " NOT NULL"
             lines.append(
-                f"  {_q(column.name)} {_TYPE_MAP[column.sql_type]}{null}"
+                f"  {quote(column.name)} {_TYPE_MAP[column.sql_type]}{null}"
             )
         lines.append(
-            "  PRIMARY KEY (" + ", ".join(_q(k) for k in schema.key) + ")"
+            "  PRIMARY KEY (" + ", ".join(quote(k) for k in schema.key) + ")"
         )
         for unique in schema.unique_sets:
             lines.append(
-                "  UNIQUE (" + ", ".join(_q(c) for c in unique) + ")"
+                "  UNIQUE (" + ", ".join(quote(c) for c in unique) + ")"
             )
         for fk in self.database.schema.foreign_keys_from(schema.name):
             lines.append(
                 "  FOREIGN KEY ("
-                + ", ".join(_q(c) for c in fk.columns)
-                + f") REFERENCES {_q(fk.ref_table)} ("
-                + ", ".join(_q(c) for c in fk.ref_columns)
+                + ", ".join(quote(c) for c in fk.columns)
+                + f") REFERENCES {quote(fk.ref_table)} ("
+                + ", ".join(quote(c) for c in fk.ref_columns)
                 + ")"
             )
         return (
-            f"CREATE TABLE IF NOT EXISTS {_q(schema.name)} (\n"
+            f"CREATE TABLE IF NOT EXISTS {quote(schema.name)} (\n"
             + ",\n".join(lines)
             + "\n)"
         )
 
     def _ensure_fresh(self):
         """Open + load on first use; reload any table whose generation
-        moved since.  Caller holds the lock."""
+        moved since (a store's file only opens).  Caller holds the lock."""
+        store = self.database.store
         if self._conn is None:
             self._conn = sqlite3.connect(
-                self.db_path or ":memory:", check_same_thread=False,
+                store.file if store else self.db_path or ":memory:",
+                check_same_thread=False,
             )
-            for name in self.database.schema.table_names:
+            for name in [] if store else self.database.schema.table_names:
                 self._conn.execute(self._ddl(self.database.schema.table(name)))
             self._generations = {}
+        if store:
+            return
         current = self.database.table_generations()
         stale = [
             name for name, generation in current.items()
@@ -139,26 +138,10 @@ class SqliteBackend(Backend):
 
     def _reload_table(self, name):
         table = self.database.table(name)
-        schema = table.schema
-        self._conn.execute(f"DELETE FROM {_q(name)}")
-        converters = [
-            (lambda v: v.isoformat() if v is not None else None)
-            if column.sql_type is SqlType.DATE else None
-            for column in schema.columns
-        ]
-        placeholders = ", ".join("?" for _ in schema.columns)
-        insert = f"INSERT INTO {_q(name)} VALUES ({placeholders})"
-        if any(converters):
-            rows = (
-                tuple(
-                    fn(value) if fn is not None else value
-                    for fn, value in zip(converters, row)
-                )
-                for row in table.rows
-            )
-        else:
-            rows = iter(table.rows)
-        self._conn.executemany(insert, rows)
+        sql = TableSql(table.schema)
+        self._conn.execute(f"DELETE FROM {quote(name)}")
+        self._conn.executemany(
+            sql.insert, [encode_dates(row, sql.dates) for row in table.rows])
 
     # -- execution ---------------------------------------------------------
 

@@ -49,6 +49,26 @@ class TableStats:
             raise SchemaError(f"no statistics for column {name!r}") from None
 
 
+class Transaction:
+    """The recorder :meth:`Database.transaction` yields: the group's
+    physical ops, each touched table's rows before the group (for the
+    rollback), and the :attr:`result` the caller may set (recorded under
+    the transaction's ``request_id`` for exactly-once retries)."""
+
+    __slots__ = ("ops", "before", "result")
+
+    def __init__(self):
+        self.ops = []
+        self.before = {}
+        self.result = None
+
+    def record(self, table, kind, payload):
+        name = table.schema.name
+        if name not in self.before:
+            self.before[name] = list(table.rows)
+        self.ops.append((name, kind, payload))
+
+
 class Database:
     """A named collection of tables with integrity checking and statistics."""
 
@@ -61,23 +81,10 @@ class Database:
         self.tables = {name: Table(schema.table(name)) for name in schema.table_names}
         self._stats = {}  # table name -> (table version, TableStats)
         self._token = next(Database._tokens)
-        self._wal = None
+        #: The :class:`~repro.relational.store.Store` every write commits
+        #: to, or None when writes are memory-only.
+        self.store = None
         self._txn = None
-
-    @property
-    def wal(self):
-        """The attached :class:`~repro.relational.wal.WriteAheadLog`, or
-        None when mutations are memory-only."""
-        return self._wal
-
-    def attach_wal(self, wal):
-        """Bind this database to a write-ahead log: every subsequent
-        mutation is logged + fsynced before it is applied.  Use
-        :meth:`~repro.relational.wal.WriteAheadLog.attach` (which calls
-        this) so restore-on-restart happens too."""
-        if self._wal is not None:
-            raise WalError("database is already attached to a WAL")
-        self._wal = wal
 
     def table_generations(self):
         """The per-table generation map ``{table name: version}`` — the
@@ -104,24 +111,13 @@ class Database:
             raise SchemaError(f"unknown table {name!r}") from None
 
     def insert(self, table_name, *values, **named):
-        """Insert one row.  With a WAL attached the physical row is
-        logged and fsynced *before* it is applied (log-then-apply), so a
-        crash after this returns cannot lose the write."""
+        """Insert one row (validated first, so a rejected row reaches
+        neither the table nor the store); returns the row."""
         table = self.table(table_name)
-        if self._wal is None:
+        if self.store is None:
             return table.insert(*values, **named)
-        from repro.relational import wal as _wal
-
         row = table.prepare_row(values, named)
-        op = _wal.insert_op(table_name, row, table.version + 1)
-        if self._txn is not None:
-            table._append_row(row)
-            self._txn.ops.append(op)
-            return row
-        self._wal.append([op])
-        table._append_row(row)
-        self._wal.maybe_checkpoint(self)
-        return row
+        return self._write(table, "insert", [row], table._append_row, row)
 
     def update(self, table_name, where, changes):
         """Update rows of ``table_name`` matching ``where``; returns the
@@ -129,83 +125,73 @@ class Database:
         ``changes`` maps columns
         to new values (or callables over the row dict).  Order-preserving:
         updated rows keep their slots, so unaffected plans replay
-        byte-identically.  With a WAL attached the *computed* new rows
-        are logged value-by-value before the commit — replay never
-        re-runs the callables."""
+        byte-identically.  A store receives the *computed* rows, never
+        the callables."""
         table = self.table(table_name)
-        if self._wal is None:
+        if self.store is None:
             return table.update(where, changes)
-        from repro.relational import wal as _wal
-
         plan = table.plan_update(where, changes)
         if plan is None:
             return 0
-        op = _wal.update_op(table_name, plan[1], table.version + 1)
-        if self._txn is not None:
-            count = table.commit_plan(plan)
-            self._txn.ops.append(op)
-            return count
-        self._wal.append([op])
-        count = table.commit_plan(plan)
-        self._wal.maybe_checkpoint(self)
-        return count
+        return self._write(table, "update", plan[1], table.commit_plan, plan)
 
     def delete(self, table_name, where):
         """Delete rows of ``table_name`` matching ``where``; returns the
-        deleted-row count.  Surviving rows keep their relative order.
-        With a WAL attached the victims' primary keys are logged before
-        the commit."""
+        deleted-row count.  Surviving rows keep their relative order.  A
+        store receives the victims' primary keys."""
         table = self.table(table_name)
-        if self._wal is None:
+        if self.store is None:
             return table.delete(where)
-        from repro.relational import wal as _wal
-
         plan = table.plan_delete(where)
         if plan is None:
             return 0
-        op = _wal.delete_op(table_name, plan[1], table.version + 1)
-        if self._txn is not None:
-            count = table.commit_plan(plan)
-            self._txn.ops.append(op)
-            return count
-        self._wal.append([op])
-        count = table.commit_plan(plan)
-        self._wal.maybe_checkpoint(self)
-        return count
+        return self._write(table, "delete", plan[1], table.commit_plan, plan)
+
+    def _write(self, table, kind, payload, apply, argument):
+        """The one write path to the store: the physical op ``(kind,
+        payload)`` joins the open transaction, or commits as a one-op
+        transaction of its own, and ``apply(argument)`` changes the
+        table in memory."""
+        if self._txn is None:
+            with self.transaction():
+                return self._write(table, kind, payload, apply, argument)
+        self._txn.record(table, kind, payload)
+        return apply(argument)
 
     @contextmanager
     def transaction(self, request_id=None):
-        """Group several mutations into ONE durable commit record.
+        """Group several mutations into ONE commit of the store.
 
-        Inside the block mutations apply eagerly (reads see them) but
-        their physical ops are buffered; on clean exit they are appended
-        to the WAL as a single checksummed record — the group is atomic
-        on disk: a crash mid-block loses all of it, a crash after the
-        block's fsync loses none.  ``request_id`` (with the recorder's
-        ``result`` attribute) feeds the exactly-once dedup map.  Without
-        an attached WAL the block is a plain pass-through recorder.
-        Nesting raises :class:`~repro.common.errors.WalError`; an
-        exception inside the block logs nothing (in-memory effects of
-        already-applied ops remain — callers treat that as a failed
-        request and do not acknowledge it).
+        Inside the block mutations apply eagerly (reads see them) and
+        their physical ops are buffered; on clean exit the store commits
+        them, the touched tables' generations and ``request_id`` with the
+        recorder's ``result`` (the exactly-once record) as one SQLite
+        transaction.  If the block raises or the commit fails, the
+        touched tables are rolled back to where the block found them:
+        the in-memory database never keeps what the file does not.
+        Without a store the block is a plain pass-through recorder, and
+        what it applied stays.
+        Nesting raises :class:`~repro.common.errors.WalError`.
         """
-        from repro.relational.wal import WalTransaction
-
         if self._txn is not None:
             raise WalError("transaction() groups do not nest")
-        txn = WalTransaction(request_id)
-        self._txn = txn
+        txn = self._txn = Transaction()
         try:
             yield txn
+            if self.store is not None and (txn.ops or request_id is not None):
+                self.store.commit(
+                    txn.ops,
+                    {name: self.tables[name].version for name in txn.before},
+                    request_id, txn.result)
         except BaseException:
-            self._txn = None
+            # Back to the old rows under a new generation: nothing cached
+            # over the undone ones can be served again.
+            for name, rows in txn.before.items():
+                table = self.tables[name]
+                table.restore(rows, table.version + 1)
             raise
-        self._txn = None
-        if self._wal is not None and (txn.ops or request_id is not None):
-            self._wal.append(
-                txn.ops, request_id=request_id, result=txn.result
-            )
-            self._wal.maybe_checkpoint(self)
+        finally:
+            self._txn = None
 
     def check_foreign_keys(self):
         """Verify every foreign key; raise :class:`SchemaError` on the first

@@ -72,9 +72,8 @@ class Table:
 
         Performs everything :meth:`insert` would check — arity, types,
         NOT NULL, key and unique collisions against the current contents —
-        and returns the normalized row tuple, touching no table state.
-        The write-ahead log uses this to validate *before* logging, so a
-        rejected insert never reaches the durable log (log-then-apply).
+        and returns the normalized row tuple, touching no table state, so
+        a rejected insert never reaches the table or the store.
         """
         named = named or {}
         if values and named:
@@ -206,8 +205,7 @@ class Table:
         Returns ``None`` when no row matches; otherwise a plan tuple for
         :meth:`commit_plan` whose ``pairs`` element maps each matched
         row's *pre-image* primary key to its replacement row — the
-        value-based delta the write-ahead log records before the commit
-        is applied.
+        value-based delta a store commits.
         """
         pred = self._predicate(where)
         change_plan = [
@@ -254,7 +252,7 @@ class Table:
 
         Returns ``None`` when no row matches; otherwise a plan tuple for
         :meth:`commit_plan` whose ``pairs`` element holds the primary
-        keys of the victims (the delta the write-ahead log records).
+        keys of the victims (the delta a store commits).
         """
         pred = self._predicate(where)
         key_positions = self._key_positions()
@@ -278,43 +276,13 @@ class Table:
         self._commit(new_rows, key_index, unique_indexes)
         return count
 
-    # -- physical appliers (write-ahead-log replay) -------------------------
-
-    def apply_update(self, pairs):
-        """Replace rows by ``(pre-image key, new row)`` pairs, preserving
-        slots — the recovery applier for a logged update.  The pre-image
-        key identifies the slot even when the update moved key columns.
-        The new rows are type-checked as :meth:`update` checks them, and
-        nothing is committed if one fails."""
-        replacement = {tuple(key): tuple(row) for key, row in pairs}
-        for row in replacement.values():
-            self._check_types(row)
-        key_positions = self._key_positions()
-        new_rows = [
-            replacement.get(tuple(row[p] for p in key_positions), row)
-            for row in self.rows
-        ]
-        key_index, unique_indexes = self._reindexed(new_rows)
-        self._commit(new_rows, key_index, unique_indexes)
-
-    def apply_delete(self, keys):
-        """Remove the rows with the given primary keys, preserving the
-        survivors' order — the recovery applier for a logged delete."""
-        drop = {tuple(key) for key in keys}
-        key_positions = self._key_positions()
-        kept = [
-            row for row in self.rows
-            if tuple(row[p] for p in key_positions) not in drop
-        ]
-        key_index, unique_indexes = self._reindexed(kept)
-        self._commit(kept, key_index, unique_indexes)
-
     def restore(self, rows, version):
         """Physically replace the whole contents and pin the generation
-        counter — the snapshot-restore primitive of crash recovery.
-        Indexes are rebuilt (validating key/unique integrity of the
-        snapshot) and :attr:`version` is set *exactly*, so recovered
-        generation vectors match the pre-crash ones bit for bit."""
+        counter — how a restart loads a table from the store, and how a
+        failed transaction rolls one back.  Indexes are rebuilt
+        (validating key/unique integrity) and :attr:`version` is set
+        *exactly*, so a restarted database's generation vector matches
+        the committed one bit for bit."""
         rows = [tuple(row) for row in rows]
         key_index, unique_indexes = self._reindexed(rows)
         self.rows = rows

@@ -23,8 +23,8 @@ caller's decision.  Retried mutations stay **exactly-once**: when
 retries are enabled, :meth:`ServeClient.mutate` pins an idempotency key
 (a UUID ``request_id``) to the request before the first send, so a
 resend of a mutation whose response was lost deduplicates server-side
-(and, when the server runs a WAL, even across a crash + restart in the
-middle of the retry window).
+(and, when the server keeps a store, ``--wal``, even across a crash +
+restart in the middle of the retry window).
 """
 
 import socket

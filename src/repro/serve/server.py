@@ -136,9 +136,9 @@ class Server:
         self.session = session
         self.registry = TenantRegistry(default_policy)
         self.metrics = MetricsRegistry()
-        if self.session.wal is not None:
-            # The log's wal.* counters land next to the serve.* ones.
-            self.session.wal.metrics = self.metrics
+        if self.session.database.store is not None:
+            # The store's wal.* counters land next to the serve.* ones.
+            self.session.database.store.metrics = self.metrics
         self.max_frame_bytes = (max_frame_bytes if max_frame_bytes is not None
                                 else MAX_FRAME_BYTES)
         self._queries = dict(queries or {})
@@ -149,7 +149,7 @@ class Server:
         self._id_lock = threading.Lock()
         self._next_seq = 0
         #: Auto-generated request ids carry a per-process token so ids
-        #: never collide across a restart — the WAL's dedup map must see
+        #: never collide across a restart — the store's dedup map must see
         #: a *retry* as equal and a *new request* as fresh.
         self._id_token = uuid.uuid4().hex[:8]
         self._draining = False
@@ -230,17 +230,17 @@ class Server:
 
     def terminate(self, timeout=30.0):
         """Graceful SIGTERM shutdown: drain, stop the socket front end,
-        checkpoint the WAL (so the next start recovers from a snapshot,
-        not a long log replay), and close it.  Returns True when every
-        in-flight request finished inside ``timeout``."""
+        checkpoint the store (folding SQLite's write-ahead file into the
+        database file), and close it.  Returns True when every in-flight
+        request finished inside ``timeout``."""
         drained = self.drain(timeout)
         self.shutdown()
-        wal = self.session.wal
-        if wal is not None:
+        store = self.session.database.store
+        if store is not None:
             try:
-                wal.checkpoint(self.session.database)
+                store.checkpoint()
             finally:
-                wal.close()
+                store.close()
         return drained
 
     def _resolve_rxl(self, query):
@@ -393,12 +393,12 @@ class Server:
     def mutate(self, table, op="insert", rows=1, seed=0, tenant="default",
                request_id=None):
         """Apply a delta through the service: exclusive against every
-        query, logged, durable when a WAL is attached, and immediately
+        query, logged, durable when a store is attached, and immediately
         visible (dependent cache keys move with the table generation).
 
         ``request_id`` makes the mutation **exactly-once**: a repeat of
         an already-committed id (a client retry after a lost response —
-        or, with a WAL, after a server crash and restart) returns the
+        or, with a store, after a server crash and restart) returns the
         recorded result without re-applying the delta
         (:meth:`Session.mutate <repro.session.Session.mutate>` keeps the
         record) and is not appended to the execution log again."""
@@ -442,12 +442,11 @@ class Server:
             "latency_ms": snapshot["histograms"].get("serve.latency_ms"),
             "log_entries": len(self._log),
         }
-        wal = self.session.wal
-        if wal is not None:
+        store = self.session.database.store
+        if store is not None:
             stats["wal"] = {
-                **counters("wal", "appends", "fsyncs", "checkpoints",
-                           "dedup_hits"),
-                "size_bytes": wal.size_bytes(),
+                **counters("wal", "appends", "checkpoints", "dedup_hits"),
+                "size_bytes": store.size_bytes(),
             }
         cache = self.session.silkroute.cache
         if cache is not None:

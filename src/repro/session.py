@@ -188,14 +188,14 @@ class Session:
     path.  ``document_cache_bytes`` bounds each view's finished-document
     cache by total XML size (LRU).
 
-    ``wal`` makes the session durable: a directory path (or an existing
-    :class:`~repro.relational.wal.WriteAheadLog`) the database commits
-    every mutation through.  When the directory already holds state from
-    a previous run, the session *recovers it on construction* — tables,
+    ``wal`` makes the session durable: a directory path where the
+    database's :class:`~repro.relational.store.Store` (one SQLite file)
+    commits every mutation.  When the directory already holds state from
+    a previous run, the session *loads it on construction* — tables,
     generation counters, and the request-dedup map come back exactly as
-    committed, and :attr:`recovery` carries the
-    :class:`~repro.relational.wal.RecoveryReport`.  ``checkpoint_every``
-    snapshots + truncates the log after every N commit records.
+    committed (``database.store.restored`` counts the rows).
+    ``checkpoint_every`` checkpoints SQLite's write-ahead file after
+    every N commits.
     """
 
     def __init__(self, db=None, options=None, cache=True, estimator=None,
@@ -206,21 +206,15 @@ class Session:
         #: RXL text -> view; bounded, for a client may send any number.
         self._views = BoundedCache("views", max_entries=256)
         self._silkroute = self._resolve(db, cache, estimator, source)
-        #: Without a WAL, request id -> recorded mutate result: process-
+        #: Without a store, request id -> recorded mutate result: process-
         #: local and capped, enough to absorb a client's in-session
-        #: retries.  With one, the log's own (durable) map is consulted.
+        #: retries.  With one, the store's (durable) record is consulted.
         self._dedup = BoundedCache("mutation_dedup", max_entries=4096)
-        self.wal = None
-        self.recovery = None
         if wal is not None:
-            from repro.relational.wal import WriteAheadLog
+            from repro.relational.store import Store
 
-            if not isinstance(wal, WriteAheadLog):
-                wal = WriteAheadLog(wal, checkpoint_every=checkpoint_every)
-            elif checkpoint_every is not None:
-                wal.checkpoint_every = checkpoint_every
-            self.wal = wal
-            self.recovery = wal.attach(self.database)
+            Store(wal, checkpoint_every=checkpoint_every).attach(
+                self.database)
 
     @staticmethod
     def _resolve(db, cache, estimator, source):
@@ -363,13 +357,14 @@ class Session:
         ``request_id`` makes the mutation **exactly-once**: a repeat of
         an already-committed id returns the recorded result, marked
         ``stats["deduplicated"]``, without touching the database.  With a
-        :attr:`wal` attached the whole delta commits as ONE durable
-        record that carries the id, so that holds across process restarts
-        too; without one the session remembers its last 4,096 ids.
+        store the whole delta commits as ONE transaction that records the
+        id, so that holds across process restarts too; without one the
+        session remembers its last 4,096 ids.
         """
+        store = self.database.store
         if request_id is not None:
-            recorded = (self.wal.request_result(request_id)
-                        if self.wal is not None
+            recorded = (store.request_result(request_id)
+                        if store is not None
                         else self._dedup.get(request_id))
             if recorded is not None:
                 stats = self._stats()
@@ -386,7 +381,7 @@ class Session:
                 "mutated": changed, "table": table,
                 "generation": self.database.table(table).version,
             }
-        if self.wal is None and request_id is not None:
+        if store is None and request_id is not None:
             self._dedup.store(request_id, recorded)
         stats = self._stats()
         stats["generation"] = recorded["generation"]

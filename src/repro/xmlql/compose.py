@@ -9,6 +9,10 @@ reduction — with the pattern's literal matches and the user's conditions
 added to its ``where`` list.  A literal match compares the column's typed
 value, the one whose XML text is the literal (``"7"`` is ``7`` on an
 INTEGER column); where no value is written that way, it matches nothing.
+A condition's string literal is typed the same way (``$d < "1998-03-01"``
+compares dates), a number stands for itself on a numeric column, and a
+literal the column's type does not write raises
+:class:`~repro.common.errors.QueryError`.
 
 The result is itself an RXL view, whose construct clause is the query's
 template: it runs through the same pipeline as any view (planning, SQL
@@ -29,7 +33,7 @@ element's own displayed variables are always in its term.  So
 import datetime
 from decimal import Decimal
 
-from repro.common.errors import PlanError
+from repro.common.errors import PlanError, QueryError
 from repro.core.reduction import _combine_rules
 from repro.core.viewtree import Stv
 from repro.relational.types import SqlType
@@ -65,9 +69,15 @@ def compose(query, tree):
             raise PlanError(
                 f"condition on unbound variable ${condition.var}"
             )
-        where.append(
-            f"${ref_of[stv]} {condition.op} {_literal(condition.value)}"
-        )
+        value = condition.value
+        value = (_typed_literal(value, stv.sql_type) if isinstance(value, str)
+                 else value if stv.sql_type in _NUMERIC else None)
+        if value is None:
+            raise QueryError(
+                f"${condition.var} {condition.op} {condition.value!r}: no "
+                f"{stv.sql_type.value} value is written that way"
+            )
+        where.append(f"${ref_of[stv]} {condition.op} {_literal(value)}")
     for var in query.construct.variables():
         if var not in bindings:
             raise PlanError(f"construct uses unbound variable ${var}")
@@ -120,6 +130,8 @@ def _literal(value):
         return f'DATE "{value.isoformat()}"'
     return format(Decimal(repr(value)), "f")
 
+
+_NUMERIC = (SqlType.INTEGER, SqlType.DECIMAL)
 
 #: How a pattern literal reads as a value of a column that is not text.
 _PARSE = {

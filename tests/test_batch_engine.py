@@ -36,9 +36,8 @@ that composes with execution.  Tested here:
   outer joins, a shared prefix that cuts a chain, a budget that runs out
   inside a pipeline, node-cache hits at breakers, concurrent first runs);
 * **table indexes** — no write path (insert, update, delete,
-  ``apply_update``, ``apply_delete``, ``restore``, WAL recovery,
-  ``Session.mutate``) leaves a join probing an index, or a sort reading
-  value types, of the old rows;
+  ``restore``, a restart from the store, ``Session.mutate``) leaves a
+  join probing an index, or a sort reading value types, of the old rows;
 * **sort width** — sampled from columns, the row form's integer sum.
 """
 
@@ -83,10 +82,10 @@ from repro.relational.algebra import (
 )
 from repro.relational.database import Database
 from repro.relational.schema import Column, DatabaseSchema, TableSchema
+from repro.relational.store import Store
 from repro.relational.types import (
     SqlType, average_row_width,
 )
-from repro.relational.wal import WriteAheadLog, recover
 from repro.session import Session
 from repro.tpch.generator import TpchGenerator, TpchScale
 from conftest import simple_outer_join
@@ -1608,30 +1607,24 @@ class TestTableIndexes:
         db.delete("C", lambda row: row["k"] == 2)
         db.delete("A", lambda row: row["id"] == 100)
         assert self.check(db)
-        c.apply_update([((0,), (0, 1, 5))])
-        a.apply_update([((0,), (0, 0, 1, "a", None))])
-        assert not self.check(db)                     # the first NULL
-        c.apply_delete([(1,)])
-        a.apply_delete([(0,)])
-        assert self.check(db)
         c.restore(_nulls_db().table("C").rows, c.version + 1)
         a.restore(_nulls_db().table("A").rows, a.version + 1)
         assert not self.check(db)
 
     def test_recovery_drops_the_index(self, tmp_path):
         logged = _nulls_db()
-        wal = WriteAheadLog(tmp_path)
-        wal.attach(logged)
+        store = Store(tmp_path)
+        store.attach(logged)
         logged.insert("C", 100, 0, 1)
         logged.update("C", lambda row: row["id"] == 0, {"k": 2})
         logged.delete("C", lambda row: row["id"] == 3)
         logged.update("A", lambda row: row["d"] is None, {"d": 1.0})
         logged.insert("A", 100, 0, 0, "x", 2)
         logged.delete("A", lambda row: row["id"] == 100)
-        wal.close()
+        store.close()
         restarted = _nulls_db()
         assert not self.check(restarted)
-        recover(tmp_path, database=restarted)
+        Store(tmp_path).attach(restarted)
         for name in self.PLAN_TABLES:
             assert restarted.table(name).rows == logged.table(name).rows
         assert self.check(restarted)

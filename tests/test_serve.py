@@ -691,18 +691,20 @@ class TestDrain:
             server = Server(db=fresh_db(), queries=QUERIES, wal=wal_dir)
             server.mutate("Nation", op="insert", rows=2, request_id="t-1")
             gens = server.session.database.table_generations()
+            assert server.stats()["wal"]["appends"] == 1
             assert server.terminate() is True
-            # The snapshot absorbed the log: the next start recovers from
-            # it with nothing to replay.
-            assert os.path.getsize(os.path.join(wal_dir, "wal.log")) == 8
+            # The checkpoint folded SQLite's write-ahead file into the
+            # database file, and closing removed it.
+            assert not os.path.exists(
+                os.path.join(wal_dir, "store.sqlite-wal"))
             restarted = Server(db=fresh_db(), queries=QUERIES, wal=wal_dir)
-            assert restarted.session.recovery.records_scanned == 0
+            assert restarted.session.database.store.restored is not None
             assert restarted.session.database.table_generations() == gens
             # And the idempotency map survived the checkpoint.
             replay = restarted.mutate("Nation", op="insert", rows=2,
                                       request_id="t-1")
             assert replay.stats.get("deduplicated") is True
-            restarted.session.wal.close()
+            restarted.session.database.store.close()
         finally:
             shutil.rmtree(wal_dir, ignore_errors=True)
 
@@ -900,7 +902,7 @@ class TestClientRetry:
             first = client.mutate("Supplier", op="update", rows=2,
                                   request_id="x-9")
             server.shutdown()
-            server.session.wal.close()
+            server.session.database.store.close()
             # Full process-style restart: fresh base, recover from disk,
             # bind the SAME port — the client's retry rides through it.
             restarted = Server(db=fresh_db(), queries=QUERIES, wal=wal_dir)
@@ -912,7 +914,7 @@ class TestClientRetry:
             assert replay["mutated"] == first["mutated"]
             client.close()
             restarted.shutdown()
-            restarted.session.wal.close()
+            restarted.session.database.store.close()
         finally:
             shutil.rmtree(wal_dir, ignore_errors=True)
 

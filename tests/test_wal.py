@@ -1,29 +1,27 @@
-"""Durability: the write-ahead log, crash recovery, and exactly-once.
+"""Durability: the SQLite store, restarts, and exactly-once.
 
 The load-bearing contracts:
 
-* **log-then-apply** — a mutation that returns has hit the disk first; a
-  mutation that fails validation never reaches the log;
-* **bit-identical recovery** — snapshot + log-tail replay reconstructs
-  table contents, row order, AND per-table generation counters exactly,
-  so a recovered database serves byte-identical XML with identical
-  simulated timings, on both engines and against the SQLite mirror;
-* **torn tails are dropped, never fatal** — truncating or corrupting the
-  log at *every byte boundary* of the final record loses only that
-  uncommitted suffix (the fuzz tests);
-* **checkpoints are crash-safe at every step** — a crash between the
-  snapshot rename and the log truncation replays the log onto a snapshot
-  that already contains it; version stamps make that a no-op;
+* **commit, then keep** — a mutation that returns is in the store's
+  file; one that fails validation, or whose transaction raises, is in
+  neither the file nor the in-memory tables;
+* **bit-identical restarts** — loading the file reconstructs table
+  contents, row order (slot order, not key order), value types AND
+  per-table generation counters exactly, so a restarted database serves
+  byte-identical XML with identical simulated timings, on both engines
+  and on SQLite itself (the store's own file);
+* **a torn or damaged tail loses the last commit, whole** — SQLite's
+  write-ahead file cut or corrupted inside its last commit restarts at
+  the commit before it, rows, generations and request record together;
 * **exactly-once** — a request id committed before a crash deduplicates
   after the restart, returning the recorded result.
 """
 
 import datetime
-import json
 import math
 import os
 import shutil
-import struct
+import sqlite3
 import tempfile
 
 import pytest
@@ -32,20 +30,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.bench.queries import QUERY_1
 from repro.common.errors import SchemaError, WalError
 from repro.relational.connection import Connection
+from repro.relational.database import Database
 from repro.relational.engine import CostModel
-from repro.relational.wal import (
-    MAGIC,
-    RecoveryReport,
-    WriteAheadLog,
-    iter_records,
-    pack_record,
-    recover,
-)
+from repro.relational.schema import Column, DatabaseSchema, TableSchema
+from repro.relational.store import STORE_FILE, Store
+from repro.relational.types import SqlType
 from repro.session import Session, apply_delta
 from repro.tpch.generator import TpchGenerator, TpchScale
-from repro.tpch.schema import tpch_schema
 
 TINY = TpchScale(suppliers=6, parts=10, customers=8, orders=24)
+WAL_FRAME_HEADER = 24     # SQLite's write-ahead file: per-frame header
 
 
 def fresh_db(seed=42):
@@ -66,99 +60,127 @@ def wal_dir():
     shutil.rmtree(path, ignore_errors=True)
 
 
-def attach_fresh(path, seed=42, **kwargs):
-    db = fresh_db(seed)
-    wal = WriteAheadLog(path, **kwargs)
-    report = wal.attach(db)
-    return db, wal, report
+def attach_fresh(path, seed=42, database=None, **kwargs):
+    db = database if database is not None else fresh_db(seed)
+    store = Store(path, **kwargs)
+    restored = store.attach(db)
+    return db, store, restored
+
+
+def crash_image(path, into):
+    """Copy the store's files as a power cut would leave them: the
+    database file and SQLite's write-ahead file, while the store is
+    still open (closing it would fold the second into the first)."""
+    os.makedirs(into, exist_ok=True)
+    for suffix in ("", "-wal"):
+        shutil.copyfile(os.path.join(path, STORE_FILE + suffix),
+                        os.path.join(into, STORE_FILE + suffix))
+    return os.path.join(into, STORE_FILE + "-wal")
+
+
+def nation_names(path):
+    """The Nation names a restart on ``path`` serves."""
+    db, store, _ = attach_fresh(path)
+    store.close()
+    return {row[1] for row in db.table("Nation").rows}
 
 
 class TestFraming:
-    def test_record_roundtrip(self):
-        payloads = [b'{"a":1}', b'{"b":' + b"x" * 1000 + b'}']
-        blob = MAGIC + b"".join(pack_record(p) for p in payloads)
-        got = [p for p, _ in iter_records(blob, len(MAGIC))]
-        assert got == payloads
+    def test_record_roundtrip(self, wal_dir):
+        """A row comes back type for type: an int and a float DECIMAL, a
+        date, NULLs, in slot order."""
+        db, store, _ = attach_fresh(wal_dir, database=Database(SCHEMA))
+        rows = [(3, 2, datetime.date(1998, 1, 5), "b"),
+                (1, 2.5, None, None),
+                (2, None, datetime.date(1970, 1, 1), "")]
+        for row in rows:
+            db.insert("T", *row)
+        store.close()
+        restarted, store, restored = attach_fresh(
+            wal_dir, database=Database(SCHEMA))
+        assert restored == 3
+        assert repr(restarted.table("T").rows) == repr(rows)
+        store.close()
 
-    def test_reader_stops_at_crc_mismatch(self):
-        good = pack_record(b'{"a":1}')
-        bad = bytearray(pack_record(b'{"b":2}'))
-        bad[-1] ^= 0xFF
-        blob = MAGIC + good + bytes(bad) + pack_record(b'{"c":3}')
-        got = [p for p, _ in iter_records(blob, len(MAGIC))]
-        # Everything after the first corrupt record is unreachable: record
-        # boundaries cannot be trusted past a bad checksum.
-        assert got == [b'{"a":1}']
+    def test_reader_stops_at_crc_mismatch(self, wal_dir):
+        """A damaged frame in the middle of SQLite's write-ahead file
+        ends it: the commits after it are unreachable too."""
+        db, store, _ = attach_fresh(wal_dir)
+        db.insert("Nation", 80, "N0", 0)
+        size_after_first = os.path.getsize(store.file.parent
+                                           / (STORE_FILE + "-wal"))
+        db.insert("Nation", 81, "N1", 1)
+        db.insert("Nation", 82, "N2", 2)
+        image = os.path.join(wal_dir, "image")
+        wal_file = crash_image(wal_dir, image)
+        store.close()
+        with open(wal_file, "r+b") as f:
+            f.seek(size_after_first + WAL_FRAME_HEADER + 100)
+            byte = f.read(1)
+            f.seek(-1, os.SEEK_CUR)
+            f.write(bytes([byte[0] ^ 0xFF]))
+        names = nation_names(image)
+        assert "N0" in names and not {"N1", "N2"} & names
 
     def test_wrong_magic_is_an_error(self, wal_dir):
-        (os.path.join(wal_dir, "wal.log"))
-        with open(os.path.join(wal_dir, "wal.log"), "wb") as f:
-            f.write(b"NOTAWAL!" + pack_record(b"{}"))
+        with open(os.path.join(wal_dir, STORE_FILE), "wb") as f:
+            f.write(b"NOTAWAL!" * 512)
         with pytest.raises(WalError):
-            recover(wal_dir, schema=tpch_schema())
+            Store(wal_dir)
 
 
 class TestLogThenApply:
     def test_mutations_survive_restart_bit_identically(self, wal_dir):
-        db, wal, report = attach_fresh(wal_dir)
-        assert report is None  # cold start: initial checkpoint, no replay
+        db, store, restored = attach_fresh(wal_dir)
+        assert restored is None  # cold start: the rows written, not read
         db.insert("Nation", 99, "Zigzag", 0)
         db.update("Nation", lambda row: row["nationkey"] == 99, {"name": "Zagzig"})
         db.delete("Nation", lambda row: row["nationkey"] == 99)
         db.insert("Nation", 98, "Kept", 1)
         rows, gens = db_state(db)
-        wal.close()
+        store.close()
 
-        db2, wal2, report2 = attach_fresh(wal_dir)
+        db2, store2, restored2 = attach_fresh(wal_dir)
         assert db_state(db2) == (rows, gens)
-        assert report2.records_scanned == 4
-        assert report2.torn_bytes == 0
-        wal2.close()
+        assert restored2 == db2.total_rows()
+        store2.close()
 
     def test_rejected_mutation_never_reaches_the_log(self, wal_dir):
-        db, wal, _ = attach_fresh(wal_dir)
-        size_before = wal.size_bytes()
+        db, store, _ = attach_fresh(wal_dir)
         key = db.table("Nation").rows[0][0]
         with pytest.raises(SchemaError):
             db.insert("Nation", key, "Duplicate", 0)  # key collision
         with pytest.raises(SchemaError):
             db.insert("Nation", 500, None, 0)  # NOT NULL name
-        assert wal.size_bytes() == size_before
-        # And the in-memory state is untouched (validation precedes both
-        # the log append and the apply).
+        # The in-memory state is untouched (validation precedes both the
+        # commit and the apply), and so is the file.
         assert db.table("Nation").version == fresh_db().table("Nation").version
-        wal.close()
+        store.close()
+        restarted, store, _ = attach_fresh(wal_dir)
+        assert db_state(restarted) == db_state(fresh_db())
+        store.close()
 
     def test_non_finite_decimal_is_refused_everywhere(self, wal_dir):
         """NaN in a DECIMAL column: refused by insert and update before
-        the log, and by recovery when a log holds one anyway."""
-        db, wal, _ = attach_fresh(wal_dir)
+        anything is committed."""
+        db, store, _ = attach_fresh(wal_dir)
         part = db.table("Part")
-        size_before, state = wal.size_bytes(), db_state(db)
+        state = db_state(db)
         key = part.rows[0][0]
         with pytest.raises(SchemaError):
             db.insert("Part", 900, "p900", "m", "b", 1, math.nan)
         with pytest.raises(SchemaError):
             db.update("Part", lambda row: row["partkey"] == key, {"retail": math.nan})
-        assert (wal.size_bytes(), db_state(db)) == (size_before, state)
-        # A log written before the check: one finite update, turned NaN.
-        db.update("Part", lambda row: row["partkey"] == key, {"retail": 1.5})
-        wal.close()
-        data = open(wal.wal_file, "rb").read()
-        [(payload, _)] = iter_records(data, len(MAGIC))
-        record = json.loads(payload)
-        record["ops"][0]["pairs"][0][1][-1] = math.nan
-        with open(wal.wal_file, "wb") as f:
-            f.write(MAGIC + pack_record(json.dumps(record).encode()))
-        restarted = fresh_db()
-        with pytest.raises(SchemaError):
-            WriteAheadLog(wal_dir).attach(restarted)
+        assert db_state(db) == state
+        store.close()
+        restarted, store, _ = attach_fresh(wal_dir)
         assert db_state(restarted) == state
+        store.close()
 
     def test_update_callables_replay_by_value(self, wal_dir):
-        # The logged delta is physical: replay never re-runs the lambda,
-        # so even a side-effecting closure recovers deterministically.
-        db, wal, _ = attach_fresh(wal_dir)
+        # The committed delta is physical: a restart never re-runs the
+        # lambda, so even a side-effecting closure restarts exactly.
+        db, store, _ = attach_fresh(wal_dir)
         calls = []
 
         def bump(row):
@@ -168,212 +190,214 @@ class TestLogThenApply:
         db.update("Nation", lambda r: r["nationkey"] < 2, {"name": bump})
         n_calls = len(calls)
         rows, gens = db_state(db)
-        wal.close()
+        store.close()
 
-        db2, wal2, _ = attach_fresh(wal_dir)
+        db2, store2, _ = attach_fresh(wal_dir)
         assert db_state(db2) == (rows, gens)
-        assert len(calls) == n_calls  # replay did not re-invoke
-        wal2.close()
+        assert len(calls) == n_calls  # the restart did not re-invoke
+        store2.close()
 
     def test_dates_roundtrip_through_the_log(self, wal_dir):
-        db, wal, _ = attach_fresh(wal_dir)
+        db, store, _ = attach_fresh(wal_dir)
         order = db.table("Orders").rows[0]
         key = order[0]
         db.update("Orders", lambda row: row["orderkey"] == key,
                   {"date": datetime.date(1997, 2, 28)})
         rows, gens = db_state(db)
-        wal.close()
-        db2, wal2, _ = attach_fresh(wal_dir)
+        store.close()
+        db2, store2, _ = attach_fresh(wal_dir)
         assert db_state(db2) == (rows, gens)
         restored = db2.table("Orders").lookup_key((key,))
         assert restored[db2.table("Orders").schema.column_index("date")] \
             == datetime.date(1997, 2, 28)
-        wal2.close()
+        store2.close()
 
     def test_transaction_groups_commit_atomically(self, wal_dir):
-        db, wal, _ = attach_fresh(wal_dir)
-        before = wal.size_bytes()
+        db, store, _ = attach_fresh(wal_dir)
         with db.transaction("req-9") as txn:
             db.insert("Nation", 90, "Ninety", 0)
             db.insert("Nation", 91, "NinetyOne", 1)
             txn.result = {"mutated": 2, "table": "Nation",
                           "generation": db.table("Nation").version}
-        after = wal.size_bytes()
-        assert after > before
-        # ONE record for the whole group.
-        data = open(wal.wal_file, "rb").read()
-        records = [json.loads(p) for p, _ in iter_records(data, len(MAGIC))]
-        assert len(records) == 1
-        assert len(records[0]["ops"]) == 2
-        assert records[0]["request_id"] == "req-9"
-        wal.close()
+            # Nothing is in the file until the block ends.
+            assert nation_names(os.path.dirname(
+                crash_image(wal_dir, os.path.join(wal_dir, "mid")))) \
+                == nation_names_of(fresh_db())
+        assert store.request_result("req-9") == txn.result
+        # ONE commit for the whole group.
+        assert nation_names(os.path.dirname(
+            crash_image(wal_dir, os.path.join(wal_dir, "after")))) \
+            == nation_names_of(db)
+        store.close()
 
     def test_failed_transaction_logs_nothing(self, wal_dir):
-        db, wal, _ = attach_fresh(wal_dir)
-        before = wal.size_bytes()
+        db, store, _ = attach_fresh(wal_dir)
+        before = db_state(db)
         with pytest.raises(RuntimeError):
             with db.transaction("req-dead"):
                 db.insert("Nation", 90, "Ninety", 0)
                 raise RuntimeError("mid-request crash")
-        assert wal.size_bytes() == before
-        assert wal.request_result("req-dead") is None
-        wal.close()
+        assert store.request_result("req-dead") is None
+        # Rolled back in memory too, under a new generation.
+        assert db_state(db)[0] == before[0]
+        assert db.table("Nation").version > before[1]["Nation"]
+        store.close()
 
     def test_nested_transactions_refused(self, wal_dir):
-        db, wal, _ = attach_fresh(wal_dir)
+        db, store, _ = attach_fresh(wal_dir)
         with db.transaction():
             with pytest.raises(WalError):
                 with db.transaction():
                     pass
-        wal.close()
+        store.close()
 
     def test_double_attach_refused(self, wal_dir):
-        db, wal, _ = attach_fresh(wal_dir)
-        other = WriteAheadLog(os.path.join(wal_dir, "other"))
+        db, store, _ = attach_fresh(wal_dir)
+        other = Store(os.path.join(wal_dir, "other"))
         with pytest.raises(WalError):
             other.attach(db)
-        wal.close()
+        other.close()
+        store.close()
+
+    def test_update_moving_keys_keeps_slots(self, wal_dir):
+        """Two rows trade keys in one update: each keeps its slot, found
+        by its pre-image key before either is rewritten."""
+        db, store, _ = attach_fresh(wal_dir, database=Database(SCHEMA))
+        for key in (3, 1, 2):
+            db.insert("T", key, key * 1.5, None, f"r{key}")
+        db.update("T", lambda row: row["id"] in (1, 2),
+                  {"id": lambda row: 3 - row["id"]})
+        store.close()
+        restarted, store, _ = attach_fresh(wal_dir,
+                                           database=Database(SCHEMA))
+        assert repr(restarted.table("T").rows) == repr(db.table("T").rows)
+        assert [row[0] for row in restarted.table("T").rows] == [3, 2, 1]
+        store.close()
+
+    def test_failed_commit_rolls_the_tables_back(self, wal_dir):
+        db, store, _ = attach_fresh(wal_dir)
+        state = db_state(db)
+        store.close()  # every commit now fails
+        with pytest.raises(sqlite3.ProgrammingError):
+            db.insert("Nation", 90, "Ninety", 0)
+        assert db_state(db)[0] == state[0]
+
+
+def nation_names_of(db):
+    return {row[1] for row in db.table("Nation").rows}
 
 
 class TestTornTails:
-    """The fuzz satellite: damage the final record at every byte."""
+    """Cut or damage SQLite's write-ahead file inside its last commit: a
+    restart serves the commit before it, whole."""
 
     def _committed_wal(self, wal_dir, n_mutations=3):
-        db, wal, _ = attach_fresh(wal_dir)
+        db, store, _ = attach_fresh(wal_dir)
+        wal_file = store.file.parent / (STORE_FILE + "-wal")
+        boundaries = []
         for i in range(n_mutations):
             db.insert("Nation", 80 + i, f"N{i}", i % 3)
-        states = db_state(db)
-        wal.close()
-        data = open(wal.wal_file, "rb").read()
-        boundaries = [end for _, end in iter_records(data, len(MAGIC))]
-        assert len(boundaries) == n_mutations
-        return data, boundaries, states
+            boundaries.append(os.path.getsize(wal_file))
+        image = os.path.join(wal_dir, "image")
+        data = open(crash_image(wal_dir, image), "rb").read()
+        assert len(data) == boundaries[-1]
+        store.close()
+        return image, data, boundaries
+
+    def _restart_with(self, image, data):
+        with open(os.path.join(image, STORE_FILE + "-wal"), "wb") as f:
+            f.write(data)
+        return nation_names(image)
+
+    def _cuts(self, start, end):
+        """Every frame boundary of the last commit, a byte either side
+        of it, and a stride through the pages."""
+        frame = WAL_FRAME_HEADER + 4096
+        cuts = set(range(start, end, 97))
+        for boundary in range(start, end + 1, frame):
+            cuts |= {boundary - 1, boundary, boundary + 1}
+        return sorted(c for c in cuts if start <= c <= end)
 
     def test_truncation_at_every_byte_of_final_record(self, wal_dir):
-        data, boundaries, _ = self._committed_wal(wal_dir)
-        last_start = boundaries[-2]
-        wal_file = os.path.join(wal_dir, "wal.log")
-        for cut in range(last_start, len(data)):
-            with open(wal_file, "wb") as f:
-                f.write(data[:cut])
-            db, report = recover(wal_dir, database=fresh_db())
-            if cut == len(data):
-                expected, torn = 3, 0
-            else:
-                expected, torn = 2, cut - last_start
-            assert report.records_scanned == expected, f"cut={cut}"
-            assert report.torn_bytes == torn, f"cut={cut}"
-            # Only the uncommitted suffix is gone.
-            names = {r[1] for r in db.table("Nation").rows}
+        image, data, boundaries = self._committed_wal(wal_dir)
+        for cut in self._cuts(boundaries[-2], len(data)):
+            names = self._restart_with(image, data[:cut])
             assert {"N0", "N1"} <= names, f"cut={cut}"
-            assert ("N2" in names) == (expected == 3), f"cut={cut}"
+            assert ("N2" in names) == (cut == len(data)), f"cut={cut}"
 
     def test_corruption_at_every_byte_of_final_record(self, wal_dir):
-        data, boundaries, _ = self._committed_wal(wal_dir)
-        last_start = boundaries[-2]
-        wal_file = os.path.join(wal_dir, "wal.log")
-        for pos in range(last_start, len(data)):
+        image, data, boundaries = self._committed_wal(wal_dir)
+        for pos in self._cuts(boundaries[-2], len(data) - 1):
             damaged = bytearray(data)
             damaged[pos] ^= 0xFF
-            with open(wal_file, "wb") as f:
-                f.write(bytes(damaged))
-            db, report = recover(wal_dir, database=fresh_db())
-            # A flipped byte in the final record (header or payload) must
-            # never make recovery raise or apply damaged data: either the
-            # record is dropped (length/CRC refuse it) or — flipping a
-            # length byte that makes the frame *appear* longer — it reads
-            # as torn.  Both land on records_scanned == 2.
-            assert report.records_scanned == 2, f"pos={pos}"
-            names = {r[1] for r in db.table("Nation").rows}
+            names = self._restart_with(image, bytes(damaged))
             assert {"N0", "N1"} <= names and "N2" not in names, f"pos={pos}"
 
     def test_attach_clips_torn_tail_and_appends_cleanly(self, wal_dir):
-        data, boundaries, _ = self._committed_wal(wal_dir)
-        wal_file = os.path.join(wal_dir, "wal.log")
-        with open(wal_file, "wb") as f:
-            f.write(data[: len(data) - 3])  # tear the last record
-        db, wal, report = attach_fresh(wal_dir)
-        assert report.torn_bytes > 0
-        # The torn suffix is physically clipped so new appends start on a
-        # record boundary...
-        assert os.path.getsize(wal_file) == boundaries[-2]
+        image, data, boundaries = self._committed_wal(wal_dir)
+        with open(os.path.join(image, STORE_FILE + "-wal"), "wb") as f:
+            f.write(data[: len(data) - 3])  # tear the last commit
+        db, store, _ = attach_fresh(image)
+        assert "N2" not in nation_names_of(db)
         db.insert("Nation", 70, "AfterTear", 0)
-        wal.close()
-        # ...and a second recovery sees a clean log: two survivors + one
-        # new record, no torn bytes.
-        db2, wal2, report2 = attach_fresh(wal_dir)
-        assert report2.torn_bytes == 0
-        assert report2.records_scanned == 3
-        names = {r[1] for r in db2.table("Nation").rows}
-        assert "AfterTear" in names and "N2" not in names
-        wal2.close()
+        store.close()
+        # A second restart sees the two survivors and the new commit.
+        names = nation_names(image)
+        assert {"N0", "N1", "AfterTear"} <= names and "N2" not in names
 
     def test_oversized_length_field_reads_as_torn(self, wal_dir):
-        db, wal, _ = attach_fresh(wal_dir)
-        db.insert("Nation", 80, "Good", 0)
-        wal.close()
-        with open(wal.wal_file, "ab") as f:
-            f.write(struct.pack("<II", 1 << 31, 0) + b"short")
-        _, report = recover(wal_dir, database=fresh_db())
-        assert report.records_scanned == 1
-        assert report.torn_bytes == 13
+        image, data, _ = self._committed_wal(wal_dir)
+        names = self._restart_with(
+            image, data + (1 << 31).to_bytes(4, "big") + b"short\0\0\0\0")
+        assert {"N0", "N1", "N2"} <= names
 
 
 class TestCheckpoint:
     def test_checkpoint_truncates_and_recovery_uses_snapshot(self, wal_dir):
-        db, wal, _ = attach_fresh(wal_dir)
+        db, store, _ = attach_fresh(wal_dir)
         for i in range(4):
             db.insert("Nation", 60 + i, f"C{i}", 0)
-        assert wal.size_bytes() > len(MAGIC)
-        wal.checkpoint(db)
-        assert wal.size_bytes() == len(MAGIC)
+        assert store.size_bytes() > 0
+        store.checkpoint()
+        assert store.size_bytes() == 0
         rows, gens = db_state(db)
-        wal.close()
-        db2, wal2, report = attach_fresh(wal_dir)
+        image = os.path.join(wal_dir, "image")
+        crash_image(wal_dir, image)
+        store.close()
+        # The database file alone holds everything.
+        os.remove(os.path.join(image, STORE_FILE + "-wal"))
+        db2, store2, restored = attach_fresh(image)
         assert db_state(db2) == (rows, gens)
-        assert report.records_scanned == 0
-        assert report.snapshot_rows == sum(len(r) for r in rows.values())
-        wal2.close()
+        assert restored == sum(len(r) for r in rows.values())
+        store2.close()
 
     def test_auto_checkpoint_every_n_records(self, wal_dir):
-        db, wal, _ = attach_fresh(wal_dir, checkpoint_every=3)
+        from repro.obs.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        db, store, _ = attach_fresh(wal_dir, checkpoint_every=3,
+                                    metrics=metrics)
         for i in range(7):
             db.insert("Nation", 60 + i, f"C{i}", 0)
-        # 7 records: checkpoints after the 3rd and 6th, one in the log.
-        data = open(wal.wal_file, "rb").read()
-        assert len(list(iter_records(data, len(MAGIC)))) == 1
-        wal.close()
-
-    def test_crash_between_rename_and_truncate_is_idempotent(self, wal_dir):
-        # The checkpoint race: snapshot renamed, log NOT truncated — the
-        # log's records are already inside the snapshot.  Version stamps
-        # must make the replay skip them instead of double-applying.
-        db, wal, _ = attach_fresh(wal_dir)
-        for i in range(3):
-            db.insert("Nation", 60 + i, f"C{i}", 0)
-        rows, gens = db_state(db)
-        log_data = open(wal.wal_file, "rb").read()
-        wal.checkpoint(db)
-        wal.close()
-        # Resurrect the pre-checkpoint log next to the new snapshot.
-        with open(os.path.join(wal_dir, "wal.log"), "wb") as f:
-            f.write(log_data)
-        db2, report = recover(wal_dir, database=fresh_db())
-        assert report.records_scanned == 3
-        assert report.ops_applied == 0
-        assert report.ops_skipped == 3
-        assert db_state(db2) == (rows, gens)
+        # 7 commits: checkpoints after the 3rd and 6th, one since.
+        assert metrics.counter("wal.appends") == 7
+        assert metrics.counter("wal.checkpoints") == 2
+        assert 0 < store.size_bytes()
+        store.close()
 
     def test_corrupt_snapshot_raises(self, wal_dir):
-        db, wal, _ = attach_fresh(wal_dir)
-        wal.close()
-        snapshot = os.path.join(wal_dir, "snapshot")
-        data = bytearray(open(snapshot, "rb").read())
-        data[len(MAGIC) + 12] ^= 0xFF
-        with open(snapshot, "wb") as f:
-            f.write(bytes(data))
+        db, store, _ = attach_fresh(wal_dir)
+        store.close()
+        with open(os.path.join(wal_dir, STORE_FILE), "r+b") as f:
+            f.write(b"\xff" * 16)   # the database file's header string
         with pytest.raises(WalError):
-            recover(wal_dir, schema=tpch_schema())
+            Store(wal_dir)
+
+    def test_another_catalog_is_refused(self, wal_dir):
+        db, store, _ = attach_fresh(wal_dir, database=Database(SCHEMA))
+        store.close()
+        with pytest.raises(WalError):
+            attach_fresh(wal_dir)
 
 
 class TestExactlyOnce:
@@ -386,26 +410,26 @@ class TestExactlyOnce:
         assert again.mutated == first.mutated
         assert again.stats.get("deduplicated") is True
         gens = session.database.table_generations()
-        session.wal.close()
+        session.database.store.close()
 
         restarted = Session(fresh_db(), wal=wal_dir)
-        assert restarted.recovery is not None
+        assert restarted.database.store.restored is not None
         assert restarted.database.table_generations() == gens
         replay = restarted.mutate("Nation", op="insert", rows=2,
                                   request_id="rq-1")
         assert replay.stats.get("deduplicated") is True
         assert replay.mutated == first.mutated
         assert restarted.database.table_generations() == gens
-        restarted.wal.close()
+        restarted.database.store.close()
 
     def test_dedup_map_survives_checkpoint(self, wal_dir):
         session = Session(fresh_db(), wal=wal_dir)
         session.mutate("Nation", op="insert", rows=1, request_id="rq-2")
-        session.wal.checkpoint(session.database)  # truncates the log
-        session.wal.close()
+        session.database.store.checkpoint()
+        session.database.store.close()
         restarted = Session(fresh_db(), wal=wal_dir)
-        assert restarted.wal.request_result("rq-2") is not None
-        restarted.wal.close()
+        assert restarted.database.store.request_result("rq-2") is not None
+        restarted.database.store.close()
 
 
 class TestSessionWiring:
@@ -414,57 +438,99 @@ class TestSessionWiring:
         session.mutate("Supplier", op="update", rows=2, seed=5)
         session.mutate("Nation", op="insert", rows=1, seed=5)
         live = session.materialize(QUERY_1, root_tag="view")
-        session.wal.close()
+        session.database.store.close()
 
         restarted = Session(fresh_db(), wal=wal_dir)
         recovered = restarted.materialize(QUERY_1, root_tag="view")
         assert recovered.xml == live.xml
         assert recovered.report.query_ms == live.report.query_ms
         assert recovered.report.transfer_ms == live.report.transfer_ms
-        restarted.wal.close()
+        restarted.database.store.close()
 
     def test_recovery_remirrors_sqlite_backend(self, wal_dir):
+        """The backend of a database with a store runs on the store's
+        file: no mirror, no reload, and it sees each commit."""
         from repro.relational.algebra import Scan
         from repro.relational.backends import SqliteBackend, cross_validate
 
         session = Session(fresh_db(), wal=wal_dir)
         session.mutate("Nation", op="insert", rows=2, seed=3)
-        session.wal.close()
+        session.database.store.close()
 
         restarted = Session(fresh_db(), wal=wal_dir)
-        # A mirror built over the recovered database holds the recovered
-        # rows: cross-validation aligns every stream of the served plan
-        # with the simulated engine (BackendMismatchError otherwise).
-        mirror = SqliteBackend(restarted.database)
+        backend = SqliteBackend(restarted.database)
+        scan = Scan(restarted.database.schema.table("Nation"), "t")
         try:
-            rows, _ = mirror.execute_sql(
-                Scan(restarted.database.schema.table("Nation"), "t"),
-                "SELECT * FROM Nation t")
+            rows, _ = backend.execute_sql(scan, "SELECT * FROM Nation t")
             assert len(rows) == len(session.database.table("Nation"))
+            # A commit is visible to the backend's own connection.
+            restarted.mutate("Nation", op="insert", rows=1, seed=4)
+            rows, _ = backend.execute_sql(scan, "SELECT * FROM Nation t")
+            assert len(rows) == len(restarted.database.table("Nation"))
+            assert backend._generations == {}      # it never mirrored
             checked = cross_validate(
                 restarted.connection.engine,
-                restarted.view(QUERY_1).specs(), mirror,
+                restarted.view(QUERY_1).specs(), backend,
             )
         finally:
-            mirror.close()
+            backend.close()
         served = restarted.materialize(QUERY_1, root_tag="view")
         assert [oracle.server_ms for _, oracle, _ in checked] \
             == [stream.server_ms for stream in served.report.streams]
-        restarted.wal.close()
+        restarted.database.store.close()
 
-    def test_recover_function_reports(self, wal_dir):
-        session = Session(fresh_db(), wal=wal_dir)
-        session.mutate("Nation", op="insert", rows=2, seed=1)
-        session.wal.close()
-        database, report = recover(wal_dir, schema=tpch_schema())
-        assert isinstance(report, RecoveryReport)
-        assert report.snapshot_rows > 0
-        assert report.records_scanned == 1
-        assert database.table_generations() \
-            == session.database.table_generations()
-        as_dict = report.as_dict()
-        assert as_dict["records_scanned"] == 1
-        assert "Nation" in as_dict["tables"]
+
+#: The typed round trip's schema: an INTEGER single-column key (SQLite's
+#: rowid alias, were it declared a primary key), a DECIMAL holding ints
+#: and floats, a DATE and a VARCHAR, all nullable but the key.
+SCHEMA = DatabaseSchema([TableSchema("T", [
+    Column("id", SqlType.INTEGER), Column("price", SqlType.DECIMAL, True),
+    Column("day", SqlType.DATE, True), Column("note", SqlType.VARCHAR, True),
+], key=["id"])])
+
+_values = st.tuples(
+    st.one_of(st.none(), st.sampled_from([2, 2.5, 0, -3, 1e-9, 7.0]),
+              st.integers(-10**6, 10**6),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    st.one_of(st.none(), st.dates()),
+    st.one_of(st.none(), st.text(max_size=8)),
+)
+
+
+class TestTypedRoundTrip:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(steps=st.lists(st.tuples(
+        st.sampled_from(["insert", "update", "delete"]),
+        st.integers(0, 30), _values), min_size=1, max_size=25))
+    def test_random_schedules_restart_type_for_type(self, steps):
+        """Random inserts, updates and deletes: after a restart from the
+        store the rows are ``repr``-equal, type for type, in the same slot
+        order, under the same generation vector as the never-restarted
+        database's — keys inserted out of order, so slot order is not key
+        order."""
+        path = tempfile.mkdtemp(prefix="wal-typed-")
+        try:
+            live, store, _ = attach_fresh(path, database=Database(SCHEMA))
+            for kind, key, values in steps:
+                table = live.table("T")
+                if kind == "insert":
+                    if table.lookup_key((key,)) is None:
+                        live.insert("T", key, *values)
+                elif kind == "update":
+                    live.update("T", lambda row: row["id"] <= key,
+                                dict(zip(("price", "day", "note"), values)))
+                else:
+                    live.delete("T", lambda row: row["id"] == key)
+            store.close()
+            restarted, store, _ = attach_fresh(path,
+                                               database=Database(SCHEMA))
+            store.close()
+            assert repr(restarted.table("T").rows) \
+                == repr(live.table("T").rows)
+            assert restarted.table_generations() == live.table_generations()
+        finally:
+            shutil.rmtree(path, ignore_errors=True)
 
 
 @pytest.mark.parametrize("query", ["q1", "q2"])
@@ -548,13 +614,13 @@ def test_soak_crashes_interleaved_with_traffic(data, engine):
                 assert live.xml == expected.xml
                 assert live.report.query_ms == expected.report.query_ms
             else:  # crash: abandon the session, recover from disk
-                session.wal.close()
+                session.database.store.close()
                 session = Session(connect(fresh_db()), wal=wal_path)
                 assert session.database.table_generations() \
                     == oracle.table_generations()
                 assert {n: list(t.rows)
                         for n, t in session.database.tables.items()} \
                     == {n: list(t.rows) for n, t in oracle.tables.items()}
-        session.wal.close()
+        session.database.store.close()
     finally:
         shutil.rmtree(wal_path, ignore_errors=True)

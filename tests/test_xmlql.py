@@ -14,7 +14,7 @@ from xml.etree import ElementTree
 import pytest
 
 from repro.bench.queries import QUERY_1, QUERY_2
-from repro.common.errors import PlanError, RxlSyntaxError
+from repro.common.errors import PlanError, QueryError, RxlSyntaxError
 from repro.core.silkroute import SilkRoute
 from repro.relational.algebra import Scan, count_operators
 from repro.relational.connection import Connection
@@ -605,6 +605,35 @@ class TestTypedLiterals:
             f'where <order><{element}>"{literal}"</{element}>'
             "<okey>$k</okey></order> construct <b><k>$k</k></b>"))
         assert len(rows) == found
+
+    @pytest.mark.parametrize("element, op, literal", [
+        ("date", "=", '"1998-01-05"'), ("date", "<", '"1998-03-01"'),
+        ("date", ">=", '"1998-01-05"'),
+        ("okey", "=", '"1"'), ("okey", "<", "5"), ("okey", ">=", "10"),
+        ("price", "=", '"7.00"'), ("price", "<", "20000"),
+        ("price", ">=", "7"),
+    ])
+    def test_conditions_take_the_column_type(self, orders, element, op,
+                                             literal):
+        """A ``where`` condition compares its variable's typed value: a
+        string literal is the value it spells in the document, a number
+        stands for itself."""
+        rows = assert_oracle_agrees(orders, (
+            f"where <order><okey>$k</okey><{element}>$v</{element}>"
+            f"</order>, $v {op} {literal} "
+            "construct <b><k>$k</k><v>$v</v></b>"))
+        assert rows
+
+    @pytest.mark.parametrize("element, condition", [
+        ("date", '= "1998-1-5"'), ("date", "< 5"), ("okey", '= "01"'),
+        ("okey", '< "1.5"'), ("price", '= "7"'), ("price", '< "cheap"'),
+    ])
+    def test_a_condition_its_type_cannot_spell_is_refused(
+            self, orders, element, condition):
+        with pytest.raises(QueryError, match="no .* value is written"):
+            orders.query(
+                f"where <order><okey>$k</okey><{element}>$v</{element}>"
+                f"</order>, $v {condition} construct <b><k>$k</k></b>")
 
     def test_every_price_and_date_in_the_document_finds_its_orders(
             self, orders):
