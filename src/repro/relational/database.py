@@ -21,6 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.common.errors import SchemaError, WalError
+from repro.relational.dependencies import SORTED_TABLES
 from repro.relational.table import Table
 from repro.relational.types import SqlType
 
@@ -97,11 +98,15 @@ class Database:
         ``tables`` (an iterable of table names): the instance token plus
         each table's generation, sorted by name.  A mutation of any
         *other* table leaves this key — and every cache entry under it —
-        valid."""
+        valid.  A set :func:`~repro.relational.dependencies.plan_tables`
+        made has its names sorted once."""
         tables_ = self.tables
+        names = SORTED_TABLES.get(tables) if type(tables) is frozenset \
+            else None
         return (
             self._token,
-            tuple([(name, tables_[name].version) for name in sorted(tables)]),
+            tuple([(name, tables_[name].version)
+                   for name in names or sorted(tables)]),
         )
 
     def table(self, name):

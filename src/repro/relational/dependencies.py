@@ -40,13 +40,20 @@ def plan_tables(plan):
             tables = frozenset((plan.table_schema.name,))
         else:
             tables = frozenset().union(*map(plan_tables, plan.children))
-        tables = plan._tables = _TABLE_SETS.setdefault(tables, tables)
+        interned = _TABLE_SETS.get(tables)
+        if interned is None:
+            interned = _TABLE_SETS[tables] = tables
+            SORTED_TABLES[tables] = tuple(sorted(tables))
+        tables = plan._tables = interned
     return tables
 
 
 #: Every table set :func:`plan_tables` has made, for sharing: a set of
 #: the schema's table names, so bounded by the names the process knows.
 _TABLE_SETS = {}
+#: The names of each of those sets, sorted, as a dependency key lists
+#: them (:meth:`~repro.relational.database.Database.dependency_key`).
+SORTED_TABLES = {}
 
 
 def is_stale(dependency_key, token, current):

@@ -602,12 +602,15 @@ class Server:
             self._tcp = None
 
     def shutdown(self):
-        """Stop the socket front end (in-process serving keeps working)."""
-        if self._tcp is not None:
-            self._tcp.shutdown()
-            self._tcp.server_close()
-            if self._tcp_thread is not None:
-                self._tcp_thread.join(timeout=5)
+        """Stop the socket front end (in-process serving keeps working).
+        ``serve_forever`` clears ``_tcp`` when its loop ends, which may be
+        inside ``tcp.shutdown()``: both are read once."""
+        tcp, thread = self._tcp, self._tcp_thread
+        if tcp is not None:
+            tcp.shutdown()
+            tcp.server_close()
+            if thread is not None:
+                thread.join(timeout=5)
             self._tcp = None
             self._tcp_thread = None
 

@@ -713,3 +713,92 @@ def stream_kernel(shape, spec, key, indent, rooted):
                               tag_kernel(shape, indent, rooted))
     return compiled(("xmlgen", shape.key, key, "write", indent, rooted),
                     build)
+
+
+# -- a walk of the tree ---------------------------------------------------
+
+
+def _walk_source(streams, tagging):
+    """The walk of a run whose streams carry one view-tree node each, every
+    node once, each sorted by its node's key (its parent's key, then its
+    own values): one loop per node, nested in child order, tags the
+    node's instances under the open parent instance.
+
+    A node's loop takes rows while their parent-key columns equal the
+    parent's key locals; per row the member's memo drops a repeated term,
+    as the decoder does.  Where the node has children it then takes every
+    row that repeats its own key — the stable sort of the items puts them
+    before the children — and descends.  The cursors are primed in spec
+    order, as :func:`heapq.merge` primes its decoders; a row left over at
+    the end was claimed by no parent instance."""
+    shape, src = tagging.shape, tagging.src
+    add = src.add
+    end = src.const(type("EndOfRows", (tuple,), {})(
+        (_NO,) * max(stream.width for stream in streams)), "END")
+    step = src.const(next, "N")
+    of = {}
+    for s, stream in enumerate(streams):
+        [(index, member)] = stream.members.items()
+        template = stream.templates[index]
+        of[shape.ids[member]] = (s, stream, index, [
+            value for tag, value in zip(template[::2], template[1::2])
+            if tag != stream.null_tag and value < stream.width])
+
+    def take(at, node_id, keep):
+        s, stream, index, key = of[node_id]
+        add(at, f"t = {stream.term(index, f'r{s}')}")
+        add(at, f"if t != M{s}:")
+        add(at + 1, f"M{s} = t")
+        tagging.block(at + 1, node_id, stream.value_of(index, f"r{s}"), "t")
+        if keep:
+            for j, column in enumerate(key):
+                add(at, f"Q{node_id}_{j} = r{s}[{column}]")
+        add(at, f"r{s} = {step}(it{s}, {end})")
+
+    def under(s, key, owner):
+        """Whether row ``r<s>``, keyed by the columns ``key``, repeats the
+        key of node ``owner``'s open instance (None: the empty stack)."""
+        width = 0 if owner is None else len(of[owner][3])
+        return " and ".join(f"r{s}[{column}] == Q{owner}_{j}"
+                            for j, column in enumerate(key[:width])
+                            ) or f"r{s} is not {end}"
+
+    def loop(at, node):
+        node_id = shape.ids[node]
+        s, _, _, key = of[node_id]
+        parent = node.parent and shape.ids[node.parent]
+        add(at, f"while {under(s, key, parent)}:")
+        take(at + 1, node_id, keep=bool(node.children))
+        if node.children:
+            add(at + 1, f"while {under(s, key, node_id)}:")
+            take(at + 2, node_id, keep=False)
+            for child in node.children:     # in index order
+                loop(at + 1, child)
+
+    add(0, "def walk(rows, labels, write, tell, marks):")
+    tagging.state(1)
+    for s in range(len(streams)):
+        add(1, f"it{s} = {src.const(iter, 'I')}(rows[{s}])")
+        add(1, f"r{s} = {step}(it{s}, {end})")
+        add(1, f"M{s} = {src.const(_NO, 'NO')}")
+    loop(1, shape.nodes[1])
+    orphan = src.const("row {1!r} of stream {0} is under no instance of "
+                       "its parent", "O")
+    for s in range(len(streams)):
+        add(1, f"if r{s} is not {end}:")
+        add(2, f"raise {src.const(PlanError, 'PE')}("
+               f"{orphan}.format(labels[{s}], r{s}))")
+    tagging.finish(1)
+    return src
+
+
+def walk_kernel(shape, specs, keys, indent, rooted):
+    """``walk(rows, labels, write, tell, marks) -> (elements, implicit
+    opens, deepest stack, instances)``: the rows of ``specs``' streams
+    (whose shapes' structural ``keys`` name the code), one node each, to
+    markup by a walk of the tree."""
+    def build():
+        return _walk_source([StreamShape(shape, spec) for spec in specs],
+                            _Tagging(shape, Source(), indent, rooted))
+    return compiled(("xmlgen", shape.key, keys, "walk", indent, rooted),
+                    build)

@@ -141,11 +141,11 @@ def splice_streams(layout, specs, streams, decoders, root_tag, indent,
                 for decoder, spec, stream_rows, spans in zip(
                         decoders, specs, rows, where):
                     present = [spans[key] for key in keys if key in spans]
-                    if present:
-                        runs[-1].append((
-                            decoder,
-                            stream_rows[present[0][0]:present[-1][1]],
-                            spec.label))
+                    runs[-1].append((
+                        decoder,
+                        stream_rows[present[0][0]:present[-1][1]]
+                        if present else None,
+                        spec.label))
         return runs
 
     sink = io.StringIO()

@@ -31,10 +31,12 @@ from repro.xmlgen.kernel import (
     decoder_kernel,
     stream_key,
     stream_kernel,
+    walk_kernel,
 )
 
 _KEY = attrgetter("key")
 _K0 = itemgetter(0)
+_WALK_DEPTH = 16
 #: Column types whose equal values are one Python type and print alike.
 _EXACT = frozenset(
     (SqlType.INTEGER, SqlType.VARCHAR, SqlType.CHAR, SqlType.DATE)
@@ -218,6 +220,19 @@ class StreamDecoder:
         #: Whether the items ascend: on an aligned tree a member's key is
         #: its row's sort key cut after the member's level.
         self.ordered = layout.aligned
+        #: The id of the one view-tree node the stream carries, where its
+        #: rows carry all of that node's key and sort by it first (what
+        #: :class:`Walk` takes), else None.  A walk nests one loop per
+        #: level, and CPython compiles at most 20 nested loops.
+        self.node = None
+        if len(members) == 1 and layout.tree.max_depth() <= _WALK_DEPTH:
+            carried = {stv.name for stv in members[0].args}
+            key = [stv.name for kind, stv in layout.entries
+                   if kind == "stv" and stv.name in carried]
+            levels = {f"L{level}" for level in spec.l_levels}
+            order = [name for name in spec.sort_keys if name not in levels]
+            if order[:len(key)] == key:
+                self.node = layout.shape.ids[members[0]]
         #: Row positions of the columns whose equal values may still
         #: print differently (``2 == 2.0``, ``0.0 == -0.0``).
         self.inexact = tuple(
@@ -350,6 +365,38 @@ def merge_run(run, compact=False):
     items = list(chain.from_iterable(sources))
     items.sort(key=_K0)
     return items
+
+
+class Walk:
+    """A run of streams that carry one view-tree node each, every node
+    once (:attr:`StreamDecoder.node`), merged on compact keys: its
+    document order is a walk of the tree over the sorted rows, with no
+    item, key or sort (:func:`~repro.xmlgen.kernel.walk_kernel`).  The
+    run's ``(decoder, rows, label)`` are in spec order; rows None (a
+    splice segment the stream has no rows in) walk as empty."""
+
+    __slots__ = ("decoders", "rows", "labels")
+
+    def __init__(self, run):
+        self.decoders = tuple(decoder for decoder, _, _ in run)
+        self.rows = [() if rows is None else rows for _, rows, _ in run]
+        self.labels = [label for _, _, label in run]
+
+    @staticmethod
+    def takes(run):
+        """Whether ``run``'s streams carry one node each, every node of
+        the tree once."""
+        nodes = {decoder.node for decoder, _, _ in run}
+        return None not in nodes and len(nodes) == len(run) == len(
+            run[0][0]._tree.nodes) - 1
+
+    def kernel(self, indent, rooted):
+        """The walk's code for this run's stream shapes, in spec order."""
+        decoders = self.decoders
+        return walk_kernel(decoders[0]._tree,
+                           [decoder._spec for decoder in decoders],
+                           tuple(decoder._shape for decoder in decoders),
+                           indent, rooted)
 
 
 class XmlDocumentCache(BoundedCache):

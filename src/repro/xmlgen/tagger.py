@@ -20,7 +20,12 @@ from repro.core.viewtree import Stv
 from repro.obs import obs_parts
 from repro.xmlgen.kernel import tag_kernel
 from repro.xmlgen.serializer import FirstLine, XmlWriter, closing, opening
-from repro.xmlgen.streams import ComparatorLayout, merge_run, tuple_getter
+from repro.xmlgen.streams import (
+    ComparatorLayout,
+    Walk,
+    merge_run,
+    tuple_getter,
+)
 
 
 class XmlTagger:
@@ -193,8 +198,9 @@ class Document:
     """One document written into ``sink`` by the generated kernels
     (:mod:`repro.xmlgen.kernel`), :class:`XmlTagger`'s twin: the root tag
     around runs of a plan's streams — a run of one stream by its
-    single-stream kernel, of several by the tag step over their merged
-    items — and copied text.  Its markup is
+    single-stream kernel, a :class:`~repro.xmlgen.streams.Walk` by the
+    walk of the tree, others by the tag step over their merged items —
+    and copied text.  Its markup is
     :class:`~repro.xmlgen.serializer.XmlWriter`'s, compact or indented,
     character for character."""
 
@@ -218,7 +224,8 @@ class Document:
 
     def tag(self, feed, marks=None):
         """Write one run's elements: ``feed`` is a lone stream's
-        ``(decoder, rows, label)`` or an iterator of merged items.
+        ``(decoder, rows, label)``, a :class:`~repro.xmlgen.streams.Walk`
+        or an iterator of merged items.
         ``marks`` gets the tagger's top-level marks
         (:meth:`XmlTagger.tag`)."""
         rooted = self.root_tag is not None
@@ -226,6 +233,9 @@ class Document:
             decoder, rows, label = feed
             counts = decoder.writer(self.indent, rooted)(
                 rows, label, self.write, self.tell, marks)
+        elif type(feed) is Walk:
+            counts = feed.kernel(self.indent, rooted)(
+                feed.rows, feed.labels, self.write, self.tell, marks)
         else:
             counts = tag_kernel(self.layout.shape, self.indent, rooted)(
                 feed, self.write, self.tell, marks, None)
@@ -297,22 +307,29 @@ def integrate(obs, counts, streams, runs, tag, compact=None):
     as part of decoding — by ``tag(feeds)``, which gets one
     feed per run and returns the ``(elements, characters)`` it wrote
     (characters None when the sink cannot tell).  A feed is what
-    :meth:`Document.run` takes: a lone stream as it came, for its
-    single-stream kernel, else the streams' generated decoders merged
-    (:func:`~repro.xmlgen.streams.merge_run`) on ``compact`` keys when
-    true, counted as ``merge.compact_keys`` or ``merge.flat_keys``.
+    :meth:`Document.run` takes: on ``compact`` keys a run whose streams
+    carry one node each, every node once, as a
+    :class:`~repro.xmlgen.streams.Walk`, counted as ``merge.walks``;
+    else, its streams without rows (rows None) left out, a lone stream as
+    it came, for its single-stream kernel, or the streams' generated
+    decoders merged (:func:`~repro.xmlgen.streams.merge_run`) on
+    ``compact`` keys when true, counted as ``merge.compact_keys`` or
+    ``merge.flat_keys``.
 
     With ``obs`` (an :class:`~repro.obs.ObsOptions` session) on, the same
     feeds run inside spans: ``decode`` (the runs taken apart: held rows
     are decoded and their items sorted here; over cursors decoding is
-    lazy, and a lone stream's is fused into its kernel), then ``merge``
-    around ``tag``.  Both the ``decode`` and ``merge`` spans and counters
-    carry the instances tagged (:attr:`TagCounts.instances`); ``tag``
-    carries what was written."""
+    lazy, and a lone stream's or a walk's is fused into its kernel), then
+    ``merge`` around ``tag``.  Both the ``decode`` and ``merge`` spans and
+    counters carry the instances tagged (:attr:`TagCounts.instances`);
+    ``tag`` carries what was written."""
     tracer, metrics = obs_parts(obs)
     traced = tracer.enabled or metrics.enabled
 
     def feed(run):
+        if compact and Walk.takes(run):
+            return Walk(run)
+        run = [stream for stream in run if stream[1] is not None]
         return run[0] if len(run) == 1 else merge_run(run, bool(compact))
 
     if not traced:
@@ -321,7 +338,10 @@ def integrate(obs, counts, streams, runs, tag, compact=None):
     with tracer.span("decode", streams=streams) as decode_span:
         feeds = [feed(run) for run in (runs() if callable(runs) else runs)]
     # A lone stream's feed is its (decoder, rows, label).
-    merged = sum(type(one) is not tuple for one in feeds)
+    walked = sum(type(one) is Walk for one in feeds)
+    merged = sum(type(one) is not tuple for one in feeds) - walked
+    if walked:
+        metrics.inc("merge.walks", walked)
     if merged:
         metrics.inc("merge.compact_keys" if compact else "merge.flat_keys",
                     merged)

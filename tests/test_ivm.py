@@ -185,6 +185,26 @@ class TestDependencyKeys:
         assert engine.dependency_key(spec.plan) != key
         assert engine.cache_key_for(spec.plan) != cache_key
 
+    def test_memoized_names_key_as_sorting_them_does(self):
+        """An interned table set's names are sorted once; its key, and
+        every other iterable's, is the token and the live generations in
+        name order, across writes."""
+        db, _, _, view = fresh_setup()
+
+        def sorted_key(tables):
+            return (db._token, tuple(
+                (name, db.table(name).version) for name in sorted(tables)))
+
+        interned = [plan_tables(spec.plan) for spec in self._specs(db, view)]
+        others = [set(interned[-1]), list(interned[-1])[::-1],
+                  frozenset(["Region", "Nation"]), (), frozenset()]
+        for write in range(3):
+            for tables in interned + others:
+                assert db.dependency_key(tables) == sorted_key(tables)
+            for table in ("Supplier", "Region"):
+                [row] = synthesize_rows(db, table, 1, seed=write)
+                db.insert(table, *row)
+
 
 # ---------------------------------------------------------------------------
 # NodeResultCache

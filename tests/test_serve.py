@@ -19,6 +19,7 @@ The load-bearing contracts:
 import os
 import shutil
 import socket
+import sqlite3
 import struct
 import tempfile
 import threading
@@ -44,6 +45,7 @@ from repro.relational.faults import FaultPolicy, RetryPolicy
 from repro.relational.resilience import Resilience
 from repro.serve.tenants import AdmissionPolicy
 from repro.serve import Server, ServeClient, ServeError
+from repro.serve.server import _TcpFrontEnd
 from repro.serve.protocol import (
     WIRE_OPTIONS,
     ProtocolError,
@@ -705,6 +707,38 @@ class TestDrain:
                                       request_id="t-1")
             assert replay.stats.get("deduplicated") is True
             restarted.session.database.store.close()
+        finally:
+            shutil.rmtree(wal_dir, ignore_errors=True)
+
+    def test_terminate_outlives_the_serving_loop_clearing_the_front_end(
+            self, monkeypatch):
+        """SIGTERM's race, forced: the CLI's ``serve_forever`` clears the
+        front end when its loop ends, which can be before the front end's
+        ``shutdown()`` returns to ``terminate()``.  The store is still
+        checkpointed and closed."""
+        wal_dir = tempfile.mkdtemp(prefix="serve-wal-")
+        try:
+            server = Server(db=fresh_db(), queries=QUERIES, wal=wal_dir)
+            server.mutate("Nation", op="insert", rows=2)
+            stop = _TcpFrontEnd.shutdown
+
+            def shutdown(tcp):
+                stop(tcp)
+                assert wait_until(lambda: server._tcp is None)
+            monkeypatch.setattr(_TcpFrontEnd, "shutdown", shutdown)
+            ready = threading.Event()
+            loop = threading.Thread(target=server.serve_forever,
+                                    kwargs={"ready": lambda _: ready.set()})
+            loop.start()
+            assert ready.wait(10)
+            store = server.session.database.store
+            assert server.terminate() is True
+            loop.join(10)
+            assert server.stats()["wal"]["checkpoints"] >= 1
+            assert not os.path.exists(
+                os.path.join(wal_dir, "store.sqlite-wal"))
+            with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+                store.checkpoint()
         finally:
             shutil.rmtree(wal_dir, ignore_errors=True)
 

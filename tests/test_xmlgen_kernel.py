@@ -14,7 +14,8 @@ import heapq
 import importlib.util
 import io
 import pathlib
-from itertools import chain
+import re
+from itertools import chain, count
 from operator import itemgetter
 
 import pytest
@@ -24,7 +25,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.bench.queries import QUERY_1, QUERY_2, load_view
 from repro.common.ordering import flat_key
 from repro.core.options import ExecutionOptions
-from repro.core.partition import Partition, unified_partition
+from repro.common.errors import PlanError, TimeoutExceeded
+from repro.core.partition import (
+    Partition,
+    fully_partitioned,
+    unified_partition,
+)
 from repro.core.sqlgen import PlanStyle, SqlGenerator
 from repro.obs import ObsOptions
 from repro.relational.codegen import CODE
@@ -37,6 +43,7 @@ from repro.xmlgen.kernel import StreamShape
 from repro.xmlgen.serializer import XmlWriter
 from repro.xmlgen.streams import (
     ComparatorLayout,
+    Walk,
     merge_run,
     merge_streams,
     reference_decode,
@@ -153,10 +160,12 @@ def reference(tree, specs, rows, indent, root_tag="view"):
                                tagger.max_stack_depth, len(merged)), marks
 
 
-def kernels(tree, specs, rows, indent, root_tag="view", staged=False):
+def kernels(tree, specs, rows, indent, root_tag="view", staged=False,
+            walk=False):
     """The same through :class:`Document`: a lone stream by its
-    single-stream kernel (unless ``staged``), else the tag step over the
-    merged generated decoders."""
+    single-stream kernel (unless ``staged``), a run as a :class:`Walk`
+    where ``walk``, else the tag step over the merged generated
+    decoders."""
     layout = ComparatorLayout(tree)
     run = [(layout.decoder(spec), stream, spec.label)
            for spec, stream in zip(specs, rows)]
@@ -164,7 +173,10 @@ def kernels(tree, specs, rows, indent, root_tag="view", staged=False):
     document = Document(layout, sink, indent, root_tag)
     marks = []
     document.open()
-    if len(run) == 1 and not staged:
+    if walk:
+        assert Walk.takes(run)
+        document.tag(Walk(run), marks)
+    elif len(run) == 1 and not staged:
         document.tag(run[0], marks)
     else:
         document.tag(merge_run(run), marks)
@@ -485,40 +497,257 @@ def _priced_db(prices):
     return db
 
 
-class TestKeyDecision:
-    """A fully partitioned export merges on compact keys only where they
-    order as the flat ones, and counts which it used; either way its
-    document is the reference pipeline's over the tuple engine's rows."""
+#: How a traced run of several streams was integrated.
+_MERGES = ("merge.walks", "merge.compact_keys", "merge.flat_keys")
 
-    @pytest.mark.parametrize("rxl, prices, used", [
-        (QUERY_1, (), "compact"),
-        (QUERY_2, (), "compact"),
-        (PRICE_KEYED_QUERY, (), "compact"),
-        (PRICE_KEYED_QUERY, (None,), "flat"),
-        (PRICE_KEYED_QUERY, (2, 2.5), "flat"),
-        (VIEWS["party_directory"], (), "flat"),
+
+def _star_cut(tree):
+    """``tree`` cut at its ``*`` edges: streams of several nodes."""
+    return Partition(frozenset(child.index for _, child in tree.edges
+                               if child.label == "*"))
+
+
+class TestKeyDecision:
+    """A run of several streams is walked where each carries one node
+    and compact keys order as the flat ones; streams of several nodes
+    merge on compact keys there; otherwise on flat keys.  Each run counts
+    which it used, and, held or streamed, its document is the reference
+    pipeline's over the tuple engine's rows."""
+
+    @pytest.mark.parametrize("rxl, prices, partition, used", [
+        (QUERY_1, (), "fully-partitioned", "walks"),
+        (QUERY_2, (), "fully-partitioned", "walks"),
+        (PRICE_KEYED_QUERY, (), "fully-partitioned", "walks"),
+        (PRICE_KEYED_QUERY, (None,), "fully-partitioned", "flat_keys"),
+        (PRICE_KEYED_QUERY, (2, 2.5), "fully-partitioned", "flat_keys"),
+        (VIEWS["party_directory"], (), "fully-partitioned", "flat_keys"),
+        (QUERY_1, (), _star_cut, "compact_keys"),
+        (QUERY_2, (), _star_cut, "compact_keys"),
     ], ids=["q1", "q2", "price", "a NULL key", "a DECIMAL key of two types",
-            "not aligned"])
-    def test_the_keys_a_run_merges_on(self, rxl, prices, used):
+            "not aligned", "q1 cut at its * edges", "q2 cut at its * edges"])
+    def test_the_keys_a_run_merges_on(self, rxl, prices, partition, used):
         db = _priced_db(prices)
         session = Session(Connection(db, CostModel()))
-        obs = ObsOptions()
-        xml = session.materialize(rxl, "fully-partitioned",
-                                  options=ExecutionOptions(obs=obs)).xml
-        counters = obs.metrics.snapshot()["counters"]
-        assert {name: count for name, count in counters.items()
-                if name.endswith("_keys")} == {f"merge.{used}_keys": 1}
         view = session.view(rxl)
-        specs = view.specs(view.fully_partitioned())
+        if callable(partition):
+            partition = partition(view.tree)
+        specs = view.specs(view.fully_partitioned()
+                           if partition == "fully-partitioned" else partition)
         assert len(specs) > 1
         engine = Connection(db, CostModel(), engine="tuple")
         rows = [engine.execute(spec.plan, compact_rows=spec.compact).rows
                 for spec in specs]
-        assert xml == reference(view.tree, specs, rows, None)[0]
+        expected = reference(view.tree, specs, rows, None)[0]
+        for streamed in (False, True):
+            obs = ObsOptions()
+            options = ExecutionOptions(obs=obs)
+            if streamed:
+                sink = io.StringIO()
+                session.materialize_to(rxl, sink, partition, options=options)
+                xml = sink.getvalue()
+            else:
+                xml = session.materialize(rxl, partition,
+                                          options=options).xml
+            counters = obs.metrics.snapshot()["counters"]
+            assert {name: count for name, count in counters.items()
+                    if name in _MERGES} == {f"merge.{used}": 1}
+            assert xml == expected
 
     def test_one_stream_counts_neither(self, tiny_db):
         obs = ObsOptions()
         Session(Connection(tiny_db, CostModel())).materialize(
             QUERY_1, "unified", options=ExecutionOptions(obs=obs))
         counters = obs.metrics.snapshot()["counters"]
-        assert not {"merge.compact_keys", "merge.flat_keys"} & set(counters)
+        assert not set(_MERGES) & set(counters)
+
+
+#: Every aligned view of the corpus.
+ALIGNED = {
+    "q1": QUERY_1,
+    "q2": QUERY_2,
+    "region_catalog": VIEWS["region_catalog"],
+    "deferred": DEFERRED_QUERY,
+    "deep": DEEP_QUERY,
+    "price": PRICE_QUERY,
+    "price_keyed": PRICE_KEYED_QUERY,
+}
+
+#: Parts keyed by their supplier and price but showing their name, with
+#: quantities keyed by the part's key: where two parts of a supplier
+#: cost the same, their keys are equal and their terms not, and the
+#: quantities of both nest in the second.
+EQUAL_KEYS_QUERY = """
+from Supplier $s
+construct
+  <supplier>
+    { from PartSupp $ps, Part $p
+      where $s.suppkey = $ps.suppkey and $ps.partkey = $p.partkey
+      construct <part ID=Price($s.suppkey, $p.retail)>$p.name
+        <qty ID=Qty($s.suppkey, $p.retail, $ps.availqty)>$ps.availqty</qty>
+      </part> }
+  </supplier>
+"""
+
+
+class TestWalk:
+    """A fully partitioned run on compact keys is walked, not merged: the
+    reference pipeline's characters, counts and top-level marks, held or
+    streamed, compact or indented, into a StringIO or a sink."""
+
+    @pytest.mark.parametrize("name", sorted(ALIGNED))
+    def test_every_aligned_view_walks_to_the_reference_document(
+            self, tiny_db, tiny_conn, name):
+        for simplify in (False, True):
+            tree = load_view(ALIGNED[name], tiny_db.schema,
+                             simplify_args=simplify)
+            for style in PlanStyle:
+                for reduce in (False, True):
+                    specs, rows = executed(tree, tiny_db, tiny_conn,
+                                           fully_partitioned(tree), style,
+                                           reduce)
+                    self._assert_walks(tree, specs, rows, tiny_db)
+
+    def test_equal_keys_nest_as_the_reference(self):
+        db = _priced_db([5.0] * 8 + [7.0] * 8)
+        conn = Connection(db, CostModel())
+        tree = load_view(EQUAL_KEYS_QUERY, db.schema)
+        specs, rows = executed(tree, db, conn, fully_partitioned(tree),
+                               PlanStyle.OUTER_JOIN, False)
+        [part] = [i for i, spec in enumerate(specs) if spec.label == "S1.1"]
+        names = specs[part].column_names
+        key = [names.index(n) for n in ("v1_1_suppkey", "v2_1_retail")]
+        stream = rows[part]
+        assert any(a != b and [a[i] for i in key] == [b[i] for i in key]
+                   for a, b in zip(stream, stream[1:]))
+        xml = self._assert_walks(tree, specs, rows, db)
+        # A <part> whose key repeats is closed before its quantities.
+        assert "</part><part>" in xml and "<qty>" in xml
+
+    def test_a_row_no_parent_claims_raises(self, tiny_db, tiny_conn):
+        tree = load_view(QUERY_1, tiny_db.schema)
+        specs, rows = executed(tree, tiny_db, tiny_conn,
+                               fully_partitioned(tree),
+                               PlanStyle.OUTER_JOIN, False)
+        rows = [list(stream) for stream in rows]
+        # Supplier 3 is gone from its stream, not from its children's.
+        [suppliers] = [i for i, spec in enumerate(specs)
+                       if spec.label == "S1"]
+        rows[suppliers] = [row for row in rows[suppliers] if row[1] != 3]
+        for indent in (None, 2):
+            with pytest.raises(PlanError, match="stream S1.1 "):
+                kernels(tree, specs, rows, indent, walk=True)
+        # A child row before every supplier: left behind, then named.
+        [names] = [i for i, spec in enumerate(specs) if spec.label == "S1.1"]
+        rows = [list(stream) for stream in executed(
+            tree, tiny_db, tiny_conn, fully_partitioned(tree),
+            PlanStyle.OUTER_JOIN, False)[1]]
+        rows[names].insert(0, (1, 1, 0, "Supplier#000000"))
+        with pytest.raises(PlanError, match=re.escape(
+                "row (1, 1, 0, 'Supplier#000000') of stream S1.1 ")):
+            kernels(tree, specs, rows, None, walk=True)
+
+    def test_a_session_walks_held_streamed_and_spliced(self, tiny_db):
+        """``materialize`` (through the splice, before and after writes)
+        and ``materialize_to`` walk every fully partitioned plan, the
+        splice's segments included, to the reference document, and a
+        spliced re-materialization compiles no walk of its own."""
+        db = TpchGenerator(scale=TINY_SCALE, seed=42).generate()
+        reference_engine = Connection(db, CostModel(), engine="tuple")
+        seeds = count(1)
+        for rxl in (QUERY_1, QUERY_2):
+            for style in PlanStyle:
+                for reduce in (False, True):
+                    # Its own caches: every plan writes the same document.
+                    session = Session(Connection(db, CostModel()))
+                    view = session.view(rxl)
+                    options = ExecutionOptions(style=style, reduce=reduce)
+                    specs = view.specs(view.fully_partitioned(), options)
+                    for write in range(3):
+                        if write:
+                            # An inserted supplier has no parts: its
+                            # segment walks the part streams as empty.
+                            session.mutate(
+                                "Supplier",
+                                op="insert" if write == 2 else "update",
+                                rows=1 if write == 2 else 2,
+                                seed=next(seeds))
+                        rows = [reference_engine.execute(
+                            spec.plan, compact_rows=spec.compact).rows
+                            for spec in specs]
+                        for indent in (None, 2):
+                            expected = reference(view.tree, specs, rows,
+                                                 indent)[0]
+                            before = CODE.stats().stores
+                            obs = ObsOptions()
+                            traced = dataclasses.replace(options, obs=obs)
+                            held = session.materialize(
+                                rxl, "fully-partitioned", indent=indent,
+                                options=traced).xml
+                            counters = obs.metrics.snapshot()["counters"]
+                            sink = JoinSink()
+                            session.materialize_to(
+                                rxl, sink, "fully-partitioned",
+                                indent=indent, options=options)
+                            assert held == sink.value() == expected
+                            assert counters.get("merge.walks", 0) >= 1
+                            assert not {"merge.compact_keys",
+                                        "merge.flat_keys"} & set(counters)
+                            if write:
+                                assert counters["splice.retagged"] >= 1
+                                assert CODE.stats().stores == before
+
+    def test_a_streamed_timeout_reports_as_the_heap_merge(self, tiny_db,
+                                                          monkeypatch):
+        """The walk primes the cursors in spec order, as the heap merge
+        primes its decoders: a streamed plan that runs out of budget
+        reports the same stream and the same rows read per stream."""
+        session = Session(Connection(tiny_db, CostModel()))
+        clean = session.materialize(QUERY_1, "fully-partitioned").report
+        times = sorted(stream.server_ms for stream in clean.streams)
+        budget = (times[-1] + times[-2]) / 2
+
+        def timed_out():
+            with pytest.raises(TimeoutExceeded) as caught:
+                session.materialize_to(QUERY_1, io.StringIO(),
+                                       "fully-partitioned", budget_ms=budget)
+            report = caught.value.report
+            return report.timed_out_label, [
+                (stream.label, stream.rows) for stream in report.streams]
+
+        walked = timed_out()
+        monkeypatch.setattr(Walk, "takes", staticmethod(lambda run: False))
+        merged = timed_out()
+        assert walked == merged
+        label, read = walked
+        assert label is not None
+        assert any(rows for _, rows in read)
+
+    def _assert_walks(self, tree, specs, rows, db):
+        """The walk equals the reference; ``tag_streams`` walks the run,
+        held and streamed, and counts it.  Returns the compact document."""
+        compact = ComparatorLayout(tree).compact_keys(specs, db)
+        assert compact
+        for indent in (2, None):
+            expected = reference(tree, specs, rows, indent)
+            assert kernels(tree, specs, rows, indent, walk=True) == expected
+            bare = reference(tree, specs, rows, indent, root_tag=None)
+            assert kernels(tree, specs, rows, indent, None, walk=True) == bare
+            for streamed in (False, True):
+                def streams():
+                    return [iter(stream) if streamed else stream
+                            for stream in rows]
+                obs = ObsOptions()
+                xml, counts = tag_streams(tree, specs, streams(),
+                                          indent=indent, compact=compact,
+                                          obs=obs)
+                assert (xml, (counts.elements_written, counts.implicit_opens,
+                        counts.max_stack_depth, counts.instances)) \
+                    == expected[:2]
+                counters = obs.metrics.snapshot()["counters"]
+                assert {name: count for name, count in counters.items()
+                        if name in _MERGES} == {"merge.walks": 1}
+                sink = JoinSink()
+                tag_streams(tree, specs, streams(), compact=compact,
+                            writer=XmlWriter(sink=sink, indent=indent))
+                assert sink.value() == expected[0]
+        return expected[0]
