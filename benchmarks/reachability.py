@@ -206,15 +206,14 @@ KEEP = {
         "TupleCursor.exhausted":
             "oracle: how tests/test_streaming.py::TestExecuteIter holds a "
             "cursor to the eager run",
-        "TupleCursor.close": "safety: releases an abandoned cursor's rows",
-        "TupleCursor.__enter__": "safety: as `TupleCursor.close`",
-        "TupleCursor.__exit__": "safety: as `TupleCursor.close`",
+        "TupleCursor.__enter__":
+            "safety: `with` releases an abandoned cursor's rows",
+        "TupleCursor.__exit__": "safety: as `TupleCursor.__enter__`",
     },
     "repro/relational/database.py": {
         "Database.delete": "entry `repro mutate --op delete`",
     },
     "repro/relational/engine.py": {
-        "IterResult.close": "safety: releases an abandoned cursor's buffers",
         "IterResult.rows_examined":
             "oracle: how tests/test_batch_engine.py::TestStreamIdentity "
             "holds a cursor's charges to the eager run's",

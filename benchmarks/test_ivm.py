@@ -90,9 +90,10 @@ def baseline_all(view, partitions, ivm_xml, ivm_timings):
         # reduce=True matches the materializer's default, so the baseline
         # runs the very same reduced plans.
         opts = ExecutionOptions(reduce=True)
-        outcome, report = view._dispatch(
+        outcome = view._dispatch(
             partition, view.specs(partition, options=opts), opts
         )
+        report = view._outcome_report(partition, outcome, opts)
         xml, _ = tag_streams(view.tree, outcome.specs, outcome.streams,
                              root_tag="view")
         assert xml == ivm_xml

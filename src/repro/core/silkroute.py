@@ -30,7 +30,6 @@ the partial :class:`PlanReport` attached.
 """
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -55,7 +54,6 @@ from repro.relational.dispatch import (
     execute_specs,
     record_stream,
     simulated_makespan,
-    submit,
 )
 from repro.relational.estimator import CostEstimator
 from repro.rxl.parser import parse_rxl
@@ -64,10 +62,6 @@ from repro.xmlgen.splice import FragmentCache, splice_streams
 from repro.xmlgen.streams import ComparatorLayout, XmlDocumentCache
 from repro.xmlgen.tagger import tag_streams
 from repro.xmlql import compose, parse_xmlql
-
-
-#: What the paper's path streams under: no routing epoch to hold open.
-_NO_ROUTING = nullcontext()
 
 
 @dataclass
@@ -169,16 +163,27 @@ class MaterializedView:
 
 @dataclass
 class _DispatchOutcome:
-    """Internal result of the resilient dispatch loop."""
+    """Internal result of the resilient dispatch loop: the plan's streams
+    (cursors when ``lazy``) and what it took to open them."""
 
     specs: list
     streams: list
     stats: list
+    start: float            # perf_counter() when the dispatch began
+    lazy: bool = False
     degraded: tuple = ()
     # stats burned by degraded-away streams
     spent_stats: list = field(default_factory=list)
     timeout: object = None
+    failure: object = None  # the undegradable TransientConnectionError
     span: object = None     # the dispatch trace span (None when tracing off)
+
+    def close(self):
+        """Release a lazy outcome's cursors; their charges stay frozen at
+        the rows read so far.  An eager outcome holds nothing to release."""
+        if self.lazy:
+            for cursor in self.streams:
+                cursor.close()
 
 
 class ViewDefinition:
@@ -320,26 +325,34 @@ class XmlView:
         self._check_source(specs)
         return specs
 
-    def _dispatch(self, partition, specs, opts, executor):
-        """Eagerly dispatch ``specs`` (through ``executor`` when there is
-        one, degrading as ``opts`` allow); returns ``(outcome, report)``.
-        A failure that leaves a partial outcome behind propagates with the
-        partial report attached (``exc.report``)."""
-        start = time.perf_counter()
-        try:
-            outcome = self._dispatch_rounds(partition, specs, opts, executor)
-        except Exception as exc:
-            partial = getattr(exc, "partial_outcome", None)
-            if partial is not None:
-                exc.report = self._outcome_report(
-                    partition, partial, opts,
-                    wall_s=time.perf_counter() - start,
-                )
-                del exc.partial_outcome
-            raise
-        return outcome, self._outcome_report(
-            partition, outcome, opts, wall_s=time.perf_counter() - start
-        )
+    def _dispatch(self, partition, specs, opts, lazy=False):
+        """Open ``specs`` — executed streams, or unread cursors when
+        ``lazy`` — through the resilience's executor when ``opts`` has
+        one, degrading as they allow; return the complete
+        :class:`_DispatchOutcome`, whose report :meth:`_outcome_report`
+        builds once its charges are final.
+
+        A plan that times out or fails undegradably raises instead
+        (:class:`~repro.common.errors.TimeoutExceeded` /
+        :class:`~repro.common.errors.TransientConnectionError`), its
+        cursors closed and its partial report attached (``exc.report``).
+        """
+        executor = None
+        if opts.resilience is not None:
+            executor = opts.resilience.executor(self.silkroute.connection)
+        outcome = self._dispatch_rounds(partition, specs, opts, executor,
+                                        lazy)
+        if outcome.timeout is None and outcome.failure is None:
+            return outcome
+        outcome.close()
+        report = self._outcome_report(partition, outcome, opts)
+        if outcome.failure is None:
+            raise TimeoutExceeded(
+                opts.budget_ms, float("nan"),
+                stream_label=report.timed_out_label, report=report,
+            )
+        outcome.failure.report = report
+        raise outcome.failure
 
     def _check_source(self, specs):
         source = self.silkroute.source
@@ -349,14 +362,14 @@ class XmlView:
                     spec.uses_outer_join(), spec.uses_union()
                 )
 
-    def _dispatch_rounds(self, partition, specs, opts, executor):
+    def _dispatch_rounds(self, partition, specs, opts, executor, lazy):
         """Dispatch ``specs``, degrading failing subtrees until the plan
-        completes, times out, or a stream fails undegradably.  Every round
-        shares ``executor`` (a fresh replica pool learns across rounds).
-
-        On an unrecoverable transient failure the raised error gets a
-        ``partial_outcome`` attribute (consumed by :meth:`_dispatch`, which
-        turns it into the attached partial report)."""
+        completes, times out, or a stream fails undegradably (the
+        outcome's ``timeout`` / ``failure``).  Every round shares
+        ``executor`` (a fresh replica pool learns across rounds).  A
+        cursor's fault is drawn when it opens, before the merge reads a
+        row, so a lazy plan degrades exactly like an eager one."""
+        start = time.perf_counter()
         connection = self.silkroute.connection
         # One plan's rounds (including degradation re-dispatches) must all
         # see the same data: a concurrent mutation raises
@@ -370,12 +383,16 @@ class XmlView:
         dispatch_span = tracer.span(
             "dispatch", streams=len(specs), workers=dispatch_width(opts),
         )
+        if lazy:
+            # The span brackets cursor *opening* only: the subqueries
+            # execute inside the merge/tag spans that drain them.
+            dispatch_span.set(streaming=True)
 
-        def outcome(timeout=None):
+        def outcome(timeout=None, failure=None):
             return _DispatchOutcome(
                 specs=done_specs, streams=done_streams, stats=done_stats,
-                degraded=tuple(degraded), spent_stats=spent_stats,
-                timeout=timeout,
+                start=start, lazy=lazy, degraded=tuple(degraded),
+                spent_stats=spent_stats, timeout=timeout, failure=failure,
                 span=dispatch_span if tracer.enabled else None,
             )
 
@@ -383,8 +400,8 @@ class XmlView:
             while True:
                 result = execute_specs(
                     connection, [spec for spec, _ in pending],
-                    executor=executor,
-                    expect_generations=pinned_generations, options=opts,
+                    executor=executor, expect_generations=pinned_generations,
+                    lazy=lazy, options=opts,
                 )
                 completed = len(result.streams)
                 done_specs.extend(spec for spec, _ in pending[:completed])
@@ -410,8 +427,8 @@ class XmlView:
                     if opts.resilience.retry is not None else None
                 )
                 if finer is None:
-                    failure.partial_outcome = outcome()
-                    raise failure
+                    dispatch_span.set(error=type(failure).__name__)
+                    return outcome(failure=failure)
                 degraded.append(failing_spec.label)
                 generator = self._generator(opts)
                 finer_specs = [
@@ -462,10 +479,18 @@ class XmlView:
             assigned[node.index] = component
         return [Subtree(self.tree, nodes[0], nodes) for nodes in components]
 
-    def _outcome_report(self, partition, outcome, opts, wall_s):
+    def _outcome_report(self, partition, outcome, opts):
         """Build the :class:`PlanReport` for a dispatch outcome (complete,
-        timed out, or the partial report of an unrecoverable failure)."""
+        timed out, or the partial report of an unrecoverable failure) —
+        for a lazy one, once its cursors are drained or closed."""
+        wall_s = time.perf_counter() - outcome.start
         stats = outcome.stats
+        if outcome.lazy:
+            # A cursor's charges are final only now: it enters the
+            # metrics here, once.
+            metrics = obs_parts(opts.obs)[1]
+            for cursor, st in zip(outcome.streams, stats):
+                record_stream(metrics, cursor, st)
         reports = [
             StreamReport(
                 label=spec.label, rows=stream.rows_read,
@@ -596,23 +621,17 @@ class XmlView:
         Returns a :class:`MaterializedView` whose ``xml`` is None and whose
         report's per-stream timings match the materializing path
         bit-identically (a cursor charges what ``execute`` charges, in the
-        same order).  On a budget overrun the raised
-        :class:`~repro.common.errors.TimeoutExceeded` carries the partial
-        report; streams the merge had not yet finished appear with the
-        rows/charges consumed so far.  Either way the abandoned cursors
-        are closed, releasing their row buffers.
-
-        What streaming lacks, and why, is stated once in
-        :meth:`_materialize`: no degradation, hedging, ``workers`` or
-        instance/document caches.  Under a ``resilience`` policy each
-        cursor is opened by its executor as an eager stream is submitted —
-        routed, its fault drawn, retried and failed over, its stats in the
-        report — and the pool records each open's outcome, so a reused
-        pool routes the next call around a replica that refused one.  A
-        stream that exhausts its retries raises
-        :class:`~repro.common.errors.TransientConnectionError`: use
-        :meth:`materialize` when degradation matters more than constant
-        memory.
+        same order).  Failures are :meth:`materialize`'s: under a
+        ``resilience`` policy each cursor is opened by its executor as an
+        eager stream is submitted — routed, its fault drawn, retried,
+        failed over and degraded around, its stats in the report — and
+        what cannot be recovered raises with the partial report attached
+        (``exc.report``).  On a budget overrun mid-drain, streams the merge
+        had not yet finished appear with the rows/charges consumed so far.
+        Either way every opened cursor is closed, releasing its row
+        buffer.  What streaming lacks (hedging, ``workers``, the
+        instance/document caches), and why, is stated once in
+        :meth:`_materialize`.
         """
         return self._materialize(
             sink, partition, root_tag, indent, greedy_params,
@@ -622,26 +641,24 @@ class XmlView:
     def _materialize(self, sink, partition, root_tag, indent, greedy_params,
                      opts):
         """The one materialization pipeline: options → partition → SQL →
-        execution → decode/merge/tag, into a string (``sink`` is None) or
+        dispatch → decode/merge/tag, into a string (``sink`` is None) or
         into ``sink``.
 
-        The two differ in one branch.  Without a sink the plan is
-        *dispatched eagerly* (:meth:`_dispatch`): every stream is a
-        finished list before tagging starts, which is what makes it
-        possible to race a backup against one (hedging), to replace a
-        failing one by finer streams (degradation), to schedule them as if
-        several ran at once (``workers``), and to keep decoded instances
-        and the finished document for the next call (the instance/document
-        caches).  With a sink every stream is a *lazy cursor* drained by
-        the merge while the tagger is already writing: memory stays at the
-        cursors' undrained sort buffers, and none of the above can exist —
-        an unread cursor has no completion to race, a half-consumed one
-        cannot be spliced out under a half-written sink, the one k-way
-        merge pulls the cursors in document order (so the report is the
-        width-1 one), and a cache entry would be the materialized stream
-        the path exists to avoid.  Opening a cursor is a submission like
-        any other, so a resilient one is routed and retried as on the
-        eager path.
+        Both dispatch the plan through :meth:`_dispatch`, so both retry,
+        fail over and degrade alike: a fault is drawn when a stream is
+        opened, before any row of it is read.  They differ in what a
+        stream is.  Without a sink every stream is *executed* before
+        tagging starts, which is what makes it possible to race a backup
+        against one (hedging), to schedule them as if several ran at once
+        (``workers``), and to keep decoded instances and the finished
+        document for the next call (the instance/document caches).  With a
+        sink every stream is a *lazy cursor* drained by the merge while
+        the tagger is already writing: memory stays at the cursors'
+        undrained sort buffers, and none of the above can exist — an
+        unread cursor has no completion to race, the one k-way merge pulls
+        the cursors in document order (so the report is the width-1 one),
+        and a cache entry would be the materialized stream the path exists
+        to avoid.
         """
         streaming = sink is not None
         tracer, _ = obs_parts(opts.obs)
@@ -650,84 +667,38 @@ class XmlView:
         ) as root_span:
             partition = self._resolve_partition(partition, opts, greedy_params)
             specs = self.specs(partition, opts)
-            connection = self.silkroute.connection
-            executor = None
-            if opts.resilience is not None:
-                executor = opts.resilience.executor(connection)
+            if streaming:
+                # One merge drains the cursors, whatever ``workers`` says:
+                # the report's width and makespans must say so too.
+                opts = replace(opts, workers=None)
+            outcome = self._dispatch(partition, specs, opts, lazy=streaming)
+            specs = outcome.specs     # degradation may have refined them
             if not streaming:
-                outcome, report = self._dispatch(
-                    partition, specs, opts, executor)
-                if outcome.timeout is not None:
-                    raise TimeoutExceeded(
-                        opts.budget_ms, float("nan"),
-                        stream_label=report.timed_out_label, report=report,
-                    )
-                specs = outcome.specs     # degradation may have refined them
+                report = self._outcome_report(partition, outcome, opts)
                 xml, tagger = self._tag_cached(
                     partition, specs, outcome.streams, outcome.degraded,
                     root_tag, indent, opts, root_span,
                 )
                 root_span.set(streams=len(specs), chars=len(xml))
                 return MaterializedView(xml=xml, report=report, tagger=tagger)
-
-            # One merge drains the cursors, whatever ``workers`` says:
-            # the report's width and makespans must say so too.
-            opts = replace(opts, workers=None)
-            start = time.perf_counter()
-            cursors, stats = [], []     # stats: under resilience only
+            layout = self.definition.layout
             try:
-                # What a pool learns from a streamed plan is whether each
-                # cursor opened, and on which replica.
-                with executor.routing() if executor else _NO_ROUTING:
-                    # The dispatch span brackets cursor *opening* only:
-                    # the subqueries execute lazily, inside the merge/tag
-                    # spans that drain them.
-                    with tracer.span(
-                        "dispatch", streams=len(specs), streaming=True,
-                    ):
-                        for spec in specs:
-                            if executor is None:
-                                cursor, _ = submit(connection, spec, opts,
-                                                   lazy=True)
-                            else:
-                                cursor, st = executor.run(spec, opts,
-                                                          lazy=True)
-                                stats.append(st)
-                            cursors.append(cursor)
-                    _, tagger = tag_streams(
-                        self.tree, specs, cursors, root_tag=root_tag,
-                        writer=XmlWriter(sink=sink, indent=indent),
-                        obs=opts.obs, layout=self.definition.layout,
-                        compact=self.definition.layout.compact_keys(
-                            specs, connection.database),
-                    )
-            except Exception as exc:
-                if isinstance(exc, TimeoutExceeded):
-                    exc.report = self._streamed_report(
-                        partition, specs, cursors, stats, opts, start, exc)
-                for cursor in cursors:
-                    cursor.close()
+                _, tagger = tag_streams(
+                    self.tree, specs, outcome.streams, root_tag=root_tag,
+                    writer=XmlWriter(sink=sink, indent=indent),
+                    obs=opts.obs, layout=layout,
+                    compact=layout.compact_keys(
+                        specs, self.silkroute.connection.database),
+                )
+            except TimeoutExceeded as exc:
+                exc.report = self._outcome_report(
+                    partition, replace(outcome, timeout=exc), opts)
                 raise
-            report = self._streamed_report(
-                partition, specs, cursors, stats, opts, start)
+            finally:
+                outcome.close()
+            report = self._outcome_report(partition, outcome, opts)
             root_span.set(streams=len(specs))
         return MaterializedView(xml=None, report=report, tagger=tagger)
-
-    def _streamed_report(self, partition, specs, cursors, stats, opts, start,
-                         timeout=None):
-        """The report of a streamed plan, from its cursors' charges so far
-        (and their ``stats``: none on the paper's path), each recorded into
-        the metrics here, once."""
-        stats = stats or [None] * len(cursors)
-        metrics = obs_parts(opts.obs)[1]
-        for cursor, st in zip(cursors, stats):
-            record_stream(metrics, cursor, st)
-        return self._outcome_report(
-            partition,
-            _DispatchOutcome(specs=specs, streams=cursors, stats=stats,
-                             timeout=timeout),
-            opts, wall_s=time.perf_counter() - start,
-        )
 
     def _tag_cached(self, partition, specs, streams, degraded, root_tag,
                     indent, opts, root_span):

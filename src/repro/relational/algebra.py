@@ -218,15 +218,17 @@ def predicate_source(predicate, columns, src):
     """``predicate`` as a Python boolean expression: ``columns`` maps each
     column name to the source text of its value, and every literal is an
     argument of ``src`` (a :class:`~repro.relational.codegen.Source`).
-    Raises :class:`QueryError` for predicate shapes the compiler does not
-    handle (callers fall back to :meth:`Comparison.evaluate`).
+    Nested conjunctions are flattened.  Raises :class:`QueryError` for any
+    other shape — a conjunct that is no :class:`Comparison`, an operand
+    that is neither a column nor a literal — when the plan is compiled,
+    whether or not it has rows to filter.
     """
-    conjuncts = (predicate.conjuncts if isinstance(predicate, And)
-                 else (predicate,))
-    if not conjuncts:
+    if not isinstance(predicate, And):
+        return _comparison_source(predicate, columns, src)
+    if not predicate.conjuncts:
         return "True"
-    return " and ".join(_comparison_source(c, columns, src)
-                        for c in conjuncts)
+    return " and ".join(predicate_source(c, columns, src)
+                        for c in predicate.conjuncts)
 
 
 # ---------------------------------------------------------------------------

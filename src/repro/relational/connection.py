@@ -121,8 +121,8 @@ class TupleCursor:
     surfaces from the consuming ``next()`` call (only ``startup`` is
     charged when the cursor is opened).
 
-    A cursor is a context manager: abandoning one mid-stream (a degraded
-    stream spliced out of a merge, an aborted export) should
+    A cursor is a context manager: abandoning one (an export that failed
+    or ran out of budget) should
     :meth:`close` it so the engine's row buffer is dropped promptly
     instead of lingering until garbage collection.
     """
@@ -289,12 +289,12 @@ class Connection:
         nothing, and the final ORDER BY's buffer is drained destructively
         — memory is bounded by that buffer plus the largest single
         operator step, and the client side never holds the rows as a
-        whole.  ``startup`` is charged, and the result cache consulted,
-        when the cursor is opened: a budget below ``startup_ms`` raises
-        from this call (labelled here — no cursor exists yet), any later
-        overrun from the consuming ``next()``.  A result-cache hit
-        replays its charge log and streams the cached rows; misses are
-        *not* inserted (that would mean keeping the result).
+        whole.  ``startup`` is charged when the cursor is opened: a
+        budget below ``startup_ms`` raises from this call (labelled here
+        — no cursor exists yet), any later overrun from the consuming
+        ``next()``.  The result cache is neither read nor filled (filling
+        it would mean keeping the result): a plan streamed twice is
+        evaluated twice, to the same rows and charges.
         """
         opts = resolve_options(options, overrides)
         try:

@@ -2,9 +2,10 @@
 
 This is the one place the middle-ware talks to its source: the transfer
 step after SQL generation.  :func:`submit` opens one spec on a
-connection, and :func:`execute_specs` collects a plan's streams in spec
-order — from the connection itself on the paper's path, or through the
-executor of the execution's
+connection, and :func:`execute_specs` opens a plan's streams in spec
+order — executed lists, or the cursors a streaming export drains — from
+the connection itself on the paper's path, or through the executor of
+the execution's
 :class:`~repro.relational.resilience.Resilience`, which this module
 calls but does not know.
 
@@ -69,9 +70,9 @@ def simulated_makespan(durations_ms, workers):
 class DispatchResult:
     """Outcome of one :func:`execute_specs` call.
 
-    ``streams`` holds the completed
-    :class:`~repro.relational.connection.TupleStream` results in spec
-    order, ``stats`` the matching per-stream
+    ``streams`` holds the opened streams in spec order (executed
+    :class:`~repro.relational.connection.TupleStream` lists, or cursors),
+    ``stats`` the matching per-stream
     :class:`~repro.relational.faults.StreamAttemptStats` (None each
     without resilience).  At most one of
     the failure slots is set:
@@ -107,8 +108,8 @@ def submit(connection, spec, opts, lazy=False):
 
 
 def execute_specs(connection, specs, executor=None, expect_generations=None,
-                  options=None, **overrides):
-    """Execute every :class:`~repro.core.sqlgen.StreamSpec`'s plan; return
+                  lazy=False, options=None, **overrides):
+    """Open every :class:`~repro.core.sqlgen.StreamSpec`'s plan; return
     a :class:`DispatchResult`.
 
     Execution knobs are the fields of
@@ -117,10 +118,13 @@ def execute_specs(connection, specs, executor=None, expect_generations=None,
     both — the keyword wins.  The other arguments are this dispatch's
     state.
 
-    ``streams`` is the list of :class:`~repro.relational.connection.TupleStream`
-    results in spec order.  On a per-subquery budget overrun, ``streams``
-    holds only the streams *preceding* the first timed-out spec and
-    ``timeout`` is the raised
+    ``streams`` holds the results in spec order: executed
+    :class:`~repro.relational.connection.TupleStream` lists, or with
+    ``lazy`` unread :class:`~repro.relational.connection.TupleCursor`
+    objects, which the caller drains and closes.  On a per-subquery budget
+    overrun (for a cursor, only its ``startup`` charge can overrun here),
+    ``streams`` holds only the streams *preceding* the first timed-out
+    spec and ``timeout`` is the raised
     :class:`~repro.common.errors.TimeoutExceeded`, annotated with
     ``stream_label``.  The specs run one after another in spec order, and
     a dispatch that stops early never starts the later specs: no fault is
@@ -133,19 +137,25 @@ def execute_specs(connection, specs, executor=None, expect_generations=None,
     goes to its executor
     (:class:`~repro.relational.resilience.ResilientExecutor`, built here
     unless the caller shares one as ``executor``), which routes, draws
-    faults, retries, fails over and hedges, and returns the stream's
-    :class:`~repro.relational.faults.StreamAttemptStats`.  A stream that
-    exhausts its retries is reported via ``result.failure`` /
-    ``failed_index`` — first failing spec in spec order wins, exactly like
-    timeouts — so the caller can degrade the plan.  A pool's routing is
-    frozen for the call: unless the executor already holds an epoch (a
-    sweep's), one is opened here and folded back when the call returns.
+    faults, retries, fails over and — eager streams only — hedges, and
+    returns the stream's
+    :class:`~repro.relational.faults.StreamAttemptStats`.  A fault is
+    drawn when a stream is opened, so a cursor is retried like a list: it
+    has delivered no row yet.  A stream that exhausts its retries is
+    reported via ``result.failure`` / ``failed_index`` — first failing
+    spec in spec order wins, exactly like timeouts — so the caller can
+    degrade the plan.  A pool's routing is frozen for the call: unless
+    the executor already holds an epoch (a sweep's), one is opened here
+    and folded back when the call returns.
 
     With an observability session (``obs``), each stream is wrapped in a
     ``stream:<label>`` span under the caller's current one (the
-    ``dispatch`` span), and its metrics are recorded once per completed
-    stream (and once for a terminally-failed stream's burned attempts),
-    from the same stats the plan report sums.
+    ``dispatch`` span).  An executed stream's metrics are recorded here,
+    once per completed stream (and once for a terminally-failed stream's
+    burned attempts), from the same stats the plan report sums; a
+    cursor's charges are final only once it is drained or closed, so
+    its rows, simulated cost and metrics are left to the caller
+    (:func:`record_stream`).
 
     ``expect_generations`` — a per-table generation map pinned by the
     caller (see :meth:`~repro.relational.database.Database.table_generations`)
@@ -169,22 +179,23 @@ def execute_specs(connection, specs, executor=None, expect_generations=None,
     if executor is None and opts.resilience is not None:
         executor = opts.resilience.executor(connection)
     if executor is None:
-        return _run_specs(partial(submit, connection), specs, opts)
+        return _run_specs(partial(submit, connection), specs, opts, lazy)
     with executor.routing():
-        return _run_specs(executor.run, specs, opts)
+        return _run_specs(executor.run, specs, opts, lazy)
 
 
-def _run_specs(run, specs, opts):
-    """The dispatch loop: ``run(spec, opts)`` per spec, in spec order,
-    until one times out or fails for good."""
+def _run_specs(run, specs, opts, lazy):
+    """The dispatch loop: ``run(spec, opts, lazy)`` per spec, in spec
+    order, until one times out or fails for good."""
     tracer, metrics = obs_parts(opts.obs)
     result = DispatchResult(streams=[])
     for i, spec in enumerate(specs):
         try:
             with tracer.span("stream:" + spec.label) as span:
-                stream, stats = run(spec, opts)
+                stream, stats = run(spec, opts, lazy)
                 if tracer.enabled:
-                    span.set(rows=len(stream))
+                    if not lazy:
+                        span.set(rows=len(stream))
                     if stats is not None:
                         span.set(
                             attempts=stats.attempts, retries=stats.retries,
@@ -194,7 +205,8 @@ def _run_specs(run, specs, opts):
                             span.set(
                                 replica=stats.replica, hedges=stats.hedges
                             )
-                    span.set_sim(stream_cost(stream, stats))
+                    if not lazy:
+                        span.set_sim(stream_cost(stream, stats))
         except (TimeoutExceeded, TransientConnectionError) as exc:
             # The first timed-out or terminally-failed spec stops the
             # dispatch; later specs are never started.
@@ -202,7 +214,8 @@ def _run_specs(run, specs, opts):
             break
         result.streams.append(stream)
         result.stats.append(stats)
-        record_stream(metrics, stream, stats)
+        if not lazy:
+            record_stream(metrics, stream, stats)
     return result
 
 

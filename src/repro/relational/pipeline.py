@@ -42,7 +42,7 @@ a known shape compiles nothing.
 
 from types import NoneType
 
-from repro.common.errors import ExecutionError, QueryError
+from repro.common.errors import ExecutionError
 from repro.common.ordering import column_keys, in_key_order, rows_are_keys
 from repro.relational import algebra, codegen
 from repro.relational.algebra import (
@@ -618,12 +618,7 @@ class _Builder:
 
     def _condition(self, op, names, cols):
         columns = {name: cols[i] for name, i in names.items()}
-        try:
-            return algebra.predicate_source(op.predicate, columns, self.src)
-        except QueryError:
-            evaluate = self.src.arg(op.predicate.evaluate)
-            positions = self.src.arg(names)
-            return f"{evaluate}({_row(cols)}, {positions})"
+        return algebra.predicate_source(op.predicate, columns, self.src)
 
     def _key(self, names, cols, columns):
         return _row([cols[names[column]] for column in columns],

@@ -17,8 +17,8 @@ kernels run without knowing that any of this exists.
   count, or a live :class:`ReplicaPool` that keeps its health across
   calls) and ``hedge_ms`` (the backup-request trigger).
 * :class:`ResilientExecutor` — what
-  :func:`~repro.relational.dispatch.execute_specs` (and the streaming
-  materializer) hands each spec to instead of the connection: it owns
+  :func:`~repro.relational.dispatch.execute_specs` hands each spec, eager
+  or lazy, to instead of the connection: it owns
   routing, the fault draw, retry with backoff, failover, hedging, the
   health epochs and each stream's
   :class:`~repro.relational.faults.StreamAttemptStats`.

@@ -54,7 +54,7 @@ from hypothesis import (
 
 from repro.cli import build_parser
 from repro.common.errors import (
-    ExecutionError, TimeoutExceeded, TransientConnectionError,
+    ExecutionError, QueryError, TimeoutExceeded, TransientConnectionError,
 )
 from repro.common import ordering
 from repro.common.ordering import NoneFirst, sort_key
@@ -1146,17 +1146,37 @@ class TestPipelinesDifferential:
         _assert_twins(nulls_db, plan)
         assert all(row[6] is not None for row in engine.execute(plan).rows)
 
-    def test_predicate_the_compiler_cannot_inline(self, nulls_db):
-        """A nested conjunction is no comparison chain: the loop calls the
-        predicate's ``evaluate`` on the logical row, a constant argument
-        of the generated code."""
+    def test_nested_conjunction_compiles_flat(self, nulls_db, monkeypatch):
+        """A nested conjunction compiles to the flat comparison chain it
+        means: the generated loop returns the interpreter's rows and
+        charge log without calling the predicate's ``evaluate``, which
+        stays the interpreter's reference."""
         nested = And((Comparison(">=", ColumnRef("a.k"), Literal(0)), And(
-            (Comparison("!=", ColumnRef("b.j"), Literal(1)),))))
+            (Comparison("!=", ColumnRef("b.j"), Literal(1)), And(())))))
         plan = Filter(InnerJoin(self.scan("A", "a"), self.scan("B", "b"),
                                 [("a.k", "b.k")]), nested)
         rows, log = _interpreted(nulls_db, plan)
         assert rows and [label for label, _, _ in log][-1] == "filter"
         _assert_twins(nulls_db, plan)
+
+        def refuse(*_):
+            raise AssertionError("the compiled loop called evaluate")
+
+        monkeypatch.setattr(And, "evaluate", refuse)
+        monkeypatch.setattr(Comparison, "evaluate", refuse)
+        assert QueryEngine(nulls_db).execute(plan).rows == rows
+
+    def test_an_operand_the_compiler_cannot_read_fails_at_lowering(self):
+        """An operand that is neither a column nor a literal is refused
+        when the plan is compiled — over an empty table too, where a
+        per-row fallback would never have run."""
+        plan = Filter(self.scan("A", "a"), Comparison(
+            "=", ColumnRef("a.k"), Comparison("=", ColumnRef("a.j"),
+                                              Literal(1))))
+        empty = Database(_NULLS_SCHEMA)
+        assert QueryEngine(empty, engine="tuple").execute(plan).rows == []
+        with pytest.raises(QueryError, match="unsupported expression"):
+            QueryEngine(empty).execute(plan)
 
     def test_null_operands_never_match(self, nulls_db):
         """``a.k = b.j`` where both are NULL, ``a.s != 'a'`` where

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bench.queries import QUERY_1
 from repro.bench.sweep import sweep_partitions
-from repro.common.errors import TransientConnectionError
+from repro.common.errors import TimeoutExceeded, TransientConnectionError
 from repro.core.options import ExecutionOptions
 from repro.core.silkroute import SilkRoute
 from repro.relational.cache import PlanResultCache, resolve_cache
@@ -50,6 +50,21 @@ def silk(tiny_db, tiny_estimator):
 @pytest.fixture
 def view(silk):
     return silk.define_view(QUERY_1)
+
+
+@pytest.fixture
+def opened_cursors(monkeypatch):
+    """Every cursor any connection opens while the test runs."""
+    cursors = []
+    execute_iter = Connection.execute_iter
+
+    def recorded(self, *args, **kwargs):
+        cursor = execute_iter(self, *args, **kwargs)
+        cursors.append(cursor)
+        return cursor
+
+    monkeypatch.setattr(Connection, "execute_iter", recorded)
+    return cursors
 
 
 class TestFaultPolicy:
@@ -385,6 +400,60 @@ class TestDegradation:
         assert report.resilience.attempts == 4 + report.n_streams
         assert all(h.failures for h in pool.health)
 
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_streamed_plan_degrades_like_the_eager_one(self, silk, pooled):
+        """A cursor's fault is drawn when it opens, before the merge reads
+        a row, so a streamed plan is re-planned exactly as an eager one:
+        the same finer streams, the same bytes, the same report."""
+        def resilience():
+            if not pooled:
+                return Resilience(
+                    retry=RetryPolicy(max_attempts=2),
+                    faults=FaultPolicy(seed=7, error_rate=0.4),
+                )
+            return Resilience(
+                replicas=ReplicaPool.from_connection(silk.connection, 3),
+                retry=RetryPolicy(max_attempts=4),
+                faults=[FaultPolicy(seed=i, fail_streams=("S1'",))
+                        for i in range(3)],
+            )
+
+        view = silk.define_view(QUERY_1)
+        eager = view.materialize("unified", resilience=resilience())
+        sink = io.StringIO()
+        result = view.materialize_to(sink, "unified",
+                                     resilience=resilience())
+        assert sink.getvalue() == eager.xml
+        report = result.report
+        assert report.resilience.degraded_streams == ("S1'",)
+        assert report.resilience == eager.report.resilience
+        assert [(s.label, s.rows, s.server_ms, s.transfer_ms, s.resilience)
+                for s in report.streams] == [
+            (s.label, s.rows, s.server_ms, s.transfer_ms, s.resilience)
+            for s in eager.report.streams]
+        assert (report.query_ms, report.transfer_ms) == (
+            eager.report.query_ms, eager.report.transfer_ms)
+
+    def test_streamed_failure_carries_the_partial_report(self, view):
+        """A single-node cursor that keeps failing cannot degrade: the
+        error propagates with the streams opened before it, and the
+        attempts it burned, in the report."""
+        with pytest.raises(TransientConnectionError) as excinfo:
+            view.materialize_to(
+                io.StringIO(), "fully-partitioned",
+                resilience=Resilience(
+                    retry=RetryPolicy(max_attempts=2),
+                    faults=FaultPolicy(seed=0, fail_streams={"S1.4": None}),
+                ),
+            )
+        exc = excinfo.value
+        assert exc.stream_label == "S1.4"
+        report = exc.report
+        assert [s.label for s in report.streams] == ["S1", "S1.1", "S1.2",
+                                                     "S1.3"]
+        assert report.resilience.degraded_streams == ()
+        assert report.resilience.attempts == 4 + 2
+
     def test_single_node_stream_propagates(self, view):
         faults = FaultPolicy(seed=0, fail_streams={"S1": None})
         with pytest.raises(TransientConnectionError) as excinfo:
@@ -529,15 +598,37 @@ class TestCursorClose:
         assert list(cursor) == []
         cursor.close()  # idempotent
 
-    def test_materialize_to_closes_cursors_on_error(self, view):
-        sink = io.StringIO()
-        with pytest.raises(TransientConnectionError):
+    def test_materialize_to_closes_cursors_on_error(self, view,
+                                                    opened_cursors):
+        """A failure at a later spec leaves no earlier cursor open: the
+        four opened before ``S1.4`` are closed, unread."""
+        with pytest.raises(TransientConnectionError) as excinfo:
             view.materialize_to(
-                sink, "fully-partitioned",
+                io.StringIO(), "fully-partitioned",
                 resilience=Resilience(
                     faults=FaultPolicy(seed=0, fail_streams={"S1.4": None}),
                 ),
             )
+        assert [s.label for s in excinfo.value.report.streams] == [
+            "S1", "S1.1", "S1.2", "S1.3"]
+        assert len(opened_cursors) == 4
+        assert all(cursor.closed for cursor in opened_cursors)
+        assert all(cursor.rows_read == 0 for cursor in opened_cursors)
+
+    def test_materialize_to_closes_cursors_on_a_drain_overrun(
+            self, view, opened_cursors):
+        """Every cursor opens within a budget just above ``startup``, and
+        the first one the merge pulls overruns it: all ten are closed and
+        the report says which stream ran out."""
+        budget_ms = CostModel().startup_ms + 0.001
+        with pytest.raises(TimeoutExceeded) as excinfo:
+            view.materialize_to(io.StringIO(), "fully-partitioned",
+                                budget_ms=budget_ms)
+        report = excinfo.value.report
+        assert report.timed_out
+        assert report.timed_out_label == excinfo.value.stream_label
+        assert len(opened_cursors) == report.n_streams == 10
+        assert all(cursor.closed for cursor in opened_cursors)
 
 
 class TestSweepFaults:

@@ -17,6 +17,7 @@ The load-bearing invariants:
   that allocate nothing.
 """
 
+import io
 import json
 import math
 import threading
@@ -768,6 +769,45 @@ class TestMetricsReconciliation:
         assert counters.get("dispatch.attempts", 0) == report.resilience.attempts
         dispatch = spans_named(obs.tracer, "dispatch")[0]
         assert dispatch.attrs.get("timed_out") is True
+
+    def test_streamed_run_traces_and_reconciles(self, tiny_db,
+                                                tiny_estimator):
+        """A streamed plan goes through the one dispatch loop: one
+        ``stream:<label>`` span per cursor under ``dispatch``, bracketing
+        the open (its attempts, no rows yet), and each cursor's metrics
+        recorded once the merge has drained it — counters that agree with
+        the report as an eager run's do."""
+        obs = ObsOptions()
+        view = fresh_view(tiny_db, tiny_estimator)
+        result = view.materialize_to(
+            io.StringIO(), "fully-partitioned",
+            options=ExecutionOptions(
+                obs=obs,
+                resilience=Resilience(
+                    faults=FaultPolicy(seed=3, error_rate=0.4),
+                    retry=RetryPolicy(max_attempts=6),
+                ),
+            ),
+        )
+        report = result.report
+        [root] = spans_named(obs.tracer, "materialize_to")
+        [dispatch] = spans_named(root, "dispatch")
+        assert dispatch.attrs["streaming"] is True
+        streams = [c for c in dispatch.children
+                   if c.name.startswith("stream:")]
+        assert [c.name for c in streams] == [
+            "stream:" + s.label for s in report.streams]
+        assert [c.attrs["attempts"] for c in streams] == [
+            s.resilience.attempts for s in report.streams]
+        assert all("rows" not in c.attrs and c.sim_ms is None
+                   for c in streams)
+        assert report.resilience.retries > 0
+        counters = self._counters(obs)
+        assert counters["dispatch.attempts"] == report.resilience.attempts
+        assert counters["dispatch.retries"] == report.resilience.retries
+        assert counters["streams.executed"] == report.n_streams == 10
+        assert counters["tuples.transferred"] == sum(
+            s.rows for s in report.streams) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -143,9 +143,8 @@ class TestOneGeneratorPerView:
         ))
         partition = view.unified_partition()
         planned = view.specs(partition, opts)
-        outcome, report = view._dispatch(
-            partition, planned, opts,
-            opts.resilience.executor(view.silkroute.connection))
+        outcome = view._dispatch(partition, planned, opts)
+        report = view._outcome_report(partition, outcome, opts)
         specs = outcome.specs
         assert report.resilience.degraded_streams and len(specs) > 1
         assert all(
