@@ -252,7 +252,8 @@ def build_parser():
 
     serve = sub.add_parser(
         "serve",
-        help="run the multi-tenant query service (JSON-line protocol)",
+        help="run the multi-tenant query service (JSON lines; a query's "
+             "document follows its header line as a counted body)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7414,

@@ -177,7 +177,8 @@ class ResilientExecutor:
           :class:`~repro.relational.cache.PlanResultCache` never contacts
           the (possibly faulty) source: no fault draw, no attempt recorded
           (``stats.from_cache``), which is why a warm cache makes a flaky
-          source harmless.
+          source harmless.  Eager only: a cursor never reads the cache,
+          so a lazy open always goes to the source.
         * **retry with simulated backoff** — each
           :class:`~repro.common.errors.TransientConnectionError` charges
           its wasted connection latency and the next backoff to the
@@ -217,11 +218,11 @@ class ResilientExecutor:
         first = current = None
         if epoch is not None:
             first = current = stats.replica = epoch.pick()
-        if self.policy and self.connections[first or 0].is_cached(spec.plan):
+        if (self.policy and not lazy
+                and self.connections[first or 0].is_cached(spec.plan)):
             stats.from_cache = True
             with tracer.span("cache", label=spec.label, replay=True):
-                stream, _ = submit(self.connections[first or 0], spec, opts,
-                                   lazy)
+                stream, _ = submit(self.connections[first or 0], spec, opts)
             return stream, stats
         max_attempts = retry.max_attempts if retry is not None else 1
         deadline = opts.budget_ms

@@ -4,7 +4,8 @@
 over one shared :class:`~repro.session.Session` — shared result caches,
 request coalescing, per-tenant admission quotas, and live incremental
 maintenance under mutations — either in-process (tests, embedding) or
-over a JSON-line socket front end (:class:`ServeClient`,
+over a socket front end — JSON lines, a query's document as a counted
+body after its header line (:class:`ServeClient`,
 ``python -m repro serve``).  See :mod:`repro.serve.server` for the
 architecture notes.
 """

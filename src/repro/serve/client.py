@@ -1,4 +1,5 @@
-"""A blocking JSON-line client for the query service.
+"""A blocking client for the query service: JSON request lines out, JSON
+header lines and counted document bodies back.
 
 ::
 
@@ -32,10 +33,11 @@ import time
 import uuid
 
 from repro.serve.protocol import (
+    ProtocolError,
     ServeError,
-    decode,
     encode,
     options_to_wire,
+    read_response,
 )
 
 
@@ -95,14 +97,11 @@ class ServeClient:
         if self._sock is None:
             self._connect()
         self._sock.sendall(encode(request))
-        line = self._rfile.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        if not line.endswith(b"\n"):
-            # A torn response: the server died mid-write.  The request's
-            # fate is unknown — exactly what idempotency keys are for.
-            raise ConnectionError("torn response (connection lost mid-frame)")
-        response = decode(line)
+        try:
+            response = read_response(self._rfile)
+        except ProtocolError:
+            self._teardown()    # out of step with the frames: reconnect
+            raise
         if not response.get("ok"):
             raise ServeError(response.get("error", {}))
         return response

@@ -1,8 +1,9 @@
-"""The query service's wire protocol: one JSON object per line.
+"""The query service's wire protocol: JSON header lines, and a query's
+document as a counted body.
 
-A client sends one request object per line and reads one response
-object per line, in order — the framing is trivial on purpose so any
-language (or ``nc``) can speak it.  Requests name an operation::
+A client sends one request object per line and reads one response per
+request, in order — the framing stays simple on purpose so any language
+(or ``nc``) can speak it.  Requests name an operation::
 
     {"op": "query",  "query": "q1", "tenant": "acme", "id": "r-1",
      "options": {"style": "outer-join", "workers": 2}}
@@ -17,7 +18,12 @@ inline text.  Responses are ``{"ok": true, ...}`` with the operation's
 payload, or ``{"ok": false, "error": {...}}`` where the error object
 carries the exception type, message, and — for errors raised inside the
 execution — the originating ``tenant``/``request_id`` stamped by
-:func:`~repro.common.errors.tag_request`.
+:func:`~repro.common.errors.tag_request`.  Every response is one JSON
+line except a query's (:func:`write_response`): its header line carries
+``"xml_bytes": N`` in place of the document, and the document's N UTF-8
+bytes follow as they are, then one newline — so ``nc`` shows the header
+line and then the document text, and neither end escapes the document
+into a JSON string.
 
 Only a whitelisted subset of
 :class:`~repro.core.options.ExecutionOptions` crosses the wire
@@ -27,7 +33,7 @@ server's business.  Simulated timings are deterministic, so ``NaN`` (a
 timed-out sum) is the only non-JSON float a report can hold; it crosses
 as ``null``.
 
-The wire is hardened, not trusted: a frame longer than
+The wire is hardened, not trusted: a request frame longer than
 :data:`MAX_FRAME_BYTES` or one that is not valid JSON gets a structured
 ``{"ok": false}`` error response (tenant/request id stamped when the
 frame was parseable enough to carry them) and the connection *stays
@@ -83,6 +89,52 @@ def decode(line):
     if not isinstance(obj, dict):
         raise ProtocolError("protocol line is not a JSON object")
     return obj
+
+
+def write_response(wfile, response):
+    """Send ``response`` as one frame in one write.  A query's ``xml``
+    goes as a counted body: the header line carries ``"xml_bytes"``, the
+    length of the document's UTF-8 encoding, and those bytes and one
+    newline follow.  (Header and body in two writes would meet Nagle's
+    algorithm and the reader's delayed ACK.)"""
+    if "xml" not in response:
+        wfile.write(encode(response))
+    else:
+        header = dict(response)
+        body = header.pop("xml").encode("utf-8")
+        header["xml_bytes"] = len(body)
+        wfile.write(b"".join((encode(header), body, b"\n")))
+    wfile.flush()
+
+
+def read_response(rfile):
+    """One response frame from ``rfile``, a query's body back under
+    ``"xml"`` as text.  A frame cut short — no header newline, or fewer
+    than ``xml_bytes`` + 1 body bytes before the connection ends — raises
+    :class:`ConnectionError`, a transient failure a client may resend
+    on; a header or body that breaks the framing is a
+    :class:`ProtocolError`."""
+    line = rfile.readline()
+    if not line:
+        raise ConnectionError("server closed the connection")
+    if not line.endswith(b"\n"):
+        # The server died mid-write.  The request's fate is unknown —
+        # exactly what idempotency keys are for.
+        raise ConnectionError("torn response (connection lost mid-frame)")
+    response = decode(line)
+    if "xml_bytes" not in response:
+        return response
+    size = response.pop("xml_bytes")
+    if isinstance(size, bool) or not isinstance(size, int) or size < 0:
+        raise ProtocolError(
+            f"'xml_bytes' must be a non-negative integer, got {size!r}")
+    body = rfile.read(size + 1)
+    if len(body) <= size:
+        raise ConnectionError("torn response (connection lost mid-body)")
+    if body[size] != ord("\n"):
+        raise ProtocolError("a response body must end in a newline")
+    response["xml"] = body[:size].decode("utf-8")
+    return response
 
 
 def request_int(request, name, default, low, high):

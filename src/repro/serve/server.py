@@ -28,7 +28,8 @@ concerns on top:
   other tenants keep reading.
 
 The socket front end (:meth:`Server.start` / :meth:`Server.serve_forever`)
-speaks the JSON-line protocol of :mod:`repro.serve.protocol`; in-process
+speaks the protocol of :mod:`repro.serve.protocol` (JSON lines, a query's
+document as a counted body after its header line); in-process
 callers use :meth:`Server.query` / :meth:`Server.mutate` directly.
 """
 
@@ -50,10 +51,12 @@ from repro.serve.protocol import (
     MAX_INDENT,
     MAX_MUTATION_ROWS,
     ProtocolError,
+    decode,
     error_to_wire,
     options_from_wire,
     report_to_wire,
     request_int,
+    write_response,
 )
 from repro.serve.tenants import TenantRegistry
 from repro.session import QueryResult, Session
@@ -573,7 +576,7 @@ class Server:
                                                        request_id))}
 
     def start(self, host="127.0.0.1", port=0):
-        """Bind the JSON-line front end and serve it from a background
+        """Bind the socket front end and serve it from a background
         thread; returns the bound ``(host, port)``."""
         if self._tcp is not None:
             raise RuntimeError("server already started")
@@ -622,7 +625,9 @@ class Server:
 
 
 class _Handler(socketserver.StreamRequestHandler):
-    """One connection: JSON-line requests in, JSON-line responses out.
+    """One connection: JSON-line requests in, responses out through
+    :func:`~repro.serve.protocol.write_response` (a query's document as a
+    counted body after its JSON header line, one write per response).
 
     Hardened against the wire's realities: an oversized frame is drained
     and answered with a structured error (the connection survives), a
@@ -635,8 +640,6 @@ class _Handler(socketserver.StreamRequestHandler):
     """
 
     def handle(self):
-        from repro.serve.protocol import decode, encode
-
         server = self.server.repro_server
         limit = server.max_frame_bytes
         while True:
@@ -669,8 +672,7 @@ class _Handler(socketserver.StreamRequestHandler):
                     except Exception as exc:  # never kill the loop
                         response = {"ok": False, "error": error_to_wire(exc)}
             try:
-                self.wfile.write(encode(response))
-                self.wfile.flush()
+                write_response(self.wfile, response)
             except (ConnectionError, OSError):
                 server.metrics.inc("serve.client_disconnects")
                 return

@@ -362,6 +362,17 @@ class TestCacheInterplay:
         assert replay.xml == result.xml
         assert replay.report.resilience.attempts == 0
 
+    def test_a_warm_cache_does_not_shield_a_streamed_export(self, silk, view):
+        # A cursor never reads the plan cache, so a streamed open goes to
+        # the source even when the eager path has cached the plan: it
+        # draws its fault as in a fresh session instead of skipping it.
+        silk.cache = True
+        view.materialize("unified")
+        with pytest.raises(TransientConnectionError):
+            view.materialize_to(io.StringIO(), "unified", resilience=Resilience(
+                faults=FaultPolicy(seed=1, error_rate=1.0),
+            ))
+
 
 class TestDegradation:
     def test_unified_plan_degrades_to_finer_streams(self, view):

@@ -16,6 +16,7 @@ The load-bearing contracts:
   engines).
 """
 
+import io
 import os
 import shutil
 import socket
@@ -45,7 +46,8 @@ from repro.relational.faults import FaultPolicy, RetryPolicy
 from repro.relational.resilience import Resilience
 from repro.serve.tenants import AdmissionPolicy
 from repro.serve import Server, ServeClient, ServeError
-from repro.serve.server import _TcpFrontEnd
+from repro.serve import server as server_module
+from repro.serve.server import _Handler, _TcpFrontEnd
 from repro.serve.protocol import (
     WIRE_OPTIONS,
     ProtocolError,
@@ -54,7 +56,9 @@ from repro.serve.protocol import (
     error_to_wire,
     options_from_wire,
     options_to_wire,
+    read_response,
     report_to_wire,
+    write_response,
 )
 from repro.session import Session, apply_delta
 from repro.tpch.generator import TpchGenerator, TpchScale
@@ -853,6 +857,189 @@ class TestFrameHardening:
             ), "disconnect never counted"
             with ServeClient(host, port) as client:
                 assert client.ping() is True
+
+
+#: One query response and its frame, byte for byte: the header line with
+#: ``xml_bytes`` in place of the document, the document's UTF-8 bytes
+#: (21 for 20 characters), one newline.
+_GOLDEN_RESPONSE = {
+    "ok": True, "xml": "<view>Zürich</view>\n", "coalesced": False,
+    "report": None, "stats": {"tenant": "acme", "request_id": "w-1"},
+}
+_GOLDEN_FRAME = (
+    b'{"ok":true,"coalesced":false,"report":null,'
+    b'"stats":{"tenant":"acme","request_id":"w-1"},"xml_bytes":21}\n'
+    b"<view>Z\xc3\xbcrich</view>\n"
+    b"\n"
+)
+
+NATIONS = "from Nation $n construct <nation>$n.name</nation>"
+
+
+def _frame(response):
+    out = io.BytesIO()
+    write_response(out, response)
+    return out.getvalue()
+
+
+class _CountingSocket:
+    """A connection's socket with its ``sendall`` calls recorded."""
+
+    def __init__(self, sock, sent):
+        self._sock = sock
+        self._sent = sent
+
+    def sendall(self, data):
+        self._sent.append(bytes(data))
+        return self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestFrame:
+    """A query's document crosses as a counted body after its JSON header
+    line; every other response is one JSON line."""
+
+    def test_golden_query_frame(self):
+        assert _frame(_GOLDEN_RESPONSE) == _GOLDEN_FRAME
+        assert read_response(io.BytesIO(_GOLDEN_FRAME)) == _GOLDEN_RESPONSE
+
+    def test_a_non_ascii_document_counts_bytes_not_characters(self):
+        db = fresh_db()
+        db.table("Nation").update(lambda row: row["nationkey"] == 1,
+                                  {"name": "Zürich"})
+        with make_server(session=Session(db),
+                         queries={"nations": NATIONS}) as server:
+            host, port = server.start()
+            direct = server.query("nations").xml
+            assert "Zürich" in direct
+            with ServeClient(host, port) as client:
+                assert client.query("nations")["xml"] == direct
+                client._sock.sendall(encode({"op": "query",
+                                             "query": "nations"}))
+                header = decode(client._rfile.readline())
+                body = client._rfile.read(header["xml_bytes"] + 1)
+                assert header["xml_bytes"] == len(direct.encode("utf-8"))
+                assert header["xml_bytes"] != len(direct)
+                assert body == direct.encode("utf-8") + b"\n"
+                assert client.ping() is True
+
+    def test_an_indented_document_keeps_its_newlines_in_the_body(self):
+        with make_server() as server:
+            host, port = server.start()
+            direct = server.query("q1", indent=2).xml
+            assert direct.count("\n") > 10
+            with ServeClient(host, port) as client:
+                assert client.query("q1", indent=2)["xml"] == direct
+                # The next frame starts where the counted body ended.
+                assert client.ping() is True
+                assert client.query("q1", indent=2)["xml"] == direct
+
+    @pytest.mark.parametrize("cut", ["after-header", "halfway"])
+    def test_a_short_body_is_a_torn_response(self, cut, monkeypatch):
+        frame = _frame(_GOLDEN_RESPONSE)
+        header = frame.index(b"\n") + 1
+        end = header if cut == "after-header" else header + 11
+        with pytest.raises(ConnectionError):
+            read_response(io.BytesIO(frame[:end]))
+        # Against a live server: the first response is cut at the same
+        # place and the connection dropped; retries=1 resends the request
+        # and returns the whole document.
+        torn = []
+
+        def write_torn(wfile, response):
+            if "xml" in response and not torn:
+                whole = _frame(response)
+                head = whole.index(b"\n") + 1
+                body = len(whole) - head - 1
+                torn.append(body)
+                wfile.write(whole[:head if cut == "after-header"
+                                  else head + body // 2])
+                raise ConnectionResetError("cut by the test")
+            write_response(wfile, response)
+
+        monkeypatch.setattr(server_module, "write_response", write_torn)
+        with make_server() as server:
+            host, port = server.start()
+            direct = server.query("q1").xml
+            with ServeClient(host, port) as client:
+                with pytest.raises(ConnectionError):
+                    client.query("q1")
+            torn.clear()
+            with ServeClient(host, port, retries=1, backoff_s=0.0,
+                             sleep=lambda s: None) as client:
+                assert client.query("q1")["xml"] == direct
+            assert torn == [len(direct.encode("utf-8"))]
+
+    @pytest.mark.parametrize("size", ["-1", '"21"', "true"])
+    def test_a_malformed_body_count_is_a_protocol_error(self, size):
+        frame = _GOLDEN_FRAME.replace(b'"xml_bytes":21', b'"xml_bytes":'
+                                      + size.encode())
+        assert frame != _GOLDEN_FRAME
+        with pytest.raises(ProtocolError, match="xml_bytes"):
+            read_response(io.BytesIO(frame))
+
+    def test_a_client_out_of_step_with_the_frames_reconnects(
+            self, monkeypatch):
+        sent = []
+
+        def write_unframed(wfile, response):
+            if "xml" in response and not sent:
+                sent.append(response)
+                wfile.write(encode({"ok": True, "xml_bytes": -1}))
+                wfile.write(response["xml"].encode("utf-8") + b"\n")
+                return
+            write_response(wfile, response)
+
+        monkeypatch.setattr(server_module, "write_response", write_unframed)
+        with make_server() as server:
+            host, port = server.start()
+            with ServeClient(host, port) as client:
+                with pytest.raises(ProtocolError):
+                    client.query("q1")
+                # The body left on the old connection is never read as
+                # the next response: the client dropped that connection.
+                assert client.ping() is True
+                assert client.query("q1")["xml"] == sent[0]["xml"]
+
+    def test_other_responses_are_single_lines(self):
+        with make_server() as server:
+            host, port = server.start()
+            with ServeClient(host, port) as client:
+                sock, rfile = client._sock, client._rfile
+                for request in (
+                    {"op": "query", "query": "nope"},
+                    {"op": "explain", "query": "q1"},
+                    {"op": "stats"},
+                    {"op": "mutate", "table": "Nation", "rows": 1},
+                ):
+                    sock.sendall(encode(request))
+                    response = decode(rfile.readline())
+                    assert "xml_bytes" not in response
+                    assert ("error" in response) == (request["op"] == "query")
+                # Nothing followed those lines: the next one is the pong.
+                sock.sendall(encode({"op": "ping"}))
+                assert decode(rfile.readline()) == {"ok": True, "pong": True}
+
+    def test_one_sendall_per_query_response(self, monkeypatch):
+        sent = []
+        setup = _Handler.setup
+
+        def counting_setup(handler):
+            handler.request = _CountingSocket(handler.request, sent)
+            setup(handler)
+
+        monkeypatch.setattr(_Handler, "setup", counting_setup)
+        with make_server() as server:
+            host, port = server.start()
+            direct = server.query("q1", indent=2).xml
+            with ServeClient(host, port) as client:
+                assert client.query("q1", indent=2)["xml"] == direct
+                assert len(sent) == 1
+                assert sent[0].endswith(direct.encode("utf-8") + b"\n")
+                assert client.query("q1", indent=2)["xml"] == direct
+                assert len(sent) == 2
 
 
 class TestClientRetry:
