@@ -21,8 +21,8 @@ The roots: the four harness workloads at ``--smoke`` sizes, untraced and
 traced; the ten paper benches and the memory, recovery, fault and chaos
 soaks (``--benchmark-disable``: pytest-benchmark's fixture switches the
 profile hook off around the timed body); ``resilience_table.py``; the
-trace-smoke job's ``python -m repro trace q1``; every script of
-``examples/``.
+trace-smoke job's ``python -m repro trace q1``; ``python -m repro mutate
+--rows 1``; every script of ``examples/``.
 
 A function never entered stays only for one of these reasons, the first
 word of its ``KEEP`` entry:
@@ -76,6 +76,7 @@ ROOTS = {
     "resilience table": ["benchmarks/resilience_table.py", "--print"],
     "repro trace q1": ["-m", "repro", "trace", "q1", "--out", "trace.json",
                        "--metrics"],
+    "repro mutate": ["-m", "repro", "mutate", "--rows", "1"],
     **{f"example {path.stem}": [f"examples/{path.name}"]
        for path in sorted((REPO_ROOT / "examples").glob("*.py"))},
 }
@@ -116,7 +117,6 @@ KEEP = {
         "format_registry": "entry `repro experiments`",
     },
     "repro/cli.py": {
-        "_run_mutate": "entry `repro mutate`",
         "_run_serve": "entry `repro serve`",
         "_run_remote_query": "entry `repro query --connect`",
     },
@@ -131,9 +131,6 @@ KEEP = {
         "OverloadError.__init__": "safety: the error of a shed request",
         "BackendMismatchError.__init__":
             "safety: the error of SQLite disagreeing with the oracle",
-    },
-    "repro/core/options.py": {
-        "_whole": "safety: refuses a fractional count from a flag or the wire",
     },
     "repro/core/partition.py": {
         "Subtree.kept_children":
@@ -267,16 +264,6 @@ KEEP = {
         "Server.__exit__": "entry `Server` as a context manager",
         "_Handler._drain_oversized":
             "safety: skips an oversized request frame",
-    },
-    "repro/serve/tenants.py": {
-        "AdmissionController.__init__":
-            "entry `Server.register_tenant` (the tenant's quota)",
-        "AdmissionController.acquire_request":
-            "entry `Server.register_tenant` (the tenant's quota)",
-        "AdmissionController.release_request":
-            "entry `Server.register_tenant` (the tenant's quota)",
-        "TenantRegistry.register": "entry `Server.register_tenant`",
-        "TenantRegistry.tenants": "entry `Server.stats` (per tenant)",
     },
     "repro/xmlgen/serializer.py": {
         "format_value":

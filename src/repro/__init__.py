@@ -85,13 +85,7 @@ from repro.obs import (
     profile_tree,
 )
 from repro.rxl import parse_rxl, validate_rxl
-from repro.serve import (
-    AdmissionController,
-    AdmissionPolicy,
-    ServeClient,
-    ServeError,
-    Server,
-)
+from repro.serve import ServeClient, ServeError, Server
 from repro.session import QueryResult, Session, apply_delta
 from repro.xmlgen import parse_dtd, validate_document
 
@@ -118,8 +112,6 @@ __all__ = [
     "NO_RETRY",
     "Resilience",
     "ReplicaPool",
-    "AdmissionPolicy",
-    "AdmissionController",
     "ExecutionOptions",
     "Session",
     "QueryResult",

@@ -96,10 +96,12 @@ def build_server(wal_dir, checkpoint_every=5):
     workload queries; on a directory with state, the restarted one."""
     from repro.bench.queries import QUERY_1, QUERY_2
     from repro.serve import Server
+    from repro.session import Session
 
     return Server(
-        db=build_database(), queries={"q1": QUERY_1, "q2": QUERY_2},
-        wal=wal_dir, checkpoint_every=checkpoint_every,
+        Session(build_database(), wal=wal_dir,
+                checkpoint_every=checkpoint_every),
+        queries={"q1": QUERY_1, "q2": QUERY_2},
     )
 
 

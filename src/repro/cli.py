@@ -346,15 +346,12 @@ def _run_serve(args, out):
     import signal
     import threading
 
-    from repro.serve import AdmissionPolicy, Server
+    from repro.serve import Server
 
-    policy = None
-    if args.max_inflight is not None:
-        policy = AdmissionPolicy(max_inflight_requests=args.max_inflight)
     server = Server(
-        queries=dict(_QUERIES), default_policy=policy,
-        document_cache_bytes=args.document_cache_bytes,
-        wal=args.wal, checkpoint_every=args.checkpoint_every,
+        Session(document_cache_bytes=args.document_cache_bytes,
+                wal=args.wal, checkpoint_every=args.checkpoint_every),
+        queries=dict(_QUERIES), tenant_quota=args.max_inflight,
     )
     store = server.session.database.store
     if store is not None and store.restored is not None:

@@ -166,9 +166,9 @@ class OverloadError(ExecutionError):
     Raised before any stream is planned, so shedding is load protection,
     not a failure of the shed work itself — the same request succeeds
     when resent later.  ``reason`` says who refused: ``"tenant"`` (the
-    tenant's :class:`~repro.serve.tenants.AdmissionController`: its
-    in-flight quota is full) or ``"draining"`` (the server is shutting
-    down).  Nothing below a request sheds.
+    tenant's in-flight quota in :class:`~repro.serve.server.TenantQuotas`
+    is full) or ``"draining"`` (the server is shutting down).  Nothing
+    below a request sheds.
     """
 
     def __init__(self, message, reason):

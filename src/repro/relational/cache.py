@@ -281,100 +281,6 @@ class CacheEntry:
         return False
 
 
-class _Flight:
-    """One in-flight computation: completion flag plus the leader's
-    published outcome (used by :meth:`SingleFlight.do`; the bare
-    :meth:`SingleFlight.begin`/:meth:`SingleFlight.finish` protocol leaves
-    ``value``/``error`` as None)."""
-
-    __slots__ = ("done", "value", "error")
-
-    def __init__(self):
-        self.done = False
-        self.value = None
-        self.error = None
-
-
-class SingleFlight:
-    """Collapse concurrent identical work into one execution.
-
-    The generalization of the per-plan single-flight that
-    :class:`PlanResultCache` has always run for concurrent cache misses:
-    the first caller for a key becomes the *leader* and computes; callers
-    arriving while the leader is in flight block and share the leader's
-    outcome instead of redoing the work.  The serving layer
-    (:mod:`repro.serve`) uses the same object to coalesce identical
-    in-flight client queries — same plan fingerprint, same dependency
-    generations, same options — into one execution whose byte-identical
-    document every coalesced client receives.
-
-    Two protocols, usable side by side on one instance:
-
-    * :meth:`begin` / :meth:`finish` — the cache's historical guard.  The
-      leader computes and publishes through its own side channel (the
-      cache entry), then releases; followers re-consult that channel.
-    * :meth:`do` — run a callable under the guard.  The leader's return
-      value (or exception) is delivered to every follower that was in
-      flight with it; the call reports whether this caller led.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._cv = threading.Condition(self._lock)
-        self._flights = {}
-
-    def begin(self, key):
-        """Return True when the caller becomes the leader for ``key`` (it
-        must call :meth:`finish` when done).  When another caller is
-        already leading the same key, block until it finishes and return
-        False."""
-        with self._cv:
-            flight = self._flights.get(key)
-            if flight is None:
-                self._flights[key] = _Flight()
-                return True
-            while not flight.done:
-                self._cv.wait()
-            return False
-
-    def finish(self, key, value=None, error=None):
-        """Release the guard taken by :meth:`begin`, optionally publishing
-        the leader's outcome to followers blocked in :meth:`do`."""
-        with self._cv:
-            flight = self._flights.pop(key, None)
-            if flight is not None:
-                flight.value = value
-                flight.error = error
-                flight.done = True
-            self._cv.notify_all()
-
-    def do(self, key, fn):
-        """Run ``fn()`` single-flighted under ``key``; return
-        ``(value, led)``.
-
-        The leader executes ``fn`` and its result — value or raised
-        exception — is shared with every follower that arrived while the
-        execution was in flight (the exception object itself is re-raised
-        in each follower).  ``led`` is True for the caller that actually
-        executed."""
-        with self._cv:
-            flight = self._flights.get(key)
-            if flight is not None:
-                while not flight.done:
-                    self._cv.wait()
-                if flight.error is not None:
-                    raise flight.error
-                return flight.value, False
-            self._flights[key] = _Flight()
-        try:
-            value = fn()
-        except BaseException as exc:
-            self.finish(key, error=exc)
-            raise
-        self.finish(key, value=value)
-        return value, True
-
-
 def resolve_cache(cache, fresh=None):
     """Normalize the one cache-wiring convention shared by every layer.
 
@@ -407,6 +313,8 @@ class PlanResultCache(BoundedCache):
     (:attr:`CacheEntry.transfer_sums`) and is evicted or retired with it.
     :meth:`peek` is how the resilient dispatcher decides whether a plan
     can be replayed without contacting the (possibly faulty) source.
+    Threads that miss the same plan at once each evaluate it, to the same
+    rows and charges, and the last :meth:`record` replaces the others'.
     """
 
     def __init__(self, max_bytes=256 * 1024 * 1024):
@@ -414,7 +322,6 @@ class PlanResultCache(BoundedCache):
         # bounding a long-lived middle-ware process.
         super().__init__("plan_cache", max_bytes=max_bytes,
                          size_of=attrgetter("nbytes"))
-        self._flight = SingleFlight()
 
     def lookup(self, key, spent_ms=0.0, budget_ms=None):
         """Return a usable :class:`CacheEntry` or None.
@@ -450,18 +357,6 @@ class PlanResultCache(BoundedCache):
         entry = CacheEntry(rows, tuple(charge_log), rows is not None, nbytes)
         self.store(key, entry)
         return entry
-
-    def begin(self, key):
-        """:meth:`SingleFlight.begin` for concurrent misses on ``key``: the
-        leader (True) executes the plan and calls :meth:`finish`, whether or
-        not it stored an entry; a follower (False, once the leader is done)
-        looks the key up again and, if that entry is not usable to it
-        (incomplete, under a larger budget), leads the next ``begin``."""
-        return self._flight.begin(key)
-
-    def finish(self, key):
-        """Release the single-flight guard taken by :meth:`begin`."""
-        self._flight.finish(key)
 
 
 class PlanCostCache(PlanResultCache):

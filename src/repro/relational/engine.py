@@ -471,8 +471,9 @@ class QueryEngine:
 
         ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) counts
         each execution once as a ``plan_cache.hits`` (served by replay) or
-        ``plan_cache.misses`` (evaluated fresh, including single-flight
-        leaders); executions with no cache installed count neither.
+        ``plan_cache.misses`` (evaluated fresh); executions with no cache
+        installed count neither.  Concurrent misses on one plan each
+        evaluate it (the server coalesces identical requests above).
         """
         charges = _Charges(self.cost_model, budget_ms,
                            results=self.node_cache, metrics=metrics)
@@ -482,40 +483,30 @@ class QueryEngine:
             rows = self._evaluate(plan, charges)
             return self._result(plan, rows, charges, {})
         key = self.cache_key_for(plan)
-        while True:
-            entry = cache.lookup(
-                key, spent_ms=charges.total_ms, budget_ms=charges.budget_ms
-            )
-            if entry is not None:
-                if metrics is not None:
-                    metrics.inc("plan_cache.hits")
-                charges.replay(entry.charge_log)
-                # An incomplete entry is only served when the replay is
-                # guaranteed to raise, so reaching here means the entry is
-                # complete and ``entry.rows`` is the full result (or, from
-                # a cost-only cache, its ``RowCount``).
-                return self._result(plan, entry.rows, charges,
-                                    entry.transfer_sums)
-            # Single-flight: N simultaneous misses on the same plan (the
-            # server's request threads share the engine) run it once; the
-            # waiters loop back and replay the leader's entry
-            # bit-identically.
-            if cache.begin(key):
-                if metrics is not None:
-                    metrics.inc("plan_cache.misses")
-                break
+        entry = cache.lookup(
+            key, spent_ms=charges.total_ms, budget_ms=charges.budget_ms
+        )
+        if entry is not None:
+            if metrics is not None:
+                metrics.inc("plan_cache.hits")
+            charges.replay(entry.charge_log)
+            # An incomplete entry is only served when the replay is
+            # guaranteed to raise, so reaching here means the entry is
+            # complete and ``entry.rows`` is the full result (or, from a
+            # cost-only cache, its ``RowCount``).
+            return self._result(plan, entry.rows, charges,
+                                entry.transfer_sums)
+        if metrics is not None:
+            metrics.inc("plan_cache.misses")
+        charges.log = []
         try:
-            charges.log = []
-            try:
-                rows = self._evaluate(plan, charges)
-            except TimeoutExceeded:
-                cache.record(key, plan, None, charges.log)
-                raise
-            entry = cache.record(
-                key, plan, rows, charges.log,
-                charges.sort_row_bytes if isinstance(plan, Sort) else None)
-        finally:
-            cache.finish(key)
+            rows = self._evaluate(plan, charges)
+        except TimeoutExceeded:
+            cache.record(key, plan, None, charges.log)
+            raise
+        entry = cache.record(
+            key, plan, rows, charges.log,
+            charges.sort_row_bytes if isinstance(plan, Sort) else None)
         return self._result(plan, rows, charges, entry.transfer_sums)
 
     def rows(self, plan, metrics=None):

@@ -13,19 +13,5 @@ architecture notes.
 from repro.serve.client import ServeClient
 from repro.serve.protocol import ServeError
 from repro.serve.server import Server
-from repro.serve.tenants import (
-    AdmissionController,
-    AdmissionPolicy,
-    Tenant,
-    TenantRegistry,
-)
 
-__all__ = [
-    "Server",
-    "ServeClient",
-    "ServeError",
-    "AdmissionPolicy",
-    "AdmissionController",
-    "Tenant",
-    "TenantRegistry",
-]
+__all__ = ["Server", "ServeClient", "ServeError"]

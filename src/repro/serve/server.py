@@ -5,16 +5,16 @@ so every tenant's requests hit the same plan-result cache, per-view
 splice caches, and finished-document cache — and layers the serving
 concerns on top:
 
-* **Tenancy** — each tenant is admitted by its own
-  :class:`~repro.serve.tenants.AdmissionController`: the whole-request
-  quota (``max_inflight_requests``) sheds a hammering tenant with
-  ``OverloadError(reason="tenant")`` before any work is planned.
+* **Tenancy** — one quota table (:class:`TenantQuotas`) caps the whole
+  requests each tenant may have in flight and sheds a hammering tenant
+  with ``OverloadError(reason="tenant")`` before any work is planned.
 * **Coalescing** — identical in-flight queries (same view text, plan,
   serialization, execution options, and per-table generation vector)
-  share one execution through a
-  :class:`~repro.relational.cache.SingleFlight`: the leader runs, every
-  follower receives the byte-identical document and report.  The key
-  includes the generation vector, so coalescing never spans a mutation.
+  share one execution through a :class:`SingleFlight`: the leader runs,
+  every follower receives the byte-identical document and report.  The
+  key includes the generation vector, so coalescing never spans a
+  mutation.  It is the service's one single-flight: requests it does
+  not coalesce that miss the plan cache on one plan each evaluate it.
 * **Consistency** — mutations take the write side of a reader/writer
   lock; queries share the read side.  Every admitted request is
   appended to an execution log whose order is, by construction, a
@@ -44,7 +44,6 @@ from repro.common.errors import OverloadError, QueryError, ReproError, tag_reque
 from repro.core.options import resolve_options
 from repro.core.silkroute import VIEW_DEFINITIONS
 from repro.obs.metrics import MetricsRegistry
-from repro.relational.cache import SingleFlight
 from repro.relational.codegen import CODE
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
@@ -58,7 +57,6 @@ from repro.serve.protocol import (
     request_int,
     write_response,
 )
-from repro.serve.tenants import TenantRegistry
 from repro.session import QueryResult, Session
 
 
@@ -110,16 +108,126 @@ class _ReadWriteLock:
                 self._cv.notify_all()
 
 
+class _Flight:
+    """One in-flight computation: its completion flag and outcome."""
+
+    __slots__ = ("done", "value", "error")
+
+    def __init__(self):
+        self.done = False
+        self.value = None
+        self.error = None
+
+
+class SingleFlight:
+    """Collapse concurrent identical requests into one execution: the
+    first caller for a key becomes the *leader* and computes; callers
+    arriving while it is in flight block and share its outcome instead of
+    redoing the work."""
+
+    def __init__(self):
+        self._cv = threading.Condition()
+        self._flights = {}
+
+    def do(self, key, fn):
+        """Run ``fn()`` single-flighted under ``key``; return
+        ``(value, led)``.
+
+        The leader executes ``fn`` and its result — value or raised
+        exception — is shared with every follower that arrived while the
+        execution was in flight (the exception object itself is re-raised
+        in each follower).  ``led`` is True for the caller that actually
+        executed."""
+        with self._cv:
+            flight = self._flights.get(key)
+            if flight is not None:
+                while not flight.done:
+                    self._cv.wait()
+                if flight.error is not None:
+                    raise flight.error
+                return flight.value, False
+            flight = self._flights[key] = _Flight()
+        try:
+            flight.value = fn()
+        except BaseException as exc:
+            flight.error = exc
+            raise
+        finally:
+            with self._cv:
+                del self._flights[key]
+                flight.done = True
+                self._cv.notify_all()
+        return flight.value, True
+
+
+class TenantQuotas:
+    """The per-tenant quota table: at most ``quota`` whole requests
+    (queries/mutations) of one tenant in flight at once.
+
+    ``quotas`` maps a registered tenant to its quota; ``default`` is the
+    quota of every other tenant, each counted on its own, so one tenant's
+    requests never count against another's.  None is no limit, and such
+    a tenant is not counted.  A shed counts in ``metrics`` as
+    ``serve.shed``.  A wall-clock guard on real request threads — the
+    execution below a request knows nothing of it.
+    """
+
+    def __init__(self, default, metrics):
+        self.default = default
+        self.metrics = metrics
+        self.quotas = {}
+        self._counts = {}
+        self._lock = threading.Lock()
+
+    @contextmanager
+    def slot(self, tenant, request_id):
+        """Hold one of ``tenant``'s request slots for the body, or shed the
+        request with ``OverloadError(reason="tenant")`` carrying its tenant
+        and id."""
+        counts = None
+        with self._lock:
+            limit = self.quotas.get(tenant, self.default)
+            if limit is not None:
+                counts = self._counts.setdefault(
+                    tenant, {"admitted": 0, "shed": 0, "inflight": 0})
+                if counts["inflight"] >= limit:
+                    counts["shed"] += 1
+                    self.metrics.inc("serve.shed")
+                    raise tag_request(
+                        OverloadError(
+                            f"tenant quota exceeded: {counts['inflight']} "
+                            f"request(s) already in flight (limit {limit})",
+                            reason="tenant",
+                        ),
+                        tenant, request_id,
+                    )
+                counts["inflight"] += 1
+                counts["admitted"] += 1
+        try:
+            yield
+        finally:
+            if counts is not None:
+                with self._lock:
+                    counts["inflight"] -= 1
+
+    def stats(self):
+        """``{tenant: {admitted, shed, inflight}}`` of every counted
+        tenant."""
+        with self._lock:
+            return {tenant: dict(counts)
+                    for tenant, counts in self._counts.items()}
+
+
 class Server:
     """An in-process multi-tenant query service over one shared session.
 
-    ``session`` (or the ``db``/``options``/``document_cache_bytes``
-    used to build one) is shared by every tenant.  ``queries`` maps
-    names clients may use on the wire to RXL texts
-    (:meth:`register_query` adds more).  ``default_policy`` is the
-    admission policy applied to tenants without their own
-    (:meth:`register_tenant`); None admits unregistered tenants
-    unthrottled.
+    ``session`` (default: a fresh Configuration-A
+    :class:`~repro.session.Session`; build one to choose its database,
+    options, document cache or store) is shared by every tenant.
+    ``queries`` maps names clients may use on the wire to RXL texts
+    (:meth:`register_query` adds more).  ``tenant_quota`` caps the
+    requests in flight of each tenant without its own quota
+    (:meth:`register_tenant`); None admits them unthrottled.
 
     The server keeps its own :class:`~repro.obs.metrics.MetricsRegistry`
     (``serve.*`` counters, ``serve.latency_ms`` histogram with
@@ -128,22 +236,13 @@ class Server:
     execution metrics stay deterministic.
     """
 
-    def __init__(self, session=None, db=None, queries=None,
-                 default_policy=None, options=None,
-                 document_cache_bytes=None, wal=None, checkpoint_every=None,
-                 max_frame_bytes=None):
-        if session is None:
-            session = Session(db, options=options,
-                              document_cache_bytes=document_cache_bytes,
-                              wal=wal, checkpoint_every=checkpoint_every)
-        self.session = session
-        self.registry = TenantRegistry(default_policy)
+    def __init__(self, session=None, queries=None, tenant_quota=None):
+        self.session = session if session is not None else Session()
         self.metrics = MetricsRegistry()
+        self.tenants = TenantQuotas(tenant_quota, self.metrics)
         if self.session.database.store is not None:
             # The store's wal.* counters land next to the serve.* ones.
             self.session.database.store.metrics = self.metrics
-        self.max_frame_bytes = (max_frame_bytes if max_frame_bytes is not None
-                                else MAX_FRAME_BYTES)
         self._queries = dict(queries or {})
         self._rw = _ReadWriteLock()
         self._flight = SingleFlight()
@@ -168,11 +267,11 @@ class Server:
         self._queries[name] = rxl_text
         return name
 
-    def register_tenant(self, name, policy=None):
-        """Register tenant ``name`` under an
-        :class:`~repro.serve.tenants.AdmissionPolicy` (or an int —
-        a bare ``max_inflight_requests`` quota)."""
-        return self.registry.register(name, policy)
+    def register_tenant(self, name, quota):
+        """Let tenant ``name`` have at most ``quota`` requests in flight
+        (None: no limit) instead of the server's ``tenant_quota``."""
+        self.tenants.quotas[name] = quota
+        return name
 
     def queries(self):
         return dict(self._queries)
@@ -261,19 +360,6 @@ class Server:
             f"unknown query {query!r} (registered: {sorted(self._queries)})"
         )
 
-    def _admit(self, tenant, request_id):
-        """Per-tenant whole-request admission; returns the controller to
-        release (None when the tenant is unthrottled)."""
-        controller = self.registry.controller(tenant)
-        if controller is not None:
-            try:
-                controller.acquire_request(tenant, request_id)
-            except Exception:
-                self.metrics.inc("serve.shed")
-                self.metrics.inc(f"serve.tenant.{tenant}.shed")
-                raise
-        return controller
-
     @contextmanager
     def _request(self, tenant, request_id):
         """The bracket every served request runs in; yields the request's
@@ -287,20 +373,16 @@ class Server:
         drain gate lands in ``serve.latency_ms``."""
         request_id = self._request_id(request_id)
         self.metrics.inc("serve.requests")
-        self.metrics.inc(f"serve.tenant.{tenant}.requests")
         start = time.perf_counter()
         self._enter_request(tenant, request_id)
-        controller = None
         try:
-            controller = self._admit(tenant, request_id)
-            try:
-                yield request_id
-            except Exception as exc:
-                self.metrics.inc("serve.errors")
-                raise tag_request(exc, tenant, request_id)
+            with self.tenants.slot(tenant, request_id):
+                try:
+                    yield request_id
+                except Exception as exc:
+                    self.metrics.inc("serve.errors")
+                    raise tag_request(exc, tenant, request_id)
         finally:
-            if controller is not None:
-                controller.release_request()
             self._exit_request()
             self.metrics.observe(
                 "serve.latency_ms", (time.perf_counter() - start) * 1000.0,
@@ -441,7 +523,7 @@ class Server:
                        "client_disconnects", "malformed_frames",
                        "oversized_frames"),
             "draining": self._draining,
-            "tenants": self.registry.stats(),
+            "tenants": self.tenants.stats(),
             "latency_ms": snapshot["histograms"].get("serve.latency_ms"),
             "log_entries": len(self._log),
         }
@@ -641,22 +723,21 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self):
         server = self.server.repro_server
-        limit = server.max_frame_bytes
         while True:
             try:
-                line = self.rfile.readline(limit + 1)
+                line = self.rfile.readline(MAX_FRAME_BYTES + 1)
             except (ConnectionError, OSError):
                 server.metrics.inc("serve.client_disconnects")
                 return
             if not line:
                 return
-            if len(line) > limit:
+            if len(line) > MAX_FRAME_BYTES:
                 if not self._drain_oversized(server):
                     return
                 server.metrics.inc("serve.oversized_frames")
                 response = {"ok": False, "error": error_to_wire(
                     ProtocolError(
-                        f"frame exceeds {limit} bytes"
+                        f"frame exceeds {MAX_FRAME_BYTES} bytes"
                     ))}
             elif not line.strip():
                 continue
@@ -681,9 +762,9 @@ class _Handler(socketserver.StreamRequestHandler):
         """Swallow the rest of an oversized frame up to its newline so
         the next read starts on a frame boundary; False when the client
         disconnected (or the frame never ends within reason)."""
-        for _ in range(1024):  # caps drained garbage at ~1024 * limit
+        for _ in range(1024):  # caps drained garbage at ~1024 frames
             try:
-                chunk = self.rfile.readline(server.max_frame_bytes + 1)
+                chunk = self.rfile.readline(MAX_FRAME_BYTES + 1)
             except (ConnectionError, OSError):
                 server.metrics.inc("serve.client_disconnects")
                 return False

@@ -809,9 +809,13 @@ class TestExports:
     def test_top_level_reexports(self):
         import repro
 
-        for name in ("OverloadError", "Resilience", "ReplicaPool",
-                     "AdmissionPolicy", "AdmissionController"):
+        for name in ("OverloadError", "Resilience", "ReplicaPool"):
             assert name in repro.__all__
             assert getattr(repro, name) is not None
+        # Tenancy is the server's one quota table, not a public type.
+        for name in ("AdmissionPolicy", "AdmissionController",
+                     "TenantRegistry"):
+            assert not hasattr(repro, name)
+            assert not hasattr(repro.serve, name)
         assert issubclass(repro.OverloadError, repro.ExecutionError)
         assert issubclass(repro.OverloadError, repro.ReproError)

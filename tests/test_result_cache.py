@@ -13,6 +13,7 @@ under it all do — bounds, recency, byte accounting, counters, threads —
 run against every way ``src/`` instantiates :class:`BoundedCache`.
 """
 
+import sys
 import threading
 
 import pytest
@@ -164,6 +165,69 @@ class TestCachedExecutionIdentity:
             assert timeout == ref_timeout
             for got, want in zip(results, reference):
                 assert_identical(got, want)
+
+
+class _MissTogether(PlanResultCache):
+    """A plan cache whose lookups wait until every thread has looked up,
+    so the threads miss at once; it keeps each recorded charge log."""
+
+    def __init__(self, threads):
+        super().__init__()
+        self.barrier = threading.Barrier(threads)
+        self.logs = []
+
+    def lookup(self, key, spent_ms=0.0, budget_ms=None):
+        entry = super().lookup(key, spent_ms, budget_ms)
+        self.barrier.wait(30)
+        return entry
+
+    def record(self, key, plan, rows, charge_log, row_bytes=None):
+        self.logs.append(tuple(charge_log))
+        return super().record(key, plan, rows, charge_log, row_bytes)
+
+
+class TestConcurrentMisses:
+    """The plan cache has no guard of its own: threads that miss one plan
+    at once each evaluate it, to the same rows and charges, and the cache
+    ends with one entry.  (The server coalesces identical requests above
+    it.)"""
+
+    @pytest.mark.parametrize("mode", ["batch", "tuple"])
+    def test_each_thread_evaluates_to_the_same_result(
+            self, mode, q1_tree, tiny_db):
+        spec = SqlGenerator(q1_tree, tiny_db.schema).streams_for_partition(
+            unified_partition(q1_tree))[0]
+        reference = QueryEngine(tiny_db, CostModel(), engine=mode).execute(
+            spec.plan)
+        n = 4
+        cache = _MissTogether(n)
+        engine = QueryEngine(tiny_db, CostModel(), cache=cache, engine=mode)
+        results, errors = [None] * n, []
+
+        def run(i):
+            try:
+                results[i] = engine.execute(spec.plan)
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # interleave the evaluations finely
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        for result in results:
+            assert_identical(result, reference)
+        assert len(cache.logs) == n and len(set(cache.logs)) == 1
+        assert len({result.server_ms for result in results}) == 1
+        assert len(cache) == 1
+        assert cache.stats().misses == cache.stats().stores == n
 
 
 class TestInvalidation:

@@ -5,7 +5,7 @@ The load-bearing contracts:
 
 * identical in-flight queries share exactly ONE underlying execution and
   every coalesced client receives the byte-identical document;
-* a tenant past its ``max_inflight_requests`` quota is shed with
+* a tenant past its in-flight request quota is shed with
   ``OverloadError(reason="tenant")`` stamped with its tenant/request id,
   without touching other tenants;
 * errors raised inside the execution surface the originating
@@ -44,11 +44,11 @@ from repro.relational.engine import CostModel
 from repro.relational.estimator import MAX_ESTIMATES
 from repro.relational.faults import FaultPolicy, RetryPolicy
 from repro.relational.resilience import Resilience
-from repro.serve.tenants import AdmissionPolicy
 from repro.serve import Server, ServeClient, ServeError
 from repro.serve import server as server_module
 from repro.serve.server import _Handler, _TcpFrontEnd
 from repro.serve.protocol import (
+    MAX_FRAME_BYTES,
     WIRE_OPTIONS,
     ProtocolError,
     decode,
@@ -502,10 +502,8 @@ class TestTenancy:
         server.query("q1", tenant="polite", partition="unified")
         assert server.stats()["shed"] == 0
 
-    def test_default_policy_covers_unregistered_tenants(self):
-        server = make_server(
-            default_policy=AdmissionPolicy(max_inflight_requests=1),
-        )
+    def test_tenant_quota_covers_unregistered_tenants(self):
+        server = make_server(tenant_quota=1)
         with _GatedSession(server) as gate:
             t = threading.Thread(
                 target=lambda: server.query("q1", tenant="anon",
@@ -514,11 +512,23 @@ class TestTenancy:
             assert wait_until(lambda: len(gate.calls) == 1)
             with pytest.raises(OverloadError):
                 server.query("q1", tenant="anon", partition="unified")
-            # A different unregistered tenant has its own controller.
+            # A different unregistered tenant has its own count.
             gate.go.set()
             t.join(30)
         server.query("q1", tenant="other", partition="unified")
         assert server.stats()["tenants"]["anon"]["shed"] == 1
+
+    def test_tenant_names_leave_no_counters_behind(self):
+        """A tenant name is whatever a client sends: serving 1,000 of them
+        adds no metric, and without a quota no row to the tenant table."""
+        server = make_server()
+        server.query("q1", tenant="first", partition="unified")
+        names = set(server.metrics.snapshot()["counters"])
+        for i in range(1000):
+            server.query("q1", tenant=f"tenant-{i}", partition="unified")
+        assert set(server.metrics.snapshot()["counters"]) == names
+        assert server.stats()["requests"] == 1001
+        assert server.stats()["tenants"] == {}
 
 
 class TestErrorStamping:
@@ -694,7 +704,7 @@ class TestDrain:
     def test_terminate_checkpoints_the_wal(self):
         wal_dir = tempfile.mkdtemp(prefix="serve-wal-")
         try:
-            server = Server(db=fresh_db(), queries=QUERIES, wal=wal_dir)
+            server = Server(Session(fresh_db(), wal=wal_dir), queries=QUERIES)
             server.mutate("Nation", op="insert", rows=2, request_id="t-1")
             gens = server.session.database.table_generations()
             assert server.stats()["wal"]["appends"] == 1
@@ -703,7 +713,7 @@ class TestDrain:
             # database file, and closing removed it.
             assert not os.path.exists(
                 os.path.join(wal_dir, "store.sqlite-wal"))
-            restarted = Server(db=fresh_db(), queries=QUERIES, wal=wal_dir)
+            restarted = Server(Session(fresh_db(), wal=wal_dir), queries=QUERIES)
             assert restarted.session.database.store.restored is not None
             assert restarted.session.database.table_generations() == gens
             # And the idempotency map survived the checkpoint.
@@ -722,7 +732,7 @@ class TestDrain:
         checkpointed and closed."""
         wal_dir = tempfile.mkdtemp(prefix="serve-wal-")
         try:
-            server = Server(db=fresh_db(), queries=QUERIES, wal=wal_dir)
+            server = Server(Session(fresh_db(), wal=wal_dir), queries=QUERIES)
             server.mutate("Nation", op="insert", rows=2)
             stop = _TcpFrontEnd.shutdown
 
@@ -807,16 +817,18 @@ class TestFrameHardening:
             assert state() == before
 
     def test_oversized_frame_gets_structured_error(self):
-        with make_server(max_frame_bytes=512) as server:
+        with make_server() as server:
             host, port = server.start()
             client = ServeClient(host, port)
             try:
                 client._sock.sendall(b'{"op": "ping", "pad": "' +
-                                     b"x" * 2048 + b'"}\n')
+                                     b"x" * (MAX_FRAME_BYTES + 2048) +
+                                     b'"}\n')
                 response = decode(client._rfile.readline())
                 assert response["ok"] is False
                 assert response["error"]["type"] == "ProtocolError"
-                assert "exceeds 512 bytes" in response["error"]["message"]
+                assert (f"exceeds {MAX_FRAME_BYTES} bytes"
+                        in response["error"]["message"])
                 # The frame was drained to its newline: the connection
                 # survives and the next request parses cleanly.
                 assert client.ping() is True
@@ -1116,7 +1128,7 @@ class TestClientRetry:
     def test_retried_mutation_dedups_across_wal_restart(self):
         wal_dir = tempfile.mkdtemp(prefix="serve-wal-")
         try:
-            server = Server(db=fresh_db(), queries=QUERIES, wal=wal_dir)
+            server = Server(Session(fresh_db(), wal=wal_dir), queries=QUERIES)
             host, port = server.start()
             client = ServeClient(host, port, retries=3, backoff_s=0.01,
                                  sleep=lambda s: None)
@@ -1126,7 +1138,7 @@ class TestClientRetry:
             server.session.database.store.close()
             # Full process-style restart: fresh base, recover from disk,
             # bind the SAME port — the client's retry rides through it.
-            restarted = Server(db=fresh_db(), queries=QUERIES, wal=wal_dir)
+            restarted = Server(Session(fresh_db(), wal=wal_dir), queries=QUERIES)
             restarted.start(host, port)
             client._sock.shutdown(socket.SHUT_RDWR)  # sever the old pipe
             replay = client.mutate("Supplier", op="update", rows=2,
