@@ -117,9 +117,9 @@ CACHES = {
     ),
     "generated_code": (
         "`repro.relational.codegen.CODE`, one per process: the XML "
-        "integration's decoders, tag steps and single-stream kernels, the "
+        "integration's walks, decoders and tag steps, the "
         "batch engine's loop nests and the transfer charges",
-        "per generator: a kernel by (view-tree shape, stream shape, form, "
+        "per generator: a kernel by (view-tree shape, its stream shapes, form, "
         "indent, root tag or not); a pipeline by its source text "
         "(constants are arguments); a charge by (transfer model, column "
         "SQL types, row format, per-row or summed form)",

@@ -265,6 +265,11 @@ KEEP = {
         "_Handler._drain_oversized":
             "safety: skips an oversized request frame",
     },
+    "repro/xmlgen/kernel.py": {
+        "_resolve":
+            "safety: a decoded row whose `L` tags name no unit, "
+            "tests/test_xmlgen.py::TestDecodeStream",
+    },
     "repro/xmlgen/serializer.py": {
         "format_value":
             "oracle: the reference writer's DECIMAL and DATE text, "

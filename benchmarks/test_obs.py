@@ -21,12 +21,9 @@ a 2% bound.
 Along the way the bench re-asserts the identity contract: the traced
 run's XML and simulated timings are exactly the untraced run's.
 
-Results go to ``BENCH_obs.json`` at the repository root so CI can track
-them.
+Results go to ``benchmarks/results/obs_tracing_overhead.txt``.
 """
 
-import json
-import pathlib
 import time
 
 from repro.bench.queries import QUERY_1
@@ -34,7 +31,6 @@ from repro.core.options import ExecutionOptions
 from repro.core.silkroute import SilkRoute
 from repro.obs import NULL_METRICS, NULL_TRACER, ObsOptions, obs_parts
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 ROUNDS = 5
 
@@ -104,19 +100,6 @@ def test_tracing_off_overhead_under_2_percent(config_a, report_writer):
     estimated_overhead_s = points * per_point_s
     overhead_pct = 100.0 * estimated_overhead_s / off_s
 
-    payload = {
-        "experiment": "q1_config_a_materialize_tracing_overhead",
-        "materialize_off_seconds": round(off_s, 4),
-        "materialize_on_seconds": round(on_s, 4),
-        "on_off_ratio": round(on_s / off_s, 3) if off_s else None,
-        "instrumentation_points": points,
-        "null_point_cost_ns": round(per_point_s * 1e9, 1),
-        "estimated_off_overhead_pct": round(overhead_pct, 4),
-        "bound_pct": 2.0,
-    }
-    (REPO_ROOT / "BENCH_obs.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
     report_writer(
         "obs_tracing_overhead",
         "\n".join(

@@ -13,15 +13,13 @@ Wall seconds include SQL generation and dispatch; the *engine-bound*
 seconds (accumulated around :meth:`QueryEngine.execute
 <repro.relational.engine.QueryEngine.execute>`) isolate the evaluation
 work the engine rewrite targets.  The measured speedups are written to
-``BENCH_sweep.json`` at the repository root so CI can track them.
+``benchmarks/results/wallclock_sweep_engines.txt``.
 
 Each mode runs against a freshly built configuration so no per-engine
 cache (compiled plans, node results, row-width estimates) warmed by an
 earlier mode can flatter a later one.
 """
 
-import json
-import pathlib
 import time
 
 from repro.bench.queries import QUERY_1, load_view
@@ -31,7 +29,6 @@ from repro.relational.connection import Connection
 from repro.relational.engine import QueryEngine
 from repro.tpch.configs import CONFIG_A, build_configuration
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def timed_sweep(engine_mode, cache):
@@ -88,37 +85,6 @@ def test_engine_sweep_speedup(report_writer):
         tuple_wall / cached_wall if cached_wall else float("inf")
     )
     stats = cached_sweep.cache_stats
-    payload = {
-        "experiment": "q1_config_a_nonreduced_sweep",
-        "plans": len(tuple_sweep.timings),
-        # Legacy keys: wall seconds of the seed (tuple, no result cache)
-        # sweep vs the shipped default (batch engine + result cache).
-        "uncached_seconds": round(tuple_wall, 3),
-        "cached_seconds": round(cached_wall, 3),
-        "speedup": round(cache_speedup, 2),
-        "cache": {
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "hit_rate": round(stats.hit_rate, 4),
-            "entries": stats.entries,
-            "bytes": int(stats.current_bytes),
-        },
-        "tuple_engine": {
-            "wall_seconds": round(tuple_wall, 3),
-            "engine_seconds": round(tuple_engine, 3),
-        },
-        "batch_engine": {
-            "wall_seconds": round(batch_wall, 3),
-            "engine_seconds": round(batch_engine, 3),
-            "cached_wall_seconds": round(cached_wall, 3),
-            "cached_engine_seconds": round(cached_engine, 3),
-        },
-        "engine_speedup": round(engine_speedup, 2),
-        "wall_speedup": round(wall_speedup, 2),
-    }
-    (REPO_ROOT / "BENCH_sweep.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
     report_writer(
         "wallclock_sweep_engines",
         "\n".join(
@@ -164,18 +130,6 @@ def test_concurrent_dispatch_makespan(config_a, report_writer):
 
     max_server = max(s.server_ms for s in seq.streams)
     speedup = seq.elapsed_query_ms / con.elapsed_query_ms
-    payload = {
-        "experiment": "q1_config_a_concurrent_dispatch",
-        "streams": seq.n_streams,
-        "workers": workers,
-        "sequential_elapsed_query_ms": round(seq.elapsed_query_ms, 3),
-        "concurrent_elapsed_query_ms": round(con.elapsed_query_ms, 3),
-        "max_stream_server_ms": round(max_server, 3),
-        "speedup": round(speedup, 2),
-    }
-    (REPO_ROOT / "BENCH_dispatch.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
     report_writer(
         "wallclock_concurrent_dispatch",
         "\n".join(

@@ -20,6 +20,7 @@ the Chrome-trace file (load it in ``about:tracing`` or Perfetto).
 """
 
 import argparse
+import os
 import sys
 from xml.etree import ElementTree
 
@@ -427,6 +428,19 @@ def _run_remote_query(args, out):
 
 
 def main(argv=None, out=sys.stdout):
+    try:
+        return _command(argv, out)
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``): stop quietly, as a
+        # filter does, with nothing left for the exit flush to write.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass
+        return 1
+
+
+def _command(argv, out):
     parser = build_parser()
     args = parser.parse_args(argv)
     if (getattr(args, "db_path", None) is not None

@@ -22,8 +22,8 @@ query to that policy's executor instead of the connection.  What stays
 here is *degradation*, because it re-plans along the greedy family
 (Sec. 5): under a ``retry`` policy, a stream that exhausts its retries is
 re-planned into finer streams (the cached greedy family's optional edges
-first, then the full cut) whose sorted outputs splice back into the k-way
-document merge.  The document comes out byte-identical to the fault-free
+first, then the full cut) whose sorted outputs the integration walks
+(or merges) like any plan's.  The document comes out byte-identical to the fault-free
 run, just later; only when a single-node stream keeps failing does the
 :class:`~repro.common.errors.TransientConnectionError` propagate, with
 the partial :class:`PlanReport` attached.
@@ -610,8 +610,9 @@ class XmlView:
         is a cursor
         (:meth:`~repro.relational.engine.QueryEngine.execute_iter`: the
         same compiled plan, run keeping nothing and drained
-        destructively), decoded instances feed the k-way document-order
-        merge, and the tagger writes to ``sink`` as it goes — so neither
+        destructively), the walk over the sorted streams (or the merge of
+        their decoded instances) tags them in document order and writes
+        to ``sink`` as it goes — so neither
         the tuple streams nor the document are ever held as a whole, no
         cache grows, and the paper's constant-space tagger bound
         (Sec. 3.3) survives end to end.  What remains is each open
@@ -655,8 +656,9 @@ class XmlView:
         sink every stream is a *lazy cursor* drained by the merge while
         the tagger is already writing: memory stays at the cursors'
         undrained sort buffers, and none of the above can exist — an
-        unread cursor has no completion to race, the one k-way merge pulls
-        the cursors in document order (so the report is the width-1 one),
+        unread cursor has no completion to race, the one walk (or merge)
+        pulls the cursors in document order (so the report is the width-1
+        one),
         and a cache entry would be the materialized stream the path exists
         to avoid.
         """
@@ -668,7 +670,7 @@ class XmlView:
             partition = self._resolve_partition(partition, opts, greedy_params)
             specs = self.specs(partition, opts)
             if streaming:
-                # One merge drains the cursors, whatever ``workers`` says:
+                # One walk drains the cursors, whatever ``workers`` says:
                 # the report's width and makespans must say so too.
                 opts = replace(opts, workers=None)
             outcome = self._dispatch(partition, specs, opts, lazy=streaming)
@@ -687,7 +689,7 @@ class XmlView:
                     self.tree, specs, outcome.streams, root_tag=root_tag,
                     writer=XmlWriter(sink=sink, indent=indent),
                     obs=opts.obs, layout=layout,
-                    compact=layout.compact_keys(
+                    walk=layout.walks(
                         specs, self.silkroute.connection.database),
                 )
             except TimeoutExceeded as exc:
@@ -740,19 +742,19 @@ class XmlView:
                 root_span.set(document_cached=True)
                 return document
             self.document_cache.discard_stale(database, at=2)
-        compact = layout.compact_keys(specs, database)
+        walk = layout.walks(specs, database)
         if doc_key is not None:
             decoders = tuple(layout.decoder(spec) for spec in specs)
             key = (root_tag, indent, decoders)
             spliced = splice_streams(
                 layout, specs, streams, decoders, root_tag, indent,
                 previous=self.instance_cache.peek(key), obs=opts.obs,
-                compact=compact,
+                walk=walk,
             )
         if spliced is None:
             document = tag_streams(
                 self.tree, specs, streams, root_tag=root_tag, indent=indent,
-                obs=opts.obs, layout=layout, compact=compact,
+                obs=opts.obs, layout=layout, walk=walk,
             )
         else:
             xml, tagger, tagging, reused = spliced

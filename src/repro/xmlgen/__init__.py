@@ -1,10 +1,16 @@
 """XML integration and tagging (Sec. 3.3).
 
-Turns the sorted partitioned tuple streams back into the XML document: each
-stream is decoded into *node instances*, the per-stream instance sequences
-are k-way merged in global document order, and the constant-space tagger
-nests and tags them.  The required memory depends only on the view-tree
-size, never on the database size.  All of it runs as generated code
+Turns the sorted partitioned tuple streams back into the XML document in
+one constant-space pass: each stream carries one component of the view
+tree, and a walk of the tree over the streams
+(:class:`~repro.xmlgen.streams.Walk`) reads each node's instances from
+its component's current row and tags them under the open parent
+instance, in the tree's key order.  Where the walk cannot go
+(:meth:`ComparatorLayout.walks`: a tree that is not aligned or is too
+deep, a NULL or two-typed key column, among others) each stream is
+decoded into *node instances*, the per-stream sequences are merged on flat keys and the
+tagger nests and tags them.  The required memory depends only on the
+view-tree size, never on the database size.  All of it runs as generated code
 (:mod:`repro.xmlgen.kernel`); :class:`XmlTagger` is the event API and the
 reference.
 

@@ -1,40 +1,40 @@
 """Generated integration kernels: sorted rows to markup, compiled.
 
-Sec. 3.3's integration is a fixed template over a sorted outer union, so
-everything about it that does not depend on the rows is resolved before
-the first row arrives.  For one view tree and one stream shape this
+Sec. 3.3's integration is one constant-space pass over sorted streams in
+the tree's key order, so everything about it that does not depend on the
+rows is resolved before the first row arrives.  For one view tree this
 module writes Python source into a
 :class:`~repro.relational.codegen.Source`:
 
-* a **decoder** (:func:`decoder_kernel`): per row, the memo check on each
-  member's term positions and, where an instance must wait, the keyed
-  deferral; it yields ``(key, node id, term)`` items in document order,
-  keyed flat or, for a merge the layout allows it, compactly
-  (:class:`~repro.xmlgen.streams.ComparatorLayout`);
-* a **tag step** (:func:`tag_kernel`): consumes merged items and writes
-  markup, with open and close markup pre-rendered per (node, depth) and
-  the character data formatted by the column's SQL type;
-* a **single-stream kernel** (:func:`stream_kernel`): both in one loop,
-  rows to markup with no item, key or heap in between wherever the order
-  table and a one-row look-ahead prove the row order is the document
-  order (:meth:`StreamShape._look_ahead`) and the instance is the next
-  element down; the rest of such a row, and every other row, takes the
-  decoder's keyed path into the tag step, with the stack as its state.
+* the **walk** (:func:`walk_kernel`), per tree and plan: each stream
+  carries one component of the partition, and one loop per node, nested
+  in child order, reads the current row of its component's stream and
+  tags the node's instances under the open parent instance — rows to
+  markup with no item, key, sort or merge, whatever the stream count;
+* where :meth:`~repro.xmlgen.streams.ComparatorLayout.walks` does not
+  allow the walk (a tree that is not aligned or is too deep, a NULL or
+  two-typed key column, among others), a **decoder** per stream shape
+  (:func:`decoder_kernel`): per row, the memo check on each member's term
+  positions and, where an instance must wait, the keyed deferral; it
+  yields ``(key, node id, term)`` items on flat keys in document order,
+  for the heap merge and the **tag step** (:func:`tag_kernel`), which
+  consumes merged items and writes markup.
 
-All three keep the tagger's rules (:class:`~repro.xmlgen.tagger.XmlTagger`
-is their reference): the stack is one root path, so it is held as the
-node whose chain it is plus one key and one term per depth; frames match
-deepest first on a nested chain, root first otherwise; a top-level close
-leaves a splice mark.  The code is kept in
-:data:`~repro.relational.codegen.CODE`, process-wide, under a structural
-key: it holds no rows and no tree objects, so a fresh session exporting a
-known shape compiles nothing.
+The walk and the tag step keep the tagger's rules
+(:class:`~repro.xmlgen.tagger.XmlTagger` is their reference) in one
+emitter, :class:`_Tagging`: open and close markup pre-rendered per (node,
+depth), character data formatted by the column's SQL type; the stack is
+one root path, so it is held as the node whose chain it is plus one key
+and one term per depth; frames match deepest first on a nested chain,
+root first otherwise; a top-level close leaves a splice mark.  The code
+is kept in :data:`~repro.relational.codegen.CODE`, process-wide, under a
+structural key: it holds no rows and no tree objects, so a fresh session
+exporting a known shape compiles nothing.
 """
 
 import datetime
 from bisect import bisect_right
 from functools import cmp_to_key
-from itertools import chain
 from operator import itemgetter
 
 from repro.common.errors import PlanError
@@ -124,11 +124,6 @@ class _Tagging:
 
     def open_markup(self, depth, tag):
         return opening(tag, self.indent, depth - 1 + self.rooted)
-
-    def names(self):
-        """The tagger's locals, as the tag step takes and returns them."""
-        return "last, written, implicit, top, deepest, dup, " + ", ".join(
-            f"K{depth}, F{depth}" for depth in range(1, self.depth + 1))
 
     def state(self, at):
         """Initialise the tagger's locals: an empty stack."""
@@ -220,31 +215,6 @@ class _Tagging:
         add(at - 1, "else:")
         add(at, "dup += 1")
 
-    def quick(self, at, node_id, value, term):
-        """Tag one instance of node ``node_id`` where its parent's frame
-        matches and its own does not — the step of a document-order
-        stream; anywhere else ``break`` (the caller runs the keyed path
-        for the rest of the row).  The memo of the member is the caller's
-        to set, after the guard."""
-        add = self.src.add
-        node, length, keys, nested = self._step(at, node_id, value)
-        parents = [length - 1] if nested else range(1, length)
-        guard = "".join(f"K{depth} != {keys[depth - 1]} or "
-                        for depth in parents if depth)
-        if length > 1:
-            guard = f"m < {length - 1} or {guard}"
-        add(at, f"if {guard}m == {length} and K{length} == {keys[-1]} and "
-                f"(F{length} is None or F{length} == {term}):")
-        add(at + 1, "break")
-        add(at, f"o = {self.cl}[last][{length - 1}]")
-        if length == 1:
-            add(at, "if last:")
-            self._mark(at + 1)
-        self._open(at, length, node, value, keys, term)
-        add(at, "write(o)")
-        add(at, "written += 1")
-        self._opened(at, node_id, length)
-
     def _mark(self, at):
         """A close to the empty stack: the top-level mark."""
         add = self.src.add
@@ -318,24 +288,17 @@ def _shared(links, other):
 
 
 def tag_kernel(shape, indent, rooted):
-    """``tag(items, write, tell, marks, state)``: the tag step over
-    merged ``(key, node id, term)`` items.  From an empty stack
-    (``state`` None) it ends on one and returns ``(elements, implicit
-    opens, deepest stack, instances)``; from a ``state`` — the single-stream
-    kernel's, for the instances it does not tag itself — it returns the
-    state it leaves."""
+    """``tag(items, write, tell, marks)``: the tag step over merged
+    ``(key, node id, term)`` items, from an empty stack to an empty
+    stack; returns ``(elements, implicit opens, deepest stack,
+    instances)``."""
     def build():
         src = Source()
         tagging = _Tagging(shape, src, indent, rooted)
-        src.add(0, "def tag(items, write, tell, marks, state):")
-        src.add(1, "if state is None:")
-        tagging.state(2)
-        src.add(1, "else:")
-        src.add(2, f"{tagging.names()} = state")
+        src.add(0, "def tag(items, write, tell, marks):")
+        tagging.state(1)
         src.add(1, "for _, i, t in items:")
         tagging.dispatch(2, range(1, len(shape.nodes)))
-        src.add(1, "if state is not None:")
-        src.add(2, f"return {tagging.names()}")
         tagging.finish(1)
         return src
     step = shape.steps.get((indent, rooted))
@@ -345,14 +308,13 @@ def tag_kernel(shape, indent, rooted):
     return step
 
 
-# -- one stream -----------------------------------------------------------
+# -- a stream shape, and its decoder --------------------------------------
 
 
 class StreamShape:
     """One stream shape against a view tree, analysed for code generation:
-    per member its term and key template, per path its members in the
-    order the compile-time order table decides (or undecided) and whether
-    its merged members can be written with their row.
+    per member its term, key template and unit, per path its members in
+    the order the compile-time order table decides (or undecided).
 
     Templates are over the *extended row*: the row, then the type tag of
     every key column, then the constants a key can hold (the NULL tag and
@@ -375,12 +337,17 @@ class StreamShape:
         null_tag = self.null_tag = width + len(self.key_columns)
         null, int_tag, first_int = null_tag + 1, null_tag + 2, null_tag + 3
         self.constants = ("", None, TYPE_TAGS[int])
-        self.members = {
-            member.index: member
-            for path in spec.unit_paths.values()
-            for unit in path
-            for member in unit.members
-        }
+        self.members, self.unit_of = {}, {}
+        for path in spec.unit_paths.values():
+            for unit in path:
+                for member in unit.members:
+                    self.members[member.index] = member
+                    self.unit_of[member.index] = unit
+        #: The level of the stream's root unit, whose ``L`` tags every row
+        #: shares.
+        self.top = min(map(len, spec.unit_paths))
+        #: Per unit, the units from the stream's root to it.
+        self.unit_paths = spec.unit_paths
         templates = self.templates = {}
         for index, member in self.members.items():
             carried = {stv.name for stv in member.args}
@@ -404,7 +371,7 @@ class StreamShape:
 
         #: Per path: (terminal, representative, members at or before the
         #: row's position in key order, late members in key order or
-        #: None when undecided, look-ahead or None).
+        #: None when undecided).
         self.paths = []
         for terminal, path in spec.unit_paths.items():
             indices = [m.index for unit in path for m in unit.members]
@@ -415,40 +382,7 @@ class StreamShape:
                 indices.sort(key=cmp_to_key(lambda a, b: table[a, b]))
                 late = [i for i in indices if table[i, rep] > 0]
                 indices = [i for i in indices if table[i, rep] <= 0]
-            unit = {m.index for m in path[-1].members}
-            self.paths.append((terminal, rep, indices, late,
-                               self._look_ahead(rep, late, unit)))
-
-    def _look_ahead(self, rep, late, unit):
-        """Whether ``late`` (merged members sorting after the row's
-        position ``rep``) can be written right after their row, and on
-        what condition: the columns of the representative's key (its
-        variables and ``L`` tags), where the next row must differ from
-        this one.  None when the order table cannot show it.
-
-        Written with its row, a late member comes out before anything the
-        next row emits.  That is the decoder's order when nothing the next
-        row emits can sort between the row's position and the member
-        (rows arrive in document order, so it releases the member): no
-        other unit's member can (checked here, against every path of the
-        stream, by constants alone), and a member of the row's own unit
-        only where the next row repeats the representative's key — which
-        the look-ahead rules out."""
-        if not late:
-            return [] if late is not None else None
-        templates, null_tag = self.templates, self.null_tag
-        first = templates[late[0]]
-        cut = next(i for i, (a, b) in enumerate(zip(templates[rep], first))
-                   if a != b)
-        if any(templates[y][:cut] != first[:cut] for y in (*late, *unit)):
-            return None
-        for y in self.members:
-            if y not in unit and any(
-                    _between(templates[rep], templates[x], templates[y],
-                             cut, null_tag) for x in late):
-                return None
-        return sorted({p for p in first[:cut] if p < self.width}
-                      | set(self.l_columns[:len(rep)]))
+            self.paths.append((terminal, rep, indices, late))
 
     def term(self, index, var="r"):
         """The term expression of member ``index`` over row ``var``."""
@@ -457,18 +391,12 @@ class StreamShape:
                  for stv in self.members[index].args]
         return "(" + "".join(p + ", " for p in parts) + ")"
 
-    def key(self, index, src, var="r", compact=False):
-        """The comparator key expression of member ``index``: flat, or
-        ``compact`` — the template's pairs without tags and NULL pairs."""
+    def key(self, index, src, var="r"):
+        """The flat comparator key expression of member ``index``."""
         width, null_tag = self.width, self.null_tag
         names = {self.width + i: c for i, c in enumerate(self.key_columns)}
-        template = self.templates[index]
-        if compact:
-            template = [value for tag, value in zip(template[::2],
-                                                    template[1::2])
-                        if tag != null_tag]
         parts = []
-        for slot in template:
+        for slot in self.templates[index]:
             if slot < width:
                 parts.append(f"{var}[{slot}]")
             elif slot < null_tag:
@@ -490,35 +418,9 @@ class StreamShape:
             if name in carried and name in self.positions else "None")
 
 
-def _between(rep, late, other, cut, null_tag):
-    """Whether a key of template ``other``, from any row, can sort after
-    ``rep``'s and at or before ``late``'s key of one row (the two agree
-    before ``cut``, where both hold constants).  False only where
-    constants prove it."""
-    for a, b in zip(late[:cut], other[:cut]):
-        if a != b and min(a, b) >= null_tag:
-            return False
-    low, high, here = rep[cut], late[cut], other[cut]
-    if here < null_tag:
-        return True
-    if here < low or here > high:
-        return False
-    if here < high or here == low:
-        return True
-    for a, b in zip(late[cut + 1:], other[cut + 1:]):
-        if a != b:
-            if min(a, b) < null_tag:
-                return True
-            return b < a
-    return True
-
-
-def _resolve(paths, terminal, row, label, end):
+def _resolve(paths, terminal, label):
     """The path number of a row whose ``L`` tags are not one path's
-    exactly: tags after the first NULL are ignored; ``end`` (the
-    single-stream kernel's end of rows) is -1."""
-    if row is end:
-        return -1
+    exactly: tags after the first NULL are ignored."""
     if None in terminal:
         terminal = terminal[:terminal.index(None)]
     number = paths.get(terminal)
@@ -529,60 +431,42 @@ def _resolve(paths, terminal, row, label, end):
     return number
 
 
-def _stream_source(stream, form, tagging=None, step=None, compact=False):
-    """The decoder (``form`` "decode", keyed ``compact`` or flat) or the
-    single-stream kernel ("write") of ``stream``; one generator emits both.
+def _decoder_source(stream):
+    """The decoder of ``stream``.
 
-    Per row both find the path from the ``L`` tags and run the memo
-    check of each member.  The decoder yields a fresh member at once
-    where its path's order was decided and nothing waits; the kernel
-    writes it at once (:meth:`_Tagging.quick`), and also the late members
-    with their row where :meth:`StreamShape._look_ahead` allows.
-    Everything else takes the keyed path: the row's fresh instances with
-    their keys, sorted and split at the row's position where undecided,
-    the waiting ones released up to it — the decoder's definition,
-    :func:`~repro.xmlgen.streams.reference_decode` — which the kernel
-    hands to the tag step ``step``."""
-    shape = stream.shape
-    src = tagging.src if tagging is not None else Source()
+    Per row it finds the path from the ``L`` tags and runs the memo check
+    of each member, and yields a fresh member at once where its path's
+    order was decided and nothing waits.  Everything else takes the keyed
+    path: the row's fresh instances with their keys, sorted and split at
+    the row's position where undecided, the waiting ones released up to
+    it — the decoder's definition,
+    :func:`~repro.xmlgen.streams.reference_decode`."""
+    src = Source()
     add = src.add
-    ids = shape.ids
+    ids = stream.shape.ids
     node_of = {index: ids[member] for index, member in stream.members.items()}
-    writing = form == "write"
     paths = {terminal: n for n, (terminal, *_) in enumerate(stream.paths)}
     width = len(stream.l_columns)
     exact = {terminal + (None,) * (width - len(terminal)): n
              for terminal, n in paths.items()}
     lt = "(" + "".join(f"r[{c}], " for c in stream.l_columns) + ")"
-    end = src.const(type("EndOfRows", (tuple,), {})(
-        (_NO,) * max(stream.width, 1)), "END")
-    resolve = (f"{src.const(_resolve, 'R')}({src.const(paths, 'PATHS')}, "
-               f"lt, r, label, {end})")
-    deferring = any(late is None or late for *_, late, _ in stream.paths)
+    deferring = any(late is None or late for *_, late in stream.paths)
     k0 = src.const(_K0, "K")
     bisect = src.const(bisect_right, "B")
 
-    if writing:
-        add(0, "def write_stream(rows, label, write, tell, marks):")
-        tagging.state(1)
-    else:
-        add(0, "def decode(rows, label):")
+    add(0, "def decode(rows, label):")
     for index in stream.members:
         add(1, f"M{node_of[index]} = {src.const(_NO, 'NO')}")
     add(1, "pending = []")
-    if writing:
-        add(1, f"it = {src.const(iter, 'I')}(rows)")
-        add(1, f"r = {src.const(next, 'N')}(it, {end})")
-        add(1, f"for nxt in {src.const(chain, 'CH')}(it, ({end}, {end})):")
-    else:
-        add(1, "for r in rows:")
+    add(1, "for r in rows:")
     add(2, f"lt = {lt}")
     add(2, f"p = {src.const(exact, 'PID')}.get(lt)")
     add(2, "if p is None:")
-    add(3, f"p = {resolve}")
+    add(3, f"p = {src.const(_resolve, 'R')}({src.const(paths, 'PATHS')}, "
+           "lt, label)")
 
     def key(index):
-        return stream.key(index, src, compact=compact)
+        return stream.key(index, src)
 
     def fresh_check(at, index, then):
         add(at, f"t = {stream.term(index)}")
@@ -593,45 +477,18 @@ def _stream_source(stream, form, tagging=None, step=None, compact=False):
     def emit_now(at, index):
         add(at, f"yield ({key(index)}, {node_of[index]}, t)")
 
-    def write_now(at, index):
-        add(at, f"t = {stream.term(index)}")
-        add(at, f"if t != M{node_of[index]}:")
-        tagging.quick(at + 1, node_of[index], stream.value_of(index), "t")
-        add(at + 1, f"M{node_of[index]} = t")
-
-    def tag_fresh(at):
-        """The tag step over ``fresh``, on the kernel's own locals."""
-        names = tagging.names()
-        add(at, f"{names} = {src.const(step, 'STEP')}(fresh, write, tell, "
-                f"marks, ({names}))")
-
     def keyed(at, index, into):
         add(at, f"{into}.append(({key(index)}, {node_of[index]}, t))")
 
-    for number, (terminal, rep, early, late, look) in enumerate(
-            stream.paths):
+    for number, (terminal, rep, early, late) in enumerate(stream.paths):
         add(2, f"{'if' if number == 0 else 'elif'} p == {number}:")
-        if late is not None and (not (writing and late) or look is not None):
-            cond = "not pending" if deferring else "True"
-            if writing and late:
-                cond += f" and ({_look_expr(look)})"
-            add(3, f"if {cond}:")
-            if writing:
-                # The row inline; a break leaves the rest of it to the
-                # keyed path, where the members written have their memo.
-                add(4, f"for _ in {src.const((None,), 'ONCE')}:")
-                for index in early + late:
-                    write_now(5, index)
-                add(4, "else:")
-                add(5, "r = nxt")
-                add(5, "continue")
-            else:
-                for index in early:
-                    fresh_check(4, index, emit_now)
-                for index in late:
-                    fresh_check(4, index,
-                                lambda at, i: keyed(at, i, "pending"))
-                add(4, "continue")
+        if late is not None:
+            add(3, f"if {'not pending' if deferring else 'True'}:")
+            for index in early:
+                fresh_check(4, index, emit_now)
+            for index in late:
+                fresh_check(4, index, lambda at, i: keyed(at, i, "pending"))
+            add(4, "continue")
         # The keyed path.
         add(3, "fresh = []")
         for index in early:
@@ -660,24 +517,9 @@ def _stream_source(stream, form, tagging=None, step=None, compact=False):
         add(3, "if late:")
         add(4, "pending += late")
         add(4, f"pending.sort(key={k0})")
-    if writing:
-        add(2, "else:")
-        add(3, "fresh = pending")
-        add(3, "pending = []")
-        add(2, "if fresh:")
-        tag_fresh(3)
-        add(2, "r = nxt")
-        tagging.finish(1)
-    else:
-        add(2, "yield from fresh")
-        add(1, "yield from pending")
+    add(2, "yield from fresh")
+    add(1, "yield from pending")
     return src
-
-
-def _look_expr(look):
-    """True when row ``nxt`` differs from row ``r`` in one of the columns
-    ``look``."""
-    return " or ".join(f"nxt[{column}] != r[{column}]" for column in look)
 
 
 def stream_key(spec):
@@ -695,92 +537,208 @@ def stream_key(spec):
     )
 
 
-def decoder_kernel(shape, spec, key, compact=False):
+def decoder_kernel(shape, spec, key):
     """``decode(rows, label)``: the generator of ``spec``'s stream shape's
-    ``(key, node id, term)`` items (keys ``compact`` or flat), in order."""
-    return compiled(("xmlgen", shape.key, key, "decode", compact),
-                    lambda: _stream_source(StreamShape(shape, spec), "decode",
-                                           compact=compact))
-
-
-def stream_kernel(shape, spec, key, indent, rooted):
-    """``write_stream(rows, label, write, tell, marks) -> (elements,
-    implicit opens, deepest stack, instances)``: ``spec``'s rows to
-    markup, alone."""
-    def build():
-        return _stream_source(StreamShape(shape, spec), "write",
-                              _Tagging(shape, Source(), indent, rooted),
-                              tag_kernel(shape, indent, rooted))
-    return compiled(("xmlgen", shape.key, key, "write", indent, rooted),
-                    build)
+    ``(key, node id, term)`` items, in order."""
+    return compiled(("xmlgen", shape.key, key, "decode"),
+                    lambda: _decoder_source(StreamShape(shape, spec)))
 
 
 # -- a walk of the tree ---------------------------------------------------
 
 
 def _walk_source(streams, tagging):
-    """The walk of a run whose streams carry one view-tree node each, every
-    node once, each sorted by its node's key (its parent's key, then its
-    own values): one loop per node, nested in child order, tags the
-    node's instances under the open parent instance.
+    """The walk of a run whose streams carry one component of the view
+    tree each, every node once, each stream sorted in the tree's key
+    order: one loop per node, nested in child order, tags the node's
+    instances under the open parent instance.
 
-    A node's loop takes rows while their parent-key columns equal the
-    parent's key locals; per row the member's memo drops a repeated term,
-    as the decoder does.  Where the node has children it then takes every
-    row that repeats its own key — the stable sort of the items puts them
-    before the children — and descends.  The cursors are primed in spec
-    order, as :func:`heapq.merge` primes its decoders; a row left over at
-    the end was claimed by no parent instance."""
+    A node's loop reads the current row of its component's stream while
+    the row's ``L`` tags pass through the node's unit and its parent-key
+    columns equal the parent's key locals.  It takes the node's instance
+    from the row as the decoder does, the member's memo dropping a
+    repeated term, and holds the rows of the instance for the unit's
+    merged members: they are written from them in their place in the
+    tree, so one that sorts after the row's children still comes out
+    there.  A stream advances
+    only at its row's terminal unit.  Where the node has children the
+    loop first takes every row of its unit that repeats its key — the
+    stable merge of the items puts them before the children — and then
+    descends.
+
+    Rows of a stream below the node may lack their instance of it where
+    a merged member is on the node's path (its join can miss a row a
+    write removed, which the child queries do not join): such a node
+    iterates over the least of its own and those streams' keys, and for
+    a key only they hold descends without an instance, so the tag step
+    opens the node implicitly, as the merge of the items does.  The
+    cursors are primed in spec order, as :func:`heapq.merge` primes its
+    decoders.  A row no child loop takes names no unit of its stream; a
+    row left over at the end was claimed by no parent instance where
+    none can be missing."""
     shape, src = tagging.shape, tagging.src
     add = src.add
     end = src.const(type("EndOfRows", (tuple,), {})(
         (_NO,) * max(stream.width for stream in streams)), "END")
     step = src.const(next, "N")
-    of = {}
+    no = src.const(_NO, "NO")
+    of, roots = {}, []
     for s, stream in enumerate(streams):
-        [(index, member)] = stream.members.items()
-        template = stream.templates[index]
-        of[shape.ids[member]] = (s, stream, index, [
-            value for tag, value in zip(template[::2], template[1::2])
-            if tag != stream.null_tag and value < stream.width])
+        names = {position: name for name, position in stream.positions.items()}
+        for index, member in stream.members.items():
+            template = stream.templates[index]
+            of[shape.ids[member]] = (s, stream, index, [
+                names[value] for tag, value in zip(template[::2],
+                                                   template[1::2])
+                if tag != stream.null_tag and value < stream.width])
+        roots.append(stream.members[min(t for t, *_ in stream.paths)])
 
-    def take(at, node_id, keep):
-        s, stream, index, key = of[node_id]
-        add(at, f"t = {stream.term(index, f'r{s}')}")
-        add(at, f"if t != M{s}:")
-        add(at + 1, f"M{s} = t")
-        tagging.block(at + 1, node_id, stream.value_of(index, f"r{s}"), "t")
-        if keep:
-            for j, column in enumerate(key):
-                add(at, f"Q{node_id}_{j} = r{s}[{column}]")
-        add(at, f"r{s} = {step}(it{s}, {end})")
+    def columns(s, node_id):
+        """Stream ``s``'s positions of the key variables of node
+        ``node_id``'s chain."""
+        positions = streams[s].positions
+        return [positions[name] for name in of[node_id][3]]
 
-    def under(s, key, owner):
-        """Whether row ``r<s>``, keyed by the columns ``key``, repeats the
-        key of node ``owner``'s open instance (None: the empty stack)."""
-        width = 0 if owner is None else len(of[owner][3])
-        return " and ".join(f"r{s}[{column}] == Q{owner}_{j}"
-                            for j, column in enumerate(key[:width])
-                            ) or f"r{s} is not {end}"
+    def key(s, node_id):
+        """Row ``r<s>``'s key of node ``node_id``: a value or a tuple."""
+        parts = [f"r{s}[{c}]" for c in columns(s, node_id)]
+        return parts[0] if len(parts) == 1 else \
+            "(" + "".join(p + ", " for p in parts) + ")"
+
+    def take(at, node_id, var):
+        """Tag the node's instance in row ``var`` unless its memo holds
+        the same term."""
+        _, stream, index, _ = of[node_id]
+        add(at, f"t = {stream.term(index, var)}")
+        add(at, f"if t != M{node_id}:")
+        add(at + 1, f"M{node_id} = t")
+        tagging.block(at + 1, node_id, stream.value_of(index, var), "t")
+
+    def under(s, owner):
+        """Row ``r<s>`` repeats the key of node ``owner``'s open instance
+        (None: the empty stack)."""
+        if owner is None:
+            return [f"r{s} is not {end}"]
+        return [f"r{s}[{column}] == Q{owner}_{j}"
+                for j, column in enumerate(columns(s, owner))] \
+            or [f"r{s} is not {end}"]
+
+    def holds(s, node_id, owner):
+        """Row ``r<s>`` passes through the unit of node ``node_id`` and
+        repeats the key of ``owner``'s open instance."""
+        _, stream, index, _ = of[node_id]
+        unit = stream.unit_of[index]
+        return " and ".join(
+            [f"r{s}[{stream.l_columns[level - 1]}] == {unit.index[level - 1]}"
+             for level in range(stream.top + 1, unit.level + 1)]
+            + under(s, owner))
 
     def loop(at, node):
         node_id = shape.ids[node]
-        s, _, _, key = of[node_id]
+        s, stream, index, _ = of[node_id]
+        unit = stream.unit_of[index]
+        held = f"H{shape.ids[unit.representative]}"
         parent = node.parent and shape.ids[node.parent]
-        add(at, f"while {under(s, key, parent)}:")
-        take(at + 1, node_id, keep=bool(node.children))
-        if node.children:
-            add(at + 1, f"while {under(s, key, node_id)}:")
-            take(at + 2, node_id, keep=False)
-            for child in node.children:     # in index order
-                loop(at + 1, child)
+        if unit.representative is not node:
+            # A merged member, from the rows its representative's instance
+            # was taken from; it has no key variable of its own.
+            add(at, f"for h in {held}:")
+            take(at + 1, node_id, "h")
+            if node.children:
+                for j in range(len(of[node_id][3])):
+                    add(at, f"Q{node_id}_{j} = Q{parent}_{j}")
+                for child in node.children:
+                    loop(at, child)
+            return
+        if not node.children:
+            add(at, f"while {holds(s, node_id, parent)}:")
+            take(at + 1, node_id, f"r{s}")
+            add(at + 1, f"r{s} = {step}(it{s}, {end})")
+            return
+        # A unit's merged member joins a row the child queries do not, so
+        # where one is on the node's path, a write can drop the node's
+        # instance and leave the rows below it.
+        below = [j for j, root in enumerate(roots)
+                 if j != s and node.is_ancestor_of(root)] if any(
+            len(u.members) > 1 for u in stream.unit_paths[unit.index]) else []
+        if below:
+            # The least key under the parent, the node's own first.
+            add(at, "while True:")
+            at += 1
+            add(at, f"if {holds(s, node_id, parent)}:")
+            add(at + 1, f"k{node_id} = f{node_id} = {key(s, node_id)}")
+            for j in below:
+                add(at + 1, f"if {' and '.join(under(j, parent))} and "
+                            f"{key(j, node_id)} < k{node_id}:")
+                add(at + 2, f"k{node_id} = {key(j, node_id)}")
+            add(at, "else:")
+            add(at + 1, f"k{node_id} = f{node_id} = {no}")
+            for j in below:
+                add(at + 1, f"if {' and '.join(under(j, parent))} and "
+                            f"(k{node_id} is {no} or "
+                            f"{key(j, node_id)} < k{node_id}):")
+                add(at + 2, f"k{node_id} = {key(j, node_id)}")
+            add(at + 1, f"if k{node_id} is {no}:")
+            add(at + 2, "break")
+            add(at, f"if k{node_id} is not f{node_id}:")
+            # Only streams below hold the key: no instance of the node.
+            width = len(of[node_id][3])
+            targets = ", ".join(f"Q{node_id}_{j}" for j in range(width))
+            add(at + 1, f"{targets}{',' if width > 1 else ''} = k{node_id}")
+            if len(unit.members) > 1:
+                add(at + 1, f"{held} = []")
+            if deeper(stream, unit):
+                add(at + 1, f"x{node_id} = None")
+            add(at, "else:")
+            instance(at + 1, node, s, stream, unit, held)
+        else:
+            add(at, f"while {holds(s, node_id, parent)}:")
+            at += 1
+            instance(at, node, s, stream, unit, held)
+        for child in node.children:     # in index order
+            loop(at, child)
+        if deeper(stream, unit):
+            add(at, f"if r{s} is x{node_id}:")
+            add(at + 1, f"raise {src.const(PlanError, 'PE')}("
+                        f"{src.const(_NO_UNIT, 'NU')}.format(labels[{s}], "
+                        f"r{s}))")
+
+    def deeper(stream, unit):
+        """Rows of a deeper terminal unit carry an ``L`` tag past this
+        one."""
+        return any(len(terminal) > unit.level
+                   and terminal[:unit.level] == unit.index
+                   for terminal, *_ in stream.paths)
+
+    def instance(at, node, s, stream, unit, held):
+        """Take the node's instance from row ``r<s>`` and every row of its
+        unit that repeats its key."""
+        node_id = shape.ids[node]
+        for j, column in enumerate(columns(s, node_id)):
+            add(at, f"Q{node_id}_{j} = r{s}[{column}]")
+        if deeper(stream, unit):
+            add(at, f"x{node_id} = r{s}")
+        if len(unit.members) > 1:
+            add(at, f"{held} = []")
+        add(at, "while True:")
+        take(at + 1, node_id, f"r{s}")
+        if len(unit.members) > 1:
+            add(at + 1, f"{held}.append(r{s})")
+        if deeper(stream, unit):
+            add(at + 1, f"if r{s}[{stream.l_columns[unit.level]}] "
+                        "is not None:")
+            add(at + 2, "break")
+        add(at + 1, f"r{s} = {step}(it{s}, {end})")
+        add(at + 1, f"if not ({holds(s, node_id, node_id)}):")
+        add(at + 2, "break")
 
     add(0, "def walk(rows, labels, write, tell, marks):")
     tagging.state(1)
     for s in range(len(streams)):
         add(1, f"it{s} = {src.const(iter, 'I')}(rows[{s}])")
         add(1, f"r{s} = {step}(it{s}, {end})")
-        add(1, f"M{s} = {src.const(_NO, 'NO')}")
+    for node_id in of:
+        add(1, f"M{node_id} = {no}")
     loop(1, shape.nodes[1])
     orphan = src.const("row {1!r} of stream {0} is under no instance of "
                        "its parent", "O")
@@ -792,11 +750,14 @@ def _walk_source(streams, tagging):
     return src
 
 
+_NO_UNIT = "row {1!r} of stream {0} is in no unit under its parent"
+
+
 def walk_kernel(shape, specs, keys, indent, rooted):
     """``walk(rows, labels, write, tell, marks) -> (elements, implicit
     opens, deepest stack, instances)``: the rows of ``specs``' streams
-    (whose shapes' structural ``keys`` name the code), one node each, to
-    markup by a walk of the tree."""
+    (whose shapes' structural ``keys`` name the code), one component of
+    the tree each, to markup by a walk of the tree."""
     def build():
         return _walk_source([StreamShape(shape, spec) for spec in specs],
                             _Tagging(shape, Source(), indent, rooted))

@@ -84,7 +84,7 @@ def _same_rows(old, new, inexact):
 
 
 def splice_streams(layout, specs, streams, decoders, root_tag, indent,
-                   previous=None, obs=None, compact=None):
+                   previous=None, obs=None, walk=False):
     """Tag executed ``streams`` into ``(xml, counts, tagging, reused)``,
     tagging again only the groups whose rows differ from ``previous`` (a
     :class:`Tagging` of the same decoders and serialization, or None) and
@@ -95,7 +95,7 @@ def splice_streams(layout, specs, streams, decoders, root_tag, indent,
     element lacks the others' line break), or when the tagger's top-level
     elements are not one per group, in the groups' order.
 
-    Runs of several streams merge on ``compact`` keys when it is true.
+    The runs are walked where ``walk`` is true.
     With ``obs`` on, :func:`~repro.xmlgen.tagger.integrate`'s spans cover
     the re-tagged rows only, inside a ``splice`` span (``groups``,
     ``reused``, ``retagged``; counted as ``splice.reused`` /
@@ -193,11 +193,11 @@ def splice_streams(layout, specs, streams, decoders, root_tag, indent,
 
     tracer, metrics = obs_parts(obs)
     if previous is None:
-        integrate(obs, document.counts, len(specs), cut, tag, compact)
+        integrate(obs, document.counts, len(specs), cut, tag, walk)
         reused = 0
     else:
         with tracer.span("splice") as span:
-            integrate(obs, document.counts, len(specs), cut, tag, compact)
+            integrate(obs, document.counts, len(specs), cut, tag, walk)
             reused = sum(len(keys) for reuse, keys in segments if reuse)
             span.set(groups=len(order), reused=reused,
                      retagged=len(order) - reused)

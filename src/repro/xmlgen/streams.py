@@ -17,8 +17,6 @@ NULLs sort first, which places every parent instance before its children.
 
 import heapq
 from bisect import bisect_right
-from collections.abc import Sized
-from itertools import chain
 from operator import attrgetter, itemgetter
 from types import NoneType
 
@@ -30,7 +28,6 @@ from repro.xmlgen.kernel import (
     TreeShape,
     decoder_kernel,
     stream_key,
-    stream_kernel,
     walk_kernel,
 )
 
@@ -66,11 +63,10 @@ class ComparatorLayout:
 
     An instance key is a flat tuple ``(tag, value, tag, value, ...)`` with
     one pair per layout entry (:func:`repro.common.ordering.flat_key`):
-    NULLs first, compared entirely in C.  Where :meth:`compact_keys`
-    allows, a multi-stream run keys its items *compactly*: the ``L``
-    ordinals and key values of the instance's chain, in layout order,
-    with no tag and no NULL pair.  The layout also owns the
-    :class:`StreamDecoder` of every stream shape decoded against it, kept
+    NULLs first, compared entirely in C.  Where :meth:`walks` allows, a
+    plan needs no key: it is walked (:class:`Walk`).  The layout also
+    owns the :class:`StreamDecoder` of every stream shape decoded against
+    it, kept
     by whoever keeps the layout (a view's
     :class:`~repro.core.silkroute.ViewDefinition`, for the process).
     """
@@ -101,19 +97,43 @@ class ComparatorLayout:
             carried(node, level) == carried(tree.node(node.index[:level]),
                                             level)
             for node in tree.nodes for level in range(1, node.level))
+        #: Nodes with children whose term holds more than their key: two
+        #: instances may share a key, so one stream carrying such a node
+        #: with a child does not list its items in key order.
+        self._loose = {node for node in tree.nodes
+                       if node.children and set(node.args) != set(node.key_args)}
 
-    def compact_keys(self, specs, database):
-        """Whether a run of ``specs``' streams over ``database`` orders
-        alike on compact keys (None for one stream: nothing is merged).
-        It does on an :attr:`aligned` tree when every key column holds
-        one type, the same in every stream, and no NULL: two keys then
-        first differ where both hold an ``L`` ordinal or a value of one
-        column, or one is a prefix of the other.  The types are the
+    def walks(self, specs, database):
+        """Whether a run of ``specs``' streams over ``database`` is walked
+        (:class:`Walk`) rather than decoded and merged on flat keys.  It
+        is where the streams carry every node of an :attr:`aligned` tree
+        at most ``_WALK_DEPTH`` deep once, every key column holds one
+        type, the same in every stream, and no NULL, no stream carries a
+        node that can repeat its key with another term together with a
+        child of it, and no merged member with children has a key
+        variable of its own (it shares its unit's key locals).  The walk
+        compares key values with ``==`` and ``<`` and nests one loop per
+        level (CPython compiles at most 20 nested blocks); two flat keys
+        then first differ where both hold an ``L`` ordinal or a value of
+        one column, or one is a prefix of the other, so the tree's key
+        order is the order of every stream's rows.  The types are the
         plan's and the tables' facts, as the root sort reads them; a NULL
         the plan pads with is off the path of every member carrying it."""
-        if len(specs) < 2:
-            return None
-        if not self.aligned:
+        if not self.aligned or self.tree.max_depth() > _WALK_DEPTH:
+            return False
+        carried = 0
+        for spec in specs:
+            units = {unit for path in spec.unit_paths.values()
+                     for unit in path}
+            members = {member for unit in units for member in unit.members}
+            if any(not members.isdisjoint(node.children)
+                   for node in self._loose & members) or any(
+                    member.children and any(
+                        stv.level == member.level for stv in member.key_args)
+                    for unit in units for member in unit.members[1:]):
+                return False
+            carried += len(members)
+        if carried != len(self.tree.nodes):
             return False
         table = database.table
         kinds = {}
@@ -176,14 +196,13 @@ def tuple_getter(indices):
 
 
 class StreamDecoder:
-    """One stream shape against a layout: the generated kernels of the
-    shape (:mod:`repro.xmlgen.kernel`, shared by every equal shape in the
-    process) and the splice's group check.
+    """One stream shape against a layout: its generated decoder
+    (:mod:`repro.xmlgen.kernel`, shared by every equal shape in the
+    process), its part of a :class:`Walk`'s code key and the splice's
+    group check.
 
-    :meth:`items` is the generated decoder, :meth:`decode` the same as
-    :class:`Instance` objects, :meth:`writer` the single-stream kernel
-    that writes the stream's markup itself.  Each is looked up once and
-    then held (code only).
+    :meth:`items` is the generated decoder, looked up once and then held
+    (code only), :meth:`decode` the same as :class:`Instance` objects.
     """
 
     def __init__(self, spec, shape, layout):
@@ -217,56 +236,28 @@ class StreamDecoder:
             itemgetter(*[positions[name] for name in root_keys])
             if sound else None
         )
-        #: Whether the items ascend: on an aligned tree a member's key is
-        #: its row's sort key cut after the member's level.
-        self.ordered = layout.aligned
-        #: The id of the one view-tree node the stream carries, where its
-        #: rows carry all of that node's key and sort by it first (what
-        #: :class:`Walk` takes), else None.  A walk nests one loop per
-        #: level, and CPython compiles at most 20 nested loops.
-        self.node = None
-        if len(members) == 1 and layout.tree.max_depth() <= _WALK_DEPTH:
-            carried = {stv.name for stv in members[0].args}
-            key = [stv.name for kind, stv in layout.entries
-                   if kind == "stv" and stv.name in carried]
-            levels = {f"L{level}" for level in spec.l_levels}
-            order = [name for name in spec.sort_keys if name not in levels]
-            if order[:len(key)] == key:
-                self.node = layout.shape.ids[members[0]]
         #: Row positions of the columns whose equal values may still
         #: print differently (``2 == 2.0``, ``0.0 == -0.0``).
         self.inexact = tuple(
             i for i, column in enumerate(spec.plan.columns())
             if column.sql_type not in _EXACT
         )
-        self._decode = {}
-        self._writers = {}
+        self._decode = None
 
-    def items(self, rows, label, compact=False):
+    def items(self, rows, label):
         """The ``(key, node id, term)`` items of ``rows``, in document
-        order, keyed ``compact`` or flat (:class:`ComparatorLayout`);
-        ``label`` names the stream in errors (equal shapes share one
-        decoder, whatever their specs are called)."""
-        decode = self._decode.get(compact)
-        if decode is None:
-            decode = self._decode[compact] = decoder_kernel(
-                self._tree, self._spec, self._shape, compact)
-        return decode(rows, label)
+        order, keyed flat (:class:`ComparatorLayout`); ``label`` names the
+        stream in errors (equal shapes share one decoder, whatever their
+        specs are called)."""
+        if self._decode is None:
+            self._decode = decoder_kernel(self._tree, self._spec, self._shape)
+        return self._decode(rows, label)
 
     def decode(self, rows, label):
         """Yield the :class:`Instance` sequence of ``rows``, in order."""
         nodes = self._tree.nodes
         for key, node, term in self.items(rows, label):
             yield Instance(key, nodes[node], term)
-
-    def writer(self, indent, rooted):
-        """The kernel writing this shape's rows as markup alone (a plan of
-        one stream, or a run only this stream has rows in)."""
-        kernel = self._writers.get((indent, rooted))
-        if kernel is None:
-            kernel = self._writers[indent, rooted] = stream_kernel(
-                self._tree, self._spec, self._shape, indent, rooted)
-        return kernel
 
 
 def reference_decode(spec, rows, layout):
@@ -351,28 +342,23 @@ def merge_streams(instance_iterables):
     return heapq.merge(*sources, key=_KEY)
 
 
-def merge_run(run, compact=False):
+def merge_run(run):
     """:func:`merge_streams` of a run's ``(decoder, rows, label)``
-    streams, as generated decoders' ``(key, node id, term)`` items keyed
-    ``compact`` or flat.  Held rows whose items ascend are decoded one
-    stream after another and sorted once, stably: ties go to the earlier
-    stream, as in the heap merge of sorted runs."""
-    sources = [decoder.items(rows, label, compact)
-               for decoder, rows, label in run]
-    if not all(decoder.ordered and isinstance(rows, Sized)
-               for decoder, rows, _ in run):
-        return heapq.merge(*sources, key=_K0)
-    items = list(chain.from_iterable(sources))
-    items.sort(key=_K0)
-    return items
+    streams, as generated decoders' ``(key, node id, term)`` items on
+    flat keys: the heap merge, where :meth:`ComparatorLayout.walks` does
+    not allow the walk."""
+    sources = [decoder.items(rows, label) for decoder, rows, label in run]
+    return sources[0] if len(sources) == 1 else heapq.merge(*sources,
+                                                            key=_K0)
 
 
 class Walk:
-    """A run of streams that carry one view-tree node each, every node
-    once (:attr:`StreamDecoder.node`), merged on compact keys: its
+    """A run of streams that carry one component of the view tree each,
+    every node once (one stream: the whole tree), where
+    :meth:`ComparatorLayout.walks` allows it: its
     document order is a walk of the tree over the sorted rows, with no
-    item, key or sort (:func:`~repro.xmlgen.kernel.walk_kernel`).  The
-    run's ``(decoder, rows, label)`` are in spec order; rows None (a
+    item, key, sort or merge (:func:`~repro.xmlgen.kernel.walk_kernel`).
+    The run's ``(decoder, rows, label)`` are in spec order; rows None (a
     splice segment the stream has no rows in) walk as empty."""
 
     __slots__ = ("decoders", "rows", "labels")
@@ -381,14 +367,6 @@ class Walk:
         self.decoders = tuple(decoder for decoder, _, _ in run)
         self.rows = [() if rows is None else rows for _, rows, _ in run]
         self.labels = [label for _, _, label in run]
-
-    @staticmethod
-    def takes(run):
-        """Whether ``run``'s streams carry one node each, every node of
-        the tree once."""
-        nodes = {decoder.node for decoder, _, _ in run}
-        return None not in nodes and len(nodes) == len(run) == len(
-            run[0][0]._tree.nodes) - 1
 
     def kernel(self, indent, rooted):
         """The walk's code for this run's stream shapes, in spec order."""

@@ -197,12 +197,11 @@ class TagCounts:
 class Document:
     """One document written into ``sink`` by the generated kernels
     (:mod:`repro.xmlgen.kernel`), :class:`XmlTagger`'s twin: the root tag
-    around runs of a plan's streams — a run of one stream by its
-    single-stream kernel, a :class:`~repro.xmlgen.streams.Walk` by the
-    walk of the tree, others by the tag step over their merged items —
-    and copied text.  Its markup is
-    :class:`~repro.xmlgen.serializer.XmlWriter`'s, compact or indented,
-    character for character."""
+    around runs of a plan's streams — a
+    :class:`~repro.xmlgen.streams.Walk` by the walk of the tree, others
+    by the tag step over their merged items — and copied text.  Its
+    markup is :class:`~repro.xmlgen.serializer.XmlWriter`'s, compact or
+    indented, character for character."""
 
     def __init__(self, layout, sink, indent, root_tag):
         self.layout, self.indent, self.root_tag = layout, indent, root_tag
@@ -223,22 +222,17 @@ class Document:
         self.close()
 
     def tag(self, feed, marks=None):
-        """Write one run's elements: ``feed`` is a lone stream's
-        ``(decoder, rows, label)``, a :class:`~repro.xmlgen.streams.Walk`
-        or an iterator of merged items.
-        ``marks`` gets the tagger's top-level marks
+        """Write one run's elements: ``feed`` is a
+        :class:`~repro.xmlgen.streams.Walk` or an iterator of merged
+        items.  ``marks`` gets the tagger's top-level marks
         (:meth:`XmlTagger.tag`)."""
         rooted = self.root_tag is not None
-        if type(feed) is tuple:
-            decoder, rows, label = feed
-            counts = decoder.writer(self.indent, rooted)(
-                rows, label, self.write, self.tell, marks)
-        elif type(feed) is Walk:
+        if type(feed) is Walk:
             counts = feed.kernel(self.indent, rooted)(
                 feed.rows, feed.labels, self.write, self.tell, marks)
         else:
             counts = tag_kernel(self.layout.shape, self.indent, rooted)(
-                feed, self.write, self.tell, marks, None)
+                feed, self.write, self.tell, marks)
         self.counts.add(*counts)
         self._children = self._children or counts[0] > 0
 
@@ -256,7 +250,7 @@ class Document:
 
 
 def tag_streams(tree, specs, streams, root_tag="view", indent=None,
-                writer=None, obs=None, layout=None, compact=None):
+                writer=None, obs=None, layout=None, walk=False):
     """Decode, merge, and tag a set of executed streams.
 
     ``specs`` are the :class:`~repro.core.sqlgen.StreamSpec` objects and
@@ -278,7 +272,8 @@ def tag_streams(tree, specs, streams, root_tag="view", indent=None,
     reused; by default a fresh one is built.
 
     ``obs`` (an :class:`~repro.obs.ObsOptions` session) records the
-    integration as :func:`integrate` does, merging on ``compact`` keys.
+    integration as :func:`integrate` does, walking the streams where
+    ``walk`` (:meth:`~repro.xmlgen.streams.ComparatorLayout.walks`) says.
     """
     if layout is None:
         layout = ComparatorLayout(tree)
@@ -295,56 +290,45 @@ def tag_streams(tree, specs, streams, root_tag="view", indent=None,
         written = None if None in (before, after) else after - before
         return counts.elements_written, written
 
-    integrate(obs, counts, len(specs), [run], tag, compact)
+    integrate(obs, counts, len(specs), [run], tag, walk)
     if isinstance(getattr(writer, "sink", None), io.StringIO):
         return writer.getvalue(), counts
     return writer, counts
 
 
-def integrate(obs, counts, streams, runs, tag, compact=None):
+def integrate(obs, counts, streams, runs, tag, walk=False):
     """Merge and tag ``runs`` — per run, ``(decoder, rows, label)`` of
     some of the ``streams`` streams, or a function returning them, called
     as part of decoding — by ``tag(feeds)``, which gets one
     feed per run and returns the ``(elements, characters)`` it wrote
     (characters None when the sink cannot tell).  A feed is what
-    :meth:`Document.run` takes: on ``compact`` keys a run whose streams
-    carry one node each, every node once, as a
-    :class:`~repro.xmlgen.streams.Walk`, counted as ``merge.walks``;
-    else, its streams without rows (rows None) left out, a lone stream as
-    it came, for its single-stream kernel, or the streams' generated
-    decoders merged (:func:`~repro.xmlgen.streams.merge_run`) on
-    ``compact`` keys when true, counted as ``merge.compact_keys`` or
-    ``merge.flat_keys``.
+    :meth:`Document.run` takes: where ``walk``, the run as a
+    :class:`~repro.xmlgen.streams.Walk`; else its streams without rows
+    (rows None) left out, the streams' generated decoders merged on flat
+    keys (:func:`~repro.xmlgen.streams.merge_run`).  A plan of several
+    streams counts its runs as ``merge.walks`` or ``merge.flat_keys``.
 
     With ``obs`` (an :class:`~repro.obs.ObsOptions` session) on, the same
-    feeds run inside spans: ``decode`` (the runs taken apart: held rows
-    are decoded and their items sorted here; over cursors decoding is
-    lazy, and a lone stream's or a walk's is fused into its kernel), then
-    ``merge`` around ``tag``.  Both the ``decode`` and ``merge`` spans and
+    feeds run inside spans: ``decode`` (the runs taken apart; decoding is
+    lazy, and a walk's is fused into its kernel), then ``merge`` around
+    ``tag``.  Both the ``decode`` and ``merge`` spans and
     counters carry the instances tagged (:attr:`TagCounts.instances`);
     ``tag`` carries what was written."""
     tracer, metrics = obs_parts(obs)
     traced = tracer.enabled or metrics.enabled
 
     def feed(run):
-        if compact and Walk.takes(run):
+        if walk:
             return Walk(run)
-        run = [stream for stream in run if stream[1] is not None]
-        return run[0] if len(run) == 1 else merge_run(run, bool(compact))
+        return merge_run([stream for stream in run if stream[1] is not None])
 
     if not traced:
         tag([feed(run) for run in (runs() if callable(runs) else runs)])
         return
     with tracer.span("decode", streams=streams) as decode_span:
         feeds = [feed(run) for run in (runs() if callable(runs) else runs)]
-    # A lone stream's feed is its (decoder, rows, label).
-    walked = sum(type(one) is Walk for one in feeds)
-    merged = sum(type(one) is not tuple for one in feeds) - walked
-    if walked:
-        metrics.inc("merge.walks", walked)
-    if merged:
-        metrics.inc("merge.compact_keys" if compact else "merge.flat_keys",
-                    merged)
+    if streams > 1:
+        metrics.inc("merge.walks" if walk else "merge.flat_keys", len(feeds))
     before = counts.instances
     with tracer.span("merge", streams=streams) as merge_span:
         with tracer.span("tag", root_tag=counts.root_tag) as tag_span:

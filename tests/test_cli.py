@@ -1,6 +1,10 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import io
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -131,6 +135,24 @@ class TestMaterialize:
         _, output = run_cli("materialize", "--query", "q2",
                             "--strategy", "fully-partitioned")
         assert "<order>" in output
+
+    def test_a_reader_that_closes_the_pipe_ends_it_quietly(self):
+        """``materialize ... | head -1``: indented by 8 the document
+        (≈ 108 KB) is larger than a pipe holds (64 KiB on Linux), so the
+        writer blocks until the reader's close breaks the write; the
+        command stops without a traceback, as a filter does."""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "materialize", "--strategy",
+             "fully-partitioned", "--indent", "8"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert process.stdout.readline() == b"<view>\n"
+        process.stdout.close()
+        stderr = process.stderr.read().decode()
+        process.stderr.close()
+        assert process.wait(timeout=120) == 1
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
 
 
 class TestPlan:

@@ -57,7 +57,7 @@ from repro.relational.faults import FaultPolicy, RetryPolicy
 from repro.relational.resilience import Resilience
 from repro.tpch.configs import CONFIG_A, build_database
 from repro.xmlgen.serializer import XmlWriter
-from repro.xmlgen.streams import StreamDecoder
+from repro.xmlgen.streams import Walk
 from repro.xmlgen.tagger import tag_streams
 from conftest import spans_named
 
@@ -328,8 +328,8 @@ class TestIntegrationSpans:
     """A traced integration runs the generated kernels an untraced one
     runs, inside a ``decode`` span (the streams taken apart into runs)
     and a ``merge`` span bracketing ``tag`` (which pulls the decoders, or
-    is a single-stream kernel decoding its own rows), so that decode +
-    merge account for the whole integration."""
+    is the walk reading its own rows), so that decode + merge account
+    for the whole integration."""
 
     @pytest.fixture(scope="class")
     def config_a_db(self):
@@ -378,16 +378,16 @@ class TestIntegrationSpans:
                                                  monkeypatch):
         """Nothing is decoded ahead of the merge: the decode span holds no
         stage of its own, the merge span carries the work — a unified
-        plan's single-stream kernel, as untraced — and the instances it
-        decoded are counted once, on both spans."""
+        plan's walk, as untraced — and the instances it decoded are
+        counted once, on both spans."""
         kernels = []
-        writer = StreamDecoder.writer
+        kernel = Walk.kernel
 
-        def counted(decoder, indent, rooted):
-            kernels.append(decoder)
-            return writer(decoder, indent, rooted)
+        def counted(walk, indent, rooted):
+            kernels.append(walk)
+            return kernel(walk, indent, rooted)
 
-        monkeypatch.setattr(StreamDecoder, "writer", counted)
+        monkeypatch.setattr(Walk, "kernel", counted)
         obs = ObsOptions()
         view = fresh_view(tiny_db, tiny_estimator)
         traced = view.materialize("unified",

@@ -799,7 +799,7 @@ class TestDeepestFrameFirst:
 def _decided(tree, spec):
     """terminal -> whether the compile-time order table decided the
     path's member order."""
-    return {terminal: late is not None for terminal, _, _, late, _ in
+    return {terminal: late is not None for terminal, _, _, late in
             StreamShape(ComparatorLayout(tree).shape, spec).paths}
 
 
@@ -836,7 +836,7 @@ class TestDecoderOrderTable:
                                                     tiny_conn):
         [spec] = SqlGenerator(q1_tree, tiny_db.schema, reduce=True) \
             .streams_for_partition(unified_partition(q1_tree))
-        late = [late for *_, late, _ in StreamShape(
+        late = [late for *_, late in StreamShape(
             ComparatorLayout(q1_tree).shape, spec).paths]
         assert any(late)
 

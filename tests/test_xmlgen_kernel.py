@@ -4,19 +4,17 @@ The reference is the definition, step by step: :func:`reference_decode`
 per stream, :func:`merge_streams`, and :class:`XmlTagger` into an
 :class:`XmlWriter`.  The kernels (:mod:`repro.xmlgen.kernel`) must write
 the same characters and keep the same counts and top-level marks, for a
-plan of one stream (rows to markup in one loop) and of several (decoders,
-one merge, the tag step), compact and indented, into a ``StringIO`` and
-into a sink.
+plan of one stream and of several — the walk of the tree over the sorted
+streams, or the decoders, the heap merge on flat keys and the tag step —
+compact and indented, into a ``StringIO`` and into a sink.
 """
 
 import dataclasses
-import heapq
 import importlib.util
 import io
 import pathlib
 import re
-from itertools import chain, count
-from operator import itemgetter
+from itertools import combinations, count, product as itertools_product
 
 import pytest
 from conftest import TINY_SCALE
@@ -42,6 +40,7 @@ from repro.tpch.generator import TpchGenerator
 from repro.xmlgen.kernel import StreamShape
 from repro.xmlgen.serializer import XmlWriter
 from repro.xmlgen.streams import (
+    _WALK_DEPTH,
     ComparatorLayout,
     Walk,
     merge_run,
@@ -140,13 +139,11 @@ class JoinSink:
         return "".join(self.chunks)
 
 
-def reference(tree, specs, rows, indent, root_tag="view"):
+def reference(tree, specs, rows, indent, root_tag="view", merged=None):
     """``(xml, (elements, implicit opens, depth, instances), marks)`` of
-    the reference pipeline."""
-    layout = ComparatorLayout(tree)
-    merged = list(merge_streams([
-        reference_decode(spec, stream, layout)
-        for spec, stream in zip(specs, rows)]))
+    the reference pipeline; ``merged``, when given, is its merge."""
+    if merged is None:
+        merged = reference_merge(tree, specs, rows)
     writer = XmlWriter(indent=indent)
     tagger = XmlTagger(tree, writer, root_tag=root_tag)
     marks = []
@@ -160,12 +157,17 @@ def reference(tree, specs, rows, indent, root_tag="view"):
                                tagger.max_stack_depth, len(merged)), marks
 
 
-def kernels(tree, specs, rows, indent, root_tag="view", staged=False,
-            walk=False):
-    """The same through :class:`Document`: a lone stream by its
-    single-stream kernel (unless ``staged``), a run as a :class:`Walk`
-    where ``walk``, else the tag step over the merged generated
-    decoders."""
+def reference_merge(tree, specs, rows):
+    """The reference decoders' instances, merged."""
+    layout = ComparatorLayout(tree)
+    return list(merge_streams([reference_decode(spec, stream, layout)
+                               for spec, stream in zip(specs, rows)]))
+
+
+def kernels(tree, specs, rows, indent, root_tag="view", walk=False):
+    """The same through :class:`Document`: the run as a :class:`Walk`
+    where ``walk``, else the tag step over the generated decoders' heap
+    merge on flat keys."""
     layout = ComparatorLayout(tree)
     run = [(layout.decoder(spec), stream, spec.label)
            for spec, stream in zip(specs, rows)]
@@ -173,37 +175,36 @@ def kernels(tree, specs, rows, indent, root_tag="view", staged=False,
     document = Document(layout, sink, indent, root_tag)
     marks = []
     document.open()
-    if walk:
-        assert Walk.takes(run)
-        document.tag(Walk(run), marks)
-    elif len(run) == 1 and not staged:
-        document.tag(run[0], marks)
-    else:
-        document.tag(merge_run(run), marks)
+    document.tag(Walk(run) if walk else merge_run(run), marks)
     document.close()
     counts = document.counts
     return sink.getvalue(), (counts.elements_written, counts.implicit_opens,
                              counts.max_stack_depth, counts.instances), marks
 
 
-def assert_same(tree, specs, rows):
-    """Every kernel path equals the reference, compact and indented, with
-    and without a root tag, into a StringIO and into a sink."""
+def assert_same(tree, specs, rows, walk):
+    """Every kernel path equals the reference — the walk where ``walk``
+    (the gate's decision), the flat merge always — compact and indented,
+    with and without a root tag, into a StringIO and into a sink."""
     for indent in (None, 2):
         expected = reference(tree, specs, rows, indent)
         assert kernels(tree, specs, rows, indent) == expected
-        assert kernels(tree, specs, rows, indent, staged=True) == expected
-        xml, counts = tag_streams(tree, specs, rows, indent=indent)
-        assert xml == expected[0]
-        assert (counts.elements_written, counts.implicit_opens,
-                counts.max_stack_depth, counts.instances) == expected[1]
-        sink = JoinSink()
-        writer, _ = tag_streams(tree, specs, rows,
-                                writer=XmlWriter(sink=sink, indent=indent))
-        assert sink.value() == expected[0] and writer.sink is sink
-        bare = reference(tree, specs, rows, indent, root_tag=None)
-        assert tag_streams(tree, specs, rows, root_tag=None,
-                           indent=indent)[0] == bare[0]
+        if walk:
+            assert kernels(tree, specs, rows, indent, walk=True) == expected
+        for how in {False, walk}:
+            xml, counts = tag_streams(tree, specs, rows, indent=indent,
+                                      walk=how)
+            assert xml == expected[0]
+            assert (counts.elements_written, counts.implicit_opens,
+                    counts.max_stack_depth, counts.instances) == expected[1]
+            sink = JoinSink()
+            writer, _ = tag_streams(tree, specs, rows, walk=how,
+                                    writer=XmlWriter(sink=sink,
+                                                     indent=indent))
+            assert sink.value() == expected[0] and writer.sink is sink
+            bare = reference(tree, specs, rows, indent, root_tag=None)
+            assert tag_streams(tree, specs, rows, root_tag=None,
+                               indent=indent, walk=how)[0] == bare[0]
 
 
 def executed(tree, db, conn, partition, style, reduce):
@@ -240,10 +241,12 @@ class TestDifferential:
         reduce = data.draw(st.booleans(), label="reduce")
         specs, rows = executed(tree, tiny_db, tiny_conn, partition, style,
                                reduce)
-        assert_same(tree, specs, rows)
+        layout = ComparatorLayout(tree)
+        assert_same(tree, specs, rows, layout.walks(specs, tiny_db))
         # Each stream alone is a one-stream document too.
         for spec, stream in zip(specs, rows):
-            assert_same(tree, [spec], [stream])
+            assert_same(tree, [spec], [stream],
+                        layout.walks([spec], tiny_db))
 
     @pytest.mark.parametrize("name", sorted(VIEWS))
     def test_unified_shapes(self, tiny_db, tiny_conn, trees, name):
@@ -254,7 +257,8 @@ class TestDifferential:
                     specs, rows = executed(tree, tiny_db, tiny_conn,
                                            unified_partition(tree), style,
                                            reduce)
-                    assert_same(tree, specs, rows)
+                    assert_same(tree, specs, rows, ComparatorLayout(
+                        tree).walks(specs, tiny_db))
 
 
 def _unified(db, conn, rxl, style=PlanStyle.OUTER_JOIN, reduce=True):
@@ -264,52 +268,54 @@ def _unified(db, conn, rxl, style=PlanStyle.OUTER_JOIN, reduce=True):
     return tree, spec, list(rows)
 
 
-def _paths(tree, spec):
-    return {terminal: (late, look) for terminal, _, _, late, look in
+def _late(tree, spec):
+    """Per path of ``spec``'s stream, the decoder's late members."""
+    return {terminal: late for terminal, _, _, late in
             StreamShape(ComparatorLayout(tree).shape, spec).paths}
 
 
 class TestCrafted:
-    """The rules the kernel keeps, each on rows built to need it."""
+    """The rules the kernels keep, each on rows built to need it; the
+    walk (one component) and the decoders' flat path alike."""
 
     def test_another_unit_between_a_row_and_its_merged_member(
             self, tiny_db, tiny_conn):
         """<part> rows sort between a supplier's row and its merged
-        <name>: the order table cannot write <name> with its row, so it
-        waits (the keyed deferral)."""
+        <name>: the decoder's <name> waits (the keyed deferral); the walk
+        holds it with the supplier's rows and writes it after the parts,
+        in its place in the tree."""
         tree, spec, rows = _unified(tiny_db, tiny_conn, DEFERRED_QUERY)
-        late, look = _paths(tree, spec)[(1,)]
-        assert [index for index in late] == [(1, 2)] and look is None
-        assert_same(tree, [spec], [rows])
-        xml = kernels(tree, [spec], [rows], None)[0]
-        assert "</part><name>" in xml and "</name><part>" not in xml
+        assert _late(tree, spec)[(1,)] == [(1, 2)]
+        assert_same(tree, [spec], [rows], True)
+        for walk in (False, True):
+            xml = kernels(tree, [spec], [rows], None, walk=walk)[0]
+            assert "</part><name>" in xml and "</name><part>" not in xml
 
     def test_a_deep_tree_defers_through_the_single_stream_kernel(
             self, tiny_db, tiny_conn):
         """Seven elements deep, reduced, one stream: the merged <name>
-        waits in the single-stream kernel's keyed deferral, whose sort
-        keys share the generated code with the stack's K1..K7."""
+        waits in the decoder's keyed deferral, whose sort keys share the
+        generated code with the stack's K1..K7, and is held with its unit
+        by the one-component walk, whose loops nest seven deep."""
         for style in PlanStyle:
             tree, spec, rows = _unified(tiny_db, tiny_conn, DEEP_QUERY,
                                         style)
             assert max(node.level for node in tree.nodes) >= 7
-            late = [late for late, look in _paths(tree, spec).values()
-                    if late and look is None]
-            assert late
-            assert_same(tree, [spec], [rows])
-            xml = kernels(tree, [spec], [rows], None)[0]
-            assert "</part><name>" in xml and "</name><part>" not in xml
+            assert any(_late(tree, spec).values())
+            assert_same(tree, [spec], [rows], True)
+            for walk in (False, True):
+                xml = kernels(tree, [spec], [rows], None, walk=walk)[0]
+                assert "</part><name>" in xml and "</name><part>" not in xml
 
     def test_a_repeated_representative_with_another_merged_member(
             self, tiny_db, tiny_conn):
-        """An order row again, with another customer name: the look-ahead
-        sees the order's key repeat, so the row's merged members wait and
+        """An order row again, with another customer name: the decoder's
+        merged members wait and the walk holds both rows of the order, so
         the second <customer> comes out right after the first, not after
-        the <cnation> written with the first row."""
+        the <cnation> of the first row."""
         for style in PlanStyle:
             tree, spec, rows = _unified(tiny_db, tiny_conn, QUERY_1, style)
-            late, look = _paths(tree, spec)[(1, 4, 2)]
-            assert len(late) == 3 and look
+            assert len(_late(tree, spec)[(1, 4, 2)]) == 3
             names = spec.column_names
             at = next(i for i, row in enumerate(rows)
                       if row[names.index("L3")] == 2
@@ -318,10 +324,12 @@ class TestCrafted:
             again = list(rows[at])
             again[name] += "~"
             crafted = rows[:at + 1] + [tuple(again)] + rows[at + 1:]
-            assert_same(tree, [spec], [crafted])
-            xml = kernels(tree, [spec], [crafted], None)[0]
+            assert_same(tree, [spec], [crafted], True)
             first, second = rows[at][name], again[name]
-            assert f"<customer>{first}</customer><customer>{second}" in xml
+            for walk in (False, True):
+                xml = kernels(tree, [spec], [crafted], None, walk=walk)[0]
+                assert f"<customer>{first}</customer><customer>{second}" \
+                    in xml
 
     def test_duplicate_instances_are_written_once_and_counted(
             self, tiny_db, tiny_conn):
@@ -329,7 +337,7 @@ class TestCrafted:
         row, the second a duplicate of the element just opened — the tag
         step writes nothing for it but counts it as tagged."""
         tree, spec, rows = _unified(tiny_db, tiny_conn, QUERY_2)
-        assert_same(tree, [spec, spec], [rows, rows])
+        assert_same(tree, [spec, spec], [rows, rows], False)
         xml, counts, marks = kernels(tree, [spec, spec], [rows, rows], None)
         alone = kernels(tree, [spec], [rows], None)
         assert (xml, counts[:3], marks) == (alone[0], alone[1][:3], alone[2])
@@ -355,13 +363,14 @@ class TestCrafted:
             crafted.append(tuple(row))
         order = [names.index(key) for key in spec.sort_keys]
         crafted.sort(key=lambda row: flat_key([row[i] for i in order]))
-        assert_same(tree, [spec], [crafted])
-        xml = kernels(tree, [spec], [crafted], None)[0]
-        for text in ("<retail>2</retail>", "<retail>2.00</retail>",
-                     "<retail>-0.00</retail>", "<retail></retail>",
-                     "<pname>None</pname>", "<pname></pname>",
-                     "<pname>a&amp;b&lt;c&gt;</pname>"):
-            assert text in xml
+        assert_same(tree, [spec], [crafted], True)
+        for walk in (False, True):
+            xml = kernels(tree, [spec], [crafted], None, walk=walk)[0]
+            for text in ("<retail>2</retail>", "<retail>2.00</retail>",
+                         "<retail>-0.00</retail>", "<retail></retail>",
+                         "<pname>None</pname>", "<pname></pname>",
+                         "<pname>a&amp;b&lt;c&gt;</pname>"):
+                assert text in xml
 
 
 class TestCompiledOncePerProcess:
@@ -396,37 +405,23 @@ class TestCompiledOncePerProcess:
         tree, spec, rows = _unified(tiny_db, tiny_conn, QUERY_2)
         renamed = dataclasses.replace(spec, label="renamed")
         layout = ComparatorLayout(tree)
-        assert layout.decoder(renamed).writer(None, True) \
-            is layout.decoder(spec).writer(None, True)
+        assert Walk([(layout.decoder(renamed), rows, "renamed")]).kernel(
+            None, True) is Walk([(layout.decoder(spec), rows, spec.label)]
+                                ).kernel(None, True)
 
 
-class _Listed:
-    """A decoder whose items are given: the merges' inputs, as objects."""
-
-    ordered = True
-
-    def __init__(self, items):
-        self.listed = items
-
-    def items(self, rows, label, compact):
-        return iter(self.listed)
-
-
-def _sign(a, b):
-    return (a > b) - (a < b)
-
-
-class TestCompactKeys:
-    """Where the layout allows compact keys, they order every pair of
-    items as the flat keys do, and a run of held rows sorted once is the
-    heap merge of its streams, item for item."""
+class TestFlatMerge:
+    """The gate walks every plan of an aligned view of the corpus;
+    otherwise, and wherever it is asked to, the generated
+    decoders' heap merge on flat keys is the reference merge, item for
+    item, over held rows and cursors."""
 
     @pytest.mark.parametrize("name", sorted(VIEWS) + ["deferred"])
     @given(data=st.data())
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_compact_keys_order_as_flat_keys(self, tiny_db, tiny_conn, trees,
-                                             name, data):
+    def test_the_gate_and_the_heap_merge(self, tiny_db, tiny_conn, trees,
+                                         name, data):
         simplify = data.draw(st.booleans(), label="simplify")
         tree = trees[name, simplify] if name in VIEWS else load_view(
             DEFERRED_QUERY, tiny_db.schema, simplify_args=simplify)
@@ -439,46 +434,20 @@ class TestCompactKeys:
                                reduce)
         layout = ComparatorLayout(tree)
         assert layout.aligned is (name != "party_directory")
-        assert layout.compact_keys(specs, tiny_db) is (
-            None if len(specs) == 1 else layout.aligned)
-        forms = [False, True] if layout.aligned else [False]
-        items = {compact: [list(layout.decoder(spec).items(
-            stream, spec.label, compact)) for spec, stream in zip(specs, rows)]
-            for compact in forms}
-        if layout.aligned:
-            assert [[item[1:] for item in stream] for stream in items[True]] \
-                == [[item[1:] for item in stream] for stream in items[False]]
-            # One stream after another (each boundary a step back) and in
-            # document order (equal keys of two streams side by side).
-            pairs = list(zip(chain(*items[False]), chain(*items[True])))
-            for order in (pairs, sorted(pairs, key=lambda p: p[0][0])):
-                for (flat, short), (flat2, short2) in zip(order, order[1:]):
-                    assert _sign(flat[0], flat2[0]) \
-                        == _sign(short[0], short2[0])
+        assert layout.walks(specs, tiny_db) is layout.aligned
         # Every stream, then one of them again: equal keys in two streams.
         again = data.draw(st.sampled_from(range(len(specs))), label="again")
-        for compact in forms:
-            sources = items[compact] + [
-                [(key, node, term) for key, node, term in
-                 items[compact][again]]]
-            streams = [*rows, rows[again]]
-            run = [(layout.decoder(spec), stream, spec.label)
-                   for spec, stream in zip([*specs, specs[again]], streams)]
-            held = merge_run(run, compact)
-            assert list(held) == list(merge_run(
-                [(decoder, iter(stream), label)
-                 for decoder, stream, label in run], compact))
-            if not layout.aligned:
-                # A <party> key leaves out the <directory> the rows sort
-                # by first: its items do not ascend, so they are not
-                # sorted, but heap-merged.
-                assert type(held) is not list
-                continue
-            assert type(held) is list
-            listed = [(_Listed(source), stream, "s")
-                      for source, stream in zip(sources, streams)]
-            assert list(map(id, merge_run(listed, compact))) == list(map(
-                id, heapq.merge(*sources, key=itemgetter(0))))
+        specs, rows = [*specs, specs[again]], [*rows, rows[again]]
+        expected = [(i.key, i.node.index, i.term) for i in merge_streams([
+            reference_decode(spec, stream, layout)
+            for spec, stream in zip(specs, rows)])]
+        nodes = layout.shape.nodes
+        for streamed in (False, True):
+            run = [(layout.decoder(spec), iter(stream) if streamed
+                    else stream, spec.label)
+                   for spec, stream in zip(specs, rows)]
+            assert [(key, nodes[node].index, term)
+                    for key, node, term in merge_run(run)] == expected
 
 
 def _priced_db(prices):
@@ -498,7 +467,55 @@ def _priced_db(prices):
 
 
 #: How a traced run of several streams was integrated.
-_MERGES = ("merge.walks", "merge.compact_keys", "merge.flat_keys")
+_MERGES = ("merge.walks", "merge.flat_keys")
+
+#: Parts keyed by their supplier and price but showing their name, with
+#: quantities keyed by the part's key: where two parts of a supplier
+#: cost the same, their keys are equal and their terms not, and the
+#: quantities of both nest in the second.
+EQUAL_KEYS_QUERY = """
+from Supplier $s
+construct
+  <supplier>
+    { from PartSupp $ps, Part $p
+      where $s.suppkey = $ps.suppkey and $ps.partkey = $p.partkey
+      construct <part ID=Price($s.suppkey, $p.retail)>$p.name
+        <qty ID=Qty($s.suppkey, $p.retail, $ps.availqty)>$ps.availqty</qty>
+      </part> }
+  </supplier>
+"""
+
+#: Suppliers whose parts sit under more wrapper elements than a walk
+#: nests loops.
+DEEPER_QUERY = """
+from Supplier $s
+construct
+  <supplier>%s
+    { from PartSupp $ps where $s.suppkey = $ps.suppkey
+      construct <part>$ps.partkey</part> }
+  %s</supplier>
+""" % ("".join(f"<w{i}>" for i in range(_WALK_DEPTH)),
+       "".join(f"</w{i}>" for i in reversed(range(_WALK_DEPTH))))
+
+
+#: A supplier's <nation> (its own key) with its <region>: reduced, the
+#: nation is a merged member of the supplier's unit, and has a child.
+NATION_REGION_QUERY = """
+from Supplier $s
+construct
+  <supplier>
+    { from Nation $n where $s.nationkey = $n.nationkey
+      construct <nation>$n.name
+        { from Region $r where $n.regionkey = $r.regionkey
+          construct <region>$r.name</region> }
+      </nation> }
+  </supplier>
+"""
+
+
+def _region_alone(tree):
+    """<supplier> and its <nation> in one stream, <region> in another."""
+    return Partition(frozenset([(1, 1)]))
 
 
 def _star_cut(tree):
@@ -507,12 +524,20 @@ def _star_cut(tree):
                                if child.label == "*"))
 
 
+def _parts_with_quantities(tree):
+    """<part> and its <qty> in one stream, <supplier> in another."""
+    return Partition(frozenset([(1, 1, 1)]))
+
+
 class TestKeyDecision:
-    """A run of several streams is walked where each carries one node
-    and compact keys order as the flat ones; streams of several nodes
-    merge on compact keys there; otherwise on flat keys.  Each run counts
-    which it used, and, held or streamed, its document is the reference
-    pipeline's over the tuple engine's rows."""
+    """A run of several streams is walked, whatever nodes its streams
+    carry, unless the tree is not aligned or deeper than a walk nests, a
+    key column holds a NULL or two types, a stream carries a node that
+    can repeat its key with another term together with its child, or a
+    merged member with a key of its own has a child: those merge on flat
+    keys.  Each run counts which it used, and, held or
+    streamed, its document is the reference pipeline's over the tuple
+    engine's rows."""
 
     @pytest.mark.parametrize("rxl, prices, partition, used", [
         (QUERY_1, (), "fully-partitioned", "walks"),
@@ -521,10 +546,18 @@ class TestKeyDecision:
         (PRICE_KEYED_QUERY, (None,), "fully-partitioned", "flat_keys"),
         (PRICE_KEYED_QUERY, (2, 2.5), "fully-partitioned", "flat_keys"),
         (VIEWS["party_directory"], (), "fully-partitioned", "flat_keys"),
-        (QUERY_1, (), _star_cut, "compact_keys"),
-        (QUERY_2, (), _star_cut, "compact_keys"),
+        (QUERY_1, (), _star_cut, "walks"),
+        (QUERY_2, (), _star_cut, "walks"),
+        (DEEPER_QUERY, (), "fully-partitioned", "flat_keys"),
+        (EQUAL_KEYS_QUERY, (5.0,) * 8 + (7.0,) * 8, _parts_with_quantities,
+         "flat_keys"),
+        (EQUAL_KEYS_QUERY, (5.0,) * 8 + (7.0,) * 8, "fully-partitioned",
+         "walks"),
+        (NATION_REGION_QUERY, (), _region_alone, "flat_keys"),
     ], ids=["q1", "q2", "price", "a NULL key", "a DECIMAL key of two types",
-            "not aligned", "q1 cut at its * edges", "q2 cut at its * edges"])
+            "not aligned", "q1 cut at its * edges", "q2 cut at its * edges",
+            "deeper than a walk", "a repeated key with its child",
+            "repeated keys alone", "a merged member with a key and a child"])
     def test_the_keys_a_run_merges_on(self, rxl, prices, partition, used):
         db = _priced_db(prices)
         session = Session(Connection(db, CostModel()))
@@ -572,27 +605,22 @@ ALIGNED = {
     "price_keyed": PRICE_KEYED_QUERY,
 }
 
-#: Parts keyed by their supplier and price but showing their name, with
-#: quantities keyed by the part's key: where two parts of a supplier
-#: cost the same, their keys are equal and their terms not, and the
-#: quantities of both nest in the second.
-EQUAL_KEYS_QUERY = """
-from Supplier $s
-construct
-  <supplier>
-    { from PartSupp $ps, Part $p
-      where $s.suppkey = $ps.suppkey and $ps.partkey = $p.partkey
-      construct <part ID=Price($s.suppkey, $p.retail)>$p.name
-        <qty ID=Qty($s.suppkey, $p.retail, $ps.availqty)>$ps.availqty</qty>
-      </part> }
-  </supplier>
-"""
+
+def _two_streams(tree):
+    """``tree`` cut at its first ``*`` edge only: two streams, each of
+    several nodes."""
+    first = next(child.index for _, child in tree.edges
+                 if child.label == "*")
+    return Partition(frozenset(child.index for _, child in tree.edges
+                               if child.index != first))
 
 
 class TestWalk:
-    """A fully partitioned run on compact keys is walked, not merged: the
+    """Every run of several streams of an aligned view is walked, not
+    merged, whatever component of the tree each stream carries: the
     reference pipeline's characters, counts and top-level marks, held or
-    streamed, compact or indented, into a StringIO or a sink."""
+    streamed, with or without a root tag, compact or indented, into a
+    StringIO or a sink."""
 
     @pytest.mark.parametrize("name", sorted(ALIGNED))
     def test_every_aligned_view_walks_to_the_reference_document(
@@ -606,6 +634,40 @@ class TestWalk:
                                            fully_partitioned(tree), style,
                                            reduce)
                     self._assert_walks(tree, specs, rows, tiny_db)
+
+    @pytest.mark.parametrize("name", sorted(ALIGNED))
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_drawn_partitions_walk_to_the_reference_document(
+            self, tiny_db, tiny_conn, name, data):
+        tree = load_view(ALIGNED[name], tiny_db.schema,
+                         simplify_args=data.draw(st.booleans(),
+                                                 label="simplify"))
+        edges = [child.index for _, child in tree.edges]
+        kept = data.draw(st.sets(st.sampled_from(edges),
+                                 max_size=len(edges) - 1), label="kept edges")
+        specs, rows = executed(
+            tree, tiny_db, tiny_conn, Partition(frozenset(kept)),
+            data.draw(st.sampled_from(list(PlanStyle)), label="style"),
+            data.draw(st.booleans(), label="reduce"))
+        self._assert_walks(tree, specs, rows, tiny_db)
+
+    @pytest.mark.parametrize("rxl", [QUERY_1, QUERY_2], ids=["q1", "q2"])
+    def test_every_outer_join_partition_walks(self, tiny_db, tiny_conn, rxl):
+        """All 512 partitions of the query's nine edges, reduced: every
+        plan of several streams is walked to the reference document."""
+        tree = load_view(rxl, tiny_db.schema)
+        edges = [child.index for _, child in tree.edges]
+        walked = 0
+        for size in range(len(edges)):
+            for kept in combinations(edges, size):
+                specs, rows = executed(tree, tiny_db, tiny_conn,
+                                       Partition(frozenset(kept)),
+                                       PlanStyle.OUTER_JOIN, True)
+                self._assert_walks(tree, specs, rows, tiny_db)
+                walked += 1
+        assert walked == 511
 
     def test_equal_keys_nest_as_the_reference(self):
         db = _priced_db([5.0] * 8 + [7.0] * 8)
@@ -645,92 +707,147 @@ class TestWalk:
         with pytest.raises(PlanError, match=re.escape(
                 "row (1, 1, 0, 'Supplier#000000') of stream S1.1 ")):
             kernels(tree, specs, rows, None, walk=True)
+        # A row whose ``L`` tags name no unit under its parent.
+        specs, rows = executed(tree, tiny_db, tiny_conn,
+                               unified_partition(tree), PlanStyle.OUTER_JOIN,
+                               True)
+        [spec], [stream] = specs, rows
+        level = spec.column_names.index("L2")
+        at = next(i for i, row in enumerate(stream) if row[level] == 4)
+        bad = stream[at][:level] + (9,) + stream[at][level + 1:]
+        crafted = stream[:at] + [bad] + stream[at + 1:]
+        for indent in (None, 2):
+            with pytest.raises(PlanError, match=re.escape(
+                    f"row {bad!r} of stream S1' is in no unit")):
+                kernels(tree, specs, [crafted], indent, walk=True)
+
+    def test_rows_of_a_missing_parent_open_it_implicitly(self):
+        """A removed nation drops its suppliers from a stream that merges
+        <nation> into <supplier>, not their parts from the part stream,
+        whose query does not join Nation: those rows are walked where the
+        merge of the items puts them, the supplier opened implicitly, as
+        the reference writes them, and as a session serves them."""
+        db = TpchGenerator(scale=TINY_SCALE, seed=42).generate()
+        nation = db.table("Supplier").rows[0][3]
+        db.delete("Nation", lambda row: row["nationkey"] == nation)
+        tree = load_view(QUERY_1, db.schema)
+        partition = _two_streams(tree)
+        for style in PlanStyle:
+            specs, rows = executed(tree, db, Connection(db, CostModel()),
+                                   partition, style, True)
+            for indent in (None, 2):
+                expected = reference(tree, specs, rows, indent)
+                assert expected[1][1] > 0       # implicit opens
+                assert kernels(tree, specs, rows, indent, walk=True) \
+                    == expected
+            obs = ObsOptions()
+            served = Session(Connection(db, CostModel())).materialize(
+                QUERY_1, partition,
+                options=ExecutionOptions(style=style, reduce=True, obs=obs))
+            assert served.xml == reference(tree, specs, rows, None)[0]
+            assert obs.metrics.snapshot()["counters"]["merge.walks"] == 1
 
     def test_a_session_walks_held_streamed_and_spliced(self, tiny_db):
         """``materialize`` (through the splice, before and after writes)
-        and ``materialize_to`` walk every fully partitioned plan, the
-        splice's segments included, to the reference document, and a
-        spliced re-materialization compiles no walk of its own."""
+        and ``materialize_to`` walk every fully partitioned plan and every
+        plan of two streams cut at the first ``*`` edge, the splice's
+        segments included, to the reference document, and a spliced
+        re-materialization compiles no walk of its own."""
         db = TpchGenerator(scale=TINY_SCALE, seed=42).generate()
         reference_engine = Connection(db, CostModel(), engine="tuple")
         seeds = count(1)
-        for rxl in (QUERY_1, QUERY_2):
-            for style in PlanStyle:
-                for reduce in (False, True):
-                    # Its own caches: every plan writes the same document.
-                    session = Session(Connection(db, CostModel()))
-                    view = session.view(rxl)
-                    options = ExecutionOptions(style=style, reduce=reduce)
-                    specs = view.specs(view.fully_partitioned(), options)
-                    for write in range(3):
-                        if write:
-                            # An inserted supplier has no parts: its
-                            # segment walks the part streams as empty.
-                            session.mutate(
-                                "Supplier",
-                                op="insert" if write == 2 else "update",
-                                rows=1 if write == 2 else 2,
-                                seed=next(seeds))
-                        rows = [reference_engine.execute(
-                            spec.plan, compact_rows=spec.compact).rows
-                            for spec in specs]
-                        for indent in (None, 2):
-                            expected = reference(view.tree, specs, rows,
-                                                 indent)[0]
-                            before = CODE.stats().stores
-                            obs = ObsOptions()
-                            traced = dataclasses.replace(options, obs=obs)
-                            held = session.materialize(
-                                rxl, "fully-partitioned", indent=indent,
-                                options=traced).xml
-                            counters = obs.metrics.snapshot()["counters"]
-                            sink = JoinSink()
-                            session.materialize_to(
-                                rxl, sink, "fully-partitioned",
-                                indent=indent, options=options)
-                            assert held == sink.value() == expected
-                            assert counters.get("merge.walks", 0) >= 1
-                            assert not {"merge.compact_keys",
-                                        "merge.flat_keys"} & set(counters)
-                            if write:
-                                assert counters["splice.retagged"] >= 1
-                                assert CODE.stats().stores == before
+        for rxl, plan, style, reduce in itertools_product(
+                (QUERY_1, QUERY_2), ("fully-partitioned", _two_streams),
+                PlanStyle, (False, True)):
+            # Its own caches: every plan writes the same document.
+            session = Session(Connection(db, CostModel()))
+            view = session.view(rxl)
+            partition = plan if isinstance(plan, str) else plan(view.tree)
+            options = ExecutionOptions(style=style, reduce=reduce)
+            specs = view.specs(view.fully_partitioned()
+                               if isinstance(plan, str) else partition,
+                               options)
+            assert len(specs) > 1
+            for write in range(3):
+                if write:
+                    # An inserted supplier has no parts: its
+                    # segment walks the part streams as empty.
+                    session.mutate(
+                        "Supplier",
+                        op="insert" if write == 2 else "update",
+                        rows=1 if write == 2 else 2,
+                        seed=next(seeds))
+                rows = [reference_engine.execute(
+                    spec.plan, compact_rows=spec.compact).rows
+                    for spec in specs]
+                for indent in (None, 2):
+                    expected = reference(view.tree, specs, rows,
+                                         indent)[0]
+                    before = CODE.stats().stores
+                    obs = ObsOptions()
+                    traced = dataclasses.replace(options, obs=obs)
+                    held = session.materialize(
+                        rxl, partition, indent=indent,
+                        options=traced).xml
+                    counters = obs.metrics.snapshot()["counters"]
+                    sink = JoinSink()
+                    session.materialize_to(
+                        rxl, sink, partition,
+                        indent=indent, options=options)
+                    assert held == sink.value() == expected
+                    assert counters.get("merge.walks", 0) >= 1
+                    assert "merge.flat_keys" not in counters
+                    if write:
+                        assert counters["splice.retagged"] >= 1
+                        assert CODE.stats().stores == before
 
     def test_a_streamed_timeout_reports_as_the_heap_merge(self, tiny_db,
                                                           monkeypatch):
         """The walk primes the cursors in spec order, as the heap merge
-        primes its decoders: a streamed plan that runs out of budget
-        reports the same stream and the same rows read per stream."""
+        primes its decoders: a streamed plan — fully partitioned or of
+        two streams — that runs out of budget reports the same stream and
+        the same rows read per stream."""
         session = Session(Connection(tiny_db, CostModel()))
-        clean = session.materialize(QUERY_1, "fully-partitioned").report
-        times = sorted(stream.server_ms for stream in clean.streams)
-        budget = (times[-1] + times[-2]) / 2
+        for partition in ("fully-partitioned",
+                          _two_streams(session.view(QUERY_1).tree)):
+            clean = session.materialize(QUERY_1, partition).report
+            times = sorted(stream.server_ms for stream in clean.streams)
+            budget = (times[-1] + times[-2]) / 2
 
-        def timed_out():
-            with pytest.raises(TimeoutExceeded) as caught:
-                session.materialize_to(QUERY_1, io.StringIO(),
-                                       "fully-partitioned", budget_ms=budget)
-            report = caught.value.report
-            return report.timed_out_label, [
-                (stream.label, stream.rows) for stream in report.streams]
+            def timed_out(used):
+                obs = ObsOptions()
+                with pytest.raises(TimeoutExceeded) as caught:
+                    session.materialize_to(
+                        QUERY_1, io.StringIO(), partition, budget_ms=budget,
+                        options=ExecutionOptions(obs=obs))
+                counters = obs.metrics.snapshot()["counters"]
+                assert {name for name in counters if name in _MERGES} \
+                    == {used}
+                report = caught.value.report
+                return report.timed_out_label, [
+                    (stream.label, stream.rows) for stream in report.streams]
 
-        walked = timed_out()
-        monkeypatch.setattr(Walk, "takes", staticmethod(lambda run: False))
-        merged = timed_out()
-        assert walked == merged
-        label, read = walked
-        assert label is not None
-        assert any(rows for _, rows in read)
+            walked = timed_out("merge.walks")
+            with monkeypatch.context() as patched:
+                patched.setattr(ComparatorLayout, "walks",
+                                lambda self, specs, database: False)
+                merged = timed_out("merge.flat_keys")
+            assert walked == merged
+            label, read = walked
+            assert label is not None
+            assert any(rows for _, rows in read)
 
     def _assert_walks(self, tree, specs, rows, db):
         """The walk equals the reference; ``tag_streams`` walks the run,
         held and streamed, and counts it.  Returns the compact document."""
-        compact = ComparatorLayout(tree).compact_keys(specs, db)
-        assert compact
+        walk = ComparatorLayout(tree).walks(specs, db)
+        assert walk
+        merged = reference_merge(tree, specs, rows)
         for indent in (2, None):
-            expected = reference(tree, specs, rows, indent)
+            expected = reference(tree, specs, rows, indent, merged=merged)
             assert kernels(tree, specs, rows, indent, walk=True) == expected
-            bare = reference(tree, specs, rows, indent, root_tag=None)
+            bare = reference(tree, specs, rows, indent, root_tag=None,
+                             merged=merged)
             assert kernels(tree, specs, rows, indent, None, walk=True) == bare
             for streamed in (False, True):
                 def streams():
@@ -738,7 +855,7 @@ class TestWalk:
                             for stream in rows]
                 obs = ObsOptions()
                 xml, counts = tag_streams(tree, specs, streams(),
-                                          indent=indent, compact=compact,
+                                          indent=indent, walk=walk,
                                           obs=obs)
                 assert (xml, (counts.elements_written, counts.implicit_opens,
                         counts.max_stack_depth, counts.instances)) \
@@ -747,7 +864,7 @@ class TestWalk:
                 assert {name: count for name, count in counters.items()
                         if name in _MERGES} == {"merge.walks": 1}
                 sink = JoinSink()
-                tag_streams(tree, specs, streams(), compact=compact,
+                tag_streams(tree, specs, streams(), walk=walk,
                             writer=XmlWriter(sink=sink, indent=indent))
                 assert sink.value() == expected[0]
         return expected[0]
