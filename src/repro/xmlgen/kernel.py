@@ -10,7 +10,8 @@ module writes Python source into a
   carries one component of the partition, and one loop per node, nested
   in child order, reads the current row of its component's stream and
   tags the node's instances under the open parent instance — rows to
-  markup with no item, key, sort or merge, whatever the stream count;
+  markup with no item, key, sort or merge, whatever the stream count,
+  and at the depth the loop nest fixes, with no stack frame compared;
 * where :meth:`~repro.xmlgen.streams.ComparatorLayout.walks` does not
   allow the walk (a tree that is not aligned or is too deep, a NULL or
   two-typed key column, among others), a **decoder** per stream shape
@@ -25,8 +26,12 @@ The walk and the tag step keep the tagger's rules
 emitter, :class:`_Tagging`: open and close markup pre-rendered per (node,
 depth), character data formatted by the column's SQL type; the stack is
 one root path, so it is held as the node whose chain it is plus one key
-and one term per depth; frames match deepest first on a nested chain,
-root first otherwise; a top-level close leaves a splice mark.  The code
+and one term per depth; a top-level close leaves a splice mark.  The tag
+step matches an instance against the stack at run time, frames deepest
+first on a nested chain, root first otherwise; the walk does so only
+where a parent instance may be missing (a child, in another stream, of
+a node whose loop can run without its instance), and everywhere else
+writes the step at the depth its loop fixes.  The code
 is kept in :data:`~repro.relational.codegen.CODE`, process-wide, under a
 structural key: it holds no rows and no tree objects, so a fresh session
 exporting a known shape compiles nothing.
@@ -98,10 +103,12 @@ class TreeShape:
 
 
 class _Tagging:
-    """Emits the tagger's step for one instance as straight-line code, and
-    the tables it reads: per node the chain prefix it shares with every
-    other (a constant ``_A<n>[last]``) and per (last node, depth) the
-    closing markup (``_CL<n>[last][depth]``)."""
+    """Emits the tagger's step for one instance as straight-line code —
+    matched against the stack (:meth:`block`) or at a known depth
+    (:meth:`fixed`) — and the tables it reads: per node the chain prefix
+    it shares with every other (a constant ``_A<n>[last]``, for the
+    match) and per (last node, depth) the closing markup
+    (``_CL<n>[last][depth]``)."""
 
     def __init__(self, shape, src, indent, rooted):
         self.shape, self.src = shape, src
@@ -121,6 +128,10 @@ class _Tagging:
         self.cl = src.const(tuple(table), "CL")
         self.chains = chains
         self.root_single = len(shape.nodes[1].key_args) == 1
+        #: The depths whose key local ``K<d>`` (up to ``keyed``) and term
+        #: local ``F<d>`` (those in ``termed``) something reads: every
+        #: depth, unless the walk narrows them to what its steps match on.
+        self.keyed, self.termed = self.depth, range(1, self.depth + 1)
 
     def open_markup(self, depth, tag):
         return opening(tag, self.indent, depth - 1 + self.rooted)
@@ -204,8 +215,9 @@ class _Tagging:
         self._mark(at + 1)
         for depth, element in enumerate(self.chains[node_id][:-1], 1):
             add(at, f"if c < {depth}:")
-            self._open(at + 1, depth, element, value, keys, "None")
-        self._open(at, length, node, value, keys, term)
+            self._open(at + 1, depth, element, value, keys[depth - 1],
+                       "None")
+        self._open(at, length, node, value, keys[-1], term)
         add(at, "write(o)")
         if length > 1:
             add(at, f"if c < {length - 1}:")
@@ -227,12 +239,40 @@ class _Tagging:
         add(at + 1, "deepest = top")
         add(at, "top = 0")
 
-    def _open(self, at, depth, element, value, keys, full):
+    def fixed(self, at, node_id, value, term):
+        """Tag one instance of node ``node_id`` whose parent's instance is
+        on top of the stack, as a walk's loop nest makes it: its depth is
+        the match the stack would give, so the step closes down to the
+        parent and opens the node, with no frame compared and no
+        duplicate."""
         add = self.src.add
-        add(at, f"o += {self.src.const(self.open_markup(depth, element.tag), 'T')}")
+        links = self.chains[node_id]
+        length, node = len(links), links[-1]
+        if length == 1:
+            add(at, f"o = {self.cl}[last][0]")
+            add(at, "if last:")
+            self._mark(at + 1)
+            start = "o +="
+        else:
+            start = f"o = {self.cl}[last][{length - 1}] +"
+        self._open(at, length, node, value, self._key(node, value), term,
+                   start)
+        add(at, "write(o)")
+        add(at, "written += 1")
+        self._opened(at, node_id, length)
+
+    def _open(self, at, depth, element, value, key, full, start="o +="):
+        """Open ``element`` at ``depth`` (its markup after ``start``) with
+        its contents, and set its frame's locals where a step reads
+        them."""
+        add = self.src.add
+        add(at, f"{start} "
+                f"{self.src.const(self.open_markup(depth, element.tag), 'T')}")
         self._contents(at, element, value)
-        add(at, f"K{depth} = {keys[depth - 1]}")
-        add(at, f"F{depth} = {full}")
+        if depth <= self.keyed:
+            add(at, f"K{depth} = {key}")
+        if depth in self.termed:
+            add(at, f"F{depth} = {full}")
 
     def _opened(self, at, node_id, length):
         add = self.src.add
@@ -557,10 +597,11 @@ def _walk_source(streams, tagging):
     the row's ``L`` tags pass through the node's unit and its parent-key
     columns equal the parent's key locals.  It takes the node's instance
     from the row as the decoder does, the member's memo dropping a
-    repeated term, and holds the rows of the instance for the unit's
-    merged members: they are written from them in their place in the
-    tree, so one that sorts after the row's children still comes out
-    there.  A stream advances
+    repeated term, and tags it at the depth the loop fixes: the parent's
+    instance is on top of the stack.  It holds the rows of the instance
+    for the unit's merged members: they are written from them in their
+    place in the tree, so one that sorts after the row's children still
+    comes out there.  A stream advances
     only at its row's terminal unit.  Where the node has children the
     loop first takes every row of its unit that repeats its key — the
     stable merge of the items puts them before the children — and then
@@ -570,8 +611,9 @@ def _walk_source(streams, tagging):
     a merged member is on the node's path (its join can miss a row a
     write removed, which the child queries do not join): such a node
     iterates over the least of its own and those streams' keys, and for
-    a key only they hold descends without an instance, so the tag step
-    opens the node implicitly, as the merge of the items does.  The
+    a key only they hold descends without an instance, so its children
+    in those streams match the stack as the tag step does and open the
+    node implicitly, as the merge of the items does.  The
     cursors are primed in spec order, as :func:`heapq.merge` primes its
     decoders.  A row no child loop takes names no unit of its stream; a
     row left over at the end was claimed by no parent instance where
@@ -607,12 +649,14 @@ def _walk_source(streams, tagging):
 
     def take(at, node_id, var):
         """Tag the node's instance in row ``var`` unless its memo holds
-        the same term."""
+        the same term: at a depth fixed by the loop nest, or by the tag
+        step's match where the parent may be missing."""
         _, stream, index, _ = of[node_id]
         add(at, f"t = {stream.term(index, var)}")
         add(at, f"if t != M{node_id}:")
         add(at + 1, f"M{node_id} = t")
-        tagging.block(at + 1, node_id, stream.value_of(index, var), "t")
+        tag = tagging.block if node_id in matched else tagging.fixed
+        tag(at + 1, node_id, stream.value_of(index, var), "t")
 
     def under(s, owner):
         """Row ``r<s>`` repeats the key of node ``owner``'s open instance
@@ -633,17 +677,58 @@ def _walk_source(streams, tagging):
              for level in range(stream.top + 1, unit.level + 1)]
             + under(s, owner))
 
+    def unit_of(node):
+        _, stream, index, _ = of[shape.ids[node]]
+        return stream.unit_of[index]
+
+    def below(node):
+        """The streams under ``node``, a unit's representative with
+        children, that may hold a key it lacks.  A unit's merged member
+        joins a row the child queries do not, so where one is on the
+        node's path, a write can drop the node's instance and leave the
+        rows below it."""
+        s, stream, _, _ = of[shape.ids[node]]
+        unit = unit_of(node)
+        if unit.representative is not node or not node.children or not any(
+                len(u.members) > 1 for u in stream.unit_paths[unit.index]):
+            return []
+        return [j for j, root in enumerate(roots)
+                if j != s and node.is_ancestor_of(root)]
+
+    # Nodes whose loop can descend without their instance: one with
+    # streams below, and its unit's merged members.  Only a child of one
+    # in another stream can run with its parent missing (the parent's own
+    # stream holds no row under a key it lacks), so only there does the
+    # tag step match the stack; everywhere else the parent is on top.
+    missing = {node for node in shape.nodes[1:] if below(node)}
+    missing |= {node for node in shape.nodes[1:]
+                if unit_of(node).representative in missing}
+    matched = {shape.ids[node] for node in shape.nodes[2:]
+               if node.parent in missing
+               and of[shape.ids[node]][0] != of[shape.ids[node.parent]][0]}
+    depths = [len(shape.chain(shape.nodes[n])) for n in matched]
+    tagging.keyed = max(depths, default=1)
+    tagging.termed = set(depths)
+
     def loop(at, node):
         node_id = shape.ids[node]
-        s, stream, index, _ = of[node_id]
-        unit = stream.unit_of[index]
-        held = f"H{shape.ids[unit.representative]}"
+        s, stream, _, _ = of[node_id]
+        unit = unit_of(node)
+        rep = shape.ids[unit.representative]
         parent = node.parent and shape.ids[node.parent]
-        if unit.representative is not node:
+        if rep != node_id:
             # A merged member, from the rows its representative's instance
-            # was taken from; it has no key variable of its own.
-            add(at, f"for h in {held}:")
-            take(at + 1, node_id, "h")
+            # was taken from: the first (``H``, None where the instance is
+            # missing) and any that repeat its key (``E``); it has no key
+            # variable of its own.
+            inner = at
+            if unit.representative in missing:
+                add(at, f"if H{rep} is not None:")
+                inner += 1
+            take(inner, node_id, f"H{rep}")
+            add(inner, f"if E{rep} is not None:")
+            add(inner + 1, f"for h in E{rep}:")
+            take(inner + 2, node_id, "h")
             if node.children:
                 for j in range(len(of[node_id][3])):
                     add(at, f"Q{node_id}_{j} = Q{parent}_{j}")
@@ -655,25 +740,20 @@ def _walk_source(streams, tagging):
             take(at + 1, node_id, f"r{s}")
             add(at + 1, f"r{s} = {step}(it{s}, {end})")
             return
-        # A unit's merged member joins a row the child queries do not, so
-        # where one is on the node's path, a write can drop the node's
-        # instance and leave the rows below it.
-        below = [j for j, root in enumerate(roots)
-                 if j != s and node.is_ancestor_of(root)] if any(
-            len(u.members) > 1 for u in stream.unit_paths[unit.index]) else []
-        if below:
+        if node in missing:
+            lower = below(node)
             # The least key under the parent, the node's own first.
             add(at, "while True:")
             at += 1
             add(at, f"if {holds(s, node_id, parent)}:")
             add(at + 1, f"k{node_id} = f{node_id} = {key(s, node_id)}")
-            for j in below:
+            for j in lower:
                 add(at + 1, f"if {' and '.join(under(j, parent))} and "
                             f"{key(j, node_id)} < k{node_id}:")
                 add(at + 2, f"k{node_id} = {key(j, node_id)}")
             add(at, "else:")
             add(at + 1, f"k{node_id} = f{node_id} = {no}")
-            for j in below:
+            for j in lower:
                 add(at + 1, f"if {' and '.join(under(j, parent))} and "
                             f"(k{node_id} is {no} or "
                             f"{key(j, node_id)} < k{node_id}):")
@@ -686,15 +766,15 @@ def _walk_source(streams, tagging):
             targets = ", ".join(f"Q{node_id}_{j}" for j in range(width))
             add(at + 1, f"{targets}{',' if width > 1 else ''} = k{node_id}")
             if len(unit.members) > 1:
-                add(at + 1, f"{held} = []")
+                add(at + 1, f"H{node_id} = None")
             if deeper(stream, unit):
                 add(at + 1, f"x{node_id} = None")
             add(at, "else:")
-            instance(at + 1, node, s, stream, unit, held)
+            instance(at + 1, node, s, stream, unit)
         else:
             add(at, f"while {holds(s, node_id, parent)}:")
             at += 1
-            instance(at, node, s, stream, unit, held)
+            instance(at, node, s, stream, unit)
         for child in node.children:     # in index order
             loop(at, child)
         if deeper(stream, unit):
@@ -710,20 +790,22 @@ def _walk_source(streams, tagging):
                    and terminal[:unit.level] == unit.index
                    for terminal, *_ in stream.paths)
 
-    def instance(at, node, s, stream, unit, held):
+    def instance(at, node, s, stream, unit):
         """Take the node's instance from row ``r<s>`` and every row of its
-        unit that repeats its key."""
+        unit that repeats its key, holding them for the unit's merged
+        members: the first row in ``H<id>``, the repeats (functional data
+        has none) in ``E<id>``."""
         node_id = shape.ids[node]
+        merged = len(unit.members) > 1
         for j, column in enumerate(columns(s, node_id)):
             add(at, f"Q{node_id}_{j} = r{s}[{column}]")
         if deeper(stream, unit):
             add(at, f"x{node_id} = r{s}")
-        if len(unit.members) > 1:
-            add(at, f"{held} = []")
+        if merged:
+            add(at, f"H{node_id} = r{s}")
+            add(at, f"E{node_id} = None")
         add(at, "while True:")
         take(at + 1, node_id, f"r{s}")
-        if len(unit.members) > 1:
-            add(at + 1, f"{held}.append(r{s})")
         if deeper(stream, unit):
             add(at + 1, f"if r{s}[{stream.l_columns[unit.level]}] "
                         "is not None:")
@@ -731,6 +813,10 @@ def _walk_source(streams, tagging):
         add(at + 1, f"r{s} = {step}(it{s}, {end})")
         add(at + 1, f"if not ({holds(s, node_id, node_id)}):")
         add(at + 2, "break")
+        if merged:
+            add(at + 1, f"if E{node_id} is None:")
+            add(at + 2, f"E{node_id} = []")
+            add(at + 1, f"E{node_id}.append(r{s})")
 
     add(0, "def walk(rows, labels, write, tell, marks):")
     tagging.state(1)

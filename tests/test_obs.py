@@ -20,6 +20,7 @@ The load-bearing invariants:
 import io
 import json
 import math
+import statistics
 import threading
 import time
 
@@ -351,27 +352,34 @@ class TestIntegrationSpans:
         for name in ("tag_streams", "splice_streams"):
             monkeypatch.setattr(silkroute_module, name,
                                 timed(getattr(silkroute_module, name)))
-        shares = []
-        for partition in ("unified", "fully-partitioned"):
-            obs = ObsOptions()
-            silk = SilkRoute(
-                Connection(config_a_db, CostModel()), cache=PlanResultCache(),
-            )
-            result = silk.define_view(QUERY_1).materialize(
-                partition, options=ExecutionOptions(obs=obs),
-            )
-            [root] = spans_named(obs.tracer, "materialize")
-            spans = {child.name: child for child in root.children}
-            decode, merge = spans["decode"], spans["merge"]
-            [tag] = merge.children
-            assert tag.name == "tag"
-            instances = merge.attrs["instances"]
-            assert decode.attrs["instances"] == instances > 1000
-            counters = obs.metrics.snapshot()["counters"]
-            assert counters["decode.instances"] == instances
-            assert counters["tag.bytes"] == len(result.xml)
-            shares.append((decode.wall_ms + merge.wall_ms) / walls.pop())
-        assert min(shares) >= 0.90, shares
+        # The share of one run moves with the host's load: a run is a few
+        # ms, of which the splice's bookkeeping outside the spans (the
+        # document's set-up and copy) is a tenth of a ms.  The median
+        # over five fresh materializations per plan is the claim.
+        shares = {}
+        for _ in range(5):
+            for partition in ("unified", "fully-partitioned"):
+                obs = ObsOptions()
+                silk = SilkRoute(
+                    Connection(config_a_db, CostModel()),
+                    cache=PlanResultCache(),
+                )
+                result = silk.define_view(QUERY_1).materialize(
+                    partition, options=ExecutionOptions(obs=obs),
+                )
+                [root] = spans_named(obs.tracer, "materialize")
+                spans = {child.name: child for child in root.children}
+                decode, merge = spans["decode"], spans["merge"]
+                [tag] = merge.children
+                assert tag.name == "tag"
+                instances = merge.attrs["instances"]
+                assert decode.attrs["instances"] == instances > 1000
+                counters = obs.metrics.snapshot()["counters"]
+                assert counters["decode.instances"] == instances
+                assert counters["tag.bytes"] == len(result.xml)
+                shares.setdefault(partition, []).append(
+                    (decode.wall_ms + merge.wall_ms) / walls.pop())
+        assert min(map(statistics.median, shares.values())) >= 0.90, shares
 
     def test_lazy_decode_is_counted_in_the_merge(self, tiny_db,
                                                  tiny_estimator,

@@ -31,13 +31,13 @@ from repro.core.partition import (
 )
 from repro.core.sqlgen import PlanStyle, SqlGenerator
 from repro.obs import ObsOptions
-from repro.relational.codegen import CODE
+from repro.relational.codegen import CODE, Source
 from repro.relational.connection import Connection
 from repro.relational.engine import CostModel
 from repro.relational.schema import TableSchema
 from repro.session import Session
 from repro.tpch.generator import TpchGenerator
-from repro.xmlgen.kernel import StreamShape
+from repro.xmlgen.kernel import StreamShape, _Tagging, _walk_source
 from repro.xmlgen.serializer import XmlWriter
 from repro.xmlgen.streams import (
     _WALK_DEPTH,
@@ -606,6 +606,38 @@ ALIGNED = {
 }
 
 
+#: <part> under a wrapper merged, with <nation>, into <supplier>'s unit:
+#: a removed nation leaves parts whose <supplier> and <a> are missing.
+WRAPPED_QUERY = """
+from Supplier $s
+construct
+  <supplier>
+    { from Nation $n where $s.nationkey = $n.nationkey
+      construct <nation>$n.name</nation> }
+    <a>
+      { from PartSupp $ps where $s.suppkey = $ps.suppkey
+        construct <part>$ps.partkey</part> }
+    </a>
+  </supplier>
+"""
+
+
+def _without_a_nation():
+    """The tiny database less the nation of its first supplier."""
+    db = TpchGenerator(scale=TINY_SCALE, seed=42).generate()
+    nation = db.table("Supplier").rows[0][3]
+    db.delete("Nation", lambda row: row["nationkey"] == nation)
+    return db
+
+
+def _walk_text(tree, specs):
+    """The generated source of the walk of ``specs``' streams."""
+    layout = ComparatorLayout(tree)
+    return "\n".join(_walk_source(
+        [StreamShape(layout.shape, spec) for spec in specs],
+        _Tagging(layout.shape, Source(), None, True)).lines)
+
+
 def _two_streams(tree):
     """``tree`` cut at its first ``*`` edge only: two streams, each of
     several nodes."""
@@ -727,25 +759,49 @@ class TestWalk:
         whose query does not join Nation: those rows are walked where the
         merge of the items puts them, the supplier opened implicitly, as
         the reference writes them, and as a session serves them."""
-        db = TpchGenerator(scale=TINY_SCALE, seed=42).generate()
-        nation = db.table("Supplier").rows[0][3]
-        db.delete("Nation", lambda row: row["nationkey"] == nation)
-        tree = load_view(QUERY_1, db.schema)
-        partition = _two_streams(tree)
+        db = _without_a_nation()
         for style in PlanStyle:
-            specs, rows = executed(tree, db, Connection(db, CostModel()),
-                                   partition, style, True)
-            for indent in (None, 2):
-                expected = reference(tree, specs, rows, indent)
-                assert expected[1][1] > 0       # implicit opens
-                assert kernels(tree, specs, rows, indent, walk=True) \
-                    == expected
+            tree, specs, rows = self._assert_missing_parent(db, QUERY_1,
+                                                            style)
             obs = ObsOptions()
             served = Session(Connection(db, CostModel())).materialize(
-                QUERY_1, partition,
+                QUERY_1, _two_streams(tree),
                 options=ExecutionOptions(style=style, reduce=True, obs=obs))
             assert served.xml == reference(tree, specs, rows, None)[0]
             assert obs.metrics.snapshot()["counters"]["merge.walks"] == 1
+
+    def test_a_wrapper_merged_into_a_missing_parent_opens_with_it(self):
+        """<part>'s parent is <a>, merged into the missing <supplier>'s
+        unit: <part> opens both implicitly."""
+        db = _without_a_nation()
+        for style in PlanStyle:
+            self._assert_missing_parent(db, WRAPPED_QUERY, style)
+
+    def _assert_missing_parent(self, db, rxl, style):
+        """The plan of two streams cut at <part>, whose <supplier> unit
+        merges <nation>, matches the stack at <part> alone — the child, in
+        the other stream, of <supplier> or of a wrapper merged into its
+        unit — and writes the reference's bytes, counts (implicit opens
+        among them) and marks, held and streamed.  Returns ``(tree,
+        specs, rows)``."""
+        tree = load_view(rxl, db.schema)
+        specs, rows = executed(tree, db, Connection(db, CostModel()),
+                               _two_streams(tree), style, True)
+        text = _walk_text(tree, specs)
+        [matched] = re.findall(r"m = (_A\d+)\[last\]", text)
+        part = ComparatorLayout(tree).shape.ids[next(
+            child for _, child in tree.edges if child.tag == "part")]
+        step = text[text.index(f"m = {matched}"):]
+        assert re.search(r"\n *last = (\d+)\n", step).group(1) == str(part)
+        for indent in (None, 2):
+            expected = reference(tree, specs, rows, indent)
+            assert expected[1][1] > 0       # implicit opens
+            for streamed in (False, True):
+                run = [iter(stream) if streamed else stream
+                       for stream in rows]
+                assert kernels(tree, specs, run, indent, walk=True) \
+                    == expected
+        return tree, specs, rows
 
     def test_a_session_walks_held_streamed_and_spliced(self, tiny_db):
         """``materialize`` (through the splice, before and after writes)
@@ -836,6 +892,22 @@ class TestWalk:
             label, read = walked
             assert label is not None
             assert any(rows for _, rows in read)
+
+    @pytest.mark.parametrize("rxl", [QUERY_1, QUERY_2], ids=["q1", "q2"])
+    def test_the_loop_nest_fixes_every_depth(self, tiny_db, rxl):
+        """Where no parent can be missing — one stream, or no merged
+        member — every instance step is written at the depth its loop
+        fixes: no ``_A`` table read, no stack key compared."""
+        tree = load_view(rxl, tiny_db.schema)
+        for partition, reduce in ((unified_partition(tree), True),
+                                  (fully_partitioned(tree), True),
+                                  (_two_streams(tree), False)):
+            specs = SqlGenerator(tree, tiny_db.schema, reduce=reduce) \
+                .streams_for_partition(partition)
+            assert ComparatorLayout(tree).walks(specs, tiny_db)
+            text = _walk_text(tree, specs)
+            assert "_A" not in text
+            assert not re.search(r"\bK\d+ [=!]=", text)
 
     def _assert_walks(self, tree, specs, rows, db):
         """The walk equals the reference; ``tag_streams`` walks the run,
