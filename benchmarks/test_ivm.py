@@ -114,12 +114,11 @@ def test_ivm_delta_speedup(report_writer):
     # from the last tagging), the rest serve the re-filled document key.
     ivm_xml, ivm_timings, ivm_s = materialize_all(view, partitions)
     plan_stats = silk.cache.stats()
-    node_stats = conn.engine.node_cache.stats()
     doc_stats = view.document_cache.stats()
 
     # Pre-IVM behaviour, doubling as the cold batch oracle: a fresh
-    # connection over the mutated database (fresh plan/node caches that
-    # refill during the pass — the write staled every old entry), no
+    # connection over the mutated database (a fresh plan cache that
+    # refills during the pass — the write staled every old entry), no
     # splice or document layer, every plan tagged from scratch.
     _, full_conn, full_estimator = build_configuration(CONFIG_A, database=db)
     full_view = SilkRoute(
@@ -152,9 +151,8 @@ def test_ivm_delta_speedup(report_writer):
         f"full invalidation {full_s:.2f}s ({speedup:.1f}x); tuple oracle "
         f"{tuple_s:.2f}s over {len(sample)} plans\n"
         f"plan cache: {plan_stats.invalidations} invalidated, "
-        f"{plan_stats.hits} hits; node cache: "
-        f"{node_stats.invalidations} invalidated, {node_stats.hits} hits; "
-        f"document cache: {doc_stats['hits']} hits\n"
+        f"{plan_stats.hits} hits; document cache: {doc_stats['hits']} "
+        "hits\n"
         "simulated timings bit-identical and XML byte-identical across "
         "incremental, full-invalidation, and tuple-engine runs",
     )

@@ -110,7 +110,6 @@ def _run_mutate(args, database, connection, estimator, rxl, out):
         and incremental.report.transfer_ms == cold.report.transfer_ms
     )
     plan_stats = incremental.stats["plan_cache"]
-    node_stats = connection.engine.node_cache.stats().as_dict()
     splice = {
         name: incremental.stats["splice_cache"][name]
         - warm.stats["splice_cache"][name]
@@ -119,11 +118,6 @@ def _run_mutate(args, database, connection, estimator, rxl, out):
     print(
         f"-- plan cache: {plan_stats['hits']} hit(s), "
         f"{plan_stats['invalidations']} invalidation(s)",
-        file=out,
-    )
-    print(
-        f"-- node cache: {node_stats['hits']} hit(s), "
-        f"{node_stats['invalidations']} invalidation(s)",
         file=out,
     )
     print(

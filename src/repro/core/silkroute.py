@@ -565,7 +565,6 @@ class XmlView:
             cache = self.silkroute.connection.cache
             if cache is not None:
                 cache.publish(metrics)
-            self.silkroute.connection.engine.node_cache.publish(metrics)
         return report
 
     def materialize(self, partition=None, root_tag="view", indent=None,

@@ -26,9 +26,9 @@ def plan_tables(plan):
     """The base tables a plan reads, as a frozenset of table names.
 
     This is the dependency footprint behind delta propagation: a cached
-    result for ``plan`` — in the :class:`~repro.relational.cache.PlanResultCache`,
-    the batch engine's node-result cache, or the XML instance cache — stays
-    valid across any mutation of a table *not* in this set.  A node's set
+    result for ``plan`` — in the :class:`~repro.relational.cache.PlanResultCache`
+    or the XML document cache — stays valid across any mutation of a table
+    *not* in this set.  A node's set
     is the union of its children's (a :class:`~repro.relational.algebra.Scan`
     names its table); like ``fingerprint()`` it is kept on the operator,
     plans being immutable once built, and interned: the operators of a

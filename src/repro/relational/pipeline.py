@@ -28,16 +28,16 @@ returns what it counted, then the rest.  A chain is also cut where an
 event that needs the loop's counts would come before a build side that
 must be evaluated, so that order can always be kept.
 
-Each pipeline's and breaker's result but a sort's is offered to the
-engine's :class:`~repro.relational.cache.NodeResultCache` under its
-fingerprint (through the execution: ``charges.cached`` / ``charges.keep``;
-a cursor passes none), with the loop's counts on the batch, so a hit
-charges what the computation would have.  The generated code is kept
-process-wide in :data:`~repro.relational.codegen.CODE`, keyed by its own
-source text: constants (literals, predicates the compiler cannot inline)
-are arguments, so the code holds no values, no rows and no plan objects,
-plans that differ only in a literal share it, and a fresh session running
-a known shape compiles nothing.
+During a sweep, each pipeline's and breaker's result but a sort's is
+offered to the sweep's :class:`~repro.relational.cache.NodeResultCache`
+under its fingerprint (through the execution: ``charges.cached`` /
+``charges.keep``; any other execution passes none), with the loop's
+counts on the batch, so a hit charges what the computation would have.
+Generated code is kept process-wide in :data:`~repro.relational.codegen.CODE`,
+keyed by its own source text: constants (literals, predicates the
+compiler cannot inline) are arguments, so the code holds no values, no
+rows and no plan objects, plans that differ only in a literal share it,
+and a fresh session running a known shape compiles nothing.
 """
 
 from types import NoneType
@@ -58,7 +58,6 @@ from repro.relational.algebra import (
     Literal,
 )
 from repro.relational.batch import Batch
-from repro.relational.dependencies import plan_tables
 
 _FUSED = (Scan, Filter, Project, InnerJoin, LeftOuterJoin)
 
@@ -90,7 +89,7 @@ def sort_rows(batch, key_positions, kinds, constant=(), metrics=None):
     key column may mix value types, they are checked first
     (:func:`~repro.common.ordering.in_key_order`): rows the pipelines
     emitted in key order are copied as they are (the input may be a
-    batch the node cache keeps), which is what a stable sort returns,
+    batch a sweep's node cache keeps), which is what a stable sort returns,
     ties included.  Any other input sorts its row indexes once, on a
     composite key built column-wise
     (:func:`~repro.common.ordering.column_keys`) — lexicographic with ties
@@ -204,7 +203,6 @@ class _Scan:
     def __init__(self, op):
         self.fingerprint = op.fingerprint()
         self.table = op.table_schema.name
-        self.tables = plan_tables(op)
         self.arity = len(op.columns())
 
     def run(self, database, charges):
@@ -213,7 +211,7 @@ class _Scan:
         result = charges.cached(self.fingerprint)
         if result is None:
             result = Batch.from_rows(list(rows), self.arity)
-            charges.keep(self.fingerprint, result, self.tables)
+            charges.keep(self.fingerprint, result)
         charges.charge("scan", charges.model.scan_ms(n), n)
         return result
 
@@ -223,7 +221,6 @@ class _Breaker:
 
     def __init__(self, op, inputs):
         self.fingerprint = op.fingerprint()
-        self.tables = plan_tables(op)
         self.arity = len(op.columns())
         self.inputs = inputs
 
@@ -234,7 +231,7 @@ class _Breaker:
         result = charges.cached(self.fingerprint)
         if result is None:
             result = self.compute(batches)
-            charges.keep(self.fingerprint, result, self.tables)
+            charges.keep(self.fingerprint, result)
         self.charge(charges, batches, result)
         return result
 
@@ -353,7 +350,6 @@ class _Pipeline:
     def __init__(self, op, key, source, builds, events, split, counted,
                  n_slots, kernel, consts):
         self.key = key
-        self.tables = plan_tables(op)
         self.arity = len(op.columns())
         self.source = source
         self.builds = builds
@@ -373,7 +369,7 @@ class _Pipeline:
         result = charges.cached(self.key)
         if result is None:
             result = self._compute(database, batches)
-            charges.keep(self.key, result, self.tables)
+            charges.keep(self.key, result)
         for slot, value in zip(self.counted, result.counts):
             counts[slot] = value
         for event in events[self.split:]:

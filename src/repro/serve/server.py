@@ -555,9 +555,8 @@ class Server:
         session, engine = self.session, self.session.connection.engine
         names = {rxl: name for name, rxl in self._queries.items()}
         return {
-            **summary(engine.cache, engine.node_cache,
-                      session.silkroute.estimator.cache, session._views,
-                      VIEW_DEFINITIONS, CODE),
+            **summary(engine.cache, session.silkroute.estimator.cache,
+                      session._views, VIEW_DEFINITIONS, CODE),
             "by_view": {
                 names.get(rxl, rxl): summary(
                     view.instance_cache, view.document_cache)

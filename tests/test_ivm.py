@@ -217,32 +217,12 @@ class _FakeBatch:
 
 
 class TestNodeResultCache:
-    @staticmethod
-    def keep(cache, fingerprint, tables, length=4):
-        """Store ``fingerprint`` as its second computation does: the
-        first store only marks it seen."""
-        for _ in range(2):
-            cache.store(fingerprint, _FakeBatch(length), tables)
-
-    def test_invalidate_drops_only_dependents(self):
-        cache = NodeResultCache()
-        self.keep(cache, "a", {"Nation"})
-        self.keep(cache, "b", {"Supplier", "Nation"})
-        self.keep(cache, "c", {"Region"})
-        assert cache.invalidate({"Nation"}) == 2
-        assert cache.get("c") is not None
-        assert cache.get("a") is None and cache.get("b") is None
-        assert cache.stats().invalidations == 2
-        # What a write retires is the value; that the sub-plan recurs is
-        # remembered, so its next computation is kept at once.
-        cache.store("a", _FakeBatch(4), {"Nation"})
-        assert cache.get("a") is not None
-        assert cache.invalidate({"Region", "Supplier"}) == 1   # c; b is gone
-
     def test_capacity_evicts_oldest(self):
         cache = NodeResultCache(max_entries=3)
         for i in range(6):
-            self.keep(cache, f"f{i}", {"Part"}, length=1)
+            # The first store only marks a fingerprint seen.
+            for _ in range(2):
+                cache.store(f"f{i}", _FakeBatch(1))
         assert len(cache) == 3
         assert cache.stats().evictions == 3
         assert cache.get("f2") is None and cache.get("f3") is not None
@@ -441,8 +421,9 @@ class TestLifetimes:
         assert view.instance_cache.stats()["hits"] > 0  # still splices
         # What was summed over a plan's rows lives on its entry, one sum
         # per (transfer model, row format), and nowhere else: the plan
-        # cache and the node cache are the only maps hanging off the
-        # connection or its engine.
+        # cache is the only map hanging off the connection or its engine
+        # that a read fills — the engine's node cache is a sweep's, and
+        # no read looks it up or fills it.
         formats = {(connection.transfer_model, compact)
                    for compact in (False, True)}
         for _, entry in session.silkroute.cache.items():
@@ -454,6 +435,9 @@ class TestLifetimes:
             if isinstance(value, BoundedCache)
         }
         assert maps == {"plan_cache", "node_cache"}
+        node_stats = connection.engine.node_cache.stats()
+        assert (len(connection.engine.node_cache), node_stats.requests,
+                node_stats.stores) == (0, 0, 0)
 
     @pytest.mark.parametrize("engine", ENGINE_MODES)
     def test_either_engine_retires_dead_plan_entries(self, engine):

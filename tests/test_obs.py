@@ -51,9 +51,9 @@ from repro.obs import (
     obs_parts,
     profile_tree,
 )
-from repro.relational.cache import PlanResultCache
+from repro.relational.cache import SEEN, PlanResultCache
 from repro.relational.connection import Connection
-from repro.relational.engine import CostModel, QueryEngine
+from repro.relational.engine import CostModel
 from repro.relational.faults import FaultPolicy, RetryPolicy
 from repro.relational.resilience import Resilience
 from repro.tpch.configs import CONFIG_A, build_database
@@ -610,16 +610,17 @@ class TestMetricsReconciliation:
         assert (counters["streams.executed"]
                 == first.report.n_streams + second.report.n_streams)
 
-    def test_node_cache_counters_reconcile(self, tiny_db, tiny_estimator):
+    def test_node_cache_counters_reconcile(self, tiny_db, q1_tree):
+        """A sweep that runs the fully partitioned plan three times,
+        uncached so that each run executes, counts every node-cache event
+        into its observability session."""
         obs = ObsOptions()
         connection = Connection(tiny_db, CostModel())
-        silk = SilkRoute(connection, estimator=tiny_estimator)
-        view = silk.define_view(QUERY_1)
-        opts = ExecutionOptions(obs=obs)
-        first = view.materialize("fully-partitioned", options=opts)
-        second = view.materialize("fully-partitioned", options=opts)
-        third = view.materialize("fully-partitioned", options=opts)
-        assert third.xml == second.xml == first.xml
+        sweep = sweep_partitions(
+            q1_tree, tiny_db.schema, connection,
+            partitions=[fully_partitioned(q1_tree)] * 3, cache=False,
+            obs=obs)
+        assert len({t.total_ms for t in sweep.timings}) == 1
         counters = self._counters(obs)
         cache = connection.engine.node_cache
         stats = cache.stats()
@@ -631,61 +632,46 @@ class TestMetricsReconciliation:
         assert counters["node_cache.hits"] == stats.hits
         assert counters["node_cache.misses"] == stats.misses
         assert counters["node_cache.stores"] == stats.stores
-        kept = sum(value is not None for _, (value, _) in cache.items())
+        kept = sum(value is not SEEN for _, value in cache.items())
         assert 0 < kept <= stats.entries
         assert stats.stores == stats.entries + kept     # seen, then kept
         assert counters.get("node_cache.evictions", 0) == stats.evictions
-        assert (
-            counters.get("node_cache.invalidations", 0) == stats.invalidations
-        )
+        assert stats.invalidations == 0
+        assert "node_cache.invalidations" not in counters
         gauges = obs.metrics.snapshot()["gauges"]
         assert gauges["node_cache.hits"] == stats.hits
         assert gauges["node_cache.entries"] == stats.entries
 
-    def test_node_cache_counters_stay_with_their_session(
-            self, tiny_db, q1_tree, monkeypatch):
-        """Two executions under different metrics registries, in flight on
-        one engine at once, each count their own node-cache events."""
-        specs = SqlGenerator(q1_tree, tiny_db.schema).streams_for_partition(
-            fully_partitioned(q1_tree)
-        )
-        plans = [specs[0].plan, specs[-1].plan]
+    def test_node_cache_counters_stay_with_their_session(self, tiny_db,
+                                                         q1_tree):
+        """Two sweeps on one engine, under different observability
+        sessions, each count the events of their own node cache, which
+        starts empty; an execution between them counts none."""
+        connection = Connection(tiny_db, CostModel())
+        partitions = [fully_partitioned(q1_tree),
+                      unified_partition(q1_tree)] * 2
 
         def lookups(registry):
             counters = registry.snapshot()["counters"]
             return (counters.get("node_cache.hits", 0)
                     + counters.get("node_cache.misses", 0))
 
-        alone = []
-        for plan in plans:
-            registry = MetricsRegistry()
-            QueryEngine(tiny_db).execute(plan, metrics=registry)
-            alone.append(lookups(registry))
-        assert all(alone)
-
-        # An evaluation reads the table generations once, before its first
-        # node-cache lookup: hold both there until both have started.
-        barrier = threading.Barrier(2, timeout=30)
-        table_generations = tiny_db.table_generations
-
-        def gated():
-            barrier.wait()
-            return table_generations()
-
-        monkeypatch.setattr(tiny_db, "table_generations", gated)
-        engine = QueryEngine(tiny_db)
-        registries = [MetricsRegistry(), MetricsRegistry()]
-        threads = [
-            threading.Thread(target=engine.execute, args=(plan,),
-                             kwargs={"metrics": registry})
-            for plan, registry in zip(plans, registries)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(60)
-        assert [lookups(registry) for registry in registries] == alone
-        assert sum(alone) == engine.node_cache.stats().requests
+        caches, counted = [], []
+        for _ in range(2):
+            obs = ObsOptions()
+            sweep_partitions(q1_tree, tiny_db.schema, connection,
+                             partitions=partitions, cache=False, obs=obs)
+            caches.append(connection.engine.node_cache)
+            counted.append(lookups(obs.metrics))
+            between = MetricsRegistry()
+            connection.engine.execute(
+                SqlGenerator(q1_tree, tiny_db.schema).streams_for_partition(
+                    unified_partition(q1_tree))[0].plan,
+                metrics=between)
+            assert lookups(between) == 0
+        assert caches[0] is not caches[1]
+        assert counted == [cache.stats().requests for cache in caches]
+        assert counted[0] == counted[1] > 0
 
     def test_cache_replays_shield_a_faulty_source(self, tiny_db,
                                                   tiny_estimator):

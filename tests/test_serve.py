@@ -312,8 +312,8 @@ class TestServerBasics:
         caches = server.handle_request({"op": "stats"})["stats"]["caches"]
         assert decode(encode(caches)) == caches     # crosses the wire
         assert set(caches) == {
-            "plan_cache", "node_cache", "estimates", "views",
-            "view_definitions", "generated_code", "by_view",
+            "plan_cache", "estimates", "views", "view_definitions",
+            "generated_code", "by_view",
         }
         assert caches["plan_cache"] == decode(encode(
             server.stats()["plan_cache"]))
