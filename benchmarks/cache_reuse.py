@@ -68,6 +68,7 @@ class ReuseProbe(NodeResultCache):
         self.cells = {}
         self.computed = Counter()
         self.read = Counter()
+        self.kept = []
 
     def get(self, fingerprint):
         value = super().get(fingerprint)
@@ -82,9 +83,15 @@ class ReuseProbe(NodeResultCache):
             return BoundedCache.store(self, fingerprint, value)
         return super().store(fingerprint, value)
 
+    def release(self):
+        """The sweep ends: note what it held before the entries go."""
+        self.kept = [fp for fp, value in self.items() if value is not SEEN]
+        super().release()
+
     def reuse(self):
-        """The counts of one run, as a dict."""
-        kept = [fp for fp, value in self.items() if value is not SEEN]
+        """The counts of one run, as a dict: what the sweep held at its
+        end."""
+        kept = self.kept
         read = [fp for fp in kept if self.read[fp]]
         stats = self.stats()
         return {

@@ -205,7 +205,7 @@ def sweep_partitions(tree, schema, connection, partitions=None,
     leave the results behind).  The connection's own cache is set aside
     for the duration and comes back untouched.  Whatever ``cache`` says,
     sub-plan results go to a node cache of the sweep's own, left on the
-    engine as ``node_cache`` for its stats.  Cached and uncached sweeps
+    engine as ``node_cache`` for its stats, its entries dropped.  Cached and uncached sweeps
     produce bit-identical simulated timings — only wall-clock and memory
     change.
 
@@ -271,15 +271,18 @@ def sweep_partitions(tree, schema, connection, partitions=None,
                     progress(len(timings), len(partitions))
             result = SweepResult(timings, style, reduce)
             sweep_span.set(completed=len(result.completed()))
-        metrics.inc("sweep.plans", len(partitions))
-        if used is not None:
-            result.cache_stats = used.stats()
-            if metrics.enabled:
-                used.publish(metrics)
-        if metrics.enabled:
-            results.publish(metrics)
     finally:
+        # No later execution reads the sweep's kept values: they go, and
+        # its counters stay.
+        results.release()
         if collecting:
             gc.enable()
         query_engine.cache, query_engine.results = previous
+    metrics.inc("sweep.plans", len(partitions))
+    if used is not None:
+        result.cache_stats = used.stats()
+        if metrics.enabled:
+            used.publish(metrics)
+    if metrics.enabled:
+        results.publish(metrics)
     return result

@@ -688,7 +688,7 @@ class XmlView:
                     self.tree, specs, outcome.streams, root_tag=root_tag,
                     writer=XmlWriter(sink=sink, indent=indent),
                     obs=opts.obs, layout=layout,
-                    walk=layout.walks(
+                    walk=layout.walk_facts(
                         specs, self.silkroute.connection.database),
                 )
             except TimeoutExceeded as exc:
@@ -741,7 +741,7 @@ class XmlView:
                 root_span.set(document_cached=True)
                 return document
             self.document_cache.discard_stale(database, at=2)
-        walk = layout.walks(specs, database)
+        walk = layout.walk_facts(specs, database)
         if doc_key is not None:
             decoders = tuple(layout.decoder(spec) for spec in specs)
             key = (root_tag, indent, decoders)
@@ -756,9 +756,9 @@ class XmlView:
                 obs=opts.obs, layout=layout, walk=walk,
             )
         else:
-            xml, tagger, tagging, reused = spliced
+            xml, tagger, tagging, reused, retagged = spliced
             self.instance_cache.store(key, tagging)
-            self.instance_cache.count(reused, len(tagging.groups) - reused)
+            self.instance_cache.count(reused, retagged)
             document = (xml, tagger)
         if doc_key is not None:
             self.document_cache.store(doc_key, document)

@@ -96,9 +96,10 @@ class StreamSpec:
     def column_names(self):
         return tuple(c.name for c in self.plan.columns())
 
-    @cached_property
+    @property
     def column_facts(self):
-        """The plan's :func:`~repro.relational.pipeline.column_facts`."""
+        """The plan's :func:`~repro.relational.pipeline.column_facts`
+        (kept on the plan)."""
         return column_facts(self.plan)
 
     def uses_outer_join(self):

@@ -242,9 +242,11 @@ class Operator:
 
     # What an operator keeps once worked out (plans are immutable): its
     # fingerprint, the tables it reads (dependencies.plan_tables), its
-    # outer-join depth and its lowerings (pipeline.lower).  Slots, as in
-    # every operator: a view's plans hold thousands for the process.
-    __slots__ = ("_fp", "_tables", "_oj_depth", "_units", "_program")
+    # outer-join depth, its lowerings (pipeline.lower) and its columns'
+    # facts (pipeline.column_facts).  Slots, as in every operator: a
+    # view's plans hold thousands for the process.
+    __slots__ = ("_fp", "_tables", "_oj_depth", "_units", "_program",
+                 "_facts")
 
     @property
     def children(self):

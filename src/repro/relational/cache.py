@@ -404,7 +404,8 @@ class NodeResultCache(BoundedCache):
     the second on.  Only a sweep installs one
     (:func:`repro.bench.sweep.sweep_partitions`), for its own plans: it
     pins the table generations, and the next sweep starts empty, so a
-    fingerprint alone is the key and no write has anything to retire.
+    fingerprint alone is the key and no write has anything to retire;
+    it drops the entries when it ends (:meth:`release`).
     ``generations`` is what the sweep pinned: an execution that sees
     others (a write during the sweep) neither reads nor feeds the cache.
     """
@@ -424,3 +425,10 @@ class NodeResultCache(BoundedCache):
         if self.peek(fingerprint) is None:
             value = SEEN
         return super().store(fingerprint, value)
+
+    def release(self):
+        """Drop every entry and keep the counters: what a finished sweep
+        leaves on the engine, for its stats."""
+        with self._lock:
+            self._entries.clear()
+            self._bytes = 0

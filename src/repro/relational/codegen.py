@@ -80,4 +80,4 @@ def compile_source(source, consts):
     exec(compile(  # noqa: S102 - generated source, no builtins
         f"def make({', '.join(consts)}):\n    {body}\n    return {name}",
         f"<generated {name}>", "exec"), namespace)
-    return namespace["make"](**consts)
+    return namespace.pop("make")(**consts)   # no make <-> globals cycle

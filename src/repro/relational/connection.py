@@ -21,12 +21,14 @@ produced by a wide outer join bind every declared column.
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
+from types import NoneType
 
 from repro.common.errors import PlanError, TimeoutExceeded
 from repro.obs import obs_parts
 from repro.relational.cache import RowCount, resolve_cache
 from repro.relational.codegen import Source, compiled
 from repro.relational.engine import QueryEngine
+from repro.relational.pipeline import column_facts
 from repro.relational.types import width_function
 
 
@@ -266,7 +268,7 @@ class Connection:
                 # (a replica's) or row format: re-evaluate, never guess.
                 rows = self.engine.rows(plan, obs_parts(opts.obs)[1])
             transfer_ms = sums[key] = self._transfer_cost(
-                result.columns, rows, compact_rows
+                result.columns, rows, compact_rows, self._nullable(plan)
             )
         return TupleStream(
             columns=result.columns,
@@ -307,48 +309,68 @@ class Connection:
             raise
         return TupleCursor(
             iter_result,
-            self._row_cost_fn(iter_result.columns, compact_rows),
+            self._row_cost_fn(iter_result.columns, compact_rows,
+                              self._nullable(plan)),
             sql=sql,
             label=label,
         )
 
-    def _row_cost_fn(self, columns, compact_rows):
+    def _nullable(self, plan):
+        """Per column of ``plan``'s result, whether it may hold a NULL:
+        the plan pads it (:func:`~repro.relational.pipeline.column_facts`)
+        or a table its values come from holds one
+        (:meth:`Table.value_types
+        <repro.relational.table.Table.value_types>`) — the facts the root
+        sort reads, never the rows."""
+        table = self.database.table
+        return tuple(
+            NoneType in types or any(
+                NoneType in table(name).value_types(column)
+                for name, column in sources)
+            for types, sources, _ in column_facts(plan))
+
+    def _row_cost_fn(self, columns, compact_rows, nullable=None):
         """The per-row transfer charge, ``row -> ms``: the generated form
         :class:`TupleCursor` adds row by row (see
-        :func:`transfer_charge_source`)."""
-        return self._charge(columns, compact_rows, "row")
+        :func:`transfer_charge_source`).  ``nullable`` says per column
+        whether it may hold a NULL (None: every column may)."""
+        return self._charge(columns, compact_rows, nullable, "row")
 
-    def _transfer_cost(self, columns, rows, compact_rows):
+    def _transfer_cost(self, columns, rows, compact_rows, nullable=None):
         """The transfer charge summed over ``rows``, left to right from
         0.0 — what the cursor accumulates, to the bit."""
-        return self._charge(columns, compact_rows, "rows")(rows)
+        return self._charge(columns, compact_rows, nullable, "rows")(rows)
 
-    def _charge(self, columns, compact_rows, form):
+    def _charge(self, columns, compact_rows, nullable, form):
         # A result shape recurs across plans and connections, and
         # compiling costs more than charging a small result; a form is
         # compiled when first asked for (a sweep never needs "row").
-        key = (self.transfer_model, tuple(col.sql_type for col in columns),
+        sql_types = tuple(col.sql_type for col in columns)
+        key = (self.transfer_model, sql_types,
+               (True,) * len(sql_types) if nullable is None else nullable,
                compact_rows, form)
         return compiled(("transfer", *key),
                         lambda: transfer_charge_source(*key))
 
 
-def transfer_charge_source(model, sql_types, compact_rows, form):
+def transfer_charge_source(model, sql_types, nullable, compact_rows, form):
     """The per-row transfer formula of ``model`` over columns of
     ``sql_types`` as generated source, unrolled per column:
-    ``R + (N if r[0] is None else A_INTEGER) + (N if r[1] is None else F +
-    len(r[1]) * B) ...``, times ``W`` when the row is wide (each capital a
-    constant of the source).  The additions run left to right in the
-    order of the per-field formula, so every float is the same.  ``form``
-    ``"row"`` is ``charge(r) -> ms``; ``"rows"`` sums it over a list of
-    rows by a left fold from 0.0 (``reduce``, not ``sum``, which
-    compensates on Python 3.12).
+    ``R + (N if r[0] is None else A_INTEGER) + (F + len(r[1]) * B) ...``,
+    times ``W`` when the row is wide (each capital a constant of the
+    source).  A column ``nullable`` says holds no NULL is charged without
+    the test, and a leading run of such fixed-width columns is added into
+    ``R`` here, by the same additions in the same order.  The additions
+    run left to right in the order of the per-field formula, so every
+    float is the same.  ``form`` ``"row"`` is ``charge(r) -> ms``;
+    ``"rows"`` sums it over a list of rows by a left fold from 0.0
+    (``reduce``, not ``sum``, which compensates on Python 3.12).
     """
     src = Source()
     null = src.const(model.null_field_ms, "N")
     fixed = {}
-    expr = src.const(model.row_ms, "R")
-    for i, sql_type in enumerate(sql_types):
+    row_ms, terms = model.row_ms, []
+    for i, (sql_type, may_be_null) in enumerate(zip(sql_types, nullable)):
         if width_function(sql_type) is len:
             value = (f"{src.const(model.field_ms, 'F')} + "
                      f"{src.const(len, 'LEN')}(r[{i}]) * "
@@ -356,13 +378,17 @@ def transfer_charge_source(model, sql_types, compact_rows, form):
         else:
             # A fixed-width field's charge, once per type, by the same
             # float operations as per value.
+            charge = model.field_ms + sql_type.storage_width * model.byte_ms
+            if not (terms or may_be_null):
+                row_ms += charge
+                continue
             if sql_type not in fixed:
-                fixed[sql_type] = src.const(
-                    model.field_ms + sql_type.storage_width * model.byte_ms,
-                    "A")
+                fixed[sql_type] = src.const(charge, "A")
             value = fixed[sql_type]
-        # A line per column keeps the code's location table small.
-        expr += f"\n+ ({null} if r[{i}] is None else {value})"
+        terms.append(f"({null} if r[{i}] is None else {value})"
+                     if may_be_null else f"({value})")
+    # A line per column keeps the code's location table small.
+    expr = "\n+ ".join([src.const(row_ms, "R"), *terms])
     # The paper's "anomalous caching behavior in JDBC": rows produced by a
     # wide outer join bind every declared column and pay a super-linear
     # penalty; union-shaped results use the compact per-branch row format

@@ -117,7 +117,7 @@ def sort_rows(batch, key_positions, kinds, constant=(), metrics=None):
     return rows
 
 
-#: Every column's facts a sort keeps, once: a few per base column.
+#: Every column's facts a plan keeps, once: a few per base column.
 _FACTS = {}
 
 
@@ -128,10 +128,19 @@ def column_facts(plan, memo=None):
     an outer-union input lacks the column), the base columns ``(table,
     column)`` whose values reach it, and whether it is one literal
     throughout.  ``memo`` (by operator id) serves a sub-plan the plan
-    reads twice.  An operator it does not know raises
+    reads twice; without one they are kept on ``plan`` (plans are
+    immutable), each shared with every plan that has it, for the sorts
+    and transfer charges that read them on every run.  An operator it
+    does not know raises
     :class:`~repro.common.errors.ExecutionError`: a sort above it has no
     facts, and no fallback that would scan its rows."""
-    memo = {} if memo is None else memo
+    if memo is None:
+        facts = getattr(plan, "_facts", None)
+        if facts is None:
+            facts = plan._facts = tuple(
+                _FACTS.setdefault(fact, fact)
+                for fact in column_facts(plan, {}))
+        return facts
     facts = memo.get(id(plan))
     if facts is not None:
         return facts
@@ -299,9 +308,7 @@ class _Sort:
         self.arity = len(op.columns())
         positions = op.child.positions()
         self.key_positions = [positions[key] for key in op.keys]
-        # Per input column, the column's facts as every sort shares them.
-        self.facts = tuple(_FACTS.setdefault(fact, fact)
-                           for fact in column_facts(op.child))
+        self.facts = column_facts(op.child)
         self.constant = tuple(
             p for p, (_, _, constant) in enumerate(self.facts) if constant)
         self.child_columns = op.child.columns()

@@ -1,6 +1,7 @@
 """In-memory table storage with key enforcement and hash indexes."""
 
 from operator import itemgetter
+from types import NoneType
 
 from repro.common.errors import SchemaError
 
@@ -37,6 +38,10 @@ def hash_rows(rows, positions):
 
 def _no_key(row):
     return ()
+
+
+#: Every set of value types a column holds, once: a handful in all.
+_KINDS = {}
 
 
 class Table:
@@ -318,8 +323,25 @@ class Table:
         kinds = self._indexes.get(key)
         if kinds is None:
             column = map(itemgetter(self.schema.column_index(name)), self.rows)
-            kinds = self._indexes[key] = frozenset(map(type, column))
+            kinds = frozenset(map(type, column))
+            kinds = self._indexes[key] = _KINDS.setdefault(kinds, kinds)
         return kinds
+
+    def plain_text(self, name):
+        """Whether every non-NULL value in column ``name`` is a ``str``
+        holding no ``&``, ``<`` or ``>``, so it is its own XML character
+        data: kept and dropped as :meth:`value_types` is.  The walk
+        writes such a column's values as they are."""
+        key = (str, name)
+        plain = self._indexes.get(key)
+        if plain is None:
+            plain = False
+            if self.value_types(name) <= {str, NoneType}:
+                text = "".join(filter(None, map(
+                    itemgetter(self.schema.column_index(name)), self.rows)))
+                plain = not ("&" in text or "<" in text or ">" in text)
+            self._indexes[key] = plain
+        return plain
 
     def column_values(self, name):
         """All values of one column, in row order."""

@@ -182,10 +182,11 @@ class _Tagging:
         return (links[-1], len(links),
                 [self._key(e, value) for e in links], nested)
 
-    def block(self, at, node_id, value, term):
+    def block(self, at, node_id, value, term, plain=()):
         """Tag one instance of node ``node_id``; ``value(name)`` is the
         expression of its value of the variable ``name`` ("None" when it
-        does not carry it) and ``term`` a local holding its term."""
+        does not carry it), ``term`` a local holding its term and
+        ``plain`` the text variables written unescaped."""
         add = self.src.add
         node, length, keys, nested = self._step(at, node_id, value)
         own = f"(F{length} is None or F{length} == {term})"
@@ -216,8 +217,8 @@ class _Tagging:
         for depth, element in enumerate(self.chains[node_id][:-1], 1):
             add(at, f"if c < {depth}:")
             self._open(at + 1, depth, element, value, keys[depth - 1],
-                       "None")
-        self._open(at, length, node, value, keys[-1], term)
+                       "None", plain)
+        self._open(at, length, node, value, keys[-1], term, plain)
         add(at, "write(o)")
         if length > 1:
             add(at, f"if c < {length - 1}:")
@@ -239,7 +240,7 @@ class _Tagging:
         add(at + 1, "deepest = top")
         add(at, "top = 0")
 
-    def fixed(self, at, node_id, value, term):
+    def fixed(self, at, node_id, value, term, plain=()):
         """Tag one instance of node ``node_id`` whose parent's instance is
         on top of the stack, as a walk's loop nest makes it: its depth is
         the match the stack would give, so the step closes down to the
@@ -256,19 +257,20 @@ class _Tagging:
         else:
             start = f"o = {self.cl}[last][{length - 1}] +"
         self._open(at, length, node, value, self._key(node, value), term,
-                   start)
+                   plain, start)
         add(at, "write(o)")
         add(at, "written += 1")
         self._opened(at, node_id, length)
 
-    def _open(self, at, depth, element, value, key, full, start="o +="):
+    def _open(self, at, depth, element, value, key, full, plain,
+              start="o +="):
         """Open ``element`` at ``depth`` (its markup after ``start``) with
         its contents, and set its frame's locals where a step reads
         them."""
         add = self.src.add
         add(at, f"{start} "
                 f"{self.src.const(self.open_markup(depth, element.tag), 'T')}")
-        self._contents(at, element, value)
+        self._contents(at, element, value, plain)
         if depth <= self.keyed:
             add(at, f"K{depth} = {key}")
         if depth in self.termed:
@@ -280,7 +282,7 @@ class _Tagging:
         add(at + 1, f"top = {length}")
         add(at, f"last = {node_id}")
 
-    def _contents(self, at, element, value):
+    def _contents(self, at, element, value, plain):
         src, add = self.src, self.src.add
         for content in element.contents:
             if not isinstance(content, Stv):
@@ -292,7 +294,9 @@ class _Tagging:
             add(at, f"v = {expr}")
             add(at, "if v is not None:")
             kind = _PYTHON_TYPE.get(content.sql_type)
-            if kind is None:
+            if content.name in plain:
+                add(at + 1, "o += v")
+            elif kind is None:
                 add(at + 1, f"o += {src.const(escape_text, 'E')}(v)")
             else:
                 add(at + 1, f"o += {src.const(CHARACTER_DATA[kind], 'X')}(v) "
@@ -587,7 +591,7 @@ def decoder_kernel(shape, spec, key):
 # -- a walk of the tree ---------------------------------------------------
 
 
-def _walk_source(streams, tagging):
+def _walk_source(streams, tagging, plain):
     """The walk of a run whose streams carry one component of the view
     tree each, every node once, each stream sorted in the tree's key
     order: one loop per node, nested in child order, tags the node's
@@ -617,7 +621,8 @@ def _walk_source(streams, tagging):
     cursors are primed in spec order, as :func:`heapq.merge` primes its
     decoders.  A row no child loop takes names no unit of its stream; a
     row left over at the end was claimed by no parent instance where
-    none can be missing."""
+    none can be missing.  A text column in stream ``s``'s ``plain[s]``
+    is written as it is."""
     shape, src = tagging.shape, tagging.src
     add = src.add
     end = src.const(type("EndOfRows", (tuple,), {})(
@@ -651,12 +656,12 @@ def _walk_source(streams, tagging):
         """Tag the node's instance in row ``var`` unless its memo holds
         the same term: at a depth fixed by the loop nest, or by the tag
         step's match where the parent may be missing."""
-        _, stream, index, _ = of[node_id]
+        s, stream, index, _ = of[node_id]
         add(at, f"t = {stream.term(index, var)}")
         add(at, f"if t != M{node_id}:")
         add(at + 1, f"M{node_id} = t")
         tag = tagging.block if node_id in matched else tagging.fixed
-        tag(at + 1, node_id, stream.value_of(index, var), "t")
+        tag(at + 1, node_id, stream.value_of(index, var), "t", plain[s])
 
     def under(s, owner):
         """Row ``r<s>`` repeats the key of node ``owner``'s open instance
@@ -839,13 +844,14 @@ def _walk_source(streams, tagging):
 _NO_UNIT = "row {1!r} of stream {0} is in no unit under its parent"
 
 
-def walk_kernel(shape, specs, keys, indent, rooted):
+def walk_kernel(shape, specs, keys, indent, rooted, plain):
     """``walk(rows, labels, write, tell, marks) -> (elements, implicit
     opens, deepest stack, instances)``: the rows of ``specs``' streams
     (whose shapes' structural ``keys`` name the code), one component of
-    the tree each, to markup by a walk of the tree."""
+    the tree each, to markup by a walk of the tree; ``plain`` holds per
+    stream the text columns written as they are, unescaped."""
     def build():
         return _walk_source([StreamShape(shape, spec) for spec in specs],
-                            _Tagging(shape, Source(), indent, rooted))
-    return compiled(("xmlgen", shape.key, keys, "walk", indent, rooted),
-                    build)
+                            _Tagging(shape, Source(), indent, rooted), plain)
+    return compiled(("xmlgen", shape.key, keys, "walk", indent, rooted,
+                     plain), build)

@@ -10,7 +10,8 @@ re-materialization tags again only the groups whose rows differ from the
 last tagging's, and copies the others' text from the last document.  A
 first tagging is the ordinary single pass, which marks where each
 top-level element ends (:meth:`XmlTagger.tag
-<repro.xmlgen.tagger.XmlTagger.tag>`).
+<repro.xmlgen.tagger.XmlTagger.tag>`); it cuts nothing until a
+re-materialization reads it (:attr:`Tagging.groups`).
 """
 
 import io
@@ -19,7 +20,7 @@ from math import copysign
 from operator import attrgetter
 
 from repro.common.ordering import flat_key
-from repro.obs import obs_parts
+from repro.obs import NULL_SPAN, obs_parts
 from repro.relational.cache import BoundedCache
 from repro.xmlgen.tagger import Document, integrate
 
@@ -29,15 +30,39 @@ class Tagging:
     rows it was tagged from, and per group key, in document order,
     ``(start, stop, elements, implicit opens, depth, ranges)`` — its slice
     of the text, its tagger counts, and per stream its ``(first, stop)``
-    rows (None where the stream has none)."""
+    rows (None where the stream has none).
 
-    __slots__ = ("xml", "rows", "groups", "nbytes")
+    A first tagging (:meth:`first`) keeps the tagger's top-level marks
+    instead, and cuts them into its groups when a splice first reads
+    :attr:`groups`: only a later re-materialization needs them."""
 
-    def __init__(self, xml, rows, groups):
+    __slots__ = ("xml", "rows", "nbytes", "_groups", "_cut")
+
+    def __init__(self, xml, rows, groups, cut=None):
         self.xml = xml
         self.rows = rows
-        self.groups = groups
-        self.nbytes = len(xml) + 8 * sum(map(len, rows)) + 200 * len(groups)
+        self._groups = groups
+        self._cut = cut
+        top = len(groups) if cut is None else len(cut[0])
+        self.nbytes = len(xml) + 8 * sum(map(len, rows)) + 200 * top
+
+    @classmethod
+    def first(cls, xml, rows, marks, start, group_ofs, single):
+        """A whole-document tagging with its ``marks``, whose first
+        top-level element starts at ``start``; ``group_ofs`` are its
+        streams' group keys."""
+        return cls(xml, rows, None, (marks, start, group_ofs, single))
+
+    @property
+    def groups(self):
+        """The groups, or None where the tagger's top-level elements are
+        not one per group in the groups' order: such a tagging is never
+        spliced."""
+        cut = self._cut
+        if cut is not None:
+            self._groups = _cut(self.rows, *cut)
+            self._cut = None
+        return self._groups
 
 
 class FragmentCache(BoundedCache):
@@ -66,6 +91,37 @@ def _row_groups(rows, group_of, single):
             for key, stop in stops.items()}
 
 
+def _groups_in_order(rows, group_ofs, single):
+    """Per stream its :func:`_row_groups`, and every group key in
+    document order."""
+    where = [_row_groups(stream_rows, group_of, single)
+             for group_of, stream_rows in zip(group_ofs, rows)]
+    return where, sorted(set(chain.from_iterable(where)), key=flat_key)
+
+
+def _marked(groups, marks, at, where):
+    """Enter into ``groups`` the run tagged from ``at`` whose top-level
+    ``marks`` are one per group; returns the elements it wrote."""
+    written = implicit = 0
+    for key, stop, elements_to, implicit_to, depth in marks:
+        groups[key] = (at, stop, elements_to - written,
+                       implicit_to - implicit, depth,
+                       tuple(spans.get(key) for spans in where))
+        at, written, implicit = stop, elements_to, implicit_to
+    return written
+
+
+def _cut(rows, marks, start, group_ofs, single):
+    """A first tagging's groups from its ``marks`` (:attr:`Tagging.groups`):
+    a read of every row, as a splice's own cut."""
+    where, order = _groups_in_order(rows, group_ofs, single)
+    if [mark[0] for mark in marks] != order:
+        return None
+    groups = {}
+    _marked(groups, marks, start, where)
+    return groups
+
+
 def _same_rows(old, new, inexact):
     """Equal rows that print alike: ``2 == 2.0`` and ``0.0 == -0.0``, so
     the values at the ``inexact`` positions must agree in type and sign
@@ -85,34 +141,37 @@ def _same_rows(old, new, inexact):
 
 def splice_streams(layout, specs, streams, decoders, root_tag, indent,
                    previous=None, obs=None, walk=False):
-    """Tag executed ``streams`` into ``(xml, counts, tagging, reused)``,
-    tagging again only the groups whose rows differ from ``previous`` (a
-    :class:`Tagging` of the same decoders and serialization, or None) and
-    copying the text of the ``reused`` others.
+    """Tag executed ``streams`` into ``(xml, counts, tagging, reused,
+    retagged)``, tagging again only the groups whose rows differ from
+    ``previous`` (a :class:`Tagging` of the same decoders and
+    serialization, or None) and copying the text of the ``reused``
+    others.  Without a ``previous`` whose groups the tagger confirmed,
+    the streams are tagged whole and the tagging is kept uncut
+    (:meth:`Tagging.first`); its marks are the groups ``retagged``.
 
     Returns None — tag the ordinary way, keep nothing — when a shape fails
     the group check, when an indented document has no root tag (its first
-    element lacks the others' line break), or when the tagger's top-level
-    elements are not one per group, in the groups' order.
+    element lacks the others' line break), or when the re-tagged
+    top-level elements are not one per group, in the groups' order.
 
     The runs are walked where ``walk`` is true.
     With ``obs`` on, :func:`~repro.xmlgen.tagger.integrate`'s spans cover
     the re-tagged rows only, inside a ``splice`` span (``groups``,
     ``reused``, ``retagged``; counted as ``splice.reused`` /
     ``splice.retagged``) when there was a ``previous``."""
-    if root_tag is None and indent is not None or None in (
-            decoder.group_of for decoder in decoders):
+    group_ofs = tuple(decoder.group_of for decoder in decoders)
+    if root_tag is None and indent is not None or None in group_ofs:
         return None
     single = len(layout.tree.root.key_args) == 1
     rows = tuple(stream.rows for stream in streams)
-    where = order = segments = None
+    old = where = segments = start = None
 
     def reusable(key):
         """Every stream has the same rows for ``key`` as last time."""
-        old = previous.groups.get(key)
-        if old is None:
+        was_group = old.get(key)
+        if was_group is None:
             return False
-        for i, was in enumerate(old[5]):
+        for i, was in enumerate(was_group[5]):
             now = where[i].get(key)
             if now is None or was is None:
                 if now is not was:
@@ -124,16 +183,18 @@ def splice_streams(layout, specs, streams, decoders, root_tag, indent,
 
     def cut():
         """Group the rows (a read of every row: decoding work) and return
-        the runs to tag."""
-        nonlocal where, order, segments
-        where = [_row_groups(stream_rows, decoder.group_of, single)
-                 for decoder, stream_rows in zip(decoders, rows)]
-        # Document order.
-        order = sorted(set(chain.from_iterable(where)), key=flat_key)
+        the runs to tag: the whole streams where nothing can be reused."""
+        nonlocal old, where, segments
+        if previous is not None:
+            old = previous.groups
+        if not old:
+            return [[(decoder, stream_rows, spec.label) for decoder, spec,
+                     stream_rows in zip(decoders, specs, rows)]]
+        where, order = _groups_in_order(rows, group_ofs, single)
         # Consecutive groups of one fate form a segment: copied, or
         # decoded, merged and tagged in one run.
-        segments = [(reuse, list(keys)) for reuse, keys in groupby(
-            order, reusable if previous is not None else lambda key: False)]
+        segments = [(reuse, list(keys))
+                    for reuse, keys in groupby(order, reusable)]
         runs = []
         for reuse, keys in segments:
             if not reuse:
@@ -152,58 +213,60 @@ def splice_streams(layout, specs, streams, decoders, root_tag, indent,
     document = Document(layout, sink, indent, root_tag)
     tell = sink.tell
     groups = {}
+    marks = []
     unsound = []
-
-    def ranges(key):
-        return tuple(spans.get(key) for spans in where)
 
     def tag(feeds):
         """Write the document; returns the elements and characters it did
         not copy."""
+        nonlocal start
         elements = copied = 0
         feeds = iter(feeds)
         document.open()
-        for reuse, keys in segments:
+        if segments is None:
+            start = tell()
+            document.tag(next(feeds), marks)
+            elements = document.counts.elements_written
+        for reuse, keys in segments or ():
             if reuse:
                 for key in keys:
-                    start, stop, written, implicit, depth, _ = \
-                        previous.groups[key]
+                    begin, stop, written, implicit, depth, _ = old[key]
                     at = tell()
-                    document.copy(previous.xml[start:stop], written,
+                    document.copy(previous.xml[begin:stop], written,
                                   implicit, depth)
-                    copied += stop - start
-                    groups[key] = (at, at + stop - start, written, implicit,
-                                   depth, ranges(key))
+                    copied += stop - begin
+                    groups[key] = (at, at + stop - begin, written, implicit,
+                                   depth, tuple(
+                                       spans.get(key) for spans in where))
                 continue
-            marks = []
+            marked = []
             at = tell()
-            document.tag(next(feeds), marks)
+            document.tag(next(feeds), marked)
             # One top-level element per group, in the groups' order.
-            if [mark[0] for mark in marks] != keys:
+            if [mark[0] for mark in marked] != keys:
                 unsound.append(keys)
                 return elements, 0
-            written = implicit = 0
-            for key, stop, elements_to, implicit_to, depth in marks:
-                groups[key] = (at, stop, elements_to - written,
-                               implicit_to - implicit, depth, ranges(key))
-                at, written, implicit = stop, elements_to, implicit_to
-            elements += written
+            elements += _marked(groups, marked, at, where)
         document.close()
         return elements, tell() - copied
 
     tracer, metrics = obs_parts(obs)
-    if previous is None:
+    with (NULL_SPAN if previous is None else tracer.span("splice")) as span:
         integrate(obs, document.counts, len(specs), cut, tag, walk)
-        reused = 0
-    else:
-        with tracer.span("splice") as span:
-            integrate(obs, document.counts, len(specs), cut, tag, walk)
+        if unsound:
+            return None
+        xml = sink.getvalue()
+        if segments is None:
+            tagging = Tagging.first(xml, rows, marks, start, group_ofs,
+                                    single)
+            reused, retagged = 0, len(marks)
+        else:
+            tagging = Tagging(xml, rows, groups)
             reused = sum(len(keys) for reuse, keys in segments if reuse)
-            span.set(groups=len(order), reused=reused,
-                     retagged=len(order) - reused)
+            retagged = len(groups) - reused
+        span.set(groups=reused + retagged, reused=reused,
+                 retagged=retagged)
+    if previous is not None:
         metrics.inc("splice.reused", reused)
-        metrics.inc("splice.retagged", len(order) - reused)
-    if unsound:
-        return None
-    xml = sink.getvalue()
-    return xml, document.counts, Tagging(xml, rows, groups), reused
+        metrics.inc("splice.retagged", retagged)
+    return xml, document.counts, tagging, reused, retagged

@@ -22,6 +22,7 @@ from types import NoneType
 
 from repro.common.errors import PlanError
 from repro.common.ordering import flat_key
+from repro.core.viewtree import Stv
 from repro.relational.cache import BoundedCache
 from repro.relational.types import SqlType
 from repro.xmlgen.kernel import (
@@ -38,6 +39,9 @@ _WALK_DEPTH = 16
 _EXACT = frozenset(
     (SqlType.INTEGER, SqlType.VARCHAR, SqlType.CHAR, SqlType.DATE)
 )
+_TEXT = frozenset((SqlType.VARCHAR, SqlType.CHAR))
+#: Every walk's facts, once (:meth:`ComparatorLayout.walk_facts`).
+_WALK_FACTS = {}
 
 
 class Instance:
@@ -87,6 +91,10 @@ class ComparatorLayout:
         self._decoders = BoundedCache("decoders", max_entries=256)
         self._key_names = {stv.name for kind, stv in self.entries
                            if kind == "stv"}
+        #: The variables some element prints as text (a VARCHAR or CHAR).
+        self._text_names = {
+            content.name for node in tree.nodes for content in node.contents
+            if isinstance(content, Stv) and content.sql_type in _TEXT}
 
         def carried(node, level):
             return [stv for stv in node.args
@@ -147,6 +155,34 @@ class ComparatorLayout:
                                    for source, column in sources])
         return all(len(found) <= 1 and NoneType not in found
                    for found in kinds.values())
+
+    def walk_facts(self, specs, database):
+        """What the integration's ``walk`` takes for a run of ``specs``'
+        streams over ``database``: False where :meth:`walks` does not
+        allow the walk, else per spec the text columns the walk writes as
+        they are.  Those are the columns whose values the plan takes only
+        from table columns that hold nothing but plain text
+        (:meth:`Table.plain_text
+        <repro.relational.table.Table.plain_text>`), adding none of its
+        own but NULLs: facts of the plan and the tables, never of the
+        rows."""
+        if not self.walks(specs, database):
+            return False
+        table = database.table
+        facts = []
+        for spec in specs:
+            plain = []
+            for name, (types, sources, _) in zip(spec.column_names,
+                                                 spec.column_facts):
+                if name in self._text_names and sources and not (
+                        set(types) - {NoneType}) and all(
+                        table(source).plain_text(column)
+                        for source, column in sources):
+                    plain.append(name)
+            facts.append(tuple(plain))
+        facts = tuple(facts)
+        # One object per value, which the walk holds while it runs.
+        return _WALK_FACTS.setdefault(facts, facts)
 
     def instance_key(self, node, values):
         """The key of ``node``'s instance with Skolem arguments ``values``
@@ -359,14 +395,17 @@ class Walk:
     document order is a walk of the tree over the sorted rows, with no
     item, key, sort or merge (:func:`~repro.xmlgen.kernel.walk_kernel`).
     The run's ``(decoder, rows, label)`` are in spec order; rows None (a
-    splice segment the stream has no rows in) walk as empty."""
+    splice segment the stream has no rows in) walk as empty.  ``plain``
+    is :meth:`ComparatorLayout.walk_facts`' tuple, per stream the text
+    columns written as they are (anything else: every value escaped)."""
 
-    __slots__ = ("decoders", "rows", "labels")
+    __slots__ = ("decoders", "rows", "labels", "plain")
 
-    def __init__(self, run):
+    def __init__(self, run, plain=None):
         self.decoders = tuple(decoder for decoder, _, _ in run)
-        self.rows = [() if rows is None else rows for _, rows, _ in run]
-        self.labels = [label for _, _, label in run]
+        self.rows = tuple(() if rows is None else rows for _, rows, _ in run)
+        self.labels = tuple(label for _, _, label in run)
+        self.plain = plain if isinstance(plain, tuple) else ((),) * len(run)
 
     def kernel(self, indent, rooted):
         """The walk's code for this run's stream shapes, in spec order."""
@@ -374,7 +413,7 @@ class Walk:
         return walk_kernel(decoders[0]._tree,
                            [decoder._spec for decoder in decoders],
                            tuple(decoder._shape for decoder in decoders),
-                           indent, rooted)
+                           indent, rooted, self.plain)
 
 
 class XmlDocumentCache(BoundedCache):

@@ -273,7 +273,8 @@ def tag_streams(tree, specs, streams, root_tag="view", indent=None,
 
     ``obs`` (an :class:`~repro.obs.ObsOptions` session) records the
     integration as :func:`integrate` does, walking the streams where
-    ``walk`` (:meth:`~repro.xmlgen.streams.ComparatorLayout.walks`) says.
+    ``walk`` (:meth:`~repro.xmlgen.streams.ComparatorLayout.walk_facts`)
+    says.
     """
     if layout is None:
         layout = ComparatorLayout(tree)
@@ -302,7 +303,9 @@ def integrate(obs, counts, streams, runs, tag, walk=False):
     as part of decoding — by ``tag(feeds)``, which gets one
     feed per run and returns the ``(elements, characters)`` it wrote
     (characters None when the sink cannot tell).  A feed is what
-    :meth:`Document.run` takes: where ``walk``, the run as a
+    :meth:`Document.run` takes: where ``walk`` (True, or
+    :meth:`~repro.xmlgen.streams.ComparatorLayout.walk_facts`' columns
+    written as they are), the run as a
     :class:`~repro.xmlgen.streams.Walk`; else its streams without rows
     (rows None) left out, the streams' generated decoders merged on flat
     keys (:func:`~repro.xmlgen.streams.merge_run`).  A plan of several
@@ -319,7 +322,7 @@ def integrate(obs, counts, streams, runs, tag, walk=False):
 
     def feed(run):
         if walk:
-            return Walk(run)
+            return Walk(run, walk)
         return merge_run([stream for stream in run if stream[1] is not None])
 
     if not traced:

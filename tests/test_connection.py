@@ -1,5 +1,6 @@
 """Tests for the client/server layer (repro.relational.connection)."""
 
+import datetime
 import math
 
 import pytest
@@ -108,19 +109,36 @@ _VALUES = {
 _COEFFICIENT = st.floats(1e-4, 2.0, allow_nan=False)
 
 
+_MODELS = st.builds(
+    TransferModel, row_ms=_COEFFICIENT, field_ms=_COEFFICIENT,
+    byte_ms=_COEFFICIENT, null_field_ms=_COEFFICIENT,
+    wide_threshold=st.integers(0, 12), wide_row_factor=_COEFFICIENT,
+)
+
+
 @st.composite
 def _rows_under_a_model(draw):
-    model = TransferModel(
-        row_ms=draw(_COEFFICIENT), field_ms=draw(_COEFFICIENT),
-        byte_ms=draw(_COEFFICIENT), null_field_ms=draw(_COEFFICIENT),
-        wide_threshold=draw(st.integers(0, 12)),
-        wide_row_factor=draw(_COEFFICIENT),
-    )
+    model = draw(_MODELS)
     types = draw(st.lists(st.sampled_from(list(SqlType)), max_size=16))
     columns = [ColumnInfo(f"c{i}", t) for i, t in enumerate(types)]
     row = st.tuples(*(st.none() | _VALUES[t] for t in types))
     rows = draw(st.lists(row, max_size=30))
     return model, columns, rows, draw(st.booleans())
+
+
+@st.composite
+def _rows_under_facts(draw):
+    """A model, columns with their nullability facts, and rows holding a
+    NULL only where the facts allow one (not necessarily there)."""
+    model = draw(_MODELS)
+    types = draw(st.lists(st.sampled_from(list(SqlType)), max_size=16))
+    nullable = tuple(draw(st.lists(st.booleans(), min_size=len(types),
+                                   max_size=len(types))))
+    columns = [ColumnInfo(f"c{i}", t) for i, t in enumerate(types)]
+    row = st.tuples(*(st.none() | _VALUES[t] if may else _VALUES[t]
+                      for t, may in zip(types, nullable)))
+    rows = draw(st.lists(row, max_size=30))
+    return model, columns, nullable, rows, draw(st.booleans())
 
 
 class TestTransferCharge:
@@ -140,6 +158,51 @@ class TestTransferCharge:
             assert row_cost(row) == reference(row)
             total += reference(row)
         assert conn._transfer_cost(columns, rows, compact) == total
+
+    @given(_rows_under_facts())
+    @settings(max_examples=300, deadline=None)
+    def test_the_facts_change_no_bit(self, tiny_db, case):
+        """A column the facts say holds no NULL is charged without the
+        test, and a leading run of fixed-width ones is added up when the
+        code is generated: both forms charge the facts-free floats."""
+        model, columns, nullable, rows, compact = case
+        conn = Connection(tiny_db, CostModel(), model)
+        free, aware = (conn._row_cost_fn(columns, compact),
+                       conn._row_cost_fn(columns, compact, nullable))
+        for row in rows:
+            assert repr(aware(row)) == repr(free(row))
+        assert repr(conn._transfer_cost(columns, rows, compact, nullable)) \
+            == repr(conn._transfer_cost(columns, rows, compact))
+
+    def test_nullable_facts_over_data_without_a_null(self, tiny_db):
+        """Facts may say a NULL can come where none does: every field is
+        tested, and charged as a value."""
+        types = [SqlType.INTEGER, SqlType.VARCHAR, SqlType.DATE,
+                 SqlType.DECIMAL]
+        columns = [ColumnInfo(f"c{i}", t) for i, t in enumerate(types)]
+        rows = [(1, "abc", datetime.date(1998, 1, 2), 0.1),
+                (7, "", datetime.date(1992, 5, 6), 2.5)]
+        conn = Connection(tiny_db, CostModel())
+        reference = _reference_row_cost(conn.transfer_model, columns, False)
+        for nullable in ((True,) * 4, (False,) * 4, (False, True) * 2):
+            row_cost = conn._row_cost_fn(columns, False, nullable)
+            assert [repr(row_cost(row)) for row in rows] == [
+                repr(reference(row)) for row in rows]
+            assert repr(conn._transfer_cost(columns, rows, False, nullable)) \
+                == repr(reference(rows[0]) + reference(rows[1]))
+
+    def test_a_plan_tells_which_columns_hold_no_null(self, q1_tree, tiny_db):
+        """Base columns hold no NULL in the tiny database; the columns a
+        left outer join pads may."""
+        conn = Connection(tiny_db, CostModel())
+        [spec] = SqlGenerator(q1_tree, tiny_db.schema).streams_for_partition(
+            unified_partition(q1_tree))
+        nullable = conn._nullable(spec.plan)
+        assert len(nullable) == len(spec.column_names)
+        assert False in nullable and True in nullable
+        rows = conn.execute(spec.plan).rows
+        for may, values in zip(nullable, zip(*rows)):
+            assert may or None not in values
 
     def test_total_is_a_left_fold_not_a_compensated_sum(self, tiny_db):
         """One 1e16 ms row, then NULL rows of 0.262 ms: each of those
@@ -167,7 +230,8 @@ class TestTransferCharge:
             Connection(tiny_db, CostModel(), TransferModel(
                 row_ms=1.0 + i))._transfer_cost(column, [], True)
         for form in ("row", "rows"):
-            key = ("transfer", conn.transfer_model, tuple(types), False, form)
+            key = ("transfer", conn.transfer_model, tuple(types),
+                   (True,) * len(types), False, form)
             assert CODE.peek(key) is None
         after = ([conn._row_cost_fn(first, False)(r) for r in rows],
                  conn._transfer_cost(first, rows, False))

@@ -727,12 +727,15 @@ class TestSpliceEqualsCold:
         session.materialize(QUERY_1, "fully-partitioned")
         assert session.view(QUERY_1).document_cache.stats()["hits"] == 1
 
-    def test_groups_the_tagger_does_not_confirm_are_not_kept(
+    def test_groups_the_tagger_does_not_confirm_are_never_spliced(
             self, monkeypatch):
         """The top-level elements the tagger marks must be the groups the
-        rows spell, one each: grouping two suppliers together fails it,
-        and the document is tagged the ordinary way.  (The decoders are
-        the process's view definition's: the test puts them back.)"""
+        rows spell, one each: grouping two suppliers together fails it.
+        A first tagging is kept uncut and checked when a splice first
+        reads it, so the next re-materialization after a write tags the
+        whole document, equal to a cold run, and reuses nothing.  (The
+        decoders are the process's view definition's: the test puts them
+        back.)"""
         db, session = splice_session()
         view = session.view(QUERY_1)
         for spec in view.specs():
@@ -742,7 +745,17 @@ class TestSpliceEqualsCold:
                 lambda row, key=decoder.group_of: key(row) // 2)
         served = session.materialize(QUERY_1)
         assert tagged(served) == tagged(cold_run(db, QUERY_1))
-        assert len(view.instance_cache) == 0
+        [(_, first)] = view.instance_cache.items()
+        assert first.groups is None
+        session.mutate("Supplier", op="update", rows=2, seed=3)
+        obs = ObsOptions()
+        served = session.materialize(QUERY_1,
+                                     options=ExecutionOptions(obs=obs))
+        assert tagged(served) == tagged(cold_run(db, QUERY_1))
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["splice.reused"] == 0
+        assert counters["splice.retagged"] == served.xml.count("<supplier>")
+        assert view.instance_cache.stats()["hits"] == 0
 
     def test_two_threads_re_materialize_one_view(self):
         db, session = splice_session()

@@ -616,10 +616,16 @@ class TestMetricsReconciliation:
         into its observability session."""
         obs = ObsOptions()
         connection = Connection(tiny_db, CostModel())
+        held = []
+
+        def progress(done, total):
+            cache = connection.engine.node_cache
+            held[:] = [cache.items(), cache.stats()]
+
         sweep = sweep_partitions(
             q1_tree, tiny_db.schema, connection,
             partitions=[fully_partitioned(q1_tree)] * 3, cache=False,
-            obs=obs)
+            obs=obs, progress=progress)
         assert len({t.total_ms for t in sweep.timings}) == 1
         counters = self._counters(obs)
         cache = connection.engine.node_cache
@@ -632,9 +638,13 @@ class TestMetricsReconciliation:
         assert counters["node_cache.hits"] == stats.hits
         assert counters["node_cache.misses"] == stats.misses
         assert counters["node_cache.stores"] == stats.stores
-        kept = sum(value is not SEEN for _, value in cache.items())
-        assert 0 < kept <= stats.entries
-        assert stats.stores == stats.entries + kept     # seen, then kept
+        items, last = held
+        kept = sum(value is not SEEN for _, value in items)
+        assert 0 < kept <= last.entries
+        assert last.stores == last.entries + kept       # seen, then kept
+        # The ended sweep dropped the entries and kept the counters.
+        assert len(cache) == stats.entries == stats.current_bytes == 0
+        assert stats.stores == last.stores
         assert counters.get("node_cache.evictions", 0) == stats.evictions
         assert stats.invalidations == 0
         assert "node_cache.invalidations" not in counters

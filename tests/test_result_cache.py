@@ -563,11 +563,21 @@ class TestNodeAdmission:
             Connection(tiny_db, CostModel(), engine="tuple"),
             partitions=partitions, cache=False)
         connection = Connection(tiny_db, CostModel())
-        seen = []
+        engine = connection.engine
+        spec = SqlGenerator(q1_tree, tiny_db.schema).streams_for_partition(
+            partitions[0])[0]
+        seen, kept, served = [], [], []
+
+        def progress(done, total):
+            seen.append(engine.node_cache.stats())
+            if done == total:
+                # Once more on the sweep's cache, before the sweep ends.
+                kept.extend(value for _, value in engine.node_cache.items())
+                served.append(engine.execute(spec.plan))
+
         swept = sweep_partitions(
             q1_tree, tiny_db.schema, connection, partitions=partitions,
-            cache=False, progress=lambda done, total: seen.append(
-                connection.engine.node_cache.stats()))
+            cache=False, progress=progress)
         assert swept.timings == reference.timings
         first, second, third = seen
         assert first.hits == 0 and first.stores == first.misses > 0
@@ -576,21 +586,15 @@ class TestNodeAdmission:
         assert second.entries == first.entries  # kept where it was seen
         assert third.hits - second.hits == first.misses   # every lookup
         assert third.stores == second.stores
-        kept = [value for _, value in connection.engine.node_cache.items()]
-        assert all(value is not SEEN for value in kept)
-        spec = SqlGenerator(q1_tree, tiny_db.schema).streams_for_partition(
-            partitions[0])[0]
-        engine = connection.engine
-        engine.results = engine.node_cache    # as the sweep installed it
-        try:
-            served = engine.execute(spec.plan)
-        finally:
-            engine.results = None
-        assert_identical(served, QueryEngine(
+        assert kept and all(value is not SEEN for value in kept)
+        assert_identical(served[0], QueryEngine(
             tiny_db, CostModel(), engine="tuple").execute(spec.plan))
         fourth = engine.node_cache.stats()
         assert fourth.hits - third.hits == first.misses
         assert fourth.stores == third.stores
+        # The sweep ends: its values go, its counters stay.
+        assert engine.results is None and len(engine.node_cache) == 0
+        assert fourth.entries == 0 and fourth.current_bytes == 0
 
 
 class TestOnlyASweepKeeps:
@@ -635,7 +639,9 @@ class TestOnlyASweepKeeps:
                          partitions=partitions, cache=False)
         previous = connection.engine.node_cache
         before = previous.stats()
-        assert [fp for fp, value in previous.items() if value is not SEEN]
+        # It held values during the sweep, and none after it.
+        assert before.current_bytes == 0 and before.stores > before.peak_entries
+        assert len(previous) == 0
         [row] = synthesize_rows(database, "Supplier", 1, seed=3)
         database.insert("Supplier", *row)
         after = sweep_partitions(q1_tree, database.schema, connection,

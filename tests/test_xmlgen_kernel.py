@@ -35,6 +35,8 @@ from repro.relational.codegen import CODE, Source
 from repro.relational.connection import Connection
 from repro.relational.engine import CostModel
 from repro.relational.schema import TableSchema
+from repro.relational.table import Table
+from repro.serve.server import Server
 from repro.session import Session
 from repro.tpch.generator import TpchGenerator
 from repro.xmlgen.kernel import StreamShape, _Tagging, _walk_source
@@ -635,7 +637,8 @@ def _walk_text(tree, specs):
     layout = ComparatorLayout(tree)
     return "\n".join(_walk_source(
         [StreamShape(layout.shape, spec) for spec in specs],
-        _Tagging(layout.shape, Source(), None, True)).lines)
+        _Tagging(layout.shape, Source(), None, True),
+        ((),) * len(specs)).lines)
 
 
 def _two_streams(tree):
@@ -940,3 +943,96 @@ class TestWalk:
                             writer=XmlWriter(sink=sink, indent=indent))
                 assert sink.value() == expected[0]
         return expected[0]
+
+
+MARKUP = "a<b & c>"
+ESCAPED = "a&lt;b &amp; c&gt;"
+
+
+class TestPlainText:
+    """The walk writes a text column as it is only where every table
+    column its values come from holds plain text (``Table.plain_text``),
+    a fact every write drops: a supplier named with markup, inserted or
+    updated, is escaped by the next export of every kind, byte for byte
+    as with the fact off, and the walk compiled before the write is not
+    the one that writes it."""
+
+    PLANS = ("unified", "fully-partitioned")
+
+    def test_a_table_column_is_plain_until_a_write_says_otherwise(self):
+        db = TpchGenerator(scale=TINY_SCALE, seed=42).generate()
+        suppliers = db.table("Supplier")
+        assert suppliers.plain_text("name")
+        assert not suppliers.plain_text("suppkey")
+        db.update("Supplier", lambda row: row["suppkey"] == 1,
+                  {"addr": "x > y"})
+        assert suppliers.plain_text("name")
+        assert not suppliers.plain_text("addr")
+
+    def _documents(self, session, server):
+        """Each export path's Q1 document, per plan."""
+        out = {}
+        for plan in self.PLANS:
+            sink = io.StringIO()
+            session.materialize_to(QUERY_1, sink, plan)
+            out[plan] = (session.materialize(QUERY_1, plan).xml,
+                         sink.getvalue(),
+                         server.query("q1", partition=plan).xml)
+        return out
+
+    def _with_the_fact_off(self, db, monkeypatch):
+        """The documents of a fresh session that escapes every value."""
+        with monkeypatch.context() as patch:
+            patch.setattr(Table, "plain_text", lambda self, name: False)
+            session = Session(Connection(db, CostModel()))
+            return {plan: session.materialize(QUERY_1, plan).xml
+                    for plan in self.PLANS}
+
+    def _walks(self, session, db):
+        """Per plan, the walk facts and the walk kernel of the view's
+        streams over ``db`` now."""
+        view = session.view(QUERY_1)
+        layout = view.definition.layout
+        out = {}
+        for plan in self.PLANS:
+            specs = view.specs(plan)
+            facts = layout.walk_facts(specs, db)
+            run = [(layout.decoder(spec), (), spec.label) for spec in specs]
+            out[plan] = facts, Walk(run, facts).kernel(None, True)
+        return out
+
+    def _check(self, session, server, db, monkeypatch, escaped):
+        documents = self._documents(session, server)
+        reference = self._with_the_fact_off(db, monkeypatch)
+        for plan in self.PLANS:
+            assert documents[plan] == (reference[plan],) * 3
+            assert (ESCAPED in reference[plan]) is escaped
+            assert MARKUP not in reference[plan]
+
+    def test_writes_drop_the_fact(self, monkeypatch):
+        db = TpchGenerator(scale=TINY_SCALE, seed=42).generate()
+        session = Session(Connection(db, CostModel()))
+        server = Server(session, queries={"q1": QUERY_1})
+        self._check(session, server, db, monkeypatch, escaped=False)
+        plain = self._walks(session, db)
+        for facts, _ in plain.values():
+            assert any(facts)       # the names are written as they are
+        suppkey = max(row[0] for row in db.table("Supplier").rows) + 1
+        nation = db.table("Supplier").rows[0][3]
+        writes = [
+            lambda: db.insert("Supplier", suppkey, MARKUP, "addr", nation),
+            lambda: db.delete("Supplier",
+                              lambda row: row["suppkey"] == suppkey),
+            lambda: db.update("Supplier", lambda row: row["suppkey"] == 1,
+                              {"name": MARKUP}),
+        ]
+        for write, escaped in zip(writes, (True, False, True)):
+            write()
+            self._check(session, server, db, monkeypatch, escaped)
+            walks = self._walks(session, db)
+            for plan in self.PLANS:
+                if escaped:
+                    assert walks[plan][0] != plain[plan][0]
+                    assert walks[plan][1] is not plain[plan][1]
+                else:
+                    assert walks[plan] == plain[plan]
