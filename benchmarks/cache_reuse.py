@@ -3,17 +3,18 @@
     PYTHONPATH=src python3 benchmarks/cache_reuse.py            # rewrite it
     PYTHONPATH=src python3 benchmarks/cache_reuse.py --print    # only print
 
-What a sweep's two relational caches hold, against what is read again.  Each
-of the perf harness's four sweep variants (Query 1 / Query 2, non-reduced /
+What a sweep's node cache holds, against what is read again.  Each of the
+perf harness's four sweep variants (Query 1 / Query 2, non-reduced /
 reduced, all 512 plans, on its ``sf3`` database) runs twice on a fresh
 session:
 
 * **keep all** — the policy before admission control: the node cache keeps a
-  sub-plan result on its first computation and the plan cache keeps every
-  distinct stream's rows (a ``PlanResultCache``);
+  sub-plan result on its first computation;
 * **admit 2nd** — what ships: the node cache keeps a result from its second
-  computation on, and the sweep's own ``PlanCostCache`` keeps charge logs,
-  row counts and transfer sums.
+  computation on.
+
+Both price each distinct stream once in the sweep's table (three values per
+stream, no rows); its entries and hits are the last column.
 
 Both runs must report the same timings (checked).  The counts are the
 program's own and repeat exactly; a *cell* is one value of one row of a
@@ -36,7 +37,6 @@ from repro.relational.cache import (  # noqa: E402
     SEEN,
     BoundedCache,
     NodeResultCache,
-    PlanResultCache,
 )
 from repro.relational.connection import Connection  # noqa: E402
 from repro.session import Session  # noqa: E402
@@ -110,7 +110,7 @@ class ReuseProbe(NodeResultCache):
 def probe_sweep(session, query, keep_all=False, **options):
     """Sweep ``query`` on ``session`` under one policy, the probe as the
     node cache the sweep builds; returns ``(sweep result, reuse counts)``
-    with the plan cache's entry count and bytes among the counts."""
+    with the price table's entries and hits among the counts."""
     probe = ReuseProbe(keep_all)
 
     def pinned(generations):
@@ -120,13 +120,12 @@ def probe_sweep(session, query, keep_all=False, **options):
     build = sweep_module.NodeResultCache
     sweep_module.NodeResultCache = pinned
     try:
-        result = session.sweep(
-            query, cache=PlanResultCache() if keep_all else True, **options)
+        result = session.sweep(query, **options)
     finally:
         sweep_module.NodeResultCache = build
     counts = probe.reuse()
-    counts["plan_entries"] = result.stats["sweep_cache"]["entries"]
-    counts["plan_bytes"] = result.stats["sweep_cache"]["current_bytes"]
+    counts["table_entries"] = result.stats["sweep_cache"]["entries"]
+    counts["table_hits"] = result.stats["sweep_cache"]["hits"]
     return result.sweep, counts
 
 
@@ -158,7 +157,7 @@ def table(rows):
     header = ["sweep (512 plans)", "policy", "sub-plans: distinct · computed",
               "node entries kept", "ever read again", "cells kept",
               "cells of those read", "cells computed", "node hit rate",
-              "plan entries · bytes"]
+              "price table entries · hits"]
     lines = [header, ["---"] * len(header)]
     for sweep, policy, c in rows:
         lines.append([
@@ -166,7 +165,7 @@ def table(rows):
             f"{c['kept']:,}", f"{c['read']:,}", f"{c['cells_kept']:,}",
             f"{c['cells_read']:,}", f"{c['cells_computed']:,}",
             f"{c['hit_rate']:.1%}",
-            f"{c['plan_entries']:,} · {c['plan_bytes']:,.0f}",
+            f"{c['table_entries']:,} · {c['table_hits']:,}",
         ])
     return "\n".join("| " + " | ".join(line) + " |" for line in lines)
 

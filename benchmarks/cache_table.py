@@ -70,13 +70,21 @@ PREPARED_ROW = [
 #: name -> (owner, key, what invalidates an entry)
 CACHES = {
     "plan_cache": (
-        "`PlanResultCache` on `QueryEngine.cache` (during a sweep: its "
-        "own `PlanCostCache`, entries without rows)",
+        "`PlanResultCache` on `QueryEngine.cache`",
         "(plan fingerprint, dependency key, cost model)",
         ENGINE_SWEEP,
     ),
+    "sweep_cache": (
+        "the price table of `sweep_partitions`, one per sweep: a stream's "
+        "`(server_ms, transfer_ms, timed_out)`, no rows",
+        "(plan fingerprint, row format, transfer model of the connection "
+        "the stream goes to first)",
+        "nothing: a sweep pins the table generations, and the next sweep "
+        "starts with a table of its own",
+    ),
     "node_cache": (
-        "`NodeResultCache` on `QueryEngine.node_cache`, one per sweep: "
+        "`NodeResultCache` on the engine of a sweep's own connection, one "
+        "per sweep (the caller's `QueryEngine.node_cache` names it): "
         "`sweep_partitions` installs it empty, and no execution outside "
         "it reads or fills it",
         "sub-plan fingerprint (a value is kept from the fingerprint's "

@@ -191,8 +191,6 @@ KEEP = {
             "paper Sec. 3.4: behind `StreamSpec.uses_outer_join`",
     },
     "repro/relational/cache.py": {
-        "RowCount.__iter__":
-            "safety: refuses to hand out rows a cost-only entry never kept",
         "CacheEntry.replay_raises":
             "safety: a replay that would overrun the budget times out "
             "where the run did",
@@ -218,9 +216,6 @@ KEEP = {
         "_empty_key":
             "oracle: the reference interpreter's key of a join on no "
             "column",
-        "QueryEngine.rows":
-            "safety: a cost-only entry kept no rows; re-evaluate rather "
-            "than charge a transfer it cannot sum",
         "QueryEngine._stream_filter":
             "oracle: the reference filter, tests/test_batch_engine.py::"
             "TestPipelinesDifferential",

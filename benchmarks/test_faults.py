@@ -25,7 +25,6 @@ import pathlib
 from repro.bench.queries import QUERY_1
 from repro.bench.sweep import sweep_partitions
 from repro.core.silkroute import SilkRoute
-from repro.relational.cache import PlanResultCache
 from repro.relational.faults import FaultPolicy, RetryPolicy
 from repro.relational.resilience import Resilience
 from repro.common.errors import TransientConnectionError
@@ -43,7 +42,6 @@ def test_fault_soak(config_a, trees_a, report_writer):
 
     baseline = sweep_partitions(
         tree, db.schema, conn, budget_ms=config.subquery_budget_ms,
-        cache=PlanResultCache(),
     )
     by_partition = {t.partition: t for t in baseline.timings}
 
@@ -59,7 +57,6 @@ def test_fault_soak(config_a, trees_a, report_writer):
             sweep = sweep_partitions(
                 tree, db.schema, conn,
                 budget_ms=config.subquery_budget_ms,
-                cache=PlanResultCache(),
                 resilience=resilience,
             )
             # Completed plans must carry the fault-free simulated figures.

@@ -24,9 +24,9 @@ heap after cycle 5, nor the committed one.
 
 A third case watches what a *sweep* leaves in memory.  All 512 plans of
 Query 2, non-reduced, compute some 750 distinct pipeline and breaker
-results and 233 distinct streams; a sweep reads two floats per stream and
-re-reads an eighth of those results, so what the caches hold when it ends
-is checked
+results and 233 distinct streams; a sweep prices each stream once (three
+values, no rows) and re-reads an eighth of those results, so what the
+caches hold when it ends is checked
 against what it computed (node-cache cells held ≤ 15 % of the cells
 computed: kept on the second computation, not the first) and the live heap
 at that point against the committed one (5.2 MB since sweeps plan from
@@ -333,8 +333,8 @@ def measure_sweep():
         "node_cells_computed": counts["cells_computed"],
         "node_cells_held": counts["cells_kept"],
         "node_entries_kept": counts["kept"],
-        "plan_cache_entries": counts["plan_entries"],
-        "plan_cache_bytes": counts["plan_bytes"],
+        "sweep_table_entries": counts["table_entries"],
+        "sweep_table_hits": counts["table_hits"],
     }
 
 
@@ -362,8 +362,8 @@ def test_sweep_heap_within_committed(report_writer):
             f"  node cache: {measured['node_entries_kept']} results kept, "
             f"{held:,} of {computed:,} computed cells held "
             f"({held / computed:.1%})",
-            f"  plan cache: {measured['plan_cache_entries']} entries, "
-            f"{measured['plan_cache_bytes']:,.0f} B",
+            f"  price table: {measured['sweep_table_entries']} entries, "
+            f"{measured['sweep_table_hits']:,} hits",
         ]),
     )
     check_not_stale("sweep heap", ceiling, measured["heap_bytes_at_end"])

@@ -3,10 +3,10 @@
 Unlike every other benchmark (which reports *simulated* milliseconds), this
 one measures the harness itself: how long the exhaustive Query 1 /
 Configuration A sweep takes under the tuple interpreter, the vectorized
-batch engine, and the batch engine with the cross-plan
-:class:`~repro.relational.cache.PlanResultCache` — verifying along the way
-that neither the engine mode nor the cache moves a single simulated
-millisecond: every recorded :class:`~repro.bench.sweep.PlanTiming` must be
+batch engine, and the batch engine with the sweep's price table
+(``cache=True``: each distinct stream executed once) — verifying along
+the way that neither the engine mode nor the table moves a single
+simulated millisecond: every recorded :class:`~repro.bench.sweep.PlanTiming` must be
 bit-identical across all three runs.
 
 Wall seconds include SQL generation and dispatch; the *engine-bound*
@@ -71,8 +71,8 @@ def test_engine_sweep_speedup(report_writer):
     batch_sweep, batch_wall, batch_engine = timed_sweep("batch", False)
     cached_sweep, cached_wall, cached_engine = timed_sweep("batch", True)
 
-    # Neither the engine mode nor the cache may move a single simulated
-    # millisecond.
+    # Neither the engine mode nor the price table may move a single
+    # simulated millisecond.
     assert batch_sweep.timings == tuple_sweep.timings
     assert cached_sweep.timings == tuple_sweep.timings
     assert len(tuple_sweep.timings) == 512

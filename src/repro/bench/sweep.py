@@ -8,17 +8,19 @@ the per-subquery budget are recorded as timed out ("no time was reported").
 The 2^|E| plans share almost all of their work: the same subtree query
 recurs across most partitions.  Specs come from the view definition's
 generator, which keeps them (plans hash-consed, lowered once) for the
-process.  By default a sweep installs
-a :class:`~repro.relational.cache.PlanCostCache` on the connection's
-engine for its duration, so each distinct stream plan is executed once and
-its costs (a sweep reads no rows) replayed everywhere else — wall-clock
-drops by an order of magnitude while every simulated millisecond
-(including timeout behaviour) stays bit-identical.  The plans also share
-sub-plans below their streams, so a sweep gives the engine an empty
-:class:`~repro.relational.cache.NodeResultCache` too: nothing else keeps
-pipeline and breaker results from one execution to the next.  Plans run
-one after another in input order; ``workers`` is, as everywhere, each
-plan's *simulated* dispatch width.
+process.  A plan's cost is the sum of its streams' costs, so by default a
+sweep prices each distinct stream once, in a table of its own — a
+stream's ``(server_ms, transfer_ms, timed_out)`` under its plan
+fingerprint, row format and transfer model — and adds up a plan from it:
+wall-clock drops by an order of magnitude while every simulated
+millisecond (including timeout behaviour) stays bit-identical.  The
+streams that do run share sub-plans, so they run on a connection of the
+sweep's own whose engine holds an empty
+:class:`~repro.relational.cache.NodeResultCache`: nothing else keeps
+pipeline and breaker results from one execution to the next, and nothing
+on the caller's connection changes while a sweep runs.  Plans run one
+after another in input order; ``workers`` is, as everywhere, each plan's
+*simulated* dispatch width.
 """
 
 import gc
@@ -29,12 +31,9 @@ from repro.core.options import resolve_options
 from repro.core.silkroute import ViewDefinition
 from repro.core.sqlgen import PlanStyle
 from repro.obs import obs_parts
-from repro.relational.cache import (
-    NodeResultCache,
-    PlanCostCache,
-    resolve_cache,
-)
-from repro.relational.dispatch import execute_specs
+from repro.relational.cache import BoundedCache, NodeResultCache
+from repro.relational.connection import Connection
+from repro.relational.dispatch import check_generations, execute_specs
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,8 +71,8 @@ class SweepResult:
     timings: list
     style: PlanStyle
     reduced: bool
-    #: :class:`~repro.relational.cache.CacheStats` snapshot taken at the
-    #: end of the sweep, or None when the sweep ran uncached.
+    #: :class:`~repro.relational.cache.CacheStats` snapshot of the
+    #: sweep's price table at its end, or None when every stream ran.
     cache_stats: object = None
 
     def __post_init__(self):
@@ -117,8 +116,8 @@ class SweepResult:
 
 
 def run_single_partition(tree, schema, connection, partition, generator=None,
-                         executor=None, expect_generations=None, options=None,
-                         **overrides):
+                         executor=None, expect_generations=None, table=None,
+                         options=None, **overrides):
     """Execute one plan; returns a :class:`PlanTiming`.
 
     Execution knobs come from ``options``/``overrides`` as everywhere
@@ -128,7 +127,8 @@ def run_single_partition(tree, schema, connection, partition, generator=None,
     shares between its plans (``generator``: the definition's, else the
     bare tree is defined here; ``executor``: the sweep's resilient
     executor, whose one epoch spans all partitions, so routing does not
-    depend on partition order).
+    depend on partition order; ``table``: the sweep's price table, see
+    :func:`_priced`).
     Under ``resilience`` a stream that exhausts its retries marks the
     timing ``failed`` (sweeps record, they do not degrade).  With ``obs`` (an
     :class:`~repro.obs.ObsOptions` session) the run is wrapped in a
@@ -141,30 +141,34 @@ def run_single_partition(tree, schema, connection, partition, generator=None,
             opts.style, opts.reduce, opts.keep)
     with tracer.span("partition") as partition_span:
         specs = generator.streams_for_partition(partition, tracer)
-        result = execute_specs(
-            connection, specs, executor=executor,
-            expect_generations=expect_generations, options=opts,
-        )
-        resilience = None
-        if opts.resilience is not None:
-            all_stats = list(result.stats)
-            if result.failure is not None:
-                all_stats.append(result.failure.stats)
-            resilience = opts.resilience.summary(all_stats)
+        if table is None:
+            result = execute_specs(
+                connection, specs, executor=executor,
+                expect_generations=expect_generations, options=opts,
+            )
+            costs = [(s.server_ms, s.transfer_ms) for s in result.streams]
+            stats = _spent(result)
+            timed_out = result.timeout is not None
+            failed = result.failure is not None
+        else:
+            check_generations(connection.database, expect_generations)
+            costs, stats, timed_out, failed = _priced(
+                table, connection, specs, executor, opts)
         query_ms = transfer_ms = None
-        if result.timeout is None and result.failure is None:
+        if not (timed_out or failed):
             query_ms = transfer_ms = 0.0
-            for stream in result.streams:
-                query_ms += stream.server_ms
-                transfer_ms += stream.transfer_ms
+            for server_ms, stream_transfer_ms in costs:
+                query_ms += server_ms
+                transfer_ms += stream_transfer_ms
         timing = PlanTiming(
             partition=partition,
             n_streams=len(specs),
             query_ms=query_ms,
             transfer_ms=transfer_ms,
-            timed_out=result.timeout is not None,
-            failed=result.failure is not None,
-            resilience=resilience,
+            timed_out=timed_out,
+            failed=failed,
+            resilience=(None if opts.resilience is None
+                        else opts.resilience.summary(stats)),
         )
         partition_span.set(n_streams=timing.n_streams)
         if timing.timed_out:
@@ -174,6 +178,49 @@ def run_single_partition(tree, schema, connection, partition, generator=None,
         else:
             partition_span.set_sim(timing.total_ms)
         return timing
+
+
+def _spent(result):
+    """The attempt stats a dispatch spent: its streams', and those of the
+    stream that failed for good."""
+    stats = list(result.stats)
+    if result.failure is not None:
+        stats.append(result.failure.stats)
+    return stats
+
+
+def _priced(table, connection, specs, executor, opts):
+    """``(costs, stats, timed_out, failed)`` of a plan's ``specs`` from a
+    sweep's price ``table``: ``(server_ms, transfer_ms, timed_out)`` per
+    stream plan fingerprint, row format and the transfer model of the
+    connection the stream goes to first (the routing epoch's best-ranked
+    replica).  A stream is dispatched only on a miss, and priced only if
+    it did not fail: the next plan that holds a failed stream dispatches
+    it again.  A stream read from the table spends no attempt."""
+    route = connection
+    if executor is not None and executor.epoch is not None:
+        route = executor.connections[executor.epoch.pick()]
+    costs, stats = [], []
+    for spec in specs:
+        key = (spec.plan.fingerprint(), spec.compact, route.transfer_model)
+        price = table.get(key)
+        if price is None:
+            result = execute_specs(connection, [spec], executor=executor,
+                                   options=opts)
+            stats += _spent(result)
+            if result.failure is not None:
+                return costs, stats, False, True
+            if result.timeout is not None:
+                price = (None, None, True)
+            else:
+                [stream] = result.streams
+                price = (stream.server_ms, stream.transfer_ms, False)
+            table.store(key, price)
+        server_ms, transfer_ms, timed_out = price
+        if timed_out:
+            return costs, stats, True, False
+        costs.append((server_ms, transfer_ms))
+    return costs, stats, False, False
 
 
 def sweep_partitions(tree, schema, connection, partitions=None,
@@ -194,20 +241,19 @@ def sweep_partitions(tree, schema, connection, partitions=None,
     view's :class:`~repro.core.silkroute.ViewDefinition` (else the bare
     ``tree`` is defined here).
 
-    ``cache`` controls cross-plan result caching for the duration of the
-    sweep, through the same :func:`~repro.relational.cache.resolve_cache`
-    flow as ``Connection(cache=...)`` and ``SilkRoute(cache=...)``:
-    ``True`` (the default) installs a fresh
-    :class:`~repro.relational.cache.PlanCostCache` — charge logs, row
-    counts and transfer sums, no rows: a sweep reads two floats per
-    stream; ``False`` runs uncached; an instance is used as it is (to
-    share costs across sweeps, or a row-holding ``PlanResultCache`` to
-    leave the results behind).  The connection's own cache is set aside
-    for the duration and comes back untouched.  Whatever ``cache`` says,
-    sub-plan results go to a node cache of the sweep's own, left on the
-    engine as ``node_cache`` for its stats, its entries dropped.  Cached and uncached sweeps
-    produce bit-identical simulated timings — only wall-clock and memory
-    change.
+    ``cache=True`` (the default) prices each distinct stream once, in a
+    table of the sweep's own (a
+    :class:`~repro.relational.cache.BoundedCache` named ``sweep_cache``,
+    whose stats end up in :attr:`SweepResult.cache_stats`; see
+    :func:`_priced`); ``cache=False`` executes every stream of every
+    plan.  Both produce bit-identical simulated timings — only wall-clock
+    changes.  Streams run on a connection of the sweep's own (the
+    caller's database, cost model, transfer model and engine mode, no
+    plan cache), whose engine keeps sub-plan results in a node cache of
+    the sweep's; ``connection.engine.node_cache`` names it afterwards,
+    for its stats, its entries dropped.  Nothing else on ``connection``
+    is touched: an execution on it during the sweep (in ``progress``,
+    say) sees its own caches.
 
     Plans run one after another and timings follow the input partition
     order; ``progress(done, total)`` is called after each.  ``workers``
@@ -217,11 +263,12 @@ def sweep_partitions(tree, schema, connection, partitions=None,
 
     Under ``resilience`` every plan's streams go through one executor: its
     replica pool's routing epoch spans the whole sweep (health folds once,
-    at the end — partition order cannot change the routing).
+    at the end — partition order cannot change the routing).  A stream
+    read from the price table is not dispatched, so it spends no attempt.
 
     A sweep's timings are only comparable if every plan saw the same
     data, so the per-table generation vector is pinned at the start and
-    every dispatch checks it: a concurrent
+    every plan checks it: a concurrent
     ``insert``/``update``/``delete`` raises
     :class:`~repro.common.errors.StaleGenerationError` instead of
     silently recording mixed-generation timings.  Mutate between sweeps,
@@ -231,6 +278,8 @@ def sweep_partitions(tree, schema, connection, partitions=None,
     paused; the caller's collector state is back when the sweep returns
     or raises.
     """
+    if cache is not True and cache is not False:
+        raise TypeError(f"cache= takes True or False, not {cache!r}")
     opts = resolve_options(options, overrides, reduce=False)
     style, reduce = opts.style, opts.reduce
     tracer, metrics = obs_parts(opts.obs)
@@ -239,17 +288,16 @@ def sweep_partitions(tree, schema, connection, partitions=None,
     if partitions is None:
         partitions = definition.partitions
     generator = definition.generator(style, reduce, opts.keep)
-    query_engine = connection.engine
     pinned_generations = connection.database.table_generations()
-    previous = query_engine.cache, query_engine.results
-    used = query_engine.cache = resolve_cache(cache, fresh=PlanCostCache)
+    own = Connection(connection.database, connection.engine.cost_model,
+                     transfer_model=connection.transfer_model,
+                     engine=connection.engine.mode)
     results = NodeResultCache(generations=pinned_generations)
-    query_engine.results = query_engine.node_cache = results
-    # Built after the cache swap so a fresh replica pool shares the cache
-    # the sweep actually runs under.
+    own.engine.results = connection.engine.node_cache = results
+    table = BoundedCache("sweep_cache") if cache else None
     executor = None
     if opts.resilience is not None:
-        executor = opts.resilience.executor(connection)
+        executor = opts.resilience.executor(own)
     # Nothing the plan loop allocates is in a reference cycle: reference
     # counting frees all of it, and the collector would only rescan
     # millions of row tuples (DESIGN.md §6, "The collector").  It is
@@ -263,9 +311,10 @@ def sweep_partitions(tree, schema, connection, partitions=None,
             timings = []
             for partition in partitions:
                 timings.append(run_single_partition(
-                    tree, schema, connection, partition,
+                    tree, schema, own, partition,
                     generator=generator, executor=executor,
-                    expect_generations=pinned_generations, options=opts,
+                    expect_generations=pinned_generations, table=table,
+                    options=opts,
                 ))
                 if progress is not None:
                     progress(len(timings), len(partitions))
@@ -277,12 +326,11 @@ def sweep_partitions(tree, schema, connection, partitions=None,
         results.release()
         if collecting:
             gc.enable()
-        query_engine.cache, query_engine.results = previous
     metrics.inc("sweep.plans", len(partitions))
-    if used is not None:
-        result.cache_stats = used.stats()
+    if table is not None:
+        result.cache_stats = table.stats()
         if metrics.enabled:
-            used.publish(metrics)
+            table.publish(metrics)
     if metrics.enabled:
         results.publish(metrics)
     return result

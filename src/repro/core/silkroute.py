@@ -794,8 +794,8 @@ class XmlView:
 class SilkRoute:
     """The middle-ware system: a connection plus view definitions.
 
-    Cache wiring is one flow, shared with ``Connection(cache=...)`` and
-    ``sweep_partitions(cache=...)``: the cache lives in exactly one slot —
+    Cache wiring is one flow, shared with ``Connection(cache=...)``: the
+    cache lives in exactly one slot —
     the connection engine's
     :attr:`~repro.relational.engine.QueryEngine.cache` — and every entry
     point normalizes through

@@ -52,7 +52,6 @@ from repro.relational.algebra import (
 from repro.relational.cache import (
     CacheStats,
     NodeResultCache,
-    PlanCostCache,
     PlanResultCache,
     resolve_cache,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "ConstantColumn",
     "CacheStats",
     "NodeResultCache",
-    "PlanCostCache",
     "PlanResultCache",
     "resolve_cache",
     "FaultPolicy",

@@ -1,16 +1,12 @@
-"""Cross-plan result cache: shared relational work across plan executions.
+"""The bounded caches, and the cross-plan result cache a session keeps.
 
-An exhaustive sweep (Figs. 13/14) executes every partition of the view-tree
-edge set — 2^|E| plans whose SQL queries overwhelmingly repeat: the same
-subtree query, i.e. the same root-to-node join path, recurs across almost
-every partition.  For Query 1's 512-plan sweep the 2816 stream executions
-collapse to 185 distinct plans, so memoizing whole-plan outcomes removes
-~93% of the relational work without touching a single simulated
-millisecond.
+A middle-ware executes the same plans again: a view re-materialized, a
+served query repeated.  (An exhaustive sweep, whose 2^|E| plans repeat the
+same subtree queries, prices each distinct stream once in a table of its
+own: :func:`repro.bench.sweep.sweep_partitions`.)
 
 :class:`PlanResultCache` stores, per executed plan, the exact result rows
-(a sweep's :class:`PlanCostCache`: only their number) **and** the ordered
-log of simulated cost charges.  A hit *replays* the
+**and** the ordered log of simulated cost charges.  A hit *replays* the
 charge log through a fresh accumulator, so the returned
 :class:`~repro.relational.engine.ExecutionResult` is byte-identical to an
 uncached execution — same ``server_ms``, same per-operator ``breakdown``
@@ -43,7 +39,6 @@ from dataclasses import dataclass
 from math import inf
 from operator import attrgetter
 
-from repro.common.errors import ExecutionError
 from repro.relational.dependencies import is_stale
 from repro.relational.types import average_row_width
 
@@ -218,19 +213,6 @@ class BoundedCache:
             metrics.gauge(f"{self.name}.{field}", value)
 
 
-class RowCount(int):
-    """The rows of a complete :class:`PlanCostCache` entry — their number:
-    ``len()`` answers, iterating is an error, never an empty result."""
-
-    __len__ = int.__int__
-
-    def __iter__(self):
-        raise ExecutionError(
-            f"the {self:d} rows of this result were not kept: it replays "
-            "a cost-only plan-cache entry (a sweep's) — timings, not data"
-        )
-
-
 class CacheEntry:
     """One cached execution outcome.
 
@@ -239,8 +221,7 @@ class CacheEntry:
     (startup is charged by the engine before the cache is consulted).
     ``complete`` is False when the recorded run raised
     ``TimeoutExceeded``; then ``rows`` is ``None`` and the log ends at the
-    raising charge.  In a :class:`PlanCostCache` the ``rows`` of a
-    complete entry are a :class:`RowCount`.
+    raising charge.
 
     ``transfer_sums`` holds what clients summed over ``rows``: the total
     transfer cost per ``(transfer model, compact row format)`` — per
@@ -275,21 +256,19 @@ class CacheEntry:
         return False
 
 
-def resolve_cache(cache, fresh=None):
+def resolve_cache(cache):
     """Normalize the one cache-wiring convention shared by every layer.
 
-    ``SilkRoute(cache=...)``, ``Connection(cache=...)``, the
-    ``Connection.cache`` property, and ``sweep_partitions(cache=...)`` all
-    funnel through this: ``True`` builds a fresh :class:`PlanResultCache`
-    (or ``fresh()``: a sweep names its :class:`PlanCostCache`),
-    ``False``/``None`` disables caching, and an instance (possibly empty —
-    ``len()`` is falsy) is used as-is, which is how one cache is shared
-    across systems.  The cache itself always lives in exactly one place:
-    the engine's :attr:`~repro.relational.engine.QueryEngine.cache`
-    attribute.
+    ``SilkRoute(cache=...)``, ``Connection(cache=...)`` and the
+    ``Connection.cache`` property all funnel through this: ``True`` builds
+    a fresh :class:`PlanResultCache`, ``False``/``None`` disables caching,
+    and an instance (possibly empty — ``len()`` is falsy) is used as-is,
+    which is how one cache is shared across systems.  The cache itself
+    always lives in exactly one place: the engine's
+    :attr:`~repro.relational.engine.QueryEngine.cache` attribute.
     """
     if cache is True:
-        return (fresh or PlanResultCache)()
+        return PlanResultCache()
     if cache is False or cache is None:
         return None
     return cache
@@ -299,7 +278,7 @@ class PlanResultCache(BoundedCache):
     """LRU cache of plan execution outcomes, bounded by their bytes.
 
     Install one on a :class:`~repro.relational.engine.QueryEngine` (or pass
-    ``cache=`` to ``Connection`` / ``sweep_partitions`` / ``SilkRoute``) and
+    ``cache=`` to ``Connection`` / ``SilkRoute``) and
     every ``execute`` call consults it.  Rows are returned by reference;
     callers must treat result rows as immutable (the engine's own
     common-subexpression memo already shares them the same way).  What
@@ -330,19 +309,16 @@ class PlanResultCache(BoundedCache):
             or entry.replay_raises(spent_ms, budget_ms),
         )
 
-    #: Whether a complete entry keeps its rows — and so weighs them.
-    keeps_rows = True
-
     def record(self, key, plan, rows, charge_log, row_bytes=None):
         """Store a fresh evaluation of ``plan`` — its ``rows``, or None for
-        the charge prefix of a timed-out run — weighed by what this cache
-        keeps of it; return the entry.  ``row_bytes`` is the rows' average
+        the charge prefix of a timed-out run — weighed by its rows and
+        charges; return the entry.  ``row_bytes`` is the rows' average
         width when the run already sampled it (a root sort does), else
         the rows are sampled here."""
         nbytes = 64 * len(charge_log)
         if rows is not None:
             nbytes += 128
-        if rows and self.keeps_rows:
+        if rows:
             # ~56 bytes of tuple/pointer overhead per row in CPython.
             columns = plan.columns()
             if row_bytes is None:
@@ -351,26 +327,6 @@ class PlanResultCache(BoundedCache):
         entry = CacheEntry(rows, tuple(charge_log), rows is not None, nbytes)
         self.store(key, entry)
         return entry
-
-
-class PlanCostCache(PlanResultCache):
-    """The plan cache a sweep installs: entries hold costs, not rows.
-
-    A sweep reads a stream's server and transfer time, never its rows, so
-    a complete entry is stored with a :class:`RowCount` in their place.
-    The charge log replays as ever and the transfer sum the first
-    execution took, over the rows it still had, rides on the entry; a
-    connection with no sum under its own ``(transfer model, row format)``
-    re-evaluates the plan.
-    """
-
-    keeps_rows = False
-
-    def store(self, key, entry):
-        if entry.complete:
-            entry.rows = RowCount(len(entry.rows))
-            entry.nbytes = 128 + 64 * len(entry.charge_log)
-        return super().store(key, entry)
 
 
 #: What a node cache holds for a sub-plan computed once: an entry that
@@ -402,7 +358,8 @@ class NodeResultCache(BoundedCache):
     fingerprint leaves the weightless :data:`SEEN` marker (a miss to
     :meth:`get`, evicted like any other entry) and the value is kept from
     the second on.  Only a sweep installs one
-    (:func:`repro.bench.sweep.sweep_partitions`), for its own plans: it
+    (:func:`repro.bench.sweep.sweep_partitions`), on the engine of the
+    connection it builds for its own streams: it
     pins the table generations, and the next sweep starts empty, so a
     fingerprint alone is the key and no write has anything to retire;
     it drops the entries when it ends (:meth:`release`).
@@ -428,7 +385,7 @@ class NodeResultCache(BoundedCache):
 
     def release(self):
         """Drop every entry and keep the counters: what a finished sweep
-        leaves on the engine, for its stats."""
+        leaves on the caller's engine, for its stats."""
         with self._lock:
             self._entries.clear()
             self._bytes = 0

@@ -25,7 +25,7 @@ from types import NoneType
 
 from repro.common.errors import PlanError, TimeoutExceeded
 from repro.obs import obs_parts
-from repro.relational.cache import RowCount, resolve_cache
+from repro.relational.cache import resolve_cache
 from repro.relational.codegen import Source, compiled
 from repro.relational.engine import QueryEngine
 from repro.relational.pipeline import column_facts
@@ -76,12 +76,7 @@ class SourceDescription:
 
 
 class TupleStream:
-    """One executed query's sorted result stream with its simulated timings.
-
-    Replayed from a sweep's :class:`~repro.relational.cache.PlanCostCache`,
-    ``rows`` is a :class:`~repro.relational.cache.RowCount`: the stream
-    has its timings and its length, and iterating it is an error.
-    """
+    """One executed query's sorted result stream with its simulated timings."""
 
     def __init__(self, columns, rows, server_ms, transfer_ms, sql=None, label=None):
         self.columns = columns
@@ -262,13 +257,9 @@ class Connection:
         key = (self.transfer_model, compact_rows)
         transfer_ms = sums.get(key)
         if transfer_ms is None:
-            rows = result.rows
-            if isinstance(rows, RowCount):
-                # A cost-only entry summed under another transfer model
-                # (a replica's) or row format: re-evaluate, never guess.
-                rows = self.engine.rows(plan, obs_parts(opts.obs)[1])
             transfer_ms = sums[key] = self._transfer_cost(
-                result.columns, rows, compact_rows, self._nullable(plan)
+                result.columns, result.rows, compact_rows,
+                self._nullable(plan)
             )
         return TupleStream(
             columns=result.columns,

@@ -165,23 +165,28 @@ def execute_specs(connection, specs, executor=None, expect_generations=None,
     tables instead of silently recomputing against mixed states.
     """
     opts = resolve_options(options, overrides)
-    if expect_generations is not None:
-        current = connection.database.table_generations()
-        if current != expect_generations:
-            changed = sorted(
-                name
-                for name in current.keys() | expect_generations.keys()
-                if current.get(name) != expect_generations.get(name)
-            )
-            raise StaleGenerationError(
-                changed, pinned=expect_generations, current=current
-            )
+    check_generations(connection.database, expect_generations)
     if executor is None and opts.resilience is not None:
         executor = opts.resilience.executor(connection)
     if executor is None:
         return _run_specs(partial(submit, connection), specs, opts, lazy)
     with executor.routing():
         return _run_specs(executor.run, specs, opts, lazy)
+
+
+def check_generations(database, pinned):
+    """Raise :class:`~repro.common.errors.StaleGenerationError`, naming
+    the written tables, when ``database``'s per-table generations are no
+    longer the ``pinned`` ones (None pins nothing)."""
+    if pinned is None:
+        return
+    current = database.table_generations()
+    if current != pinned:
+        changed = sorted(
+            name for name in current.keys() | pinned.keys()
+            if current.get(name) != pinned.get(name)
+        )
+        raise StaleGenerationError(changed, pinned=pinned, current=current)
 
 
 def _run_specs(run, specs, opts, lazy):

@@ -355,10 +355,10 @@ class QueryEngine:
     * ``"batch"`` (the default) — plans are cut into pipelines, each run
       as one generated loop nest, and pipeline breakers
       (:mod:`repro.relational.pipeline`) that pass
-      :class:`~repro.relational.batch.Batch` objects.  During a sweep
-      :meth:`execute` offers every pipeline's and breaker's result to the
-      sweep's node cache (:attr:`results`), which keeps one from its
-      second computation on; otherwise, and always in a cursor, the
+      :class:`~repro.relational.batch.Batch` objects.  On a sweep's own
+      connection :meth:`execute` offers every pipeline's and breaker's
+      result to the sweep's node cache (:attr:`results`), which keeps one
+      from its second computation on; otherwise, and always in a cursor, the
       lowered plan runs keeping nothing, so a cursor's memory is the final
       sort buffer plus the largest single pipeline step;
     * ``"tuple"`` — the row-at-a-time Volcano interpreter (the
@@ -387,12 +387,13 @@ class QueryEngine:
             raise ValueError(f"unknown engine mode {engine!r}")
         self.mode = engine
         #: Where executions keep and look up pipeline and breaker results:
-        #: None (nowhere), except while a sweep runs with the empty
-        #: :class:`~repro.relational.cache.NodeResultCache` it installs
-        #: (which :meth:`_evaluate` sets aside after a write).
+        #: None (nowhere), except on the connection a sweep builds for its
+        #: plans, whose engine holds the sweep's empty
+        #: :class:`~repro.relational.cache.NodeResultCache` (which
+        #: :meth:`_evaluate` sets aside after a write).
         self.results = None
-        #: The last sweep's node cache (an empty one before any), for its
-        #: stats.
+        #: The node cache of the last sweep run over this engine's
+        #: connection (an empty one before any), for its stats.
         self.node_cache = NodeResultCache()
         #: Per-table generation snapshot from the last evaluation; compared
         #: with the live database's to see a write.
@@ -485,8 +486,7 @@ class QueryEngine:
             charges.replay(entry.charge_log)
             # An incomplete entry is only served when the replay is
             # guaranteed to raise, so reaching here means the entry is
-            # complete and ``entry.rows`` is the full result (or, from a
-            # cost-only cache, its ``RowCount``).
+            # complete and ``entry.rows`` is the full result.
             return self._result(plan, entry.rows, charges,
                                 entry.transfer_sums)
         if metrics is not None:
@@ -501,13 +501,6 @@ class QueryEngine:
             key, plan, rows, charges.log,
             charges.sort_row_bytes if isinstance(plan, Sort) else None)
         return self._result(plan, rows, charges, entry.transfer_sums)
-
-    def rows(self, plan, metrics=None):
-        """``plan``'s rows, evaluated fresh and charged to nobody: what a
-        caller replaying a cost-only entry asks for when it needs data."""
-        return self._evaluate(plan, _Charges(
-            self.cost_model, None, results=self.results, metrics=metrics,
-        ))
 
     def _evaluate(self, plan, charges):
         """Evaluate ``plan`` fresh in :attr:`mode`; return the result

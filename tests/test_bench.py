@@ -14,7 +14,8 @@ from repro.core.partition import (
     fully_partitioned,
     unified_partition,
 )
-from repro.core.sqlgen import PlanStyle
+from repro.core.sqlgen import PlanStyle, SqlGenerator
+from repro.bench import sweep as sweep_module
 from repro.bench.queries import QUERY_1, QUERY_2, load_view
 from repro.bench.report import format_series, format_sweep_table, summarize_sweep
 from repro.bench.sweep import (
@@ -25,7 +26,7 @@ from repro.bench.sweep import (
 )
 from repro.obs import ObsOptions
 from repro.relational.batch import Batch
-from repro.relational.cache import PlanCostCache, RowCount
+from repro.relational.cache import BoundedCache
 from repro.relational.connection import Connection, TransferModel
 from repro.relational.database import synthesize_rows
 from repro.relational.engine import CostModel
@@ -190,39 +191,54 @@ class TestCachedAndParallelSweep:
         assert wide.timings == narrow.timings  # same values, same order
 
     def test_workers_with_shared_cache(self, q1_tree, tiny_db, tiny_conn, sample):
-        from repro.relational.cache import PlanResultCache
-
+        """The plans of a width-2 sweep share its price table; the next
+        sweep starts with a table of its own."""
         uncached = sweep_partitions(
             q1_tree, tiny_db.schema, tiny_conn, cache=False,
             partitions=sample, reduce=True,
         )
-        shared = PlanResultCache()
-        first = sweep_partitions(
-            q1_tree, tiny_db.schema, tiny_conn, cache=shared, workers=2,
-            partitions=sample, reduce=True,
-        )
-        second = sweep_partitions(
-            q1_tree, tiny_db.schema, tiny_conn, cache=shared, workers=2,
-            partitions=sample, reduce=True,
+        first, second = (
+            sweep_partitions(
+                q1_tree, tiny_db.schema, tiny_conn, workers=2,
+                partitions=sample, reduce=True,
+            )
+            for _ in range(2)
         )
         assert first.timings == uncached.timings
         assert second.timings == uncached.timings
-        # The second sweep found every plan already cached.
-        assert second.cache_stats.misses == first.cache_stats.misses
+        assert second.cache_stats == first.cache_stats
+        assert first.cache_stats.hits > 0
 
-    def test_sweep_restores_engine_cache(self, q1_tree, tiny_db, tiny_conn):
-        before = tiny_conn.engine.cache
-        sweep_partitions(
-            q1_tree, tiny_db.schema, tiny_conn,
-            partitions=[fully_partitioned(q1_tree)],
-        )
-        assert tiny_conn.engine.cache is before
+    @pytest.mark.parametrize("cache", [True, False], ids=["table", "every"])
+    def test_an_execution_inside_a_sweep_sees_its_own_caches(
+            self, cache, q1_tree, tiny_db):
+        """Nothing on the caller's engine changes while a sweep runs: an
+        execution in ``progress`` returns the rows it returns outside
+        the sweep, from the caller's own caches."""
+        connection = Connection(tiny_db, CostModel())
+        engine = connection.engine
+        own = engine.cache, engine.results
+        partitions = [unified_partition(q1_tree), fully_partitioned(q1_tree)]
+        plan = SqlGenerator(q1_tree, tiny_db.schema).streams_for_partition(
+            partitions[0])[0].plan
+        outside = engine.execute(plan).rows
+        inside = []
+
+        def progress(done, total):
+            assert (engine.cache, engine.results) == own
+            inside.append(engine.execute(plan).rows)
+
+        sweep_partitions(q1_tree, tiny_db.schema, connection,
+                         partitions=partitions, cache=cache,
+                         progress=progress)
+        assert inside == [outside, outside] and type(outside) is list
+        assert (engine.cache, engine.results) == own
 
 
 class TestCostOnlySweep:
-    """``cache=True`` installs a cost-only cache for the sweep: nothing a
-    sweep reports can tell it from an uncached run, and nothing it leaves
-    behind can serve a stale or rowless result."""
+    """``cache=True`` prices each stream once, in the sweep's own table of
+    costs: nothing a sweep reports can tell it from a run of every
+    stream, and nothing on the caller's connection changes."""
 
     @pytest.fixture(scope="class")
     def config_a(self):
@@ -250,20 +266,26 @@ class TestCostOnlySweep:
         assert len(cached.timings) == 512 and len(cached.timed_out()) == 112
         assert cached.cache_stats.hits > 2000
 
-    def test_entries_hold_costs_not_rows(self, q1_tree, tiny_db, tiny_conn):
-        cache = PlanCostCache()
+    def test_entries_hold_costs_not_rows(self, q1_tree, tiny_db, tiny_conn,
+                                         monkeypatch):
+        tables = []
+
+        def table(name):
+            tables.append(BoundedCache(name))
+            return tables[-1]
+
+        monkeypatch.setattr(sweep_module, "BoundedCache", table)
         sweep_partitions(
-            q1_tree, tiny_db.schema, tiny_conn, cache=cache, budget_ms=50.0,
+            q1_tree, tiny_db.schema, tiny_conn, budget_ms=50.0,
             partitions=[unified_partition(q1_tree),
                         fully_partitioned(q1_tree)],
         )
-        entries = [entry for _, entry in cache.items()]
-        assert {entry.complete for entry in entries} == {True, False}
-        for entry in entries:
-            if entry.complete:
-                assert isinstance(entry.rows, RowCount)
-                assert len(entry.transfer_sums) == 1
-            assert entry.nbytes <= 128 + 64 * len(entry.charge_log)
+        [prices] = tables
+        entries = [entry for _, entry in prices.items()]
+        assert {timed_out for _, _, timed_out in entries} == {True, False}
+        for server_ms, transfer_ms, timed_out in entries:
+            assert (type(server_ms), type(transfer_ms)) == (
+                (type(None),) * 2 if timed_out else (float, float))
 
     def test_session_cache_is_set_aside(self, tiny_db):
         session = Session(Connection(tiny_db, CONFIG_A.cost_model))
@@ -276,9 +298,11 @@ class TestCostOnlySweep:
         assert result.stats["sweep_cache"]["stores"] == 11
 
     def test_replicas_with_their_own_transfer_models(self, q1_tree, tiny_db):
-        """A pool whose replicas bind rows at different costs shares the
-        sweep's cost-only cache; each stream still reports its replica's
-        own transfer time."""
+        """A pool whose replicas bind rows at different costs: each sweep
+        prices its streams under the replica they are routed to, and
+        reports that replica's own transfer time.  (Only the attempt
+        counts differ from a sweep of every stream: a priced stream is
+        not dispatched again.)"""
         models = [TransferModel(), TransferModel(row_ms=1.0, byte_ms=0.02)]
         partitions = [unified_partition(q1_tree), fully_partitioned(q1_tree),
                       Partition([(1, 1)]), Partition([(1, 4), (1, 4, 1)])]
@@ -287,22 +311,21 @@ class TestCostOnlySweep:
             pool = ReplicaPool([self.connect(tiny_db, model)
                                 for model in models])
             timings = []
-            # The first sweep runs on replica 1, the second on replica 0,
-            # which then replays entries summed under the other model.
+            # The first sweep runs on replica 1, the second on replica 0.
             for ailing in (0, 1):
                 for replica, health in enumerate(pool.health):
                     health.consecutive_failures = int(replica == ailing)
-                timings.append(sweep_partitions(
-                    q1_tree, tiny_db.schema, pool.connections[0],
-                    partitions=partitions, cache=cache,
-                    resilience=Resilience(replicas=pool),
-                ).timings)
+                timings.append([
+                    (t.query_ms, t.transfer_ms, t.timed_out, t.failed)
+                    for t in sweep_partitions(
+                        q1_tree, tiny_db.schema, pool.connections[0],
+                        partitions=partitions, cache=cache,
+                        resilience=Resilience(replicas=pool),
+                    ).timings])
             assert timings[0] != timings[1]
             return timings
 
-        shared = PlanCostCache()
-        assert sweep(shared) == sweep(False)
-        assert {len(entry.transfer_sums) for _, entry in shared.items()} == {2}
+        assert sweep(True) == sweep(False)
 
     @pytest.mark.parametrize("partition", PARTITIONS, ids=str)
     def test_materialize_after_sweep_matches_golden(self, config_a, partition):

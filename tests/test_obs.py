@@ -307,8 +307,8 @@ class TestObservationIdentity:
                 (False, ExecutionOptions(obs=ObsOptions())),
             )
         )
-        # The cached sweeps replay cost-only entries: a stream span's
-        # ``rows`` comes from the recorded count, and nothing moves.
+        # The cached sweeps read their streams' prices from the sweep's
+        # table, and nothing moves.
         assert traced.timings == baseline.timings == uncached.timings
         assert traced_uncached.timings == baseline.timings
         assert traced.cache_stats.hits == baseline.cache_stats.hits > 0
@@ -317,8 +317,9 @@ class TestObservationIdentity:
         assert sweep_span.attrs["plans"] == len(partitions)
         snapshot = obs.metrics.snapshot()
         assert snapshot["counters"]["sweep.plans"] == len(partitions)
-        assert snapshot["counters"]["plan_cache.hits"] == (
+        assert snapshot["gauges"]["sweep_cache.hits"] == (
             traced.cache_stats.hits)
+        assert "plan_cache.hits" not in snapshot["counters"]
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,7 @@ import threading
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.common.errors import (
-    ExecutionError,
-    StaleGenerationError,
-    TimeoutExceeded,
-)
+from repro.common.errors import StaleGenerationError, TimeoutExceeded
 from repro.core.partition import (
     Partition,
     enumerate_partitions,
@@ -31,6 +27,7 @@ from repro.core.partition import (
     unified_partition,
 )
 from repro.bench.queries import QUERY_1
+from repro.bench import sweep as sweep_module
 from repro.bench.sweep import sweep_partitions
 from repro.core.sqlgen import PlanStyle, SqlGenerator
 from repro.obs.metrics import MetricsRegistry
@@ -39,11 +36,9 @@ from repro.relational.cache import (
     BoundedCache,
     CacheEntry,
     NodeResultCache,
-    PlanCostCache,
     PlanResultCache,
-    RowCount,
 )
-from repro.relational.connection import Connection, TransferModel
+from repro.relational.connection import Connection
 from repro.relational.engine import (
     CONFIG_A_COST_MODEL,
     CONFIG_B_COST_MODEL,
@@ -51,6 +46,8 @@ from repro.relational.engine import (
     QueryEngine,
 )
 from repro.relational.database import synthesize_rows
+from repro.relational.faults import FaultPolicy
+from repro.relational.resilience import Resilience
 from repro.session import Session
 from repro.tpch.generator import TpchGenerator, TpchScale
 from repro.xmlgen.splice import FragmentCache, Tagging
@@ -355,9 +352,9 @@ class _Kind:
 
 KINDS = [
     # The engine's compiled plans, the session's view and dedup maps, the
-    # process's view definitions, a layout's decoders, the estimator's
-    # estimates (whose request counters and counting ``clear`` are
-    # tests/test_estimator.py's).
+    # process's view definitions, a layout's decoders, a sweep's price
+    # table, the estimator's estimates (whose request counters and
+    # counting ``clear`` are tests/test_estimator.py's).
     _Kind("bare",
           lambda n, b: BoundedCache("t", max_entries=n, max_bytes=b,
                                     size_of=len),
@@ -555,8 +552,9 @@ class TestNodeAdmission:
         run executes: the first leaves markers, the second keeps the
         values where they were seen, the third hits every lookup — and
         each times the plan as the interpreter does.  Executed once more
-        on the sweep's cache, the plan is served every lookup and returns
-        the interpreter's rows, timings and breakdown."""
+        on the caller's engine, the plan neither reads nor feeds the
+        sweep's cache and returns the interpreter's rows, timings and
+        breakdown."""
         partitions = [unified_partition(q1_tree)] * 3
         reference = sweep_partitions(
             q1_tree, tiny_db.schema,
@@ -571,7 +569,7 @@ class TestNodeAdmission:
         def progress(done, total):
             seen.append(engine.node_cache.stats())
             if done == total:
-                # Once more on the sweep's cache, before the sweep ends.
+                # Once more on the caller's engine, before the sweep ends.
                 kept.extend(value for _, value in engine.node_cache.items())
                 served.append(engine.execute(spec.plan))
 
@@ -590,7 +588,7 @@ class TestNodeAdmission:
         assert_identical(served[0], QueryEngine(
             tiny_db, CostModel(), engine="tuple").execute(spec.plan))
         fourth = engine.node_cache.stats()
-        assert fourth.hits - third.hits == first.misses
+        assert fourth.requests == third.requests
         assert fourth.stores == third.stores
         # The sweep ends: its values go, its counters stay.
         assert engine.results is None and len(engine.node_cache) == 0
@@ -673,9 +671,9 @@ class TestOnlyASweepKeeps:
             if done == 2:       # the second run kept what it saw
                 [row] = synthesize_rows(database, "Supplier", 1, seed=3)
                 database.insert("Supplier", *row)
-                stats = engine.results.stats()
+                stats = engine.node_cache.stats()
                 served.append(engine.execute(plan).rows)
-                assert engine.results.stats() == stats
+                assert engine.node_cache.stats() == stats
 
         with pytest.raises(StaleGenerationError):
             sweep_partitions(
@@ -687,78 +685,64 @@ class TestOnlyASweepKeeps:
         assert served == [reference] and reference != before
 
 
-class TestCostOnlyEntries:
-    """A :class:`PlanCostCache` entry replays the charge log and keeps the
-    row count and the transfer sums, not the rows."""
+class TestSweepTable:
+    """A sweep prices each stream once, in a table of its own: a stream's
+    ``(server_ms, transfer_ms, timed_out)`` under its plan fingerprint,
+    row format and transfer model."""
 
     @pytest.fixture()
-    def specs(self, q1_tree, tiny_db):
-        return SqlGenerator(q1_tree, tiny_db.schema).streams_for_partition(
-            fully_partitioned(q1_tree))
+    def tables(self, monkeypatch):
+        """The price tables the sweeps of a test build."""
+        built = []
 
-    def test_row_count_answers_len_and_refuses_iteration(self):
-        rows = RowCount(3)
-        assert len(rows) == 3 and not RowCount(0)
-        with pytest.raises(ExecutionError, match="not kept"):
-            iter(rows)
-        with pytest.raises(ExecutionError):
-            list(rows)
+        def table(name):
+            built.append(BoundedCache(name))
+            return built[-1]
 
-    def test_store_drops_the_rows_of_a_complete_entry(self):
-        cache = PlanCostCache()
-        log = (("scan", 1.0, 1), ("sort", 2.0, 0))
-        complete = CacheEntry(rows=[(1,), (2,)], charge_log=log,
-                              complete=True, nbytes=10_000)
-        timed_out = CacheEntry(rows=None, charge_log=log, complete=False,
-                               nbytes=128)
-        cache.store("done", complete)
-        cache.store("late", timed_out)
-        assert isinstance(complete.rows, RowCount) and len(complete.rows) == 2
-        assert complete.charge_log == log
-        assert timed_out.rows is None
-        assert cache.stats().current_bytes == (128 + 64 * 2) + 128
+        monkeypatch.setattr(sweep_module, "BoundedCache", table)
+        return built
 
-    def test_replay_is_identical_but_for_the_rows(self, specs, tiny_db):
-        plain = QueryEngine(tiny_db, CostModel())
-        costed = QueryEngine(tiny_db, CostModel(), cache=PlanCostCache())
-        for spec in specs:
-            reference = plain.execute(spec.plan)
-            assert_identical(costed.execute(spec.plan), reference)
-            replayed = costed.execute(spec.plan)
-            assert isinstance(replayed.rows, RowCount)
-            assert len(replayed.rows) == len(reference.rows)
-            replayed.rows = reference.rows
-            assert_identical(replayed, reference)
+    def test_a_stream_is_priced_once(self, q1_tree, tiny_db, tables):
+        partitions = [unified_partition(q1_tree), fully_partitioned(q1_tree),
+                      Partition([(1, 1)]), Partition([(1, 4), (1, 4, 1)])]
+        connection = Connection(tiny_db, CostModel())
+        sweep = sweep_partitions(q1_tree, tiny_db.schema, connection,
+                                 partitions=partitions, budget_ms=50.0)
+        [table] = tables
+        specs = [spec for partition in partitions
+                 for spec in SqlGenerator(q1_tree, tiny_db.schema)
+                 .streams_for_partition(partition)]
+        keys = {(spec.plan.fingerprint(), spec.compact,
+                 connection.transfer_model) for spec in specs}
+        stats = sweep.cache_stats
+        assert {key for key, _ in table.items()} == keys
+        assert stats.stores == stats.misses == len(keys) < len(specs)
+        assert stats.hits == len(specs) - len(keys)
+        assert len(sweep.timed_out()) == 1 and len(sweep.completed()) == 3
 
-    def test_stream_has_timings_and_length_not_rows(self, specs, tiny_db):
-        connection = Connection(tiny_db, CostModel(), cache=PlanCostCache())
-        spec = specs[0]
-        cold = connection.execute(spec.plan, compact_rows=spec.compact)
-        replayed = connection.execute(spec.plan, compact_rows=spec.compact)
-        assert list(cold) and len(replayed) == len(cold) == replayed.rows_read
-        assert (replayed.server_ms, replayed.transfer_ms) == (
-            cold.server_ms, cold.transfer_ms)
-        with pytest.raises(ExecutionError, match="not kept"):
-            list(replayed)
+    def test_a_failed_stream_is_dispatched_again(self, q1_tree, tiny_db,
+                                                 tables):
+        """A stream that fails for good is not priced: each plan holding it
+        spends its attempts on it again, as a sweep of every stream does;
+        a priced stream spends none."""
+        def sweep(cache, error_rate):
+            return sweep_partitions(
+                q1_tree, tiny_db.schema, Connection(tiny_db, CostModel()),
+                partitions=[fully_partitioned(q1_tree)] * 3, cache=cache,
+                resilience=Resilience(faults=FaultPolicy(
+                    seed=1, error_rate=error_rate)))
 
-    def test_unrecorded_transfer_sum_is_re_evaluated(self, specs, tiny_db):
-        """Connections with different transfer models (replicas) and row
-        formats share one cost-only cache: whichever stored the entry,
-        each reports what a cache-less connection with its model does."""
-        models = [TransferModel(), TransferModel(row_ms=1.0, byte_ms=0.02)]
-        cache = PlanCostCache()
-        shared = [Connection(tiny_db, CostModel(), model, cache=cache)
-                  for model in models]
-        for i, spec in enumerate(specs):
-            order = shared[::-1] if i % 2 else shared
-            for compact in (spec.compact, not spec.compact):
-                for connection in order + order:
-                    want = Connection(
-                        tiny_db, CostModel(), connection.transfer_model,
-                    ).execute(spec.plan, compact_rows=compact)
-                    got = connection.execute(spec.plan, compact_rows=compact)
-                    assert (got.server_ms, got.transfer_ms, len(got)) == (
-                        want.server_ms, want.transfer_ms, len(want))
-        assert cache.stats().stores == len(cache) == len(specs)
-        for _, entry in cache.items():
-            assert len(entry.transfer_sums) == 4
+        failing = sweep(True, 1.0)
+        assert len(failing.failed()) == 3 and len(tables[0]) == 0
+        assert failing.timings == sweep(False, 1.0).timings
+        assert [t.resilience.attempts for t in failing.timings] == [1] * 3
+        clean = sweep(True, 0.0)
+        assert [t.resilience.attempts for t in clean.timings] == [10, 0, 0]
+        assert len({(t.query_ms, t.transfer_ms) for t in clean.timings}) == 1
+
+    def test_a_cache_instance_is_refused(self, q1_tree, tiny_db):
+        with pytest.raises(TypeError, match="True or False"):
+            sweep_partitions(q1_tree, tiny_db.schema,
+                             Connection(tiny_db, CostModel()),
+                             partitions=[unified_partition(q1_tree)],
+                             cache=PlanResultCache())
