@@ -112,13 +112,8 @@ def probe_sweep(session, query, keep_all=False, **options):
     node cache the sweep builds; returns ``(sweep result, reuse counts)``
     with the price table's entries and hits among the counts."""
     probe = ReuseProbe(keep_all)
-
-    def pinned(generations):
-        probe.generations = generations
-        return probe
-
     build = sweep_module.NodeResultCache
-    sweep_module.NodeResultCache = pinned
+    sweep_module.NodeResultCache = lambda: probe
     try:
         result = session.sweep(query, **options)
     finally:

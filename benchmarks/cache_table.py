@@ -90,8 +90,9 @@ CACHES = {
         "sub-plan fingerprint (a value is kept from the fingerprint's "
         "second store on, the first leaves a marker)",
         "nothing: a sweep pins the table generations (a write during it "
-        "raises `StaleGenerationError`, and an execution that sees the "
-        "write sets the cache aside), and the next sweep starts empty",
+        "raises `StaleGenerationError` at the next plan; no other "
+        "execution shares the sweep's engine), and the next sweep starts "
+        "empty",
     ),
     "estimates": (
         "`EstimateCache` on `CostEstimator.cache`, one estimator per "

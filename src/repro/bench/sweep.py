@@ -292,7 +292,7 @@ def sweep_partitions(tree, schema, connection, partitions=None,
     own = Connection(connection.database, connection.engine.cost_model,
                      transfer_model=connection.transfer_model,
                      engine=connection.engine.mode)
-    results = NodeResultCache(generations=pinned_generations)
+    results = NodeResultCache()
     own.engine.results = connection.engine.node_cache = results
     table = BoundedCache("sweep_cache") if cache else None
     executor = None

@@ -362,15 +362,13 @@ class NodeResultCache(BoundedCache):
     connection it builds for its own streams: it
     pins the table generations, and the next sweep starts empty, so a
     fingerprint alone is the key and no write has anything to retire;
-    it drops the entries when it ends (:meth:`release`).
-    ``generations`` is what the sweep pinned: an execution that sees
-    others (a write during the sweep) neither reads nor feeds the cache.
+    it drops the entries when it ends (:meth:`release`).  No other
+    execution reads or feeds it: the engine is the sweep's.
     """
 
-    def __init__(self, max_entries=4096, generations=None):
+    def __init__(self, max_entries=4096):
         super().__init__("node_cache", max_entries=max_entries,
                          size_of=_node_entry_bytes)
-        self.generations = generations
 
     def get(self, fingerprint):
         """The kept value for a sub-plan fingerprint, or None."""

@@ -389,8 +389,7 @@ class QueryEngine:
         #: Where executions keep and look up pipeline and breaker results:
         #: None (nowhere), except on the connection a sweep builds for its
         #: plans, whose engine holds the sweep's empty
-        #: :class:`~repro.relational.cache.NodeResultCache` (which
-        #: :meth:`_evaluate` sets aside after a write).
+        #: :class:`~repro.relational.cache.NodeResultCache`.
         self.results = None
         #: The node cache of the last sweep run over this engine's
         #: connection (an empty one before any), for its stats.
@@ -425,17 +424,16 @@ class QueryEngine:
         They can never be served again (the key moved), so retiring them
         — rows, charge log and transfer sums together — is garbage
         collection plus accounting: the heap follows the live data, not
-        the write count.  Returns the live generations."""
+        the write count."""
         current = self.database.table_generations()
         previous = self._table_gens
         if previous == current:
-            return previous
+            return
         self._table_gens = current
         if previous is not None and self.cache is not None:
             dropped = self.cache.discard_stale(self.database)
             if metrics is not None and dropped:
                 metrics.inc("plan_cache.invalidations", dropped)
-        return current
 
     def cached_complete(self, plan):
         """True when :attr:`cache` holds a *complete* entry for ``plan`` —
@@ -505,12 +503,8 @@ class QueryEngine:
     def _evaluate(self, plan, charges):
         """Evaluate ``plan`` fresh in :attr:`mode`; return the result
         rows.  In either mode this is the read that first sees a write,
-        so the retire-on-write sweep runs here, and a sweep's node cache
-        is set aside once a write moves the generations it pinned."""
-        generations = self._refresh_dependencies(charges.metrics)
-        if (charges.results is not None
-                and charges.results.generations != generations):
-            charges.results = None
+        so the retire-on-write sweep runs here."""
+        self._refresh_dependencies(charges.metrics)
         if self.mode == "tuple":
             return list(self._stream_plan(plan, charges))
         return pipeline.evaluate(plan, self.database, charges).rows()
